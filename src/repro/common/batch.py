@@ -421,6 +421,21 @@ def split_indices(pids: np.ndarray) -> List[Tuple[int, np.ndarray]]:
     ]
 
 
+def gather_segments(values: np.ndarray, starts: np.ndarray,
+                    lens: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Concatenate ``values[starts[i]:starts[i] + lens[i]]`` for every i.
+
+    The CSR row gather: returns ``(indptr, gathered)`` with segment i at
+    ``gathered[indptr[i]:indptr[i + 1]]``.  Segments may repeat, overlap,
+    come in any order, or be empty.
+    """
+    indptr = np.zeros(len(lens) + 1, dtype=np.int64)
+    np.cumsum(lens, out=indptr[1:])
+    flat = np.repeat(starts - indptr[:-1], lens)
+    flat += np.arange(len(flat))
+    return indptr, values.take(flat)
+
+
 def split_batch(keys: np.ndarray, values: np.ndarray,
                 pids: np.ndarray) -> Dict[int, RecordBatch]:
     """Bucket columnar records by partition id -> per-bucket batches."""

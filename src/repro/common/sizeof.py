@@ -30,6 +30,16 @@ def sizeof(obj: Any) -> int:
     cost :data:`SCALAR_BYTES`; containers are estimated from a sample of their
     elements so that metering a million-element partition costs O(1).
     """
+    # Exact-type dispatch first: records are overwhelmingly plain ints,
+    # floats, tuples, lists and arrays, and the isinstance chain below
+    # (which subclasses still take) costs several failed checks each.
+    kind = type(obj)
+    if kind is int or kind is float or kind is bool:
+        return SCALAR_BYTES
+    if kind is tuple or kind is list:
+        return _sizeof_items(obj, len(obj))
+    if kind is np.ndarray:
+        return int(obj.nbytes)
     if obj is None:
         return 0
     if isinstance(obj, np.ndarray):
@@ -63,7 +73,11 @@ def _sizeof_items(items: list, count: int) -> int:
     if count == 0:
         return CONTAINER_ENTRY_BYTES
     if count <= _SAMPLE:
-        body = sum(sizeof(x) for x in items)
+        # A plain loop: records are mostly 2-tuples, and a generator per
+        # tuple costs more than sizing both of its elements.
+        body = 0
+        for x in items:
+            body += sizeof(x)
     else:
         step = max(1, count // _SAMPLE)
         sample = items[::step][:_SAMPLE]

@@ -21,6 +21,7 @@ from repro.core.blocks import EdgeBlock
 from repro.core.context import PSGraphContext
 from repro.core.ops import (
     charge_primitive_compute,
+    count_common_neighbors,
     count_edges,
     max_vertex_id,
     push_neighbor_tables,
@@ -69,23 +70,11 @@ class CommonNeighbor(GraphAlgorithm):
                   ) -> Iterator[Tuple[int, int, int]]:
             for block in it:
                 for batch in block.batches(batch_size):
-                    ids = np.unique(
-                        np.concatenate([batch.src, batch.dst])
+                    common, work = count_common_neighbors(
+                        table, batch.src, batch.dst
                     )
-                    tables = table.get(ids)
-                    lookup = {
-                        int(v): t for v, t in zip(ids.tolist(), tables)
-                    }
-                    work = 0
-                    for s, d in zip(batch.src.tolist(), batch.dst.tolist()):
-                        ns, nd = lookup[s], lookup[d]
-                        # Galloping intersection of sorted arrays:
-                        # O(min * log(max/min)), charged as 2*min.
-                        work += 2 * min(len(ns), len(nd))
-                        common = len(
-                            np.intersect1d(ns, nd, assume_unique=True)
-                        )
-                        yield (s, d, common)
+                    yield from zip(batch.src.tolist(), batch.dst.tolist(),
+                                   common.tolist())
                     charge_primitive_compute(cost_model, work)
 
         from repro.dataflow.dataframe import DataFrame

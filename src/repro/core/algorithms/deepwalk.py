@@ -127,8 +127,8 @@ class DeepWalk(GraphAlgorithm):
         vertices = np.arange(n, dtype=np.int64)
         vectors = emb.pull_rows(vertices)
         rows = [
-            (int(v),) + tuple(float(x) for x in vec)
-            for v, vec in zip(vertices, vectors)
+            (v,) + tuple(vec)
+            for v, vec in zip(vertices.tolist(), vectors.tolist())
         ]
         schema = ["vertex"] + [f"e{i}" for i in range(self.dim)]
         output = ctx.create_dataframe(rows, schema)
@@ -150,17 +150,18 @@ def _sample_walks(adj, vertices: np.ndarray, length: int, per_vertex: int,
     for step in range(1, length):
         uniq, inverse = np.unique(current, return_inverse=True)
         tables = adj.get(uniq)
+        starts = tables.indptr[inverse].tolist()
+        degrees = tables.degrees()[inverse].tolist()
         nxt = np.empty(len(current), dtype=np.int64)
-        for i in range(len(current)):
-            nbrs = tables[inverse[i]]
-            if len(nbrs) == 0:
+        for i, (start, degree) in enumerate(zip(starts, degrees)):
+            if degree == 0:
                 nxt[i] = current[i]
                 continue
             if (return_param != 1.0
                     and rng.random() < 1.0 / max(return_param, 1e-9)):
                 nxt[i] = previous[i]
             else:
-                nxt[i] = nbrs[rng.integers(0, len(nbrs))]
+                nxt[i] = tables.neighbors[start + rng.integers(0, degree)]
         previous = current
         current = nxt
         walks[:, step] = current

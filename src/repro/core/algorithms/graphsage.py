@@ -426,24 +426,15 @@ def _sample_and_pull(adj, feats, node_ids: np.ndarray,
             return rng.choice(pool, size=size, replace=True)
         return rng.choice(pool, size=min(size, len(pool)), replace=False)
 
-    tables1 = adj.get(node_ids)
-    n1_ids: List[np.ndarray] = []
-    seg1: List[np.ndarray] = []
-    for i, t in enumerate(tables1):
-        chosen = choose(t, int(node_ids[i]), s1)
-        n1_ids.append(chosen)
-        seg1.append(np.full(len(chosen), i, dtype=np.int64))
-    n1 = np.concatenate(n1_ids)
-    seg1_arr = np.concatenate(seg1)
-    tables2 = adj.get(n1)
-    n2_ids: List[np.ndarray] = []
-    seg2: List[np.ndarray] = []
-    for i, t in enumerate(tables2):
-        chosen = choose(t, int(n1[i]), s2)
-        n2_ids.append(chosen)
-        seg2.append(np.full(len(chosen), i, dtype=np.int64))
-    n2 = np.concatenate(n2_ids)
-    seg2_arr = np.concatenate(seg2)
+    def sample(ids: np.ndarray, size: int):
+        """Per-vertex draws in request order -> (sampled ids, segment)."""
+        chosen = [choose(t, v, size) for v, t in adj.get(ids).rows()]
+        segment = np.repeat(np.arange(len(chosen)),
+                            [len(c) for c in chosen])
+        return np.concatenate(chosen), segment
+
+    n1, seg1_arr = sample(node_ids, s1)
+    n2, seg2_arr = sample(n1, s2)
     # One batched feature pull for every distinct vertex involved.
     all_ids = np.concatenate([node_ids, n1, n2])
     all_feats = feats.pull(all_ids).astype(np.float64)

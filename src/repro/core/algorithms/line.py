@@ -159,8 +159,8 @@ class Line(GraphAlgorithm):
         vertices = np.arange(n, dtype=np.int64)
         vectors = emb.pull_rows(vertices)
         rows = [
-            (int(v),) + tuple(float(x) for x in vec)
-            for v, vec in zip(vertices, vectors)
+            (v,) + tuple(vec)
+            for v, vec in zip(vertices.tolist(), vectors.tolist())
         ]
         schema = ["vertex"] + [f"e{i}" for i in range(self.dim)]
         output = ctx.create_dataframe(rows, schema)

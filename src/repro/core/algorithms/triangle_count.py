@@ -18,6 +18,7 @@ from repro.core.blocks import NeighborBlock
 from repro.core.context import PSGraphContext
 from repro.core.ops import (
     charge_primitive_compute,
+    count_common_neighbors,
     max_vertex_id,
     push_neighbor_tables,
     to_neighbor_tables,
@@ -61,32 +62,16 @@ class TriangleCount(GraphAlgorithm):
                 # Canonical edges owned by this partition: (v, w) with
                 # w > v, read straight off the CSR rows, batched across
                 # rows so each PS round trip covers ~batch_size edges.
-                pairs_src: list = []
-                pairs_dst: list = []
-                for v, nbrs in block.rows():
-                    higher = nbrs[nbrs > v]
-                    pairs_src.extend([v] * len(higher))
-                    pairs_dst.extend(higher.tolist())
-                for start in range(0, len(pairs_src), batch_size):
-                    bs = np.asarray(pairs_src[start:start + batch_size],
-                                    dtype=np.int64)
-                    bd = np.asarray(pairs_dst[start:start + batch_size],
-                                    dtype=np.int64)
-                    ids = np.unique(np.concatenate([bs, bd]))
-                    tables = table.get(ids)
-                    lookup = {
-                        int(x): t for x, t in zip(ids.tolist(), tables)
-                    }
-                    work = 0
-                    for v, w in zip(bs.tolist(), bd.tolist()):
-                        nv, nw = lookup[v], lookup[w]
-                        # Galloping intersection: charged as 2*min.
-                        work += 2 * min(len(nv), len(nw))
-                        c = len(np.intersect1d(
-                            nv, nw, assume_unique=True
-                        ))
-                        if c:
-                            yield (v, w, c)
+                src = block.sources()
+                higher = block.neighbors > src
+                src, dst = src[higher], block.neighbors[higher]
+                for start in range(0, len(src), batch_size):
+                    bs = src[start:start + batch_size]
+                    bd = dst[start:start + batch_size]
+                    common, work = count_common_neighbors(table, bs, bd)
+                    closed = np.flatnonzero(common)
+                    yield from zip(bs[closed].tolist(), bd[closed].tolist(),
+                                   common[closed].tolist())
                     charge_primitive_compute(cost_model, work)
 
         per_edge = blocks.map_partitions(score)

@@ -15,6 +15,8 @@ from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
+from repro.common.batch import gather_segments
+
 
 @dataclass
 class EdgeBlock:
@@ -94,12 +96,28 @@ class NeighborBlock:
         for i, v in enumerate(self.vertices.tolist()):
             yield v, self.neighbors[self.indptr[i]:self.indptr[i + 1]]
 
-    def neighbor_arrays(self) -> list:
-        """Neighbor arrays aligned with :attr:`vertices`."""
-        return [
-            self.neighbors[self.indptr[i]:self.indptr[i + 1]]
-            for i in range(self.num_vertices)
-        ]
+    def sources(self) -> np.ndarray:
+        """Owning vertex of every adjacency entry (aligned with
+        :attr:`neighbors`)."""
+        return np.repeat(self.vertices, self.degrees())
+
+    def row_keys(self, radix: int) -> np.ndarray:
+        """``row position * radix + neighbor`` per adjacency entry: one
+        integer per (row, neighbor) pair, ascending when rows are sorted.
+        ``radix`` must exceed every neighbor id compared against."""
+        keys = np.repeat(np.arange(self.num_vertices), self.degrees())
+        keys *= radix
+        keys += self.neighbors
+        return keys
+
+    def take(self, rows: np.ndarray) -> "NeighborBlock":
+        """The rows at positions ``rows`` (any order, repeats allowed)."""
+        starts = self.indptr[rows]
+        lens = self.indptr[rows + 1] - starts
+        indptr, neighbors = gather_segments(self.neighbors, starts, lens)
+        weights = (gather_segments(self.weights, starts, lens)[1]
+                   if self.weights is not None else None)
+        return NeighborBlock(self.vertices[rows], indptr, neighbors, weights)
 
 
 def build_neighbor_block(targets: np.ndarray, others: np.ndarray,
@@ -132,3 +150,30 @@ def build_neighbor_block(targets: np.ndarray, others: np.ndarray,
     vertices, starts = np.unique(targets, return_index=True)
     indptr = np.append(starts, len(targets)).astype(np.int64)
     return NeighborBlock(vertices, indptr, others, weights)
+
+
+def intersect_counts(block: NeighborBlock, left: np.ndarray,
+                     right: np.ndarray) -> Tuple[np.ndarray, int]:
+    """``|row left[i] & row right[i]|`` for every pair of row positions.
+
+    Rows must be sorted and duplicate-free (what the PS neighbor table
+    returns).  The smaller row of each pair is expanded and probed, by one
+    ``searchsorted``, against the block's ``row * radix + neighbor`` keys —
+    ascending as they stand because rows are.  Also returns the galloping
+    intersection's charge, ``2 * sum(min(deg_left, deg_right))``.
+    """
+    deg = block.degrees()
+    swap = deg[left] > deg[right]
+    small = np.where(swap, right, left)
+    large = np.where(swap, left, right)
+    lens = deg[small]
+    indptr, probes = gather_segments(
+        block.neighbors, block.indptr[small], lens
+    )
+    pair = np.repeat(np.arange(len(small)), lens)
+    radix = int(block.neighbors.max(initial=-1)) + 1
+    keys = block.row_keys(radix)
+    wanted = large[pair] * radix + probes
+    pos = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+    counts = np.bincount(pair[keys[pos] == wanted], minlength=len(small))
+    return counts, 2 * int(indptr[-1])

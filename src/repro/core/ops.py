@@ -13,7 +13,12 @@ from typing import Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.common.batch import split_indices
-from repro.core.blocks import EdgeBlock, NeighborBlock, build_neighbor_block
+from repro.core.blocks import (
+    EdgeBlock,
+    NeighborBlock,
+    build_neighbor_block,
+    intersect_counts,
+)
 from repro.dataflow.context import SparkContext
 from repro.dataflow.partitioner import HashPartitioner
 from repro.dataflow.rdd import RDD
@@ -32,9 +37,36 @@ def charge_primitive_compute(cost_model, records: float) -> None:
         tctx.cost.cpu_s += cost_model.primitive_compute_time(records)
 
 
+def _parse_pair_lines(lines: List[str]) -> Optional[np.ndarray]:
+    """``[[src, dst], ...]`` when every line is ``int<sep>int``, else None.
+
+    One array parse for the whole partition.  The byte scan first proves
+    the shape — exactly one tab or space per line, with a token on each
+    side — so a short line can never borrow a token from a long one.
+    """
+    text = "\n".join(lines) + "\n"
+    raw = np.frombuffer(text.encode(), dtype=np.uint8)
+    ends = np.flatnonzero(raw == 10)
+    seps = np.flatnonzero((raw == 9) | (raw == 32))
+    if not (len(ends) == len(seps) == len(lines)
+            and (seps + 1 < ends).all() and seps[0] > 0
+            and (seps[1:] > ends[:-1] + 1).all()):
+        return None
+    try:
+        flat = np.fromstring(text, dtype=np.int64, sep=" ")
+    except ValueError:  # a token that is not an integer
+        return None
+    return flat.reshape(-1, 2) if len(flat) == 2 * len(lines) else None
+
+
 def parse_edge_lines(lines: Iterator[str],
                      weighted: bool = False) -> EdgeBlock:
     """Parse ``src<TAB>dst[<TAB>weight]`` lines into one EdgeBlock."""
+    lines = list(lines)
+    pairs = None if weighted or not lines else _parse_pair_lines(lines)
+    if pairs is not None:
+        return EdgeBlock(np.ascontiguousarray(pairs[:, 0]),
+                         np.ascontiguousarray(pairs[:, 1]), None)
     srcs: List[int] = []
     dsts: List[int] = []
     weights: List[float] = []
@@ -177,11 +209,25 @@ def push_neighbor_tables(neighbor_blocks: RDD, table) -> int:
         for block in it:
             if block.num_vertices == 0:
                 continue
-            table.push(block.vertices, block.neighbor_arrays())
+            table.push(block)
             pushed += block.num_vertices
         return pushed
 
     return sum(neighbor_blocks.foreach_partition(push))
+
+
+def count_common_neighbors(table, src: np.ndarray, dst: np.ndarray
+                           ) -> Tuple[np.ndarray, int]:
+    """Overlap of the PS neighbor rows of each ``(src, dst)`` pair.
+
+    One PS round trip for the distinct endpoints, then one array kernel:
+    a galloping intersection of sorted rows, O(min * log(max/min)),
+    charged as ``2 * min`` per pair.  Returns ``(counts, work)``.
+    """
+    ids = np.unique(np.concatenate([src, dst]))
+    return intersect_counts(
+        table.get(ids), np.searchsorted(ids, src), np.searchsorted(ids, dst)
+    )
 
 
 def push_degrees(neighbor_blocks: RDD, vector, col: int = 0) -> None:

@@ -361,10 +361,15 @@ class SparkContext:
             ex.container.clock.reset()
 
     def stop(self) -> None:
-        """Release every container owned by this context."""
+        """Release every container owned by this context, and with the
+        executors what they held: cached partitions and shuffle outputs.
+        (A stopped context often stays referenced — by a result's lazy
+        frame, by a caller's local — and must not pin its data.)"""
         if self._stopped:
             return
         self._stopped = True
         for ex in self.executors:
+            ex.invalidate()
             self.resource_manager.release(ex.container)
+        self.shuffle_service.clear()
         self.resource_manager.release(self.driver)

@@ -245,6 +245,10 @@ class ShuffleService:
         for k in doomed:
             del self._outputs[k]
 
+    def clear(self) -> None:
+        """Discard every output (the owning context stopped)."""
+        self._outputs.clear()
+
     def output_exists(self, shuffle_id: int, map_partition: int) -> bool:
         """True if any output is registered (regardless of owner liveness)."""
         return (shuffle_id, map_partition) in self._outputs

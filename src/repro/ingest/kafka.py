@@ -255,37 +255,21 @@ class EdgeStreamConsumer:
     def _merge_into_table(self, mutations: List[Mutation]) -> None:
         """Incremental symmetric neighbor-table update, in stream order."""
         for op, src, dst in group_runs(mutations):
-            if op == EDGE_ADD:
+            if op in (EDGE_ADD, EDGE_DEL):
                 block = build_neighbor_block(
                     np.concatenate([src, dst]), np.concatenate([dst, src]),
                     dedupe=True,
                 )
                 if block.num_vertices:
-                    self.table.push(block.vertices, block.neighbor_arrays())
-            elif op == EDGE_DEL:
-                block = build_neighbor_block(
-                    np.concatenate([src, dst]), np.concatenate([dst, src]),
-                    dedupe=True,
-                )
-                if block.num_vertices:
-                    self.table.remove(
-                        block.vertices, block.neighbor_arrays()
-                    )
+                    merge = (self.table.push if op == EDGE_ADD
+                             else self.table.remove)
+                    merge(block)
             else:  # VERTEX_DEL
                 doomed = np.unique(src)
                 # Detach the vertices from their neighbors' tables, then
                 # drop their own.
                 nbrs = self.table.get(doomed)
-                lens = np.asarray([len(t) for t in nbrs], dtype=np.int64)
-                if lens.sum():
-                    block = build_neighbor_block(
-                        np.concatenate(
-                            [t for t in nbrs if len(t)]
-                        ),
-                        np.repeat(doomed, lens),
-                        dedupe=True,
-                    )
-                    self.table.remove(
-                        block.vertices, block.neighbor_arrays()
-                    )
+                if nbrs.num_edges:
+                    self.table.remove(build_neighbor_block(
+                        nbrs.neighbors, nbrs.sources(), dedupe=True))
                 self.table.drop(doomed)

@@ -546,7 +546,7 @@ def _streaming_window(seed: int, tracer: Tracer, metrics: MetricsRegistry
             victims = present[rng.integers(0, len(present), 6)]
             outs = graph.out.get(victims)
             r_s, r_d = [], []
-            for v, nb in zip(victims.tolist(), outs):
+            for v, nb in outs.rows():
                 if len(nb):
                     r_s.append(v)
                     r_d.append(int(nb[rng.integers(0, len(nb))]))

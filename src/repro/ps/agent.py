@@ -42,7 +42,7 @@ from repro.common.metrics import (
     PS_PUSHES,
     PS_REQUEST_H,
 )
-from repro.common.batch import RecordBatch, split_indices
+from repro.common.batch import RecordBatch, gather_segments, split_indices
 from repro.common.simclock import TaskCost
 from repro.common.sizeof import sizeof
 from repro.dataflow.taskctx import current_task_context, task_span
@@ -50,6 +50,7 @@ from repro.ps.meta import MatrixMeta
 from repro.ps.psfunc import PsFunc
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.core.blocks import NeighborBlock
     from repro.ps.context import PSContext
 
 #: One request: (server_index, method, args, request_bytes, response_bytes)
@@ -387,115 +388,97 @@ class PSAgent:
     # neighbor tables
     # ------------------------------------------------------------------
 
-    def push_neighbors(self, meta: MatrixMeta, vertices: np.ndarray,
-                       tables: List[np.ndarray]) -> None:
-        """Merge per-vertex neighbor arrays into the PS tables."""
-        vertices = np.asarray(vertices, dtype=np.int64)
+    def _table_calls(self, meta: MatrixMeta, method: str,
+                     vertices: np.ndarray,
+                     block: "NeighborBlock | None" = None,
+                     resp_bytes: Any = 0) -> Tuple[list, list, int]:
+        """One ``method`` request per partition owning some of ``vertices``.
+
+        A request carries the partition's vertices and, with ``block``,
+        its rows as one ``(vertices, indptr, indices)`` envelope; indptr
+        is rebuilt from row lengths on arrival, so only vertices and
+        indices are charged.  Returns ``(index_sets, results,
+        request_bytes)``, the index sets in call order.
+        """
         pids = meta.partitioner.partition_array(vertices)
+        index_sets = []
         calls: List[Call] = []
         total = 0
-        for pid in np.unique(pids):
-            mask = pids == pid
-            sub_v = vertices[mask]
-            sub_t = [tables[i] for i in np.flatnonzero(mask)]
-            nbytes = int(sub_v.nbytes + sum(t.nbytes for t in sub_t))
+        for pid, idx in split_indices(pids):
+            if block is None:
+                payload: tuple = (vertices[idx],)
+                nbytes = int(payload[0].nbytes)
+            else:
+                sub = block.take(idx)
+                payload = (sub.vertices, sub.indptr, sub.neighbors)
+                nbytes = int(sub.vertices.nbytes + sub.neighbors.nbytes)
             total += nbytes
-            calls.append((
-                meta.server_of(int(pid)), "push_neighbors",
-                (meta.name, int(pid), sub_v, sub_t),
-                nbytes, 0,
-            ))
-        self._group_call(calls)
+            index_sets.append(idx)
+            calls.append((meta.server_of(pid), method,
+                          (meta.name, pid) + payload, nbytes, resp_bytes))
+        return index_sets, self._group_call(calls), total
+
+    def _table_write(self, meta: MatrixMeta, method: str,
+                     vertices: np.ndarray,
+                     block: "NeighborBlock | None" = None) -> None:
+        _idx, _results, total = self._table_calls(
+            meta, method, np.asarray(vertices, dtype=np.int64), block
+        )
         self._metrics().inc(PS_PUSHES)
         self._metrics().inc(PS_PUSH_BYTES, total)
 
-    def remove_neighbors(self, meta: MatrixMeta, vertices: np.ndarray,
-                         tables: List[np.ndarray]) -> None:
-        """Subtract per-vertex neighbor arrays from the PS tables."""
-        vertices = np.asarray(vertices, dtype=np.int64)
-        pids = meta.partitioner.partition_array(vertices)
-        calls: List[Call] = []
-        total = 0
-        for pid in np.unique(pids):
-            mask = pids == pid
-            sub_v = vertices[mask]
-            sub_t = [tables[i] for i in np.flatnonzero(mask)]
-            nbytes = int(sub_v.nbytes + sum(t.nbytes for t in sub_t))
-            total += nbytes
-            calls.append((
-                meta.server_of(int(pid)), "remove_neighbors",
-                (meta.name, int(pid), sub_v, sub_t),
-                nbytes, 0,
-            ))
-        self._group_call(calls)
-        self._metrics().inc(PS_PUSHES)
-        self._metrics().inc(PS_PUSH_BYTES, total)
+    def push_neighbors(self, meta: MatrixMeta,
+                       block: "NeighborBlock") -> None:
+        """Merge the block's rows into the PS tables."""
+        self._table_write(meta, "push_neighbors", block.vertices, block)
+
+    def remove_neighbors(self, meta: MatrixMeta,
+                         block: "NeighborBlock") -> None:
+        """Subtract the block's rows from the PS tables."""
+        self._table_write(meta, "remove_neighbors", block.vertices, block)
 
     def drop_vertices(self, meta: MatrixMeta,
                       vertices: np.ndarray) -> None:
         """Delete the adjacency tables of ``vertices`` across servers."""
-        vertices = np.asarray(vertices, dtype=np.int64)
-        pids = meta.partitioner.partition_array(vertices)
-        calls: List[Call] = []
-        total = 0
-        for pid in np.unique(pids):
-            sub_v = vertices[pids == pid]
-            total += int(sub_v.nbytes)
-            calls.append((
-                meta.server_of(int(pid)), "drop_vertices",
-                (meta.name, int(pid), sub_v),
-                int(sub_v.nbytes), 0,
-            ))
-        self._group_call(calls)
-        self._metrics().inc(PS_PUSHES)
-        self._metrics().inc(PS_PUSH_BYTES, total)
+        self._table_write(meta, "drop_vertices", vertices)
 
     def get_neighbors(self, meta: MatrixMeta,
-                      vertices: np.ndarray) -> List[np.ndarray]:
-        """Neighbor arrays for ``vertices``, aligned with the input order."""
+                      vertices: np.ndarray) -> "NeighborBlock":
+        """The rows of ``vertices`` as one block aligned with the request
+        (duplicates allowed, an unknown vertex has an empty row)."""
+        from repro.core.blocks import NeighborBlock
+
         vertices = np.asarray(vertices, dtype=np.int64)
-        pids = meta.partitioner.partition_array(vertices)
-        out: List[np.ndarray | None] = [None] * len(vertices)
-        calls: List[Call] = []
-        index_sets = []
-        for pid in np.unique(pids):
-            idx = np.flatnonzero(pids == pid)
-            sub_v = vertices[idx]
-            index_sets.append(idx)
-            calls.append((
-                meta.server_of(int(pid)), "get_neighbors",
-                (meta.name, int(pid), sub_v),
-                int(sub_v.nbytes),
-                lambda ts: int(sum(t.nbytes for t in ts)),
-            ))
-        results = self._group_call(calls)
-        nbytes = int(vertices.nbytes)
-        for idx, tables in zip(index_sets, results):
-            for i, t in zip(idx.tolist(), tables):
-                out[i] = t
-            nbytes += int(sum(t.nbytes for t in tables))
+        index_sets, results, nbytes = self._table_calls(
+            meta, "get_neighbors", vertices,
+            resp_bytes=lambda r: int(r[1].nbytes),
+        )
         self._metrics().inc(PS_PULLS)
-        self._metrics().inc(PS_PULL_BYTES, nbytes)
-        return out  # type: ignore[return-value]
+        if not results:  # empty request
+            self._metrics().inc(PS_PULL_BYTES, nbytes)
+            return NeighborBlock(vertices, np.zeros(1, dtype=np.int64),
+                                 np.empty(0, dtype=np.int64))
+        # Rows arrive grouped by partition: lay the responses end to end,
+        # then one gather puts the rows back in request order.
+        order = np.concatenate(index_sets)
+        flat = np.concatenate([indices for _indptr, indices in results])
+        got = np.concatenate(
+            [indptr[1:] - indptr[:-1] for indptr, _indices in results])
+        starts = np.empty_like(got)
+        lens = np.empty_like(got)
+        lens[order] = got
+        starts[order] = np.cumsum(got) - got
+        self._metrics().inc(PS_PULL_BYTES, nbytes + int(flat.nbytes))
+        return NeighborBlock(vertices, *gather_segments(flat, starts, lens))
 
     def degrees(self, meta: MatrixMeta, vertices: np.ndarray) -> np.ndarray:
         """Neighbor counts for ``vertices``."""
         vertices = np.asarray(vertices, dtype=np.int64)
-        pids = meta.partitioner.partition_array(vertices)
         out = np.zeros(len(vertices), dtype=np.int64)
-        calls: List[Call] = []
-        index_sets = []
-        for pid in np.unique(pids):
-            idx = np.flatnonzero(pids == pid)
-            sub_v = vertices[idx]
-            index_sets.append(idx)
-            calls.append((
-                meta.server_of(int(pid)), "degrees",
-                (meta.name, int(pid), sub_v),
-                int(sub_v.nbytes),
-                lambda d: int(d.nbytes),
-            ))
-        for idx, degs in zip(index_sets, self._group_call(calls)):
+        index_sets, results, _ = self._table_calls(
+            meta, "degrees", vertices, resp_bytes=lambda d: int(d.nbytes)
+        )
+        for idx, degs in zip(index_sets, results):
             out[idx] = degs
         self._metrics().inc(PS_PULLS)
         return out

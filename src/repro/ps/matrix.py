@@ -7,7 +7,7 @@ route every operation through the PS agent.  Mirrors the paper's
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, List
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -15,6 +15,7 @@ from repro.ps.meta import MatrixMeta
 from repro.ps.psfunc import PartialDot, PsFunc, RankOneUpdate
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.core.blocks import NeighborBlock
     from repro.ps.context import PSContext
 
 
@@ -149,22 +150,22 @@ class PSNeighborTable:
         """Table name."""
         return self.meta.name
 
-    def push(self, vertices: np.ndarray,
-             tables: List[np.ndarray]) -> None:
-        """Merge neighbor arrays into the PS tables."""
-        self.psctx.agent.push_neighbors(self.meta, vertices, tables)
+    def push(self, block: "NeighborBlock") -> None:
+        """Merge the block's rows into the PS tables (set union)."""
+        self.psctx.agent.push_neighbors(self.meta, block)
 
-    def remove(self, vertices: np.ndarray,
-               tables: List[np.ndarray]) -> None:
-        """Subtract neighbor arrays from the PS tables (set semantics)."""
-        self.psctx.agent.remove_neighbors(self.meta, vertices, tables)
+    def remove(self, block: "NeighborBlock") -> None:
+        """Subtract the block's rows from the PS tables (set semantics)."""
+        self.psctx.agent.remove_neighbors(self.meta, block)
 
     def drop(self, vertices: np.ndarray) -> None:
         """Delete the adjacency tables of ``vertices`` entirely."""
         self.psctx.agent.drop_vertices(self.meta, vertices)
 
-    def get(self, vertices: np.ndarray) -> List[np.ndarray]:
-        """Neighbor arrays aligned with ``vertices``."""
+    def get(self, vertices: np.ndarray) -> "NeighborBlock":
+        """One block whose rows align with ``vertices``: sorted,
+        duplicate-free neighbors; repeated vertices repeat their row and
+        a vertex without a table has an empty one."""
         return self.psctx.agent.get_neighbors(self.meta, vertices)
 
     def degrees(self, vertices: np.ndarray) -> np.ndarray:

@@ -193,7 +193,7 @@ class RankOneUpdate(PsFunc):
 
     def apply(self, store: ColumnShardStore) -> None:
         arr = store.array
-        left_old = arr[self.left].copy()
+        left_old = arr[self.left]  # fancy indexing already copies
         g = self.coeffs[:, None].astype(arr.dtype)
         np.add.at(arr, self.left, g * arr[self.right])
         np.add.at(arr, self.right, g * left_old)

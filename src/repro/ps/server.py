@@ -216,27 +216,19 @@ class PSServer:
     # ------------------------------------------------------------------
 
     def push_neighbors(self, matrix: str, pid: int, vertices: np.ndarray,
-                       tables: List[np.ndarray]) -> None:
-        """Merge neighbor arrays into the tables of ``vertices``."""
+                       indptr: np.ndarray, indices: np.ndarray) -> None:
+        """Merge a CSR block of rows into the tables of ``vertices``."""
         self.container.ensure_alive()
-        store = self._store(matrix, pid)
-        n = 0
-        for v, t in zip(np.asarray(vertices).tolist(), tables):
-            store.append_neighbors(int(v), t)
-            n += len(t)
-        self._work(n, "push_neighbors", matrix)
+        self._store(matrix, pid).append_neighbors(vertices, indptr, indices)
+        self._work(len(indices), "push_neighbors", matrix)
         self._recharge((matrix, pid))
 
     def remove_neighbors(self, matrix: str, pid: int, vertices: np.ndarray,
-                         tables: List[np.ndarray]) -> None:
-        """Subtract neighbor arrays from the tables of ``vertices``."""
+                         indptr: np.ndarray, indices: np.ndarray) -> None:
+        """Subtract a CSR block of rows from the tables of ``vertices``."""
         self.container.ensure_alive()
-        store = self._store(matrix, pid)
-        n = 0
-        for v, t in zip(np.asarray(vertices).tolist(), tables):
-            store.remove_neighbors(int(v), t)
-            n += len(t)
-        self._work(n, "remove_neighbors", matrix)
+        self._store(matrix, pid).remove_neighbors(vertices, indptr, indices)
+        self._work(len(indices), "remove_neighbors", matrix)
         self._recharge((matrix, pid))
 
     def drop_vertices(self, matrix: str, pid: int,
@@ -248,13 +240,13 @@ class PSServer:
         self._work(len(vertices), "drop_vertices", matrix)
         self._recharge((matrix, pid))
 
-    def get_neighbors(self, matrix: str, pid: int,
-                      vertices: np.ndarray) -> List[np.ndarray]:
-        """Neighbor arrays for ``vertices`` (empty for unknown vertices)."""
+    def get_neighbors(self, matrix: str, pid: int, vertices: np.ndarray
+                      ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(indptr, indices)`` of the rows of ``vertices`` (an unknown
+        vertex has an empty row)."""
         self.container.ensure_alive()
-        store = self._store(matrix, pid)
-        out = store.get_neighbors(vertices)
-        self._work(sum(len(t) for t in out), "get_neighbors", matrix)
+        out = self._store(matrix, pid).get_neighbors(vertices)
+        self._work(len(out[1]), "get_neighbors", matrix)
         return out
 
     def degrees(self, matrix: str, pid: int,

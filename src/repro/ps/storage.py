@@ -13,8 +13,8 @@ server:
 * :class:`ColumnShardStore` — a column slice of *all* rows (column-
   partitioned embeddings for LINE, GNN weight matrices), enabling
   server-side partial dot products.
-* :class:`NeighborTableStore` — adjacency arrays per vertex, with optional
-  CSR compaction for read-mostly phases (common neighbor, triangle count).
+* :class:`NeighborTableStore` — the adjacency rows of a partition's
+  vertices as one CSR triple, read and written in whole blocks.
 
 Every store reports ``nbytes`` so the owning server can charge its memory
 grant, and supports ``snapshot``/``restore`` for HDFS checkpoints.
@@ -22,10 +22,11 @@ grant, and supports ``snapshot``/``restore`` for HDFS checkpoints.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 import numpy as np
 
+from repro.common.batch import gather_segments
 from repro.common.errors import PSError
 
 
@@ -213,162 +214,146 @@ class ColumnShardStore(Store):
 
 
 class NeighborTableStore(Store):
-    """Adjacency arrays keyed by vertex, with optional CSR compaction.
+    """Adjacency rows keyed by vertex, held as one CSR triple.
 
     "If the algorithm needs to get the adjacent vertices of a vertex
     frequently, the neighbor tables are stored on the PS" (Sec. III-A).
+
+    ``vertices`` (ascending, every one with at least one neighbor),
+    ``indptr`` and ``indices`` (ascending and duplicate-free within a
+    row) are the only form a table has — in memory, on the wire and in a
+    checkpoint.  Every operation takes and returns whole blocks.  Appends
+    are only queued; the queue is folded in with one sort at
+    :meth:`compact` or by the first operation that needs the rows, so a
+    bulk build (many small pushes, then ``compact``) sorts once.
     """
 
     def __init__(self) -> None:
-        self.tables: Dict[int, np.ndarray] = {}
-        self._nbytes = 0
-        # CSR form, built by compact(): sorted vertex ids + indptr + indices.
-        self._csr_vertices: np.ndarray | None = None
-        self._csr_indptr: np.ndarray | None = None
-        self._csr_indices: np.ndarray | None = None
+        self._vertices = np.empty(0, dtype=np.int64)
+        self._indptr = np.zeros(1, dtype=np.int64)
+        self._indices = np.empty(0, dtype=np.int64)
+        #: Queued appends as (source-per-entry, neighbor) array pairs.
+        self._pending: List[Tuple[np.ndarray, np.ndarray]] = []
+        self._pending_nbytes = 0
 
-    def _decompact(self) -> None:
-        """Reopen CSR form into the mutable dict form before a write.
+    def _sources(self) -> np.ndarray:
+        return np.repeat(self._vertices, np.diff(self._indptr))
 
-        Compaction freezes the adjacency into CSR arrays and clears the
-        dict; any mutation must first rebuild the dict from the CSR or
-        the frozen data would be silently lost (a write to a compacted
-        store previously merged against an empty dict).
-        """
-        if self._csr_vertices is None:
+    def _set_pairs(self, sources: np.ndarray, neighbors: np.ndarray) -> None:
+        """Install ``(source, neighbor)`` pairs already in key order."""
+        first = np.ones(len(sources), dtype=bool)
+        first[1:] = sources[1:] != sources[:-1]
+        starts = np.flatnonzero(first)
+        self._vertices = sources[starts]
+        self._indptr = np.append(starts, len(sources))
+        self._indices = neighbors
+
+    @staticmethod
+    def _pair_keys(radix: int, sources: np.ndarray,
+                   neighbors: np.ndarray) -> np.ndarray:
+        """``source * radix + neighbor``: one sortable key per pair."""
+        if len(sources) and int(sources.max()) >= (2 ** 63 - radix) // radix:
+            raise PSError("vertex ids too large for neighbor-table keys")
+        return sources * radix + neighbors
+
+    def _merge_pending(self) -> None:
+        if not self._pending:
             return
-        tables: Dict[int, np.ndarray] = {}
-        for i, v in enumerate(self._csr_vertices.tolist()):
-            tables[int(v)] = self._csr_indices[
-                self._csr_indptr[i]:self._csr_indptr[i + 1]
-            ].copy()
-        self.tables = tables
-        self._csr_vertices = None
-        self._csr_indptr = None
-        self._csr_indices = None
-        self._nbytes = sum(v.nbytes + 8 for v in self.tables.values())
+        sources = np.concatenate(
+            [self._sources()] + [s for s, _n in self._pending])
+        neighbors = np.concatenate(
+            [self._indices] + [n for _s, n in self._pending])
+        self._pending = []
+        self._pending_nbytes = 0
+        radix = int(neighbors.max()) + 1
+        keys = np.unique(self._pair_keys(radix, sources, neighbors))
+        self._set_pairs(*np.divmod(keys, radix))
 
-    def append_neighbors(self, vertex: int, neighbors: np.ndarray) -> None:
-        """Merge ``neighbors`` into the table of ``vertex``."""
-        self._decompact()
-        neighbors = np.asarray(neighbors, dtype=np.int64)
-        old = self.tables.get(vertex)
-        if old is None:
-            merged = np.unique(neighbors)
-        else:
-            merged = np.union1d(old, neighbors)
-            self._nbytes -= old.nbytes + 8
-        self.tables[vertex] = merged
-        self._nbytes += merged.nbytes + 8
+    def append_neighbors(self, vertices: np.ndarray, indptr: np.ndarray,
+                         indices: np.ndarray) -> None:
+        """Merge the block's rows into the tables (set union per vertex)."""
+        if len(indices):
+            self._pending.append(
+                (np.repeat(vertices, np.diff(indptr)), indices)
+            )
+            self._pending_nbytes += int(vertices.nbytes + indices.nbytes)
 
-    def remove_neighbors(self, vertex: int, neighbors: np.ndarray) -> None:
-        """Subtract ``neighbors`` from the table of ``vertex``.
+    def compact(self) -> None:
+        """Fold queued appends into the CSR arrays now (the server's
+        ``compact`` request; the other operations fold on their own)."""
+        self._merge_pending()
+
+    def remove_neighbors(self, vertices: np.ndarray, indptr: np.ndarray,
+                         indices: np.ndarray) -> None:
+        """Subtract the block's rows from the tables.
 
         Removing absent neighbors is a no-op (set semantics, mirroring
-        the union merge of :meth:`append_neighbors`); a table emptied by
-        the removal is deleted entirely.
+        the union of :meth:`append_neighbors`); a row emptied by the
+        removal is deleted entirely.
         """
-        self._decompact()
-        old = self.tables.get(vertex)
-        if old is None:
+        self._merge_pending()
+        if not len(indices) or not len(self._indices):
             return
-        kept = np.setdiff1d(old, np.asarray(neighbors, dtype=np.int64))
-        self._nbytes -= old.nbytes + 8
-        if len(kept):
-            self.tables[vertex] = kept
-            self._nbytes += kept.nbytes + 8
-        else:
-            del self.tables[vertex]
+        radix = int(max(indices.max(), self._indices.max())) + 1
+        sources = self._sources()
+        keep = ~np.isin(
+            self._pair_keys(radix, sources, self._indices),
+            self._pair_keys(radix, np.repeat(vertices, np.diff(indptr)),
+                            indices),
+        )
+        self._set_pairs(sources[keep], self._indices[keep])
 
     def drop_vertices(self, vertices: np.ndarray) -> None:
-        """Delete the adjacency tables of ``vertices`` (if present)."""
-        self._decompact()
-        for v in np.asarray(vertices, dtype=np.int64).tolist():
-            old = self.tables.pop(int(v), None)
-            if old is not None:
-                self._nbytes -= old.nbytes + 8
+        """Delete the adjacency rows of ``vertices`` (if present)."""
+        self._merge_pending()
+        sources = self._sources()
+        keep = ~np.isin(sources, vertices)
+        self._set_pairs(sources[keep], self._indices[keep])
 
-    def get_neighbors(self, vertices: np.ndarray) -> List[np.ndarray]:
-        """Sorted neighbor arrays for each requested vertex."""
-        if self._csr_vertices is not None:
-            out = []
-            idx = np.searchsorted(self._csr_vertices, vertices)
-            for i, v in zip(idx.tolist(), np.asarray(vertices).tolist()):
-                if (i < len(self._csr_vertices)
-                        and self._csr_vertices[i] == v):
-                    out.append(
-                        self._csr_indices[
-                            self._csr_indptr[i]:self._csr_indptr[i + 1]
-                        ]
-                    )
-                else:
-                    out.append(np.empty(0, dtype=np.int64))
-            return out
-        empty = np.empty(0, dtype=np.int64)
-        return [self.tables.get(int(v), empty) for v in vertices]
+    def _find_rows(self, vertices: np.ndarray
+                   ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(starts, lens)`` of each requested row; absent means empty."""
+        self._merge_pending()
+        if not len(self._vertices):
+            empty = np.zeros(len(vertices), dtype=np.int64)
+            return empty, empty
+        pos = self._vertices.searchsorted(vertices)
+        np.minimum(pos, len(self._vertices) - 1, out=pos)
+        starts = self._indptr.take(pos)
+        lens = self._indptr.take(pos + 1)
+        lens -= starts
+        lens *= self._vertices.take(pos) == vertices
+        return starts, lens
+
+    def get_neighbors(self, vertices: np.ndarray
+                      ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(indptr, indices)`` of the rows of ``vertices``, aligned with
+        the request: duplicates allowed, an absent vertex is an empty row."""
+        starts, lens = self._find_rows(vertices)
+        return gather_segments(self._indices, starts, lens)
 
     def degree(self, vertices: np.ndarray) -> np.ndarray:
         """Neighbor counts per requested vertex."""
-        return np.asarray(
-            [len(n) for n in self.get_neighbors(vertices)], dtype=np.int64
-        )
+        return self._find_rows(vertices)[1]
 
     def num_vertices(self) -> int:
-        """Number of vertices with a stored table."""
-        if self._csr_vertices is not None:
-            return len(self._csr_vertices)
-        return len(self.tables)
-
-    def compact(self) -> None:
-        """Freeze into CSR form (read-optimized; writes reopen dict form)."""
-        vertices = np.asarray(sorted(self.tables), dtype=np.int64)
-        indptr = np.zeros(len(vertices) + 1, dtype=np.int64)
-        chunks = []
-        for i, v in enumerate(vertices.tolist()):
-            t = self.tables[v]
-            indptr[i + 1] = indptr[i] + len(t)
-            chunks.append(t)
-        indices = (np.concatenate(chunks) if chunks
-                   else np.empty(0, dtype=np.int64))
-        self._csr_vertices = vertices
-        self._csr_indptr = indptr
-        self._csr_indices = indices
-        self._nbytes = int(
-            vertices.nbytes + indptr.nbytes + indices.nbytes
-        )
-        self.tables = {}
-
-    @property
-    def is_compacted(self) -> bool:
-        """True when the store is in CSR form."""
-        return self._csr_vertices is not None
+        """Number of vertices with a stored row."""
+        self._merge_pending()
+        return len(self._vertices)
 
     @property
     def nbytes(self) -> int:
-        return self._nbytes
+        return int(self._vertices.nbytes + self._indptr.nbytes
+                   + self._indices.nbytes) + self._pending_nbytes
 
     def snapshot(self) -> object:
-        if self._csr_vertices is not None:
-            return {
-                "csr": (
-                    self._csr_vertices.copy(),
-                    self._csr_indptr.copy(),
-                    self._csr_indices.copy(),
-                )
-            }
-        return {"tables": {k: v.copy() for k, v in self.tables.items()}}
+        self._merge_pending()
+        return {"csr": (self._vertices.copy(), self._indptr.copy(),
+                        self._indices.copy())}
 
     def restore(self, state: object) -> None:
-        if "csr" in state:
-            self._csr_vertices, self._csr_indptr, self._csr_indices = (
-                a.copy() for a in state["csr"]
-            )
-            self.tables = {}
-            self._nbytes = int(
-                self._csr_vertices.nbytes + self._csr_indptr.nbytes
-                + self._csr_indices.nbytes
-            )
-        else:
-            self.tables = {k: v.copy() for k, v in state["tables"].items()}
-            self._csr_vertices = None
-            self._nbytes = sum(v.nbytes + 8 for v in self.tables.values())
+        self._vertices, self._indptr, self._indices = (
+            a.copy() for a in state["csr"]
+        )
+        self._pending = []
+        self._pending_nbytes = 0

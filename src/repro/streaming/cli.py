@@ -88,7 +88,7 @@ def stream_mutations(topic: KafkaTopic, graph: StreamingGraph,
                                     size=min(args.removals, len(present)))]
         outs = graph.out.get(np.unique(pick))
         rm_s, rm_d = [], []
-        for v, nbrs in zip(np.unique(pick).tolist(), outs):
+        for v, nbrs in outs.rows():
             if len(nbrs):
                 rm_s.append(v)
                 rm_d.append(int(nbrs[rng.integers(0, len(nbrs))]))

@@ -169,8 +169,7 @@ class IncrementalComponents:
                          - self._adj.keys())
         if missing:
             ms = np.asarray(missing, dtype=np.int64)
-            for v, nb in zip(missing, self.graph.neighbors(ms)):
-                self._adj[v] = nb
+            self._adj.update(self.graph.neighbors(ms).rows())
         return [self._adj[int(v)] for v in vertices.tolist()]
 
     def _propagate(self, labels, frontier: Set[int]) -> int:

@@ -105,10 +105,7 @@ class OnlineEmbeddingRefresh:
             return {"pairs": 0.0, "trained": 0.0}
         present = self.graph.present_vertices()
         outs = self.graph.out.get(vertices)
-        lens = np.asarray([len(t) for t in outs], dtype=np.int64)
-        pos_l = np.repeat(vertices, lens)
-        pos_r = (np.concatenate([t for t in outs if len(t)])
-                 if lens.sum() else np.empty(0, dtype=np.int64))
+        pos_l, pos_r = outs.sources(), outs.neighbors
         rng = np.random.default_rng(derive_seed(self.seed, salt))
         pairs = 0
         for _ in range(self.epochs):

@@ -28,7 +28,7 @@ from repro.common.metrics import (
     STREAM_VERTICES_DROPPED,
     MetricsRegistry,
 )
-from repro.core.blocks import build_neighbor_block
+from repro.core.blocks import NeighborBlock, build_neighbor_block
 from repro.ingest.mutations import EDGE_ADD, EDGE_DEL, Mutation, group_runs
 
 
@@ -103,11 +103,22 @@ class StreamingGraph:
         """Vertices that are an endpoint of at least one live edge."""
         return np.asarray(sorted(self._present), dtype=np.int64)
 
-    def neighbors(self, vertices: np.ndarray) -> List[np.ndarray]:
-        """Undirected adjacency: union of out- and in-neighbors."""
+    def neighbors(self, vertices: np.ndarray) -> NeighborBlock:
+        """Undirected adjacency: per requested vertex, the sorted union of
+        its out- and in-neighbors."""
         outs = self.out.get(vertices)
         ins = self.inc.get(vertices)
-        return [np.union1d(o, i) for o, i in zip(outs, ins)]
+        rows = np.arange(len(vertices))
+        union = build_neighbor_block(
+            np.concatenate([np.repeat(rows, outs.degrees()),
+                            np.repeat(rows, ins.degrees())]),
+            np.concatenate([outs.neighbors, ins.neighbors]),
+            dedupe=True,
+        )
+        indptr = np.zeros(len(vertices) + 1, dtype=np.int64)
+        indptr[union.vertices + 1] = union.degrees()
+        return NeighborBlock(outs.vertices, np.cumsum(indptr),
+                             union.neighbors)
 
     def out_degrees(self, vertices: np.ndarray) -> np.ndarray:
         return self.out.degrees(vertices)
@@ -160,13 +171,11 @@ class StreamingGraph:
     # -- internals ------------------------------------------------------
 
     def _snapshot_old_out(self, vertices: np.ndarray,
-                          old_out: Dict[int, np.ndarray]
-                          ) -> List[np.ndarray]:
+                          old_out: Dict[int, np.ndarray]) -> NeighborBlock:
         """Current out-neighbors, recording first-touch pre-window state."""
         current = self.out.get(vertices)
-        for v, nbrs in zip(vertices.tolist(), current):
-            if int(v) not in old_out:
-                old_out[int(v)] = np.array(nbrs, dtype=np.int64)
+        for v, nbrs in current.rows():
+            old_out.setdefault(v, nbrs)
         return current
 
     def _apply_edges(self, src: np.ndarray, dst: np.ndarray,
@@ -178,10 +187,10 @@ class StreamingGraph:
         src, dst = pairs[:, 0], pairs[:, 1]
         uniq, inverse = np.unique(src, return_inverse=True)
         current = self._snapshot_old_out(uniq, old_out)
-        present = np.zeros(len(src), dtype=bool)
-        for i, table in enumerate(current):
-            mask = inverse == i
-            present[mask] = np.isin(dst[mask], table)
+        # Membership of every (src, dst) in the live rows, as one isin
+        # over row * radix + neighbor keys.
+        radix = int(max(dst.max(), current.neighbors.max(initial=-1))) + 1
+        present = np.isin(inverse * radix + dst, current.row_keys(radix))
         effective = ~present if add else present
         src, dst = src[effective], dst[effective]
         if len(src) == 0:
@@ -189,12 +198,12 @@ class StreamingGraph:
         fwd = build_neighbor_block(src, dst, dedupe=True)
         rev = build_neighbor_block(dst, src, dedupe=True)
         if add:
-            self.out.push(fwd.vertices, fwd.neighbor_arrays())
-            self.inc.push(rev.vertices, rev.neighbor_arrays())
+            self.out.push(fwd)
+            self.inc.push(rev)
             self.num_edges += len(src)
         else:
-            self.out.remove(fwd.vertices, fwd.neighbor_arrays())
-            self.inc.remove(rev.vertices, rev.neighbor_arrays())
+            self.out.remove(fwd)
+            self.inc.remove(rev)
             self.num_edges -= len(src)
         return src, dst
 
@@ -205,44 +214,27 @@ class StreamingGraph:
         outs = self._snapshot_old_out(doomed, old_out)
         ins = self.inc.get(doomed)
         # In-neighbors lose an out-edge: snapshot their pre-state too.
-        in_union = np.unique(np.concatenate(
-            [t for t in ins if len(t)] or [np.empty(0, dtype=np.int64)]
-        ))
-        in_union = np.setdiff1d(in_union, doomed)
+        in_union = np.setdiff1d(ins.neighbors, doomed)
         if len(in_union):
             self._snapshot_old_out(in_union, old_out)
-        removed: Set[tuple] = set()
-        for v, out_n, in_n in zip(doomed.tolist(), outs, ins):
-            for x in out_n.tolist():
-                removed.add((int(v), int(x)))
-            for u in in_n.tolist():
-                removed.add((int(u), int(v)))
+        # Every incident edge once (an edge between two doomed vertices
+        # shows up from both ends), in (src, dst) order.
+        removed = np.unique(np.stack([
+            np.concatenate([outs.sources(), ins.neighbors]),
+            np.concatenate([outs.neighbors, ins.sources()]),
+        ], axis=1), axis=0)
         # Detach: v leaves the in-tables of its out-neighbors and the
         # out-tables of its in-neighbors, then both of v's own tables go.
-        out_lens = np.asarray([len(t) for t in outs], dtype=np.int64)
-        in_lens = np.asarray([len(t) for t in ins], dtype=np.int64)
-        if out_lens.sum():
-            block = build_neighbor_block(
-                np.concatenate([t for t in outs if len(t)]),
-                np.repeat(doomed, out_lens), dedupe=True,
-            )
-            self.inc.remove(block.vertices, block.neighbor_arrays())
-        if in_lens.sum():
-            block = build_neighbor_block(
-                np.concatenate([t for t in ins if len(t)]),
-                np.repeat(doomed, in_lens), dedupe=True,
-            )
-            self.out.remove(block.vertices, block.neighbor_arrays())
+        if outs.num_edges:
+            self.inc.remove(build_neighbor_block(
+                outs.neighbors, outs.sources(), dedupe=True))
+        if ins.num_edges:
+            self.out.remove(build_neighbor_block(
+                ins.neighbors, ins.sources(), dedupe=True))
         self.out.drop(doomed)
         self.inc.drop(doomed)
         self.num_edges -= len(removed)
-        if removed:
-            pairs = sorted(removed)
-            return (np.asarray([s for s, _ in pairs], dtype=np.int64),
-                    np.asarray([d for _, d in pairs], dtype=np.int64),
-                    doomed)
-        return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
-                doomed)
+        return removed[:, 0], removed[:, 1], doomed
 
     def _update_presence(self, delta: GraphDelta) -> None:
         """Maintain the live-vertex set; fill the delta's crossings."""

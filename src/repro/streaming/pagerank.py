@@ -124,7 +124,7 @@ class IncrementalPageRank:
         if len(sources):
             ranks = self.state.pull(sources, col=RANK)
             new_outs = self.graph.out.get(sources)
-            for v, r, new_n in zip(sources.tolist(), ranks, new_outs):
+            for (v, new_n), r in zip(new_outs.rows(), ranks):
                 if r == 0.0:
                     continue
                 old_n = delta.old_out[int(v)]
@@ -177,10 +177,7 @@ class IncrementalPageRank:
         if len(present) == 0:
             return present, np.empty(0)
         outs = self.graph.out.get(present)
-        lens = np.asarray([len(t) for t in outs], dtype=np.int64)
-        src = np.repeat(present, lens)
-        dst = (np.concatenate([t for t in outs if len(t)])
-               if int(lens.sum()) else np.empty(0, dtype=np.int64))
+        src, dst = outs.sources(), outs.neighbors
         spark = self.psctx.spark
         edges = edges_from_arrays(spark, src, dst)
         job = PageRank(max_iterations=max_iterations, tol=self.tol,
@@ -240,8 +237,7 @@ class IncrementalPageRank:
             rounds += 1
             if hot:
                 hs = np.asarray(hot, dtype=np.int64)
-                for v, nb in zip(hot, self.graph.out.get(hs)):
-                    adj[v] = nb
+                adj.update(self.graph.out.get(hs).rows())
             # Local relaxation (vectorized Jacobi sweeps): free on the
             # sim clock, exact on the invariant.  Only vertices with
             # known adjacency relax; mass landing outside the wave's

@@ -1,8 +1,10 @@
 """Shared fixtures for the test suite."""
 
+import numpy as np
 import pytest
 
 from repro.common.config import ClusterConfig
+from repro.core.blocks import NeighborBlock
 from repro.dataflow.context import SparkContext
 
 
@@ -15,6 +17,22 @@ def make_context(num_executors: int = 4, executor_mem: int | None = None,
         **kwargs,
     )
     return SparkContext(cluster)
+
+
+def table_block(rows: dict) -> NeighborBlock:
+    """A neighbor block with ``{vertex: neighbors}`` rows, in dict order and
+    exactly as given (unsorted or repeated neighbors stay that way)."""
+    lens = [len(ns) for ns in rows.values()]
+    return NeighborBlock(
+        np.asarray(list(rows), dtype=np.int64),
+        np.concatenate([[0], np.cumsum(lens)]).astype(np.int64),
+        np.asarray([n for ns in rows.values() for n in ns], dtype=np.int64),
+    )
+
+
+def block_rows(block: NeighborBlock) -> list:
+    """The block's rows as lists, aligned with ``block.vertices``."""
+    return [nbrs.tolist() for _v, nbrs in block.rows()]
 
 
 @pytest.fixture

@@ -5,7 +5,11 @@ import numpy as np
 import pytest
 
 from repro.common.config import ClusterConfig
-from repro.common.metrics import PS_PULL_BYTES
+from repro.common.metrics import (
+    PS_PULL_BYTES,
+    PS_PUSH_BYTES,
+    RPC_CALLS,
+)
 from repro.common.rng import make_rng
 from repro.core.algorithms import (
     CommonNeighbor,
@@ -19,6 +23,7 @@ from repro.core.algorithms import (
     link_prediction_score,
     reference_delta_pagerank,
 )
+from repro.core.blocks import EdgeBlock
 from repro.core.context import PSGraphContext
 from repro.core.ops import edges_from_arrays
 from repro.core.runner import GraphRunner
@@ -39,6 +44,29 @@ def psg():
     ctx = make_psg()
     yield ctx
     ctx.stop()
+
+
+def _awkward_graph(self_loops=True):
+    """A clique, a hub whose leaves touch nothing else, duplicate and
+    reversed edges, and (optionally) self-loops on clique and hub."""
+    clique = [(a, b) for a in range(5) for b in range(a + 1, 5)]
+    star = [(10, leaf) for leaf in range(11, 31)]
+    edges = clique + star + clique[:4] + [(b, a) for a, b in clique[2:6]]
+    edges += [(4, 10), (10, 4)]
+    if self_loops:
+        edges += [(2, 2), (10, 10), (2, 2)]
+    src, dst = np.asarray(edges, dtype=np.int64).T
+    return src, dst
+
+
+def _with_empty_partition(psg, src, dst):
+    """Edge blocks with an edgeless partition in the middle."""
+    half = len(src) // 2
+    empty = np.empty(0, dtype=np.int64)
+    return psg.spark.parallelize([
+        EdgeBlock(src[:half], dst[:half]), EdgeBlock(empty, empty),
+        EdgeBlock(src[half:], dst[half:]),
+    ], 3)
 
 
 class TestPageRank:
@@ -129,6 +157,31 @@ class TestCommonNeighbor:
         for s, d, c in common_neighbor_reference(src, dst):
             assert got[(s, d)] == c
 
+    @pytest.mark.parametrize("batch_size", [7, 4096])
+    def test_awkward_graph_matches_reference(self, psg, batch_size):
+        src, dst = _awkward_graph()
+        result = CommonNeighbor(batch_size=batch_size).transform(
+            psg, _with_empty_partition(psg, src, dst))
+        assert sorted(result.output.collect_tuples()) == sorted(
+            common_neighbor_reference(src, dst))
+
+    def test_golden_sim_metrics(self, psg):
+        """Sim clock and PS metering of a fixed run, pinned to the last bit
+        at the values the per-vertex list path charged: the block path
+        moves the same bytes in the same calls."""
+        src, dst = powerlaw_graph(40, 150, seed=16)
+        edges = edges_from_arrays(psg.spark, src, dst)
+        result = CommonNeighbor(batch_size=32, checkpoint=True).transform(
+            psg, edges)
+        assert len(result.output.collect_tuples()) == 150
+        psg.sync_clocks()
+        assert psg.sim_time() == 0.001029206133333334
+        assert psg.metrics.get(PS_PULL_BYTES) == 10264.0
+        assert psg.metrics.get(PS_PUSH_BYTES) == 2416.0
+        assert psg.metrics.get(RPC_CALLS) == 40.0
+        # Compacted tables checkpoint as {"csr": (vertices, indptr, indices)}.
+        assert psg.metrics.get("ps.checkpoint.bytes") == 3596.0
+
     def test_pulls_from_ps(self, psg):
         src, dst = powerlaw_graph(30, 80, seed=17)
         edges = edges_from_arrays(psg.spark, src, dst)
@@ -148,6 +201,29 @@ class TestTriangleCount:
         nxg.remove_edges_from(nx.selfloop_edges(nxg))
         expect = sum(nx.triangles(nxg).values()) // 3
         assert result.stats["triangles"] == expect
+
+    @pytest.mark.parametrize("batch_size", [5, 4096])
+    def test_duplicates_hub_and_empty_partition(self, psg, batch_size):
+        src, dst = _awkward_graph(self_loops=False)
+        result = TriangleCount(batch_size=batch_size).transform(
+            psg, _with_empty_partition(psg, src, dst))
+        nxg = nx.Graph()
+        nxg.add_edges_from(zip(src.tolist(), dst.tolist()))
+        assert result.stats["triangles"] == sum(
+            nx.triangles(nxg).values()) // 3
+
+    def test_self_loops_count_as_neighbors(self, psg):
+        # A self-loop puts v in its own table (the set semantics of
+        # common_neighbor_reference), so it closes every incident edge.
+        src, dst = _awkward_graph()
+        result = TriangleCount(batch_size=5).transform(
+            psg, edges_from_arrays(psg.spark, src, dst))
+        canonical = {(min(s, d), max(s, d))
+                     for s, d in zip(src.tolist(), dst.tolist()) if s != d}
+        overlap = {(min(s, d), max(s, d)): c
+                   for s, d, c in common_neighbor_reference(src, dst)}
+        assert result.stats["closure_sum"] == sum(
+            overlap[e] for e in canonical)
 
     def test_triangle_free_graph(self, psg):
         src = np.array([0, 1, 2, 3])

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.batch import (
     COMBINE_FNS,
@@ -17,9 +19,11 @@ from repro.common.batch import (
 )
 from repro.common.sizeof import (
     CONTAINER_ENTRY_BYTES,
+    SCALAR_BYTES,
     sizeof,
     sizeof_records,
 )
+from repro.core.blocks import EdgeBlock, build_neighbor_block
 
 
 def make_batch(n, dim=None, seed=3):
@@ -238,3 +242,97 @@ class TestSizeofStreaming:
         big = sizeof(set(range(1000)))
         assert big > small
         assert big == sizeof(frozenset(range(1000)))
+
+
+# ---------------------------------------------------------------------------
+# sizeof: the exact-type fast path against the isinstance chain it shortcuts
+# ---------------------------------------------------------------------------
+
+
+def _chain_sizeof(obj):
+    """The isinstance chain alone (no fast path), as the reference."""
+    if obj is None:
+        return 0
+    if isinstance(obj, np.ndarray):
+        return int(obj.nbytes)
+    if isinstance(obj, (bytes, bytearray, memoryview)):
+        return len(obj)
+    if isinstance(obj, str):
+        return len(obj.encode("utf-8", errors="replace"))
+    if isinstance(obj, (bool, int, float, complex, np.generic)):
+        return SCALAR_BYTES
+    hint = getattr(obj, "logical_nbytes", None)
+    if hint is not None:
+        return int(hint() if callable(hint) else hint)
+    if isinstance(obj, dict):
+        return _chain_items(list(obj.items()))
+    if isinstance(obj, (list, tuple, set, frozenset)):
+        return _chain_items(list(obj))
+    slots = getattr(obj, "__dict__", None)
+    if slots:
+        return CONTAINER_ENTRY_BYTES + sum(
+            _chain_sizeof(v) for v in slots.values())
+    return SCALAR_BYTES
+
+
+def _chain_items(items):
+    count = len(items)
+    if count == 0:
+        return CONTAINER_ENTRY_BYTES
+    if count <= 32:
+        body = sum(_chain_sizeof(x) for x in items)
+    else:
+        sample = items[::max(1, count // 32)][:32]
+        body = int(sum(_chain_sizeof(x) for x in sample)
+                   / len(sample) * count)
+    return CONTAINER_ENTRY_BYTES + count * CONTAINER_ENTRY_BYTES + body
+
+
+class _IntSub(int):
+    pass
+
+
+class _TupleSub(tuple):
+    pass
+
+
+class _ListSub(list):
+    logical_nbytes = 24  # a subclass may carry a hint; a plain list cannot
+
+
+class _ArraySub(np.ndarray):
+    pass
+
+
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2 ** 40, 2 ** 40),
+    st.floats(allow_nan=False), st.text(max_size=5),
+    st.integers(0, 9).map(_IntSub),
+    st.integers(0, 9).map(np.int64),
+    st.integers(0, 40).map(lambda n: np.arange(n, dtype=np.float32)),
+    st.integers(0, 6).map(lambda n: np.arange(n).view(_ArraySub)),
+    st.integers(0, 6).map(
+        lambda n: EdgeBlock(np.arange(n), np.arange(n))),
+    st.integers(0, 6).map(
+        lambda n: build_neighbor_block(np.arange(n) // 2, np.arange(n))),
+    st.integers(0, 6).map(lambda n: RecordBatch(np.arange(n), np.ones(n))),
+)
+_NESTED = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=40), st.lists(inner, max_size=4).map(tuple),
+        st.lists(inner, max_size=4).map(_TupleSub),
+        st.lists(inner, max_size=4).map(_ListSub),
+        st.dictionaries(st.integers(0, 50), inner, max_size=4),
+    ),
+    max_leaves=60,
+)
+
+
+class TestSizeofFastPath:
+    @settings(deadline=None, max_examples=200)
+    @given(_NESTED)
+    def test_equals_isinstance_chain(self, obj):
+        assert sizeof(obj) == _chain_sizeof(obj)
+        if type(obj) is list:
+            assert sizeof_records(obj) == _chain_sizeof(obj)

@@ -34,6 +34,19 @@ class TestContext:
             assert len(rm.containers()) > 0
         assert len(rm.containers()) == 0
 
+    def test_stop_releases_what_the_containers_held(self):
+        # A stopped context usually stays referenced (a result's lazy
+        # frame, a caller's local): it must not pin its data.
+        ctx = make_psg()
+        src, dst = powerlaw_graph(30, 90, seed=70)
+        edges = edges_from_arrays(ctx.spark, src, dst).cache()
+        PageRank(max_iterations=2).transform(ctx, edges)
+        assert ctx.spark.shuffle_service.snapshot_keys()
+        assert any(ex.cached_partitions() for ex in ctx.spark.executors)
+        ctx.stop()
+        assert not ctx.spark.shuffle_service.snapshot_keys()
+        assert not any(ex.cached_partitions() for ex in ctx.spark.executors)
+
     def test_double_stop_is_safe(self):
         ctx = make_psg()
         ctx.stop()

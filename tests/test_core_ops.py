@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.config import ClusterConfig
-from repro.core.blocks import EdgeBlock, build_neighbor_block
+from repro.core.blocks import (
+    EdgeBlock,
+    NeighborBlock,
+    build_neighbor_block,
+    intersect_counts,
+)
 from repro.core.context import PSGraphContext
 from repro.core.graphio import GraphIO
 from repro.core.ops import (
@@ -85,11 +90,84 @@ class TestBlocks:
         assert rebuilt == sorted(zip(t.tolist(), o.tolist()))
 
 
+    def test_take_and_sources(self):
+        block = build_neighbor_block(
+            np.array([1, 1, 2, 5]), np.array([3, 4, 5, 6]),
+            np.array([.1, .2, .3, .4]),
+        )
+        assert block.sources().tolist() == [1, 1, 2, 5]
+        taken = block.take(np.array([2, 0, 2]))
+        assert taken.vertices.tolist() == [5, 1, 5]
+        assert [n.tolist() for _v, n in taken.rows()] == [[6], [3, 4], [6]]
+        assert taken.weights.tolist() == [.4, .1, .2, .4]
+        assert block.take(np.empty(0, dtype=np.int64)).num_edges == 0
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.lists(st.sets(st.integers(0, 30), max_size=8),
+                    min_size=1, max_size=8),
+           st.data())
+    def test_intersect_counts_equals_set_overlap(self, rows, data):
+        """Sorted duplicate-free rows (empty ones too) against Python sets,
+        on arbitrary position pairs including a row with itself."""
+        lens = [len(r) for r in rows]
+        block = NeighborBlock(
+            np.arange(len(rows), dtype=np.int64),
+            np.concatenate([[0], np.cumsum(lens)]).astype(np.int64),
+            np.asarray([n for r in rows for n in sorted(r)], dtype=np.int64),
+        )
+        position = st.integers(0, len(rows) - 1)
+        pairs = data.draw(st.lists(st.tuples(position, position),
+                                   max_size=12))
+        left = np.asarray([a for a, _b in pairs], dtype=np.int64)
+        right = np.asarray([b for _a, b in pairs], dtype=np.int64)
+        counts, work = intersect_counts(block, left, right)
+        assert counts.tolist() == [len(rows[a] & rows[b]) for a, b in pairs]
+        assert work == 2 * sum(min(lens[a], lens[b]) for a, b in pairs)
+
+
 class TestOps:
     def test_parse_edge_lines(self):
         block = parse_edge_lines(iter(["1\t2", "3\t4", "", "bad"]))
         assert block.src.tolist() == [1, 3]
         assert block.dst.tolist() == [2, 4]
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.lists(st.one_of(
+        st.tuples(st.integers(0, 10 ** 12), st.sampled_from(["\t", " "]),
+                  st.integers(0, 10 ** 12)).map(
+                      lambda t: f"{t[0]}{t[1]}{t[2]}"),
+        st.sampled_from([
+            "-e 1 2", "-v 3", "7", "1 2 3", "4\t5\t0.5", "", " 1 2", "1  2",
+            "1 2 ", "x y", "1.5 2", "1 2x", "+3 4", "1_0 2", "1\t\t2",
+        ]),
+    ), max_size=12))
+    def test_array_parse_equals_line_loop(self, lines):
+        expect = []
+        for line in lines:
+            parts = line.split()
+            try:
+                expect.append((int(parts[0]), int(parts[1])))
+            except (IndexError, ValueError):
+                continue
+        block = parse_edge_lines(iter(lines))
+        assert block.src.dtype == block.dst.dtype == np.int64
+        assert list(zip(block.src.tolist(), block.dst.tolist())) == expect
+        assert block.weight is None
+
+    def test_markers_and_trailing_blank_take_the_loop(self):
+        lines = ["1\t2", "-e 1 2", "3 4", "-v 3", "5\t6", ""]
+        block = parse_edge_lines(iter(lines))
+        assert block.src.tolist() == [1, 3, 5]
+        assert block.dst.tolist() == [2, 4, 6]
+        # The same edges without the odd lines go through the array parse.
+        clean = parse_edge_lines(iter(["1\t2", "3 4", "5\t6"]))
+        assert clean.src.tolist() == [1, 3, 5]
+        assert clean.dst.tolist() == [2, 4, 6]
+
+    def test_short_line_cannot_borrow_from_long_line(self):
+        # Four tokens on two lines, but neither line is an edge pair.
+        block = parse_edge_lines(iter(["3", "4 5 6"]))
+        assert (block.src.tolist(), block.dst.tolist()) == ([4], [5])
 
     def test_parse_weighted(self):
         block = parse_edge_lines(iter(["1\t2\t0.5", "3\t4"]), weighted=True)

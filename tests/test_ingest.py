@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from tests.conftest import block_rows
 from repro.common.config import ClusterConfig
 from repro.common.errors import ConfigError
 from repro.common.metrics import MetricsRegistry
@@ -132,11 +133,11 @@ class TestConsumer:
             consumer = EdgeStreamConsumer(t, ctx.hdfs, table=table)
             t.produce(np.array([1, 2]), np.array([2, 3]))
             consumer.poll()
-            assert table.get(np.array([2]))[0].tolist() == [1, 3]
+            assert block_rows(table.get(np.array([2]))) == [[1, 3]]
             # A later batch merges, never replaces.
             t.produce(np.array([2]), np.array([7]))
             consumer.poll()
-            assert table.get(np.array([2]))[0].tolist() == [1, 3, 7]
+            assert block_rows(table.get(np.array([2]))) == [[1, 3, 7]]
         finally:
             ctx.stop()
 
@@ -150,12 +151,12 @@ class TestConsumer:
             consumer.poll()
             t.produce_removals(np.array([2]), np.array([3]))
             consumer.poll()
-            assert table.get(np.array([2]))[0].tolist() == [1]
-            assert table.get(np.array([3]))[0].tolist() == [4]
+            assert block_rows(table.get(np.array([2]))) == [[1]]
+            assert block_rows(table.get(np.array([3]))) == [[4]]
             t.produce_vertex_removals(np.array([4]))
             consumer.poll()
-            assert table.get(np.array([3]))[0].tolist() == []
-            assert table.get(np.array([4]))[0].tolist() == []
+            assert block_rows(table.get(np.array([3]))) == [[]]
+            assert block_rows(table.get(np.array([4]))) == [[]]
         finally:
             ctx.stop()
 
@@ -251,12 +252,12 @@ class TestAtLeastOnceDelivery:
             with pytest.raises(IOError):
                 consumer.poll()
             # Crash hit before the merge: the table saw nothing.
-            assert table.get(np.array([2]))[0].tolist() == []
+            assert block_rows(table.get(np.array([2]))) == [[]]
             state["writes"] = -10**9  # heal the filesystem
             assert consumer.poll() == 2
             # Replayed merge is idempotent set-union: no duplicates.
             assert consumer.poll() == 0
-            assert table.get(np.array([2]))[0].tolist() == [1, 3]
+            assert block_rows(table.get(np.array([2]))) == [[1, 3]]
         finally:
             ctx.stop()
 
@@ -296,8 +297,7 @@ class TestConsumerRecovery:
             table_b, topic_b = self._run_stream(chaos,
                                                 crash_after_polls=3)
             vs = np.arange(200)
-            for a, b in zip(table_a.get(vs), table_b.get(vs)):
-                assert a.tolist() == b.tolist()
+            assert block_rows(table_a.get(vs)) == block_rows(table_b.get(vs))
             # The landing history has no gaps and no duplicate batches.
             names_a = sorted(clean.hdfs.listdir("/land"))
             names_b = sorted(chaos.hdfs.listdir("/land"))

@@ -9,6 +9,7 @@ from repro.core.algorithms import (
     KCore,
     PageRank,
     TriangleCount,
+    common_neighbor_reference,
 )
 from repro.core.context import PSGraphContext
 from repro.core.ops import edges_from_arrays
@@ -160,6 +161,7 @@ class TestFailureIntegration:
             .output.collect_tuples()
         )
         assert with_failure == clean
+        assert with_failure == sorted(common_neighbor_reference(src, dst))
         assert psg.ps.master.recoveries >= 1
 
     def test_executor_failure_during_pagerank_iterations(self, psg):

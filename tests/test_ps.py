@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tests.conftest import block_rows, table_block
 from repro.common.config import ClusterConfig
 from repro.common.errors import (
     CheckpointNotFoundError,
@@ -284,25 +285,22 @@ class TestEmbedding:
 class TestNeighborTable:
     def test_push_get_roundtrip(self, ps):
         t = ps.create_neighbor_table("adj", num_vertices=100)
-        t.push(np.array([5]), [np.array([1, 2, 3])])
-        t.push(np.array([5]), [np.array([3, 4])])
-        got = t.get(np.array([5, 6]))
-        assert got[0].tolist() == [1, 2, 3, 4]
-        assert got[1].tolist() == []
+        t.push(table_block({5: [1, 2, 3]}))
+        t.push(table_block({5: [3, 4]}))
+        got = t.get(np.array([5, 6, 5]))
+        assert got.vertices.tolist() == [5, 6, 5]
+        assert block_rows(got) == [[1, 2, 3, 4], [], [1, 2, 3, 4]]
 
     def test_degrees(self, ps):
         t = ps.create_neighbor_table("adj", num_vertices=10)
-        t.push(np.array([1, 2]), [np.array([0]), np.array([0, 1, 3])])
+        t.push(table_block({1: [0], 2: [0, 1, 3]}))
         assert t.degrees(np.array([1, 2, 9])).tolist() == [1, 3, 0]
 
     def test_compact_preserves_reads(self, ps):
         t = ps.create_neighbor_table("adj", num_vertices=50)
-        t.push(np.array([7, 13]), [np.array([1, 5]), np.array([2])])
+        t.push(table_block({7: [1, 5], 13: [2]}))
         t.compact()
-        got = t.get(np.array([7, 13, 20]))
-        assert got[0].tolist() == [1, 5]
-        assert got[1].tolist() == [2]
-        assert got[2].tolist() == []
+        assert block_rows(t.get(np.array([7, 13, 20]))) == [[1, 5], [2], []]
         assert t.num_vertices() == 2
 
 
@@ -395,13 +393,11 @@ class TestCheckpointRecovery:
 
     def test_neighbor_table_checkpoint_recovery(self, ps):
         t = ps.create_neighbor_table("adj", num_vertices=40)
-        t.push(np.arange(40),
-               [np.array([i, (i + 1) % 40]) for i in range(40)])
+        t.push(table_block({i: [i, (i + 1) % 40] for i in range(40)}))
         t.checkpoint()
         ps.kill_server(1)
         ps.recover()
-        got = t.get(np.arange(40))
-        assert all(len(g) == 2 for g in got)
+        assert t.get(np.arange(40)).degrees().tolist() == [2] * 40
 
     def test_recovery_advances_sim_time(self, ps):
         v = ps.create_vector("v", 10)

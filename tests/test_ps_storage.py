@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
+
+from tests.conftest import table_block
 
 from repro.common.errors import PSError
 from repro.ps.psfunc import PartialDot, RankOneUpdate
@@ -128,70 +131,154 @@ class TestColumnShardStore:
         assert s.get_row_slices(np.array([0]))[0, 0] == 9.0
 
 
+def _rows(store, vertices):
+    """Rows of ``vertices`` as lists, read through the block API."""
+    indptr, indices = store.get_neighbors(np.asarray(vertices, np.int64))
+    return [indices[a:b].tolist() for a, b in zip(indptr[:-1], indptr[1:])]
+
+
+def _write(method, rows):
+    block = table_block(rows)
+    method(block.vertices, block.indptr, block.neighbors)
+
+
 class TestNeighborTableStore:
     def test_merge_dedupes_and_sorts(self):
         s = NeighborTableStore()
-        s.append_neighbors(1, np.array([5, 3]))
-        s.append_neighbors(1, np.array([3, 7]))
-        assert s.get_neighbors(np.array([1]))[0].tolist() == [3, 5, 7]
+        _write(s.append_neighbors, {1: [5, 3]})
+        _write(s.append_neighbors, {1: [3, 7], 0: [9, 9]})
+        assert _rows(s, [1, 0]) == [[3, 5, 7], [9]]
 
-    def test_degree_and_count(self):
+    def test_get_aligns_with_request(self):
         s = NeighborTableStore()
-        s.append_neighbors(1, np.array([2]))
-        s.append_neighbors(4, np.array([1, 2, 3]))
-        assert s.degree(np.array([1, 4, 9])).tolist() == [1, 3, 0]
+        _write(s.append_neighbors, {4: [1, 2, 3], 1: [2]})
+        indptr, indices = s.get_neighbors(np.array([4, 9, 1, 4]))
+        assert indptr.tolist() == [0, 3, 3, 4, 7]
+        assert indices.tolist() == [1, 2, 3, 2, 1, 2, 3]
+        assert s.degree(np.array([1, 4, 9, 4])).tolist() == [1, 3, 0, 3]
         assert s.num_vertices() == 2
 
-    def test_compact_roundtrip(self):
+    def test_empty_store_and_empty_request(self):
         s = NeighborTableStore()
-        for v in (3, 1, 7):
-            s.append_neighbors(v, np.array([v + 1, v + 2]))
-        before = {v: s.get_neighbors(np.array([v]))[0].tolist()
-                  for v in (1, 3, 7)}
-        s.compact()
-        assert s.is_compacted
-        after = {v: s.get_neighbors(np.array([v]))[0].tolist()
-                 for v in (1, 3, 7)}
-        assert before == after
-        assert s.degree(np.array([1, 3, 7, 9])).tolist() == [2, 2, 2, 0]
+        assert _rows(s, [3, 3]) == [[], []]
+        assert s.degree(np.array([3])).tolist() == [0]
+        _write(s.append_neighbors, {3: [1]})
+        assert _rows(s, []) == []
+        assert s.get_neighbors(np.empty(0, np.int64))[0].tolist() == [0]
 
-    def test_write_after_compact_reopens(self):
+    def test_empty_rows_are_not_stored(self):
         s = NeighborTableStore()
-        s.append_neighbors(1, np.array([2]))
-        s.compact()
-        s.append_neighbors(3, np.array([4]))
-        assert not s.is_compacted
-        # Note: compaction drops the dict form, so prior entries live only
-        # in CSR; writes after compact start a fresh dict (documented
-        # behaviour — compaction is for read-only phases).
-        assert s.get_neighbors(np.array([3]))[0].tolist() == [4]
+        _write(s.append_neighbors, {1: [], 2: [5]})
+        assert s.num_vertices() == 1
+        _write(s.remove_neighbors, {2: [5]})
+        assert s.num_vertices() == 0
+        assert s.nbytes == NeighborTableStore().nbytes
 
-    def test_snapshot_restore_both_forms(self):
+    def test_nbytes_counts_queued_appends_and_csr(self):
         s = NeighborTableStore()
-        s.append_neighbors(1, np.array([2, 3]))
-        snap = s.snapshot()
-        s2 = NeighborTableStore()
-        s2.restore(snap)
-        assert s2.get_neighbors(np.array([1]))[0].tolist() == [2, 3]
+        _write(s.append_neighbors, {1: [2, 3], 4: [5]})
+        assert s.nbytes > NeighborTableStore().nbytes
         s.compact()
-        snap_csr = s.snapshot()
-        s3 = NeighborTableStore()
-        s3.restore(snap_csr)
-        assert s3.is_compacted
-        assert s3.get_neighbors(np.array([1]))[0].tolist() == [2, 3]
+        # vertices + indptr + indices of a 2-row, 3-entry CSR.
+        assert s.nbytes == 8 * (2 + 3 + 3)
 
-    @settings(deadline=None, max_examples=25)
-    @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 20)),
-                    max_size=40))
-    def test_tables_match_reference_sets(self, pairs):
+    def test_write_after_compact_keeps_compacted_rows(self):
+        # Compaction once froze the rows into a second form that writes
+        # forgot to reopen; there is one form now, and writes land in it.
         s = NeighborTableStore()
-        ref: dict = {}
-        for v, n in pairs:
-            s.append_neighbors(v, np.array([n]))
-            ref.setdefault(v, set()).add(n)
-        for v, expect in ref.items():
-            got = s.get_neighbors(np.array([v]))[0].tolist()
-            assert got == sorted(expect)
+        _write(s.append_neighbors, {1: [2]})
+        s.compact()
+        _write(s.append_neighbors, {3: [4], 1: [0]})
+        assert _rows(s, [1, 3]) == [[0, 2], [4]]
+        s.compact()
+        _write(s.remove_neighbors, {1: [2]})
+        assert _rows(s, [1, 3]) == [[0], [4]]
+
+    def test_snapshot_is_csr_and_restores(self):
+        s = NeighborTableStore()
+        _write(s.append_neighbors, {7: [2, 3], 1: [9]})
+        snap = s.snapshot()  # queued appends are folded in first
+        vertices, indptr, indices = snap["csr"]
+        assert vertices.tolist() == [1, 7]
+        assert indptr.tolist() == [0, 1, 3]
+        assert indices.tolist() == [9, 2, 3]
+        _write(s.append_neighbors, {7: [4]})
+        restored = NeighborTableStore()
+        restored.restore(snap)
+        assert _rows(restored, [7, 1]) == [[2, 3], [9]]
+        assert restored.nbytes == 8 * (2 + 3 + 3)
+
+    def test_huge_ids_raise_instead_of_wrapping(self):
+        s = NeighborTableStore()
+        _write(s.append_neighbors, {2 ** 40: [2 ** 40]})
+        with pytest.raises(PSError):
+            s.compact()
+
+
+_VERTEX = st.integers(0, 6)
+_ROWS = st.dictionaries(_VERTEX, st.lists(st.integers(0, 12), max_size=5),
+                        max_size=4)
+
+
+class NeighborTableMachine(RuleBasedStateMachine):
+    """Random interleavings of the bulk operations against a dict of sets."""
+
+    def __init__(self):
+        super().__init__()
+        self.store = NeighborTableStore()
+        self.model: dict = {}
+
+    @rule(rows=_ROWS)
+    def append(self, rows):
+        _write(self.store.append_neighbors, rows)
+        for v, ns in rows.items():
+            if ns:
+                self.model.setdefault(v, set()).update(ns)
+
+    @rule(rows=_ROWS)
+    def remove(self, rows):
+        _write(self.store.remove_neighbors, rows)
+        for v, ns in rows.items():
+            left = self.model.get(v, set()) - set(ns)
+            self.model.pop(v, None)
+            if left:
+                self.model[v] = left
+
+    @rule(vertices=st.lists(_VERTEX, max_size=3))
+    def drop(self, vertices):
+        self.store.drop_vertices(np.asarray(vertices, np.int64))
+        for v in vertices:
+            self.model.pop(v, None)
+
+    @rule()
+    def compact(self):
+        self.store.compact()
+
+    @rule()
+    def snapshot_restore(self):
+        fresh = NeighborTableStore()
+        fresh.restore(self.store.snapshot())
+        self.store = fresh
+
+    @rule(vertices=st.lists(st.integers(0, 8), max_size=6))
+    def get(self, vertices):
+        """Duplicate and absent vertices in one request."""
+        expect = [sorted(self.model.get(v, ())) for v in vertices]
+        assert _rows(self.store, vertices) == expect
+        assert self.store.degree(
+            np.asarray(vertices, np.int64)).tolist() == [len(r) for r in expect]
+
+    @invariant()
+    def counts_and_bytes_match_model(self):
+        assert self.store.num_vertices() == len(self.model)
+        entries = sum(len(ns) for ns in self.model.values())
+        # After num_vertices() nothing is queued: exactly the CSR arrays.
+        assert self.store.nbytes == 8 * (2 * len(self.model) + 1 + entries)
+
+
+TestNeighborTableMachine = NeighborTableMachine.TestCase
+TestNeighborTableMachine.settings = settings(
+    max_examples=60, stateful_step_count=25, deadline=None)
 
 
 class TestPsFuncsDirect:

@@ -27,6 +27,7 @@ from repro.datasets.generators import powerlaw_graph
 from repro.ingest.kafka import EdgeStreamConsumer, KafkaTopic
 from repro.ingest.mutations import edge_adds, edge_dels, vertex_dels
 from repro.ps.cache import PullCache
+from tests.conftest import block_rows, table_block
 from repro.streaming import (
     IncrementalComponents,
     IncrementalPageRank,
@@ -59,41 +60,39 @@ def _ids(*vs):
 class TestNeighborTableRemoval:
     def test_remove_subset(self, ctx):
         t = ctx.ps.create_neighbor_table("t", 10)
-        t.push(_ids(1), [_ids(2, 3, 4)])
-        t.remove(_ids(1), [_ids(3)])
-        assert t.get(_ids(1))[0].tolist() == [2, 4]
+        t.push(table_block({1: [2, 3, 4]}))
+        t.remove(table_block({1: [3]}))
+        assert block_rows(t.get(_ids(1))) == [[2, 4]]
         assert t.degrees(_ids(1)).tolist() == [2]
 
     def test_remove_absent_neighbor_is_noop(self, ctx):
         t = ctx.ps.create_neighbor_table("t", 10)
-        t.push(_ids(1), [_ids(2)])
-        t.remove(_ids(1), [_ids(9)])
-        t.remove(_ids(5), [_ids(9)])  # vertex with no table at all
-        assert t.get(_ids(1))[0].tolist() == [2]
+        t.push(table_block({1: [2]}))
+        t.remove(table_block({1: [9]}))
+        t.remove(table_block({5: [9]}))  # vertex with no table at all
+        assert block_rows(t.get(_ids(1))) == [[2]]
 
     def test_remove_all_empties_table(self, ctx):
         t = ctx.ps.create_neighbor_table("t", 10)
-        t.push(_ids(1), [_ids(2, 3)])
-        t.remove(_ids(1), [_ids(2, 3)])
-        assert t.get(_ids(1))[0].tolist() == []
+        t.push(table_block({1: [2, 3]}))
+        t.remove(table_block({1: [2, 3]}))
+        assert block_rows(t.get(_ids(1))) == [[]]
         assert t.degrees(_ids(1)).tolist() == [0]
 
-    def test_remove_after_compact_reopens_csr(self, ctx):
-        # Regression: a write against a compacted store used to merge
-        # against an empty dict, silently losing the frozen adjacency.
+    def test_remove_after_compact_keeps_other_rows(self, ctx):
+        # Regression: a write against a compacted store once merged
+        # against an empty table, silently losing the frozen adjacency.
         t = ctx.ps.create_neighbor_table("t", 10)
-        t.push(_ids(1, 2), [_ids(3, 4), _ids(5)])
+        t.push(table_block({1: [3, 4], 2: [5]}))
         t.compact()
-        t.remove(_ids(1), [_ids(4)])
-        assert t.get(_ids(1))[0].tolist() == [3]
-        assert t.get(_ids(2))[0].tolist() == [5]
+        t.remove(table_block({1: [4]}))
+        assert block_rows(t.get(_ids(1, 2))) == [[3], [5]]
 
     def test_drop_vertices(self, ctx):
         t = ctx.ps.create_neighbor_table("t", 10)
-        t.push(_ids(1, 2), [_ids(3), _ids(4)])
+        t.push(table_block({1: [3], 2: [4]}))
         t.drop(_ids(1, 7))  # dropping an absent vertex is fine
-        assert t.get(_ids(1))[0].tolist() == []
-        assert t.get(_ids(2))[0].tolist() == [4]
+        assert block_rows(t.get(_ids(1, 2))) == [[], [4]]
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +121,7 @@ class TestStreamingGraphApply:
         delta = g.apply(edge_adds(_ids(0), _ids(3))
                         + edge_dels(_ids(0), _ids(1)))
         assert delta.old_out[0].tolist() == [1, 2]
-        assert g.out.get(_ids(0))[0].tolist() == [2, 3]
+        assert block_rows(g.out.get(_ids(0))) == [[2, 3]]
 
     def test_presence_crossings(self, ctx):
         g = StreamingGraph(ctx.ps, 10)
@@ -164,12 +163,8 @@ class TestStreamingGraphApply:
 
 def _edge_set(g):
     present = g.present_vertices()
-    outs = g.out.get(present)
-    src, dst = [], []
-    for v, nb in zip(present.tolist(), outs):
-        src.extend([v] * len(nb))
-        dst.extend(nb.tolist())
-    return np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
+    outs = g.out.get(g.present_vertices())
+    return outs.sources(), outs.neighbors
 
 
 class TestIncrementalPageRank:

@@ -51,7 +51,6 @@ def main() -> None:
         src, dst = powerlaw_graph(NUM_VERTICES, BASE_EDGES, seed=41)
         topic.produce(src, dst)
         engine.run_window()
-        engine.bootstrap()
         engine.reports.clear()
         print(f"bootstrap: {graph.num_edges} live edges, "
               f"{len(graph.present_vertices())} present vertices")

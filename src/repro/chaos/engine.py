@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional
 
-from repro.chaos.schedule import KILL_KINDS, RPC_KINDS, FaultSchedule, FaultSpec
+from repro.chaos.schedule import RPC_KINDS, FaultSchedule, FaultSpec
 from repro.common.errors import ConfigError, RpcError
 from repro.common.metrics import CHAOS_FAULTS
 

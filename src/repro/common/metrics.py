@@ -198,14 +198,11 @@ class MetricsRegistry:
         self._counters: Dict[str, float] = defaultdict(float)
         self._histograms: Dict[str, Histogram] = {}
         self._gauges: Dict[str, Gauge] = {}
-        self._recording: List[Tuple[str, str, float]] | None = None
 
     # -- counters ----------------------------------------------------------
 
     def inc(self, name: str, value: float = 1.0) -> float:
         """Increment counter ``name`` by ``value`` and return the new total."""
-        if self._recording is not None:
-            self._recording.append(("inc", name, value))
         self._counters[name] += value
         return self._counters[name]
 
@@ -224,8 +221,6 @@ class MetricsRegistry:
         Returns:
             The counter's value after the update.
         """
-        if self._recording is not None:
-            self._recording.append(("set_max", name, value))
         if value > self._counters.get(name, 0.0):
             self._counters[name] = value
         return self._counters.get(name, 0.0)
@@ -234,8 +229,6 @@ class MetricsRegistry:
 
     def observe(self, name: str, value: float) -> None:
         """Add one sample to histogram ``name`` (created on first use)."""
-        if self._recording is not None:
-            self._recording.append(("observe", name, value))
         hist = self._histograms.get(name)
         if hist is None:
             hist = self._histograms[name] = Histogram()
@@ -272,8 +265,6 @@ class MetricsRegistry:
 
     def set_gauge(self, name: str, value: float) -> None:
         """Record the current value of gauge ``name``."""
-        if self._recording is not None:
-            self._recording.append(("set_gauge", name, value))
         gauge = self._gauges.get(name)
         if gauge is None:
             gauge = self._gauges[name] = Gauge()
@@ -291,41 +282,6 @@ class MetricsRegistry:
                    "updates": float(g.updates)}
             for name, g in sorted(self._gauges.items())
         }
-
-    # -- event recording & replay ------------------------------------------
-    #
-    # The process pool (repro.dataflow.pool) runs tasks in forked workers,
-    # so their metric updates land in a *copy* of this registry.  A worker
-    # records every update it makes as an ordered event list; the driver
-    # replays those events against its own registry in deterministic task
-    # order.  Because counter increments are computed independently of the
-    # counter's current value, replay performs the identical sequence of
-    # IEEE float additions a serial run would — bit-identical totals.
-
-    def begin_recording(self) -> None:
-        """Start capturing every update as an ordered event list."""
-        self._recording = []
-
-    def end_recording(self) -> List[Tuple[str, str, float]]:
-        """Stop capturing; returns the events recorded since ``begin``."""
-        events = self._recording if self._recording is not None else []
-        self._recording = None
-        return events
-
-    def replay(self, events: List[Tuple[str, str, float]]) -> None:
-        """Apply a recorded event list to this registry, in order."""
-        counters = self._counters
-        for kind, name, value in events:
-            if kind == "inc":
-                counters[name] += value
-            elif kind == "observe":
-                self.observe(name, value)
-            elif kind == "set_gauge":
-                self.set_gauge(name, value)
-            elif kind == "set_max":
-                self.set_max(name, value)
-            else:
-                raise ValueError(f"unknown metric event kind {kind!r}")
 
     # -- views & maintenance ----------------------------------------------
 
@@ -434,19 +390,6 @@ PS_RECOVERIES = "ps.recovery.count"
 PS_ROLLBACKS = "ps.recovery.rollbacks"
 
 ALERTS_FIRED = "obs.alerts.fired"
-
-# Well-known process-pool names (the ``dataflow.pool.*`` family; host-side
-# execution detail, deliberately outside the simulated-cost contract — see
-# docs/observability.md).  ``POOL_WORKERS_G`` is a gauge; the rest are
-# counters.
-POOL_TASKS_DISPATCHED = "dataflow.pool.tasks.dispatched"
-POOL_TASKS_REPLAYED = "dataflow.pool.tasks.replayed"
-POOL_STAGES_PARALLEL = "dataflow.pool.stages.parallel"
-POOL_STAGES_SERIAL = "dataflow.pool.stages.serial_fallback"
-POOL_PACKAGES_INVALID = "dataflow.pool.packages.invalid"
-POOL_SHM_BYTES = "dataflow.pool.shm.bytes_mapped"
-POOL_PICKLE_FALLBACKS = "dataflow.pool.pickle_fallbacks"
-POOL_WORKERS_G = "dataflow.pool.workers"
 
 # Well-known histogram names (populated via ``MetricsRegistry.observe``).
 TASK_DURATION_H = "dataflow.task.duration_s"

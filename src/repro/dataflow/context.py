@@ -20,7 +20,6 @@ from repro.common.metrics import EXECUTORS_ALIVE_G, MetricsRegistry
 from repro.common.simclock import SimClock, barrier
 from repro.dataflow.executor import Executor
 from repro.obs.tracer import NOOP_TRACER, NoopTracer
-from repro.dataflow.pool import TaskPool, default_parallel
 from repro.dataflow.rdd import RDD, ParallelCollectionRDD, TextFileRDD
 from repro.dataflow.scheduler import DAGScheduler
 from repro.dataflow.shuffle import ShuffleService
@@ -61,14 +60,6 @@ class SparkContext:
             the copy wins and the straggler attempt is never started.
         speculation_multiplier: slowdown factor above which an executor is
             treated as a straggler by speculation.
-        parallel: process-pool width for wall-clock-parallel task
-            execution (``repro.dataflow.pool``).  ``None`` reads the
-            process default set by ``--parallel`` CLIs; values below 2
-            disable the pool.  Parallelism is host-side machinery only —
-            sim time, metrics and spans are bit-identical either way.
-        pool_start_method: ``multiprocessing`` start method for pool
-            workers (default ``fork``; ``spawn``/``forkserver`` cannot
-            ship the driver graph and fall back to serial).
     """
 
     def __init__(self, cluster: ClusterConfig, *,
@@ -82,9 +73,7 @@ class SparkContext:
                  retry_backoff_base_s: float = 1.0,
                  retry_backoff_max_s: float = 60.0,
                  speculation: bool = False,
-                 speculation_multiplier: float = 1.5,
-                 parallel: int | None = None,
-                 pool_start_method: str | None = None) -> None:
+                 speculation_multiplier: float = 1.5) -> None:
         self.cluster = cluster
         self.app_name = app_name
         self.metrics = metrics if metrics is not None else MetricsRegistry()
@@ -104,13 +93,6 @@ class SparkContext:
         self.retry_backoff_max_s = retry_backoff_max_s
         self.speculation = speculation
         self.speculation_multiplier = speculation_multiplier
-        self.parallel = max(
-            0, default_parallel() if parallel is None else int(parallel)
-        )
-        self.pool: TaskPool | None = (
-            TaskPool(self.parallel, pool_start_method or "fork")
-            if self.parallel >= 2 else None
-        )
         self.driver: Container = self.resource_manager.request(
             "driver", cluster.executor_mem_bytes, name=f"driver-{app_name}"
         )
@@ -277,17 +259,6 @@ class SparkContext:
     # ------------------------------------------------------------------
     # hooks & time
     # ------------------------------------------------------------------
-
-    @property
-    def has_task_hooks(self) -> bool:
-        """Whether any post-task hooks are registered.
-
-        The pool checks this for stage eligibility: hooks (chaos fault
-        injection, telemetry probes) couple tasks to each other and to
-        driver state mid-stage, which a forked worker cannot see, so
-        hooked stages always run serially.
-        """
-        return bool(self._task_hooks)
 
     def add_task_hook(self, hook: TaskHook) -> None:
         """Register a post-task callback (used for failure injection)."""

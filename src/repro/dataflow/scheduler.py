@@ -20,11 +20,6 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List
 
 from repro.common.errors import ContainerLostError, StageFailedError
 from repro.common.metrics import (
-    HDFS_BYTES_READ,
-    POOL_PACKAGES_INVALID,
-    POOL_STAGES_PARALLEL,
-    POOL_STAGES_SERIAL,
-    POOL_TASKS_REPLAYED,
     STAGES_RUN,
     TASK_DURATION_H,
     TASKS_FAILED,
@@ -32,7 +27,6 @@ from repro.common.metrics import (
     TASKS_SPECULATED,
 )
 from repro.common.simclock import barrier
-from repro.dataflow.pool import TaskPackage
 from repro.dataflow.shuffle import ShuffleOutputLostError, bucket_map_output
 from repro.dataflow.taskctx import TaskContext, metered, task_scope
 
@@ -42,29 +36,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: Maximum attempts per task before the stage is declared failed.
 MAX_TASK_ATTEMPTS = 6
-
-
-def _lineage_has_cached(rdd: "RDD") -> bool:
-    """True if this stage's tasks may read or fill an RDD cache.
-
-    Cache fills are cross-task side effects a forked pool worker cannot
-    hand back to the driver (a later serial action would miss and
-    recompute, diverging from an all-serial run), so such stages stay
-    serial.  Only the narrow lineage is walked: shuffle-dependency
-    parents execute in their own map stages, and a checkpointed RDD
-    short-circuits to HDFS without touching caches or ancestors.
-    """
-    stack = [rdd]
-    seen: set = set()
-    while stack:
-        node = stack.pop()
-        if node.id in seen or node._checkpoint_path is not None:
-            continue
-        seen.add(node.id)
-        if node._cached:
-            return True
-        stack.extend(node.narrow_parents)
-    return False
 
 
 class DAGScheduler:
@@ -80,19 +51,10 @@ class DAGScheduler:
     # ------------------------------------------------------------------
 
     def run_job(self, rdd: "RDD",
-                func: Callable[[int, Iterator[Any]], Any],
-                pool_ok: bool = False) -> List[Any]:
-        """Run ``func`` over every partition of ``rdd``; returns results.
-
-        Args:
-            pool_ok: the caller asserts ``func`` is pure (no driver-side
-                or PS side effects beyond its return value), so the
-                result stage may run on the process pool.  Actions with
-                side-effecting closures (``foreach``, ``save_as_text_file``)
-                must leave this False.
-        """
+                func: Callable[[int, Iterator[Any]], Any]) -> List[Any]:
+        """Run ``func`` over every partition of ``rdd``; returns results."""
         self._ensure_shuffles(rdd, set())
-        return self._run_result_stage(rdd, func, pool_ok=pool_ok)
+        return self._run_result_stage(rdd, func)
 
     def run_stage(self, num_partitions: int,
                   task: Callable[[int, TaskContext], Any],
@@ -148,13 +110,7 @@ class DAGScheduler:
         def map_task(mp: int, tctx: TaskContext) -> None:
             self._write_map_output(dep, mp, tctx)
 
-        # Map tasks are pure by construction (their only effect is the
-        # shuffle output, which pool packages carry), so the pool is
-        # always worth trying unless the lineage touches caches.
-        self._run_tasks(
-            missing, map_task, kind=f"shuffle-{dep.shuffle_id}",
-            pool_ok=not _lineage_has_cached(dep.parent),
-        )
+        self._run_tasks(missing, map_task, kind=f"shuffle-{dep.shuffle_id}")
 
     def _write_map_output(self, dep: "ShuffleDependency", mp: int,
                           tctx: TaskContext) -> None:
@@ -186,8 +142,8 @@ class DAGScheduler:
     # ------------------------------------------------------------------
 
     def _run_result_stage(self, rdd: "RDD",
-                          func: Callable[[int, Iterator[Any]], Any],
-                          pool_ok: bool = False) -> List[Any]:
+                          func: Callable[[int, Iterator[Any]], Any]
+                          ) -> List[Any]:
         cm = self.ctx.cluster.cost_model
 
         def result_task(p: int, tctx: TaskContext) -> Any:
@@ -198,8 +154,7 @@ class DAGScheduler:
             return func(p, records)
 
         results = self._run_tasks(
-            list(range(rdd.num_partitions)), result_task, kind="result",
-            pool_ok=pool_ok and not _lineage_has_cached(rdd),
+            list(range(rdd.num_partitions)), result_task, kind="result"
         )
         return [results[p] for p in range(rdd.num_partitions)]
 
@@ -221,7 +176,7 @@ class DAGScheduler:
     def _finish_task(self, tctx: TaskContext, result: Any,
                      busy: Dict[int, float], results: Dict[int, Any],
                      kind: str) -> None:
-        """Book one successful task attempt (serial run or pool replay)."""
+        """Book one successful task attempt."""
         ctx = self.ctx
         tracer = ctx.tracer
         executor = tctx.executor
@@ -255,86 +210,9 @@ class DAGScheduler:
         results[p] = result
         ctx.notify_task_complete(stage_id, p, kind)
 
-    def _package_valid(self, pkg: TaskPackage, partition: int) -> bool:
-        """Whether a pool package is safe to replay as the serial loop's
-        exact effect for ``partition``.
-
-        Rejects packages whose task failed, moved an executor clock
-        (clocks stand still inside tasks), landed on a placement the
-        driver disagrees with, or emitted metric events outside the
-        replayable allowlist — anything outside ``dataflow.*`` (plus
-        read-only HDFS) means the task mutated server/filesystem state
-        the fork kept private, so it must rerun against real state.
-        """
-        if pkg.error is not None or pkg.clock_drift != 0.0:
-            return False
-        executor = self.ctx.executor_for_partition(partition)
-        if not executor.alive or executor.index != pkg.executor_index:
-            return False
-        return all(
-            name.startswith("dataflow.") or name == HDFS_BYTES_READ
-            for _kind, name, _value in pkg.events
-        )
-
-    def _run_tasks_pooled(self, partitions: List[int],
-                          task: Callable[[int, TaskContext], Any],
-                          stage_id: int, kind: str,
-                          busy: Dict[int, float],
-                          results: Dict[int, Any]) -> List[int]:
-        """Try the process pool for one eligible stage.
-
-        Dispatches the stage to forked workers, then replays the returned
-        packages in partition dispatch order — the deterministic merge
-        barrier.  Returns the partitions that still need the serial loop:
-        all of them when the stage is ineligible or the pool declined,
-        or the tail from the first missing/invalid package onward (the
-        serial loop reproduces errors and retries exactly).
-        """
-        ctx = self.ctx
-        pool = ctx.pool
-        metrics = ctx.metrics
-        if (pool is None or len(partitions) < 2 or ctx.speculation
-                or ctx.has_task_hooks
-                or not all(ex.alive for ex in ctx.executors)):
-            return partitions
-        packages = pool.run_stage(ctx, stage_id, partitions, task)
-        if packages is None:
-            metrics.inc(POOL_STAGES_SERIAL)
-            return partitions
-        tracer = ctx.tracer
-        svc = ctx.shuffle_service
-        for i, p in enumerate(partitions):
-            pkg = packages.get(p)
-            if pkg is None or not self._package_valid(pkg, p):
-                if pkg is not None:
-                    metrics.inc(POOL_PACKAGES_INVALID)
-                metrics.inc(
-                    POOL_STAGES_PARALLEL if i else POOL_STAGES_SERIAL
-                )
-                return partitions[i:]
-            executor = ctx.executor_for_partition(p)
-            tctx = TaskContext(stage_id, p, executor, cost=pkg.cost,
-                               tracer=tracer)
-            # Replay in the serial loop's exact effect order: launch
-            # counter, in-task metric events, in-task spans, shuffle
-            # outputs, memory peak, then the shared completion path.
-            metrics.inc(TASKS_LAUNCHED)
-            metrics.replay(pkg.events)
-            if tracer.enabled:
-                tracer.extend(pkg.spans)
-            for (sid, mp), out in pkg.outputs.items():
-                svc.install(sid, mp, out)
-            mem = executor.container.memory
-            if pkg.mem_peak > mem.peak:
-                mem.peak = pkg.mem_peak
-            metrics.inc(POOL_TASKS_REPLAYED)
-            self._finish_task(tctx, pkg.result, busy, results, kind)
-        metrics.inc(POOL_STAGES_PARALLEL)
-        return []
-
     def _run_tasks(self, partitions: List[int],
                    task: Callable[[int, TaskContext], Any],
-                   kind: str, pool_ok: bool = False) -> Dict[int, Any]:
+                   kind: str) -> Dict[int, Any]:
         ctx = self.ctx
         metrics = ctx.metrics
         tracer = ctx.tracer
@@ -348,10 +226,6 @@ class DAGScheduler:
         results: Dict[int, Any] = {}
         attempts: Dict[int, int] = defaultdict(int)
         pending = list(partitions)
-        if pool_ok:
-            pending = self._run_tasks_pooled(
-                pending, task, stage_id, kind, busy, results
-            )
         while pending:
             p = pending.pop(0)
             executor = ctx.executor_for_partition(p)

@@ -13,7 +13,7 @@ Three layers enforce this:
   pass (rules SIM001..SIM005) with ``# repro-lint: disable=RULE``
   suppressions and JSON / human output — plus a flow-sensitive tier
   (:mod:`repro.lint.cfg`, :mod:`repro.lint.dataflow`,
-  :mod:`repro.lint.rules_flow`: rules SIM101..SIM105) with baseline
+  :mod:`repro.lint.rules_flow`: rules SIM101, SIM103..SIM105) with baseline
   (:mod:`repro.lint.baseline`), SARIF (:mod:`repro.lint.sarif`) and
   incremental-cache support.
 * :mod:`repro.lint.dynamic` — a determinism harness that runs a workload

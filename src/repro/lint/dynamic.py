@@ -533,7 +533,6 @@ def _streaming_window(seed: int, tracer: Tracer, metrics: MetricsRegistry
             num_vertices, 1200, seed=derive_seed(seed, "lint-stream-base"))
         topic.produce(src, dst)
         engine.run_window()  # base-load window
-        engine.bootstrap()
         engine.reports.clear()
 
         rng = make_rng(derive_seed(seed, "lint-stream-muts"))

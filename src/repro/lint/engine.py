@@ -31,7 +31,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 from repro.lint.dataflow import FunctionSummary, ProgramIndex
 from repro.lint.rules import Rule, Violation, all_rules
 
-# Importing the flow rules registers SIM101..SIM105 alongside the
+# Importing the flow rules registers SIM101 and SIM103..SIM105 alongside the
 # syntactic rules, so every engine user sees the full rule set.
 import repro.lint.rules_flow  # noqa: F401  (registration side effect)
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 #: Package-relative directories that form the simulated cluster: code here
 #: must not touch the host filesystem, wall clock or ambient RNG.

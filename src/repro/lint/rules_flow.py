@@ -1,4 +1,4 @@
-"""Flow-sensitive lint rules SIM101..SIM105.
+"""Flow-sensitive lint rules SIM101 and SIM103..SIM105.
 
 Where the SIM0xx rules pattern-match single expressions, this family
 reasons over the control-flow graphs of :mod:`repro.lint.cfg` and the
@@ -7,11 +7,8 @@ interprocedural summaries of :mod:`repro.lint.dataflow`:
 * **SIM101** — closure-capture safety for RDD operations: a closure
   shipped to ``map``/``filter``-family methods must not capture a
   ``SparkContext``/``PSContext``, an open resource, or a name that is
-  rebound after the closure is created (the late-binding trap that
-  turns latent under lazy or multi-process execution — the exact
-  precondition for running map tasks on a ``multiprocessing`` pool).
-* **SIM102** — unpicklable captures: locks, threads, sockets, open
-  generators and lambda-bound names cannot cross a process boundary.
+  rebound after the closure is created (the late-binding trap: a lazy
+  engine runs the closure at the action, not where it was written).
 * **SIM103** — metering contract: inside the sim subsystems, a function
   that moves bytes (file/socket IO, pickling, numpy materializations —
   directly or via a callee) must charge ``TaskCost`` / a sim clock /
@@ -23,7 +20,7 @@ interprocedural summaries of :mod:`repro.lint.dataflow`:
 * **SIM105** — resource leaks: a span/file/handle opened on some path
   must be released, returned, or escape on every path to the exit.
 
-All five report through the same :class:`~repro.lint.rules.Violation`
+All four report through the same :class:`~repro.lint.rules.Violation`
 machinery, honour ``# repro-lint: disable=...`` suppressions, and run
 from the same CLI; the engine supplies a shared
 :class:`~repro.lint.dataflow.ProgramIndex` when linting a whole tree so
@@ -33,7 +30,7 @@ summaries cross file boundaries.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.lint.cfg import (
     CFG,
@@ -179,20 +176,13 @@ def _closure_args(call: ast.Call,
     return out
 
 
-#: Methods that submit a closure to the process pool, where it must
-#: survive a fork/pickle boundary (see ``repro.dataflow.pool`` and the
-#: multiprocessing checklist in docs/static-analysis.md).
-_POOL_SUBMIT_METHODS = {"run_stage", "run_job"}
-
-
-def _rdd_calls(func: ast.AST,
-               methods: Set[str] = _RDD_METHODS) -> List[ast.Call]:
-    """Calls to closure-shipping methods inside one function body."""
+def _rdd_calls(func: ast.AST) -> List[ast.Call]:
+    """Calls to RDD closure-shipping methods inside one function body."""
     out = []
     for node in ast.walk(func):
         if isinstance(node, ast.Call) \
                 and isinstance(node.func, ast.Attribute) \
-                and node.func.attr in methods:
+                and node.func.attr in _RDD_METHODS:
             out.append(node)
     return out
 
@@ -201,15 +191,6 @@ def _rdd_calls(func: ast.AST,
 _DRIVER_CONTEXTS = {
     "SparkContext", "PSContext", "GraphContext", "SparkSession",
 }
-
-#: Constructors whose instances cannot cross a pickle boundary.
-_UNPICKLABLE_CTORS = {
-    "threading.Lock", "threading.RLock", "threading.Condition",
-    "threading.Semaphore", "threading.BoundedSemaphore",
-    "threading.Event", "threading.Thread", "threading.local",
-    "socket.socket", "iter", "memoryview",
-}
-
 
 def _def_value(node_stmt: ast.AST | None, name: str) -> Optional[ast.AST]:
     """The RHS expression a def node binds ``name`` to, when syntactic."""
@@ -260,7 +241,7 @@ class ClosureCaptureRule(FlowRule):
     name = "closure-capture"
     description = ("RDD closure captures a driver context, an open "
                    "resource, or a name rebound after creation (unsafe "
-                   "for process-pool execution)")
+                   "under lazy evaluation)")
 
     def check_flow(self, tree: ast.AST, relpath: str,
                    program: ProgramIndex) -> List[Violation]:
@@ -335,7 +316,7 @@ class ClosureCaptureRule(FlowRule):
         # (b) rebinding after closure creation: a definition of the name
         # reachable *from* the call site means some execution order has
         # the closure observe a different value than the one captured
-        # here (late binding; real once tasks are deferred to a pool).
+        # here (late binding; tasks run at the action, not at this line).
         all_defs = {
             n.idx for n in cfg.nodes
             if name in gen.get(n.idx, ())
@@ -353,79 +334,6 @@ class ClosureCaptureRule(FlowRule):
                 "whichever value is current when it finally runs — bind "
                 "it via a default argument or a local", relpath)
         return None
-
-
-# ----------------------------------------------------------------------
-# SIM102 — unpicklable captures
-# ----------------------------------------------------------------------
-
-
-@register
-class UnpicklableCaptureRule(FlowRule):
-    """SIM102: RDD closures must only capture picklable values."""
-
-    id = "SIM102"
-    name = "unpicklable-capture"
-    description = ("RDD or pool-submitted closure captures an unpicklable "
-                   "object (lock, thread, socket, generator, lambda) that "
-                   "cannot cross a process boundary")
-
-    #: RDD methods plus the pool submission boundary: closures handed to
-    #: ``TaskPool.run_stage`` / ``DAGScheduler.run_job`` additionally run
-    #: in forked worker processes, so the same capture rules apply (see
-    #: the multiprocessing checklist in docs/static-analysis.md).
-    _METHODS = _RDD_METHODS | _POOL_SUBMIT_METHODS
-
-    def check_flow(self, tree: ast.AST, relpath: str,
-                   program: ProgramIndex) -> List[Violation]:
-        aliases = _import_aliases(tree)
-        out: List[Violation] = []
-        for func, _cls in iter_functions_with_class(tree):
-            calls = _rdd_calls(func, self._METHODS)
-            if not calls:
-                continue
-            cfg = build_cfg(func)
-            in_sets = cfg.reaching_definitions()
-            local_defs = {
-                n.name: n for n in ast.walk(func)
-                if isinstance(n, ast.FunctionDef) and n is not func
-            }
-            for call in calls:
-                node_idx = _node_for(cfg, call)
-                if node_idx is None:
-                    continue
-                for closure in _closure_args(call, local_defs):
-                    out.extend(self._check_closure(
-                        cfg, in_sets, node_idx, call, closure,
-                        relpath, aliases))
-        return out
-
-    def _check_closure(self, cfg: CFG, in_sets, node_idx: int,
-                       call: ast.Call,
-                       closure: ast.Lambda | ast.FunctionDef,
-                       relpath: str,
-                       aliases: Dict[str, str]) -> List[Violation]:
-        out: List[Violation] = []
-        for name in sorted(_free_names(closure)):
-            defs = {idx for (n, idx) in in_sets[node_idx] if n == name}
-            for d in defs:
-                stmt = cfg.nodes[d].stmt
-                value = _def_value(stmt, name)
-                ctor = _ctor_name(value, aliases)
-                what: Optional[str] = None
-                if ctor is not None and ctor in _UNPICKLABLE_CTORS:
-                    what = f"a `{ctor}(...)` instance"
-                elif isinstance(value, ast.GeneratorExp):
-                    what = "a generator (consumed-once iterator state)"
-                elif isinstance(value, ast.Lambda):
-                    what = "a lambda (pickle cannot serialize lambdas)"
-                if what is not None:
-                    out.append(self.violation(
-                        call,
-                        f"closure captures `{name}`, {what}; it cannot "
-                        "be serialized to a worker process", relpath))
-                    break
-        return out
 
 
 # ----------------------------------------------------------------------

@@ -133,7 +133,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             seed=derive_seed(args.seed, "stream-base"))
         topic.produce(src, dst)
         engine.run_window()  # applies the base graph (bootstrap window)
-        engine.bootstrap()
         base = engine.reports.pop()  # the load window is not a mutation
         print(f"bootstrap : {graph.num_edges} edges, "
               f"{len(graph.present_vertices())} vertices "

@@ -90,6 +90,7 @@ class StreamingEngine:
         self.consumer = consumer
         self.measure_full = measure_full
         self.algos: Dict[str, object] = {}
+        self._started: set = set()  # names whose state has been computed
         self.reports: List[WindowReport] = []
         self._pending: List = []
         self._window = 0
@@ -110,6 +111,7 @@ class StreamingEngine:
     def register(self, name: str, algo) -> object:
         """Register an incremental algorithm (bootstrap/update protocol)."""
         self.algos[name] = algo
+        self._started.discard(name)
         return algo
 
     # ------------------------------------------------------------------
@@ -117,9 +119,11 @@ class StreamingEngine:
     # ------------------------------------------------------------------
 
     def bootstrap(self) -> Dict[str, Dict[str, float]]:
-        """Initial full compute for every registered algorithm."""
+        """Initial full compute for every registered algorithm that has
+        not had one.  Idempotent: seeding a state twice would double it."""
         stats = {}
-        for name in sorted(self.algos):
+        for name in sorted(set(self.algos) - self._started):
+            self._started.add(name)
             stats[name] = self.algos[name].bootstrap()
         return stats
 
@@ -146,7 +150,11 @@ class StreamingEngine:
         delta = self.graph.apply(batch)
         algo_stats: Dict[str, Dict[str, float]] = {}
         for name in sorted(self.algos):
-            algo_stats[name] = self.algos[name].update(delta)
+            if name in self._started:
+                algo_stats[name] = self.algos[name].update(delta)
+            else:  # first window: the whole graph, not only this delta
+                self._started.add(name)
+                algo_stats[name] = self.algos[name].bootstrap()
         cost_inc = self.spark.sim_time() - t0
 
         cost_full: Optional[float] = None

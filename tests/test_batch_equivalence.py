@@ -1,19 +1,13 @@
-"""Cost-transparency equivalence: batched vs boxed, serial vs pooled.
+"""Cost-transparency equivalence: batched vs boxed hot paths.
 
-The columnar pipeline is a host-speed representation change only, and the
-process pool (``repro.dataflow.pool``) is a wall-clock-only change on top.
-These tests pin both contracts: for a shuffle, a reduceByKey, and one
-Pregel-style superstep, the batched and boxed runs — each under the serial
-loop and under a 4-worker pool — must produce
+The columnar pipeline is a host-speed representation change only.  These
+tests pin the contract from both sides: for a shuffle, a reduceByKey, and
+one Pregel-style superstep, the batched and boxed runs must produce
 
 * identical results,
 * identical ``dataflow.shuffle.*`` metrics (logical bytes + record counts),
 * identical obs span sequences (names, tags, and bit-exact sim times),
 * identical total simulated time.
-
-Pool bookkeeping (the ``dataflow.pool.*`` namespace) is host-side by
-design and excluded from serial-vs-parallel comparisons; everything else
-must match bit for bit.
 
 Values are integer-valued floats throughout so every summation order is
 exact and result comparison can demand equality, not tolerance.
@@ -37,18 +31,6 @@ from repro.obs.tracer import Tracer
 N_RECORDS = 600
 N_PARTITIONS = 4
 
-#: Host-side pool bookkeeping — outside the simulated-cost contract.
-POOL_PREFIX = "dataflow.pool."
-
-#: Both execution modes every equivalence contract must hold under.
-PARALLEL_MODES = pytest.mark.parametrize(
-    "parallel", [0, 4], ids=["serial", "pool4"])
-
-
-def drop_pool(metrics):
-    return {k: v for k, v in metrics.items()
-            if not k.startswith(POOL_PREFIX)}
-
 
 def make_data(seed=7):
     rng = np.random.default_rng(seed)
@@ -57,13 +39,12 @@ def make_data(seed=7):
     return keys, values
 
 
-def run(pipeline, batched, parallel=0):
+def run(pipeline, batched):
     """Run one pipeline on a fresh, fully instrumented context."""
     tracer = Tracer()
     metrics = MetricsRegistry()
     cluster = ClusterConfig(num_executors=4, executor_mem_bytes=1 << 40)
-    ctx = SparkContext(cluster, tracer=tracer, metrics=metrics,
-                       parallel=parallel)
+    ctx = SparkContext(cluster, tracer=tracer, metrics=metrics)
     try:
         keys, values = make_data()
         if batched:
@@ -83,37 +64,32 @@ def run(pipeline, batched, parallel=0):
         ctx.stop()
 
 
-def assert_equivalent(pipeline, parallel=0):
-    boxed = run(pipeline, batched=False, parallel=parallel)
-    batched = run(pipeline, batched=True, parallel=parallel)
+def assert_equivalent(pipeline):
+    boxed = run(pipeline, batched=False)
+    batched = run(pipeline, batched=True)
     # Results: batched buckets are key-sorted, so compare as multisets.
     assert sorted(boxed["result"]) == sorted(batched["result"])
     # Logical shuffle accounting is bit-identical.
     for name in (SHUFFLE_BYTES_WRITTEN, SHUFFLE_BYTES_READ, SHUFFLE_RECORDS):
         assert boxed["metrics"].get(name) == batched["metrics"].get(name), name
-    # Pool transport differs between representations (shm for columnar,
-    # pickle for boxed) but is host-side only; everything simulated must
-    # still match exactly.
-    assert drop_pool(boxed["metrics"]) == drop_pool(batched["metrics"])
+    assert boxed["metrics"] == batched["metrics"]
     # Span sequences match bit-for-bit, including start/end sim times.
     assert boxed["spans"] == batched["spans"]
     assert boxed["sim_time"] == batched["sim_time"]
     return boxed, batched
 
 
-@PARALLEL_MODES
 class TestShuffleEquivalence:
-    def test_partition_by(self, parallel):
+    def test_partition_by(self):
         boxed, _ = assert_equivalent(
             lambda rdd: rdd.partition_by(
                 HashPartitioner(N_PARTITIONS)
-            ).collect_records(),
-            parallel=parallel,
+            ).collect_records()
         )
         assert len(boxed["result"]) == N_RECORDS
         assert boxed["metrics"][SHUFFLE_RECORDS] == N_RECORDS
 
-    def test_partitioning_is_identical(self, parallel):
+    def test_partitioning_is_identical(self):
         # Not just the same multiset globally: every record must land in
         # the same reduce partition under both representations.
         def per_partition(rdd):
@@ -122,20 +98,18 @@ class TestShuffleEquivalence:
             ).as_records().collect_partitions()
             return [sorted(p) for p in parts]
 
-        boxed = run(per_partition, batched=False, parallel=parallel)
-        batched = run(per_partition, batched=True, parallel=parallel)
+        boxed = run(per_partition, batched=False)
+        batched = run(per_partition, batched=True)
         assert boxed["result"] == batched["result"]
 
 
-@PARALLEL_MODES
 class TestReduceByKeyEquivalence:
     @pytest.mark.parametrize("op", ["add", "min", "max"])
-    def test_reduce_by_key(self, op, parallel):
+    def test_reduce_by_key(self, op):
         boxed, _ = assert_equivalent(
             lambda rdd: rdd.reduce_by_key(
                 op=op, num_partitions=N_PARTITIONS
-            ).collect_records(),
-            parallel=parallel,
+            ).collect_records()
         )
         keys, values = make_data()
         expect = {}
@@ -154,9 +128,8 @@ class TestReduceByKeyEquivalence:
         assert boxed["metrics"][SHUFFLE_RECORDS] < 2 * N_RECORDS
 
 
-@PARALLEL_MODES
 class TestPregelSuperstepEquivalence:
-    def test_one_superstep(self, parallel):
+    def test_one_superstep(self):
         """A hand-rolled PageRank superstep: contribs -> combine -> update.
 
         This is the shuffle shape one Pregel iteration generates
@@ -171,47 +144,6 @@ class TestPregelSuperstepEquivalence:
             )
             return ranks.collect_records()
 
-        boxed, batched = assert_equivalent(superstep, parallel=parallel)
+        boxed, batched = assert_equivalent(superstep)
         assert len(boxed["result"]) == len(set(make_data()[0].tolist()))
         assert boxed["sim_time"] > 0.0
-
-
-class TestSerialVsPooled:
-    """The pool changes wall-clock only: serial vs pool4, same run."""
-
-    PIPELINES = {
-        "partition_by": lambda rdd: rdd.partition_by(
-            HashPartitioner(N_PARTITIONS)).collect_records(),
-        "reduce_by_key": lambda rdd: rdd.reduce_by_key(
-            op="add", num_partitions=N_PARTITIONS).collect_records(),
-        "superstep": lambda rdd: rdd.reduce_by_key(
-            op="add", num_partitions=N_PARTITIONS
-        ).as_records().map_values(
-            lambda s: 15.0 + 85.0 * s).collect_records(),
-    }
-
-    @pytest.mark.parametrize("name", sorted(PIPELINES))
-    @pytest.mark.parametrize("batched", [False, True],
-                             ids=["boxed", "batched"])
-    def test_bit_identical_across_modes(self, name, batched):
-        pipeline = self.PIPELINES[name]
-        serial = run(pipeline, batched=batched, parallel=0)
-        pooled = run(pipeline, batched=batched, parallel=4)
-        assert serial["result"] == pooled["result"]
-        assert drop_pool(serial["metrics"]) == drop_pool(pooled["metrics"])
-        assert serial["spans"] == pooled["spans"]
-        assert serial["sim_time"] == pooled["sim_time"]
-        # The pool actually engaged — this is not a vacuous comparison.
-        assert pooled["metrics"].get(
-            "dataflow.pool.tasks.dispatched", 0) > 0
-        assert serial["metrics"].get(
-            "dataflow.pool.tasks.dispatched", 0) == 0
-
-    def test_pooled_double_run_identical_including_pool_metrics(self):
-        pipeline = self.PIPELINES["reduce_by_key"]
-        a = run(pipeline, batched=True, parallel=4)
-        b = run(pipeline, batched=True, parallel=4)
-        assert a["result"] == b["result"]
-        assert a["metrics"] == b["metrics"]
-        assert a["spans"] == b["spans"]
-        assert a["sim_time"] == b["sim_time"]

@@ -41,10 +41,12 @@ class TestContext:
         src, dst = powerlaw_graph(30, 90, seed=70)
         edges = edges_from_arrays(ctx.spark, src, dst).cache()
         PageRank(max_iterations=2).transform(ctx, edges)
-        assert ctx.spark.shuffle_service.snapshot_keys()
+        svc = ctx.spark.shuffle_service
+        shuffles = range(ctx.spark.next_shuffle_id())
+        assert any(svc.output_exists(sid, 0) for sid in shuffles)
         assert any(ex.cached_partitions() for ex in ctx.spark.executors)
         ctx.stop()
-        assert not ctx.spark.shuffle_service.snapshot_keys()
+        assert not any(svc.output_exists(sid, 0) for sid in shuffles)
         assert not any(ex.cached_partitions() for ex in ctx.spark.executors)
 
     def test_double_stop_is_safe(self):

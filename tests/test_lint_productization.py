@@ -327,6 +327,5 @@ def test_cli_unknown_rule_lists_known_ids(tmp_path, capsys):
 def test_cli_list_rules_includes_flow_tier(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule_id in ("SIM001", "SIM101", "SIM102", "SIM103",
-                    "SIM104", "SIM105"):
+    for rule_id in ("SIM001", "SIM101", "SIM103", "SIM104", "SIM105"):
         assert rule_id in out

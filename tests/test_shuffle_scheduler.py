@@ -1,8 +1,14 @@
 """Deeper tests of the shuffle service, scheduler and cost accounting."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.common.config import ClusterConfig
 from repro.common.costs import CostModel
 from repro.common.errors import StageFailedError
@@ -289,15 +295,7 @@ class TestSchedulerRecovery:
 
 class TestKillDuringShuffle:
     """A map-side executor dying after its shuffle write must trigger
-    parent-stage recomputation — on both record representations, and
-    identically whether or not a worker pool is configured (task hooks
-    force the pool to stand down, so chaos always runs serially)."""
-
-    @staticmethod
-    def _ctx(parallel):
-        cluster = ClusterConfig(num_executors=3,
-                                executor_mem_bytes=1 << 40)
-        return SparkContext(cluster, parallel=parallel)
+    parent-stage recomputation — on both record representations."""
 
     def _run(self, ctx, batched):
         keys = [i % 5 for i in range(50)]
@@ -312,10 +310,9 @@ class TestKillDuringShuffle:
             .reduce_by_key(lambda a, b: a + b)
         return dict(rdd.collect())
 
-    @pytest.mark.parametrize("parallel", [0, 4], ids=["serial", "pool4"])
     @pytest.mark.parametrize("batched", [False, True])
-    def test_map_executor_killed_after_write(self, batched, parallel):
-        ctx = self._ctx(parallel)
+    def test_map_executor_killed_after_write(self, batched):
+        ctx = make_context(num_executors=3)
         try:
             state = {"killed": False}
 
@@ -337,45 +334,12 @@ class TestKillDuringShuffle:
             ctx.stop()
 
     @pytest.mark.parametrize("batched", [False, True])
-    def test_kill_run_identical_across_parallel_modes(self, batched):
-        def chaos_run(parallel):
-            ctx = self._ctx(parallel)
-            try:
-                state = {"killed": False}
-
-                def hook(_stage, partition, kind):
-                    if kind.startswith("shuffle-") and not state["killed"]:
-                        state["killed"] = True
-                        ctx.kill_executor(
-                            ctx.executor_for_partition(partition).index
-                        )
-
-                ctx.add_task_hook(hook)
-                got = self._run(ctx, batched)
-                snap = {
-                    k: v for k, v in ctx.metrics.snapshot().items()
-                    if not k.startswith("dataflow.pool.")
-                }
-                return got, snap, ctx.sim_time()
-            finally:
-                ctx.stop()
-
-        serial = chaos_run(0)
-        pooled = chaos_run(4)
-        assert serial == pooled
-
-    @pytest.mark.parametrize("parallel", [0, 4], ids=["serial", "pool4"])
-    @pytest.mark.parametrize("batched", [False, True])
-    def test_clean_run_has_no_failures(self, batched, parallel):
-        ctx = self._ctx(parallel)
+    def test_clean_run_has_no_failures(self, batched):
+        ctx = make_context(num_executors=3)
         try:
             got = self._run(ctx, batched)
             assert got == {k: 10.0 for k in range(5)}
             assert ctx.metrics.get(TASKS_FAILED) == 0
-            if parallel:
-                # No hooks here, so the pool must actually engage.
-                assert ctx.metrics.get(
-                    "dataflow.pool.tasks.dispatched") > 0
         finally:
             ctx.stop()
 
@@ -415,3 +379,18 @@ class TestSimTimeAccounting:
         t = sc.sim_time()
         for ex in sc.executors:
             assert ex.container.clock.now_s <= t + 1e-12
+
+
+def test_package_never_imports_multiprocessing():
+    """The simulator is single-process — the DAG scheduler is the only
+    source of ordering — so no ``repro`` module may pull the import in."""
+    code = (
+        "import sys, pkgutil, importlib, repro\n"
+        "for m in pkgutil.walk_packages(repro.__path__, 'repro.'):\n"
+        "    if not m.name.endswith('__main__'):\n"
+        "        importlib.import_module(m.name)\n"
+        "assert 'multiprocessing' not in sys.modules\n"
+    )
+    src = str(Path(repro.__file__).resolve().parents[1])
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=120,
+                   env={**os.environ, "PYTHONPATH": src})

@@ -37,13 +37,16 @@ from repro.streaming import (
 )
 
 
-@pytest.fixture()
-def ctx():
-    cluster = ClusterConfig(
+def _cluster():
+    return ClusterConfig(
         num_executors=4, executor_mem_bytes=256 * MB,
         num_servers=2, server_mem_bytes=256 * MB,
     )
-    c = PSGraphContext(cluster, app_name="test-streaming")
+
+
+@pytest.fixture()
+def ctx():
+    c = PSGraphContext(_cluster(), app_name="test-streaming")
     yield c
     c.stop()
 
@@ -442,6 +445,97 @@ class TestStreamingEngine:
         summary = engine.summary()
         assert summary["windows"] == 2.0
         assert summary["cost_ratio"] > 0
+
+
+class TestEngineBootstrapOrder:
+    """However register / base window / bootstrap interleave, every
+    algorithm must sit at the from-scratch answer — and stay there.
+
+    Regression: the CLI's order (register, base window, ``bootstrap()``)
+    seeded PageRank's ``1-d`` twice and doubled every rank.
+    """
+
+    N = 60
+    #: The benchmark's order, which was right all along.
+    REFERENCE = ("window", "register", "bootstrap")
+    ORDERS = {
+        "cli": ("register", "window"),
+        "cli-explicit": ("register", "window", "bootstrap"),
+        "doubled": ("window", "register", "bootstrap", "bootstrap"),
+    }
+
+    def _run(self, order):
+        """``[after base, after mutation windows]`` snapshots, each
+        ``(rank ids, ranks, component labels, embedding rows)``."""
+        with PSGraphContext(_cluster(), app_name="bootstrap-order") as ctx:
+            g = StreamingGraph(ctx.ps, self.N)
+            engine = StreamingEngine(g, measure_full=False)
+            src, dst = powerlaw_graph(self.N, 300, seed=5)
+
+            def register():
+                engine.register("pagerank",
+                                IncrementalPageRank(g, tol=1e-10))
+                engine.register("components", IncrementalComponents(g))
+                engine.register("embedding",
+                                OnlineEmbeddingRefresh(g, dim=4))
+
+            steps = {
+                "register": register,
+                "window": lambda: engine.run_window(edge_adds(src, dst)),
+                "bootstrap": engine.bootstrap,
+            }
+            for step in order:
+                steps[step]()
+            snaps = [self._checked_snapshot(g, engine)]
+            # From scratch on the same graph: a fresh embedding's
+            # bootstrap is the batch run the live one must equal.
+            fresh = OnlineEmbeddingRefresh(g, dim=4, name="fresh.emb")
+            fresh.bootstrap()
+            np.testing.assert_array_equal(snaps[0][3], fresh.vectors()[1])
+
+            rng = np.random.default_rng(11)
+            for w in range(3):
+                a_s = rng.integers(0, self.N, 6)
+                a_d = (a_s + 1 + rng.integers(0, self.N - 1, 6)) % self.N
+                cs, cd = _edge_set(g)
+                ridx = rng.choice(len(cs), size=4, replace=False)
+                muts = edge_adds(a_s, a_d) + edge_dels(cs[ridx], cd[ridx])
+                if w == 1:
+                    muts += vertex_dels(g.present_vertices()[:1])
+                engine.run_window(muts)
+            snaps.append(self._checked_snapshot(g, engine))
+            return snaps
+
+    @staticmethod
+    def _checked_snapshot(g, engine):
+        ids, ranks = engine.algos["pagerank"].ranks()
+        ref_ids, ref_ranks = reference_delta_pagerank(*_edge_set(g), 300)
+        assert ids.tolist() == ref_ids.tolist()
+        np.testing.assert_allclose(ranks, ref_ranks, atol=1e-6)
+        cc = engine.algos["components"]
+        labels = cc.assignments()[1]
+        assert labels.tolist() == cc.full_recompute()[1].tolist()
+        return ids, ranks, labels, engine.algos["embedding"].vectors()[1]
+
+    @pytest.mark.parametrize("order", sorted(ORDERS))
+    def test_every_order_matches_from_scratch(self, order):
+        got = self._run(self.ORDERS[order])
+        want = self._run(self.REFERENCE)
+        for (ids, ranks, labels, rows), (w_ids, w_ranks, w_labels,
+                                         w_rows) in zip(got, want):
+            assert ids.tolist() == w_ids.tolist()
+            np.testing.assert_array_equal(ranks, w_ranks)
+            assert labels.tolist() == w_labels.tolist()
+            np.testing.assert_array_equal(rows, w_rows)
+
+    def test_algorithm_registered_mid_stream_starts_from_whole_graph(
+            self, ctx):
+        g = StreamingGraph(ctx.ps, 10)
+        engine = StreamingEngine(g, measure_full=False)
+        engine.run_window(edge_adds(_ids(0, 1), _ids(1, 2)))
+        cc = engine.register("components", IncrementalComponents(g))
+        engine.run_window(edge_adds(_ids(5), _ids(6)))
+        assert _labels(cc) == {0: 0, 1: 0, 2: 0, 5: 5, 6: 5}
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from benchmarks.micro.cases import (
 from benchmarks.micro.runner import check_regression, main
 
 RESULT_KEYS = {"name", "records", "boxed_s", "batched_s", "speedup",
-               "records_per_s"}
+               "records_per_s", "metrics"}
 
 
 def test_cases_report_structure():

@@ -295,6 +295,70 @@ def gather_segments(values: np.ndarray, starts: np.ndarray,
     return indptr, values.take(flat)
 
 
+#: Most flat element indices a scatter builds or keeps at a time (2 MiB of
+#: int64 scratch); a larger one runs block by block.
+SCATTER_BLOCK = 1 << 18
+
+
+def flat_row_index(rows: np.ndarray, cols: int,
+                   col: int | None = None) -> np.ndarray:
+    """Where rows ``rows`` of a C-contiguous ``(n, cols)`` array sit in its
+    flat 1-D view: every element of each row, row after row — or, with
+    ``col``, that one column's element per row."""
+    if col is not None:
+        # range() bounds-checks and normalises a negative column exactly
+        # as ``array[:, col]`` would.
+        col = range(cols)[col]
+        return rows * cols + col if cols > 1 else rows
+    if cols == 1:
+        return rows
+    return np.add.outer(rows * cols, np.arange(cols)).reshape(-1)
+
+
+def scatter_add_flat(target: np.ndarray, flat: np.ndarray,
+                     values: np.ndarray) -> None:
+    """Add ``values`` into the elements of ``target`` at positions ``flat``
+    of its flat view, in order (repeated positions add up).
+
+    This is the ``ufunc.at`` form numpy has a fast loop for: 1-D target,
+    1-D index, 1-D values (numpy >= 1.25; several times slower on
+    a 2-D target).  ``values`` is never cast here: numpy adds a float64
+    value into a float32 element in float64 and rounds once, which
+    pre-casting would turn into two roundings.
+    """
+    if not target.flags.c_contiguous:
+        # The flat view would be a copy, and the adds would be lost.
+        raise ValueError("scatter target must be C-contiguous")
+    np.add.at(target.reshape(-1), flat, values.reshape(-1))
+
+
+def scatter_add_rows(target: np.ndarray, rows: np.ndarray,
+                     values: np.ndarray, col: int | None = None) -> None:
+    """``np.add.at(target, rows, values)`` — ``np.add.at(target[:, col],
+    rows, values)`` with ``col`` — bit for bit, for a 2-D ``target``.
+
+    Whole rows go through :func:`scatter_add_flat` (the target must be
+    C-contiguous).  Row after row is the order ``np.add.at`` itself visits
+    the elements in, so each one sees the same sequence of float
+    additions.
+    """
+    if col is not None:
+        # One column is a 1-D target already; numpy's fast loop takes its
+        # stride, and no index arithmetic beats that.
+        np.add.at(target[:, col], rows, values)
+        return
+    if target.ndim != 2:
+        raise ValueError("scatter_add_rows needs a 2-D target")
+    rows = np.asarray(rows)
+    cols = target.shape[1]
+    if np.shape(values) != (len(rows), cols):
+        values = np.broadcast_to(values, (len(rows), cols))
+    step = max(1, SCATTER_BLOCK // cols)
+    for lo in range(0, len(rows), step):
+        scatter_add_flat(target, flat_row_index(rows[lo:lo + step], cols),
+                         values[lo:lo + step])
+
+
 def split_batch(keys: np.ndarray, values: np.ndarray,
                 pids: np.ndarray) -> Dict[int, RecordBatch]:
     """Bucket columnar records by partition id -> per-bucket batches."""

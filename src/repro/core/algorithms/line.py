@@ -23,6 +23,7 @@ from typing import Iterator, List
 
 import numpy as np
 
+from repro.common.batch import scatter_add_rows
 from repro.common.rng import DEFAULT_SEED, derive_seed
 from repro.core.algorithms.base import AlgorithmResult, GraphAlgorithm
 from repro.core.blocks import EdgeBlock
@@ -100,7 +101,9 @@ class Line(GraphAlgorithm):
                 rows = emb.pull_rows(uids)
                 li = inverse[:len(left)]
                 ri = inverse[len(left):]
-                dots = np.einsum("ij,ij->i", rows[li], rows[ri])
+                left_rows = rows.take(li, axis=0)
+                right_rows = rows.take(ri, axis=0)
+                dots = np.einsum("ij,ij->i", left_rows, right_rows)
             charge_primitive_compute(cost_model, len(left))
             p = 1.0 / (1.0 + np.exp(-np.clip(dots, -30, 30)))
             g = lr * (labels - p)
@@ -108,8 +111,8 @@ class Line(GraphAlgorithm):
                 emb.rank_one_update(left, right, g)
             else:
                 deltas = np.zeros_like(rows)
-                np.add.at(deltas, li, g[:, None] * rows[ri])
-                np.add.at(deltas, ri, g[:, None] * rows[li])
+                scatter_add_rows(deltas, li, g[:, None] * right_rows)
+                scatter_add_rows(deltas, ri, g[:, None] * left_rows)
                 emb.push_rows(uids, deltas)
             eps = 1e-12
             return -float(

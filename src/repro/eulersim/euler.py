@@ -315,13 +315,23 @@ class EulerSystem:
 
 def _build_adjacency(src: np.ndarray, dst: np.ndarray
                      ) -> Dict[int, np.ndarray]:
-    """Undirected, deduplicated adjacency dict."""
+    """Undirected, deduplicated adjacency dict (rows ascending)."""
     targets = np.concatenate([src, dst])
     others = np.concatenate([dst, src])
-    order = np.argsort(targets, kind="stable")
-    targets, others = targets[order], others[order]
-    uids, starts = np.unique(targets, return_index=True)
-    chunks = np.split(others, starts[1:])
+    if not len(targets):
+        return {}
+    radix = int(others.max()) + 1
+    if int(others.min()) < 0 or radix > 3_037_000_499:  # isqrt(2 ** 63)
+        raise ValueError("vertex ids must be >= 0 and fit a pair key")
+    # One sort of target * radix + other keys for the whole graph (as
+    # NeighborTableStore folds its appends), not one np.unique per vertex.
+    keys = np.sort(targets * radix + others)
+    keep = np.ones(len(keys), dtype=bool)
+    keep[1:] = keys[1:] != keys[:-1]
+    targets, others = np.divmod(keys[keep], radix)
+    starts = np.flatnonzero(np.diff(targets, prepend=-1))  # ids are >= 0
+    bounds = starts.tolist() + [len(others)]
     return {
-        int(v): np.unique(c) for v, c in zip(uids.tolist(), chunks)
+        v: others[lo:hi]
+        for v, lo, hi in zip(targets[starts].tolist(), bounds, bounds[1:])
     }

@@ -10,10 +10,17 @@ how the server-side Adam/AdaGrad optimizers are built (Sec. IV-E).
 
 from __future__ import annotations
 
-from typing import Any, List, Sequence
+from typing import Any, Dict, List, Sequence
 
 import numpy as np
 
+from repro.common.batch import (
+    SCATTER_BLOCK,
+    flat_row_index,
+    scatter_add_flat,
+    scatter_add_rows,
+)
+from repro.common.sizeof import CONTAINER_ENTRY_BYTES
 from repro.ps.storage import ColumnShardStore, DenseRowStore
 
 
@@ -162,6 +169,10 @@ class PartialDot(PsFunc):
         self.left = np.asarray(left, dtype=np.int64)
         self.right = np.asarray(right, dtype=np.int64)
 
+    def logical_nbytes(self) -> int:
+        """Request bytes: the index pairs."""
+        return CONTAINER_ENTRY_BYTES + self.left.nbytes + self.right.nbytes
+
     def apply(self, store: ColumnShardStore) -> np.ndarray:
         return store.partial_dot(self.left, self.right)
 
@@ -190,13 +201,34 @@ class RankOneUpdate(PsFunc):
         self.left = np.asarray(left, dtype=np.int64)
         self.right = np.asarray(right, dtype=np.int64)
         self.coeffs = np.asarray(coeffs, dtype=np.float64)
+        #: The request's plan, shared by its shard applies: the flat
+        #: positions of its adds, per shard width.
+        self._flat: Dict[int, np.ndarray] = {}
+
+    def logical_nbytes(self) -> int:
+        """Request bytes: the index pairs and coefficients, not the plan."""
+        return (CONTAINER_ENTRY_BYTES + self.left.nbytes + self.right.nbytes
+                + self.coeffs.nbytes)
 
     def apply(self, store: ColumnShardStore) -> None:
         arr = store.array
-        left_old = arr[self.left]  # fancy indexing already copies
+        pairs, width = len(self.left), arr.shape[1]
         g = self.coeffs[:, None].astype(arr.dtype)
-        np.add.at(arr, self.left, g * arr[self.right])
-        np.add.at(arr, self.right, g * left_old)
+        # Both halves read the rows as they were before either add.
+        values = np.empty((2 * pairs, width), dtype=arr.dtype)
+        np.multiply(g, arr.take(self.right, axis=0), out=values[:pairs])
+        np.multiply(g, arr.take(self.left, axis=0), out=values[pairs:])
+        if values.size > SCATTER_BLOCK:
+            # Too large to keep indices for: scratch stays one block.
+            scatter_add_rows(arr, self.left, values[:pairs])
+            scatter_add_rows(arr, self.right, values[pairs:])
+            return
+        # One scatter in the order of those two: left's adds, then right's.
+        flat = self._flat.get(width)
+        if flat is None:
+            flat = self._flat[width] = flat_row_index(
+                np.concatenate([self.left, self.right]), width)
+        scatter_add_flat(arr, flat, values)
 
     def flops(self, store: ColumnShardStore) -> float:
         return 4.0 * len(self.left) * store.array.shape[1]

@@ -26,7 +26,11 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.common.batch import gather_segments
+from repro.common.batch import (
+    flat_row_index,
+    gather_segments,
+    scatter_add_rows,
+)
 from repro.common.errors import PSError
 
 
@@ -62,12 +66,35 @@ class DenseRowStore(Store):
         self.keys = np.ascontiguousarray(keys, dtype=np.int64)
         self.cols = cols
         self.array = np.full((len(self.keys), cols), init, dtype=dtype)
+        self._index_keys()
+
+    def _index_keys(self) -> None:
+        """Find the key set's stride so :meth:`_locate` can do arithmetic.
+
+        Range partitions own ``first, first + 1, ...`` and hash partitions
+        ``first, first + n, ...``; stride 0 marks an irregular set
+        (hash-range), which keeps the binary search.
+        """
+        keys = self.keys
+        self._first = int(keys[0]) if len(keys) else 0
+        stride = int(keys[1] - keys[0]) if len(keys) > 1 else 1
+        self._stride = stride if (np.diff(keys) == stride).all() else 0
 
     def _locate(self, keys: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(self.keys, keys)
-        if (idx >= len(self.keys)).any() or (self.keys[idx] != keys).any():
-            missing = keys[(idx >= len(self.keys)) | (self.keys[np.minimum(idx, len(self.keys) - 1)] != keys)]
-            raise PSError(f"keys not in partition: {missing[:5]}...")
+        n = len(self.keys)
+        if self._stride:
+            idx = keys - self._first
+            bad = idx < 0
+            if self._stride != 1:
+                idx, rem = np.divmod(idx, self._stride)
+                bad |= rem != 0
+            bad |= idx >= n
+        else:
+            idx = np.searchsorted(self.keys, keys)
+            bad = idx >= n
+            bad |= self.keys.take(idx, mode="clip") != keys
+        if bad.any():
+            raise PSError(f"keys not in partition: {keys[bad][:5]}...")
         return idx
 
     def get_rows(self, keys: np.ndarray,
@@ -75,17 +102,14 @@ class DenseRowStore(Store):
         """Rows for ``keys``; a single column when ``col`` is given."""
         idx = self._locate(keys)
         if col is None:
-            return self.array[idx].copy()
-        return self.array[idx, col].copy()
+            return self.array.take(idx, axis=0)
+        return self.array.reshape(-1).take(
+            flat_row_index(idx, self.cols, col))
 
     def inc_rows(self, keys: np.ndarray, deltas: np.ndarray,
                  col: int | None = None) -> None:
         """Add ``deltas`` into the rows for ``keys`` (duplicates allowed)."""
-        idx = self._locate(keys)
-        if col is None:
-            np.add.at(self.array, idx, deltas)
-        else:
-            np.add.at(self.array[:, col], idx, deltas)
+        scatter_add_rows(self.array, self._locate(keys), deltas, col)
 
     def set_rows(self, keys: np.ndarray, values: np.ndarray,
                  col: int | None = None) -> None:
@@ -107,6 +131,7 @@ class DenseRowStore(Store):
         self.keys = state["keys"].copy()
         self.array = state["array"].copy()
         self.cols = self.array.shape[1]
+        self._index_keys()
 
 
 class SparseRowStore(Store):
@@ -182,12 +207,12 @@ class ColumnShardStore(Store):
 
     def get_row_slices(self, row_keys: np.ndarray) -> np.ndarray:
         """The local column slice of the requested rows."""
-        return self.array[row_keys].copy()
+        return self.array.take(row_keys, axis=0)
 
     def inc_row_slices(self, row_keys: np.ndarray,
                        deltas: np.ndarray) -> None:
         """Add into the local slice of the requested rows."""
-        np.add.at(self.array, row_keys, deltas)
+        scatter_add_rows(self.array, row_keys, deltas)
 
     def set_row_slices(self, row_keys: np.ndarray,
                        values: np.ndarray) -> None:
@@ -197,7 +222,8 @@ class ColumnShardStore(Store):
     def partial_dot(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         """Partial dot products ``sum_c A[left, c] * A[right, c]`` per pair."""
         return np.einsum(
-            "ij,ij->i", self.array[left], self.array[right]
+            "ij,ij->i", self.array.take(left, axis=0),
+            self.array.take(right, axis=0),
         ).astype(np.float64)
 
     @property

@@ -13,6 +13,7 @@ from typing import List, Sequence
 
 import numpy as np
 
+from repro.common.batch import scatter_add_rows, segment_reduce
 from repro.torchlite.tensor import Tensor
 
 
@@ -43,11 +44,12 @@ def segment_mean(data: Tensor, segment_ids: np.ndarray,
     )
     safe = np.maximum(counts, 1.0)
     out = np.zeros((num_segments, data.data.shape[1]))
-    np.add.at(out, segment_ids, data.data)
+    scatter_add_rows(out, segment_ids, data.data)
     out /= safe[:, None]
 
     def backward(g: np.ndarray):
-        return (g[segment_ids] / safe[segment_ids][:, None],)
+        return (g.take(segment_ids, axis=0)
+                / safe.take(segment_ids)[:, None],)
 
     return Tensor._make(out, (data,), backward)
 
@@ -56,16 +58,14 @@ def segment_max(data: Tensor, segment_ids: np.ndarray,
                 num_segments: int) -> Tensor:
     """Per-segment elementwise max (the GraphSage pooling aggregator)."""
     segment_ids = np.asarray(segment_ids, dtype=np.int64)
-    cols = data.data.shape[1]
-    out = np.full((num_segments, cols), -np.inf)
-    np.maximum.at(out, segment_ids, data.data)
-    empty = ~np.isin(np.arange(num_segments), segment_ids)
-    out[empty] = 0.0
+    out = np.zeros((num_segments, data.data.shape[1]))
+    present, maxima = segment_reduce(segment_ids, data.data, "max")
+    out[present] = maxima
     # Winners: rows whose value equals the segment max get the gradient.
-    winner = data.data == out[segment_ids]
+    winner = data.data == out.take(segment_ids, axis=0)
 
     def backward(g: np.ndarray):
-        return (g[segment_ids] * winner,)
+        return (g.take(segment_ids, axis=0) * winner,)
 
     return Tensor._make(out, (data,), backward)
 

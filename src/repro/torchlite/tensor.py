@@ -14,6 +14,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.common.batch import scatter_add_flat
+
 
 class Tensor:
     """A numpy array with a gradient tape.
@@ -219,8 +221,12 @@ class Tensor:
         data = self.data[idx]
 
         def backward(g):
-            out = np.zeros_like(self.data)
-            np.add.at(out, idx, g)
+            out = np.zeros(self.data.shape)
+            # Whatever ``idx`` is, it picks these flat positions of
+            # ``out``, in the order ``np.add.at(out, idx, g)`` visits them.
+            picked = np.arange(out.size).reshape(out.shape)[idx]
+            scatter_add_flat(out, picked.reshape(-1),
+                             np.broadcast_to(g, picked.shape))
             return (out,)
 
         return Tensor._make(data, (self,), backward)

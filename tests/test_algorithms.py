@@ -1,5 +1,7 @@
 """Correctness tests for the PSGraph algorithms (vs references/networkx)."""
 
+import hashlib
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -333,6 +335,32 @@ class TestLine:
     def test_invalid_order_rejected(self):
         with pytest.raises(ValueError):
             Line(order=3)
+
+    @pytest.mark.parametrize("order,use_psfunc,digest", [
+        (1, True, "8c2ade36d59f1af1"), (1, False, "375cc40510f58eda"),
+        (2, True, "54895f666163a25b"), (2, False, "210e6c49a1ebbd3d"),
+    ])
+    def test_final_embedding_is_pinned(self, order, use_psfunc, digest):
+        """Every bit of the trained embedding, as computed before the PS
+        kernels moved to ``scatter_add_rows`` / ``take`` (three servers, so
+        dim 8 is sharded 3 + 3 + 2).  A change that reorders one float add
+        lands here; so can a numpy whose ``exp`` rounds differently — check
+        tests/test_batch.py and tests/test_ps_storage.py before re-pinning.
+        """
+        psg = make_psg(num_servers=3)
+        try:
+            src, dst, _ = community_graph(
+                60, 3, avg_degree=8, mixing=0.05, seed=21
+            )
+            edges = edges_from_arrays(psg.spark, src, dst)
+            result = Line(dim=8, order=order, epochs=2, lr=0.1, negative=3,
+                          batch_size=64, use_psfunc=use_psfunc
+                          ).transform(psg, edges)
+            emb = result.stats["embedding"]
+            rows = emb.pull_rows(np.arange(emb.shape[0]))
+            assert hashlib.sha256(rows.tobytes()).hexdigest()[:16] == digest
+        finally:
+            psg.stop()
 
 
 class TestRunner:

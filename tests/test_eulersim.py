@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.config import ClusterConfig
 from repro.core.algorithms.graphsage import make_sage
 from repro.datasets.generators import community_graph, vertex_features
-from repro.datasets.tencent import write_edges
+from repro.datasets.tencent import ds3_spec, generate_ds3_gnn, write_edges
 from repro.eulersim.euler import EulerSystem, _build_adjacency
 from repro.torchlite.script import ScriptModule
 
@@ -33,6 +35,43 @@ class TestAdjacency:
         assert adj[0].tolist() == [1, 2]
         assert adj[1].tolist() == [0]
         assert adj[2].tolist() == [0]
+
+
+    @staticmethod
+    def _per_vertex(src, dst):
+        """The construction the single sort replaced: np.unique per row."""
+        targets = np.concatenate([src, dst])
+        others = np.concatenate([dst, src])
+        order = np.argsort(targets, kind="stable")
+        targets, others = targets[order], others[order]
+        uids, starts = np.unique(targets, return_index=True)
+        return {int(v): np.unique(c)
+                for v, c in zip(uids.tolist(), np.split(others, starts[1:]))}
+
+    def _assert_same(self, src, dst):
+        got, expect = _build_adjacency(src, dst), self._per_vertex(src, dst)
+        assert list(got) == list(expect)
+        assert all(type(v) is int for v in got)
+        for v, row in expect.items():
+            assert got[v].dtype == np.int64
+            assert got[v].tolist() == row.tolist()
+
+    def test_equals_per_vertex_build_on_ds3_smoke(self):
+        src, dst, _feats, _labels = generate_ds3_gnn(ds3_spec(5e-4), 32, 5)
+        self._assert_same(src, dst)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)),
+                    max_size=40))
+    def test_equals_per_vertex_build_with_loops_and_multi_edges(self, edges):
+        pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        self._assert_same(pairs[:, 0], pairs[:, 1])
+
+    def test_rejects_ids_that_would_wrap_a_pair_key(self):
+        with pytest.raises(ValueError):
+            _build_adjacency(np.array([0]), np.array([2 ** 32]))
+        with pytest.raises(ValueError):
+            _build_adjacency(np.array([-1]), np.array([3]))
 
 
 class TestPreprocess:

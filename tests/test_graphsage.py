@@ -106,6 +106,27 @@ class TestGraphSageTraining:
         assert 0.0 <= row["accuracy"] <= 1.0
 
 
+class TestPinnedLosses:
+    @pytest.mark.parametrize("aggregator,kwargs,losses", [
+        ("mean", {}, ["0x1.bc7ee033d2021p+0", "0x1.db42dd9b407f3p-1"]),
+        ("pool", {}, ["0x1.38b4b3ce65ab2p+0", "0x1.434c760083df9p-1"]),
+        ("lstm", {"fanouts": (5, 3)},
+         ["0x1.3c1ef1df67a31p-1", "0x1.88479b1477618p-2"]),
+    ])
+    def test_epoch_losses_are_pinned(self, psg, aggregator, kwargs, losses):
+        """Exact epoch losses from before ``segment_mean``, ``segment_max``
+        and the gather backward moved off 2-D ``ufunc.at``; one aggregator
+        per kernel.  A BLAS that sums in another order moves them too —
+        check tests/test_torchlite.py before re-pinning."""
+        src, dst, feats, labels = small_task(n=80)
+        edges = edges_from_arrays(psg.spark, src, dst)
+        result = GraphSage(feats, labels, hidden=8, epochs=2, batch_size=32,
+                           aggregator=aggregator, **kwargs
+                           ).transform(psg, edges)
+        got = [float(x).hex() for x in result.stats["epoch_losses"]]
+        assert got == losses
+
+
 class TestLstmAggregator:
     def test_lstm_aggregator_trains(self, psg):
         from repro.datasets.generators import community_graph, vertex_features

@@ -9,6 +9,9 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 from tests.conftest import table_block
 
 from repro.common.errors import PSError
+from repro.common.sizeof import sizeof
+from repro.ps.partitioner import make_ps_partitioner
+from repro.ps import psfunc as psfunc_module
 from repro.ps.psfunc import PartialDot, RankOneUpdate
 from repro.ps.storage import (
     ColumnShardStore,
@@ -72,6 +75,79 @@ class TestDenseRowStore:
             s.inc_rows(np.array([k]), np.array([v]))
             ref[k] += v
         np.testing.assert_allclose(s.array[:, 0], ref)
+
+
+def _locate_by_search(store, keys):
+    """The binary search every key set used to go through."""
+    idx = np.searchsorted(store.keys, keys)
+    if (idx >= len(store.keys)).any() or (store.keys[idx] != keys).any():
+        raise PSError("keys not in partition")
+    return idx
+
+
+class TestRowAddressing:
+    @settings(deadline=None, max_examples=120)
+    @given(st.sampled_from(["range", "hash", "hash-range"]),
+           st.integers(1, 90), st.integers(1, 9), st.data())
+    def test_locate_equals_binary_search(self, kind, size, parts, data):
+        part = make_ps_partitioner(kind, size, parts)
+        for pid in range(part.num_partitions):
+            store = DenseRowStore(part.keys_of_partition(pid))
+            # A store rebuilt by restore() addresses its new key set.
+            rebuilt = DenseRowStore(np.arange(3))
+            rebuilt.restore(store.snapshot())
+            picks = data.draw(st.lists(st.integers(-3, size + 3),
+                                       max_size=12))
+            keys = np.asarray(picks, dtype=np.int64)
+            own = np.isin(keys, store.keys)
+            for s in (store, rebuilt):
+                assert np.array_equal(s._locate(keys[own]),
+                                      _locate_by_search(s, keys[own]))
+                # Foreign, negative, past-the-end and off-stride keys.
+                for key in keys[~own]:
+                    with pytest.raises(PSError):
+                        s._locate(np.array([key]))
+                if not own.all():
+                    with pytest.raises(PSError):
+                        s._locate(keys)
+
+    def test_arithmetic_for_range_and_hash_search_for_hash_range(self):
+        assert DenseRowStore(np.arange(4, 9))._stride == 1
+        assert DenseRowStore(np.arange(2, 40, 5))._stride == 5
+        irregular = make_ps_partitioner("hash-range", 64, 2)
+        assert DenseRowStore(irregular.keys_of_partition(0))._stride == 0
+
+    def test_single_key_and_empty_partitions(self):
+        one = DenseRowStore(np.array([7]))
+        assert one._locate(np.array([7, 7])).tolist() == [0, 0]
+        for key in (6, 8, -7):
+            with pytest.raises(PSError):
+                one._locate(np.array([key]))
+        empty = DenseRowStore(np.empty(0, dtype=np.int64))
+        assert len(empty._locate(np.empty(0, dtype=np.int64))) == 0
+        with pytest.raises(PSError):
+            empty._locate(np.array([0]))
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.sampled_from([np.float32, np.float64]),
+           st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
+    def test_inc_and_get_equal_the_indexing_forms(self, dtype, cols, seed):
+        rng = np.random.default_rng(seed)
+        store = DenseRowStore(np.arange(3, 30, 3), cols=cols, dtype=dtype)
+        store.array[:] = rng.standard_normal(store.array.shape)
+        keys = store.keys[rng.integers(0, len(store.keys), size=25)]
+        idx = np.searchsorted(store.keys, keys)
+        for col in [None, *range(cols)]:
+            deltas = rng.standard_normal(
+                (25, cols) if col is None else 25)  # float64 either way
+            expect = store.array.copy()
+            np.add.at(expect if col is None else expect[:, col], idx, deltas)
+            store.inc_rows(keys, deltas, col)
+            assert store.array.tobytes() == expect.tobytes()
+            got = store.get_rows(keys, col)
+            want = expect[idx] if col is None else expect[idx, col]
+            assert got.tobytes() == want.tobytes()
+            assert not np.shares_memory(got, store.array)
 
 
 class TestSparseRowStore:
@@ -312,3 +388,58 @@ class TestPsFuncsDirect:
         ref[2] += 0.5 * old0
         got = np.hstack([shard_a.array, shard_b.array])
         np.testing.assert_allclose(got, ref, rtol=1e-6)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("block", [None, 16])
+    def test_rank_one_update_overlapping_pairs_bitwise(self, dtype, block,
+                                                       monkeypatch):
+        """Order-1 LINE: ``left`` and ``right`` index the same rows, with
+        repeats; every shard must end exactly where the two ``np.add.at``
+        calls this psFunc used to make would leave it — with the request's
+        indices kept as a plan, and (tiny block) too large to keep."""
+        if block:
+            monkeypatch.setattr(psfunc_module, "SCATTER_BLOCK", block)
+        rng = np.random.default_rng(6)
+        rows, pairs = 9, 40
+        left = rng.integers(0, rows, size=pairs)
+        right = rng.integers(0, rows, size=pairs)
+        g = rng.standard_normal(pairs) * 0.3
+        func = RankOneUpdate(left, right, g)
+        for width in (3, 2, 3):  # the widths of a dim-8 matrix on 3 servers
+            shard = ColumnShardStore(rows, np.arange(width), dtype=dtype)
+            shard.array[:] = rng.standard_normal(shard.array.shape)
+            expect = shard.array.copy()
+            left_old = expect[left]
+            coeff = g[:, None].astype(dtype)
+            np.add.at(expect, left, coeff * expect[right])
+            np.add.at(expect, right, coeff * left_old)
+            func.apply(shard)
+            assert shard.array.tobytes() == expect.tobytes()
+
+    def test_request_bytes_ignore_the_cached_plan(self):
+        left, right = np.arange(6), np.arange(6)[::-1].copy()
+        shard = ColumnShardStore(6, np.arange(3))
+        dot = PartialDot(left, right)
+        update = RankOneUpdate(left, right, np.full(6, 0.5))
+        for func, nbytes in ((dot, 8 + 48 + 48), (update, 8 + 48 + 48 + 48)):
+            assert sizeof(func) == nbytes
+            func.apply(shard)
+            assert sizeof(func) == nbytes
+
+    def test_column_shard_ops_equal_the_indexing_forms(self):
+        rng = np.random.default_rng(7)
+        shard = ColumnShardStore(8, np.arange(3))
+        shard.array[:] = rng.standard_normal((8, 3))
+        rows = rng.integers(0, 8, size=30)
+        deltas = rng.standard_normal((30, 3))  # float64 into float32
+        expect = shard.array.copy()
+        np.add.at(expect, rows, deltas)
+        shard.inc_row_slices(rows, deltas)
+        assert shard.array.tobytes() == expect.tobytes()
+        got = shard.get_row_slices(rows)
+        assert got.tobytes() == expect[rows].tobytes()
+        assert not np.shares_memory(got, shard.array)
+        other = rng.integers(0, 8, size=30)
+        want = np.einsum("ij,ij->i", expect[rows], expect[other])
+        assert np.array_equal(shard.partial_dot(rows, other),
+                              want.astype(np.float64))

@@ -143,6 +143,55 @@ class TestFunctional:
         out = segment_max(x, np.array([0, 0, 1]), 2)
         np.testing.assert_allclose(out.data, [[3.0, 5.0], [-1.0, 0.0]])
 
+    @settings(deadline=None, max_examples=80)
+    @given(st.lists(st.integers(0, 4), max_size=30), st.integers(1, 3),
+           st.integers(0, 2 ** 32 - 1))
+    def test_segment_ops_bitwise_equal_the_ufunc_at_forms(self, seg, cols,
+                                                          seed):
+        rng = np.random.default_rng(seed)
+        seg = np.asarray(seg, dtype=np.int64)
+        # Ties, both zeros and infinities: where a max could differ by
+        # the order or the sign it keeps.
+        x = rng.choice([-np.inf, -1.5, -0.0, 0.0, 0.25, 1e-3, 7.0, np.inf],
+                       size=(len(seg), cols))
+        x += rng.integers(0, 2, size=x.shape) * rng.standard_normal(x.shape)
+        sums = np.zeros((6, cols))
+        counts = np.bincount(seg, minlength=6).astype(np.float64)
+        with np.errstate(invalid="ignore"):  # inf - inf is a fair input
+            np.add.at(sums, seg, x)
+            mean = segment_mean(Tensor(x), seg, 6).data
+        assert mean.tobytes() == (
+            sums / np.maximum(counts, 1.0)[:, None]).tobytes()
+        maxima = np.full((6, cols), -np.inf)
+        np.maximum.at(maxima, seg, x)
+        maxima[counts == 0] = 0.0
+        assert segment_max(Tensor(x), seg, 6).data.tobytes() == (
+            maxima.tobytes())
+
+    @pytest.mark.parametrize("idx", [
+        np.array([0, 0, 2, 0]),                       # repeated rows
+        np.array([-1, 1]),
+        (np.array([0, 2, 2]), np.array([1, 0, 0])),   # cross_entropy's pick
+        (slice(None), slice(1, 3)),                   # LSTM gate slices
+        slice(0, 2),
+        1,
+        np.array([True, False, True]),
+        np.array([[0, 1], [1, 0]]),
+        (2, 3),
+    ], ids=repr)
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_getitem_grad_equals_add_at(self, idx, transposed):
+        rng = np.random.default_rng(8)
+        data = rng.standard_normal((4, 3)).T if transposed else (
+            rng.standard_normal((3, 4)))
+        x = Tensor(data, requires_grad=True)
+        picked = x[idx]
+        g = rng.standard_normal(picked.shape)
+        (picked * Tensor(g)).sum().backward()
+        expect = np.zeros((3, 4))
+        np.add.at(expect, idx, g)
+        assert x.grad.tobytes() == expect.tobytes()
+
     def test_log_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(4)
         out = log_softmax(Tensor(rng.standard_normal((6, 4))))

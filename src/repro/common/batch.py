@@ -38,6 +38,7 @@ from repro.common.sizeof import (
     CONTAINER_ENTRY_BYTES,
     SCALAR_BYTES,
     sizeof,
+    sizeof_array_lists,
     sizeof_records,
 )
 
@@ -280,19 +281,112 @@ def split_indices(pids: np.ndarray) -> List[Tuple[int, np.ndarray]]:
     ]
 
 
+def partition_order(pids: np.ndarray, num_partitions: int
+                    ) -> Tuple[np.ndarray, np.ndarray]:
+    """Group rows by partition id: ``(order, offsets)`` from one stable
+    argsort, for every partition — empty ones too.
+
+    ``order[offsets[r]:offsets[r + 1]]`` are the rows a ``pids == r`` mask
+    selects, in original row order.  ``pids`` are ints in
+    ``[0, num_partitions)``.
+    """
+    if num_partitions <= np.iinfo(np.int16).max:
+        # numpy sorts 16-bit keys with a radix sort: O(n), still stable.
+        pids = pids.astype(np.int16)
+    order = np.argsort(pids, kind="stable")
+    offsets = np.zeros(num_partitions + 1, dtype=np.int64)
+    np.cumsum(np.bincount(pids, minlength=num_partitions), out=offsets[1:])
+    return order, offsets
+
+
+def segment_index(starts: np.ndarray, lens: np.ndarray
+                  ) -> Tuple[np.ndarray, np.ndarray]:
+    """``(indptr, flat)``: ``flat[indptr[i]:indptr[i + 1]]`` are the
+    indices ``starts[i]:starts[i] + lens[i]`` (segments may repeat,
+    overlap, come in any order, or be empty)."""
+    indptr = np.zeros(len(lens) + 1, dtype=np.int64)
+    np.cumsum(lens, out=indptr[1:])
+    flat = np.repeat(starts - indptr[:-1], lens)
+    flat += np.arange(len(flat))
+    return indptr, flat
+
+
 def gather_segments(values: np.ndarray, starts: np.ndarray,
                     lens: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Concatenate ``values[starts[i]:starts[i] + lens[i]]`` for every i.
 
     The CSR row gather: returns ``(indptr, gathered)`` with segment i at
-    ``gathered[indptr[i]:indptr[i + 1]]``.  Segments may repeat, overlap,
-    come in any order, or be empty.
+    ``gathered[indptr[i]:indptr[i + 1]]``.
     """
-    indptr = np.zeros(len(lens) + 1, dtype=np.int64)
-    np.cumsum(lens, out=indptr[1:])
-    flat = np.repeat(starts - indptr[:-1], lens)
-    flat += np.arange(len(flat))
+    indptr, flat = segment_index(starts, lens)
     return indptr, values.take(flat)
+
+
+class RaggedColumn:
+    """A column of variable-length rows in CSR form: row ``i`` is
+    ``values[indptr[i]:indptr[i + 1]]``.
+
+    What a vertex table's list-of-arrays attribute (GraphX neighbor sets)
+    is held and shuffled as; :meth:`row_nbytes` lets the meters size it as
+    the boxed list it stands in for.
+    """
+
+    __slots__ = ("indptr", "values")
+
+    def __init__(self, indptr: np.ndarray, values: np.ndarray) -> None:
+        self.indptr = indptr
+        self.values = values
+
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
+
+    def row_lens(self) -> np.ndarray:
+        """Entries per row."""
+        return self.indptr[1:] - self.indptr[:-1]
+
+    def row_nbytes(self) -> np.ndarray:
+        """Logical bytes of each row's array."""
+        return self.row_lens() * self.values.itemsize
+
+    def boxed_nbytes(self, order: np.ndarray | None = None) -> int:
+        """``sizeof`` of the list of row arrays this column stands in
+        for — listed in ``order`` when given (the estimate samples)."""
+        nbytes = self.row_nbytes()
+        return int(sizeof_array_lists(
+            nbytes if order is None else nbytes[order],
+            np.zeros(1, dtype=np.int64), np.array([len(self)]))[0])
+
+    def take(self, rows: np.ndarray) -> "RaggedColumn":
+        """The rows at positions ``rows`` (any order, repeats allowed)."""
+        starts = self.indptr[rows]
+        return RaggedColumn(*gather_segments(
+            self.values, starts, self.indptr[rows + 1] - starts))
+
+    def slice(self, start: int, stop: int) -> "RaggedColumn":
+        """Rows ``start:stop`` (their values a view)."""
+        indptr = self.indptr[start:stop + 1]
+        return RaggedColumn(indptr - indptr[0],
+                            self.values[indptr[0]:indptr[-1]])
+
+    @classmethod
+    def concat(cls, columns: Sequence["RaggedColumn"]) -> "RaggedColumn":
+        """All rows of ``columns``, one column after the other."""
+        indptr = np.zeros(sum(len(c) for c in columns) + 1, dtype=np.int64)
+        np.cumsum(np.concatenate([c.row_lens() for c in columns]),
+                  out=indptr[1:])
+        return cls(indptr, np.concatenate([c.values for c in columns]))
+
+    def to_list(self) -> List[np.ndarray]:
+        """The rows as a list of arrays (views)."""
+        return np.split(self.values, self.indptr[1:])[:-1]
+
+
+def take_rows(column: Any, rows: np.ndarray) -> Any:
+    """Rows ``rows`` of a column: a 1-D / 2-D array or a
+    :class:`RaggedColumn`."""
+    if isinstance(column, RaggedColumn):
+        return column.take(rows)
+    return column.take(rows, axis=0)
 
 
 #: Most flat element indices a scatter builds or keeps at a time (2 MiB of

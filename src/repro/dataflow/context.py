@@ -191,7 +191,9 @@ class SparkContext:
     # ------------------------------------------------------------------
 
     def live_executor_map(self) -> dict:
-        """Map of executor container id -> liveness, for the shuffle layer."""
+        """Map of executor container id -> liveness: the scheduler's view
+        of which map outputs of a stage survive.  (A shuffle read asks
+        the owning executors themselves.)"""
         return {ex.id: ex.alive for ex in self.executors}
 
     def executor_for_partition(self, partition: int) -> Executor:

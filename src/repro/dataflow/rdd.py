@@ -878,7 +878,7 @@ class ShuffledRDD(RDD):
     def compute(self, split: int, tctx: TaskContext) -> Iterator[Any]:
         pairs = self.ctx.shuffle_service.read(
             self._dep.shuffle_id, split, self._dep.parent.num_partitions,
-            tctx.executor, tctx.cost, self.ctx.live_executor_map(),
+            tctx.executor, tctx.cost,
         )
         if self._post is None:
             return iter(pairs)
@@ -948,7 +948,7 @@ class CoGroupedRDD(RDD):
             else:
                 pairs = self.ctx.shuffle_service.read(
                     source.shuffle_id, split, source.parent.num_partitions,
-                    tctx.executor, tctx.cost, self.ctx.live_executor_map(),
+                    tctx.executor, tctx.cost,
                 )
             fetched.append(explode_records(pairs))
 

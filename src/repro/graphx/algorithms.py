@@ -18,11 +18,16 @@ substrate reflects the paper's baseline:
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from repro.common.sizeof import sizeof_records
+from repro.common.batch import RaggedColumn
+from repro.core.blocks import (
+    NeighborBlock,
+    build_neighbor_block,
+    intersect_counts,
+)
 from repro.dataflow.taskctx import TaskContext
 from repro.graphx.graph import Graph
 from repro.graphx.pregel import pregel
@@ -37,22 +42,17 @@ def pagerank(graph: Graph, max_iterations: int = 20, tol: float = 1e-4,
     """
     # Pre-compute out-degrees once, stored alongside rank in a 2-col attr.
     deg_msgs = graph.out_degrees()
-    deg_by_part: List[np.ndarray] = []
+    deg_by_first_id = {}
     for vp, (mids, mvals) in zip(graph.vertex_parts, deg_msgs):
-        deg = np.zeros(len(vp.ids))
-        idx = np.searchsorted(vp.ids, mids)
-        deg[idx] = mvals
-        deg_by_part.append(np.maximum(deg, 1.0))
-
-    part_index: Dict[int, int] = {}
-    for i, vp in enumerate(graph.vertex_parts):
-        for v in vp.ids:
-            part_index[int(v)] = i
+        if len(vp.ids):
+            deg = np.zeros(len(vp.ids))
+            deg[np.searchsorted(vp.ids, mids)] = mvals
+            deg_by_first_id[int(vp.ids[0])] = np.maximum(deg, 1.0)
 
     def initial(ids: np.ndarray) -> np.ndarray:
-        i = part_index[int(ids[0])] if len(ids) else 0
         out = np.ones((len(ids), 2))
-        out[:, 1] = deg_by_part[i]
+        if len(ids):
+            out[:, 1] = deg_by_first_id[int(ids[0])]
         return out
 
     def send(es, ed, src_attr, dst_attr):
@@ -119,16 +119,14 @@ def kcore(graph: Graph, max_iterations: int = 30
             # Ship estimates; per target, collect neighbor values and take
             # the h-index.  Messages carry (value) per edge — a full-width
             # collect, so the message table is E-sized each iteration.
-            collected = _collect_neighbor_values(graph)
             changed = 0
-            for vp, (ids_arr, values) in zip(graph.vertex_parts, collected):
+            for vp, (uids, h) in zip(graph.vertex_parts,
+                                     _neighbor_h_index(graph)):
                 new = np.asarray(vp.attrs, dtype=np.float64).copy()
-                for i, v in enumerate(ids_arr.tolist()):
-                    pos = int(np.searchsorted(vp.ids, v))
-                    h = _h_index(values[i])
-                    if h < new[pos]:
-                        new[pos] = h
-                        changed += 1
+                pos = np.searchsorted(vp.ids, uids)
+                lower = h < new[pos]
+                new[pos[lower]] = h[lower]
+                changed += int(lower.sum())
                 vp.attrs = new
             iterations += 1
             # Lineage-cache leak: every generation stays resident.
@@ -155,16 +153,20 @@ def kcore(graph: Graph, max_iterations: int = 30
             executor.container.memory.release_tag(tag)
 
 
-def _h_index(values: np.ndarray) -> int:
-    """Largest h such that at least h values are >= h."""
-    values = np.sort(values)[::-1]
-    h = 0
-    for i, v in enumerate(values, start=1):
-        if v >= i:
-            h = i
-        else:
-            break
-    return h
+def h_index(targets: np.ndarray, values: np.ndarray
+            ) -> Tuple[np.ndarray, np.ndarray]:
+    """Per distinct target (ascending), the largest h such that at least h
+    of its values are >= h: a target's values sorted descending, those
+    still >= their 1-based rank."""
+    order = np.lexsort((-values, targets))
+    targets, values = targets[order], values[order]
+    first = np.ones(len(targets), dtype=bool)
+    first[1:] = targets[1:] != targets[:-1]
+    segment = np.cumsum(first) - 1
+    starts = np.flatnonzero(first)
+    rank = np.arange(1, len(targets) + 1) - starts[segment]
+    return targets[first], np.bincount(segment[values >= rank],
+                                       minlength=len(starts))
 
 
 def _scatter_join(ids, attrs, msg_ids, msg_vals):
@@ -174,97 +176,30 @@ def _scatter_join(ids, attrs, msg_ids, msg_vals):
     return new
 
 
-def _collect_neighbor_values(graph: Graph
-                             ) -> List[Tuple[np.ndarray, List[np.ndarray]]]:
-    """For every vertex, the multiset of its neighbors' scalar attrs.
+def _neighbor_h_index(graph: Graph
+                      ) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """For every vertex, the h-index of its neighbors' scalar attrs.
 
-    Implemented as the same ship/compute/reduce pipeline as
-    aggregate_messages, but the reduce is a *collect* (no combiner), so the
-    message table holds one float per edge endpoint — the expensive pattern
-    that makes GraphX's K-core heavy.
+    The same join as aggregate_messages, but the reduce is a *collect* (no
+    combiner), so the message table holds one float per edge endpoint — the
+    expensive pattern that makes GraphX's K-core heavy.
     """
-    ctx = graph.ctx
-    cm = ctx.cluster.cost_model
-    ship_id = ctx.next_shuffle_id()
-    msg_id = ctx.next_shuffle_id()
-    p_v = graph.num_vertex_partitions
-    p_e = graph.num_edge_partitions
+    cm = graph.ctx.cluster.cost_model
 
-    def ship(vp: int, tctx: TaskContext) -> None:
-        part = graph.vertex_parts[vp]
-        buckets: Dict[int, List] = {}
-        for ep in range(p_e):
-            needed = graph.routing[ep][vp]
-            if len(needed) == 0:
-                continue
-            idx = np.searchsorted(part.ids, needed)
-            buckets[ep] = [needed, np.asarray(part.attrs)[idx]]
-        ctx.shuffle_service.write(ship_id, vp, tctx.executor, buckets,
-                                  tctx.cost)
+    def compute(ep: int, sv: np.ndarray, dv: np.ndarray):
+        es, ed = graph.edge_parts[ep]
+        return [(np.concatenate([ed, es]), np.concatenate([sv, dv]))]
 
-    ctx.scheduler.run_stage(p_v, ship, kind="graphx-collect-ship")
-
-    def compute(ep: int, tctx: TaskContext) -> None:
-        payload = ctx.shuffle_service.read(
-            ship_id, ep, p_v, tctx.executor, tctx.cost,
-            ctx.live_executor_map(),
-        )
-        rep_ids = np.concatenate(payload[0::2])
-        rep_vals = np.concatenate(payload[1::2])
-        order = np.argsort(rep_ids, kind="stable")
-        rep_ids, rep_vals = rep_ids[order], rep_vals[order]
-        tag = f"graphx-collect-map:{ep}"
-        tctx.executor.container.memory.allocate(
-            int((rep_ids.nbytes + rep_vals.nbytes) * cm.jvm_object_overhead),
-            tag=tag,
-        )
-        try:
-            es, ed = graph.edge_parts[ep]
-            sv = rep_vals[np.searchsorted(rep_ids, es)]
-            dv = rep_vals[np.searchsorted(rep_ids, ed)]
-            targets = np.concatenate([ed, es])
-            values = np.concatenate([sv, dv])
-            pids = targets % p_v
-            buckets: Dict[int, List] = {}
-            for pid in np.unique(pids):
-                mask = pids == pid
-                buckets[int(pid)] = [targets[mask], values[mask]]
-            tctx.cost.cpu_s += cm.compute_time(len(es))
-            ctx.shuffle_service.write(msg_id, ep, tctx.executor, buckets,
-                                      tctx.cost)
-        finally:
-            tctx.executor.container.memory.release_tag(tag)
-
-    ctx.scheduler.run_stage(p_e, compute, kind="graphx-collect-compute")
-
-    def reduce(vp: int, tctx: TaskContext):
-        payload = ctx.shuffle_service.read(
-            msg_id, vp, p_e, tctx.executor, tctx.cost,
-            ctx.live_executor_map(),
-        )
-        if not payload:
-            return (np.empty(0, dtype=np.int64), [])
-        targets = np.concatenate(payload[0::2])
-        values = np.concatenate(payload[1::2])
-        tag = f"graphx-collect-table:{vp}"
-        tctx.executor.container.memory.allocate(
-            int((targets.nbytes + values.nbytes) * cm.jvm_object_overhead),
-            tag=tag,
-        )
-        try:
-            order = np.argsort(targets, kind="stable")
-            targets, values = targets[order], values[order]
-            uids, starts = np.unique(targets, return_index=True)
-            chunks = np.split(values, starts[1:])
+    def reduce(vp: int, tctx: TaskContext, targets: np.ndarray,
+               values: np.ndarray):
+        with graph.temp_table(tctx, f"graphx-collect-table:{vp}",
+                              targets.nbytes + values.nbytes):
             tctx.cost.cpu_s += cm.compute_time(len(targets))
-        finally:
-            tctx.executor.container.memory.release_tag(tag)
-        return (uids, chunks)
+            return h_index(targets, values)
 
-    out = ctx.scheduler.run_stage(p_v, reduce, kind="graphx-collect-reduce")
-    ctx.shuffle_service.drop_shuffle(ship_id)
-    ctx.shuffle_service.drop_shuffle(msg_id)
-    return out
+    empty = np.empty(0, dtype=np.int64)
+    return graph.join("graphx-collect", "graphx-collect-map", compute,
+                      reduce, lambda vp: (empty, empty))
 
 
 def canonical_graph(graph: Graph) -> Graph:
@@ -279,39 +214,24 @@ def canonical_graph(graph: Graph) -> Graph:
     shuffle_id = ctx.next_shuffle_id()
     p = graph.num_edge_partitions
 
-    def emit(ep: int, tctx: TaskContext) -> None:
+    def emit(ep: int, tctx: TaskContext):
         es, ed = graph.edge_parts[ep]
         lo = np.minimum(es, ed)
         hi = np.maximum(es, ed)
         keep = lo != hi
-        lo, hi = lo[keep], hi[keep]
-        pids = lo % p
-        buckets: Dict[int, List] = {}
-        for pid in np.unique(pids):
-            mask = pids == pid
-            buckets[int(pid)] = [lo[mask], hi[mask]]
         tctx.cost.cpu_s += cm.compute_time(len(es))
-        ctx.shuffle_service.write(shuffle_id, ep, tctx.executor, buckets,
-                                  tctx.cost)
+        return [(lo[keep], hi[keep])]
 
-    ctx.scheduler.run_stage(p, emit, kind="graphx-canonical-emit")
+    graph.emit_stage("graphx-canonical-emit", shuffle_id, p, p, emit)
 
-    def dedup(rp: int, tctx: TaskContext):
-        payload = ctx.shuffle_service.read(
-            shuffle_id, rp, p, tctx.executor, tctx.cost,
-            ctx.live_executor_map(),
-        )
-        if not payload:
-            return (np.empty(0, dtype=np.int64),
-                    np.empty(0, dtype=np.int64))
-        lo = np.concatenate(payload[0::2])
-        hi = np.concatenate(payload[1::2])
-        pairs = np.unique(np.stack([lo, hi], axis=1), axis=0)
+    def dedup(rp: int, tctx: TaskContext, lo: np.ndarray, hi: np.ndarray):
+        pairs = build_neighbor_block(lo, hi, dedupe=True)
         tctx.cost.cpu_s += cm.compute_time(len(lo))
-        return (pairs[:, 0], pairs[:, 1])
+        return pairs.sources(), pairs.neighbors
 
-    parts = ctx.scheduler.run_stage(p, dedup, kind="graphx-canonical-dedup")
-    ctx.shuffle_service.drop_shuffle(shuffle_id)
+    empty = np.empty(0, dtype=np.int64)
+    parts = graph.reduce_stage("graphx-canonical-dedup", shuffle_id, p, p,
+                               dedup, lambda rp: (empty, empty))
     src = np.concatenate([a for a, _b in parts])
     dst = np.concatenate([b for _a, b in parts])
     # The dedup stage hands the whole canonical edge list back to the
@@ -322,7 +242,8 @@ def canonical_graph(graph: Graph) -> Graph:
 
 
 def attach_neighbor_sets(graph: Graph) -> None:
-    """Set every vertex's attr to its sorted undirected neighbor array.
+    """Set every vertex's attr to its sorted undirected neighbor array (a
+    :class:`~repro.common.batch.RaggedColumn` row).
 
     The first phase of triangle counting / common neighbor: one shuffle of
     both edge directions grouped per vertex.
@@ -330,65 +251,50 @@ def attach_neighbor_sets(graph: Graph) -> None:
     ctx = graph.ctx
     cm = ctx.cluster.cost_model
     shuffle_id = ctx.next_shuffle_id()
-    p_v = graph.num_vertex_partitions
-    p_e = graph.num_edge_partitions
 
-    def emit(ep: int, tctx: TaskContext) -> None:
+    def emit(ep: int, tctx: TaskContext):
         es, ed = graph.edge_parts[ep]
-        targets = np.concatenate([es, ed])
-        others = np.concatenate([ed, es])
-        pids = targets % p_v
-        buckets: Dict[int, List] = {}
-        for pid in np.unique(pids):
-            mask = pids == pid
-            buckets[int(pid)] = [targets[mask], others[mask]]
         tctx.cost.cpu_s += cm.compute_time(len(es))
-        ctx.shuffle_service.write(shuffle_id, ep, tctx.executor, buckets,
-                                  tctx.cost)
+        return [(np.concatenate([es, ed]), np.concatenate([ed, es]))]
 
-    ctx.scheduler.run_stage(p_e, emit, kind="graphx-nbr-emit")
+    graph.emit_stage("graphx-nbr-emit", shuffle_id,
+                     graph.num_edge_partitions, graph.num_vertex_partitions,
+                     emit)
 
-    def build(vp: int, tctx: TaskContext) -> None:
-        payload = ctx.shuffle_service.read(
-            shuffle_id, vp, p_e, tctx.executor, tctx.cost,
-            ctx.live_executor_map(),
-        )
+    def no_neighbors(vp: int) -> None:
         part = graph.vertex_parts[vp]
-        if not payload:
-            part.attrs = [np.empty(0, dtype=np.int64) for _ in part.ids]
-            return
-        targets = np.concatenate(payload[0::2])
-        others = np.concatenate(payload[1::2])
-        tag = f"graphx-nbr-table:{vp}"
-        tctx.executor.container.memory.allocate(
-            int((targets.nbytes + others.nbytes) * cm.jvm_object_overhead),
-            tag=tag,
-        )
-        try:
-            order = np.argsort(targets, kind="stable")
-            targets, others = targets[order], others[order]
-            uids, starts = np.unique(targets, return_index=True)
-            chunks = np.split(others, starts[1:])
-            sets: List[np.ndarray] = []
-            pos = {int(v): i for i, v in enumerate(uids.tolist())}
-            for v in part.ids.tolist():
-                i = pos.get(int(v))
-                sets.append(
-                    np.unique(chunks[i]) if i is not None
-                    else np.empty(0, dtype=np.int64)
-                )
-            part.attrs = sets
-            tctx.cost.cpu_s += cm.compute_time(len(targets))
-        finally:
-            tctx.executor.container.memory.release_tag(tag)
-        # Neighbor-set attrs are resident vertex state in GraphX.
-        nbytes = int(sizeof_records(part.attrs) * cm.jvm_object_overhead)
-        tag2 = f"graphx-nbrsets:{id(graph)}:{vp}"
-        tctx.executor.container.memory.allocate(nbytes, tag=tag2)
-        graph._charged_tags.append((tctx.executor, tag2))
+        part.attrs = RaggedColumn(
+            np.zeros(len(part.ids) + 1, dtype=np.int64),
+            np.empty(0, dtype=np.int64))
 
-    ctx.scheduler.run_stage(p_v, build, kind="graphx-nbr-build")
-    ctx.shuffle_service.drop_shuffle(shuffle_id)
+    def build(vp: int, tctx: TaskContext, targets: np.ndarray,
+              others: np.ndarray) -> None:
+        part = graph.vertex_parts[vp]
+        with graph.temp_table(tctx, f"graphx-nbr-table:{vp}",
+                              targets.nbytes + others.nbytes):
+            block = build_neighbor_block(targets, others, dedupe=True)
+            lens = np.zeros(len(part.ids), dtype=np.int64)
+            lens[np.searchsorted(part.ids, block.vertices)] = block.degrees()
+            part.attrs = RaggedColumn(
+                np.concatenate([[0], np.cumsum(lens)]), block.neighbors)
+            tctx.cost.cpu_s += cm.compute_time(len(targets))
+        # Neighbor-set attrs are resident vertex state in GraphX.
+        nbytes = int(part.attrs.boxed_nbytes() * cm.jvm_object_overhead)
+        tag = f"graphx-nbrsets:{id(graph)}:{vp}"
+        tctx.executor.container.memory.allocate(nbytes, tag=tag)
+        graph._charged_tags.append((tctx.executor, tag))
+
+    graph.reduce_stage("graphx-nbr-build", shuffle_id,
+                       graph.num_edge_partitions,
+                       graph.num_vertex_partitions, build, no_neighbors)
+
+
+def _common_counts(src_attr, dst_attr) -> np.ndarray:
+    """``|N(src) & N(dst)|`` per edge, from neighbor-set attrs."""
+    table, left = src_attr
+    _table, right = dst_attr
+    block = NeighborBlock(np.arange(len(table)), table.indptr, table.values)
+    return intersect_counts(block, left, right)[0]
 
 
 def triangle_count(graph: Graph) -> int:
@@ -406,11 +312,8 @@ def triangle_count(graph: Graph) -> int:
         attach_neighbor_sets(graph)
 
         def send(es, ed, src_attr, dst_attr):
-            counts = np.asarray([
-                len(np.intersect1d(a, b, assume_unique=True))
-                for a, b in zip(src_attr, dst_attr)
-            ], dtype=np.float64)
-            return [(es, counts)]
+            counts = _common_counts(src_attr, dst_attr)
+            return [(es, counts.astype(np.float64))]
 
         per_vertex = graph.aggregate_messages(send, "sum")
         total = sum(float(vals.sum()) for _ids, vals in per_vertex)
@@ -432,53 +335,28 @@ def common_neighbor(graph: Graph, num_chunks: int = 4
         List of ``(src, dst, common_count)`` triples.
     """
     attach_neighbor_sets(graph)
-    original_parts = graph.edge_parts
     results: List[Tuple[int, int, int]] = []
-    try:
-        for chunk in range(num_chunks):
-            graph.edge_parts = [
+    for chunk in range(num_chunks):
+        # The chunk's own routing restricts the ship volume.
+        with graph.edge_subset([
                 (es[chunk::num_chunks], ed[chunk::num_chunks])
-                for es, ed in original_parts
-            ]
-            # Chunked routing restricts the ship volume.
-            graph.routing = [
-                [np.unique(np.concatenate([es, ed]))[
-                     np.unique(np.concatenate([es, ed]))
-                     % graph.num_vertex_partitions == vp]
-                 for vp in range(graph.num_vertex_partitions)]
-                for es, ed in graph.edge_parts
-            ]
-            chunk_out = _common_neighbor_chunk(graph)
-            results.extend(chunk_out)
-    finally:
-        graph.edge_parts = original_parts
-        graph.routing = [
-            [np.unique(np.concatenate([es, ed]))[
-                 np.unique(np.concatenate([es, ed]))
-                 % graph.num_vertex_partitions == vp]
-             for vp in range(graph.num_vertex_partitions)]
-            for es, ed in original_parts
-        ]
+                for es, ed in graph.edge_parts]):
+            results.extend(_common_neighbor_chunk(graph))
     return results
 
 
 def _common_neighbor_chunk(graph: Graph) -> List[Tuple[int, int, int]]:
     """One chunk's ship + intersect pass, returning per-edge counts."""
-    ctx = graph.ctx
     out: List[Tuple[int, int, int]] = []
 
     def send(es, ed, src_attr, dst_attr):
-        counts = np.asarray([
-            len(np.intersect1d(a, b, assume_unique=True))
-            for a, b in zip(src_attr, dst_attr)
-        ], dtype=np.float64)
+        counts = _common_counts(src_attr, dst_attr)
         # Stash the per-edge triples on the driver via closure (cheap
         # result data), and emit no messages.
-        for s, d, c in zip(es.tolist(), ed.tolist(), counts.tolist()):
-            out.append((s, d, int(c)))
-        return [(es[:0], counts[:0])]
+        out.extend(zip(es.tolist(), ed.tolist(), counts.tolist()))
+        return [(es[:0], np.empty(0))]
 
     graph.aggregate_messages(send, "sum")
     # Driver receives the result rows.
-    ctx.charge_driver_result(len(out) * 24)
+    graph.ctx.charge_driver_result(len(out) * 24)
     return out

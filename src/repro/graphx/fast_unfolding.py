@@ -11,12 +11,13 @@ versus PSGraph's incremental pulls/pushes — that is the 2.9x of Fig. 6.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.dataflow.context import SparkContext
 from repro.dataflow.taskctx import TaskContext
+from repro.graphx.graph import Graph, VertexPartition, split_vertices
 
 
 def fast_unfolding(ctx: SparkContext, src: np.ndarray, dst: np.ndarray,
@@ -64,23 +65,24 @@ def _one_pass(ctx: SparkContext, src: np.ndarray, dst: np.ndarray,
     p = num_partitions or ctx.cluster.parallelism
     p = max(1, min(p, max(1, len(src))))
     cm = ctx.cluster.cost_model
-    edge_parts = [
-        (src[i::p], dst[i::p], w[i::p]) for i in range(p)
-    ]
-    # Vertex state lives in hash partitions: ids, com, k (weighted degree).
+    weights = [w[i::p] for i in range(p)]
+    # Vertex state lives in hash partitions: ids, com (the attr that is
+    # shipped), k (weighted degree).
     k = np.zeros(n)
     np.add.at(k, src, w)
     np.add.at(k, dst, w)
-    present = k > 0
     two_m = float(w.sum()) * 2.0
-    vparts: List[Dict[str, np.ndarray]] = []
-    for vp in range(p):
-        ids = np.flatnonzero(present & (np.arange(n) % p == vp))
-        vparts.append({
-            "ids": ids,
-            "com": ids.astype(np.float64),
-            "k": k[ids],
-        })
+    graph = Graph(
+        ctx, [(src[i::p], dst[i::p]) for i in range(p)],
+        [VertexPartition(ids, ids.astype(np.float64))
+         for ids in split_vertices(np.flatnonzero(k > 0), p)],
+        broadcast=True)
+    k_parts = [k[part.ids] for part in graph.vertex_parts]
+
+    def compute(ep: int, cs: np.ndarray, cd: np.ndarray):
+        es, ed = graph.edge_parts[ep]
+        return [(np.concatenate([ed, es]), np.concatenate([cs, cd]),
+                 np.concatenate([weights[ep], weights[ep]]))]
 
     com = np.arange(n, dtype=np.float64)  # latest global view (driver)
     rounds = 0
@@ -90,168 +92,105 @@ def _one_pass(ctx: SparkContext, src: np.ndarray, dst: np.ndarray,
         # vertices (by id parity) move per round.
         parity = round_idx % 2
         # --- shuffle 1: community totals via groupBy(com) -> driver ----
-        com_tot = _community_totals(ctx, vparts, p, cm)
+        com_tot = _community_totals(graph, k_parts, n)
 
         # --- shuffle 2+3: ship attrs, emit (neighbor com, w) collects ---
-        ship_id = ctx.next_shuffle_id()
-        msg_id = ctx.next_shuffle_id()
-
-        def ship(vp: int, tctx: TaskContext) -> None:
-            part = vparts[vp]
-            payload = [part["ids"], part["com"]]
-            buckets = {ep: payload for ep in range(p)}
-            ctx.shuffle_service.write(
-                ship_id, vp, tctx.executor, buckets, tctx.cost
-            )
-
-        ctx.scheduler.run_stage(p, ship, kind="gx-fu-ship")
-
-        def compute(ep: int, tctx: TaskContext) -> None:
-            payload = ctx.shuffle_service.read(
-                ship_id, ep, p, tctx.executor, tctx.cost,
-                ctx.live_executor_map(),
-            )
-            ids = np.concatenate(payload[0::2])
-            coms = np.concatenate(payload[1::2])
-            tag = f"gx-fu-map:{ep}"
-            tctx.executor.container.memory.allocate(
-                int((ids.nbytes + coms.nbytes) * cm.jvm_object_overhead),
-                tag=tag,
-            )
-            try:
-                order = np.argsort(ids, kind="stable")
-                ids, coms = ids[order], coms[order]
-                es, ed, ew = edge_parts[ep]
-                cs = coms[np.searchsorted(ids, es)]
-                cd = coms[np.searchsorted(ids, ed)]
-                targets = np.concatenate([ed, es])
-                msg_com = np.concatenate([cs, cd])
-                msg_w = np.concatenate([ew, ew])
-                pids = targets % p
-                buckets: Dict[int, List] = {}
-                for pid in np.unique(pids):
-                    mask = pids == pid
-                    buckets[int(pid)] = [
-                        targets[mask], msg_com[mask], msg_w[mask]
-                    ]
-                tctx.cost.cpu_s += cm.compute_time(len(es))
-                ctx.shuffle_service.write(
-                    msg_id, ep, tctx.executor, buckets, tctx.cost
-                )
-            finally:
-                tctx.executor.container.memory.release_tag(tag)
-
-        ctx.scheduler.run_stage(p, compute, kind="gx-fu-compute")
-
-        def reduce(vp: int, tctx: TaskContext) -> int:
-            payload = ctx.shuffle_service.read(
-                msg_id, vp, p, tctx.executor, tctx.cost,
-                ctx.live_executor_map(),
-            )
-            part = vparts[vp]
-            if not payload or len(part["ids"]) == 0:
-                return 0
-            targets = np.concatenate(payload[0::3])
-            mcom = np.concatenate(payload[1::3])
-            mw = np.concatenate(payload[2::3])
-            tag = f"gx-fu-msg:{vp}"
-            tctx.executor.container.memory.allocate(
-                int((targets.nbytes + mcom.nbytes + mw.nbytes)
-                    * cm.jvm_object_overhead),
-                tag=tag,
-            )
-            try:
-                order = np.argsort(targets, kind="stable")
-                targets, mcom, mw = (
-                    targets[order], mcom[order], mw[order]
-                )
-                uids, starts = np.unique(targets, return_index=True)
-                bounds = np.append(starts, len(targets))
-                moves = 0
-                pos = np.searchsorted(part["ids"], uids)
-                for j, v in enumerate(uids.tolist()):
-                    if v % 2 != parity:
-                        continue
-                    i = pos[j]
-                    coms = mcom[bounds[j]:bounds[j + 1]]
-                    ws = mw[bounds[j]:bounds[j + 1]]
-                    cand, inverse = np.unique(coms, return_inverse=True)
-                    wsum = np.zeros(len(cand))
-                    np.add.at(wsum, inverse, ws)
-                    own = part["com"][i]
-                    kv = part["k"][i]
-                    gains = np.empty(len(cand))
-                    for c_idx, c in enumerate(cand.tolist()):
-                        tot = com_tot.get(c, 0.0)
-                        if c == own:
-                            tot -= kv
-                        gains[c_idx] = wsum[c_idx] - tot * kv / two_m
-                    own_pos = np.flatnonzero(cand == own)
-                    own_gain = (
-                        gains[own_pos[0]] if len(own_pos)
-                        else -(com_tot.get(own, kv) - kv) * kv / two_m
-                    )
-                    best = int(np.argmax(gains))
-                    if gains[best] > own_gain + 1e-12 \
-                            and cand[best] != own:
-                        part["com"][i] = cand[best]
-                        moves += 1
+        def reduce(vp: int, tctx: TaskContext, targets: np.ndarray,
+                   mcom: np.ndarray, mw: np.ndarray) -> int:
+            part = graph.vertex_parts[vp]
+            with graph.temp_table(
+                    tctx, f"gx-fu-msg:{vp}",
+                    targets.nbytes + mcom.nbytes + mw.nbytes):
+                moves = _move_vertices(
+                    part.ids, part.attrs, k_parts[vp], targets, mcom, mw,
+                    com_tot, two_m, parity)
                 tctx.cost.cpu_s += cm.compute_time(len(targets))
-                return moves
-            finally:
-                tctx.executor.container.memory.release_tag(tag)
+            return moves
 
-        moves = sum(ctx.scheduler.run_stage(p, reduce, kind="gx-fu-reduce"))
-        ctx.shuffle_service.drop_shuffle(ship_id)
-        ctx.shuffle_service.drop_shuffle(msg_id)
+        moves = sum(graph.join("gx-fu", "gx-fu-map", compute, reduce,
+                               lambda vp: 0))
         rounds += 1
         if moves == 0 and parity == 1:
             break
 
-    for part in vparts:
-        com[part["ids"]] = part["com"]
+    for part in graph.vertex_parts:
+        com[part.ids] = part.attrs
     return com.astype(np.int64), rounds
 
 
-def _community_totals(ctx: SparkContext, vparts: List[dict], p: int,
-                      cm) -> Dict[float, float]:
-    """groupBy(community).sum(k) + driver collect + broadcast."""
+def _move_vertices(ids: np.ndarray, com: np.ndarray, k: np.ndarray,
+                   targets: np.ndarray, mcom: np.ndarray, mw: np.ndarray,
+                   com_tot: np.ndarray, two_m: float, parity: int) -> int:
+    """One partition's Louvain move round, in place on ``com``.
+
+    Every message ``(target, neighbor community, weight)`` of a vertex of
+    the round's parity is grouped by ``(target, community)``; the
+    vertex moves to the first candidate of maximal modularity gain when
+    that beats staying.  Weights add up in arrival order within a group
+    (a sequential ``bincount``), as a per-vertex scatter-add would.
+
+    Returns the number of vertices moved.
+    """
+    mine = targets % 2 == parity
+    targets, mcom, mw = targets[mine], mcom[mine], mw[mine]
+    if len(targets) == 0:
+        return 0
+    order = np.lexsort((mcom, targets))
+    targets, mcom = targets[order], mcom[order]
+    new_vertex = np.ones(len(targets), dtype=bool)
+    new_vertex[1:] = targets[1:] != targets[:-1]
+    new_group = new_vertex.copy()
+    new_group[1:] |= mcom[1:] != mcom[:-1]
+    # One row per (vertex, candidate community), candidates ascending.
+    wsum = np.bincount(np.cumsum(new_group) - 1, weights=mw[order])
+    cand = mcom[new_group]
+    vertex = (np.cumsum(new_vertex) - 1)[new_group]
+    first = np.flatnonzero(new_vertex[new_group])
+    pos = np.searchsorted(ids, targets[new_vertex])
+    own, kv = com[pos], k[pos]
+    is_own = cand == own[vertex]
+    tot = com_tot[cand.astype(np.int64)]
+    tot[is_own] -= kv[vertex[is_own]]
+    gains = wsum - tot * kv[vertex] / two_m
+    own_gain = -(com_tot[own.astype(np.int64)] - kv) * kv / two_m
+    own_gain[vertex[is_own]] = gains[is_own]
+    best_gain = np.maximum.reduceat(gains, first)
+    rows = np.arange(len(gains))
+    best = np.minimum.reduceat(
+        np.where(gains == best_gain[vertex], rows, len(rows)), first)
+    moved = (best_gain > own_gain + 1e-12) & (cand[best] != own)
+    com[pos[moved]] = cand[best[moved]]
+    return int(moved.sum())
+
+
+def _community_totals(graph: Graph, k_parts: List[np.ndarray],
+                      n: int) -> np.ndarray:
+    """groupBy(community).sum(k) + driver collect + broadcast: the total
+    weighted degree of every community id below ``n`` (0 where none)."""
+    ctx = graph.ctx
+    cm = ctx.cluster.cost_model
     shuffle_id = ctx.next_shuffle_id()
+    p = graph.num_vertex_partitions
 
-    def emit(vp: int, tctx: TaskContext) -> None:
-        part = vparts[vp]
-        pids = part["com"].astype(np.int64) % p
-        buckets: Dict[int, List] = {}
-        for pid in np.unique(pids):
-            mask = pids == pid
-            buckets[int(pid)] = [part["com"][mask], part["k"][mask]]
-        ctx.shuffle_service.write(
-            shuffle_id, vp, tctx.executor, buckets, tctx.cost
-        )
+    def emit(vp: int, tctx: TaskContext):
+        return [(graph.vertex_parts[vp].attrs, k_parts[vp])]
 
-    ctx.scheduler.run_stage(p, emit, kind="gx-fu-tot-emit")
+    graph.emit_stage("gx-fu-tot-emit", shuffle_id, p, p, emit)
 
-    def reduce(rp: int, tctx: TaskContext) -> Dict[float, float]:
-        payload = ctx.shuffle_service.read(
-            shuffle_id, rp, p, tctx.executor, tctx.cost,
-            ctx.live_executor_map(),
-        )
-        if not payload:
-            return {}
-        coms = np.concatenate(payload[0::2])
-        ks = np.concatenate(payload[1::2])
+    def reduce(rp: int, tctx: TaskContext, coms: np.ndarray,
+               ks: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         uids, inverse = np.unique(coms, return_inverse=True)
-        sums = np.zeros(len(uids))
-        np.add.at(sums, inverse, ks)
         tctx.cost.cpu_s += cm.compute_time(len(coms))
-        return dict(zip(uids.tolist(), sums.tolist()))
+        # Sequential, in arrival order: what np.add.at would add up.
+        return uids, np.bincount(inverse, weights=ks)
 
-    parts = ctx.scheduler.run_stage(p, reduce, kind="gx-fu-tot-reduce")
-    ctx.shuffle_service.drop_shuffle(shuffle_id)
-    out: Dict[float, float] = {}
-    for d in parts:
-        out.update(d)
-    ctx.charge_driver_result(len(out) * 16)
+    parts = graph.reduce_stage(
+        "gx-fu-tot-reduce", shuffle_id, p, p, reduce,
+        lambda rp: (np.empty(0), np.empty(0)))
+    out = np.zeros(n)
+    for uids, sums in parts:
+        out[uids.astype(np.int64)] = sums
+    ctx.charge_driver_result(sum(len(uids) for uids, _s in parts) * 16)
     return out
 
 
@@ -263,11 +202,13 @@ def _modularity(src: np.ndarray, dst: np.ndarray, w: np.ndarray,
         return 0.0
     same = communities[src] == communities[dst]
     inside = float(w[same].sum())
-    k: Dict[int, float] = {}
-    for arr in (src, dst):
-        cs = communities[arr]
-        for c, wv in zip(cs.tolist(), w.tolist()):
-            k[c] = k.get(c, 0.0) + wv
+    # Community totals add up edge by edge, sources then targets, and are
+    # summed in order of first appearance (a dict filled in that order).
+    ends = np.concatenate([communities[src], communities[dst]])
+    _coms, first, inverse = np.unique(ends, return_index=True,
+                                      return_inverse=True)
+    totals = np.bincount(inverse, weights=np.concatenate([w, w]))
     two_m = 2.0 * m
     return (2.0 * inside / two_m
-            - sum((tot / two_m) ** 2 for tot in k.values()))
+            - sum((tot / two_m) ** 2
+                  for tot in totals[np.argsort(first)].tolist()))

@@ -9,35 +9,54 @@ metered dataflow substrate:
 * edges are partitioned by a random vertex-cut; each edge partition keeps a
   *routing table* of the vertices it references;
 * vertex attributes live in hash-partitioned vertex tables;
-* :meth:`Graph.aggregate_messages` is the three-shuffle join pipeline —
-  ship replicated vertex attributes to edge partitions, compute messages on
-  triplets, shuffle messages back and reduce — charging shuffle disk/network
-  and JVM-overhead temp tables at every step.
+* :meth:`Graph.join` is the three-shuffle join pipeline — ship replicated
+  vertex attributes to edge partitions, compute messages on triplets,
+  shuffle messages back and reduce — charging shuffle disk/network and
+  JVM-overhead temp tables at every step.
 
 The memory behaviour of Fig. 6 (GraphX OOMs on K-core / triangle count /
 DS2) emerges from exactly these charges: power-law hubs replicate to many
 edge partitions, and heavy vertex attributes (neighbor sets) multiply the
 replication cost.
+
+As in GraphX itself, the routing tables and edge partitions carry *local*
+indices built once per edge set (:class:`_JoinPlan`), and every shuffle
+moves one :class:`~repro.dataflow.shuffle.ColumnBlock` per map task — no
+Python object per partition pair anywhere on the join path.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Tuple
+from contextlib import contextmanager
+from typing import Any, Callable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.common.batch import segment_reduce, split_indices
+from repro.common.batch import (
+    RaggedColumn,
+    partition_order,
+    segment_reduce,
+    take_rows,
+)
 from repro.common.errors import GraphLoadError
-from repro.common.sizeof import sizeof_records
 from repro.dataflow.context import SparkContext
+from repro.dataflow.executor import Executor
+from repro.dataflow.shuffle import ColumnBlock
 from repro.dataflow.taskctx import TaskContext
 
 #: A message send function: ``send(src, dst, src_attr, dst_attr)`` over one
 #: edge partition's arrays, returning a list of ``(target_ids, messages)``.
+#: Array attrs arrive as one row per edge; neighbor-set attrs (a
+#: :class:`~repro.common.batch.RaggedColumn`) as ``(table, rows)`` — the
+#: replicated table and each edge's row in it.
 SendFn = Callable[
     [np.ndarray, np.ndarray, Any, Any],
     List[Tuple[np.ndarray, np.ndarray]],
 ]
+
+#: What a map task hands the shuffle: column tuples whose first column
+#: keys the reduce partition (``key % num_reduces``).
+Outputs = Sequence[Tuple[np.ndarray, ...]]
 
 
 class VertexPartition:
@@ -45,13 +64,87 @@ class VertexPartition:
 
     def __init__(self, ids: np.ndarray, attrs: Any) -> None:
         self.ids = ids
-        self.attrs = attrs  # np.ndarray aligned with ids, or list of arrays
+        self.attrs = attrs  # array aligned with ids, or a RaggedColumn
 
-    def attr_nbytes(self) -> int:
-        """Logical bytes of this partition's attributes."""
-        if isinstance(self.attrs, np.ndarray):
-            return int(self.attrs.nbytes)
-        return sizeof_records(self.attrs)
+
+def split_vertices(ids: np.ndarray, num_partitions: int) -> List[np.ndarray]:
+    """Hash-partition sorted vertex ids: ``ids[ids % p == vp]`` per ``vp``."""
+    order, offsets = partition_order(ids % num_partitions, num_partitions)
+    return np.split(ids[order], offsets[1:-1])
+
+
+class _JoinPlan:
+    """The replication join of one edge set, planned once.
+
+    Per vertex partition: the ids it ships (edge partition after edge
+    partition), their positions in the partition, and where each edge
+    partition's share ends.  Per edge partition: where its src / dst attrs
+    sit in the table it receives (vertex partition after vertex partition,
+    in ship order), and the rank that puts that table in id order.  A
+    *broadcast* plan ships every vertex partition whole to every edge
+    partition (fast unfolding's join).
+    """
+
+    def __init__(self, edge_parts: Sequence[Tuple[np.ndarray, np.ndarray]],
+                 vertex_ids: Sequence[np.ndarray], broadcast: bool) -> None:
+        self.num_edge_partitions = len(edge_parts)
+        self.src_pos: List[np.ndarray] = []
+        self.dst_pos: List[np.ndarray] = []
+        self.id_rank: List[np.ndarray] = []
+        self.ship_pos: List[np.ndarray] | None = None
+        if broadcast:
+            table = np.concatenate(vertex_ids)
+            order = np.argsort(table, kind="stable")
+            sorted_ids = table[order]
+            for es, ed in edge_parts:
+                self.src_pos.append(order[np.searchsorted(sorted_ids, es)])
+                self.dst_pos.append(order[np.searchsorted(sorted_ids, ed)])
+            return
+        p_e, p_v = len(edge_parts), len(vertex_ids)
+        refs = []
+        for es, ed in edge_parts:
+            ids, inverse = np.unique(np.concatenate([es, ed]),
+                                     return_inverse=True)
+            arrival, _offsets = partition_order(ids % p_v, p_v)
+            rank = np.empty(len(ids), dtype=np.int64)
+            rank[arrival] = np.arange(len(ids))
+            refs.append(ids)
+            self.id_rank.append(rank)
+            self.src_pos.append(rank[inverse[:len(es)]])
+            self.dst_pos.append(rank[inverse[len(es):]])
+        all_refs = np.concatenate(refs)
+        pids = all_refs % p_v
+        order, offsets = partition_order(pids, p_v)
+        self.ship_ids = np.split(all_refs[order], offsets[1:-1])
+        self.ship_pos = [np.searchsorted(ids, shipped)
+                         for ids, shipped in zip(vertex_ids, self.ship_ids)]
+        ep_of = np.repeat(np.arange(p_e), [len(ids) for ids in refs])
+        self.ship_offsets = np.zeros((p_v, p_e + 1), dtype=np.int64)
+        np.cumsum(np.bincount(pids * p_e + ep_of, minlength=p_v * p_e)
+                  .reshape(p_v, p_e), axis=1, out=self.ship_offsets[:, 1:])
+
+    def ship_block(self, vp: int, part: VertexPartition) -> ColumnBlock:
+        """What vertex partition ``vp`` ships: ``(ids, attrs)`` rows."""
+        if self.ship_pos is None:
+            return ColumnBlock.broadcasting((part.ids, part.attrs),
+                                            self.num_edge_partitions)
+        return ColumnBlock.presorted(
+            (self.ship_ids[vp], take_rows(part.attrs, self.ship_pos[vp])),
+            self.ship_offsets[vp])
+
+    def table_nbytes(self, ep: int, attrs: Any) -> int:
+        """Logical bytes of the attrs ``ep`` received: a neighbor-set
+        table sizes as the list of arrays, in id order, it stands for."""
+        if isinstance(attrs, RaggedColumn):
+            return attrs.boxed_nbytes(self.id_rank[ep])
+        return attrs.nbytes
+
+
+def _edge_rows(attrs: Any, pos: np.ndarray) -> Any:
+    """Per-edge attrs out of a received table (see :data:`SendFn`)."""
+    if isinstance(attrs, RaggedColumn):
+        return attrs, pos
+    return attrs.take(pos, axis=0)
 
 
 class Graph:
@@ -60,15 +153,15 @@ class Graph:
     def __init__(self, ctx: SparkContext,
                  edge_parts: List[Tuple[np.ndarray, np.ndarray]],
                  vertex_parts: List[VertexPartition],
-                 routing: List[List[np.ndarray]]) -> None:
+                 broadcast: bool = False) -> None:
         self.ctx = ctx
         self.edge_parts = edge_parts
         self.vertex_parts = vertex_parts
-        #: routing[ep][vp] = vertex ids of partition vp referenced by ep.
-        self.routing = routing
         self.num_edge_partitions = len(edge_parts)
         self.num_vertex_partitions = len(vertex_parts)
-        self._charged_tags: List[str] = []
+        self._broadcast = broadcast
+        self._plan: _JoinPlan | None = None
+        self._charged_tags: List[Tuple[Executor, str]] = []
 
     # ------------------------------------------------------------------
     # construction
@@ -93,18 +186,33 @@ class Graph:
             (src[i::p].copy(), dst[i::p].copy()) for i in range(p)
         ]
         all_ids = np.unique(np.concatenate([src, dst]))
-        vertex_parts = [
-            VertexPartition(all_ids[all_ids % p == vp],
-                            np.zeros(int((all_ids % p == vp).sum())))
-            for vp in range(p)
-        ]
-        routing: List[List[np.ndarray]] = []
-        for es, ed in edge_parts:
-            refs = np.unique(np.concatenate([es, ed]))
-            routing.append([refs[refs % p == vp] for vp in range(p)])
-        graph = cls(ctx, edge_parts, vertex_parts, routing)
+        vertex_parts = [VertexPartition(ids, np.zeros(len(ids)))
+                        for ids in split_vertices(all_ids, p)]
+        graph = cls(ctx, edge_parts, vertex_parts)
         graph._charge_resident()
         return graph
+
+    @property
+    def plan(self) -> _JoinPlan:
+        """The join plan of the current edge set (built on first use)."""
+        if self._plan is None:
+            self._plan = _JoinPlan(
+                self.edge_parts, [vp.ids for vp in self.vertex_parts],
+                self._broadcast)
+        return self._plan
+
+    @contextmanager
+    def edge_subset(self, edge_parts: List[Tuple[np.ndarray, np.ndarray]]
+                    ) -> Iterator[None]:
+        """Run the body over other edge partitions (a chunk of the edges):
+        they and their plan are one generation, swapped in and — whatever
+        the body does — back out together."""
+        saved = self.edge_parts, self._plan
+        self.edge_parts, self._plan = edge_parts, None
+        try:
+            yield
+        finally:
+            self.edge_parts, self._plan = saved
 
     def _charge_resident(self) -> None:
         """Charge edge tables + routing tables to their executors' memory."""
@@ -112,7 +220,7 @@ class Graph:
         for ep in range(self.num_edge_partitions):
             executor = self.ctx.executor_for_partition(ep)
             es, ed = self.edge_parts[ep]
-            refs = sum(len(r) for r in self.routing[ep])
+            refs = len(self.plan.id_rank[ep])
             nbytes = int(
                 (es.nbytes + ed.nbytes + refs * 8) * cm.jvm_object_overhead
             )
@@ -121,10 +229,11 @@ class Graph:
             self._charged_tags.append((executor, tag))
 
     def unpersist(self) -> None:
-        """Release the resident edge/routing memory."""
+        """Release the resident edge/routing memory and the join plan."""
         for executor, tag in self._charged_tags:
             executor.container.memory.release_tag(tag)
         self._charged_tags = []
+        self._plan = None
 
     # ------------------------------------------------------------------
     # basic properties
@@ -141,19 +250,14 @@ class Graph:
         return sum(len(vp.ids) for vp in self.vertex_parts)
 
     def collect_vertices(self) -> Tuple[np.ndarray, Any]:
-        """All vertex ids + attrs at the driver (small graphs only)."""
+        """All vertex ids + attrs at the driver (small graphs only);
+        neighbor-set attrs come back as a list of arrays."""
         ids = np.concatenate([vp.ids for vp in self.vertex_parts])
-        first = self.vertex_parts[0].attrs
-        if isinstance(first, np.ndarray):
-            attrs = np.concatenate(
-                [vp.attrs for vp in self.vertex_parts]
-            )
-        else:
-            attrs = [a for vp in self.vertex_parts for a in vp.attrs]
         order = np.argsort(ids, kind="stable")
-        if isinstance(attrs, np.ndarray):
-            return ids[order], attrs[order]
-        return ids[order], [attrs[i] for i in order]
+        attrs = [vp.attrs for vp in self.vertex_parts]
+        if isinstance(attrs[0], RaggedColumn):
+            return ids[order], RaggedColumn.concat(attrs).take(order).to_list()
+        return ids[order], np.concatenate(attrs)[order]
 
     # ------------------------------------------------------------------
     # vertex updates
@@ -198,153 +302,143 @@ class Graph:
     # the join/shuffle message-passing pipeline
     # ------------------------------------------------------------------
 
+    @contextmanager
+    def temp_table(self, tctx: TaskContext, tag: str,
+                   logical_nbytes: int) -> Iterator[None]:
+        """Hold, for the body, the JVM-overhead temp table a join task
+        materializes out of ``logical_nbytes`` of fetched columns."""
+        memory = tctx.executor.container.memory
+        memory.allocate(
+            int(logical_nbytes
+                * self.ctx.cluster.cost_model.jvm_object_overhead), tag=tag)
+        try:
+            yield
+        finally:
+            memory.release_tag(tag)
+
+    def write_outputs(self, shuffle_id: int, tctx: TaskContext,
+                      outputs: Outputs, num_reduces: int) -> None:
+        """Bucket a map task's outputs into one block and store it; rows
+        keep their order: output after output, as produced."""
+        columns = (outputs[0] if len(outputs) == 1
+                   else [np.concatenate(cols) for cols in zip(*outputs)])
+        pids = columns[0].astype(np.int64, copy=False) % num_reduces
+        self.ctx.shuffle_service.write(
+            shuffle_id, tctx.partition_id, tctx.executor,
+            ColumnBlock.bucketed(columns, pids, num_reduces,
+                                 [len(out[0]) for out in outputs]),
+            tctx.cost)
+
+    def emit_stage(self, kind: str, shuffle_id: int, num_tasks: int,
+                   num_reduces: int,
+                   produce: Callable[[int, TaskContext], Outputs]) -> None:
+        """A map stage: task ``i`` shuffles what ``produce(i, tctx)``
+        returns."""
+        def task(i: int, tctx: TaskContext) -> None:
+            self.write_outputs(shuffle_id, tctx, produce(i, tctx),
+                               num_reduces)
+
+        self.ctx.scheduler.run_stage(num_tasks, task, kind=kind)
+
+    def reduce_stage(self, kind: str, shuffle_id: int, num_maps: int,
+                     num_reduces: int, reduce: Callable[..., Any],
+                     empty: Callable[[int], Any]) -> List[Any]:
+        """The reduce stage of a shuffle, which it then drops: task ``r``
+        returns ``reduce(r, tctx, *columns)`` over the rows it fetched, or
+        ``empty(r)`` when there are none."""
+        def task(r: int, tctx: TaskContext) -> Any:
+            columns = self.ctx.shuffle_service.read(
+                shuffle_id, r, num_maps, tctx.executor, tctx.cost)
+            if len(columns[0]) == 0:
+                return empty(r)
+            return reduce(r, tctx, *columns)
+
+        results = self.ctx.scheduler.run_stage(num_reduces, task, kind=kind)
+        self.ctx.shuffle_service.drop_shuffle(shuffle_id)
+        return results
+
+    def join(self, prefix: str, map_tag: str,
+             compute: Callable[[int, Any, Any], Outputs],
+             reduce: Callable[..., Any],
+             empty: Callable[[int], Any]) -> List[Any]:
+        """The GraphX join pipeline: three metered shuffle stages.
+
+        1. *Ship* (``<prefix>-ship``): every vertex partition writes its
+           ``(ids, attrs)`` rows for each edge partition referencing them
+           — the vertex-cut replication join, laid out by the plan.
+        2. *Compute* (``<prefix>-compute``): every edge partition fetches
+           its replicated attrs (charging a JVM-overhead temp map under
+           ``map_tag``), runs ``compute(ep, src_attr, dst_attr)`` on the
+           triplets and shuffles the outputs by target vertex.
+        3. *Reduce* (``<prefix>-reduce``): every vertex partition fetches
+           its messages and folds them (:meth:`reduce_stage`).
+
+        Returns the reduce tasks' results, per vertex partition.
+        """
+        ctx = self.ctx
+        cm = ctx.cluster.cost_model
+        plan = self.plan
+        ship_id = ctx.next_shuffle_id()
+        msg_id = ctx.next_shuffle_id()
+        p_v = self.num_vertex_partitions
+
+        def ship_task(vp: int, tctx: TaskContext) -> None:
+            ctx.shuffle_service.write(
+                ship_id, vp, tctx.executor,
+                plan.ship_block(vp, self.vertex_parts[vp]), tctx.cost)
+
+        ctx.scheduler.run_stage(p_v, ship_task, kind=f"{prefix}-ship")
+
+        def compute_task(ep: int, tctx: TaskContext) -> None:
+            ids, attrs = ctx.shuffle_service.read(
+                ship_id, ep, p_v, tctx.executor, tctx.cost)
+            # The replicated vertex map is the join's temp table.
+            with self.temp_table(tctx, f"{map_tag}:{ep}",
+                                 ids.nbytes + plan.table_nbytes(ep, attrs)):
+                outputs = compute(ep, _edge_rows(attrs, plan.src_pos[ep]),
+                                  _edge_rows(attrs, plan.dst_pos[ep]))
+                tctx.cost.cpu_s += cm.compute_time(len(plan.src_pos[ep]))
+                self.write_outputs(msg_id, tctx, outputs, p_v)
+
+        ctx.scheduler.run_stage(self.num_edge_partitions, compute_task,
+                                kind=f"{prefix}-compute")
+        results = self.reduce_stage(f"{prefix}-reduce", msg_id,
+                                    self.num_edge_partitions, p_v,
+                                    reduce, empty)
+        ctx.shuffle_service.drop_shuffle(ship_id)
+        return results
+
     def aggregate_messages(
             self, send: SendFn, reduce_op: str = "sum",
     ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """GraphX ``aggregateMessages``: three metered shuffle stages.
-
-        1. *Ship*: every vertex partition writes (ids, attrs) buckets for
-           each edge partition referencing them — the vertex-cut
-           replication join.
-        2. *Compute*: every edge partition fetches its replicated vertex
-           attrs (charging a JVM-overhead temp map), runs ``send`` on the
-           triplets, and shuffles messages by target vertex.
-        3. *Reduce*: every vertex partition fetches its messages and
-           segment-reduces them with ``reduce_op`` (sum/min/max).
+        """GraphX ``aggregateMessages``: :meth:`join` with ``send`` on the
+        triplets and a ``reduce_op`` (sum/min/max) segment-reduce.
 
         Returns:
             Per vertex partition, ``(ids, reduced_values)`` for vertices
             that received at least one message.
         """
-        ctx = self.ctx
-        cm = ctx.cluster.cost_model
-        ship_id = ctx.next_shuffle_id()
-        msg_id = ctx.next_shuffle_id()
-        p_e = self.num_edge_partitions
-        p_v = self.num_vertex_partitions
+        op = {"sum": "add", "min": "min", "max": "max"}.get(reduce_op)
+        if op is None:
+            raise ValueError(f"unknown reduce_op {reduce_op!r}")
+        cm = self.ctx.cluster.cost_model
 
-        def ship_task(vp: int, tctx: TaskContext) -> None:
-            part = self.vertex_parts[vp]
-            buckets: Dict[int, List[Any]] = {}
-            for ep in range(p_e):
-                needed = self.routing[ep][vp]
-                if len(needed) == 0:
-                    continue
-                idx = np.searchsorted(part.ids, needed)
-                if isinstance(part.attrs, np.ndarray):
-                    attrs = part.attrs[idx]
-                else:
-                    attrs = [part.attrs[i] for i in idx]
-                buckets[ep] = [needed, attrs]
-            ctx.shuffle_service.write(
-                ship_id, vp, tctx.executor, buckets, tctx.cost
-            )
-
-        ctx.scheduler.run_stage(p_v, ship_task, kind="graphx-ship")
-
-        def compute_task(ep: int, tctx: TaskContext) -> None:
-            payload = ctx.shuffle_service.read(
-                ship_id, ep, p_v, tctx.executor, tctx.cost,
-                ctx.live_executor_map(),
-            )
-            # payload alternates [ids, attrs, ids, attrs, ...] per bucket.
-            id_chunks = payload[0::2]
-            attr_chunks = payload[1::2]
-            rep_ids = (np.concatenate(id_chunks) if id_chunks
-                       else np.empty(0, dtype=np.int64))
-            if attr_chunks and isinstance(attr_chunks[0], np.ndarray):
-                rep_attrs: Any = np.concatenate(attr_chunks)
-            else:
-                rep_attrs = [a for chunk in attr_chunks for a in chunk]
-            order = np.argsort(rep_ids, kind="stable")
-            rep_ids = rep_ids[order]
-            if isinstance(rep_attrs, np.ndarray):
-                rep_attrs = rep_attrs[order]
-            else:
-                rep_attrs = [rep_attrs[i] for i in order]
-            # The replicated vertex map is the join's temp table.
-            temp = int(
-                (rep_ids.nbytes + sizeof_records(rep_attrs))
-                * cm.jvm_object_overhead
-            )
-            tag = f"graphx-repmap:{ep}"
-            tctx.executor.container.memory.allocate(temp, tag=tag)
-            try:
-                es, ed = self.edge_parts[ep]
-                si = np.searchsorted(rep_ids, es)
-                di = np.searchsorted(rep_ids, ed)
-                if isinstance(rep_attrs, np.ndarray):
-                    src_attr = rep_attrs[si]
-                    dst_attr = rep_attrs[di]
-                else:
-                    src_attr = [rep_attrs[i] for i in si]
-                    dst_attr = [rep_attrs[i] for i in di]
-                outputs = send(es, ed, src_attr, dst_attr)
-                buckets: Dict[int, List[Any]] = {}
-                # One stable argsort replaces the per-pid boolean-mask
-                # scan; same pids in the same order, O(n log n) total.
-                for targets, msgs in outputs:
-                    pids = targets % p_v
-                    for pid, idx in split_indices(pids):
-                        bucket = buckets.setdefault(pid, [])
-                        bucket.append(targets[idx])
-                        if isinstance(msgs, np.ndarray):
-                            bucket.append(msgs[idx])
-                        else:
-                            bucket.append([msgs[i] for i in idx.tolist()])
-                tctx.cost.cpu_s += cm.compute_time(len(es))
-                ctx.shuffle_service.write(
-                    msg_id, ep, tctx.executor, buckets, tctx.cost
-                )
-            finally:
-                tctx.executor.container.memory.release_tag(tag)
-
-        ctx.scheduler.run_stage(p_e, compute_task, kind="graphx-compute")
-
-        def reduce_task(vp: int, tctx: TaskContext
-                        ) -> Tuple[np.ndarray, np.ndarray]:
-            payload = ctx.shuffle_service.read(
-                msg_id, vp, p_e, tctx.executor, tctx.cost,
-                ctx.live_executor_map(),
-            )
-            id_chunks = payload[0::2]
-            msg_chunks = payload[1::2]
-            if not id_chunks:
-                return (np.empty(0, dtype=np.int64), np.empty(0))
-            targets = np.concatenate(id_chunks)
-            msgs = np.concatenate(
-                [np.asarray(m) for m in msg_chunks]
-            )
-            temp = int(
-                (targets.nbytes + msgs.nbytes) * cm.jvm_object_overhead
-            )
-            tag = f"graphx-msgtable:{vp}"
-            tctx.executor.container.memory.allocate(temp, tag=tag)
-            try:
-                # segment_reduce sorts once and folds with ufunc.reduceat —
-                # far faster than the unbuffered ufunc.at scatter it
-                # replaces; min/max keep their float64 output contract.
-                if reduce_op == "sum":
-                    uids, out = segment_reduce(targets, msgs, "add")
-                elif reduce_op == "min":
-                    uids, out = segment_reduce(
-                        targets, msgs.astype(np.float64), "min")
-                elif reduce_op == "max":
-                    uids, out = segment_reduce(
-                        targets, msgs.astype(np.float64), "max")
-                else:
-                    raise ValueError(f"unknown reduce_op {reduce_op!r}")
+        def reduce(vp: int, tctx: TaskContext, targets: np.ndarray,
+                   msgs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+            with self.temp_table(tctx, f"graphx-msgtable:{vp}",
+                                 targets.nbytes + msgs.nbytes):
+                # segment_reduce sorts once and folds with ufunc.reduceat;
+                # min/max keep their float64 output contract.
+                if op != "add":
+                    msgs = msgs.astype(np.float64)
+                out = segment_reduce(targets, msgs, op)
                 tctx.cost.cpu_s += cm.compute_time(len(targets))
-            finally:
-                tctx.executor.container.memory.release_tag(tag)
-            return (uids, out)
+            return out
 
-        results = ctx.scheduler.run_stage(
-            p_v, reduce_task, kind="graphx-reduce"
-        )
-        ctx.shuffle_service.drop_shuffle(ship_id)
-        ctx.shuffle_service.drop_shuffle(msg_id)
-        return results
+        return self.join(
+            "graphx", "graphx-repmap",
+            lambda ep, sa, da: send(*self.edge_parts[ep], sa, da), reduce,
+            lambda vp: (np.empty(0, dtype=np.int64), np.empty(0)))
 
     # ------------------------------------------------------------------
     # derived quantities

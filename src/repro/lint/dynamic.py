@@ -421,6 +421,53 @@ def _graphsage(seed: int, tracer: Tracer, metrics: MetricsRegistry
         return stats, ctx.sim_time()
 
 
+@workload("graphx")
+def _graphx(seed: int, tracer: Tracer, metrics: MetricsRegistry
+            ) -> Tuple[Dict[str, float], float]:
+    """The GraphX baseline's join pipeline: every shuffle form it has.
+
+    PageRank (array attrs), K-core (the collect join), fast unfolding
+    (the broadcast join, weighted) and triangle count (neighbor-set
+    attrs) on one power-law graph — the spans carry every shuffle's
+    bytes, records and local / remote split, so a change to how the
+    joins run on the host must reproduce this workload span for span.
+    """
+    import numpy as np
+
+    from repro.dataflow.context import SparkContext
+    from repro.datasets.generators import powerlaw_graph
+    from repro.graphx import algorithms as gx
+    from repro.graphx.fast_unfolding import fast_unfolding
+    from repro.graphx.graph import Graph
+
+    gseed = derive_seed(seed, "lint-graphx")
+    src, dst = powerlaw_graph(400, 3000, seed=gseed)
+    weight = np.random.default_rng(gseed).uniform(0.25, 4.0, len(src))
+    ctx = SparkContext(_small_cluster(), app_name="lint-graphx",
+                       metrics=metrics, tracer=tracer)
+    try:
+        _ids, ranks, supersteps = gx.pagerank(
+            Graph.from_edges(ctx, src, dst), max_iterations=3, tol=0.0)
+        _ids, cores, core_rounds = gx.kcore(
+            Graph.from_edges(ctx, src, dst), max_iterations=4)
+        communities, modularity, move_rounds = fast_unfolding(
+            ctx, src, dst, weight, num_passes=2, max_move_iterations=3)
+        triangles = gx.triangle_count(Graph.from_edges(ctx, src, dst))
+        stats = {
+            "supersteps": float(supersteps),
+            "ranks_checksum": float(ranks.sum()),
+            "core_rounds": float(core_rounds),
+            "cores_checksum": float(cores.sum()),
+            "communities": float(len(np.unique(communities))),
+            "modularity": modularity,
+            "move_rounds": float(move_rounds),
+            "triangles": float(triangles),
+        }
+        return stats, ctx.sim_time()
+    finally:
+        ctx.stop()
+
+
 @workload("serve-chaos")
 def _serve_chaos(seed: int, tracer: Tracer, metrics: MetricsRegistry
                  ) -> Tuple[Dict[str, float], float]:

@@ -13,6 +13,7 @@ from repro.common import batch as batch_module
 from repro.common.batch import (
     COMBINE_FNS,
     SCATTER_BLOCK,
+    RaggedColumn,
     RecordBatch,
     accumulate_sequential,
     explode_records,
@@ -21,6 +22,7 @@ from repro.common.batch import (
     record_count,
     records_nbytes,
     scatter_add_rows,
+    segment_index,
     segment_reduce,
     split_batch,
     split_indices,
@@ -343,6 +345,55 @@ def test_row_scatters_go_through_the_kernel():
                     and node.func.value.value.id in ("np", "numpy")):
                 stray.append(f"{name}:{node.lineno}")
     assert not stray, f"use repro.common.batch.scatter_add_rows: {stray}"
+
+
+class TestRaggedColumn:
+    """CSR rows behave as the list of arrays they stand in for."""
+
+    rows_lists = st.lists(st.lists(st.integers(0, 99), max_size=6),
+                          max_size=40)
+
+    @staticmethod
+    def _column(rows):
+        lens = [len(r) for r in rows]
+        return RaggedColumn(
+            np.concatenate([[0], np.cumsum(lens)]).astype(np.int64),
+            np.asarray([x for r in rows for x in r], dtype=np.int64))
+
+    @given(rows_lists, st.lists(st.integers(0, 39), max_size=50))
+    def test_take_concat_and_list_round_trip(self, rows, picks):
+        col = self._column(rows)
+        assert len(col) == len(rows)
+        assert [r.tolist() for r in col.to_list()] == rows
+        picks = np.asarray([p for p in picks if p < len(rows)],
+                           dtype=np.int64)
+        taken = col.take(picks)
+        assert [r.tolist() for r in taken.to_list()] \
+            == [rows[p] for p in picks.tolist()]
+        for a, b in [(0, len(rows)), (len(rows) // 3, len(rows) // 2)]:
+            assert [r.tolist() for r in col.slice(a, b).to_list()] \
+                == rows[a:b]
+        both = RaggedColumn.concat([col, taken])
+        assert [r.tolist() for r in both.to_list()] \
+            == rows + [rows[p] for p in picks.tolist()]
+
+    @given(rows_lists)
+    def test_boxed_nbytes_is_sizeof_of_the_row_list(self, rows):
+        col = self._column(rows)
+        assert col.boxed_nbytes() == sizeof(col.to_list())
+        order = np.random.default_rng(len(rows)).permutation(len(rows))
+        assert col.boxed_nbytes(order) \
+            == sizeof([col.to_list()[i] for i in order])
+
+    @given(st.lists(st.tuples(st.integers(0, 20), st.integers(0, 5)),
+                    max_size=12))
+    def test_segment_index_walks_segment_after_segment(self, segments):
+        starts = np.asarray([a for a, _n in segments], dtype=np.int64)
+        lens = np.asarray([n for _a, n in segments], dtype=np.int64)
+        want = [i for a, n in segments for i in range(a, a + n)]
+        indptr, flat = segment_index(starts, lens)
+        assert flat.tolist() == want
+        assert indptr.tolist() == [0, *np.cumsum(lens).tolist()]
 
 
 class TestAccumulateSequential:

@@ -19,7 +19,11 @@ from repro.common.metrics import (
 )
 from repro.common.simclock import TaskCost
 from repro.dataflow.context import SparkContext
-from repro.dataflow.shuffle import ShuffleOutputLostError, ShuffleService
+from repro.dataflow.shuffle import (
+    ColumnBlock,
+    ShuffleOutputLostError,
+    ShuffleService,
+)
 from tests.conftest import make_context
 
 
@@ -36,8 +40,7 @@ class TestShuffleService:
             svc.write(sid, 0, ctx.executors[0],
                       {0: [("a", 1)], 1: [("b", 2)]}, cost)
             svc.write(sid, 1, ctx.executors[1], {0: [("c", 3)]}, cost)
-            got = svc.read(sid, 0, 2, ctx.executors[0], TaskCost(),
-                           ctx.live_executor_map())
+            got = svc.read(sid, 0, 2, ctx.executors[0], TaskCost())
             assert sorted(got) == [("a", 1), ("c", 3)]
         finally:
             ctx.stop()
@@ -47,9 +50,9 @@ class TestShuffleService:
         try:
             sid = ctx.next_shuffle_id()
             svc.write(sid, 0, ctx.executors[0], {0: [(1, 1)]}, TaskCost())
-            with pytest.raises(ShuffleOutputLostError):
-                svc.read(sid, 0, 2, ctx.executors[0], TaskCost(),
-                         ctx.live_executor_map())
+            with pytest.raises(ShuffleOutputLostError) as lost:
+                svc.read(sid, 0, 2, ctx.executors[0], TaskCost())
+            assert lost.value.map_partition == 1
         finally:
             ctx.stop()
 
@@ -58,12 +61,15 @@ class TestShuffleService:
         try:
             sid = ctx.next_shuffle_id()
             svc.write(sid, 0, ctx.executors[1], {0: [(1, 1)]}, TaskCost())
-            live = ctx.live_executor_map()
-            assert svc.has_output(sid, 0, live)
-            live[ctx.executors[1].id] = False
-            assert not svc.has_output(sid, 0, live)
+            assert svc.has_output(sid, 0, ctx.live_executor_map())
+            # The container dies without anyone telling the service: the
+            # files are still registered, their owner is not alive.
+            ctx.resource_manager.kill(ctx.executors[1].container, "test")
+            assert not svc.has_output(sid, 0, ctx.live_executor_map())
+            cost = TaskCost()
             with pytest.raises(ShuffleOutputLostError):
-                svc.read(sid, 0, 1, ctx.executors[0], TaskCost(), live)
+                svc.read(sid, 0, 1, ctx.executors[0], cost)
+            assert cost.total_s == 0.0
         finally:
             ctx.stop()
 
@@ -86,11 +92,9 @@ class TestShuffleService:
             payload = {0: [(i, i) for i in range(100)]}
             svc.write(sid, 0, ctx.executors[1], dict(payload), TaskCost())
             local = TaskCost()
-            svc.read(sid, 0, 1, ctx.executors[1], local,
-                     ctx.live_executor_map())
+            svc.read(sid, 0, 1, ctx.executors[1], local)
             remote = TaskCost()
-            svc.read(sid, 0, 1, ctx.executors[0], remote,
-                     ctx.live_executor_map())
+            svc.read(sid, 0, 1, ctx.executors[0], remote)
             assert remote.net_s > local.net_s
             assert remote.disk_s == pytest.approx(local.disk_s)
         finally:
@@ -112,6 +116,123 @@ class TestShuffleService:
             .count()
         assert sc.metrics.get(SHUFFLE_BYTES_WRITTEN) > 0
         assert sc.metrics.get(SHUFFLE_BYTES_READ) > 0
+
+
+class TestColumnBlockShuffle:
+    """A map output written as one :class:`ColumnBlock` charges, meters
+    and fails exactly like the dict of boxed ``[keys, values]`` buckets it
+    stands for — and reads back as the same rows in the same order."""
+
+    #: (owner executor, keys, values) per map partition; reduce = key % 3.
+    MAPS = [
+        (0, [3, 1, 4, 6, 7], [0.5, 1.5, 2.5, 3.5, 4.5]),
+        (1, [2, 5], [9.0, 8.0]),
+        (2, [], []),
+        (1, [0, 9, 1], [7.0, 6.0, 5.0]),
+    ]
+
+    def _write_all(self, ctx, sid, blocks, maps=None):
+        costs = []
+        for mp, (owner, keys, values) in enumerate(self.MAPS):
+            if maps is not None and mp not in maps:
+                continue
+            keys = np.asarray(keys, dtype=np.int64)
+            values = np.asarray(values, dtype=np.float64)
+            if blocks:
+                out = ColumnBlock.bucketed((keys, values), keys % 3, 3)
+            else:
+                out = {r: [keys[keys % 3 == r], values[keys % 3 == r]]
+                       for r in np.unique(keys % 3).tolist()}
+            cost = TaskCost()
+            ctx.shuffle_service.write(sid, mp, ctx.executors[owner], out,
+                                      cost)
+            costs.append(cost)
+        return costs
+
+    @staticmethod
+    def _counters(ctx):
+        snapshot = ctx.metrics.snapshot()
+        return {k: v for k, v in snapshot.items() if "shuffle" in k}
+
+    def test_charges_and_rows_equal_the_boxed_form(self):
+        seen = {}
+        for blocks in (False, True):
+            ctx = make_context(num_executors=3)
+            try:
+                sid = ctx.next_shuffle_id()
+                writes = self._write_all(ctx, sid, blocks)
+                reads, rows = [], []
+                for r in range(3):
+                    cost = TaskCost()
+                    got = ctx.shuffle_service.read(
+                        sid, r, len(self.MAPS), ctx.executors[r], cost)
+                    if not blocks:
+                        got = (np.concatenate(got[0::2]),
+                               np.concatenate(got[1::2]))
+                    reads.append(cost)
+                    rows.append([col.tolist() for col in got])
+                seen[blocks] = (writes, reads, rows, self._counters(ctx))
+            finally:
+                ctx.stop()
+        assert seen[True] == seen[False]
+        assert seen[True][2][1] == [[1, 4, 7, 1], [1.5, 2.5, 4.5, 5.0]]
+
+    def test_missing_output_names_the_lowest_lost_partition(self):
+        ctx = make_context(num_executors=3)
+        try:
+            sid = ctx.next_shuffle_id()
+            self._write_all(ctx, sid, blocks=True, maps=(0, 3))
+            with pytest.raises(ShuffleOutputLostError) as lost:
+                ctx.shuffle_service.read(sid, 0, 4, ctx.executors[0],
+                                         TaskCost())
+            assert lost.value.map_partition == 1
+        finally:
+            ctx.stop()
+
+    @pytest.mark.parametrize("read_before_death", [False, True])
+    def test_dead_owner_is_found_before_anything_is_charged(
+            self, read_before_death):
+        ctx = make_context(num_executors=3)
+        try:
+            sid = ctx.next_shuffle_id()
+            svc = ctx.shuffle_service
+            self._write_all(ctx, sid, blocks=True)
+            if read_before_death:  # the merged form is already built
+                svc.read(sid, 0, 4, ctx.executors[0], TaskCost())
+            # Owner of maps 1 and 3 dies without the service being told.
+            ctx.resource_manager.kill(ctx.executors[1].container, "test")
+            cost = TaskCost()
+            read_bytes = ctx.metrics.get(SHUFFLE_BYTES_READ)
+            with pytest.raises(ShuffleOutputLostError) as lost:
+                svc.read(sid, 1, 4, ctx.executors[0], cost)
+            assert lost.value.map_partition == 1
+            assert cost.total_s == 0.0
+            assert ctx.metrics.get(SHUFFLE_BYTES_READ) == read_bytes
+        finally:
+            ctx.stop()
+
+    def test_killed_owner_then_rewrite_reads_again(self):
+        ctx = make_context(num_executors=3)
+        try:
+            sid = ctx.next_shuffle_id()
+            svc = ctx.shuffle_service
+            self._write_all(ctx, sid, blocks=True)
+            before = [c.tolist() for c in svc.read(
+                sid, 1, 4, ctx.executors[0], TaskCost())]
+            ctx.kill_executor(1)
+            assert not svc.output_exists(sid, 1)
+            assert svc.output_exists(sid, 0)
+            with pytest.raises(ShuffleOutputLostError):
+                svc.read(sid, 1, 4, ctx.executors[0], TaskCost())
+            ctx.restart_executor(1)
+            self._write_all(ctx, sid, blocks=True, maps=(1, 3))
+            after = [c.tolist() for c in svc.read(
+                sid, 1, 4, ctx.executors[0], TaskCost())]
+            assert after == before
+            svc.drop_shuffle(sid)
+            assert not svc.output_exists(sid, 0)
+        finally:
+            ctx.stop()
 
 
 class TestSchedulerRecovery:

@@ -28,6 +28,7 @@ from typing import Iterator, Tuple
 
 import numpy as np
 
+from repro.common.batch import sorted_unique
 from repro.core.algorithms.base import AlgorithmResult, GraphAlgorithm
 from repro.core.blocks import NeighborBlock
 from repro.core.context import PSGraphContext
@@ -142,7 +143,7 @@ class PageRank(GraphAlgorithm):
                     block.vertices,
                     block.degrees().astype(np.float64), col=OUT_DEG,
                 )
-                ids = np.unique(
+                ids = sorted_unique(
                     np.concatenate([block.vertices, block.neighbors])
                 )
                 fill = np.full(len(ids), base)

@@ -12,7 +12,9 @@ from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.common.batch import split_indices
+from repro.common.batch import sorted_unique
+from repro.common.errors import PSGraphError
+from repro.common.sizeof import CONTAINER_ENTRY_BYTES
 from repro.core.blocks import (
     EdgeBlock,
     NeighborBlock,
@@ -22,7 +24,13 @@ from repro.core.blocks import (
 from repro.dataflow.context import SparkContext
 from repro.dataflow.partitioner import HashPartitioner
 from repro.dataflow.rdd import RDD
+from repro.dataflow.shuffle import ColumnBlock
 from repro.dataflow.taskctx import current_task_context
+
+#: Logical bytes, besides its rows, of one boxed ``(pid, EdgeBlock)``
+#: record — what a group of rows in a groupBy bucket meters as: the
+#: bucket's list entry, the pair's header and two entries, and the pid.
+_RECORD_NBYTES = 5 * CONTAINER_ENTRY_BYTES
 
 
 def charge_primitive_compute(cost_model, records: float) -> None:
@@ -151,51 +159,41 @@ def to_neighbor_tables(edges: RDD, num_partitions: int | None = None, *,
     unfolding).  The shuffle and the reduce-side CSR build are fully
     metered.
     """
-    spark = edges.ctx
     p = num_partitions or edges.num_partitions
-    partitioner = HashPartitioner(p)
+    cost_model = edges.ctx.cluster.cost_model
+    width = 3 if weighted else 2
+    ids = np.empty(0, dtype=np.int64)
 
-    def emit(it: Iterator[EdgeBlock]) -> Iterator[Tuple[int, EdgeBlock]]:
+    def to_block(it: Iterator[EdgeBlock]) -> ColumnBlock:
+        # Rows in the order the boxed records carried them: block after
+        # block, direction 0 before direction 1.  The leading empty group
+        # gives a partition without blocks its columns.
+        groups = [(ids, ids, np.empty(0))]
         for block in it:
-            w = block.weight if weighted else None
-            directions = [(block.src, block.dst, w)]
+            if weighted and block.weight is None:
+                raise PSGraphError("weighted tables need edge weights")
+            groups.append((block.src, block.dst, block.weight))
             if symmetric:
-                directions.append((block.dst, block.src, w))
-            for targets, others, ws in directions:
-                pids = (targets % p).astype(np.int64)
-                for pid, idx in split_indices(pids):
-                    yield (
-                        pid,
-                        EdgeBlock(targets[idx], others[idx],
-                                  ws[idx] if ws is not None else None),
-                    )
+                groups.append((block.dst, block.src, block.weight))
+        columns = [np.concatenate(column)
+                   for column in list(zip(*groups))[:width]]
+        return ColumnBlock.bucketed(
+            columns, columns[0] % p, p,
+            [len(group[0]) for group in groups],
+            record_nbytes=_RECORD_NBYTES)
 
-    shuffled = edges.map_partitions(emit).partition_by(partitioner)
-
-    def merge(it: Iterator[Tuple[int, EdgeBlock]]) -> Iterator[NeighborBlock]:
-        chunks = [payload for _pid, payload in it]
-        if not chunks:
-            yield build_neighbor_block(
-                np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-            )
-            return
-        targets = np.concatenate([c.src for c in chunks])
-        others = np.concatenate([c.dst for c in chunks])
-        weights = (
-            np.concatenate([c.weight for c in chunks])
-            if weighted and chunks[0].weight is not None else None
-        )
-        tctx = current_task_context()
-        block = build_neighbor_block(targets, others, weights, dedupe)
-        if tctx is not None:
-            # The CSR build sorts the fetched arrays in place (primitive
-            # arrays, no boxed temp table) — only CPU is charged here; the
-            # resulting block's memory is charged when the RDD is cached.
-            cm = edges.ctx.cluster.cost_model
-            tctx.cost.cpu_s += cm.primitive_compute_time(len(targets))
+    def merge(it: Iterator[tuple]) -> Iterator[NeighborBlock]:
+        targets, others, *weights = next(it)
+        block = build_neighbor_block(targets, others, *weights,
+                                     dedupe=dedupe)
+        # The CSR build sorts the fetched arrays (primitive arrays, no
+        # boxed temp table) — only CPU is charged here; the resulting
+        # block's memory is charged when the RDD is cached.
+        charge_primitive_compute(cost_model, len(targets))
         yield block
 
-    return shuffled.map_partitions(merge)
+    return edges.shuffle_blocks(HashPartitioner(p), to_block) \
+        .map_partitions(merge)
 
 
 def push_neighbor_tables(neighbor_blocks: RDD, table) -> int:
@@ -224,7 +222,7 @@ def count_common_neighbors(table, src: np.ndarray, dst: np.ndarray
     a galloping intersection of sorted rows, O(min * log(max/min)),
     charged as ``2 * min`` per pair.  Returns ``(counts, work)``.
     """
-    ids = np.unique(np.concatenate([src, dst]))
+    ids = sorted_unique(np.concatenate([src, dst]))
     return intersect_counts(
         table.get(ids), np.searchsorted(ids, src), np.searchsorted(ids, dst)
     )

@@ -36,19 +36,21 @@ from repro.common.batch import (
     COMBINE_FNS,
     COMBINE_UFUNCS,
     RecordBatch,
+    accumulate_sequential,
     explode_records,
     iter_records,
     records_nbytes,
     segment_reduce,
 )
-from repro.common.errors import ConfigError
+from repro.common.errors import ConfigError, PSGraphError
 from repro.common.rng import derive_seed, make_rng
+from repro.common.simclock import TaskCost
 from repro.dataflow.partitioner import HashPartitioner, Partitioner, RangePartitioner
-from repro.dataflow.taskctx import TaskContext
+from repro.dataflow.shuffle import ColumnBlock, bucket_map_output
+from repro.dataflow.taskctx import TaskContext, metered, task_span
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.dataflow.context import SparkContext
-
 
 
 class ShuffleDependency:
@@ -76,6 +78,46 @@ class ShuffleDependency:
         self.shuffle_id = parent.ctx.next_shuffle_id()
         self.map_side_combine = map_side_combine
         self.combine_op = combine_op
+
+    def map_output(self, records: Iterator[Any], cost: TaskCost,
+                   cpu_record_s: float) -> Any:
+        """What a map task writes for one parent partition: its records,
+        each charged ``cpu_record_s``, bucketed by reduce partition."""
+        return bucket_map_output(
+            list(metered(records, cost, cpu_record_s,
+                         trace_name="map-input")),
+            self.partitioner, self.map_side_combine, self.combine_op,
+        )
+
+
+class BlockShuffleDependency(ShuffleDependency):
+    """A wide dependency whose map task writes one column block.
+
+    ``to_block`` turns the parent partition's iterator into the
+    :class:`~repro.dataflow.shuffle.ColumnBlock` holding every reduce
+    partition's rows; the task is charged ``cpu_record_s`` for each boxed
+    record the block stands for, after whatever draining the parent
+    charged — as :func:`~repro.dataflow.taskctx.metered` charges records.
+    """
+
+    def __init__(self, parent: "RDD", partitioner: Partitioner,
+                 to_block: Callable[[Iterator[Any]], ColumnBlock]) -> None:
+        super().__init__(parent, partitioner)
+        self.to_block = to_block
+
+    def map_output(self, records: Iterator[Any], cost: TaskCost,
+                   cpu_record_s: float) -> ColumnBlock:
+        with task_span("map-input", cost):
+            block = self.to_block(records)
+            cost.cpu_s = accumulate_sequential(
+                cost.cpu_s, cpu_record_s, int(block.slots.sum()))
+        if len(block.lens) != self.partitioner.num_partitions:
+            raise PSGraphError(
+                f"shuffle {self.shuffle_id}: map output block has "
+                f"{len(block.lens)} buckets for "
+                f"{self.partitioner.num_partitions} reduce partitions"
+            )
+        return block
 
 
 class RDD:
@@ -373,6 +415,15 @@ class RDD:
         if self.partitioner == partitioner:
             return self
         return ShuffledRDD(self, partitioner)
+
+    def shuffle_blocks(self, partitioner: Partitioner,
+                       to_block: Callable[[Iterator[Any]], ColumnBlock]
+                       ) -> "RDD":
+        """Shuffle each partition as the one column block
+        ``to_block(iterator)`` makes of it.  A partition of the result is
+        one record: the tuple of columns fetched for it, rows map output
+        after map output (views — copy before writing)."""
+        return BlockShuffledRDD(self, partitioner, to_block)
 
     def group_by_key(self, num_partitions: int | None = None) -> "RDD":
         """Group pair values by key -> ``(key, list_of_values)``.
@@ -903,6 +954,23 @@ class ShuffledRDD(RDD):
         return iter(out)
 
 
+class BlockShuffledRDD(RDD):
+    """Reduce side of a block shuffle (:meth:`RDD.shuffle_blocks`)."""
+
+    def __init__(self, parent: RDD, partitioner: Partitioner,
+                 to_block: Callable[[Iterator[Any]], ColumnBlock]) -> None:
+        dep = BlockShuffleDependency(parent, partitioner, to_block)
+        super().__init__(
+            parent.ctx, partitioner.num_partitions, shuffle_deps=[dep])
+        self._dep = dep
+
+    def compute(self, split: int, tctx: TaskContext) -> Iterator[Any]:
+        return iter([self.ctx.shuffle_service.read(
+            self._dep.shuffle_id, split, self._dep.parent.num_partitions,
+            tctx.executor, tctx.cost,
+        )])
+
+
 class CoGroupedRDD(RDD):
     """Group several pair-RDDs by key into tuples of value lists.
 
@@ -1072,9 +1140,8 @@ class TextFileRDD(RDD):
             files = hdfs.listdir(path)
         if not files:
             raise FileNotFoundError(f"no HDFS files under {path}")
-        n = min_partitions or ctx.cluster.parallelism
-        n = max(1, min(n, max(n, len(files))))
-        super().__init__(ctx, n)
+        super().__init__(
+            ctx, max(1, min_partitions or ctx.cluster.parallelism))
         self._files = files
         self._path = path
 

@@ -27,7 +27,7 @@ from repro.common.metrics import (
     TASKS_SPECULATED,
 )
 from repro.common.simclock import barrier
-from repro.dataflow.shuffle import ShuffleOutputLostError, bucket_map_output
+from repro.dataflow.shuffle import ShuffleOutputLostError
 from repro.dataflow.taskctx import TaskContext, metered, task_scope
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -114,13 +114,9 @@ class DAGScheduler:
 
     def _write_map_output(self, dep: "ShuffleDependency", mp: int,
                           tctx: TaskContext) -> None:
-        cm = self.ctx.cluster.cost_model
-        records = list(metered(
-            dep.parent.iterator(mp, tctx), tctx.cost, cm.cpu_record_s,
-            trace_name="map-input",
-        ))
-        buckets = bucket_map_output(
-            records, dep.partitioner, dep.map_side_combine, dep.combine_op
+        buckets = dep.map_output(
+            dep.parent.iterator(mp, tctx), tctx.cost,
+            self.ctx.cluster.cost_model.cpu_record_s,
         )
         self.ctx.shuffle_service.write(
             dep.shuffle_id, mp, tctx.executor, buckets, tctx.cost

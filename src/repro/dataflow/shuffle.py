@@ -74,7 +74,8 @@ def _slice_rows(column: Any, start: int, stop: int) -> Any:
 
 @dataclass
 class ColumnBlock:
-    """One map task's whole output as columns — the GraphX joins' form.
+    """One map task's whole output as columns — the form of the GraphX
+    joins and of PSGraph's groupBy.
 
     Stands in for a dict of boxed buckets ``{r: [col0[rows_r], col1[rows_r],
     ...]}`` without a Python object per reduce partition.  ``columns`` are
@@ -83,7 +84,10 @@ class ColumnBlock:
     sorted by reduce partition: ``r`` owns the ``lens[r]`` rows after
     those of ``r - 1`` — or, in a ``broadcast`` block, every row.
     ``slots[r]`` is how many objects the boxed bucket would hold — the
-    shuffle's ``records`` — and 0 where the bucket would be absent.
+    shuffle's ``records`` — and 0 where the bucket would be absent; each
+    adds ``slot_nbytes`` to the bucket besides its rows: a list entry
+    when a slot is one column array, a record's envelope when it is a
+    record around a slice of every column.
     Metering is cost-transparent: :meth:`bucket_nbytes` is what
     ``sizeof_records`` gave the boxed bucket.
     """
@@ -92,6 +96,7 @@ class ColumnBlock:
     lens: np.ndarray
     slots: np.ndarray
     broadcast: bool = False
+    slot_nbytes: int = CONTAINER_ENTRY_BYTES
 
     @classmethod
     def presorted(cls, columns: Sequence[Any],
@@ -103,22 +108,27 @@ class ColumnBlock:
 
     @classmethod
     def bucketed(cls, columns: Sequence[Any], pids: np.ndarray,
-                 num_reduces: int,
-                 groups: Sequence[int] = ()) -> "ColumnBlock":
+                 num_reduces: int, groups: Sequence[int] = (),
+                 record_nbytes: int = 0) -> "ColumnBlock":
         """Bucket rows by ``pids``, keeping row order within a bucket.
 
         ``groups`` are the row counts of the outputs that were
         concatenated into ``columns``, when there were several: boxed,
-        each output present in a bucket added its own arrays to it.
+        each output present in a bucket added its own arrays to it — or,
+        given ``record_nbytes``, one record with an envelope of that many
+        bytes around its rows of every column.
         """
         order, offsets = partition_order(pids, num_reduces)
         block = cls.presorted([take_rows(c, order) for c in columns],
                               offsets)
+        present = block.lens > 0
         if len(groups) > 1:
             ends = np.cumsum(groups)
-            block.slots = len(columns) * sum(
+            present = sum(
                 np.bincount(pids[end - n:end], minlength=num_reduces) > 0
                 for n, end in zip(groups, ends))
+        block.slots = present * (1 if record_nbytes else len(columns))
+        block.slot_nbytes = record_nbytes or CONTAINER_ENTRY_BYTES
         return block
 
     @classmethod
@@ -136,8 +146,9 @@ class ColumnBlock:
         return np.cumsum(self.lens) - self.lens
 
     def bucket_nbytes(self) -> np.ndarray:
-        """Logical bytes per reduce partition: ``8 + 8 * slots`` for the
-        bucket list plus each column's rows, 0 for an absent bucket."""
+        """Logical bytes per reduce partition: ``8 + slot_nbytes * slots``
+        for the bucket list plus each column's rows, 0 for an absent
+        bucket."""
         row_nbytes = 0
         ragged = 0
         for col in self.columns:
@@ -148,7 +159,7 @@ class ColumnBlock:
                 row_nbytes += col.itemsize * math.prod(col.shape[1:])
         return np.where(
             self.slots > 0,
-            CONTAINER_ENTRY_BYTES * (1 + self.slots)
+            CONTAINER_ENTRY_BYTES + self.slot_nbytes * self.slots
             + self.lens * row_nbytes + ragged, 0)
 
 
@@ -255,7 +266,8 @@ class ShuffleOutputLostError(PSGraphError):
 @dataclass
 class MapOutput:
     """Bucketed output of one map task: a dict of buckets with their
-    sizes (the RDD path), or one :class:`ColumnBlock` with a size array."""
+    sizes (a record shuffle), or one :class:`ColumnBlock` with a size
+    array (a block shuffle)."""
 
     owner: Executor  # holds the files; they die with it
     buckets: Any

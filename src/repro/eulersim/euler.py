@@ -28,6 +28,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
+from repro.common.batch import sorted_unique
 from repro.common.config import ClusterConfig
 from repro.common.metrics import MetricsRegistry
 from repro.common.rng import DEFAULT_SEED, derive_seed
@@ -325,10 +326,8 @@ def _build_adjacency(src: np.ndarray, dst: np.ndarray
         raise ValueError("vertex ids must be >= 0 and fit a pair key")
     # One sort of target * radix + other keys for the whole graph (as
     # NeighborTableStore folds its appends), not one np.unique per vertex.
-    keys = np.sort(targets * radix + others)
-    keep = np.ones(len(keys), dtype=bool)
-    keep[1:] = keys[1:] != keys[:-1]
-    targets, others = np.divmod(keys[keep], radix)
+    targets, others = np.divmod(
+        sorted_unique(targets * radix + others), radix)
     starts = np.flatnonzero(np.diff(targets, prepend=-1))  # ids are >= 0
     bounds = starts.tolist() + [len(others)]
     return {

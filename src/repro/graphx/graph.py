@@ -36,6 +36,7 @@ from repro.common.batch import (
     RaggedColumn,
     partition_order,
     segment_reduce,
+    sorted_unique,
     take_rows,
 )
 from repro.common.errors import GraphLoadError
@@ -185,7 +186,7 @@ class Graph:
         edge_parts = [
             (src[i::p].copy(), dst[i::p].copy()) for i in range(p)
         ]
-        all_ids = np.unique(np.concatenate([src, dst]))
+        all_ids = sorted_unique(np.concatenate([src, dst]))
         vertex_parts = [VertexPartition(ids, np.zeros(len(ids)))
                         for ids in split_vertices(all_ids, p)]
         graph = cls(ctx, edge_parts, vertex_parts)

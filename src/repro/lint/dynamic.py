@@ -468,6 +468,68 @@ def _graphx(seed: int, tracer: Tracer, metrics: MetricsRegistry
         ctx.stop()
 
 
+@workload("psgraph-tables")
+def _psgraph_tables(seed: int, tracer: Tracer, metrics: MetricsRegistry
+                    ) -> Tuple[Dict[str, float], float]:
+    """PSGraph's groupBy (``to_neighbor_tables``) in every form, with a
+    lost map output.
+
+    CommonNeighbor with a checkpoint, TriangleCount (cached tables) and
+    weighted FastUnfolding on one power-law graph; an executor dies as
+    the first groupBy's map stage ends, so the block shuffle's write, its
+    merged read and the lineage re-write of the lost blocks all emit
+    spans — bytes, records and the local / remote split included.
+    """
+    import numpy as np
+
+    from repro.chaos import ChaosEngine, FaultSchedule, FaultSpec
+    from repro.common.metrics import TASKS_FAILED
+    from repro.core.algorithms import (
+        CommonNeighbor,
+        FastUnfolding,
+        TriangleCount,
+    )
+    from repro.core.context import PSGraphContext
+    from repro.core.runner import GraphRunner
+    from repro.datasets.generators import powerlaw_graph
+    from repro.datasets.tencent import write_edges
+
+    gseed = derive_seed(seed, "lint-psgraph-tables")
+    src, dst = powerlaw_graph(400, 3000, seed=gseed)
+    weight = np.random.default_rng(gseed).uniform(0.25, 4.0, len(src))
+    with PSGraphContext(_small_cluster(), app_name="lint-psgraph-tables",
+                        metrics=metrics, tracer=tracer) as ctx:
+        write_edges(ctx.hdfs, "/input/edges", src, dst, num_files=8)
+        write_edges(ctx.hdfs, "/input/weighted", src, dst, num_files=8,
+                    weights=weight)
+        # 8 tasks find the largest vertex id, 8 more write the groupBy's
+        # map outputs: the kill lands between its map and reduce stage.
+        engine = ChaosEngine(FaultSchedule([
+            FaultSpec("kill_executor", index=1, after_tasks=16),
+        ], seed=seed), ctx.spark, ctx.ps).attach()
+        runner = GraphRunner(ctx)
+        try:
+            common = runner.run(CommonNeighbor(checkpoint=True),
+                                "/input/edges", num_partitions=8)
+            overlaps = common.output.rdd.collect()
+        finally:
+            engine.detach()
+        triangles = runner.run(TriangleCount(), "/input/edges",
+                               num_partitions=8)
+        louvain = runner.run(
+            FastUnfolding(num_passes=2, max_move_iterations=3),
+            "/input/weighted", weighted=True, num_partitions=8)
+        stats = {
+            "faults_fired": float(len(engine.fired)),
+            "tasks_failed": metrics.get(TASKS_FAILED),
+            "overlap_checksum": float(sum(r[2] for r in overlaps)),
+            "triangles": float(triangles.stats["triangles"]),
+            "modularity": float(louvain.stats["modularity"]),
+            "moves": float(louvain.stats["moves"]),
+        }
+        return stats, ctx.sim_time()
+
+
 @workload("serve-chaos")
 def _serve_chaos(seed: int, tracer: Tracer, metrics: MetricsRegistry
                  ) -> Tuple[Dict[str, float], float]:

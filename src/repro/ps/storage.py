@@ -30,6 +30,7 @@ from repro.common.batch import (
     flat_row_index,
     gather_segments,
     scatter_add_rows,
+    sorted_unique,
 )
 from repro.common.errors import PSError
 
@@ -292,7 +293,7 @@ class NeighborTableStore(Store):
         self._pending = []
         self._pending_nbytes = 0
         radix = int(neighbors.max()) + 1
-        keys = np.unique(self._pair_keys(radix, sources, neighbors))
+        keys = sorted_unique(self._pair_keys(radix, sources, neighbors))
         self._set_pairs(*np.divmod(keys, radix))
 
     def append_neighbors(self, vertices: np.ndarray, indptr: np.ndarray,

@@ -29,6 +29,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.common.batch import sorted_unique
 from repro.common.errors import ConfigError
 from repro.common.metrics import (
     SERVE_BATCH_SIZE_H,
@@ -226,7 +227,7 @@ class ServingPlane:
                 by_model.setdefault(request.model, []).append(request.key)
             for model, keys in sorted(by_model.items()):
                 cache = self._caches[model]
-                ukeys = np.unique(np.asarray(keys, dtype=np.int64))
+                ukeys = sorted_unique(np.asarray(keys, dtype=np.int64))
                 mask, _ = cache.lookup(ukeys)
                 missing = ukeys[~mask]
                 if len(missing):

@@ -1,5 +1,7 @@
 """Shared fixtures for the test suite."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,26 @@ def table_block(rows: dict) -> NeighborBlock:
         np.concatenate([[0], np.cumsum(lens)]).astype(np.int64),
         np.asarray([n for ns in rows.values() for n in ns], dtype=np.int64),
     )
+
+
+def digest(obj) -> str:
+    """Short hash of nested tuples / lists of arrays and plain values
+    (arrays by dtype, shape and bytes; anything else by ``repr``): what
+    the golden-pin files hold an output to."""
+    h = hashlib.sha256()
+
+    def feed(x) -> None:
+        if isinstance(x, (tuple, list)):
+            for item in x:
+                feed(item)
+        elif isinstance(x, np.ndarray):
+            h.update(f"{x.dtype}{x.shape}".encode())
+            h.update(np.ascontiguousarray(x).tobytes())
+        else:
+            h.update(repr(x).encode())
+
+    feed(obj)
+    return h.hexdigest()[:16]
 
 
 def block_rows(block: NeighborBlock) -> list:

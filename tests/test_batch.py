@@ -24,6 +24,7 @@ from repro.common.batch import (
     scatter_add_rows,
     segment_index,
     segment_reduce,
+    sorted_unique,
     split_batch,
     split_indices,
 )
@@ -173,6 +174,17 @@ class TestSplitAndReduce:
         for pid, idx in got:
             np.testing.assert_array_equal(idx, np.flatnonzero(pids == pid))
         assert split_indices(np.empty(0, dtype=np.int64)) == []
+
+    @given(st.lists(st.integers(-2 ** 62, 2 ** 62) | st.integers(-5, 5),
+                    max_size=60),
+           st.sampled_from([np.int64, np.int32, np.int16]))
+    def test_sorted_unique_is_plain_np_unique(self, values, dtype):
+        values = np.asarray(values, dtype=np.int64).astype(dtype)
+        before = values.copy()
+        got = sorted_unique(values)
+        want = np.unique(values)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+        assert np.array_equal(values, before)  # sorts a copy
 
     def test_split_batch(self):
         b = make_batch(200)

@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.common.batch import split_indices
 from repro.common.config import ClusterConfig
+from repro.common.errors import PSGraphError
+from repro.common.metrics import (
+    SHUFFLE_BYTES_READ,
+    SHUFFLE_BYTES_WRITTEN,
+    SHUFFLE_RECORDS,
+)
+from repro.common.sizeof import sizeof_records
 from repro.core.blocks import (
     EdgeBlock,
     NeighborBlock,
@@ -22,6 +30,9 @@ from repro.core.ops import (
     parse_edge_lines,
     to_neighbor_tables,
 )
+from repro.dataflow.partitioner import HashPartitioner
+from repro.dataflow.shuffle import bucket_map_output
+from repro.dataflow.taskctx import current_task_context
 from repro.datasets.tencent import write_edges
 
 
@@ -224,6 +235,163 @@ class TestOps:
         ).collect()
         for pid, vertices in placements:
             assert (vertices % 4 == pid).all()
+
+
+def _boxed_emit(blocks, p, symmetric, weighted):
+    """The groupBy's map side as it ran at caf00dd — one boxed
+    ``(pid, EdgeBlock)`` record per block x direction x reduce partition —
+    kept as the reference the block shuffle is held to."""
+    for block in blocks:
+        w = block.weight if weighted else None
+        directions = [(block.src, block.dst, w)]
+        if symmetric:
+            directions.append((block.dst, block.src, w))
+        for targets, others, ws in directions:
+            pids = (targets % p).astype(np.int64)
+            for pid, idx in split_indices(pids):
+                yield (pid, EdgeBlock(targets[idx], others[idx],
+                                      ws[idx] if ws is not None else None))
+
+
+def _boxed_neighbor_tables(edges, p, symmetric, dedupe, weighted):
+    """caf00dd's ``to_neighbor_tables``, through the record shuffle."""
+    def merge(it):
+        chunks = [payload for _pid, payload in it]
+        if not chunks:
+            yield build_neighbor_block(
+                np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+            return
+        targets = np.concatenate([c.src for c in chunks])
+        others = np.concatenate([c.dst for c in chunks])
+        weights = (np.concatenate([c.weight for c in chunks])
+                   if weighted else None)
+        block = build_neighbor_block(targets, others, weights, dedupe)
+        cm = edges.ctx.cluster.cost_model
+        current_task_context().cost.cpu_s += cm.primitive_compute_time(
+            len(targets))
+        yield block
+
+    return edges.map_partitions(
+        lambda it: _boxed_emit(it, p, symmetric, weighted)
+    ).partition_by(HashPartitioner(p)).map_partitions(merge)
+
+
+_edge_lists = st.lists(st.tuples(st.integers(0, 20), st.integers(0, 20)),
+                       max_size=12)
+
+
+class TestGroupByBlockShuffle:
+    """``to_neighbor_tables`` moves one column block per map task; it
+    must charge, meter and order rows as the boxed records did."""
+
+    @staticmethod
+    def _partitions(partition_edges, weighted):
+        rng = np.random.default_rng(3)
+        parts = []
+        for blocks in partition_edges:
+            parts.append([])
+            for pairs in blocks:
+                ends = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+                parts[-1].append(EdgeBlock(
+                    ends[:, 0].copy(), ends[:, 1].copy(),
+                    rng.uniform(0.5, 2.0, len(ends)) if weighted else None))
+        return parts
+
+    @staticmethod
+    def _run(parts, build):
+        """``(tables, sim_time, shuffle counters)`` on a fresh context."""
+        psg = make_psg()
+        try:
+            edges = psg.spark.parallelize(parts, len(parts)).flat_map(
+                lambda blocks: blocks)
+            tables = build(edges).collect()
+            return tables, psg.sim_time(), [
+                psg.metrics.get(m) for m in (
+                    SHUFFLE_RECORDS, SHUFFLE_BYTES_WRITTEN,
+                    SHUFFLE_BYTES_READ)]
+        finally:
+            psg.stop()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.lists(_edge_lists, max_size=3), min_size=1,
+                    max_size=4),
+           st.integers(1, 9), st.booleans(), st.booleans(), st.booleans())
+    def test_charges_meters_and_rows_equal_the_boxed_path(
+            self, partition_edges, p, symmetric, dedupe, weighted):
+        """Several blocks per partition, partitions without a block,
+        empty blocks, fewer edges than reduce partitions."""
+        parts = self._partitions(partition_edges, weighted)
+        form = dict(symmetric=symmetric, dedupe=dedupe, weighted=weighted)
+        got, got_sim, got_counters = self._run(
+            parts, lambda e: to_neighbor_tables(e, p, **form))
+        want, want_sim, want_counters = self._run(
+            parts, lambda e: _boxed_neighbor_tables(e, p, **form))
+        assert got_sim == want_sim
+        assert got_counters == want_counters
+        assert len(got) == len(want) == p
+        for a, b in zip(got, want):
+            assert np.array_equal(a.vertices, b.vertices)
+            assert np.array_equal(a.indptr, b.indptr)
+            assert np.array_equal(a.neighbors, b.neighbors)
+            if weighted:
+                assert a.weights.dtype == np.float64
+                assert a.num_edges == 0 or np.array_equal(a.weights,
+                                                          b.weights)
+            else:
+                assert a.weights is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(_edge_lists, max_size=4), st.integers(1, 9),
+           st.booleans(), st.booleans())
+    def test_block_meters_as_the_boxed_buckets(self, blocks, p, symmetric,
+                                               weighted):
+        """Per bucket: bytes == ``sizeof_records`` of the boxed record
+        list (``8 + 40 k + 16 rows``, ``+ 8 rows`` weighted), records ==
+        its length, rows == its arrays, record after record."""
+        [blocks] = self._partitions([blocks], weighted)
+        psg = make_psg()
+        try:
+            tables = to_neighbor_tables(
+                psg.spark.parallelize(blocks, 1), p, symmetric=symmetric,
+                weighted=weighted)
+            [dep] = tables.narrow_parents[0].shuffle_deps
+            block = dep.to_block(iter(blocks))
+        finally:
+            psg.stop()
+        buckets = bucket_map_output(
+            list(_boxed_emit(blocks, p, symmetric, weighted)),
+            HashPartitioner(p))
+        nbytes, starts = block.bucket_nbytes(), block.starts()
+        assert len(block.lens) == p
+        for r in range(p):
+            records = buckets.get(r, [])
+            rows = sum(rec.num_edges for _pid, rec in records)
+            assert block.slots[r] == len(records)
+            assert nbytes[r] == (sizeof_records(records) if records else 0)
+            assert nbytes[r] == bool(records) * (
+                8 + 40 * len(records) + (24 if weighted else 16) * rows)
+            fields = ("src", "dst", "weight")[:len(block.columns)]
+            for col, name in zip(block.columns, fields):
+                want = [getattr(rec, name) for _pid, rec in records]
+                assert np.array_equal(
+                    col[starts[r]:starts[r] + block.lens[r]],
+                    np.concatenate(want) if want else [])
+
+    def test_weighted_empty_partition_carries_an_empty_weight_array(
+            self, psg):
+        edges = psg.spark.parallelize(
+            [EdgeBlock(np.array([0, 4]), np.array([4, 0]),
+                       np.array([1.5, 2.5]))], 1)
+        blocks = to_neighbor_tables(edges, 4, weighted=True).collect()
+        assert [b.num_edges for b in blocks] == [2, 0, 0, 0]
+        for b in blocks:
+            assert b.weights is not None and len(b.weights) == b.num_edges
+
+    def test_weighted_tables_of_unweighted_edges_is_a_typed_error(self, psg):
+        edges = edges_from_arrays(psg.spark, np.array([0, 1]),
+                                  np.array([1, 2]))
+        with pytest.raises(PSGraphError, match="weights"):
+            to_neighbor_tables(edges, weighted=True).collect()
 
 
 class TestGraphIO:

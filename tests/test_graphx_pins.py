@@ -8,8 +8,6 @@ digest of the algorithm's output.  The values were computed at commit
 lists); ``python tests/test_graphx_pins.py`` prints the table again.
 """
 
-import hashlib
-
 import numpy as np
 import pytest
 
@@ -23,7 +21,7 @@ from repro.datasets.generators import powerlaw_graph
 from repro.graphx import algorithms as gx
 from repro.graphx.fast_unfolding import fast_unfolding
 from repro.graphx.graph import Graph
-from tests.conftest import make_context
+from tests.conftest import digest, make_context
 
 
 def _powerlaw400():
@@ -54,23 +52,6 @@ ALGOS = {
 CELLS = [("powerlaw400", 4), ("powerlaw400", 16), ("tiny6", 8)]
 
 
-def _digest(obj) -> str:
-    h = hashlib.sha256()
-
-    def feed(x) -> None:
-        if isinstance(x, (tuple, list)):
-            for item in x:
-                feed(item)
-        elif isinstance(x, np.ndarray):
-            h.update(f"{x.dtype}{x.shape}".encode())
-            h.update(np.ascontiguousarray(x).tobytes())
-        else:
-            h.update(repr(x).encode())
-
-    feed(obj)
-    return h.hexdigest()[:16]
-
-
 def run_cell(algo: str, graph: str, p: int, executor_mem=None):
     """``(sim_s, bytes_written, bytes_read, records, digest)`` of one run;
     an OOM's message stands in for the output."""
@@ -91,7 +72,7 @@ def run_cell(algo: str, graph: str, p: int, executor_mem=None):
                 int(ctx.metrics.get(SHUFFLE_BYTES_WRITTEN)),
                 int(ctx.metrics.get(SHUFFLE_BYTES_READ)),
                 int(ctx.metrics.get(SHUFFLE_RECORDS)),
-                _digest(out))
+                digest(out))
     finally:
         ctx.stop()
 

@@ -71,7 +71,25 @@ def test_unknown_workload_raises():
 # ----------------------------------------------------------------------
 
 def test_builtin_workloads_registered():
-    assert {"pagerank", "graphsage"} <= set(WORKLOADS)
+    assert {"pagerank", "graphsage", "psgraph-tables"} <= set(WORKLOADS)
+
+
+def test_psgraph_tables_loses_and_rewrites_a_map_output():
+    """The workload is only worth its CI slot while the kill lands
+    between the groupBy's map and reduce stage: shuffle 0 is found lost
+    by the first reduce task and some — not all — of its eight blocks
+    are written a second time."""
+    snap = run_workload("psgraph-tables")
+    assert snap.stats["faults_fired"] == snap.stats["tasks_failed"] == 1
+    [failed] = [s for s in snap.raw_spans if s.name == "task-failed"]
+    assert failed.tags["reason"] == "shuffle-0-lost"
+    writes = [s.tags["map"] for s in snap.raw_spans
+              if s.name == "shuffle.write" and s.tags["shuffle"] == 0]
+    assert writes[:8] == list(range(8)) and 8 < len(writes) < 16
+    assert sorted(set(writes[8:])) == writes[8:]
+    fetches = [s for s in snap.raw_spans if s.name == "shuffle.fetch"
+               and s.tags["shuffle"] == 0]
+    assert len(fetches) == 8  # the failed read charged and traced nothing
 
 
 def test_pagerank_snapshot_contents():

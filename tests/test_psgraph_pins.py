@@ -1,0 +1,195 @@
+"""Golden pins for PSGraph's groupBy: sim clock, shuffle meters, outputs.
+
+Every PSGraph algorithm but LINE starts with ``to_neighbor_tables`` (the
+Sec. IV-A groupBy), so a change to how that shuffle runs on the host must
+move nothing here: every cell pins the exact ``ctx.sim_time()``, the
+shuffle byte / record counters and a digest of the output.  The values
+were computed at commit ``caf00dd`` (one boxed ``(pid, EdgeBlock)`` record
+per map partition x direction x reduce partition);
+``python tests/test_psgraph_pins.py`` prints the table again.
+"""
+
+import numpy as np
+import pytest
+
+from repro.common.config import ClusterConfig
+from repro.common.metrics import (
+    SHUFFLE_BYTES_READ,
+    SHUFFLE_BYTES_WRITTEN,
+    SHUFFLE_RECORDS,
+)
+from repro.core.algorithms import (
+    CommonNeighbor,
+    ConnectedComponents,
+    FastUnfolding,
+    KCore,
+    LabelPropagation,
+    PageRank,
+    TriangleCount,
+)
+from repro.core.blocks import EdgeBlock
+from repro.core.context import PSGraphContext
+from repro.core.ops import edges_from_arrays, to_neighbor_tables
+from repro.datasets.generators import powerlaw_graph
+from tests.conftest import digest
+
+
+def _powerlaw400(spark, p):
+    src, dst = powerlaw_graph(400, 3000, seed=11)
+    weight = np.random.default_rng(5).uniform(0.25, 4.0, len(src))
+    return edges_from_arrays(spark, src, dst, weight, num_partitions=p)
+
+
+def _tiny6(spark, p):
+    # 6 vertices, 9 edges (one repeated, with another weight, and one
+    # reversed) in 6 blocks over 8 partitions: two blocks are empty, map
+    # partitions 6 and 7 hold no block at all, and at P = 8 reduce
+    # partitions 6 and 7 receive nothing.
+    src = np.array([0, 1, 2, 3, 4, 5, 0, 1, 0], dtype=np.int64)
+    dst = np.array([1, 2, 0, 4, 5, 3, 3, 0, 1], dtype=np.int64)
+    weight = np.array([1.5, 2.0, 0.5, 3.0, 1.0, 2.5, 0.75, 1.25, 4.0])
+    cuts = [(0, 3), (3, 3), (3, 5), (5, 8), (8, 8), (8, 9)]
+    return spark.parallelize(
+        [EdgeBlock(src[a:b], dst[a:b], weight[a:b]) for a, b in cuts], p)
+
+
+GRAPHS = {"powerlaw400": _powerlaw400, "tiny6": _tiny6}
+
+
+def _tables(**form):
+    """The groupBy alone: every partition's CSR arrays, in order."""
+    def run(ctx, edges):
+        blocks = to_neighbor_tables(edges, **form).collect()
+        # An empty partition's weights are not part of the pin (None at
+        # caf00dd, an empty array since): the rows are what is held.
+        return [(b.vertices, b.indptr, b.neighbors,
+                 b.weights if b.num_edges else None) for b in blocks]
+    return run
+
+
+def _algo(algorithm):
+    def run(ctx, edges):
+        result = algorithm.transform(ctx, edges)
+        return (result.output.collect(), result.iterations,
+                sorted(result.stats.items()))
+    return run
+
+
+ALGOS = {
+    "tables_directed": _tables(),
+    "tables_symmetric_dedupe": _tables(symmetric=True, dedupe=True),
+    "tables_weighted": _tables(symmetric=True, weighted=True),
+    "tables_weighted_dedupe": _tables(weighted=True, dedupe=True),
+    "pagerank": _algo(PageRank(max_iterations=4, tol=0.0)),
+    "common_neighbor": _algo(CommonNeighbor(checkpoint=True)),
+    "triangle_count": _algo(TriangleCount()),
+    "kcore": _algo(KCore(max_iterations=6)),
+    "connected_components": _algo(ConnectedComponents()),
+    "label_propagation": _algo(LabelPropagation(max_iterations=3)),
+    "fast_unfolding": _algo(FastUnfolding(num_passes=2,
+                                          max_move_iterations=3)),
+}
+
+CELLS = [("powerlaw400", 4), ("powerlaw400", 16), ("tiny6", 8)]
+
+
+def run_cell(algo: str, graph: str, p: int):
+    """``(sim_s, bytes_written, bytes_read, records, digest)`` of one run."""
+    ctx = PSGraphContext(ClusterConfig(
+        num_executors=4, executor_mem_bytes=1 << 40,
+        num_servers=2, server_mem_bytes=1 << 40,
+    ))
+    try:
+        out = ALGOS[algo](ctx, GRAPHS[graph](ctx.spark, p))
+        return (ctx.sim_time(),
+                int(ctx.metrics.get(SHUFFLE_BYTES_WRITTEN)),
+                int(ctx.metrics.get(SHUFFLE_BYTES_READ)),
+                int(ctx.metrics.get(SHUFFLE_RECORDS)),
+                digest(out))
+    finally:
+        ctx.stop()
+
+
+PINS = {
+    ('tables_directed', 'powerlaw400', 4):
+        (0.0004499864, 48768, 48768, 16, 'a50b5dc5a8b7acea'),
+    ('tables_directed', 'powerlaw400', 16):
+        (0.000732848, 60288, 60288, 256, '3614a4571db47039'),
+    ('tables_directed', 'tiny6', 8):
+        (0.00016148079999999998, 576, 576, 9, '23e76e5532c07b05'),
+    ('tables_symmetric_dedupe', 'powerlaw400', 4):
+        (0.0007898498666666667, 97408, 97408, 32, '633742baa5df1c2c'),
+    ('tables_symmetric_dedupe', 'powerlaw400', 16):
+        (0.0011945514666666665, 118528, 118528, 512, '70049cd21594a3b6'),
+    ('tables_symmetric_dedupe', 'tiny6', 8):
+        (0.0001688304, 1064, 1064, 17, '9e8da9704be83e84'),
+    ('tables_weighted', 'powerlaw400', 4):
+        (0.0009899874666666666, 145408, 145408, 32, 'c2911f38862ffab6'),
+    ('tables_weighted', 'powerlaw400', 16):
+        (0.0013946890666666667, 166528, 166528, 512, 'b40bdb9c1bac6e90'),
+    ('tables_weighted', 'tiny6', 8):
+        (0.00016965520000000002, 1208, 1208, 17, '89b187ddc83211c9'),
+    ('tables_weighted_dedupe', 'powerlaw400', 4):
+        (0.0005495472, 72768, 72768, 16, '7208e0d405c5cf1d'),
+    ('tables_weighted_dedupe', 'powerlaw400', 16):
+        (0.0008324088, 84288, 84288, 256, '683ca396be04f829'),
+    ('tables_weighted_dedupe', 'tiny6', 8):
+        (0.00016189280000000002, 648, 648, 9, 'aeb892af7c0950e6'),
+    ('pagerank', 'powerlaw400', 4):
+        (0.0018187792, 48768, 48768, 16, 'e4480bb27a206d07'),
+    ('pagerank', 'powerlaw400', 16):
+        (0.0038115008, 60288, 60288, 256, 'ff90ca39df31f5d7'),
+    ('pagerank', 'tiny6', 8):
+        (0.0013808184000000004, 576, 576, 9, 'a0ada697f142a17f'),
+    ('common_neighbor', 'powerlaw400', 4):
+        (0.006391306666666657, 97408, 97408, 32, 'eb82e4ab317e4f81'),
+    ('common_neighbor', 'powerlaw400', 16):
+        (0.0072137602666666675, 118528, 118528, 512, '1cd8cdf2df7dd494'),
+    ('common_neighbor', 'tiny6', 8):
+        (0.00038268160000000005, 1064, 1064, 17, '10f6813a6028ba8e'),
+    ('triangle_count', 'powerlaw400', 4):
+        (0.005635201066666663, 97408, 97408, 32, 'e68777a7eadd24e0'),
+    ('triangle_count', 'powerlaw400', 16):
+        (0.006401372266666667, 118528, 118528, 512, 'e68777a7eadd24e0'),
+    ('triangle_count', 'tiny6', 8):
+        (0.00043157039999999996, 1064, 1064, 17, 'e77697b130f284fa'),
+    ('kcore', 'powerlaw400', 4):
+        (0.0037851170666666667, 97408, 97408, 32, '2cdd230a7eb83e88'),
+    ('kcore', 'powerlaw400', 16):
+        (0.006980473066666666, 118528, 118528, 512, '0624efeaa9665656'),
+    ('kcore', 'tiny6', 8):
+        (0.0008363792, 1064, 1064, 17, '11eb3a3f77ca6f6e'),
+    ('connected_components', 'powerlaw400', 4):
+        (0.0023613882666666665, 97408, 97408, 32, 'e4a337a9f009b725'),
+    ('connected_components', 'powerlaw400', 16):
+        (0.004268351466666666, 118528, 118528, 512, '15c5d5771a7bcd83'),
+    ('connected_components', 'tiny6', 8):
+        (0.0008861536000000001, 1064, 1064, 17, 'a5218f04704fbd26'),
+    ('label_propagation', 'powerlaw400', 4):
+        (0.0024208378666666667, 97408, 97408, 32, '4219735bd388d816'),
+    ('label_propagation', 'powerlaw400', 16):
+        (0.004364076266666666, 118528, 118528, 512, '6d0d0ddcf8e02295'),
+    ('label_propagation', 'tiny6', 8):
+        (0.0008864128, 1064, 1064, 17, '9c9c8caa3d32a385'),
+    ('fast_unfolding', 'powerlaw400', 4):
+        (0.011970378666666656, 389584, 518304, 2935, '1d08dcbf300da706'),
+    ('fast_unfolding', 'powerlaw400', 16):
+        (0.026966542666666662, 532104, 671816, 6136, '51a277bb99ae4378'),
+    ('fast_unfolding', 'tiny6', 8):
+        (0.0024122509333333337, 1952, 2280, 29, '4d98fd294b7fea2f'),
+}
+
+
+@pytest.mark.parametrize("key", list(PINS), ids=str)
+def test_cell_matches_parent_pin(key):
+    assert run_cell(*key) == PINS[key]
+
+
+def test_every_cell_is_pinned():
+    assert set(PINS) == {(a, g, p) for a in ALGOS for g, p in CELLS}
+
+
+if __name__ == "__main__":
+    for a in ALGOS:
+        for g, p in CELLS:
+            print(f"    {(a, g, p)!r}:\n        {run_cell(a, g, p)!r},")

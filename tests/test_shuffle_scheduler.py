@@ -11,19 +11,24 @@ import pytest
 import repro
 from repro.common.config import ClusterConfig
 from repro.common.costs import CostModel
-from repro.common.errors import StageFailedError
+from repro.common.errors import PSGraphError, StageFailedError
 from repro.common.metrics import (
     SHUFFLE_BYTES_READ,
     SHUFFLE_BYTES_WRITTEN,
+    SHUFFLE_RECORDS,
     TASKS_FAILED,
 )
 from repro.common.simclock import TaskCost
+from repro.core.ops import edges_from_arrays, to_neighbor_tables
 from repro.dataflow.context import SparkContext
+from repro.dataflow.partitioner import HashPartitioner
 from repro.dataflow.shuffle import (
     ColumnBlock,
     ShuffleOutputLostError,
     ShuffleService,
 )
+from repro.datasets.generators import powerlaw_graph
+from repro.obs.tracer import NOOP_TRACER, Tracer
 from tests.conftest import make_context
 
 
@@ -463,6 +468,128 @@ class TestKillDuringShuffle:
             assert ctx.metrics.get(TASKS_FAILED) == 0
         finally:
             ctx.stop()
+
+
+class TestBlockShuffleRDD:
+    """``RDD.shuffle_blocks``: the block shuffle inside the lineage."""
+
+    def test_partition_is_the_fetched_column_tuple(self, sc):
+        def to_block(it):
+            keys = np.asarray(list(it), dtype=np.int64)
+            return ColumnBlock.bucketed((keys, keys * 0.5), keys % 3, 3)
+
+        parts = sc.parallelize(range(10), 4).shuffle_blocks(
+            HashPartitioner(3), to_block).collect_partitions()
+        for r, [(keys, halves)] in enumerate(parts):
+            # Map output after map output, original order within.
+            assert keys.tolist() == [k for mp in range(4)
+                                     for k in range(mp, 10, 4) if k % 3 == r]
+            assert np.array_equal(halves, keys * 0.5)
+
+    def test_wrong_width_block_fails_at_write(self, sc):
+        def to_block(it):
+            keys = np.asarray(list(it), dtype=np.int64)
+            return ColumnBlock.bucketed((keys,), keys % 2, 2)
+
+        rdd = sc.parallelize(range(10), 4).shuffle_blocks(
+            HashPartitioner(3), to_block)
+        with pytest.raises(PSGraphError, match="2 buckets for 3 reduce"):
+            rdd.collect()
+        assert sc.metrics.get(SHUFFLE_BYTES_WRITTEN) == 0
+
+
+class TestGroupByRecovery:
+    """An executor dies between the map and the reduce stage of PSGraph's
+    groupBy (``to_neighbor_tables``, cached): the lost blocks — only
+    those — are rewritten from lineage and the tables come out the same."""
+
+    MAPS = 6
+
+    def _run(self, kill, tracer=NOOP_TRACER):
+        ctx = SparkContext(
+            ClusterConfig(num_executors=3, executor_mem_bytes=1 << 40),
+            tracer=tracer)
+        try:
+            src, dst = powerlaw_graph(120, 700, seed=5)
+            edges = edges_from_arrays(ctx, src, dst,
+                                      num_partitions=self.MAPS)
+            tables = to_neighbor_tables(
+                edges, symmetric=True, dedupe=True).cache()
+            [dep] = tables.narrow_parents[0].shuffle_deps
+            victim = ctx.executor_for_partition(self.MAPS - 1)
+            owned = [mp for mp in range(self.MAPS)
+                     if ctx.executor_for_partition(mp) is victim]
+            svc = ctx.shuffle_service
+            seen = {"writes": [], "lost": []}
+
+            def hook(_stage, partition, kind):
+                if (kill and kind == f"shuffle-{dep.shuffle_id}"
+                        and partition == self.MAPS - 1
+                        and "killed" not in seen["writes"]):
+                    ctx.kill_executor(victim.index)
+                    seen["writes"].append("killed")
+
+            def write(sid, mp, *args):
+                seen["writes"].append(mp)
+                return ShuffleService.write(svc, sid, mp, *args)
+
+            def read(sid, r, n, executor, cost):
+                before = (cost.total_s, ctx.metrics.get(SHUFFLE_BYTES_READ))
+                try:
+                    return ShuffleService.read(svc, sid, r, n, executor,
+                                               cost)
+                except ShuffleOutputLostError as lost:
+                    assert before == (cost.total_s,
+                                      ctx.metrics.get(SHUFFLE_BYTES_READ))
+                    seen["lost"].append(lost.map_partition)
+                    raise
+
+            svc.write, svc.read = write, read
+            ctx.add_task_hook(hook)
+            blocks = tables.collect()
+            again = tables.collect()  # served from the cache
+            leftovers = [tag for ex in ctx.executors
+                         for tag in ex.container.memory.usage_by_tag()
+                         if tag.startswith("shuffle-buffer:")]
+            counters = [ctx.metrics.get(m) for m in (
+                SHUFFLE_RECORDS, SHUFFLE_BYTES_WRITTEN, SHUFFLE_BYTES_READ,
+                TASKS_FAILED)]
+            return dict(blocks=blocks, again=again, owned=owned, seen=seen,
+                        leftovers=leftovers, counters=counters,
+                        sim_time=ctx.sim_time())
+        finally:
+            ctx.stop()
+
+    @staticmethod
+    def _arrays(blocks):
+        return [[a.tolist() for a in (b.vertices, b.indptr, b.neighbors)]
+                for b in blocks]
+
+    def test_only_the_lost_blocks_are_rewritten(self):
+        clean, faulted = self._run(kill=False), self._run(kill=True)
+        assert clean["seen"]["writes"] == list(range(self.MAPS))
+        assert clean["seen"]["lost"] == []
+        owned = faulted["owned"]
+        assert 0 < len(owned) < self.MAPS
+        # Every map output once, the kill, then the victim's blocks again.
+        assert faulted["seen"]["writes"] == [
+            *range(self.MAPS), "killed", *owned]
+        # The first reduce task names the lowest lost map partition,
+        # before anything is charged (asserted where it is raised).
+        assert faulted["seen"]["lost"] == [min(owned)]
+        assert self._arrays(faulted["blocks"]) == self._arrays(
+            clean["blocks"])
+        assert self._arrays(faulted["again"]) == self._arrays(
+            clean["blocks"])
+        assert faulted["leftovers"] == clean["leftovers"] == []
+        assert faulted["counters"][-1] == 1 and clean["counters"][-1] == 0
+
+    def test_traced_and_untraced_runs_agree(self):
+        untraced = self._run(kill=True)
+        traced = self._run(kill=True, tracer=Tracer())
+        assert traced["sim_time"] == untraced["sim_time"]
+        assert traced["counters"] == untraced["counters"]
+        assert traced["seen"] == untraced["seen"]
 
 
 class TestSimTimeAccounting:

@@ -34,6 +34,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.common.errors import PSError
 from repro.common.sizeof import (
     CONTAINER_ENTRY_BYTES,
     SCALAR_BYTES,
@@ -291,6 +292,33 @@ def sorted_unique(values: np.ndarray) -> np.ndarray:
     keep = np.ones(len(values), dtype=bool)
     np.not_equal(values[1:], values[:-1], out=keep[1:])
     return values[keep]
+
+
+def pair_keys(radix: int, first: np.ndarray,
+              second: np.ndarray) -> np.ndarray:
+    """``first * radix + second``: one sortable integer per pair of
+    non-negative ids (``radix`` above every ``second``)."""
+    if len(first) and int(first.max()) >= (2 ** 63 - radix) // radix:
+        raise PSError("vertex ids too large for pair keys")
+    return first * radix + second
+
+
+def unique_pairs(first: np.ndarray, second: np.ndarray
+                 ) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct ``(first, second)`` pairs of two non-negative id
+    arrays in lexicographic order — the columns of ``np.unique(np.stack(
+    [first, second], axis=1), axis=0)``, as one integer sort over
+    :func:`pair_keys` instead of a sort of void-typed rows."""
+    radix = int(second.max(initial=0)) + 1
+    keys = sorted_unique(pair_keys(radix, first, second))
+    return np.divmod(keys, radix)
+
+
+def strictly_increasing(values: np.ndarray) -> bool:
+    """Whether a 1-D array is already what :func:`sorted_unique` would
+    return — one comparison pass, so sorted distinct ids (a block's
+    vertices, a cache-miss subset) skip the sort."""
+    return bool((values[1:] > values[:-1]).all())
 
 
 def partition_order(pids: np.ndarray, num_partitions: int

@@ -20,8 +20,11 @@ import time
 from bisect import bisect_right
 from collections import defaultdict
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
+import numpy as np
+
+from repro.common.batch import accumulate_sequential
 from repro.common.simclock import SimClock
 from repro.common.sketch import QuantileSketch
 
@@ -42,7 +45,7 @@ class Histogram:
     """
 
     __slots__ = ("_samples", "_dirty", "_sum", "_count", "_min", "_max",
-                 "_max_exact", "_sketch")
+                 "_max_exact", "_sketch", "_pending", "_pending_count")
 
     def __init__(self, max_exact: int = HISTOGRAM_MAX_EXACT) -> None:
         self._samples: List[float] = []
@@ -53,9 +56,14 @@ class Histogram:
         self._max = -math.inf
         self._max_exact = max_exact
         self._sketch: QuantileSketch | None = None
+        #: Batches from ``observe_many`` not yet folded into the samples.
+        self._pending: List[np.ndarray] = []
+        self._pending_count = 0
 
     def observe(self, value: float) -> None:
         """Add one sample."""
+        if self._pending:
+            self._fold()
         v = float(value)
         self._count += 1
         self._sum += value
@@ -72,6 +80,46 @@ class Histogram:
             self._sketch = QuantileSketch.from_samples(self._samples)
             self._samples = []
             self._dirty = False
+
+    def observe_many(self, values: Sequence[float]) -> None:
+        """Add every sample: the state ``observe`` leaves after the same
+        values one by one.
+
+        count / sum / min / max move at once (the sum accumulates left to
+        right).  The samples wait in a buffer of at most ``max_exact``
+        values and are folded in — verbatim up to the cap, the rest by
+        :meth:`QuantileSketch.add_many` — when the buffer fills or a query
+        needs them, so a stream of small batches pays the sketch's
+        per-call cost once per buffer, not once per batch.
+        """
+        v = np.array(values, dtype=np.float64)
+        if not len(v):
+            return
+        self._count += len(v)
+        self._sum = accumulate_sequential(self._sum, v, len(v))
+        self._min = min(self._min, float(v.min()))
+        self._max = max(self._max, float(v.max()))
+        self._pending.append(v)
+        self._pending_count += len(v)
+        if self._pending_count > self._max_exact:
+            self._fold()
+
+    def _fold(self) -> None:
+        """Move the buffered batches, in arrival order, into the samples."""
+        if not self._pending:
+            return
+        v = np.concatenate(self._pending)
+        self._pending, self._pending_count = [], 0
+        if self._sketch is not None:
+            self._sketch.add_many(v)
+        elif len(self._samples) + len(v) > self._max_exact:
+            self._sketch = QuantileSketch.from_samples(
+                np.concatenate([self._samples, v]))
+            self._samples = []
+            self._dirty = False
+        else:
+            self._samples.extend(v.tolist())
+            self._dirty = True
 
     def _sorted_samples(self) -> List[float]:
         if self._dirty:
@@ -107,6 +155,7 @@ class Histogram:
     @property
     def sketched(self) -> bool:
         """Whether the series overflowed into the bounded-memory sketch."""
+        self._fold()
         return self._sketch is not None
 
     def percentile(self, q: float) -> float:
@@ -118,6 +167,7 @@ class Histogram:
         """
         if not 0.0 <= q <= 100.0:
             raise ValueError(f"percentile out of range: {q}")
+        self._fold()
         if self._sketch is not None:
             return self._sketch.percentile(q)
         values = self._sorted_samples()
@@ -141,6 +191,7 @@ class Histogram:
         """
         if self._count == 0:
             return 0
+        self._fold()
         if self._sketch is not None:
             return self._sketch.count_above(threshold)
         values = self._sorted_samples()

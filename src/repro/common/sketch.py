@@ -16,7 +16,9 @@ them).
 from __future__ import annotations
 
 import math
-from typing import Dict, List
+from typing import Dict, Sequence
+
+import numpy as np
 
 
 class QuantileSketch:
@@ -61,6 +63,48 @@ class QuantileSketch:
         self._buckets[key] = self._buckets.get(key, 0) + count
         if len(self._buckets) > self._max_buckets:
             self._collapse_lowest()
+
+    def add_many(self, values: Sequence[float]) -> None:
+        """Fold every value in: the state ``add`` leaves after the same
+        values one by one, from a handful of array operations.
+
+        Bucket keys are ``ceil(log(v) / log(gamma))`` computed with
+        ``np.log``, which can differ from ``math.log`` in the last bit; a
+        key whose quotient lies within 1e-9 of an integer — the only place
+        that bit can move the ``ceil`` — is derived again with ``math.log``,
+        so every key is the scalar path's.  Bucket counts are integers, so
+        their order of addition is free; only the collapse policy depends on
+        arrival order, and a batch that could push the sketch past
+        ``max_buckets`` goes through ``add`` value by value instead.
+        """
+        v = np.asarray(values, dtype=np.float64)
+        if not len(v):
+            return
+        lowest, highest = float(v.min()), float(v.max())
+        positive = v if lowest > 0.0 else v[v > 0.0]
+        quotient = np.log(positive) / self._log_gamma
+        keys = np.ceil(quotient)
+        for i in np.flatnonzero(
+                np.abs(quotient - np.rint(quotient)) < 1e-9).tolist():
+            keys[i] = math.ceil(math.log(positive[i]) / self._log_gamma)
+        # Count per key: a bincount over the keys' own span.
+        keys = keys.astype(np.int64)
+        first = int(keys.min()) if len(keys) else 0
+        counts = np.bincount(keys - first)
+        present = np.flatnonzero(counts)
+        keys, counts = (present + first).tolist(), counts[present].tolist()
+        buckets = self._buckets
+        if (len(buckets) + sum(k not in buckets for k in keys)
+                > self._max_buckets):
+            for x in v.tolist():
+                self.add(x)
+            return
+        self._count += len(v)
+        self._zero += len(v) - len(positive)
+        self._min = min(self._min, lowest)
+        self._max = max(self._max, highest)
+        for key, n in zip(keys, counts):
+            buckets[key] = buckets.get(key, 0) + n
 
     def _collapse_lowest(self) -> None:
         """Merge the two lowest buckets (DDSketch collapse policy)."""
@@ -149,12 +193,11 @@ class QuantileSketch:
         }
 
     @classmethod
-    def from_samples(cls, samples: List[float], alpha: float = 0.01,
+    def from_samples(cls, samples: Sequence[float], alpha: float = 0.01,
                      max_buckets: int = 2048) -> "QuantileSketch":
-        """Seed a sketch from an exact sample list."""
+        """Seed a sketch from exact samples."""
         sk = cls(alpha=alpha, max_buckets=max_buckets)
-        for v in samples:
-            sk.add(v)
+        sk.add_many(samples)
         return sk
 
 

@@ -164,7 +164,6 @@ class PageRank(GraphAlgorithm):
                     continue
                 vertices = block.vertices
                 degrees = block.degrees()
-                neighbors = block.neighbors
                 if use_delta and threshold > 0.0:
                     # Skip sources whose increment is negligible — the
                     # sparsity the paper exploits.
@@ -177,19 +176,20 @@ class PageRank(GraphAlgorithm):
                         np.arange(starts[i], block.indptr[i + 1])
                         for i in np.flatnonzero(active)
                     ])
-                    neighbors = neighbors[keep]
+                    targets, inverse = np.unique(
+                        block.neighbors[keep], return_inverse=True)
                     deltas = deltas[active]
                     degrees = degrees[active]
                 else:
                     col = DELTA if use_delta else RANK
                     deltas = state.pull(vertices, col=col)
+                    targets, inverse = block.scatter_plan()
                 deg = np.maximum(degrees, 1).astype(np.float64)
                 coef = damping * deltas / deg
                 contrib = np.repeat(coef, degrees)
-                targets, inverse = np.unique(neighbors, return_inverse=True)
                 sums = np.zeros(len(targets))
                 np.add.at(sums, inverse, contrib)
-                charge_primitive_compute(cost_model, len(neighbors))
+                charge_primitive_compute(cost_model, len(inverse))
                 state.push(targets, sums, col=DELTA_NEXT)
                 pushed += len(targets)
             return pushed

@@ -68,6 +68,10 @@ class NeighborBlock:
     neighbors: np.ndarray
     weights: Optional[np.ndarray] = None
 
+    #: Memo of :meth:`scatter_plan`; not a field (no part of equality,
+    #: ``logical_nbytes`` or a pickled snapshot).
+    _scatter_plan = None
+
     @property
     def num_vertices(self) -> int:
         """Vertices with at least one edge in this block."""
@@ -90,6 +94,23 @@ class NeighborBlock:
     def degrees(self) -> np.ndarray:
         """Degree per owned vertex."""
         return np.diff(self.indptr)
+
+    def scatter_plan(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(targets, inverse)``: the distinct neighbors, ascending, and
+        each adjacency entry's position among them — what scattering one
+        value per entry onto its neighbor needs.  The block is immutable,
+        so the sort runs once and the plan lives as long as the block (a
+        cached partition keeps it, a lineage recompute derives it again).
+        Host-side only: not part of :attr:`logical_nbytes`."""
+        if self._scatter_plan is None:
+            self._scatter_plan = np.unique(self.neighbors,
+                                           return_inverse=True)
+        return self._scatter_plan
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_scatter_plan", None)
+        return state
 
     def rows(self) -> Iterator[Tuple[int, np.ndarray]]:
         """Iterate ``(vertex, neighbor_array)`` pairs."""

@@ -30,6 +30,7 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
+from repro.common.batch import sorted_unique
 from repro.common.errors import ConfigError
 from repro.common.metrics import MetricsRegistry
 from repro.core.blocks import build_neighbor_block
@@ -265,7 +266,7 @@ class EdgeStreamConsumer:
                              else self.table.remove)
                     merge(block)
             else:  # VERTEX_DEL
-                doomed = np.unique(src)
+                doomed = sorted_unique(src)
                 # Detach the vertices from their neighbors' tables, then
                 # drop their own.
                 nbrs = self.table.get(doomed)

@@ -42,7 +42,12 @@ from repro.common.metrics import (
     PS_PUSHES,
     PS_REQUEST_H,
 )
-from repro.common.batch import RecordBatch, gather_segments, split_indices
+from repro.common.batch import (
+    RecordBatch,
+    gather_segments,
+    split_indices,
+    strictly_increasing,
+)
 from repro.common.simclock import TaskCost
 from repro.common.sizeof import sizeof
 from repro.dataflow.taskctx import current_task_context, task_span
@@ -191,32 +196,31 @@ class PSAgent:
         are served locally and only the misses hit the servers.
         """
         keys = np.asarray(keys, dtype=np.int64)
-        ukeys, inverse = np.unique(keys, return_inverse=True)
-        if col is not None:
-            out = np.zeros(len(ukeys), dtype=meta.dtype)
+        if keys.ndim == 1 and strictly_increasing(keys):
+            # Already sorted and distinct (a block's vertices, a
+            # cache-miss subset): nothing to dedupe, nothing to undo.
+            ukeys, inverse = keys, None
         else:
-            out = np.zeros((len(ukeys), meta.cols), dtype=meta.dtype)
+            ukeys, inverse = np.unique(keys, return_inverse=True)
+        shape = len(ukeys) if col is not None else (len(ukeys), meta.cols)
+        out = np.zeros(shape, dtype=meta.dtype)
         cache = self.psctx.pull_cache(meta.name)
-        if cache is not None:
+        if cache is None:
+            out = self._pull_from_servers(meta, ukeys, col, out)
+        else:
             epoch = self.psctx.sync.epoch
-            hit_mask, hit_values = cache.lookup(ukeys, col, epoch)
-            for i in np.flatnonzero(hit_mask):
-                out[i] = hit_values[i]
-            if hit_mask.all():
-                return out[inverse]
-            miss = ~hit_mask
-            fetched = self._pull_from_servers(
-                meta, ukeys[miss], col,
-                np.zeros(int(miss.sum()), dtype=meta.dtype)
-                if col is not None
-                else np.zeros((int(miss.sum()), meta.cols),
-                              dtype=meta.dtype),
-            )
-            out[miss] = fetched
-            cache.store(ukeys[miss], col, fetched, epoch)
-            return out[inverse]
-        out = self._pull_from_servers(meta, ukeys, col, out)
-        return out[inverse]
+            hit, values = cache.lookup(ukeys, col, epoch)
+            if hit.any():
+                out[hit] = values[hit]
+            if not hit.all():
+                miss = ~hit
+                missing = ukeys[miss]
+                fetched = self._pull_from_servers(
+                    meta, missing, col, np.zeros(
+                        (len(missing),) + out.shape[1:], dtype=meta.dtype))
+                out[miss] = fetched
+                cache.store(missing, col, fetched, epoch)
+        return out if inverse is None else out[inverse]
 
     def _pull_from_servers(self, meta: MatrixMeta, ukeys: np.ndarray,
                            col: int | None, out: np.ndarray) -> np.ndarray:

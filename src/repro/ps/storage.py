@@ -29,8 +29,9 @@ import numpy as np
 from repro.common.batch import (
     flat_row_index,
     gather_segments,
+    pair_keys,
     scatter_add_rows,
-    sorted_unique,
+    unique_pairs,
 )
 from repro.common.errors import PSError
 
@@ -275,14 +276,6 @@ class NeighborTableStore(Store):
         self._indptr = np.append(starts, len(sources))
         self._indices = neighbors
 
-    @staticmethod
-    def _pair_keys(radix: int, sources: np.ndarray,
-                   neighbors: np.ndarray) -> np.ndarray:
-        """``source * radix + neighbor``: one sortable key per pair."""
-        if len(sources) and int(sources.max()) >= (2 ** 63 - radix) // radix:
-            raise PSError("vertex ids too large for neighbor-table keys")
-        return sources * radix + neighbors
-
     def _merge_pending(self) -> None:
         if not self._pending:
             return
@@ -292,9 +285,7 @@ class NeighborTableStore(Store):
             [self._indices] + [n for _s, n in self._pending])
         self._pending = []
         self._pending_nbytes = 0
-        radix = int(neighbors.max()) + 1
-        keys = sorted_unique(self._pair_keys(radix, sources, neighbors))
-        self._set_pairs(*np.divmod(keys, radix))
+        self._set_pairs(*unique_pairs(sources, neighbors))
 
     def append_neighbors(self, vertices: np.ndarray, indptr: np.ndarray,
                          indices: np.ndarray) -> None:
@@ -324,8 +315,8 @@ class NeighborTableStore(Store):
         radix = int(max(indices.max(), self._indices.max())) + 1
         sources = self._sources()
         keep = ~np.isin(
-            self._pair_keys(radix, sources, self._indices),
-            self._pair_keys(radix, np.repeat(vertices, np.diff(indptr)),
+            pair_keys(radix, sources, self._indices),
+            pair_keys(radix, np.repeat(vertices, np.diff(indptr)),
                             indices),
         )
         self._set_pairs(sources[keep], self._indices[keep])

@@ -15,7 +15,7 @@ to keep the training-path and serving-path eviction counts separate.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -43,25 +43,26 @@ class HotKeyCache:
         self._cache = PullCache(staleness=0, capacity=capacity)
         self._metrics = metrics
 
-    def lookup(self, keys: np.ndarray,
-               col: Optional[int] = None) -> Tuple[np.ndarray, List]:
+    def lookup(self, keys: np.ndarray, col: Optional[int] = None
+               ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
         """Split ``keys`` into cached and missing.
 
         Returns ``(mask, values)`` aligned with ``keys``; ``mask[i]`` True
         when the row came from cache.
         """
-        mask, values = self._cache.lookup(np.asarray(keys), col, epoch=0)
+        stats = self._cache.stats
+        hits, misses = stats.hits, stats.misses
+        found = self._cache.lookup(np.asarray(keys), col, epoch=0)
         if self._metrics is not None:
-            hits = int(mask.sum())
-            self._metrics.inc(SERVE_CACHE_HITS, hits)
-            self._metrics.inc(SERVE_CACHE_MISSES, len(mask) - hits)
-        return mask, values
+            self._metrics.inc(SERVE_CACHE_HITS, stats.hits - hits)
+            self._metrics.inc(SERVE_CACHE_MISSES, stats.misses - misses)
+        return found
 
     def store(self, keys: np.ndarray, values: np.ndarray,
               col: Optional[int] = None) -> None:
         """Insert freshly pulled rows, evicting LRU entries when full."""
         before = self._cache.stats.evictions
-        self._cache.store(np.asarray(keys), col, values, epoch=0)
+        self._cache.store(keys, col, values, epoch=0)
         if self._metrics is not None:
             evicted = self._cache.stats.evictions - before
             if evicted:

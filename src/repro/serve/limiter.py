@@ -2,11 +2,15 @@
 
 Two admission-control mechanisms guard the serving plane's queue:
 
-* :class:`TokenBucket` / :class:`TenantRateLimiter` — each tenant refills
-  tokens at its contracted rate on the *simulated* clock; a request that
-  finds the bucket empty is rejected immediately (a fast 429, never
-  queued).  Refill is computed from sim-time deltas, so the limiter is
-  bit-deterministic under the double-run harness.
+* :class:`TokenBucket` / :class:`TenantRateLimiter` — each rate-limited
+  tenant refills tokens at its contracted rate on the *simulated* clock; a
+  request that finds the bucket empty is rejected immediately (a fast 429,
+  never queued).  Refill is computed from sim-time deltas, so the limiter
+  is bit-deterministic under the double-run harness.  A bucket's fill is
+  a chain of float ``min`` / add / subtract, one link per arrival, so it
+  runs as that recurrence over plain floats — but only over the limited
+  tenants' arrivals, and it depends on nothing but those: the plane runs
+  it once over a whole request stream.
 * :class:`WatermarkGate` — hysteresis over the admission-queue depth.
   When depth crosses the high watermark the gate closes and arrivals
   below the protected priority are shed until depth drains to the low
@@ -18,10 +22,12 @@ Two admission-control mechanisms guard the serving plane's queue:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Sequence
+from typing import Dict, Iterable, List, Sequence
+
+import numpy as np
 
 from repro.common.errors import ConfigError
-from repro.serve.workload import Request, TenantSpec
+from repro.serve.workload import TenantSpec
 
 
 @dataclass
@@ -47,40 +53,48 @@ class TokenBucket:
             raise ConfigError("burst must be >= 1")
         self.tokens = float(self.burst)
 
-    def try_take(self, now_s: float) -> bool:
-        """Consume one token at sim-time ``now_s``; False when empty.
-
-        An unlimited bucket (``rate == 0``) always grants.
-        """
+    def take(self, arrivals: Iterable[float]) -> List[bool]:
+        """Consume one token per arrival time, in order; False where the
+        bucket was empty.  An unlimited bucket (``rate == 0``) grants all."""
         if self.rate == 0.0:
-            return True
-        if now_s > self.last_s:
-            self.tokens = min(
-                float(self.burst),
-                self.tokens + (now_s - self.last_s) * self.rate,
-            )
-            self.last_s = now_s
-        if self.tokens >= 1.0:
-            self.tokens -= 1.0
-            return True
-        return False
+            return [True for _ in arrivals]
+        rate, burst = self.rate, float(self.burst)
+        tokens, last_s = self.tokens, self.last_s
+        granted = []
+        for now_s in arrivals:
+            if now_s > last_s:
+                tokens = min(burst, tokens + (now_s - last_s) * rate)
+                last_s = now_s
+            grant = tokens >= 1.0
+            if grant:
+                tokens -= 1.0
+            granted.append(grant)
+        self.tokens, self.last_s = tokens, last_s
+        return granted
+
+    def try_take(self, now_s: float) -> bool:
+        """Consume one token at sim-time ``now_s``; False when empty."""
+        return self.take((now_s,))[0]
 
 
 class TenantRateLimiter:
-    """One token bucket per tenant, built from the tenant specs."""
+    """One token bucket per rate-limited tenant, keyed by the tenant's
+    position in the spec list; the others are never held back."""
 
     def __init__(self, tenants: Sequence[TenantSpec]) -> None:
-        self._buckets: Dict[str, TokenBucket] = {
-            t.name: TokenBucket(rate=t.rate_limit, burst=float(t.burst))
-            for t in tenants
+        self._buckets: Dict[int, TokenBucket] = {
+            i: TokenBucket(rate=t.rate_limit, burst=float(t.burst))
+            for i, t in enumerate(tenants) if t.rate_limit > 0.0
         }
 
-    def admit(self, request: Request) -> bool:
-        """Whether the request passes its tenant's bucket at arrival time."""
-        bucket = self._buckets.get(request.tenant)
-        if bucket is None:
-            raise ConfigError(f"unknown tenant {request.tenant!r}")
-        return bucket.try_take(request.arrival_s)
+    def admit(self, tenant: np.ndarray, arrival: np.ndarray) -> np.ndarray:
+        """Which requests (tenant id and arrival time columns, in arrival
+        order) pass their tenant's bucket."""
+        passed = np.ones(len(tenant), dtype=bool)
+        for tid, bucket in self._buckets.items():
+            mine = np.flatnonzero(tenant == tid)
+            passed[mine] = bucket.take(arrival[mine].tolist())
+        return passed
 
 
 @dataclass
@@ -115,6 +129,6 @@ class WatermarkGate:
         elif self.closed and depth <= self.low:
             self.closed = False
 
-    def admits(self, request: Request) -> bool:
-        """Whether the gate lets this request into the queue right now."""
-        return not self.closed or request.priority >= self.protect_priority
+    def protects(self, priority: np.ndarray) -> np.ndarray:
+        """Which priorities pass even a closed gate."""
+        return priority >= self.protect_priority

@@ -24,14 +24,16 @@ triggers both work mid-traffic.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.common.batch import sorted_unique
 from repro.common.errors import ConfigError
 from repro.common.metrics import (
+    Histogram,
     SERVE_BATCH_SIZE_H,
     SERVE_BATCHES,
     SERVE_DEGRADED_LATENCY_H,
@@ -46,7 +48,14 @@ from repro.common.metrics import (
 )
 from repro.obs.slo import SloSpec
 from repro.ps.matrix import PSEmbedding
-from repro.serve.admission import AdmissionQueue, DropRecord
+from repro.serve.admission import (
+    BACKPRESSURE,
+    DEADLINE,
+    RATE_LIMITED,
+    AdmissionQueue,
+    DropLog,
+    DropRecord,
+)
 from repro.serve.hotcache import HotKeyCache
 from repro.serve.limiter import TenantRateLimiter, WatermarkGate
 from repro.serve.workload import Request, TenantSpec
@@ -95,7 +104,7 @@ class ServingReport:
     recoveries: int
     start_s: float
     end_s: float
-    drop_records: List[DropRecord] = field(default_factory=list)
+    drop_records: Sequence[DropRecord] = field(default_factory=list)
 
     @property
     def dropped(self) -> int:
@@ -177,61 +186,58 @@ class ServingPlane:
                     else handle.pull)
                 self._caches[tenant.model] = HotKeyCache(
                     cache_capacity, metrics=metrics)
-        self.drop_records: List[DropRecord] = []
+        #: Served models in name order; a request's *model id* indexes it.
+        self._models = sorted(self._pulls)
+        self.drop_records = DropLog(tuple(t.name for t in self.tenants))
         self.peak_depth = 0
         self._degraded = False
         self._recoveries_seen = 0
 
-    # ------------------------------------------------------------------
-    # admission
-    # ------------------------------------------------------------------
-
-    def _drop(self, request: Request, reason: str, now_s: float,
-              counter: str) -> None:
-        self.drop_records.append(DropRecord(
-            seq=request.seq, tenant=request.tenant, reason=reason,
-            sim_time_s=now_s,
-        ))
-        self.spark.metrics.inc(counter)
-
-    def _admit(self, request: Request) -> None:
-        metrics = self.spark.metrics
-        metrics.inc(SERVE_REQUESTS)
-        if not self.limiter.admit(request):
-            self._drop(request, "rate_limited", request.arrival_s,
-                       SERVE_RATE_LIMITED)
-            return
-        self.gate.update(self.queue.depth)
-        if not self.gate.admits(request):
-            self._drop(request, "backpressure", request.arrival_s,
-                       SERVE_SHED)
-            return
-        victim = self.queue.offer(request)
-        if victim is not None:
-            self._drop(victim, "queue_full", request.arrival_s,
-                       SERVE_EVICTED_CAPACITY)
-        self.peak_depth = max(self.peak_depth, self.queue.depth)
+    def _columns(self, requests: Sequence[Request]) -> Tuple[np.ndarray, ...]:
+        """``(seq, tenant id, priority, model id, key, arrival, deadline)``
+        of the stream: one array per field, read from the requests now."""
+        tenant_ids = {t.name: i for i, t in enumerate(self.tenants)}
+        model_ids = {name: i for i, name in enumerate(self._models)}
+        n = len(requests)
+        try:
+            columns = tuple(
+                np.fromiter(values, dtype, n) for values, dtype in (
+                    ((r.seq for r in requests), np.int64),
+                    ((tenant_ids[r.tenant] for r in requests), np.int64),
+                    ((r.priority for r in requests), np.int64),
+                    ((model_ids[r.model] for r in requests), np.int64),
+                    ((r.key for r in requests), np.int64),
+                    ((r.arrival_s for r in requests), np.float64),
+                    ((r.deadline_s for r in requests), np.float64)))
+        except KeyError as exc:
+            raise ConfigError(f"unknown tenant or model {exc}") from None
+        arrival = columns[5]
+        if not (arrival[1:] >= arrival[:-1]).all():
+            raise ConfigError("requests must be sorted by arrival time")
+        return columns
 
     # ------------------------------------------------------------------
     # service
     # ------------------------------------------------------------------
 
-    def _serve_batch(self, batch: List[Request], batch_index: int) -> None:
+    def _serve_batch(self, batch_index: int, model: np.ndarray,
+                     key: np.ndarray, arrival: np.ndarray) -> np.ndarray:
+        """Serve one batch, given as its requests' model id, key and
+        arrival columns in service order; returns their latencies."""
         clock = self.spark.driver_clock
         metrics = self.spark.metrics
-        tags = {"batch": batch_index, "size": len(batch)}
+        tags = {"batch": batch_index, "size": len(key)}
         with self.spark.tracer.clock_span("driver", "serve",
                                           "serve.batch", clock, tags):
-            by_model: Dict[str, List[int]] = {}
-            for request in batch:
-                by_model.setdefault(request.model, []).append(request.key)
-            for model, keys in sorted(by_model.items()):
-                cache = self._caches[model]
-                ukeys = sorted_unique(np.asarray(keys, dtype=np.int64))
+            for model_id, name in enumerate(self._models):
+                ukeys = sorted_unique(key[model == model_id])
+                if not len(ukeys):
+                    continue
+                cache = self._caches[name]
                 mask, _ = cache.lookup(ukeys)
                 missing = ukeys[~mask]
                 if len(missing):
-                    values = self._pulls[model](missing)
+                    values = self._pulls[name](missing)
                     cache.store(missing, np.asarray(values))
         completion_s = clock.now_s
         generation = self.psctx.recovery_generation
@@ -243,80 +249,140 @@ class ServingPlane:
             self._degraded = True
             for cache in self._caches.values():
                 cache.clear()
-        for request in batch:
-            latency = completion_s - request.arrival_s
-            metrics.observe(SERVE_LATENCY_H, latency)
-            if self._degraded:
-                metrics.observe(SERVE_DEGRADED_LATENCY_H, latency)
-        metrics.inc(SERVE_SERVED, len(batch))
+        latency = completion_s - arrival
+        metrics.histogram(SERVE_LATENCY_H).observe_many(latency)
+        if self._degraded:
+            metrics.histogram(SERVE_DEGRADED_LATENCY_H).observe_many(latency)
+        metrics.inc(SERVE_SERVED, len(key))
         metrics.inc(SERVE_BATCHES)
-        metrics.observe(SERVE_BATCH_SIZE_H, len(batch))
+        metrics.observe(SERVE_BATCH_SIZE_H, len(key))
         self.spark.notify_task_complete(SERVE_STAGE_ID, batch_index, "serve")
+        return latency
 
     # ------------------------------------------------------------------
     # the serving loop
     # ------------------------------------------------------------------
 
     def run(self, requests: Sequence[Request]) -> ServingReport:
-        """Serve the full request stream; returns the aggregate report.
+        """Serve the full request stream; returns the run's own report.
 
         Requests must be sorted by arrival time (``RequestGenerator``
-        output already is).
+        output already is).  They are read into columns once, here; the
+        loop handles a quantum's arrivals as slices of those columns.
         """
         clock = self.spark.driver_clock
         metrics = self.spark.metrics
+        queue, gate = self.queue, self.gate
         start_s = clock.now_s
-        pending = list(requests)
-        i, n = 0, len(pending)
-        batch_index = 0
-        while i < n or self.queue.depth:
-            if (self.queue.depth == 0 and i < n
-                    and pending[i].arrival_s > clock.now_s):
+        seq, tenant, priority, model, key, arrival, deadline = self._columns(
+            list(requests))
+        n = len(seq)
+        # The queue's total order, sorted once: ``order[rank]`` is the
+        # arrival position of the request ranked ``rank``, and the columns
+        # the queue's output indexes are kept in rank order.
+        order = np.lexsort((seq, deadline, -priority))
+        rank = np.empty(n, dtype=np.int64)
+        rank[order] = np.arange(n)
+        model, key, deadline = model[order], key[order], deadline[order]
+        arrival_of = arrival[order]
+        # A bucket sees nothing but its own tenant's arrival times, so the
+        # limiter's verdicts do not depend on the loop: take them now,
+        # count them per quantum.  ``offered`` are the arrivals that reach
+        # the gate.
+        passed = self.limiter.admit(tenant, arrival)
+        offered = np.flatnonzero(passed)
+        offered_before = np.concatenate([[0], np.cumsum(passed)]).tolist()
+        offered_rank = rank[offered]
+        offered_protected = gate.protects(priority[offered])
+        limited = np.flatnonzero(~passed)
+        # The run's drops as (decision time, rank, reason id, sim time)
+        # chunks; arrival ``j`` decides at ``2j + 1``, the deadline sweep
+        # that follows arrival ``j - 1`` at ``2j``.
+        drops = [(2 * limited + 1, rank[limited],
+                  np.full(len(limited), RATE_LIMITED), arrival[limited])]
+        arrivals = arrival.tolist()
+        latencies: List[np.ndarray] = []
+        degraded: List[np.ndarray] = []
+        i = 0
+        while i < n or queue.depth:
+            if queue.depth == 0 and i < n and arrivals[i] > clock.now_s:
                 # Idle: jump straight to the next arrival.
-                clock.advance_to(pending[i].arrival_s)
+                clock.advance_to(arrivals[i])
             quantum_end = clock.now_s + self.service_interval_s
-            while i < n and pending[i].arrival_s <= quantum_end:
-                self._admit(pending[i])
-                i += 1
+            lo, i = i, bisect_right(arrivals, quantum_end, i)
+            first, last = offered_before[lo], offered_before[i]
+            if i > lo:
+                metrics.inc(SERVE_REQUESTS, i - lo)
+            if i - lo > last - first:
+                metrics.inc(SERVE_RATE_LIMITED, (i - lo) - (last - first))
+            if last > first:
+                dropped = queue.admit(offered_rank[first:last],
+                                      offered_protected[first:last], gate)
+                if dropped is not None:
+                    position, victim, reason = dropped
+                    cause = offered[first:last][position]
+                    drops.append((2 * cause + 1, victim, reason,
+                                  arrival[cause]))
+                    shed = int(np.count_nonzero(reason == BACKPRESSURE))
+                    if shed:
+                        metrics.inc(SERVE_SHED, shed)
+                    if len(reason) > shed:
+                        metrics.inc(SERVE_EVICTED_CAPACITY,
+                                    len(reason) - shed)
+                self.peak_depth = max(self.peak_depth, queue.depth)
             clock.advance_to(quantum_end)
-            batch, expired = self.queue.drain(self.batch_size, clock.now_s)
-            for request in expired:
-                self._drop(request, "deadline", clock.now_s,
-                           SERVE_EVICTED_DEADLINE)
-            if batch:
-                self._serve_batch(batch, batch_index)
-                batch_index += 1
-            if self._degraded and self.queue.depth == 0:
+            batch, expired = queue.drain(self.batch_size, clock.now_s,
+                                         deadline)
+            if len(expired):
+                drops.append((np.full(len(expired), 2 * i), expired,
+                              np.full(len(expired), DEADLINE),
+                              np.full(len(expired), clock.now_s)))
+                metrics.inc(SERVE_EVICTED_DEADLINE, len(expired))
+            if len(batch):
+                latencies.append(self._serve_batch(
+                    len(latencies), model[batch], key[batch],
+                    arrival_of[batch]))
+                if self._degraded:
+                    degraded.append(latencies[-1])
+            if self._degraded and queue.depth == 0:
                 self._degraded = False
-            self.gate.update(self.queue.depth)
-            metrics.set_gauge(SERVE_QUEUE_DEPTH_G, self.queue.depth)
+            gate.update(queue.depth)
+            metrics.set_gauge(SERVE_QUEUE_DEPTH_G, queue.depth)
             self.spark.notify_tick(clock.now_s)
-        return self._report(start_s, clock.now_s, batch_index)
+        decided, victim, reason, time = map(np.concatenate, zip(*drops))
+        decided = np.argsort(decided, kind="stable")
+        victim = order[victim[decided]]
+        dropped = DropLog(self.drop_records.tenants, seq[victim],
+                          tenant[victim], reason[decided], time[decided])
+        self.drop_records.extend(dropped)
+        return self._report(start_s, clock.now_s, n, dropped, latencies,
+                            degraded)
 
-    def _report(self, start_s: float, end_s: float,
-                batches: int) -> ServingReport:
-        metrics = self.spark.metrics
-        latency = metrics.histogram(SERVE_LATENCY_H)
-        degraded = metrics.histogram(SERVE_DEGRADED_LATENCY_H)
-        drops: Dict[str, int] = {}
-        for record in self.drop_records:
-            drops[record.reason] = drops.get(record.reason, 0) + 1
+    def _report(self, start_s: float, end_s: float, offered: int,
+                dropped: DropLog, latencies: List[np.ndarray],
+                degraded: List[np.ndarray]) -> ServingReport:
+        """The run's own tallies: a second plane on the same registry does
+        not report the first one's requests.  Percentiles come from
+        histograms fed the run's latencies in order — the state the
+        registry's would have if this run were all it had seen."""
+        latency, slow = Histogram(), Histogram()
+        latency.observe_many(np.concatenate(latencies or [np.empty(0)]))
+        slow.observe_many(np.concatenate(degraded or [np.empty(0)]))
         hits = sum(c.stats.hits for c in self._caches.values())
         misses = sum(c.stats.misses for c in self._caches.values())
         return ServingReport(
-            offered=int(metrics.get(SERVE_REQUESTS)),
-            served=int(metrics.get(SERVE_SERVED)),
-            drops=drops,
+            offered=offered,
+            served=latency.count,
+            drops=dropped.counts(),
             p50_s=latency.percentile(50.0) if latency.count else 0.0,
             p99_s=latency.percentile(99.0) if latency.count else 0.0,
-            degraded_p99_s=(degraded.percentile(99.0)
-                            if degraded.count else None),
+            degraded_p99_s=(slow.percentile(99.0) if slow.count else None),
             cache_hit_rate=hits / (hits + misses) if hits + misses else 0.0,
-            batches=batches,
+            batches=len(latencies),
             gate_transitions=self.gate.transitions,
             peak_depth=self.peak_depth,
             recoveries=self._recoveries_seen,
             start_s=start_s,
             end_s=end_s,
-            drop_records=list(self.drop_records),
+            drop_records=dropped,
         )

@@ -21,6 +21,8 @@ from typing import Dict, List, Set, Tuple
 
 import numpy as np
 
+from repro.common.batch import sorted_unique, unique_pairs
+
 
 class IncrementalComponents:
     """PS-resident component labels kept fresh across mutation windows.
@@ -83,13 +85,12 @@ class IncrementalComponents:
         # has re-anchored a component, later pairs touching it are free.
         if delta.num_removed:
             verified: Set[int] = set()
-            pairs = np.unique(np.stack(
-                [delta.removed_src, delta.removed_dst], axis=1), axis=0)
-            live = [(int(u), int(w)) for u, w in pairs.tolist()]
+            pairs = unique_pairs(delta.removed_src, delta.removed_dst)
+            live = list(zip(pairs[0].tolist(), pairs[1].tolist()))
             # Warm the adjacency memo and label cache for every endpoint
             # in one group call each; most pairs then resolve without
             # further PS traffic (reverse edge or shared neighbor).
-            ends = np.unique(pairs)
+            ends = sorted_unique(np.concatenate(pairs))
             ends = ends[~np.isin(ends, np.asarray(sorted(gone_set),
                                                   dtype=np.int64))]
             self._labels_cache = {}
@@ -120,7 +121,7 @@ class IncrementalComponents:
 
         # Adds second: flood the smaller label through merged components.
         if delta.num_added:
-            frontier = set(np.unique(np.concatenate(
+            frontier = set(sorted_unique(np.concatenate(
                 [delta.added_src, delta.added_dst])).tolist())
             frontier -= gone_set
             rounds = self._propagate(self.labels, frontier)
@@ -201,7 +202,7 @@ class IncrementalComponents:
             if changed_v:
                 labels.set(np.asarray(changed_v, dtype=np.int64),
                            np.asarray(changed_l))
-                frontier = set(np.unique(
+                frontier = set(sorted_unique(
                     np.concatenate(spread)).tolist())
             rounds += 1
             self.psctx.barrier()

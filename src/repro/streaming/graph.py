@@ -21,6 +21,7 @@ from typing import Dict, Iterable, List, Optional, Set
 
 import numpy as np
 
+from repro.common.batch import sorted_unique, unique_pairs
 from repro.common.metrics import (
     STREAM_EDGES_ADDED,
     STREAM_EDGES_LIVE_G,
@@ -64,7 +65,7 @@ class GraphDelta:
 
     def touched(self) -> np.ndarray:
         """Every vertex adjacent to a change (sorted, unique)."""
-        return np.unique(np.concatenate([
+        return sorted_unique(np.concatenate([
             self.added_src, self.added_dst,
             self.removed_src, self.removed_dst,
             self.dropped,
@@ -183,8 +184,7 @@ class StreamingGraph:
         """Apply one add- or remove-run; returns effective (src, dst)."""
         if len(src) == 0:
             return src, dst
-        pairs = np.unique(np.stack([src, dst], axis=1), axis=0)
-        src, dst = pairs[:, 0], pairs[:, 1]
+        src, dst = unique_pairs(src, dst)
         uniq, inverse = np.unique(src, return_inverse=True)
         current = self._snapshot_old_out(uniq, old_out)
         # Membership of every (src, dst) in the live rows, as one isin
@@ -210,7 +210,7 @@ class StreamingGraph:
     def _apply_vertex_dels(self, vertices: np.ndarray,
                            old_out: Dict[int, np.ndarray]):
         """Drop vertices with all incident edges; returns removed edges."""
-        doomed = np.unique(vertices)
+        doomed = sorted_unique(vertices)
         outs = self._snapshot_old_out(doomed, old_out)
         ins = self.inc.get(doomed)
         # In-neighbors lose an out-edge: snapshot their pre-state too.
@@ -219,10 +219,9 @@ class StreamingGraph:
             self._snapshot_old_out(in_union, old_out)
         # Every incident edge once (an edge between two doomed vertices
         # shows up from both ends), in (src, dst) order.
-        removed = np.unique(np.stack([
+        removed_src, removed_dst = unique_pairs(
             np.concatenate([outs.sources(), ins.neighbors]),
-            np.concatenate([outs.neighbors, ins.sources()]),
-        ], axis=1), axis=0)
+            np.concatenate([outs.neighbors, ins.sources()]))
         # Detach: v leaves the in-tables of its out-neighbors and the
         # out-tables of its in-neighbors, then both of v's own tables go.
         if outs.num_edges:
@@ -233,18 +232,18 @@ class StreamingGraph:
                 ins.neighbors, ins.sources(), dedupe=True))
         self.out.drop(doomed)
         self.inc.drop(doomed)
-        self.num_edges -= len(removed)
-        return removed[:, 0], removed[:, 1], doomed
+        self.num_edges -= len(removed_src)
+        return removed_src, removed_dst, doomed
 
     def _update_presence(self, delta: GraphDelta) -> None:
         """Maintain the live-vertex set; fill the delta's crossings."""
         became_present: List[int] = []
-        for v in np.unique(np.concatenate(
+        for v in sorted_unique(np.concatenate(
                 [delta.added_src, delta.added_dst])).tolist():
             if v not in self._present:
                 self._present.add(v)
                 became_present.append(v)
-        candidates = np.unique(np.concatenate([
+        candidates = sorted_unique(np.concatenate([
             delta.removed_src, delta.removed_dst, delta.dropped,
         ]))
         became_absent: List[int] = []

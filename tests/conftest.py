@@ -4,10 +4,19 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.common.config import ClusterConfig
 from repro.core.blocks import NeighborBlock
 from repro.dataflow.context import SparkContext
+
+
+# Example counts for property tests that do not pin their own: ``default``
+# keeps tier-1 under a minute, ``--hypothesis-profile deep`` is what the
+# serve-smoke CI step runs.
+settings.register_profile("default", max_examples=50, deadline=None)
+settings.register_profile("deep", max_examples=1000, deadline=None)
+settings.load_profile("default")
 
 
 def make_context(num_executors: int = 4, executor_mem: int | None = None,

@@ -34,6 +34,7 @@ from repro.serve import (
     WatermarkGate,
     default_serve_slos,
 )
+from repro.serve.admission import QUEUE_FULL
 from repro.serve.workload import default_tenants, zipf_probabilities
 
 
@@ -137,14 +138,13 @@ class TestLimiter:
 
     def test_watermark_gate_hysteresis(self):
         gate = WatermarkGate(high=10, low=2, protect_priority=2)
-        low_pri = make_request(priority=1)
-        high_pri = make_request(priority=2)
         gate.update(9)
-        assert gate.admits(low_pri)
+        assert not gate.closed
         gate.update(10)
         assert gate.closed
-        assert not gate.admits(low_pri)
-        assert gate.admits(high_pri)        # protected class keeps flowing
+        # the protected class keeps flowing through a closed gate
+        assert gate.protects(np.array([1, 2, 3])).tolist() == [
+            False, True, True]
         gate.update(5)                       # above low: still closed
         assert gate.closed
         gate.update(2)
@@ -160,45 +160,64 @@ class TestLimiter:
 # admission queue
 # ----------------------------------------------------------------------
 
+def ranked(requests):
+    """``(rank per request, deadline per rank)`` under the queue's total
+    order, the way the plane ranks a run."""
+    order = np.lexsort(([r.seq for r in requests],
+                        [r.deadline_s for r in requests],
+                        [-r.priority for r in requests]))
+    rank = np.empty(len(requests), dtype=np.int64)
+    rank[order] = np.arange(len(requests))
+    return rank, np.array([requests[i].deadline_s for i in order])
+
+
+def offer(queue, ranks):
+    """Offer ranks through a gate that never closes; the drops."""
+    gate = WatermarkGate(high=10 ** 9, low=0)
+    return queue.admit(np.asarray(ranks), np.zeros(len(ranks), dtype=bool),
+                       gate)
+
+
 class TestAdmissionQueue:
     def test_priority_then_deadline_order(self):
         q = AdmissionQueue(capacity=10)
-        a = make_request(seq=0, priority=1, arrival=0.0, deadline=5.0)
-        b = make_request(seq=1, priority=2, arrival=0.0, deadline=9.0)
-        c = make_request(seq=2, priority=2, arrival=0.0, deadline=1.0)
-        for r in (a, b, c):
-            assert q.offer(r) is None
-        batch, expired = q.drain(10, now_s=0.5)
-        assert not expired
-        assert [r.seq for r in batch] == [2, 1, 0]
+        rank, deadline_of = ranked([
+            make_request(seq=0, priority=1, arrival=0.0, deadline=5.0),
+            make_request(seq=1, priority=2, arrival=0.0, deadline=9.0),
+            make_request(seq=2, priority=2, arrival=0.0, deadline=1.0),
+        ])
+        assert offer(q, rank) is None
+        batch, expired = q.drain(10, 0.5, deadline_of)
+        assert not len(expired)
+        assert [rank.tolist().index(r) for r in batch] == [2, 1, 0]
 
     def test_full_queue_evicts_worst(self):
         q = AdmissionQueue(capacity=2)
-        low = make_request(seq=0, priority=1)
-        mid = make_request(seq=1, priority=2)
-        q.offer(low)
-        q.offer(mid)
-        victim = q.offer(make_request(seq=2, priority=3))
-        assert victim is low                # worst entry made way
-        newcomer = make_request(seq=3, priority=1)
-        assert q.offer(newcomer) is newcomer  # newcomer itself is worst
+        rank, _ = ranked([
+            make_request(seq=0, priority=1),   # low
+            make_request(seq=1, priority=2),   # mid
+            make_request(seq=2, priority=3),
+            make_request(seq=3, priority=1),
+        ])
+        assert offer(q, rank[:2]) is None
+        position, victim, reason = offer(q, rank[2:])
+        assert position.tolist() == [0, 1]
+        # the worst entry made way, then the newcomer itself was the worst
+        assert victim.tolist() == [rank[0], rank[3]]
+        assert reason.tolist() == [QUEUE_FULL, QUEUE_FULL]
         assert q.depth == 2
 
     def test_drain_evicts_expired(self):
         q = AdmissionQueue(capacity=10)
-        q.offer(make_request(seq=0, arrival=0.0, deadline=1.0))
-        q.offer(make_request(seq=1, arrival=0.0, deadline=9.0))
-        batch, expired = q.drain(10, now_s=2.0)
-        assert [r.seq for r in batch] == [1]
-        assert [r.seq for r in expired] == [0]
+        rank, deadline_of = ranked([
+            make_request(seq=0, arrival=0.0, deadline=1.0),
+            make_request(seq=1, arrival=0.0, deadline=9.0),
+        ])
+        offer(q, rank)
+        batch, expired = q.drain(10, 2.0, deadline_of)
+        assert batch.tolist() == [rank[1]]
+        assert expired.tolist() == [rank[0]]
         assert q.depth == 0
-
-    def test_expire_sweep(self):
-        q = AdmissionQueue(capacity=10)
-        q.offer(make_request(seq=0, arrival=0.0, deadline=1.0))
-        q.offer(make_request(seq=1, arrival=0.0, deadline=3.0))
-        assert [r.seq for r in q.expire(2.0)] == [0]
-        assert q.depth == 1
 
     def test_drop_record_validates_reason(self):
         with pytest.raises(ConfigError):

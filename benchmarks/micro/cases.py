@@ -1,34 +1,27 @@
-"""Boxed-vs-batched micro-benchmark cases.
+"""Naive-vs-array micro-benchmark cases.
 
 Each case runs the same logical computation twice on fresh contexts —
-once with boxed ``(key, value)`` pair lists, once with columnar
-:class:`~repro.common.batch.RecordBatch` partitions — and reports host
-wall-clock for each.  Simulated costs are identical by construction (see
-``tests/test_batch_equivalence.py``); what these measure is the *host*
-speed of the representations, the quantity the columnar overhaul exists
-to improve.
+once the way a per-record client would write it (``boxed_s``), once on
+the array path the system provides (``batched_s``) — and reports host
+wall-clock for each.  Simulated counters are embedded beside them; what
+these measure is *host* speed.
 
-Timing covers the pipeline itself (parallelize through job completion);
-context construction and teardown sit outside the clock.  Batched
-pipelines end in ``collect()`` and stay columnar end to end — partitions
-carry batches, the driver receives batches — which is precisely the
-deployment mode the overhaul introduces.
+Timing covers the pipeline itself; context construction and teardown
+sit outside the clock.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List
+from typing import Dict, List
 
 import numpy as np
 
 from repro.common.batch import segment_reduce
 from repro.common.config import ClusterConfig
 from repro.dataflow.context import SparkContext
-from repro.dataflow.partitioner import HashPartitioner
 from repro.ps.context import PSContext
 
-PARTITIONS = 8
 FEATURE_DIM = 16
 
 #: Counter prefixes embedded in the results JSON.  These are *simulated*
@@ -37,11 +30,6 @@ FEATURE_DIM = 16
 #: fields next to them.
 METRIC_PREFIXES = ("dataflow.", "ps.", "hdfs.", "net.", "serve.",
                    "streaming.", "ingest.")
-
-
-def _spark() -> SparkContext:
-    cluster = ClusterConfig(num_executors=4, executor_mem_bytes=1 << 40)
-    return SparkContext(cluster)
 
 
 def _metrics_snapshot(ctx: SparkContext) -> Dict[str, float]:
@@ -53,37 +41,9 @@ def _metrics_snapshot(ctx: SparkContext) -> Dict[str, float]:
     }
 
 
-def _pairs(n: int, key_space: int, seed: int = 0):
-    rng = np.random.default_rng(seed)
-    keys = rng.integers(0, key_space, size=n).astype(np.int64)
-    values = rng.integers(0, 100, size=n).astype(np.float64)
-    return keys, values
-
-
 #: Best-of-N timing; keeps the committed quick-mode baseline stable enough
 #: for CI to gate on speedup regressions.
 REPEATS = 3
-
-
-def _time_job(job: Callable[[SparkContext], object]
-              ) -> tuple[float, Dict[str, float]]:
-    """Best-of-N wall-clock for one pipeline; setup/teardown untimed.
-
-    Also returns the simulated-counter snapshot of the last run (every
-    repeat uses a fresh context, so the snapshots are identical).
-    """
-    best = float("inf")
-    snapshot: Dict[str, float] = {}
-    for _ in range(REPEATS):
-        ctx = _spark()
-        try:
-            t0 = time.perf_counter()
-            job(ctx)
-            best = min(best, time.perf_counter() - t0)
-            snapshot = _metrics_snapshot(ctx)
-        finally:
-            ctx.stop()
-    return best, snapshot
 
 
 def _result(name: str, n: int, boxed_s: float, batched_s: float,
@@ -97,66 +57,6 @@ def _result(name: str, n: int, boxed_s: float, batched_s: float,
         "records_per_s": int(n / batched_s) if batched_s else 0,
         "metrics": metrics or {},
     }
-
-
-def case_shuffle(n: int) -> Dict:
-    """Hash-partition ``n`` records through the full shuffle machinery."""
-    keys, values = _pairs(n, max(16, n // 8))
-    part = HashPartitioner(PARTITIONS)
-
-    def boxed(ctx):
-        ctx.parallelize(
-            list(zip(keys.tolist(), values.tolist())), PARTITIONS
-        ).partition_by(part).collect()
-
-    def batched(ctx):
-        ctx.parallelize_batches(keys, values, PARTITIONS).partition_by(
-            part
-        ).collect()
-
-    boxed_s, _ = _time_job(boxed)
-    batched_s, snap = _time_job(batched)
-    return _result("shuffle", n, boxed_s, batched_s, snap)
-
-
-def case_reduce_by_key(n: int) -> Dict:
-    """reduceByKey(add) with map-side combine over ``n`` records."""
-    keys, values = _pairs(n, max(16, n // 16))
-
-    def boxed(ctx):
-        ctx.parallelize(
-            list(zip(keys.tolist(), values.tolist())), PARTITIONS
-        ).reduce_by_key(op="add", num_partitions=PARTITIONS).collect()
-
-    def batched(ctx):
-        ctx.parallelize_batches(keys, values, PARTITIONS).reduce_by_key(
-            op="add", num_partitions=PARTITIONS
-        ).collect()
-
-    boxed_s, _ = _time_job(boxed)
-    batched_s, snap = _time_job(batched)
-    return _result("reduce_by_key", n, boxed_s, batched_s, snap)
-
-
-def case_pagerank_iter(n: int) -> Dict:
-    """One PageRank superstep: contribs -> combine -> rank update."""
-    keys, values = _pairs(n, max(16, n // 16), seed=1)
-
-    def superstep(rdd):
-        contribs = rdd.reduce_by_key(op="add", num_partitions=PARTITIONS)
-        contribs.as_records().map_values(lambda s: 0.15 + 0.85 * s).collect()
-
-    def boxed(ctx):
-        superstep(ctx.parallelize(
-            list(zip(keys.tolist(), values.tolist())), PARTITIONS
-        ))
-
-    def batched(ctx):
-        superstep(ctx.parallelize_batches(keys, values, PARTITIONS))
-
-    boxed_s, _ = _time_job(boxed)
-    batched_s, snap = _time_job(batched)
-    return _result("pagerank_iter", n, boxed_s, batched_s, snap)
 
 
 def case_graphsage_minibatch(n: int) -> Dict:
@@ -209,8 +109,7 @@ def case_graphsage_minibatch(n: int) -> Dict:
         sorted(acc.items())
 
     def batched(feats):
-        batch = feats.pull_batch(src)
-        segment_reduce(dst, batch.values, "add")
+        segment_reduce(dst, feats.pull(src), "add")
 
     boxed_s, _ = run(boxed)
     batched_s, snap = run(batched)
@@ -394,13 +293,8 @@ def case_streaming_window(n: int) -> Dict:
     return out
 
 
-#: name -> (case_fn, quick_n, full_n).  Full-size counts are DS1/DS2-shaped
-#: runs (paper Table I scale relative to the simulator): a million-record
-#: shuffle is routine once the columnar paths carry it.
+#: name -> (case_fn, quick_n, full_n).
 CASES: Dict[str, tuple] = {
-    "shuffle": (case_shuffle, 20_000, 1_000_000),
-    "reduce_by_key": (case_reduce_by_key, 20_000, 1_000_000),
-    "pagerank_iter": (case_pagerank_iter, 20_000, 1_000_000),
     "graphsage_minibatch": (case_graphsage_minibatch, 20_000, 400_000),
     "lint_incremental": (case_lint_incremental, 0, 0),
     "serve_qps": (case_serve_qps, 4_000, 100_000),

@@ -7,12 +7,7 @@ wall-clock assertions do not belong in a test suite.  Run explicitly with
 
 import json
 
-from benchmarks.micro.cases import (
-    CASES,
-    case_pagerank_iter,
-    case_reduce_by_key,
-    case_shuffle,
-)
+from benchmarks.micro.cases import CASES, case_graphsage_minibatch
 from benchmarks.micro.runner import check_regression, main
 
 RESULT_KEYS = {"name", "records", "boxed_s", "batched_s", "speedup",
@@ -20,11 +15,10 @@ RESULT_KEYS = {"name", "records", "boxed_s", "batched_s", "speedup",
 
 
 def test_cases_report_structure():
-    for case_fn in (case_shuffle, case_reduce_by_key, case_pagerank_iter):
-        result = case_fn(500)
-        assert set(result) == RESULT_KEYS
-        assert result["records"] == 500
-        assert result["boxed_s"] > 0 and result["batched_s"] > 0
+    result = case_graphsage_minibatch(500)
+    assert set(result) == RESULT_KEYS
+    assert result["records"] == 500
+    assert result["boxed_s"] > 0 and result["batched_s"] > 0
 
 
 def test_registry_names_match_results():
@@ -48,14 +42,14 @@ def test_check_regression_gate(tmp_path):
 
 def test_runner_end_to_end(tmp_path, capsys):
     out = tmp_path / "bench.json"
-    rc = main(["--quick", "--case", "shuffle", "--out", str(out)])
+    rc = main(["--quick", "--case", "graphsage_minibatch", "--out", str(out)])
     assert rc == 0
     payload = json.loads(out.read_text())
     assert payload["mode"] == "quick"
-    assert [c["name"] for c in payload["cases"]] == ["shuffle"]
+    assert [c["name"] for c in payload["cases"]] == ["graphsage_minibatch"]
     # A second run checked against the first passes the gate (rc 0) and a
     # tightened impossible threshold fails it (rc 1).
-    rc = main(["--quick", "--case", "shuffle",
+    rc = main(["--quick", "--case", "graphsage_minibatch",
                "--out", str(tmp_path / "again.json"),
                "--check", str(out), "--max-regression", "0.99"])
     assert rc == 0

@@ -43,9 +43,10 @@ def main() -> None:
 
         print(f"converged after {result.iterations} iterations "
               f"(residual {result.stats['residual']:.2e})")
-        top = result.output.order_by("rank", ascending=False).limit(5)
+        top = sorted(result.output.collect_tuples(),
+                     key=lambda row: row[1], reverse=True)[:5]
         print("top-5 vertices by rank:")
-        top.show()
+        ctx.create_dataframe(top, result.output.columns).show()
         print(f"simulated job time: {ctx.sim_time():.3f} s")
         print(f"output files: {len(ctx.hdfs.listdir('/output/ranks'))} "
               f"partitions on HDFS")

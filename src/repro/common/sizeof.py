@@ -50,9 +50,9 @@ def sizeof(obj: Any) -> int:
         return len(obj.encode("utf-8", errors="replace"))
     if isinstance(obj, (bool, int, float, complex, np.generic)):
         return SCALAR_BYTES
-    # Objects with a size hint cooperate with the meter (RecordBatch,
-    # EdgeBlock, ...): checked before the generic container scans so a
-    # million-record batch meters in O(1) from its dtype.
+    # Objects with a size hint cooperate with the meter (EdgeBlock,
+    # NeighborBlock, ...): checked before the generic container scans so
+    # a million-edge block meters in O(1) from its arrays.
     hint = getattr(obj, "logical_nbytes", None)
     if hint is not None:
         return int(hint() if callable(hint) else hint)

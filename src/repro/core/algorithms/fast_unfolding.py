@@ -18,6 +18,8 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from repro.common.batch import accumulate_sequential, partition_order
+from repro.common.sizeof import CONTAINER_ENTRY_BYTES, SCALAR_BYTES
 from repro.core.algorithms.base import AlgorithmResult, GraphAlgorithm
 from repro.core.blocks import EdgeBlock, NeighborBlock
 from repro.core.context import PSGraphContext
@@ -26,7 +28,15 @@ from repro.core.ops import (
     max_vertex_id,
     to_neighbor_tables,
 )
+from repro.dataflow.partitioner import HashPartitioner
 from repro.dataflow.rdd import RDD
+from repro.dataflow.shuffle import ColumnBlock
+from repro.dataflow.taskctx import current_task_context
+
+#: Logical bytes, besides its two scalars, of one boxed ``(pair key,
+#: weight)`` record in a bucket: the bucket's list entry and the tuple's
+#: header and two entries.
+_PAIR_ENVELOPE_NBYTES = 4 * CONTAINER_ENTRY_BYTES
 
 
 class FastUnfolding(GraphAlgorithm):
@@ -243,6 +253,21 @@ def _total_weight(edges: RDD) -> float:
     ))
 
 
+def _fold_first_seen(keys: np.ndarray, weights: np.ndarray
+                     ) -> Tuple[np.ndarray, np.ndarray]:
+    """Sum ``weights`` per distinct key: the keys in first-seen order, each
+    sum a left fold in arrival order — bit for bit what a dict fold over
+    the boxed ``(key, weight)`` pairs gives."""
+    uniq, first, inverse = np.unique(
+        keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    sums = np.zeros(len(uniq))
+    np.add.at(sums, rank[inverse], weights)
+    return uniq[order], sums
+
+
 def _aggregate(current: RDD, mapping: np.ndarray) -> RDD:
     """Community aggregation: collapse vertices into their communities.
 
@@ -251,36 +276,57 @@ def _aggregate(current: RDD, mapping: np.ndarray) -> RDD:
     network whose vertices are the communities".  Without the global merge
     a popular community pair would be duplicated once per partition, and
     super-vertex adjacency would balloon.
+
+    The shuffle moves one column block of ``(pair key, weight)`` rows per
+    map task, each row metered as the boxed ``(int, float)`` record it
+    stands for.
     """
     stride = len(mapping) + 1
+    p = current.num_partitions
+    cost_model = current.ctx.cluster.cost_model
 
-    def to_pairs(it: Iterator[EdgeBlock]) -> Iterator[tuple]:
+    def to_block(it: Iterator[EdgeBlock]) -> ColumnBlock:
+        keys = [np.empty(0, dtype=np.int64)]
+        weights = [np.empty(0)]
         for b in it:
             pairs = mapping[b.src] * stride + mapping[b.dst]
             uniq, inverse = np.unique(pairs, return_inverse=True)
             w = np.zeros(len(uniq))
             np.add.at(w, inverse, b.weight)
-            for key, weight in zip(uniq.tolist(), w.tolist()):
-                yield (key, weight)
+            keys.append(uniq)
+            weights.append(w)
+        emitted = np.concatenate(keys)
+        combined, sums = _fold_first_seen(emitted, np.concatenate(weights))
+        # The shuffle charges a record's CPU for every row it writes; the
+        # pairs the combine folded away were records on the way in too.
+        tctx = current_task_context()
+        tctx.cost.cpu_s = accumulate_sequential(
+            tctx.cost.cpu_s, cost_model.cpu_record_s,
+            len(emitted) - len(combined))
+        order, offsets = partition_order(combined % p, p)
+        lens = offsets[1:] - offsets[:-1]
+        return ColumnBlock((combined[order], sums[order]), lens, lens,
+                           slot_nbytes=_PAIR_ENVELOPE_NBYTES)
 
-    reduced = current.map_partitions(to_pairs).reduce_by_key(
-        lambda a, b: a + b
-    )
+    def merge(it: Iterator[tuple]) -> Iterator[EdgeBlock]:
+        keys, weights = next(it)
+        # The reduce side's hash table of boxed pairs: temporary executor
+        # memory at the JVM-object multiplier while the fold runs.
+        tctx = current_task_context()
+        memory = tctx.executor.container.memory
+        tag = f"shuffle-agg:{tctx.stage_id}:{tctx.partition_id}"
+        pair_nbytes = _PAIR_ENVELOPE_NBYTES + 2 * SCALAR_BYTES
+        memory.allocate(
+            int((CONTAINER_ENTRY_BYTES + pair_nbytes * len(keys))
+                * cost_model.jvm_object_overhead), tag=tag)
+        try:
+            keys, sums = _fold_first_seen(keys, weights)
+        finally:
+            memory.release_tag(tag)
+        yield EdgeBlock(keys // stride, keys % stride, sums)
 
-    def to_blocks(it: Iterator[tuple]) -> Iterator[EdgeBlock]:
-        keys: List[int] = []
-        weights: List[float] = []
-        for key, weight in it:
-            keys.append(key)
-            weights.append(weight)
-        key_arr = np.asarray(keys, dtype=np.int64)
-        yield EdgeBlock(
-            (key_arr // stride).astype(np.int64),
-            (key_arr % stride).astype(np.int64),
-            np.asarray(weights),
-        )
-
-    return reduced.map_partitions(to_blocks)
+    return current.shuffle_blocks(HashPartitioner(p), to_block) \
+        .map_partitions(merge)
 
 
 def modularity_from_edges(edges: RDD, communities: np.ndarray) -> float:

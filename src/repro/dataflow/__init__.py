@@ -2,13 +2,9 @@
 
 from repro.dataflow.broadcast import Broadcast
 from repro.dataflow.context import SparkContext
-from repro.dataflow.dataframe import DataFrame, GroupedData
+from repro.dataflow.dataframe import DataFrame
 from repro.dataflow.executor import Executor
-from repro.dataflow.partitioner import (
-    HashPartitioner,
-    Partitioner,
-    RangePartitioner,
-)
+from repro.dataflow.partitioner import HashPartitioner, Partitioner
 from repro.dataflow.rdd import RDD
 from repro.dataflow.shuffle import ShuffleOutputLostError, ShuffleService
 from repro.dataflow.taskctx import TaskContext, current_task_context
@@ -17,11 +13,9 @@ __all__ = [
     "Broadcast",
     "DataFrame",
     "Executor",
-    "GroupedData",
     "HashPartitioner",
     "Partitioner",
     "RDD",
-    "RangePartitioner",
     "ShuffleOutputLostError",
     "ShuffleService",
     "SparkContext",

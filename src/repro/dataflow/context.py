@@ -13,8 +13,6 @@ from __future__ import annotations
 import itertools
 from typing import Any, Callable, Iterable, List
 
-import numpy as np
-
 from repro.common.config import ClusterConfig
 from repro.common.metrics import EXECUTORS_ALIVE_G, MetricsRegistry
 from repro.common.simclock import SimClock, barrier
@@ -139,46 +137,10 @@ class SparkContext:
         n = num_partitions or min(self.cluster.parallelism, max(1, len(data)))
         return ParallelCollectionRDD(self, data, max(1, n))
 
-    def parallelize_batches(self, keys: Any, values: Any,
-                            num_partitions: int | None = None) -> RDD:
-        """Distribute aligned key/value columns as one RecordBatch per
-        partition.
-
-        Carries exactly the records ``parallelize(list(zip(keys, values)),
-        n)`` would place in each partition (the same ``[i::n]`` slices, in
-        the same order) but keeps them columnar, so the shuffle and
-        reduce-by-key hot paths run vectorized.
-        """
-        from repro.common.batch import RecordBatch
-
-        keys = np.asarray(keys)
-        values = np.asarray(values)
-        n = num_partitions or min(self.cluster.parallelism, max(1, len(keys)))
-        n = max(1, n)
-        batches = [
-            RecordBatch(keys[i::n].copy(), values[i::n].copy())
-            for i in range(n)
-        ]
-        return ParallelCollectionRDD(self, batches, n)
-
-    def range(self, n: int, num_partitions: int | None = None) -> RDD:
-        """RDD of ``0 .. n-1``."""
-        return self.parallelize(range(n), num_partitions)
-
-    def empty_rdd(self) -> RDD:
-        """An RDD with a single empty partition."""
-        return ParallelCollectionRDD(self, [], 1)
-
     def text_file(self, path: str,
                   min_partitions: int | None = None) -> RDD:
         """Lines of an HDFS file or directory."""
         return TextFileRDD(self, path, min_partitions)
-
-    def union(self, rdds: List[RDD]) -> RDD:
-        """Union of several RDDs."""
-        from repro.dataflow.rdd import UnionRDD
-
-        return UnionRDD(self, rdds)
 
     def broadcast(self, value: Any):
         """Ship a read-only value to every executor (charged once each)."""

@@ -2,38 +2,19 @@
 
 "Dataframe and Dataset extend RDD with relational schema, enabling SQL query
 and pipeline execution" (Sec. III-C).  PSGraph's public API (Listing 1) takes
-and returns DataFrames, so the reproduction provides a pragmatic subset:
-named columns over an RDD of tuples, projection, filtering, joins, grouped
-aggregation, and conversion back to RDDs.
+and returns DataFrames, so the reproduction provides what those pipelines
+use: named columns over an RDD of tuples, collected as dicts or tuples,
+counted or shown.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Sequence
 
 from repro.common.errors import ConfigError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.dataflow.rdd import RDD
-
-#: Aggregate functions supported by :meth:`GroupedData.agg`.
-_AGGS: Dict[str, Tuple[Callable[[], Any], Callable[[Any, Any], Any],
-                       Callable[[Any], Any]]] = {
-    "sum": (lambda: 0, lambda acc, v: acc + v, lambda acc: acc),
-    "count": (lambda: 0, lambda acc, _v: acc + 1, lambda acc: acc),
-    "max": (lambda: None,
-            lambda acc, v: v if acc is None or v > acc else acc,
-            lambda acc: acc),
-    "min": (lambda: None,
-            lambda acc, v: v if acc is None or v < acc else acc,
-            lambda acc: acc),
-    "mean": (lambda: (0.0, 0),
-             lambda acc, v: (acc[0] + v, acc[1] + 1),
-             lambda acc: acc[0] / acc[1] if acc[1] else None),
-    "collect_list": (lambda: None,
-                     lambda acc, v: (acc or []) + [v],
-                     lambda acc: acc or []),
-}
 
 
 class DataFrame:
@@ -50,126 +31,10 @@ class DataFrame:
         self.rdd = rdd
         self.schema = list(schema)
 
-    # -- helpers -----------------------------------------------------------
-
-    def _index(self, col: str) -> int:
-        try:
-            return self.schema.index(col)
-        except ValueError:
-            raise ConfigError(
-                f"no column {col!r}; have {self.schema}"
-            ) from None
-
     @property
     def columns(self) -> List[str]:
         """Column names."""
         return list(self.schema)
-
-    # -- transformations -----------------------------------------------------
-
-    def select(self, *cols: str) -> "DataFrame":
-        """Project to the given columns, in order."""
-        idx = [self._index(c) for c in cols]
-        return DataFrame(
-            self.rdd.map(lambda row: tuple(row[i] for i in idx)), list(cols)
-        )
-
-    def filter(self, predicate: Callable[[Dict[str, Any]], bool]
-               ) -> "DataFrame":
-        """Keep rows where ``predicate(row_as_dict)`` is true."""
-        schema = self.schema
-        return DataFrame(
-            self.rdd.filter(lambda row: predicate(dict(zip(schema, row)))),
-            schema,
-        )
-
-    def with_column(self, name: str,
-                    fn: Callable[[Dict[str, Any]], Any]) -> "DataFrame":
-        """Append (or replace) a column computed from each row."""
-        schema = self.schema
-        if name in schema:
-            pos = schema.index(name)
-
-            def replace(row: tuple) -> tuple:
-                d = dict(zip(schema, row))
-                out = list(row)
-                out[pos] = fn(d)
-                return tuple(out)
-
-            return DataFrame(self.rdd.map(replace), schema)
-        return DataFrame(
-            self.rdd.map(
-                lambda row: row + (fn(dict(zip(schema, row))),)
-            ),
-            schema + [name],
-        )
-
-    def rename(self, old: str, new: str) -> "DataFrame":
-        """Rename one column."""
-        idx = self._index(old)
-        schema = list(self.schema)
-        schema[idx] = new
-        return DataFrame(self.rdd, schema)
-
-    def join(self, other: "DataFrame", on: str,
-             how: str = "inner") -> "DataFrame":
-        """Join two DataFrames on one column.
-
-        The join column appears once; remaining columns of ``other`` follow
-        those of ``self``.  ``how`` is "inner" or "left".
-        """
-        li, ri = self._index(on), other._index(on)
-        left = self.rdd.map(lambda row: (row[li], row))
-        right = other.rdd.map(lambda row: (row[ri], row))
-        if how == "inner":
-            joined = left.join(right)
-        elif how == "left":
-            joined = left.left_outer_join(right)
-        else:
-            raise ConfigError(f"unsupported join type {how!r}")
-        other_cols = [c for c in other.schema if c != on]
-        other_idx = [other.schema.index(c) for c in other_cols]
-        n_other = len(other_idx)
-
-        def merge(kv: tuple) -> tuple:
-            _key, (lrow, rrow) = kv
-            if rrow is None:
-                extra: tuple = (None,) * n_other
-            else:
-                extra = tuple(rrow[i] for i in other_idx)
-            return tuple(lrow) + extra
-
-        return DataFrame(joined.map(merge), self.schema + other_cols)
-
-    def distinct(self) -> "DataFrame":
-        """Drop duplicate rows."""
-        return DataFrame(self.rdd.distinct(), self.schema)
-
-    def union(self, other: "DataFrame") -> "DataFrame":
-        """Concatenate two DataFrames with identical schemas."""
-        if other.schema != self.schema:
-            raise ConfigError(
-                f"union of mismatched schemas: {self.schema} vs "
-                f"{other.schema}"
-            )
-        return DataFrame(self.rdd.union(other.rdd), self.schema)
-
-    def group_by(self, *cols: str) -> "GroupedData":
-        """Start a grouped aggregation."""
-        return GroupedData(self, list(cols))
-
-    def order_by(self, col: str, ascending: bool = True) -> "DataFrame":
-        """Globally sort rows by one column."""
-        i = self._index(col)
-        return DataFrame(
-            self.rdd.sort_by(lambda row: row[i], ascending=ascending),
-            self.schema,
-        )
-
-    def limit(self, n: int) -> "DataFrame":
-        """First ``n`` rows as a (driver-materialized) DataFrame."""
-        rows = self.rdd.take(n)
-        return DataFrame(self.rdd.ctx.parallelize(rows), self.schema)
 
     # -- actions -----------------------------------------------------------
 
@@ -205,71 +70,3 @@ class DataFrame:
         table = "\n".join(lines)
         print(table)
         return table
-
-
-class GroupedData:
-    """Result of :meth:`DataFrame.group_by`; call :meth:`agg` to finish."""
-
-    def __init__(self, df: DataFrame, keys: List[str]) -> None:
-        self._df = df
-        self._keys = keys
-
-    def agg(self, **aggs: str) -> DataFrame:
-        """Aggregate: ``agg(total="sum:amount", n="count:amount")``.
-
-        Each keyword is an output column; each value is ``"<fn>:<column>"``
-        with ``fn`` one of sum/count/max/min/mean/collect_list.
-        """
-        df = self._df
-        key_idx = [df._index(k) for k in self._keys]
-        specs: List[Tuple[int, str]] = []
-        for out_name, spec in aggs.items():
-            fn_name, _, col = spec.partition(":")
-            if fn_name not in _AGGS:
-                raise ConfigError(f"unknown aggregate {fn_name!r}")
-            specs.append((df._index(col or out_name), fn_name))
-
-        def seq(acc: list, row: tuple) -> list:
-            for j, (ci, fn_name) in enumerate(specs):
-                _zero, step, _final = _AGGS[fn_name]
-                acc[j] = step(acc[j], row[ci])
-            return acc
-
-        def comb(a: list, b: list) -> list:
-            # Accumulators combine by re-merging; for these simple aggs the
-            # value-merge function works on accumulators too, except mean
-            # and collect_list which need structural merges.
-            out = []
-            for j, (_ci, fn_name) in enumerate(specs):
-                if fn_name == "mean":
-                    out.append((a[j][0] + b[j][0], a[j][1] + b[j][1]))
-                elif fn_name == "count" or fn_name == "sum":
-                    out.append(a[j] + b[j])
-                elif fn_name == "max":
-                    out.append(b[j] if a[j] is None or (
-                        b[j] is not None and b[j] > a[j]) else a[j])
-                elif fn_name == "min":
-                    out.append(b[j] if a[j] is None or (
-                        b[j] is not None and b[j] < a[j]) else a[j])
-                else:  # collect_list
-                    out.append((a[j] or []) + (b[j] or []))
-            return out
-
-        def zero() -> list:
-            return [_AGGS[fn_name][0]() for _ci, fn_name in specs]
-
-        keyed = df.rdd.map(
-            lambda row: (tuple(row[i] for i in key_idx), row)
-        )
-        aggregated = keyed.combine_by_key(
-            lambda row: seq(zero(), row), seq, comb
-        )
-
-        finals = [_AGGS[fn_name][2] for _ci, fn_name in specs]
-
-        def finish(kv: tuple) -> tuple:
-            key, acc = kv
-            return tuple(key) + tuple(f(a) for f, a in zip(finals, acc))
-
-        schema = self._keys + list(aggs.keys())
-        return DataFrame(aggregated.map(finish), schema)

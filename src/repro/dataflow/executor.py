@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Tuple
 
-from repro.common.batch import records_nbytes
 from repro.common.errors import ContainerLostError
+from repro.common.sizeof import sizeof_records
 from repro.yarn.resource_manager import Container
 
 #: Memory-tag prefix for cached RDD partitions.
@@ -61,7 +61,7 @@ class Executor:
         key = (rdd_id, partition)
         if key in self._cache:
             return
-        nbytes = records_nbytes(records)
+        nbytes = sizeof_records(records)
         self.container.memory.allocate(nbytes, tag=f"{CACHE_TAG}:{rdd_id}")
         self._cache[key] = records
 

@@ -2,14 +2,14 @@
 
 A partitioner maps a record key to a reduce-partition index.  Hash
 partitioning is Spark's default and is what GraphX uses for its vertex and
-edge tables; range partitioning backs ``sortBy``.  Both offer a vectorized
-``partition_array`` fast path for numpy integer keys, which the graph
-algorithms use to bucket millions of edges without a Python-level loop.
+edge tables.  ``partition_array`` is the vectorized fast path for numpy
+integer keys, which the graph algorithms use to bucket millions of edges
+without a Python-level loop.
 """
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -53,47 +53,3 @@ class HashPartitioner(Partitioner):
         if np.issubdtype(keys.dtype, np.integer):
             return (keys % self.num_partitions).astype(np.int64)
         return super().partition_array(keys)
-
-
-class RangePartitioner(Partitioner):
-    """Partitions keys by sorted range bounds (used by ``sortBy``).
-
-    Args:
-        bounds: ``num_partitions - 1`` ascending split points; key ``k`` goes
-            to the first partition whose bound exceeds it.
-    """
-
-    def __init__(self, num_partitions: int, bounds: Sequence[Any]) -> None:
-        super().__init__(num_partitions)
-        if len(bounds) != num_partitions - 1:
-            raise ConfigError(
-                f"need {num_partitions - 1} bounds, got {len(bounds)}"
-            )
-        self.bounds = list(bounds)
-
-    def partition(self, key: Any) -> int:
-        lo, hi = 0, len(self.bounds)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if key <= self.bounds[mid]:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
-
-    def partition_array(self, keys: np.ndarray) -> np.ndarray:
-        if not self.bounds:
-            return np.zeros(len(keys), dtype=np.int64)
-        return np.searchsorted(
-            np.asarray(self.bounds), keys, side="left"
-        ).astype(np.int64)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, RangePartitioner)
-            and self.num_partitions == other.num_partitions
-            and self.bounds == other.bounds
-        )
-
-    def __hash__(self) -> int:
-        return hash(("RangePartitioner", self.num_partitions, tuple(self.bounds)))

@@ -18,20 +18,15 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.common.batch import (
-    COMBINE_UFUNCS,
     RaggedColumn,
-    RecordBatch,
-    iter_records,
     partition_order,
     scatter_add_rows,
     segment_index,
-    segment_reduce,
-    split_batch,
     take_rows,
 )
 from repro.common.costs import CostModel
@@ -55,9 +50,6 @@ from repro.dataflow.taskctx import task_span
 
 # Shuffle-id allocation lives on SparkContext (``ctx.next_shuffle_id()``)
 # so restarted contexts never drift; no module-global counter here.
-
-#: One reduce bucket: a boxed record list or a columnar batch.
-Bucket = Any
 
 
 def _concat_columns(columns: Sequence[Any]) -> Any:
@@ -206,49 +198,13 @@ class _MergedBlocks:
         return tuple(_slice_rows(col, start, stop) for col in self.columns)
 
 
-def bucket_map_output(
-    records: List[Any],
-    partitioner: Any,
-    map_side_combine: Optional[Tuple[Callable, Callable]] = None,
-    combine_op: Optional[str] = None,
-) -> Dict[int, Bucket]:
-    """Bucket one map task's records by reduce partition.
-
-    When the partition consists entirely of columnar
-    :class:`~repro.common.batch.RecordBatch` elements — and any requested
-    map-side combine is one of the known numeric ops — bucketing runs
-    vectorized: a segment-reduce for the combine, ``partition_array`` on
-    the key column, and one stable argsort to split rows into per-bucket
-    batches.  Anything else takes the boxed per-record loop (batches are
-    exploded to pairs first), which is byte- and order-equivalent.
-    """
-    vectorizable = bool(records) and all(
-        isinstance(r, RecordBatch) and r.is_columnar for r in records
-    )
-    if vectorizable and (map_side_combine is None
-                         or combine_op in COMBINE_UFUNCS):
-        merged = RecordBatch.concat(records)
-        keys, values = merged.keys, merged.values
-        if map_side_combine is not None:
-            keys, values = segment_reduce(keys, values, combine_op)
-        pids = partitioner.partition_array(keys)
-        return split_batch(keys, values, pids)
-
+def bucket_map_output(records: Iterable[Any],
+                      partitioner: Any) -> Dict[int, List[Any]]:
+    """Bucket one map task's boxed ``(key, value)`` records by reduce
+    partition — the record shuffle the block form is held to."""
     buckets: Dict[int, List[Any]] = defaultdict(list)
-    stream = iter_records(records)
-    if map_side_combine is not None:
-        create, merge = map_side_combine
-        combined: Dict[Any, Any] = {}
-        for k, v in stream:
-            if k in combined:
-                combined[k] = merge(combined[k], v)
-            else:
-                combined[k] = create(v)
-        for k, v in combined.items():
-            buckets[partitioner.partition(k)].append((k, v))
-    else:
-        for k, v in stream:
-            buckets[partitioner.partition(k)].append((k, v))
+    for k, v in records:
+        buckets[partitioner.partition(k)].append((k, v))
     return dict(buckets)
 
 
@@ -395,10 +351,7 @@ class ShuffleService:
                     local_bytes += nbytes
                 else:
                     remote_bytes += nbytes
-                if isinstance(bucket, RecordBatch):
-                    records.append(bucket)
-                else:
-                    records.extend(bucket)
+                records.extend(bucket)
             total = local_bytes + remote_bytes
         with task_span("shuffle.fetch", cost,
                        {"shuffle": shuffle_id, "reduce": reduce_partition,

@@ -20,7 +20,6 @@ import contextvars
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterator, Optional
 
-from repro.common.batch import RecordBatch, accumulate_sequential
 from repro.common.simclock import TaskCost
 from repro.obs.tracer import NOOP_SCOPE, NOOP_TRACER, NoopTracer
 
@@ -116,32 +115,13 @@ def metered(iterator: Iterator, cost: TaskCost, cpu_record_s: float,
             trace_name: str | None = None) -> Iterator:
     """Wrap an iterator, charging per-record CPU to ``cost`` as it is drained.
 
-    A :class:`~repro.common.batch.RecordBatch` element charges for every
-    record it carries in one constant-size Python step (a C-speed
-    sequential accumulate), so a batched partition pays the *bitwise*
-    identical simulated CPU as its boxed equivalent at host speed.
-
     When ``trace_name`` is given and the running task is being traced, one
     span covering the whole drain — including any shuffle fetch or HDFS
     read charged by the upstream iterator chain — is placed on the task's
     trace row when the iterator is exhausted.
     """
-    if trace_name is not None:
-        tctx = _current.get()
-        if tctx is not None and tctx.tracer.enabled:
-            with task_span(trace_name, cost):
-                for item in iterator:
-                    if isinstance(item, RecordBatch):
-                        cost.cpu_s = accumulate_sequential(
-                            cost.cpu_s, cpu_record_s, len(item))
-                    else:
-                        cost.cpu_s += cpu_record_s
-                    yield item
-            return
-    for item in iterator:
-        if isinstance(item, RecordBatch):
-            cost.cpu_s = accumulate_sequential(
-                cost.cpu_s, cpu_record_s, len(item))
-        else:
+    span = task_span(trace_name, cost) if trace_name else NOOP_SCOPE
+    with span:
+        for item in iterator:
             cost.cpu_s += cpu_record_s
-        yield item
+            yield item

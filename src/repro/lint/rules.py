@@ -448,12 +448,10 @@ class UnorderedIterationRule(Rule):
 # SIM005 — RDD closures mutating captured state / aliasing records
 # ----------------------------------------------------------------------
 
-#: RDD / DataFrame methods whose function arguments ship to executors.
+#: RDD methods whose function arguments ship to executors.
 _RDD_METHODS = {
     "map", "flat_map", "filter", "map_partitions",
-    "map_partitions_with_index", "foreach_partition", "foreach",
-    "map_values", "flat_map_values", "key_by", "group_by", "sort_by",
-    "reduce_by_key", "aggregate_by_key", "combine_by_key", "fold_by_key",
+    "map_partitions_with_index", "foreach_partition", "shuffle_blocks",
 }
 
 #: Method calls that mutate their receiver.

@@ -43,7 +43,6 @@ from repro.common.metrics import (
     PS_REQUEST_H,
 )
 from repro.common.batch import (
-    RecordBatch,
     gather_segments,
     split_indices,
     strictly_increasing,
@@ -255,30 +254,6 @@ class PSAgent:
             col: int | None = None) -> None:
         """Overwrite rows for ``keys`` with ``values``."""
         self._write(meta, keys, values, col, "set")
-
-    # -- columnar batch views ----------------------------------------------
-
-    def pull_batch(self, meta: MatrixMeta, keys: np.ndarray,
-                   col: int | None = None) -> RecordBatch:
-        """Pull rows for ``keys`` as one columnar RecordBatch.
-
-        Same server calls, metering and cache interaction as :meth:`pull`;
-        the result keeps keys and values aligned in primitive arrays so a
-        dataflow partition can carry it directly — the paper's
-        pull-in-primitive-arrays path, end to end.
-        """
-        keys = np.asarray(keys, dtype=np.int64)
-        return RecordBatch(keys, self.pull(meta, keys, col))
-
-    def push_batch(self, meta: MatrixMeta, batch: RecordBatch,
-                   col: int | None = None) -> None:
-        """Increment rows keyed by ``batch.keys`` by its value column."""
-        self.push(meta, batch.keys, batch.values, col)
-
-    def set_batch(self, meta: MatrixMeta, batch: RecordBatch,
-                  col: int | None = None) -> None:
-        """Overwrite rows keyed by ``batch.keys`` with its value column."""
-        self.set(meta, batch.keys, batch.values, col)
 
     def _write(self, meta: MatrixMeta, keys: np.ndarray,
                values: np.ndarray, col: int | None, method: str) -> None:

@@ -50,18 +50,6 @@ class PSMatrix:
         """Overwrite rows for ``keys``."""
         self.psctx.agent.set(self.meta, keys, values, col)
 
-    def pull_batch(self, keys: np.ndarray, col: int | None = None):
-        """Rows for ``keys`` as a columnar RecordBatch (keys + values)."""
-        return self.psctx.agent.pull_batch(self.meta, keys, col)
-
-    def push_batch(self, batch, col: int | None = None) -> None:
-        """Increment rows from a RecordBatch's key/value columns."""
-        self.psctx.agent.push_batch(self.meta, batch, col)
-
-    def set_batch(self, batch, col: int | None = None) -> None:
-        """Overwrite rows from a RecordBatch's key/value columns."""
-        self.psctx.agent.set_batch(self.meta, batch, col)
-
     def psfunc(self, func: PsFunc) -> Any:
         """Run a server-side UDF over every partition; merged result."""
         return self.psctx.agent.psfunc(self.meta, func)
@@ -92,15 +80,6 @@ class PSVector(PSMatrix):
     def set(self, keys: np.ndarray, values: np.ndarray,
             col: int | None = 0) -> None:
         self.psctx.agent.set(self.meta, keys, values, col)
-
-    def pull_batch(self, keys: np.ndarray, col: int | None = 0):
-        return self.psctx.agent.pull_batch(self.meta, keys, col)
-
-    def push_batch(self, batch, col: int | None = 0) -> None:
-        self.psctx.agent.push_batch(self.meta, batch, col)
-
-    def set_batch(self, batch, col: int | None = 0) -> None:
-        self.psctx.agent.set_batch(self.meta, batch, col)
 
     def to_numpy(self) -> np.ndarray:
         return self.psctx.agent.pull_all(self.meta)[:, 0]

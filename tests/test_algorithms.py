@@ -5,6 +5,8 @@ import hashlib
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.common.config import ClusterConfig
 from repro.common.metrics import (
@@ -281,6 +283,57 @@ class TestFastUnfolding:
                for r in result.output.collect()}
         assert got[0] == got[1] == got[2]
         assert got[3] == got[4]
+
+    @given(st.data())
+    def test_aggregate_is_the_dict_left_fold(self, data):
+        """Community aggregation keeps each reduce partition's pair keys in
+        first-seen order with weights bit-equal to the boxed pipeline's:
+        per block a fold in key order, per map task and per reduce task a
+        dict left fold in arrival order."""
+        from repro.core.algorithms.fast_unfolding import _aggregate
+        from tests.conftest import make_context
+
+        n = data.draw(st.integers(1, 6))
+        mapping = np.asarray(data.draw(st.lists(
+            st.integers(0, data.draw(st.integers(0, n - 1))),
+            min_size=n, max_size=n)), dtype=np.int64)
+        edge = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                         st.floats(0.0, 1e6))
+        blocks = [
+            EdgeBlock(np.asarray([e[0] for e in edges], dtype=np.int64),
+                      np.asarray([e[1] for e in edges], dtype=np.int64),
+                      np.asarray([e[2] for e in edges], dtype=np.float64))
+            for edges in data.draw(st.lists(st.lists(edge, max_size=8),
+                                            max_size=8))]
+        p = data.draw(st.integers(1, 4))
+        stride = n + 1
+
+        def fold(acc, pairs):
+            for key, weight in pairs:
+                acc[key] = acc[key] + weight if key in acc else weight
+            return acc
+
+        map_outputs = []
+        for mp in range(p):  # partition mp holds blocks[mp::p], maybe none
+            combined = {}
+            for b in blocks[mp::p]:
+                keys = (mapping[b.src] * stride + mapping[b.dst]).tolist()
+                sums = fold({}, zip(keys, b.weight.tolist()))
+                fold(combined, sorted(sums.items()))
+            map_outputs.append(combined)
+        ctx = make_context(num_executors=2)
+        try:
+            got = _aggregate(ctx.parallelize(blocks, p), mapping).collect()
+        finally:
+            ctx.stop()
+        assert len(got) == p
+        for r, block in enumerate(got):
+            want = {}
+            for combined in map_outputs:
+                fold(want, ((k, w) for k, w in combined.items()
+                            if k % p == r))
+            assert (block.src * stride + block.dst).tolist() == list(want)
+            assert block.weight.tolist() == list(want.values())
 
 
 class TestLabelPropagation:

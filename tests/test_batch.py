@@ -11,21 +11,14 @@ from hypothesis import strategies as st
 import repro
 from repro.common import batch as batch_module
 from repro.common.batch import (
-    COMBINE_FNS,
     SCATTER_BLOCK,
     RaggedColumn,
-    RecordBatch,
     accumulate_sequential,
-    explode_records,
     flat_row_index,
-    iter_records,
-    record_count,
-    records_nbytes,
     scatter_add_rows,
     segment_index,
     segment_reduce,
     sorted_unique,
-    split_batch,
     split_indices,
 )
 from repro.common.sizeof import (
@@ -35,134 +28,6 @@ from repro.common.sizeof import (
     sizeof_records,
 )
 from repro.core.blocks import EdgeBlock, build_neighbor_block
-
-
-def make_batch(n, dim=None, seed=3):
-    rng = np.random.default_rng(seed)
-    keys = rng.integers(0, max(1, n // 2), size=n).astype(np.int64)
-    if dim is None:
-        values = rng.integers(0, 100, size=n).astype(np.float64)
-    else:
-        values = rng.integers(0, 100, size=(n, dim)).astype(np.float32)
-    return RecordBatch(keys, values)
-
-
-class TestRecordBatch:
-    def test_basic_shape(self):
-        b = make_batch(10)
-        assert len(b) == b.num_records == 10
-        assert b.is_columnar
-        assert "10 records" in repr(b)
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            RecordBatch(np.arange(3), np.zeros(4))
-        with pytest.raises(ValueError):
-            RecordBatch(np.arange(3), [1, 2])
-
-    def test_non_numeric_keys_rejected(self):
-        with pytest.raises(ValueError):
-            RecordBatch(np.asarray(["a", "b"]), np.zeros(2))
-        with pytest.raises(ValueError):
-            RecordBatch(np.zeros((2, 2)), np.zeros(2))
-
-    def test_pairs_roundtrip_1d(self):
-        b = make_batch(17)
-        pairs = list(b.to_pairs())
-        assert pairs == list(zip(b.keys.tolist(), b.values.tolist()))
-        back = RecordBatch.from_pairs(pairs)
-        np.testing.assert_array_equal(back.keys, b.keys)
-        np.testing.assert_array_equal(back.values, b.values)
-
-    def test_pairs_roundtrip_2d(self):
-        b = make_batch(9, dim=4)
-        pairs = list(b.to_pairs())
-        assert len(pairs) == 9
-        np.testing.assert_array_equal(pairs[3][1], b.values[3])
-        back = RecordBatch.from_pairs(pairs)
-        assert back.is_columnar
-        np.testing.assert_array_equal(back.values, b.values)
-
-    def test_boxed_fallback(self):
-        b = RecordBatch(np.arange(3), [{"a": 1}, {"b": 2}, {"c": 3}])
-        assert not b.is_columnar
-        assert [v for _k, v in b.to_pairs()] == [{"a": 1}, {"b": 2}, {"c": 3}]
-
-    def test_from_pairs_boxed_values(self):
-        b = RecordBatch.from_pairs([(1, {"x": 1}), (2, {"y": 2})])
-        assert not b.is_columnar
-
-    def test_concat(self):
-        parts = [make_batch(5, seed=s) for s in range(3)]
-        merged = RecordBatch.concat(parts)
-        assert len(merged) == 15
-        np.testing.assert_array_equal(
-            merged.keys, np.concatenate([p.keys for p in parts])
-        )
-        assert RecordBatch.concat(parts[:1]) is parts[0]
-
-    def test_select(self):
-        b = make_batch(10)
-        idx = np.asarray([7, 2, 2])
-        s = b.select(idx)
-        np.testing.assert_array_equal(s.keys, b.keys[idx])
-        np.testing.assert_array_equal(s.values, b.values[idx])
-
-
-class TestLogicalNbytes:
-    """The metering contract: a batch charges the bytes of the boxed list
-    of pairs it stands in for — bit-for-bit what sizeof would estimate."""
-
-    @pytest.mark.parametrize("n", [0, 1, 7, 32, 33, 100, 1000])
-    def test_matches_boxed_pairs_1d(self, n):
-        b = make_batch(n)
-        boxed = list(b.to_pairs())
-        assert b.logical_nbytes() == sizeof(boxed) == sizeof_records(boxed)
-
-    @pytest.mark.parametrize("n", [1, 40, 333])
-    @pytest.mark.parametrize("dim", [1, 8, 17])
-    def test_matches_boxed_pairs_2d(self, n, dim):
-        b = make_batch(n, dim=dim)
-        boxed = list(b.to_pairs())
-        assert b.logical_nbytes() == sizeof(boxed)
-
-    def test_boxed_fallback_matches_sampling(self):
-        payload = [{"k": float(i)} for i in range(100)]
-        b = RecordBatch(np.arange(100), payload)
-        boxed = list(b.to_pairs())
-        assert b.logical_nbytes() == sizeof(boxed)
-
-    def test_sizeof_uses_o1_hint(self):
-        b = make_batch(10)
-        assert sizeof(b) == b.logical_nbytes()
-        assert sizeof_records(b) == b.logical_nbytes()
-
-    def test_records_nbytes_ignores_chunking(self):
-        parts = [make_batch(40, seed=s) for s in range(3)]
-        flat = [p for b in parts for p in b.to_pairs()]
-        assert records_nbytes(list(parts)) == sizeof_records(flat)
-        # Mixed partitions charge boxed records plus batch records.
-        mixed = [parts[0], ("extra", 1.0)]
-        assert records_nbytes(mixed) > records_nbytes([parts[0]])
-        # Pure boxed lists defer to sizeof_records exactly.
-        assert records_nbytes(flat) == sizeof_records(flat)
-        assert records_nbytes(parts[0]) == parts[0].logical_nbytes()
-
-
-class TestRecordHelpers:
-    def test_record_count(self):
-        assert record_count((1, 2)) == 1
-        assert record_count(make_batch(42)) == 42
-
-    def test_iter_and_explode(self):
-        b = make_batch(5)
-        mixed = [("x", 1), b, ("y", 2)]
-        flat = list(iter_records(mixed))
-        assert flat[0] == ("x", 1) and flat[-1] == ("y", 2)
-        assert len(flat) == 7
-        assert explode_records(mixed) == flat
-        plain = [("x", 1), ("y", 2)]
-        assert explode_records(plain) is plain
 
 
 class TestSplitAndReduce:
@@ -186,14 +51,6 @@ class TestSplitAndReduce:
         assert got.dtype == want.dtype and got.tolist() == want.tolist()
         assert np.array_equal(values, before)  # sorts a copy
 
-    def test_split_batch(self):
-        b = make_batch(200)
-        pids = b.keys % 4
-        buckets = split_batch(b.keys, b.values, pids)
-        assert sum(len(x) for x in buckets.values()) == 200
-        for pid, bucket in buckets.items():
-            assert (bucket.keys % 4 == pid).all()
-
     @pytest.mark.parametrize("op", ["add", "min", "max"])
     def test_segment_reduce_matches_boxed_fold(self, op):
         rng = np.random.default_rng(5)
@@ -201,7 +58,7 @@ class TestSplitAndReduce:
         # Integer-valued floats: any summation order is exact, so the
         # comparison with the sequential boxed fold is bitwise.
         values = rng.integers(-50, 50, size=1000).astype(np.float64)
-        fn = COMBINE_FNS[op]
+        fn = {"add": lambda a, b: a + b, "min": min, "max": max}[op]
         expect = {}
         for k, v in zip(keys.tolist(), values.tolist()):
             expect[k] = fn(expect[k], v) if k in expect else v
@@ -518,7 +375,6 @@ _LEAVES = st.one_of(
         lambda n: EdgeBlock(np.arange(n), np.arange(n))),
     st.integers(0, 6).map(
         lambda n: build_neighbor_block(np.arange(n) // 2, np.arange(n))),
-    st.integers(0, 6).map(lambda n: RecordBatch(np.arange(n), np.ones(n))),
 )
 _NESTED = st.recursive(
     _LEAVES,

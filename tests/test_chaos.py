@@ -14,6 +14,7 @@ from repro.common.config import ClusterConfig
 from repro.common.errors import ConfigError, RpcError
 from repro.common.metrics import CHAOS_FAULTS
 from repro.dataflow.context import SparkContext
+from repro.dataflow.partitioner import HashPartitioner
 from repro.ps.context import PSContext
 from tests.conftest import make_context
 
@@ -159,7 +160,7 @@ class TestChaosEngineSpark:
                 # A shuffle stage runs map tasks first; only result tasks
                 # may satisfy the trigger.
                 ctx.parallelize([(i % 3, 1) for i in range(30)], 6) \
-                    .reduce_by_key(lambda a, b: a + b).collect()
+                    .partition_by(HashPartitioner(6)).collect()
             assert len(engine.fired) == 1
         finally:
             ctx.stop()

@@ -39,117 +39,7 @@ class TestBasics:
         tuples = people.collect_tuples()
         assert all(len(t) == 4 for t in tuples)
 
-    def test_select_projects_in_order(self, people):
-        got = people.select("age", "id").collect_tuples()
-        assert sorted(got) == [(28, 2), (34, 1), (34, 3), (51, 4)]
-
-    def test_select_unknown_column(self, people):
-        with pytest.raises(ConfigError):
-            people.select("ghost")
-
-    def test_filter(self, people):
-        got = people.filter(lambda r: r["age"] == 34).count()
-        assert got == 2
-
-    def test_with_column_appends(self, people):
-        df = people.with_column("rich", lambda r: r["spend"] > 1000)
-        assert df.columns[-1] == "rich"
-        rich = {r["name"] for r in df.collect() if r["rich"]}
-        assert rich == {"ann", "cyd"}
-
-    def test_with_column_replaces(self, people):
-        df = people.with_column("age", lambda r: r["age"] + 1)
-        assert df.columns == people.columns
-        assert sorted(r["age"] for r in df.collect()) == [29, 35, 35, 52]
-
-    def test_rename(self, people):
-        df = people.rename("spend", "amount")
-        assert "amount" in df.columns
-        assert "spend" not in df.columns
-
-    def test_order_by_and_limit(self, people):
-        top = people.order_by("spend", ascending=False).limit(2)
-        names = [r["name"] for r in top.collect()]
-        assert names == ["cyd", "ann"]
-
     def test_show_returns_table(self, people, capsys):
         out = people.show(2)
         assert "id" in out
         assert out.count("\n") >= 4
-
-
-class TestJoins:
-    def test_inner_join(self, sc, people):
-        cities = make_df(sc, [(1, "sz"), (3, "bj"), (9, "sh")],
-                         ["id", "city"])
-        joined = people.join(cities, on="id")
-        got = {r["name"]: r["city"] for r in joined.collect()}
-        assert got == {"ann": "sz", "cyd": "bj"}
-
-    def test_left_join_fills_none(self, sc, people):
-        cities = make_df(sc, [(1, "sz")], ["id", "city"])
-        joined = people.join(cities, on="id", how="left")
-        got = {r["name"]: r["city"] for r in joined.collect()}
-        assert got["ann"] == "sz"
-        assert got["bob"] is None
-
-    def test_join_schema_order(self, sc, people):
-        cities = make_df(sc, [(1, "sz")], ["id", "city"])
-        joined = people.join(cities, on="id")
-        assert joined.columns == ["id", "name", "age", "spend", "city"]
-
-    def test_unsupported_join_type(self, sc, people):
-        cities = make_df(sc, [(1, "sz")], ["id", "city"])
-        with pytest.raises(ConfigError):
-            people.join(cities, on="id", how="cross")
-
-
-class TestGroupBy:
-    def test_sum_and_count(self, people):
-        agg = people.group_by("age").agg(total="sum:spend", n="count:id")
-        got = {r["age"]: (r["total"], r["n"]) for r in agg.collect()}
-        assert got[34] == (2700.0, 2)
-        assert got[28] == (800.0, 1)
-
-    def test_min_max(self, people):
-        agg = people.group_by("age").agg(lo="min:spend", hi="max:spend")
-        got = {r["age"]: (r["lo"], r["hi"]) for r in agg.collect()}
-        assert got[34] == (1200.0, 1500.0)
-
-    def test_mean(self, people):
-        agg = people.group_by("age").agg(avg="mean:spend")
-        got = {r["age"]: r["avg"] for r in agg.collect()}
-        assert got[34] == pytest.approx(1350.0)
-
-    def test_collect_list(self, people):
-        agg = people.group_by("age").agg(names="collect_list:name")
-        got = {r["age"]: sorted(r["names"]) for r in agg.collect()}
-        assert got[34] == ["ann", "cyd"]
-
-    def test_multi_key_group(self, sc):
-        df = make_df(sc, [(1, "a", 2), (1, "a", 3), (2, "a", 5)],
-                     ["k1", "k2", "v"])
-        agg = df.group_by("k1", "k2").agg(s="sum:v")
-        got = {(r["k1"], r["k2"]): r["s"] for r in agg.collect()}
-        assert got == {(1, "a"): 5, (2, "a"): 5}
-
-    def test_unknown_agg_rejected(self, people):
-        with pytest.raises(ConfigError):
-            people.group_by("age").agg(x="median:spend")
-
-
-class TestSetOps:
-    def test_distinct(self, sc):
-        df = make_df(sc, [(1, "a"), (1, "a"), (2, "b")], ["id", "x"])
-        assert df.distinct().count() == 2
-
-    def test_union(self, sc):
-        a = make_df(sc, [(1, "a")], ["id", "x"])
-        b = make_df(sc, [(2, "b")], ["id", "x"])
-        assert sorted(a.union(b).collect_tuples()) == [(1, "a"), (2, "b")]
-
-    def test_union_schema_mismatch(self, sc):
-        a = make_df(sc, [(1,)], ["id"])
-        b = make_df(sc, [(2,)], ["other"])
-        with pytest.raises(ConfigError):
-            a.union(b)

@@ -111,18 +111,6 @@ class TestPipelines:
         assert len(psg.hdfs.listdir("/out/pr")) > 0
         assert len(psg.hdfs.listdir("/out/cn")) > 0
 
-    def test_dataframe_postprocessing_of_algorithm_output(self, psg):
-        src, dst = powerlaw_graph(50, 200, seed=55)
-        edges = edges_from_arrays(psg.spark, src, dst)
-        result = PageRank(max_iterations=10).transform(psg, edges)
-        # Join ranks with coreness in DataFrame land.
-        cores = KCore().transform(psg, edges).output
-        joined = result.output.join(cores, on="vertex")
-        rows = joined.collect()
-        assert {"vertex", "rank", "coreness"} <= set(rows[0])
-        agg = joined.group_by("coreness").agg(mean_rank="mean:rank")
-        assert agg.count() >= 1
-
     def test_metrics_tell_the_papers_story(self, psg):
         """PSGraph moves model traffic via PS, not via shuffle joins."""
         from repro.common.metrics import PS_PULL_BYTES, SHUFFLE_BYTES_WRITTEN
@@ -186,9 +174,9 @@ class TestFailureIntegration:
         assert psg.spark.executors[2].container.restarts == 1
 
 
-class TestChaosMonkey:
+class TestChaosSchedule:
     def test_rules_fire_once_and_job_survives(self, psg):
-        from repro.testing import ChaosMonkey
+        from repro.chaos import ChaosEngine, FaultSchedule, FaultSpec
 
         src, dst = powerlaw_graph(60, 240, seed=59)
         write_edges(psg.hdfs, "/in/cm", src, dst, num_files=4)
@@ -196,25 +184,27 @@ class TestChaosMonkey:
         result = runner.run(
             CommonNeighbor(checkpoint=True, batch_size=64), "/in/cm"
         )
-        monkey = (ChaosMonkey(psg)
-                  .kill_executor(1, after_tasks=1)
-                  .kill_server(0, after_tasks=2))
-        with monkey:
+        schedule = FaultSchedule([
+            FaultSpec("kill_executor", index=1, after_tasks=1),
+            FaultSpec("kill_server", index=0, after_tasks=2),
+        ])
+        with ChaosEngine(schedule, psg.spark, psg.ps) as engine:
             count = result.output.count()
-        assert count == 240
-        assert monkey.fired == 2
-        # Re-running after the block fires nothing further.
-        result.output.count()
-        assert monkey.fired == 2
+            assert count == 240
+            assert len(engine.fired) == 2
+            # Re-running inside the block fires nothing further.
+            result.output.count()
+            assert len(engine.fired) == 2
 
     def test_hook_removed_on_exit(self, psg):
-        from repro.testing import ChaosMonkey
+        from repro.chaos import ChaosEngine, FaultSchedule, FaultSpec
 
-        monkey = ChaosMonkey(psg).kill_executor(0, after_tasks=1)
-        with monkey:
+        schedule = FaultSchedule(
+            [FaultSpec("kill_executor", index=0, after_tasks=1)])
+        with ChaosEngine(schedule, psg.spark, psg.ps) as engine:
             pass
         psg.spark.parallelize(range(4)).count()
-        assert monkey.fired == 0  # disarmed: no kills outside the block
+        assert engine.fired == []  # detached: no kills outside the block
 
 
 class TestDeterminism:

@@ -44,6 +44,17 @@ def test_sim101_rebound_capture_fires_exactly_once():
     assert "rebound" in vs[0].message
 
 
+def test_sim101_shuffle_blocks_closure_with_rebound_capture():
+    vs = lint_flow("""\
+        def driver(rdd, partitioner, bucket):
+            width = 2
+            out = rdd.shuffle_blocks(partitioner, lambda it: bucket(it, width))
+            width = 3
+            return out
+    """)
+    assert rule_ids(vs) == ["SIM101"]
+
+
 def test_sim101_driver_context_capture():
     vs = lint_flow("""\
         from repro.dataflow.context import SparkContext

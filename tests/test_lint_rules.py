@@ -224,6 +224,19 @@ def test_sim005_flags_inplace_reorder_of_parameter():
     assert "SIM005" in rule_ids(vs)
 
 
+def test_sim005_flags_shuffle_blocks_closure_mutating_captured_list():
+    vs = lint("""\
+        def job(rdd, partitioner, bucket):
+            sizes = []
+            def to_block(it):
+                block = bucket(it)
+                sizes.append(len(block.lens))
+                return block
+            return rdd.shuffle_blocks(partitioner, to_block)
+    """)
+    assert rule_ids(vs) == ["SIM005"]
+
+
 def test_sim005_allows_pure_lambdas():
     vs = lint("""\
         def job(rdd):

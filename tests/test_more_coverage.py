@@ -2,7 +2,6 @@
 memory tags, describe(), and property tests of core helpers."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -203,27 +202,6 @@ class TestPropertyHelpers:
 
 
 class TestMergeProperties:
-    @settings(deadline=None, max_examples=30)
-    @given(st.lists(st.floats(-100, 100), min_size=1, max_size=40),
-           st.integers(1, 5))
-    def test_statcounter_merge_order_invariant(self, data, splits):
-        from repro.dataflow.rdd import StatCounter
-
-        whole = StatCounter()
-        for x in data:
-            whole.merge_value(x)
-        merged = StatCounter()
-        for i in range(splits):
-            part = StatCounter()
-            for x in data[i::splits]:
-                part.merge_value(x)
-            merged.merge_stats(part)
-        assert merged.count == whole.count
-        assert merged.mean == pytest.approx(whole.mean, abs=1e-9)
-        assert merged.variance == pytest.approx(whole.variance, abs=1e-6)
-        assert merged.min == whole.min
-        assert merged.max == whole.max
-
     @settings(deadline=None, max_examples=25)
     @given(st.integers(2, 500), st.integers(1, 20))
     def test_ps_partitioners_total_cover(self, size, parts):

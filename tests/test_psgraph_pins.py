@@ -185,6 +185,65 @@ def test_cell_matches_parent_pin(key):
     assert run_cell(*key) == PINS[key]
 
 
+def _multiblock(spark, p):
+    # Three weighted blocks in every partition (slices of uneven length):
+    # the aggregation's map side sees several blocks per task, with the
+    # same community pair in more than one of them.
+    src, dst = powerlaw_graph(400, 3000, seed=11)
+    weight = np.random.default_rng(5).uniform(0.25, 4.0, len(src))
+    cuts = np.linspace(0, len(src), 3 * p + 1).astype(int) ** 2 // len(src)
+    return spark.parallelize(
+        [EdgeBlock(src[a:b], dst[a:b], weight[a:b])
+         for a, b in zip(cuts[:-1], cuts[1:])], p)
+
+
+def run_fast_unfolding_cell(p: int):
+    """Three passes (two community aggregations, the second over the
+    first's output): ``(sim_s, {dataflow.shuffle.* counter: value},
+    peak bytes per executor, digest)``."""
+    ctx = PSGraphContext(ClusterConfig(
+        num_executors=4, executor_mem_bytes=1 << 40,
+        num_servers=2, server_mem_bytes=1 << 40,
+    ))
+    try:
+        out = _algo(FastUnfolding(num_passes=3, max_move_iterations=3))(
+            ctx, _multiblock(ctx.spark, p))
+        assert out[1] == 3
+        return (ctx.sim_time(),
+                {name: int(value) for name, value in ctx.metrics
+                 if name.startswith("dataflow.shuffle.")},
+                tuple(ex.container.memory.peak for ex in ctx.spark.executors),
+                digest(out))
+    finally:
+        ctx.stop()
+
+
+#: Computed at commit ``25f8957`` (``_aggregate`` as boxed ``(pair key,
+#: weight)`` records through ``reduce_by_key``).
+FAST_UNFOLDING_PINS = {
+    1: (0.021185942133333666,
+        {'dataflow.shuffle.bytes_read': 843848,
+         'dataflow.shuffle.bytes_written': 542864,
+         'dataflow.shuffle.records': 4177},
+        (26296, 255980, 25640, 26200), 'b92914c9f0510d8c'),
+    4: (0.018689495733333315,
+        {'dataflow.shuffle.bytes_read': 975776,
+         'dataflow.shuffle.bytes_written': 613232,
+         'dataflow.shuffle.records': 5452},
+        (73560, 87140, 80180, 91580), 'ece7d90bbf52e5f6'),
+    16: (0.035617125866666655,
+         {'dataflow.shuffle.bytes_read': 1219968,
+          'dataflow.shuffle.bytes_written': 835736,
+          'dataflow.shuffle.records': 10539},
+         (34536, 31800, 33024, 33120), 'f850892d6f09cb66'),
+}
+
+
+@pytest.mark.parametrize("p", [1, 4, 16])
+def test_fast_unfolding_aggregation_matches_parent_pin(p):
+    assert run_fast_unfolding_cell(p) == FAST_UNFOLDING_PINS[p]
+
+
 def test_every_cell_is_pinned():
     assert set(PINS) == {(a, g, p) for a in ALGOS for g, p in CELLS}
 
@@ -193,3 +252,5 @@ if __name__ == "__main__":
     for a in ALGOS:
         for g, p in CELLS:
             print(f"    {(a, g, p)!r}:\n        {run_cell(a, g, p)!r},")
+    for p in (1, 4, 16):
+        print(f"    {p}: {run_fast_unfolding_cell(p)!r},")

@@ -1,5 +1,6 @@
 """Unit + property tests for the RDD engine."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,71 +35,9 @@ class TestBasics:
         assert sum(n for _i, n in got) == 8
         assert {i for i, _n in got} == {0, 1, 2, 3}
 
-    def test_glom_partition_count(self, sc):
-        parts = sc.parallelize(range(10), 3).glom().collect()
-        assert len(parts) == 3
-        assert sorted(x for p in parts for x in p) == list(range(10))
-
-    def test_union(self, sc):
-        a = sc.parallelize([1, 2])
-        b = sc.parallelize([3])
-        assert sorted(a.union(b).collect()) == [1, 2, 3]
-
-    def test_take_and_first(self, sc):
+    def test_take(self, sc):
         rdd = sc.parallelize(range(100), 5)
         assert len(rdd.take(7)) == 7
-        assert rdd.first() in range(100)
-
-    def test_first_empty_raises(self, sc):
-        with pytest.raises(ValueError):
-            sc.empty_rdd().first()
-
-    def test_reduce_and_sum(self, sc):
-        rdd = sc.parallelize(range(1, 11))
-        assert rdd.reduce(lambda a, b: a + b) == 55
-        assert rdd.sum() == 55
-
-    def test_reduce_empty_raises(self, sc):
-        with pytest.raises(ValueError):
-            sc.empty_rdd().reduce(lambda a, b: a + b)
-
-    def test_fold_aggregate_max_min_mean(self, sc):
-        rdd = sc.parallelize([3, 1, 4, 1, 5])
-        assert rdd.fold(0, lambda a, b: a + b) == 14
-        assert rdd.max() == 5
-        assert rdd.min() == 1
-        assert rdd.mean() == pytest.approx(2.8)
-        total, n = rdd.aggregate(
-            (0, 0), lambda acc, x: (acc[0] + x, acc[1] + 1),
-            lambda a, b: (a[0] + b[0], a[1] + b[1]))
-        assert (total, n) == (14, 5)
-
-    def test_distinct(self, sc):
-        assert sorted(sc.parallelize([1, 1, 2, 2, 3]).distinct().collect()) \
-            == [1, 2, 3]
-
-    def test_zip_with_index_is_dense(self, sc):
-        pairs = sc.parallelize(list("abcdefgh"), 3).zip_with_index().collect()
-        assert sorted(i for _x, i in pairs) == list(range(8))
-
-    def test_sample_fraction_zero_one(self, sc):
-        rdd = sc.parallelize(range(100))
-        assert rdd.sample(0.0).count() == 0
-        assert rdd.sample(1.0).count() == 100
-
-    def test_coalesce(self, sc):
-        rdd = sc.parallelize(range(20), 8).coalesce(3)
-        assert rdd.num_partitions == 3
-        assert sorted(rdd.collect()) == list(range(20))
-
-    def test_repartition(self, sc):
-        rdd = sc.parallelize(range(20), 2).repartition(5)
-        assert rdd.num_partitions == 5
-        assert sorted(rdd.collect()) == list(range(20))
-
-    def test_is_empty(self, sc):
-        assert sc.empty_rdd().is_empty()
-        assert not sc.parallelize([1]).is_empty()
 
     def test_foreach_partition_results(self, sc):
         out = sc.parallelize(range(10), 4).foreach_partition(
@@ -107,120 +46,32 @@ class TestBasics:
 
 
 class TestKeyedOps:
-    def test_group_by_key(self, sc):
-        pairs = [(i % 3, i) for i in range(9)]
-        got = dict(sc.parallelize(pairs).group_by_key().collect())
-        assert sorted(got[0]) == [0, 3, 6]
-        assert sorted(got[1]) == [1, 4, 7]
-
-    def test_reduce_by_key(self, sc):
-        pairs = [("a", 1), ("b", 2), ("a", 3)]
-        got = dict(sc.parallelize(pairs).reduce_by_key(lambda a, b: a + b)
-                   .collect())
-        assert got == {"a": 4, "b": 2}
-
-    def test_combine_by_key_mean(self, sc):
-        pairs = [("a", 1.0), ("a", 3.0), ("b", 10.0)]
-        combined = sc.parallelize(pairs).combine_by_key(
-            lambda v: (v, 1),
-            lambda acc, v: (acc[0] + v, acc[1] + 1),
-            lambda a, b: (a[0] + b[0], a[1] + b[1]),
-        ).map_values(lambda sc_: sc_[0] / sc_[1]).collect()
-        assert dict(combined) == {"a": 2.0, "b": 10.0}
-
-    def test_aggregate_by_key(self, sc):
-        pairs = [("a", 1), ("a", 2), ("b", 5)]
-        got = dict(sc.parallelize(pairs).aggregate_by_key(
-            0, lambda acc, v: acc + v, lambda a, b: a + b).collect())
-        assert got == {"a": 3, "b": 5}
-
-    def test_fold_by_key(self, sc):
-        got = dict(sc.parallelize([("a", 1), ("a", 2)]).fold_by_key(
-            10, lambda a, b: a + b).collect())
-        assert got == {"a": 23}
-
-    def test_join_inner(self, sc):
-        left = sc.parallelize([(1, "a"), (2, "b"), (3, "c")])
-        right = sc.parallelize([(1, "x"), (3, "y"), (4, "z")])
-        got = sorted(left.join(right).collect())
-        assert got == [(1, ("a", "x")), (3, ("c", "y"))]
-
-    def test_left_outer_join(self, sc):
-        left = sc.parallelize([(1, "a"), (2, "b")])
-        right = sc.parallelize([(1, "x")])
-        got = dict(left.left_outer_join(right).collect())
-        assert got == {1: ("a", "x"), 2: ("b", None)}
-
-    def test_full_outer_join(self, sc):
-        left = sc.parallelize([(1, "a")])
-        right = sc.parallelize([(2, "x")])
-        got = dict(left.full_outer_join(right).collect())
-        assert got == {1: ("a", None), 2: (None, "x")}
-
-    def test_cogroup_shapes(self, sc):
-        a = sc.parallelize([(1, "a"), (1, "b")])
-        b = sc.parallelize([(1, "x"), (2, "y")])
-        got = dict(a.cogroup(b).collect())
-        assert sorted(got[1][0]) == ["a", "b"]
-        assert got[1][1] == ["x"]
-        assert got[2] == ([], ["y"])
-
-    def test_subtract_by_key(self, sc):
-        a = sc.parallelize([(1, "a"), (2, "b")])
-        b = sc.parallelize([(2, "x")])
-        assert a.subtract_by_key(b).collect() == [(1, "a")]
-
-    def test_count_by_key_and_value(self, sc):
-        rdd = sc.parallelize([("a", 1), ("a", 2), ("b", 1)])
-        assert rdd.count_by_key() == {"a": 2, "b": 1}
-        assert sc.parallelize([1, 1, 2]).count_by_value() == {1: 2, 2: 1}
-
-    def test_lookup(self, sc):
-        rdd = sc.parallelize([("a", 1), ("b", 2), ("a", 3)])
-        assert sorted(rdd.lookup("a")) == [1, 3]
-
     def test_partition_by_places_keys(self, sc):
         p = HashPartitioner(4)
         rdd = sc.parallelize([(i, i) for i in range(16)]).partition_by(p)
-        parts = rdd.glom().collect()
-        for pid, part in enumerate(parts):
-            for k, _v in part:
-                assert p.partition(k) == pid
+        placed = rdd.map_partitions_with_index(
+            lambda pid, it: [(pid, k) for k, _v in it]).collect()
+        assert len(placed) == 16
+        for pid, k in placed:
+            assert p.partition(k) == pid
+
+    def test_partitioning_is_identical(self, sc):
+        # The record shuffle places a key with the scalar ``partition``, a
+        # block shuffle with ``partition_array``: the same reduce partition.
+        p = HashPartitioner(4)
+        keys = np.random.default_rng(7).integers(0, 80, size=600)
+        placed = sc.parallelize([(k, None) for k in keys.tolist()], 4) \
+            .partition_by(p).map_partitions_with_index(
+                lambda pid, it: [(k, pid) for k, _v in it]).collect()
+        assert len(placed) == 600
+        assert [pid for _k, pid in placed] == p.partition_array(
+            np.array([k for k, _pid in placed])).tolist()
 
     def test_partition_by_same_partitioner_noop(self, sc):
         p = HashPartitioner(4)
         rdd = sc.parallelize([(i, i) for i in range(8)]).partition_by(p)
         assert rdd.partition_by(p) is rdd
 
-    def test_copartitioned_join_skips_second_shuffle(self, sc):
-        p = HashPartitioner(4)
-        a = sc.parallelize([(i, "a") for i in range(8)]).partition_by(p)
-        b = sc.parallelize([(i, "b") for i in range(8)]).partition_by(p)
-        a.collect()
-        b.collect()
-        before = sc.metrics.get(SHUFFLE_BYTES_WRITTEN)
-        got = a.join(b).collect()
-        assert len(got) == 8
-        # Joining two co-partitioned RDDs must not shuffle them again.
-        assert sc.metrics.get(SHUFFLE_BYTES_WRITTEN) == before
-
-
-class TestSorting:
-    def test_sort_by_ascending(self, sc):
-        data = [5, 3, 8, 1, 9, 2]
-        assert sc.parallelize(data, 3).sort_by(lambda x: x).collect() == \
-            sorted(data)
-
-    def test_sort_by_descending(self, sc):
-        data = [5, 3, 8, 1]
-        got = sc.parallelize(data, 2).sort_by(lambda x: x, ascending=False) \
-            .collect()
-        assert got == sorted(data, reverse=True)
-
-    def test_sort_by_key(self, sc):
-        pairs = [(3, "c"), (1, "a"), (2, "b")]
-        got = sc.parallelize(pairs, 2).sort_by_key().collect()
-        assert got == [(1, "a"), (2, "b"), (3, "c")]
 
 
 class TestCaching:
@@ -273,11 +124,12 @@ class TestTextFiles:
 class TestSchedulerAccounting:
     def test_stage_metric_counts(self, sc):
         sc.parallelize(range(10)).map(lambda x: (x % 2, x)) \
-            .reduce_by_key(lambda a, b: a + b).collect()
+            .partition_by(HashPartitioner(2)).collect()
         assert sc.metrics.get(STAGES_RUN) >= 2  # map stage + result stage
 
     def test_shuffle_reuse_across_actions(self, sc):
-        rdd = sc.parallelize([(i % 3, i) for i in range(30)]).group_by_key()
+        rdd = sc.parallelize([(i % 3, i) for i in range(30)]) \
+            .partition_by(HashPartitioner(3))
         rdd.count()
         written = sc.metrics.get(SHUFFLE_BYTES_WRITTEN)
         rdd.count()  # same RDD: shuffle output reused
@@ -288,29 +140,15 @@ class TestSchedulerAccounting:
         sc.parallelize(range(2000), 4).map(lambda x: x + 1).count()
         assert sc.sim_time() > t0
 
-    def test_reduce_by_key_moves_fewer_bytes_than_group_by_key(self):
-        ctx1 = make_context()
-        ctx2 = make_context()
-        try:
-            pairs = [(i % 5, i) for i in range(2000)]
-            ctx1.parallelize(pairs, 4).group_by_key().count()
-            ctx2.parallelize(pairs, 4).reduce_by_key(lambda a, b: a + b) \
-                .count()
-            gbk = ctx1.metrics.get(SHUFFLE_BYTES_WRITTEN)
-            rbk = ctx2.metrics.get(SHUFFLE_BYTES_WRITTEN)
-            assert rbk < gbk / 10
-        finally:
-            ctx1.stop()
-            ctx2.stop()
 
 
 class TestFailureRecovery:
     def test_lost_executor_recomputed_from_lineage(self, sc):
         rdd = sc.parallelize([(i % 4, i) for i in range(40)], 4) \
-            .group_by_key().map_values(sorted)
-        first = dict(rdd.collect())
+            .partition_by(HashPartitioner(4)).map_partitions(sorted)
+        first = rdd.collect()
         sc.kill_executor(1)
-        second = dict(rdd.collect())
+        second = rdd.collect()
         assert first == second
         assert sc.executors[1].container.restarts == 1
 
@@ -340,30 +178,6 @@ class TestProperties:
         finally:
             ctx.stop()
 
-    @settings(deadline=None, max_examples=25)
-    @given(st.lists(st.tuples(st.integers(0, 10), st.integers(-5, 5)),
-                    max_size=60))
-    def test_reduce_by_key_matches_python(self, pairs):
-        ctx = make_context(num_executors=2)
-        try:
-            expected = {}
-            for k, v in pairs:
-                expected[k] = expected.get(k, 0) + v
-            got = dict(ctx.parallelize(pairs, 3)
-                       .reduce_by_key(lambda a, b: a + b).collect())
-            assert got == expected
-        finally:
-            ctx.stop()
-
-    @settings(deadline=None, max_examples=20)
-    @given(st.lists(st.integers(0, 50), min_size=1, max_size=60))
-    def test_sort_by_total_order(self, data):
-        ctx = make_context(num_executors=2)
-        try:
-            got = ctx.parallelize(data, 3).sort_by(lambda x: x).collect()
-            assert got == sorted(data)
-        finally:
-            ctx.stop()
 
 
 class TestBroadcast:
@@ -397,7 +211,6 @@ class TestRddCheckpoint:
     def test_checkpoint_roundtrip(self, sc):
         rdd = sc.parallelize(range(20), 4).map(lambda x: x * 3)
         rdd.checkpoint()
-        assert rdd.is_checkpointed
         assert sorted(rdd.collect()) == [x * 3 for x in range(20)]
 
     def test_checkpoint_truncates_lineage(self, sc):
@@ -430,60 +243,3 @@ class TestRddCheckpoint:
         rdd.checkpoint()
         out = rdd.filter(lambda x: x >= 10).count()
         assert out == 5
-
-
-class TestSetOpsAndStats:
-    def test_intersection(self, sc):
-        a = sc.parallelize([1, 2, 3, 3, 4])
-        b = sc.parallelize([3, 4, 5])
-        assert sorted(a.intersection(b).collect()) == [3, 4]
-
-    def test_subtract(self, sc):
-        a = sc.parallelize([1, 2, 3, 3])
-        b = sc.parallelize([3])
-        assert sorted(a.subtract(b).collect()) == [1, 2]
-
-    def test_cartesian(self, sc):
-        a = sc.parallelize([1, 2], 2)
-        b = sc.parallelize(["x", "y"], 2)
-        got = sorted(a.cartesian(b).collect())
-        assert got == [(1, "x"), (1, "y"), (2, "x"), (2, "y")]
-
-    def test_zip_partitions(self, sc):
-        a = sc.parallelize(range(8), 4)
-        b = sc.parallelize(range(100, 108), 4)
-        got = sorted(a.zip_partitions(
-            b, lambda x, y: (i + j for i, j in zip(x, y))).collect())
-        assert got == sorted(i + j for i, j in
-                             zip(range(8), range(100, 108)))
-
-    def test_zip_partitions_width_mismatch(self, sc):
-        from repro.common.errors import ConfigError
-
-        a = sc.parallelize(range(8), 4)
-        b = sc.parallelize(range(8), 2)
-        with pytest.raises(ConfigError):
-            a.zip_partitions(b, lambda x, y: [])
-
-    def test_top_and_take_ordered(self, sc):
-        rdd = sc.parallelize([5, 1, 9, 3, 7], 3)
-        assert rdd.top(2) == [9, 7]
-        assert rdd.take_ordered(2) == [1, 3]
-        assert rdd.top(2, key=lambda x: -x) == [1, 3]
-
-    def test_stats_matches_numpy(self, sc):
-        import numpy as np
-
-        data = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0]
-        s = sc.parallelize(data, 3).stats()
-        assert s.count == 8
-        assert s.mean == pytest.approx(np.mean(data))
-        assert s.stdev == pytest.approx(np.std(data))
-        assert s.min == 1.0
-        assert s.max == 9.0
-
-    def test_stats_empty_partitions(self, sc):
-        s = sc.parallelize([2.0], 4).stats()
-        assert s.count == 1
-        assert s.mean == 2.0
-        assert s.variance == 0.0

@@ -117,8 +117,8 @@ class TestShuffleService:
             ctx.stop()
 
     def test_metrics_track_bytes(self, sc):
-        sc.parallelize([(i % 3, i) for i in range(100)]).group_by_key() \
-            .count()
+        sc.parallelize([(i % 3, i) for i in range(100)]) \
+            .partition_by(HashPartitioner(3)).count()
         assert sc.metrics.get(SHUFFLE_BYTES_WRITTEN) > 0
         assert sc.metrics.get(SHUFFLE_BYTES_READ) > 0
 
@@ -263,13 +263,14 @@ class TestSchedulerRecovery:
         ctx = make_context(num_executors=3)
         try:
             rdd = ctx.parallelize([(i % 5, 1) for i in range(50)], 6) \
-                .reduce_by_key(lambda a, b: a + b)
-            first = dict(rdd.collect())
+                .partition_by(HashPartitioner(5)) \
+                .map_partitions(lambda it: [sum(v for _k, v in it)])
+            first = rdd.collect()
             # Kill every executor's shuffle files.
             for i in range(3):
                 ctx.kill_executor(i)
-            second = dict(rdd.collect())
-            assert first == second == {k: 10 for k in range(5)}
+            second = rdd.collect()
+            assert first == second == [10] * 5
         finally:
             ctx.stop()
 
@@ -421,23 +422,32 @@ class TestSchedulerRecovery:
 
 class TestKillDuringShuffle:
     """A map-side executor dying after its shuffle write must trigger
-    parent-stage recomputation — on both record representations."""
+    parent-stage recomputation — on the record and the block shuffle."""
 
-    def _run(self, ctx, batched):
-        keys = [i % 5 for i in range(50)]
-        values = [1.0] * 50
-        if batched:
-            rdd = ctx.parallelize_batches(
-                np.array(keys, dtype=np.int64),
-                np.array(values), 6,
-            ).reduce_by_key(op="add", num_partitions=4)
-            return dict(rdd.collect_records())
-        rdd = ctx.parallelize(list(zip(keys, values)), 6) \
-            .reduce_by_key(lambda a, b: a + b)
-        return dict(rdd.collect())
+    def _run(self, ctx, blocks):
+        pairs = ctx.parallelize([(i % 5, 1.0) for i in range(50)], 6)
+        if blocks:
+            def to_block(it):
+                keys, values = (np.asarray(c) for c in zip(*it))
+                return ColumnBlock.bucketed((keys, values), keys % 4, 4)
 
-    @pytest.mark.parametrize("batched", [False, True])
-    def test_map_executor_killed_after_write(self, batched):
+            return dict(pairs.shuffle_blocks(HashPartitioner(4), to_block)
+                        .map_partitions(lambda it: [
+                            (k, float(values[keys == k].sum()))
+                            for keys, values in it
+                            for k in np.unique(keys).tolist()]).collect())
+
+        def fold(it):
+            sums = {}
+            for k, v in it:
+                sums[k] = sums.get(k, 0.0) + v
+            return sums.items()
+
+        return dict(pairs.partition_by(HashPartitioner(4))
+                    .map_partitions(fold).collect())
+
+    @pytest.mark.parametrize("blocks", [False, True])
+    def test_map_executor_killed_after_write(self, blocks):
         ctx = make_context(num_executors=3)
         try:
             state = {"killed": False}
@@ -452,18 +462,18 @@ class TestKillDuringShuffle:
                     )
 
             ctx.add_task_hook(hook)
-            got = self._run(ctx, batched)
+            got = self._run(ctx, blocks)
             assert got == {k: 10.0 for k in range(5)}
             assert state["killed"]
             assert ctx.metrics.get(TASKS_FAILED) >= 1
         finally:
             ctx.stop()
 
-    @pytest.mark.parametrize("batched", [False, True])
-    def test_clean_run_has_no_failures(self, batched):
+    @pytest.mark.parametrize("blocks", [False, True])
+    def test_clean_run_has_no_failures(self, blocks):
         ctx = make_context(num_executors=3)
         try:
-            got = self._run(ctx, batched)
+            got = self._run(ctx, blocks)
             assert got == {k: 10.0 for k in range(5)}
             assert ctx.metrics.get(TASKS_FAILED) == 0
         finally:
@@ -479,8 +489,8 @@ class TestBlockShuffleRDD:
             return ColumnBlock.bucketed((keys, keys * 0.5), keys % 3, 3)
 
         parts = sc.parallelize(range(10), 4).shuffle_blocks(
-            HashPartitioner(3), to_block).collect_partitions()
-        for r, [(keys, halves)] in enumerate(parts):
+            HashPartitioner(3), to_block).collect()
+        for r, (keys, halves) in enumerate(parts):
             # Map output after map output, original order within.
             assert keys.tolist() == [k for mp in range(4)
                                      for k in range(mp, 10, 4) if k % 3 == r]

@@ -116,46 +116,6 @@ def case_graphsage_minibatch(n: int) -> Dict:
     return _result("graphsage_minibatch", n, boxed_s, batched_s, snap)
 
 
-def case_lint_incremental(n: int) -> Dict:
-    """Full vs warm-cache lint of ``src/repro`` (the CI latency budget).
-
-    "Boxed" is a cold run — every module parsed, summarized, and
-    checked; "batched" is the warm incremental run against a primed
-    ``--cache`` file, which restores summaries by content hash and
-    replays cached verdicts.  ``n`` is unused (the workload is the
-    package itself); ``records`` reports the file count.
-    """
-    import tempfile
-    from pathlib import Path
-
-    from repro.lint.engine import LintEngine, lint_tree
-
-    pkg = Path(__file__).resolve().parents[2] / "src" / "repro"
-
-    t0 = time.perf_counter()
-    _, cold_stats = lint_tree([pkg])
-    cold_s = time.perf_counter() - t0
-
-    with tempfile.TemporaryDirectory() as tmp:
-        cache = Path(tmp) / ".lint-cache.json"
-        lint_tree([pkg], cache_path=cache)  # prime, untimed
-        warm_s = float("inf")
-        warm_stats: Dict[str, int] = {}
-        for _ in range(REPEATS):
-            eng = LintEngine()
-            t0 = time.perf_counter()
-            _, warm_stats = lint_tree([pkg], cache_path=cache, engine=eng)
-            warm_s = min(warm_s, time.perf_counter() - t0)
-
-    files = cold_stats["files"]
-    return _result(
-        "lint_incremental", files, cold_s, warm_s,
-        {"lint.files": float(files),
-         "lint.parsed_warm": float(warm_stats.get("parsed", 0)),
-         "lint.reused_warm": float(warm_stats.get("reused", 0))},
-    )
-
-
 def case_serve_qps(n: int) -> Dict:
     """Online serving throughput: naive per-request pulls vs the plane.
 
@@ -296,7 +256,6 @@ def case_streaming_window(n: int) -> Dict:
 #: name -> (case_fn, quick_n, full_n).
 CASES: Dict[str, tuple] = {
     "graphsage_minibatch": (case_graphsage_minibatch, 20_000, 400_000),
-    "lint_incremental": (case_lint_incremental, 0, 0),
     "serve_qps": (case_serve_qps, 4_000, 100_000),
     "streaming_window": (case_streaming_window, 2_000, 20_000),
 }

@@ -74,10 +74,6 @@ class ContainerLostError(PSGraphError):
         super().__init__(f"container {container} lost: {reason}")
 
 
-class TaskFailedError(PSGraphError):
-    """A dataflow task failed on an executor."""
-
-
 class StageFailedError(PSGraphError):
     """A dataflow stage exhausted its retry budget."""
 

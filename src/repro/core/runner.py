@@ -37,10 +37,6 @@ class GraphRunner:
         """Register a callback invoked with each run's result."""
         self._report_hooks.append(hook)
 
-    def remove_report_hook(self, hook: ReportHook) -> None:
-        """Unregister a report callback."""
-        self._report_hooks.remove(hook)
-
     def _phase(self, name: str):
         """Sim-clock timer for one runner phase (``runner.<name>`` hist)."""
         return self._metrics.timer(name, clock=self.ctx.spark.driver_clock)

@@ -289,12 +289,6 @@ class SparkContext:
         ]
         return barrier(clocks)
 
-    def reset_clocks(self) -> None:
-        """Zero all clocks (between independent measurements)."""
-        self.driver.clock.reset()
-        for ex in self.executors:
-            ex.container.clock.reset()
-
     def stop(self) -> None:
         """Release every container owned by this context, and with the
         executors what they held: cached partitions and shuffle outputs.

@@ -451,12 +451,6 @@ class Graph:
             lambda es, ed, sa, da: [(es, np.ones(len(es)))], "sum"
         )
 
-    def in_degrees(self) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """In-degree per vertex."""
-        return self.aggregate_messages(
-            lambda es, ed, sa, da: [(ed, np.ones(len(ed)))], "sum"
-        )
-
     def degrees(self) -> List[Tuple[np.ndarray, np.ndarray]]:
         """Total degree (in + out) per vertex."""
         return self.aggregate_messages(

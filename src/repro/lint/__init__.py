@@ -13,9 +13,7 @@ Three layers enforce this:
   pass (rules SIM001..SIM005) with ``# repro-lint: disable=RULE``
   suppressions and JSON / human output — plus a flow-sensitive tier
   (:mod:`repro.lint.cfg`, :mod:`repro.lint.dataflow`,
-  :mod:`repro.lint.rules_flow`: rules SIM101, SIM103..SIM105) with baseline
-  (:mod:`repro.lint.baseline`), SARIF (:mod:`repro.lint.sarif`) and
-  incremental-cache support.
+  :mod:`repro.lint.rules_flow`: rules SIM101 and SIM103).
 * :mod:`repro.lint.dynamic` — a determinism harness that runs a workload
   twice with the same seed and diffs metrics snapshots and obs span
   sequences (``--strict`` fails on any float drift).
@@ -33,18 +31,10 @@ from repro.lint.engine import (
     format_human,
     format_json,
     lint_paths,
-    lint_tree,
 )
 from repro.lint.rules import RULES, Rule, all_rules, get_rules
 from repro.lint.cfg import CFG, build_cfg, cfg_for_source
 from repro.lint.dataflow import FunctionSummary, ProgramIndex, build_index
-from repro.lint.baseline import (
-    apply_baseline,
-    fingerprint,
-    load_baseline,
-    write_baseline,
-)
-from repro.lint.sarif import format_sarif, to_sarif
 from repro.lint.dynamic import (
     DeterminismReport,
     RunSnapshot,
@@ -69,19 +59,12 @@ __all__ = [
     "format_human",
     "format_json",
     "lint_paths",
-    "lint_tree",
     "CFG",
     "build_cfg",
     "cfg_for_source",
     "FunctionSummary",
     "ProgramIndex",
     "build_index",
-    "apply_baseline",
-    "fingerprint",
-    "load_baseline",
-    "write_baseline",
-    "format_sarif",
-    "to_sarif",
     "RULES",
     "Rule",
     "all_rules",

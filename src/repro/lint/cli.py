@@ -6,13 +6,6 @@ Static pass::
     python -m repro.lint --list-rules           # show the rule set
     python -m repro.lint src --disable SIM005   # drop one rule
     python -m repro.lint src --json             # machine-readable output
-    python -m repro.lint src --sarif out.sarif  # GitHub code scanning
-    python -m repro.lint src --cache .lint-cache.json   # incremental
-    python -m repro.lint src --write-baseline   # accept current findings
-
-A committed ``lint-baseline.json`` next to the current working directory
-is picked up automatically; findings recorded there don't fail the run,
-anything new does.
 
 Dynamic pass::
 
@@ -30,16 +23,9 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from repro.lint.baseline import (
-    DEFAULT_BASELINE,
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
 from repro.lint.dynamic import WORKLOADS, check_determinism
-from repro.lint.engine import format_human, format_json, lint_tree
+from repro.lint.engine import format_human, format_json, lint_paths
 from repro.lint.rules import RULES, get_rules
-from repro.lint.sarif import format_sarif
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -67,21 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--list-rules", action="store_true",
         help="print the registered rules and exit")
-    parser.add_argument(
-        "--sarif", metavar="FILE",
-        help="also write the findings as SARIF 2.1.0 to FILE "
-             "('-' for stdout)")
-    parser.add_argument(
-        "--baseline", metavar="FILE", default=None,
-        help="baseline of accepted findings (default: auto-detect "
-             f"./{DEFAULT_BASELINE}; pass an empty string to disable)")
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="write the current findings to the baseline file and exit 0")
-    parser.add_argument(
-        "--cache", metavar="FILE",
-        help="incremental-analysis cache (e.g. .lint-cache.json); "
-             "unchanged files are not re-parsed")
     parser.add_argument(
         "--dynamic", nargs="+", metavar="WORKLOAD",
         choices=sorted(WORKLOADS),
@@ -116,48 +87,9 @@ def _run_static(args: argparse.Namespace) -> int:
         print(f"error: no such path: {', '.join(missing)}",
               file=sys.stderr)
         return 2
-    violations, _stats = lint_tree(paths, rules, cache_path=args.cache)
-
-    baseline_path: Path | None = None
-    if args.baseline:
-        baseline_path = Path(args.baseline)
-        if not args.write_baseline and not baseline_path.exists():
-            print(f"error: no such baseline: {baseline_path}",
-                  file=sys.stderr)
-            return 2
-    elif args.baseline is None and Path(DEFAULT_BASELINE).exists():
-        baseline_path = Path(DEFAULT_BASELINE)
-
-    if args.write_baseline:
-        target = baseline_path if baseline_path is not None \
-            else Path(DEFAULT_BASELINE)
-        entries = write_baseline(violations, target)
-        print(f"wrote {target} ({len(entries)} fingerprint"
-              f"{'s' if len(entries) != 1 else ''}, "
-              f"{len(violations)} finding"
-              f"{'s' if len(violations) != 1 else ''})")
-        return 0
-
-    suppressed = 0
-    if baseline_path is not None:
-        violations, suppressed, stale = apply_baseline(
-            violations, load_baseline(baseline_path))
-        for fp in stale:
-            print(f"note: stale baseline entry (finding fixed?): {fp}",
-                  file=sys.stderr)
-
-    if args.sarif:
-        sarif_text = format_sarif(violations, rules)
-        if args.sarif == "-":
-            print(sarif_text, end="")
-        else:
-            Path(args.sarif).write_text(sarif_text, encoding="utf-8")
-    if not (args.sarif == "-"):
-        print(format_json(violations) if args.json
-              else format_human(violations))
-        if suppressed and not args.json:
-            print(f"repro-lint: {suppressed} baselined finding"
-                  f"{'s' if suppressed != 1 else ''} suppressed")
+    violations = lint_paths(paths, rules)
+    print(format_json(violations) if args.json
+          else format_human(violations))
     return 1 if violations else 0
 
 

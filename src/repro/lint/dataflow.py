@@ -1,28 +1,20 @@
 """Interprocedural function summaries for the SIM1xx rules.
 
 The syntactic rules (SIM001..SIM005) see one expression at a time; the
-flow rules need to know what a *callee* does: ``schedule()`` is clean in
-isolation, but if it calls ``helper()`` which calls ``time.time()``, the
-wall-clock taint must surface at every caller.  This module computes a
-conservative **effect summary** per function and propagates it over a
+flow rules need to know what a *callee* does: ``stage()`` is clean in
+isolation, but if it calls ``merge()`` which calls ``np.concatenate``,
+the byte-moving work must surface at every caller.  This module computes
+a conservative **effect summary** per function and propagates it over a
 best-effort call graph to a fixpoint.
 
-Facts tracked per function (:class:`FunctionSummary.effects`):
+Facts tracked per function (:class:`FunctionSummary.effects`) — exactly
+what SIM103 consumes:
 
-* ``wall_clock`` — may read the host clock (``time.time`` family).
-* ``unseeded_rng`` — may draw from an unseeded generator (ambient
-  ``random``, module-level ``numpy.random`` draws, or a zero-argument
-  ``default_rng()`` / ``Random()``); a call to such a function is a
-  taint *source* for SIM104.
-* ``unmetered_io`` — may perform host file/socket IO directly.
 * ``moves_bytes`` — may perform byte-moving work (file/socket IO,
   pickling, numpy materializations); SIM103 demands such functions
   charge the cost model.
 * ``charges_metering`` — charges ``TaskCost`` / advances a sim clock /
   opens a metering span somewhere.
-* ``returns_resource`` — may return an open resource (file handle or
-  span scope); a call to such a function is a resource *source* for
-  SIM105.
 
 Call resolution is deliberately modest — exactly the cases that are
 unambiguous from the source text:
@@ -36,24 +28,18 @@ unambiguous from the source text:
 
 Anything else (arbitrary ``obj.method(...)``) resolves to nothing and
 contributes no effects: the summaries under-approximate unknown code
-rather than drowning callers in speculative taint.  The propagated
-effects are ``wall_clock``, ``unseeded_rng``, ``unmetered_io`` and
-``moves_bytes``; ``charges_metering`` also propagates (a callee that
-charges satisfies the caller's metering obligation at the call node),
-while ``returns_resource`` stays local to the returning function by
-design — the *caller* holding the handle is the one on the hook, which
-is rule SIM105's job to check at the call site.
+rather than drowning callers in speculative taint.  Both effects
+propagate from callee to caller (a callee that charges satisfies the
+caller's metering obligation at the call node).
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.lint.rules import (
-    _WALL_CLOCK,
-    _NP_RANDOM_OK,
     _OS_IO,
     _OS_PATH_IO,
     _dotted,
@@ -62,17 +48,8 @@ from repro.lint.rules import (
 )
 
 # Effect names.
-WALL_CLOCK = "wall_clock"
-UNSEEDED_RNG = "unseeded_rng"
-UNMETERED_IO = "unmetered_io"
 MOVES_BYTES = "moves_bytes"
 CHARGES_METERING = "charges_metering"
-RETURNS_RESOURCE = "returns_resource"
-
-#: Effects that flow from callee to caller at the fixpoint.
-PROPAGATED = frozenset({
-    WALL_CLOCK, UNSEEDED_RNG, UNMETERED_IO, MOVES_BYTES, CHARGES_METERING,
-})
 
 #: numpy array materializations big enough to count as byte-moving work.
 _NP_BYTE_MOVERS = {
@@ -92,15 +69,6 @@ _METERING_CALLS = {
 #: Attribute tails whose (aug)assignment charges a TaskCost.
 _COST_FIELDS = {"cpu_s", "net_s", "disk_s"}
 
-#: Callables whose result is an open resource needing close/release.
-_RESOURCE_OPENERS = {
-    "open", "io.open", "task_span", "cost_span", "clock_span",
-    "socket.socket",
-}
-
-#: Methods that release a resource.
-RESOURCE_RELEASERS = {"close", "release", "stop", "end", "done", "__exit__"}
-
 
 @dataclass
 class FunctionSummary:
@@ -110,7 +78,6 @@ class FunctionSummary:
         qualname: ``relpath::Class.name`` (module-unique).
         relpath: package-relative module path.
         name: bare function name.
-        lineno: definition line.
         effects: resolved effect set (after fixpoint propagation).
         local_effects: effects observed directly in the body.
         calls: resolved callee qualnames.
@@ -119,32 +86,9 @@ class FunctionSummary:
     qualname: str
     relpath: str
     name: str
-    lineno: int
     effects: Set[str] = field(default_factory=set)
     local_effects: Set[str] = field(default_factory=set)
     calls: Set[str] = field(default_factory=set)
-
-    def to_dict(self) -> Dict[str, object]:
-        """Serializable form (for the incremental cache)."""
-        return {
-            "qualname": self.qualname,
-            "relpath": self.relpath,
-            "name": self.name,
-            "lineno": self.lineno,
-            "local_effects": sorted(self.local_effects),
-            "calls": sorted(self.calls),
-        }
-
-    @classmethod
-    def from_dict(cls, doc: Dict[str, object]) -> "FunctionSummary":
-        return cls(
-            qualname=str(doc["qualname"]),
-            relpath=str(doc["relpath"]),
-            name=str(doc["name"]),
-            lineno=int(doc["lineno"]),  # type: ignore[arg-type]
-            local_effects=set(doc.get("local_effects", ())),
-            calls=set(doc.get("calls", ())),
-        )
 
 
 # ----------------------------------------------------------------------
@@ -152,47 +96,21 @@ class FunctionSummary:
 # ----------------------------------------------------------------------
 
 
-def _call_effects(full: str) -> Set[str]:
-    """Effects implied by calling the fully-resolved name ``full``."""
-    out: Set[str] = set()
+def _moves_bytes(full: str) -> bool:
+    """Whether calling the fully-resolved name ``full`` moves bytes."""
     parts = full.split(".")
-    if full in _WALL_CLOCK:
-        out.add(WALL_CLOCK)
-    if parts[0] == "random":
-        # `random.Random(seed)` is seeded construction; everything else
-        # on the ambient module draws global state.
-        if not (len(parts) == 2 and parts[1] in ("Random", "SystemRandom",
-                                                 "seed")):
-            out.add(UNSEEDED_RNG)
-    if len(parts) >= 3 and parts[0] == "numpy" and parts[1] == "random" \
-            and parts[2] not in _NP_RANDOM_OK:
-        out.add(UNSEEDED_RNG)
-    is_file_io = (
+    return (
         full in ("open", "io.open")
         or (parts[0] == "os" and len(parts) == 2 and parts[1] in _OS_IO)
         or (parts[0] == "os" and len(parts) == 3 and parts[1] == "path"
             and parts[2] in _OS_PATH_IO)
         or parts[0] in ("shutil", "tempfile")
         or full.startswith("socket.")
+        or (parts[0] == "pickle"
+            and parts[-1] in ("dumps", "loads", "dump", "load"))
+        or (parts[0] == "numpy" and len(parts) == 2
+            and parts[1] in _NP_BYTE_MOVERS)
     )
-    if is_file_io:
-        out.add(UNMETERED_IO)
-        out.add(MOVES_BYTES)
-    if parts[0] == "pickle" and parts[-1] in ("dumps", "loads", "dump",
-                                              "load"):
-        out.add(MOVES_BYTES)
-    if parts[0] == "numpy" and len(parts) == 2 \
-            and parts[1] in _NP_BYTE_MOVERS:
-        out.add(MOVES_BYTES)
-    return out
-
-
-def _is_unseeded_ctor(node: ast.Call, full: str) -> bool:
-    """``default_rng()`` / ``Random()`` with no seed argument."""
-    tail = full.rsplit(".", 1)[-1]
-    if tail in ("default_rng", "Random", "RandomState"):
-        return not node.args and not node.keywords
-    return False
 
 
 def _module_class_map(relpath: str, tree: ast.AST) -> Dict[str, str]:
@@ -252,8 +170,6 @@ class _LocalEffects(ast.NodeVisitor):
         #: plain call, ("self", "m") for self.m(), ("dotted", "a.b.f")
         #: for alias-qualified calls.
         self.raw_calls: List[Tuple[str, str]] = []
-        self.returns_resource = False
-        self._resource_names: Set[str] = set()
         self._depth = 0
 
     # -- scope fencing -------------------------------------------------
@@ -278,9 +194,8 @@ class _LocalEffects(ast.NodeVisitor):
         dotted = _dotted(node.func)
         if dotted is not None:
             full = _resolve(dotted, self.aliases)
-            self.effects |= _call_effects(full)
-            if _is_unseeded_ctor(node, full):
-                self.effects.add(UNSEEDED_RNG)
+            if _moves_bytes(full):
+                self.effects.add(MOVES_BYTES)
             tail = full.rsplit(".", 1)[-1]
             if tail in _METERING_CALLS:
                 self.effects.add(CHARGES_METERING)
@@ -311,26 +226,6 @@ class _LocalEffects(ast.NodeVisitor):
         for t in node.targets:
             if isinstance(t, ast.Attribute) and t.attr in _COST_FIELDS:
                 self.effects.add(CHARGES_METERING)
-        # Track names bound to fresh resources, for returns_resource.
-        if isinstance(node.value, ast.Call):
-            dotted = _dotted(node.value.func)
-            if dotted is not None \
-                    and _resolve(dotted, self.aliases) in _RESOURCE_OPENERS:
-                for t in node.targets:
-                    if isinstance(t, ast.Name):
-                        self._resource_names.add(t.id)
-        self.generic_visit(node)
-
-    def visit_Return(self, node: ast.Return) -> None:
-        value = node.value
-        if isinstance(value, ast.Call):
-            dotted = _dotted(value.func)
-            if dotted is not None \
-                    and _resolve(dotted, self.aliases) in _RESOURCE_OPENERS:
-                self.returns_resource = True
-        elif isinstance(value, ast.Name) \
-                and value.id in self._resource_names:
-            self.returns_resource = True
         self.generic_visit(node)
 
 
@@ -347,20 +242,11 @@ def _module_name(relpath: str) -> str:
     return "repro." + stem.replace("/", ".") if stem else "repro"
 
 
-@dataclass
-class _FuncInfo:
-    node: ast.AST
-    qualname: str
-    relpath: str
-    cls: Optional[str]
-
-
 class ProgramIndex:
     """Function summaries for a set of modules, resolved to a fixpoint.
 
-    Build incrementally: feed every module with :meth:`add_module` (or
-    pre-computed summaries with :meth:`add_summaries` when a cache knows
-    the file did not change), then call :meth:`resolve`.
+    Build incrementally: feed every module with :meth:`add_module`,
+    then call :meth:`resolve`.
     """
 
     def __init__(self) -> None:
@@ -373,11 +259,10 @@ class ProgramIndex:
 
     # -- construction -------------------------------------------------
 
-    def add_module(self, relpath: str, tree: ast.AST) -> List[FunctionSummary]:
+    def add_module(self, relpath: str, tree: ast.AST) -> None:
         """Summarize every function in one parsed module."""
         aliases = _import_aliases(tree)
         class_map = _module_class_map(relpath, tree)
-        out: List[FunctionSummary] = []
         for func, cls in _iter_functions(tree):
             qual = f"{relpath}::{cls + '.' if cls else ''}{func.name}"
             collector = _LocalEffects(
@@ -385,26 +270,11 @@ class ProgramIndex:
             collector.visit(func)
             summary = FunctionSummary(
                 qualname=qual, relpath=relpath, name=func.name,
-                lineno=func.lineno,
                 local_effects=set(collector.effects),
             )
-            if collector.returns_resource:
-                summary.local_effects.add(RETURNS_RESOURCE)
             summary.calls = self._resolve_raw_calls(
                 collector.raw_calls, relpath, cls, aliases)
             self._register(summary, cls)
-            out.append(summary)
-        self._resolved = False
-        return out
-
-    def add_summaries(self, summaries: Iterable[FunctionSummary]) -> None:
-        """Install pre-computed local summaries (cache restore path)."""
-        for s in summaries:
-            cls = None
-            bare = s.qualname.rsplit("::", 1)[-1]
-            if "." in bare:
-                cls = bare.split(".", 1)[0]
-            self._register(s, cls)
         self._resolved = False
 
     def _register(self, summary: FunctionSummary, cls: Optional[str]) -> None:
@@ -500,25 +370,13 @@ class ProgramIndex:
                     callee = self._lookup(key)
                     if callee is None:
                         continue
-                    gained = (callee.effects & PROPAGATED) - s.effects
+                    gained = callee.effects - s.effects
                     if gained:
                         s.effects |= gained
                         changed = True
         self._resolved = True
 
     # -- queries used by the rules ------------------------------------
-
-    def effects_of_call(self, call: ast.Call, relpath: str,
-                        cls: Optional[str],
-                        aliases: Dict[str, str]) -> FrozenSet[str]:
-        """Resolved effects of one call expression (empty if unknown)."""
-        self.resolve()
-        summary = self.summary_for_call(call, relpath, cls, aliases)
-        if summary is None:
-            return frozenset()
-        return frozenset(summary.effects | (
-            {RETURNS_RESOURCE} if RETURNS_RESOURCE in summary.local_effects
-            else set()))
 
     def summary_for_call(self, call: ast.Call, relpath: str,
                          cls: Optional[str],
@@ -551,24 +409,6 @@ class ProgramIndex:
                 if full.startswith("repro."):
                     return self._lookup(f"imp:{full}")
         return None
-
-    def digest(self) -> str:
-        """Stable hash of the resolved summary table.
-
-        Cached per-file findings stay valid exactly while this digest is
-        unchanged: the flow rules read nothing else across file
-        boundaries.
-        """
-        import hashlib
-
-        self.resolve()
-        h = hashlib.sha256()
-        for qual in sorted(self.summaries):
-            s = self.summaries[qual]
-            h.update(qual.encode())
-            h.update(",".join(sorted(s.effects)).encode())
-            h.update(b";")
-        return h.hexdigest()
 
 
 def _iter_functions(tree: ast.AST):

@@ -21,17 +21,15 @@ repository checkout lives.
 from __future__ import annotations
 
 import ast
-import hashlib
 import json
 import re
-from dataclasses import dataclass, field
 from pathlib import Path, PurePosixPath
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
-from repro.lint.dataflow import FunctionSummary, ProgramIndex
+from repro.lint.dataflow import ProgramIndex
 from repro.lint.rules import Rule, Violation, all_rules
 
-# Importing the flow rules registers SIM101 and SIM103..SIM105 alongside the
+# Importing the flow rules registers SIM101 and SIM103 alongside the
 # syntactic rules, so every engine user sees the full rule set.
 import repro.lint.rules_flow  # noqa: F401  (registration side effect)
 
@@ -95,30 +93,11 @@ def _suppressed(v: Violation, file_wide: Set[str],
 
 
 class LintEngine:
-    """Runs a set of rules over python sources and collects violations.
-
-    Attributes:
-        parse_count: modules parsed through this engine — the
-            incremental-mode tests assert a warm cache run re-parses
-            only changed files by reading this counter.
-    """
+    """Runs a set of rules over python sources and collects violations."""
 
     def __init__(self, rules: Sequence[Rule] | None = None) -> None:
         self.rules: List[Rule] = list(rules) if rules is not None \
             else all_rules()
-        self.parse_count = 0
-
-    def ruleset_key(self) -> str:
-        """Hash of the active rule set; part of the cache key, so a
-        rule added, removed, or reworded invalidates cached verdicts."""
-        h = hashlib.sha256()
-        for rule in sorted(self.rules, key=lambda r: r.id):
-            h.update(f"{rule.id}|{rule.description};".encode())
-        return h.hexdigest()[:16]
-
-    def _parse(self, source: str) -> ast.AST:
-        self.parse_count += 1
-        return ast.parse(source)
 
     def lint_source(self, source: str, relpath: str,
                     display_path: str | None = None,
@@ -135,7 +114,7 @@ class LintEngine:
         """
         shown = display_path if display_path is not None else relpath
         try:
-            tree = self._parse(source)
+            tree = ast.parse(source)
         except SyntaxError as exc:
             return [_syntax_violation(shown, exc)]
         return self.lint_parsed(tree, source, relpath, shown, program)
@@ -143,7 +122,7 @@ class LintEngine:
     def lint_parsed(self, tree: ast.AST, source: str, relpath: str,
                     shown: str,
                     program: ProgramIndex | None = None) -> List[Violation]:
-        """Lint an already-parsed module (no parse counted here)."""
+        """Lint an already-parsed module."""
         file_wide, per_line = _parse_suppressions(source)
         out: List[Violation] = []
         for rule in self.rules:
@@ -160,16 +139,6 @@ class LintEngine:
                     out.append(v)
         out.sort(key=lambda v: (v.path, v.line, v.col, v.rule_id))
         return out
-
-    def lint_file(self, path: str | Path,
-                  root: str | Path | None = None) -> List[Violation]:
-        """Lint one file on disk."""
-        path = Path(path)
-        return self.lint_source(
-            path.read_text(encoding="utf-8"),
-            module_relpath(path, root),
-            display_path=str(path),
-        )
 
 
 def _syntax_violation(shown: str, exc: SyntaxError) -> Violation:
@@ -191,159 +160,38 @@ def iter_python_files(paths: Iterable[str | Path]) -> List[Tuple[Path, Path]]:
     return out
 
 
-# ----------------------------------------------------------------------
-# whole-tree lint with shared summaries and an incremental cache
-# ----------------------------------------------------------------------
-
-#: Cache file format version; bump on layout changes.
-_CACHE_VERSION = 1
-
-
-@dataclass
-class _FileEntry:
-    """Working state for one file during :func:`lint_tree`."""
-
-    display: str
-    relpath: str
-    sha: str
-    source: str
-    tree: ast.AST | None = None
-    cached: Optional[dict] = None          # valid cache record, if any
-    summaries: List[dict] = field(default_factory=list)
-    syntax_error: Optional[Violation] = None
-
-
-def _load_cache(cache_path: str | Path,
-                ruleset_key: str) -> Optional[dict]:
-    path = Path(cache_path)
-    if not path.exists():
-        return None
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError):
-        return None
-    if doc.get("version") != _CACHE_VERSION \
-            or doc.get("ruleset") != ruleset_key:
-        return None
-    return doc
-
-
-def lint_tree(paths: Iterable[str | Path],
-              rules: Sequence[Rule] | None = None,
-              cache_path: str | Path | None = None,
-              engine: LintEngine | None = None,
-              ) -> Tuple[List[Violation], Dict[str, int]]:
-    """Lint a file tree with cross-module summaries, optionally cached.
-
-    Two phases: first every module is summarized into one shared
-    :class:`ProgramIndex` (parsing only files whose content hash misses
-    the cache — unchanged files restore their serialized summaries),
-    then each module is checked with the resolved index.  Cached
-    *verdicts* are reused only while the resolved summary table's
-    digest is unchanged: the flow rules read nothing else across file
-    boundaries, so an edit that alters no function summary cannot
-    change another file's findings — while an edit that does alter one
-    forces a full re-check.
-
-    Returns ``(violations, stats)`` with stats keys ``files`` (seen),
-    ``parsed`` (modules actually parsed) and ``reused`` (files whose
-    cached findings were reused verbatim).
-    """
-    eng = engine if engine is not None else LintEngine(rules)
-    key = eng.ruleset_key()
-    cache = _load_cache(cache_path, key) if cache_path else None
-    cached_files: Dict[str, dict] = cache.get("files", {}) if cache else {}
-
-    program = ProgramIndex()
-    entries: List[_FileEntry] = []
-    for path, root in iter_python_files(paths):
-        source = path.read_text(encoding="utf-8")
-        entry = _FileEntry(
-            display=str(path),
-            relpath=module_relpath(path, root),
-            sha=hashlib.sha256(source.encode("utf-8")).hexdigest(),
-            source=source,
-        )
-        rec = cached_files.get(entry.display)
-        if rec is not None and rec.get("sha") == entry.sha:
-            entry.cached = rec
-            entry.summaries = list(rec.get("summaries", ()))
-            program.add_summaries(
-                FunctionSummary.from_dict(d) for d in entry.summaries)
-        else:
-            try:
-                entry.tree = eng._parse(source)
-            except SyntaxError as exc:
-                entry.syntax_error = _syntax_violation(entry.display, exc)
-            else:
-                entry.summaries = [
-                    s.to_dict()
-                    for s in program.add_module(entry.relpath, entry.tree)
-                ]
-        entries.append(entry)
-
-    program.resolve()
-    digest = program.digest()
-    reuse_verdicts = cache is not None and cache.get("digest") == digest
-
-    violations: List[Violation] = []
-    out_files: Dict[str, dict] = {}
-    reused = 0
-    for entry in entries:
-        if entry.syntax_error is not None:
-            vs = [entry.syntax_error]
-        elif entry.tree is None and entry.cached is not None \
-                and reuse_verdicts:
-            vs = [
-                Violation(row["rule"], row["path"], row["line"],
-                          row["col"], row["message"])
-                for row in entry.cached.get("violations", ())
-            ]
-            reused += 1
-        else:
-            if entry.tree is None:
-                # Unchanged file, but a summary somewhere moved: its
-                # verdicts may now differ, so re-parse and re-check.
-                try:
-                    entry.tree = eng._parse(entry.source)
-                except SyntaxError as exc:
-                    entry.syntax_error = _syntax_violation(
-                        entry.display, exc)
-            if entry.syntax_error is not None:
-                vs = [entry.syntax_error]
-            else:
-                vs = eng.lint_parsed(entry.tree, entry.source,
-                                     entry.relpath, entry.display, program)
-        violations.extend(vs)
-        out_files[entry.display] = {
-            "sha": entry.sha,
-            "summaries": entry.summaries,
-            "violations": [v.to_dict() for v in vs],
-        }
-
-    if cache_path is not None:
-        Path(cache_path).write_text(
-            json.dumps({
-                "version": _CACHE_VERSION,
-                "ruleset": key,
-                "digest": digest,
-                "files": out_files,
-            }) + "\n",
-            encoding="utf-8",
-        )
-    stats = {"files": len(entries), "parsed": eng.parse_count,
-             "reused": reused}
-    return violations, stats
-
-
 def lint_paths(paths: Iterable[str | Path],
                rules: Sequence[Rule] | None = None) -> List[Violation]:
     """Lint every ``.py`` file under ``paths``; returns all violations.
 
-    Cross-module summaries are shared (see :func:`lint_tree`), so the
-    flow rules see the whole program even through this simpler API.
+    Two phases: first every module is parsed and summarized into one
+    shared :class:`ProgramIndex`, then each module is checked against
+    the resolved index — so the flow rules see callees across file
+    boundaries.
     """
-    return lint_tree(paths, rules)[0]
+    engine = LintEngine(rules)
+    program = ProgramIndex()
+    modules: List[Tuple[ast.AST | Violation, str, str, str]] = []
+    for path, root in iter_python_files(paths):
+        source = path.read_text(encoding="utf-8")
+        relpath = module_relpath(path, root)
+        parsed: ast.AST | Violation
+        try:
+            parsed = ast.parse(source)
+        except SyntaxError as exc:
+            parsed = _syntax_violation(str(path), exc)
+        else:
+            program.add_module(relpath, parsed)
+        modules.append((parsed, source, relpath, str(path)))
+    program.resolve()
+    violations: List[Violation] = []
+    for parsed, source, relpath, shown in modules:
+        if isinstance(parsed, Violation):
+            violations.append(parsed)
+        else:
+            violations.extend(
+                engine.lint_parsed(parsed, source, relpath, shown, program))
+    return violations
 
 
 def format_human(violations: Sequence[Violation]) -> str:

@@ -11,8 +11,9 @@ The invariants (see ``docs/static-analysis.md`` for the full rationale):
   simclock.SimClock` / :class:`~repro.common.simclock.TaskCost`, never the
   wall clock, or sim-time results depend on host speed.
 * **SIM002** — randomness must come from seeded :mod:`repro.common.rng`
-  streams, never the ambient ``random`` / ``numpy.random`` module state,
-  or runs stop being bit-reproducible.
+  streams, never the ambient ``random`` / ``numpy.random`` module state
+  or a generator constructed without a seed, or runs stop being
+  bit-reproducible.
 * **SIM003** — simulated subsystems must do IO through the metered
   :mod:`repro.hdfs` / RPC fabric, never the host filesystem, or costs
   leak out of the simulation.
@@ -258,6 +259,9 @@ _NP_RANDOM_OK = {
     "PCG64", "PCG64DXSM", "Philox", "MT19937", "SFC64", "RandomState",
 }
 
+#: Generator constructors that seed from OS entropy when given no argument.
+_NP_SEEDED_CTORS = {"numpy.random.default_rng", "numpy.random.RandomState"}
+
 
 @register
 class AmbientRandomnessRule(Rule):
@@ -265,8 +269,9 @@ class AmbientRandomnessRule(Rule):
 
     id = "SIM002"
     name = "ambient-randomness"
-    description = ("ambient `random` / module-level `numpy.random` use "
-                   "instead of seeded repro.common.rng streams")
+    description = ("ambient `random` / module-level `numpy.random` use, "
+                   "or a generator constructed without a seed, instead "
+                   "of seeded repro.common.rng streams")
     exempt = ("common/rng.py",)
 
     def check(self, tree: ast.AST, relpath: str) -> List[Violation]:
@@ -310,6 +315,14 @@ class AmbientRandomnessRule(Rule):
                         f"module-level `{full}` draws from numpy's global "
                         "state; use repro.common.rng.make_rng(seed)",
                         relpath,
+                    ))
+                elif isinstance(node, ast.Call) \
+                        and full in _NP_SEEDED_CTORS \
+                        and not node.args and not node.keywords:
+                    out.append(self.violation(
+                        node,
+                        f"`{full}()` without a seed draws OS entropy; "
+                        "use repro.common.rng.make_rng(seed)", relpath,
                     ))
         return out
 

@@ -1,4 +1,4 @@
-"""Flow-sensitive lint rules SIM101 and SIM103..SIM105.
+"""Flow-sensitive lint rules SIM101 and SIM103.
 
 Where the SIM0xx rules pattern-match single expressions, this family
 reasons over the control-flow graphs of :mod:`repro.lint.cfg` and the
@@ -13,14 +13,8 @@ interprocedural summaries of :mod:`repro.lint.dataflow`:
   that moves bytes (file/socket IO, pickling, numpy materializations —
   directly or via a callee) must charge ``TaskCost`` / a sim clock /
   a metering span on **every** path from entry to exit.
-* **SIM104** — RNG taint: a value derived from an unseeded generator
-  must not reach a partitioner, sampler, or PS push — those sinks feed
-  placement and training state, where nondeterminism silently changes
-  results instead of failing loudly.
-* **SIM105** — resource leaks: a span/file/handle opened on some path
-  must be released, returned, or escape on every path to the exit.
 
-All four report through the same :class:`~repro.lint.rules.Violation`
+Both report through the same :class:`~repro.lint.rules.Violation`
 machinery, honour ``# repro-lint: disable=...`` suppressions, and run
 from the same CLI; the engine supplies a shared
 :class:`~repro.lint.dataflow.ProgramIndex` when linting a whole tree so
@@ -30,7 +24,7 @@ summaries cross file boundaries.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.lint.cfg import (
     CFG,
@@ -44,16 +38,13 @@ from repro.lint.cfg import (
 from repro.lint.dataflow import (
     CHARGES_METERING,
     MOVES_BYTES,
-    RETURNS_RESOURCE,
-    UNSEEDED_RNG,
-    RESOURCE_RELEASERS,
     ProgramIndex,
     annotated_param_types,
-    _call_effects,
-    _is_unseeded_ctor,
     _METERING_CALLS,
+    _iter_functions,
     _module_class_map,
-    _RESOURCE_OPENERS,
+    _moves_bytes,
+    build_index,
 )
 from repro.lint.rules import (
     Rule,
@@ -80,10 +71,7 @@ class FlowRule(Rule):
     needs_program = True
 
     def check(self, tree: ast.AST, relpath: str) -> List[Violation]:
-        index = ProgramIndex()
-        index.add_module(relpath, tree)
-        index.resolve()
-        return self.check_flow(tree, relpath, index)
+        return self.check_flow(tree, relpath, build_index([(relpath, tree)]))
 
     def check_flow(self, tree: ast.AST, relpath: str,
                    program: ProgramIndex) -> List[Violation]:
@@ -93,23 +81,6 @@ class FlowRule(Rule):
 # ----------------------------------------------------------------------
 # shared walking helpers
 # ----------------------------------------------------------------------
-
-
-def iter_functions_with_class(
-        tree: ast.AST
-) -> Iterable[Tuple[ast.FunctionDef, Optional[str]]]:
-    """Yield every (async) function def with its enclosing class name."""
-    stack: List[Tuple[ast.AST, Optional[str]]] = [(tree, None)]
-    while stack:
-        node, cls = stack.pop()
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield child, cls
-                stack.append((child, cls))
-            elif isinstance(child, ast.ClassDef):
-                stack.append((child, child.name))
-            else:
-                stack.append((child, cls))
 
 
 def _stmt_contains(stmt: ast.AST, needle: ast.AST) -> bool:
@@ -192,6 +163,14 @@ _DRIVER_CONTEXTS = {
     "SparkContext", "PSContext", "GraphContext", "SparkSession",
 }
 
+#: Callables whose result is an open handle a shipped closure must never
+#: capture.
+_RESOURCE_OPENERS = {
+    "open", "io.open", "task_span", "cost_span", "clock_span",
+    "socket.socket",
+}
+
+
 def _def_value(node_stmt: ast.AST | None, name: str) -> Optional[ast.AST]:
     """The RHS expression a def node binds ``name`` to, when syntactic."""
     if isinstance(node_stmt, ast.Assign):
@@ -247,7 +226,7 @@ class ClosureCaptureRule(FlowRule):
                    program: ProgramIndex) -> List[Violation]:
         aliases = _import_aliases(tree)
         out: List[Violation] = []
-        for func, _cls in iter_functions_with_class(tree):
+        for func, _cls in _iter_functions(tree):
             out.extend(self._check_function(func, relpath, aliases))
         return out
 
@@ -500,7 +479,7 @@ class MeteringContractRule(FlowRule):
         aliases = _import_aliases(tree)
         class_map = _module_class_map(relpath, tree)
         out: List[Violation] = []
-        for func, cls in iter_functions_with_class(tree):
+        for func, cls in _iter_functions(tree):
             if not _has_metering_capability(func):
                 continue
             ptypes = annotated_param_types(func, aliases, class_map)
@@ -553,8 +532,9 @@ class MeteringContractRule(FlowRule):
                     if not isinstance(sub, ast.Call):
                         continue
                     full = _call_full(sub, aliases)
-                    effects = set(_call_effects(full)) if full else set()
+                    moves_here = False
                     if full:
+                        moves_here = _moves_bytes(full)
                         tail = full.rsplit(".", 1)[-1]
                         if tail in _METERING_CALLS:
                             charges = True
@@ -563,10 +543,11 @@ class MeteringContractRule(FlowRule):
                     summary = program.summary_for_call(
                         sub, relpath, func_cls, aliases, ptypes)
                     if summary is not None:
-                        effects |= summary.effects
+                        if MOVES_BYTES in summary.effects:
+                            moves_here = True
                         if CHARGES_METERING in summary.effects:
                             charges = True
-                    if MOVES_BYTES in effects and moves is None:
+                    if moves_here and moves is None:
                         moves = full or "<call>"
             if charges:
                 meters.add(node.idx)
@@ -603,288 +584,3 @@ class MeteringContractRule(FlowRule):
                     "cost model",
                 ))
         return out
-
-
-# ----------------------------------------------------------------------
-# SIM104 — RNG taint
-# ----------------------------------------------------------------------
-
-#: Method names whose arguments feed placement, sampling, or PS state.
-_TAINT_SINKS = {
-    "partition_by", "get_partition", "push", "increment", "set",
-    "sample", "take_sample", "sample_neighbors", "negative_sample",
-}
-
-
-@register
-class RngTaintRule(FlowRule):
-    """SIM104: unseeded randomness must not feed partitioning or PS state."""
-
-    id = "SIM104"
-    name = "rng-taint"
-    description = ("value derived from an unseeded RNG flows into a "
-                   "partitioner, sampler, or PS push — placement and "
-                   "training state silently stop being reproducible")
-    scope = SIM_SUBSYSTEMS + ("core/", "experiments/")
-
-    def check_flow(self, tree: ast.AST, relpath: str,
-                   program: ProgramIndex) -> List[Violation]:
-        program.resolve()
-        aliases = _import_aliases(tree)
-        out: List[Violation] = []
-        for func, cls in iter_functions_with_class(tree):
-            out.extend(self._check_function(
-                func, cls, relpath, aliases, program))
-        return out
-
-    def _rng_call(self, value: ast.AST, relpath: str, cls: Optional[str],
-                  aliases: Dict[str, str],
-                  program: ProgramIndex) -> Optional[str]:
-        """The unseeded source inside ``value``, if any."""
-        for sub in _walk_same_scope(value):
-            if not isinstance(sub, ast.Call):
-                continue
-            full = _call_full(sub, aliases)
-            if full is not None:
-                if UNSEEDED_RNG in _call_effects(full) \
-                        or _is_unseeded_ctor(sub, full):
-                    return full
-            summary = program.summary_for_call(sub, relpath, cls, aliases)
-            if summary is not None and UNSEEDED_RNG in summary.effects:
-                return summary.name + "()"
-        return None
-
-    def _check_function(self, func: ast.FunctionDef, cls: Optional[str],
-                        relpath: str, aliases: Dict[str, str],
-                        program: ProgramIndex) -> List[Violation]:
-        cfg = build_cfg(func)
-        in_sets = cfg.reaching_definitions()
-        gen = cfg.definitions()
-        # def-site taint: (name, node) -> source description
-        taint: Dict[Tuple[str, int], str] = {}
-        changed = True
-        while changed:
-            changed = False
-            for node in cfg.nodes:
-                names = gen.get(node.idx, ())
-                if not names:
-                    continue
-                stmt = node.stmt
-                for name in names:
-                    key = (name, node.idx)
-                    if key in taint:
-                        continue
-                    value = _def_value(stmt, name)
-                    if value is None and node.kind == ITER:
-                        value = stmt.iter  # type: ignore[attr-defined]
-                    if value is None:
-                        continue
-                    src = self._rng_call(value, relpath, cls, aliases,
-                                         program)
-                    if src is None:
-                        # derived taint: RHS reads a tainted name
-                        for sub in ast.walk(value):
-                            if isinstance(sub, ast.Name) \
-                                    and isinstance(sub.ctx, ast.Load):
-                                defs = {
-                                    idx for (n, idx)
-                                    in in_sets[node.idx] if n == sub.id
-                                }
-                                for d in defs:
-                                    hit = taint.get((sub.id, d))
-                                    if hit is not None:
-                                        src = hit
-                                        break
-                            if src is not None:
-                                break
-                    if src is not None:
-                        taint[key] = src
-                        changed = True
-        if not taint:
-            return []
-        out: List[Violation] = []
-        for node in cfg.nodes:
-            stmt = node.stmt
-            if stmt is None or isinstance(stmt, ast.arguments) \
-                    or node.kind == EXCEPT \
-                    or isinstance(stmt, (ast.FunctionDef,
-                                         ast.AsyncFunctionDef,
-                                         ast.ClassDef)):
-                continue
-            root: ast.AST = stmt
-            if node.kind == TEST:
-                root = stmt.test  # type: ignore[attr-defined]
-            elif node.kind == ITER:
-                root = stmt.iter  # type: ignore[attr-defined]
-            for sub in _walk_same_scope(root):
-                if not (isinstance(sub, ast.Call)
-                        and isinstance(sub.func, ast.Attribute)
-                        and sub.func.attr in _TAINT_SINKS):
-                    continue
-                args = list(sub.args) + [kw.value for kw in sub.keywords]
-                for arg in args:
-                    for leaf in ast.walk(arg):
-                        if not (isinstance(leaf, ast.Name)
-                                and isinstance(leaf.ctx, ast.Load)):
-                            continue
-                        defs = {
-                            idx for (n, idx) in in_sets[node.idx]
-                            if n == leaf.id
-                        }
-                        srcs = {taint[(leaf.id, d)] for d in defs
-                                if (leaf.id, d) in taint}
-                        if srcs:
-                            out.append(self.violation(
-                                sub,
-                                f"`{leaf.id}` is derived from unseeded "
-                                f"`{sorted(srcs)[0]}` and flows into "
-                                f"`.{sub.func.attr}(...)`; seed it via "
-                                "repro.common.rng so placement/state "
-                                "stays reproducible", relpath))
-                            break
-                    else:
-                        continue
-                    break
-        return out
-
-
-# ----------------------------------------------------------------------
-# SIM105 — resource leaks
-# ----------------------------------------------------------------------
-
-
-@register
-class ResourceLeakRule(FlowRule):
-    """SIM105: opened spans/handles must be released on every path."""
-
-    id = "SIM105"
-    name = "resource-leak"
-    description = ("span/file/handle opened but not released, returned, "
-                   "or handed off on some path to the function exit")
-
-    def check_flow(self, tree: ast.AST, relpath: str,
-                   program: ProgramIndex) -> List[Violation]:
-        program.resolve()
-        aliases = _import_aliases(tree)
-        out: List[Violation] = []
-        for func, cls in iter_functions_with_class(tree):
-            out.extend(self._check_function(
-                func, cls, relpath, aliases, program))
-        return out
-
-    def _opens_resource(self, value: ast.AST, relpath: str,
-                        cls: Optional[str], aliases: Dict[str, str],
-                        program: ProgramIndex) -> Optional[str]:
-        if not isinstance(value, ast.Call):
-            return None
-        full = _call_full(value, aliases)
-        if full is not None:
-            if full in _RESOURCE_OPENERS:
-                return full
-            tail = full.rsplit(".", 1)[-1]
-            if tail in ("clock_span", "cost_span", "task_span"):
-                return full
-        summary = program.summary_for_call(value, relpath, cls, aliases)
-        if summary is not None \
-                and RETURNS_RESOURCE in summary.local_effects:
-            return summary.name + "()"
-        return None
-
-    def _check_function(self, func: ast.FunctionDef, cls: Optional[str],
-                        relpath: str, aliases: Dict[str, str],
-                        program: ProgramIndex) -> List[Violation]:
-        cfg = build_cfg(func)
-        opens: List[Tuple[int, str, str]] = []  # (node, name, what)
-        for node in cfg.nodes:
-            stmt = node.stmt
-            if node.kind == WITH:
-                continue  # `with open(...)` is the safe form
-            if isinstance(stmt, ast.Assign) \
-                    and len(stmt.targets) == 1 \
-                    and isinstance(stmt.targets[0], ast.Name):
-                what = self._opens_resource(stmt.value, relpath, cls,
-                                            aliases, program)
-                if what is not None:
-                    opens.append((node.idx, stmt.targets[0].id, what))
-        if not opens:
-            return []
-        out: List[Violation] = []
-        gen = cfg.definitions()
-        for open_idx, name, what in opens:
-            discharge = self._discharge_nodes(cfg, name)
-            # Re-binding the name also ends our tracking window.
-            rebinds = {
-                n.idx for n in cfg.nodes
-                if n.idx != open_idx
-                and name in gen.get(n.idx, ())
-            }
-            safe = discharge | rebinds
-            if cfg.exists_path(open_idx, cfg.exit, safe):
-                node = cfg.nodes[open_idx]
-                out.append(Violation(
-                    self.id, relpath, node.lineno,
-                    getattr(node.stmt, "col_offset", 0),
-                    f"`{name}` holds an open resource from `{what}(...)` "
-                    "but some path reaches the function exit without "
-                    "closing/releasing it; use `with` or release in a "
-                    "`finally`",
-                ))
-        return out
-
-    def _discharge_nodes(self, cfg: CFG, name: str) -> Set[int]:
-        """Nodes that release ``name`` or transfer ownership of it."""
-        out: Set[int] = set()
-        for node in cfg.nodes:
-            stmt = node.stmt
-            if stmt is None or isinstance(stmt, ast.arguments):
-                continue
-            if node.kind == WITH and isinstance(stmt, ast.withitem):
-                expr = stmt.context_expr
-                if isinstance(expr, ast.Name) and expr.id == name:
-                    out.add(node.idx)
-                continue
-            roots: List[ast.AST]
-            if node.kind == TEST:
-                roots = [stmt.test]  # type: ignore[attr-defined]
-            elif node.kind == ITER:
-                roots = [stmt.iter]  # type: ignore[attr-defined]
-            elif node.kind == EXCEPT:
-                continue
-            elif isinstance(stmt, (ast.If, ast.While, ast.For,
-                                   ast.AsyncFor, ast.With, ast.AsyncWith,
-                                   ast.Try)):
-                continue
-            else:
-                roots = [stmt]
-            for root in roots:
-                if self._discharges(root, name):
-                    out.add(node.idx)
-                    break
-        return out
-
-    @staticmethod
-    def _discharges(root: ast.AST, name: str) -> bool:
-        for sub in ast.walk(root):
-            # r.close() / r.release() / r.__exit__()
-            if isinstance(sub, ast.Call) \
-                    and isinstance(sub.func, ast.Attribute) \
-                    and isinstance(sub.func.value, ast.Name) \
-                    and sub.func.value.id == name \
-                    and sub.func.attr in RESOURCE_RELEASERS:
-                return True
-            # ownership transfer: return r / yield r / f(r) / obj.x = r /
-            # container[k] = r / alias = r
-            if isinstance(sub, (ast.Return, ast.Yield, ast.YieldFrom)):
-                v = sub.value
-                if isinstance(v, ast.Name) and v.id == name:
-                    return True
-            if isinstance(sub, ast.Call):
-                for arg in list(sub.args) + [kw.value for kw
-                                             in sub.keywords]:
-                    if isinstance(arg, ast.Name) and arg.id == name:
-                        return True
-            if isinstance(sub, ast.Assign):
-                if isinstance(sub.value, ast.Name) \
-                        and sub.value.id == name:
-                    return True
-        return False

@@ -227,12 +227,6 @@ class TelemetryCollector:
         """Every alert the engine fired, in firing order."""
         return self.engine.alerts
 
-    def alerts_between(self, start_s: float,
-                       end_s: float) -> List[Alert]:
-        """Alerts whose detection timestamp lies in ``[start_s, end_s]``."""
-        return [a for a in self.engine.alerts
-                if start_s <= a.fired_at_s <= end_s]
-
     def to_dict(self) -> Dict[str, object]:
         """Store + SLO dump (no critical path; see build_telemetry_doc)."""
         doc = self.store.to_dict()

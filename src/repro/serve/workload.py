@@ -20,7 +20,7 @@ double-run serves bit-identical traffic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -158,10 +158,6 @@ class RequestGenerator:
                 priority=tenant.priority,
             ))
         return out
-
-    def tenant_map(self) -> Dict[str, TenantSpec]:
-        """Tenant specs keyed by name."""
-        return {t.name: t for t in self.tenants}
 
 
 def default_tenants(model: str,

@@ -68,3 +68,43 @@ class TestMain:
         ])
         assert code == 0
         assert "modularity" in capsys.readouterr().out
+
+
+class TestCliEmbeddings:
+    @pytest.fixture
+    def edge_file(self, tmp_path):
+        src, dst, _ = community_graph(60, 3, avg_degree=8, seed=103)
+        path = tmp_path / "e.tsv"
+        path.write_text(
+            "\n".join(f"{s}\t{d}" for s, d in zip(src, dst)) + "\n"
+        )
+        return str(path)
+
+    def test_line_via_cli(self, edge_file, capsys):
+        from repro.cli import main
+
+        code = main([
+            "line", "--input", edge_file, "--dim", "4", "--epochs", "1",
+            "--executors", "2", "--servers", "2",
+        ])
+        assert code == 0
+        assert "sim time" in capsys.readouterr().out
+
+    def test_deepwalk_via_cli(self, edge_file, capsys):
+        from repro.cli import main
+
+        code = main([
+            "deepwalk", "--input", edge_file, "--dim", "4",
+            "--epochs", "1", "--executors", "2", "--servers", "2",
+        ])
+        assert code == 0
+
+    def test_connected_components_via_cli(self, edge_file, capsys):
+        from repro.cli import main
+
+        code = main([
+            "connected-components", "--input", edge_file,
+            "--executors", "2", "--servers", "2",
+        ])
+        assert code == 0
+        assert "num_components" in capsys.readouterr().out

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.config import GB, ClusterConfig, psgraph_config_ds1
@@ -263,3 +263,32 @@ class TestRng:
 
     def test_derive_seed_deterministic(self):
         assert derive_seed(7, "x", 3) == derive_seed(7, "x", 3)
+
+
+class TestMemoryTags:
+    def test_usage_by_tag_tracks_partial_release(self):
+        m = MemoryTracker("c", capacity=None)
+        m.allocate(100, tag="a")
+        m.allocate(50, tag="b")
+        m.release(40, tag="a")
+        tags = m.usage_by_tag()
+        assert tags == {"a": 60, "b": 50}
+        m.release(70, tag="a")  # over-release of the tag clamps it away
+        assert "a" not in m.usage_by_tag()
+
+
+class TestPropertyHelpers:
+    @settings(deadline=None, max_examples=30)
+    @given(st.recursive(
+        st.one_of(st.integers(-10, 10), st.floats(-1, 1), st.text(max_size=5)),
+        lambda inner: st.lists(inner, max_size=5),
+        max_leaves=20,
+    ))
+    def test_sizeof_total_and_nonnegative(self, obj):
+        assert sizeof(obj) >= 0
+
+    @settings(deadline=None, max_examples=20)
+    @given(st.floats(1e6, 1e10), st.floats(0, 1e-3))
+    def test_network_time_monotone_in_bytes(self, bw, lat):
+        cm = CostModel(network_bandwidth_bps=bw, rpc_latency_s=lat)
+        assert cm.network_time(1000) <= cm.network_time(2000)

@@ -7,7 +7,11 @@ from hypothesis import strategies as st
 
 from repro.common.config import ClusterConfig
 from repro.core.algorithms.graphsage import make_sage
-from repro.datasets.generators import community_graph, vertex_features
+from repro.datasets.generators import (
+    community_graph,
+    powerlaw_graph,
+    vertex_features,
+)
 from repro.datasets.tencent import ds3_spec, generate_ds3_gnn, write_edges
 from repro.eulersim.euler import EulerSystem, _build_adjacency
 from repro.torchlite.script import ScriptModule
@@ -120,5 +124,25 @@ class TestTraining:
             assert stats["accuracy"] > 0.6
             assert len(stats["epoch_sim_times"]) == 4
             assert all(t > 0 for t in stats["epoch_sim_times"])
+        finally:
+            sys.stop()
+
+
+class TestEulerPassBreakdown:
+    def test_sequential_pass_proportions(self):
+        sys = EulerSystem(ClusterConfig(
+            num_executors=4, executor_mem_bytes=1 << 40))
+        try:
+            src, dst = powerlaw_graph(500, 4000, seed=91)
+            write_edges(sys.hdfs, "/in/e", src, dst, num_files=4)
+            feats = np.zeros((500, 8), dtype=np.float32)
+            labels = np.zeros(500, dtype=np.int64)
+            stats = sys.preprocess("/in/e", feats, labels)
+            # The paper: ~4h mapping + ~4h JSON + minutes partitioning.
+            assert stats["index_mapping_s"] > 10 * stats["partition_s"]
+            assert stats["json_transform_s"] > 10 * stats["partition_s"]
+            # Same order of magnitude for the two big passes.
+            ratio = stats["index_mapping_s"] / stats["json_transform_s"]
+            assert 0.2 < ratio < 5
         finally:
             sys.stop()

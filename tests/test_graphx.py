@@ -4,9 +4,11 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from repro.common.config import ClusterConfig
 from repro.common.errors import GraphLoadError, SimulatedOOMError
 from repro.common.metrics import SHUFFLE_BYTES_WRITTEN
-from repro.datasets.generators import powerlaw_graph
+from repro.dataflow.context import SparkContext
+from repro.datasets.generators import community_graph, powerlaw_graph
 from repro.graphx.algorithms import (
     attach_neighbor_sets,
     common_neighbor,
@@ -15,7 +17,9 @@ from repro.graphx.algorithms import (
     pagerank,
     triangle_count,
 )
+from repro.graphx.fast_unfolding import _modularity, fast_unfolding
 from repro.graphx.graph import Graph
+from repro.graphx.pregel import pregel
 from tests.conftest import make_context
 
 
@@ -243,3 +247,78 @@ class TestFastUnfoldingGraphX:
         assert comms[0] == comms[1] == comms[2]
         assert comms[3] == comms[4] == comms[5]
         assert q > 0.3
+
+
+class TestGraphXModularity:
+    def test_modularity_matches_networkx(self):
+        src, dst, truth = community_graph(
+            100, 4, avg_degree=10, mixing=0.1, seed=101
+        )
+        w = np.ones(len(src))
+        q_ours = _modularity(src, dst, w, truth)
+        nxg = nx.Graph()
+        nxg.add_edges_from(zip(src.tolist(), dst.tolist()))
+        comms = [set(np.flatnonzero(truth == c)) & set(nxg.nodes)
+                 for c in range(4)]
+        comms = [c for c in comms if c]
+        q_nx = nx.community.modularity(nxg, comms)
+        # Multi-edges make our weighted Q differ slightly from nx's
+        # simple-graph Q; they must still agree closely.
+        assert q_ours == pytest.approx(q_nx, abs=0.05)
+
+    def test_singleton_partition_has_low_modularity(self):
+        src = np.array([0, 1, 2])
+        dst = np.array([1, 2, 0])
+        q = _modularity(src, dst, np.ones(3), np.arange(3))
+        assert q < 0.01
+
+    def test_perfect_split_has_high_modularity(self):
+        # Two disjoint triangles.
+        src = np.array([0, 1, 2, 3, 4, 5])
+        dst = np.array([1, 2, 0, 4, 5, 3])
+        comms = np.array([0, 0, 0, 1, 1, 1])
+        q = _modularity(src, dst, np.ones(6), comms)
+        assert q == pytest.approx(0.5)
+
+    def test_fast_unfolding_returns_total_mapping(self):
+        ctx = SparkContext(ClusterConfig(
+            num_executors=3, executor_mem_bytes=1 << 40))
+        try:
+            src, dst, _ = community_graph(
+                60, 3, avg_degree=8, mixing=0.05, seed=102
+            )
+            comms, q, rounds = fast_unfolding(ctx, src, dst)
+            n = int(max(src.max(), dst.max())) + 1
+            assert len(comms) == n
+            assert q > 0.3
+        finally:
+            ctx.stop()
+
+
+class TestPregelCustom:
+    def test_max_value_propagation(self):
+        ctx = SparkContext(ClusterConfig(
+            num_executors=3, executor_mem_bytes=1 << 40))
+        try:
+            # A path graph; everyone converges to the max id via pregel.
+            src = np.arange(0, 9)
+            dst = np.arange(1, 10)
+            g = Graph.from_edges(ctx, src, dst, num_partitions=3)
+
+            def send(es, ed, sa, da):
+                return [(ed, sa), (es, da)]
+
+            def vprog(ids, attrs, mids, mvals):
+                new = attrs.copy()
+                idx = np.searchsorted(ids, mids)
+                new[idx] = np.maximum(new[idx], mvals)
+                return new
+
+            ids, attrs, iters = pregel(
+                g, lambda ids: ids.astype(np.float64), send, vprog,
+                "max", max_iterations=20, tol=0.5,
+            )
+            assert (attrs == 9).all()
+            assert iters <= 11
+        finally:
+            ctx.stop()

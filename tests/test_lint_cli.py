@@ -1,8 +1,15 @@
 """CLI surface of ``python -m repro.lint`` / ``repro-lint``."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
-from repro.lint.cli import main
+import pytest
+
+from repro.lint.cli import build_parser, main
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def test_list_rules_exits_zero(capsys):
@@ -43,3 +50,53 @@ def test_unknown_rule_is_usage_error(tmp_path):
 
 def test_missing_path_is_usage_error():
     assert main(["definitely/not/here"]) == 2
+
+
+def test_cli_unknown_rule_lists_known_ids(tmp_path, capsys):
+    assert main([str(tmp_path), "--enable", "SIM999"]) == 2
+    err = capsys.readouterr().err
+    assert "unknown rule" in err and "SIM103" in err
+
+
+def test_cli_list_rules_includes_flow_tier(capsys):
+    assert main(["--list-rules"]) == 0
+    listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+    assert listed == ["SIM001", "SIM002", "SIM003", "SIM004", "SIM005",
+                      "SIM101", "SIM103"]
+
+
+_COMMAND = r"(?:python -m repro\.lint|repro-lint)\s[^`\n]*"
+
+
+def _documented_commands():
+    """Every ``repro.lint`` command line the docs and CI tell a reader to run.
+
+    Inline code spans may wrap across prose lines; fenced blocks and the
+    workflow hold one command per (backslash-continued) line.
+    """
+    files = [REPO / "README.md", *sorted((REPO / "docs").glob("*.md")),
+             REPO / ".github" / "workflows" / "ci.yml"]
+    for path in files:
+        text = path.read_text(encoding="utf-8").replace("\\\n", " ")
+        spans = re.findall(rf"`({_COMMAND}(?:\n[^`\n]*)*)`", text)
+        lines = re.findall(
+            rf"^\s*(?:run:\s*)?(?:PYTHONPATH=\S+\s+)?({_COMMAND})$",
+            text, re.MULTILINE)
+        for command in spans + lines:
+            yield path.name, " ".join(command.split())
+
+
+def test_documented_commands_parse():
+    commands = list(_documented_commands())
+    assert {name for name, _ in commands} >= {
+        "README.md", "static-analysis.md", "observability.md", "ci.yml"}
+    parser = build_parser()
+    for name, command in commands:
+        argv = shlex.split(command, comments=True)
+        argv = argv[3:] if argv[0] == "python" else argv[1:]
+        try:
+            # --dynamic's `choices` holds each workload name to WORKLOADS.
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"{name} documents a command the CLI rejects: "
+                        f"{command}")

@@ -93,6 +93,62 @@ def test_sim002_allows_seeded_generator_api():
     assert vs == []
 
 
+_UNSEEDED_CTORS = """\
+    import numpy as np
+    from numpy.random import default_rng
+
+    def place(ps, keys):
+        rng = np.random.default_rng()
+        legacy = np.random.RandomState()
+        ps.push(keys, default_rng().random(len(keys)))
+"""
+
+
+def test_sim002_flags_generator_constructed_without_seed():
+    vs = lint(_UNSEEDED_CTORS)
+    assert rule_ids(vs) == ["SIM002", "SIM002", "SIM002"]
+    assert [v.line for v in vs] == [5, 6, 7]
+    assert "without a seed" in vs[0].message
+    assert lint(_UNSEEDED_CTORS, relpath="common/rng.py") == []
+
+
+def test_sim002_quiet_on_seeded_generator_forms():
+    vs = lint("""\
+        import numpy as np
+
+        def place(ps, keys, seed):
+            rng = np.random.default_rng(seed)
+            legacy = np.random.RandomState(seed=seed)
+            seq = np.random.SeedSequence()
+            ps.push(keys, rng.random(len(keys)))
+    """)
+    assert vs == []
+
+
+@pytest.mark.parametrize("body", [
+    """\
+        jitter = random.random()
+        ps.push(keys, jitter)
+    """,
+    """\
+        raw = random.random()
+        scaled = raw * 10.0
+        ps.partition_by(scaled)
+    """,
+    # SIM002 checks sources, not flows: rebinding the name clears nothing
+    """\
+        jitter = random.random()
+        jitter = 0.0
+        ps.push(keys, jitter)
+    """,
+], ids=["into-push", "derived-into-partitioner", "rebound-before-use"])
+def test_sim002_flags_ambient_source_whatever_it_feeds(body):
+    vs = lint("import random\n\ndef place(ps, keys):\n"
+              + textwrap.indent(textwrap.dedent(body), "    "))
+    assert rule_ids(vs) == ["SIM002"]
+    assert vs[0].line == 1
+
+
 def test_sim002_exempt_in_rng_shim():
     vs = lint("""\
         import numpy as np

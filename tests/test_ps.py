@@ -14,6 +14,7 @@ from repro.common.errors import (
     PSError,
     SimulatedOOMError,
 )
+from repro.core.context import PSGraphContext
 from repro.dataflow.context import SparkContext
 from repro.ps.context import PSContext
 from repro.ps.optimizer import SGD, AdaGrad, Adam, Momentum
@@ -712,3 +713,116 @@ class TestPullCache:
         ps.enable_pull_cache("v")
         ps.drop_matrix("v")
         assert ps.pull_cache("v") is None
+
+
+class TestAgentTimingSemantics:
+    def test_fanout_charges_busiest_server_not_sum(self):
+        """The agent issues per-server requests concurrently: pulling the
+        same bytes spread over 4 servers must be ~4x faster than from 1."""
+        times = {}
+        for servers in (1, 4):
+            cluster = ClusterConfig(
+                num_executors=1, executor_mem_bytes=1 << 40,
+                num_servers=servers, server_mem_bytes=1 << 40,
+            )
+            ctx = PSGraphContext(cluster)
+            try:
+                v = ctx.ps.create_vector(
+                    "v", 400_000, partition="hash",
+                    num_partitions=servers,
+                )
+                t0 = ctx.sim_time()
+                v.pull(np.arange(400_000))
+                times[servers] = ctx.sim_time() - t0
+            finally:
+                ctx.stop()
+        assert times[4] < times[1] * 0.6
+
+    def test_congestion_scales_with_executor_server_ratio(self):
+        """Each task pulls the same bytes; with 8x the executors hitting
+        the same two servers, the shared links congest and every pull gets
+        slower — the stage does NOT stay at the 2-executor latency."""
+        times = {}
+        for executors in (2, 16):
+            cluster = ClusterConfig(
+                num_executors=executors, executor_mem_bytes=1 << 40,
+                num_servers=2, server_mem_bytes=1 << 40,
+            )
+            ctx = PSGraphContext(cluster)
+            try:
+                v = ctx.ps.create_vector("v", 200_000)
+                keys = np.arange(200_000)
+
+                def work(_it, v=v, keys=keys):
+                    v.pull(keys)
+                    return 0
+
+                t0 = ctx.sim_time()
+                ctx.spark.parallelize(
+                    range(executors), executors
+                ).foreach_partition(work)
+                times[executors] = ctx.sim_time() - t0
+            finally:
+                ctx.stop()
+        # Congestion factor goes 1 -> 8; transfer time should grow by
+        # several x (latency and CPU dilute the exact 8).
+        assert times[16] > times[2] * 3
+
+
+class TestMergeProperties:
+    @settings(deadline=None, max_examples=25)
+    @given(st.integers(2, 500), st.integers(1, 20))
+    def test_ps_partitioners_total_cover(self, size, parts):
+        from repro.ps.partitioner import make_ps_partitioner
+
+        for kind in ("hash", "range", "hash-range"):
+            p = make_ps_partitioner(kind, size, parts)
+            seen = np.concatenate([
+                p.keys_of_partition(i) for i in range(p.num_partitions)
+            ])
+            assert sorted(seen.tolist()) == list(range(size))
+
+    @settings(deadline=None, max_examples=20)
+    @given(st.integers(1, 64), st.integers(1, 64))
+    def test_server_assignment_balanced(self, partitions, servers):
+        """server_of spreads any run of consecutive pids evenly."""
+        from repro.ps.meta import MatrixMeta
+        from repro.ps.partitioner import RangePSPartitioner
+
+        meta = MatrixMeta(
+            name="m", rows=10, cols=1, dtype=np.dtype(np.float64),
+            axis=0, storage="dense",
+            partitioner=RangePSPartitioner(10, 1),
+            num_servers=servers,
+        )
+        counts = np.bincount(
+            [meta.server_of(p) for p in range(partitions)],
+            minlength=servers,
+        )
+        # No server holds more than ceil(partitions / servers) + 0 extra.
+        assert counts.max() <= -(-partitions // servers)
+
+    @settings(deadline=None, max_examples=30)
+    @given(st.lists(st.tuples(st.integers(0, 19), st.floats(-5, 5)),
+                    max_size=30), st.integers(0, 4))
+    def test_cached_pull_equals_uncached(self, updates, staleness):
+        """The pull cache is transparent: cached reads == server reads."""
+        from repro.common.config import ClusterConfig
+        from repro.core.context import PSGraphContext
+
+        cluster = ClusterConfig(
+            num_executors=2, executor_mem_bytes=1 << 40,
+            num_servers=2, server_mem_bytes=1 << 40,
+        )
+        ctx = PSGraphContext(cluster)
+        try:
+            v = ctx.ps.create_vector("v", 20, partition="hash")
+            ctx.ps.enable_pull_cache("v", staleness=staleness)
+            ref = np.zeros(20)
+            keys = np.arange(20)
+            for k, d in updates:
+                v.push(np.array([k]), np.array([d]))
+                ref[k] += d
+                np.testing.assert_allclose(v.pull(keys), ref, atol=1e-12)
+        finally:
+            ctx.stop()

@@ -372,3 +372,64 @@ class TestLSTMCell:
             opt.step()
             losses.append(loss.item())
         assert np.mean(losses[-10:]) < np.mean(losses[:10]) * 0.5
+
+
+class TestTensorEdges:
+    def test_rsub_radd(self):
+        from repro.torchlite import Tensor
+
+        a = Tensor([2.0], requires_grad=True)
+        out = (10.0 - a) + (1.0 + a)
+        out.sum().backward()
+        assert out.data[0] == pytest.approx(11.0)
+        assert a.grad[0] == pytest.approx(0.0)
+
+    def test_log_grad(self):
+        from repro.torchlite import Tensor
+
+        a = Tensor([4.0], requires_grad=True)
+        a.log().sum().backward()
+        assert a.grad[0] == pytest.approx(0.25)
+
+    def test_detach_blocks_grad(self):
+        from repro.torchlite import Tensor
+
+        a = Tensor([3.0], requires_grad=True)
+        (a.detach() * 2).sum()  # no tape
+        assert a.grad is None
+
+    def test_item_and_repr(self):
+        from repro.torchlite import Tensor
+
+        t = Tensor([[5.0]], requires_grad=True)
+        assert t.item() == 5.0
+        assert "grad=True" in repr(t)
+
+
+class TestSegmentProperties:
+    @settings(deadline=None, max_examples=30)
+    @given(st.lists(st.integers(0, 3), min_size=1, max_size=30),
+           st.integers(1, 3))
+    def test_segment_mean_matches_reference(self, segs, cols):
+        segs = np.asarray(segs)
+        num = int(segs.max()) + 1
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal((len(segs), cols))
+        got = segment_mean(Tensor(x), segs, num).data
+        for s in range(num):
+            rows = x[segs == s]
+            expect = rows.mean(axis=0) if len(rows) else np.zeros(cols)
+            np.testing.assert_allclose(got[s], expect, atol=1e-12)
+
+    @settings(deadline=None, max_examples=30)
+    @given(st.lists(st.integers(0, 3), min_size=1, max_size=30))
+    def test_segment_max_matches_reference(self, segs):
+        segs = np.asarray(segs)
+        num = int(segs.max()) + 1
+        rng = np.random.default_rng(2)
+        x = rng.standard_normal((len(segs), 2))
+        got = segment_max(Tensor(x), segs, num).data
+        for s in range(num):
+            rows = x[segs == s]
+            if len(rows):
+                np.testing.assert_allclose(got[s], rows.max(axis=0))

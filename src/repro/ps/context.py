@@ -39,6 +39,7 @@ from repro.ps.meta import STORAGE_KINDS, MatrixMeta
 from repro.ps.optimizer import Optimizer
 from repro.ps.partitioner import make_ps_partitioner
 from repro.ps.server import PSServer
+from repro.ps.storage import DenseRowStore, NeighborTableView
 from repro.ps.sync import SyncController
 
 
@@ -50,7 +51,6 @@ class PSContext:
         num_servers: server containers to launch; defaults to the cluster
             config's ``num_servers``.
         server_mem_bytes: per-server grant; defaults to the cluster config.
-        partitions_per_server: model partitions per server (spreads load).
         checkpoint_dir: HDFS directory for partition checkpoints.
         checkpoint_interval: when > 0, every Nth :meth:`barrier` call
             checkpoints every registered model to HDFS — the paper's
@@ -63,7 +63,6 @@ class PSContext:
     def __init__(self, spark: SparkContext, *,
                  num_servers: int | None = None,
                  server_mem_bytes: int | None = None,
-                 partitions_per_server: int = 2,
                  checkpoint_dir: str = "/ps-checkpoints",
                  checkpoint_interval: int = 0,
                  sync_mode: str = "bsp") -> None:
@@ -78,7 +77,6 @@ class PSContext:
         if server_mem_bytes <= 0:
             raise ConfigError("server_mem_bytes must be positive")
         self.spark = spark
-        self.partitions_per_server = partitions_per_server
         self.checkpoint_dir = checkpoint_dir.rstrip("/")
         self.checkpoint_interval = checkpoint_interval
         containers = spark.resource_manager.request_many(
@@ -154,11 +152,28 @@ class PSContext:
             raise ConfigError(f"matrix {meta.name!r} already exists")
         self._metas[meta.name] = meta
         self._handles[meta.name] = handle
-        for pid in range(meta.num_partitions):
+        parts = range(meta.num_partitions)
+        if meta.storage == "dense":
+            # A matrix's rows live in one array laid out partition-major;
+            # a server's partition is a contiguous view of it, so a keyed
+            # gather or scatter over the matrix is one array operation.
+            keys = [meta.partitioner.keys_of_partition(p) for p in parts]
+            meta.data = DenseRowStore(np.concatenate(keys), meta.cols,
+                                      meta.dtype, meta.init)
+            meta.part_offsets = np.cumsum(
+                [0] + [len(k) for k in keys]).tolist()
+        elif meta.storage == "neighbor":
+            servers, name = self.servers, meta.name
+            owners = [meta.server_of(p) for p in parts]
+            meta.data = NeighborTableView(
+                len(owners),
+                lambda pid: servers[owners[pid]]._stores.get((name, pid)))
+        for pid in parts:
             self.servers[meta.server_of(pid)].create_partition(meta, pid)
 
     def _default_partitions(self, size: int) -> int:
-        return max(1, min(size, self.num_servers * self.partitions_per_server))
+        # Two per server (spreads load), capped by the key space.
+        return max(1, min(size, 2 * self.num_servers))
 
     def create_matrix(self, name: str, rows: int, cols: int = 1,
                       dtype: np.dtype = np.float64, *,

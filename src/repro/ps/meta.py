@@ -42,6 +42,15 @@ class MatrixMeta:
     init: float = 0.0
     optimizer: Optional[object] = None
     num_servers: int = field(default=1)
+    #: The matrix-wide store the PS context allocates at registration —
+    #: the one :class:`~repro.ps.storage.DenseRowStore` whose runs the
+    #: servers' partitions are (``part_offsets[p]:part_offsets[p + 1]``
+    #: is partition ``p``), or a neighbor table's
+    #: :class:`~repro.ps.storage.NeighborTableView`; ``None`` for the
+    #: storage kinds that exist per partition only.
+    data: Optional[object] = field(default=None, repr=False, compare=False)
+    part_offsets: Optional[list] = field(default=None, repr=False,
+                                         compare=False)
 
     @property
     def num_partitions(self) -> int:

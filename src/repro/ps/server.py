@@ -1,9 +1,11 @@
 """Parameter server process.
 
 Each :class:`PSServer` wraps one Yarn container, holds the model partitions
-assigned to it, and exposes the RPC surface the agents call: pull/push/set
-on rows, slice operations for column shards, neighbor-table operations,
-psFunc execution, gradient application, and checkpoint save/load.
+assigned to it, and exposes the RPC surface the agents call: slice
+operations for column shards, neighbor-table writes, psFunc execution,
+gradient application, and checkpoint save/load.  Row pulls / writes and
+neighbor-table reads are keyed gathers and scatters: the agent moves their
+data itself and only *meters* each request here (``_admit``, ``_work``).
 
 Memory for every store is charged against the container's grant (an
 oversized model OOMs the server, as on a real cluster), and each operation
@@ -26,7 +28,6 @@ from repro.ps.meta import MatrixMeta
 from repro.ps.psfunc import PsFunc
 from repro.ps.storage import (
     ColumnShardStore,
-    DenseRowStore,
     NeighborTableStore,
     SparseRowStore,
     Store,
@@ -71,23 +72,25 @@ class PSServer:
             self.container.memory.release(old - new, tag=tag)
         self._charged[key] = new
 
-    def _work(self, flops: float, op: str | None = None,
-              matrix: str | None = None) -> None:
-        """Advance the server clock by compute time.
-
-        When ``op`` is given and tracing is on, the compute lands as a
-        span on this server's "ops" track.
-        """
+    def _spend(self, seconds: float, op: str, tags: dict) -> None:
+        """Advance the server clock; when tracing, as a ``ps.<op>`` span
+        on this server's "ops" track."""
         start_s = self.container.clock.now_s
-        self.container.clock.advance(self.cost_model.flop_time(flops))
-        if op is not None and self.tracer.enabled:
-            self.tracer.add(
-                self.id, "ops", f"ps.{op}",
-                start_s, self.container.clock.now_s,
-                {"matrix": matrix, "flops": flops},
-            )
+        self.container.clock.advance(seconds)
+        if self.tracer.enabled:
+            self.tracer.add(self.id, "ops", f"ps.{op}", start_s,
+                            self.container.clock.now_s, tags)
 
-    def _store(self, matrix: str, pid: int) -> Store:
+    def _work(self, flops: float, op: str, matrix: str) -> None:
+        """Advance the server clock by compute time."""
+        self._spend(self.cost_model.flop_time(flops), op,
+                    {"matrix": matrix, "flops": flops})
+
+    def _admit(self, matrix: str, pid: int) -> Store:
+        """What every request starts with: the container is alive and
+        holds the partition.  For a request whose data the agent moves
+        itself this and :meth:`_work` are all the server does."""
+        self.container.ensure_alive()
         store = self._stores.get((matrix, pid))
         if store is None:
             raise PartitionNotFoundError(
@@ -105,10 +108,9 @@ class PSServer:
         self._metas[meta.name] = meta
         key = (meta.name, pid)
         if meta.storage == "dense":
-            store: Store = DenseRowStore(
-                meta.partitioner.keys_of_partition(pid), meta.cols,
-                meta.dtype, meta.init,
-            )
+            # A run of the matrix's one array: what the partition does
+            # to its rows, the matrix sees.
+            store: Store = meta.data.part(*meta.part_offsets[pid:pid + 2])
         elif meta.storage == "sparse":
             store = SparseRowStore(meta.cols, meta.dtype)
         elif meta.storage == "column":
@@ -117,7 +119,7 @@ class PSServer:
                 meta.dtype, meta.init,
             )
         elif meta.storage == "neighbor":
-            store = NeighborTableStore()
+            store = NeighborTableStore(meta.data)
         else:
             raise PSError(f"unknown storage kind {meta.storage!r}")
         self._stores[key] = store
@@ -142,6 +144,9 @@ class PSServer:
 
     def wipe(self) -> None:
         """Forget all state (the process died)."""
+        for meta in self._metas.values():
+            if meta.storage == "neighbor":
+                meta.data.drop()
         self._stores.clear()
         self._opt_state.clear()
         self._charged.clear()
@@ -152,45 +157,13 @@ class PSServer:
         return True
 
     # ------------------------------------------------------------------
-    # row operations (axis=0 dense/sparse stores)
-    # ------------------------------------------------------------------
-
-    def pull(self, matrix: str, pid: int, keys: np.ndarray,
-             col: int | None = None) -> np.ndarray:
-        """Rows (or one column of them) for ``keys``."""
-        self.container.ensure_alive()
-        store = self._store(matrix, pid)
-        cols = 1 if col is not None else store.cols
-        self._work(len(keys) * cols, "pull", matrix)
-        return store.get_rows(keys, col)
-
-    def push(self, matrix: str, pid: int, keys: np.ndarray,
-             deltas: np.ndarray, col: int | None = None) -> None:
-        """Increment rows for ``keys`` by ``deltas``."""
-        self.container.ensure_alive()
-        store = self._store(matrix, pid)
-        store.inc_rows(keys, deltas, col)
-        self._work(np.size(deltas), "push", matrix)
-        self._recharge((matrix, pid))
-
-    def set(self, matrix: str, pid: int, keys: np.ndarray,
-            values: np.ndarray, col: int | None = None) -> None:
-        """Overwrite rows for ``keys``."""
-        self.container.ensure_alive()
-        store = self._store(matrix, pid)
-        store.set_rows(keys, values, col)
-        self._work(np.size(values), "set", matrix)
-        self._recharge((matrix, pid))
-
-    # ------------------------------------------------------------------
     # column-shard operations (axis=1 stores)
     # ------------------------------------------------------------------
 
     def pull_slices(self, matrix: str, pid: int,
                     row_keys: np.ndarray) -> np.ndarray:
         """Local column slice of the requested rows."""
-        self.container.ensure_alive()
-        store = self._store(matrix, pid)
+        store = self._admit(matrix, pid)
         self._work(len(row_keys) * store.array.shape[1],
                    "pull_slices", matrix)
         return store.get_row_slices(row_keys)
@@ -198,16 +171,14 @@ class PSServer:
     def push_slices(self, matrix: str, pid: int, row_keys: np.ndarray,
                     deltas: np.ndarray) -> None:
         """Increment the local column slice of the requested rows."""
-        self.container.ensure_alive()
-        store = self._store(matrix, pid)
+        store = self._admit(matrix, pid)
         store.inc_row_slices(row_keys, deltas)
         self._work(deltas.size, "push_slices", matrix)
 
     def set_slices(self, matrix: str, pid: int, row_keys: np.ndarray,
                    values: np.ndarray) -> None:
         """Overwrite the local column slice of the requested rows."""
-        self.container.ensure_alive()
-        store = self._store(matrix, pid)
+        store = self._admit(matrix, pid)
         store.set_row_slices(row_keys, values)
         self._work(values.size, "set_slices", matrix)
 
@@ -218,56 +189,34 @@ class PSServer:
     def push_neighbors(self, matrix: str, pid: int, vertices: np.ndarray,
                        indptr: np.ndarray, indices: np.ndarray) -> None:
         """Merge a CSR block of rows into the tables of ``vertices``."""
-        self.container.ensure_alive()
-        self._store(matrix, pid).append_neighbors(vertices, indptr, indices)
+        self._admit(matrix, pid).append_neighbors(vertices, indptr, indices)
         self._work(len(indices), "push_neighbors", matrix)
         self._recharge((matrix, pid))
 
     def remove_neighbors(self, matrix: str, pid: int, vertices: np.ndarray,
                          indptr: np.ndarray, indices: np.ndarray) -> None:
         """Subtract a CSR block of rows from the tables of ``vertices``."""
-        self.container.ensure_alive()
-        self._store(matrix, pid).remove_neighbors(vertices, indptr, indices)
+        self._admit(matrix, pid).remove_neighbors(vertices, indptr, indices)
         self._work(len(indices), "remove_neighbors", matrix)
         self._recharge((matrix, pid))
 
     def drop_vertices(self, matrix: str, pid: int,
                       vertices: np.ndarray) -> None:
         """Delete the adjacency tables of ``vertices``."""
-        self.container.ensure_alive()
-        store = self._store(matrix, pid)
+        store = self._admit(matrix, pid)
         store.drop_vertices(vertices)
         self._work(len(vertices), "drop_vertices", matrix)
         self._recharge((matrix, pid))
 
-    def get_neighbors(self, matrix: str, pid: int, vertices: np.ndarray
-                      ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(indptr, indices)`` of the rows of ``vertices`` (an unknown
-        vertex has an empty row)."""
-        self.container.ensure_alive()
-        out = self._store(matrix, pid).get_neighbors(vertices)
-        self._work(len(out[1]), "get_neighbors", matrix)
-        return out
-
-    def degrees(self, matrix: str, pid: int,
-                vertices: np.ndarray) -> np.ndarray:
-        """Neighbor counts for ``vertices``."""
-        self.container.ensure_alive()
-        store = self._store(matrix, pid)
-        self._work(len(vertices), "degrees", matrix)
-        return store.degree(vertices)
-
     def compact(self, matrix: str, pid: int) -> None:
         """Freeze a neighbor table into CSR form."""
-        self.container.ensure_alive()
-        store = self._store(matrix, pid)
+        store = self._admit(matrix, pid)
         store.compact()
         self._recharge((matrix, pid))
 
     def table_size(self, matrix: str, pid: int) -> int:
         """Number of vertices stored in one neighbor-table partition."""
-        self.container.ensure_alive()
-        return self._store(matrix, pid).num_vertices()
+        return self._admit(matrix, pid).num_vertices()
 
     # ------------------------------------------------------------------
     # psFunc & gradients
@@ -275,8 +224,7 @@ class PSServer:
 
     def run_psfunc(self, matrix: str, pid: int, func: PsFunc) -> object:
         """Execute a psFunc against one partition's store."""
-        self.container.ensure_alive()
-        store = self._store(matrix, pid)
+        store = self._admit(matrix, pid)
         result = func.apply(store)
         self._work(func.flops(store), "psfunc", matrix)
         self._recharge((matrix, pid))
@@ -289,11 +237,10 @@ class PSServer:
         ``grad`` must match the partition's parameter shape (rows owned by
         the partition for axis=0; the column slice for axis=1).
         """
-        self.container.ensure_alive()
+        store = self._admit(matrix, pid)
         meta = self._metas[matrix]
         if meta.optimizer is None:
             raise PSError(f"matrix {matrix} has no optimizer attached")
-        store = self._store(matrix, pid)
         state = self._opt_state[(matrix, pid)]
         meta.optimizer.step(store.array, grad, state)
         self._work(grad.size * meta.optimizer.flops_per_element(),
@@ -305,8 +252,7 @@ class PSServer:
 
     def checkpoint(self, matrix: str, pid: int, path: str) -> int:
         """Snapshot one partition to HDFS; returns bytes written."""
-        self.container.ensure_alive()
-        store = self._store(matrix, pid)
+        store = self._admit(matrix, pid)
         cost = TaskCost()
         state = store.snapshot()
         opt = self._opt_state.get((matrix, pid))
@@ -314,15 +260,8 @@ class PSServer:
                    "opt": ({k: v.copy() for k, v in opt.items()}
                            if opt is not None else None)}
         f = self.hdfs.write_pickle(path, payload, overwrite=True, cost=cost)
-        start_s = self.container.clock.now_s
-        self.container.clock.advance(cost.total_s)
-        if self.tracer.enabled:
-            self.tracer.add(
-                self.id, "ops", "ps.checkpoint",
-                start_s, self.container.clock.now_s,
-                {"matrix": matrix, "partition": pid,
-                 "bytes": f.logical_bytes},
-            )
+        self._spend(cost.total_s, "checkpoint", {
+            "matrix": matrix, "partition": pid, "bytes": f.logical_bytes})
         return f.logical_bytes
 
     def restore_partition(self, meta: MatrixMeta, pid: int,
@@ -331,14 +270,8 @@ class PSServer:
         self.container.ensure_alive()
         cost = TaskCost()
         payload = self.hdfs.read_pickle(path, cost=cost)
-        start_s = self.container.clock.now_s
-        self.container.clock.advance(cost.total_s)
-        if self.tracer.enabled:
-            self.tracer.add(
-                self.id, "ops", "ps.restore",
-                start_s, self.container.clock.now_s,
-                {"matrix": meta.name, "partition": pid},
-            )
+        self._spend(cost.total_s, "restore",
+                    {"matrix": meta.name, "partition": pid})
         self.create_partition(meta, pid)
         key = (meta.name, pid)
         self._stores[key].restore(payload["store"])

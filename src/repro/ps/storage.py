@@ -14,15 +14,19 @@ server:
   partitioned embeddings for LINE, GNN weight matrices), enabling
   server-side partial dot products.
 * :class:`NeighborTableStore` — the adjacency rows of a partition's
-  vertices as one CSR triple, read and written in whole blocks.
+  vertices as one CSR triple, read and written in whole blocks; the
+  table's :class:`NeighborTableView` is every partition's rows as one CSR.
 
 Every store reports ``nbytes`` so the owning server can charge its memory
-grant, and supports ``snapshot``/``restore`` for HDFS checkpoints.
+grant, and supports ``snapshot``/``restore`` for HDFS checkpoints.  A dense
+matrix is one :class:`DenseRowStore` laid out partition-major, its
+partitions runs of it (:meth:`DenseRowStore.part`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+import copy
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -54,10 +58,10 @@ class Store:
 
 
 class DenseRowStore(Store):
-    """Dense rows for an explicit, sorted set of keys.
+    """Dense rows for an explicit set of distinct keys.
 
     Args:
-        keys: ascending global keys owned by this partition.
+        keys: the global key of each row.
         cols: row width (1 for vectors).
         dtype: element type.
         init: initial fill value.
@@ -68,33 +72,26 @@ class DenseRowStore(Store):
         self.keys = np.ascontiguousarray(keys, dtype=np.int64)
         self.cols = cols
         self.array = np.full((len(self.keys), cols), init, dtype=dtype)
-        self._index_keys()
+        #: ``_slot[key] - _base`` is the row of ``key``, whatever the key
+        #: set; -1 marks a foreign key, the last entry any key past the end.
+        self._slot = np.full(int(self.keys.max(initial=-1)) + 2, -1,
+                             dtype=np.int64)
+        self._slot[self.keys] = np.arange(len(self.keys))
+        self._base = 0
 
-    def _index_keys(self) -> None:
-        """Find the key set's stride so :meth:`_locate` can do arithmetic.
-
-        Range partitions own ``first, first + 1, ...`` and hash partitions
-        ``first, first + n, ...``; stride 0 marks an irregular set
-        (hash-range), which keeps the binary search.
-        """
-        keys = self.keys
-        self._first = int(keys[0]) if len(keys) else 0
-        stride = int(keys[1] - keys[0]) if len(keys) > 1 else 1
-        self._stride = stride if (np.diff(keys) == stride).all() else 0
+    def part(self, start: int, stop: int) -> "DenseRowStore":
+        """Rows ``start:stop`` as a store of their own (views, nothing
+        copied): a matrix is one store, a partition a run of it."""
+        part = copy.copy(self)
+        part.keys = self.keys[start:stop]
+        part.array = self.array[start:stop]
+        part._base = self._base + start
+        return part
 
     def _locate(self, keys: np.ndarray) -> np.ndarray:
-        n = len(self.keys)
-        if self._stride:
-            idx = keys - self._first
-            bad = idx < 0
-            if self._stride != 1:
-                idx, rem = np.divmod(idx, self._stride)
-                bad |= rem != 0
-            bad |= idx >= n
-        else:
-            idx = np.searchsorted(self.keys, keys)
-            bad = idx >= n
-            bad |= self.keys.take(idx, mode="clip") != keys
+        idx = self._slot.take(keys, mode="clip")
+        idx -= self._base
+        bad = (idx < 0) | (idx >= len(self.keys)) | (keys < 0)
         if bad.any():
             raise PSError(f"keys not in partition: {keys[bad][:5]}...")
         return idx
@@ -130,10 +127,8 @@ class DenseRowStore(Store):
         return {"keys": self.keys.copy(), "array": self.array.copy()}
 
     def restore(self, state: object) -> None:
-        self.keys = state["keys"].copy()
-        self.array = state["array"].copy()
-        self.cols = self.array.shape[1]
-        self._index_keys()
+        # Copied into place: a partition is a view of its matrix's array.
+        self.array[...] = state["array"]
 
 
 class SparseRowStore(Store):
@@ -155,31 +150,23 @@ class SparseRowStore(Store):
             return out
         return out[:, col]
 
+    def _row(self, key: int) -> np.ndarray:
+        row = self.rows.get(key)
+        if row is None:
+            row = self.rows[key] = np.zeros(self.cols, dtype=self.dtype)
+        return row
+
     def inc_rows(self, keys: np.ndarray, deltas: np.ndarray,
                  col: int | None = None) -> None:
-        deltas = np.atleast_1d(deltas)
-        for i, k in enumerate(keys.tolist()):
-            row = self.rows.get(k)
-            if row is None:
-                row = np.zeros(self.cols, dtype=self.dtype)
-                self.rows[k] = row
-            if col is None:
-                row += deltas[i]
-            else:
-                row[col] += deltas[i]
+        where = slice(None) if col is None else col
+        for k, delta in zip(keys.tolist(), np.atleast_1d(deltas)):
+            self._row(k)[where] += delta
 
     def set_rows(self, keys: np.ndarray, values: np.ndarray,
                  col: int | None = None) -> None:
-        values = np.atleast_1d(values)
-        for i, k in enumerate(keys.tolist()):
-            row = self.rows.get(k)
-            if row is None:
-                row = np.zeros(self.cols, dtype=self.dtype)
-                self.rows[k] = row
-            if col is None:
-                row[:] = values[i]
-            else:
-                row[col] = values[i]
+        where = slice(None) if col is None else col
+        for k, value in zip(keys.tolist(), np.atleast_1d(values)):
+            self._row(k)[where] = value
 
     @property
     def nbytes(self) -> int:
@@ -256,13 +243,15 @@ class NeighborTableStore(Store):
     bulk build (many small pushes, then ``compact``) sorts once.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, view: "Optional[NeighborTableView]" = None) -> None:
         self._vertices = np.empty(0, dtype=np.int64)
         self._indptr = np.zeros(1, dtype=np.int64)
         self._indices = np.empty(0, dtype=np.int64)
         #: Queued appends as (source-per-entry, neighbor) array pairs.
         self._pending: List[Tuple[np.ndarray, np.ndarray]] = []
         self._pending_nbytes = 0
+        #: The table's read view; every change of the rows drops it.
+        self._view = view or NeighborTableView(0, lambda pid: None)
 
     def _sources(self) -> np.ndarray:
         return np.repeat(self._vertices, np.diff(self._indptr))
@@ -275,6 +264,7 @@ class NeighborTableStore(Store):
         self._vertices = sources[starts]
         self._indptr = np.append(starts, len(sources))
         self._indices = neighbors
+        self._view.drop()
 
     def _merge_pending(self) -> None:
         if not self._pending:
@@ -295,6 +285,7 @@ class NeighborTableStore(Store):
                 (np.repeat(vertices, np.diff(indptr)), indices)
             )
             self._pending_nbytes += int(vertices.nbytes + indices.nbytes)
+            self._view.drop()
 
     def compact(self) -> None:
         """Fold queued appends into the CSR arrays now (the server's
@@ -332,16 +323,8 @@ class NeighborTableStore(Store):
                    ) -> Tuple[np.ndarray, np.ndarray]:
         """``(starts, lens)`` of each requested row; absent means empty."""
         self._merge_pending()
-        if not len(self._vertices):
-            empty = np.zeros(len(vertices), dtype=np.int64)
-            return empty, empty
-        pos = self._vertices.searchsorted(vertices)
-        np.minimum(pos, len(self._vertices) - 1, out=pos)
-        starts = self._indptr.take(pos)
-        lens = self._indptr.take(pos + 1)
-        lens -= starts
-        lens *= self._vertices.take(pos) == vertices
-        return starts, lens
+        return _search_rows(self._vertices, self._indptr[:-1],
+                            np.diff(self._indptr), vertices)
 
     def get_neighbors(self, vertices: np.ndarray
                       ) -> Tuple[np.ndarray, np.ndarray]:
@@ -375,3 +358,62 @@ class NeighborTableStore(Store):
         )
         self._pending = []
         self._pending_nbytes = 0
+        self._view.drop()
+
+
+def _search_rows(verts: np.ndarray, starts: np.ndarray, lens: np.ndarray,
+                 vertices: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(starts, lens)`` of the rows of ``vertices`` among the rows of the
+    ascending ``verts``; a vertex without a row gets an empty one."""
+    if not len(verts):
+        empty = np.zeros(len(vertices), dtype=np.int64)
+        return empty, empty
+    pos = verts.searchsorted(vertices)
+    np.minimum(pos, len(verts) - 1, out=pos)
+    return starts.take(pos), lens.take(pos) * (verts.take(pos) == vertices)
+
+
+class NeighborTableView:
+    """The read side of a neighbor table: one CSR over every partition.
+
+    The partitions' stores stay the write side and the source of truth;
+    this is their rows laid end to end under one vertex-ordered index, so
+    a read is one search and one gather for the whole request.  Built by
+    the first read after a change, dropped by every change; 8 B per table
+    entry while it lives.  ``part(pid)`` is partition ``pid``'s store,
+    ``None`` while its server does not hold it.
+    """
+
+    def __init__(self, num_partitions: int,
+                 part: Callable[[int], Optional[NeighborTableStore]]
+                 ) -> None:
+        self.num_partitions = num_partitions
+        self._part = part
+        self._csr: Optional[Tuple[np.ndarray, ...]] = None
+
+    def drop(self) -> None:
+        """Forget the rows (a partition's changed)."""
+        self._csr = None
+
+    def find(self, vertices: np.ndarray, touched: Iterable[int]
+             ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(starts, lens, flat)``: the row of ``vertices[i]`` is
+        ``flat[starts[i]:starts[i] + lens[i]]``.  The partitions
+        ``touched`` — the owners of the vertices — fold their queued
+        appends first, as their own read would."""
+        for pid in touched:
+            store = self._part(pid)
+            if store is not None:
+                store._merge_pending()
+        if self._csr is None:
+            # (an empty store first: a table may have no partition held)
+            stores = [NeighborTableStore()] + [
+                s for s in map(self._part, range(self.num_partitions))
+                if s is not None]
+            verts = np.concatenate([s._vertices for s in stores])
+            lens = np.concatenate([np.diff(s._indptr) for s in stores])
+            order = np.argsort(verts)
+            self._csr = (verts[order], (np.cumsum(lens) - lens)[order],
+                         lens[order],
+                         np.concatenate([s._indices for s in stores]))
+        return _search_rows(*self._csr[:3], vertices) + (self._csr[3],)

@@ -186,24 +186,18 @@ class IncrementalComponents:
                 break
             flat = np.concatenate([t for t in nbrs if len(t)])
             nlab = labels.pull(flat)
-            indptr = np.concatenate([[0], np.cumsum(lens)])
-            changed_v: List[int] = []
-            changed_l: List[float] = []
-            spread: List[np.ndarray] = []
-            for i, v in enumerate(vs.tolist()):
-                if lens[i] == 0:
-                    continue
-                seg = nlab[indptr[i]:indptr[i + 1]]
-                m = float(seg.min())
-                if m < own[i]:
-                    changed_v.append(v)
-                    changed_l.append(m)
-                    spread.append(nbrs[i])
-            if changed_v:
-                labels.set(np.asarray(changed_v, dtype=np.int64),
-                           np.asarray(changed_l))
+            # Smallest neighbor label per non-empty row, in one pass: the
+            # rows lie end to end, so each starts where the last ended.
+            rows = np.flatnonzero(lens)
+            starts = np.cumsum(lens) - lens
+            lowest = np.minimum.reduceat(nlab, starts[rows])
+            lower = lowest < own[rows]
+            if lower.any():
+                changed = np.zeros(len(vs), dtype=bool)
+                changed[rows[lower]] = True
+                labels.set(vs[changed], lowest[lower])
                 frontier = set(sorted_unique(
-                    np.concatenate(spread)).tolist())
+                    flat[np.repeat(changed, lens)]).tolist())
             rounds += 1
             self.psctx.barrier()
         return rounds

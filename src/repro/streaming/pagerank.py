@@ -260,6 +260,9 @@ class IncrementalPageRank:
                                  len(wave_arr) - 1)
                 internal = wave_arr[ins] == flat
                 int_tgt = ins[internal]
+                # Each edge's source row, split once per wave (not once
+                # per sweep) by where the edge lands.
+                int_src, ext_src = src_idx[internal], src_idx[~internal]
                 ext_ids, ext_inv = np.unique(flat[~internal],
                                              return_inverse=True)
             else:
@@ -276,11 +279,11 @@ class IncrementalPageRank:
                 pushes += int(active.sum())
                 if not len(flat):
                     continue
-                contrib = (coef_k * ev)[src_idx]
+                contrib = coef_k * ev
                 if len(int_tgt):
-                    np.add.at(e, int_tgt, contrib[internal])
+                    np.add.at(e, int_tgt, contrib[int_src])
                 if len(ext_ids):
-                    np.add.at(ext_acc, ext_inv, contrib[~internal])
+                    np.add.at(ext_acc, ext_inv, contrib[ext_src])
             for i, v in enumerate(wave):
                 if r_acc[i]:
                     r_delta[v] = r_delta.get(v, 0.0) + float(r_acc[i])

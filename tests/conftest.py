@@ -16,7 +16,8 @@ from repro.dataflow.context import SparkContext
 # serve-smoke CI step runs.
 settings.register_profile("default", max_examples=50, deadline=None)
 settings.register_profile("deep", max_examples=1000, deadline=None)
-settings.load_profile("default")
+# (registering under the loaded name applies it; load_profile here would
+# override a --hypothesis-profile given on the command line)
 
 
 def make_context(num_executors: int = 4, executor_mem: int | None = None,

@@ -35,6 +35,24 @@ from repro.ps.psfunc import (
 )
 
 
+def test_every_traced_method_exists_on_its_class():
+    """``benchmarks/e2e/trace.py`` wraps layer methods by name through
+    ``vars(owner)[name]``: a rename must fail here, not in the benchmark
+    run."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).parents[1] / "benchmarks" / "e2e" / "trace.py"
+    spec = importlib.util.spec_from_file_location("bench_e2e_trace", path)
+    trace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(trace)
+    missing = [(target, name)
+               for _layer, target, methods in trace.LAYERS
+               for name in (methods or [])
+               if name not in vars(trace.resolve(target))]
+    assert not missing
+
+
 def make_ps(num_servers=3, server_mem=1 << 40, num_executors=2, **kwargs):
     cluster = ClusterConfig(
         num_executors=num_executors, executor_mem_bytes=1 << 40,
@@ -195,6 +213,60 @@ class TestMatrix:
         finally:
             psctx.stop()
             spark.stop()
+
+
+class TestBadKeyLeavesNothingBehind:
+    """A key no partition owns fails the operation before anything is
+    applied or charged (it used to fail at the owning partition's turn,
+    after the partitions before it had been written)."""
+
+    @staticmethod
+    def _meters(psctx):
+        return (psctx.spark.sim_time(),
+                [s.container.clock.now_s for s in psctx.servers],
+                sorted(psctx.spark.metrics.snapshot().items()))
+
+    def test_issue_example(self):
+        spark, psctx = make_ps(num_servers=2)
+        try:
+            v = psctx.create_vector("v", 100, partition="hash")
+            with pytest.raises(PSError, match="keys not in partition"):
+                v.push(np.array([0, 1, 2, 3, 103]), np.ones(5))
+            assert v.pull(np.arange(4)).tolist() == [0.0, 0.0, 0.0, 0.0]
+        finally:
+            psctx.stop()
+            spark.stop()
+
+    @pytest.mark.parametrize("kind", ["hash", "range", "hash-range"])
+    @pytest.mark.parametrize("bad", [-1, 60, 61, 10 ** 9])
+    @pytest.mark.parametrize("op", ["push", "set", "pull"])
+    def test_state_counters_and_clocks_unchanged(self, ps, kind, bad, op):
+        m = ps.create_matrix("m", 60, 2, partition=kind, num_partitions=5)
+        cached = ps.create_matrix("c", 60, 2, partition=kind,
+                                  num_partitions=5)
+        cache = ps.enable_pull_cache("c", staleness=5)
+        keys = np.array([59, 3, bad, 17, 3])
+        contents = np.arange(120.0).reshape(60, 2)
+        for handle in (m, cached):
+            handle.push(np.arange(60), contents)
+            handle.pull(np.arange(60))  # fills c's cache
+            before = self._meters(ps)
+            with pytest.raises(PSError):
+                if op == "pull":
+                    handle.pull(keys, col=1)
+                else:
+                    getattr(handle, op)(keys, np.ones((5, 2)))
+            after = self._meters(ps)
+            assert after[:2] == before[:2]
+            # (a cached pull counts its lookup before it fetches)
+            assert [c for c in after[2] if not c[0].startswith("ps.cache.")
+                    ] == [c for c in before[2]
+                          if not c[0].startswith("ps.cache.")]
+            assert handle.to_numpy().tolist() == contents.tolist()
+        # A failed write invalidated no cached row: all of them still hit.
+        hits = cache.stats.hits
+        cached.pull(np.arange(60))
+        assert cache.stats.hits == hits + 60
 
 
 class TestPsFunc:

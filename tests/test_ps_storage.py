@@ -91,16 +91,21 @@ class TestRowAddressing:
            st.integers(1, 90), st.integers(1, 9), st.data())
     def test_locate_equals_binary_search(self, kind, size, parts, data):
         part = make_ps_partitioner(kind, size, parts)
-        for pid in range(part.num_partitions):
-            store = DenseRowStore(part.keys_of_partition(pid))
-            # A store rebuilt by restore() addresses its new key set.
-            rebuilt = DenseRowStore(np.arange(3))
-            rebuilt.restore(store.snapshot())
+        key_sets = [part.keys_of_partition(pid)
+                    for pid in range(part.num_partitions)]
+        whole = DenseRowStore(np.concatenate(key_sets))
+        start = 0
+        for own_keys in key_sets:
+            store = DenseRowStore(own_keys)
+            # The same partition as a run of the matrix-wide store: it
+            # shares the matrix's key table and answers for its own keys.
+            run = whole.part(start, start + len(own_keys))
+            start += len(own_keys)
             picks = data.draw(st.lists(st.integers(-3, size + 3),
                                        max_size=12))
             keys = np.asarray(picks, dtype=np.int64)
             own = np.isin(keys, store.keys)
-            for s in (store, rebuilt):
+            for s in (store, run):
                 assert np.array_equal(s._locate(keys[own]),
                                       _locate_by_search(s, keys[own]))
                 # Foreign, negative, past-the-end and off-stride keys.
@@ -111,11 +116,22 @@ class TestRowAddressing:
                     with pytest.raises(PSError):
                         s._locate(keys)
 
-    def test_arithmetic_for_range_and_hash_search_for_hash_range(self):
-        assert DenseRowStore(np.arange(4, 9))._stride == 1
-        assert DenseRowStore(np.arange(2, 40, 5))._stride == 5
-        irregular = make_ps_partitioner("hash-range", 64, 2)
-        assert DenseRowStore(irregular.keys_of_partition(0))._stride == 0
+    def test_a_part_is_a_view_and_restore_copies_into_it(self):
+        whole = DenseRowStore(np.array([4, 0, 2, 5, 1, 3]), cols=2)
+        part = whole.part(2, 5)
+        assert part.keys.tolist() == [2, 5, 1]
+        assert np.shares_memory(part.array, whole.array)
+        part.set_rows(np.array([5]), np.array([[7.0, 8.0]]))
+        assert whole.get_rows(np.array([5])).tolist() == [[7.0, 8.0]]
+        state = part.snapshot()
+        whole.inc_rows(np.array([5, 4]), np.ones((2, 2)))
+        part.restore(state)
+        assert np.shares_memory(part.array, whole.array)
+        assert whole.get_rows(np.array([5, 4])).tolist() == [
+            [7.0, 8.0], [1.0, 1.0]]
+        assert part.nbytes == 3 * (8 + 16)
+        with pytest.raises(PSError):
+            part.get_rows(np.array([4]))
 
     def test_single_key_and_empty_partitions(self):
         one = DenseRowStore(np.array([7]))

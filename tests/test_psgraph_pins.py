@@ -9,6 +9,8 @@ per map partition x direction x reduce partition);
 ``python tests/test_psgraph_pins.py`` prints the table again.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -27,11 +29,16 @@ from repro.core.algorithms import (
     PageRank,
     TriangleCount,
 )
-from repro.core.blocks import EdgeBlock
+from repro.core.blocks import EdgeBlock, NeighborBlock
 from repro.core.context import PSGraphContext
 from repro.core.ops import edges_from_arrays, to_neighbor_tables
+from repro.dataflow.context import SparkContext
 from repro.datasets.generators import powerlaw_graph
-from tests.conftest import digest
+from repro.lint.dynamic import _span_key
+from repro.obs.export import metrics_to_dict
+from repro.obs.tracer import Tracer
+from repro.ps.context import PSContext
+from tests.conftest import digest, table_block
 
 
 def _powerlaw400(spark, p):
@@ -244,6 +251,163 @@ def test_fast_unfolding_aggregation_matches_parent_pin(p):
     assert run_fast_unfolding_cell(p) == FAST_UNFOLDING_PINS[p]
 
 
+# ----------------------------------------------------------------------
+# PS operations: one scripted sequence per partitioner x partition count
+# ----------------------------------------------------------------------
+
+
+def run_ps_ops_cell(kind: str, p: int):
+    """A scripted sequence of row and neighbor-table operations on three
+    servers — unsorted and repeated keys, ``col=`` and whole rows, float32
+    beside float64, empty key sets, from the driver and from inside tasks,
+    table reads between table writes — as ``(results digest, sim_s,
+    server clocks, digest of every counter / gauge / histogram, server
+    memory peaks, digest of every span)``."""
+    tracer = Tracer()
+    spark = SparkContext(ClusterConfig(
+        num_executors=4, executor_mem_bytes=1 << 40,
+        num_servers=3, server_mem_bytes=1 << 40,
+    ), tracer=tracer)
+    ps = PSContext(spark)
+    try:
+        rng = np.random.default_rng(17)
+        m = ps.create_matrix("m", 61, 3, partition=kind, num_partitions=p)
+        f = ps.create_matrix("f", 40, 2, np.float32, partition=kind,
+                             num_partitions=p, init=0.25)
+        v = ps.create_vector("v", 61, partition=kind, num_partitions=p,
+                             init=0.5)
+        t = ps.create_neighbor_table("t", 61, partition=kind,
+                                     num_partitions=p)
+        out = []
+        keys = rng.integers(0, 61, 40)
+        m.push(keys, rng.standard_normal((40, 3)))
+        m.push(keys[:12], rng.standard_normal(12), col=1)
+        m.set(keys[5:25], rng.standard_normal((20, 3)))
+        m.set(keys[30:], rng.standard_normal(10), col=-1)
+        out += [m.pull(keys), m.pull(keys[::-1], col=2),
+                m.pull(np.sort(keys)), m.pull(np.empty(0, dtype=np.int64))]
+        m.push(np.empty(0, dtype=np.int64), np.empty((0, 3)))
+        fkeys = rng.integers(0, 40, 25)
+        f.push(fkeys, rng.standard_normal((25, 2)))
+        f.push(fkeys, rng.standard_normal(25), col=0)
+        f.set(fkeys[:7], rng.standard_normal((7, 2)))
+        out += [f.pull(fkeys), f.pull(np.array([39, 0, 39])), f.to_numpy()]
+        v.push(keys, rng.standard_normal(40))
+        v.set(keys[:9], rng.standard_normal(9))
+        out += [v.pull(keys), v.pull(np.array([60])), v.to_numpy(),
+                m.to_numpy()]
+
+        half = table_block({int(u): sorted(set(rng.integers(0, 61, 4)))
+                            for u in rng.permutation(61)[:30]})
+        rest = table_block({int(u): sorted(set(rng.integers(0, 61, 6)))
+                            for u in rng.permutation(61)[:45]})
+        probe = rng.integers(0, 61, 50)
+        t.push(half)
+        out += [t.get(probe), t.degrees(probe)]
+        t.push(rest)
+        out += [t.get(probe[:20]), t.get(np.empty(0, dtype=np.int64))]
+        t.remove(half)
+        out += [t.degrees(np.arange(61)), t.get(np.arange(61))]
+        t.drop(np.arange(0, 61, 5))
+        out.append(t.get(probe))
+        t.compact()
+        out += [t.get(probe[::-1]), t.num_vertices()]
+
+        def work(it):
+            ids = np.array(list(it), dtype=np.int64)
+            mixed = np.concatenate([ids[::-1], ids[:3]])
+            rows = m.pull(mixed)
+            m.push(mixed, rows * 0.5)
+            v.set(ids, v.pull(ids) + 1.0)
+            f.push(ids % 40, np.ones((len(ids), 2)), col=None)
+            block = t.get(mixed)
+            m.set(ids, np.full(len(ids), block.num_edges), col=0)
+            return rows, v.pull(mixed), block, t.degrees(ids)
+
+        out += spark.parallelize(range(61), 4).foreach_partition(work)
+        t.push(half)
+        out += [t.get(probe), m.to_numpy(), f.to_numpy(), v.to_numpy()]
+        return (digest([(b.vertices, b.indptr, b.neighbors)
+                        if isinstance(b, NeighborBlock) else b
+                        for b in _flat(out)]),
+                spark.sim_time(),
+                tuple(s.container.clock.now_s for s in ps.servers),
+                digest(json.dumps(metrics_to_dict(spark.metrics),
+                                  sort_keys=True)),
+                tuple(s.container.memory.peak for s in ps.servers),
+                digest([_span_key(s) for s in tracer.spans()]))
+    finally:
+        ps.stop()
+        spark.stop()
+
+
+def _flat(items):
+    for item in items:
+        if isinstance(item, tuple):
+            yield from _flat(item)
+        else:
+            yield item
+
+
+PS_OPS_CELLS = [(kind, p) for kind in ("hash", "range", "hash-range")
+                for p in (1, 3, 8)]
+
+#: Computed at commit ``b921050`` (every operation split per partition and
+#: executed by ``PSServer.pull / push / set / get_neighbors / degrees``).
+PS_OPS_PINS = {
+    ('hash', 1):
+        ('92afebf87a93e959', 0.0018928012,
+         (8.248000000000005e-07, 0.0, 0.0),
+         '8efe4ef33c3978d8', (7392, 0, 0),
+         'ba66afa55b6a6f3a'),
+    ('hash', 3):
+        ('92afebf87a93e959', 0.0018764060000000002,
+         (2.827999999999999e-07, 2.751999999999999e-07, 2.667999999999999e-07),
+         '2e401b1e6946c61b', (2520, 2464, 2424),
+         'dde1ed05dda4d728'),
+    ('hash', 8):
+        ('92afebf87a93e959', 0.0018776324,
+         (3.2319999999999993e-07, 3.079999999999998e-07, 1.9359999999999988e-07),
+         '1204d92ff7753678', (2824, 2808, 1816),
+         '1c656ac714cec1d5'),
+    ('range', 1):
+        ('92afebf87a93e959', 0.0018928012,
+         (8.248000000000005e-07, 0.0, 0.0),
+         '8efe4ef33c3978d8', (7392, 0, 0),
+         'ba66afa55b6a6f3a'),
+    ('range', 3):
+        ('92afebf87a93e959', 0.0018767196000000004,
+         (2.761999999999999e-07, 2.981999999999999e-07, 2.503999999999998e-07),
+         'b1b1efbd6086b0a5', (2328, 2688, 2392),
+         'a758b75a196e40a0'),
+    ('range', 8):
+        ('92afebf87a93e959', 0.0018779524,
+         (3.2699999999999974e-07, 3.065999999999998e-07, 1.9120000000000012e-07),
+         '73b8df01f3778ec4', (2680, 3000, 1768),
+         '96c9ae06d687ffcd'),
+    ('hash-range', 1):
+        ('92afebf87a93e959', 0.0018928012,
+         (8.248000000000005e-07, 0.0, 0.0),
+         '8efe4ef33c3978d8', (7392, 0, 0),
+         'ba66afa55b6a6f3a'),
+    ('hash-range', 3):
+        ('92afebf87a93e959', 0.001877014,
+         (3.0480000000000003e-07, 2.914e-07, 2.2860000000000002e-07),
+         '8f0b74bfbfeb8ca4', (2616, 2680, 2112),
+         '68865034426dedc1'),
+    ('hash-range', 8):
+        ('92afebf87a93e959', 0.0018776324,
+         (3.2319999999999993e-07, 3.079999999999998e-07, 1.9359999999999988e-07),
+         '1204d92ff7753678', (2824, 2808, 1816),
+         '1c656ac714cec1d5'),
+}
+
+
+@pytest.mark.parametrize("cell", PS_OPS_CELLS, ids=str)
+def test_ps_ops_match_parent_pin(cell):
+    assert run_ps_ops_cell(*cell) == PS_OPS_PINS[cell]
+
+
 def test_every_cell_is_pinned():
     assert set(PINS) == {(a, g, p) for a in ALGOS for g, p in CELLS}
 
@@ -254,3 +418,5 @@ if __name__ == "__main__":
             print(f"    {(a, g, p)!r}:\n        {run_cell(a, g, p)!r},")
     for p in (1, 4, 16):
         print(f"    {p}: {run_fast_unfolding_cell(p)!r},")
+    for cell in PS_OPS_CELLS:
+        print(f"    {cell!r}:\n        {run_ps_ops_cell(*cell)!r},")

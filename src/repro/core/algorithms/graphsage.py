@@ -428,7 +428,10 @@ def _sample_and_pull(adj, feats, node_ids: np.ndarray,
 
     def sample(ids: np.ndarray, size: int):
         """Per-vertex draws in request order -> (sampled ids, segment)."""
-        chosen = [choose(t, v, size) for v, t in adj.get(ids).rows()]
+        block = adj.get(ids)
+        nbrs, bounds = block.neighbors, block.indptr.tolist()
+        chosen = [choose(nbrs[a:b], v, size) for v, a, b in zip(
+            block.vertices.tolist(), bounds[:-1], bounds[1:])]
         segment = np.repeat(np.arange(len(chosen)),
                             [len(c) for c in chosen])
         return np.concatenate(chosen), segment

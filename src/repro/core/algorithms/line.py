@@ -77,7 +77,13 @@ class Line(GraphAlgorithm):
         # Degree^0.75 negative-sampling distribution (word2vec style).
         degrees = _out_degrees(dataset, n)
         noise = degrees.astype(np.float64) ** 0.75
-        noise_p = noise / noise.sum() if noise.sum() > 0 else None
+        # What ``rng.choice(n, size, p=noise / noise.sum())`` rebuilds on
+        # every call: one ``searchsorted`` of ``rng.random(size)`` into it
+        # draws the same indices from the same stream.
+        cdf = None
+        if noise.sum() > 0:
+            cdf = (noise / noise.sum()).cumsum()
+            cdf /= cdf[-1]
         dataset = dataset.cache()
 
         order = self.order
@@ -133,7 +139,9 @@ class Line(GraphAlgorithm):
                     b = batch.num_edges
                     if b == 0:
                         continue
-                    neg_dst = rng.choice(n, size=b * negative, p=noise_p)
+                    neg_dst = (rng.choice(n, size=b * negative)
+                               if cdf is None else cdf.searchsorted(
+                                   rng.random(b * negative), side="right"))
                     left = np.concatenate(
                         [batch.src, np.repeat(batch.src, negative)]
                     )

@@ -254,9 +254,9 @@ class EulerSystem:
                 rng: np.random.Generator
                 ) -> Tuple[np.ndarray, np.ndarray]:
         out_ids: List[np.ndarray] = []
-        segs: List[np.ndarray] = []
-        for i, v in enumerate(ids.tolist()):
-            nbrs = self._adj.get(int(v))
+        lens: List[int] = []
+        for v in ids.tolist():
+            nbrs = self._adj.get(v)
             if nbrs is None or len(nbrs) == 0:
                 chosen = np.asarray([v], dtype=np.int64)
             else:
@@ -264,8 +264,9 @@ class EulerSystem:
                     nbrs, size=min(fanout, len(nbrs)), replace=False
                 )
             out_ids.append(chosen)
-            segs.append(np.full(len(chosen), i, dtype=np.int64))
-        return np.concatenate(out_ids), np.concatenate(segs)
+            lens.append(len(chosen))
+        return (np.concatenate(out_ids),
+                np.repeat(np.arange(len(lens), dtype=np.int64), lens))
 
     def _forward(self, model, ids: np.ndarray,
                  fanouts: Tuple[int, int], rng: np.random.Generator):

@@ -15,10 +15,11 @@ RPC latency plus the transfer time of the *most loaded server's* share of
 the bytes, inflated by the congestion factor (executors per server) —
 plus serialization CPU for the total payload.  This is why adding servers
 speeds PSGraph up and why "using one machine to store the latent vectors
-could cause serious network congestion" (Sec. IV-D).  The per-partition
-requests of a keyed gather or scatter (row pulls and writes, neighbor-table
-reads) are **charged, not executed**: their data moves in one array
-operation on the matrix-wide store (:meth:`PSAgent._fan_out`).
+could cause serious network congestion" (Sec. IV-D).  Every operation goes
+through one loop, :meth:`PSAgent._fan_out`, which meters each request and
+runs its code (a psFunc, a table write) on the partition's store; keyed
+gathers and scatters, column-shard operations and optimizer steps are
+**charged, not executed** per request: their data moves once.
 
 Failure handling follows Sec. III-B: if a server is dead, the agent asks
 the master to recover (restart via Yarn + reload HDFS checkpoints) and then
@@ -27,15 +28,13 @@ retries once.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import TYPE_CHECKING, Any, Callable, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Tuple
 
 import numpy as np
 
 from repro.common.batch import (
     gather_segments,
     partition_order,
-    split_indices,
     strictly_increasing,
 )
 from repro.common.errors import (
@@ -65,10 +64,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.blocks import NeighborBlock
     from repro.ps.context import PSContext
 
-#: One executed request: (partition, arguments after matrix and partition,
-#: request_bytes, response_bytes — an int or a callable over the result).
-Call = Tuple[int, tuple, int, Any]
-
 
 class _Bill:
     """What one agent operation owes, charged to the caller once: one
@@ -79,19 +74,13 @@ class _Bill:
         self.tctx = current_task_context()
         self.cost = self.tctx.cost if self.tctx is not None else TaskCost()
         self.cost_before_s = self.cost.total_s
-        self.per_server: defaultdict = defaultdict(float)
-        self.total = 0.0
+        self.per_server = [0.0] * psctx.num_servers  # bytes of its requests
         self.calls = 0
-
-    def add(self, server_index: int, nbytes: int) -> None:
-        self.per_server[server_index] += nbytes
-        self.total += nbytes
-        self.calls += 1
 
     def settle(self, method: str, matrix: str, col: int | None) -> None:
         """Charge the operation; the span's matrix (and column) tags are
         what :mod:`repro.lint.races` attributes the access by."""
-        psctx, cost, total = self.psctx, self.cost, self.total
+        psctx, cost, total = self.psctx, self.cost, sum(self.per_server)
         spark = psctx.spark
         tags: dict = {}
         if self.calls:
@@ -103,8 +92,8 @@ class _Bill:
                 tags["col"] = int(col)
             cm = spark.cluster.cost_model
             with task_span(f"ps.{method}", cost, tags):
-                cost.net_s += cm.network_time(
-                    max(self.per_server.values()), congestion)
+                cost.net_s += cm.network_time(max(self.per_server),
+                                              congestion)
                 cost.cpu_s += cm.serialization_time(total)
             spark.metrics.inc(RPC_CALLS, self.calls)
             spark.metrics.inc(RPC_BYTES, total)
@@ -124,6 +113,23 @@ class _Bill:
                                  start_s, clock.now_s, tags)
 
 
+def check_rows(meta: MatrixMeta, keys: Any) -> np.ndarray:
+    """Row keys as int64, all checked against the matrix's rows before an
+    operation moves or charges anything."""
+    keys = np.asarray(keys, dtype=np.int64)
+    if len(keys) and not 0 <= keys.min() <= keys.max() < meta.rows:
+        bad = keys[(keys < 0) | (keys >= meta.rows)][:5]
+        raise PSError(f"keys not in partition: {bad}...")
+    return keys
+
+
+def _positions(pids: np.ndarray, lo: int, hi: int, num: int) -> Any:
+    """The request positions whose partition is in ``lo..hi-1``."""
+    if hi - lo == num:
+        return slice(None)
+    return np.flatnonzero((pids >= lo) & (pids < hi))
+
+
 class PSAgent:
     """Routes model requests to the right servers and meters them."""
 
@@ -131,119 +137,81 @@ class PSAgent:
         self.psctx = psctx
 
     # ------------------------------------------------------------------
-    # metered concurrent-call primitive
+    # the one dispatch loop
     # ------------------------------------------------------------------
 
-    def _invoke(self, server_index: int, method: str, target: str,
-                args: tuple,
-                before_recover: Callable[[], None] | None = None) -> Any:
-        """One ``method`` request, handler ``target(*args)``, with
-        master-recovery retry (Sec. III-B)."""
-        psctx = self.psctx
-        endpoint = psctx.server_endpoint(server_index)
+    def _invoke(self, server: Any, method: str, matrix: str, pid: int,
+                before_recover: Callable[[int], None]) -> Any:
+        """Admit a ``method`` request to partition ``pid`` of ``matrix`` at
+        ``server`` (``PSServer._admit`` returns the store), with the master-
+        recovery retry of Sec. III-B after ``before_recover(pid)``.  Faults
+        are injected here; an injected delay lands on the task's cost or
+        the driver clock."""
+        psctx, endpoint = self.psctx, server.id
         rpc = psctx.spark.rpc
         try:
-            self._check_fault(endpoint, method)
+            if rpc.fault_injector is not None:
+                tctx = current_task_context()
+                try:
+                    rpc.check_fault(endpoint, method,
+                                    tctx.cost if tctx is not None else None)
+                except RpcError as exc:
+                    delay_s = getattr(exc, "delay_s", 0.0)
+                    if tctx is None and delay_s > 0.0:
+                        psctx.spark.driver_clock.advance(delay_s)
+                    raise
             ep = rpc.endpoint(endpoint)
             if not ep.alive:
                 raise RpcError(f"endpoint {endpoint} is not alive")
-            return getattr(ep.handler, target)(*args)
+            return ep.handler._admit(matrix, pid)
         except EndpointNotFoundError:
             raise
         except (RpcError, ContainerLostError):
             if not psctx.auto_recover:
                 raise
-            if before_recover is not None:
-                before_recover()
+            before_recover(pid)
             psctx.master.recover(psctx.recovery_mode)
-            return getattr(rpc.endpoint(endpoint).handler, target)(*args)
+            return rpc.endpoint(endpoint).handler._admit(matrix, pid)
 
-    def _check_fault(self, endpoint: str, method: str) -> None:
-        """Chaos hook: the agent dispatches to server handlers itself
-        (not through :meth:`RpcEnv.call`), so it asks the fault injector.
-        Injected latency lands on the task's cost or the driver clock."""
-        rpc = self.psctx.spark.rpc
-        if rpc.fault_injector is None:
-            return
-        tctx = current_task_context()
-        if tctx is not None:
-            rpc.check_fault(endpoint, method, tctx.cost)
-            return
-        try:
-            rpc.check_fault(endpoint, method, None)
-        except RpcError as exc:
-            delay_s = getattr(exc, "delay_s", 0.0)
-            if delay_s > 0.0:
-                self.psctx.spark.driver_clock.advance(delay_s)
-            raise
+    def _fan_out(self, meta: MatrixMeta, method: str, pids: Iterable[int],
+                 request: Callable[[int, Any], Tuple[int, Any]],
+                 move: Callable[[int, int], None] | None = None,
+                 col: int | None = None, op: str | None = None,
+                 recharge: bool = False) -> None:
+        """One agent operation: a ``method`` request to each partition in
+        ``pids`` (ascending, the order they go out in), charged once.
 
-    def _group_call(self, meta: MatrixMeta, method: str,
-                    calls: Sequence[Call]) -> List[Any]:
-        """Issue ``method`` requests concurrently, each *executed* by its
-        server's handler (it runs code on a partition); charge once."""
-        bill = _Bill(self.psctx)
-        results: List[Any] = []
-        for pid, args, req_bytes, resp_bytes in calls:
-            server_index = meta.server_of(pid)
-            result = self._invoke(server_index, method, method,
-                                  (meta.name, pid) + args)
-            results.append(result)
-            if callable(resp_bytes):
-                resp_bytes = resp_bytes(result)
-            bill.add(server_index, req_bytes + resp_bytes)
-        bill.settle(method, meta.name, None)
-        return results
-
-    def _fan_out(self, meta: MatrixMeta, method: str, pids: np.ndarray,
-                 meter: Callable[[np.ndarray], tuple],
-                 move: Callable[[Any, Any], None],
-                 col: int | None = None) -> None:
-        """One keyed gather or scatter: the request to each partition in
-        ``pids`` is *metered*, the data moves once.
-
-        ``meter(keys per partition)`` is ``(request bytes, response bytes,
-        flops)`` per partition.  The loop does, in ascending partition
-        order (the order the requests go out in), what a request does
-        besides moving data: fault check, liveness, partition presence, the
-        server's clock advance and ``ps.<method>`` span, bytes into the
-        bill.  ``move(store, sel)`` moves the data of request positions
-        ``sel`` — through the matrix-wide ``meta.data`` in one call or, for
-        a matrix that exists per partition only, through each partition's
-        store inside the loop.  A dead server found at partition *k* first
-        moves the data of the partitions before *k* (the recovery sees those
-        writes, cannot touch those reads), recovers, retries *k*, re-meters.
-        """
-        psctx, name, num = self.psctx, meta.name, meta.num_partitions
-        whole = meta.data
-        counts = np.bincount(pids, minlength=num)
-        if whole is None:
-            order, offsets = partition_order(pids, num)
+        Per request: fault check, liveness, presence (``_invoke``), then
+        ``request(pid, store)`` runs its code, if any, and returns its
+        ``(bytes, flops)`` — flops, unless ``None``, advance the server's
+        clock as a ``ps.<op>`` span — then the memory charge if
+        ``recharge``.  ``move(lo, hi)`` moves the data of the requests to
+        partitions ``lo..hi-1`` at once; a dead server found at partition
+        *k* first gets those before *k* moved, so a recovery sees those
+        writes and cannot touch those reads."""
+        psctx, name, servers = self.psctx, meta.name, self.psctx.servers
         bill = _Bill(psctx)
-        req, resp, flops = (m.tolist() for m in meter(counts))
+        per_server = bill.per_server
         moved = 0
 
         def flush(upto: int) -> None:
             nonlocal moved
-            if whole is not None and upto > moved:
-                move(whole, slice(None) if upto - moved == num else
-                     np.flatnonzero((pids >= moved) & (pids < upto)))
+            if move is not None and upto > moved:
+                move(moved, upto)
             moved = upto
 
-        for pid in np.flatnonzero(counts).tolist():
+        for pid in pids:
             server_index = meta.server_of(pid)
-            server = psctx.servers[server_index]
-            generation = psctx.recovery_generation
-            store = self._invoke(server_index, method, "_admit",
-                                 (name, pid), lambda: flush(pid))
-            if psctx.recovery_generation != generation:
-                req, resp, flops = (m.tolist() for m in meter(counts))
-            if whole is None:
-                move(store, order[offsets[pid]:offsets[pid + 1]])
-            server._work(flops[pid], method, name)
-            if whole is None:
+            server = servers[server_index]
+            store = self._invoke(server, method, name, pid, flush)
+            nbytes, flops = request(pid, store)
+            if flops is not None:
+                server._work(flops, op or method, name)
+            if recharge:
                 server._recharge((name, pid))
-            bill.add(server_index, req[pid] + resp[pid])
-        flush(num)
+            per_server[server_index] += nbytes
+            bill.calls += 1
+        flush(meta.num_partitions)
         bill.settle(method, name, col)
 
     def _metrics(self):
@@ -257,16 +225,39 @@ class PSAgent:
         """The partition of every key, all checked before the operation
         moves or charges anything: a bad key leaves no half a write."""
         pids = meta.partitioner.partition_array(keys)
-        dense = meta.storage == "dense"
-        ids, bound = ((keys, meta.rows) if dense
-                      else (pids, meta.num_partitions))
-        if len(ids) and not 0 <= ids.min() <= ids.max() < bound:
-            bad = ids[(ids < 0) | (ids >= bound)][:5]
-            if dense:
-                raise PSError(f"keys not in partition: {bad}...")
-            raise PartitionNotFoundError(
-                f"{meta.name} has no partition {bad[0]}")
+        num = meta.num_partitions
+        if meta.storage == "dense":
+            check_rows(meta, keys)
+        elif len(pids) and not 0 <= pids.min() <= pids.max() < num:
+            bad = pids[(pids < 0) | (pids >= num)][0]
+            raise PartitionNotFoundError(f"{meta.name} has no partition {bad}")
         return pids
+
+    def _keyed(self, meta: MatrixMeta, method: str, pids: np.ndarray,
+               width: int, apply: Callable[[Any, Any], None],
+               col: int | None) -> None:
+        """A keyed gather or scatter of ``width`` values per key: a request
+        to each partition owning keys, a key and its values on the wire.
+        ``apply(store, sel)`` moves the data of request positions ``sel``:
+        once through ``meta.data``, or per partition when there is none."""
+        num, whole = meta.num_partitions, meta.data
+        counts = np.bincount(pids, minlength=num)
+        nbytes = (counts * (8 + width * meta.dtype.itemsize)).tolist()
+        flops = (counts * width).tolist()
+        touched = np.flatnonzero(counts).tolist()
+        if whole is not None:
+            self._fan_out(meta, method, touched,
+                          lambda pid, _store: (nbytes[pid], flops[pid]),
+                          lambda lo, hi: apply(
+                              whole, _positions(pids, lo, hi, num)), col)
+            return
+        order, offsets = partition_order(pids, num)
+
+        def request(pid: int, store: Any) -> tuple:
+            apply(store, order[offsets[pid]:offsets[pid + 1]])
+            return nbytes[pid], flops[pid]
+
+        self._fan_out(meta, method, touched, request, col=col, recharge=True)
 
     def pull(self, meta: MatrixMeta, keys: np.ndarray,
              col: int | None = None) -> np.ndarray:
@@ -313,10 +304,7 @@ class PSAgent:
         def move(store: Any, sel: Any) -> None:
             out[sel] = store.get_rows(ukeys[sel], col)
 
-        self._fan_out(
-            meta, "pull", pids,
-            lambda n: (8 * n, n * (width * out.itemsize), n * width),
-            move, col)
+        self._keyed(meta, "pull", pids, width, move, col)
         self._metrics().inc(PS_PULLS)
         self._metrics().inc(PS_PULL_BYTES, int(out.nbytes) + (
             int(ukeys.nbytes) if key_nbytes is None else key_nbytes))
@@ -342,12 +330,8 @@ class PSAgent:
             cache.invalidate(keys)
         width = int(np.prod(values.shape[1:]))
         apply = "inc_rows" if method == "push" else "set_rows"
-        self._fan_out(
-            meta, method, pids,
-            lambda n: (n * (8 + width * values.itemsize), 0 * n, n * width),
-            lambda store, sel: getattr(store, apply)(
-                keys[sel], values[sel], col),
-            col)
+        self._keyed(meta, method, pids, width, lambda store, sel: getattr(
+            store, apply)(keys[sel], values[sel], col), col)
         self._metrics().inc(PS_PUSHES)
         self._metrics().inc(PS_PUSH_BYTES, int(keys.nbytes + values.nbytes))
 
@@ -362,22 +346,25 @@ class PSAgent:
     # column-shard operations (axis=1)
     # ------------------------------------------------------------------
 
+    def _shards(self, meta: MatrixMeta, method: str, rows: int,
+                move: Callable[[int, int], None]) -> None:
+        """A request to every shard about ``rows`` full rows: keys and
+        slices on the wire, a flop per element; ``move`` as in ``_fan_out``."""
+        widths = np.diff(meta.part_offsets)
+        nbytes = (rows * (8 + widths * meta.dtype.itemsize)).tolist()
+        flops = (rows * widths).tolist()
+        self._fan_out(meta, method, range(meta.num_partitions),
+                      lambda pid, _store: (nbytes[pid], flops[pid]), move)
+
     def pull_rows_full(self, meta: MatrixMeta,
                        row_keys: np.ndarray) -> np.ndarray:
         """Full rows of a column-sharded matrix (concatenated slices)."""
-        row_keys = np.asarray(row_keys, dtype=np.int64)
-        out = np.zeros((len(row_keys), meta.cols), dtype=meta.dtype)
-        results = self._group_call(meta, "pull_slices", [
-            (pid, (row_keys,), int(row_keys.nbytes), lambda v: int(v.nbytes))
-            for pid in range(meta.num_partitions)
-        ])
-        nbytes = 0
-        for pid, values in enumerate(results):
-            cols = meta.partitioner.keys_of_partition(pid)
-            out[:, cols] = values
-            nbytes += int(values.nbytes)
+        row_keys = check_rows(meta, row_keys)
+        out = np.empty((len(row_keys), meta.cols), dtype=meta.dtype)
+        self._shards(meta, "pull_slices", len(row_keys),
+                     lambda lo, hi: meta.data.get_rows(row_keys, out, lo, hi))
         self._metrics().inc(PS_PULLS)
-        self._metrics().inc(PS_PULL_BYTES, nbytes + int(row_keys.nbytes))
+        self._metrics().inc(PS_PULL_BYTES, int(out.nbytes + row_keys.nbytes))
         return out
 
     def push_rows_full(self, meta: MatrixMeta, row_keys: np.ndarray,
@@ -392,15 +379,14 @@ class PSAgent:
 
     def _write_slices(self, meta: MatrixMeta, row_keys: np.ndarray,
                       values: np.ndarray, method: str) -> None:
-        row_keys = np.asarray(row_keys, dtype=np.int64)
+        row_keys = check_rows(meta, row_keys)
         values = np.asarray(values, dtype=meta.dtype)
-        calls: List[Call] = []
-        for pid in range(meta.num_partitions):
-            cols = meta.partitioner.keys_of_partition(pid)
-            sub = np.ascontiguousarray(values[:, cols])
-            calls.append((pid, (row_keys, sub),
-                          int(row_keys.nbytes + sub.nbytes), 0))
-        self._group_call(meta, method, calls)
+        if values.shape != (len(row_keys), meta.cols):
+            raise PSError(f"{meta.name}: values of shape {values.shape}")
+        apply = (meta.data.inc_rows if method == "push_slices"
+                 else meta.data.set_rows)
+        self._shards(meta, method, len(row_keys),
+                     lambda lo, hi: apply(row_keys, values, lo, hi))
         self._metrics().inc(PS_PUSHES)
         self._metrics().inc(PS_PUSH_BYTES,
                             int(row_keys.nbytes + values.nbytes))
@@ -412,27 +398,33 @@ class PSAgent:
     def _table_write(self, meta: MatrixMeta, method: str,
                      vertices: np.ndarray,
                      block: "NeighborBlock | None" = None) -> None:
-        """One ``method`` request per partition owning some of
-        ``vertices``, executed by the partition's store.  It carries the
-        partition's vertices and, with ``block``, its rows as one
-        ``(vertices, indptr, indices)`` envelope; indptr is rebuilt from
-        row lengths on arrival, so only vertices and indices are charged.
-        """
+        """A ``method`` request to each partition owning ``vertices``, run
+        on its store, carrying its vertices and, with ``block``, its rows;
+        indptr is rebuilt from row lengths, so it is not charged."""
         vertices = np.asarray(vertices, dtype=np.int64)
-        pids = meta.partitioner.partition_array(vertices)
-        calls: List[Call] = []
+        order, offsets = partition_order(self._route(meta, vertices),
+                                         meta.num_partitions)
+        apply = "append_neighbors" if method == "push_neighbors" else method
         total = 0
-        for pid, idx in split_indices(pids):
+
+        def request(pid: int, store: Any) -> tuple:
+            nonlocal total
+            idx = order[offsets[pid]:offsets[pid + 1]]
             if block is None:
-                payload: tuple = (vertices[idx],)
-                nbytes = int(payload[0].nbytes)
+                sub = vertices[idx]
+                store.drop_vertices(sub)
+                nbytes, flops = int(sub.nbytes), len(sub)
             else:
-                sub = block.take(idx)
-                payload = (sub.vertices, sub.indptr, sub.neighbors)
-                nbytes = int(sub.vertices.nbytes + sub.neighbors.nbytes)
+                rows = block.take(idx)
+                getattr(store, apply)(rows.vertices, rows.indptr,
+                                      rows.neighbors)
+                nbytes = int(rows.vertices.nbytes + rows.neighbors.nbytes)
+                flops = len(rows.neighbors)
             total += nbytes
-            calls.append((pid, payload, nbytes, 0))
-        self._group_call(meta, method, calls)
+            return nbytes, flops
+
+        self._fan_out(meta, method, np.flatnonzero(np.diff(offsets)).tolist(),
+                      request, recharge=True)
         self._metrics().inc(PS_PUSHES)
         self._metrics().inc(PS_PUSH_BYTES, total)
 
@@ -454,30 +446,41 @@ class PSAgent:
     def _table_read(self, meta: MatrixMeta, method: str,
                     vertices: np.ndarray) -> Tuple[np.ndarray, ...]:
         """``(starts, lens, flat)`` of the rows of ``vertices`` in the
-        table's read view, metered as one ``method`` request per partition.
-        A recovery in the middle of the fan-out changes the table under the
-        partitions not asked yet; rows already read keep their view."""
+        table's read view, a ``method`` request per partition.  After a
+        recovery mid-way the partitions not read yet are found again."""
+        psctx, num = self.psctx, meta.num_partitions
         pids = self._route(meta, vertices)
+        counts = np.bincount(pids, minlength=num)
+        touched = np.flatnonzero(counts).tolist()
         starts = np.empty(len(vertices), dtype=np.int64)
         lens = np.empty_like(starts)
         flats: list = []
         found: tuple = ()
+        entries = generation = None
 
-        def meter(counts: np.ndarray) -> tuple:
-            nonlocal found
-            found = meta.data.find(vertices, np.flatnonzero(counts).tolist())
-            if method == "degrees":
-                return 8 * counts, 8 * counts, counts
+        def find() -> None:
+            nonlocal found, entries, generation
+            generation = psctx.recovery_generation
+            found = meta.data.find(vertices, touched)
             entries = np.bincount(pids, weights=found[1],
-                                  minlength=len(counts)).astype(np.int64)
-            return 8 * counts, 8 * entries, entries
+                                  minlength=num).astype(np.int64)
 
-        def move(_view: Any, sel: Any) -> None:
+        def request(pid: int, _store: Any) -> tuple:
+            if generation != psctx.recovery_generation:
+                find()
+            n = int(counts[pid])
+            if method == "degrees":
+                return 16 * n, n
+            return 8 * n + 8 * int(entries[pid]), int(entries[pid])
+
+        def move(lo: int, hi: int) -> None:
+            sel = _positions(pids, lo, hi, num)
             starts[sel] = found[0][sel] + sum(map(len, flats))
             lens[sel] = found[1][sel]
             flats.append(found[2])
 
-        self._fan_out(meta, method, pids, meter, move)
+        find()
+        self._fan_out(meta, method, touched, request, move)
         self._metrics().inc(PS_PULLS)
         return starts, lens, (flats[0] if len(flats) == 1
                               else np.concatenate(flats))
@@ -502,13 +505,24 @@ class PSAgent:
 
     def compact(self, meta: MatrixMeta) -> None:
         """Freeze all neighbor-table partitions into CSR form."""
-        self._group_call(meta, "compact", [
-            (pid, (), 16, 0) for pid in range(meta.num_partitions)])
+        def request(_pid: int, store: Any) -> tuple:
+            store.compact()
+            return 16, None
+
+        self._fan_out(meta, "compact", range(meta.num_partitions), request,
+                      recharge=True)
 
     def table_total(self, meta: MatrixMeta) -> int:
         """Total vertices stored across all neighbor-table partitions."""
-        return int(sum(self._group_call(meta, "table_size", [
-            (pid, (), 16, 8) for pid in range(meta.num_partitions)])))
+        sizes: list = []
+
+        def request(_pid: int, store: Any) -> tuple:
+            sizes.append(store.num_vertices())
+            return 24, None
+
+        self._fan_out(meta, "table_size", range(meta.num_partitions),
+                      request)
+        return int(sum(sizes))
 
     # ------------------------------------------------------------------
     # psFunc & gradients
@@ -517,22 +531,44 @@ class PSAgent:
     def psfunc(self, meta: MatrixMeta, func: PsFunc) -> Any:
         """Run ``func`` on every partition and merge the partials."""
         req = sizeof(func)
-        partials = self._group_call(meta, "run_psfunc", [
-            (pid, (func,), req, sizeof)
-            for pid in range(meta.num_partitions)])
+        partials: list = []
+
+        def request(_pid: int, store: Any) -> tuple:
+            partials.append(func.apply(store))
+            return req + sizeof(partials[-1]), func.flops(store)
+
+        self._fan_out(meta, "run_psfunc", range(meta.num_partitions),
+                      request, op="psfunc", recharge=True)
         self._metrics().inc(PS_PSFUNC_CALLS)
         return func.merge(partials)
 
     def apply_gradients(self, meta: MatrixMeta, grad: np.ndarray) -> None:
-        """Ship a full-shape gradient; each server updates its partition
-        with the matrix's server-side optimizer."""
+        """Ship a full-shape gradient; the server-side optimizer steps every
+        partition — once per run of partitions at the same step count."""
+        opt, state = meta.optimizer, meta.opt_state
+        if opt is None:
+            raise PSError(f"matrix {meta.name} has no optimizer attached")
         grad = np.asarray(grad, dtype=meta.dtype)
-        calls: List[Call] = []
-        for pid in range(meta.num_partitions):
-            keys = meta.partitioner.keys_of_partition(pid)
-            sub = np.ascontiguousarray(
-                grad[:, keys] if meta.axis == 1 else grad[keys])
-            calls.append((pid, (sub,), int(sub.nbytes), 0))
-        self._group_call(meta, "apply_gradients", calls)
+        if grad.shape != (meta.rows, meta.cols):
+            raise PSError(f"{meta.name}: gradient of shape {grad.shape}")
+        param = meta.data.array.reshape(-1)
+        flat = meta.data.layout(grad).reshape(-1)
+        ends = meta.part_ends()
+        sizes = np.diff(ends)
+        nbytes = (sizes * grad.itemsize).tolist()
+        flops = (sizes * opt.flops_per_element()).tolist()
+        steps = [state[name] for name in opt.counters]
+
+        def move(lo: int, hi: int) -> None:
+            cuts = [p for p in range(lo + 1, hi)
+                    if any(s[p] != s[p - 1] for s in steps)]
+            for a, b in zip([lo] + cuts, cuts + [hi]):
+                opt.step(param[ends[a]:ends[b]], flat[ends[a]:ends[b]], {
+                    name: whole[a:b] if name in opt.counters
+                    else whole[ends[a]:ends[b]]
+                    for name, whole in state.items()})
+
+        self._fan_out(meta, "apply_gradients", range(meta.num_partitions),
+                      lambda pid, _store: (nbytes[pid], flops[pid]), move)
         self._metrics().inc(PS_PUSHES)
         self._metrics().inc(PS_PUSH_BYTES, int(grad.nbytes))

@@ -39,7 +39,11 @@ from repro.ps.meta import STORAGE_KINDS, MatrixMeta
 from repro.ps.optimizer import Optimizer
 from repro.ps.partitioner import make_ps_partitioner
 from repro.ps.server import PSServer
-from repro.ps.storage import DenseRowStore, NeighborTableView
+from repro.ps.storage import (
+    ColumnShardMatrix,
+    DenseRowStore,
+    NeighborTableView,
+)
 from repro.ps.sync import SyncController
 
 
@@ -162,12 +166,21 @@ class PSContext:
                                       meta.dtype, meta.init)
             meta.part_offsets = np.cumsum(
                 [0] + [len(k) for k in keys]).tolist()
+        elif meta.storage == "column":
+            # Shard after shard, each a contiguous rows x width block: a
+            # full-row gather or scatter is one strided copy per width.
+            meta.part_offsets = meta.partitioner.bounds.tolist()
+            meta.data = ColumnShardMatrix(meta.rows, meta.part_offsets,
+                                          meta.dtype, meta.init)
         elif meta.storage == "neighbor":
             servers, name = self.servers, meta.name
             owners = [meta.server_of(p) for p in parts]
             meta.data = NeighborTableView(
                 len(owners),
                 lambda pid: servers[owners[pid]]._stores.get((name, pid)))
+        if meta.optimizer is not None:
+            meta.opt_state = meta.optimizer.init_shared_state(
+                meta.rows * meta.cols, meta.dtype, meta.num_partitions)
         for pid in parts:
             self.servers[meta.server_of(pid)].create_partition(meta, pid)
 
@@ -187,6 +200,13 @@ class PSContext:
             raise ConfigError(f"unknown storage {storage!r}")
         if axis not in (0, 1):
             raise ConfigError("axis must be 0 or 1")
+        if (axis == 1) != (storage == "column") or (
+                axis == 1 and partition != "range"):
+            raise ConfigError("a column-sharded matrix (axis=1) has "
+                              "storage='column' and partition='range'")
+        if optimizer is not None and storage not in ("dense", "column"):
+            raise ConfigError(f"no server-side optimizer on {storage!r} "
+                              "storage")
         key_space = rows if axis == 0 else cols
         partitioner = make_ps_partitioner(
             partition, key_space,

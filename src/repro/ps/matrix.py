@@ -11,6 +11,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
+from repro.ps.agent import check_rows
 from repro.ps.meta import MatrixMeta
 from repro.ps.psfunc import PartialDot, PsFunc, RankOneUpdate
 
@@ -107,14 +108,15 @@ class PSEmbedding(PSMatrix):
 
     def dot(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         """Server-side dot products ``A[left_i] . A[right_i]`` per pair."""
-        return self.psctx.agent.psfunc(self.meta, PartialDot(left, right))
+        return self.psctx.agent.psfunc(self.meta, PartialDot(
+            check_rows(self.meta, left), check_rows(self.meta, right)))
 
     def rank_one_update(self, left: np.ndarray, right: np.ndarray,
                         coeffs: np.ndarray) -> None:
         """Server-side symmetric rank-one SGD update per pair."""
-        self.psctx.agent.psfunc(
-            self.meta, RankOneUpdate(left, right, coeffs)
-        )
+        self.psctx.agent.psfunc(self.meta, RankOneUpdate(
+            check_rows(self.meta, left), check_rows(self.meta, right),
+            coeffs))
 
 
 class PSNeighborTable:

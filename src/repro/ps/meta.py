@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -43,19 +43,42 @@ class MatrixMeta:
     optimizer: Optional[object] = None
     num_servers: int = field(default=1)
     #: The matrix-wide store the PS context allocates at registration —
-    #: the one :class:`~repro.ps.storage.DenseRowStore` whose runs the
-    #: servers' partitions are (``part_offsets[p]:part_offsets[p + 1]``
-    #: is partition ``p``), or a neighbor table's
-    #: :class:`~repro.ps.storage.NeighborTableView`; ``None`` for the
-    #: storage kinds that exist per partition only.
+    #: the one :class:`~repro.ps.storage.DenseRowStore` (partition-major)
+    #: or :class:`~repro.ps.storage.ColumnShardMatrix` (shard-major) whose
+    #: views the servers' partitions are (``part_offsets[p]:part_offsets[p
+    #: + 1]`` are partition ``p``'s rows, or its columns), or a neighbor
+    #: table's :class:`~repro.ps.storage.NeighborTableView`; ``None`` for
+    #: the storage kind that exists per partition only.
     data: Optional[object] = field(default=None, repr=False, compare=False)
     part_offsets: Optional[list] = field(default=None, repr=False,
                                          compare=False)
+    #: The optimizer's state over the whole matrix, flat in ``data``'s
+    #: layout with one step count per partition (see :meth:`part_state`).
+    opt_state: Optional[Dict[str, np.ndarray]] = field(
+        default=None, repr=False, compare=False)
 
     @property
     def num_partitions(self) -> int:
         """Number of model partitions."""
         return self.partitioner.num_partitions
+
+    def part_ends(self) -> List[int]:
+        """Where each partition starts (and the last ends) in the flat
+        layout of ``data``."""
+        unit = self.cols if self.axis == 0 else self.rows
+        return [unit * offset for offset in self.part_offsets]
+
+    def part_state(self, pid: int) -> Optional[Dict[str, np.ndarray]]:
+        """Partition ``pid``'s optimizer state, as views of
+        :attr:`opt_state` (``None`` without an optimizer)."""
+        if self.opt_state is None:
+            return None
+        width = self.part_offsets[pid + 1] - self.part_offsets[pid]
+        shape = (width, self.cols) if self.axis == 0 else (self.rows, width)
+        start, stop = self.part_ends()[pid:pid + 2]
+        return {name: (whole[pid:pid + 1] if name in self.optimizer.counters
+                       else whole[start:stop].reshape(shape))
+                for name, whole in self.opt_state.items()}
 
     def server_of(self, pid: int) -> int:
         """Index of the server holding partition ``pid``.

@@ -6,12 +6,18 @@ AdaGrad and Adam, using the user-defined function psFunc provided by PS"
 each server keeps the optimizer *state* (momenta, accumulators) next to the
 partition it owns, so ``push_gradients`` ships only gradients — never
 optimizer state — over the network.
+
+A matrix's state is laid out like its parameters (:meth:`Optimizer.
+init_shared_state`): one flat array per entry over every partition, one
+step count per partition; a partition's state is views of it, so one
+:meth:`Optimizer.step` can update a run of partitions at the same step
+count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import ClassVar, Dict, Tuple
 
 import numpy as np
 
@@ -19,9 +25,22 @@ import numpy as np
 class Optimizer:
     """Base optimizer: subclasses update ``param`` in place from ``grad``."""
 
+    #: State entries that count steps: one element per partition, which
+    #: every step of the partition increments.
+    counters: ClassVar[Tuple[str, ...]] = ()
+
     def init_state(self, shape: tuple, dtype: np.dtype) -> Dict[str, np.ndarray]:
         """Fresh per-partition state arrays."""
         return {}
+
+    def init_shared_state(self, size: int, dtype: np.dtype,
+                          parts: int) -> Dict[str, np.ndarray]:
+        """Fresh state of ``parts`` partitions of ``size`` elements in all,
+        laid end to end: flat arrays, one count per partition."""
+        state = self.init_state((size,), dtype)
+        for name in self.counters:
+            state[name] = np.zeros(parts, dtype=state[name].dtype)
+        return state
 
     def step(self, param: np.ndarray, grad: np.ndarray,
              state: Dict[str, np.ndarray]) -> None:
@@ -91,6 +110,8 @@ class AdaGrad(Optimizer):
 class Adam(Optimizer):
     """Adam with bias correction."""
 
+    counters: ClassVar[Tuple[str, ...]] = ("t",)
+
     lr: float = 0.001
     beta1: float = 0.9
     beta2: float = 0.999
@@ -106,7 +127,7 @@ class Adam(Optimizer):
     def step(self, param: np.ndarray, grad: np.ndarray,
              state: Dict[str, np.ndarray]) -> None:
         g = grad.astype(np.float64)
-        state["t"][0] += 1
+        state["t"] += 1  # one count per partition the step spans, all equal
         t = int(state["t"][0])
         m, v = state["m"], state["v"]
         m *= self.beta1

@@ -1,11 +1,15 @@
 """Parameter server process.
 
-Each :class:`PSServer` wraps one Yarn container, holds the model partitions
-assigned to it, and exposes the RPC surface the agents call: slice
-operations for column shards, neighbor-table writes, psFunc execution,
-gradient application, and checkpoint save/load.  Row pulls / writes and
-neighbor-table reads are keyed gathers and scatters: the agent moves their
-data itself and only *meters* each request here (``_admit``, ``_work``).
+Each :class:`PSServer` wraps one Yarn container and holds the model
+partitions assigned to it.  Every agent request goes through the same
+three steps here: :meth:`PSServer._admit` (the container is alive and
+holds the partition; the store comes back), the request's code on that
+store when it has any — a psFunc, a neighbor-table write or compact, run
+by the agent's fan-out loop — and :meth:`PSServer._work` /
+:meth:`PSServer._recharge`.  The data of a keyed gather or scatter, a
+column-shard operation or an optimizer step moves through the matrix-wide
+store once per operation, so for those the server only *meters* each
+request.  Checkpoint save / load stay server calls.
 
 Memory for every store is charged against the container's grant (an
 oversized model OOMs the server, as on a real cluster), and each operation
@@ -17,21 +21,13 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-import numpy as np
-
 from repro.common.costs import CostModel
 from repro.common.errors import PartitionNotFoundError, PSError
 from repro.common.simclock import TaskCost
 from repro.hdfs.filesystem import Hdfs
 from repro.obs.tracer import NOOP_TRACER, NoopTracer
 from repro.ps.meta import MatrixMeta
-from repro.ps.psfunc import PsFunc
-from repro.ps.storage import (
-    ColumnShardStore,
-    NeighborTableStore,
-    SparseRowStore,
-    Store,
-)
+from repro.ps.storage import NeighborTableStore, SparseRowStore, Store
 from repro.yarn.resource_manager import Container
 
 
@@ -48,7 +44,6 @@ class PSServer:
         self.tracer = tracer
         self._stores: Dict[Tuple[str, int], Store] = {}
         self._metas: Dict[str, MatrixMeta] = {}
-        self._opt_state: Dict[Tuple[str, int], Dict[str, np.ndarray]] = {}
         self._charged: Dict[Tuple[str, int], int] = {}
 
     @property
@@ -75,11 +70,12 @@ class PSServer:
     def _spend(self, seconds: float, op: str, tags: dict) -> None:
         """Advance the server clock; when tracing, as a ``ps.<op>`` span
         on this server's "ops" track."""
-        start_s = self.container.clock.now_s
-        self.container.clock.advance(seconds)
+        clock = self.container.clock
+        start_s = clock.now_s
+        clock.advance(seconds)
         if self.tracer.enabled:
             self.tracer.add(self.id, "ops", f"ps.{op}", start_s,
-                            self.container.clock.now_s, tags)
+                            clock.now_s, tags)
 
     def _work(self, flops: float, op: str, matrix: str) -> None:
         """Advance the server clock by compute time."""
@@ -88,8 +84,7 @@ class PSServer:
 
     def _admit(self, matrix: str, pid: int) -> Store:
         """What every request starts with: the container is alive and
-        holds the partition.  For a request whose data the agent moves
-        itself this and :meth:`_work` are all the server does."""
+        holds the partition, whose store comes back."""
         self.container.ensure_alive()
         store = self._stores.get((matrix, pid))
         if store is None:
@@ -107,33 +102,23 @@ class PSServer:
         self.container.ensure_alive()
         self._metas[meta.name] = meta
         key = (meta.name, pid)
-        if meta.storage == "dense":
-            # A run of the matrix's one array: what the partition does
-            # to its rows, the matrix sees.
+        if meta.storage in ("dense", "column"):
+            # A view of the matrix's one array: what the partition does
+            # to its data, the matrix sees.
             store: Store = meta.data.part(*meta.part_offsets[pid:pid + 2])
         elif meta.storage == "sparse":
             store = SparseRowStore(meta.cols, meta.dtype)
-        elif meta.storage == "column":
-            store = ColumnShardStore(
-                meta.rows, meta.partitioner.keys_of_partition(pid),
-                meta.dtype, meta.init,
-            )
         elif meta.storage == "neighbor":
             store = NeighborTableStore(meta.data)
         else:
             raise PSError(f"unknown storage kind {meta.storage!r}")
         self._stores[key] = store
-        if meta.optimizer is not None and meta.storage in ("dense", "column"):
-            self._opt_state[key] = meta.optimizer.init_state(
-                store.array.shape, meta.dtype
-            )
         self._recharge(key)
 
     def drop_matrix(self, matrix: str) -> None:
         """Release every partition of one matrix."""
         for key in [k for k in self._stores if k[0] == matrix]:
             del self._stores[key]
-            self._opt_state.pop(key, None)
             self._charged.pop(key, None)
         self.container.memory.release_tag(f"ps:{matrix}")
         self._metas.pop(matrix, None)
@@ -148,103 +133,12 @@ class PSServer:
             if meta.storage == "neighbor":
                 meta.data.drop()
         self._stores.clear()
-        self._opt_state.clear()
         self._charged.clear()
 
     def ping(self) -> bool:
         """Health-check endpoint for the master."""
         self.container.ensure_alive()
         return True
-
-    # ------------------------------------------------------------------
-    # column-shard operations (axis=1 stores)
-    # ------------------------------------------------------------------
-
-    def pull_slices(self, matrix: str, pid: int,
-                    row_keys: np.ndarray) -> np.ndarray:
-        """Local column slice of the requested rows."""
-        store = self._admit(matrix, pid)
-        self._work(len(row_keys) * store.array.shape[1],
-                   "pull_slices", matrix)
-        return store.get_row_slices(row_keys)
-
-    def push_slices(self, matrix: str, pid: int, row_keys: np.ndarray,
-                    deltas: np.ndarray) -> None:
-        """Increment the local column slice of the requested rows."""
-        store = self._admit(matrix, pid)
-        store.inc_row_slices(row_keys, deltas)
-        self._work(deltas.size, "push_slices", matrix)
-
-    def set_slices(self, matrix: str, pid: int, row_keys: np.ndarray,
-                   values: np.ndarray) -> None:
-        """Overwrite the local column slice of the requested rows."""
-        store = self._admit(matrix, pid)
-        store.set_row_slices(row_keys, values)
-        self._work(values.size, "set_slices", matrix)
-
-    # ------------------------------------------------------------------
-    # neighbor-table operations
-    # ------------------------------------------------------------------
-
-    def push_neighbors(self, matrix: str, pid: int, vertices: np.ndarray,
-                       indptr: np.ndarray, indices: np.ndarray) -> None:
-        """Merge a CSR block of rows into the tables of ``vertices``."""
-        self._admit(matrix, pid).append_neighbors(vertices, indptr, indices)
-        self._work(len(indices), "push_neighbors", matrix)
-        self._recharge((matrix, pid))
-
-    def remove_neighbors(self, matrix: str, pid: int, vertices: np.ndarray,
-                         indptr: np.ndarray, indices: np.ndarray) -> None:
-        """Subtract a CSR block of rows from the tables of ``vertices``."""
-        self._admit(matrix, pid).remove_neighbors(vertices, indptr, indices)
-        self._work(len(indices), "remove_neighbors", matrix)
-        self._recharge((matrix, pid))
-
-    def drop_vertices(self, matrix: str, pid: int,
-                      vertices: np.ndarray) -> None:
-        """Delete the adjacency tables of ``vertices``."""
-        store = self._admit(matrix, pid)
-        store.drop_vertices(vertices)
-        self._work(len(vertices), "drop_vertices", matrix)
-        self._recharge((matrix, pid))
-
-    def compact(self, matrix: str, pid: int) -> None:
-        """Freeze a neighbor table into CSR form."""
-        store = self._admit(matrix, pid)
-        store.compact()
-        self._recharge((matrix, pid))
-
-    def table_size(self, matrix: str, pid: int) -> int:
-        """Number of vertices stored in one neighbor-table partition."""
-        return self._admit(matrix, pid).num_vertices()
-
-    # ------------------------------------------------------------------
-    # psFunc & gradients
-    # ------------------------------------------------------------------
-
-    def run_psfunc(self, matrix: str, pid: int, func: PsFunc) -> object:
-        """Execute a psFunc against one partition's store."""
-        store = self._admit(matrix, pid)
-        result = func.apply(store)
-        self._work(func.flops(store), "psfunc", matrix)
-        self._recharge((matrix, pid))
-        return result
-
-    def apply_gradients(self, matrix: str, pid: int,
-                        grad: np.ndarray) -> None:
-        """Run the matrix's server-side optimizer on one partition.
-
-        ``grad`` must match the partition's parameter shape (rows owned by
-        the partition for axis=0; the column slice for axis=1).
-        """
-        store = self._admit(matrix, pid)
-        meta = self._metas[matrix]
-        if meta.optimizer is None:
-            raise PSError(f"matrix {matrix} has no optimizer attached")
-        state = self._opt_state[(matrix, pid)]
-        meta.optimizer.step(store.array, grad, state)
-        self._work(grad.size * meta.optimizer.flops_per_element(),
-                   "apply_gradients", matrix)
 
     # ------------------------------------------------------------------
     # checkpointing
@@ -254,9 +148,8 @@ class PSServer:
         """Snapshot one partition to HDFS; returns bytes written."""
         store = self._admit(matrix, pid)
         cost = TaskCost()
-        state = store.snapshot()
-        opt = self._opt_state.get((matrix, pid))
-        payload = {"store": state,
+        opt = self._metas[matrix].part_state(pid)
+        payload = {"store": store.snapshot(),
                    "opt": ({k: v.copy() for k, v in opt.items()}
                            if opt is not None else None)}
         f = self.hdfs.write_pickle(path, payload, overwrite=True, cost=cost)
@@ -275,6 +168,6 @@ class PSServer:
         self.create_partition(meta, pid)
         key = (meta.name, pid)
         self._stores[key].restore(payload["store"])
-        if payload["opt"] is not None:
-            self._opt_state[key] = payload["opt"]
+        for name, value in (payload["opt"] or {}).items():
+            meta.part_state(pid)[name][...] = value
         self._recharge(key)

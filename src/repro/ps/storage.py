@@ -19,8 +19,9 @@ server:
 
 Every store reports ``nbytes`` so the owning server can charge its memory
 grant, and supports ``snapshot``/``restore`` for HDFS checkpoints.  A dense
-matrix is one :class:`DenseRowStore` laid out partition-major, its
-partitions runs of it (:meth:`DenseRowStore.part`).
+matrix is one :class:`DenseRowStore` laid out partition-major, a column-
+sharded one a :class:`ColumnShardMatrix` laid out shard-major; partitions
+are views of them (``part``), and a restore copies into the view.
 """
 
 from __future__ import annotations
@@ -118,6 +119,10 @@ class DenseRowStore(Store):
             self.array[idx] = values
         else:
             self.array[idx, col] = values
+
+    def layout(self, full: np.ndarray) -> np.ndarray:
+        """A full ``(rows, cols)`` array in this store's row order."""
+        return full.take(self.keys, axis=0)
 
     @property
     def nbytes(self) -> int:
@@ -223,9 +228,74 @@ class ColumnShardStore(Store):
         return {"col_keys": self.col_keys.copy(), "array": self.array.copy()}
 
     def restore(self, state: object) -> None:
-        self.col_keys = state["col_keys"].copy()
-        self.array = state["array"].copy()
-        self.rows = self.array.shape[0]
+        # Copied into place: a shard is a view of its matrix's array.
+        self.array[...] = state["array"]
+
+
+class ColumnShardMatrix:
+    """A column-sharded matrix as one shard-major array: shard ``p`` —
+    columns ``bounds[p]:bounds[p + 1]`` of every row — is a contiguous
+    ``rows x width`` block right after shard ``p - 1``'s, its server's
+    :class:`ColumnShardStore` a view of it (:meth:`part`).  Range shards
+    come in two widths at most, the wider first, so a full-row gather or
+    scatter over shards ``lo..hi-1`` is one strided copy per width."""
+
+    def __init__(self, rows: int, bounds: List[int],
+                 dtype: np.dtype = np.float32, init: float = 0.0) -> None:
+        self.rows, self.bounds = rows, bounds
+        self.array = np.full(rows * bounds[-1], init, dtype=dtype)
+        widths = np.diff(bounds)
+        wide = int(np.count_nonzero(widths > widths[-1]))
+        self._spans = [(0, wide), (wide, len(widths))]
+
+    def part(self, start: int, stop: int) -> ColumnShardStore:
+        """Columns ``start:stop`` — one shard — as a store of their own."""
+        shard = ColumnShardStore.__new__(ColumnShardStore)
+        shard.rows, shard.col_keys = self.rows, np.arange(start, stop)
+        shard.array = self.array[self.rows * start:self.rows * stop].reshape(
+            self.rows, stop - start)
+        return shard
+
+    def _runs(self, flat: np.ndarray, lo: int, hi: int):
+        """``(columns, rows x shards x width view)`` of ``flat``, an array
+        in this layout, per run of equal-width shards among ``lo..hi-1``."""
+        for a, b in self._spans:
+            a, b = max(a, lo), min(b, hi)
+            if a < b:
+                c0, c1 = self.bounds[a], self.bounds[b]
+                yield slice(c0, c1), flat[self.rows * c0:self.rows * c1] \
+                    .reshape(b - a, self.rows, (c1 - c0) // (b - a)) \
+                    .transpose(1, 0, 2)
+
+    def get_rows(self, keys: np.ndarray, out: np.ndarray,
+                 lo: int, hi: int) -> None:
+        """Rows ``keys`` of shards ``lo..hi-1`` into their ``out`` columns."""
+        for cols, view in self._runs(self.array, lo, hi):
+            out[:, cols] = view[keys].reshape(len(keys),
+                                              cols.stop - cols.start)
+
+    def set_rows(self, keys: np.ndarray, values: np.ndarray,
+                 lo: int, hi: int) -> None:
+        """Overwrite rows ``keys`` of shards ``lo..hi-1`` from ``values``."""
+        for cols, view in self._runs(self.array, lo, hi):
+            view[keys] = values[:, cols].reshape((len(keys),) + view.shape[1:])
+
+    def inc_rows(self, keys: np.ndarray, values: np.ndarray,
+                 lo: int, hi: int) -> None:
+        """Add ``values`` to rows ``keys`` of shards ``lo..hi-1``, in order."""
+        for cols, view in self._runs(self.array, lo, hi):
+            shards, width = view.shape[1:]
+            scatter_add_rows(
+                view.transpose(1, 0, 2).reshape(-1, width),
+                np.add.outer(keys, self.rows * np.arange(shards)).reshape(-1),
+                values[:, cols].reshape(-1, width))
+
+    def layout(self, full: np.ndarray) -> np.ndarray:
+        """A full ``(rows, cols)`` array in this layout."""
+        flat = np.empty(self.array.shape, dtype=full.dtype)
+        for cols, view in self._runs(flat, 0, len(self.bounds) - 1):
+            view[...] = full[:, cols].reshape(view.shape)
+        return flat
 
 
 class NeighborTableStore(Store):

@@ -152,3 +152,112 @@ class TestLstmAggregator:
             # 5 neighbor rows over 2 segments: not uniform.
             model._agg(Tensor(np.ones((5, 4))),
                        np.array([0, 0, 0, 1, 1]), 2, level=1)
+
+
+class TestSamplingDraws:
+    """GraphSage's and the Euler sim's per-vertex draws are the draws of
+    the per-row forms they replaced: same ``rng.choice`` calls, same
+    arguments, same order (an empty row draws from ``[v]`` in GraphSage
+    and does not draw in Euler)."""
+
+    @staticmethod
+    def _rows(rng, n):
+        lens = rng.integers(0, 8, n) * (rng.random(n) > 0.2)
+        nbrs = [np.sort(rng.choice(50, int(k), replace=False)) for k in lens]
+        return {v: row for v, row in zip(range(n), nbrs)}
+
+    @pytest.mark.parametrize("pad", [False, True])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_graphsage_sample(self, seed, pad):
+        from types import SimpleNamespace
+
+        from repro.core.algorithms.graphsage import _sample_and_pull
+        from repro.core.blocks import NeighborBlock
+
+        rows = self._rows(np.random.default_rng(seed), 50)
+
+        def get(ids):
+            """The table's rows of ``ids``, aligned, repeats repeated."""
+            lens = [len(rows[v]) for v in ids.tolist()]
+            return NeighborBlock(
+                ids, np.concatenate([[0], np.cumsum(lens)]).astype(np.int64),
+                np.concatenate([rows[v] for v in ids.tolist()]
+                               + [np.empty(0)]).astype(np.int64))
+
+        adj = SimpleNamespace(get=get)
+        feats = SimpleNamespace(pull=lambda ids: ids[:, None] * 1.0)
+        node_ids = np.array([3, 0, 17, 17, 42, 9], dtype=np.int64)
+
+        def old(rng):
+            def choose(pool, fallback, size):
+                if len(pool) == 0:
+                    pool = np.asarray([fallback], dtype=np.int64)
+                if pad:
+                    return rng.choice(pool, size=size, replace=True)
+                return rng.choice(pool, size=min(size, len(pool)),
+                                  replace=False)
+
+            def sample(ids, size):
+                chosen = [choose(t, v, size)
+                          for v, t in adj.get(ids).rows()]
+                segment = np.repeat(np.arange(len(chosen)),
+                                    [len(c) for c in chosen])
+                return np.concatenate(chosen), segment
+
+            n1, seg1 = sample(node_ids, 4)
+            n2, seg2 = sample(n1, 3)
+            return n1, seg1, n2, seg2
+
+        want = old(np.random.default_rng(seed + 100))
+        got = _sample_and_pull(adj, feats, node_ids, (4, 3),
+                               np.random.default_rng(seed + 100), pad=pad)
+        x_b, x_n1, seg1, x_n2, seg2 = got
+        assert x_n1[:, 0].astype(np.int64).tolist() == want[0].tolist()
+        assert seg1.tolist() == want[1].tolist()
+        assert x_n2[:, 0].astype(np.int64).tolist() == want[2].tolist()
+        assert seg2.tolist() == want[3].tolist()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_euler_sample(self, seed):
+        from types import SimpleNamespace
+
+        from repro.eulersim.euler import EulerSystem
+
+        rng = np.random.default_rng(seed)
+        adj = {v: row for v, row in self._rows(rng, 50).items() if len(row)
+               or v % 2}
+        system = SimpleNamespace(_adj=adj)
+        ids = rng.integers(0, 60, 25)
+
+        def old(ids, fanout, rng):
+            out_ids, segs = [], []
+            for i, v in enumerate(ids.tolist()):
+                nbrs = adj.get(int(v))
+                if nbrs is None or len(nbrs) == 0:
+                    chosen = np.asarray([v], dtype=np.int64)
+                else:
+                    chosen = rng.choice(nbrs, size=min(fanout, len(nbrs)),
+                                        replace=False)
+                out_ids.append(chosen)
+                segs.append(np.full(len(chosen), i, dtype=np.int64))
+            return np.concatenate(out_ids), np.concatenate(segs)
+
+        for fanout in (1, 3, 10):
+            want = old(ids, fanout, np.random.default_rng(seed))
+            got = EulerSystem._sample(system, ids, fanout,
+                                      np.random.default_rng(seed))
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.tolist() == b.tolist()
+
+    @pytest.mark.parametrize("size", [1, 7, 4096])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_line_negatives(self, seed, size):
+        rng = np.random.default_rng(seed)
+        noise = rng.integers(0, 40, 500).astype(np.float64) ** 0.75
+        noise_p = noise / noise.sum()
+        cdf = (noise / noise.sum()).cumsum()
+        cdf /= cdf[-1]
+        a, b = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        assert (cdf.searchsorted(a.random(size), side="right").tolist()
+                == b.choice(500, size=size, p=noise_p).tolist())
+        assert a.random() == b.random()  # the streams stay in step

@@ -1,13 +1,16 @@
-"""A PS operation moves its data once — held to the loop it replaced.
+"""A PS operation moves its data once — held to the loops it replaced.
 
 Until commit ``b921050`` every row pull / push / set and every
 neighbor-table read was split per partition and each piece *executed* by
-a ``PSServer`` handler.  That loop is copied here as :class:`OracleAgent`
-(agent side) and ``HANDLERS`` (server side) and run beside the new path
-— one metered fan-out, one array operation on the matrix-wide store —
-on the same seeded operation sequences: results, final state, both
-clocks, every metric, every span and every server's memory must agree,
-across recoveries in the middle of an operation too.
+a ``PSServer`` handler; until ``a4f296a`` so were column-shard operations,
+optimizer steps, psFuncs and neighbor-table writes (``_group_call``).
+Both loops are copied here as :class:`OracleAgent` (agent side) and
+``HANDLERS`` (server side) and run beside the new path — one metered
+fan-out loop, the data moved once through the matrix-wide store, request
+code run on the partition's store inside the loop — on the same seeded
+operation sequences: results, final state (optimizer state included),
+both clocks, every metric, every span and every server's memory must
+agree, across recoveries in the middle of an operation too.
 
 ``--hypothesis-profile deep`` (the ``chaos-smoke`` CI job) runs 1,000
 examples of each property.
@@ -24,11 +27,14 @@ from hypothesis import strategies as st
 from repro.common.batch import gather_segments, split_indices
 from repro.common.config import ClusterConfig
 from repro.common.errors import (
+    ConfigError,
     ContainerLostError,
     EndpointNotFoundError,
+    PSError,
     RpcError,
 )
 from repro.common.metrics import (
+    PS_PSFUNC_CALLS,
     PS_PULL_BYTES,
     PS_PULLS,
     PS_PUSH_BYTES,
@@ -39,6 +45,7 @@ from repro.common.metrics import (
     RPC_CALLS,
 )
 from repro.common.simclock import TaskCost
+from repro.common.sizeof import sizeof
 from repro.core.blocks import NeighborBlock
 from repro.dataflow.context import SparkContext
 from repro.dataflow.taskctx import current_task_context, task_span
@@ -47,6 +54,8 @@ from repro.obs.export import metrics_to_dict
 from repro.obs.tracer import Tracer
 from repro.ps.agent import PSAgent
 from repro.ps.context import PSContext
+from repro.ps.optimizer import SGD, AdaGrad, Adam, Momentum
+from repro.ps.psfunc import RandomInit, VectorSum
 from tests.conftest import table_block
 
 # ----------------------------------------------------------------------
@@ -87,13 +96,108 @@ def _srv_degrees(server, matrix, pid, vertices):
     return store.degree(vertices)
 
 
+# -- the handlers ``_group_call`` dispatched to until a4f296a ------------
+
+
+def _srv_pull_slices(server, matrix, pid, row_keys):
+    store = server._admit(matrix, pid)
+    server._work(len(row_keys) * store.array.shape[1], "pull_slices", matrix)
+    return store.get_row_slices(row_keys)
+
+
+def _srv_push_slices(server, matrix, pid, row_keys, deltas):
+    store = server._admit(matrix, pid)
+    store.inc_row_slices(row_keys, deltas)
+    server._work(deltas.size, "push_slices", matrix)
+
+
+def _srv_set_slices(server, matrix, pid, row_keys, values):
+    store = server._admit(matrix, pid)
+    store.set_row_slices(row_keys, values)
+    server._work(values.size, "set_slices", matrix)
+
+
+def _srv_push_neighbors(server, matrix, pid, vertices, indptr, indices):
+    server._admit(matrix, pid).append_neighbors(vertices, indptr, indices)
+    server._work(len(indices), "push_neighbors", matrix)
+    server._recharge((matrix, pid))
+
+
+def _srv_remove_neighbors(server, matrix, pid, vertices, indptr, indices):
+    server._admit(matrix, pid).remove_neighbors(vertices, indptr, indices)
+    server._work(len(indices), "remove_neighbors", matrix)
+    server._recharge((matrix, pid))
+
+
+def _srv_drop_vertices(server, matrix, pid, vertices):
+    store = server._admit(matrix, pid)
+    store.drop_vertices(vertices)
+    server._work(len(vertices), "drop_vertices", matrix)
+    server._recharge((matrix, pid))
+
+
+def _srv_compact(server, matrix, pid):
+    store = server._admit(matrix, pid)
+    store.compact()
+    server._recharge((matrix, pid))
+
+
+def _srv_table_size(server, matrix, pid):
+    return server._admit(matrix, pid).num_vertices()
+
+
+def _srv_run_psfunc(server, matrix, pid, func):
+    store = server._admit(matrix, pid)
+    result = func.apply(store)
+    server._work(func.flops(store), "psfunc", matrix)
+    server._recharge((matrix, pid))
+    return result
+
+
+def _srv_apply_gradients(server, matrix, pid, grad):
+    server._admit(matrix, pid)
+    meta = server._metas[matrix]
+    if meta.optimizer is None:
+        raise PSError(f"matrix {matrix} has no optimizer attached")
+    # (the partition's state dict, which the server kept until a4f296a)
+    meta.optimizer.step(server._stores[(matrix, pid)].array, grad,
+                        meta.part_state(pid))
+    server._work(grad.size * meta.optimizer.flops_per_element(),
+                 "apply_gradients", matrix)
+
+
 HANDLERS = {"pull": _srv_pull, "push": _srv_push, "set": _srv_set,
-            "get_neighbors": _srv_get_neighbors, "degrees": _srv_degrees}
+            "get_neighbors": _srv_get_neighbors, "degrees": _srv_degrees,
+            "pull_slices": _srv_pull_slices,
+            "push_slices": _srv_push_slices, "set_slices": _srv_set_slices,
+            "push_neighbors": _srv_push_neighbors,
+            "remove_neighbors": _srv_remove_neighbors,
+            "drop_vertices": _srv_drop_vertices, "compact": _srv_compact,
+            "table_size": _srv_table_size, "run_psfunc": _srv_run_psfunc,
+            "apply_gradients": _srv_apply_gradients}
 
 
 class OracleAgent(PSAgent):
-    """Row and table-read operations exactly as ``b921050`` ran them:
-    split → slice → dispatch → execute on the partition → reassemble."""
+    """Every operation exactly as ``b921050`` (row pulls / writes, table
+    reads) and ``a4f296a`` (column shards, optimizer steps, psFuncs, table
+    writes) ran it: split → slice → dispatch → execute on the partition →
+    reassemble."""
+
+    def _check_fault(self, endpoint, method):
+        rpc = self.psctx.spark.rpc
+        if rpc.fault_injector is None:
+            return
+        tctx = current_task_context()
+        if tctx is not None:
+            rpc.check_fault(endpoint, method, tctx.cost)
+            return
+        try:
+            rpc.check_fault(endpoint, method, None)
+        except RpcError as exc:
+            delay_s = getattr(exc, "delay_s", 0.0)
+            if delay_s > 0.0:
+                self.psctx.spark.driver_clock.advance(delay_s)
+            raise
 
     def _oracle_invoke(self, server_index, method, args):
         psctx = self.psctx
@@ -202,6 +306,8 @@ class OracleAgent(PSAgent):
         self._metrics().inc(PS_PUSH_BYTES, int(keys.nbytes + values.nbytes))
 
     def pull_all(self, meta):
+        if meta.axis == 1:
+            return self.pull_rows_full(meta, np.arange(meta.rows))
         out = np.zeros((meta.rows, meta.cols), dtype=meta.dtype)
         calls, key_sets = [], []
         for pid in range(meta.num_partitions):
@@ -259,6 +365,90 @@ class OracleAgent(PSAgent):
         self._metrics().inc(PS_PULLS)
         return out
 
+    # -- a4f296a: ``_group_call`` ------------------------------------------
+
+    def _group_call(self, meta, method, calls):
+        return self._oracle_group_call([
+            (meta.server_of(pid), method, (meta.name, pid) + args, req, resp)
+            for pid, args, req, resp in calls])
+
+    def pull_rows_full(self, meta, row_keys):
+        row_keys = np.asarray(row_keys, dtype=np.int64)
+        out = np.zeros((len(row_keys), meta.cols), dtype=meta.dtype)
+        results = self._group_call(meta, "pull_slices", [
+            (pid, (row_keys,), int(row_keys.nbytes), lambda v: int(v.nbytes))
+            for pid in range(meta.num_partitions)
+        ])
+        nbytes = 0
+        for pid, values in enumerate(results):
+            cols = meta.partitioner.keys_of_partition(pid)
+            out[:, cols] = values
+            nbytes += int(values.nbytes)
+        self._metrics().inc(PS_PULLS)
+        self._metrics().inc(PS_PULL_BYTES, nbytes + int(row_keys.nbytes))
+        return out
+
+    def _write_slices(self, meta, row_keys, values, method):
+        row_keys = np.asarray(row_keys, dtype=np.int64)
+        values = np.asarray(values, dtype=meta.dtype)
+        calls = []
+        for pid in range(meta.num_partitions):
+            cols = meta.partitioner.keys_of_partition(pid)
+            sub = np.ascontiguousarray(values[:, cols])
+            calls.append((pid, (row_keys, sub),
+                          int(row_keys.nbytes + sub.nbytes), 0))
+        self._group_call(meta, method, calls)
+        self._metrics().inc(PS_PUSHES)
+        self._metrics().inc(PS_PUSH_BYTES,
+                            int(row_keys.nbytes + values.nbytes))
+
+    def _table_write(self, meta, method, vertices, block=None):
+        vertices = np.asarray(vertices, dtype=np.int64)
+        pids = meta.partitioner.partition_array(vertices)
+        calls = []
+        total = 0
+        for pid, idx in split_indices(pids):
+            if block is None:
+                payload = (vertices[idx],)
+                nbytes = int(payload[0].nbytes)
+            else:
+                sub = block.take(idx)
+                payload = (sub.vertices, sub.indptr, sub.neighbors)
+                nbytes = int(sub.vertices.nbytes + sub.neighbors.nbytes)
+            total += nbytes
+            calls.append((pid, payload, nbytes, 0))
+        self._group_call(meta, method, calls)
+        self._metrics().inc(PS_PUSHES)
+        self._metrics().inc(PS_PUSH_BYTES, total)
+
+    def compact(self, meta):
+        self._group_call(meta, "compact", [
+            (pid, (), 16, 0) for pid in range(meta.num_partitions)])
+
+    def table_total(self, meta):
+        return int(sum(self._group_call(meta, "table_size", [
+            (pid, (), 16, 8) for pid in range(meta.num_partitions)])))
+
+    def psfunc(self, meta, func):
+        req = sizeof(func)
+        partials = self._group_call(meta, "run_psfunc", [
+            (pid, (func,), req, sizeof)
+            for pid in range(meta.num_partitions)])
+        self._metrics().inc(PS_PSFUNC_CALLS)
+        return func.merge(partials)
+
+    def apply_gradients(self, meta, grad):
+        grad = np.asarray(grad, dtype=meta.dtype)
+        calls = []
+        for pid in range(meta.num_partitions):
+            keys = meta.partitioner.keys_of_partition(pid)
+            sub = np.ascontiguousarray(
+                grad[:, keys] if meta.axis == 1 else grad[keys])
+            calls.append((pid, (sub,), int(sub.nbytes), 0))
+        self._group_call(meta, "apply_gradients", calls)
+        self._metrics().inc(PS_PUSHES)
+        self._metrics().inc(PS_PUSH_BYTES, int(grad.nbytes))
+
 
 # ----------------------------------------------------------------------
 # harness: one script, two systems
@@ -266,11 +456,14 @@ class OracleAgent(PSAgent):
 
 
 class System:
-    """A 3-server PS with a dense matrix, a vector and a neighbor table."""
+    """A 3-server PS with a dense matrix and a neighbor table — and, with
+    ``shards``, a column-sharded matrix of ``ecols`` columns; ``optimizer``
+    steps it and the dense matrix."""
 
     def __init__(self, oracle: bool, kind: str, rows: int, cols: int,
                  parts: int, dtype=np.float64, storage: str = "dense",
-                 servers: int = 3):
+                 servers: int = 3, shards: int = 0, ecols: int = 0,
+                 optimizer=None):
         self.tracer = Tracer()
         self.spark = SparkContext(ClusterConfig(
             num_executors=2, executor_mem_bytes=1 << 40,
@@ -281,9 +474,14 @@ class System:
             self.ps.agent = OracleAgent(self.ps)
         self.m = self.ps.create_matrix(
             "m", rows, cols, dtype, partition=kind, storage=storage,
-            num_partitions=parts)
+            num_partitions=parts, optimizer=optimizer)
         self.t = self.ps.create_neighbor_table(
             "t", rows, partition=kind, num_partitions=parts)
+        self.e = None
+        if shards:
+            self.e = self.ps.create_matrix(
+                "e", rows, ecols, dtype, axis=1, storage="column",
+                num_partitions=shards, optimizer=optimizer)
         self.out = []
 
     def close(self):
@@ -300,11 +498,16 @@ class System:
                 flat.append(item)
         rows = np.arange(self.m.meta.rows)
         table = self.t.get(rows)
+        metas = [self.ps.matrix_meta(name) for name in self.ps.matrix_names()]
         return {
             "out": [(np.asarray(x).dtype.str, np.asarray(x).tolist())
                     for x in flat],
             "matrix": self.m.to_numpy().tolist(),
             "table": (table.indptr.tolist(), table.neighbors.tolist()),
+            "column": None if self.e is None else self.e.to_numpy().tolist(),
+            "optimizer": [(meta.name, name, state.tolist())
+                          for meta in metas if meta.opt_state is not None
+                          for name, state in meta.opt_state.items()],
             "sim_s": self.spark.sim_time(),
             "server_clocks": [s.container.clock.now_s
                               for s in self.ps.servers],
@@ -623,5 +826,240 @@ def test_a_restored_dense_partition_is_still_a_view_of_the_matrix():
         assert got.tolist() == want.tolist()
         system.ps.rollback()
         assert m.to_numpy().tolist() == (want - ~on_dead[:, None]).tolist()
+    finally:
+        system.close()
+
+
+# ----------------------------------------------------------------------
+# column shards, optimizer steps, psFuncs and table writes: random
+# matrices, random operation sequences, against a4f296a's _group_call
+# ----------------------------------------------------------------------
+
+OPTIMIZERS = [SGD(lr=0.1), Momentum(lr=0.05), AdaGrad(lr=0.2), Adam(lr=0.01)]
+
+
+@st.composite
+def column_sequences(draw):
+    rows = draw(st.integers(1, 30))
+    shards = draw(st.integers(1, 9))
+    config = dict(
+        kind=draw(st.sampled_from(["hash", "range", "hash-range"])),
+        rows=rows, cols=draw(st.integers(1, 3)),
+        parts=draw(st.integers(1, 6)),
+        dtype=draw(st.sampled_from([np.float64, np.float32])),
+        servers=draw(st.sampled_from([1, 3, 5])), shards=shards,
+        # shard widths 1 and 2, or one width
+        ecols=draw(st.integers(shards, 2 * shards)),
+        optimizer=draw(st.sampled_from(OPTIMIZERS)),
+    )
+    keys = st.lists(st.integers(0, rows - 1), max_size=10)
+    ops = draw(st.lists(st.tuples(
+        st.sampled_from(["cset", "cpush", "cpull", "cnumpy", "grad", "mgrad",
+                         "dot", "r1", "init", "vsum", "tpush", "tremove",
+                         "tdrop", "tcompact", "tsize", "tget", "task"]),
+        keys, st.integers(0, 2 ** 31)), max_size=12))
+    return config, ops
+
+
+def play_columns(system, ops):
+    e, m, t = system.e, system.m, system.t
+    rows, cols = e.meta.rows, e.meta.cols
+
+    def one(op, keys, seed):
+        rng = np.random.default_rng(seed)
+        keys = np.asarray(keys, dtype=np.int64)
+        if op == "cset":
+            return e.set_rows(keys, rng.standard_normal((len(keys), cols)))
+        if op == "cpush":
+            return e.push_rows(keys, rng.standard_normal((len(keys), cols)))
+        if op == "cpull":
+            return e.pull_rows(keys)
+        if op == "cnumpy":
+            return e.to_numpy()
+        if op == "grad":
+            return e.apply_gradients(rng.standard_normal(e.shape))
+        if op == "mgrad":
+            return m.apply_gradients(rng.standard_normal(m.shape))
+        if op == "dot":
+            return e.dot(keys, keys[::-1])
+        if op == "r1":
+            return e.rank_one_update(keys, keys[::-1],
+                                     rng.standard_normal(len(keys)))
+        if op == "init":
+            return e.psfunc(RandomInit(seed % 1000, scale=0.5))
+        if op == "vsum":
+            return m.psfunc(VectorSum(0))
+        block = table_block({
+            int(v): sorted(set(rng.integers(0, rows, 3).tolist()))
+            for v in dict.fromkeys(keys.tolist())})
+        if op == "tpush":
+            return t.push(block)
+        if op == "tremove":
+            return t.remove(block)
+        if op == "tdrop":
+            return t.drop(keys)
+        if op == "tcompact":
+            return t.compact()
+        if op == "tsize":
+            return t.num_vertices()
+        return t.get(keys)
+
+    for op, keys, seed in ops:
+        if op == "task":
+            def work(it, keys=keys, seed=seed):
+                part = list(it)
+                return [one(name, keys, seed + part[0]) for name in
+                        ("cpull", "cpush", "grad", "r1", "tpush", "tsize")]
+            system.out += [x for res in system.spark.parallelize(
+                range(4), 2).foreach_partition(work) for x in res
+                if x is not None]
+        else:
+            result = one(op, keys, seed)
+            if result is not None:
+                system.out.append(result)
+
+
+@given(column_sequences())
+def test_column_ops_psfuncs_and_table_writes_equal_the_group_call(case):
+    config, ops = case
+    assert_same(run_both(lambda system: play_columns(system, ops), **config))
+
+
+# ----------------------------------------------------------------------
+# a recovery in the middle of a column op, a psFunc or a table write
+# ----------------------------------------------------------------------
+
+SHARDS, ECOLS = 8, 12  # shard widths 2, 2, 2, 2, 1, 1, 1, 1
+
+
+def _seed_columns(system):
+    """Adam one step into the checkpoint, two steps in when it fails."""
+    rng = np.random.default_rng(9)
+    e = system.e
+    e.set_rows(np.arange(ROWS), rng.standard_normal(e.shape))
+    e.apply_gradients(rng.standard_normal(e.shape))
+    _seed_and_checkpoint(system)
+    e.apply_gradients(rng.standard_normal(e.shape))
+
+
+@pytest.mark.parametrize("mode", ["relaxed", "strict"])
+@pytest.mark.parametrize("op", ["grad", "pull", "psfunc", "tpush"])
+@pytest.mark.parametrize("kill", MID_OPERATION, ids=str)
+def test_mid_operation_recovery_of_every_loop_equals_the_group_call(
+        mode, op, kill):
+    keys = np.arange(ROWS)[::-1]
+    rng = np.random.default_rng(4)
+    grads = [rng.standard_normal((ROWS, ECOLS)) for _ in range(3)]
+
+    def script(system):
+        system.ps.recovery_mode = mode
+        _seed_columns(system)
+        _kill_before_call(system, *kill)
+        e = system.e
+        if op == "grad":
+            e.apply_gradients(grads[0])
+        elif op == "pull":
+            system.out.append(e.pull_rows(keys))
+        elif op == "psfunc":
+            e.rank_one_update(keys, keys[::-1], np.full(ROWS, 0.1))
+        else:
+            system.t.push(table_block({int(v): [int(v) // 3, 5]
+                                       for v in keys}))
+        system.spark.rpc.fault_injector = None
+        system.out.append(system.spark.metrics.get(PS_RECOVERIES))
+        # Steps after a relaxed recovery run at the step counts the
+        # restore rewound, per shard.
+        e.apply_gradients(grads[1])
+        e.apply_gradients(grads[2])
+        system.out.append(e.meta.opt_state["t"].copy())
+
+    states = run_both(script, kind="hash", rows=ROWS, cols=2, parts=PARTS,
+                      shards=SHARDS, ecols=ECOLS, optimizer=Adam(lr=0.01))
+    assert_same(states)
+    assert states[0]["out"][-2][1] == 1.0  # one server recovered, once
+
+
+def test_a_restored_shard_and_its_optimizer_state_are_the_matrix():
+    system = System(False, kind="hash", rows=ROWS, cols=2, parts=PARTS,
+                    shards=SHARDS, ecols=ECOLS, optimizer=Adam(lr=0.01))
+    try:
+        e, meta = system.e, system.e.meta
+        _seed_columns(system)
+        steps = meta.opt_state["t"]
+        system.ps.kill_server(0)
+        system.ps.recover("relaxed")
+        on_dead = [meta.server_of(pid) == 0 for pid in range(SHARDS)]
+        assert steps.tolist() == [1 if dead else 2 for dead in on_dead]
+        assert meta.opt_state["t"] is steps
+        for server in system.ps.servers:
+            for (name, pid), store in server._stores.items():
+                if name == "e":
+                    assert np.shares_memory(store.array, meta.data.array)
+                    assert store.col_keys.tolist() == list(range(
+                        *meta.part_offsets[pid:pid + 2]))
+        for pid in range(SHARDS):
+            for name, view in meta.part_state(pid).items():
+                assert np.shares_memory(view, meta.opt_state[name])
+        # A checkpoint still holds one shard and its own step count.
+        payload = system.spark.hdfs.read_pickle(
+            system.ps.checkpoint_path("e", 5))
+        assert payload["store"]["array"].shape == (ROWS, 1)
+        assert payload["opt"]["t"].shape == (1,)
+        assert payload["opt"]["m"].shape == (ROWS, 1)
+        e.apply_gradients(np.ones((ROWS, ECOLS)))
+        assert steps.tolist() == [2 if dead else 3 for dead in on_dead]
+    finally:
+        system.close()
+
+
+# ----------------------------------------------------------------------
+# a bad row key on a column-sharded matrix is refused before anything
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [-1, 10, 15], ids=["-1", "rows", "rows+5"])
+@pytest.mark.parametrize("op", ["pull_rows", "push_rows", "set_rows", "dot",
+                                "rank_one_update"])
+def test_a_bad_row_key_changes_nothing(op, bad):
+    system = System(False, kind="range", rows=10, cols=1, parts=2,
+                    servers=2, shards=2, ecols=4)
+    try:
+        e = system.e
+        e.set_rows(np.arange(10), np.arange(40.0).reshape(10, 4))
+        keys = np.array([3, bad])
+
+        def observed():
+            return (e.meta.data.array.tolist(), system.spark.sim_time(),
+                    [s.container.clock.now_s for s in system.ps.servers],
+                    json.dumps(metrics_to_dict(system.spark.metrics),
+                               sort_keys=True),
+                    len(system.tracer.spans()))
+
+        before = observed()
+        with pytest.raises(PSError, match="keys not in partition"):
+            if op == "pull_rows":
+                e.pull_rows(keys)
+            elif op in ("push_rows", "set_rows"):
+                getattr(e, op)(keys, np.ones((2, 4)))
+            elif op == "dot":
+                e.dot(keys, keys[::-1])
+            else:
+                e.rank_one_update(keys[::-1], keys, np.ones(2))
+        assert observed() == before
+    finally:
+        system.close()
+
+
+def test_a_column_matrix_is_range_partitioned_column_storage():
+    system = System(False, kind="hash", rows=10, cols=1, parts=2)
+    try:
+        create = system.ps.create_matrix
+        for kwargs in (dict(axis=1, storage="column", partition="hash"),
+                       dict(axis=1, storage="column", partition="hash-range"),
+                       dict(axis=1, storage="dense"),
+                       dict(axis=0, storage="column"),
+                       dict(storage="sparse", optimizer=SGD())):
+            with pytest.raises(ConfigError):
+                create("x", 10, 4, **kwargs)
     finally:
         system.close()

@@ -408,6 +408,242 @@ def test_ps_ops_match_parent_pin(cell):
     assert run_ps_ops_cell(*cell) == PS_OPS_PINS[cell]
 
 
+# ----------------------------------------------------------------------
+# column-sharded matrices, server-side optimizers, psFuncs, table writes
+# ----------------------------------------------------------------------
+
+
+def _observed(spark, ps, tracer, out):
+    """The tuple every PS pin holds: results digest, sim time, server
+    clocks, digest of every counter / gauge / histogram, server memory
+    peaks, digest of every span."""
+    return (digest([(b.vertices, b.indptr, b.neighbors)
+                    if isinstance(b, NeighborBlock) else b
+                    for b in _flat(out)]),
+            spark.sim_time(),
+            tuple(s.container.clock.now_s for s in ps.servers),
+            digest(json.dumps(metrics_to_dict(spark.metrics),
+                              sort_keys=True)),
+            tuple(s.container.memory.peak for s in ps.servers),
+            digest([_span_key(s) for s in tracer.spans()]))
+
+
+def run_column_cell(servers: int, p: int):
+    """A scripted sequence on range-partitioned column matrices (shards of
+    widths 1 and 2, float32 beside float64) with SGD / Momentum / AdaGrad /
+    Adam on the servers, dense matrices with optimizers, psFuncs and
+    neighbor-table writes between reads — from the driver and from inside
+    tasks, across a checkpoint, a relaxed recovery between operations and
+    (with three or more partitions) one in the middle of an Adam step."""
+    from repro.ps.optimizer import SGD, AdaGrad, Adam, Momentum
+    from repro.ps.psfunc import RandomInit, VectorSum
+
+    tracer = Tracer()
+    spark = SparkContext(ClusterConfig(
+        num_executors=4, executor_mem_bytes=1 << 40,
+        num_servers=servers, server_mem_bytes=1 << 40,
+    ), tracer=tracer)
+    ps = PSContext(spark)
+    try:
+        rng = np.random.default_rng(29)
+        rows, cols = 20, p + (p + 1) // 2
+        e = ps.create_embedding("e", rows, cols, num_partitions=p)
+        d = ps.create_matrix("d", rows, cols, np.float64, axis=1,
+                             storage="column", num_partitions=p)
+        opts = [SGD(lr=0.1), Momentum(lr=0.05), AdaGrad(lr=0.2),
+                Adam(lr=0.01)]
+        w = [ps.create_matrix(f"w{i}", 6, cols,
+                              np.float64 if i % 2 else np.float32,
+                              axis=1, storage="column", optimizer=opt,
+                              num_partitions=p)
+             for i, opt in enumerate(opts)]
+        dense = [ps.create_matrix("da", 13, 3, partition="hash",
+                                  optimizer=Adam(lr=0.02),
+                                  num_partitions=min(p, 13)),
+                 ps.create_matrix("dg", 11, 2, np.float32,
+                                  optimizer=AdaGrad(lr=0.1),
+                                  num_partitions=min(p, 11))]
+        t = ps.create_neighbor_table("t", 40, num_partitions=min(p, 40))
+        out = []
+        keys = rng.integers(0, rows, 15)
+        e.psfunc(RandomInit(5, scale=0.3))
+        d.set_rows(np.arange(rows), rng.standard_normal((rows, cols)))
+        d.set_rows(keys[:6], rng.standard_normal((6, cols)))
+        d.push_rows(keys, rng.standard_normal((15, cols)))
+        e.push_rows(keys[::-1], rng.standard_normal((15, cols)))
+        out += [e.pull_rows(keys), d.pull_rows(keys[::-1]),
+                d.pull_rows(np.empty(0, dtype=np.int64)), e.to_numpy(),
+                d.to_numpy(), e.dot(keys, keys[::-1]),
+                d.dot(keys[:5], keys[5:10])]
+        e.rank_one_update(keys, rng.integers(0, rows, 15),
+                          rng.standard_normal(15))
+        d.rank_one_update(keys[:4], keys[4:8], rng.standard_normal(4))
+        out += [e.to_numpy(), d.to_numpy(), d.psfunc(VectorSum(0))]
+        for m in w:
+            m.set_rows(np.arange(6), rng.standard_normal((6, cols)))
+
+        def step_all():
+            for m in w:
+                m.apply_gradients(rng.standard_normal((6, cols)))
+            for m in dense:
+                m.apply_gradients(rng.standard_normal(m.shape))
+
+        step_all()
+        t.push(table_block({int(u): sorted(set(rng.integers(0, 40, 5)))
+                            for u in rng.permutation(40)[:25]}))
+        probe = rng.integers(0, 40, 30)
+        out += [t.get(probe), t.degrees(probe)]
+        ps.checkpoint_all()
+        step_all()
+        step_all()
+        t.remove(table_block({int(u): [int(u) % 7, 3] for u in probe[:9]}))
+        out += [t.get(probe), t.num_vertices()]
+        ps.kill_server(1 % servers)
+        ps.recover("relaxed")
+        # The recovered server's shards are a checkpoint behind: their
+        # Adam step counts are 1 where the others' are 3.
+        step_all()
+        if p >= 3:
+            seen = [0]
+
+            def injector(endpoint, method):
+                if seen[0] == 2 and ps.servers[2].container.alive:
+                    ps.kill_server(2)
+                seen[0] += 1
+                return 0.0
+
+            spark.rpc.fault_injector = injector
+            w[3].apply_gradients(rng.standard_normal((6, cols)))
+            spark.rpc.fault_injector = None
+        step_all()
+        t.drop(probe[::3])
+        t.compact()
+        out += [m.to_numpy() for m in w + dense]
+        out += [t.get(np.arange(40)), t.num_vertices()]
+
+        def work(it):
+            ids = np.array(list(it), dtype=np.int64)
+            mixed = np.concatenate([ids[::-1], ids[:2]])
+            got = e.pull_rows(mixed)
+            e.push_rows(mixed, got * 0.25)
+            dots = e.dot(mixed, ids[:1].repeat(len(mixed)))
+            e.rank_one_update(ids, ids[::-1], np.full(len(ids), 0.01))
+            w[3].apply_gradients(np.ones((6, cols)) * float(ids[0]))
+            w[0].apply_gradients(np.full((6, cols), 0.5))
+            dense[0].apply_gradients(np.ones((13, 3)))
+            t.push(table_block({int(u): [int(u) + 1] for u in ids}))
+            return got, dots, w[2].to_numpy(), t.get(mixed)
+
+        out += spark.parallelize(range(rows), 4).foreach_partition(work)
+        out += [e.to_numpy(), d.to_numpy()]
+        out += [m.to_numpy() for m in w + dense]
+        return _observed(spark, ps, tracer, out)
+    finally:
+        ps.stop()
+        spark.stop()
+
+
+COLUMN_CELLS = [(3, 1), (3, 3), (3, 5), (3, 30), (30, 5), (30, 30)]
+
+#: Computed at commit ``a4f296a`` (every column shard, optimizer step,
+#: psFunc and table write executed by its ``PSServer`` handler).
+COLUMN_PINS = {
+    (3, 1):
+        ('b2004e0ef827ef50', 30.003921372000004, (30.002415280800005, 30.002414352, 30.002414352), '9e9732009fd54007', (2800, 0, 0), '471feaed131a43a6'),
+    (3, 3):
+        ('f457119ff29e21de', 60.00417042139999, (60.002914118600025, 60.00291408500003, 60.00291395059998), 'a91face81280a74c', (1536, 1512, 1080), '237cfd27f5a331d4'),
+    (3, 5):
+        ('a626ecfbaf017840', 60.004202755300014, (60.00294339649996, 60.00294339989998, 60.0029431871), '61509d20eb15ef62', (2040, 2208, 1280), 'b1b6f0be2add73b1'),
+    (3, 30):
+        ('14b6e56d642d8246', 60.004603819399975, (60.00331210759996, 60.00331206859995, 60.00331208599998), '91220911ead058ef', (7432, 7144, 7104), '21fe3399487b97e9'),
+    (30, 5):
+        ('4179168304cd26b0', 60.00687699580003, (60.005618949800045, 60.005618947600055, 60.00561897400005, 60.00561878540001, 60.00561879060002, 60.00561855180005, 60.00561855180005, 60.00561855180005, 60.00561855180005, 60.00561855180005, 60.00561855180005, 60.00561855180005, 60.00561855180005, 60.00561855180005, 60.00561855180005, 60.00561855180005, 60.00561855180005, 60.00561855180005, 60.00561855180005, 60.00561855180005, 60.00561855180005, 60.00561855180005, 60.00561855180005, 60.00561855180005, 60.00561855180005, 60.00561855180005, 60.00561855180005, 60.00561855180005, 60.00561855180005, 60.00561855180005), 'e1ade96b8fa30176', (1184, 1248, 1280, 864, 952, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0), '8696ce8c782b79e0'),
+    (30, 30):
+        ('330d664099ceb057', 60.00695901340003, (60.005678666800065, 60.00567866600006, 60.00567868720007, 60.005678689800064, 60.00567869000006, 60.005678687800064, 60.00567869000006, 60.005678687000064, 60.00567868960007, 60.00567868960007, 60.00567868660006, 60.00567868340006, 60.00567868500006, 60.00567865420007, 60.00567865220007, 60.005678495400026, 60.005678495400026, 60.00567849740003, 60.00567849700003, 60.005678495400026, 60.00567849500003, 60.00567849520003, 60.00567849600003, 60.00567849540003, 60.00567849580003, 60.00567849500003, 60.00567849600003, 60.00567849600003, 60.00567849600003, 60.00567849500003), 'aaedef366b8bac5a', (1048, 1032, 936, 992, 992, 1024, 1016, 960, 1048, 1048, 936, 920, 968, 944, 888, 456, 456, 512, 504, 456, 440, 488, 496, 440, 488, 440, 496, 496, 496, 440), '5cf52a1b6bc1b9a7'),
+}
+
+
+@pytest.mark.parametrize("cell", COLUMN_CELLS, ids=str)
+def test_column_ops_match_parent_pin(cell):
+    assert run_column_cell(*cell) == COLUMN_PINS[cell]
+
+
+def run_graphsage_cell(servers: int):
+    """A small GraphSage run (Adam on column-sharded weights): its stats,
+    with the sim-time, memory and span observables of the PS cells."""
+    from repro.core.algorithms.graphsage import GraphSage
+    from repro.datasets.generators import community_graph, vertex_features
+
+    tracer = Tracer()
+    ctx = PSGraphContext(ClusterConfig(
+        num_executors=3, executor_mem_bytes=1 << 40,
+        num_servers=servers, server_mem_bytes=1 << 40,
+    ), tracer=tracer)
+    try:
+        src, dst, comm = community_graph(120, 3, avg_degree=8, mixing=0.05,
+                                         seed=31)
+        feats, labels = vertex_features(comm, 6, 3, noise=0.8, seed=32)
+        edges = edges_from_arrays(ctx.spark, src, dst, num_partitions=3)
+        result = GraphSage(feats, labels, hidden=8, fanouts=(4, 3),
+                           epochs=2, batch_size=16, seed=3).transform(
+                               ctx, edges)
+        out = [sorted((k, v) for k, v in result.stats.items())]
+        return _observed(ctx.spark, ctx.ps, tracer, out)
+    finally:
+        ctx.stop()
+
+
+#: Computed at commit ``a4f296a``.
+GRAPHSAGE_PINS = {
+    2:
+        ('699a8df025b92517', 0.007032306466666668, (0.006184109666666669, 0.00618411326666667), 'acdbf2bd68c9b169', (7912, 8064), 'd6b3652e0d868b4c'),
+    5:
+        ('d01dc04e4974a692', 0.006984735266666667, (0.0061432310666666694, 0.00614322026666667, 0.006143238866666667, 0.006143183666666667, 0.006143210466666668), '0b0421bde8d42153', (3312, 3400, 3400, 2960, 2952), '7d74595554e4b47a'),
+}
+
+
+@pytest.mark.parametrize("servers", [2, 5])
+def test_graphsage_matches_parent_pin(servers):
+    assert run_graphsage_cell(servers) == GRAPHSAGE_PINS[servers]
+
+
+def run_line_cell(order: int, servers: int):
+    """A small LINE run: server-side dots and rank-one updates on column
+    shards of widths 3 and 4 (or 2 and 3), degree^0.75 negatives."""
+    from repro.core.algorithms.line import Line
+
+    tracer = Tracer()
+    ctx = PSGraphContext(ClusterConfig(
+        num_executors=3, executor_mem_bytes=1 << 40,
+        num_servers=servers, server_mem_bytes=1 << 40,
+    ), tracer=tracer)
+    try:
+        src, dst = powerlaw_graph(300, 1500, seed=13)
+        edges = edges_from_arrays(ctx.spark, src, dst, num_partitions=3)
+        result = Line(dim=10, order=order, negative=3, epochs=2,
+                      batch_size=128, seed=5).transform(ctx, edges)
+        out = [result.output.collect(), result.stats["epoch_losses"],
+               result.stats["epoch_sim_times"]]
+        return _observed(ctx.spark, ctx.ps, tracer, out)
+    finally:
+        ctx.stop()
+
+
+#: Computed at commit ``a4f296a`` (negatives from ``rng.choice(n, size,
+#: p=noise_p)`` per batch).
+LINE_PINS = {
+    (1, 3):
+        ('f69b4ad9dbb11d19', 0.004538930399999999, (0.004143084, 0.0041430239999999995, 0.0041430239999999995), '5c5f2d0c444d947f', (9632, 7224, 7224), '5a545ee50382a5dd'),
+    (2, 4):
+        ('696bc6e4454700fd', 0.0047310704, (0.004335164, 0.004335164, 0.004335104, 0.004335104), '154cee8d7b407ead', (7224, 7224, 4816, 4816), '082e25e5e96bce1f'),
+}
+
+
+@pytest.mark.parametrize("cell", [(1, 3), (2, 4)], ids=str)
+def test_line_matches_parent_pin(cell):
+    assert run_line_cell(*cell) == LINE_PINS[cell]
+
+
 def test_every_cell_is_pinned():
     assert set(PINS) == {(a, g, p) for a in ALGOS for g, p in CELLS}
 
@@ -420,3 +656,9 @@ if __name__ == "__main__":
         print(f"    {p}: {run_fast_unfolding_cell(p)!r},")
     for cell in PS_OPS_CELLS:
         print(f"    {cell!r}:\n        {run_ps_ops_cell(*cell)!r},")
+    for cell in COLUMN_CELLS:
+        print(f"    {cell!r}:\n        {run_column_cell(*cell)!r},")
+    for servers in (2, 5):
+        print(f"    {servers}:\n        {run_graphsage_cell(servers)!r},")
+    for cell in [(1, 3), (2, 4)]:
+        print(f"    {cell!r}:\n        {run_line_cell(*cell)!r},")

@@ -11,9 +11,8 @@ Three layers enforce this:
 
 * :mod:`repro.lint.engine` + :mod:`repro.lint.rules` — an AST-based static
   pass (rules SIM001..SIM005) with ``# repro-lint: disable=RULE``
-  suppressions and JSON / human output — plus a flow-sensitive tier
-  (:mod:`repro.lint.cfg`, :mod:`repro.lint.dataflow`,
-  :mod:`repro.lint.rules_flow`: rules SIM101 and SIM103).
+  suppressions and JSON / human output — plus a flow-sensitive rule
+  (:mod:`repro.lint.cfg`, :mod:`repro.lint.rules_flow`: SIM101).
 * :mod:`repro.lint.dynamic` — a determinism harness that runs a workload
   twice with the same seed and diffs metrics snapshots and obs span
   sequences (``--strict`` fails on any float drift).
@@ -34,7 +33,6 @@ from repro.lint.engine import (
 )
 from repro.lint.rules import RULES, Rule, all_rules, get_rules
 from repro.lint.cfg import CFG, build_cfg, cfg_for_source
-from repro.lint.dataflow import FunctionSummary, ProgramIndex, build_index
 from repro.lint.dynamic import (
     DeterminismReport,
     RunSnapshot,
@@ -62,9 +60,6 @@ __all__ = [
     "CFG",
     "build_cfg",
     "cfg_for_source",
-    "FunctionSummary",
-    "ProgramIndex",
-    "build_index",
     "RULES",
     "Rule",
     "all_rules",

@@ -1,10 +1,9 @@
 """Per-function control-flow graphs with reaching definitions.
 
-The SIM1xx rule family (:mod:`repro.lint.rules_flow`) needs more than a
-syntactic AST walk: "is metering charged on *every* path", "which
-definition does this captured name see", "can this resource reach the
-function exit without a release".  This module provides the three pieces
-those questions reduce to:
+SIM101 (:mod:`repro.lint.rules_flow`) needs more than a syntactic AST
+walk: "which definitions may this captured name see at the call", and
+"is the name rebound on some path after the closure is created".  This
+module provides the pieces those questions reduce to:
 
 * :func:`build_cfg` — a statement-level control-flow graph for one
   function (or lambda), covering branches, ``while``/``for`` loops with
@@ -12,19 +11,18 @@ those questions reduce to:
   ``with`` blocks, ``return`` and ``raise``.
 * :meth:`CFG.reaching_definitions` — the classic forward may-analysis:
   for every node, the set of definitions (name, node) that may reach it.
-* :meth:`CFG.use_defs` — use-def chains derived from the reaching sets:
-  for every ``Name`` load in a node, the definitions it may observe.
+* :meth:`CFG.exists_path` — whether one node can reach another.
 
 Design choices, deliberately documented because they bound what the
-rules can claim:
+rule can claim:
 
 * Nodes are *statements* (plus synthetic entry/exit and loop-test
   nodes), not basic blocks.  The functions under analysis are tens of
   statements; simplicity beats constant factors.
 * Only **explicit** control flow creates edges.  An arbitrary expression
   may raise, but modelling every call as a potential jump to the
-  function exit would fabricate a "path" around any metering or release
-  statement and drown the path-sensitive rules in false positives.
+  function exit would fabricate a "path" from every call to the exit
+  and drown the path queries in false positives.
   ``try`` bodies are the exception: every statement in a ``try`` gets an
   edge to each handler, because catching is the stated intent.
 * ``while True:`` (any constant-true test) has no fall-through exit
@@ -33,8 +31,8 @@ rules can claim:
   infinite loop is exactly the kind of noise the previous point avoids.
 * ``return``/``raise``/``break``/``continue`` inside a ``try`` with a
   ``finally`` route *through* the finally suite — there is no edge that
-  skips it — so a release in a ``finally`` dominates early exits the
-  way it does at runtime.  The price is a mild over-approximation: the
+  skips it — so a ``finally`` suite dominates early exits the way it
+  does at runtime.  The price is a mild over-approximation: the
   finally suite's exits fan out to every pending jump target as well as
   the normal continuation.
 """
@@ -89,10 +87,6 @@ class CFG:
         self.nodes: List[CFGNode] = []
         self.succ: Dict[int, List[int]] = {}
         self.pred: Dict[int, List[int]] = {}
-        #: (a, b) -> "true" | "false" for edges leaving an If test on a
-        #: known branch; edges carrying both polarities (empty branch)
-        #: or unrelated flow are absent.
-        self.edge_labels: Dict[Tuple[int, int], str] = {}
         self.entry = self._add(ENTRY, None, "ENTRY")
         self.exit = self._add(EXIT, None, "EXIT")
 
@@ -105,32 +99,21 @@ class CFG:
         self.pred[idx] = []
         return idx
 
-    def _edge(self, a: int, b: int, label: str | None = None) -> None:
+    def _edge(self, a: int, b: int) -> None:
         if b not in self.succ[a]:
             self.succ[a].append(b)
             self.pred[b].append(a)
-            if label is not None:
-                self.edge_labels[(a, b)] = label
-        elif label is not None \
-                and self.edge_labels.get((a, b), label) != label:
-            # Same edge reached on both branches (e.g. empty body):
-            # polarity is meaningless, drop the label.
-            self.edge_labels.pop((a, b), None)
 
     # -- queries -------------------------------------------------------
 
     def reachable_from(self, start: int,
-                       avoiding: Iterable[int] = (),
-                       avoiding_edges: Iterable[Tuple[int, int]] = (),
-                       ) -> Set[int]:
-        """Node ids reachable from ``start`` without entering ``avoiding``
-        or traversing an edge in ``avoiding_edges``.
+                       avoiding: Iterable[int] = ()) -> Set[int]:
+        """Node ids reachable from ``start`` without entering ``avoiding``.
 
         ``start`` itself is included (unless it is avoided); traversal
         never passes *through* an avoided node.
         """
         blocked = set(avoiding)
-        cut = set(avoiding_edges)
         if start in blocked:
             return set()
         seen = {start}
@@ -138,29 +121,9 @@ class CFG:
         while stack:
             n = stack.pop()
             for s in self.succ[n]:
-                if s not in seen and s not in blocked \
-                        and (n, s) not in cut:
+                if s not in seen and s not in blocked:
                     seen.add(s)
                     stack.append(s)
-        return seen
-
-    def reaches(self, target: int, avoiding: Iterable[int] = (),
-                avoiding_edges: Iterable[Tuple[int, int]] = (),
-                ) -> Set[int]:
-        """Node ids from which ``target`` is reachable, avoiding a set."""
-        blocked = set(avoiding)
-        cut = set(avoiding_edges)
-        if target in blocked:
-            return set()
-        seen = {target}
-        stack = [target]
-        while stack:
-            n = stack.pop()
-            for p in self.pred[n]:
-                if p not in seen and p not in blocked \
-                        and (p, n) not in cut:
-                    seen.add(p)
-                    stack.append(p)
         return seen
 
     def exists_path(self, start: int, end: int,
@@ -208,21 +171,6 @@ class CFG:
                     changed = True
         return in_sets
 
-    def use_defs(self) -> Dict[int, Dict[str, Set[int]]]:
-        """For each node: loaded name -> node ids of its reaching defs."""
-        in_sets = self.reaching_definitions()
-        out: Dict[int, Dict[str, Set[int]]] = {}
-        for node in self.nodes:
-            uses = _used_at(node)
-            if not uses:
-                continue
-            chains: Dict[str, Set[int]] = {}
-            for name in uses:
-                sites = {idx for (n, idx) in in_sets[node.idx] if n == name}
-                chains[name] = sites
-            out[node.idx] = chains
-        return out
-
     # -- debugging / golden files -------------------------------------
 
     def dump(self) -> str:
@@ -239,7 +187,7 @@ class CFG:
 
 
 # ----------------------------------------------------------------------
-# name binding / use extraction per node
+# name binding per node
 # ----------------------------------------------------------------------
 
 
@@ -291,55 +239,6 @@ def _bound_at(node: CFGNode) -> List[str]:
     return []
 
 
-def _used_at(node: CFGNode) -> Set[str]:
-    """Names loaded while evaluating this node (nested scopes excluded)."""
-    stmt = node.stmt
-    if stmt is None:
-        return set()
-    # Only the parts evaluated *at* this node: the builder splits
-    # tests/iters/with-items into their own nodes, so a compound
-    # statement's condition is never re-attributed to its body.
-    roots: List[ast.AST]
-    if node.kind == TEST:
-        roots = [stmt.test]  # type: ignore[attr-defined]
-    elif node.kind == ITER:
-        roots = [stmt.iter]  # type: ignore[attr-defined]
-    elif node.kind == WITH and isinstance(stmt, ast.withitem):
-        roots = [stmt.context_expr]
-    elif node.kind == EXCEPT and isinstance(stmt, ast.ExceptHandler):
-        roots = [stmt.type] if stmt.type else []
-    elif isinstance(stmt, ast.arguments):
-        roots = [d for d in stmt.defaults + list(stmt.kw_defaults)
-                 if d is not None]
-    else:
-        roots = [stmt]
-    used: Set[str] = set()
-    for root in roots:
-        for sub in _walk_same_scope(root):
-            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
-                used.add(sub.id)
-    return used
-
-
-def _walk_same_scope(root: ast.AST):
-    """``ast.walk`` that does not descend into nested function scopes.
-
-    Free names *inside* a nested def/lambda are still uses of the outer
-    scope at the point of closure creation, but treating every inner
-    local as an outer use would wreck the chains; rules that care about
-    captures resolve them explicitly.
-    """
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        yield node
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.Lambda)):
-                continue
-            stack.append(child)
-
-
 # ----------------------------------------------------------------------
 # CFG construction
 # ----------------------------------------------------------------------
@@ -365,11 +264,6 @@ class _Builder:
         self.fin_pending: List[List[_Jump]] = []
         #: handler-head nodes of enclosing try bodies, for raise edges.
         self.handlers: List[List[int]] = []
-        #: If-test node -> label for its *next* outgoing edge.  Set to
-        #: "true" before the then-suite is built and "false" before the
-        #: else-suite (or left as "false" so the fall-through edge to the
-        #: join point is labelled when it is eventually created).
-        self._branch_pending: Dict[int, str] = {}
 
     # Every build method takes the node ids that flow *into* the construct
     # and returns the ids that flow *out* of it (its normal exits).
@@ -382,7 +276,7 @@ class _Builder:
 
     def _link(self, frontier: List[int], node: int) -> None:
         for f in frontier:
-            self.cfg._edge(f, node, self._branch_pending.pop(f, None))
+            self.cfg._edge(f, node)
 
     def _maybe_raise_edges(self, node: int) -> None:
         """Inside a try body, any statement may jump to the handlers."""
@@ -412,15 +306,9 @@ class _Builder:
             test = cfg._add(TEST, stmt, f"if L{stmt.lineno}")
             self._link(frontier, test)
             self._maybe_raise_edges(test)
-            self._branch_pending[test] = "true"
             then_out = self.body(stmt.body, [test])
-            self._branch_pending[test] = "false"
-            if stmt.orelse:
-                else_out = self.body(stmt.orelse, [test])
-            else:
-                # Leave the pending "false": the fall-through edge to
-                # whatever joins after this If consumes it.
-                else_out = [test]
+            else_out = self.body(stmt.orelse, [test]) if stmt.orelse \
+                else [test]
             return then_out + else_out
 
         if isinstance(stmt, ast.While):

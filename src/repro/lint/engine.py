@@ -26,11 +26,10 @@ import re
 from pathlib import Path, PurePosixPath
 from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
-from repro.lint.dataflow import ProgramIndex
 from repro.lint.rules import Rule, Violation, all_rules
 
-# Importing the flow rules registers SIM101 and SIM103 alongside the
-# syntactic rules, so every engine user sees the full rule set.
+# Importing the flow rules registers SIM101 alongside the syntactic
+# rules, so every engine user sees the full rule set.
 import repro.lint.rules_flow  # noqa: F401  (registration side effect)
 
 #: Matches one suppression comment; group 1 = "disable" | "disable-file",
@@ -100,8 +99,7 @@ class LintEngine:
             else all_rules()
 
     def lint_source(self, source: str, relpath: str,
-                    display_path: str | None = None,
-                    program: ProgramIndex | None = None) -> List[Violation]:
+                    display_path: str | None = None) -> List[Violation]:
         """Lint one module given as text.
 
         Args:
@@ -109,31 +107,18 @@ class LintEngine:
             relpath: package-relative path used for rule scoping.
             display_path: path to report in violations (defaults to
                 ``relpath``).
-            program: shared cross-module summaries for the flow rules;
-                when omitted each flow rule builds a one-module index.
         """
         shown = display_path if display_path is not None else relpath
         try:
             tree = ast.parse(source)
         except SyntaxError as exc:
             return [_syntax_violation(shown, exc)]
-        return self.lint_parsed(tree, source, relpath, shown, program)
-
-    def lint_parsed(self, tree: ast.AST, source: str, relpath: str,
-                    shown: str,
-                    program: ProgramIndex | None = None) -> List[Violation]:
-        """Lint an already-parsed module."""
         file_wide, per_line = _parse_suppressions(source)
         out: List[Violation] = []
         for rule in self.rules:
             if not rule.applies_to(relpath):
                 continue
-            if program is not None \
-                    and getattr(rule, "needs_program", False):
-                raw = rule.check_flow(tree, relpath, program)
-            else:
-                raw = rule.check(tree, relpath)
-            for v in raw:
+            for v in rule.check(tree, relpath):
                 v = Violation(v.rule_id, shown, v.line, v.col, v.message)
                 if not _suppressed(v, file_wide, per_line):
                     out.append(v)
@@ -162,35 +147,13 @@ def iter_python_files(paths: Iterable[str | Path]) -> List[Tuple[Path, Path]]:
 
 def lint_paths(paths: Iterable[str | Path],
                rules: Sequence[Rule] | None = None) -> List[Violation]:
-    """Lint every ``.py`` file under ``paths``; returns all violations.
-
-    Two phases: first every module is parsed and summarized into one
-    shared :class:`ProgramIndex`, then each module is checked against
-    the resolved index — so the flow rules see callees across file
-    boundaries.
-    """
+    """Lint every ``.py`` file under ``paths``; returns all violations."""
     engine = LintEngine(rules)
-    program = ProgramIndex()
-    modules: List[Tuple[ast.AST | Violation, str, str, str]] = []
-    for path, root in iter_python_files(paths):
-        source = path.read_text(encoding="utf-8")
-        relpath = module_relpath(path, root)
-        parsed: ast.AST | Violation
-        try:
-            parsed = ast.parse(source)
-        except SyntaxError as exc:
-            parsed = _syntax_violation(str(path), exc)
-        else:
-            program.add_module(relpath, parsed)
-        modules.append((parsed, source, relpath, str(path)))
-    program.resolve()
     violations: List[Violation] = []
-    for parsed, source, relpath, shown in modules:
-        if isinstance(parsed, Violation):
-            violations.append(parsed)
-        else:
-            violations.extend(
-                engine.lint_parsed(parsed, source, relpath, shown, program))
+    for path, root in iter_python_files(paths):
+        violations.extend(engine.lint_source(
+            path.read_text(encoding="utf-8"), module_relpath(path, root),
+            str(path)))
     return violations
 
 

@@ -1,24 +1,16 @@
-"""Flow-sensitive lint rules SIM101 and SIM103.
+"""Flow-sensitive lint rule SIM101: closure-capture safety.
 
-Where the SIM0xx rules pattern-match single expressions, this family
-reasons over the control-flow graphs of :mod:`repro.lint.cfg` and the
-interprocedural summaries of :mod:`repro.lint.dataflow`:
+Where the SIM0xx rules pattern-match single expressions, SIM101 reasons
+over the control-flow graph and reaching definitions of
+:mod:`repro.lint.cfg`: a closure shipped to ``map``/``filter``-family
+RDD methods must not capture a ``SparkContext``/``PSContext``, an open
+resource, or a name that is rebound after the closure is created (the
+late-binding trap: a lazy engine runs the closure at the action, not
+where it was written).
 
-* **SIM101** — closure-capture safety for RDD operations: a closure
-  shipped to ``map``/``filter``-family methods must not capture a
-  ``SparkContext``/``PSContext``, an open resource, or a name that is
-  rebound after the closure is created (the late-binding trap: a lazy
-  engine runs the closure at the action, not where it was written).
-* **SIM103** — metering contract: inside the sim subsystems, a function
-  that moves bytes (file/socket IO, pickling, numpy materializations —
-  directly or via a callee) must charge ``TaskCost`` / a sim clock /
-  a metering span on **every** path from entry to exit.
-
-Both report through the same :class:`~repro.lint.rules.Violation`
-machinery, honour ``# repro-lint: disable=...`` suppressions, and run
-from the same CLI; the engine supplies a shared
-:class:`~repro.lint.dataflow.ProgramIndex` when linting a whole tree so
-summaries cross file boundaries.
+It reports through the same :class:`~repro.lint.rules.Violation`
+machinery as the syntactic rules, honours ``# repro-lint: disable=...``
+suppressions, and runs from the same CLI.
 """
 
 from __future__ import annotations
@@ -26,29 +18,9 @@ from __future__ import annotations
 import ast
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.lint.cfg import (
-    CFG,
-    EXCEPT,
-    ITER,
-    TEST,
-    WITH,
-    _walk_same_scope,
-    build_cfg,
-)
-from repro.lint.dataflow import (
-    CHARGES_METERING,
-    MOVES_BYTES,
-    ProgramIndex,
-    annotated_param_types,
-    _METERING_CALLS,
-    _iter_functions,
-    _module_class_map,
-    _moves_bytes,
-    build_index,
-)
+from repro.lint.cfg import CFG, EXCEPT, ITER, TEST, WITH, build_cfg
 from repro.lint.rules import (
     Rule,
-    SIM_SUBSYSTEMS,
     Violation,
     _RDD_METHODS,
     _bound_names,
@@ -57,25 +29,6 @@ from repro.lint.rules import (
     _resolve,
     register,
 )
-
-
-class FlowRule(Rule):
-    """A rule that needs CFGs and (optionally) whole-program summaries.
-
-    The engine calls :meth:`check_flow` with a shared
-    :class:`ProgramIndex` covering every linted module; the plain
-    :meth:`check` entry point still works for single-file use and
-    builds a one-module index on the fly.
-    """
-
-    needs_program = True
-
-    def check(self, tree: ast.AST, relpath: str) -> List[Violation]:
-        return self.check_flow(tree, relpath, build_index([(relpath, tree)]))
-
-    def check_flow(self, tree: ast.AST, relpath: str,
-                   program: ProgramIndex) -> List[Violation]:
-        raise NotImplementedError
 
 
 # ----------------------------------------------------------------------
@@ -213,7 +166,7 @@ def _annotation_name(func: ast.FunctionDef | ast.AsyncFunctionDef,
 
 
 @register
-class ClosureCaptureRule(FlowRule):
+class ClosureCaptureRule(Rule):
     """SIM101: RDD closures must capture only stable, shippable values."""
 
     id = "SIM101"
@@ -222,12 +175,12 @@ class ClosureCaptureRule(FlowRule):
                    "resource, or a name rebound after creation (unsafe "
                    "under lazy evaluation)")
 
-    def check_flow(self, tree: ast.AST, relpath: str,
-                   program: ProgramIndex) -> List[Violation]:
+    def check(self, tree: ast.AST, relpath: str) -> List[Violation]:
         aliases = _import_aliases(tree)
         out: List[Violation] = []
-        for func, _cls in _iter_functions(tree):
-            out.extend(self._check_function(func, relpath, aliases))
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                out.extend(self._check_function(func, relpath, aliases))
         return out
 
     def _check_function(self, func: ast.FunctionDef, relpath: str,
@@ -313,274 +266,3 @@ class ClosureCaptureRule(FlowRule):
                 "whichever value is current when it finally runs — bind "
                 "it via a default argument or a local", relpath)
         return None
-
-
-# ----------------------------------------------------------------------
-# SIM103 — metering contract
-# ----------------------------------------------------------------------
-
-
-def _call_full(call: ast.Call, aliases: Dict[str, str]) -> Optional[str]:
-    dotted = _dotted(call.func)
-    return _resolve(dotted, aliases) if dotted is not None else None
-
-
-#: Parameter names that identify a cost accumulator / task context.
-_COST_PARAMS = {"cost", "tctx", "task_cost", "taskctx"}
-
-#: Annotations that identify metering capability.
-_COST_ANNOTATIONS = {"TaskCost", "TaskContext"}
-
-
-def _has_metering_capability(func: ast.FunctionDef) -> bool:
-    """Whether ``func`` is a party to the metering contract.
-
-    A function that receives a cost accumulator / task context, consults
-    the cost model, or charges anywhere has opted into the metering
-    regime: byte-moving work on an uncharged path is then a broken
-    contract.  A pure math helper with no access to any accumulator
-    cannot charge — its *callers* hold the obligation, and the
-    ``moves_bytes`` effect propagates up to them through the summaries.
-    """
-    args = func.args
-    for a in args.posonlyargs + args.args + args.kwonlyargs:
-        if a.arg in _COST_PARAMS:
-            return True
-        if a.annotation is not None:
-            ann = _dotted(a.annotation)
-            if ann and ann.rsplit(".", 1)[-1] in _COST_ANNOTATIONS:
-                return True
-    for node in ast.walk(func):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
-                and node is not func:
-            continue
-        if isinstance(node, ast.Name) \
-                and node.id in ("cost_model", "tctx", "cost"):
-            return True
-        if isinstance(node, ast.Attribute) \
-                and node.attr in ("cost_model", "cost"):
-            return True
-        if isinstance(node, ast.Call):
-            dotted = _dotted(node.func)
-            if dotted and dotted.rsplit(".", 1)[-1] \
-                    == "current_task_context":
-                return True
-    return False
-
-
-def _passes_cost_accumulator(call: ast.Call) -> bool:
-    """Whether a call hands its cost accumulator to the callee.
-
-    ``shuffle.read(..., tctx.cost, ...)`` delegates metering — the
-    callee charges on the caller's accumulator — so the call site
-    satisfies the contract on its path.
-    """
-    for arg in list(call.args) + [kw.value for kw in call.keywords]:
-        if isinstance(arg, ast.Name) \
-                and (arg.id in ("cost", "tctx")
-                     or arg.id.endswith("_cost")):
-            return True
-        if isinstance(arg, ast.Attribute) and arg.attr == "cost":
-            return True
-    return False
-
-
-#: Conventional names for the current task context.
-_TCTX_NAMES = {"tctx", "task_ctx", "taskctx"}
-
-
-def _none_guard_shape(test: ast.AST) -> Tuple[Optional[str], str]:
-    """Decompose a None-guard test: (guarded name, vacuous branch label).
-
-    The *vacuous* branch is the one taken when the guarded value is
-    None — i.e. when there is no task context to charge.
-    """
-    if isinstance(test, ast.Compare) and len(test.ops) == 1 \
-            and isinstance(test.comparators[0], ast.Constant) \
-            and test.comparators[0].value is None \
-            and isinstance(test.left, ast.Name):
-        if isinstance(test.ops[0], ast.Is):
-            return test.left.id, "true"
-        if isinstance(test.ops[0], ast.IsNot):
-            return test.left.id, "false"
-    if isinstance(test, ast.Name):
-        return test.id, "false"
-    if isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not) \
-            and isinstance(test.operand, ast.Name):
-        return test.operand.id, "true"
-    return None, ""
-
-
-def _is_task_context(cfg: CFG, in_sets, idx: int, name: str,
-                     aliases: Dict[str, str]) -> bool:
-    """Whether ``name`` at node ``idx`` holds the current task context."""
-    if name in _TCTX_NAMES:
-        return True
-    defs = {d for (n, d) in in_sets[idx] if n == name}
-    if not defs:
-        return False
-    for d in defs:
-        value = _def_value(cfg.nodes[d].stmt, name)
-        if not isinstance(value, ast.Call):
-            return False
-        full = _call_full(value, aliases)
-        if not (full and full.rsplit(".", 1)[-1]
-                == "current_task_context"):
-            return False
-    return True
-
-
-def _vacuous_guard_edges(cfg: CFG,
-                         aliases: Dict[str, str]
-                         ) -> Set[Tuple[int, int]]:
-    """Edges entering the context-is-None branch of a task-ctx guard.
-
-    ``charge_primitive_compute`` and friends are documented no-ops when
-    ``current_task_context()`` is None (driver-side execution, where
-    there is no accumulator to charge).  A path through the None branch
-    of ``if tctx is not None: <charge>`` is therefore vacuously
-    compliant, not an unmetered path — cutting these edges keeps SIM103
-    focused on paths where a context exists and is never charged.
-    """
-    candidates = [
-        n for n in cfg.nodes
-        if n.kind == TEST and isinstance(n.stmt, ast.If)
-        and _none_guard_shape(n.stmt.test)[0] is not None
-    ]
-    if not candidates:
-        return set()
-    in_sets = cfg.reaching_definitions()
-    cut: Set[Tuple[int, int]] = set()
-    for node in candidates:
-        name, vacuous = _none_guard_shape(node.stmt.test)
-        if not _is_task_context(cfg, in_sets, node.idx, name, aliases):
-            continue
-        for s in cfg.succ[node.idx]:
-            if cfg.edge_labels.get((node.idx, s)) == vacuous:
-                cut.add((node.idx, s))
-    return cut
-
-
-@register
-class MeteringContractRule(FlowRule):
-    """SIM103: byte-moving sim-subsystem code must charge the cost model."""
-
-    id = "SIM103"
-    name = "metering-contract"
-    description = ("metering-party function moves bytes (IO / pickling / "
-                   "numpy materialization) on a path that never charges "
-                   "TaskCost, a sim clock, or a metering span")
-    scope = SIM_SUBSYSTEMS
-    exempt = ("cli.py",)
-
-    def check_flow(self, tree: ast.AST, relpath: str,
-                   program: ProgramIndex) -> List[Violation]:
-        program.resolve()
-        aliases = _import_aliases(tree)
-        class_map = _module_class_map(relpath, tree)
-        out: List[Violation] = []
-        for func, cls in _iter_functions(tree):
-            if not _has_metering_capability(func):
-                continue
-            ptypes = annotated_param_types(func, aliases, class_map)
-            out.extend(self._check_function(
-                func, cls, relpath, aliases, program, ptypes))
-        return out
-
-    def _node_roles(self, cfg: CFG, func_cls: Optional[str], relpath: str,
-                    aliases: Dict[str, str], program: ProgramIndex,
-                    ptypes: Dict[str, str],
-                    ) -> Tuple[Dict[int, str], Set[int]]:
-        """Classify nodes: byte movers and metering points."""
-        movers: Dict[int, str] = {}
-        meters: Set[int] = set()
-        for node in cfg.nodes:
-            stmt = node.stmt
-            if stmt is None or isinstance(stmt, ast.arguments):
-                continue
-            if node.kind in (TEST, ITER):
-                roots: List[ast.AST] = [stmt.test if node.kind == TEST
-                                        else stmt.iter]  # type: ignore
-            elif node.kind == WITH and isinstance(stmt, ast.withitem):
-                roots = [stmt.context_expr]
-            elif node.kind == EXCEPT:
-                continue
-            elif isinstance(stmt, (ast.If, ast.While, ast.For,
-                                   ast.AsyncFor, ast.With, ast.AsyncWith,
-                                   ast.Try)):
-                continue
-            elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                   ast.ClassDef)):
-                # A def statement only binds a name; its body runs when
-                # *called* and is analyzed as its own function.
-                continue
-            else:
-                roots = [stmt]
-            charges = False
-            moves: Optional[str] = None
-            for root in roots:
-                for sub in _walk_same_scope(root):
-                    if isinstance(sub, (ast.Assign, ast.AugAssign)):
-                        targets = (sub.targets
-                                   if isinstance(sub, ast.Assign)
-                                   else [sub.target])
-                        for t in targets:
-                            if isinstance(t, ast.Attribute) \
-                                    and t.attr in ("cpu_s", "net_s",
-                                                   "disk_s"):
-                                charges = True
-                    if not isinstance(sub, ast.Call):
-                        continue
-                    full = _call_full(sub, aliases)
-                    moves_here = False
-                    if full:
-                        moves_here = _moves_bytes(full)
-                        tail = full.rsplit(".", 1)[-1]
-                        if tail in _METERING_CALLS:
-                            charges = True
-                    if _passes_cost_accumulator(sub):
-                        charges = True
-                    summary = program.summary_for_call(
-                        sub, relpath, func_cls, aliases, ptypes)
-                    if summary is not None:
-                        if MOVES_BYTES in summary.effects:
-                            moves_here = True
-                        if CHARGES_METERING in summary.effects:
-                            charges = True
-                    if moves_here and moves is None:
-                        moves = full or "<call>"
-            if charges:
-                meters.add(node.idx)
-            elif moves is not None:
-                movers[node.idx] = moves
-        return movers, meters
-
-    def _check_function(self, func: ast.FunctionDef, cls: Optional[str],
-                        relpath: str, aliases: Dict[str, str],
-                        program: ProgramIndex,
-                        ptypes: Dict[str, str]) -> List[Violation]:
-        cfg = build_cfg(func)
-        movers, meters = self._node_roles(cfg, cls, relpath, aliases,
-                                          program, ptypes)
-        if not movers:
-            return []
-        out: List[Violation] = []
-        # A mover is in violation iff some entry->exit path passes it
-        # while touching no metering node at all.  Paths entering the
-        # None branch of a task-context guard are vacuously compliant
-        # (nothing to charge to) and are cut from the search.
-        cut = _vacuous_guard_edges(cfg, aliases)
-        fwd = cfg.reachable_from(cfg.entry, meters, cut)
-        bwd = cfg.reaches(cfg.exit, meters, cut)
-        for idx, what in sorted(movers.items()):
-            if idx in fwd and idx in bwd:
-                node = cfg.nodes[idx]
-                out.append(Violation(
-                    self.id, relpath, node.lineno,
-                    getattr(node.stmt, "col_offset", 0),
-                    f"`{cfg.name}` moves bytes via `{what}(...)` on a "
-                    "path that never charges TaskCost / a sim clock / a "
-                    "metering span; unmetered work is invisible to the "
-                    "cost model",
-                ))
-        return out

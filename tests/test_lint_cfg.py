@@ -1,4 +1,4 @@
-"""Golden-file tests for CFG construction plus the flow queries.
+"""Golden-file tests for CFG construction plus the queries SIM101 uses.
 
 The dumps pin the graph shape for each structured-control construct;
 any builder change that moves an edge shows up as a readable diff of
@@ -138,95 +138,8 @@ def test_while_true_has_no_fall_through():
 
 
 # ----------------------------------------------------------------------
-# branch edge labels
+# path queries
 # ----------------------------------------------------------------------
-
-def test_if_edges_carry_polarity_labels():
-    cfg = cfg_of("""\
-        def f(x):
-            if x > 0:
-                a = 1
-            else:
-                a = 2
-            return a
-    """)
-    test_idx = next(n.idx for n in cfg.nodes if n.kind == "test")
-    then_idx, else_idx = cfg.succ[test_idx]
-    assert cfg.edge_labels[(test_idx, then_idx)] == "true"
-    assert cfg.edge_labels[(test_idx, else_idx)] == "false"
-
-
-def test_elseless_if_labels_fall_through_false():
-    cfg = cfg_of("""\
-        def f(x):
-            if x > 0:
-                a = 1
-            return x
-    """)
-    test_idx = next(n.idx for n in cfg.nodes if n.kind == "test")
-    ret_idx = next(n.idx for n in cfg.nodes
-                   if n.label.startswith("return"))
-    assert cfg.edge_labels[(test_idx, ret_idx)] == "false"
-
-
-def test_empty_polarities_drop_the_label():
-    # `if x: pass` — both branches land on the same join node, so the
-    # single physical edge carries no meaningful polarity.
-    cfg = cfg_of("""\
-        def f(x):
-            if x:
-                pass
-            return x
-    """)
-    test_idx = next(n.idx for n in cfg.nodes if n.kind == "test")
-    ret_idx = next(n.idx for n in cfg.nodes
-                   if n.label.startswith("return"))
-    # The pass statement is its own node, so here the edges differ and
-    # both labels survive; collapse them by hand to exercise the drop.
-    cfg._edge(test_idx, ret_idx, "true")
-    assert (test_idx, ret_idx) not in cfg.edge_labels
-
-
-# ----------------------------------------------------------------------
-# path queries with node / edge cuts
-# ----------------------------------------------------------------------
-
-def test_reachable_from_avoiding_edges_cuts_one_branch():
-    cfg = cfg_of("""\
-        def f(x):
-            if x > 0:
-                a = 1
-            else:
-                a = 2
-            return a
-    """)
-    test_idx = next(n.idx for n in cfg.nodes if n.kind == "test")
-    then_idx = next(s for s in cfg.succ[test_idx]
-                    if cfg.edge_labels.get((test_idx, s)) == "true")
-    cut = {(test_idx, then_idx)}
-    reach = cfg.reachable_from(cfg.entry, avoiding_edges=cut)
-    assert then_idx not in reach
-    assert cfg.exit in reach  # the else branch still gets there
-
-
-def test_reaches_avoiding_edges():
-    cfg = cfg_of("""\
-        def f(n):
-            i = 0
-            while i < n:
-                if i == 3:
-                    break
-                i += 1
-            return i
-    """)
-    break_idx = next(n.idx for n in cfg.nodes
-                     if n.label.startswith("break"))
-    ret_idx = next(n.idx for n in cfg.nodes
-                   if n.label.startswith("return"))
-    bwd = cfg.reaches(cfg.exit, avoiding_edges={(break_idx, ret_idx)})
-    assert break_idx not in bwd  # its only way out was the cut edge
-    assert ret_idx in bwd
-
 
 def test_exists_path_respects_interior_avoid_set():
     cfg = cfg_of("""\
@@ -245,8 +158,13 @@ def test_exists_path_respects_interior_avoid_set():
 
 
 # ----------------------------------------------------------------------
-# reaching definitions / use-def chains
+# reaching definitions
 # ----------------------------------------------------------------------
+
+def reaching(cfg, idx: int, name: str) -> set:
+    """Node ids of the definitions of ``name`` that may reach ``idx``."""
+    return {d for (n, d) in cfg.reaching_definitions()[idx] if n == name}
+
 
 def test_reaching_definitions_merge_at_join():
     cfg = cfg_of("""\
@@ -259,9 +177,8 @@ def test_reaching_definitions_merge_at_join():
     """)
     ret_idx = next(n.idx for n in cfg.nodes
                    if n.label.startswith("return"))
-    chains = cfg.use_defs()[ret_idx]
     # Both branch definitions of `a` may reach the return.
-    assert len(chains["a"]) == 2
+    assert len(reaching(cfg, ret_idx, "a")) == 2
 
 
 def test_loop_carried_definition_reaches_its_own_test():
@@ -273,8 +190,8 @@ def test_loop_carried_definition_reaches_its_own_test():
             return i
     """)
     test_idx = next(n.idx for n in cfg.nodes if n.kind == "test")
-    chains = cfg.use_defs()[test_idx]
-    assert len(chains["i"]) == 2  # initial def and the loop-carried one
+    # The initial def and the loop-carried one.
+    assert len(reaching(cfg, test_idx, "i")) == 2
 
 
 def test_parameters_bind_like_definitions():
@@ -284,22 +201,8 @@ def test_parameters_bind_like_definitions():
     """)
     ret_idx = next(n.idx for n in cfg.nodes
                    if n.label.startswith("return"))
-    chains = cfg.use_defs()[ret_idx]
     params_idx = next(n.idx for n in cfg.nodes if n.label == "params")
-    assert chains["x"] == {params_idx}
-
-
-def test_nested_function_body_is_not_an_outer_use():
-    cfg = cfg_of("""\
-        def f(xs):
-            total = 0
-            g = lambda v: v + hidden
-            return g(xs) + total
-    """)
-    ret_idx = next(n.idx for n in cfg.nodes
-                   if n.label.startswith("return"))
-    chains = cfg.use_defs()[ret_idx]
-    assert "hidden" not in chains  # inside the lambda's scope, not ours
+    assert reaching(cfg, ret_idx, "x") == {params_idx}
 
 
 def test_build_cfg_accepts_lambda():

@@ -55,14 +55,14 @@ def test_missing_path_is_usage_error():
 def test_cli_unknown_rule_lists_known_ids(tmp_path, capsys):
     assert main([str(tmp_path), "--enable", "SIM999"]) == 2
     err = capsys.readouterr().err
-    assert "unknown rule" in err and "SIM103" in err
+    assert "unknown rule" in err and "SIM101" in err
 
 
 def test_cli_list_rules_includes_flow_tier(capsys):
     assert main(["--list-rules"]) == 0
     listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
     assert listed == ["SIM001", "SIM002", "SIM003", "SIM004", "SIM005",
-                      "SIM101", "SIM103"]
+                      "SIM101"]
 
 
 _COMMAND = r"(?:python -m repro\.lint|repro-lint)\s[^`\n]*"

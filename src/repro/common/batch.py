@@ -96,10 +96,14 @@ def sorted_unique(values: np.ndarray) -> np.ndarray:
 def pair_keys(radix: int, first: np.ndarray,
               second: np.ndarray) -> np.ndarray:
     """``first * radix + second``: one sortable integer per pair of
-    non-negative ids (``radix`` above every ``second``)."""
-    if len(first) and int(first.max()) >= (2 ** 63 - radix) // radix:
-        raise PSError("vertex ids too large for pair keys")
-    return first * radix + second
+    non-negative ids (``radix`` above every ``second``).  A negative id
+    would alias another pair's key, so it raises like an oversized one."""
+    if len(first):
+        if int(first.min()) < 0 or int(second.min()) < 0:
+            raise PSError("negative vertex ids have no pair key")
+        if int(first.max()) >= (2 ** 63 - radix) // radix:
+            raise PSError("vertex ids too large for pair keys")
+    return first.astype(np.int64, copy=False) * radix + second
 
 
 def unique_pairs(first: np.ndarray, second: np.ndarray
@@ -111,6 +115,17 @@ def unique_pairs(first: np.ndarray, second: np.ndarray
     radix = int(second.max(initial=0)) + 1
     keys = sorted_unique(pair_keys(radix, first, second))
     return np.divmod(keys, radix)
+
+
+def in_sorted(haystack: np.ndarray, needles: np.ndarray) -> np.ndarray:
+    """Which ``needles`` occur in the ascending ``haystack`` — what
+    ``np.isin(needles, haystack)`` returns, as one ``searchsorted``: isin
+    sorts both sides, through plain ``np.unique``'s hash path on numpy
+    2.4 (see :func:`sorted_unique`)."""
+    if not len(haystack):
+        return np.zeros(len(needles), dtype=bool)
+    pos = np.minimum(np.searchsorted(haystack, needles), len(haystack) - 1)
+    return haystack[pos] == needles
 
 
 def strictly_increasing(values: np.ndarray) -> bool:

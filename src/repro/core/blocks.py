@@ -11,11 +11,11 @@ shuffle meters see their true size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.common.batch import gather_segments
+from repro.common.batch import gather_segments, in_sorted, pair_keys
 
 
 @dataclass
@@ -140,11 +140,26 @@ class NeighborBlock:
                    if self.weights is not None else None)
         return NeighborBlock(self.vertices[rows], indptr, neighbors, weights)
 
+    @classmethod
+    def concat(cls, blocks: Sequence["NeighborBlock"]) -> "NeighborBlock":
+        """All rows of the unweighted ``blocks`` (at least one), one block
+        after the other."""
+        indptr = np.zeros(sum(b.num_vertices for b in blocks) + 1,
+                          dtype=np.int64)
+        np.cumsum(np.concatenate([b.degrees() for b in blocks]),
+                  out=indptr[1:])
+        return cls(np.concatenate([b.vertices for b in blocks]), indptr,
+                   np.concatenate([b.neighbors for b in blocks]))
+
 
 def build_neighbor_block(targets: np.ndarray, others: np.ndarray,
                          weights: Optional[np.ndarray] = None,
                          dedupe: bool = False) -> NeighborBlock:
     """Group ``(target, other[, weight])`` tuples into a CSR block.
+
+    Ids must be non-negative.  The pairs sort as one integer each
+    (:func:`~repro.common.batch.pair_keys`); with weights the sort is
+    stable, so equal pairs keep their input order.
 
     Args:
         dedupe: drop duplicate (target, other) pairs, keeping the first
@@ -157,20 +172,25 @@ def build_neighbor_block(targets: np.ndarray, others: np.ndarray,
             empty, np.zeros(1, dtype=np.int64), empty,
             np.empty(0) if weights is not None else None,
         )
-    order = np.lexsort((others, targets))
-    targets = targets[order]
-    others = others[order]
-    if weights is not None:
-        weights = weights[order]
+    radix = int(others.max()) + 1
+    keys = pair_keys(radix, targets, others)
+    if weights is None:
+        keys.sort()
+    else:
+        order = np.argsort(keys, kind="stable")
+        keys, weights = keys[order], weights[order]
     if dedupe:
-        keep = np.ones(len(targets), dtype=bool)
-        keep[1:] = (targets[1:] != targets[:-1]) | (others[1:] != others[:-1])
-        targets, others = targets[keep], others[keep]
+        keep = np.ones(len(keys), dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+        keys = keys[keep]
         if weights is not None:
             weights = weights[keep]
-    vertices, starts = np.unique(targets, return_index=True)
-    indptr = np.append(starts, len(targets)).astype(np.int64)
-    return NeighborBlock(vertices, indptr, others, weights)
+    targets, others = np.divmod(keys, radix)
+    first = np.ones(len(targets), dtype=bool)
+    np.not_equal(targets[1:], targets[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    indptr = np.append(starts, len(targets))
+    return NeighborBlock(targets[starts], indptr, others, weights)
 
 
 def intersect_counts(block: NeighborBlock, left: np.ndarray,
@@ -195,6 +215,5 @@ def intersect_counts(block: NeighborBlock, left: np.ndarray,
     radix = int(block.neighbors.max(initial=-1)) + 1
     keys = block.row_keys(radix)
     wanted = large[pair] * radix + probes
-    pos = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
-    counts = np.bincount(pair[keys[pos] == wanted], minlength=len(small))
+    counts = np.bincount(pair[in_sorted(keys, wanted)], minlength=len(small))
     return counts, 2 * int(indptr[-1])

@@ -40,7 +40,6 @@ from repro.common.batch import (
 from repro.common.errors import (
     ContainerLostError,
     EndpointNotFoundError,
-    PartitionNotFoundError,
     PSError,
     RpcError,
 )
@@ -222,16 +221,10 @@ class PSAgent:
     # ------------------------------------------------------------------
 
     def _route(self, meta: MatrixMeta, keys: np.ndarray) -> np.ndarray:
-        """The partition of every key, all checked before the operation
-        moves or charges anything: a bad key leaves no half a write."""
-        pids = meta.partitioner.partition_array(keys)
-        num = meta.num_partitions
-        if meta.storage == "dense":
-            check_rows(meta, keys)
-        elif len(pids) and not 0 <= pids.min() <= pids.max() < num:
-            bad = pids[(pids < 0) | (pids >= num)][0]
-            raise PartitionNotFoundError(f"{meta.name} has no partition {bad}")
-        return pids
+        """The partition of every key, all checked against the matrix's
+        rows — whatever its storage — before the operation moves or
+        charges anything: a bad key leaves no half a write."""
+        return meta.partitioner.partition_array(check_rows(meta, keys))
 
     def _keyed(self, meta: MatrixMeta, method: str, pids: np.ndarray,
                width: int, apply: Callable[[Any, Any], None],

@@ -8,20 +8,26 @@ removing an absent one is a no-op under the tables' set semantics, and
 the incremental algorithms must only repair state for real changes or
 their invariants drift.
 
-The delta also snapshots each mutated source's pre-window out-neighbor
-list (pulled anyway for the presence check), which is precisely the
-information delta-PageRank needs to repair its residual invariant
-without rescanning the graph.
+The delta also snapshots the pre-window out-neighbor rows of every source
+the window touched (pulled anyway for the presence check), which is
+precisely the information delta-PageRank needs to repair its residual
+invariant without rescanning the graph.
+
+Per-vertex state is arrays indexed by vertex id — a presence mask here,
+residuals and labels in the algorithms — and adjacency is CSR
+(:class:`RowMemo`): a window costs array operations over what it
+touched, not a Python object per vertex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Callable, Iterable, List, Optional
 
 import numpy as np
 
-from repro.common.batch import sorted_unique, unique_pairs
+from repro.common.batch import in_sorted, sorted_unique, unique_pairs
+from repro.common.errors import PSError
 from repro.common.metrics import (
     STREAM_EDGES_ADDED,
     STREAM_EDGES_LIVE_G,
@@ -30,15 +36,35 @@ from repro.common.metrics import (
     MetricsRegistry,
 )
 from repro.core.blocks import NeighborBlock, build_neighbor_block
-from repro.ingest.mutations import EDGE_ADD, EDGE_DEL, Mutation, group_runs
+from repro.ingest.mutations import (
+    EDGE_ADD,
+    EDGE_DEL,
+    VERTEX_DEL,
+    Mutation,
+    group_runs,
+)
+
+_NONE = np.empty(0, dtype=np.int64)
+_NONE.flags.writeable = False
+
+
+def _empty_block() -> NeighborBlock:
+    return build_neighbor_block(_NONE, _NONE)
+
+
+def _cat(arrays: List[np.ndarray]) -> np.ndarray:
+    """The int64 concatenation of ``arrays`` (empty for none)."""
+    return np.concatenate([_NONE, *arrays])
 
 
 @dataclass
 class GraphDelta:
     """What one applied mutation window actually changed.
 
-    ``old_out`` maps every source vertex whose out-neighborhood changed
-    to its *pre-window* out-neighbor array; ``became_present`` /
+    ``old_out`` holds the *pre-window* out-neighbor row of every source
+    the window touched — an edge run's sources (an ineffective add or
+    remove included), each dropped vertex and each in-neighbor of one —
+    as a block with ascending vertices; ``became_present`` /
     ``became_absent`` track vertices crossing the degree-0 boundary
     (presence = endpoint of at least one live edge, the convention of
     the batch algorithms).
@@ -49,11 +75,9 @@ class GraphDelta:
     removed_src: np.ndarray
     removed_dst: np.ndarray
     dropped: np.ndarray
-    old_out: Dict[int, np.ndarray] = field(default_factory=dict)
-    became_present: np.ndarray = field(
-        default_factory=lambda: np.empty(0, dtype=np.int64))
-    became_absent: np.ndarray = field(
-        default_factory=lambda: np.empty(0, dtype=np.int64))
+    old_out: NeighborBlock = field(default_factory=_empty_block)
+    became_present: np.ndarray = field(default_factory=lambda: _NONE)
+    became_absent: np.ndarray = field(default_factory=lambda: _NONE)
 
     @property
     def num_added(self) -> int:
@@ -94,7 +118,7 @@ class StreamingGraph:
         self.inc = psctx.create_neighbor_table(f"{name}.in", num_vertices)
         self.metrics = metrics
         self.num_edges = 0
-        self._present: Set[int] = set()
+        self._present = np.zeros(num_vertices, dtype=bool)
 
     # ------------------------------------------------------------------
     # queries
@@ -102,7 +126,7 @@ class StreamingGraph:
 
     def present_vertices(self) -> np.ndarray:
         """Vertices that are an endpoint of at least one live edge."""
-        return np.asarray(sorted(self._present), dtype=np.int64)
+        return np.flatnonzero(self._present)
 
     def neighbors(self, vertices: np.ndarray) -> NeighborBlock:
         """Undirected adjacency: per requested vertex, the sorted union of
@@ -129,36 +153,38 @@ class StreamingGraph:
     # ------------------------------------------------------------------
 
     def apply(self, mutations: Iterable[Mutation]) -> GraphDelta:
-        """Apply one ordered mutation batch; returns the effective delta."""
-        added_s: List[int] = []
-        added_d: List[int] = []
-        removed_s: List[int] = []
-        removed_d: List[int] = []
-        dropped: List[int] = []
-        old_out: Dict[int, np.ndarray] = {}
+        """Apply one ordered mutation batch; returns the effective delta.
 
-        for op, src, dst in group_runs(mutations):
+        Every id is checked against ``num_vertices`` first: a bad one
+        raises :class:`PSError` before anything is applied."""
+        runs = group_runs(mutations)
+        for op, src, dst in runs:
+            ids = src if op == VERTEX_DEL else np.concatenate([src, dst])
+            if not 0 <= ids.min() <= ids.max() < self.num_vertices:
+                bad = ids[(ids < 0) | (ids >= self.num_vertices)][:5]
+                raise PSError(f"{self.out.name}: mutation ids {bad} outside "
+                              f"[0, {self.num_vertices})")
+        added: List[tuple] = []
+        removed: List[tuple] = []
+        dropped: List[np.ndarray] = []
+        snapshots: List[NeighborBlock] = []
+        for op, src, dst in runs:
             if op == EDGE_ADD:
-                s, d = self._apply_edges(src, dst, old_out, add=True)
-                added_s.extend(s.tolist())
-                added_d.extend(d.tolist())
+                added.append(self._apply_edges(src, dst, snapshots,
+                                               add=True))
             elif op == EDGE_DEL:
-                s, d = self._apply_edges(src, dst, old_out, add=False)
-                removed_s.extend(s.tolist())
-                removed_d.extend(d.tolist())
+                removed.append(self._apply_edges(src, dst, snapshots,
+                                                 add=False))
             else:
-                s, d, doomed = self._apply_vertex_dels(src, old_out)
-                removed_s.extend(s.tolist())
-                removed_d.extend(d.tolist())
-                dropped.extend(doomed.tolist())
+                s, d, doomed = self._apply_vertex_dels(src, snapshots)
+                removed.append((s, d))
+                dropped.append(doomed)
 
         delta = GraphDelta(
-            np.asarray(added_s, dtype=np.int64),
-            np.asarray(added_d, dtype=np.int64),
-            np.asarray(removed_s, dtype=np.int64),
-            np.asarray(removed_d, dtype=np.int64),
-            np.asarray(sorted(set(dropped)), dtype=np.int64),
-            old_out=old_out,
+            _cat([s for s, _d in added]), _cat([d for _s, d in added]),
+            _cat([s for s, _d in removed]), _cat([d for _s, d in removed]),
+            sorted_unique(_cat(dropped)),
+            old_out=_first_touch(snapshots),
         )
         self._update_presence(delta)
         if self.metrics is not None:
@@ -172,25 +198,27 @@ class StreamingGraph:
     # -- internals ------------------------------------------------------
 
     def _snapshot_old_out(self, vertices: np.ndarray,
-                          old_out: Dict[int, np.ndarray]) -> NeighborBlock:
-        """Current out-neighbors, recording first-touch pre-window state."""
+                          snapshots: List[NeighborBlock]) -> NeighborBlock:
+        """Current out-neighbors, kept as a pre-window snapshot (the
+        first one of a vertex wins, see :func:`_first_touch`)."""
         current = self.out.get(vertices)
-        for v, nbrs in current.rows():
-            old_out.setdefault(v, nbrs)
+        snapshots.append(current)
         return current
 
     def _apply_edges(self, src: np.ndarray, dst: np.ndarray,
-                     old_out: Dict[int, np.ndarray], *, add: bool):
+                     snapshots: List[NeighborBlock], *, add: bool):
         """Apply one add- or remove-run; returns effective (src, dst)."""
-        if len(src) == 0:
-            return src, dst
         src, dst = unique_pairs(src, dst)
-        uniq, inverse = np.unique(src, return_inverse=True)
-        current = self._snapshot_old_out(uniq, old_out)
-        # Membership of every (src, dst) in the live rows, as one isin
-        # over row * radix + neighbor keys.
+        # ``src`` is ascending: its distinct values and each pair's row
+        # among them come from one neighbour mask.
+        first = np.ones(len(src), dtype=bool)
+        np.not_equal(src[1:], src[:-1], out=first[1:])
+        inverse = np.cumsum(first) - 1
+        current = self._snapshot_old_out(src[first], snapshots)
+        # Membership of every (src, dst) in the live rows, as one search
+        # of the row * radix + neighbor keys.
         radix = int(max(dst.max(), current.neighbors.max(initial=-1))) + 1
-        present = np.isin(inverse * radix + dst, current.row_keys(radix))
+        present = in_sorted(current.row_keys(radix), inverse * radix + dst)
         effective = ~present if add else present
         src, dst = src[effective], dst[effective]
         if len(src) == 0:
@@ -208,15 +236,15 @@ class StreamingGraph:
         return src, dst
 
     def _apply_vertex_dels(self, vertices: np.ndarray,
-                           old_out: Dict[int, np.ndarray]):
+                           snapshots: List[NeighborBlock]):
         """Drop vertices with all incident edges; returns removed edges."""
         doomed = sorted_unique(vertices)
-        outs = self._snapshot_old_out(doomed, old_out)
+        outs = self._snapshot_old_out(doomed, snapshots)
         ins = self.inc.get(doomed)
         # In-neighbors lose an out-edge: snapshot their pre-state too.
         in_union = np.setdiff1d(ins.neighbors, doomed)
         if len(in_union):
-            self._snapshot_old_out(in_union, old_out)
+            self._snapshot_old_out(in_union, snapshots)
         # Every incident edge once (an edge between two doomed vertices
         # shows up from both ends), in (src, dst) order.
         removed_src, removed_dst = unique_pairs(
@@ -236,24 +264,64 @@ class StreamingGraph:
         return removed_src, removed_dst, doomed
 
     def _update_presence(self, delta: GraphDelta) -> None:
-        """Maintain the live-vertex set; fill the delta's crossings."""
-        became_present: List[int] = []
-        for v in sorted_unique(np.concatenate(
-                [delta.added_src, delta.added_dst])).tolist():
-            if v not in self._present:
-                self._present.add(v)
-                became_present.append(v)
+        """Maintain the presence mask; fill the delta's crossings."""
+        gained = sorted_unique(np.concatenate(
+            [delta.added_src, delta.added_dst]))
+        gained = gained[~self._present[gained]]
+        self._present[gained] = True
         candidates = sorted_unique(np.concatenate([
             delta.removed_src, delta.removed_dst, delta.dropped,
         ]))
-        became_absent: List[int] = []
+        lost = _NONE
         if len(candidates):
             total = (self.out.degrees(candidates)
                      + self.inc.degrees(candidates))
-            for v, deg in zip(candidates.tolist(), total.tolist()):
-                if deg == 0 and v in self._present:
-                    self._present.discard(v)
-                    became_absent.append(v)
-        delta.became_present = np.asarray(became_present, dtype=np.int64)
-        delta.became_absent = np.asarray(sorted(became_absent),
-                                         dtype=np.int64)
+            lost = candidates[(total == 0) & self._present[candidates]]
+            self._present[lost] = False
+        delta.became_present = gained
+        delta.became_absent = lost
+
+
+def _first_touch(snapshots: List[NeighborBlock]) -> NeighborBlock:
+    """Each vertex's row from the first snapshot that holds it, vertices
+    ascending."""
+    if not snapshots:
+        return _empty_block()
+    whole = NeighborBlock.concat(snapshots)
+    _, first = np.unique(whole.vertices, return_index=True)
+    return whole.take(first)
+
+
+class RowMemo:
+    """Rows of a vertex-keyed adjacency, each fetched at most once and
+    kept as one CSR block: ``pos[v]`` is vertex ``v``'s row in it, -1
+    until fetched.
+
+    Args:
+        num_vertices: the vertex-id space.
+        fetch: the rows of sorted, distinct vertices as one block (one
+            group call per fetch).
+    """
+
+    def __init__(self, num_vertices: int,
+                 fetch: Callable[[np.ndarray], NeighborBlock]) -> None:
+        self.fetch = fetch
+        self.pos = np.full(num_vertices, -1, dtype=np.int64)
+        self.block = _empty_block()
+
+    def known(self) -> np.ndarray:
+        """Mask of the vertices whose row has been fetched."""
+        return self.pos >= 0
+
+    def rows(self, vertices: np.ndarray) -> NeighborBlock:
+        """The rows of ``vertices``, aligned with them; the ones not
+        fetched yet are fetched first, together, in ascending order."""
+        missing = vertices[self.pos[vertices] < 0]
+        if len(missing):
+            missing = sorted_unique(missing)
+            fetched = self.fetch(missing)
+            self.pos[missing] = np.arange(self.block.num_vertices,
+                                          self.block.num_vertices
+                                          + len(missing))
+            self.block = NeighborBlock.concat([self.block, fetched])
+        return self.block.take(self.pos[vertices])

@@ -36,9 +36,11 @@ from typing import Dict, Tuple
 
 import numpy as np
 
+from repro.common.batch import gather_segments, sorted_unique
 from repro.core.algorithms.pagerank import PageRank
 from repro.core.ops import edges_from_arrays
 from repro.dataflow.dataframe import DataFrame
+from repro.streaming.graph import RowMemo
 
 RANK, RESID = 0, 1
 
@@ -88,7 +90,6 @@ class IncrementalPageRank:
         self.state = self.psctx.create_matrix(
             name, graph.num_vertices, 2
         )
-        self._scratch_seq = 0
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -97,9 +98,8 @@ class IncrementalPageRank:
     def bootstrap(self) -> Dict[str, float]:
         """Full compute from scratch into the live state (first window)."""
         present = self.graph.present_vertices()
-        base = 1.0 - self.damping
-        return self._push(self.state,
-                          {int(v): base for v in present.tolist()})
+        return self._push(self.state, present,
+                          np.full(len(present), 1.0 - self.damping))
 
     def update(self, delta) -> Dict[str, float]:
         """Repair residuals for one window's delta and re-push.
@@ -111,43 +111,51 @@ class IncrementalPageRank:
         """
         if delta.is_empty():
             return {"rounds": 0.0, "pushes": 0.0, "frontier": 0.0}
-        base = 1.0 - self.damping
-        seed: Dict[int, float] = {}
-
-        # Presence gained: inject the (1-d) base residual.
-        for v in delta.became_present.tolist():
-            seed[int(v)] = seed.get(int(v), 0.0) + base
-
-        # Contribution repair for every source whose out-list changed:
-        # subtract the old per-neighbor contribution, add the new one.
-        sources = np.asarray(sorted(delta.old_out), dtype=np.int64)
+        d = self.damping
+        n = self.graph.num_vertices
+        # Presence gained injects the (1-d) base residual; every touched
+        # source with rank moves its contribution from its old out-row
+        # to its new one.  One scatter-add, in the order the increments
+        # reach each vertex: the base first, then source after source
+        # (ascending), each source's old row before its new one.
+        targets = [delta.became_present]
+        amounts = [np.full(len(delta.became_present), 1.0 - d)]
+        old = delta.old_out
+        sources = old.vertices
         if len(sources):
             ranks = self.state.pull(sources, col=RANK)
-            new_outs = self.graph.out.get(sources)
-            for (v, new_n), r in zip(new_outs.rows(), ranks):
-                if r == 0.0:
-                    continue
-                old_n = delta.old_out[int(v)]
-                if len(old_n):
-                    c = -self.damping * r / len(old_n)
-                    for t in old_n.tolist():
-                        seed[int(t)] = seed.get(int(t), 0.0) + c
-                if len(new_n):
-                    c = self.damping * r / len(new_n)
-                    for t in new_n.tolist():
-                        seed[int(t)] = seed.get(int(t), 0.0) + c
+            new = self.graph.out.get(sources)
+            live = ranks != 0.0
+            old_lens = np.where(live, old.degrees(), 0)
+            new_lens = np.where(live, new.degrees(), 0)
+            # Old and new rows interleave as segments of one pool.
+            pool = np.concatenate([old.neighbors, new.neighbors])
+            starts = np.stack([old.indptr[:-1],
+                               new.indptr[:-1] + len(old.neighbors)], axis=1)
+            lens = np.stack([old_lens, new_lens], axis=1).reshape(-1)
+            coef = np.stack([-d * ranks / np.maximum(old_lens, 1),
+                             d * ranks / np.maximum(new_lens, 1)], axis=1)
+            targets.append(gather_segments(pool, starts.reshape(-1),
+                                           lens)[1])
+            amounts.append(np.repeat(coef.reshape(-1), lens))
+        targets = np.concatenate(targets)
+        seed = np.zeros(n)
+        np.add.at(seed, targets, np.concatenate(amounts))
+        seeded = np.zeros(n, dtype=bool)
+        seeded[targets] = True
 
         # Presence lost: the vertex holds no rank and no residual.
-        gone = np.union1d(delta.became_absent, delta.dropped)
+        gone = sorted_unique(np.concatenate([delta.became_absent,
+                                             delta.dropped]))
         if len(gone):
             zeros = np.zeros(len(gone))
             self.state.set(gone, zeros, col=RANK)
             self.state.set(gone, zeros, col=RESID)
-            for v in gone.tolist():
-                seed.pop(int(v), None)
+            seeded[gone] = False
 
-        stats = self._push(self.state, seed)
-        stats["frontier"] = float(len(seed))
+        frontier = np.flatnonzero(seeded)
+        stats = self._push(self.state, frontier, seed[frontier])
+        stats["frontier"] = float(len(frontier))
         return stats
 
     # ------------------------------------------------------------------
@@ -188,10 +196,11 @@ class IncrementalPageRank:
             result = job.transform(_BatchCtx(self.psctx), edges)
         finally:
             self.psctx.recovery_mode = saved_recovery
-        got = {int(v): float(r)
-               for v, r in result.output.rdd.collect()}
-        ranks = np.asarray([got.get(int(v), 0.0)
-                            for v in present.tolist()])
+        rows = np.array(result.output.rdd.collect(),
+                        dtype=[("vertex", np.int64), ("rank", np.float64)])
+        full = np.zeros(self.graph.num_vertices)
+        full[rows["vertex"]] = rows["rank"]
+        ranks = full[present]
         for name in set(self.psctx.matrix_names()) - before:
             self.psctx.drop_matrix(name)
         return present, ranks
@@ -200,62 +209,70 @@ class IncrementalPageRank:
     # the push cascade
     # ------------------------------------------------------------------
 
-    def _push(self, state, seed: Dict[int, float]) -> Dict[str, float]:
+    def _push(self, state, seed_ids: np.ndarray,
+              seed: np.ndarray) -> Dict[str, float]:
         """Drive every reachable residual below ``tol``; invariant-safe.
 
-        ``seed`` maps frontier vertices to residual *increments* applied
-        on top of their PS-resident residual when they materialize —
-        residual repairs therefore ride along for free instead of
-        costing their own push/pull round.
+        ``seed`` holds residual *increments* for the frontier vertices
+        ``seed_ids`` (ascending, distinct), applied on top of their
+        PS-resident residual when they materialize — residual repairs
+        therefore ride along for free instead of costing their own
+        push/pull round.
 
         Wave structure: materialize the frontier's residuals + adjacency
         from the PS (two group calls), relax locally to convergence, and
         repeat for whatever new vertices the cascade reached.  Commits
         rank deltas and absolute residuals in two group calls at the end.
+
+        Driver state is indexed by vertex id: the materialized residuals
+        ``e_local``, the mass ``received`` by vertices not materialized
+        yet, the rank increments ``r_delta`` — each with a mask of the
+        vertices it holds — and the out-rows fetched so far (``adj``).
         """
         d, tol = self.damping, self.tol
-        e_local: Dict[int, float] = {}
-        r_delta: Dict[int, float] = {}
-        adj: Dict[int, np.ndarray] = {}
+        n = self.graph.num_vertices
+        e_local = np.zeros(n)
+        materialized = np.zeros(n, dtype=bool)
+        r_delta = np.zeros(n)
+        has_delta = np.zeros(n, dtype=bool)
+        received = np.zeros(n)
+        pending = np.zeros(n, dtype=bool)
+        received[seed_ids] = seed
+        pending[seed_ids] = True
+        adj = RowMemo(n, self.graph.out.get)
         rounds = 0
         pushes = 0
-        received: Dict[int, float] = {int(v): float(a)
-                                      for v, a in seed.items()}
         while rounds < self.max_rounds:
             # Materialize: vertices the cascade reached get their true
             # residual (PS value + what they received locally) exactly
             # once — re-pulling would clobber uncommitted local state.
-            pend = sorted(received)
-            if pend:
-                vs = np.asarray(pend, dtype=np.int64)
-                for v, e in zip(pend, state.pull(vs, col=RESID)):
-                    e_local[v] = float(e) + received.pop(v)
-            hot = sorted(v for v in e_local
-                         if abs(e_local[v]) > tol and v not in adj)
-            if not pend and not hot:
+            pend = np.flatnonzero(pending)
+            if len(pend):
+                e_local[pend] = state.pull(pend, col=RESID) + received[pend]
+                materialized[pend] = True
+                pending[pend] = False
+            known = adj.known()
+            hot = materialized & ~known & (np.abs(e_local) > tol)
+            if not len(pend) and not hot.any():
                 break
             rounds += 1
-            if hot:
-                hs = np.asarray(hot, dtype=np.int64)
-                adj.update(self.graph.out.get(hs).rows())
             # Local relaxation (vectorized Jacobi sweeps): free on the
             # sim clock, exact on the invariant.  Only vertices with
             # known adjacency relax; mass landing outside the wave's
             # reach is banked for the next wave's materialization.
-            wave = sorted(v for v in e_local if v in adj)
-            if not wave:
+            wave_arr = np.flatnonzero(known | hot)
+            if not len(wave_arr):
                 continue
-            wave_arr = np.asarray(wave, dtype=np.int64)
-            e = np.asarray([e_local[v] for v in wave])
-            nbrs = [adj[v] for v in wave]
-            lens = np.asarray([len(t) for t in nbrs], dtype=np.int64)
+            e = e_local[wave_arr]
+            nbrs = adj.rows(wave_arr)  # fetches the hot rows, one call
+            lens = nbrs.degrees()
             coef_k = np.where(lens > 0,
                               d / np.maximum(lens, 1).astype(np.float64),
                               0.0)  # dangling: mass drops, as in batch
-            r_acc = np.zeros(len(wave))
-            if int(lens.sum()):
-                flat = np.concatenate([t for t in nbrs if len(t)])
-                src_idx = np.repeat(np.arange(len(wave)), lens)
+            r_acc = np.zeros(len(wave_arr))
+            flat = nbrs.neighbors
+            if len(flat):
+                src_idx = np.repeat(np.arange(len(wave_arr)), lens)
                 ins = np.minimum(np.searchsorted(wave_arr, flat),
                                  len(wave_arr) - 1)
                 internal = wave_arr[ins] == flat
@@ -266,8 +283,7 @@ class IncrementalPageRank:
                 ext_ids, ext_inv = np.unique(flat[~internal],
                                              return_inverse=True)
             else:
-                flat = np.empty(0, dtype=np.int64)
-                ext_ids = np.empty(0, dtype=np.int64)
+                ext_ids = flat
             ext_acc = np.zeros(len(ext_ids))
             while True:
                 active = np.abs(e) > tol
@@ -284,26 +300,22 @@ class IncrementalPageRank:
                     np.add.at(e, int_tgt, contrib[int_src])
                 if len(ext_ids):
                     np.add.at(ext_acc, ext_inv, contrib[ext_src])
-            for i, v in enumerate(wave):
-                if r_acc[i]:
-                    r_delta[v] = r_delta.get(v, 0.0) + float(r_acc[i])
-                e_local[v] = float(e[i])
-            for u, a in zip(ext_ids.tolist(), ext_acc.tolist()):
-                if a == 0.0:
-                    continue
-                u = int(u)
-                if u in e_local:
-                    e_local[u] += a
-                else:
-                    received[u] = received.get(u, 0.0) + a
+            moved = r_acc != 0.0
+            r_delta[wave_arr[moved]] += r_acc[moved]
+            has_delta[wave_arr[moved]] = True
+            e_local[wave_arr] = e
+            banked = ext_acc != 0.0
+            ext_ids, ext_acc = ext_ids[banked], ext_acc[banked]
+            here = materialized[ext_ids]
+            e_local[ext_ids[here]] += ext_acc[here]
+            received[ext_ids[~here]] += ext_acc[~here]
+            pending[ext_ids[~here]] = True
         # Commit: rank increments and absolute residuals, one call each.
-        if r_delta:
-            ids = np.asarray(sorted(r_delta), dtype=np.int64)
-            state.push(ids, np.asarray([r_delta[int(v)] for v in ids]),
-                       col=RANK)
-        if e_local:
-            ids = np.asarray(sorted(e_local), dtype=np.int64)
-            state.set(ids, np.asarray([e_local[int(v)] for v in ids]),
-                      col=RESID)
+        if has_delta.any():
+            ids = np.flatnonzero(has_delta)
+            state.push(ids, r_delta[ids], col=RANK)
+        if materialized.any():
+            ids = np.flatnonzero(materialized)
+            state.set(ids, e_local[ids], col=RESID)
         self.psctx.barrier()
         return {"rounds": float(rounds), "pushes": float(pushes)}

@@ -15,12 +15,15 @@ from repro.common.batch import (
     RaggedColumn,
     accumulate_sequential,
     flat_row_index,
+    in_sorted,
     scatter_add_rows,
     segment_index,
     segment_reduce,
     sorted_unique,
     split_indices,
+    unique_pairs,
 )
+from repro.common.errors import PSError
 from repro.common.sizeof import (
     CONTAINER_ENTRY_BYTES,
     SCALAR_BYTES,
@@ -50,6 +53,24 @@ class TestSplitAndReduce:
         want = np.unique(values)
         assert got.dtype == want.dtype and got.tolist() == want.tolist()
         assert np.array_equal(values, before)  # sorts a copy
+
+    @given(st.lists(st.integers(-9, 9), max_size=30),
+           st.lists(st.integers(-12, 12), max_size=30))
+    def test_in_sorted_is_isin(self, haystack, needles):
+        haystack = np.sort(np.asarray(haystack, dtype=np.int64))
+        needles = np.asarray(needles, dtype=np.int64)
+        assert (in_sorted(haystack, needles).tolist()
+                == np.isin(needles, haystack).tolist())
+
+    def test_negative_ids_raise_instead_of_aliasing(self):
+        # With radix 3, 5 * 3 - 1 is the key of (4, 2): the pairs came
+        # back as (3, 2), (4, 2).
+        with pytest.raises(PSError, match="negative"):
+            unique_pairs(np.array([5, 3]), np.array([-1, 2]))
+        with pytest.raises(PSError, match="negative"):
+            unique_pairs(np.array([-1, 3]), np.array([2, 2]))
+        with pytest.raises(PSError, match="negative"):
+            build_neighbor_block(np.array([5, 3]), np.array([-1, 2]))
 
     @pytest.mark.parametrize("op", ["add", "min", "max"])
     def test_segment_reduce_matches_boxed_fold(self, op):

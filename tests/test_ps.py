@@ -268,6 +268,43 @@ class TestBadKeyLeavesNothingBehind:
         cached.pull(np.arange(60))
         assert cache.stats.hits == hits + 60
 
+    @pytest.mark.parametrize("kind", ["hash", "range", "hash-range"])
+    @pytest.mark.parametrize("bad", [-1, 10, 12, 10 ** 9])
+    @pytest.mark.parametrize("op", ["push", "remove", "drop", "get",
+                                    "degrees"])
+    def test_table_keys_outside_rows(self, ps, kind, bad, op):
+        # A hash table used to store vertex 12 of a 10-row table silently.
+        t = ps.create_neighbor_table("t", 10, partition=kind,
+                                     num_partitions=4)
+        t.push(table_block({1: [2, 3], 4: [5], 9: [0]}))
+        t.compact()
+        before = self._meters(ps)
+        with pytest.raises(PSError, match="keys not in partition"):
+            if op in ("push", "remove"):
+                getattr(t, op)(table_block({4: [6], bad: [3]}))
+            else:
+                getattr(t, op)(np.array([1, bad]))
+        assert self._meters(ps) == before
+        assert block_rows(t.get(np.arange(10))) == [
+            [], [2, 3], [], [], [5], [], [], [], [], [0]]
+
+    @pytest.mark.parametrize("kind", ["hash", "range", "hash-range"])
+    @pytest.mark.parametrize("bad", [-1, 10, 12])
+    @pytest.mark.parametrize("op", ["push", "set", "pull"])
+    def test_sparse_keys_outside_rows(self, ps, kind, bad, op):
+        m = ps.create_matrix("s", 10, 2, storage="sparse", partition=kind,
+                             num_partitions=4)
+        contents = np.arange(20.0).reshape(10, 2)
+        m.push(np.arange(10), contents)
+        before = self._meters(ps)
+        with pytest.raises(PSError, match="keys not in partition"):
+            if op == "pull":
+                m.pull(np.array([3, bad]))
+            else:
+                getattr(m, op)(np.array([3, bad]), np.ones((2, 2)))
+        assert self._meters(ps) == before
+        assert m.pull(np.arange(10)).tolist() == contents.tolist()
+
 
 class TestPsFunc:
     def test_vector_sum(self, ps):
@@ -368,6 +405,13 @@ class TestNeighborTable:
         t = ps.create_neighbor_table("adj", num_vertices=10)
         t.push(table_block({1: [0], 2: [0, 1, 3]}))
         assert t.degrees(np.array([1, 2, 9])).tolist() == [1, 3, 0]
+
+    def test_negative_neighbor_never_reads_back_as_another_pair(self, ps):
+        # The store's fold keyed 5 -> -1 as 4 -> 2 (radix 3).
+        t = ps.create_neighbor_table("adj", num_vertices=10)
+        t.push(table_block({5: [-1], 3: [2]}))
+        with pytest.raises(PSError, match="negative"):
+            t.get(np.array([3, 4, 5]))
 
     def test_compact_preserves_reads(self, ps):
         t = ps.create_neighbor_table("adj", num_vertices=50)

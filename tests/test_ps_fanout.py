@@ -598,11 +598,6 @@ def play(system, ops):
             return t.drop(keys)
         if op == "tcompact":
             return t.compact()
-        if t.meta.partitioner.partition_array(
-                np.array([rows + 7]))[0] < t.meta.num_partitions:
-            # Past the key space: a vertex that can never have a row
-            # (a range partitioner has no partition for it).
-            keys = np.append(keys, rows + 7)
         return t.degrees(keys) if op == "tdeg" else t.get(keys)
 
     for op, keys, col, seed in ops:

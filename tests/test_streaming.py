@@ -19,12 +19,19 @@ import numpy as np
 import pytest
 
 from repro.common.config import MB, ClusterConfig
+from repro.common.errors import PSError
 from repro.common.metrics import STREAM_WINDOWS
 from repro.core.algorithms.pagerank import reference_delta_pagerank
 from repro.core.context import PSGraphContext
 from repro.datasets.generators import powerlaw_graph
 from repro.ingest.kafka import EdgeStreamConsumer, KafkaTopic
-from repro.ingest.mutations import edge_adds, edge_dels, vertex_dels
+from repro.ingest.mutations import (
+    EDGE_ADD,
+    Mutation,
+    edge_adds,
+    edge_dels,
+    vertex_dels,
+)
 from repro.ps.cache import PullCache
 from tests.conftest import block_rows, table_block
 from repro.streaming import (
@@ -122,7 +129,8 @@ class TestStreamingGraphApply:
         g.apply(edge_adds(_ids(0, 0), _ids(1, 2)))
         delta = g.apply(edge_adds(_ids(0), _ids(3))
                         + edge_dels(_ids(0), _ids(1)))
-        assert delta.old_out[0].tolist() == [1, 2]
+        assert delta.old_out.vertices.tolist() == [0]
+        assert block_rows(delta.old_out) == [[1, 2]]
         assert block_rows(g.out.get(_ids(0))) == [[2, 3]]
 
     def test_presence_crossings(self, ctx):
@@ -151,6 +159,26 @@ class TestStreamingGraphApply:
         assert g.num_edges == 0
         # 0, 2, 3 lost their only edge and crossed to absent with it.
         assert g.present_vertices().tolist() == []
+
+    @pytest.mark.parametrize("bad", [
+        [Mutation(EDGE_ADD, 3, 12)],
+        edge_adds(_ids(0, 5), _ids(4, 6)) + edge_adds(_ids(3), _ids(12)),
+        edge_adds(_ids(5), _ids(6)) + edge_dels(_ids(-1), _ids(2)),
+        vertex_dels(_ids(1, 10)),
+    ], ids=["add", "after-a-valid-run", "negative", "drop"])
+    def test_ids_outside_the_vertex_space_apply_nothing(self, ctx, bad):
+        # 3 -> 12 used to be stored and 12 reported present.
+        g = StreamingGraph(ctx.ps, 10, metrics=ctx.metrics)
+        g.apply(edge_adds(_ids(0, 2), _ids(1, 3)))
+        before = (ctx.sim_time(), sorted(ctx.metrics.snapshot().items()))
+        with pytest.raises(PSError, match="outside"):
+            g.apply(bad)
+        assert (ctx.sim_time(),
+                sorted(ctx.metrics.snapshot().items())) == before
+        assert g.num_edges == 2
+        assert g.present_vertices().tolist() == [0, 1, 2, 3]
+        assert block_rows(g.out.get(np.arange(10))) == [
+            [1], [], [3], [], [], [], [], [], [], []]
 
     def test_metrics_wired(self, ctx):
         g = StreamingGraph(ctx.ps, 10, metrics=ctx.metrics)

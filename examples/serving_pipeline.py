@@ -13,8 +13,6 @@ Run:
     python examples/serving_pipeline.py
 """
 
-import numpy as np
-
 from repro.chaos import ChaosEngine, FaultSchedule, FaultSpec
 from repro.common.config import MB, ClusterConfig
 from repro.core.algorithms import Line, PageRank
@@ -24,7 +22,12 @@ from repro.datasets.generators import powerlaw_graph
 from repro.datasets.tencent import write_edges
 from repro.obs import TelemetryCollector, Tracer
 from repro.obs.slo import default_slos
-from repro.serve import RequestGenerator, ServingPlane, TenantSpec
+from repro.serve import (
+    RequestGenerator,
+    ServingPlane,
+    TenantSpec,
+    publish_snapshot,
+)
 from repro.serve.plane import default_serve_slos
 
 SEED = 11
@@ -50,12 +53,8 @@ def main() -> None:
               f"({emb.name}, dim 8) in {ctx.sim_time():.3f} sim-s")
 
         # ---- snapshot: publish ranks, checkpoint everything -----------
-        rows = ranks.output.rdd.collect()
-        keys = np.array([r[0] for r in rows], dtype=np.int64)
-        key_space = int(keys.max()) + 1
-        vector = ctx.ps.create_vector("serve.ranks", key_space)
-        vector.set(keys, np.array([r[1] for r in rows]))
-        ctx.ps.checkpoint_all()
+        key_space = publish_snapshot(ctx.ps, "serve.ranks",
+                                     ranks.output.rdd.collect())
         print(f"snapshotted serve.ranks[{key_space}] and {emb.name} "
               "to HDFS checkpoints")
 

@@ -6,8 +6,8 @@ killing an executor / a parameter server" mid-job.  A
 seed-reproducible plan: each :class:`FaultSpec` names a fault kind and a
 *deterministic trigger* — a completed-task count, a PS sync epoch, or an
 RPC call count — never the wall clock, so a seeded chaos run double-runs
-bit-identically (the property CI's chaos-smoke job asserts through the
-strict determinism harness).
+bit-identically (the property CI's ``repro-lint`` job asserts through
+the strict determinism harness).
 
 Fault kinds:
 

@@ -1,12 +1,18 @@
-"""Command-line job submission — Listing 1's ``GraphRunner.main``.
+"""``repro`` — the one command line (Listing 1's ``GraphRunner.main``).
 
-Submits one algorithm over an edge-list file on the local filesystem (it is
-staged into the simulated HDFS), prints the result summary, and optionally
-writes the output back out::
+    repro run pagerank --input edges.tsv --iterations 20
+    repro serve --requests 100000 --seed 7 --chaos --telemetry serve.json
+    repro stream --vertices 2000 --edges 20000 --windows 4 --max-ratio 0.25
+    repro report serve.json --out serve.html --require-alert 1
+    repro lint --dynamic pagerank serve-chaos --strict
+    python -m repro experiments figure6
 
-    python -m repro.cli pagerank --input edges.tsv --iterations 20
-    python -m repro.cli fast-unfolding --input weighted.tsv --weighted
-    python -m repro.cli line --input edges.tsv --dim 32 --epochs 5
+``run``, ``serve`` and ``stream`` are pipelines: functions of ``(args,
+tracer, metrics)`` that return a result document.  :func:`main` prints
+its lines and writes the artifacts; the determinism harness
+(:mod:`repro.lint.dynamic`) runs the same pipelines in memory through
+:func:`execute`.  Exit codes: 0 success, 1 a failed gate or artifact
+write, 2 a usage error (an unreadable ``--input`` / ``--chaos`` too).
 """
 
 from __future__ import annotations
@@ -14,220 +20,581 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Sequence
+import zlib
+from contextlib import contextmanager
+from dataclasses import dataclass, field
+from pathlib import Path
+from typing import Callable, Dict, Iterator, List, Optional, Sequence
+
+import numpy as np
 
 from repro.chaos import ChaosEngine, FaultSchedule
 from repro.common.config import GB, ClusterConfig
-from repro.obs import (
-    NOOP_TRACER,
-    TelemetryCollector,
-    Tracer,
-    build_telemetry_doc,
-    timeline_report,
-    write_chrome_trace,
-    write_metrics_json,
-)
+from repro.common.errors import ConfigError
+from repro.common.metrics import MetricsRegistry
+from repro.common.rng import DEFAULT_SEED, derive_seed
 from repro.core.algorithms import (
-    CommonNeighbor,
-    ConnectedComponents,
-    DeepWalk,
-    FastUnfolding,
-    KCore,
-    LabelPropagation,
-    Line,
-    PageRank,
-    TriangleCount,
-)
+    CommonNeighbor, ConnectedComponents, DeepWalk, FastUnfolding, KCore,
+    LabelPropagation, Line, PageRank, TriangleCount)
 from repro.core.context import PSGraphContext
 from repro.core.runner import GraphRunner
+from repro.datasets.generators import powerlaw_graph
+from repro.datasets.tencent import write_edges
+from repro.experiments.report import run_all
+from repro.ingest.kafka import EdgeStreamConsumer, KafkaTopic
+from repro.lint.dynamic import WORKLOADS, check_determinism
+from repro.obs import (
+    NOOP_TRACER, TelemetryCollector, Tracer, build_telemetry_doc,
+    timeline_report, write_chrome_trace, write_metrics_json)
+from repro.obs.dashboard import summary_lines, write_dashboard
+from repro.obs.slo import default_slos
+from repro.serve import (
+    RequestGenerator, ServingPlane, default_serve_slos, publish_snapshot)
+from repro.serve.workload import default_tenants
+from repro.streaming import (
+    IncrementalComponents, IncrementalPageRank, OnlineEmbeddingRefresh,
+    StreamingEngine, StreamingGraph)
 
-#: CLI name -> algorithm factory (configured from parsed args).
-ALGORITHMS = (
-    "pagerank", "common-neighbor", "fast-unfolding", "kcore",
-    "triangle-count", "label-propagation", "connected-components",
-    "line", "deepwalk",
-)
+#: ``repro run`` algorithm -> factory (``--iterations`` = max_iterations).
+ALGORITHMS: Dict[str, Callable[[argparse.Namespace], object]] = {
+    "pagerank": lambda a: PageRank(a.iterations),
+    "common-neighbor": lambda a: CommonNeighbor(),
+    "fast-unfolding": lambda a: FastUnfolding(),
+    "kcore": lambda a: KCore(a.iterations),
+    "triangle-count": lambda a: TriangleCount(),
+    "label-propagation": lambda a: LabelPropagation(a.iterations),
+    "connected-components": lambda a: ConnectedComponents(a.iterations),
+    "line": lambda a: Line(dim=a.dim, epochs=a.epochs, seed=a.seed),
+    "deepwalk": lambda a: DeepWalk(dim=a.dim, epochs=a.epochs, seed=a.seed),
+}
+
+#: What a bare ``--chaos`` injects, per pipeline.  ``run``'s schedule is
+#: also committed as ``examples/chaos-schedule.json``.
+BUILTIN_FAULTS: Dict[str, List[Dict[str, object]]] = {
+    "run": [{"kind": "kill_executor", "index": 1, "after_tasks": 20},
+            {"kind": "kill_server", "index": 0, "at_epoch": 4}],
+    "serve": [{"kind": "kill_server", "index": 0, "after_tasks": 100,
+               "task_kind": "serve"}],
+}
+
+#: PS vector the trained ranks are published into for serving.
+SERVE_MODEL = "serve.ranks"
+
+
+# Shared flags are parent parsers, built afresh for every command so that
+# one command's set_defaults cannot leak into another.
+def _cluster() -> argparse.ArgumentParser:
+    p = argparse.ArgumentParser(add_help=False)
+    for flag, kind in (("--seed", int), ("--executors", int),
+                       ("--servers", int), ("--executor-gb", float),
+                       ("--server-gb", float)):
+        p.add_argument(flag, type=kind, help="default: %(default)s")
+    return p
+
+
+def _graph(with_input: bool = True) -> argparse.ArgumentParser:
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument("--vertices", type=int, help="generated graph: vertices")
+    p.add_argument("--edges", type=int, help="generated graph: edges")
+    if with_input:
+        p.add_argument("--input", help="edge-list file 'src<TAB>dst"
+                                       "[<TAB>weight]' instead")
+    return p
+
+
+def _observe() -> argparse.ArgumentParser:
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument("--trace", metavar="PATH", help="write a Chrome trace")
+    p.add_argument("--telemetry", metavar="PATH",
+                   help="write the telemetry document (see 'repro report')")
+    p.add_argument("--chaos", nargs="?", const="auto", metavar="SCHEDULE.JSON",
+                   help="inject this fault schedule (bare: the built-in one)")
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser (exposed for tests)."""
+    """The ``repro`` argument parser (exposed for tests)."""
     parser = argparse.ArgumentParser(
-        prog="repro.cli",
-        description="Run a PSGraph algorithm on an edge list.",
-        epilog=(
-            "Observability: --trace writes a Chrome-trace JSON (open in "
-            "chrome://tracing or https://ui.perfetto.dev), --metrics dumps "
-            "counters/gauges/histograms as JSON, --timeline prints a "
-            "per-stage sim-time report.  See docs/observability.md."
-        ),
-    )
-    parser.add_argument("algorithm", choices=ALGORITHMS)
-    parser.add_argument("--input", required=True,
-                        help="edge-list file: 'src<TAB>dst[<TAB>weight]'")
-    parser.add_argument("--output", default=None,
-                        help="write the result table to this local file")
-    parser.add_argument("--weighted", action="store_true",
-                        help="parse a third weight column")
-    parser.add_argument("--executors", type=int, default=8)
-    parser.add_argument("--servers", type=int, default=4)
-    parser.add_argument("--executor-gb", type=float, default=4.0)
-    parser.add_argument("--server-gb", type=float, default=4.0)
-    parser.add_argument("--iterations", type=int, default=30)
-    parser.add_argument("--dim", type=int, default=16,
-                        help="embedding dimension (line / deepwalk)")
-    parser.add_argument("--epochs", type=int, default=3)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--trace", default=None, metavar="PATH",
-                        help="write a Chrome-trace JSON of the simulated "
-                             "schedule to PATH")
-    parser.add_argument("--metrics", default=None, metavar="PATH",
-                        help="write counters/gauges/histograms to PATH "
-                             "as JSON")
-    parser.add_argument("--timeline", action="store_true",
-                        help="print a per-stage / per-iteration sim-time "
-                             "timeline after the run")
-    parser.add_argument("--telemetry", default=None, metavar="PATH",
-                        help="sample windowed time-series + SLO burn-rate "
-                             "alerts during the run and write the telemetry "
-                             "document (render with 'repro-obs report')")
-    parser.add_argument("--chaos", default=None, metavar="SCHEDULE.JSON",
-                        help="inject this deterministic fault schedule "
-                             "during the run and print a fault report "
-                             "(see docs/fault-tolerance.md)")
-    parser.add_argument("--speculation", action="store_true",
-                        help="enable speculative execution for straggler "
-                             "executors")
-    parser.add_argument("--checkpoint-every", type=int, default=None,
-                        metavar="N",
-                        help="PS auto-checkpoint interval in iterations "
-                             "(default: 1 when --chaos is given, else 0)")
+        prog="repro", description="The PSGraph reproduction's command line.")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    run = sub.add_parser("run", parents=[_cluster(), _graph(), _observe()],
+                         help="run one algorithm on a graph",
+                         epilog="Needs --input or --vertices.")
+    run.add_argument("algorithm", choices=ALGORITHMS)
+    run.add_argument("--output", help="write the result table to this file")
+    run.add_argument("--weighted", action="store_true",
+                     help="parse a third weight column")
+    run.add_argument("--iterations", type=int)
+    run.add_argument("--dim", type=int, help="line / deepwalk dimension")
+    run.add_argument("--epochs", type=int)
+    run.add_argument("--metrics", metavar="PATH", help="write metrics JSON")
+    run.add_argument("--timeline", action="store_true",
+                     help="print a per-stage sim-time timeline")
+    run.set_defaults(seed=1, executors=8, servers=4, executor_gb=4.0,
+                     server_gb=4.0, edges=8000, iterations=30, dim=16,
+                     epochs=3)
+
+    serve = sub.add_parser(
+        "serve", parents=[_cluster(), _graph(), _observe()],
+        help="train PageRank, snapshot it, serve Zipfian traffic from it")
+    serve.add_argument("--iterations", type=int, help="train-phase PageRank")
+    serve.add_argument("--requests", type=int, help="requests to generate")
+    serve.add_argument("--report-json", metavar="PATH",
+                       help="write the serving report as JSON")
+    serve.set_defaults(seed=7, executors=4, servers=2, executor_gb=1.0,
+                       server_gb=1.0, vertices=2000, edges=8000,
+                       iterations=10, requests=100_000)
+
+    stream = sub.add_parser(
+        "stream", parents=[_cluster(), _graph(with_input=False)],
+        help="stream graph mutations, refresh algorithms incrementally")
+    stream.add_argument("--windows", type=int, help="mutation windows")
+    stream.add_argument("--adds", type=int, help="edge adds per window")
+    stream.add_argument("--removals", type=int,
+                        help="edge removals per window")
+    stream.add_argument("--embedding", action="store_true",
+                        help="also keep an online embedding fresh")
+    stream.add_argument("--report-json", metavar="PATH",
+                        help="write the per-window reports as JSON")
+    stream.add_argument("--max-ratio", type=float, metavar="R",
+                        help="exit 1 unless incremental cost < R x full")
+    stream.set_defaults(seed=7, executors=4, servers=2, executor_gb=0.25,
+                        server_gb=0.25, vertices=400, edges=1600, windows=4,
+                        adds=12, removals=8)
+
+    report = sub.add_parser("report", help="render a telemetry document")
+    report.add_argument("document", metavar="TELEMETRY.JSON")
+    report.add_argument("--out", metavar="PATH",
+                        help="dashboard path (default: <document>.html)")
+    report.add_argument("--require-alert", type=int, default=0, metavar="N",
+                        help="exit 1 unless at least N alerts fired")
+
+    lint = sub.add_parser(
+        "lint", help="simulation-invariant lint, or the determinism harness",
+        epilog="Suppress a finding with `# repro-lint: disable=RULE` on its "
+               "line, or `# repro-lint: disable-file=RULE` for a module.")
+    lint.add_argument("paths", nargs="*", help="default: src/repro")
+    lint.add_argument("--json", action="store_true", help="emit JSON")
+    lint.add_argument("--enable", metavar="RULES", help="rule ids to run")
+    lint.add_argument("--disable", metavar="RULES", help="rule ids to skip")
+    lint.add_argument("--list-rules", action="store_true")
+    lint.add_argument("--dynamic", nargs="+", choices=sorted(WORKLOADS),
+                      metavar="WORKLOAD", help="double-run these instead: "
+                      + ", ".join(sorted(WORKLOADS)))
+    lint.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    lint.add_argument("--strict", action="store_true",
+                      help="determinism: fail on any float drift > 0")
+    lint.add_argument("--fail-on-races", action="store_true",
+                      help="determinism: fail on unsynchronized PS access")
+
+    experiments = sub.add_parser("experiments", help="the paper's experiments")
+    experiments.add_argument("which", nargs="?", default="all", choices=(
+        "all", "figure6", "table1", "table2", "line", "ablations",
+        "resources", "scaling"))
     return parser
 
 
-def make_algorithm(args: argparse.Namespace):
-    """Instantiate the requested algorithm from parsed args."""
-    name = args.algorithm
-    if name == "pagerank":
-        return PageRank(max_iterations=args.iterations)
-    if name == "common-neighbor":
-        return CommonNeighbor()
-    if name == "fast-unfolding":
-        return FastUnfolding()
-    if name == "kcore":
-        return KCore(max_iterations=args.iterations)
-    if name == "triangle-count":
-        return TriangleCount()
-    if name == "label-propagation":
-        return LabelPropagation(max_iterations=args.iterations)
-    if name == "connected-components":
-        return ConnectedComponents(max_iterations=args.iterations)
-    if name == "line":
-        return Line(dim=args.dim, epochs=args.epochs, seed=args.seed)
-    if name == "deepwalk":
-        return DeepWalk(dim=args.dim, epochs=args.epochs, seed=args.seed)
-    raise ValueError(name)
+def _load(args: argparse.Namespace) -> None:
+    """Read ``--input`` / ``--chaos`` into ``args.edge_lines`` / ``.schedule``
+    before anything runs; ``OSError`` / ``ConfigError`` is a usage error."""
+    path = getattr(args, "input", None)
+    if args.command == "run" and path is None and args.vertices is None:
+        raise ConfigError("run needs --input FILE or --vertices N")
+    args.edge_lines = None
+    if path is not None:
+        with open(path) as f:
+            args.edge_lines = [ln.strip() for ln in f if ln.strip()]
+    chaos = getattr(args, "chaos", None)
+    args.schedule = (
+        None if chaos is None
+        else FaultSchedule(BUILTIN_FAULTS[args.command], seed=args.seed)
+        if chaos == "auto" else FaultSchedule.load(chaos))
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    """Entry point; returns a process exit code."""
-    args = build_parser().parse_args(argv)
-    with open(args.input) as f:
-        lines: List[str] = [ln.strip() for ln in f if ln.strip()]
-    cluster = ClusterConfig(
-        num_executors=args.executors,
-        executor_mem_bytes=int(args.executor_gb * GB),
-        num_servers=args.servers,
-        server_mem_bytes=int(args.server_gb * GB),
-    )
-    # Telemetry needs spans for the critical-path profile, so --telemetry
-    # implies tracing.
-    tracing = (args.trace is not None or args.timeline
-               or args.telemetry is not None)
-    tracer = Tracer() if tracing else NOOP_TRACER
-    checkpoint_every = args.checkpoint_every
-    if checkpoint_every is None:
-        checkpoint_every = 1 if args.chaos else 0
-    schedule = FaultSchedule.load(args.chaos) if args.chaos else None
-    with PSGraphContext(cluster, app_name=f"cli-{args.algorithm}",
-                        tracer=tracer,
-                        checkpoint_interval=checkpoint_every,
-                        speculation=args.speculation) as ctx:
-        ctx.hdfs.write_text("/input/edges/part-00000", lines)
-        collector = None
-        if args.telemetry is not None:
-            collector = TelemetryCollector(
-                ctx.metrics, tracer).attach(ctx.spark)
-        engine = None
-        if schedule is not None:
-            engine = ChaosEngine(schedule, ctx.spark, ctx.ps).attach()
-            if collector is not None:
-                engine.bind_telemetry(collector)
+@dataclass
+class Session:
+    """One pipeline run: its context, the telemetry collector and chaos
+    engine around the phase it measures, and its result document."""
+
+    args: argparse.Namespace
+    tracer: Tracer
+    metrics: MetricsRegistry
+    lines: List[str] = field(default_factory=list)
+    errors: List[str] = field(default_factory=list)
+    collector: Optional[TelemetryCollector] = None
+    engine: Optional[ChaosEngine] = None
+
+    def context(self, app_name: str, **kwargs) -> PSGraphContext:
+        a = self.args
+        cluster = ClusterConfig(
+            num_executors=a.executors, num_servers=a.servers,
+            executor_mem_bytes=int(a.executor_gb * GB),
+            server_mem_bytes=int(a.server_gb * GB))
+        return PSGraphContext(cluster, app_name=app_name, tracer=self.tracer,
+                              metrics=self.metrics, **kwargs)
+
+    @contextmanager
+    def observe(self, ctx: PSGraphContext, slos=None) -> Iterator[None]:
+        """Attach the collector (with ``--telemetry`` or ``slos``) and the
+        chaos engine (with ``--chaos``) for the block, then finalize."""
+        if self.args.telemetry or slos is not None:
+            self.collector = TelemetryCollector(
+                ctx.metrics, self.tracer, slos=slos).attach(ctx.spark)
+        if self.args.schedule is not None:
+            self.engine = ChaosEngine(self.args.schedule, ctx.spark,
+                                      ctx.ps).attach()
+            if self.collector is not None:
+                self.engine.bind_telemetry(self.collector)
         try:
-            result = GraphRunner(ctx).run(
-                make_algorithm(args), "/input/edges",
-                "/output" if args.output else None,
-                weighted=args.weighted,
-            )
+            yield
         finally:
-            if engine is not None:
-                engine.detach()
-            if collector is not None:
-                collector.finalize(ctx.sim_time())
-                collector.detach()
-        if engine is not None:
-            print(engine.describe())
-        print(f"algorithm : {args.algorithm}")
-        print(f"iterations: {result.iterations}")
-        for key, value in sorted(result.stats.items()):
-            if isinstance(value, (int, float)):
-                print(f"{key:10s}: {value}")
-        print(f"sim time  : {ctx.sim_time():.3f} s")
-        if args.output:
-            rows = ctx.spark.text_file("/output").collect()
-            with open(args.output, "w") as f:
-                f.write("\n".join(rows) + "\n")
-            print(f"wrote {len(rows)} rows to {args.output}")
-        # Artifact writes come after the run; a bad path must not dump a
-        # traceback over the (already printed) results.
-        rc = 0
-        if args.trace:
-            try:
-                n = write_chrome_trace(args.trace, tracer)
-                print(f"wrote {n} trace events to {args.trace}")
-            except OSError as e:
-                print(f"error: cannot write trace: {e}", file=sys.stderr)
-                rc = 1
-        if args.metrics:
-            try:
-                write_metrics_json(args.metrics, ctx.metrics)
-                print(f"wrote metrics to {args.metrics}")
-            except OSError as e:
-                print(f"error: cannot write metrics: {e}", file=sys.stderr)
-                rc = 1
-        if args.telemetry and collector is not None:
-            doc = build_telemetry_doc(
-                collector, tracer, ctx.sim_time(),
-                meta={"algorithm": args.algorithm, "seed": args.seed,
-                      "executors": args.executors,
-                      "servers": args.servers},
-                chaos=engine.report() if engine is not None else None,
-            )
-            try:
-                with open(args.telemetry, "w") as f:
-                    json.dump(doc, f, indent=2, sort_keys=True)
-                alerts = collector.alerts
-                print(f"wrote telemetry ({len(alerts)} alert(s)) to "
-                      f"{args.telemetry}; render with "
-                      f"'repro-obs report {args.telemetry}'")
-            except OSError as e:
-                print(f"error: cannot write telemetry: {e}",
-                      file=sys.stderr)
-                rc = 1
+            if self.engine is not None:
+                self.engine.detach()
+            if self.collector is not None:
+                self.collector.finalize(ctx.sim_time())
+                self.collector.detach()
+        if self.engine is not None:
+            self.lines.append(self.engine.describe())
+
+    def document(self, ctx: PSGraphContext, meta: Optional[Dict] = None,
+                 **fields: object) -> Dict[str, object]:
+        """The result document: report lines, gate errors, sim time, the
+        chaos report, the telemetry document and ``fields``."""
+        doc: Dict[str, object] = {"lines": self.lines, "errors": self.errors,
+                                  "sim_time_s": ctx.sim_time(), **fields}
+        if self.engine is not None:
+            doc["chaos"] = self.engine.report()
+        if getattr(self.args, "telemetry", None):
+            doc["telemetry"] = build_telemetry_doc(
+                self.collector, self.tracer, ctx.sim_time(), meta=meta,
+                chaos=doc.get("chaos"))
+        return doc
+
+
+def _crc(*columns: object) -> int:
+    """CRC-32 of the columns' bytes: how a result document shows the
+    determinism harness any bit of drift in an output it does not print."""
+    return zlib.crc32(b"".join(np.asarray(c).tobytes() for c in columns))
+
+
+def _stage_edges(ctx: PSGraphContext, args: argparse.Namespace) -> None:
+    """Put the graph at HDFS ``/input/edges``: the ``--input`` lines, or a
+    generated ``--vertices`` / ``--edges`` power-law graph."""
+    if args.edge_lines is not None:
+        ctx.hdfs.write_text("/input/edges/part-00000", args.edge_lines)
+        return
+    src, dst = powerlaw_graph(
+        args.vertices, args.edges,
+        seed=derive_seed(args.seed, f"{args.command}-graph"))
+    write_edges(ctx.hdfs, "/input/edges", src, dst, num_files=4)
+
+
+def run_algorithm(args: argparse.Namespace, tracer: Tracer,
+                  metrics: MetricsRegistry) -> Dict[str, object]:
+    """``repro run``: one algorithm over the staged graph.  Under
+    ``--chaos`` the PS checkpoints every iteration."""
+    s = Session(args, tracer, metrics)
+    with s.context(f"cli-{args.algorithm}",
+                   checkpoint_interval=1 if args.schedule else 0) as ctx:
+        _stage_edges(ctx, args)
+        with s.observe(ctx):
+            result = GraphRunner(ctx).run(
+                ALGORITHMS[args.algorithm](args), "/input/edges",
+                "/output" if args.output else None, weighted=args.weighted)
+        stats = {k: v for k, v in sorted(result.stats.items())
+                 if isinstance(v, (int, float))}
+        s.lines += [f"algorithm : {args.algorithm}",
+                    f"iterations: {result.iterations}",
+                    *(f"{k:10s}: {v}" for k, v in stats.items()),
+                    f"sim time  : {ctx.sim_time():.3f} s"]
         if args.timeline:
-            print()
-            print(timeline_report(tracer, sim_time_s=ctx.sim_time()))
+            s.lines += ["", timeline_report(tracer, sim_time_s=ctx.sim_time())]
+        output = (ctx.spark.text_file("/output").collect()
+                  if args.output else None)
+        return s.document(
+            ctx, meta={"algorithm": args.algorithm, "seed": args.seed,
+                       "executors": args.executors, "servers": args.servers},
+            iterations=result.iterations, stats=stats, output=output,
+            output_crc=None if output is None else _crc(output))
+
+
+def serve(args: argparse.Namespace, tracer: Tracer,
+          metrics: MetricsRegistry) -> Dict[str, object]:
+    """``repro serve``: train PageRank, snapshot the ranks on the PS, and
+    replay seeded Zipfian multi-tenant traffic against them."""
+    s = Session(args, tracer, metrics)
+    with s.context(f"repro-{args.command}") as ctx:
+        _stage_edges(ctx, args)
+        result = GraphRunner(ctx).run(
+            PageRank(max_iterations=args.iterations), "/input/edges")
+        s.lines.append(f"train     : pagerank x{result.iterations} "
+                       f"iterations, {ctx.sim_time():.3f} sim-s")
+        key_space = publish_snapshot(ctx.ps, SERVE_MODEL,
+                                     result.output.rdd.collect())
+        s.lines.append(f"snapshot  : {SERVE_MODEL}[{key_space}] checkpointed")
+        tenants = default_tenants(SERVE_MODEL)
+        gen = RequestGenerator(tenants, key_space=key_space, seed=args.seed)
+        requests = gen.generate(args.requests, start_s=ctx.sim_time())
+        plane = ServingPlane(ctx.ps, tenants,
+                             cache_capacity=max(32, key_space // 10))
+        with s.observe(ctx, slos=default_slos() + default_serve_slos()):
+            rep = plane.run(requests)
+        s.lines += [
+            f"served    : {rep.served}/{rep.offered} requests in "
+            f"{rep.batches} batches ({len(tenants)} tenants, "
+            f"zipf s={gen.zipf_s})",
+            f"latency   : p50={rep.p50_s * 1e3:.2f} ms  "
+            f"p99={rep.p99_s * 1e3:.2f} ms (sim)"]
+        if rep.degraded_p99_s is not None:
+            s.lines.append(f"degraded  : p99={rep.degraded_p99_s:.3f} s "
+                           f"over {rep.recoveries} recovery(ies)")
+        drops = ", ".join(f"{k}={v}" for k, v in sorted(rep.drops.items()))
+        s.lines += [f"hot cache : {rep.cache_hit_rate * 100:.1f}% hit rate",
+                    f"drops     : {drops or 'none'}",
+                    f"conserved : {rep.conserved()} "
+                    f"(offered == served + dropped)",
+                    f"sim time  : {ctx.sim_time():.3f} s"]
+        for alert in s.collector.alerts:
+            resolved = (f"resolved {alert.resolved_at_s:.3f}"
+                        if alert.resolved_at_s is not None else "unresolved")
+            s.lines.append(f"alert     : {alert.slo} fired "
+                           f"{alert.fired_at_s:.3f} sim-s ({resolved})")
+        if not rep.conserved():
+            s.errors.append("request conservation violated")
+        log = rep.drop_records
+        return s.document(
+            ctx, meta={"pipeline": f"repro-{args.command}", "seed": args.seed,
+                       "requests": args.requests, "key_space": key_space,
+                       "zipf_s": gen.zipf_s, "tenants": len(tenants),
+                       "serving": rep.to_dict()},
+            report=rep.to_dict(),
+            drops_crc=_crc(log.seq, log.tenant, log.reason, log.time))
+
+
+def _stream_mutations(topic: KafkaTopic, graph: StreamingGraph, window: int,
+                      args: argparse.Namespace,
+                      rng: np.random.Generator) -> None:
+    """Produce one window's mutation mix onto the topic."""
+    n = args.vertices
+    if args.adds:
+        src = rng.integers(0, n, size=args.adds)
+        topic.produce(src, (src + 1 + rng.integers(0, n - 1, args.adds)) % n)
+    if args.removals:
+        present = graph.present_vertices()
+        pick = present[rng.integers(0, len(present),
+                                    size=min(args.removals, len(present)))]
+        rm_s, rm_d = [], []
+        for v, nbrs in graph.out.get(np.unique(pick)).rows():
+            if len(nbrs):
+                rm_s.append(v)
+                rm_d.append(int(nbrs[rng.integers(0, len(nbrs))]))
+        if rm_s:
+            topic.produce_removals(np.asarray(rm_s, dtype=np.int64),
+                                   np.asarray(rm_d, dtype=np.int64))
+    present = graph.present_vertices()
+    if window % 2 == 0 and len(present):  # a vertex drop every 2nd window
+        doomed = present[int(rng.integers(0, len(present)))]
+        topic.produce_vertex_removals(np.asarray([doomed], dtype=np.int64))
+
+
+def stream(args: argparse.Namespace, tracer: Tracer,
+           metrics: MetricsRegistry) -> Dict[str, object]:
+    """``repro stream``: bootstrap a power-law graph through the ingest
+    path, then stream mutation windows; each refreshes the algorithms
+    incrementally and times a full recompute beside it."""
+    s = Session(args, tracer, metrics)
+    rng = np.random.default_rng(derive_seed(args.seed, "stream-cli"))
+    with s.context(f"repro-{args.command}") as ctx:
+        topic = KafkaTopic("mutations", num_partitions=4)
+        graph = StreamingGraph(ctx.ps, args.vertices, metrics=ctx.metrics)
+        engine = StreamingEngine(graph, EdgeStreamConsumer(
+            topic, ctx.hdfs, landing_dir="/stream/edges",
+            metrics=ctx.metrics))
+        engine.register("pagerank", IncrementalPageRank(graph, tol=1e-6))
+        engine.register("components", IncrementalComponents(graph))
+        if args.embedding:
+            engine.register("embedding",
+                            OnlineEmbeddingRefresh(graph, seed=args.seed))
+        topic.produce(*powerlaw_graph(
+            args.vertices, args.edges,
+            seed=derive_seed(args.seed, "stream-base")))
+        engine.run_window()  # applies the base graph (bootstrap window)
+        base = engine.reports.pop()  # the load window is not a mutation
+        s.lines.append(f"bootstrap : {graph.num_edges} edges, "
+                       f"{len(graph.present_vertices())} vertices "
+                       f"({base.records} records)")
+        for w in range(1, args.windows + 1):
+            _stream_mutations(topic, graph, w, args, rng)
+            r = engine.run_window()
+            full = (f", full={r.cost_full_s:.4f}s (ratio {r.cost_ratio:.3f})"
+                    if r.cost_ratio is not None else "")
+            s.lines.append(
+                f"window {w:2d} : +{r.edges_added} -{r.edges_removed} edges, "
+                f"{r.vertices_dropped} drops, dirty={r.dirty_vertices}, "
+                f"inc={r.cost_incremental_s:.4f}s{full}")
+        summary = engine.summary()
+        ratio = summary["cost_ratio"]
+        s.lines.append(f"summary   : {int(summary['windows'])} windows, "
+                       f"incremental {summary['cost_incremental_s']:.4f}s vs "
+                       f"full {summary['cost_full_s']:.4f}s "
+                       f"(ratio {ratio:.3f})")
+        # summary() reports ratio 0.0 when no window measured a full
+        # recompute, so the gate looks for a measured window itself.
+        if args.max_ratio is not None:
+            if all(r.cost_ratio is None for r in engine.reports):
+                s.errors.append("--max-ratio: no window measured a full "
+                                "recompute")
+            elif ratio >= args.max_ratio:
+                s.errors.append(f"cost ratio {ratio:.3f} >= {args.max_ratio}")
+            else:
+                s.lines.append(f"PASS      : cost ratio {ratio:.3f} < "
+                               f"{args.max_ratio}")
+        ids, ranks = engine.algos["pagerank"].ranks()  # after the report
+        _, labels = engine.algos["components"].assignments()
+        return s.document(ctx, report={
+            "schema": "repro.streaming/v1", "summary": summary,
+            "windows": [r.to_dict() for r in engine.reports]}, state={
+            "edges_live": graph.num_edges, "ranks_crc": _crc(ids, ranks),
+            "labels_crc": _crc(labels)})
+
+
+#: The pipelines, by subcommand.
+PIPELINES: Dict[str, Callable[..., Dict[str, object]]] = {
+    "run": run_algorithm, "serve": serve, "stream": stream}
+
+
+def execute(argv: Sequence[str], tracer: Tracer,
+            metrics: MetricsRegistry) -> Dict[str, object]:
+    """Run a pipeline command line in memory — nothing is printed or
+    written — and return its result document."""
+    args = build_parser().parse_args(argv)
+    _load(args)
+    return PIPELINES[args.command](args, tracer, metrics)
+
+
+def _write_all(artifacts) -> int:
+    """Write each ``(label, path, write)`` whose path is set, after the
+    report is printed: a bad path costs exit 1, never the report."""
+    rc = 0
+    for label, path, write in artifacts:
+        if path:
+            try:
+                print(write(path))
+            except OSError as e:
+                print(f"error: cannot write {label}: {e}", file=sys.stderr)
+                rc = 1
     return rc
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+def write_artifacts(args: argparse.Namespace, doc: Dict[str, object],
+                    tracer: Tracer, metrics: MetricsRegistry) -> int:
+    """Every file a pipeline's flags ask for."""
+    def save(path: str, text: str, message: str) -> str:
+        Path(path).write_text(text)
+        return message
+
+    def dump(key: str) -> str:
+        return json.dumps(doc[key], indent=2, sort_keys=True)
+
+    return _write_all([
+        ("output", getattr(args, "output", None), lambda p: save(
+            p, "\n".join(doc["output"]) + "\n",
+            f"wrote {len(doc['output'])} rows to {p}")),
+        ("report", getattr(args, "report_json", None), lambda p: save(
+            p, dump("report"), f"wrote report to {p}")),
+        ("telemetry", getattr(args, "telemetry", None), lambda p: save(
+            p, dump("telemetry"), f"wrote telemetry "
+            f"({len(doc['telemetry']['telemetry']['alerts'])} alert(s)) to "
+            f"{p}; render with 'repro report {p}'")),
+        ("trace", getattr(args, "trace", None), lambda p: (
+            f"wrote {write_chrome_trace(p, tracer)} trace events to {p}")),
+        ("metrics", getattr(args, "metrics", None), lambda p: (
+            write_metrics_json(p, metrics) or f"wrote metrics to {p}"))])
+
+
+def cmd_report(args: argparse.Namespace) -> int:
+    """``repro report``: the one dashboard renderer and alert gate."""
+    try:
+        with open(args.document) as f:
+            doc = json.load(f)
+        if doc.get("schema") != "repro.telemetry/v1":
+            raise ValueError("not a telemetry document "
+                             f"(schema={doc.get('schema')!r})")
+    except (OSError, ValueError) as e:  # JSONDecodeError is a ValueError
+        print(f"error: cannot read {args.document}: {e}", file=sys.stderr)
+        return 1
+
+    rc = _write_all([("dashboard", args.out or args.document + ".html",
+                      lambda p: f"wrote dashboard ({write_dashboard(p, doc)} "
+                                f"bytes) to {p}")])
+    print("\n".join(summary_lines(doc)))
+    alerts = len((doc.get("telemetry") or {}).get("alerts", []))
+    if alerts < args.require_alert:
+        print(f"error: required >= {args.require_alert} alert(s), "
+              f"got {alerts}", file=sys.stderr)
+        rc = 1
+    return rc
+
+
+def cmd_lint(args: argparse.Namespace) -> int:
+    """``repro lint``: the static pass, or ``--dynamic`` determinism."""
+    from repro.lint.engine import format_human, format_json, lint_paths
+    from repro.lint.rules import RULES, get_rules
+
+    if args.list_rules:
+        for rule in RULES.values():
+            print(f"{rule.id}  {rule.name:22s} {rule.description}")
+        return 0
+    if args.dynamic:
+        reports = [check_determinism(name, args.seed, strict=args.strict)
+                   for name in args.dynamic]
+        print(json.dumps([r.to_dict() for r in reports], indent=2)
+              if args.json else "\n".join(r.describe() for r in reports))
+        return int(any(not r.ok or (args.fail_on_races and r.races)
+                       for r in reports))
+    try:
+        rules = get_rules(args.enable.split(",") if args.enable else None,
+                          args.disable.split(",") if args.disable else None)
+    except KeyError as exc:
+        print(f"error: unknown rule {exc.args[0]} "
+              f"(known: {', '.join(sorted(RULES))})", file=sys.stderr)
+        return 2
+    paths = args.paths or ["src/repro"]
+    missing = [p for p in paths if not Path(p).exists()]
+    if missing:
+        print(f"error: no such path: {', '.join(missing)}", file=sys.stderr)
+        return 2
+    violations = lint_paths(paths, rules)
+    print(format_json(violations) if args.json else format_human(violations))
+    return 1 if violations else 0
+
+
+def cmd_experiments(args: argparse.Namespace) -> int:
+    """``repro experiments``: print the paper's tables and figures."""
+    run_all(args.which)
+    return 0
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Entry point; returns a process exit code."""
+    args = build_parser().parse_args(argv)
+    if args.command not in PIPELINES:
+        return {"report": cmd_report, "lint": cmd_lint,
+                "experiments": cmd_experiments}[args.command](args)
+    try:
+        _load(args)
+    except (OSError, ConfigError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
+    # Telemetry needs spans for its critical-path profile.
+    spans = (getattr(args, "trace", None) or getattr(args, "telemetry", None)
+             or getattr(args, "timeline", False))
+    tracer = Tracer() if spans else NOOP_TRACER
+    metrics = MetricsRegistry()
+    doc = PIPELINES[args.command](args, tracer, metrics)
+    print("\n".join(doc["lines"]))
+    rc = write_artifacts(args, doc, tracer, metrics)
+    for error in doc["errors"]:
+        print(f"error: {error}", file=sys.stderr)
+    return 1 if doc["errors"] else rc

@@ -2,13 +2,12 @@
 
 Usage::
 
-    python -m repro.experiments.report            # everything
-    python -m repro.experiments.report figure6    # one experiment
+    repro experiments            # everything
+    repro experiments figure6    # one experiment
 """
 
 from __future__ import annotations
 
-import sys
 from typing import Dict, List
 
 from repro.experiments.ablations import (
@@ -122,7 +121,3 @@ def run_all(which: str = "all") -> None:
         print(format_dicts(scaling_executors(),
                            "== Scaling: executors (servers fixed) =="))
         print()
-
-
-if __name__ == "__main__":
-    run_all(sys.argv[1] if len(sys.argv) > 1 else "all")

@@ -19,8 +19,8 @@ Three layers enforce this:
 * :mod:`repro.lint.races` — a happens-before replay of PS push/pull spans
   that flags stale-read and lost-update windows of async training.
 
-Run both from the command line: ``python -m repro.lint src/repro`` or
-``python -m repro.lint --dynamic pagerank --strict``.  See
+Run both from the command line: ``repro lint src/repro`` or
+``repro lint --dynamic pagerank --strict``.  See
 ``docs/static-analysis.md``.
 """
 

@@ -12,6 +12,13 @@ diffs:
 * the workload's own float statistics (losses, residuals, accuracy),
 * the final simulated time.
 
+Five workloads are ``repro`` command lines (:data:`CLI_WORKLOADS`), run
+in memory through the CLI's own pipelines, so the gate checks the
+commands users and CI run; their stats are the flattened result
+document, which carries CRC-32 digests of the outputs (saved ranks,
+drop records, streaming ranks and labels).  ``graphsage``, ``graphx`` and ``psgraph-tables`` have no
+command line and are written out below.
+
 In the default mode tiny float drift (relative 1e-9) is tolerated; under
 ``strict=True`` **any** drift > 0 fails, which is what CI runs — the
 simulator is single-process, so two seeded runs have no excuse to differ.
@@ -33,9 +40,10 @@ from repro.lint.races import RaceReport, find_races
 from repro.obs.export import metrics_to_dict
 from repro.obs.tracer import Span, Tracer
 
-#: A workload: ``fn(seed, tracer, metrics) -> (float stats, sim_time_s)``.
+#: A workload: ``fn(seed, tracer, metrics) -> (stats, sim_time_s)``; the
+#: stats' numeric leaves are what the double run diffs.
 Workload = Callable[[int, Tracer, MetricsRegistry],
-                    Tuple[Dict[str, float], float]]
+                    Tuple[Dict[str, object], float]]
 
 #: Registered workloads by CLI name.
 WORKLOADS: Dict[str, Workload] = {}
@@ -242,155 +250,51 @@ def check_determinism(name: str, seed: int = DEFAULT_SEED, *,
 # built-in workloads (small, seconds-scale: these run twice in CI)
 # ----------------------------------------------------------------------
 
+#: Workloads that are ``repro`` command lines, run in memory through the
+#: CLI's own pipelines (:func:`repro.cli.execute`) with ``--seed`` added.
+#: In memory no local file is written: ``--output`` saves the ranks to
+#: simulated HDFS so the document carries their digest, and
+#: ``--telemetry``'s path only switches the collector on.
+CLI_WORKLOADS: Dict[str, str] = {
+    "pagerank": "run pagerank --vertices 400 --edges 3000 --iterations 8 "
+                "--output ranks.tsv",
+    "chaos-pagerank": "run pagerank --vertices 400 --edges 3000 "
+                      "--iterations 8 --output ranks.tsv --chaos",
+    "telemetry-chaos-pagerank": "run pagerank --vertices 400 --edges 3000 "
+                                "--iterations 8 --output ranks.tsv --chaos "
+                                "--telemetry telemetry.json",
+    "serve-chaos": "serve --vertices 400 --edges 3000 --iterations 4 "
+                   "--requests 12000 --chaos --telemetry telemetry.json",
+    "streaming-window": "stream --vertices 300 --edges 1200 --windows 3 "
+                        "--embedding",
+}
+
+
+def cli_argv(name: str, seed: int) -> List[str]:
+    """The full command line of CLI workload ``name`` at ``seed``."""
+    return (CLI_WORKLOADS[name].split()
+            + "--executors 4 --servers 2 --executor-gb 0.25 "
+              "--server-gb 0.25 --seed".split() + [str(seed)])
+
+
+def _cli_workload(name: str) -> Workload:
+    def run(seed: int, tracer: Tracer, metrics: MetricsRegistry
+            ) -> Tuple[Dict[str, object], float]:
+        from repro.cli import execute  # repro.cli imports this module
+
+        doc = execute(cli_argv(name, seed), tracer, metrics)
+        return doc, doc["sim_time_s"]
+    return run
+
+
+WORKLOADS.update((name, _cli_workload(name)) for name in CLI_WORKLOADS)
+
 
 def _small_cluster() -> ClusterConfig:
     return ClusterConfig(
         num_executors=4, executor_mem_bytes=256 * MB,
         num_servers=2, server_mem_bytes=256 * MB,
     )
-
-
-@workload("pagerank")
-def _pagerank(seed: int, tracer: Tracer, metrics: MetricsRegistry
-              ) -> Tuple[Dict[str, float], float]:
-    """PageRank quickstart: power-law graph, BSP, a few iterations."""
-    from repro.core.algorithms import PageRank
-    from repro.core.context import PSGraphContext
-    from repro.core.runner import GraphRunner
-    from repro.datasets.generators import powerlaw_graph
-    from repro.datasets.tencent import write_edges
-
-    with PSGraphContext(_small_cluster(), app_name="lint-pagerank",
-                        metrics=metrics, tracer=tracer) as ctx:
-        src, dst = powerlaw_graph(
-            400, 3000, seed=derive_seed(seed, "lint-pagerank"))
-        write_edges(ctx.hdfs, "/input/edges", src, dst, num_files=4)
-        result = GraphRunner(ctx).run(
-            PageRank(max_iterations=8, tol=1e-9), "/input/edges",
-        )
-        stats = {"iterations": float(result.iterations),
-                 "residual": float(result.stats["residual"])}
-        return stats, ctx.sim_time()
-
-
-@workload("chaos-pagerank")
-def _chaos_pagerank(seed: int, tracer: Tracer, metrics: MetricsRegistry
-                    ) -> Tuple[Dict[str, float], float]:
-    """PageRank under fault injection: an executor kill and a PS server
-    kill mid-run, with per-iteration checkpoints and strict recovery.
-
-    The CI chaos-smoke job double-runs this workload to assert that a
-    seeded fault schedule — including every recovery and rollback it
-    causes — is bit-for-bit reproducible.
-    """
-    from repro.chaos import ChaosEngine, FaultSchedule, FaultSpec
-    from repro.core.algorithms import PageRank
-    from repro.core.context import PSGraphContext
-    from repro.core.runner import GraphRunner
-    from repro.datasets.generators import powerlaw_graph
-    from repro.datasets.tencent import write_edges
-
-    with PSGraphContext(_small_cluster(), app_name="lint-chaos-pagerank",
-                        metrics=metrics, tracer=tracer,
-                        checkpoint_interval=1) as ctx:
-        src, dst = powerlaw_graph(
-            400, 3000, seed=derive_seed(seed, "lint-chaos-pagerank"))
-        write_edges(ctx.hdfs, "/input/edges", src, dst, num_files=4)
-        schedule = FaultSchedule([
-            FaultSpec("kill_executor", index=1, after_tasks=20),
-            FaultSpec("kill_server", index=0, at_epoch=4),
-        ], seed=seed)
-        engine = ChaosEngine(schedule, ctx.spark, ctx.ps).attach()
-        try:
-            result = GraphRunner(ctx).run(
-                PageRank(max_iterations=8, tol=1e-9), "/input/edges",
-            )
-        finally:
-            engine.detach()
-        ranks = result.output.rdd.collect()
-        stats = {
-            "iterations": float(result.iterations),
-            "residual": float(result.stats["residual"]),
-            "ranks_checksum": float(sum(r[1] for r in ranks)),
-            "faults_fired": float(len(engine.fired)),
-            "recoveries": float(ctx.ps.master.recoveries),
-        }
-        return stats, ctx.sim_time()
-
-
-@workload("telemetry-chaos-pagerank")
-def _telemetry_chaos_pagerank(seed: int, tracer: Tracer,
-                              metrics: MetricsRegistry
-                              ) -> Tuple[Dict[str, float], float]:
-    """The chaos-pagerank schedule with the telemetry pipeline attached.
-
-    Determinism here covers the *observability* layer itself: windowed
-    series contents, SLO burn rates, alert fire/resolve sim-times, and
-    the critical-path attribution must all be bit-identical across
-    seeded double-runs — sampling may read only the sim clock.
-    """
-    from repro.chaos import ChaosEngine, FaultSchedule, FaultSpec
-    from repro.core.algorithms import PageRank
-    from repro.core.context import PSGraphContext
-    from repro.core.runner import GraphRunner
-    from repro.datasets.generators import powerlaw_graph
-    from repro.datasets.tencent import write_edges
-    from repro.obs.critical import critical_path
-    from repro.obs.telemetry import TelemetryCollector
-
-    with PSGraphContext(_small_cluster(),
-                        app_name="lint-telemetry-chaos-pagerank",
-                        metrics=metrics, tracer=tracer,
-                        checkpoint_interval=1) as ctx:
-        src, dst = powerlaw_graph(
-            400, 3000, seed=derive_seed(seed, "lint-chaos-pagerank"))
-        write_edges(ctx.hdfs, "/input/edges", src, dst, num_files=4)
-        collector = TelemetryCollector(metrics, tracer).attach(ctx.spark)
-        schedule = FaultSchedule([
-            FaultSpec("kill_executor", index=1, after_tasks=20),
-            FaultSpec("kill_server", index=0, at_epoch=4),
-        ], seed=seed)
-        engine = ChaosEngine(schedule, ctx.spark, ctx.ps).attach()
-        engine.bind_telemetry(collector)
-        try:
-            result = GraphRunner(ctx).run(
-                PageRank(max_iterations=8, tol=1e-9), "/input/edges",
-            )
-        finally:
-            engine.detach()
-            collector.finalize(ctx.sim_time())
-            collector.detach()
-        store = collector.store
-        series_checksum = sum(
-            widx * 31.0 + value
-            for name in sorted(store.series)
-            for widx, value in store.series[name].points
-        )
-        report = critical_path(tracer.spans(), ctx.sim_time())
-        detection = engine.detection_timeline()
-        stats = {
-            "iterations": float(result.iterations),
-            "residual": float(result.stats["residual"]),
-            "faults_fired": float(len(engine.fired)),
-            "ticks": float(store.ticks),
-            "series": float(len(store.series)),
-            "series_checksum": series_checksum,
-            "alerts": float(len(collector.alerts)),
-            "alert_fired_at": [a.fired_at_s for a in collector.alerts],
-            "alert_resolved_at": [
-                a.resolved_at_s if a.resolved_at_s is not None else -1.0
-                for a in collector.alerts
-            ],
-            "max_burn_long": [
-                float(row["max_burn_long"])
-                for row in collector.engine.status()
-            ],
-            "detected": float(sum(
-                1 for row in detection
-                if row["detected_at_s"] is not None)),
-            "critical_covered_pct": report.covered_pct,
-        }
-        return stats, ctx.sim_time()
 
 
 @workload("graphsage")
@@ -526,164 +430,5 @@ def _psgraph_tables(seed: int, tracer: Tracer, metrics: MetricsRegistry
             "triangles": float(triangles.stats["triangles"]),
             "modularity": float(louvain.stats["modularity"]),
             "moves": float(louvain.stats["moves"]),
-        }
-        return stats, ctx.sim_time()
-
-
-@workload("serve-chaos")
-def _serve_chaos(seed: int, tracer: Tracer, metrics: MetricsRegistry
-                 ) -> Tuple[Dict[str, float], float]:
-    """The serving plane under a kill-shard fault, telemetry attached.
-
-    Covers the whole online path: seeded Zipfian traffic, token-bucket
-    and watermark admission, hot-key caching over agent pulls, PS
-    auto-recovery mid-traffic, and the ``serve-latency`` burn-rate alert.
-    The CI serve-smoke job double-runs this in strict mode: every drop
-    record, latency sample and alert boundary must be bit-identical.
-    """
-    import numpy as np
-
-    from repro.chaos import ChaosEngine, FaultSchedule, FaultSpec
-    from repro.common.rng import make_rng
-    from repro.core.context import PSGraphContext
-    from repro.obs.slo import default_slos
-    from repro.obs.telemetry import TelemetryCollector
-    from repro.serve import RequestGenerator, ServingPlane
-    from repro.serve.plane import default_serve_slos
-    from repro.serve.workload import default_tenants
-
-    key_space = 1000
-    with PSGraphContext(_small_cluster(), app_name="lint-serve-chaos",
-                        metrics=metrics, tracer=tracer) as ctx:
-        vector = ctx.ps.create_vector("serve.ranks", key_space)
-        rng = make_rng(derive_seed(seed, "lint-serve-publish"))
-        vector.set(np.arange(key_space), rng.random(key_space))
-        ctx.ps.checkpoint_all()
-        collector = TelemetryCollector(
-            metrics, tracer, slos=default_slos() + default_serve_slos(),
-        ).attach(ctx.spark)
-        tenants = default_tenants("serve.ranks")
-        generator = RequestGenerator(
-            tenants, key_space=key_space, zipf_s=1.1, rate=1000.0,
-            seed=derive_seed(seed, "lint-serve-traffic"))
-        schedule = FaultSchedule([
-            FaultSpec("kill_server", index=0, after_tasks=50,
-                      task_kind="serve"),
-        ], seed=seed)
-        engine = ChaosEngine(schedule, ctx.spark, ctx.ps).attach()
-        engine.bind_telemetry(collector)
-        plane = ServingPlane(ctx.ps, tenants, cache_capacity=100)
-        try:
-            report = plane.run(generator.generate(
-                12_000, start_s=ctx.sim_time()))
-        finally:
-            engine.detach()
-            collector.finalize(ctx.sim_time())
-            collector.detach()
-        stats = {
-            "served": float(report.served),
-            "dropped": float(report.dropped),
-            "drops": {k: float(v) for k, v in sorted(report.drops.items())},
-            "conserved": report.conserved(),
-            "p99_s": report.p99_s,
-            "degraded_p99_s": report.degraded_p99_s or -1.0,
-            "cache_hit_rate": report.cache_hit_rate,
-            "drop_checksum": float(sum(
-                r.seq * 31.0 + r.sim_time_s for r in report.drop_records)),
-            "faults_fired": float(len(engine.fired)),
-            "recoveries": float(ctx.ps.master.recoveries),
-            "alerts": float(len(collector.alerts)),
-            "alert_fired_at": [a.fired_at_s for a in collector.alerts],
-        }
-        return stats, ctx.sim_time()
-
-
-@workload("streaming-window")
-def _streaming_window(seed: int, tracer: Tracer, metrics: MetricsRegistry
-                      ) -> Tuple[Dict[str, float], float]:
-    """The streaming-mutation plane end to end, double-run in strict mode.
-
-    Mutations flow topic -> staged at-least-once consumer -> window
-    engine; every window mixes adds, removals and a vertex drop, and the
-    incremental PageRank / components / embedding refreshes plus the
-    per-window full-recompute baselines all run on the sim clock.  The
-    CI streaming-smoke job asserts the whole pipeline — landing files,
-    offsets, deltas, cascade pushes, sim costs — is bit-reproducible.
-    """
-    import numpy as np
-
-    from repro.common.rng import make_rng
-    from repro.core.context import PSGraphContext
-    from repro.datasets.generators import powerlaw_graph
-    from repro.ingest.kafka import EdgeStreamConsumer, KafkaTopic
-    from repro.streaming import (
-        IncrementalComponents,
-        IncrementalPageRank,
-        OnlineEmbeddingRefresh,
-        StreamingEngine,
-        StreamingGraph,
-    )
-
-    num_vertices = 300
-    with PSGraphContext(_small_cluster(), app_name="lint-streaming",
-                        metrics=metrics, tracer=tracer) as ctx:
-        topic = KafkaTopic("mutations", num_partitions=4)
-        graph = StreamingGraph(ctx.ps, num_vertices, metrics=ctx.metrics)
-        consumer = EdgeStreamConsumer(
-            topic, ctx.hdfs, landing_dir="/stream/edges",
-            metrics=ctx.metrics)
-        engine = StreamingEngine(graph, consumer, measure_full=True)
-        engine.register("pagerank", IncrementalPageRank(graph, tol=1e-8))
-        engine.register("components", IncrementalComponents(graph))
-        engine.register("embedding", OnlineEmbeddingRefresh(
-            graph, dim=4, seed=seed))
-
-        src, dst = powerlaw_graph(
-            num_vertices, 1200, seed=derive_seed(seed, "lint-stream-base"))
-        topic.produce(src, dst)
-        engine.run_window()  # base-load window
-        engine.reports.clear()
-
-        rng = make_rng(derive_seed(seed, "lint-stream-muts"))
-        for w in range(3):
-            a_s = rng.integers(0, num_vertices, 10)
-            a_d = (a_s + 1 + rng.integers(0, num_vertices - 1, 10)
-                   ) % num_vertices
-            topic.produce(a_s, a_d)
-            present = graph.present_vertices()
-            victims = present[rng.integers(0, len(present), 6)]
-            outs = graph.out.get(victims)
-            r_s, r_d = [], []
-            for v, nb in outs.rows():
-                if len(nb):
-                    r_s.append(v)
-                    r_d.append(int(nb[rng.integers(0, len(nb))]))
-            if r_s:
-                topic.produce_removals(
-                    np.asarray(r_s, dtype=np.int64),
-                    np.asarray(r_d, dtype=np.int64))
-            if w == 1:
-                doomed = present[int(rng.integers(0, len(present)))]
-                topic.produce_vertex_removals(
-                    np.asarray([doomed], dtype=np.int64))
-            engine.run_window()
-
-        ids, ranks = engine.algos["pagerank"].ranks()
-        _, labels = engine.algos["components"].assignments()
-        summary = engine.summary()
-        stats = {
-            "windows": summary["windows"],
-            "records": float(sum(r.records for r in engine.reports)),
-            "edges_live": float(graph.num_edges),
-            "present": float(len(ids)),
-            "ranks_checksum": float(ranks.sum()),
-            "labels_checksum": float(labels.sum()),
-            "components": float(len(np.unique(labels))),
-            "dirty": float(sum(r.dirty_vertices for r in engine.reports)),
-            "cost_incremental_s": summary["cost_incremental_s"],
-            "cost_full_s": summary["cost_full_s"],
-            "cost_ratio": summary["cost_ratio"],
-            "landed_files": float(consumer._files),
-            "ingest_polls": metrics.get("ingest.polls"),
         }
         return stats, ctx.sim_time()

@@ -14,7 +14,7 @@ time-series from the metrics registry on sim-clock ticks, an
 :class:`~repro.obs.slo.SloEngine` evaluates declarative objectives with
 multi-window burn-rate alerting, :func:`~repro.obs.critical.critical_path`
 attributes end-to-end sim time to stages and operators, and the
-``repro-obs report`` CLI renders it all as a self-contained HTML
+``repro report`` command renders it all as a self-contained HTML
 dashboard.
 
 Tracing is off by default: every subsystem is threaded with

@@ -1,4 +1,5 @@
-"""Self-contained HTML dashboard for one telemetry document.
+"""Self-contained HTML dashboard for one telemetry document, and its
+plain-text summary (both printed / written by ``repro report``).
 
 Renders the JSON written by ``--telemetry`` into a single HTML file with
 no external assets: stat tiles, SLO status, the alert log, the chaos
@@ -517,6 +518,55 @@ def render_dashboard(doc: Dict[str, object]) -> str:
 </body>
 </html>
 """
+
+
+def summary_lines(doc: Dict[str, object]) -> List[str]:
+    """The plain-text summary of one telemetry document: run meta, SLO
+    states, alerts, fault detection and the top 10 critical-path rows."""
+    telemetry = doc.get("telemetry", {})
+    meta = doc.get("meta", {})
+    lines = []
+    if meta:
+        lines.append("run       : " + " ".join(
+            f"{k}={v}" for k, v in sorted(meta.items())))
+    lines.append(f"sim time  : {doc.get('sim_time_s', 0.0):.3f} s")
+    lines.append(f"series    : {len(telemetry.get('series', {}))} "
+                 f"({telemetry.get('ticks', 0)} ticks, window "
+                 f"{telemetry.get('window_s', 0.0):g} sim-s)")
+    for row in telemetry.get("slos", []):
+        lines.append(
+            f"slo       : {row.get('name'):<24} {row.get('state'):<10}"
+            f" alerts={row.get('alerts')} "
+            f"max_burn={row.get('max_burn_long', 0.0):.2f}"
+        )
+    for a in telemetry.get("alerts", []):
+        resolved = a.get("resolved_at_s")
+        tail = (f"resolved at {resolved:.3f} s"
+                if isinstance(resolved, (int, float)) else "still firing")
+        lines.append(
+            f"alert     : {a.get('slo')} fired at "
+            f"{a.get('fired_at_s', 0.0):.3f} s, {tail}"
+        )
+    for row in (doc.get("chaos") or {}).get("detection", []):
+        if row.get("detected_at_s") is None:
+            lines.append(f"fault     : {row.get('kind')} -> "
+                         f"{row.get('target')}: NOT detected")
+        else:
+            lines.append(
+                f"fault     : {row.get('kind')} -> {row.get('target')} "
+                f"detected by {row.get('slo')} after "
+                f"{row.get('detection_delay_s', 0.0):.3f} s"
+            )
+    cp = doc.get("critical_path")
+    if isinstance(cp, dict):
+        lines.append(f"critical  : table covers "
+                     f"{cp.get('covered_pct', 0.0):.2f}% of sim time")
+        for row in cp.get("table", [])[:10]:
+            lines.append(
+                f"  {row.get('pct', 0.0):6.2f}%  "
+                f"{row.get('seconds', 0.0):10.4f} s  {row.get('label')}"
+            )
+    return lines
 
 
 def write_dashboard(path: str, doc: Dict[str, object]) -> int:

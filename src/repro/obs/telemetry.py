@@ -15,7 +15,7 @@ a tick hook, feeds the :class:`TimeSeriesStore`, evaluates the
 (as instants on the driver's ``alerts`` track) and the metrics registry
 (the ``obs.alerts.fired`` counter), and serializes everything —
 including the critical-path profile — into the telemetry document the
-``repro-obs report`` CLI turns into a dashboard.
+``repro report`` command turns into a dashboard.
 """
 
 from __future__ import annotations
@@ -242,7 +242,7 @@ def build_telemetry_doc(collector: TelemetryCollector,
                         top_n: int = 25) -> Dict[str, object]:
     """Assemble the full telemetry document for one finished run.
 
-    This is what ``--telemetry PATH`` writes and ``repro-obs report``
+    This is what ``--telemetry PATH`` writes and ``repro report``
     renders: windowed series, SLO status, the alert log, the critical-path
     profile over the recorded spans, and (for chaos runs) the fault report
     with its detection-to-recovery timeline.

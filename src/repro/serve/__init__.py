@@ -16,15 +16,23 @@ Pieces:
 * :mod:`repro.serve.hotcache` — capacity-bounded LRU result cache
   layered over :class:`repro.ps.cache.PullCache`.
 * :mod:`repro.serve.plane` — the :class:`ServingPlane` orchestrator
-  routing lookups to PS servers through the existing RPC layer.
-* :mod:`repro.serve.cli` — the ``repro-serve`` train → snapshot →
-  serve → report pipeline.
+  routing lookups to PS servers through the existing RPC layer, and
+  :func:`publish_snapshot`, which turns trained rows into a checkpointed
+  serving vector.
+
+``repro serve`` (:mod:`repro.cli`) runs the train → snapshot → serve →
+report pipeline end to end.
 """
 
 from repro.serve.admission import AdmissionQueue, DropRecord
 from repro.serve.hotcache import HotKeyCache
 from repro.serve.limiter import TenantRateLimiter, TokenBucket, WatermarkGate
-from repro.serve.plane import ServingPlane, ServingReport, default_serve_slos
+from repro.serve.plane import (
+    ServingPlane,
+    ServingReport,
+    default_serve_slos,
+    publish_snapshot,
+)
 from repro.serve.workload import Request, RequestGenerator, TenantSpec
 
 __all__ = [
@@ -40,4 +48,5 @@ __all__ = [
     "TokenBucket",
     "WatermarkGate",
     "default_serve_slos",
+    "publish_snapshot",
 ]

@@ -87,6 +87,22 @@ def default_serve_slos() -> List[SloSpec]:
     ]
 
 
+def publish_snapshot(psctx, name: str, rows: Sequence[Tuple]) -> int:
+    """Publish trained ``(key, value)`` rows as the PS vector ``name`` and
+    checkpoint every resident matrix; returns the key space.
+
+    Everything is snapshotted, not just ``name``: auto-recovery restores
+    every matrix, so an uncheckpointed leftover from training would turn
+    a mid-serving shard kill into an unrecoverable fault.
+    """
+    keys = np.array([r[0] for r in rows], dtype=np.int64)
+    values = np.array([r[1] for r in rows], dtype=np.float64)
+    key_space = int(keys.max()) + 1 if len(keys) else 1
+    psctx.create_vector(name, key_space).set(keys, values)
+    psctx.checkpoint_all()
+    return key_space
+
+
 @dataclass
 class ServingReport:
     """Aggregate outcome of one serving run (all times simulated)."""

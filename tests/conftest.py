@@ -13,7 +13,7 @@ from repro.dataflow.context import SparkContext
 
 # Example counts for property tests that do not pin their own: ``default``
 # keeps tier-1 under a minute, ``--hypothesis-profile deep`` is what the
-# serve-smoke CI step runs.
+# ``smoke`` CI matrix runs (and asserts the example count of).
 settings.register_profile("default", max_examples=50, deadline=None)
 settings.register_profile("deep", max_examples=1000, deadline=None)
 # (registering under the loaded name applies it; load_profile here would

@@ -2,17 +2,27 @@
 workloads (the PageRank strict check here is the repo's own proof that
 two seeded runs are indistinguishable)."""
 
+import numpy as np
 import pytest
 
+import repro.cli
+from repro.cli import execute
+from repro.common.metrics import MetricsRegistry
 from repro.lint.dynamic import (
+    CLI_WORKLOADS,
     WORKLOADS,
     DeterminismReport,
     _drifts,
     _flatten,
     _span_diffs,
     check_determinism,
+    cli_argv,
     run_workload,
 )
+from repro.obs import NOOP_TRACER
+from repro.ps.matrix import PSMatrix
+from repro.serve import ServingPlane
+from repro.streaming import IncrementalComponents, IncrementalPageRank
 
 
 # ----------------------------------------------------------------------
@@ -72,6 +82,72 @@ def test_unknown_workload_raises():
 
 def test_builtin_workloads_registered():
     assert {"pagerank", "graphsage", "psgraph-tables"} <= set(WORKLOADS)
+    assert set(CLI_WORKLOADS) <= set(WORKLOADS)
+
+
+@pytest.mark.parametrize("name", sorted(CLI_WORKLOADS))
+def test_cli_workload_runs_the_cli_pipeline(name):
+    """A command-line workload is the ``repro`` pipeline itself: its traced
+    snapshot ends at the sim time of the same argv run in process with
+    tracing off — which also holds tracing off the sim clock."""
+    snap = run_workload(name, seed=7)
+    doc = execute(cli_argv(name, 7), NOOP_TRACER, MetricsRegistry())
+    assert doc["sim_time_s"] == snap.sim_time_s > 0
+    if "--chaos" in CLI_WORKLOADS[name]:
+        assert doc["chaos"]["fired"], "the chaos workload fired no fault"
+
+
+def _ulp_up(values):
+    """``values`` with every positive entry one ulp higher."""
+    values = np.asarray(values, dtype=np.float64)
+    return np.where(values > 0, np.nextafter(values, np.inf), values)
+
+
+def _drift_drops(report):
+    report.drop_records.time = _ulp_up(report.drop_records.time)
+    return report
+
+
+def _drift_label(assigned):
+    ids, labels = assigned
+    labels = labels.copy()
+    labels[0] += 1
+    return ids, labels
+
+
+@pytest.mark.parametrize("name, owner, method, drift, digest", [
+    ("pagerank", PSMatrix, "to_numpy", _ulp_up, "output_crc"),
+    ("chaos-pagerank", PSMatrix, "to_numpy", _ulp_up, "output_crc"),
+    ("telemetry-chaos-pagerank", PSMatrix, "to_numpy", _ulp_up,
+     "output_crc"),
+    ("serve-chaos", ServingPlane, "run", _drift_drops, "drops_crc"),
+    ("streaming-window", IncrementalPageRank, "ranks",
+     lambda r: (r[0], _ulp_up(r[1])), "state.ranks_crc"),
+    ("streaming-window", IncrementalComponents, "assignments",
+     _drift_label, "state.labels_crc"),
+])
+def test_strict_gate_sees_output_drift(monkeypatch, name, owner, method,
+                                       drift, digest):
+    """One value of a CLI workload's output drifting in the second run —
+    a saved rank, a drop record's sim time, a streaming rank or label —
+    fails the strict check through the result document's digest."""
+    runs = []
+    real_execute, real_method = repro.cli.execute, getattr(owner, method)
+
+    def counted(argv, tracer, metrics):
+        runs.append(argv)
+        return real_execute(argv, tracer, metrics)
+
+    def drifting(self, *args, **kwargs):
+        out = real_method(self, *args, **kwargs)
+        return drift(out) if len(runs) == 2 else out
+
+    monkeypatch.setattr(repro.cli, "execute", counted)
+    monkeypatch.setattr(owner, method, drifting)
+    report = check_determinism(name, seed=7, strict=True)
+    assert not report.ok
+    assert any(d.startswith(f"{digest}:") for d in report.stat_diffs), \
+        report.describe()
 
 
 def test_psgraph_tables_loses_and_rewrites_a_map_output():

@@ -455,7 +455,7 @@ class TestCliFlags:
         trace = tmp_path / "trace.json"
         metrics = tmp_path / "metrics.json"
         rc = main([
-            "pagerank", "--input", str(edges), "--iterations", "2",
+            "run", "pagerank", "--input", str(edges), "--iterations", "2",
             "--executors", "2", "--servers", "1",
             "--trace", str(trace), "--metrics", str(metrics), "--timeline",
         ])

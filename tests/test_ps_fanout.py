@@ -12,7 +12,8 @@ operation sequences: results, final state (optimizer state included),
 both clocks, every metric, every span and every server's memory must
 agree, across recoveries in the middle of an operation too.
 
-``--hypothesis-profile deep`` (the ``chaos-smoke`` CI job) runs 1,000
+``--hypothesis-profile deep`` (the ``chaos`` entry of the ``smoke`` CI
+matrix) runs 1,000
 examples of each property.
 """
 

@@ -424,16 +424,14 @@ class TestChaosUnderServing:
 
 class TestServeCli:
     def test_end_to_end_with_artifacts(self, tmp_path, capsys):
-        from repro.serve.cli import main
+        from repro.cli import main
         telemetry = tmp_path / "serve.json"
         dashboard = tmp_path / "serve.html"
         report_json = tmp_path / "report.json"
         rc = main([
-            "--requests", "4000", "--vertices", "300", "--edges", "1200",
-            "--iterations", "4", "--seed", "7", "--chaos",
-            "--chaos-after", "30",
-            "--telemetry", str(telemetry), "--dashboard", str(dashboard),
-            "--report-json", str(report_json), "--require-alert", "1",
+            "serve", "--requests", "12000", "--vertices", "300",
+            "--edges", "1200", "--iterations", "4", "--seed", "7", "--chaos",
+            "--telemetry", str(telemetry), "--report-json", str(report_json),
         ])
         assert rc == 0
         out = capsys.readouterr().out
@@ -446,13 +444,17 @@ class TestServeCli:
         report = json.loads(report_json.read_text())
         assert report["conserved"] is True
         assert report["degraded_p99_s"] > 0.25
+        assert main(["report", str(telemetry), "--out", str(dashboard),
+                     "--require-alert", "1"]) == 0
         assert "serve.latency_s" in dashboard.read_text()
 
     def test_require_alert_fails_without_chaos(self, tmp_path, capsys):
-        from repro.serve.cli import main
-        rc = main([
-            "--requests", "1000", "--vertices", "200", "--edges", "800",
-            "--iterations", "3", "--require-alert", "1",
-        ])
-        assert rc == 1
+        from repro.cli import main
+        telemetry = tmp_path / "serve.json"
+        assert main([
+            "serve", "--requests", "1000", "--vertices", "200",
+            "--edges", "800", "--iterations", "3",
+            "--telemetry", str(telemetry),
+        ]) == 0
+        assert main(["report", str(telemetry), "--require-alert", "1"]) == 1
         assert "required >= 1 alert" in capsys.readouterr().err

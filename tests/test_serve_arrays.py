@@ -8,7 +8,7 @@ new form to the old one — the per-request loop, the ``OrderedDict`` cache
 and the sample-at-a-time histogram of commit ``1d49e73``, copied below as
 oracles — decision for decision and bit for bit.  Example counts follow
 the hypothesis profile (``tests/conftest.py``): small in tier-1, ``deep``
-in the serve-smoke CI step.
+in the ``serve`` entry of the ``smoke`` CI matrix.
 """
 
 import math

@@ -12,7 +12,7 @@ build and the dict / set forms of ``StreamingGraph.apply``,
 window in sim time, every span, every metric and the bytes of every
 state.  Example counts follow the hypothesis profile
 (``tests/conftest.py``): small in tier-1, ``deep`` in the
-streaming-smoke CI step.
+``streaming`` entry of the ``smoke`` CI matrix.
 """
 
 from typing import Dict, List, Set, Tuple

@@ -439,22 +439,19 @@ class TestObsCli:
         path.write_text(json.dumps(doc))
         return path
 
-    def test_report_writes_dashboard_and_json(self, tmp_path, capsys):
-        from repro.obs.cli import main
+    def test_report_writes_dashboard(self, tmp_path, capsys):
+        from repro.cli import main
         src = self._write_doc(tmp_path)
         out = tmp_path / "dash.html"
-        jout = tmp_path / "clean.json"
         rc = main(["report", str(src), "--out", str(out),
-                   "--json", str(jout), "--require-alert", "1"])
+                   "--require-alert", "1"])
         assert rc == 0
         assert out.read_text().startswith("<!DOCTYPE html>")
-        assert json.loads(jout.read_text())["schema"] == \
-            "repro.telemetry/v1"
         stdout = capsys.readouterr().out
         assert "critical" in stdout and "alert" in stdout
 
     def test_require_alert_fails_when_none(self, tmp_path):
-        from repro.obs.cli import main
+        from repro.cli import main
         doc = {"schema": "repro.telemetry/v1", "meta": {},
                "sim_time_s": 1.0,
                "telemetry": {"window_s": 5.0, "ticks": 1,
@@ -466,7 +463,7 @@ class TestObsCli:
                      "--require-alert", "1"]) == 1
 
     def test_rejects_non_telemetry_json(self, tmp_path):
-        from repro.obs.cli import main
+        from repro.cli import main
         path = tmp_path / "x.json"
         path.write_text("{}")
         assert main(["report", str(path)]) == 1
@@ -479,7 +476,7 @@ class TestMainCliTelemetryFlag:
         edges.write_text("0\t1\n1\t2\n2\t0\n1\t0\n2\t1\n")
         out = tmp_path / "telemetry.json"
         rc = main([
-            "pagerank", "--input", str(edges), "--iterations", "2",
+            "run", "pagerank", "--input", str(edges), "--iterations", "2",
             "--executors", "2", "--servers", "1",
             "--telemetry", str(out),
         ])

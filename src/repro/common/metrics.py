@@ -435,7 +435,6 @@ HDFS_BYTES_WRITTEN = "hdfs.bytes_written"
 RPC_CALLS = "net.rpc.calls"
 RPC_BYTES = "net.rpc.bytes"
 CONTAINERS_RESTARTED = "yarn.containers.restarted"
-TASKS_SPECULATED = "dataflow.tasks.speculated"
 CHAOS_FAULTS = "chaos.faults.fired"
 PS_RECOVERIES = "ps.recovery.count"
 PS_ROLLBACKS = "ps.recovery.rollbacks"

@@ -34,8 +34,6 @@ class PSGraphContext:
             (or completed iteration, for recovery-aware algorithms)
             snapshots every model to HDFS; 0 disables periodic
             checkpoints (see docs/fault-tolerance.md).
-        speculation: enable the scheduler's speculative execution for
-            straggler executors (see :class:`SparkContext`).
     """
 
     def __init__(self, cluster: ClusterConfig, *, sync_mode: str = "bsp",
@@ -43,12 +41,11 @@ class PSGraphContext:
                  hdfs: Hdfs | None = None,
                  metrics: MetricsRegistry | None = None,
                  tracer: NoopTracer = NOOP_TRACER,
-                 checkpoint_interval: int = 0,
-                 speculation: bool = False) -> None:
+                 checkpoint_interval: int = 0) -> None:
         self.cluster = cluster
         self.spark = SparkContext(
             cluster, app_name=app_name, hdfs=hdfs, metrics=metrics,
-            tracer=tracer, speculation=speculation,
+            tracer=tracer,
         )
         self.ps = PSContext(self.spark, sync_mode=sync_mode,
                             checkpoint_interval=checkpoint_interval)

@@ -52,12 +52,6 @@ class SparkContext:
         retry_backoff_base_s / retry_backoff_max_s: exponential backoff the
             driver waits (in sim-time) before re-launching a failed task
             attempt: ``min(max, base * 2**(attempt-1))`` seconds.
-        speculation: when True, a task whose preferred executor is a known
-            straggler (``slowdown >= speculation_multiplier``) launches its
-            speculative copy on the least-busy healthy executor instead —
-            the copy wins and the straggler attempt is never started.
-        speculation_multiplier: slowdown factor above which an executor is
-            treated as a straggler by speculation.
     """
 
     def __init__(self, cluster: ClusterConfig, *,
@@ -69,9 +63,7 @@ class SparkContext:
                  app_name: str = "app",
                  auto_restart_executors: bool = True,
                  retry_backoff_base_s: float = 1.0,
-                 retry_backoff_max_s: float = 60.0,
-                 speculation: bool = False,
-                 speculation_multiplier: float = 1.5) -> None:
+                 retry_backoff_max_s: float = 60.0) -> None:
         self.cluster = cluster
         self.app_name = app_name
         self.metrics = metrics if metrics is not None else MetricsRegistry()
@@ -89,8 +81,6 @@ class SparkContext:
         self.auto_restart_executors = auto_restart_executors
         self.retry_backoff_base_s = retry_backoff_base_s
         self.retry_backoff_max_s = retry_backoff_max_s
-        self.speculation = speculation
-        self.speculation_multiplier = speculation_multiplier
         self.driver: Container = self.resource_manager.request(
             "driver", cluster.executor_mem_bytes, name=f"driver-{app_name}"
         )

@@ -30,7 +30,7 @@ class Executor:
         container: the backing Yarn container.
         slowdown: straggler factor — simulated task time on this executor
             is multiplied by it (>= 1.0; set by fault injection, read by
-            the scheduler's cost accounting and speculation policy).
+            the scheduler's cost accounting).
     """
 
     index: int

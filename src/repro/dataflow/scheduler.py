@@ -24,7 +24,6 @@ from repro.common.metrics import (
     TASK_DURATION_H,
     TASKS_FAILED,
     TASKS_LAUNCHED,
-    TASKS_SPECULATED,
 )
 from repro.common.simclock import barrier
 from repro.dataflow.shuffle import ShuffleOutputLostError
@@ -225,22 +224,6 @@ class DAGScheduler:
         while pending:
             p = pending.pop(0)
             executor = ctx.executor_for_partition(p)
-            if ctx.speculation and \
-                    executor.slowdown >= ctx.speculation_multiplier:
-                # Speculative execution, launch-time form: the preferred
-                # executor is a known straggler, so the speculative copy
-                # on the least-busy healthy executor wins and the
-                # straggler attempt is never started (no duplicated side
-                # effects).  Deterministic: ties break on executor index.
-                healthy = [
-                    ex for ex in ctx.executors
-                    if ex.alive and ex.slowdown < ctx.speculation_multiplier
-                ]
-                if healthy:
-                    executor = min(
-                        healthy, key=lambda ex: (busy[ex.index], ex.index)
-                    )
-                    metrics.inc(TASKS_SPECULATED)
             tctx = TaskContext(stage_id, p, executor, attempt=attempts[p],
                                tracer=tracer)
             metrics.inc(TASKS_LAUNCHED)

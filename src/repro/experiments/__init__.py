@@ -1,42 +1,24 @@
-"""Experiment harness: regenerate every table and figure of the paper."""
+"""Experiment harness: regenerate every table and figure of the paper.
 
-from repro.experiments.ablations import (
-    ablation_delta_pagerank,
-    ablation_line_psfunc,
-    ablation_partitioners,
-    ablation_sync_modes,
-)
-from repro.experiments.figure6 import FIG6_CELLS, PAPER_FIG6, run_figure6
-from repro.experiments.harness import (
-    ExperimentRow,
-    format_rows,
-    speedup,
-    timed_run,
-)
-from repro.experiments.line_epochs import run_line_epochs
-from repro.experiments.resources import run_resource_efficiency
-from repro.experiments.scaling import scaling_executors, scaling_servers
-from repro.experiments.table1 import PAPER_TABLE1, run_table1
-from repro.experiments.table2 import PAPER_TABLE2, run_table2
+Each experiment module is a list of :class:`Cell` records plus the
+paper's values (``figure6.CELLS``, ``table1.CELLS``, ...);
+:func:`run_cell` runs one cell and reports one :class:`ExperimentRow`.
+"""
+
+from repro.experiments.cells import Cell, run_cell, run_cells
+from repro.experiments.figure6 import PAPER_FIG6
+from repro.experiments.harness import ExperimentRow, format_rows, speedup
+from repro.experiments.table1 import PAPER_TABLE1
+from repro.experiments.table2 import PAPER_TABLE2
 
 __all__ = [
+    "Cell",
     "ExperimentRow",
-    "FIG6_CELLS",
     "PAPER_FIG6",
     "PAPER_TABLE1",
     "PAPER_TABLE2",
-    "ablation_delta_pagerank",
-    "ablation_line_psfunc",
-    "ablation_partitioners",
-    "ablation_sync_modes",
     "format_rows",
-    "run_figure6",
-    "run_line_epochs",
-    "run_resource_efficiency",
-    "run_table1",
-    "run_table2",
-    "scaling_executors",
-    "scaling_servers",
+    "run_cell",
+    "run_cells",
     "speedup",
-    "timed_run",
 ]

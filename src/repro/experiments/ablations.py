@@ -6,163 +6,84 @@ decisions matter, using the same metered substrate:
 * delta vs full PageRank (Sec. IV-A's increment optimization);
 * psFunc server-side dots/updates vs pulling embeddings for LINE
   (Sec. IV-D);
-* BSP vs ASP synchronization (Sec. III-A) under a straggling executor;
+* BSP vs ASP synchronization (Sec. III-A) under a straggling server;
 * hash vs range vs hash-range partitioning load balance (Sec. III-A).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 import numpy as np
 
-from repro.common.config import ClusterConfig
-from repro.common.metrics import PS_PULL_BYTES, PS_PUSH_BYTES
 from repro.common.rng import DEFAULT_SEED
-from repro.core.algorithms import Line, PageRank
-from repro.core.context import PSGraphContext
-from repro.core.ops import edges_from_arrays
-from repro.datasets.generators import powerlaw_graph
+from repro.experiments.cells import Cell
+from repro.experiments.harness import ExperimentRow
 from repro.ps.partitioner import make_ps_partitioner
 
-
-def _small_ctx(num_executors=8, num_servers=4,
-               sync_mode: str = "bsp") -> PSGraphContext:
-    cluster = ClusterConfig(
-        num_executors=num_executors, executor_mem_bytes=1 << 40,
-        num_servers=num_servers, server_mem_bytes=1 << 40,
+#: Delta vs thresholded-delta vs full PageRank: PS traffic + sim time.
+DELTA_CELLS: List[Cell] = [
+    Cell("ablation-delta", "PSGraph", "PL4000x40000", "PageRank",
+         variant=variant, output="ranks", unit="seconds",
+         knobs={"max_iterations": 40, "tol": 0.0, **knobs})
+    for variant, knobs in (
+        ("full-ranks", {"use_delta": False}),
+        ("delta", {"use_delta": True}),
+        ("delta-threshold", {"use_delta": True, "delta_threshold": 1e-3}),
     )
-    return PSGraphContext(cluster, sync_mode=sync_mode)
+]
 
+#: Server-side dots/updates vs pulling whole embedding rows.  Few
+#: servers, many executors: the congestion regime where moving embedding
+#: rows hurts (Sec. IV-D's motivation).
+PSFUNC_CELLS: List[Cell] = [
+    Cell("ablation-psfunc", "PSGraph", "PL1000x8000", "Line",
+         variant=variant, unit="seconds",
+         knobs={"dim": 128, "epochs": 1, "batch_size": 1024,
+                "seed": DEFAULT_SEED, "use_psfunc": use_psfunc},
+         cluster={"num_executors": 16, "num_servers": 2})
+    for variant, use_psfunc in (("psfunc-on-ps", True),
+                                ("pull-embeddings", False))
+]
 
-def ablation_delta_pagerank(num_vertices: int = 4000,
-                            num_edges: int = 40000,
-                            iterations: int = 40,
-                            threshold: float = 1e-3,
-                            seed: int = DEFAULT_SEED) -> List[Dict]:
-    """Delta vs thresholded-delta vs full PageRank: PS traffic + sim time."""
-    src, dst = powerlaw_graph(num_vertices, num_edges, seed=seed)
-    out: List[Dict] = []
-    variants = [
-        ("full-ranks", dict(use_delta=False)),
-        ("delta", dict(use_delta=True)),
-        ("delta-threshold", dict(use_delta=True,
-                                 delta_threshold=threshold)),
-    ]
-    for name, kwargs in variants:
-        ctx = _small_ctx()
-        try:
-            edges = edges_from_arrays(ctx.spark, src, dst)
-            t0 = ctx.sim_time()
-            result = PageRank(
-                max_iterations=iterations, tol=0.0, **kwargs
-            ).transform(ctx, edges)
-            ranks = {r["vertex"]: r["rank"]
-                     for r in result.output.collect()}
-            out.append({
-                "variant": name,
-                "sim_seconds": ctx.sim_time() - t0,
-                "pull_bytes": ctx.metrics.get(PS_PULL_BYTES),
-                "push_bytes": ctx.metrics.get(PS_PUSH_BYTES),
-                "residual": result.stats["residual"],
-                "rank_checksum": sum(ranks.values()),
-            })
-        finally:
-            ctx.stop()
-    return out
-
-
-def ablation_line_psfunc(num_vertices: int = 1000, num_edges: int = 8000,
-                         dim: int = 128,
-                         seed: int = DEFAULT_SEED) -> List[Dict]:
-    """Server-side dots/updates vs pulling whole embedding rows."""
-    src, dst = powerlaw_graph(num_vertices, num_edges, seed=seed)
-    out: List[Dict] = []
-    for name, use_psfunc in (("psfunc-on-ps", True),
-                             ("pull-embeddings", False)):
-        # Few servers, many executors: the congestion regime where moving
-        # embedding rows hurts (Sec. IV-D's motivation).
-        ctx = _small_ctx(num_executors=16, num_servers=2)
-        try:
-            edges = edges_from_arrays(ctx.spark, src, dst)
-            t0 = ctx.sim_time()
-            result = Line(
-                dim=dim, epochs=1, batch_size=1024, seed=seed,
-                use_psfunc=use_psfunc,
-            ).transform(ctx, edges)
-            out.append({
-                "variant": name,
-                "sim_seconds": ctx.sim_time() - t0,
-                "pull_bytes": ctx.metrics.get(PS_PULL_BYTES),
-                "push_bytes": ctx.metrics.get(PS_PUSH_BYTES),
-                "loss": result.stats["epoch_losses"][-1],
-            })
-        finally:
-            ctx.stop()
-    return out
-
-
-def ablation_sync_modes(num_vertices: int = 2000, num_edges: int = 20000,
-                        iterations: int = 10,
-                        straggler_slowdown_s: float = 0.005,
-                        seed: int = DEFAULT_SEED) -> List[Dict]:
-    """BSP vs ASP when one executor is slow.
-
-    A straggling *server* delays every BSP barrier (executors wait for
-    the slowest participant); under ASP the workers proceed and the job
-    time ignores the server's lag.
-    """
-    src, dst = powerlaw_graph(num_vertices, num_edges, seed=seed)
-    out: List[Dict] = []
-    for mode in ("bsp", "asp"):
-        ctx = _small_ctx(sync_mode=mode)
-        try:
-            # Make PS server 0 a straggler: pre-charge its clock per task.
-            def drag(_s, _p, _k, ctx=ctx):
-                ctx.ps.servers[0].container.clock.advance(
-                    straggler_slowdown_s
-                )
-
-            ctx.spark.add_task_hook(drag)
-            edges = edges_from_arrays(ctx.spark, src, dst)
-            t0 = ctx.sim_time()
-            PageRank(max_iterations=iterations, tol=0.0).transform(
-                ctx, edges
-            )
-            out.append({
-                "variant": mode,
-                "sim_seconds": ctx.sim_time() - t0,
-            })
-        finally:
-            ctx.stop()
-    return out
+#: BSP vs ASP when PS server 0 straggles: it delays every BSP barrier
+#: (executors wait for the slowest participant); under ASP the workers
+#: proceed and the job time ignores the server's lag.
+SYNC_CELLS: List[Cell] = [
+    Cell("ablation-sync", "PSGraph", "PL2000x20000", "PageRank",
+         variant=mode, unit="seconds", cluster={"sync_mode": mode},
+         knobs={"max_iterations": 10, "tol": 0.0, "server_drag_s": 0.005})
+    for mode in ("bsp", "asp")
+]
 
 
 def ablation_partitioners(num_vertices: int = 100_000,
                           num_partitions: int = 16,
-                          seed: int = DEFAULT_SEED) -> List[Dict]:
+                          seed: int = DEFAULT_SEED) -> List[ExperimentRow]:
     """Load balance of hash / range / hash-range for a skewed key pattern.
 
     Keys are drawn with a power-law over the id space *without* the id
     scatter (ids correlate with hotness, as they do for time-ordered user
     ids) — range partitioning then concentrates hot ranges while hash and
-    hash-range spread them.
+    hash-range spread them.  No cluster runs, so rows carry no sim time.
     """
     rng = np.random.default_rng(seed)
     ranks = np.arange(1, num_vertices + 1, dtype=np.float64)
     probs = ranks ** -0.8
     probs /= probs.sum()
     keys = rng.choice(num_vertices, size=200_000, p=probs)
-    out: List[Dict] = []
+    out: List[ExperimentRow] = []
     for kind in ("hash", "range", "hash-range"):
         partitioner = make_ps_partitioner(kind, num_vertices,
                                           num_partitions)
         counts = np.bincount(partitioner.partition_array(keys),
                              minlength=partitioner.num_partitions)
-        out.append({
-            "variant": kind,
-            "max_load": int(counts.max()),
-            "mean_load": float(counts.mean()),
-            "imbalance": float(counts.max() / counts.mean()),
-        })
+        out.append(ExperimentRow(
+            "ablation-partitioners", "PSGraph", f"skewed-ids{num_vertices}",
+            kind, "ok", None, 1.0, unit="-", extra={
+                "max_load": int(counts.max()),
+                "mean_load": float(counts.mean()),
+                "imbalance": float(counts.max() / counts.mean()),
+            },
+        ))
     return out

@@ -17,38 +17,20 @@ Triangle Count         DS1    0.7       OOM
 Resources follow Sec. V-B1, scaled with the datasets: PSGraph gets 100
 executors (20 GB) + 20 PS (15 GB) on DS1 and 300 executors (30 GB) + 200 PS
 (30 GB) on DS2; GraphX gets 100x55 GB (DS1) and 500x55 GB (DS2).
+
+The resource-efficiency cells ("PSGraph only needs half of the
+resources", Sec. V-B1) are Figure 6's PageRank-DS1 cells with GraphX's
+executor grant swept: GraphX OOMs below PSGraph's total memory and is
+slower wherever it completes.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
-from repro.common.config import (
-    graphx_config_ds1,
-    graphx_config_ds2,
-    psgraph_config_ds1,
-    psgraph_config_ds2,
-)
-from repro.common.metrics import MetricsRegistry
-from repro.common.rng import DEFAULT_SEED
-from repro.core.algorithms import (
-    CommonNeighbor,
-    FastUnfolding,
-    KCore,
-    PageRank,
-    TriangleCount,
-)
-from repro.core.context import PSGraphContext
-from repro.core.runner import GraphRunner
-from repro.dataflow.context import SparkContext
-from repro.datasets.tencent import ds1_spec, ds2_spec, generate_edges, write_edges
-from repro.experiments.harness import ExperimentRow, timed_run
-from repro.graphx import graph as gxgraph
-from repro.graphx import algorithms as gxalgo
-from repro.graphx.fast_unfolding import fast_unfolding as gx_fast_unfolding
-from repro.hdfs.filesystem import Hdfs
+from repro.common.config import GB
+from repro.experiments.cells import Cell
 
 #: Paper-reported hours per (algorithm, dataset, system); None = OOM.
 PAPER_FIG6: Dict[Tuple[str, str, str], Optional[float]] = {
@@ -68,131 +50,41 @@ PAPER_FIG6: Dict[Tuple[str, str, str], Optional[float]] = {
     ("TriangleCount", "DS1", "GraphX"): None,
 }
 
-#: Iteration budgets shared by both systems (identical work per cell).
-PAGERANK_ITERS = 20
-KCORE_ITERS = 40
-FU_PASSES = 2
-FU_MOVE_ITERS = 4
+#: Dataset scale factors.
+SCALES = {"DS1": 1e-5, "DS2": 2e-6}
 
-#: The cells of the figure: (algorithm, dataset).
-FIG6_CELLS: List[Tuple[str, str]] = [
-    ("PageRank", "DS1"),
-    ("PageRank", "DS2"),
-    ("CommonNeighbor", "DS1"),
-    ("CommonNeighbor", "DS2"),
-    ("FastUnfolding", "DS1"),
-    ("KCore", "DS1"),
-    ("TriangleCount", "DS1"),
+#: Iteration budgets are shared by both systems (identical work per cell).
+#: GraphX survives CN by processing edges in chunks (many repeated ship
+#: rounds — slow but memory-bounded, as in the paper's 1.5 h).
+KNOBS: Dict[Tuple[str, str], Dict[str, object]] = {
+    ("PageRank", "PSGraph"): {"max_iterations": 20, "tol": 0.0},
+    ("PageRank", "GraphX"): {"max_iterations": 20, "tol": 0.0},
+    ("CommonNeighbor", "PSGraph"): {"batch_size": 8192},
+    ("CommonNeighbor", "GraphX"): {"num_chunks": 32},
+    ("FastUnfolding", "PSGraph"): {"num_passes": 2,
+                                   "max_move_iterations": 4},
+    ("FastUnfolding", "GraphX"): {"num_passes": 2,
+                                  "max_move_iterations": 4},
+    ("KCore", "PSGraph"): {"max_iterations": 40},
+    ("KCore", "GraphX"): {"max_iterations": 40},
+    ("TriangleCount", "PSGraph"): {"batch_size": 8192},
+    ("TriangleCount", "GraphX"): {},
+}
+
+#: One cell per bar, in the paper's order.
+CELLS: List[Cell] = [
+    Cell("figure6", system, ds, algo, SCALES[ds],
+         knobs=KNOBS[(algo, system)], paper=paper)
+    for (algo, ds, system), paper in PAPER_FIG6.items()
 ]
 
-
-def _psgraph_algo(name: str):
-    if name == "PageRank":
-        return PageRank(max_iterations=PAGERANK_ITERS, tol=0.0)
-    if name == "CommonNeighbor":
-        return CommonNeighbor(batch_size=8192)
-    if name == "FastUnfolding":
-        return FastUnfolding(num_passes=FU_PASSES,
-                             max_move_iterations=FU_MOVE_ITERS)
-    if name == "KCore":
-        return KCore(max_iterations=KCORE_ITERS)
-    if name == "TriangleCount":
-        return TriangleCount(batch_size=8192)
-    raise ValueError(name)
-
-
-def _graphx_run(name: str, ctx: SparkContext, src: np.ndarray,
-                dst: np.ndarray) -> object:
-    g = gxgraph.Graph.from_edges(ctx, src, dst)
-    if name == "PageRank":
-        return gxalgo.pagerank(g, max_iterations=PAGERANK_ITERS, tol=0.0)
-    if name == "CommonNeighbor":
-        # GraphX survives CN by processing edges in chunks (many repeated
-        # ship rounds — slow but memory-bounded, as in the paper's 1.5 h).
-        return gxalgo.common_neighbor(g, num_chunks=32)
-    if name == "FastUnfolding":
-        return gx_fast_unfolding(
-            ctx, src, dst, num_passes=FU_PASSES,
-            max_move_iterations=FU_MOVE_ITERS,
-        )
-    if name == "KCore":
-        return gxalgo.kcore(g, max_iterations=KCORE_ITERS)
-    if name == "TriangleCount":
-        return gxalgo.triangle_count(g)
-    raise ValueError(name)
-
-
-def run_figure6(scale_ds1: float = 1e-5, scale_ds2: float = 2e-6,
-                cells: Optional[List[Tuple[str, str]]] = None,
-                systems: Tuple[str, ...] = ("PSGraph", "GraphX"),
-                seed: int = DEFAULT_SEED) -> List[ExperimentRow]:
-    """Reproduce every cell of Figure 6; returns one row per (cell, system)."""
-    cells = cells or FIG6_CELLS
-    datasets = {}
-    for ds_name, spec in (("DS1", ds1_spec(scale_ds1)),
-                          ("DS2", ds2_spec(scale_ds2))):
-        if any(ds == ds_name for _a, ds in cells):
-            datasets[ds_name] = (spec, generate_edges(spec, seed))
-
-    rows: List[ExperimentRow] = []
-    for algo_name, ds_name in cells:
-        spec, (src, dst) = datasets[ds_name]
-        for system in systems:
-            if system == "PSGraph":
-                rows.append(_run_psgraph_cell(
-                    algo_name, ds_name, spec, src, dst
-                ))
-            else:
-                rows.append(_run_graphx_cell(
-                    algo_name, ds_name, spec, src, dst
-                ))
-    return rows
-
-
-def _run_psgraph_cell(algo_name: str, ds_name: str, spec, src, dst
-                      ) -> ExperimentRow:
-    base = psgraph_config_ds1() if ds_name == "DS1" else psgraph_config_ds2()
-    cluster = base.scaled(spec.scale)
-    hdfs = Hdfs(cluster.cost_model, MetricsRegistry())
-    write_edges(hdfs, "/input/edges", src, dst,
-                num_files=cluster.num_executors)
-    ctx = PSGraphContext(cluster, hdfs=hdfs, app_name=f"fig6-{algo_name}")
-    try:
-        runner = GraphRunner(ctx)
-        status, sim_s, wall_s, result = timed_run(
-            lambda: runner.run(_psgraph_algo(algo_name), "/input/edges"),
-            ctx.sim_time,
-        )
-        extra = {}
-        if status == "ok":
-            extra = {"iterations": result.iterations, **{
-                k: v for k, v in result.stats.items()
-                if isinstance(v, (int, float))
-            }}
-        return ExperimentRow(
-            "figure6", "PSGraph", ds_name, algo_name, status, sim_s,
-            spec.scale,
-            paper_value=PAPER_FIG6[(algo_name, ds_name, "PSGraph")],
-            wall_seconds=wall_s, extra=extra,
-        )
-    finally:
-        ctx.stop()
-
-
-def _run_graphx_cell(algo_name: str, ds_name: str, spec, src, dst
-                     ) -> ExperimentRow:
-    base = graphx_config_ds1() if ds_name == "DS1" else graphx_config_ds2()
-    cluster = base.scaled(spec.scale)
-    ctx = SparkContext(cluster, app_name=f"fig6-gx-{algo_name}")
-    try:
-        status, sim_s, wall_s, _result = timed_run(
-            lambda: _graphx_run(algo_name, ctx, src, dst), ctx.sim_time
-        )
-        return ExperimentRow(
-            "figure6", "GraphX", ds_name, algo_name, status, sim_s,
-            spec.scale,
-            paper_value=PAPER_FIG6[(algo_name, ds_name, "GraphX")],
-            wall_seconds=wall_s,
-        )
-    finally:
-        ctx.stop()
+_PAGERANK_DS1 = {c.system: c for c in CELLS
+                 if (c.algorithm, c.dataset) == ("PageRank", "DS1")}
+#: GraphX's executor grants (GB) in the resource sweep.
+RESOURCE_GBS = (15.0, 25.0, 40.0, 55.0)
+RESOURCE_CELLS: List[Cell] = [
+    replace(_PAGERANK_DS1["GraphX"], experiment="resources",
+            variant=f"{gb:g}GB", cluster={"executor_mem_bytes": int(gb * GB)})
+    for gb in RESOURCE_GBS
+] + [replace(_PAGERANK_DS1["PSGraph"], experiment="resources",
+             variant="20GB")]

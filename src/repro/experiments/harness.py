@@ -1,6 +1,6 @@
-"""Experiment harness: rows, projection, OOM capture, pretty printing.
+"""Experiment rows: projection to paper scale and pretty printing.
 
-Every experiment module produces :class:`ExperimentRow` records carrying
+Every experiment cell produces an :class:`ExperimentRow` carrying
 both clocks — measured **sim-time** at mini scale and its linear
 **projection to paper scale** (``paper = sim / scale``) — plus the paper's
 reported number for side-by-side comparison.  An ``OOM`` status mirrors the
@@ -9,14 +9,8 @@ reported number for side-by-side comparison.  An ``OOM`` status mirrors the
 
 from __future__ import annotations
 
-# Experiments report the *host* runtime of the simulation alongside
-# sim-time, so reading the wall clock here is the whole point.
-# repro-lint: disable-file=SIM001
-import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
-
-from repro.common.errors import SimulatedOOMError
+from typing import Any, Dict, List, Optional
 
 
 @dataclass
@@ -26,7 +20,7 @@ class ExperimentRow:
     Attributes:
         experiment: e.g. "figure6".
         system: "PSGraph" / "GraphX" / "Euler".
-        dataset: "DS1" / "DS2" / "DS3".
+        dataset: "DS1" / "DS2" / "DS3", or a power-law graph "PL<v>x<e>".
         algorithm: algorithm label.
         status: "ok" or "OOM".
         sim_seconds: simulated runtime at mini scale (None on OOM).
@@ -70,55 +64,39 @@ class ExperimentRow:
         return f"{value:.2f}"
 
 
-def timed_run(fn: Callable[[], Any], sim_time: Callable[[], float]
-              ) -> Tuple[str, Optional[float], float, Any]:
-    """Run ``fn`` capturing sim-time delta, wall time and simulated OOM.
-
-    Returns:
-        ``(status, sim_seconds, wall_seconds, result)``; on OOM the result
-        is the exception and sim_seconds is None.
-    """
-    wall0 = time.perf_counter()
-    sim0 = sim_time()
-    try:
-        result = fn()
-    except SimulatedOOMError as oom:
-        return "OOM", None, time.perf_counter() - wall0, oom
-    return (
-        "ok",
-        sim_time() - sim0,
-        time.perf_counter() - wall0,
-        result,
-    )
-
-
 def format_rows(rows: List[ExperimentRow], title: str = "") -> str:
-    """Format experiment rows as an aligned comparison table."""
-    headers = [
+    """Format experiment rows as an aligned comparison table; each scalar
+    ``extra`` value gets a column."""
+    keys = list(dict.fromkeys(
+        k for r in rows for k, v in r.extra.items()
+        if not isinstance(v, list)
+    ))
+    table: List[List[str]] = [[
         "experiment", "dataset", "algorithm", "system", "status",
-        "projected", "paper", "unit", "sim_s", "wall_s",
-    ]
-    table: List[List[str]] = [headers]
+        "projected", "paper", "unit", "sim_s", "wall_s", *keys,
+    ]]
     for r in rows:
         table.append([
             r.experiment, r.dataset, r.algorithm, r.system, r.status,
             r.display_value(),
             "-" if r.paper_value is None else f"{r.paper_value:g}",
             r.unit,
-            "-" if r.sim_seconds is None else f"{r.sim_seconds:.3f}",
+            "-" if r.sim_seconds is None else f"{r.sim_seconds:.4g}",
             f"{r.wall_seconds:.2f}",
+            *(_cell_text(r.extra.get(k, "-")) for k in keys),
         ])
     widths = [max(len(row[i]) for row in table)
-              for i in range(len(headers))]
-    lines = []
-    if title:
-        lines.append(title)
-    sep = "-+-".join("-" * w for w in widths)
+              for i in range(len(table[0]))]
+    lines = [title] if title else []
     for j, row in enumerate(table):
         lines.append(" | ".join(c.ljust(w) for c, w in zip(row, widths)))
         if j == 0:
-            lines.append(sep)
+            lines.append("-+-".join("-" * w for w in widths))
     return "\n".join(lines)
+
+
+def _cell_text(value: Any) -> str:
+    return f"{value:.4g}" if isinstance(value, float) else str(value)
 
 
 def speedup(rows: List[ExperimentRow], dataset: str, algorithm: str,

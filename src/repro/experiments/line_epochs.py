@@ -4,81 +4,46 @@
 as TG, PSGraph takes 40 minutes per epoch and 4 hours in total."  (No
 distributed open-source baseline existed, so the paper reports PSGraph
 alone; so do we.)
-"""
 
-# Wall-clock timing is part of what these experiments report (host runtime
-# of the simulation next to sim-time).
-# repro-lint: disable-file=SIM001
+The paper claims "the same resources as TG", but 0.8 B vertices x
+(128-dim embedding + 128-dim context) in fp32 is ~820 GB — more than the
+TG allocation's 20 x 15 GB of server memory.  We quadruple the server
+grant so the model fits (EXPERIMENTS.md discusses this).
+"""
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import List
 
-from repro.common.config import psgraph_config_ds1
-from repro.common.metrics import MetricsRegistry
+from repro.common.config import GB
 from repro.common.rng import DEFAULT_SEED
-from repro.core.algorithms import Line
-from repro.core.context import PSGraphContext
-from repro.core.runner import GraphRunner
-from repro.datasets.tencent import ds1_spec, generate_edges, write_edges
+from repro.experiments.cells import Cell
 from repro.experiments.harness import ExperimentRow
-from repro.hdfs.filesystem import Hdfs
 
 #: Paper: 40 minutes per epoch, 4 hours total (i.e. 6 epochs).
 PAPER_EPOCH_HOURS = 40.0 / 60.0
 PAPER_TOTAL_HOURS = 4.0
 PAPER_DIM = 128
 
+CELLS: List[Cell] = [
+    Cell("line", "PSGraph", "DS1", "Line", 1e-5,
+         knobs={"dim": PAPER_DIM, "order": 2, "epochs": 3,
+                "batch_size": 4096, "seed": DEFAULT_SEED},
+         cluster={"server_mem_bytes": 4 * 15 * GB},
+         paper=PAPER_EPOCH_HOURS),
+]
 
-def run_line_epochs(scale: float = 1e-5, dim: int = PAPER_DIM,
-                    epochs: int = 3, batch_size: int = 4096,
-                    seed: int = DEFAULT_SEED) -> List[ExperimentRow]:
-    """Measure LINE per-epoch sim time on the DS1 stand-in."""
-    import time
 
-    spec = ds1_spec(scale)
-    src, dst = generate_edges(spec, seed)
-    # The paper claims "the same resources as TG", but 0.8 B vertices x
-    # (128-dim embedding + 128-dim context) in fp32 is ~820 GB — more than
-    # the TG allocation's 20 x 15 GB of server memory.  We quadruple the
-    # server grant so the model fits (EXPERIMENTS.md discusses this).
-    base = psgraph_config_ds1()
-    from dataclasses import replace
-    cluster = replace(
-        base, server_mem_bytes=base.server_mem_bytes * 4
-    ).scaled(scale)
-    hdfs = Hdfs(cluster.cost_model, MetricsRegistry())
-    write_edges(hdfs, "/input/edges", src, dst,
-                num_files=cluster.num_executors)
-    ctx = PSGraphContext(cluster, hdfs=hdfs, app_name="line-epochs")
-    wall0 = time.perf_counter()
-    try:
-        runner = GraphRunner(ctx)
-        algo = Line(dim=dim, order=2, epochs=epochs,
-                    batch_size=batch_size, seed=seed)
-        result = runner.run(algo, "/input/edges")
-        wall = time.perf_counter() - wall0
-        times = result.stats["epoch_sim_times"]
-        losses = result.stats["epoch_losses"]
-        rows = [
-            ExperimentRow(
-                "line", "PSGraph", spec.name, f"line-epoch-{i}", "ok",
-                t, scale, paper_value=PAPER_EPOCH_HOURS, unit="hours",
-                wall_seconds=wall,
-                extra={"loss": losses[i]},
-            )
-            for i, t in enumerate(times)
-        ]
-        rows.append(
-            ExperimentRow(
-                "line", "PSGraph", spec.name, "line-mean-epoch", "ok",
-                sum(times) / len(times), scale,
-                paper_value=PAPER_EPOCH_HOURS, unit="hours",
-                wall_seconds=wall,
-                extra={"final_loss": losses[-1],
-                       "loss_decreased": losses[-1] < losses[0]},
-            )
-        )
-        return rows
-    finally:
-        ctx.stop()
+def epoch_rows(row: ExperimentRow) -> List[ExperimentRow]:
+    """One row per epoch of a LINE run, then the mean epoch."""
+    times = row.extra["epoch_sim_times"]
+    losses = row.extra["epoch_losses"]
+    return [
+        replace(row, algorithm=f"line-epoch-{i}", sim_seconds=t,
+                extra={"loss": losses[i]})
+        for i, t in enumerate(times)
+    ] + [replace(row, algorithm="line-mean-epoch",
+                 sim_seconds=sum(times) / len(times),
+                 extra={"final_loss": losses[-1],
+                        "loss_decreased": losses[-1] < losses[0]})]

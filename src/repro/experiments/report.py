@@ -8,21 +8,48 @@ Usage::
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Callable, List, Tuple
 
-from repro.experiments.ablations import (
-    ablation_delta_pagerank,
-    ablation_line_psfunc,
-    ablation_partitioners,
-    ablation_sync_modes,
+from repro.experiments import (
+    ablations,
+    figure6,
+    line_epochs,
+    scaling,
+    table1,
+    table2,
 )
-from repro.experiments.figure6 import run_figure6
+from repro.experiments.cells import run_cells
 from repro.experiments.harness import ExperimentRow, format_rows, speedup
-from repro.experiments.line_epochs import run_line_epochs
-from repro.experiments.table1 import run_table1
-from repro.experiments.resources import run_resource_efficiency
-from repro.experiments.scaling import scaling_executors, scaling_servers
-from repro.experiments.table2 import run_table2
+
+#: (``repro experiments`` choice, table title, rows), in print order.
+SECTIONS: List[Tuple[str, str, Callable[[], List[ExperimentRow]]]] = [
+    ("figure6", "Figure 6: PSGraph vs GraphX",
+     lambda: run_cells(figure6.CELLS)),
+    ("table1", "Table I: GraphSage PSGraph vs Euler",
+     lambda: [r for row in run_cells(table1.CELLS)
+              for r in table1.phase_rows(row)]),
+    ("table2", "Table II: failure recovery",
+     lambda: run_cells(table2.CELLS)),
+    ("table2", "Table II extension: checkpoint recovery vs lineage",
+     lambda: table2.with_recovery_cost(run_cells(table2.RECOVERY_CELLS))),
+    ("line", "Sec. V-B2: LINE epochs",
+     lambda: [r for row in run_cells(line_epochs.CELLS)
+              for r in line_epochs.epoch_rows(row)]),
+    ("ablations", "Ablation: delta vs full PageRank",
+     lambda: run_cells(ablations.DELTA_CELLS)),
+    ("ablations", "Ablation: LINE psFunc vs pull",
+     lambda: run_cells(ablations.PSFUNC_CELLS)),
+    ("ablations", "Ablation: BSP vs ASP",
+     lambda: run_cells(ablations.SYNC_CELLS)),
+    ("ablations", "Ablation: partitioner balance",
+     ablations.ablation_partitioners),
+    ("resources", "Resource efficiency: PageRank DS1 memory sweep",
+     lambda: run_cells(figure6.RESOURCE_CELLS)),
+    ("scaling", "Scaling: PS servers (executors fixed)",
+     lambda: run_cells(scaling.SERVER_CELLS)),
+    ("scaling", "Scaling: executors (servers fixed)",
+     lambda: run_cells(scaling.EXECUTOR_CELLS)),
+]
 
 
 def ascii_bars(rows: List[ExperimentRow], width: int = 40) -> str:
@@ -44,80 +71,23 @@ def ascii_bars(rows: List[ExperimentRow], width: int = 40) -> str:
     return "\n".join(lines)
 
 
-def format_dicts(rows: List[Dict], title: str) -> str:
-    """Small aligned table for ablation dict rows."""
-    if not rows:
-        return title
-    keys = list(rows[0])
-    table = [keys] + [
-        [f"{r[k]:.4g}" if isinstance(r[k], float) else str(r[k])
-         for k in keys]
-        for r in rows
-    ]
-    widths = [max(len(row[i]) for row in table) for i in range(len(keys))]
-    out = [title]
-    for j, row in enumerate(table):
-        out.append(" | ".join(c.ljust(w) for c, w in zip(row, widths)))
-        if j == 0:
-            out.append("-+-".join("-" * w for w in widths))
-    return "\n".join(out)
-
-
 def run_all(which: str = "all") -> None:
     """Run the selected experiments and print their reports."""
-    if which in ("all", "figure6"):
-        rows = run_figure6()
-        print(format_rows(rows, "== Figure 6: PSGraph vs GraphX =="))
-        print()
-        print(ascii_bars(rows))
-        for cell in [("PageRank", "DS1"), ("CommonNeighbor", "DS1"),
-                     ("FastUnfolding", "DS1")]:
-            s = speedup(rows, cell[1], cell[0])
-            if s:
-                print(f"speedup {cell[0]} {cell[1]}: {s:.1f}x")
-        print()
-    if which in ("all", "table1"):
-        rows = run_table1()
-        print(format_rows(rows, "== Table I: GraphSage PSGraph vs Euler =="))
+    for name, title, rows_of in SECTIONS:
+        if which not in ("all", name):
+            continue
+        rows = rows_of()
+        print(format_rows(rows, f"== {title} =="))
+        if name == "figure6":
+            print()
+            print(ascii_bars(rows))
+            for algo in ("PageRank", "CommonNeighbor", "FastUnfolding"):
+                s = speedup(rows, "DS1", algo)
+                if s:
+                    print(f"speedup {algo} DS1: {s:.1f}x")
         for r in rows:
-            if "accuracy_pct" in r.extra:
+            if name == "table1" and "accuracy_pct" in r.extra:
                 print(f"  {r.system} accuracy: "
                       f"{r.extra['accuracy_pct']:.1f}% "
                       f"(paper {r.paper_value:g}%)")
-        print()
-    if which in ("all", "table2"):
-        rows = run_table2()
-        print(format_rows(rows, "== Table II: failure recovery =="))
-        print()
-    if which in ("all", "line"):
-        rows = run_line_epochs()
-        print(format_rows(rows, "== Sec. V-B2: LINE epochs =="))
-        print()
-    if which in ("all", "ablations"):
-        print(format_dicts(ablation_delta_pagerank(),
-                           "== Ablation: delta vs full PageRank =="))
-        print()
-        print(format_dicts(ablation_line_psfunc(),
-                           "== Ablation: LINE psFunc vs pull =="))
-        print()
-        print(format_dicts(ablation_sync_modes(),
-                           "== Ablation: BSP vs ASP =="))
-        print()
-        print(format_dicts(ablation_partitioners(),
-                           "== Ablation: partitioner balance =="))
-        print()
-    if which in ("all", "resources"):
-        rows = run_resource_efficiency()
-        rows = [{k: (v if v is not None else "OOM") for k, v in r.items()}
-                for r in rows]
-        print(format_dicts(
-            rows, "== Resource efficiency: PageRank DS1 memory sweep =="
-        ))
-        print()
-    if which in ("all", "scaling"):
-        print(format_dicts(scaling_servers(),
-                           "== Scaling: PS servers (executors fixed) =="))
-        print()
-        print(format_dicts(scaling_executors(),
-                           "== Scaling: executors (servers fixed) =="))
         print()

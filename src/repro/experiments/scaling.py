@@ -3,76 +3,35 @@
 The paper reports fixed allocations per dataset; these sweeps expose the
 *why* behind them on the same metered substrate:
 
-* :func:`scaling_servers` — PSGraph PageRank runtime as the PS fleet grows
+* :data:`SERVER_CELLS` — PSGraph PageRank runtime as the PS fleet grows
   with executors fixed.  The agents' congestion factor
   (``executors / servers``) shrinks, so pull/push time falls until compute
   dominates — the knee tells you how many servers a workload deserves
   (the paper gives DS1 20 servers for 100 executors, DS2 200 for 300).
-* :func:`scaling_executors` — runtime as executors grow with servers
-  fixed: near-linear at first, then the shared servers congest.
+* :data:`EXECUTOR_CELLS` — runtime as executors grow with servers fixed:
+  near-linear at first, then the shared servers congest.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import List
 
-from repro.common.config import GB, ClusterConfig
-from repro.common.rng import DEFAULT_SEED
-from repro.core.algorithms import PageRank
-from repro.core.context import PSGraphContext
-from repro.core.ops import edges_from_arrays
-from repro.datasets.generators import powerlaw_graph
-
-#: Workload used by both sweeps.
-NUM_VERTICES = 4000
-NUM_EDGES = 60000
-ITERATIONS = 10
+from repro.common.config import GB
+from repro.experiments.cells import Cell
 
 
-def _run_pagerank(num_executors: int, num_servers: int,
-                  seed: int) -> float:
-    cluster = ClusterConfig(
-        num_executors=num_executors, executor_mem_bytes=4 * GB,
-        num_servers=num_servers, server_mem_bytes=4 * GB,
-    )
-    ctx = PSGraphContext(cluster, app_name="scaling")
-    try:
-        src, dst = powerlaw_graph(NUM_VERTICES, NUM_EDGES, seed=seed)
-        edges = edges_from_arrays(ctx.spark, src, dst)
-        t0 = ctx.sim_time()
-        PageRank(max_iterations=ITERATIONS, tol=0.0).transform(ctx, edges)
-        return ctx.sim_time() - t0
-    finally:
-        ctx.stop()
+def _pagerank(experiment: str, executors: int, servers: int) -> Cell:
+    return Cell(experiment, "PSGraph", "PL4000x60000", "PageRank",
+                variant=f"{executors}x{servers}", unit="seconds",
+                knobs={"max_iterations": 10, "tol": 0.0},
+                cluster={"num_executors": executors,
+                         "executor_mem_bytes": 4 * GB,
+                         "num_servers": servers, "server_mem_bytes": 4 * GB})
 
 
-def scaling_servers(server_counts: Sequence[int] = (1, 2, 4, 8, 16),
-                    num_executors: int = 32,
-                    seed: int = DEFAULT_SEED) -> List[Dict]:
-    """PageRank sim time vs PS fleet size (executors fixed)."""
-    out: List[Dict] = []
-    for s in server_counts:
-        sim = _run_pagerank(num_executors, s, seed)
-        out.append({
-            "servers": s,
-            "executors": num_executors,
-            "sim_seconds": sim,
-            "congestion": max(1.0, num_executors / s),
-        })
-    return out
-
-
-def scaling_executors(executor_counts: Sequence[int] = (4, 8, 16, 32),
-                      num_servers: int = 4,
-                      seed: int = DEFAULT_SEED) -> List[Dict]:
-    """PageRank sim time vs executor count (servers fixed)."""
-    out: List[Dict] = []
-    for e in executor_counts:
-        sim = _run_pagerank(e, num_servers, seed)
-        out.append({
-            "executors": e,
-            "servers": num_servers,
-            "sim_seconds": sim,
-            "congestion": max(1.0, e / num_servers),
-        })
-    return out
+#: PageRank sim time vs PS fleet size (32 executors).
+SERVER_CELLS: List[Cell] = [_pagerank("scaling-servers", 32, s)
+                            for s in (1, 2, 4, 8, 16)]
+#: PageRank sim time vs executor count (4 servers).
+EXECUTOR_CELLS: List[Cell] = [_pagerank("scaling-executors", e, 4)
+                              for e in (4, 8, 16, 32)]

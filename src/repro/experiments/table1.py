@@ -14,30 +14,15 @@ two-layer GraphSage with k=2-hop sampling on the DS3 stand-in, so the
 accuracy comparison is apples-to-apples.
 """
 
-# Wall-clock timing is part of what these experiments report (host runtime
-# of the simulation next to sim-time).
-# repro-lint: disable-file=SIM001
-
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, List
 
-from repro.common.config import euler_config_ds3, psgraph_config_ds3
-from repro.common.metrics import MetricsRegistry
 from repro.common.rng import DEFAULT_SEED
-from repro.core.algorithms.graphsage import GraphSage, make_sage
-from repro.core.context import PSGraphContext
-from repro.core.ops import load_edges
-from repro.datasets.tencent import (
-    DEFAULT_SCALE_DS3,
-    ds3_spec,
-    generate_ds3_gnn,
-    write_edges,
-)
-from repro.eulersim.euler import EulerSystem
+from repro.datasets.tencent import DEFAULT_SCALE_DS3
+from repro.experiments.cells import Cell
 from repro.experiments.harness import ExperimentRow
-from repro.hdfs.filesystem import Hdfs
-from repro.torchlite.script import ScriptModule
 
 #: Paper values: (preprocess, per-epoch seconds, accuracy %).
 PAPER_TABLE1: Dict[str, Dict[str, float]] = {
@@ -47,115 +32,37 @@ PAPER_TABLE1: Dict[str, Dict[str, float]] = {
                 "accuracy": 91.6},
 }
 
-HIDDEN = 32
-EPOCHS = 3
-BATCH = 512
-#: Euler trains with smaller per-worker minibatches (its trainer applies
-#: one synchronous step per batch; more, smaller steps close the gap with
+#: ``labeled_fraction``: the paper's WeChat Pay label count is unreported;
+#: 2% of DS3 (~600k labeled vertices at paper scale) puts PSGraph's
+#: projected epoch time at the paper's ~7 s.
+KNOBS = {"hidden": 32, "fanouts": (10, 5), "epochs": 3, "batch_size": 512,
+         "lr": 0.02, "labeled_fraction": 0.02, "seed": DEFAULT_SEED}
+
+#: Default scale is DS3/1000 (30k vertices / 100k edges).  Euler trains
+#: with smaller per-worker minibatches (its trainer applies one
+#: synchronous step per batch; more, smaller steps close the gap with
 #: PSGraph's per-executor pushes).
-EULER_BATCH = 64
-LR = 0.02
-FANOUTS = (10, 5)
-#: Fraction of vertices with labels.  The paper's WeChat Pay label count
-#: is unreported; 2% of DS3 (~600k labeled vertices at paper scale) puts
-#: PSGraph's projected epoch time at the paper's ~7 s.
-LABELED_FRACTION = 0.02
+CELLS: List[Cell] = [
+    Cell("table1", "PSGraph", "DS3", "GraphSage", DEFAULT_SCALE_DS3,
+         knobs=KNOBS),
+    Cell("table1", "Euler", "DS3", "GraphSage", DEFAULT_SCALE_DS3,
+         knobs={**KNOBS, "batch_size": 64}),
+]
 
 
-def run_table1(scale: float = DEFAULT_SCALE_DS3,
-               feature_dim: int = 32, num_classes: int = 5,
-               seed: int = DEFAULT_SEED) -> List[ExperimentRow]:
-    """Reproduce Table I; returns rows for preprocessing / epoch / accuracy.
-
-    Default scale is DS3/1000 (30k vertices / 100k edges).
-    """
-    spec = ds3_spec(scale)
-    src, dst, feats, labels = generate_ds3_gnn(
-        spec, feature_dim, num_classes, seed=seed
-    )
-    rows: List[ExperimentRow] = []
-    rows.extend(_run_psgraph(spec, src, dst, feats, labels, seed))
-    rows.extend(_run_euler(spec, src, dst, feats, labels, seed))
-    return rows
-
-
-def _mk_rows(system: str, spec, preprocess_s: float, epoch_s: float,
-             accuracy: float, wall: float) -> List[ExperimentRow]:
-    paper = PAPER_TABLE1[system]
+def phase_rows(row: ExperimentRow) -> List[ExperimentRow]:
+    """Table I's three rows of one GraphSage run: preprocessing time,
+    mean epoch time and test accuracy, each beside the paper's value."""
+    paper = PAPER_TABLE1[row.system]
+    epochs = row.extra["epoch_sim_times"]
     return [
-        ExperimentRow(
-            "table1", system, spec.name, "graphsage-preprocess", "ok",
-            preprocess_s, spec.scale,
-            paper_value=paper["preprocess_hours"], unit="hours",
-            wall_seconds=wall,
-        ),
-        ExperimentRow(
-            "table1", system, spec.name, "graphsage-epoch", "ok",
-            epoch_s, spec.scale,
-            paper_value=paper["epoch_seconds"], unit="seconds",
-            wall_seconds=wall,
-        ),
-        ExperimentRow(
-            "table1", system, spec.name, "graphsage-accuracy", "ok",
-            None, spec.scale,
-            paper_value=paper["accuracy"], unit="%",
-            wall_seconds=wall,
-            extra={"accuracy_pct": accuracy * 100.0},
-        ),
+        replace(row, algorithm="graphsage-preprocess", extra={},
+                sim_seconds=row.extra["preprocess_sim_time"],
+                paper_value=paper["preprocess_hours"], unit="hours"),
+        replace(row, algorithm="graphsage-epoch", extra={},
+                sim_seconds=sum(epochs) / len(epochs),
+                paper_value=paper["epoch_seconds"], unit="seconds"),
+        replace(row, algorithm="graphsage-accuracy", sim_seconds=None,
+                paper_value=paper["accuracy"], unit="%",
+                extra={"accuracy_pct": row.extra["accuracy"] * 100.0}),
     ]
-
-
-def _run_psgraph(spec, src, dst, feats, labels,
-                 seed: int) -> List[ExperimentRow]:
-    import time
-
-    cluster = psgraph_config_ds3().scaled(spec.scale)
-    hdfs = Hdfs(cluster.cost_model, MetricsRegistry())
-    write_edges(hdfs, "/input/ds3", src, dst,
-                num_files=cluster.num_executors)
-    ctx = PSGraphContext(cluster, hdfs=hdfs, app_name="table1-psgraph")
-    wall0 = time.perf_counter()
-    try:
-        edges = load_edges(ctx.spark, "/input/ds3")
-        algo = GraphSage(
-            feats, labels, hidden=HIDDEN, num_classes=int(labels.max()) + 1,
-            fanouts=FANOUTS, epochs=EPOCHS, batch_size=BATCH, lr=LR,
-            labeled_fraction=LABELED_FRACTION, seed=seed,
-        )
-        result = algo.transform(ctx, edges)
-        epoch_s = (sum(result.stats["epoch_sim_times"])
-                   / len(result.stats["epoch_sim_times"]))
-        return _mk_rows(
-            "PSGraph", spec, result.stats["preprocess_sim_time"], epoch_s,
-            result.stats["accuracy"], time.perf_counter() - wall0,
-        )
-    finally:
-        ctx.stop()
-
-
-def _run_euler(spec, src, dst, feats, labels,
-               seed: int) -> List[ExperimentRow]:
-    import time
-
-    cluster = euler_config_ds3().scaled(spec.scale)
-    system = EulerSystem(cluster, seed=seed)
-    wall0 = time.perf_counter()
-    try:
-        write_edges(system.hdfs, "/input/ds3", src, dst, num_files=16)
-        prep = system.preprocess("/input/ds3", feats, labels)
-        blob = ScriptModule.trace(
-            make_sage, in_dim=feats.shape[1], hidden=HIDDEN,
-            num_classes=int(labels.max()) + 1, seed=seed,
-        )
-        stats = system.train_graphsage(
-            blob, epochs=EPOCHS, batch_size=EULER_BATCH, fanouts=FANOUTS,
-            lr=LR, labeled_fraction=LABELED_FRACTION,
-        )
-        epoch_s = (sum(stats["epoch_sim_times"])
-                   / len(stats["epoch_sim_times"]))
-        return _mk_rows(
-            "Euler", spec, prep["total_s"], epoch_s, stats["accuracy"],
-            time.perf_counter() - wall0,
-        )
-    finally:
-        system.stop()

@@ -10,31 +10,30 @@ will restart and pull the checkpoint of model, i.e., neighbor tables, from
 HDFS; and the killed executor will restart and pull the checkpoint of edges
 from HDFS."
 
-The reproduction injects each failure mid-scoring via a task hook: the
-executor path exercises Spark's restart + lineage-reload (edge blocks are
-re-read from HDFS), the server path exercises the PS master's health-check
-+ checkpoint-reload protocol (the agents' RPCs fail, the master restarts
-the server via Yarn and restores the neighbor-table partitions).
-"""
+A :class:`ChaosEngine` kills the container mid-scoring, 30 result tasks
+after the neighbor tables are built: the executor path exercises Spark's
+restart + lineage-reload (edge blocks are re-read from HDFS), the server
+path the PS master's health-check + checkpoint-reload protocol (the
+agents' RPCs fail, the master restarts the server via Yarn and restores
+the neighbor-table partitions).
 
-# Wall-clock timing is part of what these experiments report (host runtime
-# of the simulation next to sim-time).
-# repro-lint: disable-file=SIM001
+The recovery cells extend the table along the fault-handling axis of
+Ammar & Özsu's comparison methodology: one PageRank job loses its model
+state at iteration 5, clean and faulted, on each system.  PSGraph
+(per-iteration checkpoints, strict recovery) restores the last checkpoint
+and redoes at most one iteration; GraphX keeps no model checkpoint, so
+lineage recomputes every completed superstep.  The faulted row's
+``recovery_sim_s`` is the pure recovery cost.
+"""
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
-from repro.chaos import ChaosEngine, FaultSchedule, FaultSpec
-from repro.common.config import psgraph_config_ds1
-from repro.common.metrics import MetricsRegistry
+from repro.chaos import FaultSchedule, FaultSpec
 from repro.common.rng import DEFAULT_SEED
-from repro.core.algorithms import CommonNeighbor, PageRank
-from repro.core.context import PSGraphContext
-from repro.core.runner import GraphRunner
-from repro.datasets.tencent import ds1_spec, generate_edges, write_edges
+from repro.experiments.cells import Cell
 from repro.experiments.harness import ExperimentRow
-from repro.hdfs.filesystem import Hdfs
 
 #: Paper minutes per scenario.
 PAPER_TABLE2: Dict[str, float] = {
@@ -43,201 +42,49 @@ PAPER_TABLE2: Dict[str, float] = {
     "server": 36.0,
 }
 
-#: Paper-scale restart delay (container re-scheduling + process start).
-RESTART_DELAY_PAPER_S = 90.0
+#: The container each scenario kills: (fault kind, index).
+KILLS = {"none": [], "executor": [("kill_executor", 3)],
+         "server": [("kill_server", 1)]}
 
-#: Scenarios in table order.
-SCENARIOS = ("none", "executor", "server")
+CELLS: List[Cell] = [
+    Cell("table2", "PSGraph", "DS1", "CommonNeighbor", 1e-5,
+         variant=scenario,
+         knobs={"batch_size": 8192, "checkpoint": True},
+         faults=FaultSchedule([
+             FaultSpec(kind, index=index, after_tasks=30, task_kind="result")
+             for kind, index in KILLS[scenario]
+         ]),
+         output="score", paper=minutes / 60.0)
+    for scenario, minutes in PAPER_TABLE2.items()
+]
 
-
-def run_table2(scale: float = 1e-5, kill_after_tasks: int = 30,
-               seed: int = DEFAULT_SEED) -> List[ExperimentRow]:
-    """Run common neighbor three times, injecting one failure per run."""
-    spec = ds1_spec(scale)
-    src, dst = generate_edges(spec, seed)
-    rows: List[ExperimentRow] = []
-    for scenario in SCENARIOS:
-        rows.append(
-            _run_scenario(scenario, spec, src, dst, kill_after_tasks)
-        )
-    return rows
-
-
-def _run_scenario(scenario: str, spec, src, dst,
-                  kill_after_tasks: int) -> ExperimentRow:
-    import time
-
-    cluster = psgraph_config_ds1().scaled(spec.scale)
-    hdfs = Hdfs(cluster.cost_model, MetricsRegistry())
-    write_edges(hdfs, "/input/edges", src, dst,
-                num_files=cluster.num_executors)
-    ctx = PSGraphContext(cluster, hdfs=hdfs, app_name=f"table2-{scenario}")
-    # Fixed (non-volume) restart latency is injected pre-scaled so the
-    # linear projection recovers the paper-scale delay.
-    ctx.spark.resource_manager.restart_delay_s = (
-        RESTART_DELAY_PAPER_S * spec.scale
+FAIL_ITERATION = 5
+_PAGERANK = {"max_iterations": 10, "tol": 0.0}
+RECOVERY_CELLS: List[Cell] = [
+    Cell("table2-recovery", "PSGraph", "DS1", "PageRank", 1e-5,
+         variant=variant, knobs=_PAGERANK,
+         cluster={"checkpoint_interval": 1},
+         faults=FaultSchedule(kills, seed=DEFAULT_SEED),
+         output="ranks", unit="seconds")
+    for variant, kills in (
+        ("clean", []),
+        ("recovery", [FaultSpec("kill_server", index=1,
+                                at_epoch=FAIL_ITERATION)]),
     )
-    # Health-check pings are fixed-latency too: inject pre-scaled (1 s of
-    # paper time per probe) so the projection stays honest.
-    ctx.ps.master.health_check_cost_s = 1.0 * spec.scale
-    wall0 = time.perf_counter()
-    state = {"done": 0, "killed": False}
-
-    def hook(_stage: int, _partition: int, kind: str) -> None:
-        if kind != "result" or state["killed"]:
-            return
-        state["done"] += 1
-        if state["done"] < kill_after_tasks:
-            return
-        state["killed"] = True
-        if scenario == "executor":
-            ctx.spark.kill_executor(3, reason="table2 injection")
-        elif scenario == "server":
-            ctx.ps.kill_server(1)
-
-    try:
-        runner = GraphRunner(ctx)
-        sim0 = ctx.sim_time()
-        result = runner.run(
-            CommonNeighbor(batch_size=8192, checkpoint=True),
-            "/input/edges",
-        )
-        # Inject the failure mid-scoring (the paper kills the containers
-        # while the job is running over the checkpointed model).
-        if scenario != "none":
-            ctx.spark.add_task_hook(hook)
-        edges_scored = result.output.count()  # triggers the scoring stage
-        ctx.sync_clocks()
-        sim_s = ctx.sim_time() - sim0
-        recovered: Optional[int] = (
-            ctx.ps.master.recoveries if scenario == "server" else
-            ctx.spark.executors[3].container.restarts
-            if scenario == "executor" else 0
-        )
-        return ExperimentRow(
-            "table2", "PSGraph", spec.name,
-            f"common-neighbor/{scenario}", "ok", sim_s, spec.scale,
-            paper_value=PAPER_TABLE2[scenario] / 60.0, unit="hours",
-            wall_seconds=time.perf_counter() - wall0,
-            extra={"edges_scored": edges_scored,
-                   "recoveries": recovered},
-        )
-    finally:
-        ctx.stop()
+] + [
+    Cell("table2-recovery", "GraphX", "DS1", "PageRank", 1e-5,
+         variant=variant, knobs={**_PAGERANK, "lost_supersteps": lost},
+         output="ranks", unit="seconds")
+    for variant, lost in (("clean", 0), ("recovery", FAIL_ITERATION))
+]
 
 
-# ----------------------------------------------------------------------
-# recovery-cost comparison: checkpoints vs lineage
-# ----------------------------------------------------------------------
-
-
-def run_recovery_comparison(scale: float = 1e-5, iterations: int = 10,
-                            fail_iteration: int = 5,
-                            seed: int = DEFAULT_SEED
-                            ) -> List[ExperimentRow]:
-    """PSGraph checkpoint-recovery vs GraphX lineage-recompute cost.
-
-    Extends Table II along the fault-handling axis of Ammar & Özsu's
-    comparison methodology: the same PageRank job loses its model state
-    mid-run.  PSGraph (per-iteration checkpoints, strict recovery mode)
-    restores the last checkpoint and redoes at most one iteration; GraphX
-    keeps no model checkpoint, so the materialized vertex state must be
-    recomputed from lineage — every completed iteration re-runs.
-
-    Each system runs twice — clean and faulted — and the faulted row's
-    ``extra["recovery_sim_s"]`` is the sim-time difference, i.e. the pure
-    recovery cost.
-    """
-    import time
-
-    spec = ds1_spec(scale)
-    src, dst = generate_edges(spec, seed)
-    restart_delay_s = RESTART_DELAY_PAPER_S * spec.scale
-
-    def ps_run(faulted: bool) -> Tuple[float, float, Dict[str, float]]:
-        cluster = psgraph_config_ds1().scaled(spec.scale)
-        hdfs = Hdfs(cluster.cost_model, MetricsRegistry())
-        write_edges(hdfs, "/input/edges", src, dst,
-                    num_files=cluster.num_executors)
-        ctx = PSGraphContext(cluster, hdfs=hdfs,
-                             app_name="table2-recovery-ps",
-                             checkpoint_interval=1)
-        ctx.spark.resource_manager.restart_delay_s = restart_delay_s
-        ctx.ps.master.health_check_cost_s = 1.0 * spec.scale
-        engine = None
-        wall0 = time.perf_counter()
-        try:
-            if faulted:
-                schedule = FaultSchedule(
-                    [FaultSpec("kill_server", index=1,
-                               at_epoch=fail_iteration)],
-                    seed=seed,
-                )
-                engine = ChaosEngine(schedule, ctx.spark, ctx.ps).attach()
-            result = GraphRunner(ctx).run(
-                PageRank(max_iterations=iterations, tol=0.0),
-                "/input/edges",
-            )
-            rank_rows = result.output.rdd.collect()
-            checksum = float(sum(r[1] for r in rank_rows))
-            return ctx.sim_time(), time.perf_counter() - wall0, {
-                "iterations": float(result.iterations),
-                "recoveries": float(ctx.ps.master.recoveries),
-                "ranks_checksum": checksum,
-            }
-        finally:
-            if engine is not None:
-                engine.detach()
-            ctx.stop()
-
-    def gx_run(faulted: bool) -> Tuple[float, float, Dict[str, float]]:
-        from repro.common.config import graphx_config_ds1
-        from repro.dataflow.context import SparkContext
-        from repro.graphx import algorithms as gxalgo
-        from repro.graphx.graph import Graph
-
-        cluster = graphx_config_ds1().scaled(spec.scale)
-        ctx = SparkContext(cluster, app_name="table2-recovery-gx")
-        ctx.resource_manager.restart_delay_s = restart_delay_s
-        wall0 = time.perf_counter()
-        try:
-            if faulted:
-                # The work the fault destroys: ``fail_iteration``
-                # supersteps complete, then the node loss discards the
-                # materialized vertex state and lineage recomputes the
-                # job from superstep 0.
-                lost = Graph.from_edges(ctx, src, dst)
-                gxalgo.pagerank(lost, max_iterations=fail_iteration,
-                                tol=0.0)
-                lost.unpersist()
-                ctx.kill_executor(1, reason="recovery comparison")
-                ctx.restart_executor(1)
-            g = Graph.from_edges(ctx, src, dst)
-            _ids, ranks, iters = gxalgo.pagerank(
-                g, max_iterations=iterations, tol=0.0
-            )
-            ctx.sync_clocks()
-            return ctx.sim_time(), time.perf_counter() - wall0, {
-                "iterations": float(iters),
-                "ranks_checksum": float(ranks.sum()),
-            }
-        finally:
-            ctx.stop()
-
-    rows: List[ExperimentRow] = []
-    for system, run in (("PSGraph", ps_run), ("GraphX", gx_run)):
-        clean_sim, clean_wall, clean_extra = run(False)
-        fault_sim, fault_wall, fault_extra = run(True)
-        rows.append(ExperimentRow(
-            "table2-recovery", system, spec.name, "pagerank/clean",
-            "ok", clean_sim, spec.scale, unit="seconds",
-            wall_seconds=clean_wall, extra=dict(clean_extra),
-        ))
-        rows.append(ExperimentRow(
-            "table2-recovery", system, spec.name, "pagerank/recovery",
-            "ok", fault_sim, spec.scale, unit="seconds",
-            wall_seconds=fault_wall,
-            extra={**fault_extra,
-                   "recovery_sim_s": fault_sim - clean_sim},
-        ))
+def with_recovery_cost(rows: List[ExperimentRow]) -> List[ExperimentRow]:
+    """Give each recovery row ``recovery_sim_s``: its sim time minus that
+    of the same system's clean row."""
+    clean = {r.system: r.sim_seconds for r in rows
+             if r.algorithm.endswith("/clean")}
+    for r in rows:
+        if r.algorithm.endswith("/recovery"):
+            r.extra["recovery_sim_s"] = r.sim_seconds - clean[r.system]
     return rows

@@ -369,19 +369,25 @@ class TestChaosEndToEnd:
     def test_recovery_cheaper_than_lineage_recompute(self):
         """Table II extension: PSGraph checkpoint-recovery sim-time is
         strictly below GraphX's full-lineage recompute."""
-        from repro.experiments.table2 import run_recovery_comparison
+        from dataclasses import replace
 
-        rows = run_recovery_comparison(scale=3e-6, iterations=6,
-                                       fail_iteration=3)
+        from repro.experiments.cells import run_cells
+        from repro.experiments.table2 import (
+            RECOVERY_CELLS,
+            with_recovery_cost,
+        )
+
+        rows = with_recovery_cost(run_cells(
+            [replace(c, scale=3e-6) for c in RECOVERY_CELLS]))
         by_key = {(r.system, r.algorithm): r for r in rows}
-        ps_cost = by_key[("PSGraph", "pagerank/recovery")] \
+        ps_cost = by_key[("PSGraph", "PageRank/recovery")] \
             .extra["recovery_sim_s"]
-        gx_cost = by_key[("GraphX", "pagerank/recovery")] \
+        gx_cost = by_key[("GraphX", "PageRank/recovery")] \
             .extra["recovery_sim_s"]
         assert 0.0 < ps_cost < gx_cost
         # Recovery must not change the answer, for either system.
         for system in ("PSGraph", "GraphX"):
-            assert by_key[(system, "pagerank/recovery")] \
+            assert by_key[(system, "PageRank/recovery")] \
                 .extra["ranks_checksum"] == pytest.approx(
-                    by_key[(system, "pagerank/clean")]
+                    by_key[(system, "PageRank/clean")]
                     .extra["ranks_checksum"])

@@ -1,17 +1,20 @@
-"""Tests for the experiment harness and (tiny-scale) experiment runs."""
+"""Tests for the experiment harness and (tiny-scale) experiment cells."""
+
+from dataclasses import replace
 
 import pytest
 
+from repro.experiments import figure6, line_epochs, table1, table2
 from repro.experiments.ablations import ablation_partitioners
-from repro.experiments.figure6 import PAPER_FIG6, run_figure6
-from repro.experiments.harness import (
-    ExperimentRow,
-    format_rows,
-    speedup,
-    timed_run,
-)
-from repro.experiments.report import ascii_bars, format_dicts
-from repro.experiments.table1 import run_table1
+from repro.experiments.cells import PL_CLUSTER, Cell, run_cell, run_cells
+from repro.experiments.figure6 import PAPER_FIG6
+from repro.experiments.harness import ExperimentRow, format_rows, speedup
+from repro.experiments.report import ascii_bars
+
+
+def _fig6(algo, ds, system):
+    return next(c for c in figure6.CELLS
+                if (c.algorithm, c.dataset, c.system) == (algo, ds, system))
 
 
 class TestHarness:
@@ -31,31 +34,31 @@ class TestHarness:
         assert r.projected is None
         assert r.display_value() == "OOM"
 
-    def test_timed_run_captures_oom(self):
-        from repro.common.errors import SimulatedOOMError
-        from repro.common.memory import MemoryTracker
+    def test_run_cell_captures_oom(self):
+        cell = replace(_fig6("PageRank", "DS2", "GraphX"), scale=5e-7)
+        row = run_cell(cell)
+        assert row.status == "OOM"
+        assert row.sim_seconds is None
+        assert row.display_value() == "OOM"
 
-        tracker = MemoryTracker("c", capacity=10)
+    def test_run_cell_measures_sim_delta(self):
+        """A cell's sim time is the driver clock's advance over the run."""
+        from repro.core.algorithms import PageRank
+        from repro.core.context import PSGraphContext
+        from repro.core.ops import edges_from_arrays
+        from repro.experiments.cells import dataset
 
-        def boom():
-            tracker.allocate(100)
-
-        status, sim, wall, result = timed_run(boom, lambda: 0.0)
-        assert status == "OOM"
-        assert sim is None
-        assert isinstance(result, SimulatedOOMError)
-
-    def test_timed_run_measures_sim_delta(self):
-        clock = {"t": 5.0}
-
-        def work():
-            clock["t"] += 2.5
-            return "done"
-
-        status, sim, _w, result = timed_run(work, lambda: clock["t"])
-        assert status == "ok"
-        assert sim == pytest.approx(2.5)
-        assert result == "done"
+        cell = Cell("x", "PSGraph", "PL300x1500", "PageRank",
+                    knobs={"max_iterations": 3, "tol": 0.0})
+        row = run_cell(cell)
+        src, dst = dataset("PL300x1500", 1.0)
+        with PSGraphContext(PL_CLUSTER) as ctx:
+            t0 = ctx.sim_time()
+            PageRank(max_iterations=3, tol=0.0).transform(
+                ctx, edges_from_arrays(ctx.spark, src, dst))
+            assert row.sim_seconds == ctx.sim_time() - t0
+        assert row.status == "ok"
+        assert row.extra["iterations"] == 3
 
     def test_speedup(self):
         rows = [
@@ -79,6 +82,16 @@ class TestHarness:
         assert "algo" in text
         assert "2" in text
 
+    def test_format_rows_prints_extras(self):
+        rows = [ExperimentRow("x", "S", "D", "a", "ok", 1.0, 1.0,
+                              extra={"variant_bytes": 1.5, "runs": [1]}),
+                ExperimentRow("x", "S", "D", "b", "ok", 1.0, 1.0)]
+        header, _sep, first, second = format_rows(rows).splitlines()
+        assert header.split(" | ")[-1].strip() == "variant_bytes"
+        assert first.split(" | ")[-1].strip() == "1.5"
+        assert second.split(" | ")[-1].strip() == "-"
+        assert "runs" not in header  # lists are not columns
+
     def test_ascii_bars(self):
         rows = [
             ExperimentRow("x", "A", "D", "a", "ok", 3600.0, 1.0),
@@ -88,18 +101,31 @@ class TestHarness:
         assert "#" in chart
         assert "OOM" in chart
 
-    def test_format_dicts(self):
-        text = format_dicts([{"variant": "x", "v": 1.5}], "T")
-        assert "variant" in text and "1.5" in text
+
+class TestCellLists:
+    def test_cell_lists_cover_paper_tables(self):
+        """One cell per paper value, and no cell without one."""
+        fig6 = [(c.algorithm, c.dataset, c.system) for c in figure6.CELLS]
+        assert sorted(fig6) == sorted(PAPER_FIG6)
+        assert all(c.paper == PAPER_FIG6[k]
+                   for c, k in zip(figure6.CELLS, fig6))
+        assert sorted(c.system for c in table1.CELLS) \
+            == sorted(table1.PAPER_TABLE1)
+        assert sorted(c.variant for c in table2.CELLS) \
+            == sorted(table2.PAPER_TABLE2)
+        assert all(c.paper == table2.PAPER_TABLE2[c.variant] / 60.0
+                   for c in table2.CELLS)
+        assert [c.paper for c in line_epochs.CELLS] \
+            == [line_epochs.PAPER_EPOCH_HOURS]
 
 
 class TestTinyExperiments:
     """Each paper experiment runs end-to-end at a throwaway scale."""
 
     def test_figure6_single_cell_tiny(self):
-        rows = run_figure6(
-            scale_ds1=5e-7, cells=[("PageRank", "DS1")],
-        )
+        rows = run_cells([replace(_fig6("PageRank", "DS1", system),
+                                  scale=5e-7)
+                          for system in ("PSGraph", "GraphX")])
         assert {r.system for r in rows} == {"PSGraph", "GraphX"}
         ps = [r for r in rows if r.system == "PSGraph"][0]
         assert ps.status == "ok"
@@ -107,22 +133,35 @@ class TestTinyExperiments:
         assert ps.projected is not None and ps.projected > 0
 
     def test_figure6_psgraph_only_subset(self):
-        rows = run_figure6(
-            scale_ds1=5e-7, cells=[("KCore", "DS1")],
-            systems=("PSGraph",),
-        )
-        assert len(rows) == 1
-        assert rows[0].status == "ok"
-        assert rows[0].extra.get("iterations", 0) >= 1
+        row = run_cell(replace(_fig6("KCore", "DS1", "PSGraph"),
+                               scale=5e-7))
+        assert row.status == "ok"
+        assert row.extra.get("iterations", 0) >= 1
 
     def test_table1_tiny_scale(self):
-        rows = run_table1(scale=3e-5)
+        rows = [r for c in table1.CELLS
+                for r in table1.phase_rows(run_cell(replace(c, scale=3e-5)))]
         systems = {r.system for r in rows}
         assert systems == {"PSGraph", "Euler"}
         prep = {r.system: r for r in rows
                 if r.algorithm == "graphsage-preprocess"}
         # Euler's disk-through preprocessing is the slow one.
         assert prep["Euler"].projected > prep["PSGraph"].projected
+
+    def test_line_tiny_scale(self):
+        row = run_cell(replace(line_epochs.CELLS[0], scale=5e-7,
+                               knobs={**line_epochs.CELLS[0].knobs,
+                                      "dim": 8, "epochs": 2}))
+        rows = line_epochs.epoch_rows(row)
+        assert [r.algorithm for r in rows] == [
+            "line-epoch-0", "line-epoch-1", "line-mean-epoch"]
+        assert rows[-1].sim_seconds == pytest.approx(
+            (rows[0].sim_seconds + rows[1].sim_seconds) / 2)
+
+    def test_table2_tiny_scale(self):
+        rows = run_cells([replace(c, scale=3e-6) for c in table2.CELLS])
+        assert len({r.extra["edges_scored"] for r in rows}) == 1
+        assert [r.extra["recoveries"] for r in rows] == [0, 1, 1]
 
     def test_partitioner_ablation_is_deterministic(self):
         a = ablation_partitioners(num_vertices=10_000, num_partitions=8)
@@ -132,17 +171,11 @@ class TestTinyExperiments:
 
 class TestResourceEfficiency:
     def test_tiny_sweep_shape(self):
-        from repro.experiments.resources import (
-            run_resource_efficiency,
-            total_memory_gb,
-        )
-
-        assert total_memory_gb(100, 55) == 5500
-        assert total_memory_gb(100, 20, 20, 15) == 2300
-        rows = run_resource_efficiency(
-            scale=2e-6, graphx_executor_gbs=(55.0,)
-        )
-        systems = {r["system"] for r in rows}
+        cells = [replace(c, scale=2e-6) for c in figure6.RESOURCE_CELLS
+                 if c.variant in ("55GB", "20GB")]
+        rows = run_cells(cells)
+        assert [r.extra["total_memory_gb"] for r in rows] == [5500, 2300]
+        systems = {r.system for r in rows}
         assert systems == {"GraphX", "PSGraph"}
-        ps = [r for r in rows if r["system"] == "PSGraph"][0]
-        assert ps["status"] == "ok"
+        ps = [r for r in rows if r.system == "PSGraph"][0]
+        assert ps.status == "ok"

@@ -211,12 +211,13 @@ class TestDeterminism:
     def test_sim_time_is_reproducible(self):
         """The cost model is deterministic: identical runs, identical
         simulated times (a regression lock on the calibration)."""
-        from repro.experiments.figure6 import run_figure6
+        from dataclasses import replace
 
-        a = run_figure6(scale_ds1=5e-7, cells=[("PageRank", "DS1")],
-                        systems=("PSGraph",))[0]
-        b = run_figure6(scale_ds1=5e-7, cells=[("PageRank", "DS1")],
-                        systems=("PSGraph",))[0]
+        from repro.experiments.cells import run_cell
+        from repro.experiments.figure6 import CELLS
+
+        cell = replace(CELLS[0], scale=5e-7)  # PageRank DS1 PSGraph
+        a, b = run_cell(cell), run_cell(cell)
         assert a.sim_seconds == b.sim_seconds
         assert a.extra == b.extra
 

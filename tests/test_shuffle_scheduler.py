@@ -378,21 +378,6 @@ class TestSchedulerRecovery:
         # One failed attempt: backoff waits base * 2**0 on the driver.
         assert times[50.0] >= times[0.0] + 50.0
 
-    def test_speculation_reroutes_straggler_tasks(self):
-        from repro.common.metrics import TASKS_SPECULATED
-
-        cluster = ClusterConfig(num_executors=3,
-                                executor_mem_bytes=1 << 30)
-        ctx = SparkContext(cluster, speculation=True)
-        try:
-            ctx.executors[1].slowdown = 10.0
-            got = sorted(ctx.parallelize(range(30), 6).map(
-                lambda x: x + 1).collect())
-            assert got == [x + 1 for x in range(30)]
-            assert ctx.metrics.get(TASKS_SPECULATED) > 0
-        finally:
-            ctx.stop()
-
     def test_straggler_slowdown_stretches_sim_time(self):
         times = {}
         for factor in (1.0, 40.0):

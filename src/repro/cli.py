@@ -1,24 +1,25 @@
 """``repro`` — the one command line (Listing 1's ``GraphRunner.main``).
 
     repro run pagerank --input edges.tsv --iterations 20
-    repro serve --requests 100000 --seed 7 --chaos --telemetry serve.json
+    repro serve --requests 100000 --seed 7 --chaos --record serve.json
     repro stream --vertices 2000 --edges 20000 --windows 4 --max-ratio 0.25
-    repro report serve.json --out serve.html --require-alert 1
+    repro report serve.json --out serve-views --require-alert 1
     repro lint --dynamic pagerank serve-chaos --strict
     python -m repro experiments figure6
 
 ``run``, ``serve`` and ``stream`` are pipelines: functions of ``(args,
 tracer, metrics)`` that return a result document.  :func:`main` prints
-its lines and writes the artifacts; the determinism harness
-(:mod:`repro.lint.dynamic`) runs the same pipelines in memory through
-:func:`execute`.  Exit codes: 0 success, 1 a failed gate or artifact
-write, 2 a usage error (an unreadable ``--input`` / ``--chaos`` too).
+its lines and writes ``--output`` and the ``--record`` run record, from
+which ``repro report`` derives every view; the determinism harness runs
+the same pipelines in memory through :func:`execute`.  Exit codes: 0
+success, 1 a failed gate or write, 2 a usage error (a bad setting too).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import zlib
 from contextlib import contextmanager
@@ -44,9 +45,9 @@ from repro.experiments.report import run_all
 from repro.ingest.kafka import EdgeStreamConsumer, KafkaTopic
 from repro.lint.dynamic import WORKLOADS, check_determinism
 from repro.obs import (
-    NOOP_TRACER, TelemetryCollector, Tracer, build_telemetry_doc,
-    timeline_report, write_chrome_trace, write_metrics_json)
-from repro.obs.dashboard import summary_lines, write_dashboard
+    NOOP_TRACER, TelemetryCollector, Tracer, build_record, read_record,
+    record_views, telemetry_doc)
+from repro.obs.dashboard import summary_lines
 from repro.obs.slo import default_slos
 from repro.serve import (
     RequestGenerator, ServingPlane, default_serve_slos, publish_snapshot)
@@ -80,6 +81,11 @@ BUILTIN_FAULTS: Dict[str, List[Dict[str, object]]] = {
 #: PS vector the trained ranks are published into for serving.
 SERVE_MODEL = "serve.ranks"
 
+#: An ``--input`` line: two vertex ids >= 0, then a weight under
+#: ``--weighted``.
+_EDGE = r"\d+\s+\d+"
+_WEIGHT = r"\s+[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
+
 
 # Shared flags are parent parsers, built afresh for every command so that
 # one command's set_defaults cannot leak into another.
@@ -102,13 +108,14 @@ def _graph(with_input: bool = True) -> argparse.ArgumentParser:
     return p
 
 
-def _observe() -> argparse.ArgumentParser:
+def _observe(chaos: bool = True) -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--trace", metavar="PATH", help="write a Chrome trace")
-    p.add_argument("--telemetry", metavar="PATH",
-                   help="write the telemetry document (see 'repro report')")
-    p.add_argument("--chaos", nargs="?", const="auto", metavar="SCHEDULE.JSON",
-                   help="inject this fault schedule (bare: the built-in one)")
+    p.add_argument("--record", metavar="PATH",
+                   help="write the run record (see 'repro report')")
+    if chaos:
+        p.add_argument("--chaos", nargs="?", const="auto",
+                       metavar="SCHEDULE.JSON", help="inject this fault "
+                       "schedule (bare: the built-in one)")
     return p
 
 
@@ -128,9 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--iterations", type=int)
     run.add_argument("--dim", type=int, help="line / deepwalk dimension")
     run.add_argument("--epochs", type=int)
-    run.add_argument("--metrics", metavar="PATH", help="write metrics JSON")
-    run.add_argument("--timeline", action="store_true",
-                     help="print a per-stage sim-time timeline")
     run.set_defaults(seed=1, executors=8, servers=4, executor_gb=4.0,
                      server_gb=4.0, edges=8000, iterations=30, dim=16,
                      epochs=3)
@@ -140,14 +144,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="train PageRank, snapshot it, serve Zipfian traffic from it")
     serve.add_argument("--iterations", type=int, help="train-phase PageRank")
     serve.add_argument("--requests", type=int, help="requests to generate")
-    serve.add_argument("--report-json", metavar="PATH",
-                       help="write the serving report as JSON")
     serve.set_defaults(seed=7, executors=4, servers=2, executor_gb=1.0,
                        server_gb=1.0, vertices=2000, edges=8000,
                        iterations=10, requests=100_000)
 
     stream = sub.add_parser(
-        "stream", parents=[_cluster(), _graph(with_input=False)],
+        "stream", parents=[_cluster(), _graph(with_input=False),
+                           _observe(chaos=False)],
         help="stream graph mutations, refresh algorithms incrementally")
     stream.add_argument("--windows", type=int, help="mutation windows")
     stream.add_argument("--adds", type=int, help="edge adds per window")
@@ -155,18 +158,16 @@ def build_parser() -> argparse.ArgumentParser:
                         help="edge removals per window")
     stream.add_argument("--embedding", action="store_true",
                         help="also keep an online embedding fresh")
-    stream.add_argument("--report-json", metavar="PATH",
-                        help="write the per-window reports as JSON")
     stream.add_argument("--max-ratio", type=float, metavar="R",
                         help="exit 1 unless incremental cost < R x full")
     stream.set_defaults(seed=7, executors=4, servers=2, executor_gb=0.25,
                         server_gb=0.25, vertices=400, edges=1600, windows=4,
                         adds=12, removals=8)
 
-    report = sub.add_parser("report", help="render a telemetry document")
-    report.add_argument("document", metavar="TELEMETRY.JSON")
-    report.add_argument("--out", metavar="PATH",
-                        help="dashboard path (default: <document>.html)")
+    report = sub.add_parser("report", help="derive the views of a run record")
+    report.add_argument("document", metavar="RECORD.JSON")
+    report.add_argument("--out", metavar="DIR",
+                        help="views directory (default: <record>-views)")
     report.add_argument("--require-alert", type=int, default=0, metavar="N",
                         help="exit 1 unless at least N alerts fired")
 
@@ -197,14 +198,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load(args: argparse.Namespace) -> None:
     """Read ``--input`` / ``--chaos`` into ``args.edge_lines`` / ``.schedule``
-    before anything runs; ``OSError`` / ``ConfigError`` is a usage error."""
+    before anything runs; ``OSError`` / ``ConfigError`` (a malformed
+    ``--input`` line too) is a usage error."""
     path = getattr(args, "input", None)
     if args.command == "run" and path is None and args.vertices is None:
         raise ConfigError("run needs --input FILE or --vertices N")
     args.edge_lines = None
     if path is not None:
+        weighted = getattr(args, "weighted", False)
+        edge = re.compile(_EDGE + _WEIGHT * weighted)
         with open(path) as f:
-            args.edge_lines = [ln.strip() for ln in f if ln.strip()]
+            lines = [ln.strip() for ln in f]
+        for n, line in enumerate(lines, 1):
+            if line and not edge.fullmatch(line):
+                raise ConfigError(f"{path}:{n}: expected 'src dst"
+                                  f"{' weight' * weighted}' with ids >= 0, "
+                                  f"got {line!r}")
+        args.edge_lines = [ln for ln in lines if ln]
     chaos = getattr(args, "chaos", None)
     args.schedule = (
         None if chaos is None
@@ -236,9 +246,9 @@ class Session:
 
     @contextmanager
     def observe(self, ctx: PSGraphContext, slos=None) -> Iterator[None]:
-        """Attach the collector (with ``--telemetry`` or ``slos``) and the
+        """Attach the collector (with ``--record`` or ``slos``) and the
         chaos engine (with ``--chaos``) for the block, then finalize."""
-        if self.args.telemetry or slos is not None:
+        if self.args.record or slos is not None:
             self.collector = TelemetryCollector(
                 ctx.metrics, self.tracer, slos=slos).attach(ctx.spark)
         if self.args.schedule is not None:
@@ -259,16 +269,15 @@ class Session:
 
     def document(self, ctx: PSGraphContext, meta: Optional[Dict] = None,
                  **fields: object) -> Dict[str, object]:
-        """The result document: report lines, gate errors, sim time, the
-        chaos report, the telemetry document and ``fields``."""
+        """The result document: report lines, gate errors, sim time, run
+        meta, ``fields``, the chaos report and the collector's dump."""
         doc: Dict[str, object] = {"lines": self.lines, "errors": self.errors,
-                                  "sim_time_s": ctx.sim_time(), **fields}
+                                  "sim_time_s": ctx.sim_time(),
+                                  "meta": meta or {}, **fields}
         if self.engine is not None:
             doc["chaos"] = self.engine.report()
-        if getattr(self.args, "telemetry", None):
-            doc["telemetry"] = build_telemetry_doc(
-                self.collector, self.tracer, ctx.sim_time(), meta=meta,
-                chaos=doc.get("chaos"))
+        if self.collector is not None:
+            doc["telemetry"] = self.collector.to_dict()
         return doc
 
 
@@ -308,8 +317,6 @@ def run_algorithm(args: argparse.Namespace, tracer: Tracer,
                     f"iterations: {result.iterations}",
                     *(f"{k:10s}: {v}" for k, v in stats.items()),
                     f"sim time  : {ctx.sim_time():.3f} s"]
-        if args.timeline:
-            s.lines += ["", timeline_report(tracer, sim_time_s=ctx.sim_time())]
         output = (ctx.spark.text_file("/output").collect()
                   if args.output else None)
         return s.document(
@@ -473,63 +480,47 @@ def execute(argv: Sequence[str], tracer: Tracer,
     return PIPELINES[args.command](args, tracer, metrics)
 
 
-def _write_all(artifacts) -> int:
-    """Write each ``(label, path, write)`` whose path is set, after the
-    report is printed: a bad path costs exit 1, never the report."""
+def _write_all(files) -> int:
+    """Write each ``(what, path, text)`` whose path is set — ``text()`` is
+    built only then — after the report is printed: a bad path costs exit
+    1, never the report."""
     rc = 0
-    for label, path, write in artifacts:
+    for what, path, text in files:
         if path:
             try:
-                print(write(path))
+                Path(path).parent.mkdir(parents=True, exist_ok=True)
+                Path(path).write_text(text())
+                print(f"wrote {what} to {path}")
             except OSError as e:
-                print(f"error: cannot write {label}: {e}", file=sys.stderr)
+                print(f"error: cannot write {what}: {e}", file=sys.stderr)
                 rc = 1
     return rc
 
 
 def write_artifacts(args: argparse.Namespace, doc: Dict[str, object],
                     tracer: Tracer, metrics: MetricsRegistry) -> int:
-    """Every file a pipeline's flags ask for."""
-    def save(path: str, text: str, message: str) -> str:
-        Path(path).write_text(text)
-        return message
-
-    def dump(key: str) -> str:
-        return json.dumps(doc[key], indent=2, sort_keys=True)
-
+    """The ``--output`` result table and the ``--record`` run record."""
     return _write_all([
-        ("output", getattr(args, "output", None), lambda p: save(
-            p, "\n".join(doc["output"]) + "\n",
-            f"wrote {len(doc['output'])} rows to {p}")),
-        ("report", getattr(args, "report_json", None), lambda p: save(
-            p, dump("report"), f"wrote report to {p}")),
-        ("telemetry", getattr(args, "telemetry", None), lambda p: save(
-            p, dump("telemetry"), f"wrote telemetry "
-            f"({len(doc['telemetry']['telemetry']['alerts'])} alert(s)) to "
-            f"{p}; render with 'repro report {p}'")),
-        ("trace", getattr(args, "trace", None), lambda p: (
-            f"wrote {write_chrome_trace(p, tracer)} trace events to {p}")),
-        ("metrics", getattr(args, "metrics", None), lambda p: (
-            write_metrics_json(p, metrics) or f"wrote metrics to {p}"))])
+        ("result table", getattr(args, "output", None),
+         lambda: "\n".join(doc["output"]) + "\n"),
+        ("record", args.record,
+         lambda: json.dumps(build_record(doc, tracer, metrics)))])
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    """``repro report``: the one dashboard renderer and alert gate."""
+    """``repro report``: every view of one run record, and the alert gate."""
     try:
-        with open(args.document) as f:
-            doc = json.load(f)
-        if doc.get("schema") != "repro.telemetry/v1":
-            raise ValueError("not a telemetry document "
-                             f"(schema={doc.get('schema')!r})")
+        record, spans = read_record(args.document)
     except (OSError, ValueError) as e:  # JSONDecodeError is a ValueError
         print(f"error: cannot read {args.document}: {e}", file=sys.stderr)
         return 1
-
-    rc = _write_all([("dashboard", args.out or args.document + ".html",
-                      lambda p: f"wrote dashboard ({write_dashboard(p, doc)} "
-                                f"bytes) to {p}")])
-    print("\n".join(summary_lines(doc)))
-    alerts = len((doc.get("telemetry") or {}).get("alerts", []))
+    out = Path(args.out or f"{Path(args.document).with_suffix('')}-views")
+    telemetry = telemetry_doc(record, spans)
+    rc = _write_all((name, out / name, lambda text=text: text)
+                    for name, text in record_views(
+                        record, spans, telemetry).items())
+    print("\n".join(summary_lines(telemetry)))
+    alerts = len(telemetry["telemetry"].get("alerts", []))
     if alerts < args.require_alert:
         print(f"error: required >= {args.require_alert} alert(s), "
               f"got {alerts}", file=sys.stderr)
@@ -582,17 +573,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command not in PIPELINES:
         return {"report": cmd_report, "lint": cmd_lint,
                 "experiments": cmd_experiments}[args.command](args)
+    tracer = Tracer() if args.record else NOOP_TRACER
+    metrics = MetricsRegistry()
     try:
         _load(args)
+        doc = PIPELINES[args.command](args, tracer, metrics)
     except (OSError, ConfigError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    # Telemetry needs spans for its critical-path profile.
-    spans = (getattr(args, "trace", None) or getattr(args, "telemetry", None)
-             or getattr(args, "timeline", False))
-    tracer = Tracer() if spans else NOOP_TRACER
-    metrics = MetricsRegistry()
-    doc = PIPELINES[args.command](args, tracer, metrics)
     print("\n".join(doc["lines"]))
     rc = write_artifacts(args, doc, tracer, metrics)
     for error in doc["errors"]:

@@ -4,20 +4,19 @@ Cross-system comparisons (GraphX vs PS, Table I/II of the paper) are only
 trustworthy if a seeded run is bit-for-bit repeatable — "Experimental
 Analysis of Distributed Graph Systems" shows how easily uncontrolled
 nondeterminism invalidates benchmark numbers.  This harness runs a
-registered workload **twice with the same seed** on fresh contexts and
-diffs:
+registered workload **twice with the same seed** on fresh contexts,
+snapshots each run's record (the one ``--record`` writes) and diffs:
 
 * the full metrics dump (counters, gauges, histogram summaries),
 * the obs span sequence (component / track / name / boundaries / tags),
-* the workload's own float statistics (losses, residuals, accuracy),
+* the result document's numeric leaves (losses, accuracy, digests),
 * the final simulated time.
 
 Five workloads are ``repro`` command lines (:data:`CLI_WORKLOADS`), run
 in memory through the CLI's own pipelines, so the gate checks the
-commands users and CI run; their stats are the flattened result
-document, which carries CRC-32 digests of the outputs (saved ranks,
-drop records, streaming ranks and labels).  ``graphsage``, ``graphx`` and ``psgraph-tables`` have no
-command line and are written out below.
+commands users and CI run; their documents carry CRC-32 digests of the
+outputs (saved ranks, drop records, streaming ranks and labels).  The
+other three have no command line and are written out below.
 
 In the default mode tiny float drift (relative 1e-9) is tolerated; under
 ``strict=True`` **any** drift > 0 fails, which is what CI runs — the
@@ -37,13 +36,13 @@ from repro.common.config import MB, ClusterConfig
 from repro.common.metrics import MetricsRegistry
 from repro.common.rng import DEFAULT_SEED, derive_seed
 from repro.lint.races import RaceReport, find_races
-from repro.obs.export import metrics_to_dict
+from repro.obs.export import spans_from_json
+from repro.obs.record import build_record
 from repro.obs.tracer import Span, Tracer
 
-#: A workload: ``fn(seed, tracer, metrics) -> (stats, sim_time_s)``; the
-#: stats' numeric leaves are what the double run diffs.
-Workload = Callable[[int, Tracer, MetricsRegistry],
-                    Tuple[Dict[str, object], float]]
+#: A workload: ``fn(seed, tracer, metrics) -> result document``, which
+#: holds ``sim_time_s``; its numeric leaves are what the double run diffs.
+Workload = Callable[[int, Tracer, MetricsRegistry], Dict[str, object]]
 
 #: Registered workloads by CLI name.
 WORKLOADS: Dict[str, Workload] = {}
@@ -57,7 +56,8 @@ def workload(name: str) -> Callable[[Workload], Workload]:
     return deco
 
 
-def _flatten(prefix: str, value: object, out: Dict[str, float]) -> None:
+def _flatten(prefix: str, value: object,
+             out: Dict[str, float]) -> Dict[str, float]:
     """Flatten nested dicts/lists of numbers into dotted float keys."""
     if isinstance(value, dict):
         for k in sorted(value):
@@ -65,11 +65,10 @@ def _flatten(prefix: str, value: object, out: Dict[str, float]) -> None:
     elif isinstance(value, (list, tuple)):
         for i, v in enumerate(value):
             _flatten(f"{prefix}[{i}]", v, out)
-    elif isinstance(value, bool):
-        out[prefix] = float(value)
-    elif isinstance(value, (int, float)):
+    elif isinstance(value, (int, float)):  # bool too
         out[prefix] = float(value)
     # non-numeric leaves (strings, None) don't participate in drift checks
+    return out
 
 
 def _span_key(span: Span) -> Tuple:
@@ -83,7 +82,7 @@ def _span_key(span: Span) -> Tuple:
 
 @dataclass
 class RunSnapshot:
-    """Everything one seeded run produced that determinism is judged on."""
+    """One seeded run's record, flattened for diffing."""
 
     workload: str
     seed: int
@@ -95,7 +94,7 @@ class RunSnapshot:
 
 
 def run_workload(name: str, seed: int = DEFAULT_SEED) -> RunSnapshot:
-    """Run one registered workload on a fresh context; snapshot it."""
+    """Run one registered workload on a fresh context; snapshot its record."""
     try:
         fn = WORKLOADS[name]
     except KeyError:
@@ -105,16 +104,13 @@ def run_workload(name: str, seed: int = DEFAULT_SEED) -> RunSnapshot:
         ) from None
     tracer = Tracer()
     metrics = MetricsRegistry()
-    stats, sim_time_s = fn(seed, tracer, metrics)
-    flat_metrics: Dict[str, float] = {}
-    _flatten("", metrics_to_dict(metrics), flat_metrics)
-    flat_stats: Dict[str, float] = {}
-    _flatten("", stats, flat_stats)
-    raw = tracer.spans()
+    record = build_record(fn(seed, tracer, metrics), tracer, metrics)
+    raw = spans_from_json(record.pop("spans"))
+    flat_metrics = _flatten("", record.pop("metrics"), {})
     return RunSnapshot(
         workload=name, seed=seed, metrics=flat_metrics,
-        spans=[_span_key(s) for s in raw], stats=flat_stats,
-        sim_time_s=sim_time_s, raw_spans=raw,
+        spans=[_span_key(s) for s in raw], stats=_flatten("", record, {}),
+        sim_time_s=record["sim_time_s"], raw_spans=raw,
     )
 
 
@@ -253,8 +249,8 @@ def check_determinism(name: str, seed: int = DEFAULT_SEED, *,
 #: Workloads that are ``repro`` command lines, run in memory through the
 #: CLI's own pipelines (:func:`repro.cli.execute`) with ``--seed`` added.
 #: In memory no local file is written: ``--output`` saves the ranks to
-#: simulated HDFS so the document carries their digest, and
-#: ``--telemetry``'s path only switches the collector on.
+#: simulated HDFS so the document carries their digest, and ``--record``'s
+#: path only switches the collector on.
 CLI_WORKLOADS: Dict[str, str] = {
     "pagerank": "run pagerank --vertices 400 --edges 3000 --iterations 8 "
                 "--output ranks.tsv",
@@ -262,9 +258,9 @@ CLI_WORKLOADS: Dict[str, str] = {
                       "--iterations 8 --output ranks.tsv --chaos",
     "telemetry-chaos-pagerank": "run pagerank --vertices 400 --edges 3000 "
                                 "--iterations 8 --output ranks.tsv --chaos "
-                                "--telemetry telemetry.json",
+                                "--record record.json",
     "serve-chaos": "serve --vertices 400 --edges 3000 --iterations 4 "
-                   "--requests 12000 --chaos --telemetry telemetry.json",
+                   "--requests 12000 --chaos --record record.json",
     "streaming-window": "stream --vertices 300 --edges 1200 --windows 3 "
                         "--embedding",
 }
@@ -279,11 +275,10 @@ def cli_argv(name: str, seed: int) -> List[str]:
 
 def _cli_workload(name: str) -> Workload:
     def run(seed: int, tracer: Tracer, metrics: MetricsRegistry
-            ) -> Tuple[Dict[str, object], float]:
+            ) -> Dict[str, object]:
         from repro.cli import execute  # repro.cli imports this module
 
-        doc = execute(cli_argv(name, seed), tracer, metrics)
-        return doc, doc["sim_time_s"]
+        return execute(cli_argv(name, seed), tracer, metrics)
     return run
 
 
@@ -299,7 +294,7 @@ def _small_cluster() -> ClusterConfig:
 
 @workload("graphsage")
 def _graphsage(seed: int, tracer: Tracer, metrics: MetricsRegistry
-               ) -> Tuple[Dict[str, float], float]:
+               ) -> Dict[str, object]:
     """GraphSage quickstart: one training epoch on a community graph."""
     from repro.core.algorithms.graphsage import GraphSage
     from repro.core.context import PSGraphContext
@@ -318,16 +313,16 @@ def _graphsage(seed: int, tracer: Tracer, metrics: MetricsRegistry
             feats, labels, hidden=8, epochs=1, batch_size=32, lr=0.05,
             seed=seed,
         ).transform(ctx, edges)
-        stats = {
+        return {
             "accuracy": float(result.stats["accuracy"]),
             "losses": [float(x) for x in result.stats["epoch_losses"]],
+            "sim_time_s": ctx.sim_time(),
         }
-        return stats, ctx.sim_time()
 
 
 @workload("graphx")
 def _graphx(seed: int, tracer: Tracer, metrics: MetricsRegistry
-            ) -> Tuple[Dict[str, float], float]:
+            ) -> Dict[str, object]:
     """The GraphX baseline's join pipeline: every shuffle form it has.
 
     PageRank (array attrs), K-core (the collect join), fast unfolding
@@ -357,7 +352,7 @@ def _graphx(seed: int, tracer: Tracer, metrics: MetricsRegistry
         communities, modularity, move_rounds = fast_unfolding(
             ctx, src, dst, weight, num_passes=2, max_move_iterations=3)
         triangles = gx.triangle_count(Graph.from_edges(ctx, src, dst))
-        stats = {
+        return {
             "supersteps": float(supersteps),
             "ranks_checksum": float(ranks.sum()),
             "core_rounds": float(core_rounds),
@@ -366,15 +361,15 @@ def _graphx(seed: int, tracer: Tracer, metrics: MetricsRegistry
             "modularity": modularity,
             "move_rounds": float(move_rounds),
             "triangles": float(triangles),
+            "sim_time_s": ctx.sim_time(),
         }
-        return stats, ctx.sim_time()
     finally:
         ctx.stop()
 
 
 @workload("psgraph-tables")
 def _psgraph_tables(seed: int, tracer: Tracer, metrics: MetricsRegistry
-                    ) -> Tuple[Dict[str, float], float]:
+                    ) -> Dict[str, object]:
     """PSGraph's groupBy (``to_neighbor_tables``) in every form, with a
     lost map output.
 
@@ -423,12 +418,12 @@ def _psgraph_tables(seed: int, tracer: Tracer, metrics: MetricsRegistry
         louvain = runner.run(
             FastUnfolding(num_passes=2, max_move_iterations=3),
             "/input/weighted", weighted=True, num_partitions=8)
-        stats = {
+        return {
             "faults_fired": float(len(engine.fired)),
             "tasks_failed": metrics.get(TASKS_FAILED),
             "overlap_checksum": float(sum(r[2] for r in overlaps)),
             "triangles": float(triangles.stats["triangles"]),
             "modularity": float(louvain.stats["modularity"]),
             "moves": float(louvain.stats["moves"]),
+            "sim_time_s": ctx.sim_time(),
         }
-        return stats, ctx.sim_time()

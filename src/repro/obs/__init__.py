@@ -6,7 +6,8 @@ sim-time spans for every dataflow stage, task attempt, shuffle write/fetch,
 PS pull/push/psFunc, RPC, HDFS read/write, checkpoint and container
 restart, and exporters turn the recording into a Chrome trace
 (``chrome://tracing`` / Perfetto), a plain-text per-stage timeline, or a
-JSON metrics dump.  See ``docs/observability.md``.
+JSON metrics dump — views ``repro report`` derives from one run record
+(:mod:`repro.obs.record`).  See ``docs/observability.md``.
 
 On top of the raw spans sits the telemetry pipeline: a
 :class:`~repro.obs.telemetry.TelemetryCollector` samples windowed
@@ -14,8 +15,8 @@ time-series from the metrics registry on sim-clock ticks, an
 :class:`~repro.obs.slo.SloEngine` evaluates declarative objectives with
 multi-window burn-rate alerting, :func:`~repro.obs.critical.critical_path`
 attributes end-to-end sim time to stages and operators, and the
-``repro report`` command renders it all as a self-contained HTML
-dashboard.
+``repro report`` command renders a record's telemetry as a
+self-contained HTML dashboard.
 
 Tracing is off by default: every subsystem is threaded with
 :data:`~repro.obs.tracer.NOOP_TRACER`, whose methods do nothing, so
@@ -34,21 +35,16 @@ from repro.obs.critical import CriticalPathReport, critical_path
 from repro.obs.export import (
     chrome_trace,
     metrics_to_dict,
-    span_from_dict,
-    span_to_dict,
     spans_from_json,
     spans_to_json,
     timeline_report,
     validate_chrome_trace,
     write_chrome_trace,
-    write_metrics_json,
 )
+from repro.obs.record import (
+    build_record, read_record, record_views, telemetry_doc)
 from repro.obs.slo import Alert, SloEngine, SloSpec, default_slos
-from repro.obs.telemetry import (
-    TelemetryCollector,
-    TimeSeriesStore,
-    build_telemetry_doc,
-)
+from repro.obs.telemetry import TelemetryCollector, TimeSeriesStore
 from repro.obs.tracer import INSTANT, NOOP_TRACER, SPAN, NoopTracer, Span, Tracer
 
 __all__ = [
@@ -64,17 +60,17 @@ __all__ = [
     "TelemetryCollector",
     "TimeSeriesStore",
     "Tracer",
-    "build_telemetry_doc",
+    "build_record",
     "chrome_trace",
     "critical_path",
     "default_slos",
     "metrics_to_dict",
-    "span_from_dict",
-    "span_to_dict",
+    "read_record",
+    "record_views",
     "spans_from_json",
     "spans_to_json",
+    "telemetry_doc",
     "timeline_report",
     "validate_chrome_trace",
     "write_chrome_trace",
-    "write_metrics_json",
 ]

@@ -1,7 +1,7 @@
 """Self-contained HTML dashboard for one telemetry document, and its
 plain-text summary (both printed / written by ``repro report``).
 
-Renders the JSON written by ``--telemetry`` into a single HTML file with
+Renders the telemetry view of a run record into a single HTML file with
 no external assets: stat tiles, SLO status, the alert log, the chaos
 detection timeline, a two-level critical-path icicle with its top-N
 table, and per-component sparkline small-multiples of the windowed
@@ -568,10 +568,3 @@ def summary_lines(doc: Dict[str, object]) -> List[str]:
             )
     return lines
 
-
-def write_dashboard(path: str, doc: Dict[str, object]) -> int:
-    """Write the rendered dashboard to ``path``; returns bytes written."""
-    text = render_dashboard(doc)
-    with open(path, "w") as f:
-        f.write(text)
-    return len(text.encode())

@@ -1,16 +1,15 @@
 """Exporters for recorded traces and metrics.
 
-Three output formats:
-
 * :func:`chrome_trace` / :func:`write_chrome_trace` — the Chrome tracing
   JSON format (open in ``chrome://tracing`` or https://ui.perfetto.dev).
   Each simulated container becomes one "process", each track one "thread",
   and spans are placed at their *simulated* timestamps.
 * :func:`timeline_report` — a plain-text per-stage / per-iteration
   breakdown of where simulated time went.
-* :func:`metrics_to_dict` / :func:`write_metrics_json` — a JSON dump of
-  every counter, gauge and histogram in a
-  :class:`~repro.common.metrics.MetricsRegistry`.
+* :func:`metrics_to_dict` — a JSON-ready dump of every counter, gauge and
+  histogram in a :class:`~repro.common.metrics.MetricsRegistry`.
+* :func:`spans_to_json` / :func:`spans_from_json` — the lossless span
+  form a run record (:mod:`repro.obs.record`) stores.
 """
 
 from __future__ import annotations
@@ -175,61 +174,25 @@ def validate_chrome_trace(doc: Dict[str, object]) -> List[str]:
 # span JSON round-trip
 # ----------------------------------------------------------------------
 
-def span_to_dict(span: Span) -> Dict[str, object]:
-    """Lossless JSON form of one span."""
-    return {
-        "component": span.component,
-        "track": span.track,
-        "name": span.name,
-        "start_s": span.start_s,
-        "end_s": span.end_s,
-        "tags": dict(span.tags) if span.tags else None,
-        "kind": span.kind,
-    }
-
-
-def span_from_dict(doc: Dict[str, object]) -> Span:
-    """Rebuild a span from :func:`span_to_dict` output."""
-    return Span(
-        component=str(doc["component"]),
-        track=str(doc["track"]),
-        name=str(doc["name"]),
-        start_s=float(doc["start_s"]),  # type: ignore[arg-type]
-        end_s=float(doc["end_s"]),  # type: ignore[arg-type]
-        tags=doc.get("tags"),  # type: ignore[arg-type]
-        kind=str(doc.get("kind", "span")),
-    )
-
-
 def spans_to_json(source: TracerOrSpans) -> List[Dict[str, object]]:
     """All spans as JSON-ready dicts (recording order preserved)."""
-    return [span_to_dict(s) for s in _as_spans(source)]
+    return [{"component": s.component, "track": s.track, "name": s.name,
+             "start_s": s.start_s, "end_s": s.end_s,
+             "tags": dict(s.tags) if s.tags else None, "kind": s.kind}
+            for s in _as_spans(source)]
 
 
 def spans_from_json(docs: Iterable[Dict[str, object]]) -> List[Span]:
     """Rebuild spans from :func:`spans_to_json` output."""
-    return [span_from_dict(d) for d in docs]
+    return [Span(component=str(d["component"]), track=str(d["track"]),
+                 name=str(d["name"]), start_s=float(d["start_s"]),
+                 end_s=float(d["end_s"]), tags=d.get("tags"),
+                 kind=str(d.get("kind", "span"))) for d in docs]
 
 
 # ----------------------------------------------------------------------
 # plain-text timeline
 # ----------------------------------------------------------------------
-
-def _stage_rows(spans: Iterable[Span]) -> List[Span]:
-    return sorted(
-        (s for s in spans
-         if s.component == "driver" and s.track == "stages"),
-        key=lambda s: (s.start_s, s.end_s),
-    )
-
-
-def _iteration_marks(spans: Iterable[Span]) -> List[Span]:
-    return sorted(
-        (s for s in spans
-         if s.component == "driver" and s.track == "iterations"),
-        key=lambda s: s.start_s,
-    )
-
 
 def timeline_report(source: TracerOrSpans,
                     sim_time_s: float | None = None) -> str:
@@ -241,9 +204,11 @@ def timeline_report(source: TracerOrSpans,
             footer compares it against the summed stage spans (stages tile
             the driver timeline, so their sum is at most the run time).
     """
-    spans = _as_spans(source)
-    stages = _stage_rows(spans)
-    marks = _iteration_marks(spans)
+    driver = [s for s in _as_spans(source) if s.component == "driver"]
+    stages = sorted((s for s in driver if s.track == "stages"),
+                    key=lambda s: (s.start_s, s.end_s))
+    marks = sorted((s for s in driver if s.track == "iterations"),
+                   key=lambda s: s.start_s)
     lines: List[str] = []
 
     lines.append("== per-stage timeline (sim seconds) ==")
@@ -304,8 +269,3 @@ def metrics_to_dict(metrics: MetricsRegistry) -> Dict[str, object]:
         },
     }
 
-
-def write_metrics_json(path: str, metrics: MetricsRegistry) -> None:
-    """Write :func:`metrics_to_dict` to a local JSON file."""
-    with open(path, "w") as f:
-        json.dump(metrics_to_dict(metrics), f, indent=2, sort_keys=True)

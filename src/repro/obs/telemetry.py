@@ -13,9 +13,9 @@ The :class:`TelemetryCollector` glues the pieces together: it registers
 a tick hook, feeds the :class:`TimeSeriesStore`, evaluates the
 :class:`~repro.obs.slo.SloEngine`, mirrors fired alerts into the trace
 (as instants on the driver's ``alerts`` track) and the metrics registry
-(the ``obs.alerts.fired`` counter), and serializes everything —
-including the critical-path profile — into the telemetry document the
-``repro report`` command turns into a dashboard.
+(the ``obs.alerts.fired`` counter), and dumps series, SLO states and
+alerts into the run record (:mod:`repro.obs.record`), from which
+``repro report`` derives the telemetry document and its dashboard.
 """
 
 from __future__ import annotations
@@ -228,35 +228,8 @@ class TelemetryCollector:
         return self.engine.alerts
 
     def to_dict(self) -> Dict[str, object]:
-        """Store + SLO dump (no critical path; see build_telemetry_doc)."""
+        """Store + SLO dump: the run record's ``telemetry`` section."""
         doc = self.store.to_dict()
         doc.update(self.engine.to_dict())
         return doc
 
-
-def build_telemetry_doc(collector: TelemetryCollector,
-                        tracer: NoopTracer,
-                        sim_time_s: float, *,
-                        meta: Optional[Dict[str, object]] = None,
-                        chaos: Optional[Dict[str, object]] = None,
-                        top_n: int = 25) -> Dict[str, object]:
-    """Assemble the full telemetry document for one finished run.
-
-    This is what ``--telemetry PATH`` writes and ``repro report``
-    renders: windowed series, SLO status, the alert log, the critical-path
-    profile over the recorded spans, and (for chaos runs) the fault report
-    with its detection-to-recovery timeline.
-    """
-    from repro.obs.critical import critical_path
-
-    doc: Dict[str, object] = {
-        "schema": "repro.telemetry/v1",
-        "meta": dict(meta or {}),
-        "sim_time_s": sim_time_s,
-        "telemetry": collector.to_dict(),
-    }
-    doc["critical_path"] = critical_path(
-        tracer.spans(), sim_time_s, top_n=top_n).to_dict()
-    if chaos is not None:
-        doc["chaos"] = chaos
-    return doc

@@ -68,12 +68,18 @@ class TestParser:
                      ["stream", "--no-full"], ["stream", "--base-edges", "9"],
                      ["stream", "--input", "x"],
                      ["run", "pagerank", "--input", "x", "--speculation"],
-                     ["report", "t.json", "--top", "3"]):
+                     ["report", "t.json", "--top", "3"],
+                     ["run", "pagerank", "--input", "x", "--trace", "t"],
+                     ["serve", "--telemetry", "t"],
+                     ["run", "pagerank", "--input", "x", "--metrics", "m"],
+                     ["run", "pagerank", "--input", "x", "--timeline"],
+                     ["serve", "--report-json", "r"],
+                     ["stream", "--report-json", "r"]):
             with pytest.raises(SystemExit):
                 parser.parse_args(argv)
 
-    def test_at_most_sixty_settable_values(self):
-        assert _settable(build_parser()) <= 60
+    def test_at_most_fifty_five_settable_values(self):
+        assert _settable(build_parser()) <= 55
 
     def test_experiments_parse(self):
         parser = build_parser()
@@ -164,18 +170,53 @@ class TestBadInput:
                      "--chaos", str(bad)]) == 2
         assert "unknown fault kind" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, weighted, bad_line", [
+        ("0\t1\nx\ty\n", False, 2),
+        ("0\t1\n\n5\n", False, 3),
+        ("0\t-5\n", False, 1),
+        ("0\t1\t0.5\n", False, 1),
+        ("0\t1\t0.5\n1\t2\n", True, 2),
+        ("0\t1\theavy\n", True, 1),
+    ])
+    def test_malformed_input_line(self, text, weighted, bad_line, tmp_path,
+                                  capsys):
+        path = tmp_path / "edges.tsv"
+        path.write_text(text)
+        record = tmp_path / "record.json"
+        argv = ["run", "pagerank", "--input", str(path),
+                "--record", str(record)] + ["--weighted"] * weighted
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}:{bad_line}: expected 'src dst")
+        assert not record.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "pagerank", "--vertices", "0"], "need at least 2 vertices"),
+        (["stream", "--executors", "0"], "num_executors must be positive"),
+    ])
+    def test_bad_setting_inside_a_pipeline(self, argv, message, tmp_path,
+                                           capsys):
+        record = tmp_path / "record.json"
+        assert main(argv + ["--record", str(record)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not record.exists()
+
 
 class TestStream:
     def test_end_to_end_gate_passes(self, tmp_path, capsys):
-        report = tmp_path / "stream.json"
+        record = tmp_path / "stream.json"
         code = main(["stream", "--vertices", "200", "--edges", "800",
                      "--windows", "2", "--embedding", "--max-ratio", "0.9",
-                     "--report-json", str(report)])
+                     "--record", str(record)])
         assert code == 0
         out = capsys.readouterr().out
         assert "bootstrap :" in out and "window  2 :" in out
         assert "PASS      : cost ratio" in out
-        doc = json.loads(report.read_text())
+        views = tmp_path / "views"
+        assert main(["report", str(record), "--out", str(views)]) == 0
+        assert sorted(p.name for p in views.iterdir()) == [
+            "metrics.json", "report.json", "timeline.txt", "trace.json"]
+        doc = json.loads((views / "report.json").read_text())
         assert doc["schema"] == "repro.streaming/v1"
         assert len(doc["windows"]) == 2
         assert all(w["cost_full_s"] > 0 for w in doc["windows"])

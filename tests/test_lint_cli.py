@@ -74,13 +74,15 @@ def _documented_commands():
 
     Inline code spans may wrap across prose lines; fenced blocks and the
     workflow hold one command per (backslash-continued) line.  Spans with
-    a ``<placeholder>`` or an ellipsis are prose, not commands.
+    a ``<placeholder>`` or an ellipsis are prose, not commands.  A
+    workflow expression (``${{ matrix.alerts }}``) stands for one integer.
     """
     files = [REPO / "README.md", REPO / "EXPERIMENTS.md",
              *sorted((REPO / "docs").glob("*.md")),
              REPO / ".github" / "workflows" / "ci.yml"]
     for path in files:
         text = path.read_text(encoding="utf-8").replace("\\\n", " ")
+        text = re.sub(r"\$\{\{[^}]*\}\}", "0", text)
         spans = re.findall(rf"`({_COMMAND}(?:\n[^`\n]*)*)`", text)
         lines = re.findall(
             rf"^\s*(?:[\w-]+:\s*|- )?(?:PYTHONPATH=\S+\s+)?({_COMMAND})$",

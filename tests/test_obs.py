@@ -23,7 +23,6 @@ from repro.obs import (
     timeline_report,
     validate_chrome_trace,
     write_chrome_trace,
-    write_metrics_json,
 )
 
 
@@ -368,9 +367,7 @@ class TestMetricsDump:
         r.inc("c", 2)
         r.observe("h", 1.0)
         r.set_gauge("g", 3.0)
-        path = tmp_path / "metrics.json"
-        write_metrics_json(str(path), r)
-        doc = json.loads(path.read_text())
+        doc = json.loads(json.dumps(metrics_to_dict(r)))
         assert doc == metrics_to_dict(r)
         assert doc["counters"]["c"] == 2.0
         assert doc["histograms"]["h"]["count"] == 1
@@ -452,17 +449,37 @@ class TestCliFlags:
 
         edges = tmp_path / "edges.tsv"
         edges.write_text("0\t1\n1\t2\n2\t0\n")
-        trace = tmp_path / "trace.json"
-        metrics = tmp_path / "metrics.json"
+        record = tmp_path / "record.json"
         rc = main([
             "run", "pagerank", "--input", str(edges), "--iterations", "2",
-            "--executors", "2", "--servers", "1",
-            "--trace", str(trace), "--metrics", str(metrics), "--timeline",
+            "--executors", "2", "--servers", "1", "--record", str(record),
         ])
         assert rc == 0
-        out = capsys.readouterr().out
-        assert "per-stage timeline" in out
-        doc = json.loads(trace.read_text())
-        assert doc["traceEvents"]
-        mdoc = json.loads(metrics.read_text())
+        assert "per-stage timeline" not in capsys.readouterr().out
+        views = tmp_path / "views"
+        assert main(["report", str(record), "--out", str(views)]) == 0
+        assert "per-stage timeline" in (views / "timeline.txt").read_text()
+        doc = json.loads((views / "trace.json").read_text())
+        assert doc["traceEvents"] and validate_chrome_trace(doc) == []
+        mdoc = json.loads((views / "metrics.json").read_text())
         assert "dataflow.task.duration_s" in mdoc["histograms"]
+
+    def test_views_equal_the_live_run(self, tmp_path):
+        """``repro report``'s trace, metrics and timeline of a recorded
+        ``run --chaos`` are what the live tracer and registry export."""
+        from repro.cli import execute, main
+
+        argv = ["run", "pagerank", "--vertices", "200", "--edges", "1000",
+                "--iterations", "6", "--executors", "4", "--servers", "2",
+                "--chaos", "--record", str(tmp_path / "record.json")]
+        assert main(argv) == 0
+        views = tmp_path / "views"
+        assert main(["report", argv[-1], "--out", str(views)]) == 0
+        tracer, metrics = Tracer(), MetricsRegistry()
+        doc = execute(argv, tracer, metrics)
+        assert (views / "trace.json").read_text() == \
+            json.dumps(chrome_trace(tracer))
+        assert json.loads((views / "metrics.json").read_text()) == \
+            metrics_to_dict(metrics)
+        assert (views / "timeline.txt").read_text() == timeline_report(
+            tracer, sim_time_s=doc["sim_time_s"]) + "\n"

@@ -425,36 +425,42 @@ class TestChaosUnderServing:
 class TestServeCli:
     def test_end_to_end_with_artifacts(self, tmp_path, capsys):
         from repro.cli import main
-        telemetry = tmp_path / "serve.json"
-        dashboard = tmp_path / "serve.html"
-        report_json = tmp_path / "report.json"
+        record = tmp_path / "serve.json"
+        views = tmp_path / "views"
         rc = main([
             "serve", "--requests", "12000", "--vertices", "300",
             "--edges", "1200", "--iterations", "4", "--seed", "7", "--chaos",
-            "--telemetry", str(telemetry), "--report-json", str(report_json),
+            "--record", str(record),
         ])
         assert rc == 0
         out = capsys.readouterr().out
         assert "snapshot" in out and "hot cache" in out
         assert "serve-latency" in out
         import json
-        doc = json.loads(telemetry.read_text())
+        doc = json.loads(record.read_text())
         assert any(s["name"] == "serve-latency"
                    for s in doc["telemetry"]["slos"])
-        report = json.loads(report_json.read_text())
-        assert report["conserved"] is True
-        assert report["degraded_p99_s"] > 0.25
-        assert main(["report", str(telemetry), "--out", str(dashboard),
+        assert doc["report"]["conserved"] is True
+        assert doc["report"]["degraded_p99_s"] > 0.25
+        assert main(["report", str(record), "--out", str(views),
                      "--require-alert", "1"]) == 0
-        assert "serve.latency_s" in dashboard.read_text()
+        assert json.loads((views / "report.json").read_text()) == \
+            doc["report"]
+        # The dashboard renders exactly what telemetry.json holds (keys
+        # sorted at every level, the serving meta included).
+        from repro.obs.dashboard import render_dashboard
+        dashboard = (views / "dashboard.html").read_text()
+        assert "serve.latency_s" in dashboard
+        assert dashboard == render_dashboard(
+            json.loads((views / "telemetry.json").read_text()))
 
     def test_require_alert_fails_without_chaos(self, tmp_path, capsys):
         from repro.cli import main
-        telemetry = tmp_path / "serve.json"
+        record = tmp_path / "serve.json"
         assert main([
             "serve", "--requests", "1000", "--vertices", "200",
             "--edges", "800", "--iterations", "3",
-            "--telemetry", str(telemetry),
+            "--record", str(record),
         ]) == 0
-        assert main(["report", str(telemetry), "--require-alert", "1"]) == 1
+        assert main(["report", str(record), "--require-alert", "1"]) == 1
         assert "required >= 1 alert" in capsys.readouterr().err

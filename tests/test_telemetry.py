@@ -25,8 +25,11 @@ from repro.obs import (
     TelemetryCollector,
     TimeSeriesStore,
     Tracer,
-    build_telemetry_doc,
+    build_record,
     critical_path,
+    metrics_to_dict,
+    spans_from_json,
+    telemetry_doc,
 )
 from repro.obs.dashboard import render_dashboard
 from repro.obs.telemetry import component_of
@@ -289,12 +292,17 @@ def _chaos_telemetry_run(seed=11):
             engine.detach()
             collector.finalize(ctx.sim_time())
             collector.detach()
-        doc = build_telemetry_doc(
-            collector, tracer, ctx.sim_time(),
-            meta={"algorithm": "pagerank", "seed": seed},
-            chaos=engine.report(),
-        )
-        return collector, engine, tracer, ctx.sim_time(), doc
+        record = build_record({
+            "lines": [], "errors": [], "sim_time_s": ctx.sim_time(),
+            "meta": {"algorithm": "pagerank", "seed": seed},
+            "chaos": engine.report(), "telemetry": collector.to_dict(),
+        }, tracer, metrics)
+        return collector, engine, tracer, ctx.sim_time(), record
+
+
+def _telemetry(record):
+    """The telemetry view of a run record."""
+    return telemetry_doc(record, spans_from_json(record["spans"]))
 
 
 class TestChaosTelemetryEndToEnd:
@@ -346,7 +354,8 @@ class TestChaosTelemetryEndToEnd:
         assert sum(r.pct for r in report.table()) >= 95.0
 
     def test_telemetry_doc_schema(self, run):
-        *_, doc = run
+        *_, record = run
+        doc = _telemetry(record)
         assert doc["schema"] == "repro.telemetry/v1"
         assert doc["telemetry"]["ticks"] > 0
         assert doc["telemetry"]["series"]
@@ -409,8 +418,8 @@ class TestCriticalPath:
 
 class TestDashboard:
     def test_render_full_document(self):
-        *_, doc = _chaos_telemetry_run()
-        html = render_dashboard(doc)
+        *_, record = _chaos_telemetry_run()
+        html = render_dashboard(_telemetry(record))
         assert html.startswith("<!DOCTYPE html>")
         assert "SLO status" in html
         assert "Critical path" in html
@@ -420,7 +429,8 @@ class TestDashboard:
         assert "NaN" not in html
 
     def test_render_is_deterministic(self):
-        *_, doc = _chaos_telemetry_run()
+        *_, record = _chaos_telemetry_run()
+        doc = _telemetry(record)
         assert render_dashboard(doc) == render_dashboard(doc)
 
     def test_render_minimal_document(self):
@@ -432,35 +442,43 @@ class TestDashboard:
         assert "no alerts fired" in html
 
 
+def _empty_record(**sections):
+    return {"schema": "repro.record/v1", "lines": [], "errors": [],
+            "sim_time_s": 1.0, "spans": [],
+            "metrics": metrics_to_dict(MetricsRegistry()), **sections}
+
+
 class TestObsCli:
     def _write_doc(self, tmp_path):
-        *_, doc = _chaos_telemetry_run()
-        path = tmp_path / "telemetry.json"
-        path.write_text(json.dumps(doc))
+        *_, record = _chaos_telemetry_run()
+        path = tmp_path / "record.json"
+        path.write_text(json.dumps(record))
         return path
 
     def test_report_writes_dashboard(self, tmp_path, capsys):
         from repro.cli import main
         src = self._write_doc(tmp_path)
-        out = tmp_path / "dash.html"
+        out = tmp_path / "views"
         rc = main(["report", str(src), "--out", str(out),
                    "--require-alert", "1"])
         assert rc == 0
-        assert out.read_text().startswith("<!DOCTYPE html>")
+        assert (out / "dashboard.html").read_text().startswith(
+            "<!DOCTYPE html>")
+        assert sorted(p.name for p in out.iterdir()) == [
+            "dashboard.html", "metrics.json", "telemetry.json",
+            "timeline.txt", "trace.json"]
         stdout = capsys.readouterr().out
         assert "critical" in stdout and "alert" in stdout
 
     def test_require_alert_fails_when_none(self, tmp_path):
         from repro.cli import main
-        doc = {"schema": "repro.telemetry/v1", "meta": {},
-               "sim_time_s": 1.0,
-               "telemetry": {"window_s": 5.0, "ticks": 1,
-                             "series": {}, "slos": [], "alerts": []}}
+        doc = _empty_record(telemetry={"window_s": 5.0, "ticks": 1,
+                                       "series": {}, "slos": [],
+                                       "alerts": []})
         path = tmp_path / "t.json"
         path.write_text(json.dumps(doc))
         assert main(["report", str(path), "--out",
-                     str(tmp_path / "d.html"),
-                     "--require-alert", "1"]) == 1
+                     str(tmp_path / "d"), "--require-alert", "1"]) == 1
 
     def test_rejects_non_telemetry_json(self, tmp_path):
         from repro.cli import main
@@ -468,20 +486,45 @@ class TestObsCli:
         path.write_text("{}")
         assert main(["report", str(path)]) == 1
 
+    @pytest.mark.parametrize("doc", [
+        [],
+        {"schema": "repro.telemetry/v1", "telemetry": []},
+        {"schema": "repro.telemetry/v1", "meta": {}, "sim_time_s": 1.0,
+         "telemetry": {"window_s": 5.0, "ticks": 1, "series": {},
+                       "slos": [], "alerts": []}},
+        _empty_record(spans={}),
+        _empty_record(sim_time_s="1.0"),
+        _empty_record(telemetry=[]),
+        _empty_record(telemetry={"series": {}, "slos": {}, "alerts": []}),
+        _empty_record(spans=[{"component": "driver"}]),
+    ], ids=["list", "telemetry-list", "telemetry-document", "spans-object",
+            "sim-time-string", "record-telemetry-list", "slos-object",
+            "span-without-fields"])
+    def test_rejects_what_is_not_a_record(self, doc, tmp_path, capsys):
+        from repro.cli import main
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps(doc))
+        assert main(["report", str(path), "--out", str(tmp_path / "v")]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: cannot read {path}: ")
+        assert not (tmp_path / "v").exists()
+
 
 class TestMainCliTelemetryFlag:
     def test_telemetry_flag_writes_document(self, tmp_path):
         from repro.cli import main
         edges = tmp_path / "edges.tsv"
         edges.write_text("0\t1\n1\t2\n2\t0\n1\t0\n2\t1\n")
-        out = tmp_path / "telemetry.json"
+        record = tmp_path / "record.json"
         rc = main([
             "run", "pagerank", "--input", str(edges), "--iterations", "2",
             "--executors", "2", "--servers", "1",
-            "--telemetry", str(out),
+            "--record", str(record),
         ])
         assert rc == 0
-        doc = json.loads(out.read_text())
+        assert main(["report", str(record), "--out",
+                     str(tmp_path / "views")]) == 0
+        doc = json.loads((tmp_path / "views" / "telemetry.json").read_text())
         assert doc["schema"] == "repro.telemetry/v1"
         assert doc["meta"]["algorithm"] == "pagerank"
         assert doc["critical_path"]["covered_pct"] >= 95.0

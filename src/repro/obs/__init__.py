@@ -16,7 +16,9 @@ time-series from the metrics registry on sim-clock ticks, an
 multi-window burn-rate alerting, :func:`~repro.obs.critical.critical_path`
 attributes end-to-end sim time to stages and operators, and the
 ``repro report`` command renders a record's telemetry as a
-self-contained HTML dashboard.
+self-contained HTML dashboard.  :func:`~repro.obs.determinism.segments`
+cuts a record into stage segments of exact events, which the determinism
+double run and the committed ledger compare.
 
 Tracing is off by default: every subsystem is threaded with
 :data:`~repro.obs.tracer.NOOP_TRACER`, whose methods do nothing, so

@@ -1,51 +1,58 @@
-"""Dynamic determinism harness.
+"""Exact determinism: a run as a list of stage segments.
 
 Cross-system comparisons (GraphX vs PS, Table I/II of the paper) are only
 trustworthy if a seeded run is bit-for-bit repeatable — "Experimental
 Analysis of Distributed Graph Systems" shows how easily uncontrolled
-nondeterminism invalidates benchmark numbers.  This harness runs a
-registered workload **twice with the same seed** on fresh contexts,
-snapshots each run's record (the one ``--record`` writes) and diffs:
+nondeterminism invalidates benchmark numbers.  :func:`segments` turns a
+run record (:func:`~repro.obs.record.build_record`) into an ordered list
+of ``(label, events)``:
 
-* the full metrics dump (counters, gauges, histogram summaries),
-* the obs span sequence (component / track / name / boundaries / tags),
-* the result document's numeric leaves (losses, accuracy, digests),
-* the final simulated time.
+* the spans in recorded order (:func:`span_event`); a segment ends after
+  each span on the ``stages`` track and is labelled by its name
+  (``stage 3 (shuffle-0)``), and spans after the last stage form one more;
+* one segment per top-level key of the result document, labelled by the
+  key, holding every leaf as ``path = repr`` — strings included;
+* one segment holding the metrics dump.
 
-Five workloads are ``repro`` command lines (:data:`CLI_WORKLOADS`), run
-in memory through the CLI's own pipelines, so the gate checks the
-commands users and CI run; their documents carry CRC-32 digests of the
-outputs (saved ranks, drop records, streaming ranks and labels).  The
-other three have no command line and are written out below.
-
-In the default mode tiny float drift (relative 1e-9) is tolerated; under
-``strict=True`` **any** drift > 0 fails, which is what CI runs — the
-simulator is single-process, so two seeded runs have no excuse to differ.
+Two runs are equal when their events are equal: there is no tolerance,
+and NaN and infinities compare by their exact form.
+:func:`check_determinism` runs a registered workload twice with the same
+seed on fresh contexts and names the first diverging event, with the
+three before it.  ``tests/determinism_ledger.json`` pins each segment's
+digest (:func:`digests`) at ``DEFAULT_SEED``, so a change that moves any
+event fails tier-1 at the first segment it moved.
 
 The first run's spans are also replayed through the
-:mod:`repro.lint.races` happens-before detector, so staleness windows of
-async configurations surface in the same report.
+:mod:`repro.obs.races` happens-before detector; its windows are
+reported, not gated.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Tuple
+import json
+import zlib
+from dataclasses import asdict, dataclass
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.config import MB, ClusterConfig
 from repro.common.metrics import MetricsRegistry
 from repro.common.rng import DEFAULT_SEED, derive_seed
-from repro.lint.races import RaceReport, find_races
 from repro.obs.export import spans_from_json
+from repro.obs.races import RaceReport, find_races
 from repro.obs.record import build_record
 from repro.obs.tracer import Span, Tracer
 
-#: A workload: ``fn(seed, tracer, metrics) -> result document``, which
-#: holds ``sim_time_s``; its numeric leaves are what the double run diffs.
+#: A workload: ``fn(seed, tracer, metrics) -> result document``.
 Workload = Callable[[int, Tracer, MetricsRegistry], Dict[str, object]]
+
+#: A labelled run of events (see :func:`segments`).
+Segment = Tuple[str, List[str]]
 
 #: Registered workloads by CLI name.
 WORKLOADS: Dict[str, Workload] = {}
+
+#: The form of an event past the end of the shorter run.
+END = "<end of run>"
 
 
 def workload(name: str) -> Callable[[Workload], Workload]:
@@ -56,23 +63,9 @@ def workload(name: str) -> Callable[[Workload], Workload]:
     return deco
 
 
-def _flatten(prefix: str, value: object,
-             out: Dict[str, float]) -> Dict[str, float]:
-    """Flatten nested dicts/lists of numbers into dotted float keys."""
-    if isinstance(value, dict):
-        for k in sorted(value):
-            _flatten(f"{prefix}.{k}" if prefix else str(k), value[k], out)
-    elif isinstance(value, (list, tuple)):
-        for i, v in enumerate(value):
-            _flatten(f"{prefix}[{i}]", v, out)
-    elif isinstance(value, (int, float)):  # bool too
-        out[prefix] = float(value)
-    # non-numeric leaves (strings, None) don't participate in drift checks
-    return out
-
-
-def _span_key(span: Span) -> Tuple:
-    """Canonical comparable form of one span."""
+def span_event(span: Span) -> Tuple:
+    """The comparable form of one span: where, what, when, and its tags
+    as sorted ``(key, repr)`` pairs."""
     tags = tuple(sorted(
         (k, repr(v)) for k, v in (span.tags or {}).items()
     ))
@@ -80,165 +73,125 @@ def _span_key(span: Span) -> Tuple:
             span.start_s, span.end_s, tags)
 
 
-@dataclass
-class RunSnapshot:
-    """One seeded run's record, flattened for diffing."""
-
-    workload: str
-    seed: int
-    metrics: Dict[str, float]
-    spans: List[Tuple]
-    stats: Dict[str, float]
-    sim_time_s: float
-    raw_spans: List[Span] = field(default_factory=list, repr=False)
-
-
-def run_workload(name: str, seed: int = DEFAULT_SEED) -> RunSnapshot:
-    """Run one registered workload on a fresh context; snapshot its record."""
-    try:
-        fn = WORKLOADS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown workload {name!r}; registered: "
-            f"{', '.join(sorted(WORKLOADS))}"
-        ) from None
-    tracer = Tracer()
-    metrics = MetricsRegistry()
-    record = build_record(fn(seed, tracer, metrics), tracer, metrics)
-    raw = spans_from_json(record.pop("spans"))
-    flat_metrics = _flatten("", record.pop("metrics"), {})
-    return RunSnapshot(
-        workload=name, seed=seed, metrics=flat_metrics,
-        spans=[_span_key(s) for s in raw], stats=_flatten("", record, {}),
-        sim_time_s=record["sim_time_s"], raw_spans=raw,
-    )
-
-
-# ----------------------------------------------------------------------
-# comparison
-# ----------------------------------------------------------------------
-
-#: Relative drift tolerated in the default (non-strict) mode.
-DEFAULT_RTOL = 1e-9
-
-
-def _drifts(a: Dict[str, float], b: Dict[str, float],
-            rtol: float) -> List[str]:
-    """Human-readable differences between two flat float maps."""
-    out: List[str] = []
-    for key in sorted(set(a) | set(b)):
-        if key not in a:
-            out.append(f"{key}: missing in run 1 (run 2: {b[key]!r})")
-        elif key not in b:
-            out.append(f"{key}: missing in run 2 (run 1: {a[key]!r})")
-        else:
-            x, y = a[key], b[key]
-            if x == y:
-                continue
-            tol = rtol * max(abs(x), abs(y))
-            if abs(x - y) > tol:
-                out.append(f"{key}: {x!r} != {y!r} "
-                           f"(drift {abs(x - y):.3e})")
+def _leaves(path: str, value: object, out: List[str]) -> List[str]:
+    """Every leaf under ``value`` as ``path = repr``; an empty container
+    is a leaf too."""
+    if isinstance(value, dict) and value:
+        for k in sorted(value):
+            _leaves(f"{path}.{k}", value[k], out)
+    elif isinstance(value, list) and value:
+        for i, v in enumerate(value):
+            _leaves(f"{path}[{i}]", v, out)
+    else:
+        out.append(f"{path} = {value!r}")
     return out
 
 
-def _span_diffs(a: List[Tuple], b: List[Tuple],
-                limit: int = 10) -> List[str]:
-    """First differences between two span sequences."""
-    out: List[str] = []
-    if len(a) != len(b):
-        out.append(f"span count: {len(a)} != {len(b)}")
-    for i, (x, y) in enumerate(zip(a, b)):
-        if x != y:
-            out.append(f"span[{i}]: {x!r} != {y!r}")
-            if len(out) >= limit:
-                out.append("... (further span diffs elided)")
-                break
-    return out
+def segments(record: Dict[str, object]) -> List[Segment]:
+    """A run record (as a ``--record`` file loads) as labelled segments."""
+    out: List[Segment] = []
+    events: List[str] = []
+    for span in spans_from_json(record["spans"]):  # type: ignore[arg-type]
+        events.append(repr(span_event(span)))
+        if span.track == "stages":
+            out.append((span.name, events))
+            events = []
+    if events:
+        out.append(("after the last stage", events))
+    doc = sorted(set(record) - {"schema", "spans", "metrics"})
+    return out + [(key, _leaves(key, record[key], [])) for key in doc] \
+        + [("metrics", _leaves("metrics", record["metrics"], []))]
+
+
+def digests(segs: List[Segment]) -> List[str]:
+    """One CRC-32 (8 hex digits) per segment: a ledger entry."""
+    texts = ("\n".join([label, *events]) for label, events in segs)
+    return [f"{zlib.crc32(text.encode()):08x}" for text in texts]
+
+
+def run_workload(name: str, seed: int = DEFAULT_SEED) -> Dict[str, object]:
+    """Run one registered workload on a fresh context; return its run
+    record in the form a ``--record`` file loads as."""
+    tracer, metrics = Tracer(), MetricsRegistry()
+    doc = WORKLOADS[name](seed, tracer, metrics)
+    return json.loads(json.dumps(build_record(doc, tracer, metrics)))
+
+
+# ----------------------------------------------------------------------
+# the double run
+# ----------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Divergence:
+    """The first event at which two runs differ."""
+
+    index: int                  # position in the flattened event list
+    labels: Tuple[str, str]     # each run's segment label there
+    events: Tuple[str, str]     # each run's event (or :data:`END`)
+    before: List[str]           # up to three equal events before it
+
+
+def first_divergence(one: List[Segment],
+                     two: List[Segment]) -> Optional[Divergence]:
+    """Where two segment lists first differ, or ``None`` if equal.  Labels
+    and segment ends follow from the events, so only events compare."""
+    a, b = ([(label, e) for label, events in segs for e in events]
+            for segs in (one, two))
+    for i in range(max(len(a), len(b))):
+        x = a[i] if i < len(a) else (b[i][0], END)
+        y = b[i] if i < len(b) else (a[i][0], END)
+        if x[1] != y[1]:
+            return Divergence(i, (x[0], y[0]), (x[1], y[1]),
+                              [f"[{lb}] {e}" for lb, e in a[max(0, i - 3):i]])
+    return None
 
 
 @dataclass
 class DeterminismReport:
-    """Verdict of one double-run determinism check."""
+    """Verdict of one double run: run 1's segment digests, the first
+    divergence (if any) and the races observed in run 1."""
 
     workload: str
     seed: int
-    strict: bool
-    metric_diffs: List[str]
-    span_diffs: List[str]
-    stat_diffs: List[str]
-    sim_times: Tuple[float, float]
+    digests: List[str]
+    divergence: Optional[Divergence]
     races: List[RaceReport]
-
-    @property
-    def deterministic(self) -> bool:
-        """Whether the two runs were indistinguishable."""
-        return not (self.metric_diffs or self.span_diffs
-                    or self.stat_diffs
-                    or self.sim_times[0] != self.sim_times[1])
 
     @property
     def ok(self) -> bool:
         """Pass/fail verdict (races report, they do not fail the check)."""
-        return self.deterministic
+        return self.divergence is None
 
     def describe(self) -> str:
-        mode = "strict" if self.strict else "default"
-        lines = [
-            f"determinism[{self.workload}] seed={self.seed} ({mode}): "
-            + ("PASS" if self.ok else "FAIL")
-        ]
-        lines.append(
-            f"  sim times: {self.sim_times[0]!r} / {self.sim_times[1]!r}"
-        )
-        for label, diffs in (("metrics", self.metric_diffs),
-                             ("spans", self.span_diffs),
-                             ("stats", self.stat_diffs)):
-            for d in diffs:
-                lines.append(f"  {label} drift: {d}")
+        lines = [f"determinism[{self.workload}] seed={self.seed}: "
+                 + ("PASS" if self.ok else "FAIL")
+                 + f" ({len(self.digests)} segments)"]
+        d = self.divergence
+        if d is not None:
+            lines.append(f"  first diverging event (#{d.index}):")
+            lines += [f"    {line}" for line in d.before]
+            lines += [f"  > run {n} [{label}] {event}" for n, label, event
+                      in zip((1, 2), d.labels, d.events)]
         if self.races:
-            shown = self.races[:8]
             lines.append(f"  {len(self.races)} unsynchronized PS access "
                          "pattern(s) observed (informational):")
-            for r in shown:
-                lines.append(f"    {r.describe()}")
-            if len(self.races) > len(shown):
-                lines.append(f"    ... ({len(self.races) - len(shown)} "
-                             "more patterns elided)")
+            lines += [f"    {r.describe()}" for r in self.races[:8]]
         return "\n".join(lines)
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "workload": self.workload,
-            "seed": self.seed,
-            "strict": self.strict,
-            "ok": self.ok,
-            "metric_diffs": list(self.metric_diffs),
-            "span_diffs": list(self.span_diffs),
-            "stat_diffs": list(self.stat_diffs),
-            "sim_times": list(self.sim_times),
-            "races": [r.to_dict() for r in self.races],
-        }
+        return {**asdict(self), "ok": self.ok,
+                "races": [r.to_dict() for r in self.races]}
 
 
-def check_determinism(name: str, seed: int = DEFAULT_SEED, *,
-                      strict: bool = False) -> DeterminismReport:
-    """Run ``name`` twice with ``seed`` and diff everything observable.
-
-    Args:
-        strict: fail on *any* float drift > 0 (CI mode); the default
-            tolerates relative drift up to :data:`DEFAULT_RTOL`.
-    """
-    one = run_workload(name, seed)
-    two = run_workload(name, seed)
-    rtol = 0.0 if strict else DEFAULT_RTOL
+def check_determinism(name: str,
+                      seed: int = DEFAULT_SEED) -> DeterminismReport:
+    """Run ``name`` twice with ``seed`` and compare every event."""
+    one, two = run_workload(name, seed), run_workload(name, seed)
+    segs = segments(one)
     return DeterminismReport(
-        workload=name, seed=seed, strict=strict,
-        metric_diffs=_drifts(one.metrics, two.metrics, rtol),
-        span_diffs=_span_diffs(one.spans, two.spans),
-        stat_diffs=_drifts(one.stats, two.stats, rtol),
-        sim_times=(one.sim_time_s, two.sim_time_s),
-        races=find_races(one.raw_spans),
+        workload=name, seed=seed, digests=digests(segs),
+        divergence=first_divergence(segs, segments(two)),
+        races=find_races(spans_from_json(one["spans"])),  # type: ignore[arg-type]
     )
 
 

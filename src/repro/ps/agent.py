@@ -78,7 +78,7 @@ class _Bill:
 
     def settle(self, method: str, matrix: str, col: int | None) -> None:
         """Charge the operation; the span's matrix (and column) tags are
-        what :mod:`repro.lint.races` attributes the access by."""
+        what :mod:`repro.obs.races` attributes the access by."""
         psctx, cost, total = self.psctx, self.cost, sum(self.per_server)
         spark = psctx.spark
         tags: dict = {}

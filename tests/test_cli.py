@@ -74,12 +74,14 @@ class TestParser:
                      ["run", "pagerank", "--input", "x", "--metrics", "m"],
                      ["run", "pagerank", "--input", "x", "--timeline"],
                      ["serve", "--report-json", "r"],
-                     ["stream", "--report-json", "r"]):
+                     ["stream", "--report-json", "r"],
+                     ["lint", "--dynamic", "pagerank", "--strict"],
+                     ["lint", "--dynamic", "pagerank", "--fail-on-races"]):
             with pytest.raises(SystemExit):
                 parser.parse_args(argv)
 
-    def test_at_most_fifty_five_settable_values(self):
-        assert _settable(build_parser()) <= 55
+    def test_at_most_fifty_three_settable_values(self):
+        assert _settable(build_parser()) <= 53
 
     def test_experiments_parse(self):
         parser = build_parser()

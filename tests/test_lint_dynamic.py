@@ -1,74 +1,122 @@
-"""Dynamic determinism harness: double-run diffing and the built-in
-workloads (the PageRank strict check here is the repo's own proof that
-two seeded runs are indistinguishable)."""
+"""Exact determinism (``repro.obs.determinism``): stage segments, the
+double run that names the first diverging event, the built-in workloads
+and the committed ledger that pins every workload's segments."""
+
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-import repro.cli
-from repro.cli import execute
+from repro.cli import execute, main
 from repro.common.metrics import MetricsRegistry
-from repro.lint.dynamic import (
+from repro.common.rng import DEFAULT_SEED
+from repro.core.algorithms.graphsage import GraphSage
+from repro.obs import NOOP_TRACER, spans_from_json, spans_to_json
+from repro.obs.determinism import (
     CLI_WORKLOADS,
+    END,
     WORKLOADS,
     DeterminismReport,
-    _drifts,
-    _flatten,
-    _span_diffs,
+    Divergence,
+    _leaves,
     check_determinism,
     cli_argv,
+    digests,
+    first_divergence,
     run_workload,
+    segments,
 )
-from repro.obs import NOOP_TRACER
+from repro.obs.tracer import Tracer
 from repro.ps.matrix import PSMatrix
 from repro.serve import ServingPlane
 from repro.streaming import IncrementalComponents, IncrementalPageRank
 
+LEDGER_PATH = Path(__file__).resolve().parent / "determinism_ledger.json"
+LEDGER = json.loads(LEDGER_PATH.read_text())
+
 
 # ----------------------------------------------------------------------
-# comparison helpers
+# the canonical form and the differ
 # ----------------------------------------------------------------------
 
 def test_flatten_nested_structures():
-    out = {}
-    _flatten("", {"a": {"b": 1, "c": [1.5, 2.5]}, "s": "skip"}, out)
-    assert out == {"a.b": 1.0, "a.c[0]": 1.5, "a.c[1]": 2.5}
+    out = _leaves("doc", {"a": {"b": 1, "c": [1.5, float("nan")]},
+                          "s": "kept", "e": [], "n": None}, [])
+    assert out == ["doc.a.b = 1", "doc.a.c[0] = 1.5", "doc.a.c[1] = nan",
+                   "doc.e = []", "doc.n = None", "doc.s = 'kept'"]
 
 
-def test_drifts_respects_rtol():
-    a = {"x": 1.0}
-    b = {"x": 1.0 + 1e-12}
-    assert _drifts(a, b, rtol=1e-9) == []
-    assert len(_drifts(a, b, rtol=0.0)) == 1
+def _record(stage_names, **doc):
+    tracer = Tracer()
+    for i, name in enumerate(stage_names):
+        tracer.add("executor-0", "tasks", "task", i, i + 0.5)
+        tracer.add("driver", "stages", name, i, i + 1.0)
+    tracer.add("driver", "ps", "ps.checkpoint", 9.0, 9.5)
+    record = {"schema": "repro.record/v1", **doc,
+              "spans": spans_to_json(tracer),
+              "metrics": {"counters": {"x": 1}}}
+    return json.loads(json.dumps(record))
+
+
+def test_segments_end_after_each_stage_then_doc_keys_then_metrics():
+    segs = segments(_record(["stage 0 (result)", "stage 1 (shuffle-0)"],
+                            sim_time_s=2.0, lines=["a"]))
+    assert [label for label, _ in segs] == [
+        "stage 0 (result)", "stage 1 (shuffle-0)", "after the last stage",
+        "lines", "sim_time_s", "metrics"]
+    assert [len(events) for _, events in segs] == [2, 2, 1, 1, 1, 1]
+    assert segs[-1][1] == ["metrics.counters.x = 1"]
+    assert len(digests(segs)) == 6
+    assert all(len(d) == 8 for d in digests(segs))
 
 
 def test_drifts_reports_missing_keys():
-    diffs = _drifts({"x": 1.0}, {"y": 2.0}, rtol=0.0)
-    assert any("missing in run 2" in d for d in diffs)
-    assert any("missing in run 1" in d for d in diffs)
+    one = segments(_record([], sim_time_s=1.0, extra=3))
+    two = segments(_record([], sim_time_s=1.0))
+    d = first_divergence(one, two)
+    assert d.labels == ("extra", "sim_time_s")
+    assert d.events == ("extra = 3", "sim_time_s = 1.0")
+    d = first_divergence(one[:-1], one)
+    assert d.events == (END, "metrics.counters.x = 1")
 
 
 def test_span_diffs_reports_count_and_first_mismatch():
-    a = [("s", 1), ("s", 2)]
-    b = [("s", 1), ("s", 3), ("s", 4)]
-    diffs = _span_diffs(a, b)
-    assert diffs[0] == "span count: 2 != 3"
-    assert "span[1]" in diffs[1]
+    one = segments(_record(["stage 0 (result)", "stage 1 (result)"]))
+    two = segments(_record(["stage 0 (result)", "stage 1 (shuffle-0)",
+                            "stage 2 (result)"]))
+    d = first_divergence(one, two)
+    assert d.index == 3
+    assert d.labels == ("stage 1 (result)", "stage 1 (shuffle-0)")
+    assert "'stage 1 (shuffle-0)'" in d.events[1]
+    assert [e.split("]")[0] for e in d.before] == [
+        "[stage 0 (result)", "[stage 0 (result)", "[stage 1 (result)"]
+
+
+@pytest.mark.parametrize("value", [1.0 + 1e-12, float("nan"), float("inf"),
+                                   "1.0"])
+def test_any_change_of_a_leaf_diverges(value):
+    one = segments(_record([], stat=1.0))
+    two = segments(_record([], stat=value))
+    assert first_divergence(one, two).events == (
+        "stat = 1.0", f"stat = {value!r}")
+    assert digests(one)[1] != digests(two)[1]  # [0]: the spans
+    assert first_divergence(two, segments(_record([], stat=value))) is None
 
 
 def test_report_verdict():
-    clean = DeterminismReport(
-        workload="w", seed=1, strict=True, metric_diffs=[],
-        span_diffs=[], stat_diffs=[], sim_times=(1.0, 1.0), races=[],
-    )
-    assert clean.ok and clean.deterministic
+    clean = DeterminismReport(workload="w", seed=1, digests=["00000000"],
+                              divergence=None, races=[])
+    assert clean.ok
     assert "PASS" in clean.describe()
     dirty = DeterminismReport(
-        workload="w", seed=1, strict=True, metric_diffs=["x: 1 != 2"],
-        span_diffs=[], stat_diffs=[], sim_times=(1.0, 1.0), races=[],
-    )
+        workload="w", seed=1, digests=["00000000"],
+        divergence=Divergence(4, ("x", "x"), ("x = 1", "x = 2"), []),
+        races=[])
     assert not dirty.ok
-    assert "FAIL" in dirty.describe()
+    text = dirty.describe()
+    assert "FAIL" in text and "run 2 [x] x = 2" in text
+    assert dirty.to_dict()["divergence"]["events"] == ("x = 1", "x = 2")
 
 
 def test_unknown_workload_raises():
@@ -88,11 +136,11 @@ def test_builtin_workloads_registered():
 @pytest.mark.parametrize("name", sorted(CLI_WORKLOADS))
 def test_cli_workload_runs_the_cli_pipeline(name):
     """A command-line workload is the ``repro`` pipeline itself: its traced
-    snapshot ends at the sim time of the same argv run in process with
+    record ends at the sim time of the same argv run in process with
     tracing off — which also holds tracing off the sim clock."""
-    snap = run_workload(name, seed=7)
+    record = run_workload(name, seed=7)
     doc = execute(cli_argv(name, 7), NOOP_TRACER, MetricsRegistry())
-    assert doc["sim_time_s"] == snap.sim_time_s > 0
+    assert doc["sim_time_s"] == record["sim_time_s"] > 0
     if "--chaos" in CLI_WORKLOADS[name]:
         assert doc["chaos"]["fired"], "the chaos workload fired no fault"
 
@@ -115,39 +163,59 @@ def _drift_label(assigned):
     return ids, labels
 
 
-@pytest.mark.parametrize("name, owner, method, drift, digest", [
-    ("pagerank", PSMatrix, "to_numpy", _ulp_up, "output_crc"),
-    ("chaos-pagerank", PSMatrix, "to_numpy", _ulp_up, "output_crc"),
+def _accuracy_to(value):
+    def drift(result):
+        result.stats["accuracy"] = value
+        return result
+    drift.__name__ = f"_accuracy_to_{value}"
+    return drift
+
+
+@pytest.mark.parametrize("name, owner, method, drift, event", [
+    ("pagerank", PSMatrix, "to_numpy", _ulp_up, "output/part-00000'"),
+    ("chaos-pagerank", PSMatrix, "to_numpy", _ulp_up, "output/part-00000'"),
     ("telemetry-chaos-pagerank", PSMatrix, "to_numpy", _ulp_up,
-     "output_crc"),
-    ("serve-chaos", ServingPlane, "run", _drift_drops, "drops_crc"),
+     "output/part-00000'"),
+    ("serve-chaos", ServingPlane, "run", _drift_drops, "drops_crc = "),
     ("streaming-window", IncrementalPageRank, "ranks",
-     lambda r: (r[0], _ulp_up(r[1])), "state.ranks_crc"),
+     lambda r: (r[0], _ulp_up(r[1])), "state.ranks_crc = "),
     ("streaming-window", IncrementalComponents, "assignments",
-     _drift_label, "state.labels_crc"),
+     _drift_label, "state.labels_crc = "),
+    ("graphsage", GraphSage, "transform", _accuracy_to(float("nan")),
+     "accuracy = nan"),
+    ("graphsage", GraphSage, "transform", _accuracy_to(float("inf")),
+     "accuracy = inf"),
 ])
 def test_strict_gate_sees_output_drift(monkeypatch, name, owner, method,
-                                       drift, digest):
-    """One value of a CLI workload's output drifting in the second run —
-    a saved rank, a drop record's sim time, a streaming rank or label —
-    fails the strict check through the result document's digest."""
+                                       drift, event):
+    """One value drifting in the second run only fails the double run,
+    which names the first event it moved: a saved rank moves the bytes of
+    the save stage's HDFS write; a drop record's sim time, a streaming
+    rank or label, a statistic turned NaN or infinite move that leaf."""
     runs = []
-    real_execute, real_method = repro.cli.execute, getattr(owner, method)
+    real_run, real_method = WORKLOADS[name], getattr(owner, method)
 
-    def counted(argv, tracer, metrics):
-        runs.append(argv)
-        return real_execute(argv, tracer, metrics)
+    def counted(seed, tracer, metrics):
+        runs.append(seed)
+        return real_run(seed, tracer, metrics)
 
     def drifting(self, *args, **kwargs):
         out = real_method(self, *args, **kwargs)
         return drift(out) if len(runs) == 2 else out
 
-    monkeypatch.setattr(repro.cli, "execute", counted)
+    monkeypatch.setitem(WORKLOADS, name, counted)
     monkeypatch.setattr(owner, method, drifting)
-    report = check_determinism(name, seed=7, strict=True)
-    assert not report.ok
-    assert any(d.startswith(f"{digest}:") for d in report.stat_diffs), \
-        report.describe()
+    report = check_determinism(name, seed=7)
+    d = report.divergence
+    assert d is not None and event in d.events[1], report.describe()
+    assert d.events[0] != d.events[1] and d.labels[0] == d.labels[1]
+    if " = " in event:  # a leaf of the result document
+        leaf = event.split(" = ")[0]
+        assert d.labels[0] == leaf.split(".")[0]
+        assert d.events[0].startswith(f"{leaf} = ")
+    else:  # a span of the stage that saves the output
+        assert d.labels[0].startswith("stage ") and "'hdfs.write'" in \
+            d.events[0] and event in d.events[0]
 
 
 def test_psgraph_tables_loses_and_rewrites_a_map_output():
@@ -155,45 +223,69 @@ def test_psgraph_tables_loses_and_rewrites_a_map_output():
     between the groupBy's map and reduce stage: shuffle 0 is found lost
     by the first reduce task and some — not all — of its eight blocks
     are written a second time."""
-    snap = run_workload("psgraph-tables")
-    assert snap.stats["faults_fired"] == snap.stats["tasks_failed"] == 1
-    [failed] = [s for s in snap.raw_spans if s.name == "task-failed"]
+    record = run_workload("psgraph-tables")
+    assert record["faults_fired"] == record["tasks_failed"] == 1
+    spans = spans_from_json(record["spans"])
+    [failed] = [s for s in spans if s.name == "task-failed"]
     assert failed.tags["reason"] == "shuffle-0-lost"
-    writes = [s.tags["map"] for s in snap.raw_spans
+    writes = [s.tags["map"] for s in spans
               if s.name == "shuffle.write" and s.tags["shuffle"] == 0]
     assert writes[:8] == list(range(8)) and 8 < len(writes) < 16
     assert sorted(set(writes[8:])) == writes[8:]
-    fetches = [s for s in snap.raw_spans if s.name == "shuffle.fetch"
+    fetches = [s for s in spans if s.name == "shuffle.fetch"
                and s.tags["shuffle"] == 0]
     assert len(fetches) == 8  # the failed read charged and traced nothing
 
 
 def test_pagerank_snapshot_contents():
-    snap = run_workload("pagerank", seed=7)
-    assert snap.sim_time_s > 0
-    assert snap.stats["iterations"] >= 1
-    assert snap.spans, "workload must record obs spans"
-    assert snap.metrics, "workload must record metrics"
-
-
-def test_pagerank_strict_determinism():
-    """Two seeded PageRank runs must be bit-for-bit identical."""
-    report = check_determinism("pagerank", seed=123, strict=True)
-    assert report.ok, report.describe()
-    assert report.sim_times[0] == report.sim_times[1]
-    assert report.metric_diffs == []
-    assert report.span_diffs == []
+    record = run_workload("pagerank", seed=7)
+    assert record["sim_time_s"] > 0
+    assert record["iterations"] >= 1
+    assert record["spans"], "workload must record obs spans"
+    assert record["metrics"], "workload must record metrics"
+    labels = [label for label, _ in segments(record)]
+    assert labels[0].startswith("stage 0 (")
+    assert labels[-1] == "metrics" and "output_crc" in labels
 
 
 def test_different_seeds_actually_differ():
-    one = run_workload("pagerank", seed=1)
-    two = run_workload("pagerank", seed=2)
-    assert one.spans != two.spans or one.metrics != two.metrics
+    one = segments(run_workload("pagerank", seed=1))
+    two = segments(run_workload("pagerank", seed=2))
+    assert first_divergence(one, two) is not None
 
 
-def test_report_round_trips_to_dict():
-    report = check_determinism("pagerank", seed=5, strict=True)
-    d = report.to_dict()
-    assert d["ok"] is True
-    assert d["workload"] == "pagerank"
-    assert isinstance(d["races"], list)
+# ----------------------------------------------------------------------
+# the ledger
+# ----------------------------------------------------------------------
+
+def _entry(name, pinned):
+    return f"  {json.dumps(name)}: {json.dumps(pinned)}"
+
+
+def test_ledger_pins_every_workload():
+    assert sorted(LEDGER) == sorted(WORKLOADS)
+    assert LEDGER_PATH.read_text() == "{\n" + ",\n".join(
+        _entry(name, LEDGER[name]) for name in sorted(LEDGER)) + "\n}\n"
+
+
+@pytest.mark.parametrize("name", sorted(LEDGER))
+def test_workload_matches_ledger(name):
+    """One run at ``DEFAULT_SEED`` reproduces the committed digest of every
+    segment.  Re-pin by replacing the entry with the one printed below,
+    and give the reason in CHANGES.md."""
+    segs = segments(run_workload(name, DEFAULT_SEED))
+    now, pinned = digests(segs), LEDGER[name]
+    if now != pinned:
+        i = next(i for i, (a, b) in enumerate(zip(now + [END], pinned + [END]))
+                 if a != b)
+        where = segs[i][0] if i < len(segs) else END
+        pytest.fail(f"{name}: segment {i} ({where}) moved from "
+                    f"{LEDGER_PATH.name}; new entry:\n{_entry(name, now)}")
+
+
+def test_lint_dynamic_json_prints_run_one_digests(capsys):
+    assert main(["lint", "--dynamic", "graphsage", "--seed",
+                 str(DEFAULT_SEED), "--json"]) == 0
+    [report] = json.loads(capsys.readouterr().out)
+    assert report["ok"] and report["divergence"] is None
+    assert report["digests"] == LEDGER["graphsage"]

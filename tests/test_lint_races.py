@@ -1,6 +1,6 @@
 """Happens-before race detector on hand-built span/access sequences."""
 
-from repro.lint.races import (
+from repro.obs.races import (
     FENCE_BARRIER,
     FENCE_STAGE,
     PsAccess,

@@ -50,7 +50,7 @@ from repro.common.sizeof import sizeof
 from repro.core.blocks import NeighborBlock
 from repro.dataflow.context import SparkContext
 from repro.dataflow.taskctx import current_task_context, task_span
-from repro.lint.dynamic import _span_key
+from repro.obs.determinism import span_event
 from repro.obs.export import metrics_to_dict
 from repro.obs.tracer import Tracer
 from repro.ps.agent import PSAgent
@@ -518,7 +518,7 @@ class System:
                        for s in self.ps.servers],
             "nbytes": [(key, store.nbytes) for s in self.ps.servers
                        for key, store in sorted(s._stores.items())],
-            "spans": [_span_key(s) for s in self.tracer.spans()],
+            "spans": [span_event(s) for s in self.tracer.spans()],
         }
 
 

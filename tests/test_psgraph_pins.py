@@ -34,7 +34,7 @@ from repro.core.context import PSGraphContext
 from repro.core.ops import edges_from_arrays, to_neighbor_tables
 from repro.dataflow.context import SparkContext
 from repro.datasets.generators import powerlaw_graph
-from repro.lint.dynamic import _span_key
+from repro.obs.determinism import span_event
 from repro.obs.export import metrics_to_dict
 from repro.obs.tracer import Tracer
 from repro.ps.context import PSContext
@@ -335,7 +335,7 @@ def run_ps_ops_cell(kind: str, p: int):
                 digest(json.dumps(metrics_to_dict(spark.metrics),
                                   sort_keys=True)),
                 tuple(s.container.memory.peak for s in ps.servers),
-                digest([_span_key(s) for s in tracer.spans()]))
+                digest([span_event(s) for s in tracer.spans()]))
     finally:
         ps.stop()
         spark.stop()
@@ -425,7 +425,7 @@ def _observed(spark, ps, tracer, out):
             digest(json.dumps(metrics_to_dict(spark.metrics),
                               sort_keys=True)),
             tuple(s.container.memory.peak for s in ps.servers),
-            digest([_span_key(s) for s in tracer.spans()]))
+            digest([span_event(s) for s in tracer.spans()]))
 
 
 def run_column_cell(servers: int, p: int):

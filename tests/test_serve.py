@@ -413,8 +413,8 @@ class TestChaosUnderServing:
         assert all(r.reason in DROP_REASONS for r in report.drop_records)
 
     def test_strict_double_run_determinism(self):
-        from repro.lint.dynamic import check_determinism
-        report = check_determinism("serve-chaos", seed=99, strict=True)
+        from repro.obs.determinism import check_determinism
+        report = check_determinism("serve-chaos", seed=99)
         assert report.ok, report.describe()
 
 

@@ -37,7 +37,7 @@ from repro.ingest.mutations import (
     group_runs,
     vertex_dels,
 )
-from repro.lint.dynamic import _span_key
+from repro.obs.determinism import span_event
 from repro.obs.export import metrics_to_dict
 from repro.obs.tracer import Tracer
 from repro.streaming import (
@@ -724,7 +724,7 @@ def _run(stream, graph_cls, pagerank_cls, components_cls, full):
             row += [digest(pr.state.to_numpy()),
                     digest(cc.labels.to_numpy())]
             rows.append(row)
-        spans = [_span_key(s) for s in tracer.spans()]
+        spans = [span_event(s) for s in tracer.spans()]
         return rows, digest(repr(spans)), metrics_to_dict(ctx.metrics)
 
 

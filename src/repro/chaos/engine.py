@@ -252,7 +252,7 @@ class ChaosEngine:
                 and all(s[2] >= s[0].count for s in self._rpc_state))
 
     def bind_telemetry(self, collector) -> "ChaosEngine":
-        """Attach a :class:`~repro.obs.telemetry.TelemetryCollector`.
+        """Attach a :class:`~repro.obs.slo.TelemetryCollector`.
 
         Once bound, :meth:`report` includes the SLO alert log and a
         per-fault detection timeline (injection -> first alert), which is

@@ -45,8 +45,7 @@ from repro.experiments.report import run_all
 from repro.ingest.kafka import EdgeStreamConsumer, KafkaTopic
 from repro.obs import (
     NOOP_TRACER, TelemetryCollector, Tracer, build_record, read_record,
-    record_views, telemetry_doc)
-from repro.obs.dashboard import summary_lines
+    record_views, summary_lines, telemetry_doc)
 from repro.obs.determinism import WORKLOADS, check_determinism
 from repro.obs.slo import default_slos
 from repro.serve import (
@@ -512,10 +511,11 @@ def cmd_report(args: argparse.Namespace) -> int:
         return 1
     out = Path(args.out or f"{Path(args.document).with_suffix('')}-views")
     telemetry = telemetry_doc(record, spans)
+    summary = summary_lines(telemetry)
     rc = _write_all((name, out / name, lambda text=text: text)
                     for name, text in record_views(
                         record, spans, telemetry).items())
-    print("\n".join(summary_lines(telemetry)))
+    print("\n".join(summary))
     alerts = len(telemetry["telemetry"].get("alerts", []))
     if alerts < args.require_alert:
         print(f"error: required >= {args.require_alert} alert(s), "

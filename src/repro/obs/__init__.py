@@ -9,14 +9,12 @@ restart, and exporters turn the recording into a Chrome trace
 JSON metrics dump — views ``repro report`` derives from one run record
 (:mod:`repro.obs.record`).  See ``docs/observability.md``.
 
-On top of the raw spans sits the telemetry pipeline: a
-:class:`~repro.obs.telemetry.TelemetryCollector` samples windowed
-time-series from the metrics registry on sim-clock ticks, an
-:class:`~repro.obs.slo.SloEngine` evaluates declarative objectives with
-multi-window burn-rate alerting, :func:`~repro.obs.critical.critical_path`
-attributes end-to-end sim time to stages and operators, and the
-``repro report`` command renders a record's telemetry as a
-self-contained HTML dashboard.  :func:`~repro.obs.determinism.segments`
+On top of the raw spans, a :class:`~repro.obs.slo.TelemetryCollector`
+evaluates an :class:`~repro.obs.slo.SloEngine` of declarative objectives
+with multi-window burn-rate alerting on sim-clock ticks, and
+:func:`~repro.obs.critical.critical_path` attributes end-to-end sim time
+to stages and operators; ``repro report`` prints both and gates on the
+alerts (``--require-alert``).  :func:`~repro.obs.determinism.segments`
 cuts a record into stage segments of exact events, which the determinism
 double run and the committed ledger compare.
 
@@ -44,9 +42,9 @@ from repro.obs.export import (
     write_chrome_trace,
 )
 from repro.obs.record import (
-    build_record, read_record, record_views, telemetry_doc)
-from repro.obs.slo import Alert, SloEngine, SloSpec, default_slos
-from repro.obs.telemetry import TelemetryCollector, TimeSeriesStore
+    build_record, read_record, record_views, summary_lines, telemetry_doc)
+from repro.obs.slo import (
+    Alert, SloEngine, SloSpec, TelemetryCollector, default_slos)
 from repro.obs.tracer import INSTANT, NOOP_TRACER, SPAN, NoopTracer, Span, Tracer
 
 __all__ = [
@@ -60,7 +58,6 @@ __all__ = [
     "SloSpec",
     "Span",
     "TelemetryCollector",
-    "TimeSeriesStore",
     "Tracer",
     "build_record",
     "chrome_trace",
@@ -71,6 +68,7 @@ __all__ = [
     "record_views",
     "spans_from_json",
     "spans_to_json",
+    "summary_lines",
     "telemetry_doc",
     "timeline_report",
     "validate_chrome_trace",

@@ -20,8 +20,8 @@ sequential), so the profile walks it in two passes:
   remainder is explicit ``driver:idle`` rather than silently dropped.
 
 Because the catch-all rows are part of the table, coverage is 100% by
-construction and the dashboard's acceptance bar (>= 95% of end-to-end
-sim time accounted for) is a structural property, not luck.
+construction and the acceptance bar (>= 95% of end-to-end sim time
+accounted for) is a structural property, not luck.
 """
 
 from __future__ import annotations
@@ -113,7 +113,6 @@ class CriticalPathReport:
     sim_time_s: float
     rows: List[PathRow]          # every row, sorted by seconds desc
     top_n: int
-    flame: Dict[str, object]     # nested {name, value, children} tree
 
     @property
     def covered_s(self) -> float:
@@ -143,7 +142,6 @@ class CriticalPathReport:
             "covered_pct": self.covered_pct,
             "rows": [r.to_dict() for r in self.rows],
             "table": [r.to_dict() for r in self.table()],
-            "flame": self.flame,
         }
 
 
@@ -152,9 +150,7 @@ def critical_path(spans: Sequence[Span], sim_time_s: float, *,
     """Attribute ``sim_time_s`` across stages/operators from span trees."""
     alloc: Dict[Tuple[str, str], float] = defaultdict(float)
     if sim_time_s <= 0.0:
-        return CriticalPathReport(sim_time_s, [], top_n,
-                                  {"name": "run", "value": 0.0,
-                                   "children": []})
+        return CriticalPathReport(sim_time_s, [], top_n)
 
     stages = sorted(
         (s for s in spans
@@ -225,28 +221,7 @@ def critical_path(spans: Sequence[Span], sim_time_s: float, *,
          for (group, op), secs in alloc.items()),
         key=lambda r: (-r.seconds, r.label),
     )
-    groups: Dict[str, Dict[str, float]] = defaultdict(dict)
-    for (group, op), secs in sorted(alloc.items()):
-        groups[group][op] = secs
-    flame = {
-        "name": "run",
-        "value": sim_time_s,
-        "children": [
-            {
-                "name": group,
-                "value": sum(ops.values()),
-                "children": [
-                    {"name": op, "value": secs, "children": []}
-                    for op, secs in sorted(
-                        ops.items(), key=lambda kv: (-kv[1], kv[0]))
-                ],
-            }
-            for group, ops in sorted(
-                groups.items(),
-                key=lambda kv: (-sum(kv[1].values()), kv[0]))
-        ],
-    }
-    return CriticalPathReport(sim_time_s, rows, top_n, flame)
+    return CriticalPathReport(sim_time_s, rows, top_n)
 
 
 def _attribute_stage(alloc: Dict[Tuple[str, str], float], kind: str,

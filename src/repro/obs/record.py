@@ -15,7 +15,6 @@ from typing import Dict, List, Tuple
 
 from repro.common.metrics import MetricsRegistry
 from repro.obs.critical import critical_path
-from repro.obs.dashboard import render_dashboard
 from repro.obs.export import (
     chrome_trace, metrics_to_dict, spans_from_json, spans_to_json,
     timeline_report)
@@ -28,8 +27,8 @@ _SECTIONS = {"lines": list, "errors": list, "sim_time_s": (int, float),
              "spans": list, "metrics": dict, "meta": dict, "report": dict,
              "chaos": dict, "telemetry": dict}
 _REQUIRED = ("lines", "errors", "sim_time_s", "spans", "metrics")
-#: The collector's dump, as the telemetry view and dashboard read it.
-_TELEMETRY = {"series": dict, "slos": list, "alerts": list}
+#: The collector's dump, as the telemetry view and the alert gate read it.
+_TELEMETRY = {"slos": list, "alerts": list}
 _dump = partial(json.dumps, indent=2, sort_keys=True)
 
 
@@ -55,17 +54,24 @@ def read_record(path: str) -> Tuple[Dict[str, object], List[Span]]:
     for doc, key, kind in checks:
         if not isinstance(doc.get(key), kind):
             raise ValueError(f"section {key!r} is missing or mistyped")
+    telemetry = record.get("telemetry", {})
+    for key in _TELEMETRY:
+        if not all(isinstance(row, dict) for row in telemetry.get(key, [])):
+            raise ValueError(f"an entry of {key!r} is not an object")
     try:
-        return record, spans_from_json(record["spans"])
+        spans = spans_from_json(record["spans"])
     except (KeyError, TypeError, ValueError) as e:
         raise ValueError(f"malformed span: {e!r}") from None
+    if not all(isinstance(s.tags, (dict, type(None))) for s in spans):
+        raise ValueError("malformed span: tags must be an object or null")
+    return record, spans
 
 
 def telemetry_doc(record: Dict[str, object],
                   spans: List[Span]) -> Dict[str, object]:
     """The telemetry document — run meta, sim time, the collector's dump,
     the critical-path profile over ``spans`` and the chaos report — that
-    the dashboard renders and ``repro report`` summarizes.  Its keys are
+    ``repro report`` writes and summarizes.  Its keys are
     sorted at every level, as ``telemetry.json`` stores them."""
     sim_time_s = record["sim_time_s"]
     doc = {"schema": "repro.telemetry/v1", "meta": record.get("meta", {}),
@@ -88,7 +94,52 @@ def record_views(record: Dict[str, object], spans: List[Span],
                  spans, sim_time_s=record["sim_time_s"]) + "\n"}
     if "telemetry" in record:
         views["telemetry.json"] = _dump(telemetry)
-        views["dashboard.html"] = render_dashboard(telemetry)
     if "report" in record:
         views["report.json"] = _dump(record["report"])
     return views
+
+
+def summary_lines(doc: Dict[str, object]) -> List[str]:
+    """The plain-text summary of one telemetry document: run meta, SLO
+    states, alerts, fault detection and the top 10 critical-path rows."""
+    telemetry = doc.get("telemetry", {})
+    meta = doc.get("meta", {})
+    lines = []
+    if meta:
+        lines.append("run       : " + " ".join(
+            f"{k}={v}" for k, v in sorted(meta.items())))
+    lines.append(f"sim time  : {doc.get('sim_time_s', 0.0):.3f} s")
+    for row in telemetry.get("slos", []):
+        lines.append(
+            f"slo       : {row.get('name'):<24} {row.get('state'):<10}"
+            f" alerts={row.get('alerts')} "
+            f"max_burn={row.get('max_burn_long', 0.0):.2f}"
+        )
+    for a in telemetry.get("alerts", []):
+        resolved = a.get("resolved_at_s")
+        tail = (f"resolved at {resolved:.3f} s"
+                if isinstance(resolved, (int, float)) else "still firing")
+        lines.append(
+            f"alert     : {a.get('slo')} fired at "
+            f"{a.get('fired_at_s', 0.0):.3f} s, {tail}"
+        )
+    for row in (doc.get("chaos") or {}).get("detection", []):
+        if row.get("detected_at_s") is None:
+            lines.append(f"fault     : {row.get('kind')} -> "
+                         f"{row.get('target')}: NOT detected")
+        else:
+            lines.append(
+                f"fault     : {row.get('kind')} -> {row.get('target')} "
+                f"detected by {row.get('slo')} after "
+                f"{row.get('detection_delay_s', 0.0):.3f} s"
+            )
+    cp = doc.get("critical_path")
+    if isinstance(cp, dict):
+        lines.append(f"critical  : table covers "
+                     f"{cp.get('covered_pct', 0.0):.2f}% of sim time")
+        for row in cp.get("table", [])[:10]:
+            lines.append(
+                f"  {row.get('pct', 0.0):6.2f}%  "
+                f"{row.get('seconds', 0.0):10.4f} s  {row.get('label')}"
+            )
+    return lines

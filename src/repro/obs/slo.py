@@ -3,7 +3,16 @@
 An :class:`SloSpec` states an objective over one metric stream — "99% of
 ``ps.pull`` latencies under 0.5 sim-s", "99.9% of liveness probes see
 every PS server alive" — and the :class:`SloEngine` evaluates it at every
-sim-clock tick the telemetry collector receives.
+sim-clock tick the :class:`TelemetryCollector` receives.
+
+The simulator is event-driven — there is no wall-clock scrape loop — so
+the collector hooks the deterministic sim-time ticks the engine already
+produces: stage-end barriers, PS epoch barriers, and recovery detection
+(``SparkContext.notify_tick``).  On each tick it evaluates the engine,
+mirrors fired alerts into the trace (instants on the driver's ``alerts``
+track) and the metrics registry (the ``obs.alerts.fired`` counter), and
+at the end dumps SLO states and alerts into the run record
+(:mod:`repro.obs.record`), where ``repro report``'s alert gate reads them.
 
 Alerting follows the multi-window burn-rate recipe used for production
 SLOs: the *burn rate* is the fraction of events that violated the
@@ -12,8 +21,8 @@ only when the burn rate exceeds the rule's threshold over **both** a long
 window (sustained damage) and a short window (still happening now), and
 resolves once the short window recovers.  Both windows are measured in
 simulated seconds, so a seeded run fires exactly the same alerts at
-exactly the same sim times every run — the ``repro.lint`` double-run
-harness diffs them.
+exactly the same sim times every run — the determinism double run
+compares them.
 
 Three objective kinds cover the simulator's streams:
 
@@ -33,9 +42,10 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.common.metrics import (
+    ALERTS_FIRED,
     EXECUTORS_ALIVE_G,
     MetricsRegistry,
     PS_PULL_LATENCY_H,
@@ -44,9 +54,16 @@ from repro.common.metrics import (
     TASKS_FAILED,
     TASKS_LAUNCHED,
 )
+from repro.obs.tracer import NOOP_TRACER, NoopTracer
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.dataflow.context import SparkContext
 
 #: Objective kinds understood by the engine.
 SLO_KINDS = ("latency", "ratio", "availability")
+
+#: Default SLO window width in simulated seconds.
+DEFAULT_WINDOW_S = 5.0
 
 
 @dataclass(frozen=True)
@@ -255,7 +272,7 @@ class SloEngine:
     # -- reporting ---------------------------------------------------------
 
     def status(self) -> List[Dict[str, object]]:
-        """Per-SLO status rows for reports and the dashboard."""
+        """Per-SLO status rows for the run record and ``repro report``."""
         rows: List[Dict[str, object]] = []
         for state in self._states:
             spec = state.spec
@@ -331,3 +348,61 @@ def default_slos() -> List[SloSpec]:
             short_windows=2, long_windows=8, burn_threshold=6.0,
         ),
     ]
+
+
+class TelemetryCollector:
+    """The tick hook that evaluates an :class:`SloEngine` for one
+    simulated run and mirrors its alerts into the trace and metrics."""
+
+    def __init__(self, metrics: MetricsRegistry,
+                 tracer: NoopTracer = NOOP_TRACER, *,
+                 window_s: float = DEFAULT_WINDOW_S,
+                 slos: Optional[List[SloSpec]] = None) -> None:
+        self.metrics = metrics
+        self.tracer = tracer
+        self.engine = SloEngine(
+            default_slos() if slos is None else slos, window_s=window_s)
+        self._spark: Optional["SparkContext"] = None
+
+    def attach(self, spark: "SparkContext") -> "TelemetryCollector":
+        """Register the tick hook on a SparkContext."""
+        spark.add_tick_hook(self.tick)
+        self._spark = spark
+        return self
+
+    def detach(self) -> None:
+        """Unregister from the SparkContext (idempotent)."""
+        if self._spark is not None:
+            self._spark.remove_tick_hook(self.tick)
+            self._spark = None
+
+    def tick(self, now_s: float) -> None:
+        """One sim-clock tick: evaluate the SLOs, mirror their alerts."""
+        for alert in self.engine.evaluate(now_s, self.metrics):
+            if alert.resolved_at_s is None:
+                self.metrics.inc(ALERTS_FIRED)
+                self.tracer.instant(
+                    "driver", "alerts", f"alert {alert.slo}", now_s,
+                    {"slo": alert.slo,
+                     "burn_short": alert.burn_short,
+                     "burn_long": alert.burn_long},
+                )
+            else:
+                self.tracer.instant(
+                    "driver", "alerts", f"resolved {alert.slo}", now_s,
+                    {"slo": alert.slo},
+                )
+
+    def finalize(self, sim_time_s: float) -> None:
+        """Final tick at end-of-run (captures trailing deltas)."""
+        self.tick(sim_time_s)
+
+    @property
+    def alerts(self) -> List[Alert]:
+        """Every alert the engine fired, in firing order."""
+        return self.engine.alerts
+
+    def to_dict(self) -> Dict[str, object]:
+        """The run record's ``telemetry`` section: ``window_s``, SLO
+        status rows and the alert log."""
+        return self.engine.to_dict()

@@ -8,7 +8,7 @@ is *not* epoch-scoped — no barriers run while serving, so entries live
 until LRU pressure evicts them (epoch is pinned to 0 with staleness 0).
 
 Counters land in the shared registry under the ``serve.cache.*`` names so
-the dashboard and reports can show hit rate and eviction churn; the
+the metrics dump and reports can show hit rate and eviction churn; the
 wrapped cache's own ``ps.cache.evictions`` counter is left unwired here
 to keep the training-path and serving-path eviction counts separate.
 """

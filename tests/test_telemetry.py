@@ -1,5 +1,5 @@
-"""Tests for the telemetry pipeline: sketch, windowed series, SLO
-burn-rate alerting, critical-path attribution, dashboard and CLIs."""
+"""Tests for the telemetry pipeline: sketch, SLO burn-rate alerting,
+critical-path attribution, the record's views and CLIs."""
 
 import json
 
@@ -13,6 +13,7 @@ from repro.common.metrics import (
     PS_SERVERS_ALIVE_G,
     PS_SERVERS_TOTAL_G,
 )
+from repro.common.rng import DEFAULT_SEED
 from repro.common.sketch import QuantileSketch, merge
 from repro.core.algorithms import PageRank
 from repro.core.context import PSGraphContext
@@ -23,7 +24,6 @@ from repro.obs import (
     SloEngine,
     SloSpec,
     TelemetryCollector,
-    TimeSeriesStore,
     Tracer,
     build_record,
     critical_path,
@@ -31,8 +31,7 @@ from repro.obs import (
     spans_from_json,
     telemetry_doc,
 )
-from repro.obs.dashboard import render_dashboard
-from repro.obs.telemetry import component_of
+from repro.obs.determinism import run_workload, segments
 
 
 # ----------------------------------------------------------------------
@@ -101,73 +100,6 @@ class TestQuantileSketch:
         m = merge(a, b)
         assert m.count == a.count + b.count
         assert m.percentile(100) == 199.0
-
-
-# ----------------------------------------------------------------------
-# time-series store
-# ----------------------------------------------------------------------
-
-class TestTimeSeriesStore:
-    def test_counter_deltas_land_in_windows(self):
-        r = MetricsRegistry()
-        store = TimeSeriesStore(window_s=5.0)
-        r.inc("dataflow.tasks.launched", 4)
-        store.sample(1.0, r)
-        r.inc("dataflow.tasks.launched", 6)
-        store.sample(7.0, r)
-        pts = store.series["dataflow.tasks.launched"].points
-        assert list(pts) == [[0.0, 4.0], [1.0, 6.0]]
-
-    def test_same_window_accumulates(self):
-        r = MetricsRegistry()
-        store = TimeSeriesStore(window_s=10.0)
-        r.inc("c", 1)
-        store.sample(1.0, r)
-        r.inc("c", 2)
-        store.sample(2.0, r)
-        assert list(store.series["c"].points) == [[0.0, 3.0]]
-
-    def test_gauge_keeps_last_value(self):
-        r = MetricsRegistry()
-        store = TimeSeriesStore(window_s=10.0)
-        r.set_gauge("g", 5.0)
-        store.sample(1.0, r)
-        r.set_gauge("g", 2.0)
-        store.sample(2.0, r)
-        assert list(store.series["g"].points) == [[0.0, 2.0]]
-
-    def test_histogram_rate_and_p99(self):
-        r = MetricsRegistry()
-        store = TimeSeriesStore(window_s=5.0)
-        r.observe("h", 1.0)
-        r.observe("h", 3.0)
-        store.sample(1.0, r)
-        assert list(store.series["h.rate"].points) == [[0.0, 2.0]]
-        assert store.series["h.p99"].points[-1][1] == pytest.approx(
-            r.histogram("h").percentile(99))
-
-    def test_ring_buffer_retention(self):
-        r = MetricsRegistry()
-        store = TimeSeriesStore(window_s=1.0, max_windows=3)
-        for w in range(10):
-            r.inc("c")
-            store.sample(float(w), r)
-        pts = list(store.series["c"].points)
-        assert len(pts) == 3
-        assert pts[0][0] == 7.0 and pts[-1][0] == 9.0
-
-    def test_component_mapping(self):
-        assert component_of("dataflow.shuffle.records") == "shuffle"
-        assert component_of("dataflow.tasks.launched") == "scheduler"
-        assert component_of("ps.pull.calls") == "ps"
-        assert component_of("net.rpc.bytes") == "rpc"
-        assert component_of("mystery.metric") == "other"
-
-    def test_rejects_bad_config(self):
-        with pytest.raises(ValueError):
-            TimeSeriesStore(window_s=0.0)
-        with pytest.raises(ValueError):
-            TimeSeriesStore(max_windows=0)
 
 
 # ----------------------------------------------------------------------
@@ -357,8 +289,7 @@ class TestChaosTelemetryEndToEnd:
         *_, record = run
         doc = _telemetry(record)
         assert doc["schema"] == "repro.telemetry/v1"
-        assert doc["telemetry"]["ticks"] > 0
-        assert doc["telemetry"]["series"]
+        assert sorted(doc["telemetry"]) == ["alerts", "slos", "window_s"]
         assert doc["critical_path"]["covered_pct"] >= 95.0
         assert doc["chaos"]["detection"]
         json.dumps(doc)  # JSON-serializable end to end
@@ -413,39 +344,47 @@ class TestCriticalPath:
 
 
 # ----------------------------------------------------------------------
-# dashboard + CLIs
+# the collector only observes
 # ----------------------------------------------------------------------
 
-class TestDashboard:
-    def test_render_full_document(self):
-        *_, record = _chaos_telemetry_run()
-        html = render_dashboard(_telemetry(record))
-        assert html.startswith("<!DOCTYPE html>")
-        assert "SLO status" in html
-        assert "Critical path" in html
-        assert "Fault detection timeline" in html
-        assert "ps-availability" in html
-        assert "prefers-color-scheme: dark" in html
-        assert "NaN" not in html
+def _on_alerts_track(span):
+    return (span["component"], span["track"]) == ("driver", "alerts")
 
-    def test_render_is_deterministic(self):
-        *_, record = _chaos_telemetry_run()
-        doc = _telemetry(record)
-        assert render_dashboard(doc) == render_dashboard(doc)
 
-    def test_render_minimal_document(self):
-        doc = {"schema": "repro.telemetry/v1", "meta": {},
-               "sim_time_s": 0.0,
-               "telemetry": {"window_s": 5.0, "ticks": 0,
-                             "series": {}, "slos": [], "alerts": []}}
-        html = render_dashboard(doc)
-        assert "no alerts fired" in html
+def _without_alerts(record):
+    """``record`` without the instants on the driver's ``alerts`` track."""
+    return {**record, "spans": [s for s in record["spans"]
+                                if not _on_alerts_track(s)]}
 
+
+def test_the_collector_only_observes():
+    """``telemetry-chaos-pagerank`` is ``chaos-pagerank`` plus
+    ``--record``, which attaches the collector: every stage and the run's
+    answer stay the same, apart from the collector's alert instants."""
+    plain, observed = (run_workload(name, DEFAULT_SEED) for name in
+                       ("chaos-pagerank", "telemetry-chaos-pagerank"))
+    assert "telemetry" in observed and "telemetry" not in plain
+    assert any(_on_alerts_track(s) for s in observed["spans"])
+    one, two = (segments(_without_alerts(r)) for r in (plain, observed))
+    for key in ("output", "output_crc", "sim_time_s", "stats", "iterations"):
+        assert dict(one)[key] == dict(two)[key], key
+    stages = [seg for seg in one if seg[0] not in plain]
+    assert stages and stages == [seg for seg in two if seg[0] not in observed]
+
+
+# ----------------------------------------------------------------------
+# the record's views + CLIs
+# ----------------------------------------------------------------------
 
 def _empty_record(**sections):
     return {"schema": "repro.record/v1", "lines": [], "errors": [],
             "sim_time_s": 1.0, "spans": [],
             "metrics": metrics_to_dict(MetricsRegistry()), **sections}
+
+
+def _span(**fields):
+    return {"component": "driver", "track": "stages", "name": "stage 0",
+            "start_s": 0.0, "end_s": 1.0, "kind": "span", **fields}
 
 
 class TestObsCli:
@@ -455,18 +394,17 @@ class TestObsCli:
         path.write_text(json.dumps(record))
         return path
 
-    def test_report_writes_dashboard(self, tmp_path, capsys):
+    def test_report_writes_every_view(self, tmp_path, capsys):
         from repro.cli import main
         src = self._write_doc(tmp_path)
         out = tmp_path / "views"
         rc = main(["report", str(src), "--out", str(out),
                    "--require-alert", "1"])
         assert rc == 0
-        assert (out / "dashboard.html").read_text().startswith(
-            "<!DOCTYPE html>")
         assert sorted(p.name for p in out.iterdir()) == [
-            "dashboard.html", "metrics.json", "telemetry.json",
-            "timeline.txt", "trace.json"]
+            "metrics.json", "telemetry.json", "timeline.txt", "trace.json"]
+        doc = json.loads((out / "telemetry.json").read_text())
+        assert sorted(doc["telemetry"]) == ["alerts", "slos", "window_s"]
         stdout = capsys.readouterr().out
         assert "critical" in stdout and "alert" in stdout
 
@@ -497,9 +435,14 @@ class TestObsCli:
         _empty_record(telemetry=[]),
         _empty_record(telemetry={"series": {}, "slos": {}, "alerts": []}),
         _empty_record(spans=[{"component": "driver"}]),
+        _empty_record(spans=[_span(tags=[1, 2])]),
+        _empty_record(spans=[_span(tags="x")]),
+        _empty_record(telemetry={"window_s": 5.0, "slos": [1],
+                                 "alerts": []}),
     ], ids=["list", "telemetry-list", "telemetry-document", "spans-object",
             "sim-time-string", "record-telemetry-list", "slos-object",
-            "span-without-fields"])
+            "span-without-fields", "span-tags-list", "span-tags-string",
+            "slo-entry-not-object"])
     def test_rejects_what_is_not_a_record(self, doc, tmp_path, capsys):
         from repro.cli import main
         path = tmp_path / "x.json"

@@ -176,8 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
                "line, or `# repro-lint: disable-file=RULE` for a module.")
     lint.add_argument("paths", nargs="*", help="default: src/repro")
     lint.add_argument("--json", action="store_true", help="emit JSON")
-    lint.add_argument("--enable", metavar="RULES", help="rule ids to run")
-    lint.add_argument("--disable", metavar="RULES", help="rule ids to skip")
     lint.add_argument("--list-rules", action="store_true")
     lint.add_argument("--dynamic", nargs="+", choices=sorted(WORKLOADS),
                       metavar="WORKLOAD", help="double-run these instead: "
@@ -527,7 +525,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 def cmd_lint(args: argparse.Namespace) -> int:
     """``repro lint``: the static pass, or ``--dynamic`` determinism."""
     from repro.lint.engine import format_human, format_json, lint_paths
-    from repro.lint.rules import RULES, get_rules
+    from repro.lint.rules import RULES
 
     if args.list_rules:
         for rule in RULES.values():
@@ -539,19 +537,12 @@ def cmd_lint(args: argparse.Namespace) -> int:
         print(json.dumps([r.to_dict() for r in reports], indent=2)
               if args.json else "\n".join(r.describe() for r in reports))
         return int(not all(r.ok for r in reports))
-    try:
-        rules = get_rules(args.enable.split(",") if args.enable else None,
-                          args.disable.split(",") if args.disable else None)
-    except KeyError as exc:
-        print(f"error: unknown rule {exc.args[0]} "
-              f"(known: {', '.join(sorted(RULES))})", file=sys.stderr)
-        return 2
     paths = args.paths or ["src/repro"]
     missing = [p for p in paths if not Path(p).exists()]
     if missing:
         print(f"error: no such path: {', '.join(missing)}", file=sys.stderr)
         return 2
-    violations = lint_paths(paths, rules)
+    violations = lint_paths(paths)
     print(format_json(violations) if args.json else format_human(violations))
     return 1 if violations else 0
 

@@ -16,7 +16,6 @@ dump lives in :func:`repro.obs.export.metrics_to_dict`.
 from __future__ import annotations
 
 import math
-import time
 from bisect import bisect_right
 from collections import defaultdict
 from contextlib import contextmanager
@@ -297,20 +296,14 @@ class MetricsRegistry:
         return iter(sorted(self._histograms.items()))
 
     @contextmanager
-    def timer(self, name: str, clock: SimClock | None = None):
-        """Time a block and observe the elapsed seconds in histogram ``name``.
-
-        Args:
-            clock: when given, elapsed *simulated* seconds are measured on
-                this clock; otherwise wall-clock seconds via
-                :func:`time.perf_counter`.
-        """
-        start = clock.now_s if clock is not None else time.perf_counter()
+    def timer(self, name: str, clock: SimClock):
+        """Observe the *simulated* seconds a block takes on ``clock`` in
+        histogram ``name``."""
+        start = clock.now_s
         try:
             yield self
         finally:
-            end = clock.now_s if clock is not None else time.perf_counter()
-            self.observe(name, end - start)
+            self.observe(name, clock.now_s - start)
 
     # -- gauges ------------------------------------------------------------
 
@@ -406,7 +399,7 @@ class ScopedMetrics:
         """Set the prefixed gauge."""
         self._registry.set_gauge(self._name(name), value)
 
-    def timer(self, name: str, clock: SimClock | None = None):
+    def timer(self, name: str, clock: SimClock):
         """Time a block into the prefixed histogram."""
         return self._registry.timer(self._name(name), clock)
 

@@ -1,18 +1,17 @@
 """repro.lint — simulation-invariant static analysis.
 
-The reproduction's correctness story rests on invariants no generic linter
-knows about: simulated time must come from :class:`~repro.common.simclock.
-SimClock` / :class:`~repro.common.simclock.TaskCost` (never the wall clock),
-randomness from seeded :mod:`repro.common.rng` streams, and IO from the
-metered :mod:`repro.hdfs` / RPC fabric.
+The reproduction's correctness story rests on one property: a seeded run
+repeats bit for bit.  Golden sim-time pins and the committed determinism
+ledger (:mod:`repro.obs.determinism`, ``repro lint --dynamic pagerank``)
+check it at run time; this package keeps the hazards they cannot see.
 
 :mod:`repro.lint.engine` + :mod:`repro.lint.rules` are an AST-based pass
-(rules SIM001..SIM005) with ``# repro-lint: disable=RULE`` suppressions
-and JSON / human output, plus a flow-sensitive rule
-(:mod:`repro.lint.cfg`, :mod:`repro.lint.rules_flow`: SIM101).  Run it
-with ``repro lint src/repro``; see ``docs/static-analysis.md``.  That
-every run is bit-for-bit deterministic is checked at run time by
-:mod:`repro.obs.determinism` (``repro lint --dynamic pagerank``).
+(SIM001 wall-clock reads, SIM005 closures that mutate driver state) with
+``# repro-lint: disable=RULE`` suppressions and JSON / human output,
+plus a flow-sensitive rule (:mod:`repro.lint.cfg`,
+:mod:`repro.lint.rules_flow`: SIM101).  Every rule runs on every module.
+Run it with ``repro lint src/repro``; ``docs/static-analysis.md`` has
+the census that decides which hazards need a rule.
 """
 
 from repro.lint.engine import (
@@ -22,7 +21,7 @@ from repro.lint.engine import (
     format_json,
     lint_paths,
 )
-from repro.lint.rules import RULES, Rule, all_rules, get_rules
+from repro.lint.rules import RULES, Rule
 from repro.lint.cfg import CFG, build_cfg, cfg_for_source
 
 __all__ = [
@@ -36,6 +35,4 @@ __all__ = [
     "cfg_for_source",
     "RULES",
     "Rule",
-    "all_rules",
-    "get_rules",
 ]

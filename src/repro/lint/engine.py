@@ -3,19 +3,16 @@
 One :class:`LintEngine` holds an ordered set of rules (see
 :mod:`repro.lint.rules`); :meth:`LintEngine.lint_source` parses a module
 once, hands the tree to every rule, and filters the resulting
-:class:`Violation` list through the file's suppression comments.
+:class:`Violation` list through the file's suppression comments.  Every
+rule runs on every module.
 
 Suppression syntax (checked per physical line, comma-separated rule ids):
 
 * ``# repro-lint: disable=SIM001`` — suppress on this line only.
-* ``# repro-lint: disable=SIM001,SIM004`` — several rules at once.
+* ``# repro-lint: disable=SIM001,SIM005`` — several rules at once.
 * ``# repro-lint: disable-file=SIM001`` — suppress for the whole file
   (conventionally placed near the top, with a comment saying why).
 * ``disable=all`` / ``disable-file=all`` — every rule.
-
-Paths are matched against the *module-relative* path (``dataflow/rdd.py``,
-``experiments/table1.py``) so rule scopes are stable no matter where the
-repository checkout lives.
 """
 
 from __future__ import annotations
@@ -23,10 +20,10 @@ from __future__ import annotations
 import ast
 import json
 import re
-from pathlib import Path, PurePosixPath
+from pathlib import Path
 from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
-from repro.lint.rules import Rule, Violation, all_rules
+from repro.lint.rules import RULES, Rule, Violation
 
 # Importing the flow rules registers SIM101 alongside the syntactic
 # rules, so every engine user sees the full rule set.
@@ -38,28 +35,6 @@ _SUPPRESS_RE = re.compile(
     r"#\s*repro-lint:\s*(disable(?:-file)?)\s*=\s*"
     r"([A-Za-z0-9_]+(?:\s*,\s*[A-Za-z0-9_]+)*)"
 )
-
-
-def module_relpath(path: str | Path, root: str | Path | None = None) -> str:
-    """Path of ``path`` relative to the ``repro`` package, posix-style.
-
-    Falls back to the path relative to ``root`` (the scanned directory),
-    then to the bare file name, so rules written against package-relative
-    fragments (``"common/"``, ``"experiments/"``) match regardless of the
-    checkout location.
-    """
-    parts = PurePosixPath(Path(path).as_posix()).parts
-    for i in range(len(parts) - 1, -1, -1):
-        if parts[i] == "repro":
-            return str(PurePosixPath(*parts[i + 1:]))
-    if root is not None:
-        try:
-            return Path(path).resolve().relative_to(
-                Path(root).resolve()
-            ).as_posix()
-        except ValueError:
-            pass
-    return Path(path).name
 
 
 def _parse_suppressions(
@@ -95,53 +70,35 @@ class LintEngine:
     """Runs a set of rules over python sources and collects violations."""
 
     def __init__(self, rules: Sequence[Rule] | None = None) -> None:
-        self.rules: List[Rule] = list(rules) if rules is not None \
-            else all_rules()
+        self.rules: List[Rule] = list(rules if rules is not None
+                                      else RULES.values())
 
-    def lint_source(self, source: str, relpath: str,
-                    display_path: str | None = None) -> List[Violation]:
-        """Lint one module given as text.
-
-        Args:
-            source: the module source.
-            relpath: package-relative path used for rule scoping.
-            display_path: path to report in violations (defaults to
-                ``relpath``).
-        """
-        shown = display_path if display_path is not None else relpath
+    def lint_source(self, source: str, path: str) -> List[Violation]:
+        """Lint one module given as text; ``path`` is what violations
+        report."""
         try:
             tree = ast.parse(source)
         except SyntaxError as exc:
-            return [_syntax_violation(shown, exc)]
+            return [Violation("SIM000", path, exc.lineno or 0,
+                              exc.offset or 0, f"syntax error: {exc.msg}")]
         file_wide, per_line = _parse_suppressions(source)
         out: List[Violation] = []
         for rule in self.rules:
-            if not rule.applies_to(relpath):
-                continue
-            for v in rule.check(tree, relpath):
-                v = Violation(v.rule_id, shown, v.line, v.col, v.message)
+            for node, message in rule.check(tree):
+                v = Violation(rule.id, path, getattr(node, "lineno", 0),
+                              getattr(node, "col_offset", 0), message)
                 if not _suppressed(v, file_wide, per_line):
                     out.append(v)
         out.sort(key=lambda v: (v.path, v.line, v.col, v.rule_id))
         return out
 
 
-def _syntax_violation(shown: str, exc: SyntaxError) -> Violation:
-    return Violation(
-        "SIM000", shown, exc.lineno or 0, exc.offset or 0,
-        f"syntax error: {exc.msg}",
-    )
-
-
-def iter_python_files(paths: Iterable[str | Path]) -> List[Tuple[Path, Path]]:
-    """Expand files/directories into (file, scan_root) pairs, sorted."""
-    out: List[Tuple[Path, Path]] = []
+def iter_python_files(paths: Iterable[str | Path]) -> List[Path]:
+    """Expand files/directories into a list of ``.py`` files, sorted."""
+    out: List[Path] = []
     for p in paths:
         p = Path(p)
-        if p.is_dir():
-            out.extend((f, p) for f in sorted(p.rglob("*.py")))
-        else:
-            out.append((p, p.parent))
+        out.extend(sorted(p.rglob("*.py")) if p.is_dir() else [p])
     return out
 
 
@@ -150,10 +107,9 @@ def lint_paths(paths: Iterable[str | Path],
     """Lint every ``.py`` file under ``paths``; returns all violations."""
     engine = LintEngine(rules)
     violations: List[Violation] = []
-    for path, root in iter_python_files(paths):
+    for path in iter_python_files(paths):
         violations.extend(engine.lint_source(
-            path.read_text(encoding="utf-8"), module_relpath(path, root),
-            str(path)))
+            path.read_text(encoding="utf-8"), str(path)))
     return violations
 
 

@@ -1,25 +1,19 @@
-"""Simulation-invariant lint rules (SIM001..SIM005).
+"""Simulation-invariant lint rules SIM001 and SIM005.
 
-Each rule is a small AST pass scoped to the package-relative paths where
-its invariant must hold.  The registry maps rule ids to singleton rule
-instances; :func:`get_rules` resolves ``--enable`` / ``--disable``
-selections for the CLI.
+The registry maps rule ids to singleton rule instances; every rule runs
+on every module (no rule is scoped to a path), and a rule's ``check``
+yields ``(node, message)`` pairs that the engine turns into
+:class:`Violation` s.
 
-The invariants (see ``docs/static-analysis.md`` for the full rationale):
+The invariants (see ``docs/static-analysis.md`` for the full rationale;
+an unseeded generator, uncharged IO or a hash-ordered set of strings
+needs no rule, because it moves the sim-time pins or the determinism
+ledger — that document's census measured each):
 
-* **SIM001** — simulated components must read :class:`~repro.common.
-  simclock.SimClock` / :class:`~repro.common.simclock.TaskCost`, never the
-  wall clock, or sim-time results depend on host speed.
-* **SIM002** — randomness must come from seeded :mod:`repro.common.rng`
-  streams, never the ambient ``random`` / ``numpy.random`` module state
-  or a generator constructed without a seed, or runs stop being
-  bit-reproducible.
-* **SIM003** — simulated subsystems must do IO through the metered
-  :mod:`repro.hdfs` / RPC fabric, never the host filesystem, or costs
-  leak out of the simulation.
-* **SIM004** — iterating a ``set`` feeds hash order into shuffle
-  partitioning / PS row ordering, which breaks run-to-run determinism
-  under hash randomization.
+* **SIM001** — code must read :class:`~repro.common.simclock.SimClock` /
+  :class:`~repro.common.simclock.TaskCost`, never the wall clock: a
+  host-time deadline or branch changes no output at test scale, so no
+  sim-time pin can see it.
 * **SIM005** — closures shipped into RDD operations must not mutate
   captured driver state (lost on a real cluster, where closures are
   serialized) or sort/reverse partition data in place (aliases shuffled
@@ -30,13 +24,10 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, Iterator, List, Set, Tuple
 
-#: Package-relative directories that form the simulated cluster: code here
-#: must not touch the host filesystem, wall clock or ambient RNG.
-SIM_SUBSYSTEMS: Tuple[str, ...] = (
-    "dataflow/", "ps/", "hdfs/", "graphx/", "core/", "net/", "yarn/",
-)
+#: What a rule's ``check`` yields: the offending node and a message.
+Finding = Tuple[ast.AST, str]
 
 
 @dataclass(frozen=True)
@@ -66,42 +57,16 @@ class Violation:
 
 
 class Rule:
-    """Base class: id/description plus path scoping.
-
-    Attributes:
-        id: stable rule identifier (``SIM001`` ...).
-        name: short human name.
-        description: one-line summary shown by ``--list-rules``.
-        scope: relpath prefixes the rule applies to; empty = everywhere.
-        exempt: relpath prefixes (or exact files) the rule skips.
-    """
+    """Base class: a stable id, a short name, a one-line description
+    (shown by ``--list-rules``) and one check over a parsed module."""
 
     id: str = "SIM000"
     name: str = "base"
     description: str = ""
-    scope: Tuple[str, ...] = ()
-    exempt: Tuple[str, ...] = ()
 
-    def applies_to(self, relpath: str) -> bool:
-        """Whether this rule runs on the module at ``relpath``."""
-        if any(relpath == e or relpath.startswith(e) for e in self.exempt):
-            return False
-        if self.scope:
-            return any(relpath.startswith(s) for s in self.scope)
-        return True
-
-    def check(self, tree: ast.AST, relpath: str) -> List[Violation]:
-        """Return the rule's violations for one parsed module."""
+    def check(self, tree: ast.AST) -> Iterator[Finding]:
+        """Yield ``(node, message)`` for every violation in one module."""
         raise NotImplementedError
-
-    def violation(self, node: ast.AST, message: str,
-                  relpath: str) -> Violation:
-        """Helper: a violation anchored at ``node``."""
-        return Violation(
-            self.id, relpath,
-            getattr(node, "lineno", 0), getattr(node, "col_offset", 0),
-            message,
-        )
 
 
 #: Registry of rule id -> singleton instance, in registration order.
@@ -113,38 +78,6 @@ def register(cls: type) -> type:
     inst = cls()
     RULES[inst.id] = inst
     return cls
-
-
-def all_rules() -> List[Rule]:
-    """Every registered rule, in registration order."""
-    return list(RULES.values())
-
-
-def get_rules(enable: Iterable[str] | None = None,
-              disable: Iterable[str] | None = None) -> List[Rule]:
-    """Resolve a rule selection.
-
-    Args:
-        enable: when given, only these ids run.
-        disable: ids to drop (applied after ``enable``).
-
-    Raises:
-        KeyError: an id that is not registered.
-    """
-    chosen = list(RULES)
-    if enable:
-        wanted = [r.upper() for r in enable]
-        for r in wanted:
-            if r not in RULES:
-                raise KeyError(r)
-        chosen = [r for r in chosen if r in wanted]
-    if disable:
-        dropped = {r.upper() for r in disable}
-        for r in dropped:
-            if r not in RULES:
-                raise KeyError(r)
-        chosen = [r for r in chosen if r not in dropped]
-    return [RULES[r] for r in chosen]
 
 
 # ----------------------------------------------------------------------
@@ -217,248 +150,31 @@ class WallClockRule(Rule):
 
     id = "SIM001"
     name = "wall-clock"
-    description = ("wall-clock read (time.time / perf_counter / "
-                   "datetime.now) outside the common/ shims")
-    exempt = ("common/",)
+    description = "wall-clock read (time.time / perf_counter / datetime.now)"
 
-    def check(self, tree: ast.AST, relpath: str) -> List[Violation]:
+    def check(self, tree: ast.AST) -> Iterator[Finding]:
         aliases = _import_aliases(tree)
-        out: List[Violation] = []
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.module \
                     and node.level == 0:
                 for a in node.names:
                     full = f"{node.module}.{a.name}"
                     if full in _WALL_CLOCK:
-                        out.append(self.violation(
-                            node,
-                            f"imports wall-clock `{full}`; use "
-                            "SimClock.now_s / TaskCost instead", relpath,
-                        ))
+                        yield node, (f"imports wall-clock `{full}`; use "
+                                     "SimClock.now_s / TaskCost instead")
             elif isinstance(node, ast.Call):
                 dotted = _dotted(node.func)
                 if dotted is None:
                     continue
                 full = _resolve(dotted, aliases)
                 if full in _WALL_CLOCK:
-                    out.append(self.violation(
-                        node,
-                        f"wall-clock read `{full}()`; simulated components "
-                        "must read SimClock.now_s / TaskCost", relpath,
-                    ))
-        return out
+                    yield node, (f"wall-clock read `{full}()`; simulated "
+                                 "components must read SimClock.now_s / "
+                                 "TaskCost")
 
 
 # ----------------------------------------------------------------------
-# SIM002 — ambient randomness
-# ----------------------------------------------------------------------
-
-#: numpy.random attributes that are fine: explicit generator construction.
-_NP_RANDOM_OK = {
-    "default_rng", "Generator", "SeedSequence", "BitGenerator",
-    "PCG64", "PCG64DXSM", "Philox", "MT19937", "SFC64", "RandomState",
-}
-
-#: Generator constructors that seed from OS entropy when given no argument.
-_NP_SEEDED_CTORS = {"numpy.random.default_rng", "numpy.random.RandomState"}
-
-
-@register
-class AmbientRandomnessRule(Rule):
-    """SIM002: randomness must flow through repro.common.rng streams."""
-
-    id = "SIM002"
-    name = "ambient-randomness"
-    description = ("ambient `random` / module-level `numpy.random` use, "
-                   "or a generator constructed without a seed, instead "
-                   "of seeded repro.common.rng streams")
-    exempt = ("common/rng.py",)
-
-    def check(self, tree: ast.AST, relpath: str) -> List[Violation]:
-        aliases = _import_aliases(tree)
-        out: List[Violation] = []
-        flagged: Set[int] = set()  # attribute nodes already reported
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for a in node.names:
-                    if a.name == "random" or a.name.startswith("random."):
-                        out.append(self.violation(
-                            node,
-                            "imports the ambient `random` module; derive "
-                            "a stream via repro.common.rng.make_rng / "
-                            "derive_seed", relpath,
-                        ))
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                if node.module == "random" or (
-                        node.module or "").startswith("random."):
-                    out.append(self.violation(
-                        node,
-                        "imports from the ambient `random` module; derive "
-                        "a stream via repro.common.rng.make_rng / "
-                        "derive_seed", relpath,
-                    ))
-            elif isinstance(node, (ast.Call, ast.Attribute)):
-                target = node.func if isinstance(node, ast.Call) else node
-                if id(target) in flagged:
-                    continue  # already reported via the enclosing call
-                dotted = _dotted(target)
-                if dotted is None:
-                    continue
-                full = _resolve(dotted, aliases)
-                parts = full.split(".")
-                if len(parts) >= 3 and parts[0] == "numpy" \
-                        and parts[1] == "random" \
-                        and parts[2] not in _NP_RANDOM_OK:
-                    flagged.add(id(target))
-                    out.append(self.violation(
-                        node,
-                        f"module-level `{full}` draws from numpy's global "
-                        "state; use repro.common.rng.make_rng(seed)",
-                        relpath,
-                    ))
-                elif isinstance(node, ast.Call) \
-                        and full in _NP_SEEDED_CTORS \
-                        and not node.args and not node.keywords:
-                    out.append(self.violation(
-                        node,
-                        f"`{full}()` without a seed draws OS entropy; "
-                        "use repro.common.rng.make_rng(seed)", relpath,
-                    ))
-        return out
-
-
-# ----------------------------------------------------------------------
-# SIM003 — direct filesystem IO inside sim subsystems
-# ----------------------------------------------------------------------
-
-#: ``os.*`` members that touch the host filesystem / environment.
-_OS_IO = {
-    "remove", "unlink", "rename", "replace", "rmdir", "removedirs",
-    "mkdir", "makedirs", "listdir", "scandir", "stat", "lstat", "walk",
-    "open", "system", "popen", "getenv", "putenv", "environ", "chdir",
-    "truncate", "symlink", "link", "getcwd",
-}
-
-#: ``os.path.*`` members that hit the filesystem (join/basename are pure).
-_OS_PATH_IO = {
-    "exists", "isfile", "isdir", "islink", "getsize", "getmtime",
-    "getatime", "getctime", "samefile", "realpath",
-}
-
-
-@register
-class DirectIORule(Rule):
-    """SIM003: sim subsystems must do IO via the metered HDFS/RPC fabric."""
-
-    id = "SIM003"
-    name = "direct-io"
-    description = ("direct filesystem IO (`open`, `os.*`, pathlib, shutil) "
-                   "inside a simulated subsystem; use repro.hdfs / RPC")
-    scope = SIM_SUBSYSTEMS
-    exempt = ("cli.py", "obs/export.py")
-
-    def check(self, tree: ast.AST, relpath: str) -> List[Violation]:
-        aliases = _import_aliases(tree)
-        out: List[Violation] = []
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call):
-                dotted = _dotted(node.func)
-                if dotted is None:
-                    continue
-                full = _resolve(dotted, aliases)
-                parts = full.split(".")
-                hit = (
-                    full == "open"
-                    or full == "io.open"
-                    or (parts[0] == "os" and len(parts) == 2
-                        and parts[1] in _OS_IO)
-                    or (parts[0] == "os" and len(parts) == 3
-                        and parts[1] == "path" and parts[2] in _OS_PATH_IO)
-                    or parts[0] == "shutil"
-                    or parts[0] == "tempfile"
-                    or full.startswith("pathlib.")
-                )
-                if hit:
-                    out.append(self.violation(
-                        node,
-                        f"direct IO `{full}(...)` inside a simulated "
-                        "subsystem; route through repro.hdfs (metered) "
-                        "or move to the CLI/export layer", relpath,
-                    ))
-            elif isinstance(node, ast.Attribute):
-                if _resolve(_dotted(node) or "", aliases) == "os.environ":
-                    out.append(self.violation(
-                        node,
-                        "reads `os.environ` inside a simulated subsystem; "
-                        "thread configuration through ClusterConfig",
-                        relpath,
-                    ))
-        return out
-
-
-# ----------------------------------------------------------------------
-# SIM004 — unordered set iteration on determinism-critical paths
-# ----------------------------------------------------------------------
-
-#: Consumers whose result does not depend on iteration order.
-_ORDER_INSENSITIVE = {"sorted", "len", "min", "max", "any", "all",
-                      "set", "frozenset"}
-
-#: Consumers that materialize the (hash-ordered) iteration sequence.
-_ORDER_SENSITIVE = {"iter", "list", "tuple", "enumerate", "reversed"}
-
-
-def _is_set_expr(node: ast.AST) -> bool:
-    if isinstance(node, (ast.Set, ast.SetComp)):
-        return True
-    return (isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id in ("set", "frozenset"))
-
-
-@register
-class UnorderedIterationRule(Rule):
-    """SIM004: set iteration order must not feed partitioning/row order."""
-
-    id = "SIM004"
-    name = "unordered-iteration"
-    description = ("iteration over a set feeds hash order into shuffle "
-                   "partitioning / PS row ordering; sort or use "
-                   "dict.fromkeys")
-    scope = SIM_SUBSYSTEMS
-
-    _MSG = ("iterates a set whose hash order is not deterministic across "
-            "runs; wrap in sorted(...) or dedup with dict.fromkeys(...)")
-
-    def check(self, tree: ast.AST, relpath: str) -> List[Violation]:
-        out: List[Violation] = []
-        for node in ast.walk(tree):
-            if isinstance(node, ast.For) and _is_set_expr(node.iter):
-                out.append(self.violation(node.iter, self._MSG, relpath))
-            elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
-                                   ast.GeneratorExp)):
-                for gen in node.generators:
-                    if _is_set_expr(gen.iter):
-                        out.append(self.violation(
-                            gen.iter, self._MSG, relpath))
-            elif isinstance(node, ast.Call):
-                func = node.func
-                if isinstance(func, ast.Name) \
-                        and func.id in _ORDER_SENSITIVE:
-                    for arg in node.args:
-                        if _is_set_expr(arg):
-                            out.append(self.violation(
-                                arg, self._MSG, relpath))
-                for arg in node.args:
-                    if isinstance(arg, ast.Starred) \
-                            and _is_set_expr(arg.value):
-                        out.append(self.violation(
-                            arg.value, self._MSG, relpath))
-        return out
-
-
-# ----------------------------------------------------------------------
-# SIM005 — RDD closures mutating captured state / aliasing records
+# Shipped closures (SIM005 and SIM101)
 # ----------------------------------------------------------------------
 
 #: RDD methods whose function arguments ship to executors.
@@ -467,29 +183,28 @@ _RDD_METHODS = {
     "map_partitions_with_index", "foreach_partition", "shuffle_blocks",
 }
 
-#: Method calls that mutate their receiver.
-_MUTATORS = {
-    "append", "extend", "insert", "remove", "clear", "update",
-    "setdefault", "popitem", "add", "discard", "sort", "reverse",
-    "pop", "write",
-}
-
-#: In-place reorderings: called on a parameter they alias shuffled records.
-_INPLACE_REORDER = {"sort", "reverse"}
+Closure = ast.Lambda | ast.FunctionDef
 
 
-def _bound_names(func: ast.Lambda | ast.FunctionDef) -> Set[str]:
-    """Names bound inside ``func``: parameters plus local assignments."""
+def _param_names(func: Closure) -> Set[str]:
     args = func.args
-    bound: Set[str] = {
-        a.arg for a in (args.posonlyargs + args.args + args.kwonlyargs)
-    }
+    names = {a.arg for a in (args.posonlyargs + args.args
+                             + args.kwonlyargs)}
     if args.vararg:
-        bound.add(args.vararg.arg)
+        names.add(args.vararg.arg)
     if args.kwarg:
-        bound.add(args.kwarg.arg)
-    body = func.body if isinstance(func.body, list) else [func.body]
-    for stmt in body:
+        names.add(args.kwarg.arg)
+    return names
+
+
+def _body(func: Closure) -> List[ast.AST]:
+    return func.body if isinstance(func.body, list) else [func.body]
+
+
+def _bound_names(func: Closure) -> Set[str]:
+    """Names bound inside ``func``: parameters plus local assignments."""
+    bound = _param_names(func)
+    for stmt in _body(func):
         for node in ast.walk(stmt):
             if isinstance(node, ast.Name) \
                     and isinstance(node.ctx, (ast.Store, ast.Del)):
@@ -504,15 +219,54 @@ def _bound_names(func: ast.Lambda | ast.FunctionDef) -> Set[str]:
     return bound
 
 
-def _param_names(func: ast.Lambda | ast.FunctionDef) -> Set[str]:
-    args = func.args
-    names = {a.arg for a in (args.posonlyargs + args.args
-                             + args.kwonlyargs)}
-    if args.vararg:
-        names.add(args.vararg.arg)
-    if args.kwarg:
-        names.add(args.kwarg.arg)
-    return names
+def _rdd_calls(func: ast.AST) -> List[ast.Call]:
+    """Calls to RDD closure-shipping methods inside one function body."""
+    return [node for node in ast.walk(func)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in _RDD_METHODS]
+
+
+def shipped_closures(func: ast.FunctionDef | ast.AsyncFunctionDef
+                     ) -> Iterator[Tuple[ast.Call, Closure]]:
+    """``(call, closure)`` for every function ``func``'s RDD calls ship.
+
+    A closure is a lambda argument or a name that resolves to a def
+    local to ``func`` — never to a same-named def elsewhere in the
+    module.
+    """
+    local_defs = {
+        n.name: n for n in ast.walk(func)
+        if isinstance(n, ast.FunctionDef) and n is not func
+    }
+    for call in _rdd_calls(func):
+        for arg in list(call.args) + [kw.value for kw in call.keywords]:
+            if isinstance(arg, ast.Lambda):
+                yield call, arg
+            elif isinstance(arg, ast.Name) and arg.id in local_defs:
+                yield call, local_defs[arg.id]
+
+
+def functions(tree: ast.AST) -> Iterator[ast.FunctionDef]:
+    """Every (async) function definition in a module, nested ones too."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node
+
+
+# ----------------------------------------------------------------------
+# SIM005 — RDD closures mutating captured state / aliasing records
+# ----------------------------------------------------------------------
+
+#: Method calls that mutate their receiver.
+_MUTATORS = {
+    "append", "extend", "insert", "remove", "clear", "update",
+    "setdefault", "popitem", "add", "discard", "sort", "reverse",
+    "pop", "write",
+}
+
+#: In-place reorderings: called on a parameter they alias shuffled records.
+_INPLACE_REORDER = {"sort", "reverse"}
 
 
 @register
@@ -524,46 +278,23 @@ class ClosureMutationRule(Rule):
     description = ("RDD closure mutates captured driver state or sorts "
                    "partition data in place (aliases shuffled records)")
 
-    def check(self, tree: ast.AST, relpath: str) -> List[Violation]:
-        # Local function definitions, so `rdd.map(fn)` by name resolves.
-        defs: Dict[str, ast.FunctionDef] = {
-            n.name: n for n in ast.walk(tree)
-            if isinstance(n, ast.FunctionDef)
-        }
-        out: List[Violation] = []
+    def check(self, tree: ast.AST) -> Iterator[Finding]:
         checked: Set[int] = set()
-        for node in ast.walk(tree):
-            if not (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in _RDD_METHODS):
-                continue
-            for arg in list(node.args) + [kw.value for kw in node.keywords]:
-                func: ast.Lambda | ast.FunctionDef | None = None
-                if isinstance(arg, ast.Lambda):
-                    func = arg
-                elif isinstance(arg, ast.Name) and arg.id in defs:
-                    func = defs[arg.id]
-                if func is None or id(func) in checked:
-                    continue
-                checked.add(id(func))
-                out.extend(self._check_closure(func, relpath))
-        return out
+        for func in functions(tree):
+            for _, closure in shipped_closures(func):
+                if id(closure) not in checked:
+                    checked.add(id(closure))
+                    yield from self._check_closure(closure)
 
-    def _check_closure(self, func: ast.Lambda | ast.FunctionDef,
-                       relpath: str) -> List[Violation]:
+    def _check_closure(self, func: Closure) -> Iterator[Finding]:
         bound = _bound_names(func)
         params = _param_names(func)
-        out: List[Violation] = []
-        body = func.body if isinstance(func.body, list) else [func.body]
-        for stmt in body:
+        for stmt in _body(func):
             for node in ast.walk(stmt):
                 if isinstance(node, ast.Nonlocal):
-                    out.append(self.violation(
-                        node,
-                        "closure rebinds captured driver state via "
-                        "`nonlocal`; executors never see the driver's "
-                        "frame on a real cluster", relpath,
-                    ))
+                    yield node, ("closure rebinds captured driver state via "
+                                 "`nonlocal`; executors never see the "
+                                 "driver's frame on a real cluster")
                 elif isinstance(node, (ast.Assign, ast.AugAssign)):
                     targets = (node.targets
                                if isinstance(node, ast.Assign)
@@ -576,31 +307,23 @@ class ClosureMutationRule(Rule):
                         if isinstance(base, ast.Name) \
                                 and base.id not in bound \
                                 and not isinstance(t, ast.Name):
-                            out.append(self.violation(
-                                node,
+                            yield node, (
                                 f"closure mutates captured object "
                                 f"`{base.id}`; the write is lost when the "
-                                "closure runs on a remote executor",
-                                relpath,
-                            ))
+                                "closure runs on a remote executor")
                 elif isinstance(node, ast.Call) \
                         and isinstance(node.func, ast.Attribute) \
                         and isinstance(node.func.value, ast.Name):
                     recv = node.func.value.id
                     meth = node.func.attr
                     if meth in _MUTATORS and recv not in bound:
-                        out.append(self.violation(
-                            node,
+                        yield node, (
                             f"closure calls mutating `{recv}.{meth}(...)` "
                             "on captured driver state; the effect is lost "
-                            "on a remote executor", relpath,
-                        ))
+                            "on a remote executor")
                     elif meth in _INPLACE_REORDER and recv in params:
-                        out.append(self.violation(
-                            node,
+                        yield node, (
                             f"closure reorders its input `{recv}` in "
                             f"place (`.{meth}()`); partition data may be "
                             "aliased by caches / shuffle buffers — copy "
-                            "before sorting", relpath,
-                        ))
-        return out
+                            "before sorting")

@@ -8,26 +8,29 @@ resource, or a name that is rebound after the closure is created (the
 late-binding trap: a lazy engine runs the closure at the action, not
 where it was written).
 
-It reports through the same :class:`~repro.lint.rules.Violation`
-machinery as the syntactic rules, honours ``# repro-lint: disable=...``
-suppressions, and runs from the same CLI.
+It finds shipped closures with the same per-function walk as SIM005
+(:func:`~repro.lint.rules.shipped_closures`), honours ``# repro-lint:
+disable=...`` suppressions, and runs from the same CLI.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterator, Optional, Set, Tuple
 
 from repro.lint.cfg import CFG, EXCEPT, ITER, TEST, WITH, build_cfg
 from repro.lint.rules import (
+    Closure,
+    Finding,
     Rule,
-    Violation,
-    _RDD_METHODS,
+    _body,
     _bound_names,
     _dotted,
     _import_aliases,
     _resolve,
+    functions,
     register,
+    shipped_closures,
 )
 
 
@@ -74,41 +77,16 @@ def _node_for(cfg: CFG, needle: ast.AST) -> Optional[int]:
     return None
 
 
-def _free_names(func: ast.Lambda | ast.FunctionDef) -> Set[str]:
+def _free_names(func: Closure) -> Set[str]:
     """Names the closure reads from the enclosing scope."""
     bound = _bound_names(func)
-    body = func.body if isinstance(func.body, list) else [func.body]
     free: Set[str] = set()
-    for stmt in body:
+    for stmt in _body(func):
         for node in ast.walk(stmt):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) \
                     and node.id not in bound:
                 free.add(node.id)
     return free
-
-
-def _closure_args(call: ast.Call,
-                  local_defs: Dict[str, ast.FunctionDef]
-                  ) -> List[ast.Lambda | ast.FunctionDef]:
-    """Function-valued arguments of one RDD-method call."""
-    out: List[ast.Lambda | ast.FunctionDef] = []
-    for arg in list(call.args) + [kw.value for kw in call.keywords]:
-        if isinstance(arg, ast.Lambda):
-            out.append(arg)
-        elif isinstance(arg, ast.Name) and arg.id in local_defs:
-            out.append(local_defs[arg.id])
-    return out
-
-
-def _rdd_calls(func: ast.AST) -> List[ast.Call]:
-    """Calls to RDD closure-shipping methods inside one function body."""
-    out = []
-    for node in ast.walk(func):
-        if isinstance(node, ast.Call) \
-                and isinstance(node.func, ast.Attribute) \
-                and node.func.attr in _RDD_METHODS:
-            out.append(node)
-    return out
 
 
 #: Driver-context constructors a shipped closure must never capture.
@@ -175,49 +153,38 @@ class ClosureCaptureRule(Rule):
                    "resource, or a name rebound after creation (unsafe "
                    "under lazy evaluation)")
 
-    def check(self, tree: ast.AST, relpath: str) -> List[Violation]:
+    def check(self, tree: ast.AST) -> Iterator[Finding]:
         aliases = _import_aliases(tree)
-        out: List[Violation] = []
-        for func in ast.walk(tree):
-            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                out.extend(self._check_function(func, relpath, aliases))
-        return out
+        for func in functions(tree):
+            yield from self._check_function(func, aliases)
 
-    def _check_function(self, func: ast.FunctionDef, relpath: str,
-                        aliases: Dict[str, str]) -> List[Violation]:
-        calls = _rdd_calls(func)
-        if not calls:
-            return []
+    def _check_function(self, func: ast.FunctionDef,
+                        aliases: Dict[str, str]) -> Iterator[Finding]:
+        shipped = list(shipped_closures(func))
+        if not shipped:
+            return
         cfg = build_cfg(func)
         in_sets = cfg.reaching_definitions()
         gen = cfg.definitions()
-        local_defs = {
-            n.name: n for n in ast.walk(func)
-            if isinstance(n, ast.FunctionDef) and n is not func
-        }
-        out: List[Violation] = []
         reported: Set[Tuple[int, str, str]] = set()
-        for call in calls:
+        for call, closure in shipped:
             node_idx = _node_for(cfg, call)
             if node_idx is None:
                 continue
-            for closure in _closure_args(call, local_defs):
-                for name in sorted(_free_names(closure)):
-                    v = self._check_capture(
-                        cfg, in_sets, gen, node_idx, call, closure, name,
-                        func, relpath, aliases)
-                    if v is not None:
-                        key = (v.line, name, v.message[:40])
-                        if key not in reported:
-                            reported.add(key)
-                            out.append(v)
-        return out
+            for name in sorted(_free_names(closure)):
+                message = self._check_capture(
+                    cfg, in_sets, gen, node_idx, name, func, aliases)
+                if message is not None:
+                    key = (call.lineno, name, message[:40])
+                    if key not in reported:
+                        reported.add(key)
+                        yield call, message
 
     def _check_capture(self, cfg: CFG, in_sets, gen, node_idx: int,
-                       call: ast.Call,
-                       closure: ast.Lambda | ast.FunctionDef, name: str,
-                       func: ast.FunctionDef, relpath: str,
-                       aliases: Dict[str, str]) -> Optional[Violation]:
+                       name: str, func: ast.FunctionDef,
+                       aliases: Dict[str, str]) -> Optional[str]:
+        """Why capturing ``name`` at the call on ``node_idx`` is unsafe,
+        or None."""
         defs = {idx for (n, idx) in in_sets[node_idx] if n == name}
         # (a) capture of a driver context or open resource
         for d in defs:
@@ -226,25 +193,19 @@ class ClosureCaptureRule(Rule):
             if ctor is not None:
                 bare = ctor.rsplit(".", 1)[-1]
                 if bare in _DRIVER_CONTEXTS:
-                    return self.violation(
-                        call,
-                        f"closure captures `{name}`, a {bare} — driver "
-                        "contexts hold sockets and scheduler state and "
-                        "must never ship to executors", relpath)
+                    return (f"closure captures `{name}`, a {bare} — driver "
+                            "contexts hold sockets and scheduler state and "
+                            "must never ship to executors")
                 if ctor in _RESOURCE_OPENERS:
-                    return self.violation(
-                        call,
-                        f"closure captures `{name}`, an open resource "
-                        f"from `{ctor}(...)`; open handles cannot cross "
-                        "a task boundary", relpath)
+                    return (f"closure captures `{name}`, an open resource "
+                            f"from `{ctor}(...)`; open handles cannot "
+                            "cross a task boundary")
             if isinstance(stmt, ast.arguments):
                 ann = _annotation_name(func, name)
                 if ann and ann.rsplit(".", 1)[-1] in _DRIVER_CONTEXTS:
-                    return self.violation(
-                        call,
-                        f"closure captures parameter `{name}` annotated "
-                        f"{ann} — driver contexts must never ship to "
-                        "executors", relpath)
+                    return (f"closure captures parameter `{name}` annotated "
+                            f"{ann} — driver contexts must never ship to "
+                            "executors")
         # (b) rebinding after closure creation: a definition of the name
         # reachable *from* the call site means some execution order has
         # the closure observe a different value than the one captured
@@ -259,10 +220,8 @@ class ClosureCaptureRule(Rule):
         }
         if later:
             line = min(cfg.nodes[d].lineno for d in later)
-            return self.violation(
-                call,
-                f"closure captures `{name}` which is rebound afterwards "
-                f"(e.g. line {line}); late binding makes the task read "
-                "whichever value is current when it finally runs — bind "
-                "it via a default argument or a local", relpath)
+            return (f"closure captures `{name}` which is rebound afterwards "
+                    f"(e.g. line {line}); late binding makes the task read "
+                    "whichever value is current when it finally runs — bind "
+                    "it via a default argument or a local")
         return None

@@ -23,6 +23,7 @@ from repro.datasets.tencent import (
     write_edges,
 )
 from repro.hdfs.filesystem import Hdfs
+from tests.conftest import digest
 
 
 class TestPowerlaw:
@@ -126,6 +127,8 @@ class TestFeatures:
         w = edge_weights(100, low=0.5, high=1.5, seed=1)
         assert len(w) == 100
         assert (w >= 0.5).all() and (w <= 1.5).all()
+        # Seeded: the same weights in every process (computed at ad40a19).
+        assert digest(w) == "fc8a631d8be9ec0f"
 
 
 class TestSpecs:

@@ -15,6 +15,7 @@ from repro.datasets.generators import (
 from repro.datasets.tencent import ds3_spec, generate_ds3_gnn, write_edges
 from repro.eulersim.euler import EulerSystem, _build_adjacency
 from repro.torchlite.script import ScriptModule
+from tests.conftest import digest
 
 
 def euler_system(num_workers=4):
@@ -146,3 +147,49 @@ class TestEulerPassBreakdown:
             assert 0.2 < ratio < 5
         finally:
             sys.stop()
+
+
+def pinned_cell(seed):
+    """``(sim_s, digest of epoch losses and accuracy)`` of one small
+    preprocess-and-train run.  Noisy features and fanouts of 2 keep
+    accuracy well below 1, so it moves with the sampled neighbors."""
+    sys = euler_system()
+    try:
+        src, dst, comm = community_graph(600, 3, avg_degree=10,
+                                         mixing=0.05, seed=seed)
+        feats, labels = vertex_features(comm, 8, 3, noise=4.0, seed=seed)
+        write_edges(sys.hdfs, "/in/euler", src, dst, num_files=2)
+        sys.preprocess("/in/euler", feats, labels)
+        blob = ScriptModule.trace(make_sage, in_dim=8, hidden=8,
+                                  num_classes=3, seed=3)
+        stats = sys.train_graphsage(blob, epochs=2, batch_size=64, lr=0.05,
+                                    fanouts=(2, 2))
+        return (sys.sim_time(),
+                digest((stats["epoch_losses"], stats["accuracy"])))
+    finally:
+        sys.stop()
+
+
+#: Computed at commit ``ad40a19``; ``python tests/test_eulersim.py``
+#: prints them again.  The digests hold every seeded draw of
+#: ``train_graphsage`` — the train/test split, the epoch order, the batch
+#: and the evaluation samplers — none of which moves sim time.  An
+#: unseeded evaluation sampler still lands on the pinned accuracy in
+#: about one run in eight, hence three cells.
+PINS = {
+    41: (1.5148846635666673, '00297a43ed96c704'),
+    43: (1.5165166689000007, 'd6178d676edcbb68'),
+    45: (1.5167205320666672, '350fd4b1fd3dc5a4'),
+}
+
+
+@pytest.mark.parametrize("seed", [41, 43, 45])
+def test_preprocess_and_train_match_pin(seed):
+    assert pinned_cell(seed) == PINS[seed]
+
+
+if __name__ == "__main__":
+    print("PINS = {")
+    for seed in (41, 43, 45):
+        print(f"    {seed}: {pinned_cell(seed)!r},")
+    print("}")

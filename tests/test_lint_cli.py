@@ -15,7 +15,7 @@ REPO = Path(__file__).resolve().parent.parent
 def test_list_rules_exits_zero(capsys):
     assert main(["lint", "--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule_id in ("SIM001", "SIM002", "SIM003", "SIM004", "SIM005"):
+    for rule_id in ("SIM001", "SIM005", "SIM101"):
         assert rule_id in out
 
 
@@ -37,32 +37,14 @@ def test_violations_exit_one_and_json(tmp_path, capsys):
     assert payload["violations"][0]["rule"] == "SIM001"
 
 
-def test_disable_silences_rule(tmp_path):
-    pkg = tmp_path / "repro" / "ps"
-    pkg.mkdir(parents=True)
-    (pkg / "bad.py").write_text("import time\nt = time.time()\n")
-    assert main(["lint", str(tmp_path), "--disable", "SIM001"]) == 0
-
-
-def test_unknown_rule_is_usage_error(tmp_path):
-    assert main(["lint", str(tmp_path), "--enable", "SIM999"]) == 2
-
-
 def test_missing_path_is_usage_error():
     assert main(["lint", "definitely/not/here"]) == 2
-
-
-def test_cli_unknown_rule_lists_known_ids(tmp_path, capsys):
-    assert main(["lint", str(tmp_path), "--enable", "SIM999"]) == 2
-    err = capsys.readouterr().err
-    assert "unknown rule" in err and "SIM101" in err
 
 
 def test_cli_list_rules_includes_flow_tier(capsys):
     assert main(["lint", "--list-rules"]) == 0
     listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
-    assert listed == ["SIM001", "SIM002", "SIM003", "SIM004", "SIM005",
-                      "SIM101"]
+    assert listed == ["SIM001", "SIM005", "SIM101"]
 
 
 _COMMAND = (r"(?:python -m repro|repro) "

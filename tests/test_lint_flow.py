@@ -9,16 +9,14 @@ import textwrap
 from pathlib import Path
 
 from repro.lint.engine import LintEngine, lint_paths
-from repro.lint.rules import get_rules
+from repro.lint.rules import RULES
 
 REPO = Path(__file__).resolve().parent.parent
 
-FLOW_RULES = ["SIM101"]
 
-
-def lint_flow(source: str, relpath: str = "dataflow/fake.py"):
-    engine = LintEngine(get_rules(enable=FLOW_RULES))
-    return engine.lint_source(textwrap.dedent(source), relpath, relpath)
+def lint_flow(source: str):
+    engine = LintEngine([RULES["SIM101"]])
+    return engine.lint_source(textwrap.dedent(source), "fake.py")
 
 
 def rule_ids(violations):

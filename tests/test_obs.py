@@ -129,13 +129,6 @@ class TestTimerAndScoped:
         assert h.count == 1
         assert h.max == pytest.approx(2.5)
 
-    def test_timer_wall_clock_records_nonnegative(self):
-        r = MetricsRegistry()
-        with r.timer("t"):
-            pass
-        assert r.histogram("t").count == 1
-        assert r.histogram("t").min >= 0.0
-
     def test_scoped_prefixes_everything(self):
         r = MetricsRegistry()
         s = r.scoped("sub")

@@ -23,6 +23,8 @@ from repro.torchlite import (
     segment_max,
     segment_mean,
 )
+from repro.torchlite.nn import LSTMCell
+from tests.conftest import digest
 
 
 def numeric_grad(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -248,6 +250,14 @@ class TestModules:
         out = layer(Tensor(np.ones((2, 4))))
         assert out.shape == (2, 3)
         assert len(layer.parameters()) == 2
+
+    def test_default_init_is_pinned(self):
+        # A layer built without an ``rng`` draws from a fixed seed, so a
+        # default-constructed model repeats across processes.  Computed
+        # at commit ``ad40a19``.
+        cell = LSTMCell(2, 3)
+        assert digest([Linear(4, 3).weight.data, cell.w_ih.data,
+                       cell.w_hh.data]) == "118ea3bee3164675"
 
     def test_sequential_named_parameters(self):
         model = Sequential(Linear(4, 8), ReLU(), Linear(8, 2))

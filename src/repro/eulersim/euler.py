@@ -33,6 +33,7 @@ from repro.common.config import ClusterConfig
 from repro.common.metrics import MetricsRegistry
 from repro.common.rng import DEFAULT_SEED, derive_seed
 from repro.common.simclock import TaskCost, barrier
+from repro.core.ops import parse_edge_lines
 from repro.hdfs.filesystem import Hdfs
 from repro.torchlite.functional import cross_entropy
 from repro.torchlite.optim import AdamOptimizer
@@ -106,14 +107,9 @@ class EulerSystem:
         src_parts: List[np.ndarray] = []
         dst_parts: List[np.ndarray] = []
         for path in sorted(self.hdfs.listdir(edges_path)):
-            lines = self.hdfs.read_lines(path, cost=cost)
-            pairs = np.array(
-                [[int(a), int(b)] for a, b, *_ in
-                 (ln.split() for ln in lines)],
-                dtype=np.int64,
-            ).reshape(-1, 2)
-            src_parts.append(pairs[:, 0])
-            dst_parts.append(pairs[:, 1])
+            edges = parse_edge_lines(self.hdfs.read_lines(path, cost=cost))
+            src_parts.append(edges.src)
+            dst_parts.append(edges.dst)
         src = np.concatenate(src_parts)
         dst = np.concatenate(dst_parts)
         # Script-speed row processing: parse, hash, remap, re-emit.

@@ -8,7 +8,8 @@ motivates (Sec. I), where trained vectors feed online recommenders.
 Pieces:
 
 * :mod:`repro.serve.workload` — seeded request generator (Zipfian key
-  skew, tenant mix, Poisson arrivals on sim time).
+  skew, tenant mix, Poisson arrivals on sim time) returning the stream
+  as columns (:class:`RequestBatch`).
 * :mod:`repro.serve.limiter` — per-tenant token buckets and the
   queue-watermark backpressure gate.
 * :mod:`repro.serve.admission` — bounded priority queue with
@@ -33,13 +34,19 @@ from repro.serve.plane import (
     default_serve_slos,
     publish_snapshot,
 )
-from repro.serve.workload import Request, RequestGenerator, TenantSpec
+from repro.serve.workload import (
+    Request,
+    RequestBatch,
+    RequestGenerator,
+    TenantSpec,
+)
 
 __all__ = [
     "AdmissionQueue",
     "DropRecord",
     "HotKeyCache",
     "Request",
+    "RequestBatch",
     "RequestGenerator",
     "ServingPlane",
     "ServingReport",

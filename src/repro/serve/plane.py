@@ -58,10 +58,30 @@ from repro.serve.admission import (
 )
 from repro.serve.hotcache import HotKeyCache
 from repro.serve.limiter import TenantRateLimiter, WatermarkGate
-from repro.serve.workload import Request, TenantSpec
+from repro.serve.workload import (
+    Request,
+    RequestBatch,
+    TenantSpec,
+    check_tenant_names,
+)
 
 #: Serving stage id passed to task hooks (no dataflow stage owns it).
 SERVE_STAGE_ID = -1
+
+
+def _remap(codes: np.ndarray, names: Sequence[str],
+           known: Sequence[str]) -> np.ndarray:
+    """``codes`` into ``names``, as positions in ``known``; a name that
+    ``known`` lacks is a :class:`ConfigError` if any code uses it."""
+    position = {name: i for i, name in enumerate(known)}
+    table = np.array([position.get(name, -1) for name in names],
+                     dtype=np.int64)
+    ids = table[codes]
+    missing = ids < 0
+    if missing.any():
+        name = names[codes[np.argmax(missing)]]
+        raise ConfigError(f"unknown tenant or model {name!r}")
+    return ids
 
 
 def default_serve_slos() -> List[SloSpec]:
@@ -175,9 +195,10 @@ class ServingPlane:
             raise ConfigError("batch_size must be >= 1")
         if service_interval_s <= 0.0:
             raise ConfigError("service_interval_s must be > 0")
+        self.tenants = list(tenants)
+        check_tenant_names(self.tenants)
         self.psctx = psctx
         self.spark = psctx.spark
-        self.tenants = list(tenants)
         self.batch_size = batch_size
         self.service_interval_s = service_interval_s
         self.queue = AdmissionQueue(queue_capacity)
@@ -209,28 +230,18 @@ class ServingPlane:
         self._degraded = False
         self._recoveries_seen = 0
 
-    def _columns(self, requests: Sequence[Request]) -> Tuple[np.ndarray, ...]:
+    def _columns(self, batch: RequestBatch) -> Tuple[np.ndarray, ...]:
         """``(seq, tenant id, priority, model id, key, arrival, deadline)``
-        of the stream: one array per field, read from the requests now."""
-        tenant_ids = {t.name: i for i, t in enumerate(self.tenants)}
-        model_ids = {name: i for i, name in enumerate(self._models)}
-        n = len(requests)
-        try:
-            columns = tuple(
-                np.fromiter(values, dtype, n) for values, dtype in (
-                    ((r.seq for r in requests), np.int64),
-                    ((tenant_ids[r.tenant] for r in requests), np.int64),
-                    ((r.priority for r in requests), np.int64),
-                    ((model_ids[r.model] for r in requests), np.int64),
-                    ((r.key for r in requests), np.int64),
-                    ((r.arrival_s for r in requests), np.float64),
-                    ((r.deadline_s for r in requests), np.float64)))
-        except KeyError as exc:
-            raise ConfigError(f"unknown tenant or model {exc}") from None
-        arrival = columns[5]
+        of the stream: the batch's own columns, with its tenant and model
+        codes remapped to this plane's ids by one lookup each."""
+        tenant = _remap(batch.tenant, batch.tenants,
+                        [t.name for t in self.tenants])
+        model = _remap(batch.model, batch.models, self._models)
+        arrival = batch.arrival_s
         if not (arrival[1:] >= arrival[:-1]).all():
             raise ConfigError("requests must be sorted by arrival time")
-        return columns
+        return (batch.seq, tenant, batch.priority, model, batch.key, arrival,
+                batch.deadline_s)
 
     # ------------------------------------------------------------------
     # service
@@ -279,19 +290,23 @@ class ServingPlane:
     # the serving loop
     # ------------------------------------------------------------------
 
-    def run(self, requests: Sequence[Request]) -> ServingReport:
+    def run(self, requests: RequestBatch | Sequence[Request]
+            ) -> ServingReport:
         """Serve the full request stream; returns the run's own report.
 
         Requests must be sorted by arrival time (``RequestGenerator``
-        output already is).  They are read into columns once, here; the
-        loop handles a quantum's arrivals as slices of those columns.
+        output already is).  A :class:`RequestBatch` is read as it is;
+        any other sequence is read into one first.  The loop handles a
+        quantum's arrivals as slices of the columns.
         """
+        if not isinstance(requests, RequestBatch):
+            requests = RequestBatch.from_requests(requests)
         clock = self.spark.driver_clock
         metrics = self.spark.metrics
         queue, gate = self.queue, self.gate
         start_s = clock.now_s
         seq, tenant, priority, model, key, arrival, deadline = self._columns(
-            list(requests))
+            requests)
         n = len(seq)
         # The queue's total order, sorted once: ``order[rank]`` is the
         # arrival position of the request ranked ``rank``, and the columns

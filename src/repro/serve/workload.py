@@ -15,12 +15,17 @@ Arrivals follow a merged Poisson process on the *simulated* clock: the
 inter-arrival gaps are exponential draws from one seeded generator, so a
 seed fully determines every request's tenant, key and arrival time and a
 double-run serves bit-identical traffic.
+
+The stream is drawn and kept as columns (:class:`RequestBatch`), with no
+Python object per request; a :class:`Request` is a view onto one row.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from itertools import repeat
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -65,9 +70,65 @@ class TenantSpec:
             raise ConfigError(f"tenant {self.name}: burst must be >= 1")
 
 
-@dataclass
+class RequestBatch:
+    """A request stream as columns: one array per field, one row per request.
+
+    ``seq``, ``key`` and ``priority`` are int64, ``arrival_s`` and
+    ``deadline_s`` float64.  ``tenant`` and ``model`` are int64 codes into
+    the ``tenants`` and ``models`` name tables.  Indexing or iterating
+    yields :class:`Request` views onto single rows; this is the form
+    :meth:`RequestGenerator.generate` returns and
+    :meth:`repro.serve.plane.ServingPlane.run` reads as it is.
+    """
+
+    __slots__ = ("seq", "tenant", "model", "key", "arrival_s", "deadline_s",
+                 "priority", "tenants", "models")
+
+    def __init__(self, seq: np.ndarray, tenant: np.ndarray, model: np.ndarray,
+                 key: np.ndarray, arrival_s: np.ndarray,
+                 deadline_s: np.ndarray, priority: np.ndarray,
+                 tenants: Tuple[str, ...], models: Tuple[str, ...]) -> None:
+        self.seq, self.tenant, self.model, self.key = seq, tenant, model, key
+        self.arrival_s, self.deadline_s = arrival_s, deadline_s
+        self.priority = priority
+        self.tenants, self.models = tenants, models
+
+    @classmethod
+    def from_requests(cls, requests: Iterable["Request"]) -> "RequestBatch":
+        """Columns of a hand-built request sequence, read from it now."""
+        requests = list(requests)
+        tenants: Dict[str, int] = {}
+        models: Dict[str, int] = {}
+        n = len(requests)
+        columns = [np.fromiter(values, dtype, n) for values, dtype in (
+            ((r.seq for r in requests), np.int64),
+            ((tenants.setdefault(r.tenant, len(tenants)) for r in requests),
+             np.int64),
+            ((models.setdefault(r.model, len(models)) for r in requests),
+             np.int64),
+            ((r.key for r in requests), np.int64),
+            ((r.arrival_s for r in requests), np.float64),
+            ((r.deadline_s for r in requests), np.float64),
+            ((r.priority for r in requests), np.int64))]
+        return cls(*columns, tuple(tenants), tuple(models))
+
+    def __len__(self) -> int:
+        return len(self.seq)
+
+    def __getitem__(self, row: int) -> "Request":
+        return _row_view(self, range(len(self.seq))[operator.index(row)])
+
+    def __iter__(self) -> Iterator["Request"]:
+        return map(_row_view, repeat(self), range(len(self.seq)))
+
+
 class Request:
-    """One lookup request flowing through the plane.
+    """One lookup request: a view onto one row of a :class:`RequestBatch`.
+
+    Built by hand, a request is a one-row batch of its own.  Setting
+    ``arrival_s`` or ``deadline_s`` writes through to the batch, so the
+    next :meth:`~repro.serve.plane.ServingPlane.run` over it sees the new
+    times.
 
     Attributes:
         seq: global arrival sequence number (deterministic tie-breaker).
@@ -79,13 +140,87 @@ class Request:
         priority: admission priority inherited from the tenant.
     """
 
-    seq: int
-    tenant: str
-    model: str
-    key: int
-    arrival_s: float
-    deadline_s: float
-    priority: int
+    __slots__ = ("_batch", "_row")
+
+    def __init__(self, seq: int, tenant: str, model: str, key: int,
+                 arrival_s: float, deadline_s: float, priority: int) -> None:
+        ints = np.array([seq, 0, 0, key, priority], dtype=np.int64)
+        times = np.array([arrival_s, deadline_s], dtype=np.float64)
+        self._batch = RequestBatch(ints[0:1], ints[1:2], ints[2:3], ints[3:4],
+                                   times[0:1], times[1:2], ints[4:5],
+                                   (tenant,), (model,))
+        self._row = 0
+
+    @property
+    def seq(self) -> int:
+        return self._batch.seq.item(self._row)
+
+    @property
+    def tenant(self) -> str:
+        batch = self._batch
+        return batch.tenants[batch.tenant[self._row]]
+
+    @property
+    def model(self) -> str:
+        batch = self._batch
+        return batch.models[batch.model[self._row]]
+
+    @property
+    def key(self) -> int:
+        return self._batch.key.item(self._row)
+
+    @property
+    def arrival_s(self) -> float:
+        return self._batch.arrival_s.item(self._row)
+
+    @arrival_s.setter
+    def arrival_s(self, value: float) -> None:
+        self._batch.arrival_s[self._row] = value
+
+    @property
+    def deadline_s(self) -> float:
+        return self._batch.deadline_s.item(self._row)
+
+    @deadline_s.setter
+    def deadline_s(self, value: float) -> None:
+        self._batch.deadline_s[self._row] = value
+
+    @property
+    def priority(self) -> int:
+        return self._batch.priority.item(self._row)
+
+    def _fields(self) -> tuple:
+        return (self.seq, self.tenant, self.model, self.key, self.arrival_s,
+                self.deadline_s, self.priority)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Request):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        names = ("seq", "tenant", "model", "key", "arrival_s", "deadline_s",
+                 "priority")
+        return "Request(" + ", ".join(
+            f"{name}={value!r}"
+            for name, value in zip(names, self._fields())) + ")"
+
+
+def _row_view(batch: RequestBatch, row: int) -> Request:
+    """Row ``row`` of ``batch``, without building a batch of its own."""
+    request = object.__new__(Request)
+    request._batch = batch
+    request._row = row
+    return request
+
+
+def check_tenant_names(tenants: Sequence[TenantSpec]) -> None:
+    """At least one tenant, and no two sharing a name."""
+    if not tenants:
+        raise ConfigError("need at least one tenant")
+    names = [t.name for t in tenants]
+    if len(set(names)) != len(names):
+        raise ConfigError(f"duplicate tenant names in {names}")
 
 
 def zipf_probabilities(key_space: int, s: float) -> np.ndarray:
@@ -120,22 +255,19 @@ class RequestGenerator:
     _pmf: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not self.tenants:
-            raise ConfigError("need at least one tenant")
-        names = [t.name for t in self.tenants]
-        if len(set(names)) != len(names):
-            raise ConfigError(f"duplicate tenant names in {names}")
+        check_tenant_names(self.tenants)
         if self.rate <= 0.0:
             raise ConfigError("rate must be > 0")
         self._pmf = zipf_probabilities(self.key_space, self.zipf_s)
 
     def generate(self, num_requests: int,
-                 start_s: float = 0.0) -> List[Request]:
-        """Materialize ``num_requests`` requests, sorted by arrival.
+                 start_s: float = 0.0) -> RequestBatch:
+        """Draw ``num_requests`` requests as one batch, sorted by arrival.
 
         Arrival gaps, tenant choices and keys each use an independent
         derived stream so changing one knob (say the tenant mix) does not
-        reshuffle the others.
+        reshuffle the others.  Model, deadline and priority are gathered
+        from the drawn tenant's spec.
         """
         if num_requests < 0:
             raise ConfigError("num_requests must be >= 0")
@@ -143,21 +275,23 @@ class RequestGenerator:
             1.0 / self.rate, size=num_requests)
         arrivals = start_s + np.cumsum(gaps)
         weights = np.array([t.weight for t in self.tenants])
-        tenant_idx = make_rng(derive_seed(self.seed, "serve-tenants")).choice(
+        tenant = make_rng(derive_seed(self.seed, "serve-tenants")).choice(
             len(self.tenants), size=num_requests, p=weights / weights.sum())
         keys = make_rng(derive_seed(self.seed, "serve-keys")).choice(
             self.key_space, size=num_requests, p=self._pmf)
-        out: List[Request] = []
-        for i in range(num_requests):
-            tenant = self.tenants[int(tenant_idx[i])]
-            t = float(arrivals[i])
-            out.append(Request(
-                seq=i, tenant=tenant.name, model=tenant.model,
-                key=int(keys[i]), arrival_s=t,
-                deadline_s=t + tenant.deadline_s,
-                priority=tenant.priority,
-            ))
-        return out
+        models = tuple(dict.fromkeys(t.model for t in self.tenants))
+        model_of = np.array([models.index(t.model) for t in self.tenants],
+                            dtype=np.int64)
+        deadline_of = np.array([t.deadline_s for t in self.tenants],
+                               dtype=np.float64)
+        priority_of = np.array([t.priority for t in self.tenants],
+                               dtype=np.int64)
+        return RequestBatch(
+            np.arange(num_requests, dtype=np.int64),
+            tenant.astype(np.int64, copy=False), model_of[tenant],
+            keys.astype(np.int64, copy=False), arrivals,
+            arrivals + deadline_of[tenant], priority_of[tenant],
+            tuple(t.name for t in self.tenants), models)
 
 
 def default_tenants(model: str,

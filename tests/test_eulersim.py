@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from repro.common.config import ClusterConfig
 from repro.core.algorithms.graphsage import make_sage
+from repro.core.context import PSGraphContext
+from repro.core.ops import load_edges
 from repro.datasets.generators import (
     community_graph,
     powerlaw_graph,
@@ -94,6 +96,29 @@ class TestPreprocess:
             )
         finally:
             sys.stop()
+
+    def test_reads_edge_files_like_psgraph(self):
+        # A three-column line keeps its first two columns; a removal
+        # marker and a one-column line are skipped, as PSGraph's loader
+        # skips them.
+        lines = ["0\t1", "1\t2\t0.5", "-e 0 1", "7", "2 3"]
+        sys = euler_system()
+        try:
+            sys.hdfs.write_text("/in/euler/part-0", lines)
+            sys.preprocess("/in/euler", np.zeros((4, 2)),
+                           np.zeros(4, dtype=np.int64))
+            mapped = sys.hdfs.read_pickle("/euler/mapped-edges")
+        finally:
+            sys.stop()
+        with PSGraphContext(ClusterConfig(
+                num_executors=2, executor_mem_bytes=1 << 40, num_servers=1,
+                server_mem_bytes=1 << 40)) as ctx:
+            ctx.hdfs.write_text("/in/e/part-0", lines)
+            blocks = load_edges(ctx.spark, "/in/e").collect()
+        loaded = sorted((s, d) for b in blocks
+                        for s, d in zip(b.src.tolist(), b.dst.tolist()))
+        assert loaded == [(0, 1), (1, 2), (2, 3)]
+        assert mapped.tolist() == [list(edge) for edge in loaded]
 
     def test_training_requires_preprocess(self):
         sys = euler_system()

@@ -352,6 +352,20 @@ class TestServingPlane:
             assert len(limited) == report.drops["rate_limited"]
             assert all(r.tenant == "greedy" for r in limited)
 
+    @pytest.mark.parametrize("names, message", [
+        ((), "at least one tenant"),
+        # Duplicates used to let the later spec win: requests drawn for
+        # the unlimited ``a`` were served under the rate-limited one.
+        (("a", "a"), "duplicate tenant names")])
+    def test_tenant_list_is_validated(self, names, message):
+        tenants = [TenantSpec(name=name, model="serve.ranks", priority=2 - i,
+                              rate_limit=5.0 * i)
+                   for i, name in enumerate(names)]
+        with PSGraphContext(small_cluster()) as ctx:
+            publish_vector(ctx, "serve.ranks", 100)
+            with pytest.raises(ConfigError, match=message):
+                ServingPlane(ctx.ps, tenants)
+
     def test_unknown_model_raises(self):
         with PSGraphContext(small_cluster()) as ctx:
             with pytest.raises(Exception):

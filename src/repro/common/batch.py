@@ -17,7 +17,8 @@ numpy's contiguous fast paths.
 representation only: whatever stands in for boxed records must charge the
 *identical* simulated costs, logical bytes, metrics and span sequence as
 the records it replaces (:func:`accumulate_sequential`,
-:meth:`RaggedColumn.boxed_nbytes`, ``dataflow.shuffle.ColumnBlock``) —
+:meth:`RaggedColumn.boxed_nbytes`, ``dataflow.shuffle.ColumnBlock``,
+:class:`RowBatch`) —
 the simulated distinction between boxed and primitive processing stays
 where it always was, in the cost model's ``cpu_record_s`` vs
 ``cpu_primitive_record_s`` and the explicit JVM-overhead multipliers.
@@ -25,12 +26,12 @@ where it always was, in the cost model's ``cpu_record_s`` vs
 
 from __future__ import annotations
 
-from typing import Any, List, Sequence, Tuple
+from typing import Any, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.common.errors import PSError
-from repro.common.sizeof import sizeof_array_lists
+from repro.common.sizeof import sizeof_array_lists, sizeof_scalar_rows
 
 #: numpy ufuncs :func:`segment_reduce` folds with, by op name.
 COMBINE_UFUNCS = {
@@ -233,6 +234,108 @@ class RaggedColumn:
     def to_list(self) -> List[np.ndarray]:
         """The rows as a list of arrays (views)."""
         return np.split(self.values, self.indptr[1:])[:-1]
+
+
+class RowBatch:
+    """Rows held as equal-length numeric columns: one dataflow record that
+    stands for ``len(self)`` boxed tuples.
+
+    What a per-edge algorithm output (CommonNeighbor's ``(src, dst,
+    common)``) is scored, metered, collected and saved as.  ``len``, int
+    indexing and iteration give the row tuples of Python scalars the
+    batch stands for, so they compare and ``repr`` as those tuples do; a
+    slice is a batch of views.  The meters charge it as those tuples:
+    :func:`~repro.dataflow.taskctx.metered` one record per row, and
+    ``sizeof`` (:meth:`logical_nbytes`) the boxed list.
+    """
+
+    __slots__ = ("columns",)
+
+    def __init__(self, *columns: np.ndarray) -> None:
+        if not columns:
+            raise ValueError("a row batch needs at least one column")
+        for c in columns:
+            if c.ndim != 1 or c.dtype.kind not in "biuf":
+                raise ValueError(
+                    f"row batch columns are 1-D numeric arrays, got "
+                    f"{c.dtype} of shape {c.shape}")
+            if len(c) != len(columns[0]):
+                raise ValueError("row batch columns differ in length")
+        self.columns = columns
+
+    @property
+    def row_width(self) -> int:
+        """Values per row (the number of columns)."""
+        return len(self.columns)
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __iter__(self) -> Iterator[tuple]:
+        return zip(*(c.tolist() for c in self.columns))
+
+    def __getitem__(self, index: Any) -> Any:
+        if isinstance(index, slice):
+            return RowBatch(*(c[index] for c in self.columns))
+        return tuple(c[index].item() for c in self.columns)
+
+    def __eq__(self, other: object) -> bool:
+        """Equal to another batch or a list / tuple of the same rows."""
+        if isinstance(other, RowBatch):
+            return (len(self) == len(other)
+                    and self.row_width == other.row_width
+                    and all(np.array_equal(a, b) for a, b
+                            in zip(self.columns, other.columns)))
+        if isinstance(other, (list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"RowBatch({len(self)} rows x {self.row_width})"
+
+    def logical_nbytes(self) -> int:
+        """``sizeof`` of the list of row tuples this batch stands for."""
+        return sizeof_scalar_rows(len(self), self.row_width)
+
+    @classmethod
+    def concat(cls, batches: Sequence["RowBatch"]) -> "RowBatch":
+        """All rows of ``batches``, one batch after the other (a copy)."""
+        widths = {b.row_width for b in batches}
+        if len(widths) != 1:
+            raise ValueError(f"cannot concatenate row batches of widths "
+                             f"{sorted(widths)}")
+        return cls(*(np.concatenate(cols)
+                     for cols in zip(*(b.columns for b in batches))))
+
+
+def iter_rows(records: Iterable[Any]) -> Iterator[Any]:
+    """``records`` one per row: a :class:`RowBatch` yields its row
+    tuples, anything else passes as it is."""
+    for record in records:
+        if type(record) is RowBatch:
+            yield from record
+        else:
+            yield record
+
+
+def count_rows(records: Iterable[Any]) -> int:
+    """Rows in ``records``: a :class:`RowBatch` counts its length, any
+    other record one."""
+    return sum(len(r) if type(r) is RowBatch else 1 for r in records)
+
+
+def gather_rows(records: List[Any]) -> Any:
+    """Records gathered at the driver as one row sequence: a single
+    :class:`RowBatch` when every record is one, else a list with every
+    batch expanded into its rows."""
+    kinds = set(map(type, records))
+    if RowBatch not in kinds:
+        return records
+    if len(kinds) == 1:
+        return RowBatch.concat(records)
+    return list(iter_rows(records))
 
 
 def take_rows(column: Any, rows: np.ndarray) -> Any:

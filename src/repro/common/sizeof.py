@@ -36,8 +36,10 @@ def sizeof(obj: Any) -> int:
     kind = type(obj)
     if kind is int or kind is float or kind is bool:
         return SCALAR_BYTES
-    if kind is tuple or kind is list:
+    if kind is tuple:
         return _sizeof_items(obj, len(obj))
+    if kind is list:
+        return _sizeof_list(obj)
     if kind is np.ndarray:
         return int(obj.nbytes)
     if obj is None:
@@ -58,7 +60,9 @@ def sizeof(obj: Any) -> int:
         return int(hint() if callable(hint) else hint)
     if isinstance(obj, dict):
         return _sizeof_stream(obj.items(), len(obj))
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, list):
+        return _sizeof_list(obj)
+    if isinstance(obj, tuple):
         return _sizeof_items(obj, len(obj))
     if isinstance(obj, (set, frozenset)):
         return _sizeof_stream(obj, len(obj))
@@ -83,6 +87,27 @@ def _sizeof_items(items: list, count: int) -> int:
         sample = items[::step][:_SAMPLE]
         body = int(sum(sizeof(x) for x in sample) / len(sample) * count)
     return CONTAINER_ENTRY_BYTES + count * CONTAINER_ENTRY_BYTES + body
+
+
+def _sizeof_list(items: list) -> int:
+    """A list of row batches — records carrying a ``row_width``, as
+    :class:`~repro.common.batch.RowBatch` does — is sized as the one flat
+    list of all their rows; any other list by :func:`_sizeof_items`."""
+    width = getattr(items[0], "row_width", None) if items else None
+    if width is not None and all(
+            getattr(x, "row_width", None) == width for x in items):
+        return sizeof_scalar_rows(sum(len(x) for x in items), width)
+    return _sizeof_items(items, len(items))
+
+
+def sizeof_scalar_rows(rows: int, width: int) -> int:
+    """:func:`sizeof` of a list of ``rows`` tuples of ``width`` scalars
+    each, without building it: what :func:`_sizeof_items` returns for
+    that list (every scalar is :data:`SCALAR_BYTES`, so the sample mean
+    is exact)."""
+    row = CONTAINER_ENTRY_BYTES + width * (CONTAINER_ENTRY_BYTES
+                                           + SCALAR_BYTES)
+    return CONTAINER_ENTRY_BYTES + rows * (CONTAINER_ENTRY_BYTES + row)
 
 
 def _sizeof_stream(items: Iterable[Any], count: int) -> int:
@@ -131,5 +156,5 @@ def sizeof_records(records: Any) -> int:
     if isinstance(records, np.ndarray):
         return int(records.nbytes)
     if isinstance(records, list):
-        return _sizeof_items(records, len(records))
+        return _sizeof_list(records)
     return sizeof(records)

@@ -16,6 +16,7 @@ from typing import Iterator, List, Tuple
 
 import numpy as np
 
+from repro.common.batch import RowBatch
 from repro.core.algorithms.base import AlgorithmResult, GraphAlgorithm
 from repro.core.blocks import EdgeBlock
 from repro.core.context import PSGraphContext
@@ -66,20 +67,19 @@ class CommonNeighbor(GraphAlgorithm):
         batch_size = self.batch_size
         cost_model = ctx.cluster.cost_model
 
-        def score(it: Iterator[EdgeBlock]
-                  ) -> Iterator[Tuple[int, int, int]]:
+        def score(it: Iterator[EdgeBlock]) -> Iterator[RowBatch]:
             for block in it:
                 for batch in block.batches(batch_size):
                     common, work = count_common_neighbors(
                         table, batch.src, batch.dst
                     )
-                    yield from zip(batch.src.tolist(), batch.dst.tolist(),
-                                   common.tolist())
+                    yield RowBatch(batch.src, batch.dst, common)
                     charge_primitive_compute(cost_model, work)
 
         from repro.dataflow.dataframe import DataFrame
 
-        # Lazy result: scoring runs on executors when the frame is acted on.
+        # Lazy result: scoring runs on executors when the frame is acted
+        # on, one (src, dst, common) row batch per PS round trip.
         output = DataFrame(
             dataset.map_partitions(score), ["src", "dst", "common"]
         )

@@ -13,6 +13,7 @@ from typing import Iterator
 
 import numpy as np
 
+from repro.common.batch import RowBatch
 from repro.core.algorithms.base import AlgorithmResult, GraphAlgorithm
 from repro.core.blocks import NeighborBlock
 from repro.core.context import PSGraphContext
@@ -57,7 +58,7 @@ class TriangleCount(GraphAlgorithm):
         batch_size = self.batch_size
         cost_model = ctx.cluster.cost_model
 
-        def score(it: Iterator[NeighborBlock]) -> Iterator[tuple]:
+        def score(it: Iterator[NeighborBlock]) -> Iterator[RowBatch]:
             for block in it:
                 # Canonical edges owned by this partition: (v, w) with
                 # w > v, read straight off the CSR rows, batched across
@@ -70,16 +71,13 @@ class TriangleCount(GraphAlgorithm):
                     bd = dst[start:start + batch_size]
                     common, work = count_common_neighbors(table, bs, bd)
                     closed = np.flatnonzero(common)
-                    yield from zip(bs[closed].tolist(), bd[closed].tolist(),
-                                   common[closed].tolist())
+                    yield RowBatch(bs[closed], bd[closed], common[closed])
                     charge_primitive_compute(cost_model, work)
 
         per_edge = blocks.map_partitions(score)
-        triple_sum = sum(
-            per_edge.map(lambda row: row[2]).foreach_partition(
-                lambda it: sum(it)
-            )
-        )
+        triple_sum = sum(per_edge.foreach_partition(
+            lambda it: sum(int(batch.columns[2].sum()) for batch in it)
+        ))
         triangles = int(round(triple_sum / 3.0))
         output = ctx.create_dataframe(
             [(triangles,)], ["triangles"]

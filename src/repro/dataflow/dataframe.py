@@ -3,8 +3,10 @@
 "Dataframe and Dataset extend RDD with relational schema, enabling SQL query
 and pipeline execution" (Sec. III-C).  PSGraph's public API (Listing 1) takes
 and returns DataFrames, so the reproduction provides what those pipelines
-use: named columns over an RDD of tuples, collected as dicts or tuples,
-counted or shown.
+use: named columns over an RDD of rows, collected as dicts or tuples,
+counted or shown.  A row is a tuple; a frame built on executors may hold
+its rows as :class:`~repro.common.batch.RowBatch` columns (CommonNeighbor
+scores one batch per PS round trip), which every action treats per row.
 """
 
 from __future__ import annotations
@@ -18,10 +20,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 class DataFrame:
-    """An RDD of tuples with a column schema.
+    """An RDD of rows with a column schema.
 
     Attributes:
-        rdd: the underlying RDD whose records are tuples.
+        rdd: the underlying RDD whose records are tuples or row batches.
         schema: ordered column names.
     """
 
@@ -43,8 +45,9 @@ class DataFrame:
         schema = self.schema
         return [dict(zip(schema, row)) for row in self.rdd.collect()]
 
-    def collect_tuples(self) -> List[tuple]:
-        """All rows as raw tuples."""
+    def collect_tuples(self) -> Sequence[tuple]:
+        """All rows as raw tuples: a list, or one row batch whose ``len``,
+        indexing and iteration give them."""
         return self.rdd.collect()
 
     def count(self) -> int:

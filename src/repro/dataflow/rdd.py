@@ -15,7 +15,11 @@ shuffle, save — on a faithful lineage model:
 * ``cache()`` persists computed partitions in executor memory (charged
   against the executor's grant — over-caching OOMs, as GraphX does);
 * lost partitions are recomputed from lineage, which is the executor-failure
-  recovery path of Table II.
+  recovery path of Table II;
+* a record may be a :class:`~repro.common.batch.RowBatch`, many rows held
+  as columns: the row-wise operators (``map``, ``filter``, ``flat_map``
+  and the actions) see its rows, the partition-wise ones
+  (``map_partitions``, ``foreach_partition``) the batch itself.
 
 Partition placement is deterministic (a multiplicative hash of the
 partition id picks the preferred executor), making runs bit-reproducible.
@@ -26,7 +30,12 @@ from __future__ import annotations
 import itertools
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, List
 
-from repro.common.batch import accumulate_sequential
+from repro.common.batch import (
+    accumulate_sequential,
+    count_rows,
+    gather_rows,
+    iter_rows,
+)
 from repro.common.errors import ConfigError, PSGraphError
 from repro.common.simclock import TaskCost
 from repro.common.sizeof import sizeof_records
@@ -176,22 +185,23 @@ class RDD:
     # ------------------------------------------------------------------
 
     def map(self, f: Callable[[Any], Any]) -> "RDD":
-        """Apply ``f`` to every record."""
+        """Apply ``f`` to every row."""
         return MapPartitionsRDD(
-            self, lambda _i, it: (f(x) for x in it), preserves_partitioning=False
+            self, lambda _i, it: (f(x) for x in iter_rows(it)),
+            preserves_partitioning=False,
         )
 
     def filter(self, f: Callable[[Any], bool]) -> "RDD":
-        """Keep records where ``f`` is true."""
+        """Keep rows where ``f`` is true."""
         return MapPartitionsRDD(
-            self, lambda _i, it: (x for x in it if f(x)),
+            self, lambda _i, it: (x for x in iter_rows(it) if f(x)),
             preserves_partitioning=True,
         )
 
     def flat_map(self, f: Callable[[Any], Iterable[Any]]) -> "RDD":
-        """Apply ``f`` and flatten the results."""
+        """Apply ``f`` to every row and flatten the results."""
         return MapPartitionsRDD(
-            self, lambda _i, it: (y for x in it for y in f(x)),
+            self, lambda _i, it: (y for x in iter_rows(it) for y in f(x)),
             preserves_partitioning=False,
         )
 
@@ -234,26 +244,27 @@ class RDD:
     # actions
     # ------------------------------------------------------------------
 
-    def collect(self) -> List[Any]:
-        """Materialize every record at the driver."""
+    def collect(self) -> Any:
+        """Materialize every row at the driver: a list, or one
+        :class:`~repro.common.batch.RowBatch` when every record is one."""
         parts = self.ctx.scheduler.run_job(self, lambda _i, it: list(it))
         out: List[Any] = []
         for p in parts:
             out.extend(p)
+        out = gather_rows(out)
         self.ctx.charge_driver_result(sizeof_records(out))
         return out
 
     def count(self) -> int:
-        """Number of records."""
-        parts = self.ctx.scheduler.run_job(
-            self, lambda _i, it: sum(1 for _ in it)
-        )
-        return sum(parts)
+        """Number of rows."""
+        return sum(self.ctx.scheduler.run_job(
+            self, lambda _i, it: count_rows(it)))
 
     def take(self, n: int) -> List[Any]:
-        """Up to ``n`` records in partition order."""
+        """Up to ``n`` rows in partition order."""
         parts = self.ctx.scheduler.run_job(
-            self, lambda _i, it: list(itertools.islice(it, n))
+            self, lambda _i, it: list(itertools.islice(it, n)),
+            per_row=True,
         )
         out: List[Any] = []
         for p in parts:
@@ -279,7 +290,8 @@ class RDD:
             from repro.dataflow.taskctx import current_task_context
 
             tctx = current_task_context()
-            lines = [x if isinstance(x, str) else repr(x) for x in it]
+            lines = [x if isinstance(x, str) else repr(x)
+                     for x in iter_rows(it)]
             hdfs.write_text(
                 f"{path}/part-{i:05d}", lines, overwrite=True,
                 cost=tctx.cost if tctx else None,

@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List
 
+from repro.common.batch import iter_rows
 from repro.common.errors import ContainerLostError, StageFailedError
 from repro.common.metrics import (
     STAGES_RUN,
@@ -50,10 +51,17 @@ class DAGScheduler:
     # ------------------------------------------------------------------
 
     def run_job(self, rdd: "RDD",
-                func: Callable[[int, Iterator[Any]], Any]) -> List[Any]:
-        """Run ``func`` over every partition of ``rdd``; returns results."""
+                func: Callable[[int, Iterator[Any]], Any],
+                per_row: bool = False) -> List[Any]:
+        """Run ``func`` over every partition of ``rdd``; returns results.
+
+        With ``per_row``, ``func`` draws one record per row: a
+        :class:`~repro.common.batch.RowBatch` is split before it is
+        metered, so a ``func`` that stops early is charged only for the
+        rows it drew.
+        """
         self._ensure_shuffles(rdd, set())
-        return self._run_result_stage(rdd, func)
+        return self._run_result_stage(rdd, func, per_row)
 
     def run_stage(self, num_partitions: int,
                   task: Callable[[int, TaskContext], Any],
@@ -137,16 +145,16 @@ class DAGScheduler:
     # ------------------------------------------------------------------
 
     def _run_result_stage(self, rdd: "RDD",
-                          func: Callable[[int, Iterator[Any]], Any]
-                          ) -> List[Any]:
+                          func: Callable[[int, Iterator[Any]], Any],
+                          per_row: bool) -> List[Any]:
         cm = self.ctx.cluster.cost_model
 
         def result_task(p: int, tctx: TaskContext) -> Any:
-            records = metered(
-                rdd.iterator(p, tctx), tctx.cost, cm.cpu_record_s,
-                trace_name="result-input",
-            )
-            return func(p, records)
+            records = rdd.iterator(p, tctx)
+            if per_row:
+                records = iter_rows(records)
+            return func(p, metered(records, tctx.cost, cm.cpu_record_s,
+                                   trace_name="result-input"))
 
         results = self._run_tasks(
             list(range(rdd.num_partitions)), result_task, kind="result"

@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.common.batch import (
     RaggedColumn,
+    iter_rows,
     partition_order,
     scatter_add_rows,
     segment_index,
@@ -200,10 +201,11 @@ class _MergedBlocks:
 
 def bucket_map_output(records: Iterable[Any],
                       partitioner: Any) -> Dict[int, List[Any]]:
-    """Bucket one map task's boxed ``(key, value)`` records by reduce
-    partition — the record shuffle the block form is held to."""
+    """Bucket one map task's boxed ``(key, value)`` records (a row
+    batch's rows one by one) by reduce partition — the record shuffle the
+    block form is held to."""
     buckets: Dict[int, List[Any]] = defaultdict(list)
-    for k, v in records:
+    for k, v in iter_rows(records):
         buckets[partitioner.partition(k)].append((k, v))
     return dict(buckets)
 

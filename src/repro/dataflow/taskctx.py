@@ -20,6 +20,7 @@ import contextvars
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterator, Optional
 
+from repro.common.batch import RowBatch, accumulate_sequential
 from repro.common.simclock import TaskCost
 from repro.obs.tracer import NOOP_SCOPE, NOOP_TRACER, NoopTracer
 
@@ -115,6 +116,10 @@ def metered(iterator: Iterator, cost: TaskCost, cpu_record_s: float,
             trace_name: str | None = None) -> Iterator:
     """Wrap an iterator, charging per-record CPU to ``cost`` as it is drained.
 
+    A :class:`~repro.common.batch.RowBatch` is charged as its rows, before
+    it is handed on: ``len(batch)`` additions, bit-identical to the boxed
+    rows' one-by-one charges.
+
     When ``trace_name`` is given and the running task is being traced, one
     span covering the whole drain — including any shuffle fetch or HDFS
     read charged by the upstream iterator chain — is placed on the task's
@@ -123,5 +128,9 @@ def metered(iterator: Iterator, cost: TaskCost, cpu_record_s: float,
     span = task_span(trace_name, cost) if trace_name else NOOP_SCOPE
     with span:
         for item in iterator:
-            cost.cpu_s += cpu_record_s
+            if type(item) is RowBatch:
+                cost.cpu_s = accumulate_sequential(
+                    cost.cpu_s, cpu_record_s, len(item))
+            else:
+                cost.cpu_s += cpu_record_s
             yield item

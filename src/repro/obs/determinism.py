@@ -201,10 +201,13 @@ def check_determinism(name: str,
 
 #: Workloads that are ``repro`` command lines, run in memory through the
 #: CLI's own pipelines (:func:`repro.cli.execute`) with ``--seed`` added.
-#: In memory no local file is written: ``--output`` saves the ranks to
-#: simulated HDFS so the document carries their digest, and ``--record``'s
+#: In memory no local file is written: ``--output`` saves the result
+#: table (ranks, or common-neighbor overlaps through ``GraphIO.save``) to
+#: simulated HDFS so the document carries its digest, and ``--record``'s
 #: path only switches the collector on.
 CLI_WORKLOADS: Dict[str, str] = {
+    "common-neighbor": "run common-neighbor --vertices 400 --edges 3000 "
+                       "--output overlaps.tsv",
     "pagerank": "run pagerank --vertices 400 --edges 3000 --iterations 8 "
                 "--output ranks.tsv",
     "chaos-pagerank": "run pagerank --vertices 400 --edges 3000 "

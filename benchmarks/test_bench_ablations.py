@@ -1,6 +1,6 @@
 """Ablation benchmarks: the design choices DESIGN.md calls out, the
 scaling sweeps and the resource-efficiency claim.  Every row also holds
-its pin."""
+its ledger line."""
 
 from experiment_pins import assert_pinned
 
@@ -12,6 +12,7 @@ from repro.experiments.ablations import (
 )
 from repro.experiments.cells import run_cells
 from repro.experiments.harness import format_rows
+from tests.ledger import check, doc_record, pin_rows, row_doc, runner_key
 
 
 def _run(once, capsys, cells, title):
@@ -20,6 +21,7 @@ def _run(once, capsys, cells, title):
         print()
         print(format_rows(rows, title))
     assert_pinned(cells[0].experiment, rows)
+    pin_rows(cells, rows)
     return rows
 
 
@@ -64,6 +66,8 @@ def test_bench_ablation_partitioners(once, capsys):
     assert by["hash"]["imbalance"] < by["hash-range"]["imbalance"]
     assert by["hash-range"]["imbalance"] < by["range"]["imbalance"]
     assert_pinned("ablation-partitioners", rows)
+    check(runner_key(ablation_partitioners),
+          doc_record({r.algorithm: row_doc(r) for r in rows}))
 
 
 def test_bench_scaling_servers(once, capsys):

@@ -3,11 +3,13 @@
 Regenerates every bar of Fig. 6 and asserts the paper's *shape*: PSGraph
 completes everywhere, GraphX completes only where the paper says it does,
 and where both complete PSGraph wins by a material factor.  Every row
-also holds its sim-time pin.
+also holds its ledger line.
 """
 
 import pytest
 from experiment_pins import assert_pinned
+
+from tests.ledger import pin_rows
 
 from repro.experiments.cells import run_cells
 from repro.experiments.figure6 import CELLS, PAPER_FIG6
@@ -35,4 +37,5 @@ def test_bench_figure6_cell(once, algo, ds, capsys):
         s = speedup(rows, ds, algo)
         assert s is not None and s > 2.0  # PSGraph wins decisively
     assert_pinned("figure6", rows, complete=False)
+    pin_rows(cells, rows)
 

@@ -2,14 +2,17 @@
 
 from experiment_pins import assert_pinned
 
+from tests.ledger import pin_rows
+
 from repro.experiments.cells import run_cells
 from repro.experiments.harness import format_rows
 from repro.experiments.line_epochs import CELLS, PAPER_EPOCH_HOURS, epoch_rows
 
 
 def test_bench_line_epochs(once, capsys):
-    rows = [r for row in once(lambda: run_cells(CELLS))
-            for r in epoch_rows(row)]
+    cell_rows = once(lambda: run_cells(CELLS))
+    pin_rows(CELLS, cell_rows)
+    rows = [r for row in cell_rows for r in epoch_rows(row)]
     with capsys.disabled():
         print()
         print(format_rows(rows))

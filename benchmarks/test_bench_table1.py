@@ -2,10 +2,13 @@
 
 Asserts the paper's shape: Euler's preprocessing is hours where PSGraph's
 is minutes; Euler's epochs are an order of magnitude slower; the two
-systems reach comparable accuracy.  Every row also holds its pin.
+systems reach comparable accuracy.  Every cell also holds its ledger
+line.
 """
 
 from experiment_pins import assert_pinned
+
+from tests.ledger import pin_rows
 
 from repro.experiments.cells import run_cells
 from repro.experiments.harness import format_rows
@@ -13,8 +16,9 @@ from repro.experiments.table1 import CELLS, phase_rows
 
 
 def test_bench_table1(once, capsys):
-    rows = [r for row in once(lambda: run_cells(CELLS))
-            for r in phase_rows(row)]
+    cell_rows = once(lambda: run_cells(CELLS))
+    pin_rows(CELLS, cell_rows)
+    rows = [r for row in cell_rows for r in phase_rows(row)]
     with capsys.disabled():
         print()
         print(format_rows(rows))

@@ -5,11 +5,13 @@ modest overhead over the failure-free run, and the PS-server failure costs
 at least as much as the executor failure (36 vs 35 minutes in the paper).
 The recovery extension: PSGraph's checkpoint recovery costs less sim
 time than GraphX's lineage recompute, and neither changes the answer.
-Every row also holds its pin.
+Every row also holds its ledger line.
 """
 
 import pytest
 from experiment_pins import assert_pinned
+
+from tests.ledger import pin_rows
 
 from repro.experiments.cells import run_cells
 from repro.experiments.harness import format_rows
@@ -35,6 +37,7 @@ def test_bench_table2(once, capsys):
     assert base < t_exec <= t_server
     assert t_server < base * 1.6  # recovery is quick, not a rerun
     assert_pinned("table2", rows)
+    pin_rows(CELLS, rows)
 
 
 def test_bench_table2_recovery(once, capsys):
@@ -50,3 +53,4 @@ def test_bench_table2_recovery(once, capsys):
         assert by_key[(system, "recovery")].extra["ranks_checksum"] \
             == pytest.approx(by_key[(system, "clean")].extra["ranks_checksum"])
     assert_pinned("table2-recovery", rows)
+    pin_rows(RECOVERY_CELLS, rows)

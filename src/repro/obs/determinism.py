@@ -18,9 +18,12 @@ Two runs are equal when their events are equal: there is no tolerance,
 and NaN and infinities compare by their exact form.
 :func:`check_determinism` runs a registered workload twice with the same
 seed on fresh contexts and names the first diverging event, with the
-three before it.  ``tests/determinism_ledger.json`` pins each segment's
-digest (:func:`digests`) at ``DEFAULT_SEED``, so a change that moves any
-event fails tier-1 at the first segment it moved.
+three before it.  ``tests/determinism_ledger.json`` is one ledger line
+per pinned run: each registered workload at ``DEFAULT_SEED`` and each cell
+the tests and the paper-verdict benchmarks pin.  A line holds every
+segment's digest (:func:`digests`); :func:`ledger_diff` names the first
+segment a run moved, prints its first events now and the line that would
+replace the pinned one.
 
 The first run's spans are also replayed through the
 :mod:`repro.obs.races` happens-before detector; its windows are
@@ -109,12 +112,45 @@ def digests(segs: List[Segment]) -> List[str]:
     return [f"{zlib.crc32(text.encode()):08x}" for text in texts]
 
 
+def run_record(doc: Dict[str, object], tracer: Tracer,
+               metrics: MetricsRegistry) -> Dict[str, object]:
+    """The run record of ``doc``, ``tracer`` and ``metrics`` in the form a
+    ``--record`` file loads as (tuples read back as lists, and so on)."""
+    return json.loads(json.dumps(build_record(doc, tracer, metrics)))
+
+
 def run_workload(name: str, seed: int = DEFAULT_SEED) -> Dict[str, object]:
     """Run one registered workload on a fresh context; return its run
-    record in the form a ``--record`` file loads as."""
+    record."""
     tracer, metrics = Tracer(), MetricsRegistry()
-    doc = WORKLOADS[name](seed, tracer, metrics)
-    return json.loads(json.dumps(build_record(doc, tracer, metrics)))
+    return run_record(WORKLOADS[name](seed, tracer, metrics), tracer, metrics)
+
+
+def ledger_line(key: str, pinned: List[str]) -> str:
+    """One line of the ledger file: ``key`` and its segment digests."""
+    return f"  {json.dumps(key)}: {json.dumps(pinned)}"
+
+
+def ledger_diff(key: str, record: Dict[str, object],
+                pinned: Optional[List[str]], shown: int = 5
+                ) -> Optional[str]:
+    """``None`` when ``record``'s digests are the ``pinned`` ledger line.
+    Otherwise the first segment that moved (a stage label, a result key
+    or ``metrics``), its first ``shown`` events in this run, and the
+    line that would replace the pinned one."""
+    segs = segments(record)
+    now = digests(segs)
+    if now == pinned:
+        return None
+    if pinned is None:
+        head = [f"{key}: no ledger line"]
+    else:
+        i = next(i for i, (a, b) in enumerate(zip(now + [END], pinned + [END]))
+                 if a != b)
+        label, events = segs[i] if i < len(segs) else (END, [])
+        head = [f"{key}: segment {i} ({label}) moved; its first events now:"]
+        head += [f"    {e}" for e in events[:shown]]
+    return "\n".join(head + ["replacement line:", ledger_line(key, now)])
 
 
 # ----------------------------------------------------------------------

@@ -9,6 +9,7 @@ from hypothesis import settings
 from repro.common.config import ClusterConfig
 from repro.core.blocks import NeighborBlock
 from repro.dataflow.context import SparkContext
+from repro.obs.tracer import NOOP_TRACER
 
 
 # Example counts for property tests that do not pin their own: ``default``
@@ -21,14 +22,14 @@ settings.register_profile("deep", max_examples=1000, deadline=None)
 
 
 def make_context(num_executors: int = 4, executor_mem: int | None = None,
-                 **kwargs) -> SparkContext:
+                 tracer=NOOP_TRACER, **kwargs) -> SparkContext:
     """A small SparkContext for tests; unlimited memory unless given."""
     cluster = ClusterConfig(
         num_executors=num_executors,
         executor_mem_bytes=executor_mem if executor_mem else 1 << 40,
         **kwargs,
     )
-    return SparkContext(cluster)
+    return SparkContext(cluster, tracer=tracer)
 
 
 def table_block(rows: dict) -> NeighborBlock:
@@ -45,7 +46,7 @@ def table_block(rows: dict) -> NeighborBlock:
 def digest(obj) -> str:
     """Short hash of nested tuples / lists of arrays and plain values
     (arrays by dtype, shape and bytes; anything else by ``repr``): what
-    the golden-pin files hold an output to."""
+    ledger's result documents hold an array or an output to."""
     h = hashlib.sha256()
 
     def feed(x) -> None:

@@ -1,7 +1,5 @@
 """Correctness tests for the PSGraph algorithms (vs references/networkx)."""
 
-import hashlib
-
 import networkx as nx
 import numpy as np
 import pytest
@@ -33,14 +31,18 @@ from repro.core.ops import edges_from_arrays
 from repro.core.runner import GraphRunner
 from repro.datasets.generators import community_graph, powerlaw_graph
 from repro.datasets.tencent import write_edges
+from repro.obs.determinism import run_record
+from repro.obs.tracer import NOOP_TRACER, Tracer
+from tests.conftest import digest
+from tests.ledger import pin, pin_keys
 
 
-def make_psg(num_executors=3, num_servers=2):
+def make_psg(num_executors=3, num_servers=2, tracer=NOOP_TRACER):
     cluster = ClusterConfig(
         num_executors=num_executors, executor_mem_bytes=1 << 40,
         num_servers=num_servers, server_mem_bytes=1 << 40,
     )
-    return PSGraphContext(cluster)
+    return PSGraphContext(cluster, tracer=tracer)
 
 
 @pytest.fixture
@@ -169,22 +171,18 @@ class TestCommonNeighbor:
         assert sorted(result.output.collect_tuples()) == sorted(
             common_neighbor_reference(src, dst))
 
-    def test_golden_sim_metrics(self, psg):
+    def test_golden_sim_metrics(self):
         """Sim clock and PS metering of a fixed run, pinned to the last bit
         at the values the per-vertex list path charged: the block path
         moves the same bytes in the same calls."""
-        src, dst = powerlaw_graph(40, 150, seed=16)
-        edges = edges_from_arrays(psg.spark, src, dst)
-        result = CommonNeighbor(batch_size=32, checkpoint=True).transform(
-            psg, edges)
-        assert len(result.output.collect_tuples()) == 150
-        psg.sync_clocks()
-        assert psg.sim_time() == 0.001029206133333334
-        assert psg.metrics.get(PS_PULL_BYTES) == 10264.0
-        assert psg.metrics.get(PS_PUSH_BYTES) == 2416.0
-        assert psg.metrics.get(RPC_CALLS) == 40.0
+        r = common_neighbor_metering()
+        assert r["rows"] == 150
+        assert r["sim_s"] == 0.001029206133333334
+        assert r["pull_bytes"] == 10264.0
+        assert r["push_bytes"] == 2416.0
+        assert r["rpc_calls"] == 40.0
         # Compacted tables checkpoint as {"csr": (vertices, indptr, indices)}.
-        assert psg.metrics.get("ps.checkpoint.bytes") == 3596.0
+        assert r["checkpoint_bytes"] == 3596.0
 
     def test_pulls_from_ps(self, psg):
         src, dst = powerlaw_graph(30, 80, seed=17)
@@ -394,12 +392,9 @@ class TestLine:
         (2, True, "54895f666163a25b"), (2, False, "210e6c49a1ebbd3d"),
     ])
     def test_final_embedding_is_pinned(self, order, use_psfunc, digest):
-        """Every bit of the trained embedding, as computed before the PS
-        kernels moved to ``scatter_add_rows`` / ``take`` (three servers, so
-        dim 8 is sharded 3 + 3 + 2).  A change that reorders one float add
-        lands here; so can a numpy whose ``exp`` rounds differently — check
-        tests/test_batch.py and tests/test_ps_storage.py before re-pinning.
-        """
+        import hashlib
+
+        from tests.conftest import digest as dg
         psg = make_psg(num_servers=3)
         try:
             src, dst, _ = community_graph(
@@ -412,6 +407,7 @@ class TestLine:
             emb = result.stats["embedding"]
             rows = emb.pull_rows(np.arange(emb.shape[0]))
             assert hashlib.sha256(rows.tobytes()).hexdigest()[:16] == digest
+            assert line_embedding(order, use_psfunc)["embedding"] == dg(rows)
         finally:
             psg.stop()
 
@@ -528,3 +524,59 @@ class TestGraphSageAggregators:
 
         with pytest.raises(ValueError):
             SageNet(4, 4, 2, aggregator="gru")
+
+
+# ----------------------------------------------------------------------
+# ledger-pinned runs
+# ----------------------------------------------------------------------
+
+def common_neighbor_metering():
+    """The record of a fixed CommonNeighbor run with a checkpoint: rows
+    scored, and the sim clock and PS metering after it, as the
+    per-vertex list path charged them."""
+    psg = make_psg(tracer=Tracer())
+    try:
+        src, dst = powerlaw_graph(40, 150, seed=16)
+        edges = edges_from_arrays(psg.spark, src, dst)
+        result = CommonNeighbor(batch_size=32, checkpoint=True).transform(
+            psg, edges)
+        rows = len(result.output.collect_tuples())
+        psg.sync_clocks()
+        doc = {"rows": rows, "sim_s": psg.sim_time(),
+               "pull_bytes": psg.metrics.get(PS_PULL_BYTES),
+               "push_bytes": psg.metrics.get(PS_PUSH_BYTES),
+               "rpc_calls": psg.metrics.get(RPC_CALLS),
+               # Compacted tables checkpoint as {"csr": (vertices, indptr,
+               # indices)}.
+               "checkpoint_bytes": psg.metrics.get("ps.checkpoint.bytes")}
+    finally:
+        psg.stop()
+    return run_record(doc, psg.tracer, psg.metrics)
+
+
+def line_embedding(order, use_psfunc):
+    """The record of a LINE run: every bit of the trained embedding (three
+    servers, so dim 8 is sharded 3 + 3 + 2).  A change that reorders one
+    float add lands here; so can a numpy whose ``exp`` rounds differently
+    — check tests/test_batch.py and tests/test_ps_storage.py before
+    re-pinning."""
+    psg = make_psg(num_servers=3, tracer=Tracer())
+    try:
+        src, dst, _ = community_graph(
+            60, 3, avg_degree=8, mixing=0.05, seed=21
+        )
+        edges = edges_from_arrays(psg.spark, src, dst)
+        result = Line(dim=8, order=order, epochs=2, lr=0.1, negative=3,
+                      batch_size=64, use_psfunc=use_psfunc
+                      ).transform(psg, edges)
+        emb = result.stats["embedding"]
+        rows = emb.pull_rows(np.arange(emb.shape[0]))
+        doc = {"embedding": digest(rows)}
+    finally:
+        psg.stop()
+    return run_record(doc, psg.tracer, psg.metrics)
+
+
+PINNED = [(common_neighbor_metering, ())] + [
+    (line_embedding, (order, use_psfunc))
+    for order in (1, 2) for use_psfunc in (True, False)]

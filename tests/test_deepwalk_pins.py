@@ -3,11 +3,11 @@
 Every path through ``train_partition`` that samples walks must charge the
 cost model, including the one where a partition's walks yield no skip-gram
 pair and the loop ``continue``s.  At ``walk_length=1`` every partition
-takes that path; at ``walk_length=6`` none does.  Each cell pins the exact
-``ctx.sim_time()``, ``ps.pull.bytes`` / ``ps.push.bytes`` and a digest of
-the whole embedding matrix (center and context rows).  The values were
-computed at commit ``4381b53``; ``python tests/test_deepwalk_pins.py``
-prints the table again.
+takes that path; at ``walk_length=6`` none does.  Each cell's run record
+(the exact ``ctx.sim_time()``, ``ps.pull.bytes`` / ``ps.push.bytes``, a
+digest of the whole embedding matrix — center and context rows — every
+span and every metric) is a line of the ledger (``tests/ledger.py``).  The
+values have held since commit ``4381b53``.
 """
 
 import pytest
@@ -18,27 +18,31 @@ from repro.core.algorithms import DeepWalk
 from repro.core.context import PSGraphContext
 from repro.core.ops import edges_from_arrays
 from repro.datasets.generators import community_graph
+from repro.obs.determinism import run_record
+from repro.obs.tracer import Tracer
 from tests.conftest import digest
+from tests.ledger import pin, pin_keys
 
 
 def run_cell(walk_length: int):
-    """``(sim_s, pull_bytes, push_bytes, embedding digest)`` of one run."""
+    """One run's record: sim time, PS pull / push bytes, the embedding."""
     ctx = PSGraphContext(ClusterConfig(
         num_executors=3, executor_mem_bytes=1 << 40,
         num_servers=2, server_mem_bytes=1 << 40,
-    ))
+    ), tracer=Tracer())
     try:
         src, dst, _ = community_graph(60, 3, avg_degree=10, mixing=0.03,
                                       seed=62)
         edges = edges_from_arrays(ctx.spark, src, dst)
         result = DeepWalk(dim=8, walk_length=walk_length, walks_per_vertex=2,
                           window=2, epochs=2).transform(ctx, edges)
-        observed = (ctx.sim_time(),
-                    int(ctx.metrics.get(PS_PULL_BYTES)),
-                    int(ctx.metrics.get(PS_PUSH_BYTES)))
-        return observed + (digest(result.stats["embedding"].to_numpy()),)
+        doc = {"sim_s": ctx.sim_time(),
+               "pull_bytes": int(ctx.metrics.get(PS_PULL_BYTES)),
+               "push_bytes": int(ctx.metrics.get(PS_PUSH_BYTES)),
+               "embedding": digest(result.stats["embedding"].to_numpy())}
     finally:
         ctx.stop()
+    return run_record(doc, ctx.tracer, ctx.metrics)
 
 
 PINS = {
@@ -51,9 +55,14 @@ PINS = {
 
 @pytest.mark.parametrize("walk_length", [1, 6])
 def test_deepwalk_matches_parent_pin(walk_length):
-    assert run_cell(walk_length) == PINS[walk_length]
+    r = run_cell(walk_length)
+    assert (r["sim_s"], r["pull_bytes"], r["push_bytes"], r["embedding"]) \
+        == PINS[walk_length]
 
 
-if __name__ == "__main__":
-    for walk_length in (1, 6):
-        print(f"    {walk_length}:\n        {run_cell(walk_length)!r},")
+PINNED = [(run_cell, (walk_length,)) for walk_length in (1, 6)]
+
+
+@pytest.mark.parametrize("fn, args", PINNED, ids=pin_keys(PINNED))
+def test_run_matches_its_ledger_line(fn, args):
+    pin(fn, *args)

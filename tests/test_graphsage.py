@@ -8,16 +8,19 @@ from repro.core.algorithms.graphsage import GraphSage, SageNet, make_sage
 from repro.core.context import PSGraphContext
 from repro.core.ops import edges_from_arrays
 from repro.datasets.generators import community_graph, vertex_features
+from repro.obs.determinism import run_record
+from repro.obs.tracer import NOOP_TRACER, Tracer
 from repro.torchlite.script import ScriptModule
 from repro.torchlite.tensor import Tensor
+from tests.ledger import pin, pin_keys
 
 
-def make_psg(num_executors=3, num_servers=2):
+def make_psg(num_executors=3, num_servers=2, tracer=NOOP_TRACER):
     cluster = ClusterConfig(
         num_executors=num_executors, executor_mem_bytes=1 << 40,
         num_servers=num_servers, server_mem_bytes=1 << 40,
     )
-    return PSGraphContext(cluster)
+    return PSGraphContext(cluster, tracer=tracer)
 
 
 @pytest.fixture
@@ -113,17 +116,9 @@ class TestPinnedLosses:
         ("lstm", {"fanouts": (5, 3)},
          ["0x1.3c1ef1df67a31p-1", "0x1.88479b1477618p-2"]),
     ])
-    def test_epoch_losses_are_pinned(self, psg, aggregator, kwargs, losses):
-        """Exact epoch losses from before ``segment_mean``, ``segment_max``
-        and the gather backward moved off 2-D ``ufunc.at``; one aggregator
-        per kernel.  A BLAS that sums in another order moves them too —
-        check tests/test_torchlite.py before re-pinning."""
-        src, dst, feats, labels = small_task(n=80)
-        edges = edges_from_arrays(psg.spark, src, dst)
-        result = GraphSage(feats, labels, hidden=8, epochs=2, batch_size=32,
-                           aggregator=aggregator, **kwargs
-                           ).transform(psg, edges)
-        got = [float(x).hex() for x in result.stats["epoch_losses"]]
+    def test_epoch_losses_are_pinned(self, aggregator, kwargs, losses):
+        r = epoch_losses(aggregator, *kwargs.values())
+        got = [float(x).hex() for x in r["epoch_losses"]]
         assert got == losses
 
 
@@ -261,3 +256,27 @@ class TestSamplingDraws:
         assert (cdf.searchsorted(a.random(size), side="right").tolist()
                 == b.choice(500, size=size, p=noise_p).tolist())
         assert a.random() == b.random()  # the streams stay in step
+
+
+def epoch_losses(aggregator, fanouts=None):
+    """The record of a two-epoch run: its exact epoch losses, from before
+    ``segment_mean``, ``segment_max`` and the gather backward moved off
+    2-D ``ufunc.at``; one aggregator per kernel.  A BLAS that sums in
+    another order moves them too — check tests/test_torchlite.py before
+    re-pinning."""
+    psg = make_psg(tracer=Tracer())
+    try:
+        src, dst, feats, labels = small_task(n=80)
+        edges = edges_from_arrays(psg.spark, src, dst)
+        kwargs = {} if fanouts is None else {"fanouts": fanouts}
+        result = GraphSage(feats, labels, hidden=8, epochs=2, batch_size=32,
+                           aggregator=aggregator, **kwargs
+                           ).transform(psg, edges)
+        doc = {"epoch_losses": result.stats["epoch_losses"]}
+    finally:
+        psg.stop()
+    return run_record(doc, psg.tracer, psg.metrics)
+
+
+PINNED = [(epoch_losses, ("mean",)), (epoch_losses, ("pool",)),
+          (epoch_losses, ("lstm", (5, 3)))]

@@ -1,11 +1,12 @@
 """Golden pins for the GraphX baseline: sim clock, shuffle meters, outputs.
 
 The baseline exists to lose Figure 6 on the *simulated* clock, so a change
-to how its joins run on the host must move nothing here: every cell pins
-the exact ``ctx.sim_time()``, the shuffle byte / record counters and a
-digest of the algorithm's output.  The values were computed at commit
-``03d9a46`` (boxed list-of-arrays shuffle buckets, per-pair routing
-lists); ``python tests/test_graphx_pins.py`` prints the table again.
+to how its joins run on the host must move nothing here: every cell's run
+record (the exact ``ctx.sim_time()``, the shuffle byte / record counters,
+a digest of the algorithm's output, every span and every metric) is a
+line of the ledger (``tests/ledger.py``).  The values have held since
+commit ``03d9a46`` (boxed list-of-arrays shuffle buckets, per-pair
+routing lists).
 """
 
 import numpy as np
@@ -21,7 +22,10 @@ from repro.datasets.generators import powerlaw_graph
 from repro.graphx import algorithms as gx
 from repro.graphx.fast_unfolding import fast_unfolding
 from repro.graphx.graph import Graph
+from repro.obs.determinism import run_record
+from repro.obs.tracer import Tracer
 from tests.conftest import digest, make_context
+from tests.ledger import pin, pin_keys
 
 
 def _powerlaw400():
@@ -53,10 +57,11 @@ CELLS = [("powerlaw400", 4), ("powerlaw400", 16), ("tiny6", 8)]
 
 
 def run_cell(algo: str, graph: str, p: int, executor_mem=None):
-    """``(sim_s, bytes_written, bytes_read, records, digest)`` of one run;
-    an OOM's message stands in for the output."""
+    """One run's record: sim time, shuffle bytes / records and the output,
+    for which an OOM's message stands in."""
     src, dst, weight = GRAPHS[graph]()
-    ctx = make_context(num_executors=4, executor_mem=executor_mem)
+    ctx = make_context(num_executors=4, executor_mem=executor_mem,
+                       tracer=Tracer())
     try:
         try:
             if algo == "fast_unfolding":
@@ -68,13 +73,14 @@ def run_cell(algo: str, graph: str, p: int, executor_mem=None):
                     Graph.from_edges(ctx, src, dst, num_partitions=p))
         except SimulatedOOMError as oom:
             out = str(oom)
-        return (ctx.sim_time(),
-                int(ctx.metrics.get(SHUFFLE_BYTES_WRITTEN)),
-                int(ctx.metrics.get(SHUFFLE_BYTES_READ)),
-                int(ctx.metrics.get(SHUFFLE_RECORDS)),
-                digest(out))
+        doc = {"sim_s": ctx.sim_time(),
+               "bytes_written": int(ctx.metrics.get(SHUFFLE_BYTES_WRITTEN)),
+               "bytes_read": int(ctx.metrics.get(SHUFFLE_BYTES_READ)),
+               "records": int(ctx.metrics.get(SHUFFLE_RECORDS)),
+               "output": digest(out)}
     finally:
         ctx.stop()
+    return run_record(doc, ctx.tracer, ctx.metrics)
 
 
 #: Memory grants small enough that the run dies mid-algorithm: the OOM
@@ -137,7 +143,9 @@ PINS = {
 @pytest.mark.parametrize("key", list(PINS), ids=str)
 def test_cell_matches_parent_pin(key):
     algo, graph, p, mem = key
-    assert run_cell(algo, graph, p, mem) == PINS[key]
+    r = run_cell(algo, graph, p, mem)
+    assert (r["sim_s"], r["bytes_written"], r["bytes_read"], r["records"],
+            r["output"]) == PINS[key]
 
 
 def test_every_cell_is_pinned():
@@ -150,7 +158,16 @@ def test_every_cell_is_pinned():
 def test_oom_cells_really_oom():
     for key in OOM_CELLS:
         *_counters, digest = PINS[key]
-        assert digest != run_cell(*key[:3])[-1]
+        assert digest != run_cell(*key[:3])["output"]
+
+
+PINNED = [(run_cell, (a, g, p)) for a in [*ALGOS, "fast_unfolding"]
+          for g, p in CELLS] + [(run_cell, cell) for cell in OOM_CELLS]
+
+
+@pytest.mark.parametrize("fn, args", PINNED, ids=pin_keys(PINNED))
+def test_run_matches_its_ledger_line(fn, args):
+    pin(fn, *args)
 
 
 if __name__ == "__main__":

@@ -28,7 +28,10 @@ from repro.datasets.tencent import ds1_spec, generate_edges
 from repro.graphx import algorithms as gx
 from repro.graphx.fast_unfolding import _move_vertices
 from repro.graphx.graph import Graph, _JoinPlan, split_vertices
-from tests.conftest import make_context
+from repro.obs.determinism import run_record
+from repro.obs.tracer import Tracer
+from tests.conftest import digest, make_context
+from tests.ledger import pin
 
 ids_lists = st.lists(st.integers(0, 60), max_size=120)
 
@@ -384,23 +387,37 @@ class TestExecutorLossMidJoin:
 
 
 def test_common_neighbor_ds1_output_and_sim_clock_are_the_parents():
+    r = common_neighbor_ds1()
+    assert r["shape"] == [110_000, 3]
+    assert r["sim_s"] == 0.1144533453333334
+    assert r["bytes_written"] == 206_217_504
+    assert r["bytes_read"] == 206_217_504
+    assert r["records"] == 335_642
+
+
+def common_neighbor_ds1():
     """GraphX CommonNeighbor on DS1 at 1e-5, seed 7: 11-14 s of host time
-    at commit 03d9a46 (2 P^2 ``np.unique`` calls per chunk), ~2 s now;
-    rows, sim seconds and shuffle bytes as they were."""
+    at commit 03d9a46 (2 P^2 ``np.unique`` calls per chunk), ~2 s now; the
+    record holds rows, sim seconds and shuffle bytes as they were."""
     spec = ds1_spec(1e-5)
     src, dst = generate_edges(spec, 7)
-    ctx = SparkContext(graphx_config_ds1().scaled(spec.scale))
+    ctx = SparkContext(graphx_config_ds1().scaled(spec.scale),
+                       tracer=Tracer())
     try:
         graph = Graph.from_edges(ctx, src, dst)
         rows = np.asarray(gx.common_neighbor(graph, num_chunks=32),
                           dtype=np.int64)
-        assert rows.shape == (110_000, 3)
+        doc = {"shape": rows.shape, "rows": digest(rows),
+               "sim_s": ctx.sim_time(),
+               "bytes_written": ctx.metrics.get("dataflow.shuffle.bytes_written"),
+               "bytes_read": ctx.metrics.get("dataflow.shuffle.bytes_read"),
+               "records": ctx.metrics.get("dataflow.shuffle.records")}
+        import hashlib
         assert hashlib.sha256(rows.tobytes()).hexdigest()[:16] \
             == "bf59748ca177b478"
-        assert ctx.sim_time() == 0.1144533453333334
-        assert ctx.metrics.get("dataflow.shuffle.bytes_written") \
-            == 206_217_504
-        assert ctx.metrics.get("dataflow.shuffle.bytes_read") == 206_217_504
-        assert ctx.metrics.get("dataflow.shuffle.records") == 335_642
     finally:
         ctx.stop()
+    return run_record(doc, ctx.tracer, ctx.metrics)
+
+
+PINNED = [(common_neighbor_ds1, ())]

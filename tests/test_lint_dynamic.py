@@ -1,8 +1,13 @@
 """Exact determinism (``repro.obs.determinism``): stage segments, the
 double run that names the first diverging event, the built-in workloads
-and the committed ledger that pins every workload's segments."""
+and the committed ledger that pins the segments of every workload and of
+every pinned cell."""
 
 import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +29,8 @@ from repro.obs.determinism import (
     cli_argv,
     digests,
     first_divergence,
+    ledger_diff,
+    ledger_line,
     run_workload,
     segments,
 )
@@ -31,9 +38,14 @@ from repro.obs.tracer import Tracer
 from repro.ps.matrix import PSMatrix
 from repro.serve import ServingPlane
 from repro.streaming import IncrementalComponents, IncrementalPageRank
-
-LEDGER_PATH = Path(__file__).resolve().parent / "determinism_ledger.json"
-LEDGER = json.loads(LEDGER_PATH.read_text())
+from tests.ledger import (
+    EXPERIMENT_CELLS,
+    LEDGER,
+    LEDGER_PATH,
+    cell_text,
+    check,
+    registered_keys,
+)
 
 
 # ----------------------------------------------------------------------
@@ -258,29 +270,60 @@ def test_different_seeds_actually_differ():
 # the ledger
 # ----------------------------------------------------------------------
 
-def _entry(name, pinned):
-    return f"  {json.dumps(name)}: {json.dumps(pinned)}"
-
-
-def test_ledger_pins_every_workload():
-    assert sorted(LEDGER) == sorted(WORKLOADS)
+def test_ledger_is_every_workload_and_every_pinned_cell():
+    """One line per key, sorted; no stale line and no unpinned cell."""
+    keys = registered_keys()
+    assert len(keys) == len(set(keys))
+    assert sorted(LEDGER) == sorted(set(WORKLOADS) | set(keys))
     assert LEDGER_PATH.read_text() == "{\n" + ",\n".join(
-        _entry(name, LEDGER[name]) for name in sorted(LEDGER)) + "\n}\n"
+        ledger_line(key, LEDGER[key]) for key in sorted(LEDGER)) + "\n}\n"
 
 
-@pytest.mark.parametrize("name", sorted(LEDGER))
+_KEYS = ("import sys; sys.path[:0] = ['src', '.']\n"
+         "from tests.ledger import EXPERIMENT_CELLS, cell_text, "
+         "registered_keys\n"
+         "print('\\n'.join(registered_keys()))\n"
+         "print('\\n'.join(map(cell_text, EXPERIMENT_CELLS)))\n")
+
+
+def test_keys_and_cell_tokens_are_stable_across_processes():
+    """A key that varied between processes would make the ledger flaky:
+    no key or tokenized cell text holds an object address, and both are
+    the same under two hash seeds as here."""
+    root = Path(__file__).resolve().parent.parent
+    procs = [subprocess.Popen(
+        [sys.executable, "-c", _KEYS], cwd=root, text=True,
+        stdout=subprocess.PIPE, env={**os.environ, "PYTHONHASHSEED": seed})
+        for seed in ("0", "1")]
+    outs = [p.communicate(timeout=120)[0] for p in procs]
+    assert all(p.returncode == 0 for p in procs)
+    here = "\n".join(registered_keys() + [cell_text(c)
+                                          for c in EXPERIMENT_CELLS]) + "\n"
+    assert outs == [here, here]
+    assert not re.search(r"\b0x[0-9a-f]+", here)
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_workload_matches_ledger(name):
     """One run at ``DEFAULT_SEED`` reproduces the committed digest of every
-    segment.  Re-pin by replacing the entry with the one printed below,
-    and give the reason in CHANGES.md."""
-    segs = segments(run_workload(name, DEFAULT_SEED))
-    now, pinned = digests(segs), LEDGER[name]
-    if now != pinned:
-        i = next(i for i, (a, b) in enumerate(zip(now + [END], pinned + [END]))
-                 if a != b)
-        where = segs[i][0] if i < len(segs) else END
-        pytest.fail(f"{name}: segment {i} ({where}) moved from "
-                    f"{LEDGER_PATH.name}; new entry:\n{_entry(name, now)}")
+    segment."""
+    check(name, run_workload(name, DEFAULT_SEED))
+
+
+def test_ledger_diff_names_the_moved_segment_and_the_new_line():
+    record = _record(["stage 0 (result)"], sim_time_s=2.0, lines=["a"])
+    pinned = digests(segments(record))
+    assert ledger_diff("k", record, pinned) is None
+    moved = _record(["stage 0 (result)"], sim_time_s=2.5, lines=["a"])
+    text = ledger_diff("k", moved, pinned)
+    assert text.splitlines()[:2] == [
+        "k: segment 3 (sim_time_s) moved; its first events now:",
+        "    sim_time_s = 2.5"]
+    assert text.splitlines()[-1] == ledger_line(
+        "k", digests(segments(moved)))
+    assert ledger_diff("k", record, None).startswith("k: no ledger line")
+    assert "segment 5 (<end of run>)" in ledger_diff(
+        "k", record, pinned + ["00000000"])
 
 
 def test_lint_dynamic_json_prints_run_one_digests(capsys):

@@ -1,15 +1,14 @@
-"""Golden pins for PSGraph's groupBy: sim clock, shuffle meters, outputs.
+"""Golden pins for PSGraph's groupBy, its PS operations and small PS runs.
 
 Every PSGraph algorithm but LINE starts with ``to_neighbor_tables`` (the
 Sec. IV-A groupBy), so a change to how that shuffle runs on the host must
-move nothing here: every cell pins the exact ``ctx.sim_time()``, the
-shuffle byte / record counters and a digest of the output.  The values
-were computed at commit ``caf00dd`` (one boxed ``(pid, EdgeBlock)`` record
-per map partition x direction x reduce partition);
-``python tests/test_psgraph_pins.py`` prints the table again.
+move nothing here: every cell's run record (the exact ``ctx.sim_time()``,
+the shuffle byte / record counters, a digest of the output, every span
+and every metric) is a line of the ledger (``tests/ledger.py``).  The
+groupBy cells held these values since commit ``caf00dd`` (one boxed
+``(pid, EdgeBlock)`` record per map partition x direction x reduce
+partition).
 """
-
-import json
 
 import numpy as np
 import pytest
@@ -34,11 +33,19 @@ from repro.core.context import PSGraphContext
 from repro.core.ops import edges_from_arrays, to_neighbor_tables
 from repro.dataflow.context import SparkContext
 from repro.datasets.generators import powerlaw_graph
-from repro.obs.determinism import span_event
-from repro.obs.export import metrics_to_dict
+from repro.obs.determinism import run_record
 from repro.obs.tracer import Tracer
 from repro.ps.context import PSContext
 from tests.conftest import digest, table_block
+from tests.ledger import pin, pin_keys
+
+
+def _psg(executors: int = 4, servers: int = 2) -> PSGraphContext:
+    """A traced context whose memory never binds."""
+    return PSGraphContext(ClusterConfig(
+        num_executors=executors, executor_mem_bytes=1 << 40,
+        num_servers=servers, server_mem_bytes=1 << 40,
+    ), tracer=Tracer())
 
 
 def _powerlaw400(spark, p):
@@ -101,20 +108,18 @@ CELLS = [("powerlaw400", 4), ("powerlaw400", 16), ("tiny6", 8)]
 
 
 def run_cell(algo: str, graph: str, p: int):
-    """``(sim_s, bytes_written, bytes_read, records, digest)`` of one run."""
-    ctx = PSGraphContext(ClusterConfig(
-        num_executors=4, executor_mem_bytes=1 << 40,
-        num_servers=2, server_mem_bytes=1 << 40,
-    ))
+    """One run's record: sim time, shuffle bytes / records, output."""
+    ctx = _psg()
     try:
         out = ALGOS[algo](ctx, GRAPHS[graph](ctx.spark, p))
-        return (ctx.sim_time(),
-                int(ctx.metrics.get(SHUFFLE_BYTES_WRITTEN)),
-                int(ctx.metrics.get(SHUFFLE_BYTES_READ)),
-                int(ctx.metrics.get(SHUFFLE_RECORDS)),
-                digest(out))
+        doc = {"sim_s": ctx.sim_time(),
+               "bytes_written": int(ctx.metrics.get(SHUFFLE_BYTES_WRITTEN)),
+               "bytes_read": int(ctx.metrics.get(SHUFFLE_BYTES_READ)),
+               "records": int(ctx.metrics.get(SHUFFLE_RECORDS)),
+               "output": digest(out)}
     finally:
         ctx.stop()
+    return run_record(doc, ctx.tracer, ctx.metrics)
 
 
 PINS = {
@@ -189,7 +194,9 @@ PINS = {
 
 @pytest.mark.parametrize("key", list(PINS), ids=str)
 def test_cell_matches_parent_pin(key):
-    assert run_cell(*key) == PINS[key]
+    r = run_cell(*key)
+    assert (r["sim_s"], r["bytes_written"], r["bytes_read"], r["records"],
+            r["output"]) == PINS[key]
 
 
 def _multiblock(spark, p):
@@ -206,23 +213,24 @@ def _multiblock(spark, p):
 
 def run_fast_unfolding_cell(p: int):
     """Three passes (two community aggregations, the second over the
-    first's output): ``(sim_s, {dataflow.shuffle.* counter: value},
-    peak bytes per executor, digest)``."""
-    ctx = PSGraphContext(ClusterConfig(
-        num_executors=4, executor_mem_bytes=1 << 40,
-        num_servers=2, server_mem_bytes=1 << 40,
-    ))
+    first's output): sim time, every ``dataflow.shuffle.*`` counter, peak
+    bytes per executor and the output.  Held since commit ``25f8957``
+    (``_aggregate`` as boxed ``(pair key, weight)`` records through
+    ``reduce_by_key``)."""
+    ctx = _psg()
     try:
         out = _algo(FastUnfolding(num_passes=3, max_move_iterations=3))(
             ctx, _multiblock(ctx.spark, p))
         assert out[1] == 3
-        return (ctx.sim_time(),
-                {name: int(value) for name, value in ctx.metrics
-                 if name.startswith("dataflow.shuffle.")},
-                tuple(ex.container.memory.peak for ex in ctx.spark.executors),
-                digest(out))
+        doc = {"sim_s": ctx.sim_time(),
+               "shuffle": {name: int(value) for name, value in ctx.metrics
+                           if name.startswith("dataflow.shuffle.")},
+               "peaks": [ex.container.memory.peak
+                         for ex in ctx.spark.executors],
+               "output": digest(out)}
     finally:
         ctx.stop()
+    return run_record(doc, ctx.tracer, ctx.metrics)
 
 
 #: Computed at commit ``25f8957`` (``_aggregate`` as boxed ``(pair key,
@@ -248,7 +256,9 @@ FAST_UNFOLDING_PINS = {
 
 @pytest.mark.parametrize("p", [1, 4, 16])
 def test_fast_unfolding_aggregation_matches_parent_pin(p):
-    assert run_fast_unfolding_cell(p) == FAST_UNFOLDING_PINS[p]
+    r = run_fast_unfolding_cell(p)
+    assert (r["sim_s"], r["shuffle"], tuple(r["peaks"]), r["output"]) \
+        == FAST_UNFOLDING_PINS[p]
 
 
 # ----------------------------------------------------------------------
@@ -256,18 +266,37 @@ def test_fast_unfolding_aggregation_matches_parent_pin(p):
 # ----------------------------------------------------------------------
 
 
+def _flat(items):
+    for item in items:
+        if isinstance(item, tuple):
+            yield from _flat(item)
+        else:
+            yield item
+
+
+def _observed(spark, ps, out):
+    """The record every PS pin holds: a digest of the results, sim time,
+    server clocks and memory peaks, every span and every metric."""
+    doc = {"results": digest([(b.vertices, b.indptr, b.neighbors)
+                              if isinstance(b, NeighborBlock) else b
+                              for b in _flat(out)]),
+           "sim_s": spark.sim_time(),
+           "server_clocks": [s.container.clock.now_s for s in ps.servers],
+           "server_peaks": [s.container.memory.peak for s in ps.servers]}
+    return run_record(doc, spark.tracer, spark.metrics)
+
+
 def run_ps_ops_cell(kind: str, p: int):
     """A scripted sequence of row and neighbor-table operations on three
     servers — unsorted and repeated keys, ``col=`` and whole rows, float32
     beside float64, empty key sets, from the driver and from inside tasks,
-    table reads between table writes — as ``(results digest, sim_s,
-    server clocks, digest of every counter / gauge / histogram, server
-    memory peaks, digest of every span)``."""
-    tracer = Tracer()
+    table reads between table writes.  Held since commit ``b921050``
+    (every operation split per partition and executed by ``PSServer.pull /
+    push / set / get_neighbors / degrees``)."""
     spark = SparkContext(ClusterConfig(
         num_executors=4, executor_mem_bytes=1 << 40,
         num_servers=3, server_mem_bytes=1 << 40,
-    ), tracer=tracer)
+    ), tracer=Tracer())
     ps = PSContext(spark)
     try:
         rng = np.random.default_rng(17)
@@ -327,26 +356,10 @@ def run_ps_ops_cell(kind: str, p: int):
         out += spark.parallelize(range(61), 4).foreach_partition(work)
         t.push(half)
         out += [t.get(probe), m.to_numpy(), f.to_numpy(), v.to_numpy()]
-        return (digest([(b.vertices, b.indptr, b.neighbors)
-                        if isinstance(b, NeighborBlock) else b
-                        for b in _flat(out)]),
-                spark.sim_time(),
-                tuple(s.container.clock.now_s for s in ps.servers),
-                digest(json.dumps(metrics_to_dict(spark.metrics),
-                                  sort_keys=True)),
-                tuple(s.container.memory.peak for s in ps.servers),
-                digest([span_event(s) for s in tracer.spans()]))
+        return _observed(spark, ps, out)
     finally:
         ps.stop()
         spark.stop()
-
-
-def _flat(items):
-    for item in items:
-        if isinstance(item, tuple):
-            yield from _flat(item)
-        else:
-            yield item
 
 
 PS_OPS_CELLS = [(kind, p) for kind in ("hash", "range", "hash-range")
@@ -405,27 +418,12 @@ PS_OPS_PINS = {
 
 @pytest.mark.parametrize("cell", PS_OPS_CELLS, ids=str)
 def test_ps_ops_match_parent_pin(cell):
-    assert run_ps_ops_cell(*cell) == PS_OPS_PINS[cell]
+    assert _old(run_ps_ops_cell(*cell)) == PS_OPS_PINS[cell]
 
 
 # ----------------------------------------------------------------------
 # column-sharded matrices, server-side optimizers, psFuncs, table writes
 # ----------------------------------------------------------------------
-
-
-def _observed(spark, ps, tracer, out):
-    """The tuple every PS pin holds: results digest, sim time, server
-    clocks, digest of every counter / gauge / histogram, server memory
-    peaks, digest of every span."""
-    return (digest([(b.vertices, b.indptr, b.neighbors)
-                    if isinstance(b, NeighborBlock) else b
-                    for b in _flat(out)]),
-            spark.sim_time(),
-            tuple(s.container.clock.now_s for s in ps.servers),
-            digest(json.dumps(metrics_to_dict(spark.metrics),
-                              sort_keys=True)),
-            tuple(s.container.memory.peak for s in ps.servers),
-            digest([span_event(s) for s in tracer.spans()]))
 
 
 def run_column_cell(servers: int, p: int):
@@ -434,15 +432,16 @@ def run_column_cell(servers: int, p: int):
     Adam on the servers, dense matrices with optimizers, psFuncs and
     neighbor-table writes between reads — from the driver and from inside
     tasks, across a checkpoint, a relaxed recovery between operations and
-    (with three or more partitions) one in the middle of an Adam step."""
+    (with three or more partitions) one in the middle of an Adam step.
+    Held since commit ``a4f296a`` (every column shard, optimizer step,
+    psFunc and table write executed by its ``PSServer`` handler)."""
     from repro.ps.optimizer import SGD, AdaGrad, Adam, Momentum
     from repro.ps.psfunc import RandomInit, VectorSum
 
-    tracer = Tracer()
     spark = SparkContext(ClusterConfig(
         num_executors=4, executor_mem_bytes=1 << 40,
         num_servers=servers, server_mem_bytes=1 << 40,
-    ), tracer=tracer)
+    ), tracer=Tracer())
     ps = PSContext(spark)
     try:
         rng = np.random.default_rng(29)
@@ -537,7 +536,7 @@ def run_column_cell(servers: int, p: int):
         out += spark.parallelize(range(rows), 4).foreach_partition(work)
         out += [e.to_numpy(), d.to_numpy()]
         out += [m.to_numpy() for m in w + dense]
-        return _observed(spark, ps, tracer, out)
+        return _observed(spark, ps, out)
     finally:
         ps.stop()
         spark.stop()
@@ -565,7 +564,7 @@ COLUMN_PINS = {
 
 @pytest.mark.parametrize("cell", COLUMN_CELLS, ids=str)
 def test_column_ops_match_parent_pin(cell):
-    assert run_column_cell(*cell) == COLUMN_PINS[cell]
+    assert _old(run_column_cell(*cell)) == COLUMN_PINS[cell]
 
 
 def run_graphsage_cell(servers: int):
@@ -574,11 +573,7 @@ def run_graphsage_cell(servers: int):
     from repro.core.algorithms.graphsage import GraphSage
     from repro.datasets.generators import community_graph, vertex_features
 
-    tracer = Tracer()
-    ctx = PSGraphContext(ClusterConfig(
-        num_executors=3, executor_mem_bytes=1 << 40,
-        num_servers=servers, server_mem_bytes=1 << 40,
-    ), tracer=tracer)
+    ctx = _psg(3, servers)
     try:
         src, dst, comm = community_graph(120, 3, avg_degree=8, mixing=0.05,
                                          seed=31)
@@ -588,7 +583,7 @@ def run_graphsage_cell(servers: int):
                            epochs=2, batch_size=16, seed=3).transform(
                                ctx, edges)
         out = [sorted((k, v) for k, v in result.stats.items())]
-        return _observed(ctx.spark, ctx.ps, tracer, out)
+        return _observed(ctx.spark, ctx.ps, out)
     finally:
         ctx.stop()
 
@@ -604,7 +599,7 @@ GRAPHSAGE_PINS = {
 
 @pytest.mark.parametrize("servers", [2, 5])
 def test_graphsage_matches_parent_pin(servers):
-    assert run_graphsage_cell(servers) == GRAPHSAGE_PINS[servers]
+    assert _old(run_graphsage_cell(servers)) == GRAPHSAGE_PINS[servers]
 
 
 def run_line_cell(order: int, servers: int):
@@ -612,11 +607,7 @@ def run_line_cell(order: int, servers: int):
     shards of widths 3 and 4 (or 2 and 3), degree^0.75 negatives."""
     from repro.core.algorithms.line import Line
 
-    tracer = Tracer()
-    ctx = PSGraphContext(ClusterConfig(
-        num_executors=3, executor_mem_bytes=1 << 40,
-        num_servers=servers, server_mem_bytes=1 << 40,
-    ), tracer=tracer)
+    ctx = _psg(3, servers)
     try:
         src, dst = powerlaw_graph(300, 1500, seed=13)
         edges = edges_from_arrays(ctx.spark, src, dst, num_partitions=3)
@@ -624,7 +615,7 @@ def run_line_cell(order: int, servers: int):
                       batch_size=128, seed=5).transform(ctx, edges)
         out = [result.output.collect(), result.stats["epoch_losses"],
                result.stats["epoch_sim_times"]]
-        return _observed(ctx.spark, ctx.ps, tracer, out)
+        return _observed(ctx.spark, ctx.ps, out)
     finally:
         ctx.stop()
 
@@ -641,11 +632,35 @@ LINE_PINS = {
 
 @pytest.mark.parametrize("cell", [(1, 3), (2, 4)], ids=str)
 def test_line_matches_parent_pin(cell):
-    assert run_line_cell(*cell) == LINE_PINS[cell]
+    assert _old(run_line_cell(*cell)) == LINE_PINS[cell]
 
 
 def test_every_cell_is_pinned():
     assert set(PINS) == {(a, g, p) for a in ALGOS for g, p in CELLS}
+
+
+def _old(r):
+    import json
+
+    from repro.obs.determinism import span_event
+    from repro.obs.export import spans_from_json
+    return (r["results"], r["sim_s"], tuple(r["server_clocks"]),
+            digest(json.dumps(r["metrics"], sort_keys=True)),
+            tuple(r["server_peaks"]),
+            digest([span_event(s) for s in spans_from_json(r["spans"])]))
+
+
+PINNED = [(run_cell, (a, g, p)) for a in ALGOS for g, p in CELLS] \
+    + [(run_fast_unfolding_cell, (p,)) for p in (1, 4, 16)] \
+    + [(run_ps_ops_cell, cell) for cell in PS_OPS_CELLS] \
+    + [(run_column_cell, cell) for cell in COLUMN_CELLS] \
+    + [(run_graphsage_cell, (servers,)) for servers in (2, 5)] \
+    + [(run_line_cell, cell) for cell in [(1, 3), (2, 4)]]
+
+
+@pytest.mark.parametrize("fn, args", PINNED, ids=pin_keys(PINNED))
+def test_run_matches_its_ledger_line(fn, args):
+    pin(fn, *args)
 
 
 if __name__ == "__main__":

@@ -3,9 +3,10 @@ its rows.
 
 CommonNeighbor and TriangleCount score one ``(src, dst, common)`` row
 batch per PS round trip.  A batch must meter, size, count, take, save and
-collect exactly as the boxed tuples it replaces: ``ROW_PINS`` holds what a
-CommonNeighbor frame's actions returned and the sim clock after each,
-computed while ``score`` still yielded one tuple per edge.
+collect exactly as the boxed tuples it replaces: the ledger
+(``tests/ledger.py``) holds what a CommonNeighbor frame's actions returned
+and the sim clock after each, as computed at commit ``4168082``, while
+``score`` still yielded one tuple per edge.
 """
 
 import contextlib
@@ -26,15 +27,10 @@ from repro.core.ops import edges_from_arrays
 from repro.dataflow.partitioner import HashPartitioner
 from repro.dataflow.taskctx import metered
 from repro.datasets.generators import powerlaw_graph
+from repro.obs.determinism import run_record
 from tests.conftest import digest, make_context
-from tests.test_psgraph_pins import GRAPHS
-
-
-def _psg() -> PSGraphContext:
-    return PSGraphContext(ClusterConfig(
-        num_executors=4, executor_mem_bytes=1 << 40,
-        num_servers=2, server_mem_bytes=1 << 40,
-    ))
+from tests.ledger import pin, pin_keys
+from tests.test_psgraph_pins import GRAPHS, _psg
 
 
 def _rows_are_ints(rows) -> bool:
@@ -46,13 +42,14 @@ def _rows_are_ints(rows) -> bool:
 # ----------------------------------------------------------------------
 
 def frame_actions(graph: str, p: int):
-    """``[(action, digest of its result, sim time after it)]`` for every
-    action on one lazy CommonNeighbor frame, in order (each re-scores)."""
+    """The record of every action on one lazy CommonNeighbor frame, in
+    order (each re-scores): a digest of its result and the sim time after
+    it."""
     ctx = _psg()
     try:
         frame = CommonNeighbor(checkpoint=True).transform(
             ctx, GRAPHS[graph](ctx.spark, p)).output
-        out = []
+        out = {}
         for name, act in [("count", frame.count),
                           ("take", lambda: frame.rdd.take(5)),
                           ("show", frame.show),
@@ -65,21 +62,22 @@ def frame_actions(graph: str, p: int):
                 got = list(got)
             elif name == "collect":
                 assert _rows_are_ints(r.values() for r in got)
-            out.append((name, digest(got), ctx.sim_time()))
-        return out
+            out[name] = {"result": digest(got), "sim_s": ctx.sim_time()}
     finally:
         ctx.stop()
+    return run_record(out, ctx.tracer, ctx.metrics)
 
 
 def triangle_stats(graph: str, p: int):
-    """TriangleCount's sorted stats and the sim clock after it."""
+    """The record of TriangleCount's stats and the sim clock after it."""
     ctx = _psg()
     try:
         result = TriangleCount().transform(ctx, GRAPHS[graph](ctx.spark, p))
         assert all(type(v) is int for v in result.stats.values())
-        return sorted(result.stats.items()), ctx.sim_time()
+        doc = {"stats": result.stats, "sim_s": ctx.sim_time()}
     finally:
         ctx.stop()
+    return run_record(doc, ctx.tracer, ctx.metrics)
 
 
 #: Computed at commit ``4168082`` (one boxed tuple per scored edge).
@@ -117,12 +115,26 @@ TRIANGLE_PINS = {
 
 @pytest.mark.parametrize("cell", list(ROW_PINS), ids=str)
 def test_common_neighbor_frame_matches_parent_pin(cell):
-    assert frame_actions(*cell) == ROW_PINS[cell]
+    r = frame_actions(*cell)
+    assert [(a, r[a]["result"], r[a]["sim_s"]) for a, _, _ in ROW_PINS[cell]] \
+        == ROW_PINS[cell]
 
 
 @pytest.mark.parametrize("cell", list(TRIANGLE_PINS), ids=str)
 def test_triangle_stats_match_parent_pin(cell):
-    assert triangle_stats(*cell) == TRIANGLE_PINS[cell]
+    r = triangle_stats(*cell)
+    assert (sorted(r["stats"].items()), r["sim_s"]) == \
+        (TRIANGLE_PINS[cell][0], TRIANGLE_PINS[cell][1])
+
+
+CELLS = [("powerlaw400", 4), ("powerlaw400", 16), ("tiny6", 8)]
+PINNED = [(fn, cell) for fn in (frame_actions, triangle_stats)
+          for cell in CELLS]
+
+
+@pytest.mark.parametrize("fn, args", PINNED, ids=pin_keys(PINNED))
+def test_run_matches_its_ledger_line(fn, args):
+    pin(fn, *args)
 
 
 def test_collected_overlaps_are_columns():

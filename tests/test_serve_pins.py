@@ -38,9 +38,12 @@ from repro.core.algorithms import PageRank
 from repro.core.context import PSGraphContext
 from repro.core.ops import edges_from_arrays
 from repro.datasets.generators import powerlaw_graph
+from repro.obs.determinism import run_record
+from repro.obs.tracer import Tracer
 from repro.ps.psfunc import RandomInit
 from repro.serve import RequestGenerator, ServingPlane, TenantSpec
 from tests.conftest import digest
+from tests.ledger import pin, pin_keys
 
 KEYS = 1200
 
@@ -80,9 +83,10 @@ def _histogram(hist) -> tuple:
 
 
 def serving_snapshot() -> dict:
-    """Everything the serving pins hold, keyed by rung."""
+    """The record of everything the serving pins hold, keyed by rung."""
     out = {}
-    with PSGraphContext(_cluster(), app_name="serve-pins") as ctx:
+    with PSGraphContext(_cluster(), app_name="serve-pins",
+                        tracer=Tracer()) as ctx:
         ranks = ctx.ps.create_vector("serve.ranks", KEYS)
         ranks.set(np.arange(KEYS), np.random.default_rng(3).random(KEYS))
         ctx.ps.create_embedding("serve.emb", KEYS, 8).psfunc(RandomInit(5))
@@ -129,7 +133,7 @@ def serving_snapshot() -> dict:
             metrics.histogram(SERVE_DEGRADED_LATENCY_H))
         out["ps_cache"] = (ctx.ps.pull_cache("serve.ranks").stats.hits,
                            ctx.ps.pull_cache("serve.ranks").stats.misses)
-    return out
+    return run_record(out, ctx.tracer, ctx.metrics)
 
 
 PAGERANK = {
@@ -145,10 +149,11 @@ PAGERANK_CELLS = [(variant, p, None) for variant in PAGERANK
 
 
 def pagerank_cell(variant: str, p: int, kill_after) -> tuple:
-    """``(sim_s, iterations, rank digest)`` of one batch PageRank run; a
-    mid-run ``kill_executor`` drops that executor's cached tables, so the
-    recomputed blocks must derive their scatter plan afresh."""
-    with PSGraphContext(_cluster(), app_name="pagerank-pins") as ctx:
+    """The record of one batch PageRank run (sim time, iterations, ranks);
+    a mid-run ``kill_executor`` drops that executor's cached tables, so
+    the recomputed blocks must derive their scatter plan afresh."""
+    with PSGraphContext(_cluster(), app_name="pagerank-pins",
+                        tracer=Tracer()) as ctx:
         src, dst = powerlaw_graph(400, 3000, seed=11)
         edges = edges_from_arrays(ctx.spark, src, dst, num_partitions=p)
         engine = None
@@ -163,8 +168,9 @@ def pagerank_cell(variant: str, p: int, kill_after) -> tuple:
             if engine is not None:
                 assert len(engine.fired) == 1
                 engine.detach()
-        return (ctx.sim_time(), result.iterations,
-                digest(result.output.collect()))
+        doc = {"sim_s": ctx.sim_time(), "iterations": result.iterations,
+               "ranks": digest(result.output.collect())}
+    return run_record(doc, ctx.tracer, ctx.metrics)
 
 
 SERVING_PINS = {'pinned': {'report': {'offered': 9000,
@@ -323,7 +329,8 @@ def serving():
 @pytest.mark.parametrize("rung", [r[0] for r in RUNGS]
                          + ["degraded", "ps_cache"])
 def test_serving_rung_is_pinned(serving, rung):
-    assert serving[rung] == SERVING_PINS[rung]
+    import json
+    assert serving[rung] == json.loads(json.dumps(SERVING_PINS[rung]))
 
 
 def test_every_drop_reason_is_exercised(serving):
@@ -337,8 +344,18 @@ def test_every_drop_reason_is_exercised(serving):
 
 @pytest.mark.parametrize("variant,p,kill_after", PAGERANK_CELLS)
 def test_pagerank_is_pinned(variant, p, kill_after):
-    assert pagerank_cell(variant, p, kill_after) == PAGERANK_PINS[
+    r = pagerank_cell(variant, p, kill_after)
+    assert (r["sim_s"], r["iterations"], r["ranks"]) == PAGERANK_PINS[
         (variant, p, kill_after)]
+
+
+PINNED = [(serving_snapshot, ())] + [(pagerank_cell, cell)
+                                     for cell in PAGERANK_CELLS]
+
+
+@pytest.mark.parametrize("fn, args", PINNED, ids=pin_keys(PINNED))
+def test_run_matches_its_ledger_line(fn, args):
+    pin(fn, *args)
 
 
 if __name__ == "__main__":

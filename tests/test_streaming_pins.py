@@ -14,15 +14,12 @@ gadget (60-69) that makes each window exercise a named case:
 * window 3 removes and re-adds an edge inside one window, drops the
   split-off 62 and attaches the untouched vertex 69.
 
-Per window the pin holds ``sim_time()``, every ``ps.*`` / ``streaming.*``
-counter, ``report.to_dict()`` and digests of the ranks, the component
-labels and the embedding rows.  The values were computed at commit
-``1309c35``; ``python tests/test_streaming_pins.py`` (with
-``PYTHONPATH=src:.``) prints the table again.
+Per window the run record holds ``sim_time()``, every ``ps.*`` /
+``streaming.*`` counter, ``report.to_dict()`` and digests of the ranks,
+the component labels and the embedding rows; with every span and every
+metric it is a line of the ledger (``tests/ledger.py``).  The values have
+held since commit ``1309c35``.
 """
-
-import pprint
-import textwrap
 
 import numpy as np
 
@@ -30,6 +27,8 @@ from repro.common.config import MB, ClusterConfig
 from repro.core.context import PSGraphContext
 from repro.datasets.generators import powerlaw_graph
 from repro.ingest.mutations import edge_adds, edge_dels, vertex_dels
+from repro.obs.determinism import run_record
+from repro.obs.tracer import Tracer
 from repro.streaming import (
     IncrementalComponents,
     IncrementalPageRank,
@@ -38,6 +37,7 @@ from repro.streaming import (
     StreamingGraph,
 )
 from tests.conftest import digest
+from tests.ledger import pin
 
 N = 70
 
@@ -69,12 +69,13 @@ def windows(src, dst):
 
 
 def run():
-    """One row per window: ``(sim_s, counters, report, ranks digest,
-    labels digest, embedding digest)``."""
+    """The run's record: per window, its sim time, counters, report and
+    the ranks, labels and embedding it leaves."""
     cluster = ClusterConfig(num_executors=4, executor_mem_bytes=256 * MB,
                             num_servers=2, server_mem_bytes=256 * MB)
-    rows = []
-    with PSGraphContext(cluster, app_name="streaming-pins") as ctx:
+    doc = {}
+    with PSGraphContext(cluster, app_name="streaming-pins",
+                        tracer=Tracer()) as ctx:
         src, dst = powerlaw_graph(60, 240, seed=5)
         g = StreamingGraph(ctx.ps, N, metrics=ctx.metrics)
         engine = StreamingEngine(g, measure_full=True)
@@ -88,16 +89,17 @@ def run():
         embedding = engine.register("embedding",
                                     OnlineEmbeddingRefresh(g, dim=4))
         engine.bootstrap()
-        for muts in windows(src, dst):
+        for window, muts in enumerate(windows(src, dst), start=1):
             report = engine.run_window(muts)
-            sim_s = ctx.sim_time()
-            counters = {k: v for k, v in sorted(ctx.metrics.snapshot().items())
-                        if k.startswith(("ps.", "streaming."))}
-            rows.append((sim_s, counters, report.to_dict(),
-                         digest(pagerank.ranks()),
-                         digest(components.assignments()),
-                         digest(embedding.vectors())))
-    return rows
+            doc[f"window {window}"] = {
+                "sim_s": ctx.sim_time(),
+                "counters": {k: v for k, v in ctx.metrics.snapshot().items()
+                             if k.startswith(("ps.", "streaming."))},
+                "report": report.to_dict(),
+                "ranks": digest(pagerank.ranks()),
+                "labels": digest(components.assignments()),
+                "embedding": digest(embedding.vectors())}
+    return run_record(doc, ctx.tracer, ctx.metrics)
 
 
 PINS = [
@@ -190,15 +192,16 @@ PINS = [
 
 def test_streaming_windows_match_parent_pins():
     got = run()
-    assert len(got) == len(PINS)
-    for window, (row, pin) in enumerate(zip(got, PINS), start=1):
-        for name, value, want in zip(
+    for window, pin_ in enumerate(PINS, start=1):
+        row = got[f"window {window}"]
+        for name, want in zip(
                 ("sim_s", "counters", "report", "ranks", "labels",
-                 "embedding"), row, pin):
-            assert value == want, f"window {window}: {name}"
+                 "embedding"), pin_):
+            assert row[name] == want, f"window {window}: {name}"
 
 
-if __name__ == "__main__":
-    for row in run():
-        text = pprint.pformat(row, width=74, sort_dicts=False)
-        print(textwrap.indent(text, "    ") + ",")
+PINNED = [(run, ())]
+
+
+def test_run_matches_its_ledger_line():
+    pin(run)

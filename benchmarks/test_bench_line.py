@@ -1,17 +1,14 @@
 """Sec. V-B2 benchmark: LINE epochs on DS1 (PSGraph only, as in the paper)."""
 
-from experiment_pins import assert_pinned
-
-from tests.ledger import pin_rows
-
 from repro.experiments.cells import run_cells
 from repro.experiments.harness import format_rows
 from repro.experiments.line_epochs import CELLS, PAPER_EPOCH_HOURS, epoch_rows
+from tests.ledger import pin_rows
 
 
 def test_bench_line_epochs(once, capsys):
     cell_rows = once(lambda: run_cells(CELLS))
-    pin_rows(CELLS, cell_rows)
+    pin_rows(CELLS, cell_rows, derive=epoch_rows)
     rows = [r for row in cell_rows for r in epoch_rows(row)]
     with capsys.disabled():
         print()
@@ -22,4 +19,3 @@ def test_bench_line_epochs(once, capsys):
     assert PAPER_EPOCH_HOURS / 5 < mean_row.projected < PAPER_EPOCH_HOURS * 5
     # Training makes progress.
     assert mean_row.extra["loss_decreased"]
-    assert_pinned("line", rows)

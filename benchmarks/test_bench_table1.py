@@ -6,18 +6,15 @@ systems reach comparable accuracy.  Every cell also holds its ledger
 line.
 """
 
-from experiment_pins import assert_pinned
-
-from tests.ledger import pin_rows
-
 from repro.experiments.cells import run_cells
 from repro.experiments.harness import format_rows
 from repro.experiments.table1 import CELLS, phase_rows
+from tests.ledger import pin_rows
 
 
 def test_bench_table1(once, capsys):
     cell_rows = once(lambda: run_cells(CELLS))
-    pin_rows(CELLS, cell_rows)
+    pin_rows(CELLS, cell_rows, derive=phase_rows)
     rows = [r for row in cell_rows for r in phase_rows(row)]
     with capsys.disabled():
         print()
@@ -37,4 +34,3 @@ def test_bench_table1(once, capsys):
     # Comparable accuracy, both well above the 20% chance level.
     assert abs(acc_euler - acc_ps) < 10.0
     assert min(acc_euler, acc_ps) > 60.0
-    assert_pinned("table1", rows)

@@ -9,13 +9,11 @@ Every row also holds its ledger line.
 """
 
 import pytest
-from experiment_pins import assert_pinned
-
-from tests.ledger import pin_rows
 
 from repro.experiments.cells import run_cells
 from repro.experiments.harness import format_rows
 from repro.experiments.table2 import CELLS, RECOVERY_CELLS, with_recovery_cost
+from tests.ledger import pin_rows
 
 
 def test_bench_table2(once, capsys):
@@ -36,7 +34,6 @@ def test_bench_table2(once, capsys):
     # Modest overhead, ordered as in the paper.
     assert base < t_exec <= t_server
     assert t_server < base * 1.6  # recovery is quick, not a rerun
-    assert_pinned("table2", rows)
     pin_rows(CELLS, rows)
 
 
@@ -52,5 +49,4 @@ def test_bench_table2_recovery(once, capsys):
     for system in ("PSGraph", "GraphX"):
         assert by_key[(system, "recovery")].extra["ranks_checksum"] \
             == pytest.approx(by_key[(system, "clean")].extra["ranks_checksum"])
-    assert_pinned("table2-recovery", rows)
     pin_rows(RECOVERY_CELLS, rows)

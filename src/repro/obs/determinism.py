@@ -132,12 +132,11 @@ def ledger_line(key: str, pinned: List[str]) -> str:
 
 
 def ledger_diff(key: str, record: Dict[str, object],
-                pinned: Optional[List[str]], shown: int = 5
-                ) -> Optional[str]:
+                pinned: Optional[List[str]]) -> Optional[str]:
     """``None`` when ``record``'s digests are the ``pinned`` ledger line.
     Otherwise the first segment that moved (a stage label, a result key
-    or ``metrics``), its first ``shown`` events in this run, and the
-    line that would replace the pinned one."""
+    or ``metrics``), its first five events in this run, and the line that
+    would replace the pinned one."""
     segs = segments(record)
     now = digests(segs)
     if now == pinned:
@@ -149,7 +148,7 @@ def ledger_diff(key: str, record: Dict[str, object],
                  if a != b)
         label, events = segs[i] if i < len(segs) else (END, [])
         head = [f"{key}: segment {i} ({label}) moved; its first events now:"]
-        head += [f"    {e}" for e in events[:shown]]
+        head += [f"    {e}" for e in events[:5]]
     return "\n".join(head + ["replacement line:", ledger_line(key, now)])
 
 

@@ -19,12 +19,11 @@ reason in CHANGES.md.  Arrays enter a result document only through
 
 import importlib
 import json
+import sys
 import zlib
 from dataclasses import replace
 from pathlib import Path
-from typing import Callable, Dict, List, Sequence
-
-import pytest
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.common.metrics import MetricsRegistry
 from repro.experiments import (
@@ -37,7 +36,7 @@ from repro.experiments import (
 )
 from repro.experiments.cells import Cell
 from repro.experiments.harness import ExperimentRow
-from repro.obs.determinism import ledger_diff, run_record
+from repro.obs.determinism import digests, ledger_diff, run_record, segments
 from repro.obs.tracer import Tracer
 
 LEDGER_PATH = Path(__file__).resolve().parent / "determinism_ledger.json"
@@ -70,21 +69,29 @@ def cell_text(cell: Cell) -> str:
     return repr(replace(cell, paper=None, unit=Cell.unit))
 
 
-def cell_token(cell: Cell) -> str:
-    """8 hex digits of :func:`cell_text`."""
-    return f"{zlib.crc32(cell_text(cell).encode()):08x}"
-
-
 def cell_key(cell: Cell) -> str:
-    """A row's identity and its cell's token."""
-    return (f"{cell.experiment} {cell.system} {cell.dataset} {cell.label} "
-            f"#{cell_token(cell)}")
+    """A row's identity and 8 hex digits of its :func:`cell_text`."""
+    token = zlib.crc32(cell_text(cell).encode())
+    return f"{cell.experiment} {cell.system} {cell.dataset} {cell.label} " \
+        f"#{token:08x}"
 
 
-def check(key: str, record: Dict[str, object]) -> None:
-    """Fail unless ``record``'s segment digests are ``key``'s line."""
-    diff = ledger_diff(key, record, LEDGER.get(key))
+def check(key: str, record: Dict[str, object],
+          label: Optional[str] = None) -> None:
+    """Fail unless ``record``'s segment digests are ``key``'s line.  With
+    ``label`` (a result key), only that segment counts: result keys and
+    ``metrics`` end a record in a fixed order, so it is found from the end
+    whatever the stages before it did."""
+    pinned = LEDGER.get(key)
+    if label is not None and pinned is not None:
+        segs = segments(record)
+        i = [name for name, _ in segs].index(label) - len(segs)
+        if digests([segs[i]]) == pinned[i:][:1]:
+            return
+    diff = ledger_diff(key, record, pinned)
     if diff is not None:
+        import pytest  # not at import: key listings need no test runner
+
         pytest.fail(f"{diff}\n(from {LEDGER_PATH.name})", pytrace=False)
 
 
@@ -101,6 +108,14 @@ def pin_keys(pinned: Sequence) -> List[str]:
     return [runner_key(fn, *args) for fn, args in pinned]
 
 
+def assert_every_cell_pinned(pinned: Sequence) -> None:
+    """The ledger's lines for a pin file's runners are its cells, exactly."""
+    keys = pin_keys(pinned)
+    modules = {key.split(".", 1)[0] for key in keys}
+    assert sorted(key for key in LEDGER
+                  if key.split(".", 1)[0] in modules) == sorted(keys)
+
+
 def row_doc(row: ExperimentRow) -> Dict[str, object]:
     """An experiment row as a result document: every field but the
     identity (in the key), the paper's value and the host time."""
@@ -114,25 +129,28 @@ def doc_record(doc: Dict[str, object]) -> Dict[str, object]:
     return run_record(doc, Tracer(), MetricsRegistry())
 
 
-def pin_rows(cells: Sequence[Cell], rows: Sequence[ExperimentRow]) -> None:
+def pin_rows(cells: Sequence[Cell], rows: Sequence[ExperimentRow],
+             derive: Optional[Callable] = None) -> None:
     """Check each row ``run_cells(cells)`` returned against its cell's
-    line: the full row, no tolerance."""
+    line: the full row, no tolerance, and with ``derive`` (Table I's
+    phases, LINE's epochs) every row the benchmark derives from it."""
     assert len(cells) == len(rows)
     for cell, row in zip(cells, rows):
         assert (row.experiment, row.system, row.dataset, row.algorithm) \
             == (cell.experiment, cell.system, cell.dataset, cell.label)
-        check(cell_key(cell), doc_record(row_doc(row)))
-
-
-def experiment_keys() -> List[str]:
-    """Every key the paper-verdict benchmarks check."""
-    return [cell_key(c) for c in EXPERIMENT_CELLS] \
-        + [runner_key(ablations.ablation_partitioners)]
+        doc = row_doc(row)
+        if derive is not None:
+            doc["derived"] = {r.algorithm: row_doc(r) for r in derive(row)}
+        check(cell_key(cell), doc_record(doc))
 
 
 def registered_keys() -> List[str]:
     """Every key a test or a paper-verdict benchmark checks."""
-    keys = experiment_keys()
-    for name in PIN_FILES:
-        keys += pin_keys(importlib.import_module(f"tests.{name}").PINNED)
+    keys = [cell_key(c) for c in EXPERIMENT_CELLS] \
+        + [runner_key(ablations.ablation_partitioners)]
+    for name in PIN_FILES:  # as pytest imported it, or afresh
+        module = sys.modules.get(name)
+        if module is None or Path(module.__file__).parent != LEDGER_PATH.parent:
+            module = importlib.import_module(f"tests.{name}")
+        keys += pin_keys(module.PINNED)
     return keys

@@ -34,7 +34,10 @@ from repro.datasets.tencent import write_edges
 from repro.obs.determinism import run_record
 from repro.obs.tracer import NOOP_TRACER, Tracer
 from tests.conftest import digest
-from tests.ledger import pin, pin_keys
+from tests.ledger import pin
+
+
+LINE_CELLS = [(1, True), (1, False), (2, True), (2, False)]
 
 
 def make_psg(num_executors=3, num_servers=2, tracer=NOOP_TRACER):
@@ -172,17 +175,7 @@ class TestCommonNeighbor:
             common_neighbor_reference(src, dst))
 
     def test_golden_sim_metrics(self):
-        """Sim clock and PS metering of a fixed run, pinned to the last bit
-        at the values the per-vertex list path charged: the block path
-        moves the same bytes in the same calls."""
-        r = common_neighbor_metering()
-        assert r["rows"] == 150
-        assert r["sim_s"] == 0.001029206133333334
-        assert r["pull_bytes"] == 10264.0
-        assert r["push_bytes"] == 2416.0
-        assert r["rpc_calls"] == 40.0
-        # Compacted tables checkpoint as {"csr": (vertices, indptr, indices)}.
-        assert r["checkpoint_bytes"] == 3596.0
+        pin(common_neighbor_metering)
 
     def test_pulls_from_ps(self, psg):
         src, dst = powerlaw_graph(30, 80, seed=17)
@@ -387,29 +380,13 @@ class TestLine:
         with pytest.raises(ValueError):
             Line(order=3)
 
-    @pytest.mark.parametrize("order,use_psfunc,digest", [
-        (1, True, "8c2ade36d59f1af1"), (1, False, "375cc40510f58eda"),
-        (2, True, "54895f666163a25b"), (2, False, "210e6c49a1ebbd3d"),
-    ])
-    def test_final_embedding_is_pinned(self, order, use_psfunc, digest):
-        import hashlib
-
-        from tests.conftest import digest as dg
-        psg = make_psg(num_servers=3)
-        try:
-            src, dst, _ = community_graph(
-                60, 3, avg_degree=8, mixing=0.05, seed=21
-            )
-            edges = edges_from_arrays(psg.spark, src, dst)
-            result = Line(dim=8, order=order, epochs=2, lr=0.1, negative=3,
-                          batch_size=64, use_psfunc=use_psfunc
-                          ).transform(psg, edges)
-            emb = result.stats["embedding"]
-            rows = emb.pull_rows(np.arange(emb.shape[0]))
-            assert hashlib.sha256(rows.tobytes()).hexdigest()[:16] == digest
-            assert line_embedding(order, use_psfunc)["embedding"] == dg(rows)
-        finally:
-            psg.stop()
+    # The ids are the names these cells have always run under (each once
+    # asserted the sha256 of the embedding that its ledger line now holds).
+    @pytest.mark.parametrize("order,use_psfunc", LINE_CELLS, ids=[
+        "1-True-8c2ade36d59f1af1", "1-False-375cc40510f58eda",
+        "2-True-54895f666163a25b", "2-False-210e6c49a1ebbd3d"])
+    def test_final_embedding_is_pinned(self, order, use_psfunc):
+        pin(line_embedding, order, use_psfunc)
 
 
 class TestRunner:
@@ -532,8 +509,9 @@ class TestGraphSageAggregators:
 
 def common_neighbor_metering():
     """The record of a fixed CommonNeighbor run with a checkpoint: rows
-    scored, and the sim clock and PS metering after it, as the
-    per-vertex list path charged them."""
+    scored, and the sim clock and PS metering after it, to the last bit at
+    the values the per-vertex list path charged: the block path moves the
+    same bytes in the same calls."""
     psg = make_psg(tracer=Tracer())
     try:
         src, dst = powerlaw_graph(40, 150, seed=16)
@@ -577,6 +555,5 @@ def line_embedding(order, use_psfunc):
     return run_record(doc, psg.tracer, psg.metrics)
 
 
-PINNED = [(common_neighbor_metering, ())] + [
-    (line_embedding, (order, use_psfunc))
-    for order in (1, 2) for use_psfunc in (True, False)]
+PINNED = [(common_neighbor_metering, ())] + [(line_embedding, cell)
+                                             for cell in LINE_CELLS]

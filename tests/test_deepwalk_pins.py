@@ -21,7 +21,7 @@ from repro.datasets.generators import community_graph
 from repro.obs.determinism import run_record
 from repro.obs.tracer import Tracer
 from tests.conftest import digest
-from tests.ledger import pin, pin_keys
+from tests.ledger import pin
 
 
 def run_cell(walk_length: int):
@@ -45,24 +45,9 @@ def run_cell(walk_length: int):
     return run_record(doc, ctx.tracer, ctx.metrics)
 
 
-PINS = {
-    1:
-        (0.0007888111999999999, 2400, 4000, '2b5d813857a2d071'),
-    6:
-        (0.0042175304, 58008, 4000, '97e2eab31f476a13'),
-}
+PINNED = [(run_cell, (walk_length,)) for walk_length in (1, 6)]
 
 
 @pytest.mark.parametrize("walk_length", [1, 6])
 def test_deepwalk_matches_parent_pin(walk_length):
-    r = run_cell(walk_length)
-    assert (r["sim_s"], r["pull_bytes"], r["push_bytes"], r["embedding"]) \
-        == PINS[walk_length]
-
-
-PINNED = [(run_cell, (walk_length,)) for walk_length in (1, 6)]
-
-
-@pytest.mark.parametrize("fn, args", PINNED, ids=pin_keys(PINNED))
-def test_run_matches_its_ledger_line(fn, args):
-    pin(fn, *args)
+    pin(run_cell, walk_length)

@@ -12,7 +12,7 @@ from repro.obs.determinism import run_record
 from repro.obs.tracer import NOOP_TRACER, Tracer
 from repro.torchlite.script import ScriptModule
 from repro.torchlite.tensor import Tensor
-from tests.ledger import pin, pin_keys
+from tests.ledger import pin
 
 
 def make_psg(num_executors=3, num_servers=2, tracer=NOOP_TRACER):
@@ -21,6 +21,9 @@ def make_psg(num_executors=3, num_servers=2, tracer=NOOP_TRACER):
         num_servers=num_servers, server_mem_bytes=1 << 40,
     )
     return PSGraphContext(cluster, tracer=tracer)
+
+
+LOSS_CELLS = [("mean", None), ("pool", None), ("lstm", (5, 3))]
 
 
 @pytest.fixture
@@ -110,16 +113,12 @@ class TestGraphSageTraining:
 
 
 class TestPinnedLosses:
-    @pytest.mark.parametrize("aggregator,kwargs,losses", [
-        ("mean", {}, ["0x1.bc7ee033d2021p+0", "0x1.db42dd9b407f3p-1"]),
-        ("pool", {}, ["0x1.38b4b3ce65ab2p+0", "0x1.434c760083df9p-1"]),
-        ("lstm", {"fanouts": (5, 3)},
-         ["0x1.3c1ef1df67a31p-1", "0x1.88479b1477618p-2"]),
-    ])
-    def test_epoch_losses_are_pinned(self, aggregator, kwargs, losses):
-        r = epoch_losses(aggregator, *kwargs.values())
-        got = [float(x).hex() for x in r["epoch_losses"]]
-        assert got == losses
+    # The ids are the names these cells have always run under.
+    @pytest.mark.parametrize("aggregator,fanouts", LOSS_CELLS, ids=[
+        "mean-kwargs0-losses0", "pool-kwargs1-losses1",
+        "lstm-kwargs2-losses2"])
+    def test_epoch_losses_are_pinned(self, aggregator, fanouts):
+        pin(epoch_losses, aggregator, fanouts)
 
 
 class TestLstmAggregator:
@@ -258,7 +257,7 @@ class TestSamplingDraws:
         assert a.random() == b.random()  # the streams stay in step
 
 
-def epoch_losses(aggregator, fanouts=None):
+def epoch_losses(aggregator, fanouts):
     """The record of a two-epoch run: its exact epoch losses, from before
     ``segment_mean``, ``segment_max`` and the gather backward moved off
     2-D ``ufunc.at``; one aggregator per kernel.  A BLAS that sums in
@@ -278,5 +277,4 @@ def epoch_losses(aggregator, fanouts=None):
     return run_record(doc, psg.tracer, psg.metrics)
 
 
-PINNED = [(epoch_losses, ("mean",)), (epoch_losses, ("pool",)),
-          (epoch_losses, ("lstm", (5, 3)))]
+PINNED = [(epoch_losses, cell) for cell in LOSS_CELLS]

@@ -25,7 +25,7 @@ from repro.graphx.graph import Graph
 from repro.obs.determinism import run_record
 from repro.obs.tracer import Tracer
 from tests.conftest import digest, make_context
-from tests.ledger import pin, pin_keys
+from tests.ledger import LEDGER, assert_every_cell_pinned, pin, runner_key
 
 
 def _powerlaw400():
@@ -92,88 +92,23 @@ OOM_CELLS = [
     ("pagerank", "powerlaw400", 16, 60_000),
 ]
 
-PINS = {
-    ('pagerank', 'powerlaw400', 4, None):
-        (0.014748684, 418000, 418000, 320, '9aea16d7c52ed26d'),
-    ('pagerank', 'powerlaw400', 16, None):
-        (0.017337799733333336, 737456, 737456, 5120, '03d7a78fd17259c6'),
-    ('pagerank', 'tiny6', 8, None):
-        (0.0011468583999999999, 5744, 5744, 260, 'eb1f63574b9c5e0d'),
-    ('connected_components', 'powerlaw400', 4, None):
-        (0.017154986666666667, 487616, 487616, 384, '9bf487f59cd076c8'),
-    ('connected_components', 'powerlaw400', 16, None):
-        (0.019071948800000002, 698688, 698688, 6144, '9bf487f59cd076c8'),
-    ('connected_components', 'tiny6', 8, None):
-        (0.0007294648, 4176, 4176, 210, '7283f3bafb4df52b'),
-    ('kcore', 'powerlaw400', 4, None):
-        (0.02791229226666666, 851792, 851792, 480, 'a68d6e83c3cd3afb'),
-    ('kcore', 'powerlaw400', 16, None):
-        (0.031190560000000006, 1198128, 1198128, 7680, 'a68d6e83c3cd3afb'),
-    ('kcore', 'tiny6', 8, None):
-        (0.0004948874666666667, 2768, 2768, 138, 'fb9117ddc9e635ae'),
-    ('triangle_count', 'powerlaw400', 4, None):
-        (0.0094261034, 396338, 396338, 128, 'd40fbd13d527595c'),
-    ('triangle_count', 'powerlaw400', 16, None):
-        (0.0114792432, 823976, 823976, 2048, 'd40fbd13d527595c'),
-    ('triangle_count', 'tiny6', 8, None):
-        (0.000490848, 2736, 2736, 108, 'd4735e3a265e16ee'),
-    ('common_neighbor', 'powerlaw400', 4, None):
-        (0.006954695299999999, 572264, 572264, 128, '5b051a8e6513b4a1'),
-    ('common_neighbor', 'powerlaw400', 16, None):
-        (0.009017198933333335, 872440, 872440, 2046, '622dc1f6c81b34f7'),
-    ('common_neighbor', 'tiny6', 8, None):
-        (0.0008763232000000001, 1992, 1992, 70, 'f14150617f81b31c'),
-    ('fast_unfolding', 'powerlaw400', 4, None):
-        (0.056669875733333305, 1838352, 1838352, 1244, '63fc63b7e36efe29'),
-    ('fast_unfolding', 'powerlaw400', 16, None):
-        (0.06469864693333337, 2643552, 2643552, 17464, '63fc63b7e36efe29'),
-    ('fast_unfolding', 'tiny6', 8, None):
-        (0.002818498400000001, 22896, 22896, 1238, '0757a08b14de6cc3'),
-    ('kcore', 'powerlaw400', 4, 300000):
-        (0.023966306666666663, 755408, 736448, 448, 'c075d72cfc75a20f'),
-    ('triangle_count', 'powerlaw400', 4, 150000):
-        (0.006227109066666667, 142624, 142624, 64, '2c8435fb4ae8296e'),
-    ('triangle_count', 'powerlaw400', 4, 200000):
-        (0.006618674233333333, 349026, 194097, 96, '2958770a11485da8'),
-    ('pagerank', 'powerlaw400', 16, 60000):
-        (0.00012544533333333334, 68432, 4240, 512, '49eda29c0f2af8e7'),
-}
-
-
-@pytest.mark.parametrize("key", list(PINS), ids=str)
-def test_cell_matches_parent_pin(key):
-    algo, graph, p, mem = key
-    r = run_cell(algo, graph, p, mem)
-    assert (r["sim_s"], r["bytes_written"], r["bytes_read"], r["records"],
-            r["output"]) == PINS[key]
-
-
-def test_every_cell_is_pinned():
-    want = {(a, g, p, None)
-            for a in [*ALGOS, "fast_unfolding"] for g, p in CELLS}
-    want |= set(OOM_CELLS)
-    assert set(PINS) == want
-
-
-def test_oom_cells_really_oom():
-    for key in OOM_CELLS:
-        *_counters, digest = PINS[key]
-        assert digest != run_cell(*key[:3])["output"]
-
-
-PINNED = [(run_cell, (a, g, p)) for a in [*ALGOS, "fast_unfolding"]
+PINNED = [(run_cell, (a, g, p, None)) for a in [*ALGOS, "fast_unfolding"]
           for g, p in CELLS] + [(run_cell, cell) for cell in OOM_CELLS]
 
 
-@pytest.mark.parametrize("fn, args", PINNED, ids=pin_keys(PINNED))
-def test_run_matches_its_ledger_line(fn, args):
-    pin(fn, *args)
+@pytest.mark.parametrize("key", [args for _fn, args in PINNED], ids=str)
+def test_cell_matches_parent_pin(key):
+    pin(run_cell, *key)
 
 
-if __name__ == "__main__":
-    for a in [*ALGOS, "fast_unfolding"]:
-        for g, p in CELLS:
-            print(f"    {(a, g, p, None)!r}:\n        "
-                  f"{run_cell(a, g, p)!r},")
+def test_every_cell_is_pinned():
+    assert_every_cell_pinned(PINNED)
+
+
+def test_oom_cells_really_oom():
+    """An OOM cell's output (the OOM message) is not its full run's: the
+    ``output`` segments of their ledger lines differ."""
+    output = -4  # bytes_read, bytes_written, output, records, sim_s, metrics
     for key in OOM_CELLS:
-        print(f"    {key!r}:\n        {run_cell(*key)!r},")
+        assert LEDGER[runner_key(run_cell, *key)][output] \
+            != LEDGER[runner_key(run_cell, *key[:3], None)][output]

@@ -6,8 +6,6 @@ here as the reference — and the pipeline's failure behaviour to the
 parent's.  (``tests/test_graphx_pins.py`` pins the end-to-end numbers.)
 """
 
-import hashlib
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -386,38 +384,30 @@ class TestExecutorLossMidJoin:
 # ----------------------------------------------------------------------
 
 
-def test_common_neighbor_ds1_output_and_sim_clock_are_the_parents():
-    r = common_neighbor_ds1()
-    assert r["shape"] == [110_000, 3]
-    assert r["sim_s"] == 0.1144533453333334
-    assert r["bytes_written"] == 206_217_504
-    assert r["bytes_read"] == 206_217_504
-    assert r["records"] == 335_642
-
-
 def common_neighbor_ds1():
     """GraphX CommonNeighbor on DS1 at 1e-5, seed 7: 11-14 s of host time
     at commit 03d9a46 (2 P^2 ``np.unique`` calls per chunk), ~2 s now; the
-    record holds rows, sim seconds and shuffle bytes as they were."""
+    record holds rows, sim seconds and shuffle bytes as they were, and
+    every metric.  It runs untraced: its 32,698 spans would double the
+    run's host time."""
     spec = ds1_spec(1e-5)
     src, dst = generate_edges(spec, 7)
-    ctx = SparkContext(graphx_config_ds1().scaled(spec.scale),
-                       tracer=Tracer())
+    ctx = SparkContext(graphx_config_ds1().scaled(spec.scale))
     try:
         graph = Graph.from_edges(ctx, src, dst)
         rows = np.asarray(gx.common_neighbor(graph, num_chunks=32),
                           dtype=np.int64)
         doc = {"shape": rows.shape, "rows": digest(rows),
                "sim_s": ctx.sim_time(),
-               "bytes_written": ctx.metrics.get("dataflow.shuffle.bytes_written"),
-               "bytes_read": ctx.metrics.get("dataflow.shuffle.bytes_read"),
-               "records": ctx.metrics.get("dataflow.shuffle.records")}
-        import hashlib
-        assert hashlib.sha256(rows.tobytes()).hexdigest()[:16] \
-            == "bf59748ca177b478"
+               **{key: ctx.metrics.get(f"dataflow.shuffle.{key}")
+                  for key in ("bytes_written", "bytes_read", "records")}}
     finally:
         ctx.stop()
-    return run_record(doc, ctx.tracer, ctx.metrics)
+    return run_record(doc, Tracer(), ctx.metrics)
 
 
 PINNED = [(common_neighbor_ds1, ())]
+
+
+def test_common_neighbor_ds1_output_and_sim_clock_are_the_parents():
+    pin(common_neighbor_ds1)

@@ -8,7 +8,6 @@ import os
 import re
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -270,7 +269,7 @@ def test_different_seeds_actually_differ():
 # the ledger
 # ----------------------------------------------------------------------
 
-def test_ledger_is_every_workload_and_every_pinned_cell():
+def test_ledger_pins_every_workload():
     """One line per key, sorted; no stale line and no unpinned cell."""
     keys = registered_keys()
     assert len(keys) == len(set(keys))
@@ -279,24 +278,18 @@ def test_ledger_is_every_workload_and_every_pinned_cell():
         ledger_line(key, LEDGER[key]) for key in sorted(LEDGER)) + "\n}\n"
 
 
-_KEYS = ("import sys; sys.path[:0] = ['src', '.']\n"
-         "from tests.ledger import EXPERIMENT_CELLS, cell_text, "
-         "registered_keys\n"
-         "print('\\n'.join(registered_keys()))\n"
-         "print('\\n'.join(map(cell_text, EXPERIMENT_CELLS)))\n")
-
-
 def test_keys_and_cell_tokens_are_stable_across_processes():
     """A key that varied between processes would make the ledger flaky:
     no key or tokenized cell text holds an object address, and both are
     the same under two hash seeds as here."""
-    root = Path(__file__).resolve().parent.parent
+    code = ("import sys; sys.path[:0] = ['src', '.']; from tests import "
+            "ledger as L; print(*L.registered_keys(), *map(L.cell_text, "
+            "L.EXPERIMENT_CELLS), sep='\\n')")
     procs = [subprocess.Popen(
-        [sys.executable, "-c", _KEYS], cwd=root, text=True,
-        stdout=subprocess.PIPE, env={**os.environ, "PYTHONHASHSEED": seed})
-        for seed in ("0", "1")]
+        [sys.executable, "-c", code], cwd=LEDGER_PATH.parent.parent,
+        text=True, stdout=subprocess.PIPE,
+        env={**os.environ, "PYTHONHASHSEED": seed}) for seed in ("0", "1")]
     outs = [p.communicate(timeout=120)[0] for p in procs]
-    assert all(p.returncode == 0 for p in procs)
     here = "\n".join(registered_keys() + [cell_text(c)
                                           for c in EXPERIMENT_CELLS]) + "\n"
     assert outs == [here, here]

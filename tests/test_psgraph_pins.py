@@ -37,7 +37,7 @@ from repro.obs.determinism import run_record
 from repro.obs.tracer import Tracer
 from repro.ps.context import PSContext
 from tests.conftest import digest, table_block
-from tests.ledger import pin, pin_keys
+from tests.ledger import assert_every_cell_pinned, pin
 
 
 def _psg(executors: int = 4, servers: int = 2) -> PSGraphContext:
@@ -122,83 +122,6 @@ def run_cell(algo: str, graph: str, p: int):
     return run_record(doc, ctx.tracer, ctx.metrics)
 
 
-PINS = {
-    ('tables_directed', 'powerlaw400', 4):
-        (0.0004499864, 48768, 48768, 16, 'a50b5dc5a8b7acea'),
-    ('tables_directed', 'powerlaw400', 16):
-        (0.000732848, 60288, 60288, 256, '3614a4571db47039'),
-    ('tables_directed', 'tiny6', 8):
-        (0.00016148079999999998, 576, 576, 9, '23e76e5532c07b05'),
-    ('tables_symmetric_dedupe', 'powerlaw400', 4):
-        (0.0007898498666666667, 97408, 97408, 32, '633742baa5df1c2c'),
-    ('tables_symmetric_dedupe', 'powerlaw400', 16):
-        (0.0011945514666666665, 118528, 118528, 512, '70049cd21594a3b6'),
-    ('tables_symmetric_dedupe', 'tiny6', 8):
-        (0.0001688304, 1064, 1064, 17, '9e8da9704be83e84'),
-    ('tables_weighted', 'powerlaw400', 4):
-        (0.0009899874666666666, 145408, 145408, 32, 'c2911f38862ffab6'),
-    ('tables_weighted', 'powerlaw400', 16):
-        (0.0013946890666666667, 166528, 166528, 512, 'b40bdb9c1bac6e90'),
-    ('tables_weighted', 'tiny6', 8):
-        (0.00016965520000000002, 1208, 1208, 17, '89b187ddc83211c9'),
-    ('tables_weighted_dedupe', 'powerlaw400', 4):
-        (0.0005495472, 72768, 72768, 16, '7208e0d405c5cf1d'),
-    ('tables_weighted_dedupe', 'powerlaw400', 16):
-        (0.0008324088, 84288, 84288, 256, '683ca396be04f829'),
-    ('tables_weighted_dedupe', 'tiny6', 8):
-        (0.00016189280000000002, 648, 648, 9, 'aeb892af7c0950e6'),
-    ('pagerank', 'powerlaw400', 4):
-        (0.0018187792, 48768, 48768, 16, 'e4480bb27a206d07'),
-    ('pagerank', 'powerlaw400', 16):
-        (0.0038115008, 60288, 60288, 256, 'ff90ca39df31f5d7'),
-    ('pagerank', 'tiny6', 8):
-        (0.0013808184000000004, 576, 576, 9, 'a0ada697f142a17f'),
-    ('common_neighbor', 'powerlaw400', 4):
-        (0.006391306666666657, 97408, 97408, 32, 'eb82e4ab317e4f81'),
-    ('common_neighbor', 'powerlaw400', 16):
-        (0.0072137602666666675, 118528, 118528, 512, '1cd8cdf2df7dd494'),
-    ('common_neighbor', 'tiny6', 8):
-        (0.00038268160000000005, 1064, 1064, 17, '10f6813a6028ba8e'),
-    ('triangle_count', 'powerlaw400', 4):
-        (0.005635201066666663, 97408, 97408, 32, 'e68777a7eadd24e0'),
-    ('triangle_count', 'powerlaw400', 16):
-        (0.006401372266666667, 118528, 118528, 512, 'e68777a7eadd24e0'),
-    ('triangle_count', 'tiny6', 8):
-        (0.00043157039999999996, 1064, 1064, 17, 'e77697b130f284fa'),
-    ('kcore', 'powerlaw400', 4):
-        (0.0037851170666666667, 97408, 97408, 32, '2cdd230a7eb83e88'),
-    ('kcore', 'powerlaw400', 16):
-        (0.006980473066666666, 118528, 118528, 512, '0624efeaa9665656'),
-    ('kcore', 'tiny6', 8):
-        (0.0008363792, 1064, 1064, 17, '11eb3a3f77ca6f6e'),
-    ('connected_components', 'powerlaw400', 4):
-        (0.0023613882666666665, 97408, 97408, 32, 'e4a337a9f009b725'),
-    ('connected_components', 'powerlaw400', 16):
-        (0.004268351466666666, 118528, 118528, 512, '15c5d5771a7bcd83'),
-    ('connected_components', 'tiny6', 8):
-        (0.0008861536000000001, 1064, 1064, 17, 'a5218f04704fbd26'),
-    ('label_propagation', 'powerlaw400', 4):
-        (0.0024208378666666667, 97408, 97408, 32, '4219735bd388d816'),
-    ('label_propagation', 'powerlaw400', 16):
-        (0.004364076266666666, 118528, 118528, 512, '6d0d0ddcf8e02295'),
-    ('label_propagation', 'tiny6', 8):
-        (0.0008864128, 1064, 1064, 17, '9c9c8caa3d32a385'),
-    ('fast_unfolding', 'powerlaw400', 4):
-        (0.011970378666666656, 389584, 518304, 2935, '1d08dcbf300da706'),
-    ('fast_unfolding', 'powerlaw400', 16):
-        (0.026966542666666662, 532104, 671816, 6136, '51a277bb99ae4378'),
-    ('fast_unfolding', 'tiny6', 8):
-        (0.0024122509333333337, 1952, 2280, 29, '4d98fd294b7fea2f'),
-}
-
-
-@pytest.mark.parametrize("key", list(PINS), ids=str)
-def test_cell_matches_parent_pin(key):
-    r = run_cell(*key)
-    assert (r["sim_s"], r["bytes_written"], r["bytes_read"], r["records"],
-            r["output"]) == PINS[key]
-
-
 def _multiblock(spark, p):
     # Three weighted blocks in every partition (slices of uneven length):
     # the aggregation's map side sees several blocks per task, with the
@@ -231,34 +154,6 @@ def run_fast_unfolding_cell(p: int):
     finally:
         ctx.stop()
     return run_record(doc, ctx.tracer, ctx.metrics)
-
-
-#: Computed at commit ``25f8957`` (``_aggregate`` as boxed ``(pair key,
-#: weight)`` records through ``reduce_by_key``).
-FAST_UNFOLDING_PINS = {
-    1: (0.021185942133333666,
-        {'dataflow.shuffle.bytes_read': 843848,
-         'dataflow.shuffle.bytes_written': 542864,
-         'dataflow.shuffle.records': 4177},
-        (26296, 255980, 25640, 26200), 'b92914c9f0510d8c'),
-    4: (0.018689495733333315,
-        {'dataflow.shuffle.bytes_read': 975776,
-         'dataflow.shuffle.bytes_written': 613232,
-         'dataflow.shuffle.records': 5452},
-        (73560, 87140, 80180, 91580), 'ece7d90bbf52e5f6'),
-    16: (0.035617125866666655,
-         {'dataflow.shuffle.bytes_read': 1219968,
-          'dataflow.shuffle.bytes_written': 835736,
-          'dataflow.shuffle.records': 10539},
-         (34536, 31800, 33024, 33120), 'f850892d6f09cb66'),
-}
-
-
-@pytest.mark.parametrize("p", [1, 4, 16])
-def test_fast_unfolding_aggregation_matches_parent_pin(p):
-    r = run_fast_unfolding_cell(p)
-    assert (r["sim_s"], r["shuffle"], tuple(r["peaks"]), r["output"]) \
-        == FAST_UNFOLDING_PINS[p]
 
 
 # ----------------------------------------------------------------------
@@ -364,61 +259,6 @@ def run_ps_ops_cell(kind: str, p: int):
 
 PS_OPS_CELLS = [(kind, p) for kind in ("hash", "range", "hash-range")
                 for p in (1, 3, 8)]
-
-#: Computed at commit ``b921050`` (every operation split per partition and
-#: executed by ``PSServer.pull / push / set / get_neighbors / degrees``).
-PS_OPS_PINS = {
-    ('hash', 1):
-        ('92afebf87a93e959', 0.0018928012,
-         (8.248000000000005e-07, 0.0, 0.0),
-         '8efe4ef33c3978d8', (7392, 0, 0),
-         'ba66afa55b6a6f3a'),
-    ('hash', 3):
-        ('92afebf87a93e959', 0.0018764060000000002,
-         (2.827999999999999e-07, 2.751999999999999e-07, 2.667999999999999e-07),
-         '2e401b1e6946c61b', (2520, 2464, 2424),
-         'dde1ed05dda4d728'),
-    ('hash', 8):
-        ('92afebf87a93e959', 0.0018776324,
-         (3.2319999999999993e-07, 3.079999999999998e-07, 1.9359999999999988e-07),
-         '1204d92ff7753678', (2824, 2808, 1816),
-         '1c656ac714cec1d5'),
-    ('range', 1):
-        ('92afebf87a93e959', 0.0018928012,
-         (8.248000000000005e-07, 0.0, 0.0),
-         '8efe4ef33c3978d8', (7392, 0, 0),
-         'ba66afa55b6a6f3a'),
-    ('range', 3):
-        ('92afebf87a93e959', 0.0018767196000000004,
-         (2.761999999999999e-07, 2.981999999999999e-07, 2.503999999999998e-07),
-         'b1b1efbd6086b0a5', (2328, 2688, 2392),
-         'a758b75a196e40a0'),
-    ('range', 8):
-        ('92afebf87a93e959', 0.0018779524,
-         (3.2699999999999974e-07, 3.065999999999998e-07, 1.9120000000000012e-07),
-         '73b8df01f3778ec4', (2680, 3000, 1768),
-         '96c9ae06d687ffcd'),
-    ('hash-range', 1):
-        ('92afebf87a93e959', 0.0018928012,
-         (8.248000000000005e-07, 0.0, 0.0),
-         '8efe4ef33c3978d8', (7392, 0, 0),
-         'ba66afa55b6a6f3a'),
-    ('hash-range', 3):
-        ('92afebf87a93e959', 0.001877014,
-         (3.0480000000000003e-07, 2.914e-07, 2.2860000000000002e-07),
-         '8f0b74bfbfeb8ca4', (2616, 2680, 2112),
-         '68865034426dedc1'),
-    ('hash-range', 8):
-        ('92afebf87a93e959', 0.0018776324,
-         (3.2319999999999993e-07, 3.079999999999998e-07, 1.9359999999999988e-07),
-         '1204d92ff7753678', (2824, 2808, 1816),
-         '1c656ac714cec1d5'),
-}
-
-
-@pytest.mark.parametrize("cell", PS_OPS_CELLS, ids=str)
-def test_ps_ops_match_parent_pin(cell):
-    assert _old(run_ps_ops_cell(*cell)) == PS_OPS_PINS[cell]
 
 
 # ----------------------------------------------------------------------
@@ -544,32 +384,11 @@ def run_column_cell(servers: int, p: int):
 
 COLUMN_CELLS = [(3, 1), (3, 3), (3, 5), (3, 30), (30, 5), (30, 30)]
 
-#: Computed at commit ``a4f296a`` (every column shard, optimizer step,
-#: psFunc and table write executed by its ``PSServer`` handler).
-COLUMN_PINS = {
-    (3, 1):
-        ('b2004e0ef827ef50', 30.003921372000004, (30.002415280800005, 30.002414352, 30.002414352), '9e9732009fd54007', (2800, 0, 0), '471feaed131a43a6'),
-    (3, 3):
-        ('f457119ff29e21de', 60.00417042139999, (60.002914118600025, 60.00291408500003, 60.00291395059998), 'a91face81280a74c', (1536, 1512, 1080), '237cfd27f5a331d4'),
-    (3, 5):
-        ('a626ecfbaf017840', 60.004202755300014, (60.00294339649996, 60.00294339989998, 60.0029431871), '61509d20eb15ef62', (2040, 2208, 1280), 'b1b6f0be2add73b1'),
-    (3, 30):
-        ('14b6e56d642d8246', 60.004603819399975, (60.00331210759996, 60.00331206859995, 60.00331208599998), '91220911ead058ef', (7432, 7144, 7104), '21fe3399487b97e9'),
-    (30, 5):
-        ('4179168304cd26b0', 60.00687699580003, (60.005618949800045, 60.005618947600055, 60.00561897400005, 60.00561878540001, 60.00561879060002, 60.00561855180005, 60.00561855180005, 60.00561855180005, 60.00561855180005, 60.00561855180005, 60.00561855180005, 60.00561855180005, 60.00561855180005, 60.00561855180005, 60.00561855180005, 60.00561855180005, 60.00561855180005, 60.00561855180005, 60.00561855180005, 60.00561855180005, 60.00561855180005, 60.00561855180005, 60.00561855180005, 60.00561855180005, 60.00561855180005, 60.00561855180005, 60.00561855180005, 60.00561855180005, 60.00561855180005, 60.00561855180005), 'e1ade96b8fa30176', (1184, 1248, 1280, 864, 952, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0), '8696ce8c782b79e0'),
-    (30, 30):
-        ('330d664099ceb057', 60.00695901340003, (60.005678666800065, 60.00567866600006, 60.00567868720007, 60.005678689800064, 60.00567869000006, 60.005678687800064, 60.00567869000006, 60.005678687000064, 60.00567868960007, 60.00567868960007, 60.00567868660006, 60.00567868340006, 60.00567868500006, 60.00567865420007, 60.00567865220007, 60.005678495400026, 60.005678495400026, 60.00567849740003, 60.00567849700003, 60.005678495400026, 60.00567849500003, 60.00567849520003, 60.00567849600003, 60.00567849540003, 60.00567849580003, 60.00567849500003, 60.00567849600003, 60.00567849600003, 60.00567849600003, 60.00567849500003), 'aaedef366b8bac5a', (1048, 1032, 936, 992, 992, 1024, 1016, 960, 1048, 1048, 936, 920, 968, 944, 888, 456, 456, 512, 504, 456, 440, 488, 496, 440, 488, 440, 496, 496, 496, 440), '5cf52a1b6bc1b9a7'),
-}
-
-
-@pytest.mark.parametrize("cell", COLUMN_CELLS, ids=str)
-def test_column_ops_match_parent_pin(cell):
-    assert _old(run_column_cell(*cell)) == COLUMN_PINS[cell]
-
 
 def run_graphsage_cell(servers: int):
     """A small GraphSage run (Adam on column-sharded weights): its stats,
-    with the sim-time, memory and span observables of the PS cells."""
+    with the sim-time, memory and span observables of the PS cells.  Held
+    since commit ``a4f296a``."""
     from repro.core.algorithms.graphsage import GraphSage
     from repro.datasets.generators import community_graph, vertex_features
 
@@ -588,23 +407,11 @@ def run_graphsage_cell(servers: int):
         ctx.stop()
 
 
-#: Computed at commit ``a4f296a``.
-GRAPHSAGE_PINS = {
-    2:
-        ('699a8df025b92517', 0.007032306466666668, (0.006184109666666669, 0.00618411326666667), 'acdbf2bd68c9b169', (7912, 8064), 'd6b3652e0d868b4c'),
-    5:
-        ('d01dc04e4974a692', 0.006984735266666667, (0.0061432310666666694, 0.00614322026666667, 0.006143238866666667, 0.006143183666666667, 0.006143210466666668), '0b0421bde8d42153', (3312, 3400, 3400, 2960, 2952), '7d74595554e4b47a'),
-}
-
-
-@pytest.mark.parametrize("servers", [2, 5])
-def test_graphsage_matches_parent_pin(servers):
-    assert _old(run_graphsage_cell(servers)) == GRAPHSAGE_PINS[servers]
-
-
 def run_line_cell(order: int, servers: int):
     """A small LINE run: server-side dots and rank-one updates on column
-    shards of widths 3 and 4 (or 2 and 3), degree^0.75 negatives."""
+    shards of widths 3 and 4 (or 2 and 3), degree^0.75 negatives.  Held
+    since commit ``a4f296a`` (negatives from ``rng.choice(n, size,
+    p=noise_p)`` per batch)."""
     from repro.core.algorithms.line import Line
 
     ctx = _psg(3, servers)
@@ -620,60 +427,47 @@ def run_line_cell(order: int, servers: int):
         ctx.stop()
 
 
-#: Computed at commit ``a4f296a`` (negatives from ``rng.choice(n, size,
-#: p=noise_p)`` per batch).
-LINE_PINS = {
-    (1, 3):
-        ('f69b4ad9dbb11d19', 0.004538930399999999, (0.004143084, 0.0041430239999999995, 0.0041430239999999995), '5c5f2d0c444d947f', (9632, 7224, 7224), '5a545ee50382a5dd'),
-    (2, 4):
-        ('696bc6e4454700fd', 0.0047310704, (0.004335164, 0.004335164, 0.004335104, 0.004335104), '154cee8d7b407ead', (7224, 7224, 4816, 4816), '082e25e5e96bce1f'),
-}
+FAST_UNFOLDING_CELLS = [1, 4, 16]
+GRAPHSAGE_CELLS = [2, 5]
+LINE_CELLS = [(1, 3), (2, 4)]
+PINNED = [(run_cell, (a, g, p)) for a in ALGOS for g, p in CELLS] \
+    + [(run_fast_unfolding_cell, (p,)) for p in FAST_UNFOLDING_CELLS] \
+    + [(run_ps_ops_cell, cell) for cell in PS_OPS_CELLS] \
+    + [(run_column_cell, cell) for cell in COLUMN_CELLS] \
+    + [(run_graphsage_cell, (s,)) for s in GRAPHSAGE_CELLS] \
+    + [(run_line_cell, cell) for cell in LINE_CELLS]
 
 
-@pytest.mark.parametrize("cell", [(1, 3), (2, 4)], ids=str)
+@pytest.mark.parametrize("key", [(a, g, p) for a in ALGOS for g, p in CELLS],
+                         ids=str)
+def test_cell_matches_parent_pin(key):
+    pin(run_cell, *key)
+
+
+@pytest.mark.parametrize("p", FAST_UNFOLDING_CELLS)
+def test_fast_unfolding_aggregation_matches_parent_pin(p):
+    pin(run_fast_unfolding_cell, p)
+
+
+@pytest.mark.parametrize("cell", PS_OPS_CELLS, ids=str)
+def test_ps_ops_match_parent_pin(cell):
+    pin(run_ps_ops_cell, *cell)
+
+
+@pytest.mark.parametrize("cell", COLUMN_CELLS, ids=str)
+def test_column_ops_match_parent_pin(cell):
+    pin(run_column_cell, *cell)
+
+
+@pytest.mark.parametrize("servers", GRAPHSAGE_CELLS)
+def test_graphsage_matches_parent_pin(servers):
+    pin(run_graphsage_cell, servers)
+
+
+@pytest.mark.parametrize("cell", LINE_CELLS, ids=str)
 def test_line_matches_parent_pin(cell):
-    assert _old(run_line_cell(*cell)) == LINE_PINS[cell]
+    pin(run_line_cell, *cell)
 
 
 def test_every_cell_is_pinned():
-    assert set(PINS) == {(a, g, p) for a in ALGOS for g, p in CELLS}
-
-
-def _old(r):
-    import json
-
-    from repro.obs.determinism import span_event
-    from repro.obs.export import spans_from_json
-    return (r["results"], r["sim_s"], tuple(r["server_clocks"]),
-            digest(json.dumps(r["metrics"], sort_keys=True)),
-            tuple(r["server_peaks"]),
-            digest([span_event(s) for s in spans_from_json(r["spans"])]))
-
-
-PINNED = [(run_cell, (a, g, p)) for a in ALGOS for g, p in CELLS] \
-    + [(run_fast_unfolding_cell, (p,)) for p in (1, 4, 16)] \
-    + [(run_ps_ops_cell, cell) for cell in PS_OPS_CELLS] \
-    + [(run_column_cell, cell) for cell in COLUMN_CELLS] \
-    + [(run_graphsage_cell, (servers,)) for servers in (2, 5)] \
-    + [(run_line_cell, cell) for cell in [(1, 3), (2, 4)]]
-
-
-@pytest.mark.parametrize("fn, args", PINNED, ids=pin_keys(PINNED))
-def test_run_matches_its_ledger_line(fn, args):
-    pin(fn, *args)
-
-
-if __name__ == "__main__":
-    for a in ALGOS:
-        for g, p in CELLS:
-            print(f"    {(a, g, p)!r}:\n        {run_cell(a, g, p)!r},")
-    for p in (1, 4, 16):
-        print(f"    {p}: {run_fast_unfolding_cell(p)!r},")
-    for cell in PS_OPS_CELLS:
-        print(f"    {cell!r}:\n        {run_ps_ops_cell(*cell)!r},")
-    for cell in COLUMN_CELLS:
-        print(f"    {cell!r}:\n        {run_column_cell(*cell)!r},")
-    for servers in (2, 5):
-        print(f"    {servers}:\n        {run_graphsage_cell(servers)!r},")
-    for cell in [(1, 3), (2, 4)]:
-        print(f"    {cell!r}:\n        {run_line_cell(*cell)!r},")
+    assert_every_cell_pinned(PINNED)

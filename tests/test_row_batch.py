@@ -18,19 +18,17 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.common.batch import RowBatch, gather_rows
-from repro.common.config import ClusterConfig
 from repro.common.simclock import TaskCost
 from repro.common.sizeof import sizeof, sizeof_records
 from repro.core.algorithms import CommonNeighbor, TriangleCount
-from repro.core.context import PSGraphContext
 from repro.core.ops import edges_from_arrays
 from repro.dataflow.partitioner import HashPartitioner
 from repro.dataflow.taskctx import metered
 from repro.datasets.generators import powerlaw_graph
 from repro.obs.determinism import run_record
 from tests.conftest import digest, make_context
-from tests.ledger import pin, pin_keys
-from tests.test_psgraph_pins import GRAPHS, _psg
+from tests.ledger import pin
+from tests.test_psgraph_pins import CELLS, GRAPHS, _psg
 
 
 def _rows_are_ints(rows) -> bool:
@@ -80,61 +78,18 @@ def triangle_stats(graph: str, p: int):
     return run_record(doc, ctx.tracer, ctx.metrics)
 
 
-#: Computed at commit ``4168082`` (one boxed tuple per scored edge).
-ROW_PINS = {
-    ('powerlaw400', 4): [
-        ('count', 'a176eeb31e601c38', 0.006187700266666657),
-        ('take', '7bab34712e888ec2', 0.0063101178666666565),
-        ('show', '6ff48879b9d9be11', 0.006455035466666656),
-        ('collect_tuples', '997446d71a107756', 0.012019157066666647),
-        ('collect', '06f268c20051fbbc', 0.01737967226666664)],
-    ('powerlaw400', 16): [
-        ('count', 'a176eeb31e601c38', 0.007010153866666667),
-        ('take', '499cb40eb0675c46', 0.007415701066666667),
-        ('show', '5b2afc292ace57b6', 0.007911248266666667),
-        ('collect_tuples', '548a12d668452798', 0.013734275466666668),
-        ('collect', '8e61afbe146084d1', 0.019353696266666668)],
-    ('tiny6', 8): [
-        ('count', '19581e27de7ced00', 0.00033221440000000003),
-        ('take', '7d42ca81c295956d', 0.00038969840000000004),
-        ('show', '71b5039b24594e5f', 0.00044718240000000004),
-        ('collect_tuples', 'b8fc62a3df73d068', 0.0005551336000000001),
-        ('collect', '2b923a4ea1228a63', 0.0006126176000000001)],
-}
-
-#: Computed at the same commit.
-TRIANGLE_PINS = {
-    ('powerlaw400', 4):
-        ([('closure_sum', 1659), ('triangles', 553)], 0.005583669066666663),
-    ('powerlaw400', 16):
-        ([('closure_sum', 1659), ('triangles', 553)], 0.006349840266666667),
-    ('tiny6', 8):
-        ([('closure_sum', 6), ('triangles', 2)], 0.0003800384),
-}
-
-
-@pytest.mark.parametrize("cell", list(ROW_PINS), ids=str)
-def test_common_neighbor_frame_matches_parent_pin(cell):
-    r = frame_actions(*cell)
-    assert [(a, r[a]["result"], r[a]["sim_s"]) for a, _, _ in ROW_PINS[cell]] \
-        == ROW_PINS[cell]
-
-
-@pytest.mark.parametrize("cell", list(TRIANGLE_PINS), ids=str)
-def test_triangle_stats_match_parent_pin(cell):
-    r = triangle_stats(*cell)
-    assert (sorted(r["stats"].items()), r["sim_s"]) == \
-        (TRIANGLE_PINS[cell][0], TRIANGLE_PINS[cell][1])
-
-
-CELLS = [("powerlaw400", 4), ("powerlaw400", 16), ("tiny6", 8)]
 PINNED = [(fn, cell) for fn in (frame_actions, triangle_stats)
           for cell in CELLS]
 
 
-@pytest.mark.parametrize("fn, args", PINNED, ids=pin_keys(PINNED))
-def test_run_matches_its_ledger_line(fn, args):
-    pin(fn, *args)
+@pytest.mark.parametrize("cell", CELLS, ids=str)
+def test_common_neighbor_frame_matches_parent_pin(cell):
+    pin(frame_actions, *cell)
+
+
+@pytest.mark.parametrize("cell", CELLS, ids=str)
+def test_triangle_stats_match_parent_pin(cell):
+    pin(triangle_stats, *cell)
 
 
 def test_collected_overlaps_are_columns():

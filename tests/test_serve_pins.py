@@ -43,7 +43,7 @@ from repro.obs.tracer import Tracer
 from repro.ps.psfunc import RandomInit
 from repro.serve import RequestGenerator, ServingPlane, TenantSpec
 from tests.conftest import digest
-from tests.ledger import pin, pin_keys
+from tests.ledger import check, pin, runner_key
 
 KEYS = 1200
 
@@ -148,7 +148,7 @@ PAGERANK_CELLS = [(variant, p, None) for variant in PAGERANK
     (variant, 4, 30) for variant in PAGERANK]
 
 
-def pagerank_cell(variant: str, p: int, kill_after) -> tuple:
+def pagerank_cell(variant: str, p: int, kill_after) -> dict:
     """The record of one batch PageRank run (sim time, iterations, ranks);
     a mid-run ``kill_executor`` drops that executor's cached tables, so
     the recomputed blocks must derive their scatter plan afresh."""
@@ -173,152 +173,8 @@ def pagerank_cell(variant: str, p: int, kill_after) -> tuple:
     return run_record(doc, ctx.tracer, ctx.metrics)
 
 
-SERVING_PINS = {'pinned': {'report': {'offered': 9000,
-                       'served': 8817,
-                       'drops': {'rate_limited': 183},
-                       'p50_s': 0.026511650270246597,
-                       'p99_s': 0.050279910507353406,
-                       'degraded_p99_s': None,
-                       'cache_hit_rate': 0.5806713589604765,
-                       'batches': 434,
-                       'gate_transitions': 0,
-                       'peak_depth': 34,
-                       'recoveries': 0,
-                       'start_s': 0.0001173232,
-                       'end_s': 22.80645090810483,
-                       'conserved': True},
-            'degraded_p99_s': None,
-            'drops': (183, 'b7aaffd2f8c0e621'),
-            'report_drops': 183,
-            'queue_depth': 0,
-            'offered': 9000.0,
-            'served': 8817.0,
-            'latency': (8817,
-                        232.3448703118504,
-                        0.00010892568898768218,
-                        0.06281215396330708,
-                        0.026511650270246597,
-                        0.050279910507353406,
-                        0),
-            'counters': (4290.0, 3098.0, 2898.0, 1563.0),
-            'sim_s': 22.80645090810483},
- 'under': {'report': {'drops': {},
-                      'cache_hit_rate': 0.556786703601108,
-                      'batches': 94,
-                      'gate_transitions': 0,
-                      'peak_depth': 14,
-                      'recoveries': 0,
-                      'start_s': 22.80645090810483,
-                      'end_s': 27.966771588909406},
-           'degraded_p99_s': None,
-           'drops': (0, 'e3b0c44298fc1c14'),
-           'report_drops': 0,
-           'queue_depth': 0,
-           'offered': 9800.0,
-           'served': 9617.0,
-           'latency': (9617,
-                       254.7286141840306,
-                       6.018705807520064e-05,
-                       0.06281215396330708,
-                       0.026511650270246597,
-                       0.050279910507353406,
-                       0),
-           'counters': (4692.0, 3418.0, 3018.0, 1728.0),
-           'sim_s': 27.966771588909406},
- 'saturated900': {'report': {'drops': {'rate_limited': 220,
-                                       'deadline': 87,
-                                       'backpressure': 421},
-                             'cache_hit_rate': 0.5310136157337367,
-                             'batches': 56,
-                             'gate_transitions': 10,
-                             'peak_depth': 80,
-                             'recoveries': 0,
-                             'start_s': 27.966771588909406,
-                             'end_s': 30.77244268081351},
-                  'degraded_p99_s': None,
-                  'drops': (728, '6a0c4d02a87e1a9d'),
-                  'report_drops': 728,
-                  'queue_depth': 0,
-                  'offered': 12300.0,
-                  'served': 11389.0,
-                  'latency': (11389,
-                              370.50619992929296,
-                              6.018705807520064e-05,
-                              0.8850679483019412,
-                              0.02759364803660703,
-                              0.11646998560436082,
-                              92),
-                  'counters': (5394.0, 4038.0, 3438.0, 2096.0),
-                  'sim_s': 30.77244268081351},
- 'saturated1600': {'report': {'drops': {'backpressure': 932,
-                                        'rate_limited': 288,
-                                        'queue_full': 207},
-                              'cache_hit_rate': 0.4837451235370611,
-                              'batches': 34,
-                              'gate_transitions': 1,
-                              'peak_depth': 96,
-                              'recoveries': 0,
-                              'start_s': 30.77244268081351,
-                              'end_s': 32.47536580659184},
-                   'degraded_p99_s': None,
-                   'drops': (1427, '02a6c367a327fdc1'),
-                   'report_drops': 1427,
-                   'queue_depth': 0,
-                   'offered': 14800.0,
-                   'served': 12462.0,
-                   'latency': (12462,
-                               497.7381290719737,
-                               6.018705807520064e-05,
-                               0.8850679483019412,
-                               0.029891921784499075,
-                               0.14806355481226524,
-                               92),
-                   'counters': (5766.0, 4435.0, 3735.0, 2434.0),
-                   'sim_s': 32.47536580659184},
- 'kill': {'report': {'drops': {'rate_limited': 33,
-                               'backpressure': 677,
-                               'queue_full': 670,
-                               'deadline': 96},
-                     'cache_hit_rate': 0.45734597156398105,
-                     'batches': 26,
-                     'gate_transitions': 1,
-                     'peak_depth': 96,
-                     'recoveries': 1,
-                     'start_s': 32.47536580659184,
-                     'end_s': 63.88571066785706},
-          'degraded_p99_s': 30.05033473439805,
-          'drops': (1476, '5ed0d22d8edb7f72'),
-          'report_drops': 1476,
-          'queue_depth': 0,
-          'offered': 16800.0,
-          'served': 12986.0,
-          'latency': (12986,
-                      1141.4193504698978,
-                      6.018705807520064e-05,
-                      30.0503625705,
-                      0.029891921784499075,
-                      0.14806355481226524,
-                      113),
-          'counters': (5959.0, 4664.0, 3764.0, 2533.0),
-          'sim_s': 63.88571066785706},
- 'degraded': (21,
-              630.6040339179102,
-              30.001054228830895,
-              30.0503625705,
-              30.02756867763607,
-              30.05033473439805,
-              21),
- 'ps_cache': (530, 2689)}
-
-PAGERANK_PINS = {('delta', 4, None): (0.0022476096, 6, '91279761e404cbca'),
- ('delta', 16, None): (0.0048610496, 6, 'b420f38b09eecf3e'),
- ('full', 4, None): (0.0022476384000000003, 6, '299900f9a17c5f5e'),
- ('full', 16, None): (0.0048610784, 6, '9bf05aaabac1bce1'),
- ('threshold', 4, None): (0.0022476096, 6, 'afd0f4ec1488afb4'),
- ('threshold', 16, None): (0.004860417600000002, 6, 'e5e59d8d3a8322a3'),
- ('delta', 4, 30): (30.002653694399996, 6, '91279761e404cbca'),
- ('full', 4, 30): (30.002653751999997, 6, '299900f9a17c5f5e'),
- ('threshold', 4, 30): (30.002644083199996, 6, 'afd0f4ec1488afb4')}
+PINNED = [(serving_snapshot, ())] + [(pagerank_cell, cell)
+                                     for cell in PAGERANK_CELLS]
 
 
 @pytest.fixture(scope="module")
@@ -329,8 +185,12 @@ def serving():
 @pytest.mark.parametrize("rung", [r[0] for r in RUNGS]
                          + ["degraded", "ps_cache"])
 def test_serving_rung_is_pinned(serving, rung):
-    import json
-    assert serving[rung] == json.loads(json.dumps(SERVING_PINS[rung]))
+    check(runner_key(serving_snapshot), serving, label=rung)
+
+
+def test_serving_run_matches_its_ledger_line(serving):
+    """Every span and metric of the run too, not only the rungs."""
+    check(runner_key(serving_snapshot), serving)
 
 
 def test_every_drop_reason_is_exercised(serving):
@@ -344,24 +204,4 @@ def test_every_drop_reason_is_exercised(serving):
 
 @pytest.mark.parametrize("variant,p,kill_after", PAGERANK_CELLS)
 def test_pagerank_is_pinned(variant, p, kill_after):
-    r = pagerank_cell(variant, p, kill_after)
-    assert (r["sim_s"], r["iterations"], r["ranks"]) == PAGERANK_PINS[
-        (variant, p, kill_after)]
-
-
-PINNED = [(serving_snapshot, ())] + [(pagerank_cell, cell)
-                                     for cell in PAGERANK_CELLS]
-
-
-@pytest.mark.parametrize("fn, args", PINNED, ids=pin_keys(PINNED))
-def test_run_matches_its_ledger_line(fn, args):
-    pin(fn, *args)
-
-
-if __name__ == "__main__":
-    import pprint
-    print("SERVING_PINS = ", end="")
-    pprint.pprint(serving_snapshot(), width=78, sort_dicts=False)
-    print("\nPAGERANK_PINS = ", end="")
-    pprint.pprint({cell: pagerank_cell(*cell) for cell in PAGERANK_CELLS},
-                  width=78, sort_dicts=False)
+    pin(pagerank_cell, variant, p, kill_after)

@@ -102,106 +102,8 @@ def run():
     return run_record(doc, ctx.tracer, ctx.metrics)
 
 
-PINS = [
-    (0.01678828853333333,
-     {'ps.psfunc.calls': 116.0,
-      'ps.pull.bytes': 152648.0,
-      'ps.pull.calls': 467.0,
-      'ps.push.bytes': 289792.0,
-      'ps.push.calls': 444.0,
-      'streaming.dirty_vertices': 88.0,
-      'streaming.edges.added': 240.0,
-      'streaming.edges.removed': 5.0,
-      'streaming.vertices.dropped': 0.0,
-      'streaming.windows': 2.0},
-     {'window': 2,
-      'records': 13,
-      'edges_added': 6,
-      'edges_removed': 5,
-      'vertices_dropped': 0,
-      'dirty_vertices': 19,
-      'cost_incremental_s': 0.0019783887999999996,
-      'cost_full_s': 0.013372378933333331,
-      'cost_ratio': 0.14794591223170242,
-      'algos': {'components': {'rounds': 1.0, 'repairs': 1.0},
-                'embedding': {'pairs': 210.0, 'trained': 19.0},
-                'pagerank': {'rounds': 4.0,
-                             'pushes': 10964.0,
-                             'frontier': 31.0}}},
-     '55d0312f491f4727',
-     '88a0af344e752844',
-     'b8fac912e7a9ae77'),
-    (0.032717754133333214,
-     {'ps.psfunc.calls': 224.0,
-      'ps.pull.bytes': 286792.0,
-      'ps.pull.calls': 919.0,
-      'ps.push.bytes': 555048.0,
-      'ps.push.calls': 875.0,
-      'streaming.dirty_vertices': 109.0,
-      'streaming.edges.added': 244.0,
-      'streaming.edges.removed': 17.0,
-      'streaming.vertices.dropped': 1.0,
-      'streaming.windows': 3.0},
-     {'window': 3,
-      'records': 11,
-      'edges_added': 4,
-      'edges_removed': 12,
-      'vertices_dropped': 1,
-      'dirty_vertices': 21,
-      'cost_incremental_s': 0.002734124800000022,
-      'cost_full_s': 0.013041353599999864,
-      'cost_ratio': 0.20965038475761064,
-      'algos': {'components': {'rounds': 1.0, 'repairs': 1.0},
-                'embedding': {'pairs': 224.0, 'trained': 20.0},
-                'pagerank': {'rounds': 3.0,
-                             'pushes': 8906.0,
-                             'frontier': 41.0}}},
-     '21a7c0a9e2b3cd9c',
-     'd210fe0774d9fc30',
-     '5ee36afc99de7052'),
-    (0.048610717599999555,
-     {'ps.psfunc.calls': 335.0,
-      'ps.pull.bytes': 419840.0,
-      'ps.pull.calls': 1375.0,
-      'ps.push.bytes': 831208.0,
-      'ps.push.calls': 1319.0,
-      'streaming.dirty_vertices': 130.0,
-      'streaming.edges.added': 252.0,
-      'streaming.edges.removed': 22.0,
-      'streaming.vertices.dropped': 2.0,
-      'streaming.windows': 4.0},
-     {'window': 4,
-      'records': 13,
-      'edges_added': 8,
-      'edges_removed': 5,
-      'vertices_dropped': 1,
-      'dirty_vertices': 21,
-      'cost_incremental_s': 0.0023781336000000264,
-      'cost_full_s': 0.013360913066666306,
-      'cost_ratio': 0.17799184742344834,
-      'algos': {'components': {'rounds': 2.0, 'repairs': 0.0},
-                'embedding': {'pairs': 203.0, 'trained': 19.0},
-                'pagerank': {'rounds': 4.0,
-                             'pushes': 12068.0,
-                             'frontier': 32.0}}},
-     '3b946f8b85786760',
-     'fd0f2ae90f4910b3',
-     '185c29e4f8875b3f'),
-]
-
-
-def test_streaming_windows_match_parent_pins():
-    got = run()
-    for window, pin_ in enumerate(PINS, start=1):
-        row = got[f"window {window}"]
-        for name, want in zip(
-                ("sim_s", "counters", "report", "ranks", "labels",
-                 "embedding"), pin_):
-            assert row[name] == want, f"window {window}: {name}"
-
-
 PINNED = [(run, ())]
 
 
-def test_run_matches_its_ledger_line():
+def test_streaming_windows_match_parent_pins():
     pin(run)

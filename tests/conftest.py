@@ -8,6 +8,7 @@ from hypothesis import settings
 
 from repro.common.config import ClusterConfig
 from repro.core.blocks import NeighborBlock
+from repro.core.context import PSGraphContext
 from repro.dataflow.context import SparkContext
 from repro.obs.tracer import NOOP_TRACER
 
@@ -32,6 +33,15 @@ def make_context(num_executors: int = 4, executor_mem: int | None = None,
     return SparkContext(cluster, tracer=tracer)
 
 
+def make_psg(num_executors: int = 3, num_servers: int = 2,
+             tracer=NOOP_TRACER) -> PSGraphContext:
+    """A small PSGraphContext for tests; memory never binds."""
+    return PSGraphContext(ClusterConfig(
+        num_executors=num_executors, executor_mem_bytes=1 << 40,
+        num_servers=num_servers, server_mem_bytes=1 << 40,
+    ), tracer=tracer)
+
+
 def table_block(rows: dict) -> NeighborBlock:
     """A neighbor block with ``{vertex: neighbors}`` rows, in dict order and
     exactly as given (unsorted or repeated neighbors stay that way)."""
@@ -46,7 +56,7 @@ def table_block(rows: dict) -> NeighborBlock:
 def digest(obj) -> str:
     """Short hash of nested tuples / lists of arrays and plain values
     (arrays by dtype, shape and bytes; anything else by ``repr``): what
-    ledger's result documents hold an array or an output to."""
+    the ledger's result documents hold an array or an output to."""
     h = hashlib.sha256()
 
     def feed(x) -> None:
@@ -71,5 +81,12 @@ def block_rows(block: NeighborBlock) -> list:
 @pytest.fixture
 def sc():
     ctx = make_context()
+    yield ctx
+    ctx.stop()
+
+
+@pytest.fixture
+def psg():
+    ctx = make_psg()
     yield ctx
     ctx.stop()

@@ -25,6 +25,8 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
 
+import pytest
+
 from repro.common.metrics import MetricsRegistry
 from repro.experiments import (
     ablations,
@@ -81,17 +83,15 @@ def check(key: str, record: Dict[str, object],
     """Fail unless ``record``'s segment digests are ``key``'s line.  With
     ``label`` (a result key), only that segment counts: result keys and
     ``metrics`` end a record in a fixed order, so it is found from the end
-    whatever the stages before it did."""
+    whatever the stages before it did, and the spans need not be cut."""
     pinned = LEDGER.get(key)
     if label is not None and pinned is not None:
-        segs = segments(record)
+        segs = segments({**record, "spans": []})
         i = [name for name, _ in segs].index(label) - len(segs)
         if digests([segs[i]]) == pinned[i:][:1]:
             return
     diff = ledger_diff(key, record, pinned)
     if diff is not None:
-        import pytest  # not at import: key listings need no test runner
-
         pytest.fail(f"{diff}\n(from {LEDGER_PATH.name})", pytrace=False)
 
 
@@ -123,6 +123,13 @@ def row_doc(row: ExperimentRow) -> Dict[str, object]:
             "extra": row.extra}
 
 
+def rows_doc(rows: Sequence[ExperimentRow]) -> List[object]:
+    """Rows with no cell of their own (derived rows, the partitioner
+    sweep), in order, each with its identity."""
+    return [[r.experiment, r.system, r.dataset, r.algorithm, row_doc(r)]
+            for r in rows]
+
+
 def doc_record(doc: Dict[str, object]) -> Dict[str, object]:
     """The record of a result document whose runner takes no tracer or
     registry (the experiment cells build their own contexts)."""
@@ -140,7 +147,7 @@ def pin_rows(cells: Sequence[Cell], rows: Sequence[ExperimentRow],
             == (cell.experiment, cell.system, cell.dataset, cell.label)
         doc = row_doc(row)
         if derive is not None:
-            doc["derived"] = {r.algorithm: row_doc(r) for r in derive(row)}
+            doc["derived"] = rows_doc(derive(row))
         check(cell_key(cell), doc_record(doc))
 
 

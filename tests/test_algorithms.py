@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.common.config import ClusterConfig
 from repro.common.metrics import (
     PS_PULL_BYTES,
     PS_PUSH_BYTES,
@@ -26,33 +25,17 @@ from repro.core.algorithms import (
     reference_delta_pagerank,
 )
 from repro.core.blocks import EdgeBlock
-from repro.core.context import PSGraphContext
 from repro.core.ops import edges_from_arrays
 from repro.core.runner import GraphRunner
 from repro.datasets.generators import community_graph, powerlaw_graph
 from repro.datasets.tencent import write_edges
 from repro.obs.determinism import run_record
-from repro.obs.tracer import NOOP_TRACER, Tracer
-from tests.conftest import digest
+from repro.obs.tracer import Tracer
+from tests.conftest import digest, make_psg
 from tests.ledger import pin
 
 
 LINE_CELLS = [(1, True), (1, False), (2, True), (2, False)]
-
-
-def make_psg(num_executors=3, num_servers=2, tracer=NOOP_TRACER):
-    cluster = ClusterConfig(
-        num_executors=num_executors, executor_mem_bytes=1 << 40,
-        num_servers=num_servers, server_mem_bytes=1 << 40,
-    )
-    return PSGraphContext(cluster, tracer=tracer)
-
-
-@pytest.fixture
-def psg():
-    ctx = make_psg()
-    yield ctx
-    ctx.stop()
 
 
 def _awkward_graph(self_loops=True):

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.batch import split_indices
-from repro.common.config import ClusterConfig
 from repro.common.errors import PSGraphError
 from repro.common.metrics import (
     SHUFFLE_BYTES_READ,
@@ -20,7 +19,6 @@ from repro.core.blocks import (
     build_neighbor_block,
     intersect_counts,
 )
-from repro.core.context import PSGraphContext
 from repro.core.graphio import GraphIO
 from repro.core.ops import (
     count_edges,
@@ -34,21 +32,7 @@ from repro.dataflow.partitioner import HashPartitioner
 from repro.dataflow.shuffle import bucket_map_output
 from repro.dataflow.taskctx import current_task_context
 from repro.datasets.tencent import write_edges
-
-
-def make_psg(num_executors=3, num_servers=2):
-    cluster = ClusterConfig(
-        num_executors=num_executors, executor_mem_bytes=1 << 40,
-        num_servers=num_servers, server_mem_bytes=1 << 40,
-    )
-    return PSGraphContext(cluster)
-
-
-@pytest.fixture
-def psg():
-    ctx = make_psg()
-    yield ctx
-    ctx.stop()
+from tests.conftest import make_psg
 
 
 class TestBlocks:

@@ -12,24 +12,19 @@ values have held since commit ``4381b53``.
 
 import pytest
 
-from repro.common.config import ClusterConfig
 from repro.common.metrics import PS_PULL_BYTES, PS_PUSH_BYTES
 from repro.core.algorithms import DeepWalk
-from repro.core.context import PSGraphContext
 from repro.core.ops import edges_from_arrays
 from repro.datasets.generators import community_graph
 from repro.obs.determinism import run_record
 from repro.obs.tracer import Tracer
-from tests.conftest import digest
+from tests.conftest import digest, make_psg
 from tests.ledger import pin
 
 
 def run_cell(walk_length: int):
     """One run's record: sim time, PS pull / push bytes, the embedding."""
-    ctx = PSGraphContext(ClusterConfig(
-        num_executors=3, executor_mem_bytes=1 << 40,
-        num_servers=2, server_mem_bytes=1 << 40,
-    ), tracer=Tracer())
+    ctx = make_psg(tracer=Tracer())
     try:
         src, dst, _ = community_graph(60, 3, avg_degree=10, mixing=0.03,
                                       seed=62)

@@ -3,34 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.common.config import ClusterConfig
 from repro.core.algorithms.graphsage import GraphSage, SageNet, make_sage
-from repro.core.context import PSGraphContext
 from repro.core.ops import edges_from_arrays
 from repro.datasets.generators import community_graph, vertex_features
 from repro.obs.determinism import run_record
-from repro.obs.tracer import NOOP_TRACER, Tracer
+from repro.obs.tracer import Tracer
 from repro.torchlite.script import ScriptModule
 from repro.torchlite.tensor import Tensor
+from tests.conftest import make_psg
 from tests.ledger import pin
 
-
-def make_psg(num_executors=3, num_servers=2, tracer=NOOP_TRACER):
-    cluster = ClusterConfig(
-        num_executors=num_executors, executor_mem_bytes=1 << 40,
-        num_servers=num_servers, server_mem_bytes=1 << 40,
-    )
-    return PSGraphContext(cluster, tracer=tracer)
-
-
 LOSS_CELLS = [("mean", None), ("pool", None), ("lstm", (5, 3))]
-
-
-@pytest.fixture
-def psg():
-    ctx = make_psg()
-    yield ctx
-    ctx.stop()
 
 
 def small_task(n=150, classes=3, dim=8, seed=31):

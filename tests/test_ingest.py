@@ -3,11 +3,9 @@
 import numpy as np
 import pytest
 
-from tests.conftest import block_rows
-from repro.common.config import ClusterConfig
+from tests.conftest import block_rows, make_psg
 from repro.common.errors import ConfigError
 from repro.common.metrics import MetricsRegistry
-from repro.core.context import PSGraphContext
 from repro.hdfs.filesystem import Hdfs
 from repro.ingest.kafka import EdgeStreamConsumer, KafkaTopic
 from repro.ingest.mutations import (
@@ -20,14 +18,6 @@ from repro.ingest.mutations import (
     group_runs,
     replay_landing,
 )
-
-
-def make_psg():
-    cluster = ClusterConfig(
-        num_executors=2, executor_mem_bytes=1 << 40,
-        num_servers=2, server_mem_bytes=1 << 40,
-    )
-    return PSGraphContext(cluster)
 
 
 class TestMutations:
@@ -126,7 +116,7 @@ class TestConsumer:
         assert m.get("ingest.records") == 10
 
     def test_incremental_ps_table_updates(self):
-        ctx = make_psg()
+        ctx = make_psg(2)
         try:
             table = ctx.ps.create_neighbor_table("stream-adj", 100)
             t = KafkaTopic("edges", num_partitions=2)
@@ -142,7 +132,7 @@ class TestConsumer:
             ctx.stop()
 
     def test_removals_reach_ps_table(self):
-        ctx = make_psg()
+        ctx = make_psg(2)
         try:
             table = ctx.ps.create_neighbor_table("stream-adj", 100)
             t = KafkaTopic("edges", num_partitions=2)
@@ -165,7 +155,7 @@ class TestConsumer:
         from repro.core.algorithms import CommonNeighbor
         from repro.core.runner import GraphRunner
 
-        ctx = make_psg()
+        ctx = make_psg(2)
         try:
             t = KafkaTopic("edges", num_partitions=2)
             consumer = EdgeStreamConsumer(t, ctx.hdfs, landing_dir="/land")
@@ -241,7 +231,7 @@ class TestAtLeastOnceDelivery:
         assert lines == ["0\t4", "1\t5", "2\t6", "3\t7"]
 
     def test_crash_before_merge_keeps_ps_table_consistent(self):
-        ctx = make_psg()
+        ctx = make_psg(2)
         try:
             table = ctx.ps.create_neighbor_table("stream-adj", 100)
             t = KafkaTopic("edges", num_partitions=1)
@@ -290,8 +280,8 @@ class TestConsumerRecovery:
         return table, t
 
     def test_restart_from_persisted_offsets_matches_clean_run(self):
-        clean = make_psg()
-        chaos = make_psg()
+        clean = make_psg(2)
+        chaos = make_psg(2)
         try:
             table_a, topic_a = self._run_stream(clean)
             table_b, topic_b = self._run_stream(chaos,

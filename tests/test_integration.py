@@ -11,7 +11,6 @@ from repro.core.algorithms import (
     TriangleCount,
     common_neighbor_reference,
 )
-from repro.core.context import PSGraphContext
 from repro.core.ops import edges_from_arrays
 from repro.core.runner import GraphRunner
 from repro.datasets.generators import powerlaw_graph
@@ -19,19 +18,12 @@ from repro.datasets.tencent import write_edges
 from repro.dataflow.context import SparkContext
 from repro.graphx import algorithms as gxalgo
 from repro.graphx.graph import Graph
-
-
-def make_psg(num_executors=4, num_servers=2):
-    cluster = ClusterConfig(
-        num_executors=num_executors, executor_mem_bytes=1 << 40,
-        num_servers=num_servers, server_mem_bytes=1 << 40,
-    )
-    return PSGraphContext(cluster)
+from tests.conftest import make_psg
 
 
 @pytest.fixture
 def psg():
-    ctx = make_psg()
+    ctx = make_psg(4)
     yield ctx
     ctx.stop()
 

@@ -29,23 +29,14 @@ from repro.core.algorithms import (
     TriangleCount,
 )
 from repro.core.blocks import EdgeBlock, NeighborBlock
-from repro.core.context import PSGraphContext
 from repro.core.ops import edges_from_arrays, to_neighbor_tables
 from repro.dataflow.context import SparkContext
 from repro.datasets.generators import powerlaw_graph
 from repro.obs.determinism import run_record
 from repro.obs.tracer import Tracer
 from repro.ps.context import PSContext
-from tests.conftest import digest, table_block
+from tests.conftest import digest, make_psg, table_block
 from tests.ledger import assert_every_cell_pinned, pin
-
-
-def _psg(executors: int = 4, servers: int = 2) -> PSGraphContext:
-    """A traced context whose memory never binds."""
-    return PSGraphContext(ClusterConfig(
-        num_executors=executors, executor_mem_bytes=1 << 40,
-        num_servers=servers, server_mem_bytes=1 << 40,
-    ), tracer=Tracer())
 
 
 def _powerlaw400(spark, p):
@@ -109,7 +100,7 @@ CELLS = [("powerlaw400", 4), ("powerlaw400", 16), ("tiny6", 8)]
 
 def run_cell(algo: str, graph: str, p: int):
     """One run's record: sim time, shuffle bytes / records, output."""
-    ctx = _psg()
+    ctx = make_psg(4, tracer=Tracer())
     try:
         out = ALGOS[algo](ctx, GRAPHS[graph](ctx.spark, p))
         doc = {"sim_s": ctx.sim_time(),
@@ -140,7 +131,7 @@ def run_fast_unfolding_cell(p: int):
     bytes per executor and the output.  Held since commit ``25f8957``
     (``_aggregate`` as boxed ``(pair key, weight)`` records through
     ``reduce_by_key``)."""
-    ctx = _psg()
+    ctx = make_psg(4, tracer=Tracer())
     try:
         out = _algo(FastUnfolding(num_passes=3, max_move_iterations=3))(
             ctx, _multiblock(ctx.spark, p))
@@ -392,7 +383,7 @@ def run_graphsage_cell(servers: int):
     from repro.core.algorithms.graphsage import GraphSage
     from repro.datasets.generators import community_graph, vertex_features
 
-    ctx = _psg(3, servers)
+    ctx = make_psg(3, servers, Tracer())
     try:
         src, dst, comm = community_graph(120, 3, avg_degree=8, mixing=0.05,
                                          seed=31)
@@ -414,7 +405,7 @@ def run_line_cell(order: int, servers: int):
     p=noise_p)`` per batch)."""
     from repro.core.algorithms.line import Line
 
-    ctx = _psg(3, servers)
+    ctx = make_psg(3, servers, Tracer())
     try:
         src, dst = powerlaw_graph(300, 1500, seed=13)
         edges = edges_from_arrays(ctx.spark, src, dst, num_partitions=3)

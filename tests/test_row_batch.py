@@ -26,9 +26,10 @@ from repro.dataflow.partitioner import HashPartitioner
 from repro.dataflow.taskctx import metered
 from repro.datasets.generators import powerlaw_graph
 from repro.obs.determinism import run_record
-from tests.conftest import digest, make_context
+from repro.obs.tracer import Tracer
+from tests.conftest import digest, make_context, make_psg
 from tests.ledger import pin
-from tests.test_psgraph_pins import CELLS, GRAPHS, _psg
+from tests.test_psgraph_pins import CELLS, GRAPHS
 
 
 def _rows_are_ints(rows) -> bool:
@@ -43,7 +44,7 @@ def frame_actions(graph: str, p: int):
     """The record of every action on one lazy CommonNeighbor frame, in
     order (each re-scores): a digest of its result and the sim time after
     it."""
-    ctx = _psg()
+    ctx = make_psg(4, tracer=Tracer())
     try:
         frame = CommonNeighbor(checkpoint=True).transform(
             ctx, GRAPHS[graph](ctx.spark, p)).output
@@ -68,7 +69,7 @@ def frame_actions(graph: str, p: int):
 
 def triangle_stats(graph: str, p: int):
     """The record of TriangleCount's stats and the sim clock after it."""
-    ctx = _psg()
+    ctx = make_psg(4, tracer=Tracer())
     try:
         result = TriangleCount().transform(ctx, GRAPHS[graph](ctx.spark, p))
         assert all(type(v) is int for v in result.stats.values())
@@ -96,7 +97,7 @@ def test_collected_overlaps_are_columns():
     """The memory guard: E scored edges come back as three int64 columns
     of their own, not a list of E tuples."""
     src, dst = powerlaw_graph(2000, 20000, seed=3)
-    ctx = _psg()
+    ctx = make_psg(4, tracer=Tracer())
     try:
         rows = CommonNeighbor(batch_size=512).transform(
             ctx, edges_from_arrays(ctx.spark, src, dst)).output.rdd.collect()

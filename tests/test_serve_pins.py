@@ -4,10 +4,10 @@ reports, drop records, latency histograms, cache counters, rank digests.
 The serving plane's admission path, both caches and the latency
 histograms moved from one Python object per request to columns, and
 ``PageRank.step`` to a scatter plan memoised on the cached block; none of
-that may move a simulated number.  The values below were computed at
-commit ``1d49e73`` (the per-request ``_admit`` loop, the ``OrderedDict``
-pull cache, one ``np.unique`` per PageRank iteration);
-``python tests/test_serve_pins.py`` prints them again.
+that may move a simulated number.  Each run's record is a line of the
+ledger (``tests/ledger.py``); the values have held since commit
+``1d49e73`` (the per-request ``_admit`` loop, the ``OrderedDict`` pull
+cache, one ``np.unique`` per PageRank iteration).
 
 The serving scenario is the benchmark's ladder at a reduced size: five
 planes run back to back on one context (pinned, under-loaded, two

@@ -435,3 +435,43 @@ def segment_reduce(keys: np.ndarray, values: np.ndarray,
         [[0], np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1]
     )
     return sorted_keys[starts], ufunc.reduceat(sorted_values, starts, axis=0)
+
+
+def h_index(targets: np.ndarray, values: np.ndarray
+            ) -> Tuple[np.ndarray, np.ndarray]:
+    """Per distinct target (ascending), the largest h such that at least h
+    of its values are >= h: a target's values sorted descending, those
+    still >= their 1-based rank."""
+    order = np.lexsort((-values, targets))
+    targets, values = targets[order], values[order]
+    first = np.ones(len(targets), dtype=bool)
+    first[1:] = targets[1:] != targets[:-1]
+    segment = np.cumsum(first) - 1
+    starts = np.flatnonzero(first)
+    rank = np.arange(1, len(targets) + 1) - starts[segment]
+    return targets[first], np.bincount(segment[values >= rank],
+                                       minlength=len(starts))
+
+
+def segment_mode(targets: np.ndarray, values: np.ndarray
+                 ) -> Tuple[np.ndarray, np.ndarray]:
+    """Per distinct target (ascending), its most frequent value, ties
+    going to the smallest: one sort by (target, value), then the runs of
+    equal pairs — a target's first run of its longest length wins."""
+    if not len(targets):
+        return targets, values
+    order = np.lexsort((values, targets))
+    targets, values = targets[order], values[order]
+    run = np.ones(len(targets), dtype=bool)
+    run[1:] = (targets[1:] != targets[:-1]) | (values[1:] != values[:-1])
+    runs = np.flatnonzero(run)
+    counts = np.diff(runs, append=len(targets))
+    run_targets = targets[runs]
+    first = np.ones(len(runs), dtype=bool)
+    first[1:] = run_targets[1:] != run_targets[:-1]
+    heads = np.flatnonzero(first)
+    longest = np.repeat(np.maximum.reduceat(counts, heads),
+                        np.diff(heads, append=len(runs)))
+    candidates = np.where(counts == longest, np.arange(len(runs)), len(runs))
+    winners = np.minimum.reduceat(candidates, heads)
+    return run_targets[heads], values[runs[winners]]

@@ -6,17 +6,19 @@ from repro.core.algorithms.common_neighbor import (
     CommonNeighbor,
     common_neighbor_reference,
 )
-from repro.core.algorithms.connected_components import ConnectedComponents
 from repro.core.algorithms.deepwalk import DeepWalk
 from repro.core.algorithms.fast_unfolding import (
     FastUnfolding,
     modularity_from_edges,
 )
 from repro.core.algorithms.graphsage import GraphSage, SageNet, make_sage
-from repro.core.algorithms.kcore import KCore
-from repro.core.algorithms.label_propagation import LabelPropagation
 from repro.core.algorithms.line import Line, link_prediction_score
 from repro.core.algorithms.pagerank import PageRank, reference_delta_pagerank
+from repro.core.algorithms.propagation import (
+    ConnectedComponents,
+    KCore,
+    LabelPropagation,
+)
 from repro.core.algorithms.triangle_count import TriangleCount
 
 __all__ = [

@@ -28,7 +28,7 @@ from typing import Iterator, Tuple
 
 import numpy as np
 
-from repro.common.batch import sorted_unique
+from repro.common.batch import segment_index, sorted_unique
 from repro.core.algorithms.base import AlgorithmResult, GraphAlgorithm
 from repro.core.blocks import NeighborBlock
 from repro.core.context import PSGraphContext
@@ -171,11 +171,8 @@ class PageRank(GraphAlgorithm):
                     active = np.abs(deltas) > threshold
                     if not active.any():
                         continue
-                    starts = block.indptr[:-1]
-                    keep = np.concatenate([
-                        np.arange(starts[i], block.indptr[i + 1])
-                        for i in np.flatnonzero(active)
-                    ])
+                    keep = segment_index(block.indptr[:-1][active],
+                                         degrees[active])[1]
                     targets, inverse = np.unique(
                         block.neighbors[keep], return_inverse=True)
                     deltas = deltas[active]

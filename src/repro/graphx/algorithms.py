@@ -22,7 +22,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.common.batch import RaggedColumn
+from repro.common.batch import RaggedColumn, h_index
 from repro.core.blocks import (
     NeighborBlock,
     build_neighbor_block,
@@ -151,22 +151,6 @@ def kcore(graph: Graph, max_iterations: int = 30
     finally:
         for executor, tag in leak_tags:
             executor.container.memory.release_tag(tag)
-
-
-def h_index(targets: np.ndarray, values: np.ndarray
-            ) -> Tuple[np.ndarray, np.ndarray]:
-    """Per distinct target (ascending), the largest h such that at least h
-    of its values are >= h: a target's values sorted descending, those
-    still >= their 1-based rank."""
-    order = np.lexsort((-values, targets))
-    targets, values = targets[order], values[order]
-    first = np.ones(len(targets), dtype=bool)
-    first[1:] = targets[1:] != targets[:-1]
-    segment = np.cumsum(first) - 1
-    starts = np.flatnonzero(first)
-    rank = np.arange(1, len(targets) + 1) - starts[segment]
-    return targets[first], np.bincount(segment[values >= rank],
-                                       minlength=len(starts))
 
 
 def _scatter_join(ids, attrs, msg_ids, msg_vals):

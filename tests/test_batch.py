@@ -2,10 +2,11 @@
 
 import ast
 from pathlib import Path
+from random import Random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro
@@ -15,9 +16,11 @@ from repro.common.batch import (
     RaggedColumn,
     accumulate_sequential,
     flat_row_index,
+    h_index,
     in_sorted,
     scatter_add_rows,
     segment_index,
+    segment_mode,
     segment_reduce,
     sorted_unique,
     split_indices,
@@ -284,6 +287,46 @@ class TestRaggedColumn:
         indptr, flat = segment_index(starts, lens)
         assert flat.tolist() == want
         assert indptr.tolist() == [0, *np.cumsum(lens).tolist()]
+
+
+def _h_index(values: np.ndarray) -> int:
+    """The parent's per-vertex loop: largest h with h values >= h."""
+    values = np.sort(values)[::-1]
+    h = 0
+    for i, v in enumerate(values, start=1):
+        if v >= i:
+            h = i
+        else:
+            break
+    return h
+
+
+def _mode(values: np.ndarray) -> float:
+    """Label propagation's per-vertex loop: the most frequent label, ties
+    to the smallest."""
+    vals, counts = np.unique(values, return_counts=True)
+    return vals[counts == counts.max()].min()
+
+
+@pytest.mark.parametrize("kernel, loop", [(h_index, _h_index),
+                                          (segment_mode, _mode)],
+                         ids=["h_index", "segment_mode"])
+@given(st.lists(st.lists(st.integers(-1, 12), max_size=14), max_size=12),
+       st.randoms(use_true_random=False))
+@example([[4, 2, 4, 2, 7]], Random(0))
+@example([[-1], [5], [-1, -1, 3], [3, -1, -1, 3]], Random(0))
+def test_segment_kernel_equals_the_loop(kernel, loop, rows, random):
+    """Messages ``(target, value)`` in any arrival order, targets with
+    gaps; a target without messages has no row."""
+    pairs = [(3 * t + 1, float(v)) for t, r in enumerate(rows) for v in r]
+    random.shuffle(pairs)
+    targets = np.asarray([t for t, _v in pairs], dtype=np.int64)
+    values = np.asarray([v for _t, v in pairs], dtype=np.float64)
+    uids, got = kernel(targets, values)
+    want = {3 * t + 1: loop(np.asarray(r, dtype=np.float64))
+            for t, r in enumerate(rows) if r}
+    assert dict(zip(uids.tolist(), got.tolist())) == want
+    assert uids.tolist() == sorted(want)
 
 
 class TestAccumulateSequential:

@@ -112,13 +112,18 @@ class TestMain:
         int(v)
         float(r)
 
-    def test_kcore_summary(self, edge_file, capsys):
+    @pytest.mark.parametrize("algorithm, stat", [
+        ("kcore", "num_vertices"),
+        ("connected-components", "num_components"),
+        ("label-propagation", "num_labels"),
+    ])
+    def test_propagation_summary(self, edge_file, capsys, algorithm, stat):
         code = main([
-            "run", "kcore", "--input", edge_file,
+            "run", algorithm, "--input", edge_file,
             "--executors", "3", "--servers", "2",
         ])
         assert code == 0
-        assert "num_vertices" in capsys.readouterr().out
+        assert stat in capsys.readouterr().out
 
     def test_weighted_fast_unfolding(self, tmp_path, capsys):
         src, dst, _ = community_graph(80, 3, avg_degree=8, seed=82)
@@ -274,11 +279,3 @@ class TestCliEmbeddings:
             "--epochs", "1", "--executors", "2", "--servers", "2",
         ])
         assert code == 0
-
-    def test_connected_components_via_cli(self, edge_file, capsys):
-        code = main([
-            "run", "connected-components", "--input", edge_file,
-            "--executors", "2", "--servers", "2",
-        ])
-        assert code == 0
-        assert "num_components" in capsys.readouterr().out

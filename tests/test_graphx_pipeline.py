@@ -205,34 +205,6 @@ def test_join_plan_equals_the_routing_lists(edges, p_e, p_v):
 # ----------------------------------------------------------------------
 
 
-def _h_index(values: np.ndarray) -> int:
-    """The parent's per-vertex loop: largest h with h values >= h."""
-    values = np.sort(values)[::-1]
-    h = 0
-    for i, v in enumerate(values, start=1):
-        if v >= i:
-            h = i
-        else:
-            break
-    return h
-
-
-@given(st.lists(st.lists(st.integers(0, 12), max_size=14), max_size=12),
-       st.randoms(use_true_random=False))
-def test_h_index_kernel_equals_the_loop(rows, random):
-    """Messages ``(target, value)`` in any arrival order, targets with
-    gaps; a target without messages has no row."""
-    pairs = [(3 * t + 1, float(v)) for t, r in enumerate(rows) for v in r]
-    random.shuffle(pairs)
-    targets = np.asarray([t for t, _v in pairs], dtype=np.int64)
-    values = np.asarray([v for _t, v in pairs], dtype=np.float64)
-    uids, h = gx.h_index(targets, values)
-    want = {3 * t + 1: _h_index(np.asarray(r, dtype=np.float64))
-            for t, r in enumerate(rows) if r}
-    assert dict(zip(uids.tolist(), h.tolist())) == want
-    assert uids.tolist() == sorted(want)
-
-
 def _move_loop(ids, com, k, targets, mcom, mw, com_tot, two_m, parity):
     """The parent's reduce body, verbatim: one vertex at a time, with
     ``com_tot`` the dict the driver used to broadcast."""

@@ -20,6 +20,7 @@ from typing import Iterator, List
 
 import numpy as np
 
+from repro.common.batch import RowBatch
 from repro.common.rng import DEFAULT_SEED, derive_seed
 from repro.core.algorithms.base import AlgorithmResult, GraphAlgorithm
 from repro.core.context import PSGraphContext
@@ -126,12 +127,8 @@ class DeepWalk(GraphAlgorithm):
 
         vertices = np.arange(n, dtype=np.int64)
         vectors = emb.pull_rows(vertices)
-        rows = [
-            (v,) + tuple(vec)
-            for v, vec in zip(vertices.tolist(), vectors.tolist())
-        ]
         schema = ["vertex"] + [f"e{i}" for i in range(self.dim)]
-        output = ctx.create_dataframe(rows, schema)
+        output = ctx.create_dataframe(RowBatch(vertices, *vectors.T), schema)
         starts.unpersist()
         return AlgorithmResult(
             output, self.epochs,

@@ -8,9 +8,11 @@ RPC fabric and one metrics registry.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
+from repro.common.batch import RowBatch
 from repro.common.config import ClusterConfig
+from repro.common.errors import ConfigError
 from repro.common.metrics import MetricsRegistry
 from repro.dataflow.context import SparkContext
 from repro.dataflow.dataframe import DataFrame
@@ -77,13 +79,19 @@ class PSGraphContext:
         self.spark.sync_clocks()
         return self.ps.barrier()
 
-    def create_dataframe(self, rows: Iterable[tuple],
+    def create_dataframe(self, rows: Sequence[tuple] | RowBatch,
                          schema: Sequence[str],
                          num_partitions: int | None = None) -> DataFrame:
-        """Listing 1's ``SparkContext.createDataFrame``."""
-        return DataFrame(
-            self.spark.parallelize(list(rows), num_partitions), schema
-        )
+        """Listing 1's ``SparkContext.createDataFrame``: driver rows, as
+        tuples or one :class:`~repro.common.batch.RowBatch` of columns.
+        Every row must be as wide as ``schema``."""
+        widths = ({rows.row_width} if type(rows) is RowBatch
+                  else set(map(len, rows)))
+        if widths - {len(schema)}:
+            raise ConfigError(
+                f"rows of width {sorted(widths)} under the "
+                f"{len(schema)}-column schema {list(schema)}")
+        return DataFrame(self.spark.parallelize(rows, num_partitions), schema)
 
     def stop(self) -> None:
         """Release every container of the session."""

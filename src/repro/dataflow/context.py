@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from typing import Any, Callable, Iterable, List
 
+from repro.common.batch import RowBatch
 from repro.common.config import ClusterConfig
 from repro.common.metrics import EXECUTORS_ALIVE_G, MetricsRegistry
 from repro.common.simclock import SimClock, barrier
@@ -120,10 +121,13 @@ class SparkContext:
     # RDD creation
     # ------------------------------------------------------------------
 
-    def parallelize(self, data: Iterable[Any],
+    def parallelize(self, data: Iterable[Any] | RowBatch,
                     num_partitions: int | None = None) -> RDD:
-        """Distribute a driver-side collection into an RDD."""
-        data = list(data)
+        """Distribute a driver-side collection into an RDD.  A
+        :class:`~repro.common.batch.RowBatch` stays columns: one batch per
+        partition, holding the rows a list of its tuples would."""
+        if type(data) is not RowBatch:
+            data = list(data)
         n = num_partitions or min(self.cluster.parallelism, max(1, len(data)))
         return ParallelCollectionRDD(self, data, max(1, n))
 

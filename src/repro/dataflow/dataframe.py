@@ -4,9 +4,10 @@
 and pipeline execution" (Sec. III-C).  PSGraph's public API (Listing 1) takes
 and returns DataFrames, so the reproduction provides what those pipelines
 use: named columns over an RDD of rows, collected as dicts or tuples,
-counted or shown.  A row is a tuple; a frame built on executors may hold
-its rows as :class:`~repro.common.batch.RowBatch` columns (CommonNeighbor
-scores one batch per PS round trip), which every action treats per row.
+counted or shown.  A row is a tuple; a frame may hold its rows as
+:class:`~repro.common.batch.RowBatch` columns (CommonNeighbor scores one
+batch per PS round trip; LINE and DeepWalk hand the driver's embedding
+over as one), which every action treats per row.
 """
 
 from __future__ import annotations

@@ -31,6 +31,7 @@ import itertools
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, List
 
 from repro.common.batch import (
+    RowBatch,
     accumulate_sequential,
     count_rows,
     gather_rows,
@@ -303,14 +304,21 @@ class RDD:
 
 
 class ParallelCollectionRDD(RDD):
-    """An RDD over a driver-side list, split into even slices."""
+    """An RDD over a driver-side list, split into even slices.
 
-    def __init__(self, ctx: "SparkContext", data: List[Any],
+    Partition ``i`` holds rows ``i, i + P, i + 2P, ...``.  A
+    :class:`~repro.common.batch.RowBatch` keeps its columns: each slice is
+    one batch of strided views, and an empty slice holds no record, as an
+    empty list slice does.
+    """
+
+    def __init__(self, ctx: "SparkContext", data: List[Any] | RowBatch,
                  num_partitions: int) -> None:
         super().__init__(ctx, num_partitions)
-        self._slices: List[List[Any]] = [
-            list(data[i::num_partitions]) for i in range(num_partitions)
-        ]
+        slices = [data[i::num_partitions] for i in range(num_partitions)]
+        if type(data) is RowBatch:
+            slices = [[s] if len(s) else [] for s in slices]
+        self._slices: List[List[Any]] = slices
 
     def compute(self, split: int, tctx: TaskContext) -> Iterator[Any]:
         return iter(self._slices[split])

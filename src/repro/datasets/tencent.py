@@ -113,12 +113,15 @@ def write_edges(hdfs: Hdfs, path: str, src: np.ndarray, dst: np.ndarray,
     num_files = max(1, num_files)
     for i in range(num_files):
         sl = slice(i, None, num_files)
+        # Python scalars format as the numpy ones do, at a fraction of
+        # the cost per line.
+        s_ids, d_ids = src[sl].tolist(), dst[sl].tolist()
         if weights is None:
-            lines = [f"{s}\t{d}" for s, d in zip(src[sl], dst[sl])]
+            lines = [f"{s}\t{d}" for s, d in zip(s_ids, d_ids)]
         else:
             lines = [
                 f"{s}\t{d}\t{w:.6f}"
-                for s, d, w in zip(src[sl], dst[sl], weights[sl])
+                for s, d, w in zip(s_ids, d_ids, weights[sl].tolist())
             ]
         hdfs.write_text(f"{path}/part-{i:05d}", lines, overwrite=True)
     return path

@@ -254,6 +254,10 @@ CLI_WORKLOADS: Dict[str, str] = {
                    "--requests 12000 --chaos --record record.json",
     "streaming-window": "stream --vertices 300 --edges 1200 --windows 3 "
                         "--embedding",
+    "line": "run line --vertices 400 --edges 3000 --dim 8 --epochs 1 "
+            "--output embeddings.tsv",
+    "deepwalk": "run deepwalk --vertices 400 --edges 3000 --dim 8 "
+                "--epochs 1 --output embeddings.tsv",
 }
 
 

@@ -185,3 +185,33 @@ class TestWriteEdges:
                     num_files=1, weights=np.array([0.25]))
         line = fs.read_lines("/w/part-00000")[0]
         assert line.split("\t") == ["1", "2", "0.250000"]
+
+    @pytest.mark.parametrize("id_dtype", [np.int64, np.int32, np.uint64])
+    @pytest.mark.parametrize("w_dtype", [None, np.float64, np.float32])
+    def test_bytes_match_numpy_scalar_format(self, id_dtype, w_dtype):
+        """Lines are formatted from Python scalars; the files are the
+        bytes the numpy-scalar f-strings give, for ids past 2**31 and
+        weights that need rounding."""
+        rng = np.random.default_rng(5)
+        src = np.concatenate([rng.integers(0, 1 << 20, 40),
+                              [0, 2**31 - 1, 2**31, 2**40 + 3]])
+        if id_dtype is np.int32:
+            src = src[src < 2**31]
+        src = src.astype(id_dtype)
+        dst = src[::-1].copy()
+        weights = None
+        if w_dtype is not None:
+            weights = np.concatenate([
+                rng.random(len(src) - 4),
+                [0.0000005, 0.1234565, 2.5e-7, 123456.7891235],
+            ]).astype(w_dtype)
+        fs = Hdfs(metrics=MetricsRegistry())
+        write_edges(fs, "/b", src, dst, num_files=3, weights=weights)
+        for i in range(3):
+            sl = slice(i, None, 3)
+            if weights is None:
+                want = [f"{s}\t{d}" for s, d in zip(src[sl], dst[sl])]
+            else:
+                want = [f"{s}\t{d}\t{w:.6f}" for s, d, w
+                        in zip(src[sl], dst[sl], weights[sl])]
+            assert fs.read_lines(f"/b/part-{i:05d}") == want

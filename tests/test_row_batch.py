@@ -1,12 +1,15 @@
-"""Per-edge outputs as columns: ``RowBatch`` is a record that stands for
-its rows.
+"""Per-edge and embedding outputs as columns: ``RowBatch`` is a record
+that stands for its rows.
 
 CommonNeighbor and TriangleCount score one ``(src, dst, common)`` row
-batch per PS round trip.  A batch must meter, size, count, take, save and
-collect exactly as the boxed tuples it replaces: the ledger
-(``tests/ledger.py``) holds what a CommonNeighbor frame's actions returned
-and the sim clock after each, as computed at commit ``4168082``, while
-``score`` still yielded one tuple per edge.
+batch per PS round trip; LINE and DeepWalk hand the driver's pulled
+embedding to ``create_dataframe`` as one ``(vertex, e0, ...)`` batch.  A
+batch must meter, size, count, take, save and collect exactly as the
+boxed tuples it replaces: the ledger (``tests/ledger.py``) holds what a
+CommonNeighbor frame's actions returned and the sim clock after each, as
+computed at commit ``4168082``, while ``score`` still yielded one tuple
+per edge, and the ``line`` / ``deepwalk`` command-line workloads' saved
+embeddings as computed while the driver still built a list of tuples.
 """
 
 import contextlib
@@ -17,7 +20,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from repro.common.batch import RowBatch, gather_rows
+from repro.common.batch import RowBatch, gather_rows, iter_rows
+from repro.common.errors import ConfigError
 from repro.common.simclock import TaskCost
 from repro.common.sizeof import sizeof, sizeof_records
 from repro.core.algorithms import CommonNeighbor, TriangleCount
@@ -225,3 +229,95 @@ def test_row_batch_reads_as_a_tuple_sequence():
         RowBatch(np.array(["a"]))
     with pytest.raises(ValueError):
         RowBatch.concat([batch, RowBatch(np.array([1]))])
+
+
+# ----------------------------------------------------------------------
+# driver-built frames: a parallelized batch is its rows
+# ----------------------------------------------------------------------
+
+def _frame_from(rows, schema, num_partitions):
+    """The run record of every action on a ``create_dataframe`` frame over
+    ``rows``: results, the sim clock after each, every span and metric."""
+    ctx = make_psg(4, tracer=Tracer())
+    try:
+        frame = ctx.create_dataframe(rows, schema, num_partitions)
+        out = {}
+        for name, act in [
+                ("collect", frame.collect),
+                ("collect_tuples", lambda: list(frame.collect_tuples())),
+                ("count", frame.count),
+                ("take", lambda: frame.rdd.take(7)),
+                ("show", frame.show),
+                ("map", lambda: list(frame.rdd.map(
+                    lambda r: (r[0], r[-1] * 2)).collect())),
+                ("filter", lambda: list(frame.rdd.filter(
+                    lambda r: r[0] % 3 == 0).collect())),
+                ("save", lambda: (frame.rdd.save_as_text_file("/out"),
+                                  ctx.spark.text_file("/out").collect()))]:
+            with contextlib.redirect_stdout(io.StringIO()) as shown:
+                got = act()
+            out[name] = {"result": got, "stdout": shown.getvalue(),
+                         "sim_s": ctx.sim_time()}
+        doc = {"actions": out, "memory_peaks": [
+            ex.container.memory.peak for ex in ctx.spark.executors]}
+    finally:
+        ctx.stop()
+    return run_record(doc, ctx.tracer, ctx.metrics)
+
+
+def _embedding(n: int, dim: int, dtype) -> RowBatch:
+    """``(vertex, e0, ...)`` as LINE / DeepWalk build it: the vertex
+    column and one strided view per column of a pulled matrix."""
+    vectors = np.random.default_rng(n + dim).normal(size=(n, dim))
+    return RowBatch(np.arange(n, dtype=np.int64), *vectors.astype(dtype).T)
+
+
+@pytest.mark.parametrize("n, dim, dtype, num_partitions", [
+    (1000, 16, np.float64, None),
+    (60, 4, np.float32, 7),
+    (3, 2, np.float64, 8),
+    (0, 3, np.float32, None),
+    (0, 3, np.float64, 5),
+], ids=["f64", "f32-p7", "partitions>rows", "empty-f32", "empty-p5"])
+def test_frame_from_a_batch_is_the_frame_from_its_rows(
+        n, dim, dtype, num_partitions):
+    batch = _embedding(n, dim, dtype)
+    schema = ["vertex"] + [f"e{i}" for i in range(dim)]
+    assert batch.columns[1].base is not None  # strided views, not copies
+    assert _frame_from(batch, schema, num_partitions) \
+        == _frame_from(list(batch), schema, num_partitions)
+
+
+def test_parallelized_batch_keeps_one_batch_per_partition():
+    """Partition ``i`` is the one batch ``batch[i::P]``: the rows, in the
+    order, a list of the batch's tuples puts there; an empty slice holds
+    no record."""
+    batch = _embedding(10, 2, np.float64)
+    ctx = make_context()
+    try:
+        for p in (1, 3, 10, 13):
+            parts = ctx.parallelize(batch, p).foreach_partition(list)
+            boxed = ctx.parallelize(list(batch), p).foreach_partition(list)
+            assert len(parts) == len(boxed) == p
+            for i, (records, rows) in enumerate(zip(parts, boxed)):
+                assert records == ([batch[i::p]] if i < len(batch) else [])
+                assert all(type(r) is RowBatch for r in records)
+                assert list(iter_rows(records)) == rows
+    finally:
+        ctx.stop()
+
+
+@pytest.mark.parametrize("rows, schema", [
+    (RowBatch(*(np.arange(5) for _ in range(4))), ["vertex"]),
+    ([(0, 1.0), (1, 2.0, 3.0)], ["vertex", "x"]),
+    ([(0,)], ["vertex", "x"]),
+], ids=["wide-batch", "ragged-list", "narrow-list"])
+def test_a_schema_of_another_width_is_refused(rows, schema):
+    """A 4-wide batch under ``["vertex"]`` used to collect as
+    ``{'vertex': 0}``: the columns past the schema were dropped."""
+    ctx = make_psg()
+    try:
+        with pytest.raises(ConfigError, match="schema"):
+            ctx.create_dataframe(rows, schema)
+    finally:
+        ctx.stop()

@@ -475,3 +475,70 @@ def segment_mode(targets: np.ndarray, values: np.ndarray
     candidates = np.where(counts == longest, np.arange(len(runs)), len(runs))
     winners = np.minimum.reduceat(candidates, heads)
     return run_targets[heads], values[runs[winners]]
+
+
+def louvain_move(ids: np.ndarray, own: np.ndarray, k: np.ndarray,
+                 targets: np.ndarray, mcom: np.ndarray, mw: np.ndarray,
+                 com_tot: np.ndarray, two_m: float
+                 ) -> Tuple[np.ndarray, np.ndarray]:
+    """One Louvain move round over the vertices ``ids`` (ascending), whose
+    communities are ``own`` and weighted degrees ``k``.
+
+    Every message ``(target, neighbor community, weight)`` is grouped by
+    ``(target, community)``; a target moves to the first candidate of
+    maximal modularity gain when that beats staying.  Weights add up in
+    arrival order within a group (a sequential ``bincount``), as a
+    per-vertex scatter-add would.  ``com_tot[c]`` is community ``c``'s
+    total weighted degree.
+
+    Returns ``(moved, new)``: the positions in ``ids`` of the targets that
+    move, ascending, and their new communities.
+    """
+    if len(targets) == 0:
+        return np.empty(0, dtype=np.int64), mcom[:0]
+    order = np.lexsort((mcom, targets))
+    targets, mcom = targets[order], mcom[order]
+    new_vertex = np.ones(len(targets), dtype=bool)
+    new_vertex[1:] = targets[1:] != targets[:-1]
+    new_group = new_vertex.copy()
+    new_group[1:] |= mcom[1:] != mcom[:-1]
+    # One row per (vertex, candidate community), candidates ascending.
+    wsum = np.bincount(np.cumsum(new_group) - 1, weights=mw[order])
+    cand = mcom[new_group]
+    vertex = (np.cumsum(new_vertex) - 1)[new_group]
+    first = np.flatnonzero(new_vertex[new_group])
+    pos = np.searchsorted(ids, targets[new_vertex])
+    own, kv = own[pos], k[pos]
+    is_own = cand == own[vertex]
+    tot = com_tot[cand.astype(np.int64)]
+    tot[is_own] -= kv[vertex[is_own]]
+    gains = wsum - tot * kv[vertex] / two_m
+    own_gain = -(com_tot[own.astype(np.int64)] - kv) * kv / two_m
+    own_gain[vertex[is_own]] = gains[is_own]
+    best_gain = np.maximum.reduceat(gains, first)
+    rows = np.arange(len(gains))
+    best = np.minimum.reduceat(
+        np.where(gains == best_gain[vertex], rows, len(rows)), first)
+    moved = (best_gain > own_gain + 1e-12) & (cand[best] != own)
+    return pos[moved], cand[best[moved]]
+
+
+def modularity(src_com: np.ndarray, dst_com: np.ndarray,
+               weights: np.ndarray) -> float:
+    """Newman modularity of a partition, from each edge's endpoint
+    communities and weight (every edge once; a self-loop counts twice
+    towards its community's total, as in the adjacency matrix)."""
+    m = float(weights.sum())
+    if m == 0:
+        return 0.0
+    inside = float(weights[src_com == dst_com].sum())
+    # Community totals add up edge by edge, sources then targets, and are
+    # summed in order of first appearance (a dict filled in that order).
+    ends = np.concatenate([src_com, dst_com])
+    _coms, first, inverse = np.unique(ends, return_index=True,
+                                      return_inverse=True)
+    totals = np.bincount(inverse, weights=np.concatenate([weights, weights]))
+    two_m = 2.0 * m
+    return (2.0 * inside / two_m
+            - sum((tot / two_m) ** 2
+                  for tot in totals[np.argsort(first)].tolist()))

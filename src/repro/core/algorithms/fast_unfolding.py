@@ -14,11 +14,17 @@ Passes repeat until no move improves modularity.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.common.batch import accumulate_sequential, partition_order
+from repro.common.batch import (
+    RowBatch,
+    accumulate_sequential,
+    louvain_move,
+    modularity,
+    partition_order,
+)
 from repro.common.sizeof import CONTAINER_ENTRY_BYTES, SCALAR_BYTES
 from repro.core.algorithms.base import AlgorithmResult, GraphAlgorithm
 from repro.core.blocks import EdgeBlock, NeighborBlock
@@ -80,16 +86,15 @@ class FastUnfolding(GraphAlgorithm):
             current = _aggregate(current, pass_mapping)
         assert mapping is not None
         q = modularity_from_edges(edges, mapping)
-        present = _present_vertices(edges, n_orig)
-        rows = [
-            (int(v), int(mapping[v])) for v in np.flatnonzero(present)
-        ]
-        output = ctx.create_dataframe(rows, ["vertex", "community"])
+        vertices = np.flatnonzero(_present_vertices(edges, n_orig))
+        communities = mapping[vertices]
+        output = ctx.create_dataframe(RowBatch(vertices, communities),
+                                      ["vertex", "community"])
         edges.unpersist()
         return AlgorithmResult(
             output, passes,
             stats={"modularity": q, "moves": total_moves,
-                   "num_communities": len({c for _v, c in rows})},
+                   "num_communities": len(np.unique(communities))},
         )
 
     # ------------------------------------------------------------------
@@ -141,50 +146,26 @@ class FastUnfolding(GraphAlgorithm):
                 charge_primitive_compute(
                     cost_model, len(block.neighbors)
                 )
-                cand_ids = np.unique(np.concatenate([ncoms, own]))
+                # The kernel sees each community as its index into the
+                # pulled ids, so ``tot`` is its table of totals.
+                cand_ids, index = np.unique(np.concatenate([ncoms, own]),
+                                            return_inverse=True)
                 tot = com2weight.pull(cand_ids.astype(np.int64))
-                tot_of = dict(zip(cand_ids.tolist(), tot.tolist()))
-                changed_v: List[int] = []
-                changed_c: List[float] = []
-                delta_coms: List[int] = []
-                delta_vals: List[float] = []
-                for i, v in enumerate(block.vertices.tolist()):
-                    sl = slice(block.indptr[i], block.indptr[i + 1])
-                    coms = ncoms[sl]
-                    ws = (block.weights[sl] if block.weights is not None
-                          else np.ones(sl.stop - sl.start))
-                    cand, inverse = np.unique(coms, return_inverse=True)
-                    wsum = np.zeros(len(cand))
-                    np.add.at(wsum, inverse, ws)
-                    own_c = own[i]
-                    gains = np.empty(len(cand))
-                    for j, c in enumerate(cand.tolist()):
-                        tot_c = tot_of.get(c, 0.0)
-                        if c == own_c:
-                            tot_c -= k[i]
-                        gains[j] = wsum[j] - tot_c * k[i] / two_m
-                    own_pos = np.flatnonzero(cand == own_c)
-                    own_gain = (gains[own_pos[0]] if len(own_pos)
-                                else -k[i] * (tot_of.get(own_c, k[i]) - k[i])
-                                / two_m)
-                    best = int(np.argmax(gains))
-                    if gains[best] > own_gain + 1e-12 and \
-                            cand[best] != own_c:
-                        new_c = int(cand[best])
-                        changed_v.append(v)
-                        changed_c.append(float(new_c))
-                        delta_coms.extend([int(own_c), new_c])
-                        delta_vals.extend([-k[i], k[i]])
-                        moves += 1
-                if changed_v:
-                    vertex2com.set(
-                        np.asarray(changed_v, dtype=np.int64),
-                        np.asarray(changed_c),
-                    )
+                moved, new = louvain_move(
+                    block.vertices, index[len(ncoms):], k,
+                    np.repeat(block.vertices, np.diff(block.indptr)),
+                    index[:len(ncoms)], block.weights, tot, two_m)
+                if len(moved):
+                    new_c = cand_ids[new]
+                    vertex2com.set(block.vertices[moved], new_c)
+                    # (own, new) per moved vertex, in block order: the
+                    # deltas add up in the order the server receives them.
                     com2weight.push(
-                        np.asarray(delta_coms, dtype=np.int64),
-                        np.asarray(delta_vals),
+                        np.column_stack([own[moved], new_c])
+                        .ravel().astype(np.int64),
+                        np.column_stack([-k[moved], k[moved]]).ravel(),
                     )
+                    moves += len(moved)
             return moves
 
         total_moves = 0
@@ -330,38 +311,15 @@ def _aggregate(current: RDD, mapping: np.ndarray) -> RDD:
 
 
 def modularity_from_edges(edges: RDD, communities: np.ndarray) -> float:
-    """Newman modularity of a partition over weighted edge blocks."""
-    def partials(it: Iterator[EdgeBlock]
-                 ) -> Tuple[float, Dict[int, float], Dict[int, float]]:
-        inside: Dict[int, float] = {}
-        k: Dict[int, float] = {}
-        m = 0.0
-        for b in it:
-            w = b.weight if b.weight is not None else np.ones(b.num_edges)
-            m += float(w.sum())
-            cs = communities[b.src]
-            cd = communities[b.dst]
-            same = cs == cd
-            for c, wv in zip(cs[same].tolist(), w[same].tolist()):
-                inside[c] = inside.get(c, 0.0) + wv
-            for v_arr in (b.src, b.dst):
-                for c, wv in zip(communities[v_arr].tolist(), w.tolist()):
-                    k[c] = k.get(c, 0.0) + wv
-        return m, inside, k
+    """Newman modularity of a partition over weighted edge blocks: each
+    partition hands back its blocks' endpoint communities and weights."""
+    def ends(it: Iterator[EdgeBlock]) -> List[Tuple[np.ndarray, ...]]:
+        return [(communities[b.src], communities[b.dst],
+                 b.weight if b.weight is not None else np.ones(b.num_edges))
+                for b in it]
 
-    m_total = 0.0
-    inside_total: Dict[int, float] = {}
-    k_total: Dict[int, float] = {}
-    for m, inside, k in edges.foreach_partition(partials):
-        m_total += m
-        for c, v in inside.items():
-            inside_total[c] = inside_total.get(c, 0.0) + v
-        for c, v in k.items():
-            k_total[c] = k_total.get(c, 0.0) + v
-    if m_total == 0:
-        return 0.0
-    two_m = 2.0 * m_total
-    q = 0.0
-    for c, tot in k_total.items():
-        q += 2.0 * inside_total.get(c, 0.0) / two_m - (tot / two_m) ** 2
-    return q
+    none = communities[:0]
+    blocks = [(none, none, np.empty(0))]
+    for part in edges.foreach_partition(ends):
+        blocks += part
+    return modularity(*map(np.concatenate, zip(*blocks)))

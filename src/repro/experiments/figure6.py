@@ -53,9 +53,12 @@ PAPER_FIG6: Dict[Tuple[str, str, str], Optional[float]] = {
 #: Dataset scale factors.
 SCALES = {"DS1": 1e-5, "DS2": 2e-6}
 
-#: Iteration budgets are shared by both systems (identical work per cell).
-#: GraphX survives CN by processing edges in chunks (many repeated ship
-#: rounds — slow but memory-bounded, as in the paper's 1.5 h).
+#: Iteration budgets are equal for both systems.  That is not yet identical
+#: work for FastUnfolding: both call one move kernel, but PSGraph moves
+#: every vertex of a block against the PS's latest writes, while GraphX
+#: moves one id parity per synchronous half-round.  GraphX survives CN by
+#: processing edges in chunks (many repeated ship rounds — slow but
+#: memory-bounded, as in the paper's 1.5 h).
 KNOBS: Dict[Tuple[str, str], Dict[str, object]] = {
     ("PageRank", "PSGraph"): {"max_iterations": 20, "tol": 0.0},
     ("PageRank", "GraphX"): {"max_iterations": 20, "tol": 0.0},

@@ -15,6 +15,7 @@ from typing import List, Tuple
 
 import numpy as np
 
+from repro.common.batch import louvain_move, modularity
 from repro.dataflow.context import SparkContext
 from repro.dataflow.taskctx import TaskContext
 from repro.graphx.graph import Graph, VertexPartition, split_vertices
@@ -38,13 +39,13 @@ def fast_unfolding(ctx: SparkContext, src: np.ndarray, dst: np.ndarray,
     cur_src, cur_dst, cur_w = src, dst, weight
     total_rounds = 0
     for _ in range(num_passes):
-        pass_map, rounds = _one_pass(
+        pass_map, rounds, moves = _one_pass(
             ctx, cur_src, cur_dst, cur_w, n,
             max_move_iterations, num_partitions,
         )
         total_rounds += rounds
         mapping = pass_map[mapping]
-        if rounds == 0:
+        if moves == 0:
             break
         # Community aggregation (a reduceByKey over relabeled edges).
         key = pass_map[cur_src] * n + pass_map[cur_dst]
@@ -55,13 +56,16 @@ def fast_unfolding(ctx: SparkContext, src: np.ndarray, dst: np.ndarray,
         cur_dst = (uniq % n).astype(np.int64)
         cur_w = w
         ctx.charge_driver_result(int(uniq.nbytes * 2 + w.nbytes))
-    q = _modularity(src, dst, weight, mapping)
+    q = modularity(mapping[src], mapping[dst], weight)
     return mapping, q, total_rounds
 
 
 def _one_pass(ctx: SparkContext, src: np.ndarray, dst: np.ndarray,
               w: np.ndarray, n: int, max_iters: int,
-              num_partitions: int | None) -> Tuple[np.ndarray, int]:
+              num_partitions: int | None
+              ) -> Tuple[np.ndarray, int, int]:
+    """One modularity-optimization phase: ``(vertex -> community, move
+    rounds, vertices moved)``."""
     p = num_partitions or ctx.cluster.parallelism
     p = max(1, min(p, max(1, len(src))))
     cm = ctx.cluster.cost_model
@@ -85,7 +89,7 @@ def _one_pass(ctx: SparkContext, src: np.ndarray, dst: np.ndarray,
                  np.concatenate([weights[ep], weights[ep]]))]
 
     com = np.arange(n, dtype=np.float64)  # latest global view (driver)
-    rounds = 0
+    rounds = total_moves = 0
     for round_idx in range(2 * max_iters):
         # Synchronous rounds oscillate when whole communities swap; the
         # standard distributed-Louvain fix is to let only half the
@@ -101,66 +105,24 @@ def _one_pass(ctx: SparkContext, src: np.ndarray, dst: np.ndarray,
             with graph.temp_table(
                     tctx, f"gx-fu-msg:{vp}",
                     targets.nbytes + mcom.nbytes + mw.nbytes):
-                moves = _move_vertices(
-                    part.ids, part.attrs, k_parts[vp], targets, mcom, mw,
-                    com_tot, two_m, parity)
+                mine = targets % 2 == parity
+                moved, new = louvain_move(
+                    part.ids, part.attrs, k_parts[vp], targets[mine],
+                    mcom[mine], mw[mine], com_tot, two_m)
+                part.attrs[moved] = new
                 tctx.cost.cpu_s += cm.compute_time(len(targets))
-            return moves
+            return len(moved)
 
         moves = sum(graph.join("gx-fu", "gx-fu-map", compute, reduce,
                                lambda vp: 0))
         rounds += 1
+        total_moves += moves
         if moves == 0 and parity == 1:
             break
 
     for part in graph.vertex_parts:
         com[part.ids] = part.attrs
-    return com.astype(np.int64), rounds
-
-
-def _move_vertices(ids: np.ndarray, com: np.ndarray, k: np.ndarray,
-                   targets: np.ndarray, mcom: np.ndarray, mw: np.ndarray,
-                   com_tot: np.ndarray, two_m: float, parity: int) -> int:
-    """One partition's Louvain move round, in place on ``com``.
-
-    Every message ``(target, neighbor community, weight)`` of a vertex of
-    the round's parity is grouped by ``(target, community)``; the
-    vertex moves to the first candidate of maximal modularity gain when
-    that beats staying.  Weights add up in arrival order within a group
-    (a sequential ``bincount``), as a per-vertex scatter-add would.
-
-    Returns the number of vertices moved.
-    """
-    mine = targets % 2 == parity
-    targets, mcom, mw = targets[mine], mcom[mine], mw[mine]
-    if len(targets) == 0:
-        return 0
-    order = np.lexsort((mcom, targets))
-    targets, mcom = targets[order], mcom[order]
-    new_vertex = np.ones(len(targets), dtype=bool)
-    new_vertex[1:] = targets[1:] != targets[:-1]
-    new_group = new_vertex.copy()
-    new_group[1:] |= mcom[1:] != mcom[:-1]
-    # One row per (vertex, candidate community), candidates ascending.
-    wsum = np.bincount(np.cumsum(new_group) - 1, weights=mw[order])
-    cand = mcom[new_group]
-    vertex = (np.cumsum(new_vertex) - 1)[new_group]
-    first = np.flatnonzero(new_vertex[new_group])
-    pos = np.searchsorted(ids, targets[new_vertex])
-    own, kv = com[pos], k[pos]
-    is_own = cand == own[vertex]
-    tot = com_tot[cand.astype(np.int64)]
-    tot[is_own] -= kv[vertex[is_own]]
-    gains = wsum - tot * kv[vertex] / two_m
-    own_gain = -(com_tot[own.astype(np.int64)] - kv) * kv / two_m
-    own_gain[vertex[is_own]] = gains[is_own]
-    best_gain = np.maximum.reduceat(gains, first)
-    rows = np.arange(len(gains))
-    best = np.minimum.reduceat(
-        np.where(gains == best_gain[vertex], rows, len(rows)), first)
-    moved = (best_gain > own_gain + 1e-12) & (cand[best] != own)
-    com[pos[moved]] = cand[best[moved]]
-    return int(moved.sum())
+    return com.astype(np.int64), rounds, total_moves
 
 
 def _community_totals(graph: Graph, k_parts: List[np.ndarray],
@@ -192,23 +154,3 @@ def _community_totals(graph: Graph, k_parts: List[np.ndarray],
         out[uids.astype(np.int64)] = sums
     ctx.charge_driver_result(sum(len(uids) for uids, _s in parts) * 16)
     return out
-
-
-def _modularity(src: np.ndarray, dst: np.ndarray, w: np.ndarray,
-                communities: np.ndarray) -> float:
-    """Driver-side Newman modularity of the final partition."""
-    m = float(w.sum())
-    if m == 0:
-        return 0.0
-    same = communities[src] == communities[dst]
-    inside = float(w[same].sum())
-    # Community totals add up edge by edge, sources then targets, and are
-    # summed in order of first appearance (a dict filled in that order).
-    ends = np.concatenate([communities[src], communities[dst]])
-    _coms, first, inverse = np.unique(ends, return_index=True,
-                                      return_inverse=True)
-    totals = np.bincount(inverse, weights=np.concatenate([w, w]))
-    two_m = 2.0 * m
-    return (2.0 * inside / two_m
-            - sum((tot / two_m) ** 2
-                  for tot in totals[np.argsort(first)].tolist()))

@@ -243,6 +243,8 @@ def check_determinism(name: str,
 CLI_WORKLOADS: Dict[str, str] = {
     "common-neighbor": "run common-neighbor --vertices 400 --edges 3000 "
                        "--output overlaps.tsv",
+    "fast-unfolding": "run fast-unfolding --vertices 400 --edges 3000 "
+                      "--output communities.tsv",
     "pagerank": "run pagerank --vertices 400 --edges 3000 --iterations 8 "
                 "--output ranks.tsv",
     "chaos-pagerank": "run pagerank --vertices 400 --edges 3000 "

@@ -31,6 +31,7 @@ from repro.datasets.generators import community_graph, powerlaw_graph
 from repro.datasets.tencent import write_edges
 from repro.obs.determinism import run_record
 from repro.obs.tracer import Tracer
+from repro.ps.matrix import PSVector
 from tests.conftest import digest, make_psg
 from tests.ledger import pin
 
@@ -257,6 +258,34 @@ class TestFastUnfolding:
                for r in result.output.collect()}
         assert got[0] == got[1] == got[2]
         assert got[3] == got[4]
+
+    def test_weight_deltas_are_pushed_per_move_in_block_order(
+            self, psg, monkeypatch):
+        """Each block's ``com2weight`` push is ``(own, new)`` key pairs with
+        ``(-k, +k)`` deltas, one pair per moved vertex in the order the
+        block's ``vertex2com`` write lists them: the server adds float
+        deltas in arrival order, so this order is part of the answer."""
+        calls = []
+        for op in ("push", "set"):
+            def record(vec, keys, values, col=0, _op=op,
+                       _real=getattr(PSVector, op)):
+                calls.append((_op, vec.name, keys.copy(), values.copy()))
+                _real(vec, keys, values, col)
+            monkeypatch.setattr(PSVector, op, record)
+        src, dst, _ = community_graph(80, 3, avg_degree=8, mixing=0.1,
+                                      seed=23)
+        w = np.random.default_rng(3).uniform(0.25, 4.0, len(src))
+        FastUnfolding(num_passes=1, max_move_iterations=2).transform(
+            psg, edges_from_arrays(psg.spark, src, dst, weight=w))
+        moves = [(a, b) for a, b in zip(calls, calls[1:])
+                 if a[:2] == ("set", b[1].replace("com2weight",
+                                                  "vertex2com"))
+                 and b[0] == "push" and len(b[2]) == 2 * len(a[2])]
+        assert len(moves) > 1
+        for (_s, _n, _vertices, new), (_p, _m, keys, deltas) in moves:
+            assert keys[1::2].tolist() == new.tolist()
+            assert np.array_equal(deltas[0::2], -deltas[1::2])
+            assert (deltas[1::2] > 0).all()
 
     @given(st.data())
     def test_aggregate_is_the_dict_left_fold(self, data):

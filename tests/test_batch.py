@@ -18,6 +18,8 @@ from repro.common.batch import (
     flat_row_index,
     h_index,
     in_sorted,
+    louvain_move,
+    modularity,
     scatter_add_rows,
     segment_index,
     segment_mode,
@@ -327,6 +329,182 @@ def test_segment_kernel_equals_the_loop(kernel, loop, rows, random):
             for t, r in enumerate(rows) if r}
     assert dict(zip(uids.tolist(), got.tolist())) == want
     assert uids.tolist() == sorted(want)
+
+
+def _move_loop(ids, com, k, targets, mcom, mw, com_tot, two_m,
+               parity=None):
+    """The per-vertex Louvain move both systems ran before the kernel, in
+    place on ``com``, with ``com_tot`` a dict of community totals; with
+    ``parity`` only the targets of that id parity move (GraphX's round)."""
+    order = np.argsort(targets, kind="stable")
+    targets, mcom, mw = targets[order], mcom[order], mw[order]
+    uids, starts = np.unique(targets, return_index=True)
+    bounds = np.append(starts, len(targets))
+    moves = 0
+    pos = np.searchsorted(ids, uids)
+    for j, v in enumerate(uids.tolist()):
+        if parity is not None and v % 2 != parity:
+            continue
+        i = pos[j]
+        coms = mcom[bounds[j]:bounds[j + 1]]
+        ws = mw[bounds[j]:bounds[j + 1]]
+        cand, inverse = np.unique(coms, return_inverse=True)
+        wsum = np.zeros(len(cand))
+        np.add.at(wsum, inverse, ws)
+        own = com[i]
+        kv = k[i]
+        gains = np.empty(len(cand))
+        for c_idx, c in enumerate(cand.tolist()):
+            tot = com_tot.get(c, 0.0)
+            if c == own:
+                tot -= kv
+            gains[c_idx] = wsum[c_idx] - tot * kv / two_m
+        own_pos = np.flatnonzero(cand == own)
+        own_gain = (
+            gains[own_pos[0]] if len(own_pos)
+            else -(com_tot.get(own, kv) - kv) * kv / two_m
+        )
+        best = int(np.argmax(gains))
+        if gains[best] > own_gain + 1e-12 and cand[best] != own:
+            com[i] = cand[best]
+            moves += 1
+    return moves
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**31), st.integers(2, 40), st.integers(1, 300),
+       st.integers(0, 1))
+def test_vectorised_louvain_round_equals_the_loop(seed, n, m, parity):
+    """GraphX's call: random float-weighted multigraphs, messages in any
+    order, one id parity moving.  Communities and move count are bitwise
+    those of the per-vertex loop (sums add in arrival order)."""
+    rng = np.random.default_rng(seed)
+    src = rng.integers(0, n, m)
+    dst = rng.integers(0, n, m)
+    w = rng.uniform(0.05, 3.0, m)
+    k = np.zeros(n)
+    np.add.at(k, src, w)
+    np.add.at(k, dst, w)
+    ids = np.flatnonzero(k > 0)
+    # A state some rounds in: vertices already share communities.
+    com = rng.choice(ids, len(ids)).astype(np.float64)
+    full = np.zeros(n)
+    full[ids] = com
+    totals = np.zeros(n)
+    np.add.at(totals, com.astype(np.int64), k[ids])
+    as_dict = {float(c): float(totals[int(c)]) for c in np.unique(com)}
+    targets = np.concatenate([dst, src])
+    mcom = np.concatenate([full[src], full[dst]])
+    mw = np.concatenate([w, w])
+    shuffled = rng.permutation(len(targets))
+    targets, mcom, mw = targets[shuffled], mcom[shuffled], mw[shuffled]
+    two_m = float(w.sum()) * 2.0
+    want = com.copy()
+    want_moves = _move_loop(ids, want, k[ids], targets, mcom, mw, as_dict,
+                            two_m, parity)
+    mine = targets % 2 == parity
+    moved, new = louvain_move(ids, com, k[ids], targets[mine], mcom[mine],
+                              mw[mine], totals, two_m)
+    got = com.copy()
+    got[moved] = new
+    assert len(moved) == want_moves
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 23), min_size=1, max_size=8),
+                min_size=1, max_size=12),
+       st.booleans(), st.randoms(use_true_random=False))
+@example([[0, 5, 5, 1], [2], [9, 2, 2, 9, 4]], False, Random(0))
+@example([[7, 0, 7], [2, 2]], True, Random(1))
+def test_louvain_move_on_a_psgraph_block(rows, weighted, random):
+    """PSGraph's call: one CSR block (vertex ``t`` has id ``2t``) whose
+    neighbor lists are unsorted, repeat ids and may hold the vertex itself;
+    messages in block order, unit or float weights, no parity filter, and
+    every community given as its index into the block's pulled community
+    ids.  The kernel moves what the loop moves, ascending."""
+    vertices = 2 * np.arange(len(rows))
+    lens = np.array([len(r) for r in rows])
+    neighbors = np.array([v for r in rows for v in r])
+    ws = (np.array([random.uniform(0.25, 4.0) for _ in neighbors])
+          if weighted else np.ones(len(neighbors)))
+    k = np.add.reduceat(ws, np.append(0, np.cumsum(lens)[:-1]))
+    com_of = np.array([float(random.randrange(24)) for _ in range(24)])
+    # Few distinct totals, so that gains tie.
+    totals = np.array([random.choice([1.0, 2.0, 6.0]) for _ in range(24)])
+    two_m = float(totals.sum())
+    targets = np.repeat(vertices, lens)
+    ncoms, own = com_of[neighbors], com_of[vertices]
+    want = own.copy()
+    want_moves = _move_loop(vertices, want, k, targets, ncoms, ws,
+                            dict(enumerate(totals.tolist())), two_m)
+    cand_ids, index = np.unique(np.concatenate([ncoms, own]),
+                                return_inverse=True)
+    moved, new = louvain_move(vertices, index[len(ncoms):], k, targets,
+                              index[:len(ncoms)], ws,
+                              totals[cand_ids.astype(np.int64)], two_m)
+    got = own.copy()
+    got[moved] = cand_ids[new]
+    assert len(moved) == want_moves
+    assert np.all(np.diff(moved) > 0)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("margin, moves", [(5e-13, False), (2e-12, True)])
+def test_louvain_move_needs_a_gain_above_1e_12(margin, moves):
+    """Vertex 0 is alone in community 0, so staying gains 0; joining
+    community 1 gains ``1 - tot * k / 2m = margin``."""
+    moved, new = louvain_move(np.array([0]), np.array([0.0]), np.ones(1),
+                              np.array([0]), np.array([1.0]), np.ones(1),
+                              np.array([1.0, 1.0 - margin]), 1.0)
+    assert moved.tolist() == ([0] if moves else [])
+    assert new.tolist() == ([1.0] if moves else [])
+
+
+def test_louvain_move_without_messages_moves_nothing():
+    moved, new = louvain_move(np.arange(3), np.arange(3.0), np.ones(3),
+                              np.empty(0, dtype=np.int64), np.empty(0),
+                              np.empty(0), np.ones(3), 6.0)
+    assert len(moved) == len(new) == 0
+
+
+def _newman(src, dst, w, com):
+    """Q from the dense adjacency matrix: sum over vertex pairs in one
+    community of ``A_ij - k_i k_j / 2m``, over ``2m`` (a self-loop is
+    ``2w`` on the diagonal)."""
+    n = len(com)
+    a = np.zeros((n, n))
+    np.add.at(a, (src, dst), w)
+    np.add.at(a, (dst, src), w)
+    k = a.sum(axis=1)
+    two_m = a.sum()
+    same = com[:, None] == com[None, :]
+    return float(((a - np.outer(k, k) / two_m) * same).sum() / two_m)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9),
+                          st.floats(0.1, 5.0)), min_size=1, max_size=40),
+       st.lists(st.integers(0, 4), min_size=10, max_size=10))
+@example([(3, 3, 1.0), (3, 3, 1.0), (0, 7, 2.5)], [0] * 10)
+@example([(1, 2, 1.0), (2, 1, 1.0), (4, 4, 0.5)], list(range(10)))
+def test_modularity_is_newmans_formula(edges, labels):
+    """Weighted multigraphs with self-loops and duplicate edges; vertex
+    ``v`` has id ``3v + 2`` and community ``5 * label + 7``, so both id
+    spaces have gaps."""
+    src = np.array([3 * s + 2 for s, _d, _w in edges])
+    dst = np.array([3 * d + 2 for _s, d, _w in edges])
+    w = np.array([x for _s, _d, x in edges])
+    com = np.zeros(30, dtype=np.int64)
+    com[3 * np.arange(10) + 2] = 5 * np.array(labels) + 7
+    assert modularity(com[src], com[dst], w) == pytest.approx(
+        _newman(src, dst, w, com), rel=1e-12, abs=1e-12)
+
+
+def test_modularity_of_no_weight_is_zero():
+    none = np.empty(0, dtype=np.int64)
+    assert modularity(none, none, np.empty(0)) == 0.0
+    assert modularity(np.array([1]), np.array([1]), np.zeros(1)) == 0.0
 
 
 class TestAccumulateSequential:

@@ -4,6 +4,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from repro.common.batch import modularity
 from repro.common.config import ClusterConfig
 from repro.common.errors import GraphLoadError, SimulatedOOMError
 from repro.common.metrics import SHUFFLE_BYTES_WRITTEN
@@ -17,7 +18,7 @@ from repro.graphx.algorithms import (
     pagerank,
     triangle_count,
 )
-from repro.graphx.fast_unfolding import _modularity, fast_unfolding
+from repro.graphx.fast_unfolding import fast_unfolding
 from repro.graphx.graph import Graph
 from repro.graphx.pregel import pregel
 from tests.conftest import make_context
@@ -255,7 +256,7 @@ class TestGraphXModularity:
             100, 4, avg_degree=10, mixing=0.1, seed=101
         )
         w = np.ones(len(src))
-        q_ours = _modularity(src, dst, w, truth)
+        q_ours = modularity(truth[src], truth[dst], w)
         nxg = nx.Graph()
         nxg.add_edges_from(zip(src.tolist(), dst.tolist()))
         comms = [set(np.flatnonzero(truth == c)) & set(nxg.nodes)
@@ -269,7 +270,7 @@ class TestGraphXModularity:
     def test_singleton_partition_has_low_modularity(self):
         src = np.array([0, 1, 2])
         dst = np.array([1, 2, 0])
-        q = _modularity(src, dst, np.ones(3), np.arange(3))
+        q = modularity(src, dst, np.ones(3))
         assert q < 0.01
 
     def test_perfect_split_has_high_modularity(self):
@@ -277,7 +278,7 @@ class TestGraphXModularity:
         src = np.array([0, 1, 2, 3, 4, 5])
         dst = np.array([1, 2, 0, 4, 5, 3])
         comms = np.array([0, 0, 0, 1, 1, 1])
-        q = _modularity(src, dst, np.ones(6), comms)
+        q = modularity(comms[src], comms[dst], np.ones(6))
         assert q == pytest.approx(0.5)
 
     def test_fast_unfolding_returns_total_mapping(self):

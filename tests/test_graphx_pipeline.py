@@ -8,7 +8,7 @@ parent's.  (``tests/test_graphx_pins.py`` pins the end-to-end numbers.)
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.common.batch import (
@@ -24,7 +24,6 @@ from repro.dataflow.shuffle import ColumnBlock
 from repro.datasets.generators import powerlaw_graph
 from repro.datasets.tencent import ds1_spec, generate_edges
 from repro.graphx import algorithms as gx
-from repro.graphx.fast_unfolding import _move_vertices
 from repro.graphx.graph import Graph, _JoinPlan, split_vertices
 from repro.obs.determinism import run_record
 from repro.obs.tracer import Tracer
@@ -198,86 +197,6 @@ def test_join_plan_equals_the_routing_lists(edges, p_e, p_v):
         assert np.array_equal(received[plan.dst_pos[ep]], ed)
         # ... and the rank that reads the received table in id order.
         assert np.array_equal(received[plan.id_rank[ep]], np.sort(received))
-
-
-# ----------------------------------------------------------------------
-# segment kernels against the per-vertex loops
-# ----------------------------------------------------------------------
-
-
-def _move_loop(ids, com, k, targets, mcom, mw, com_tot, two_m, parity):
-    """The parent's reduce body, verbatim: one vertex at a time, with
-    ``com_tot`` the dict the driver used to broadcast."""
-    order = np.argsort(targets, kind="stable")
-    targets, mcom, mw = targets[order], mcom[order], mw[order]
-    uids, starts = np.unique(targets, return_index=True)
-    bounds = np.append(starts, len(targets))
-    moves = 0
-    pos = np.searchsorted(ids, uids)
-    for j, v in enumerate(uids.tolist()):
-        if v % 2 != parity:
-            continue
-        i = pos[j]
-        coms = mcom[bounds[j]:bounds[j + 1]]
-        ws = mw[bounds[j]:bounds[j + 1]]
-        cand, inverse = np.unique(coms, return_inverse=True)
-        wsum = np.zeros(len(cand))
-        np.add.at(wsum, inverse, ws)
-        own = com[i]
-        kv = k[i]
-        gains = np.empty(len(cand))
-        for c_idx, c in enumerate(cand.tolist()):
-            tot = com_tot.get(c, 0.0)
-            if c == own:
-                tot -= kv
-            gains[c_idx] = wsum[c_idx] - tot * kv / two_m
-        own_pos = np.flatnonzero(cand == own)
-        own_gain = (
-            gains[own_pos[0]] if len(own_pos)
-            else -(com_tot.get(own, kv) - kv) * kv / two_m
-        )
-        best = int(np.argmax(gains))
-        if gains[best] > own_gain + 1e-12 and cand[best] != own:
-            com[i] = cand[best]
-            moves += 1
-    return moves
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2**31), st.integers(2, 40), st.integers(1, 300),
-       st.integers(0, 1))
-def test_vectorised_louvain_round_equals_the_loop(seed, n, m, parity):
-    """Random float-weighted multigraphs: communities and move count are
-    bitwise those of the per-vertex loop (sums add in arrival order)."""
-    rng = np.random.default_rng(seed)
-    src = rng.integers(0, n, m)
-    dst = rng.integers(0, n, m)
-    w = rng.uniform(0.05, 3.0, m)
-    k = np.zeros(n)
-    np.add.at(k, src, w)
-    np.add.at(k, dst, w)
-    ids = np.flatnonzero(k > 0)
-    # A state some rounds in: vertices already share communities.
-    com = rng.choice(ids, len(ids)).astype(np.float64)
-    full = np.zeros(n)
-    full[ids] = com
-    totals = np.zeros(n)
-    np.add.at(totals, com.astype(np.int64), k[ids])
-    as_dict = {float(c): float(totals[int(c)]) for c in np.unique(com)}
-    targets = np.concatenate([dst, src])
-    mcom = np.concatenate([full[src], full[dst]])
-    mw = np.concatenate([w, w])
-    shuffled = rng.permutation(len(targets))
-    targets, mcom, mw = targets[shuffled], mcom[shuffled], mw[shuffled]
-    two_m = float(w.sum()) * 2.0
-    want = com.copy()
-    want_moves = _move_loop(ids, want, k[ids], targets, mcom, mw, as_dict,
-                            two_m, parity)
-    got = com.copy()
-    got_moves = _move_vertices(ids, got, k[ids], targets, mcom, mw, totals,
-                               two_m, parity)
-    assert got_moves == want_moves
-    assert got.tobytes() == want.tobytes()
 
 
 # ----------------------------------------------------------------------

@@ -293,7 +293,7 @@ class RowBatch:
     __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
-        return f"RowBatch({len(self)} rows x {self.row_width})"
+        return f"{type(self).__name__}({len(self)} rows x {self.row_width})"
 
     def logical_nbytes(self) -> int:
         """``sizeof`` of the list of row tuples this batch stands for."""

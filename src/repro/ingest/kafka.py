@@ -7,8 +7,9 @@ data in and out of file systems" — is the reason Tencent stays on Spark at
 all.  This module provides that ingestion edge of the pipeline:
 
 * :class:`KafkaTopic` — a partitioned, append-only log of typed
-  :class:`~repro.ingest.mutations.Mutation` records (edge add/remove,
-  vertex remove) with consumer offsets;
+  mutation records (edge add/remove, vertex remove), held as
+  :class:`~repro.ingest.mutations.MutationBatch` columns, with consumer
+  offsets;
 * :class:`EdgeStreamConsumer` — drains new records in batches, appends
   them to an HDFS landing directory (so batch jobs see them), and
   *incrementally* merges them into a PS neighbor table, keeping an online
@@ -25,12 +26,13 @@ docs/streaming.md.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from repro.common.batch import sorted_unique
+from repro.common.batch import partition_order, sorted_unique
 from repro.common.errors import ConfigError
 from repro.common.metrics import MetricsRegistry
 from repro.core.blocks import build_neighbor_block
@@ -38,11 +40,9 @@ from repro.hdfs.filesystem import Hdfs
 from repro.ingest.mutations import (
     EDGE_ADD,
     EDGE_DEL,
-    Mutation,
+    MutationBatch,
     edge_adds,
     edge_dels,
-    encode_line,
-    group_runs,
     vertex_dels,
 )
 
@@ -54,22 +54,34 @@ class KafkaTopic:
     Producers append; consumers read from per-partition offsets.  Records
     are partitioned by ``src mod num_partitions`` (keyed production, as an
     edge stream keyed by source vertex would be) — so all mutations
-    touching one source vertex stay ordered within one partition.
+    touching one source vertex stay ordered within one partition.  A
+    partition's log is a list of :class:`MutationBatch` chunks, one per
+    produce call that reached it.
     """
 
     name: str
     num_partitions: int = 4
-    _logs: List[List[Mutation]] = field(default_factory=list)
+    _logs: List[List[MutationBatch]] = field(default_factory=list)
+    #: Per partition, the offset each chunk starts at, then the log's end.
+    _starts: List[List[int]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if self.num_partitions <= 0:
             raise ConfigError("topic needs at least one partition")
         self._logs = [[] for _ in range(self.num_partitions)]
+        self._starts = [[0] for _ in range(self.num_partitions)]
 
-    def _append(self, mutations: List[Mutation]) -> int:
-        for m in mutations:
-            self._logs[m.src % self.num_partitions].append(m)
-        return len(mutations)
+    def _append(self, batch: MutationBatch) -> int:
+        """Route ``batch`` to its partitions in one stable pass."""
+        order, offsets = partition_order(batch.src % self.num_partitions,
+                                         self.num_partitions)
+        routed = batch.take(order)
+        bounds = offsets.tolist()
+        for p, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            if hi > lo:
+                self._logs[p].append(routed[lo:hi])
+                self._starts[p].append(self._starts[p][-1] + hi - lo)
+        return len(batch)
 
     def produce(self, src: np.ndarray, dst: np.ndarray) -> int:
         """Append a batch of edge *adds*; returns records appended."""
@@ -93,14 +105,22 @@ class KafkaTopic:
 
     def end_offsets(self) -> List[int]:
         """Current log length per partition."""
-        return [len(log) for log in self._logs]
+        return [starts[-1] for starts in self._starts]
 
     def read(self, partition: int, offset: int,
-             max_records: int | None = None) -> List[Mutation]:
-        """Records of ``partition`` from ``offset`` (up to ``max_records``)."""
-        log = self._logs[partition]
-        end = len(log) if max_records is None else offset + max_records
-        return log[offset:end]
+             max_records: int | None = None) -> MutationBatch:
+        """Records of ``partition`` from ``offset`` (up to
+        ``max_records``), across chunk boundaries."""
+        starts = self._starts[partition]
+        end = starts[-1] if max_records is None else min(
+            starts[-1], offset + max_records)
+        first = max(bisect_right(starts, offset) - 1, 0)
+        pieces = []
+        for chunk, lo in zip(self._logs[partition][first:], starts[first:]):
+            if lo >= end:
+                break
+            pieces.append(chunk[max(offset - lo, 0):end - lo])
+        return MutationBatch.concat(pieces)
 
 
 class EdgeStreamConsumer:
@@ -118,8 +138,9 @@ class EdgeStreamConsumer:
         table: optional :class:`repro.ps.matrix.PSNeighborTable`; polled
             mutations are merged in incrementally (both directions, set
             semantics: adds union, removes subtract).
-        sink: optional callback receiving each poll's ordered mutation
-            list during the merge phase (before the offset commit) — the
+        sink: optional callback receiving each poll's mutations as one
+            :class:`~repro.ingest.mutations.MutationBatch` in partition
+            order during the merge phase (before the offset commit) — the
             hook :class:`repro.streaming.engine.StreamingEngine` uses to
             feed a :class:`~repro.streaming.graph.StreamingGraph`.
         metrics: optional counters (``ingest.records``, ``ingest.polls``
@@ -133,7 +154,7 @@ class EdgeStreamConsumer:
     def __init__(self, topic: KafkaTopic, hdfs: Hdfs,
                  landing_dir: str = "/ingest",
                  table: Optional[object] = None,
-                 sink: Optional[Callable[[List[Mutation]], None]] = None,
+                 sink: Optional[Callable[[MutationBatch], None]] = None,
                  metrics: Optional[MetricsRegistry] = None,
                  resume: bool = False) -> None:
         self.topic = topic
@@ -180,12 +201,12 @@ class EdgeStreamConsumer:
             Number of records consumed.
         """
         # Phase 1 — stage: read every partition without moving offsets.
-        staged: Dict[int, List[Mutation]] = {}
+        staged: Dict[int, MutationBatch] = {}
         for p in range(self.topic.num_partitions):
             records = self.topic.read(
                 p, self.offsets[p], max_records_per_partition
             )
-            if records:
+            if len(records):
                 staged[p] = records
         if not staged:
             if self.metrics is not None:
@@ -198,13 +219,13 @@ class EdgeStreamConsumer:
         for p, records in staged.items():
             self.hdfs.write_text(
                 f"{self.landing_dir}/batch-{self._files:05d}-p{p}",
-                [encode_line(m) for m in records], overwrite=True,
+                records.lines(), overwrite=True,
             )
 
         # Phase 3 — merge: PS neighbor table and/or streaming sink see the
         # poll's mutations in partition order (per-source order is
         # preserved because a source's records share one partition).
-        ordered = [m for p in sorted(staged) for m in staged[p]]
+        ordered = MutationBatch.concat([staged[p] for p in sorted(staged)])
         if self.table is not None:
             self._merge_into_table(ordered)
         if self.sink is not None:
@@ -253,9 +274,9 @@ class EdgeStreamConsumer:
     # PS merge
     # ------------------------------------------------------------------
 
-    def _merge_into_table(self, mutations: List[Mutation]) -> None:
+    def _merge_into_table(self, mutations: MutationBatch) -> None:
         """Incremental symmetric neighbor-table update, in stream order."""
-        for op, src, dst in group_runs(mutations):
+        for op, src, dst in mutations.runs():
             if op in (EDGE_ADD, EDGE_DEL):
                 block = build_neighbor_block(
                     np.concatenate([src, dst]), np.concatenate([dst, src]),

@@ -19,20 +19,28 @@ working unchanged; removals are prefixed marker lines (``-e``/``-v``)
 which :func:`repro.core.ops.parse_edge_lines` skips.  Batch jobs that
 must see the *current* graph (not just the additive history) replay the
 landing directory through :func:`replay_landing`.
+
+On the stream itself the records travel as a :class:`MutationBatch`:
+three columns (op code, ``src``, ``dst``) from the producer to the
+streaming graph, so a base graph of millions of edges is three arrays,
+not millions of tuples.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, NamedTuple, Set, Tuple
+from typing import Iterable, Iterator, List, NamedTuple, Sequence, Set, Tuple
 
 import numpy as np
+
+from repro.common.batch import RowBatch
 
 EDGE_ADD = "+e"
 EDGE_DEL = "-e"
 VERTEX_DEL = "-v"
 
-#: All valid mutation opcodes.
+#: All valid mutation opcodes; a batch's op column holds their positions.
 OPS = (EDGE_ADD, EDGE_DEL, VERTEX_DEL)
+_CODES = {op: code for code, op in enumerate(OPS)}
 
 
 class Mutation(NamedTuple):
@@ -43,24 +51,134 @@ class Mutation(NamedTuple):
     dst: int  # -1 for vertex removals
 
 
-def edge_adds(src: np.ndarray, dst: np.ndarray) -> List[Mutation]:
+class MutationBatch(RowBatch):
+    """Mutations as three columns: ``op`` (int8, a position in
+    :data:`OPS`), ``src`` and ``dst`` (int64, ``dst`` -1 for a vertex
+    removal).
+
+    The form the stream travels in from the topic's log to
+    :meth:`~repro.streaming.graph.StreamingGraph.apply`.  Iteration and
+    int indexing give :class:`Mutation` rows, a slice is a batch of
+    views, and ``+`` concatenates.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, op: np.ndarray, src: np.ndarray,
+                 dst: np.ndarray) -> None:
+        super().__init__(op, src, dst)
+
+    @property
+    def op(self) -> np.ndarray:
+        return self.columns[0]
+
+    @property
+    def src(self) -> np.ndarray:
+        return self.columns[1]
+
+    @property
+    def dst(self) -> np.ndarray:
+        return self.columns[2]
+
+    @classmethod
+    def of(cls, op: str, src: np.ndarray, dst: np.ndarray) -> "MutationBatch":
+        """One op for every row of the endpoint arrays (copied)."""
+        src = np.array(src, dtype=np.int64).reshape(-1)
+        dst = np.array(dst, dtype=np.int64).reshape(-1)
+        return cls(np.full(len(src), _CODES[op], dtype=np.int8), src, dst)
+
+    @classmethod
+    def from_records(cls, records: Iterable[Mutation]) -> "MutationBatch":
+        """The batch of ``records`` (a batch passes as it is)."""
+        if isinstance(records, MutationBatch):
+            return records
+        rows = list(records)
+        if not rows:
+            return cls.of(EDGE_ADD, (), ())
+        ops, src, dst = zip(*rows)
+        try:
+            codes = np.fromiter(map(_CODES.__getitem__, ops),
+                                dtype=np.int8, count=len(rows))
+        except KeyError as e:
+            raise ValueError(f"unknown mutation op {e.args[0]!r}") from None
+        return cls(codes, np.asarray(src, dtype=np.int64),
+                   np.asarray(dst, dtype=np.int64))
+
+    @classmethod
+    def concat(cls, batches: Sequence["MutationBatch"]) -> "MutationBatch":
+        """All rows of ``batches`` in order: the batch itself when there
+        is one, an empty batch when there is none."""
+        if len(batches) == 1:
+            return batches[0]
+        if not batches:
+            return cls.of(EDGE_ADD, (), ())
+        return super().concat(batches)
+
+    def __iter__(self) -> Iterator[Mutation]:
+        return map(Mutation._make, zip(
+            map(OPS.__getitem__, self.op.tolist()),
+            self.src.tolist(), self.dst.tolist()))
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return MutationBatch(*(c[index] for c in self.columns))
+        op, src, dst = super().__getitem__(index)
+        return Mutation(OPS[op], src, dst)
+
+    def __add__(self, other: Iterable[Mutation]) -> "MutationBatch":
+        return MutationBatch.concat([self, MutationBatch.from_records(other)])
+
+    def take(self, rows: np.ndarray) -> "MutationBatch":
+        """The rows at positions ``rows``, in that order (a copy)."""
+        return MutationBatch(*(c[rows] for c in self.columns))
+
+    def runs(self) -> List[Tuple[str, np.ndarray, np.ndarray]]:
+        """The maximal same-op runs as ``(op, src, dst)`` triples in
+        stream order (their arrays are views).
+
+        Applying the runs in order is equivalent to applying the
+        mutations one by one: ops only interact through shared vertices,
+        and order *within* a run is irrelevant for set-semantics adds and
+        removes.
+        """
+        if not len(self):
+            return []
+        cuts = (np.flatnonzero(self.op[1:] != self.op[:-1]) + 1).tolist()
+        starts, ends = [0, *cuts], [*cuts, len(self)]
+        codes = self.op[starts].tolist()
+        return [(OPS[code], self.src[lo:hi], self.dst[lo:hi])
+                for code, lo, hi in zip(codes, starts, ends)]
+
+    def lines(self) -> List[str]:
+        """The landing-file lines, one per row (:func:`encode_line`'s)."""
+        out: List[str] = []
+        for op, src, dst in self.runs():
+            if op == EDGE_ADD:
+                out += [f"{s}\t{d}"
+                        for s, d in zip(src.tolist(), dst.tolist())]
+            elif op == EDGE_DEL:
+                out += [f"{EDGE_DEL}\t{s}\t{d}"
+                        for s, d in zip(src.tolist(), dst.tolist())]
+            else:
+                out += [f"{VERTEX_DEL}\t{s}" for s in src.tolist()]
+        return out
+
+
+def edge_adds(src: np.ndarray, dst: np.ndarray) -> MutationBatch:
     """Edge-add records for parallel endpoint arrays."""
-    return [Mutation(EDGE_ADD, int(s), int(d))
-            for s, d in zip(np.asarray(src).tolist(),
-                            np.asarray(dst).tolist())]
+    return MutationBatch.of(EDGE_ADD, src, dst)
 
 
-def edge_dels(src: np.ndarray, dst: np.ndarray) -> List[Mutation]:
+def edge_dels(src: np.ndarray, dst: np.ndarray) -> MutationBatch:
     """Edge-remove records for parallel endpoint arrays."""
-    return [Mutation(EDGE_DEL, int(s), int(d))
-            for s, d in zip(np.asarray(src).tolist(),
-                            np.asarray(dst).tolist())]
+    return MutationBatch.of(EDGE_DEL, src, dst)
 
 
-def vertex_dels(vertices: np.ndarray) -> List[Mutation]:
+def vertex_dels(vertices: np.ndarray) -> MutationBatch:
     """Vertex-remove records."""
-    return [Mutation(VERTEX_DEL, int(v), -1)
-            for v in np.asarray(vertices).tolist()]
+    vertices = np.asarray(vertices, dtype=np.int64).reshape(-1)
+    return MutationBatch.of(VERTEX_DEL, vertices,
+                            np.full(len(vertices), -1, dtype=np.int64))
 
 
 def encode_line(m: Mutation) -> str:
@@ -87,38 +205,6 @@ def decode_line(line: str) -> Mutation | None:
         except ValueError:
             return None
     return None
-
-
-def group_runs(mutations: Iterable[Mutation]
-               ) -> List[Tuple[str, np.ndarray, np.ndarray]]:
-    """Split an ordered mutation list into maximal same-op runs.
-
-    Returns ``(op, src_array, dst_array)`` triples in stream order;
-    applying the runs in order is equivalent to applying the mutations
-    one by one (ops only interact through shared vertices, and order
-    *within* a run is irrelevant for set-semantics adds/removes).
-    """
-    runs: List[Tuple[str, np.ndarray, np.ndarray]] = []
-    cur_op: str | None = None
-    cur_src: List[int] = []
-    cur_dst: List[int] = []
-
-    def flush() -> None:
-        if cur_op is not None:
-            runs.append((
-                cur_op,
-                np.asarray(cur_src, dtype=np.int64),
-                np.asarray(cur_dst, dtype=np.int64),
-            ))
-
-    for m in mutations:
-        if m.op != cur_op:
-            flush()
-            cur_op, cur_src, cur_dst = m.op, [], []
-        cur_src.append(m.src)
-        cur_dst.append(m.dst)
-    flush()
-    return runs
 
 
 def apply_to_edge_set(edges: Set[Tuple[int, int]],

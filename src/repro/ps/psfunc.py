@@ -177,8 +177,19 @@ class PartialDot(PsFunc):
         return store.partial_dot(self.left, self.right)
 
     def merge(self, partials: List[np.ndarray]) -> np.ndarray:
+        """The shard partials summed in shard order, in place: what
+        ``np.sum(valid, axis=0)`` returns bit for bit (an axis-0 reduce
+        adds row after row), without first stacking the partials into
+        one more ``(P, n)`` copy."""
         valid = [p for p in partials if p is not None]
-        return np.sum(valid, axis=0)
+        if not valid or valid[0].size == 1:
+            # No partial: np.sum's 0.0.  One pair: its partials stack
+            # into one contiguous column, which numpy sums pairwise.
+            return np.sum(valid, axis=0)
+        out = valid[0].copy()
+        for p in valid[1:]:
+            out += p
+        return out
 
     def flops(self, store: ColumnShardStore) -> float:
         return 2.0 * len(self.left) * store.array.shape[1]

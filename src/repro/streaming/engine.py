@@ -28,6 +28,7 @@ from repro.common.metrics import (
     STREAM_DIRTY_VERTICES,
     STREAM_WINDOWS,
 )
+from repro.ingest.mutations import MutationBatch
 
 
 @dataclass
@@ -92,13 +93,17 @@ class StreamingEngine:
         self.algos: Dict[str, object] = {}
         self._started: set = set()  # names whose state has been computed
         self.reports: List[WindowReport] = []
-        self._pending: List = []
+        self._pending: List[MutationBatch] = []
         self._window = 0
         if consumer is not None:
             self.attach_consumer(consumer)
 
     def attach_consumer(self, consumer) -> None:
-        """Buffer the consumer's merged mutations for the next window."""
+        """Buffer the consumer's merged mutations for the next window.
+
+        The buffer checks every id first, with ``apply``'s error, so a
+        poll holding a bad id raises inside its merge phase and commits
+        nothing: the valid mutations it read are not lost with it."""
         if getattr(consumer, "table", None) is not None:
             raise ValueError(
                 "consumer merges into a PS table directly; with an "
@@ -106,7 +111,11 @@ class StreamingEngine:
                 "the consumer without table="
             )
         self.consumer = consumer
-        consumer.sink = self._pending.extend
+        consumer.sink = self._buffer
+
+    def _buffer(self, batch: MutationBatch) -> None:
+        self.graph.check_ids(batch)
+        self._pending.append(batch)
 
     def register(self, name: str, algo) -> object:
         """Register an incremental algorithm (bootstrap/update protocol)."""
@@ -134,14 +143,14 @@ class StreamingEngine:
         consumer attached, the window is whatever ``poll()`` merges.
         """
         if mutations is not None:
-            batch = list(mutations)
+            batch = MutationBatch.from_records(mutations)
         else:
             if self.consumer is None:
                 raise ValueError(
                     "run_window needs mutations or an attached consumer")
             self._pending.clear()
             self.consumer.poll()
-            batch = list(self._pending)
+            batch = MutationBatch.concat(self._pending)
             self._pending.clear()
         self._window += 1
         records = len(batch)

@@ -41,7 +41,7 @@ from repro.ingest.mutations import (
     EDGE_DEL,
     VERTEX_DEL,
     Mutation,
-    group_runs,
+    MutationBatch,
 )
 
 _NONE = np.empty(0, dtype=np.int64)
@@ -152,18 +152,25 @@ class StreamingGraph:
     # mutation
     # ------------------------------------------------------------------
 
-    def apply(self, mutations: Iterable[Mutation]) -> GraphDelta:
-        """Apply one ordered mutation batch; returns the effective delta.
-
-        Every id is checked against ``num_vertices`` first: a bad one
-        raises :class:`PSError` before anything is applied."""
-        runs = group_runs(mutations)
-        for op, src, dst in runs:
+    def check_ids(self, mutations: MutationBatch) -> None:
+        """Raise :class:`PSError` if an id of ``mutations`` lies outside
+        ``[0, num_vertices)``."""
+        for op, src, dst in mutations.runs():
             ids = src if op == VERTEX_DEL else np.concatenate([src, dst])
             if not 0 <= ids.min() <= ids.max() < self.num_vertices:
                 bad = ids[(ids < 0) | (ids >= self.num_vertices)][:5]
                 raise PSError(f"{self.out.name}: mutation ids {bad} outside "
                               f"[0, {self.num_vertices})")
+
+    def apply(self, mutations: Iterable[Mutation]) -> GraphDelta:
+        """Apply one ordered mutation batch (a :class:`MutationBatch`, or
+        records, converted once); returns the effective delta.
+
+        Every id is checked against ``num_vertices`` first: a bad one
+        raises :class:`PSError` before anything is applied."""
+        batch = MutationBatch.from_records(mutations)
+        self.check_ids(batch)
+        runs = batch.runs()
         added: List[tuple] = []
         removed: List[tuple] = []
         dropped: List[np.ndarray] = []

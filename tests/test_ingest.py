@@ -13,9 +13,9 @@ from repro.ingest.mutations import (
     EDGE_DEL,
     VERTEX_DEL,
     Mutation,
+    MutationBatch,
     decode_line,
     encode_line,
-    group_runs,
     replay_landing,
 )
 
@@ -31,10 +31,14 @@ class TestMutations:
         # that shape so the streamed history feeds them unchanged.
         assert encode_line(Mutation(EDGE_ADD, 3, 7)) == "3\t7"
 
+    def test_unknown_op_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown mutation op"):
+            MutationBatch.from_records([Mutation("+x", 1, 2)])
+
     def test_group_runs_preserves_order(self):
         ms = [Mutation(EDGE_ADD, 1, 2), Mutation(EDGE_ADD, 2, 3),
               Mutation(EDGE_DEL, 1, 2), Mutation(EDGE_ADD, 4, 5)]
-        runs = group_runs(ms)
+        runs = MutationBatch.from_records(ms).runs()
         assert [op for op, _, _ in runs] == [EDGE_ADD, EDGE_DEL, EDGE_ADD]
         assert runs[0][1].tolist() == [1, 2]
         assert runs[2][1].tolist() == [4]
@@ -45,23 +49,23 @@ class TestKafkaTopic:
         t = KafkaTopic("edges", num_partitions=2)
         t.produce(np.array([0, 1, 2, 3]), np.array([9, 9, 9, 9]))
         assert t.end_offsets() == [2, 2]
-        assert t.read(0, 0) == [Mutation(EDGE_ADD, 0, 9),
-                                Mutation(EDGE_ADD, 2, 9)]
-        assert t.read(1, 0) == [Mutation(EDGE_ADD, 1, 9),
-                                Mutation(EDGE_ADD, 3, 9)]
+        assert list(t.read(0, 0)) == [Mutation(EDGE_ADD, 0, 9),
+                                      Mutation(EDGE_ADD, 2, 9)]
+        assert list(t.read(1, 0)) == [Mutation(EDGE_ADD, 1, 9),
+                                      Mutation(EDGE_ADD, 3, 9)]
 
     def test_read_from_offset_with_limit(self):
         t = KafkaTopic("edges", num_partitions=1)
         t.produce(np.zeros(5, dtype=int), np.arange(5))
-        assert t.read(0, 2, max_records=2) == [Mutation(EDGE_ADD, 0, 2),
-                                               Mutation(EDGE_ADD, 0, 3)]
+        assert list(t.read(0, 2, max_records=2)) == [
+            Mutation(EDGE_ADD, 0, 2), Mutation(EDGE_ADD, 0, 3)]
 
     def test_typed_removals(self):
         t = KafkaTopic("edges", num_partitions=1)
         t.produce_removals(np.array([1]), np.array([2]))
         t.produce_vertex_removals(np.array([4]))
-        assert t.read(0, 0) == [Mutation(EDGE_DEL, 1, 2),
-                                Mutation(VERTEX_DEL, 4, -1)]
+        assert list(t.read(0, 0)) == [Mutation(EDGE_DEL, 1, 2),
+                                      Mutation(VERTEX_DEL, 4, -1)]
 
     def test_invalid_params(self):
         with pytest.raises(ConfigError):

@@ -386,6 +386,25 @@ class TestPsFuncsDirect:
         expect = np.einsum("ij,ij->i", full[[0, 1]], full[[2, 3]])
         np.testing.assert_allclose(merged, expect, rtol=1e-6)
 
+    @given(st.integers(1, 40), st.integers(0, 9),
+           st.sampled_from([np.float32, np.float64]), st.data())
+    def test_partial_dot_merge_equals_the_stacked_sum(self, shards, n,
+                                                      dtype, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32)))
+        partials = [None if data.draw(st.booleans())
+                    else (rng.standard_normal(n) * 1e3).astype(dtype)
+                    for _ in range(shards)]
+        before = [None if p is None else p.copy() for p in partials]
+        got = PartialDot([], []).merge(partials)
+        valid = [p for p in partials if p is not None]
+        want = (np.sum(np.stack(valid), axis=0) if valid
+                else np.sum(valid, axis=0))
+        assert (got.dtype, got.shape, got.tobytes()) == (
+            want.dtype, want.shape, want.tobytes())
+        for p, q in zip(partials, before):  # the partials stay as they were
+            assert (p is None) == (q is None)
+            assert p is None or np.array_equal(p, q)
+
     def test_rank_one_update_shardwise_equals_full(self):
         rng = np.random.default_rng(1)
         full = rng.standard_normal((4, 4))

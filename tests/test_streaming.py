@@ -457,6 +457,24 @@ class TestStreamingEngine:
         assert report.edges_removed == 1
         assert g.num_edges == 2
 
+    def test_bad_id_in_a_poll_commits_nothing(self, ctx):
+        # The poll used to commit before apply raised, so its valid
+        # mutations were dropped with the bad one.
+        g = StreamingGraph(ctx.ps, 10, metrics=ctx.metrics)
+        topic = KafkaTopic("muts", num_partitions=2)
+        consumer = EdgeStreamConsumer(topic, ctx.hdfs, landing_dir="/t",
+                                      metrics=ctx.metrics)
+        engine = StreamingEngine(g, consumer, measure_full=False)
+        topic.produce(_ids(0, 1, 2), _ids(1, 2, 10))
+        for _ in range(2):  # a retry replays the same poll
+            with pytest.raises(PSError, match=r"ids \[10\] outside"):
+                engine.run_window()
+            assert consumer.lag == 3
+            assert consumer.offsets == {0: 0, 1: 0}
+            assert g.num_edges == 0
+            assert ctx.metrics.get("ingest.polls") == 0
+            assert not engine.reports
+
     def test_needs_mutations_or_consumer(self, ctx):
         _, _, engine = self._build(ctx)
         with pytest.raises(ValueError):

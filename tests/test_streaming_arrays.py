@@ -1,18 +1,21 @@
 """The array forms of the streaming plane against the forms they replaced.
 
-``build_neighbor_block`` sorts one integer per pair; ``StreamingGraph``
-keeps presence as a mask and its pre-window snapshots as one block; the
-incremental PageRank and components keep their per-vertex state in
-vertex-indexed arrays and their adjacency memos as CSR, and the
-components' pair searches advance together as key arrays.  Each test
-here holds the new form to the old one — the two-key ``lexsort`` block
-build and the dict / set forms of ``StreamingGraph.apply``,
+Mutations travel as one column batch from the topic's log to
+``StreamingGraph.apply``; ``build_neighbor_block`` sorts one integer per
+pair; ``StreamingGraph`` keeps presence as a mask and its pre-window
+snapshots as one block; the incremental PageRank and components keep
+their per-vertex state in vertex-indexed arrays and their adjacency memos
+as CSR, and the components' pair searches advance together as key
+arrays.  Each test here holds the new form to the old one — the
+per-record stream (a list log per topic partition, landing lines encoded
+and runs grouped record by record), the two-key ``lexsort`` block build
+and the dict / set forms of ``StreamingGraph.apply``,
 ``IncrementalPageRank`` and ``IncrementalComponents`` of commit
-``1309c35``, copied below as oracles — block for block, and window for
-window in sim time, every span, every metric and the bytes of every
-state.  Example counts follow the hypothesis profile
-(``tests/conftest.py``): small in tier-1, ``deep`` in the
-``streaming`` entry of the ``smoke`` CI matrix.
+``1309c35``, copied below as oracles — read for read, block for block,
+and window for window in sim time, every span, every metric and the
+bytes of every state.  Example counts follow the hypothesis profile
+(``tests/conftest.py``): small in tier-1, ``deep`` in the ``streaming``
+entry of the ``smoke`` CI matrix.
 """
 
 from typing import Dict, List, Set, Tuple
@@ -29,12 +32,18 @@ from repro.core.algorithms.pagerank import PageRank
 from repro.core.blocks import NeighborBlock, build_neighbor_block
 from repro.core.context import PSGraphContext
 from repro.core.ops import edges_from_arrays
+from repro.common.metrics import MetricsRegistry
+from repro.hdfs.filesystem import Hdfs
+from repro.ingest.kafka import EdgeStreamConsumer, KafkaTopic
 from repro.ingest.mutations import (
     EDGE_ADD,
     EDGE_DEL,
+    VERTEX_DEL,
+    Mutation,
+    MutationBatch,
     edge_adds,
     edge_dels,
-    group_runs,
+    encode_line,
     vertex_dels,
 )
 from repro.obs.determinism import span_event
@@ -50,8 +59,37 @@ from repro.streaming.pagerank import _BatchCtx
 from tests.conftest import digest
 
 # ----------------------------------------------------------------------
-# oracles: the block build and the streaming plane at 1309c35
+# oracles: the per-record mutation stream, the block build and the
+# streaming plane at 1309c35
 # ----------------------------------------------------------------------
+
+
+def ref_group_runs(mutations):
+    """``(op, src, dst)`` per maximal same-op run, by one record loop."""
+    runs = []
+    cur_op = None
+    cur_src: List[int] = []
+    cur_dst: List[int] = []
+
+    def flush():
+        if cur_op is not None:
+            runs.append((cur_op, np.asarray(cur_src, dtype=np.int64),
+                         np.asarray(cur_dst, dtype=np.int64)))
+
+    for m in mutations:
+        if m.op != cur_op:
+            flush()
+            cur_op, cur_src, cur_dst = m.op, [], []
+        cur_src.append(m.src)
+        cur_dst.append(m.dst)
+    flush()
+    return runs
+
+
+def ref_route(logs, mutations):
+    """Append each record to its partition's list log by ``src``."""
+    for m in mutations:
+        logs[m.src % len(logs)].append(m)
 
 
 def ref_build_neighbor_block(targets, others, weights=None, dedupe=False):
@@ -105,7 +143,7 @@ class RefStreamingGraph(StreamingGraph):
     def apply(self, mutations):
         added_s, added_d, removed_s, removed_d, dropped = [], [], [], [], []
         old_out: Dict[int, np.ndarray] = {}
-        for op, src, dst in group_runs(mutations):
+        for op, src, dst in ref_group_runs(mutations):
             if op == EDGE_ADD:
                 s, d = self._ref_edges(src, dst, old_out, add=True)
                 added_s.extend(s.tolist())
@@ -584,6 +622,96 @@ class RefIncrementalComponents(IncrementalComponents):
             return 0
         self.labels.set(ids, np.full(len(ids), want))
         return 1
+
+
+# ----------------------------------------------------------------------
+# the mutation stream: one column batch vs records one by one
+# ----------------------------------------------------------------------
+
+
+@st.composite
+def topic_rounds(draw):
+    """A topic of 1-5 partitions and rounds of produce calls (adds,
+    removes and vertex drops of a few ids each), every round followed by
+    one poll with a per-partition record limit (``None`` for all)."""
+    partitions = draw(st.integers(1, 5))
+    vertex = st.integers(0, 12)
+    pairs = st.lists(st.tuples(vertex, vertex), max_size=8)
+    call = st.one_of(st.tuples(st.just("add"), pairs),
+                     st.tuples(st.just("del"), pairs),
+                     st.tuples(st.just("drop"),
+                               st.lists(vertex, max_size=4)))
+    rounds = draw(st.lists(
+        st.tuples(st.lists(call, max_size=4), st.none() | st.integers(1, 6)),
+        min_size=1, max_size=5))
+    return partitions, rounds
+
+
+def _produce(topic, ref_logs, kind, ids):
+    """One produce call on the topic, and its records on the list logs."""
+    if kind == "drop":
+        topic.produce_vertex_removals(np.asarray(ids, dtype=np.int64))
+        records = [Mutation(VERTEX_DEL, v, -1) for v in ids]
+    else:
+        src, dst = (np.asarray(c, dtype=np.int64).reshape(-1)
+                    for c in (zip(*ids) if ids else ((), ())))
+        op = EDGE_ADD if kind == "add" else EDGE_DEL
+        (topic.produce if kind == "add" else topic.produce_removals)(src, dst)
+        records = [Mutation(op, s, d) for s, d in ids]
+    ref_route(ref_logs, records)
+
+
+def _runs(runs):
+    return [(op, s.dtype, s.tolist(), d.dtype, d.tolist())
+            for op, s, d in runs]
+
+
+@given(topic_rounds(), st.data())
+def test_columnar_stream_equals_the_record_stream(case, data):
+    partitions, rounds = case
+    topic = KafkaTopic("edges", num_partitions=partitions)
+    fs = Hdfs(metrics=MetricsRegistry())
+    seen: List[MutationBatch] = []
+    consumer = EdgeStreamConsumer(topic, fs, landing_dir="/land",
+                                  sink=seen.append)
+    ref_logs: List[List[Mutation]] = [[] for _ in range(partitions)]
+    ref_offsets = [0] * partitions
+    landed = 0  # consuming polls so far: the landing files' counter
+    for calls, limit in rounds:
+        for kind, ids in calls:
+            _produce(topic, ref_logs, kind, ids)
+        assert topic.end_offsets() == [len(log) for log in ref_logs]
+        # Reads from any offset, with limits that cut the produce chunks.
+        for p, log in enumerate(ref_logs):
+            offset = data.draw(st.integers(0, len(log) + 1))
+            cap = data.draw(st.none() | st.integers(0, len(log) + 1))
+            got = topic.read(p, offset, cap)
+            assert isinstance(got, MutationBatch)
+            assert [c.dtype for c in got.columns] == [
+                np.int8, np.int64, np.int64]
+            end = None if cap is None else offset + cap
+            assert list(got) == log[offset:end]
+        # One poll: the landed files and the sink's batch.
+        staged = {p: log[ref_offsets[p]:None if limit is None
+                         else ref_offsets[p] + limit]
+                  for p, log in enumerate(ref_logs)}
+        staged = {p: records for p, records in staged.items() if records}
+        seen.clear()
+        assert consumer.poll(limit) == sum(map(len, staged.values()))
+        if not staged:
+            assert not seen
+            continue
+        for p, records in staged.items():
+            path = f"/land/batch-{landed:05d}-p{p}"
+            want = "".join(encode_line(m) + "\n" for m in records)
+            assert fs.read_bytes(path) == want.encode()
+            ref_offsets[p] += len(records)
+        landed += 1
+        ordered = [m for p in sorted(staged) for m in staged[p]]
+        (batch,) = seen
+        assert list(batch) == ordered
+        assert _runs(batch.runs()) == _runs(ref_group_runs(ordered))
+    assert list(consumer.offsets.values()) == ref_offsets
 
 
 # ----------------------------------------------------------------------

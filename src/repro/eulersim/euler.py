@@ -28,11 +28,11 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.common.batch import sorted_unique
 from repro.common.config import ClusterConfig
 from repro.common.metrics import MetricsRegistry
 from repro.common.rng import DEFAULT_SEED, derive_seed
 from repro.common.simclock import TaskCost, barrier
+from repro.core.blocks import NeighborBlock, build_neighbor_block
 from repro.core.ops import parse_edge_lines
 from repro.hdfs.filesystem import Hdfs
 from repro.torchlite.functional import cross_entropy
@@ -49,12 +49,22 @@ JSON_INFLATION = 8.0
 class EulerSystem:
     """A simulated Euler deployment: workers + graph-engine shards.
 
+    The graph is one undirected, deduplicated :class:`NeighborBlock` and
+    the features stay in the caller's dtype until a batch gathers its
+    rows.  :meth:`stop` releases the containers, drops the graph, features
+    and labels, and deletes the files :meth:`preprocess` wrote.
+
     Args:
         cluster: worker count and memory (the paper gives Euler 90
             executors on DS3).
         hdfs: shared filesystem holding the raw input.
+        metrics: registry for the HDFS and YARN meters (a fresh one when
+            omitted).
         sample_rpc_latency_s: per-call latency of the graph engine
             (sampleNeighbor / getFeature round trip).
+        preprocess_cpu_s_per_record: script-speed CPU per record of the
+            index-mapping and JSON passes.
+        seed: root of the split, epoch-order and sampling generators.
     """
 
     def __init__(self, cluster: ClusterConfig, *, hdfs: Hdfs | None = None,
@@ -81,9 +91,10 @@ class EulerSystem:
         self.preprocess_cpu_s_per_record = preprocess_cpu_s_per_record
         self.seed = seed
         # In-memory state after preprocess().
-        self._adj: Dict[int, np.ndarray] = {}
+        self._block: NeighborBlock | None = None
         self._features: np.ndarray | None = None
         self._labels: np.ndarray | None = None
+        self._outputs: Tuple[str, ...] = ()  # the files preprocess wrote
 
     # ------------------------------------------------------------------
     # preprocessing (the 8-hour column of Table I)
@@ -97,6 +108,10 @@ class EulerSystem:
         Returns:
             Simulated seconds per pass plus the total.
         """
+        self.driver.ensure_alive()
+        mapped_path = f"{workdir}/mapped-edges"
+        meta_path = f"{workdir}/graph-json-meta"
+        self._outputs = (mapped_path, meta_path)
         cm = self.cluster.cost_model
         worker = self.workers[0]
 
@@ -115,9 +130,7 @@ class EulerSystem:
         # Script-speed row processing: parse, hash, remap, re-emit.
         cost.cpu_s += len(src) * self.preprocess_cpu_s_per_record
         mapped = np.stack([src, dst], axis=1)
-        self.hdfs.write_pickle(
-            f"{workdir}/mapped-edges", mapped, overwrite=True, cost=cost
-        )
+        self.hdfs.write_pickle(mapped_path, mapped, overwrite=True, cost=cost)
         worker.clock.advance(cost.total_s)
         index_mapping_s = worker.clock.now_s - t0
 
@@ -125,7 +138,7 @@ class EulerSystem:
         # the inflated JSON interchange file.  Single worker again.
         t1 = worker.clock.now_s
         cost = TaskCost()
-        self.hdfs.read_pickle(f"{workdir}/mapped-edges", cost=cost)
+        self.hdfs.read_pickle(mapped_path, cost=cost)
         binary_bytes = mapped.nbytes + features.nbytes + labels.nbytes
         json_bytes = int(binary_bytes * JSON_INFLATION)
         cost.cpu_s += cm.serialization_time(json_bytes) * 4  # text encode
@@ -135,9 +148,7 @@ class EulerSystem:
         )
         cost.disk_s += cm.disk_write_time(json_bytes * self.hdfs.replication)
         self.hdfs.write_pickle(
-            f"{workdir}/graph-json-meta",
-            {"bytes": json_bytes}, overwrite=True,
-        )
+            meta_path, {"bytes": json_bytes}, overwrite=True)
         worker.clock.advance(cost.total_s)
         json_s = worker.clock.now_s - t1
 
@@ -154,8 +165,8 @@ class EulerSystem:
         partition_s = self.driver.clock.now_s - t2
 
         # Materialize the graph for training.
-        self._adj = _build_adjacency(src, dst)
-        self._features = np.asarray(features, dtype=np.float64)
+        self._block = _adjacency_block(src, dst)
+        self._features = np.asarray(features)
         self._labels = np.asarray(labels, dtype=np.int64)
         return {
             "index_mapping_s": index_mapping_s,
@@ -180,13 +191,13 @@ class EulerSystem:
         Returns:
             ``{"epoch_sim_times", "epoch_losses", "accuracy"}``.
         """
+        self.driver.ensure_alive()
         if self._features is None:
             raise RuntimeError("preprocess() must run before training")
         cm = self.cluster.cost_model
         feats = self._features
-        labels = self._labels
         rng = np.random.default_rng(self.seed)
-        present = np.asarray(sorted(self._adj))
+        present = self._block.vertices.copy()
         rng.shuffle(present)
         if labeled_fraction < 1.0:
             present = present[:max(2, int(len(present) * labeled_fraction))]
@@ -249,16 +260,22 @@ class EulerSystem:
     def _sample(self, ids: np.ndarray, fanout: int,
                 rng: np.random.Generator
                 ) -> Tuple[np.ndarray, np.ndarray]:
+        block = self._block
+        vertices, indptr, nbrs = block.vertices, block.indptr, block.neighbors
+        pos = np.searchsorted(vertices, ids)
+        hit = pos < len(vertices)
+        hit[hit] = vertices[pos[hit]] == ids[hit]
+        # A missing id reads indptr[0] == 0 twice: an empty row.
+        lo = indptr[np.where(hit, pos, 0)]
+        hi = indptr[np.where(hit, pos + 1, 0)]
         out_ids: List[np.ndarray] = []
         lens: List[int] = []
-        for v in ids.tolist():
-            nbrs = self._adj.get(v)
-            if nbrs is None or len(nbrs) == 0:
+        for v, a, b in zip(ids.tolist(), lo.tolist(), hi.tolist()):
+            if a == b:
                 chosen = np.asarray([v], dtype=np.int64)
             else:
-                chosen = rng.choice(
-                    nbrs, size=min(fanout, len(nbrs)), replace=False
-                )
+                chosen = rng.choice(nbrs[a:b], size=min(fanout, b - a),
+                                    replace=False)
             out_ids.append(chosen)
             lens.append(len(chosen))
         return (np.concatenate(out_ids),
@@ -270,8 +287,9 @@ class EulerSystem:
         n2, seg2 = self._sample(n1, fanouts[1], rng)
         feats = self._features
         return model(
-            Tensor(feats[ids]), Tensor(feats[n1]), seg1,
-            Tensor(feats[n2]), seg2,
+            Tensor(feats[ids].astype(np.float64)),
+            Tensor(feats[n1].astype(np.float64)), seg1,
+            Tensor(feats[n2].astype(np.float64)), seg2,
         )
 
     def _train_batch(self, model, opt, batch: np.ndarray,
@@ -305,29 +323,26 @@ class EulerSystem:
         return self.driver.clock.now_s
 
     def stop(self) -> None:
-        """Release all worker containers."""
+        """Release the containers, the graph, the features and the labels,
+        and delete the files :meth:`preprocess` wrote (the caller's input
+        stays).  A second call does nothing."""
         for w in self.workers:
             self.rm.release(w)
         self.rm.release(self.driver)
+        self._block = self._features = self._labels = None
+        outputs, self._outputs = self._outputs, ()
+        for path in outputs:
+            if self.hdfs.exists(path):
+                self.hdfs.delete(path)
 
 
-def _build_adjacency(src: np.ndarray, dst: np.ndarray
-                     ) -> Dict[int, np.ndarray]:
-    """Undirected, deduplicated adjacency dict (rows ascending)."""
-    targets = np.concatenate([src, dst])
+def _adjacency_block(src: np.ndarray, dst: np.ndarray) -> NeighborBlock:
+    """The undirected, deduplicated graph as one CSR block (vertices and
+    rows ascending)."""
     others = np.concatenate([dst, src])
-    if not len(targets):
-        return {}
-    radix = int(others.max()) + 1
-    if int(others.min()) < 0 or radix > 3_037_000_499:  # isqrt(2 ** 63)
+    # An id at or above isqrt(2 ** 63) would wrap its pair key.
+    if len(others) and (int(others.min()) < 0
+                        or int(others.max()) >= 3_037_000_499):
         raise ValueError("vertex ids must be >= 0 and fit a pair key")
-    # One sort of target * radix + other keys for the whole graph (as
-    # NeighborTableStore folds its appends), not one np.unique per vertex.
-    targets, others = np.divmod(
-        sorted_unique(targets * radix + others), radix)
-    starts = np.flatnonzero(np.diff(targets, prepend=-1))  # ids are >= 0
-    bounds = starts.tolist() + [len(others)]
-    return {
-        v: others[lo:hi]
-        for v, lo, hi in zip(targets[starts].tolist(), bounds, bounds[1:])
-    }
+    return build_neighbor_block(np.concatenate([src, dst]), others,
+                                dedupe=True)

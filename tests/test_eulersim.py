@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.config import ClusterConfig
+from repro.common.errors import ContainerLostError
 from repro.core.algorithms.graphsage import make_sage
 from repro.core.context import PSGraphContext
 from repro.core.ops import load_edges
@@ -15,7 +16,7 @@ from repro.datasets.generators import (
     vertex_features,
 )
 from repro.datasets.tencent import ds3_spec, generate_ds3_gnn, write_edges
-from repro.eulersim.euler import EulerSystem, _build_adjacency
+from repro.eulersim.euler import EulerSystem, _adjacency_block
 from repro.obs.determinism import run_record
 from repro.obs.tracer import Tracer
 from repro.torchlite.script import ScriptModule
@@ -39,16 +40,19 @@ def small_task(n=120, classes=3, dim=8, seed=41):
 
 
 class TestAdjacency:
+    """Euler's graph is one CSR block with the rows of the per-vertex
+    dict it replaced."""
+
     def test_build_adjacency_undirected_dedup(self):
-        adj = _build_adjacency(np.array([0, 1, 0]), np.array([1, 0, 2]))
-        assert adj[0].tolist() == [1, 2]
-        assert adj[1].tolist() == [0]
-        assert adj[2].tolist() == [0]
+        block = _adjacency_block(np.array([0, 1, 0]), np.array([1, 0, 2]))
+        assert block.vertices.tolist() == [0, 1, 2]
+        assert [row.tolist() for _v, row in block.rows()] == [[1, 2], [0],
+                                                              [0]]
 
 
     @staticmethod
     def _per_vertex(src, dst):
-        """The construction the single sort replaced: np.unique per row."""
+        """The construction the block replaced: np.unique per row."""
         targets = np.concatenate([src, dst])
         others = np.concatenate([dst, src])
         order = np.argsort(targets, kind="stable")
@@ -58,12 +62,11 @@ class TestAdjacency:
                 for v, c in zip(uids.tolist(), np.split(others, starts[1:]))}
 
     def _assert_same(self, src, dst):
-        got, expect = _build_adjacency(src, dst), self._per_vertex(src, dst)
-        assert list(got) == list(expect)
-        assert all(type(v) is int for v in got)
-        for v, row in expect.items():
-            assert got[v].dtype == np.int64
-            assert got[v].tolist() == row.tolist()
+        got, expect = _adjacency_block(src, dst), self._per_vertex(src, dst)
+        assert got.vertices.dtype == got.neighbors.dtype == np.int64
+        assert got.vertices.tolist() == list(expect)
+        assert [row.tolist() for _v, row in got.rows()] == [
+            row.tolist() for row in expect.values()]
 
     def test_equals_per_vertex_build_on_ds3_smoke(self):
         src, dst, _feats, _labels = generate_ds3_gnn(ds3_spec(5e-4), 32, 5)
@@ -78,9 +81,14 @@ class TestAdjacency:
 
     def test_rejects_ids_that_would_wrap_a_pair_key(self):
         with pytest.raises(ValueError):
-            _build_adjacency(np.array([0]), np.array([2 ** 32]))
+            _adjacency_block(np.array([0]), np.array([2 ** 32]))
         with pytest.raises(ValueError):
-            _build_adjacency(np.array([-1]), np.array([3]))
+            _adjacency_block(np.array([-1]), np.array([3]))
+
+    def test_accepts_the_largest_id_a_pair_key_holds(self):
+        top = 3_037_000_498  # (top + 1) ** 2 > 2 ** 63 > top * (top + 2)
+        block = _adjacency_block(np.array([0]), np.array([top]))
+        assert block.vertices.tolist() == [0, top]
 
 
 class TestPreprocess:
@@ -135,6 +143,26 @@ class TestPreprocess:
 
 
 class TestTraining:
+    def test_features_are_held_without_a_copy(self):
+        sys = euler_system()
+        try:
+            src, dst, feats, labels = small_task()
+            assert feats.dtype == np.float32
+            write_edges(sys.hdfs, "/in/euler", src, dst, num_files=2)
+            sys.preprocess("/in/euler", feats, labels)
+            assert np.shares_memory(sys._features, feats)
+            model = ScriptModule.trace(make_sage, in_dim=feats.shape[1],
+                                       hidden=16, num_classes=3,
+                                       seed=3).instantiate()
+            ids = np.arange(0, len(feats), 7)
+            got = sys._forward(model, ids, (3, 2), np.random.default_rng(5))
+            sys._features = feats.astype(np.float64)  # the float64 copy
+            want = sys._forward(model, ids, (3, 2), np.random.default_rng(5))
+            assert got.data.dtype == want.data.dtype == np.float64
+            assert got.data.tobytes() == want.data.tobytes()
+        finally:
+            sys.stop()
+
     def test_trains_to_reasonable_accuracy(self):
         sys = euler_system()
         try:
@@ -154,6 +182,36 @@ class TestTraining:
             assert all(t > 0 for t in stats["epoch_sim_times"])
         finally:
             sys.stop()
+
+
+class TestStop:
+    def test_stopped_system_refuses_work_and_holds_nothing(self):
+        sys = euler_system()
+        src, dst, feats, labels = small_task()
+        write_edges(sys.hdfs, "/in/euler", src, dst, num_files=2)
+        inputs = sys.hdfs.listdir("/in/euler")
+        sys.preprocess("/in/euler", feats, labels)
+        blob = ScriptModule.trace(make_sage, in_dim=feats.shape[1],
+                                  hidden=4, num_classes=3)
+        assert len(sys.hdfs.listdir("/euler")) == 2
+        sys.stop()
+        containers = [*sys.workers, sys.driver]
+
+        def state():
+            return ([c.clock.now_s for c in containers], sys.hdfs.glob("*"),
+                    sys.metrics.snapshot())
+
+        stopped = state()
+        assert not any(c.alive for c in containers)
+        assert sys._block is sys._features is sys._labels is None
+        assert sys.hdfs.listdir("/euler") == []
+        assert sys.hdfs.listdir("/in/euler") == inputs
+        with pytest.raises(ContainerLostError):
+            sys.train_graphsage(blob, epochs=1)
+        with pytest.raises(ContainerLostError):
+            sys.preprocess("/in/euler", feats, labels)
+        sys.stop()
+        assert state() == stopped
 
 
 class TestEulerPassBreakdown:

@@ -198,13 +198,21 @@ class TestSamplingDraws:
     def test_euler_sample(self, seed):
         from types import SimpleNamespace
 
+        from repro.core.blocks import NeighborBlock
         from repro.eulersim.euler import EulerSystem
 
         rng = np.random.default_rng(seed)
         adj = {v: row for v, row in self._rows(rng, 50).items() if len(row)
                or v % 2}
-        system = SimpleNamespace(_adj=adj)
-        ids = rng.integers(0, 60, 25)
+        # The same rows as one block: an odd id keeps its empty row, an
+        # even id with an empty row is absent, and so are 50..59.
+        lens = [len(row) for row in adj.values()]
+        system = SimpleNamespace(_block=NeighborBlock(
+            np.asarray(list(adj), dtype=np.int64),
+            np.concatenate([[0], np.cumsum(lens)]).astype(np.int64),
+            np.concatenate([*adj.values(), np.empty(0)]).astype(np.int64)))
+        empty = [v for v, row in adj.items() if not len(row)]
+        ids = np.append(rng.integers(0, 60, 25), [59, empty[0]])
 
         def old(ids, fanout, rng):
             out_ids, segs = [], []

@@ -53,8 +53,9 @@ class HdfsError(PSGraphError):
     """Base class for simulated-HDFS failures."""
 
 
-class FileNotFoundOnHdfsError(HdfsError):
-    """The requested HDFS path does not exist."""
+class FileNotFoundOnHdfsError(HdfsError, FileNotFoundError):
+    """The requested HDFS path does not exist (also a builtin
+    :class:`FileNotFoundError`, as a missing local file would be)."""
 
 
 class FileAlreadyExistsError(HdfsError):

@@ -383,13 +383,7 @@ class TextFileRDD(RDD):
 
     def __init__(self, ctx: "SparkContext", path: str,
                  min_partitions: int | None = None) -> None:
-        hdfs = ctx.hdfs
-        if hdfs.exists(path):
-            files = [path]
-        else:
-            files = hdfs.listdir(path)
-        if not files:
-            raise FileNotFoundError(f"no HDFS files under {path}")
+        files = ctx.hdfs.input_files(path)
         super().__init__(
             ctx, max(1, min_partitions or ctx.cluster.parallelism))
         self._files = files

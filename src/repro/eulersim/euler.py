@@ -103,12 +103,18 @@ class EulerSystem:
     def preprocess(self, edges_path: str, features: np.ndarray,
                    labels: np.ndarray, workdir: str = "/euler"
                    ) -> Dict[str, float]:
-        """Run the three sequential disk-through passes.
+        """Run the three sequential disk-through passes over the edge
+        file ``edges_path``, or the files under it.
 
         Returns:
             Simulated seconds per pass plus the total.
+
+        Raises:
+            FileNotFoundOnHdfsError: if the path names no file, before
+                any clock moves.
         """
         self.driver.ensure_alive()
+        edge_files = self.hdfs.input_files(edges_path)
         mapped_path = f"{workdir}/mapped-edges"
         meta_path = f"{workdir}/graph-json-meta"
         self._outputs = (mapped_path, meta_path)
@@ -121,7 +127,7 @@ class EulerSystem:
         cost = TaskCost()
         src_parts: List[np.ndarray] = []
         dst_parts: List[np.ndarray] = []
-        for path in sorted(self.hdfs.listdir(edges_path)):
+        for path in edge_files:
             edges = parse_edge_lines(self.hdfs.read_lines(path, cost=cost))
             src_parts.append(edges.src)
             dst_parts.append(edges.dst)

@@ -103,26 +103,26 @@ class _JoinPlan:
             return
         p_e, p_v = len(edge_parts), len(vertex_ids)
         refs = []
-        for es, ed in edge_parts:
+        self.ship_offsets = np.zeros((p_v, p_e + 1), dtype=np.int64)
+        for ep, (es, ed) in enumerate(edge_parts):
             ids, inverse = np.unique(np.concatenate([es, ed]),
                                      return_inverse=True)
-            arrival, _offsets = partition_order(ids % p_v, p_v)
+            arrival, offsets = partition_order(ids % p_v, p_v)
             rank = np.empty(len(ids), dtype=np.int64)
             rank[arrival] = np.arange(len(ids))
             refs.append(ids)
+            self.ship_offsets[:, ep + 1] = np.diff(offsets)  # ids per vp
             self.id_rank.append(rank)
             self.src_pos.append(rank[inverse[:len(es)]])
             self.dst_pos.append(rank[inverse[len(es):]])
         all_refs = np.concatenate(refs)
-        pids = all_refs % p_v
-        order, offsets = partition_order(pids, p_v)
+        del refs
+        order, offsets = partition_order(all_refs % p_v, p_v)
         self.ship_ids = np.split(all_refs[order], offsets[1:-1])
+        del all_refs, order
         self.ship_pos = [np.searchsorted(ids, shipped)
                          for ids, shipped in zip(vertex_ids, self.ship_ids)]
-        ep_of = np.repeat(np.arange(p_e), [len(ids) for ids in refs])
-        self.ship_offsets = np.zeros((p_v, p_e + 1), dtype=np.int64)
-        np.cumsum(np.bincount(pids * p_e + ep_of, minlength=p_v * p_e)
-                  .reshape(p_v, p_e), axis=1, out=self.ship_offsets[:, 1:])
+        np.cumsum(self.ship_offsets, axis=1, out=self.ship_offsets)
 
     def ship_block(self, vp: int, part: VertexPartition) -> ColumnBlock:
         """What vertex partition ``vp`` ships: ``(ids, attrs)`` rows."""

@@ -201,6 +201,18 @@ class Hdfs:
         prefix = _normalize(path) + "/"
         return sorted(p for p in self._files if p.startswith(prefix))
 
+    def input_files(self, path: str) -> List[str]:
+        """The files an input path names: the path itself if it is a
+        file, else the files under it (sorted).
+
+        Raises:
+            FileNotFoundOnHdfsError: if it names neither.
+        """
+        files = [path] if self.exists(path) else self.listdir(path)
+        if not files:
+            raise FileNotFoundOnHdfsError(f"no HDFS files at {path}")
+        return files
+
     def glob(self, pattern: str) -> List[str]:
         """Shell-style glob over all file paths, sorted."""
         pattern = _normalize(pattern)

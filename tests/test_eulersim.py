@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.config import ClusterConfig
-from repro.common.errors import ContainerLostError
+from repro.common.errors import ContainerLostError, FileNotFoundOnHdfsError
 from repro.core.algorithms.graphsage import make_sage
 from repro.core.context import PSGraphContext
 from repro.core.ops import load_edges
@@ -106,6 +106,44 @@ class TestPreprocess:
             )
         finally:
             sys.stop()
+
+    def test_missing_input_raises_before_anything_moves(self):
+        sys = euler_system()
+        try:
+            containers = [*sys.workers, sys.driver]
+
+            def state():
+                return ([c.clock.now_s for c in containers],
+                        sys.hdfs.glob("*"), sys.metrics.snapshot())
+
+            before = state()
+            with pytest.raises(FileNotFoundOnHdfsError, match="/missing"):
+                sys.preprocess("/missing", np.zeros((4, 2)),
+                               np.zeros(4, dtype=np.int64))
+            assert state() == before
+            assert sys._block is sys._features is None
+        finally:
+            sys.stop()
+
+    def test_a_single_edge_file_reads_as_its_directory(self):
+        src, dst, feats, labels = small_task()
+        runs = []
+        for path in ("/in/euler/part-00000", "/in/euler"):
+            sys = euler_system()
+            try:
+                write_edges(sys.hdfs, "/in/euler", src, dst, num_files=1)
+                stats = sys.preprocess(path, feats, labels)
+                runs.append((stats, sys.metrics.snapshot(),
+                             sys.hdfs.read_pickle("/euler/mapped-edges"),
+                             sys._block))
+            finally:
+                sys.stop()
+        (stats, metrics, mapped, block), other = runs
+        assert (stats, metrics) == other[:2]
+        assert np.array_equal(mapped, other[2])
+        for column in ("vertices", "indptr", "neighbors"):
+            assert np.array_equal(getattr(block, column),
+                                  getattr(other[3], column))
 
     def test_reads_edge_files_like_psgraph(self):
         # A three-column line keeps its first two columns; a removal

@@ -63,6 +63,16 @@ class TestNamespace:
         fs.write_text("/other", "c")
         assert fs.listdir("/d") == ["/d/1", "/d/2"]
 
+    def test_input_files_is_the_file_or_the_files_under_it(self, fs):
+        fs.write_text("/in/part-1", "b")
+        fs.write_text("/in/part-0", "a")
+        assert fs.input_files("/in/part-1") == ["/in/part-1"]
+        assert fs.input_files("/in") == ["/in/part-0", "/in/part-1"]
+        with pytest.raises(FileNotFoundOnHdfsError, match="/missing"):
+            fs.input_files("/missing")
+        # ... which a caller of the local filesystem's API catches too.
+        assert issubclass(FileNotFoundOnHdfsError, FileNotFoundError)
+
     def test_glob(self, fs):
         fs.write_text("/out/part-00000", "x")
         fs.write_text("/out/part-00001", "y")

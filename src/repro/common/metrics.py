@@ -350,9 +350,6 @@ class MetricsRegistry:
     def __iter__(self) -> Iterator[Tuple[str, float]]:
         return iter(sorted(self._counters.items()))
 
-    def __len__(self) -> int:
-        return len(self._counters)
-
     def format(self, prefix: str = "") -> str:
         """Human-readable dump of counters, optionally filtered by prefix."""
         lines = [
@@ -379,21 +376,9 @@ class ScopedMetrics:
         """Increment the prefixed counter."""
         return self._registry.inc(self._name(name), value)
 
-    def get(self, name: str) -> float:
-        """Read the prefixed counter."""
-        return self._registry.get(self._name(name))
-
-    def set_max(self, name: str, value: float) -> float:
-        """Max-track the prefixed counter."""
-        return self._registry.set_max(self._name(name), value)
-
     def observe(self, name: str, value: float) -> None:
         """Observe into the prefixed histogram."""
         self._registry.observe(self._name(name), value)
-
-    def histogram(self, name: str) -> Histogram:
-        """The prefixed histogram."""
-        return self._registry.histogram(self._name(name))
 
     def set_gauge(self, name: str, value: float) -> None:
         """Set the prefixed gauge."""

@@ -75,11 +75,6 @@ class SimClock:
             self.now_s = when_s
         return self.now_s
 
-    def reset(self) -> None:
-        """Zero the clock (used between independent experiment runs)."""
-        self.now_s = 0.0
-        self.busy_s = 0.0
-
 
 def barrier(clocks: Iterable[SimClock]) -> float:
     """Align a group of clocks to their maximum, as a BSP barrier does.

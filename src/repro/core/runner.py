@@ -6,23 +6,15 @@ data source, run the algorithm, save the generated model::
     runner = GraphRunner(ctx)
     result = runner.run(PageRank(), "/input/edges", "/output/ranks")
 
-The runner is also the session's reporting seam: each phase (load /
-transform / save) is timed into the ``runner.*`` histograms and traced on
-the driver's "phases" track, and report hooks registered with
-:meth:`GraphRunner.add_report_hook` fire after every completed run — the
-CLI uses one to write trace/metrics/timeline artifacts.
+Each phase (load / transform / save) is timed into the ``runner.*``
+histograms and traced on the driver's "phases" track.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List
-
 from repro.core.algorithms.base import AlgorithmResult, GraphAlgorithm
 from repro.core.context import PSGraphContext
 from repro.core.graphio import GraphIO
-
-#: Hook signature: ``hook(result)`` called after each completed run.
-ReportHook = Callable[[AlgorithmResult], None]
 
 
 class GraphRunner:
@@ -30,12 +22,7 @@ class GraphRunner:
 
     def __init__(self, ctx: PSGraphContext) -> None:
         self.ctx = ctx
-        self._report_hooks: List[ReportHook] = []
         self._metrics = ctx.metrics.scoped("runner")
-
-    def add_report_hook(self, hook: ReportHook) -> None:
-        """Register a callback invoked with each run's result."""
-        self._report_hooks.append(hook)
 
     def _phase(self, name: str):
         """Sim-clock timer for one runner phase (``runner.<name>`` hist)."""
@@ -74,6 +61,4 @@ class GraphRunner:
                                    {"output": output_path}), \
                     self._phase("save_s"):
                 GraphIO.save(result.output, output_path)
-        for hook in list(self._report_hooks):
-            hook(result)
         return result

@@ -1,6 +1,5 @@
 """Spark-like dataflow engine: lazy RDDs, DAG scheduler, metered shuffle."""
 
-from repro.dataflow.broadcast import Broadcast
 from repro.dataflow.context import SparkContext
 from repro.dataflow.dataframe import DataFrame
 from repro.dataflow.executor import Executor
@@ -10,7 +9,6 @@ from repro.dataflow.shuffle import ShuffleOutputLostError, ShuffleService
 from repro.dataflow.taskctx import TaskContext, current_task_context
 
 __all__ = [
-    "Broadcast",
     "DataFrame",
     "Executor",
     "HashPartitioner",

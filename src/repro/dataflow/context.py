@@ -136,12 +136,6 @@ class SparkContext:
         """Lines of an HDFS file or directory."""
         return TextFileRDD(self, path, min_partitions)
 
-    def broadcast(self, value: Any):
-        """Ship a read-only value to every executor (charged once each)."""
-        from repro.dataflow.broadcast import Broadcast
-
-        return Broadcast(self, value)
-
     # ------------------------------------------------------------------
     # executors, placement and failure
     # ------------------------------------------------------------------

@@ -17,9 +17,9 @@ shuffle, save — on a faithful lineage model:
 * lost partitions are recomputed from lineage, which is the executor-failure
   recovery path of Table II;
 * a record may be a :class:`~repro.common.batch.RowBatch`, many rows held
-  as columns: the row-wise operators (``map``, ``filter``, ``flat_map``
-  and the actions) see its rows, the partition-wise ones
-  (``map_partitions``, ``foreach_partition``) the batch itself.
+  as columns: the row-wise operators (``map`` and the actions) see its
+  rows, the partition-wise ones (``map_partitions``,
+  ``foreach_partition``) the batch itself.
 
 Partition placement is deterministic (a multiplicative hash of the
 partition id picks the preferred executor), making runs bit-reproducible.
@@ -118,7 +118,6 @@ class RDD:
         self.shuffle_deps = shuffle_deps or []
         self.partitioner = partitioner
         self._cached = False
-        self._checkpoint_path: str | None = None
 
     # ------------------------------------------------------------------
     # computation & caching
@@ -130,11 +129,6 @@ class RDD:
 
     def iterator(self, split: int, tctx: TaskContext) -> Iterator[Any]:
         """Cached-or-computed records of partition ``split``."""
-        ckpt = self._checkpoint_path
-        if ckpt is not None:
-            return iter(self.ctx.hdfs.read_pickle(
-                f"{ckpt}/part-{split:05d}", cost=tctx.cost
-            ))
         if self._cached:
             hit = tctx.executor.cache_get(self.id, split)
             if hit is not None:
@@ -147,31 +141,6 @@ class RDD:
     def cache(self) -> "RDD":
         """Persist computed partitions in executor memory."""
         self._cached = True
-        return self
-
-    def checkpoint(self, path: str | None = None) -> "RDD":
-        """Materialize every partition to HDFS and truncate lineage.
-
-        Unlike :meth:`cache` (executor memory, lost with the executor), a
-        checkpoint survives container failures: subsequent reads — including
-        recovery after an executor death — load the partition back from
-        HDFS instead of recomputing ancestors.  Eager, like Spark's
-        ``checkpoint()`` + immediate materialization.
-        """
-        base = path or f"/rdd-checkpoints/rdd-{self.id}"
-        hdfs = self.ctx.hdfs
-
-        def write(p: int, tctx: TaskContext) -> None:
-            records = list(self.iterator(p, tctx))
-            hdfs.write_pickle(
-                f"{base}/part-{p:05d}", records, overwrite=True,
-                cost=tctx.cost,
-            )
-
-        self.ctx.scheduler.run_stage(
-            self.num_partitions, write, kind="rdd-checkpoint"
-        )
-        self._checkpoint_path = base
         return self
 
     def unpersist(self) -> "RDD":
@@ -192,34 +161,12 @@ class RDD:
             preserves_partitioning=False,
         )
 
-    def filter(self, f: Callable[[Any], bool]) -> "RDD":
-        """Keep rows where ``f`` is true."""
-        return MapPartitionsRDD(
-            self, lambda _i, it: (x for x in iter_rows(it) if f(x)),
-            preserves_partitioning=True,
-        )
-
-    def flat_map(self, f: Callable[[Any], Iterable[Any]]) -> "RDD":
-        """Apply ``f`` to every row and flatten the results."""
-        return MapPartitionsRDD(
-            self, lambda _i, it: (y for x in iter_rows(it) for y in f(x)),
-            preserves_partitioning=False,
-        )
-
     def map_partitions(self, f: Callable[[Iterator[Any]], Iterable[Any]],
                        preserves_partitioning: bool = False) -> "RDD":
         """Apply ``f`` to each whole partition iterator."""
         return MapPartitionsRDD(
             self, lambda _i, it: f(it),
             preserves_partitioning=preserves_partitioning,
-        )
-
-    def map_partitions_with_index(
-            self, f: Callable[[int, Iterator[Any]], Iterable[Any]],
-            preserves_partitioning: bool = False) -> "RDD":
-        """Like :meth:`map_partitions` but ``f`` also receives the index."""
-        return MapPartitionsRDD(
-            self, f, preserves_partitioning=preserves_partitioning
         )
 
     # ------------------------------------------------------------------

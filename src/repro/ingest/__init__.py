@@ -6,7 +6,6 @@ from repro.ingest.mutations import (
     EDGE_DEL,
     VERTEX_DEL,
     Mutation,
-    replay_landing,
 )
 
 __all__ = [
@@ -16,5 +15,4 @@ __all__ = [
     "EDGE_ADD",
     "EDGE_DEL",
     "VERTEX_DEL",
-    "replay_landing",
 ]

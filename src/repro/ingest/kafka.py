@@ -11,16 +11,18 @@ all.  This module provides that ingestion edge of the pipeline:
   :class:`~repro.ingest.mutations.MutationBatch` columns, with consumer
   offsets;
 * :class:`EdgeStreamConsumer` — drains new records in batches, appends
-  them to an HDFS landing directory (so batch jobs see them), and
-  *incrementally* merges them into a PS neighbor table, keeping an online
-  model fresh without re-running the groupBy over history.
+  them to an HDFS landing directory (so batch jobs see them), and hands
+  each poll to a sink — the
+  :class:`~repro.streaming.engine.StreamingEngine` that merges it into
+  the PS-resident :class:`~repro.streaming.graph.StreamingGraph`, keeping
+  an online model fresh without re-running the groupBy over history.
 
 Delivery is **at-least-once**: a poll stages its reads, lands them on
-HDFS and merges them into the PS *before* committing offsets, so a crash
+HDFS and hands them to the sink *before* committing offsets, so a crash
 mid-poll replays the batch instead of silently dropping it.  Landing
-files have deterministic names (overwritten on retry) and the PS merge
-has set semantics, so replays are idempotent end to end — see
-docs/streaming.md.
+files have deterministic names (overwritten on retry) and the streaming
+graph's merge has set semantics, so replays are idempotent end to end —
+see docs/streaming.md.
 """
 
 from __future__ import annotations
@@ -32,14 +34,11 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from repro.common.batch import partition_order, sorted_unique
+from repro.common.batch import partition_order
 from repro.common.errors import ConfigError
 from repro.common.metrics import MetricsRegistry
-from repro.core.blocks import build_neighbor_block
 from repro.hdfs.filesystem import Hdfs
 from repro.ingest.mutations import (
-    EDGE_ADD,
-    EDGE_DEL,
     MutationBatch,
     edge_adds,
     edge_dels,
@@ -124,7 +123,7 @@ class KafkaTopic:
 
 
 class EdgeStreamConsumer:
-    """Drains a topic into HDFS and (optionally) a PS neighbor table.
+    """Drains a topic into HDFS and (optionally) a sink.
 
     Args:
         topic: the source topic.
@@ -135,9 +134,6 @@ class EdgeStreamConsumer:
             committed position (offsets + file counter) is persisted as a
             *sibling* file ``{landing_dir}.offsets`` so a restarted
             consumer resumes exactly where the last committed poll ended.
-        table: optional :class:`repro.ps.matrix.PSNeighborTable`; polled
-            mutations are merged in incrementally (both directions, set
-            semantics: adds union, removes subtract).
         sink: optional callback receiving each poll's mutations as one
             :class:`~repro.ingest.mutations.MutationBatch` in partition
             order during the merge phase (before the offset commit) — the
@@ -153,14 +149,12 @@ class EdgeStreamConsumer:
 
     def __init__(self, topic: KafkaTopic, hdfs: Hdfs,
                  landing_dir: str = "/ingest",
-                 table: Optional[object] = None,
                  sink: Optional[Callable[[MutationBatch], None]] = None,
                  metrics: Optional[MetricsRegistry] = None,
                  resume: bool = False) -> None:
         self.topic = topic
         self.hdfs = hdfs
         self.landing_dir = landing_dir.rstrip("/")
-        self.table = table
         self.sink = sink
         # Scoped view: every counter below lands under "ingest." without
         # hand-concatenating name strings at each call site.
@@ -188,11 +182,11 @@ class EdgeStreamConsumer:
         )
 
     def poll(self, max_records_per_partition: int | None = None) -> int:
-        """Consume one batch: land on HDFS + merge into the PS table.
+        """Consume one batch: land on HDFS, then hand it to the sink.
 
         The phases run in recovery-safe order — **stage, land, merge,
         commit**.  Offsets (and the landing-file counter) only advance
-        after the landing write and PS merge succeed, so an exception
+        after the landing write and the sink succeed, so an exception
         mid-poll leaves the position untouched and the next poll replays
         the same batch into the same (deterministically named, overwritten)
         landing files.
@@ -222,14 +216,12 @@ class EdgeStreamConsumer:
                 records.lines(), overwrite=True,
             )
 
-        # Phase 3 — merge: PS neighbor table and/or streaming sink see the
-        # poll's mutations in partition order (per-source order is
-        # preserved because a source's records share one partition).
-        ordered = MutationBatch.concat([staged[p] for p in sorted(staged)])
-        if self.table is not None:
-            self._merge_into_table(ordered)
+        # Phase 3 — merge: the sink sees the poll's mutations in partition
+        # order (per-source order is preserved because a source's records
+        # share one partition).
         if self.sink is not None:
-            self.sink(ordered)
+            self.sink(MutationBatch.concat(
+                [staged[p] for p in sorted(staged)]))
 
         # Phase 4 — commit: advance offsets + file counter and persist
         # them so a restarted consumer resumes here.
@@ -269,29 +261,3 @@ class EdgeStreamConsumer:
         for p in self.offsets:
             self.offsets[p] = int(doc["offsets"].get(str(p), 0))
         self._files = int(doc["files"])
-
-    # ------------------------------------------------------------------
-    # PS merge
-    # ------------------------------------------------------------------
-
-    def _merge_into_table(self, mutations: MutationBatch) -> None:
-        """Incremental symmetric neighbor-table update, in stream order."""
-        for op, src, dst in mutations.runs():
-            if op in (EDGE_ADD, EDGE_DEL):
-                block = build_neighbor_block(
-                    np.concatenate([src, dst]), np.concatenate([dst, src]),
-                    dedupe=True,
-                )
-                if block.num_vertices:
-                    merge = (self.table.push if op == EDGE_ADD
-                             else self.table.remove)
-                    merge(block)
-            else:  # VERTEX_DEL
-                doomed = sorted_unique(src)
-                # Detach the vertices from their neighbors' tables, then
-                # drop their own.
-                nbrs = self.table.get(doomed)
-                if nbrs.num_edges:
-                    self.table.remove(build_neighbor_block(
-                        nbrs.neighbors, nbrs.sources(), dedupe=True))
-                self.table.drop(doomed)

@@ -16,9 +16,7 @@ op    meaning
 On the HDFS landing files edge *adds* keep the legacy ``src<TAB>dst``
 encoding so existing batch jobs re-reading the landed history keep
 working unchanged; removals are prefixed marker lines (``-e``/``-v``)
-which :func:`repro.core.ops.parse_edge_lines` skips.  Batch jobs that
-must see the *current* graph (not just the additive history) replay the
-landing directory through :func:`replay_landing`.
+which :func:`repro.core.ops.parse_edge_lines` skips.
 
 On the stream itself the records travel as a :class:`MutationBatch`:
 three columns (op code, ``src``, ``dst``) from the producer to the
@@ -28,7 +26,7 @@ not millions of tuples.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, NamedTuple, Sequence, Set, Tuple
+from typing import Iterable, Iterator, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -150,7 +148,9 @@ class MutationBatch(RowBatch):
                 for code, lo, hi in zip(codes, starts, ends)]
 
     def lines(self) -> List[str]:
-        """The landing-file lines, one per row (:func:`encode_line`'s)."""
+        """The landing-file lines, one per row: ``src<TAB>dst`` for an
+        add, ``-e<TAB>src<TAB>dst`` for a remove, ``-v<TAB>src`` for a
+        vertex remove."""
         out: List[str] = []
         for op, src, dst in self.runs():
             if op == EDGE_ADD:
@@ -179,71 +179,3 @@ def vertex_dels(vertices: np.ndarray) -> MutationBatch:
     vertices = np.asarray(vertices, dtype=np.int64).reshape(-1)
     return MutationBatch.of(VERTEX_DEL, vertices,
                             np.full(len(vertices), -1, dtype=np.int64))
-
-
-def encode_line(m: Mutation) -> str:
-    """Landing-file encoding (adds keep the legacy 2-column form)."""
-    if m.op == EDGE_ADD:
-        return f"{m.src}\t{m.dst}"
-    if m.op == EDGE_DEL:
-        return f"{EDGE_DEL}\t{m.src}\t{m.dst}"
-    return f"{VERTEX_DEL}\t{m.src}"
-
-
-def decode_line(line: str) -> Mutation | None:
-    """Inverse of :func:`encode_line`; ``None`` for blank/bad lines."""
-    parts = line.split()
-    if not parts:
-        return None
-    if parts[0] == EDGE_DEL and len(parts) >= 3:
-        return Mutation(EDGE_DEL, int(parts[1]), int(parts[2]))
-    if parts[0] == VERTEX_DEL and len(parts) >= 2:
-        return Mutation(VERTEX_DEL, int(parts[1]), -1)
-    if len(parts) >= 2:
-        try:
-            return Mutation(EDGE_ADD, int(parts[0]), int(parts[1]))
-        except ValueError:
-            return None
-    return None
-
-
-def apply_to_edge_set(edges: Set[Tuple[int, int]],
-                      mutations: Iterable[Mutation]
-                      ) -> Set[Tuple[int, int]]:
-    """Replay mutations onto a directed edge set (reference semantics).
-
-    Presence semantics: re-adding an existing edge and removing an
-    absent one are no-ops, which is what makes at-least-once delivery
-    with replayed polls safe end to end.
-    """
-    for m in mutations:
-        if m.op == EDGE_ADD:
-            edges.add((m.src, m.dst))
-        elif m.op == EDGE_DEL:
-            edges.discard((m.src, m.dst))
-        else:
-            edges = {(s, d) for s, d in edges
-                     if s != m.src and d != m.src}
-    return edges
-
-
-def replay_landing(hdfs, landing_dir: str) -> Tuple[np.ndarray, np.ndarray]:
-    """Reconstruct the current edge set from a landing directory.
-
-    Landing files are named ``batch-{poll:05d}-p{partition}`` so a plain
-    sorted listing replays polls in commit order (and partitions within a
-    poll in a fixed order, which is safe: the producer keys records by
-    source vertex, so mutations touching the same source never land in
-    different partitions of one poll).
-    """
-    edges: Set[Tuple[int, int]] = set()
-    for path in sorted(hdfs.listdir(landing_dir.rstrip("/"))):
-        batch = [m for m in map(decode_line, hdfs.read_lines(path))
-                 if m is not None]
-        edges = apply_to_edge_set(edges, batch)
-    if not edges:
-        return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-    pairs = sorted(edges)
-    src = np.asarray([s for s, _ in pairs], dtype=np.int64)
-    dst = np.asarray([d for _, d in pairs], dtype=np.int64)
-    return src, dst

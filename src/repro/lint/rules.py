@@ -179,8 +179,7 @@ class WallClockRule(Rule):
 
 #: RDD methods whose function arguments ship to executors.
 _RDD_METHODS = {
-    "map", "flat_map", "filter", "map_partitions",
-    "map_partitions_with_index", "foreach_partition", "shuffle_blocks",
+    "map", "map_partitions", "foreach_partition", "shuffle_blocks",
 }
 
 Closure = ast.Lambda | ast.FunctionDef

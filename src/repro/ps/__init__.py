@@ -11,31 +11,16 @@ from repro.ps.partitioner import (
     RangePSPartitioner,
     make_ps_partitioner,
 )
-from repro.ps.psfunc import (
-    AddColumn,
-    CountNonZero,
-    Fill,
-    MaxAbs,
-    PartialDot,
-    PsFunc,
-    RandomInit,
-    RankOneUpdate,
-    Scale,
-    VectorSum,
-)
+from repro.ps.psfunc import PartialDot, PsFunc, RandomInit, RankOneUpdate
 from repro.ps.server import PSServer
 from repro.ps.sync import SyncController
 
 __all__ = [
     "AdaGrad",
     "Adam",
-    "AddColumn",
-    "CountNonZero",
-    "Fill",
     "HashPSPartitioner",
     "HashRangePSPartitioner",
     "MatrixMeta",
-    "MaxAbs",
     "Momentum",
     "Optimizer",
     "PSContext",
@@ -51,8 +36,6 @@ __all__ = [
     "RangePSPartitioner",
     "RankOneUpdate",
     "SGD",
-    "Scale",
     "SyncController",
-    "VectorSum",
     "make_ps_partitioner",
 ]

@@ -505,18 +505,6 @@ class PSAgent:
         self._fan_out(meta, "compact", range(meta.num_partitions), request,
                       recharge=True)
 
-    def table_total(self, meta: MatrixMeta) -> int:
-        """Total vertices stored across all neighbor-table partitions."""
-        sizes: list = []
-
-        def request(_pid: int, store: Any) -> tuple:
-            sizes.append(store.num_vertices())
-            return 24, None
-
-        self._fan_out(meta, "table_size", range(meta.num_partitions),
-                      request)
-        return int(sum(sizes))
-
     # ------------------------------------------------------------------
     # psFunc & gradients
     # ------------------------------------------------------------------

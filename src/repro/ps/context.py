@@ -268,32 +268,6 @@ class PSContext:
         self._register(meta, handle)
         return handle
 
-    def describe(self) -> str:
-        """Human-readable layout report: every model, its shape, storage,
-        partitioning and per-server memory (the PSContext "partition
-        layout" the paper says agents consult)."""
-        lines = [
-            f"PSContext: {self.num_servers} servers, "
-            f"{len(self._metas)} models"
-        ]
-        for name in self.matrix_names():
-            meta = self._metas[name]
-            lines.append(
-                f"  {name}: {meta.rows}x{meta.cols} {meta.dtype} "
-                f"storage={meta.storage} axis={meta.axis} "
-                f"partitions={meta.num_partitions} "
-                f"({type(meta.partitioner).__name__})"
-            )
-        for server in self.servers:
-            mem = server.container.memory
-            state = "alive" if server.container.alive else "DEAD"
-            lines.append(
-                f"  {server.id}: {state}, "
-                f"{mem.used:,} / {mem.capacity:,} B used, "
-                f"{len(server.held_partitions())} partitions"
-            )
-        return "\n".join(lines)
-
     def matrix(self, name: str) -> object:
         """Look up an existing model handle by name."""
         handle = self._handles.get(name)

@@ -63,10 +63,6 @@ class PSMatrix:
         """Assemble the whole matrix at the caller (driver convenience)."""
         return self.psctx.agent.pull_all(self.meta)
 
-    def checkpoint(self) -> None:
-        """Snapshot every partition to HDFS."""
-        self.psctx.checkpoint_matrix(self.meta.name)
-
 
 class PSVector(PSMatrix):
     """Handle to a 1-column matrix; pulls return 1-d arrays."""
@@ -101,10 +97,6 @@ class PSEmbedding(PSMatrix):
     def push_rows(self, row_keys: np.ndarray, deltas: np.ndarray) -> None:
         """Increment full embedding rows."""
         self.psctx.agent.push_rows_full(self.meta, row_keys, deltas)
-
-    def set_rows(self, row_keys: np.ndarray, values: np.ndarray) -> None:
-        """Overwrite full embedding rows."""
-        self.psctx.agent.set_rows_full(self.meta, row_keys, values)
 
     def dot(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         """Server-side dot products ``A[left_i] . A[right_i]`` per pair."""
@@ -156,10 +148,6 @@ class PSNeighborTable:
     def compact(self) -> None:
         """Freeze into read-optimized CSR form."""
         self.psctx.agent.compact(self.meta)
-
-    def num_vertices(self) -> int:
-        """Total vertices with stored tables."""
-        return self.psctx.agent.table_total(self.meta)
 
     def checkpoint(self) -> None:
         """Snapshot every partition to HDFS."""

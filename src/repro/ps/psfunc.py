@@ -21,7 +21,7 @@ from repro.common.batch import (
     scatter_add_rows,
 )
 from repro.common.sizeof import CONTAINER_ENTRY_BYTES
-from repro.ps.storage import ColumnShardStore, DenseRowStore
+from repro.ps.storage import ColumnShardStore
 
 
 class PsFunc:
@@ -48,89 +48,6 @@ class PsFunc:
         """Estimated floating point operations of one apply (for costing)."""
         nbytes = getattr(store, "nbytes", 0)
         return nbytes / 8.0
-
-
-class VectorSum(PsFunc):
-    """Sum of one column over the whole matrix."""
-
-    def __init__(self, col: int = 0) -> None:
-        self.col = col
-
-    def apply(self, store: DenseRowStore) -> float:
-        return float(store.array[:, self.col].sum())
-
-    def merge(self, partials: List[float]) -> float:
-        return float(sum(p for p in partials if p is not None))
-
-
-class CountNonZero(PsFunc):
-    """Number of entries of one column with ``|x| > tol``."""
-
-    def __init__(self, col: int = 0, tol: float = 0.0) -> None:
-        self.col = col
-        self.tol = tol
-
-    def apply(self, store: DenseRowStore) -> int:
-        return int((np.abs(store.array[:, self.col]) > self.tol).sum())
-
-    def merge(self, partials: List[int]) -> int:
-        return int(sum(p for p in partials if p is not None))
-
-
-class MaxAbs(PsFunc):
-    """Maximum absolute value of one column."""
-
-    def __init__(self, col: int = 0) -> None:
-        self.col = col
-
-    def apply(self, store: DenseRowStore) -> float:
-        if store.array.shape[0] == 0:
-            return 0.0
-        return float(np.abs(store.array[:, self.col]).max())
-
-    def merge(self, partials: List[float]) -> float:
-        vals = [p for p in partials if p is not None]
-        return max(vals) if vals else 0.0
-
-
-class Scale(PsFunc):
-    """Multiply one column (or all columns) in place by a constant."""
-
-    def __init__(self, factor: float, col: int | None = None) -> None:
-        self.factor = factor
-        self.col = col
-
-    def apply(self, store: DenseRowStore) -> None:
-        if self.col is None:
-            store.array *= self.factor
-        else:
-            store.array[:, self.col] *= self.factor
-
-
-class Fill(PsFunc):
-    """Set one column (or all columns) to a constant."""
-
-    def __init__(self, value: float, col: int | None = None) -> None:
-        self.value = value
-        self.col = col
-
-    def apply(self, store: DenseRowStore) -> None:
-        if self.col is None:
-            store.array[:] = self.value
-        else:
-            store.array[:, self.col] = self.value
-
-
-class AddColumn(PsFunc):
-    """``array[:, dst] += scale * array[:, src]`` in place."""
-
-    def __init__(self, src: int, dst: int, scale: float = 1.0) -> None:
-        self.src = src
-        self.dst = dst
-        self.scale = scale
-
-    def apply(self, store: DenseRowStore) -> None:
-        store.array[:, self.dst] += self.scale * store.array[:, self.src]
 
 
 class RandomInit(PsFunc):

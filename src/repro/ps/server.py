@@ -19,7 +19,7 @@ time.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from repro.common.costs import CostModel
 from repro.common.errors import PartitionNotFoundError, PSError
@@ -122,10 +122,6 @@ class PSServer:
             self._charged.pop(key, None)
         self.container.memory.release_tag(f"ps:{matrix}")
         self._metas.pop(matrix, None)
-
-    def held_partitions(self) -> List[Tuple[str, int]]:
-        """Keys of partitions this server currently holds."""
-        return sorted(self._stores)
 
     def wipe(self) -> None:
         """Forget all state (the process died)."""

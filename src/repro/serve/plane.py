@@ -59,7 +59,6 @@ from repro.serve.admission import (
 from repro.serve.hotcache import HotKeyCache
 from repro.serve.limiter import TenantRateLimiter, WatermarkGate
 from repro.serve.workload import (
-    Request,
     RequestBatch,
     TenantSpec,
     check_tenant_names,
@@ -290,17 +289,13 @@ class ServingPlane:
     # the serving loop
     # ------------------------------------------------------------------
 
-    def run(self, requests: RequestBatch | Sequence[Request]
-            ) -> ServingReport:
+    def run(self, requests: RequestBatch) -> ServingReport:
         """Serve the full request stream; returns the run's own report.
 
         Requests must be sorted by arrival time (``RequestGenerator``
-        output already is).  A :class:`RequestBatch` is read as it is;
-        any other sequence is read into one first.  The loop handles a
-        quantum's arrivals as slices of the columns.
+        output already is).  The loop handles a quantum's arrivals as
+        slices of the columns.
         """
-        if not isinstance(requests, RequestBatch):
-            requests = RequestBatch.from_requests(requests)
         clock = self.spark.driver_clock
         metrics = self.spark.metrics
         queue, gate = self.queue, self.gate

@@ -25,7 +25,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -93,25 +93,6 @@ class RequestBatch:
         self.priority = priority
         self.tenants, self.models = tenants, models
 
-    @classmethod
-    def from_requests(cls, requests: Iterable["Request"]) -> "RequestBatch":
-        """Columns of a hand-built request sequence, read from it now."""
-        requests = list(requests)
-        tenants: Dict[str, int] = {}
-        models: Dict[str, int] = {}
-        n = len(requests)
-        columns = [np.fromiter(values, dtype, n) for values, dtype in (
-            ((r.seq for r in requests), np.int64),
-            ((tenants.setdefault(r.tenant, len(tenants)) for r in requests),
-             np.int64),
-            ((models.setdefault(r.model, len(models)) for r in requests),
-             np.int64),
-            ((r.key for r in requests), np.int64),
-            ((r.arrival_s for r in requests), np.float64),
-            ((r.deadline_s for r in requests), np.float64),
-            ((r.priority for r in requests), np.int64))]
-        return cls(*columns, tuple(tenants), tuple(models))
-
     def __len__(self) -> int:
         return len(self.seq)
 
@@ -125,10 +106,9 @@ class RequestBatch:
 class Request:
     """One lookup request: a view onto one row of a :class:`RequestBatch`.
 
-    Built by hand, a request is a one-row batch of its own.  Setting
-    ``arrival_s`` or ``deadline_s`` writes through to the batch, so the
-    next :meth:`~repro.serve.plane.ServingPlane.run` over it sees the new
-    times.
+    Setting ``arrival_s`` or ``deadline_s`` writes through to the batch,
+    so the next :meth:`~repro.serve.plane.ServingPlane.run` over it sees
+    the new times.
 
     Attributes:
         seq: global arrival sequence number (deterministic tie-breaker).
@@ -141,15 +121,6 @@ class Request:
     """
 
     __slots__ = ("_batch", "_row")
-
-    def __init__(self, seq: int, tenant: str, model: str, key: int,
-                 arrival_s: float, deadline_s: float, priority: int) -> None:
-        ints = np.array([seq, 0, 0, key, priority], dtype=np.int64)
-        times = np.array([arrival_s, deadline_s], dtype=np.float64)
-        self._batch = RequestBatch(ints[0:1], ints[1:2], ints[2:3], ints[3:4],
-                                   times[0:1], times[1:2], ints[4:5],
-                                   (tenant,), (model,))
-        self._row = 0
 
     @property
     def seq(self) -> int:
@@ -189,25 +160,9 @@ class Request:
     def priority(self) -> int:
         return self._batch.priority.item(self._row)
 
-    def _fields(self) -> tuple:
-        return (self.seq, self.tenant, self.model, self.key, self.arrival_s,
-                self.deadline_s, self.priority)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Request):
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __repr__(self) -> str:
-        names = ("seq", "tenant", "model", "key", "arrival_s", "deadline_s",
-                 "priority")
-        return "Request(" + ", ".join(
-            f"{name}={value!r}"
-            for name, value in zip(names, self._fields())) + ")"
-
 
 def _row_view(batch: RequestBatch, row: int) -> Request:
-    """Row ``row`` of ``batch``, without building a batch of its own."""
+    """Row ``row`` of ``batch``."""
     request = object.__new__(Request)
     request._batch = batch
     request._row = row

@@ -104,12 +104,6 @@ class StreamingEngine:
         The buffer checks every id first, with ``apply``'s error, so a
         poll holding a bad id raises inside its merge phase and commits
         nothing: the valid mutations it read are not lost with it."""
-        if getattr(consumer, "table", None) is not None:
-            raise ValueError(
-                "consumer merges into a PS table directly; with an "
-                "engine the StreamingGraph owns both tables — construct "
-                "the consumer without table="
-            )
         self.consumer = consumer
         consumer.sink = self._buffer
 

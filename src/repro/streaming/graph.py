@@ -145,9 +145,6 @@ class StreamingGraph:
         return NeighborBlock(outs.vertices, np.cumsum(indptr),
                              union.neighbors)
 
-    def out_degrees(self, vertices: np.ndarray) -> np.ndarray:
-        return self.out.degrees(vertices)
-
     # ------------------------------------------------------------------
     # mutation
     # ------------------------------------------------------------------

@@ -2,23 +2,17 @@
 
 from repro.torchlite.functional import (
     accuracy,
-    binary_cross_entropy_with_logits,
     concat,
     cross_entropy,
-    dropout,
     log_softmax,
-    normalize_rows,
     segment_max,
     segment_mean,
-    softmax,
 )
 from repro.torchlite.nn import (
     Linear,
     LSTMCell,
     Module,
     ReLU,
-    Sequential,
-    Tanh,
     xavier_uniform,
 )
 from repro.torchlite.optim import AdamOptimizer, LocalOptimizer, SGDOptimizer
@@ -34,18 +28,12 @@ __all__ = [
     "ReLU",
     "ScriptModule",
     "SGDOptimizer",
-    "Sequential",
-    "Tanh",
     "Tensor",
     "accuracy",
-    "binary_cross_entropy_with_logits",
     "concat",
     "cross_entropy",
-    "dropout",
     "log_softmax",
-    "normalize_rows",
     "segment_max",
     "segment_mean",
-    "softmax",
     "xavier_uniform",
 ]

@@ -84,11 +84,6 @@ def log_softmax(logits: Tensor) -> Tensor:
     return Tensor._make(out, (logits,), backward)
 
 
-def softmax(logits: Tensor) -> Tensor:
-    """Row-wise softmax."""
-    return log_softmax(logits).exp()
-
-
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Mean cross-entropy between row logits and integer labels."""
     labels = np.asarray(labels, dtype=np.int64)
@@ -96,32 +91,6 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     logp = log_softmax(logits)
     picked = logp[np.arange(n), labels]
     return -picked.sum() * (1.0 / n)
-
-
-def binary_cross_entropy_with_logits(logits: Tensor,
-                                     targets: np.ndarray) -> Tensor:
-    """Mean binary cross-entropy on raw logits (LINE's edge objective)."""
-    targets_t = Tensor(np.asarray(targets, dtype=np.float64))
-    p = logits.sigmoid()
-    eps = 1e-12
-    losses = -(targets_t * (p + eps).log()
-               + (1.0 - targets_t) * (1.0 - p + eps).log())
-    return losses.mean()
-
-
-def dropout(x: Tensor, p: float, rng: np.random.Generator,
-            training: bool = True) -> Tensor:
-    """Inverted dropout; identity at eval time or ``p == 0``."""
-    if not training or p <= 0.0:
-        return x
-    mask = (rng.random(x.data.shape) >= p) / (1.0 - p)
-    return x * Tensor(mask)
-
-
-def normalize_rows(x: Tensor, eps: float = 1e-12) -> Tensor:
-    """L2-normalize each row (GraphSage's final embedding normalization)."""
-    norms = (x * x).sum(axis=1, keepdims=True) ** 0.5
-    return x / (norms + eps)
 
 
 def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:

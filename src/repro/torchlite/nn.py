@@ -21,7 +21,6 @@ class Module:
     def __init__(self) -> None:
         self._parameters: Dict[str, Tensor] = {}
         self._modules: Dict[str, "Module"] = {}
-        self.training = True
 
     def __setattr__(self, name: str, value: object) -> None:
         if isinstance(value, Tensor) and value.requires_grad:
@@ -48,17 +47,6 @@ class Module:
         """Clear gradients of every parameter."""
         for p in self.parameters():
             p.zero_grad()
-
-    def train(self, mode: bool = True) -> "Module":
-        """Set training mode recursively."""
-        self.training = mode
-        for m in self._modules.values():
-            m.train(mode)
-        return self
-
-    def eval(self) -> "Module":
-        """Set evaluation mode recursively."""
-        return self.train(False)
 
     def state_dict(self) -> Dict[str, np.ndarray]:
         """Copy of every parameter array by dotted name."""
@@ -118,13 +106,6 @@ class ReLU(Module):
         return x.relu()
 
 
-class Tanh(Module):
-    """Tanh as a module."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.tanh()
-
-
 class LSTMCell(Module):
     """A standard LSTM cell (input/forget/cell/output gates).
 
@@ -174,18 +155,3 @@ class LSTMCell(Module):
         for t in range(steps):
             h, c = self.forward(x[idx + t], h, c)
         return h
-
-
-class Sequential(Module):
-    """Chain of modules applied in order."""
-
-    def __init__(self, *layers: Module) -> None:
-        super().__init__()
-        self.layers = list(layers)
-        for i, layer in enumerate(layers):
-            setattr(self, f"layer{i}", layer)
-
-    def forward(self, x: Tensor) -> Tensor:
-        for layer in self.layers:
-            x = layer(x)
-        return x

@@ -44,22 +44,9 @@ class Tensor:
         """Array shape."""
         return self.data.shape
 
-    @property
-    def ndim(self) -> int:
-        """Number of dimensions."""
-        return self.data.ndim
-
-    def numpy(self) -> np.ndarray:
-        """The raw array (shared, not copied)."""
-        return self.data
-
     def item(self) -> float:
         """The scalar value of a 0-d/1-element tensor."""
         return float(self.data.reshape(-1)[0])
-
-    def detach(self) -> "Tensor":
-        """A view without grad tracking."""
-        return Tensor(self.data, requires_grad=False)
 
     def zero_grad(self) -> None:
         """Clear the accumulated gradient."""
@@ -69,9 +56,6 @@ class Tensor:
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
         self.grad += g
-
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.data.shape}, grad={self.requires_grad})"
 
     @staticmethod
     def _make(data: np.ndarray, parents: Sequence["Tensor"],
@@ -153,12 +137,6 @@ class Tensor:
     def __neg__(self) -> "Tensor":
         return Tensor._make(-self.data, (self,), lambda g: (-g,))
 
-    def __sub__(self, other) -> "Tensor":
-        return self + (-_wrap(other))
-
-    def __rsub__(self, other) -> "Tensor":
-        return _wrap(other) + (-self)
-
     def __mul__(self, other) -> "Tensor":
         other = _wrap(other)
         data = self.data * other.data
@@ -171,27 +149,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other) -> "Tensor":
-        other = _wrap(other)
-        data = self.data / other.data
-
-        def backward(g):
-            return (
-                _unbroadcast(g / other.data, self.data.shape),
-                _unbroadcast(-g * self.data / other.data ** 2,
-                             other.data.shape),
-            )
-
-        return Tensor._make(data, (self, other), backward)
-
-    def __pow__(self, exponent: float) -> "Tensor":
-        data = self.data ** exponent
-
-        def backward(g):
-            return (g * exponent * self.data ** (exponent - 1),)
-
-        return Tensor._make(data, (self,), backward)
-
     def __matmul__(self, other: "Tensor") -> "Tensor":
         other = _wrap(other)
         data = self.data @ other.data
@@ -202,19 +159,8 @@ class Tensor:
         return Tensor._make(data, (self, other), backward)
 
     # ------------------------------------------------------------------
-    # shape ops
+    # indexing
     # ------------------------------------------------------------------
-
-    def reshape(self, *shape: int) -> "Tensor":
-        """Reshape, differentiable."""
-        old = self.data.shape
-        data = self.data.reshape(*shape)
-        return Tensor._make(data, (self,), lambda g: (g.reshape(old),))
-
-    @property
-    def T(self) -> "Tensor":
-        """2-d transpose, differentiable."""
-        return Tensor._make(self.data.T, (self,), lambda g: (g.T,))
 
     def __getitem__(self, idx) -> "Tensor":
         """Row/element gather, differentiable (scatter-add backward)."""
@@ -248,27 +194,9 @@ class Tensor:
 
         return Tensor._make(data, (self,), backward)
 
-    def mean(self, axis: int | None = None, keepdims: bool = False
-             ) -> "Tensor":
-        """Mean, differentiable."""
-        n = (self.data.size if axis is None
-             else self.data.shape[axis])
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
-
     # ------------------------------------------------------------------
     # elementwise nonlinearities
     # ------------------------------------------------------------------
-
-    def exp(self) -> "Tensor":
-        """Elementwise exponential."""
-        data = np.exp(self.data)
-        return Tensor._make(data, (self,), lambda g: (g * data,))
-
-    def log(self) -> "Tensor":
-        """Elementwise natural log."""
-        return Tensor._make(
-            np.log(self.data), (self,), lambda g: (g / self.data,)
-        )
 
     def relu(self) -> "Tensor":
         """Rectified linear unit."""

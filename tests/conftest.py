@@ -11,6 +11,8 @@ from repro.core.blocks import NeighborBlock
 from repro.core.context import PSGraphContext
 from repro.dataflow.context import SparkContext
 from repro.obs.tracer import NOOP_TRACER
+from repro.ps.psfunc import PsFunc
+from repro.serve.workload import RequestBatch
 
 
 # Example counts for property tests that do not pin their own: ``default``
@@ -51,6 +53,44 @@ def table_block(rows: dict) -> NeighborBlock:
         np.concatenate([[0], np.cumsum(lens)]).astype(np.int64),
         np.asarray([n for ns in rows.values() for n in ns], dtype=np.int64),
     )
+
+
+class VectorSum(PsFunc):
+    """Sum of one column over the whole matrix: an example psFunc."""
+
+    def __init__(self, col: int = 0) -> None:
+        self.col = col
+
+    def apply(self, store) -> float:
+        return float(store.array[:, self.col].sum())
+
+    def merge(self, partials) -> float:
+        return float(sum(p for p in partials if p is not None))
+
+
+def set_rows(embedding, keys, values) -> None:
+    """Overwrite full rows of a column-sharded matrix, the agent call
+    GraphSage writes its output with."""
+    embedding.psctx.agent.set_rows_full(embedding.meta, keys, values)
+
+
+def request_batch(rows) -> RequestBatch:
+    """A request stream built by hand: one ``(seq, tenant, model, key,
+    arrival_s, deadline_s, priority)`` tuple per request.  Tenant and
+    model codes number the names in first-seen order."""
+    seq, tenant, model, key, arrival, deadline, priority = (
+        zip(*rows) if rows else ((),) * 7)
+    tenants, models = tuple(dict.fromkeys(tenant)), tuple(dict.fromkeys(model))
+
+    def ints(values):
+        return np.array(values, dtype=np.int64)
+
+    return RequestBatch(
+        ints(seq), ints([tenants.index(t) for t in tenant]),
+        ints([models.index(m) for m in model]), ints(key),
+        np.array(arrival, dtype=np.float64),
+        np.array(deadline, dtype=np.float64), ints(priority),
+        tenants, models)
 
 
 def digest(obj) -> str:

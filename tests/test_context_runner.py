@@ -130,17 +130,3 @@ class TestLinePathsAgree:
         np.testing.assert_allclose(loss_a, loss_b, rtol=1e-5)
         np.testing.assert_allclose(vecs_a, vecs_b, rtol=1e-3, atol=1e-6)
 
-
-class TestDescribe:
-    def test_layout_report(self):
-        ctx = make_psg()
-        try:
-            ctx.ps.create_vector("ranks", 100)
-            ctx.ps.create_neighbor_table("adj", 100)
-            report = ctx.ps.describe()
-            assert "ranks" in report
-            assert "adj" in report
-            assert "ps-server-0" in report
-            assert "alive" in report
-        finally:
-            ctx.stop()

@@ -214,8 +214,8 @@ class TestOps:
         dst = (np.arange(20) + 1) % 20
         edges = edges_from_arrays(psg.spark, src, dst, num_partitions=3)
         tables = to_neighbor_tables(edges, num_partitions=4)
-        placements = tables.map_partitions_with_index(
-            lambda i, it: [(i, b.vertices) for b in it]
+        placements = tables.map_partitions(lambda it: [
+            (current_task_context().partition_id, b.vertices) for b in it]
         ).collect()
         for pid, vertices in placements:
             assert (vertices % 4 == pid).all()
@@ -286,8 +286,8 @@ class TestGroupByBlockShuffle:
         """``(tables, sim_time, shuffle counters)`` on a fresh context."""
         psg = make_psg()
         try:
-            edges = psg.spark.parallelize(parts, len(parts)).flat_map(
-                lambda blocks: blocks)
+            edges = psg.spark.parallelize(parts, len(parts)).map_partitions(
+                lambda it: [b for blocks in it for b in blocks])
             tables = build(edges).collect()
             return tables, psg.sim_time(), [
                 psg.metrics.get(m) for m in (

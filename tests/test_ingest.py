@@ -1,4 +1,13 @@
-"""Tests for the Kafka-style streaming ingestion."""
+"""Tests for the Kafka-style streaming ingestion.
+
+A consumer lands every poll on HDFS and hands it to its sink; here the
+sink is :meth:`StreamingGraph.apply`, the merge the streaming engine
+runs.  The landing directory is read back by the reference below — one
+decoded record at a time onto a Python edge set — which every crash
+point must replay to the same edge set as the graph holds.
+"""
+
+from typing import Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 import pytest
@@ -14,22 +23,78 @@ from repro.ingest.mutations import (
     VERTEX_DEL,
     Mutation,
     MutationBatch,
-    decode_line,
-    encode_line,
-    replay_landing,
 )
+from repro.streaming import StreamingGraph
+
+# ----------------------------------------------------------------------
+# the landing-replay reference
+# ----------------------------------------------------------------------
+
+
+def decode_line(line: str) -> Optional[Mutation]:
+    """One landing line as a record; ``None`` for a blank or bad line."""
+    parts = line.split()
+    if not parts:
+        return None
+    if parts[0] == EDGE_DEL and len(parts) >= 3:
+        return Mutation(EDGE_DEL, int(parts[1]), int(parts[2]))
+    if parts[0] == VERTEX_DEL and len(parts) >= 2:
+        return Mutation(VERTEX_DEL, int(parts[1]), -1)
+    if len(parts) >= 2:
+        try:
+            return Mutation(EDGE_ADD, int(parts[0]), int(parts[1]))
+        except ValueError:
+            return None
+    return None
+
+
+def apply_to_edge_set(edges: Set[Tuple[int, int]],
+                      mutations: Iterable[Mutation]
+                      ) -> Set[Tuple[int, int]]:
+    """Replay mutations onto a directed edge set.  Presence semantics:
+    re-adding an edge and removing an absent one are no-ops, which is
+    what makes at-least-once delivery with replayed polls safe."""
+    for m in mutations:
+        if m.op == EDGE_ADD:
+            edges.add((m.src, m.dst))
+        elif m.op == EDGE_DEL:
+            edges.discard((m.src, m.dst))
+        else:
+            edges = {(s, d) for s, d in edges
+                     if s != m.src and d != m.src}
+    return edges
+
+
+def replay_landing(hdfs, landing_dir: str) -> List[Tuple[int, int]]:
+    """The sorted edge list a landing directory describes.  Files are
+    named ``batch-{poll:05d}-p{partition}``, so a sorted listing replays
+    polls in commit order (a source's records share one partition)."""
+    edges: Set[Tuple[int, int]] = set()
+    for path in sorted(hdfs.listdir(landing_dir.rstrip("/"))):
+        edges = apply_to_edge_set(edges, [
+            m for m in map(decode_line, hdfs.read_lines(path))
+            if m is not None])
+    return sorted(edges)
+
+
+def graph_edges(graph: StreamingGraph) -> List[Tuple[int, int]]:
+    """The sorted directed edge list of a streaming graph."""
+    out = graph.out.get(np.arange(graph.num_vertices))
+    return sorted(zip(out.sources().tolist(), out.neighbors.tolist()))
 
 
 class TestMutations:
     def test_encode_decode_roundtrip(self):
-        for m in [Mutation(EDGE_ADD, 3, 7), Mutation(EDGE_DEL, 3, 7),
-                  Mutation(VERTEX_DEL, 5, -1)]:
-            assert decode_line(encode_line(m)) == m
+        ms = [Mutation(EDGE_ADD, 3, 7), Mutation(EDGE_DEL, 3, 7),
+              Mutation(VERTEX_DEL, 5, -1), Mutation(EDGE_ADD, 0, 1)]
+        lines = MutationBatch.from_records(ms).lines()
+        assert [decode_line(line) for line in lines] == ms
 
     def test_add_encoding_is_legacy_edge_line(self):
         # Batch jobs parse landing files as 'src<TAB>dst'; adds must keep
         # that shape so the streamed history feeds them unchanged.
-        assert encode_line(Mutation(EDGE_ADD, 3, 7)) == "3\t7"
+        assert MutationBatch.from_records(
+            [Mutation(EDGE_ADD, 3, 7)]).lines() == ["3\t7"]
 
     def test_unknown_op_is_rejected(self):
         with pytest.raises(ValueError, match="unknown mutation op"):
@@ -122,35 +187,35 @@ class TestConsumer:
     def test_incremental_ps_table_updates(self):
         ctx = make_psg(2)
         try:
-            table = ctx.ps.create_neighbor_table("stream-adj", 100)
+            graph = StreamingGraph(ctx.ps, 100)
             t = KafkaTopic("edges", num_partitions=2)
-            consumer = EdgeStreamConsumer(t, ctx.hdfs, table=table)
+            consumer = EdgeStreamConsumer(t, ctx.hdfs, sink=graph.apply)
             t.produce(np.array([1, 2]), np.array([2, 3]))
             consumer.poll()
-            assert block_rows(table.get(np.array([2]))) == [[1, 3]]
+            assert block_rows(graph.neighbors(np.array([2]))) == [[1, 3]]
             # A later batch merges, never replaces.
             t.produce(np.array([2]), np.array([7]))
             consumer.poll()
-            assert block_rows(table.get(np.array([2]))) == [[1, 3, 7]]
+            assert block_rows(graph.neighbors(np.array([2]))) == [[1, 3, 7]]
         finally:
             ctx.stop()
 
     def test_removals_reach_ps_table(self):
         ctx = make_psg(2)
         try:
-            table = ctx.ps.create_neighbor_table("stream-adj", 100)
+            graph = StreamingGraph(ctx.ps, 100)
             t = KafkaTopic("edges", num_partitions=2)
-            consumer = EdgeStreamConsumer(t, ctx.hdfs, table=table)
+            consumer = EdgeStreamConsumer(t, ctx.hdfs, sink=graph.apply)
             t.produce(np.array([1, 2, 3]), np.array([2, 3, 4]))
             consumer.poll()
             t.produce_removals(np.array([2]), np.array([3]))
             consumer.poll()
-            assert block_rows(table.get(np.array([2]))) == [[1]]
-            assert block_rows(table.get(np.array([3]))) == [[4]]
+            assert block_rows(graph.neighbors(np.array([2]))) == [[1]]
+            assert block_rows(graph.neighbors(np.array([3]))) == [[4]]
             t.produce_vertex_removals(np.array([4]))
             consumer.poll()
-            assert block_rows(table.get(np.array([3]))) == [[]]
-            assert block_rows(table.get(np.array([4]))) == [[]]
+            assert block_rows(graph.neighbors(np.array([3]))) == [[]]
+            assert block_rows(graph.neighbors(np.array([4]))) == [[]]
         finally:
             ctx.stop()
 
@@ -181,8 +246,7 @@ class TestConsumer:
         t.produce_removals(np.array([1]), np.array([2]))
         t.produce_vertex_removals(np.array([3]))
         consumer.drain()
-        src, dst = replay_landing(fs, "/land")
-        assert list(zip(src.tolist(), dst.tolist())) == [(0, 1)]
+        assert replay_landing(fs, "/land") == [(0, 1)]
 
 
 class TestAtLeastOnceDelivery:
@@ -237,21 +301,22 @@ class TestAtLeastOnceDelivery:
     def test_crash_before_merge_keeps_ps_table_consistent(self):
         ctx = make_psg(2)
         try:
-            table = ctx.ps.create_neighbor_table("stream-adj", 100)
+            graph = StreamingGraph(ctx.ps, 100)
             t = KafkaTopic("edges", num_partitions=1)
             consumer = EdgeStreamConsumer(t, ctx.hdfs, landing_dir="/land",
-                                          table=table)
+                                          sink=graph.apply)
             t.produce(np.array([1, 2]), np.array([2, 3]))
             state = self._crashing_hdfs(ctx.hdfs, fail_after=1)
             with pytest.raises(IOError):
                 consumer.poll()
-            # Crash hit before the merge: the table saw nothing.
-            assert block_rows(table.get(np.array([2]))) == [[]]
+            # Crash hit before the merge: the graph saw nothing.
+            assert graph.num_edges == 0
             state["writes"] = -10**9  # heal the filesystem
             assert consumer.poll() == 2
             # Replayed merge is idempotent set-union: no duplicates.
             assert consumer.poll() == 0
-            assert block_rows(table.get(np.array([2]))) == [[1, 3]]
+            assert block_rows(graph.neighbors(np.array([2]))) == [[1, 3]]
+            assert graph_edges(graph) == replay_landing(ctx.hdfs, "/land")
         finally:
             ctx.stop()
 
@@ -260,10 +325,10 @@ class TestConsumerRecovery:
     """Chaos: kill the consumer mid-stream; a restarted one catches up."""
 
     def _run_stream(self, ctx, *, crash_after_polls=None):
-        table = ctx.ps.create_neighbor_table("stream-adj", 200)
+        graph = StreamingGraph(ctx.ps, 200)
         t = KafkaTopic("edges", num_partitions=2)
         consumer = EdgeStreamConsumer(t, ctx.hdfs, landing_dir="/land",
-                                      table=table)
+                                      sink=graph.apply)
         rng = np.random.default_rng(11)
         polls = 0
         for _ in range(6):
@@ -274,29 +339,31 @@ class TestConsumerRecovery:
             if crash_after_polls is not None and polls >= crash_after_polls:
                 # The process dies here; its in-memory offsets are lost.
                 consumer = EdgeStreamConsumer(
-                    t, ctx.hdfs, landing_dir="/land", table=table,
+                    t, ctx.hdfs, landing_dir="/land", sink=graph.apply,
                     resume=True,
                 )
                 crash_after_polls = None
             consumer.poll()
             polls += 1
         consumer.drain()
-        return table, t
+        return graph_edges(graph), sorted(ctx.hdfs.listdir("/land"))
+
+    def _replayed(self, crash_after_polls=None):
+        """A run's graph edges, its landing replayed, its landing files."""
+        ctx = make_psg(2)
+        try:
+            edges, names = self._run_stream(
+                ctx, crash_after_polls=crash_after_polls)
+            return edges, replay_landing(ctx.hdfs, "/land"), names
+        finally:
+            ctx.stop()
 
     def test_restart_from_persisted_offsets_matches_clean_run(self):
-        clean = make_psg(2)
-        chaos = make_psg(2)
-        try:
-            table_a, topic_a = self._run_stream(clean)
-            table_b, topic_b = self._run_stream(chaos,
-                                                crash_after_polls=3)
-            vs = np.arange(200)
-            assert block_rows(table_a.get(vs)) == block_rows(table_b.get(vs))
-            # The landing history has no gaps and no duplicate batches.
-            names_a = sorted(clean.hdfs.listdir("/land"))
-            names_b = sorted(chaos.hdfs.listdir("/land"))
-            assert names_a == names_b
-            assert len(names_b) == len(set(names_b))
-        finally:
-            clean.stop()
-            chaos.stop()
+        edges, replayed, names = self._replayed()
+        assert edges == replayed
+        for crash in range(6):
+            # Every crash point: the graph and the landing history replay
+            # to the clean run's edge set, with no gap and no duplicate
+            # batch among the landing files.
+            assert self._replayed(crash) == (edges, replayed, names), crash
+        assert len(names) == len(set(names))

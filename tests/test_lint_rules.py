@@ -133,7 +133,8 @@ def test_sim005_allows_pure_lambdas():
     vs = lint("""\
         def job(rdd):
             k = 3
-            return rdd.map(lambda x: x * k).filter(lambda x: x > 0)
+            return rdd.map(lambda x: x * k).map_partitions(
+                lambda it: [x for x in it if x > 0])
     """)
     assert vs == []
 

@@ -56,8 +56,8 @@ from repro.obs.tracer import Tracer
 from repro.ps.agent import PSAgent
 from repro.ps.context import PSContext
 from repro.ps.optimizer import SGD, AdaGrad, Adam, Momentum
-from repro.ps.psfunc import RandomInit, VectorSum
-from tests.conftest import table_block
+from repro.ps.psfunc import RandomInit
+from tests.conftest import VectorSum, set_rows, table_block
 
 # ----------------------------------------------------------------------
 # the oracle: the per-partition loop of commit b921050
@@ -143,10 +143,6 @@ def _srv_compact(server, matrix, pid):
     server._recharge((matrix, pid))
 
 
-def _srv_table_size(server, matrix, pid):
-    return server._admit(matrix, pid).num_vertices()
-
-
 def _srv_run_psfunc(server, matrix, pid, func):
     store = server._admit(matrix, pid)
     result = func.apply(store)
@@ -174,7 +170,7 @@ HANDLERS = {"pull": _srv_pull, "push": _srv_push, "set": _srv_set,
             "push_neighbors": _srv_push_neighbors,
             "remove_neighbors": _srv_remove_neighbors,
             "drop_vertices": _srv_drop_vertices, "compact": _srv_compact,
-            "table_size": _srv_table_size, "run_psfunc": _srv_run_psfunc,
+            "run_psfunc": _srv_run_psfunc,
             "apply_gradients": _srv_apply_gradients}
 
 
@@ -425,10 +421,6 @@ class OracleAgent(PSAgent):
     def compact(self, meta):
         self._group_call(meta, "compact", [
             (pid, (), 16, 0) for pid in range(meta.num_partitions)])
-
-    def table_total(self, meta):
-        return int(sum(self._group_call(meta, "table_size", [
-            (pid, (), 16, 8) for pid in range(meta.num_partitions)])))
 
     def psfunc(self, meta, func):
         req = sizeof(func)
@@ -852,7 +844,7 @@ def column_sequences(draw):
     ops = draw(st.lists(st.tuples(
         st.sampled_from(["cset", "cpush", "cpull", "cnumpy", "grad", "mgrad",
                          "dot", "r1", "init", "vsum", "tpush", "tremove",
-                         "tdrop", "tcompact", "tsize", "tget", "task"]),
+                         "tdrop", "tcompact", "tget", "task"]),
         keys, st.integers(0, 2 ** 31)), max_size=12))
     return config, ops
 
@@ -865,7 +857,7 @@ def play_columns(system, ops):
         rng = np.random.default_rng(seed)
         keys = np.asarray(keys, dtype=np.int64)
         if op == "cset":
-            return e.set_rows(keys, rng.standard_normal((len(keys), cols)))
+            return set_rows(e, keys, rng.standard_normal((len(keys), cols)))
         if op == "cpush":
             return e.push_rows(keys, rng.standard_normal((len(keys), cols)))
         if op == "cpull":
@@ -896,8 +888,6 @@ def play_columns(system, ops):
             return t.drop(keys)
         if op == "tcompact":
             return t.compact()
-        if op == "tsize":
-            return t.num_vertices()
         return t.get(keys)
 
     for op, keys, seed in ops:
@@ -905,7 +895,7 @@ def play_columns(system, ops):
             def work(it, keys=keys, seed=seed):
                 part = list(it)
                 return [one(name, keys, seed + part[0]) for name in
-                        ("cpull", "cpush", "grad", "r1", "tpush", "tsize")]
+                        ("cpull", "cpush", "grad", "r1", "tpush", "tget")]
             system.out += [x for res in system.spark.parallelize(
                 range(4), 2).foreach_partition(work) for x in res
                 if x is not None]
@@ -932,7 +922,7 @@ def _seed_columns(system):
     """Adam one step into the checkpoint, two steps in when it fails."""
     rng = np.random.default_rng(9)
     e = system.e
-    e.set_rows(np.arange(ROWS), rng.standard_normal(e.shape))
+    set_rows(e, np.arange(ROWS), rng.standard_normal(e.shape))
     e.apply_gradients(rng.standard_normal(e.shape))
     _seed_and_checkpoint(system)
     e.apply_gradients(rng.standard_normal(e.shape))
@@ -1021,7 +1011,7 @@ def test_a_bad_row_key_changes_nothing(op, bad):
                     servers=2, shards=2, ecols=4)
     try:
         e = system.e
-        e.set_rows(np.arange(10), np.arange(40.0).reshape(10, 4))
+        set_rows(e, np.arange(10), np.arange(40.0).reshape(10, 4))
         keys = np.array([3, bad])
 
         def observed():
@@ -1035,8 +1025,10 @@ def test_a_bad_row_key_changes_nothing(op, bad):
         with pytest.raises(PSError, match="keys not in partition"):
             if op == "pull_rows":
                 e.pull_rows(keys)
-            elif op in ("push_rows", "set_rows"):
-                getattr(e, op)(keys, np.ones((2, 4)))
+            elif op == "push_rows":
+                e.push_rows(keys, np.ones((2, 4)))
+            elif op == "set_rows":
+                set_rows(e, keys, np.ones((2, 4)))
             elif op == "dot":
                 e.dot(keys, keys[::-1])
             else:

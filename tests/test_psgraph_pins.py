@@ -35,7 +35,7 @@ from repro.datasets.generators import powerlaw_graph
 from repro.obs.determinism import run_record
 from repro.obs.tracer import Tracer
 from repro.ps.context import PSContext
-from tests.conftest import digest, make_psg, table_block
+from tests.conftest import VectorSum, digest, make_psg, set_rows, table_block
 from tests.ledger import assert_every_cell_pinned, pin
 
 
@@ -172,6 +172,21 @@ def _observed(spark, ps, out):
     return run_record(doc, spark.tracer, spark.metrics)
 
 
+def table_size(table) -> int:
+    """Vertices stored across a neighbor table: one ``table_size``
+    request per partition through the agent's metering loop, 24 bytes
+    each — a step of the pinned scripts below."""
+    meta, sizes = table.meta, []
+
+    def request(_pid: int, store) -> tuple:
+        sizes.append(store.num_vertices())
+        return 24, None
+
+    table.psctx.agent._fan_out(meta, "table_size",
+                               range(meta.num_partitions), request)
+    return int(sum(sizes))
+
+
 def run_ps_ops_cell(kind: str, p: int):
     """A scripted sequence of row and neighbor-table operations on three
     servers — unsorted and repeated keys, ``col=`` and whole rows, float32
@@ -226,7 +241,7 @@ def run_ps_ops_cell(kind: str, p: int):
         t.drop(np.arange(0, 61, 5))
         out.append(t.get(probe))
         t.compact()
-        out += [t.get(probe[::-1]), t.num_vertices()]
+        out += [t.get(probe[::-1]), table_size(t)]
 
         def work(it):
             ids = np.array(list(it), dtype=np.int64)
@@ -267,7 +282,7 @@ def run_column_cell(servers: int, p: int):
     Held since commit ``a4f296a`` (every column shard, optimizer step,
     psFunc and table write executed by its ``PSServer`` handler)."""
     from repro.ps.optimizer import SGD, AdaGrad, Adam, Momentum
-    from repro.ps.psfunc import RandomInit, VectorSum
+    from repro.ps.psfunc import RandomInit
 
     spark = SparkContext(ClusterConfig(
         num_executors=4, executor_mem_bytes=1 << 40,
@@ -297,8 +312,8 @@ def run_column_cell(servers: int, p: int):
         out = []
         keys = rng.integers(0, rows, 15)
         e.psfunc(RandomInit(5, scale=0.3))
-        d.set_rows(np.arange(rows), rng.standard_normal((rows, cols)))
-        d.set_rows(keys[:6], rng.standard_normal((6, cols)))
+        set_rows(d, np.arange(rows), rng.standard_normal((rows, cols)))
+        set_rows(d, keys[:6], rng.standard_normal((6, cols)))
         d.push_rows(keys, rng.standard_normal((15, cols)))
         e.push_rows(keys[::-1], rng.standard_normal((15, cols)))
         out += [e.pull_rows(keys), d.pull_rows(keys[::-1]),
@@ -310,7 +325,7 @@ def run_column_cell(servers: int, p: int):
         d.rank_one_update(keys[:4], keys[4:8], rng.standard_normal(4))
         out += [e.to_numpy(), d.to_numpy(), d.psfunc(VectorSum(0))]
         for m in w:
-            m.set_rows(np.arange(6), rng.standard_normal((6, cols)))
+            set_rows(m, np.arange(6), rng.standard_normal((6, cols)))
 
         def step_all():
             for m in w:
@@ -327,7 +342,7 @@ def run_column_cell(servers: int, p: int):
         step_all()
         step_all()
         t.remove(table_block({int(u): [int(u) % 7, 3] for u in probe[:9]}))
-        out += [t.get(probe), t.num_vertices()]
+        out += [t.get(probe), table_size(t)]
         ps.kill_server(1 % servers)
         ps.recover("relaxed")
         # The recovered server's shards are a checkpoint behind: their
@@ -349,7 +364,7 @@ def run_column_cell(servers: int, p: int):
         t.drop(probe[::3])
         t.compact()
         out += [m.to_numpy() for m in w + dense]
-        out += [t.get(np.arange(40)), t.num_vertices()]
+        out += [t.get(np.arange(40)), table_size(t)]
 
         def work(it):
             ids = np.array(list(it), dtype=np.int64)

@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 from repro.common.errors import SimulatedOOMError
 from repro.common.metrics import SHUFFLE_BYTES_WRITTEN, STAGES_RUN
 from repro.dataflow.partitioner import HashPartitioner
+from repro.dataflow.taskctx import current_task_context
 from tests.conftest import make_context
+
+
+def _partition() -> int:
+    """The partition the running task computes."""
+    return current_task_context().partition_id
 
 
 class TestBasics:
@@ -18,22 +24,6 @@ class TestBasics:
 
     def test_count(self, sc):
         assert sc.parallelize(range(37)).count() == 37
-
-    def test_map_filter(self, sc):
-        got = sc.parallelize(range(10)).map(lambda x: x * 2).filter(
-            lambda x: x > 10).collect()
-        assert sorted(got) == [12, 14, 16, 18]
-
-    def test_flat_map(self, sc):
-        got = sc.parallelize([1, 2, 3]).flat_map(lambda x: [x] * x).collect()
-        assert sorted(got) == [1, 2, 2, 3, 3, 3]
-
-    def test_map_partitions_with_index_covers_all(self, sc):
-        got = sc.parallelize(range(8), 4).map_partitions_with_index(
-            lambda i, it: [(i, sum(1 for _ in it))]
-        ).collect()
-        assert sum(n for _i, n in got) == 8
-        assert {i for i, _n in got} == {0, 1, 2, 3}
 
     def test_take(self, sc):
         rdd = sc.parallelize(range(100), 5)
@@ -49,8 +39,8 @@ class TestKeyedOps:
     def test_partition_by_places_keys(self, sc):
         p = HashPartitioner(4)
         rdd = sc.parallelize([(i, i) for i in range(16)]).partition_by(p)
-        placed = rdd.map_partitions_with_index(
-            lambda pid, it: [(pid, k) for k, _v in it]).collect()
+        placed = rdd.map_partitions(
+            lambda it: [(_partition(), k) for k, _v in it]).collect()
         assert len(placed) == 16
         for pid, k in placed:
             assert p.partition(k) == pid
@@ -61,8 +51,8 @@ class TestKeyedOps:
         p = HashPartitioner(4)
         keys = np.random.default_rng(7).integers(0, 80, size=600)
         placed = sc.parallelize([(k, None) for k in keys.tolist()], 4) \
-            .partition_by(p).map_partitions_with_index(
-                lambda pid, it: [(k, pid) for k, _v in it]).collect()
+            .partition_by(p).map_partitions(
+                lambda it: [(k, _partition()) for k, _v in it]).collect()
         assert len(placed) == 600
         assert [pid for _k, pid in placed] == p.partition_array(
             np.array([k for k, _pid in placed])).tolist()
@@ -177,69 +167,3 @@ class TestProperties:
             assert sorted(got) == sorted(data)
         finally:
             ctx.stop()
-
-
-
-class TestBroadcast:
-    def test_value_accessible_and_memory_charged(self, sc):
-        data = {"weights": list(range(1000))}
-        b = sc.broadcast(data)
-        assert b.value["weights"][5] == 5
-        used = sum(ex.container.memory.used for ex in sc.executors)
-        assert used >= b.nbytes * len(sc.executors)
-
-    def test_unpersist_releases(self, sc):
-        b = sc.broadcast(list(range(1000)))
-        b.unpersist()
-        assert not b.is_live
-        assert sum(ex.container.memory.used for ex in sc.executors) == 0
-        b.unpersist()  # idempotent
-
-    def test_broadcast_advances_clocks(self, sc):
-        t0 = sc.sim_time()
-        sc.broadcast(list(range(100000)))
-        assert sc.sim_time() > t0
-
-    def test_usable_inside_tasks(self, sc):
-        lookup = sc.broadcast({i: i * i for i in range(50)})
-        got = sc.parallelize(range(50)).map(
-            lambda x: lookup.value[x]).collect()
-        assert sorted(got) == sorted(i * i for i in range(50))
-
-
-class TestRddCheckpoint:
-    def test_checkpoint_roundtrip(self, sc):
-        rdd = sc.parallelize(range(20), 4).map(lambda x: x * 3)
-        rdd.checkpoint()
-        assert sorted(rdd.collect()) == [x * 3 for x in range(20)]
-
-    def test_checkpoint_truncates_lineage(self, sc):
-        calls = []
-
-        def spy(x):
-            calls.append(x)
-            return x
-
-        rdd = sc.parallelize(range(10), 2).map(spy)
-        rdd.checkpoint()
-        n = len(calls)
-        rdd.collect()  # served from HDFS, no recompute
-        assert len(calls) == n
-
-    def test_checkpoint_survives_executor_death(self, sc):
-        rdd = sc.parallelize(range(40), 4).map(lambda x: x + 1)
-        rdd.checkpoint()
-        for i in range(4):
-            sc.kill_executor(i)
-        assert sorted(rdd.collect()) == [x + 1 for x in range(40)]
-
-    def test_checkpoint_files_on_hdfs(self, sc):
-        rdd = sc.parallelize(range(8), 2)
-        rdd.checkpoint("/ck/mine")
-        assert len(sc.hdfs.listdir("/ck/mine")) == 2
-
-    def test_downstream_of_checkpoint_computes(self, sc):
-        rdd = sc.parallelize(range(10), 2).map(lambda x: x * 2)
-        rdd.checkpoint()
-        out = rdd.filter(lambda x: x >= 10).count()
-        assert out == 5

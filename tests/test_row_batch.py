@@ -174,16 +174,15 @@ def _run_actions(partitions, batched: bool):
     tuples: results, executor memory peaks and the sim clock after all."""
     ctx = make_context()
     try:
-        def build(i, _it):
+        def build(it):
+            (i,) = it  # partition i holds the one record i
             batches = [RowBatch(*cols) for cols in partitions[i]]
             return batches if batched else [r for b in batches for r in b]
 
         rdd = ctx.parallelize(range(len(partitions)), len(partitions)) \
-            .map_partitions_with_index(build).cache()
+            .map_partitions(build).cache()
         out = [rdd.count(), rdd.take(3), rdd.take(40), list(rdd.collect()),
-               rdd.map(lambda r: r[0] * 2).collect(),
-               rdd.filter(lambda r: r[-1] % 2 == 0).collect(),
-               rdd.flat_map(lambda r: r[:2]).collect()]
+               rdd.map(lambda r: r[0] * 2).collect()]
         if len(partitions[0][0]) == 2:
             out.append(rdd.partition_by(HashPartitioner(3)).collect())
         rdd.save_as_text_file("/out")
@@ -250,8 +249,6 @@ def _frame_from(rows, schema, num_partitions):
                 ("show", frame.show),
                 ("map", lambda: list(frame.rdd.map(
                     lambda r: (r[0], r[-1] * 2)).collect())),
-                ("filter", lambda: list(frame.rdd.filter(
-                    lambda r: r[0] % 3 == 0).collect())),
                 ("save", lambda: (frame.rdd.save_as_text_file("/out"),
                                   ctx.spark.text_file("/out").collect()))]:
             with contextlib.redirect_stdout(io.StringIO()) as shown:

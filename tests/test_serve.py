@@ -36,6 +36,7 @@ from repro.serve import (
 )
 from repro.serve.admission import QUEUE_FULL
 from repro.serve.workload import default_tenants, zipf_probabilities
+from tests.conftest import request_batch
 
 
 def small_cluster() -> ClusterConfig:
@@ -47,10 +48,8 @@ def small_cluster() -> ClusterConfig:
 
 def make_request(seq=0, tenant="feeds", model="m", key=0, arrival=0.0,
                  deadline=5.0, priority=1):
-    from repro.serve.workload import Request
-    return Request(seq=seq, tenant=tenant, model=model, key=key,
-                   arrival_s=arrival, deadline_s=arrival + deadline,
-                   priority=priority)
+    """One row of :func:`tests.conftest.request_batch`."""
+    return (seq, tenant, model, key, arrival, arrival + deadline, priority)
 
 
 # ----------------------------------------------------------------------
@@ -160,15 +159,15 @@ class TestLimiter:
 # admission queue
 # ----------------------------------------------------------------------
 
-def ranked(requests):
+def ranked(rows):
     """``(rank per request, deadline per rank)`` under the queue's total
     order, the way the plane ranks a run."""
-    order = np.lexsort(([r.seq for r in requests],
-                        [r.deadline_s for r in requests],
-                        [-r.priority for r in requests]))
+    requests = request_batch(rows)
+    order = np.lexsort((requests.seq, requests.deadline_s,
+                        -requests.priority))
     rank = np.empty(len(requests), dtype=np.int64)
     rank[order] = np.arange(len(requests))
-    return rank, np.array([requests[i].deadline_s for i in order])
+    return rank, requests.deadline_s[order]
 
 
 def offer(queue, ranks):

@@ -51,7 +51,7 @@ from repro.ps.cache import PullCache
 from repro.serve import RequestGenerator, ServingPlane, TenantSpec
 from repro.serve.admission import DropRecord
 from repro.serve.plane import SERVE_STAGE_ID, ServingReport
-from repro.serve.workload import Request
+from tests.conftest import request_batch
 
 # ----------------------------------------------------------------------
 # oracles: the per-request serving stack and the dict cache at 1d49e73
@@ -390,12 +390,10 @@ def serve(plane_cls, tenants, stream, kill_after, **plane_args):
                 np.arange(KEYS), np.arange(KEYS, dtype=np.float64))
         ctx.ps.checkpoint_all()
         by_name = {t.name: t for t in tenants}
-        requests = [
-            Request(seq=seq, tenant=name, model=by_name[name].model, key=key,
-                    arrival_s=arrival,
-                    deadline_s=arrival + by_name[name].deadline_s,
-                    priority=by_name[name].priority)
-            for seq, (name, key, arrival) in enumerate(stream)]
+        requests = request_batch([
+            (seq, name, by_name[name].model, key, arrival,
+             arrival + by_name[name].deadline_s, by_name[name].priority)
+            for seq, (name, key, arrival) in enumerate(stream)])
         plane = plane_cls(ctx.ps, tenants, **plane_args)
         pulled = []
         for model, pull in list(plane._pulls.items()):
@@ -528,15 +526,13 @@ def test_unsorted_or_unknown_requests_are_rejected():
         tenants = [TenantSpec(name="t", model=MODELS[0])]
 
         def request(seq, arrival, tenant="t", model=MODELS[0]):
-            return Request(seq=seq, tenant=tenant, model=model, key=0,
-                           arrival_s=arrival, deadline_s=arrival + 1.0,
-                           priority=1)
+            return (seq, tenant, model, 0, arrival, arrival + 1.0, 1)
 
         for bad in ([request(0, 1.0), request(1, 0.5)],
                     [request(0, 0.0, tenant="ghost")],
                     [request(0, 0.0, model="nope")]):
             with pytest.raises(ConfigError):
-                ServingPlane(ctx.ps, tenants).run(bad)
+                ServingPlane(ctx.ps, tenants).run(request_batch(bad))
 
 
 def test_second_plane_on_a_shared_registry_reports_its_own_run():

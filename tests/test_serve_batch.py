@@ -1,11 +1,12 @@
 """A generated request stream is columns, and a request is a row view.
 
 ``RequestGenerator.generate`` returns a :class:`RequestBatch` that the
-serving plane reads as it is; a hand-built sequence of ``Request``\\ s is
-read into one by ``RequestBatch.from_requests``.  These tests hold the
-two paths to the same decisions, pin what a generated request costs in
-memory, and check that writing a row's times reaches the next run — the
-re-anchoring the end-to-end benchmark does before every serving pass.
+serving plane reads as it is.  These tests hold a generated batch and the
+same rows built into a batch by hand (``tests.conftest.request_batch``,
+whose name tables number tenants and models in their own order) to the
+same decisions, pin what a generated request costs in memory, and check
+that writing a row's times reaches the next run — the re-anchoring the
+end-to-end benchmark does before every serving pass.
 Example counts follow the hypothesis profile (``tests/conftest.py``).
 """
 
@@ -21,23 +22,22 @@ from repro.common.config import MB, ClusterConfig
 from repro.common.errors import ConfigError
 from repro.common.metrics import SERVE_DEGRADED_LATENCY_H, SERVE_LATENCY_H
 from repro.core.context import PSGraphContext
-from repro.serve import (
-    Request,
-    RequestBatch,
-    RequestGenerator,
-    ServingPlane,
-    TenantSpec,
-)
+from repro.serve import RequestGenerator, ServingPlane, TenantSpec
 from repro.serve.workload import default_tenants
+from tests.conftest import request_batch
 
 KEYS = 40
 MODELS = ("serve.a", "serve.b")
 
 
+def fields(request):
+    return (request.seq, request.tenant, request.model, request.key,
+            request.arrival_s, request.deadline_s, request.priority)
+
+
 def hand_built(batch):
-    """The batch's rows as separately constructed requests."""
-    return [Request(r.seq, r.tenant, r.model, r.key, r.arrival_s,
-                    r.deadline_s, r.priority) for r in batch]
+    """The batch's rows, built into a batch of their own by hand."""
+    return request_batch([fields(r) for r in batch])
 
 
 def histogram_state(hist):
@@ -159,17 +159,15 @@ def test_batch_with_unknown_tenant_or_model_is_rejected(spec):
 def test_request_is_a_row_view():
     batch = RequestGenerator(default_tenants("a", "b"), key_space=KEYS,
                              seed=2).generate(5)
-    rows = list(batch)
-    assert rows == hand_built(batch)
-    assert batch[-1] == rows[4] and batch[0] != rows[1]
+    rows = [fields(r) for r in batch]
+    assert rows == [fields(r) for r in hand_built(batch)]
+    assert rows[0] == (0, batch.tenants[batch.tenant[0]],
+                       batch.models[batch.model[0]], int(batch.key[0]),
+                       float(batch.arrival_s[0]), float(batch.deadline_s[0]),
+                       int(batch.priority[0]))
+    assert fields(batch[-1]) == rows[4]
     with pytest.raises(IndexError):
         batch[5]
-    rows[2].deadline_s = 7.5
+    view = batch[2]
+    view.deadline_s = 7.5
     assert batch.deadline_s[2] == 7.5 and batch[2].deadline_s == 7.5
-    one = Request(seq=3, tenant="feeds", model="a", key=9, arrival_s=0.5,
-                  deadline_s=1.5, priority=2)
-    assert repr(one) == ("Request(seq=3, tenant='feeds', model='a', key=9, "
-                         "arrival_s=0.5, deadline_s=1.5, priority=2)")
-    columns = RequestBatch.from_requests([one])
-    assert (columns.tenants, columns.models) == (("feeds",), ("a",))
-    assert columns[0] == one

@@ -43,7 +43,6 @@ from repro.ingest.mutations import (
     MutationBatch,
     edge_adds,
     edge_dels,
-    encode_line,
     vertex_dels,
 )
 from repro.obs.determinism import span_event
@@ -62,6 +61,15 @@ from tests.conftest import digest
 # oracles: the per-record mutation stream, the block build and the
 # streaming plane at 1309c35
 # ----------------------------------------------------------------------
+
+
+def ref_encode_line(m):
+    """One record's landing line (adds keep the legacy 2-column form)."""
+    if m.op == EDGE_ADD:
+        return f"{m.src}\t{m.dst}"
+    if m.op == EDGE_DEL:
+        return f"{EDGE_DEL}\t{m.src}\t{m.dst}"
+    return f"{VERTEX_DEL}\t{m.src}"
 
 
 def ref_group_runs(mutations):
@@ -703,7 +711,7 @@ def test_columnar_stream_equals_the_record_stream(case, data):
             continue
         for p, records in staged.items():
             path = f"/land/batch-{landed:05d}-p{p}"
-            want = "".join(encode_line(m) + "\n" for m in records)
+            want = "".join(ref_encode_line(m) + "\n" for m in records)
             assert fs.read_bytes(path) == want.encode()
             ref_offsets[p] += len(records)
         landed += 1

@@ -125,12 +125,6 @@ class ChaosEngine:
             self.spark.executors[index].slowdown = previous
         self._slow_restores.clear()
 
-    def __enter__(self) -> "ChaosEngine":
-        return self.attach()
-
-    def __exit__(self, *exc: object) -> None:
-        self.detach()
-
     # ------------------------------------------------------------------
     # triggers
     # ------------------------------------------------------------------
@@ -244,12 +238,6 @@ class ChaosEngine:
                 {"target": target, "tasks_seen": self.tasks_seen,
                  **(detail or {})},
             )
-
-    @property
-    def exhausted(self) -> bool:
-        """True when every scheduled fault has fired."""
-        return (not self._pending
-                and all(s[2] >= s[0].count for s in self._rpc_state))
 
     def bind_telemetry(self, collector) -> "ChaosEngine":
         """Attach a :class:`~repro.obs.slo.TelemetryCollector`.

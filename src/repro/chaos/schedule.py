@@ -24,14 +24,14 @@ kind                effect when the trigger fires
                     ``duration_tasks`` completed tasks (a straggler)
 ==================  =====================================================
 
-Schedules round-trip through JSON (the CLI's ``--chaos schedule.json``)
-and can be generated from a seed with :func:`FaultSchedule.random`.
+Schedules are read from JSON (the CLI's ``--chaos schedule.json``) and
+can be generated from a seed with :func:`FaultSchedule.random`.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
 from typing import Dict, List, Optional, Sequence
 
@@ -111,14 +111,6 @@ class FaultSpec:
         return (fnmatchcase(endpoint, self.endpoint)
                 and fnmatchcase(method, self.method))
 
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-ready form with default fields elided."""
-        out: Dict[str, object] = {}
-        for key, value in asdict(self).items():
-            if value != getattr(type(self), key, None) or key == "kind":
-                out[key] = value
-        return out
-
 
 @dataclass
 class FaultSchedule:
@@ -139,20 +131,7 @@ class FaultSchedule:
     def __iter__(self):
         return iter(self.faults)
 
-    # -- serialization -----------------------------------------------------
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-ready form."""
-        out: Dict[str, object] = {
-            "faults": [f.to_dict() for f in self.faults]
-        }
-        if self.seed is not None:
-            out["seed"] = self.seed
-        return out
-
-    def to_json(self, indent: int = 2) -> str:
-        """Serialize the schedule to JSON text."""
-        return json.dumps(self.to_dict(), indent=indent)
+    # -- parsing -----------------------------------------------------------
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "FaultSchedule":
@@ -185,11 +164,6 @@ class FaultSchedule:
         """Load a schedule from a local JSON file."""
         with open(path) as f:
             return cls.from_json(f.read())
-
-    def save(self, path: str) -> None:
-        """Write the schedule to a local JSON file."""
-        with open(path, "w") as f:
-            f.write(self.to_json() + "\n")
 
     # -- generation --------------------------------------------------------
 

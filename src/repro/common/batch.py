@@ -62,26 +62,6 @@ def accumulate_sequential(start: float, step: float, n: int) -> float:
 # ----------------------------------------------------------------------
 
 
-def split_indices(pids: np.ndarray) -> List[Tuple[int, np.ndarray]]:
-    """Group row indices by partition id with one stable argsort.
-
-    Returns ``[(pid, indices), ...]`` with pids ascending and indices in
-    original row order — exactly what a per-pid boolean-mask loop yields,
-    in O(n log n) instead of O(n * num_pids).
-    """
-    n = len(pids)
-    if n == 0:
-        return []
-    order = np.argsort(pids, kind="stable")
-    sorted_pids = pids[order]
-    cuts = np.flatnonzero(sorted_pids[1:] != sorted_pids[:-1]) + 1
-    starts = np.concatenate([[0], cuts])
-    ends = np.concatenate([cuts, [n]])
-    return [
-        (int(sorted_pids[s]), order[s:e]) for s, e in zip(starts, ends)
-    ]
-
-
 def sorted_unique(values: np.ndarray) -> np.ndarray:
     """The distinct values of a 1-D integer array, ascending — what plain
     ``np.unique(values)`` returns, as one sort and a neighbour mask:
@@ -231,10 +211,6 @@ class RaggedColumn:
                   out=indptr[1:])
         return cls(indptr, np.concatenate([c.values for c in columns]))
 
-    def to_list(self) -> List[np.ndarray]:
-        """The rows as a list of arrays (views)."""
-        return np.split(self.values, self.indptr[1:])[:-1]
-
 
 class RowBatch:
     """Rows held as equal-length numeric columns: one dataflow record that
@@ -278,22 +254,6 @@ class RowBatch:
         if isinstance(index, slice):
             return RowBatch(*(c[index] for c in self.columns))
         return tuple(c[index].item() for c in self.columns)
-
-    def __eq__(self, other: object) -> bool:
-        """Equal to another batch or a list / tuple of the same rows."""
-        if isinstance(other, RowBatch):
-            return (len(self) == len(other)
-                    and self.row_width == other.row_width
-                    and all(np.array_equal(a, b) for a, b
-                            in zip(self.columns, other.columns)))
-        if isinstance(other, (list, tuple)):
-            return list(self) == list(other)
-        return NotImplemented
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({len(self)} rows x {self.row_width})"
 
     def logical_nbytes(self) -> int:
         """``sizeof`` of the list of row tuples this batch stands for."""

@@ -68,17 +68,6 @@ class MemoryTracker:
         self.used = max(0, self.used - freed)
         return freed
 
-    def usage_by_tag(self) -> Dict[str, int]:
-        """Snapshot of live allocations per tag."""
-        return dict(self._by_tag)
-
-    @property
-    def free(self) -> int | None:
-        """Remaining bytes, or ``None`` when enforcement is disabled."""
-        if self.capacity is None:
-            return None
-        return self.capacity - self.used
-
     def reset(self) -> None:
         """Drop all charges (used between independent runs)."""
         self.used = 0

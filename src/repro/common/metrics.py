@@ -151,12 +151,6 @@ class Histogram:
         """Largest sample (0.0 when empty)."""
         return self._max if self._count else 0.0
 
-    @property
-    def sketched(self) -> bool:
-        """Whether the series overflowed into the bounded-memory sketch."""
-        self._fold()
-        return self._sketch is not None
-
     def percentile(self, q: float) -> float:
         """The ``q``-th percentile (0 <= q <= 100), linearly interpolated.
 
@@ -260,21 +254,6 @@ class MetricsRegistry:
         """Current value of counter ``name`` (0.0 if never incremented)."""
         return self._counters.get(name, 0.0)
 
-    def set_max(self, name: str, value: float) -> float:
-        """Raise counter ``name`` to ``value`` if it is currently lower.
-
-        An untouched counter reads 0.0 (see :meth:`get`), so 0.0 is also
-        the floor for max-tracking: values below it are not stored, which
-        keeps ``set_max`` and ``get`` consistent — a max-tracked counter
-        never reads lower than the default a fresh counter reports.
-
-        Returns:
-            The counter's value after the update.
-        """
-        if value > self._counters.get(name, 0.0):
-            self._counters[name] = value
-        return self._counters.get(name, 0.0)
-
     # -- histograms --------------------------------------------------------
 
     def observe(self, name: str, value: float) -> None:
@@ -327,7 +306,7 @@ class MetricsRegistry:
             for name, g in sorted(self._gauges.items())
         }
 
-    # -- views & maintenance ----------------------------------------------
+    # -- views ------------------------------------------------------------
 
     def scoped(self, prefix: str) -> "ScopedMetrics":
         """A view that prepends ``prefix + '.'`` to every metric name.
@@ -340,24 +319,6 @@ class MetricsRegistry:
     def snapshot(self) -> Dict[str, float]:
         """Immutable copy of all counters (counters only, see module doc)."""
         return dict(self._counters)
-
-    def reset(self) -> None:
-        """Drop every counter, histogram and gauge."""
-        self._counters.clear()
-        self._histograms.clear()
-        self._gauges.clear()
-
-    def __iter__(self) -> Iterator[Tuple[str, float]]:
-        return iter(sorted(self._counters.items()))
-
-    def format(self, prefix: str = "") -> str:
-        """Human-readable dump of counters, optionally filtered by prefix."""
-        lines = [
-            f"{name:48s} {value:,.3f}"
-            for name, value in sorted(self._counters.items())
-            if name.startswith(prefix)
-        ]
-        return "\n".join(lines)
 
 
 class ScopedMetrics:
@@ -376,21 +337,9 @@ class ScopedMetrics:
         """Increment the prefixed counter."""
         return self._registry.inc(self._name(name), value)
 
-    def observe(self, name: str, value: float) -> None:
-        """Observe into the prefixed histogram."""
-        self._registry.observe(self._name(name), value)
-
-    def set_gauge(self, name: str, value: float) -> None:
-        """Set the prefixed gauge."""
-        self._registry.set_gauge(self._name(name), value)
-
     def timer(self, name: str, clock: SimClock):
         """Time a block into the prefixed histogram."""
         return self._registry.timer(self._name(name), clock)
-
-    def scoped(self, prefix: str) -> "ScopedMetrics":
-        """A further-nested scope."""
-        return ScopedMetrics(self._registry, self._name(prefix))
 
 
 # Well-known counter names, kept here so subsystems agree on spelling.
@@ -454,8 +403,8 @@ SERVE_QUEUE_DEPTH_G = "serve.queue.depth"
 # Well-known streaming-ingest and incremental-recompute names (the
 # ``ingest.*`` and ``streaming.*`` families; catalogued in
 # docs/observability.md, semantics in docs/streaming.md).  ``polls``
-# counts only polls that consumed records; empty polls (e.g. ``drain``'s
-# terminating probe) go to ``polls.empty`` so records-per-poll stays an
+# counts only polls that consumed records; empty polls (every partition
+# already consumed) go to ``polls.empty`` so records-per-poll stays an
 # honest batch-size signal.
 INGEST_POLLS = "ingest.polls"
 INGEST_POLLS_EMPTY = "ingest.polls.empty"

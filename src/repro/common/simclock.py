@@ -37,16 +37,6 @@ class TaskCost:
         """Total simulated seconds consumed by the task."""
         return self.cpu_s + self.net_s + self.disk_s
 
-    def add(self, other: "TaskCost") -> None:
-        """Fold another cost breakdown into this one."""
-        self.cpu_s += other.cpu_s
-        self.net_s += other.net_s
-        self.disk_s += other.disk_s
-
-    def copy(self) -> "TaskCost":
-        """Return an independent copy of this cost breakdown."""
-        return TaskCost(self.cpu_s, self.net_s, self.disk_s)
-
 
 @dataclass
 class SimClock:

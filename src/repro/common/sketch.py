@@ -48,19 +48,19 @@ class QuantileSketch:
 
     # -- ingest ------------------------------------------------------------
 
-    def add(self, value: float, count: int = 1) -> None:
-        """Fold ``count`` observations of ``value`` into the sketch."""
+    def add(self, value: float) -> None:
+        """Fold one observation of ``value`` into the sketch."""
         v = float(value)
-        self._count += count
+        self._count += 1
         if v < self._min:
             self._min = v
         if v > self._max:
             self._max = v
         if v <= 0.0:
-            self._zero += count
+            self._zero += 1
             return
         key = math.ceil(math.log(v) / self._log_gamma)
-        self._buckets[key] = self._buckets.get(key, 0) + count
+        self._buckets[key] = self._buckets.get(key, 0) + 1
         if len(self._buckets) > self._max_buckets:
             self._collapse_lowest()
 
@@ -114,21 +114,6 @@ class QuantileSketch:
 
     # -- queries -----------------------------------------------------------
 
-    @property
-    def count(self) -> int:
-        """Total observations folded in."""
-        return self._count
-
-    @property
-    def min(self) -> float:
-        """Exact smallest value (0.0 when empty)."""
-        return self._min if self._count else 0.0
-
-    @property
-    def max(self) -> float:
-        """Exact largest value (0.0 when empty)."""
-        return self._max if self._count else 0.0
-
     def _bucket_value(self, key: int) -> float:
         """Representative value for bucket ``key`` (geometric midpoint)."""
         upper = self._gamma ** key
@@ -145,9 +130,9 @@ class QuantileSketch:
         if self._count == 0:
             return 0.0
         if q == 0.0:
-            return self.min
+            return self._min
         if q == 100.0:
-            return self.max
+            return self._max
         rank = (q / 100.0) * (self._count - 1)
         seen = float(self._zero)
         if rank < seen:
@@ -180,41 +165,9 @@ class QuantileSketch:
             total += self._zero
         return total
 
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-friendly dump (bucket keys sorted for determinism)."""
-        return {
-            "alpha": self.alpha,
-            "count": self._count,
-            "min": self.min,
-            "max": self.max,
-            "zero": self._zero,
-            "buckets": [[k, self._buckets[k]]
-                        for k in sorted(self._buckets)],
-        }
-
     @classmethod
-    def from_samples(cls, samples: Sequence[float], alpha: float = 0.01,
-                     max_buckets: int = 2048) -> "QuantileSketch":
-        """Seed a sketch from exact samples."""
-        sk = cls(alpha=alpha, max_buckets=max_buckets)
+    def from_samples(cls, samples: Sequence[float]) -> "QuantileSketch":
+        """Seed a default sketch from exact samples."""
+        sk = cls()
         sk.add_many(samples)
         return sk
-
-
-def merge(a: QuantileSketch, b: QuantileSketch) -> QuantileSketch:
-    """Combine two sketches of equal ``alpha`` into a new one."""
-    if a.alpha != b.alpha:
-        raise ValueError("cannot merge sketches with different alpha")
-    out = QuantileSketch(alpha=a.alpha, max_buckets=a._max_buckets)
-    for src in (a, b):
-        if src._count == 0:
-            continue
-        out._count += src._count
-        out._zero += src._zero
-        out._min = min(out._min, src._min)
-        out._max = max(out._max, src._max)
-        for key, n in src._buckets.items():
-            out._buckets[key] = out._buckets.get(key, 0) + n
-    while len(out._buckets) > out._max_buckets:
-        out._collapse_lowest()
-    return out

@@ -2,10 +2,7 @@
 GE (LINE) and GNN (GraphSage)."""
 
 from repro.core.algorithms.base import AlgorithmResult, GraphAlgorithm
-from repro.core.algorithms.common_neighbor import (
-    CommonNeighbor,
-    common_neighbor_reference,
-)
+from repro.core.algorithms.common_neighbor import CommonNeighbor
 from repro.core.algorithms.deepwalk import DeepWalk
 from repro.core.algorithms.fast_unfolding import (
     FastUnfolding,
@@ -13,7 +10,7 @@ from repro.core.algorithms.fast_unfolding import (
 )
 from repro.core.algorithms.graphsage import GraphSage, SageNet, make_sage
 from repro.core.algorithms.line import Line, link_prediction_score
-from repro.core.algorithms.pagerank import PageRank, reference_delta_pagerank
+from repro.core.algorithms.pagerank import PageRank
 from repro.core.algorithms.propagation import (
     ConnectedComponents,
     KCore,
@@ -35,9 +32,7 @@ __all__ = [
     "PageRank",
     "SageNet",
     "TriangleCount",
-    "common_neighbor_reference",
     "link_prediction_score",
     "make_sage",
     "modularity_from_edges",
-    "reference_delta_pagerank",
 ]

@@ -12,9 +12,7 @@ failure-recovery experiment (Table II).
 
 from __future__ import annotations
 
-from typing import Iterator, List, Tuple
-
-import numpy as np
+from typing import Iterator
 
 from repro.common.batch import RowBatch
 from repro.core.algorithms.base import AlgorithmResult, GraphAlgorithm
@@ -90,16 +88,3 @@ class CommonNeighbor(GraphAlgorithm):
                 "num_edges": count_edges(dataset),
             },
         )
-
-
-def common_neighbor_reference(src: np.ndarray, dst: np.ndarray
-                              ) -> List[Tuple[int, int, int]]:
-    """Plain-python reference (for tests): undirected neighbor overlap."""
-    adj: dict = {}
-    for s, d in zip(src.tolist(), dst.tolist()):
-        adj.setdefault(s, set()).add(d)
-        adj.setdefault(d, set()).add(s)
-    return [
-        (s, d, len(adj[s] & adj[d]))
-        for s, d in zip(src.tolist(), dst.tolist())
-    ]

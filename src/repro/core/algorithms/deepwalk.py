@@ -1,4 +1,4 @@
-"""DeepWalk / node2vec-style embeddings on the parameter server.
+"""DeepWalk embeddings on the parameter server.
 
 An extension beyond the paper's evaluated algorithms: Sec. II-B cites
 DeepWalk and node2vec as the canonical vertex-embedding methods, and both
@@ -6,12 +6,8 @@ fit PSGraph's architecture naturally — the *adjacency lives on the PS* (as
 in common neighbor), executors sample random walks by pulling neighbor
 arrays in batches, and the skip-gram model trains with the same
 column-sharded embedding matrix, server-side partial dot products, and
-rank-one updates as LINE (Sec. IV-D).
-
-``return_param`` gives a light node2vec flavour: with probability
-``1/return_param`` a step returns to the previous vertex, otherwise it
-moves to a uniform neighbor (the full p/q second-order bias needs
-distance-2 tests per step; this keeps the walk machinery PS-batched).
+rank-one updates as LINE (Sec. IV-D).  Each step moves to a uniform
+neighbor, as DeepWalk's walks do.
 """
 
 from __future__ import annotations
@@ -46,8 +42,6 @@ class DeepWalk(GraphAlgorithm):
         negative: negative samples per positive pair.
         lr: SGD learning rate.
         epochs: passes over all start vertices.
-        return_param: node2vec-ish return bias (1.0 = pure DeepWalk;
-            larger discourages immediate backtracking, smaller encourages).
         seed: RNG seed.
     """
 
@@ -56,7 +50,6 @@ class DeepWalk(GraphAlgorithm):
     def __init__(self, dim: int = 16, walk_length: int = 8,
                  walks_per_vertex: int = 2, window: int = 2,
                  negative: int = 5, lr: float = 0.05, epochs: int = 1,
-                 return_param: float = 1.0,
                  seed: int = DEFAULT_SEED) -> None:
         self.dim = dim
         self.walk_length = walk_length
@@ -65,7 +58,6 @@ class DeepWalk(GraphAlgorithm):
         self.negative = negative
         self.lr = lr
         self.epochs = epochs
-        self.return_param = return_param
         self.seed = seed
 
     def transform(self, ctx: PSGraphContext, dataset: RDD
@@ -101,7 +93,7 @@ class DeepWalk(GraphAlgorithm):
             for vertices in it:
                 walks = _sample_walks(
                     adj, vertices, params.walk_length,
-                    params.walks_per_vertex, params.return_param, rng,
+                    params.walks_per_vertex, rng,
                 )
                 # Walk sampling + pair extraction burn CPU even when no
                 # trainable pair comes out (tiny partitions, window >
@@ -137,11 +129,9 @@ class DeepWalk(GraphAlgorithm):
 
 
 def _sample_walks(adj, vertices: np.ndarray, length: int, per_vertex: int,
-                  return_param: float,
                   rng: np.random.Generator) -> np.ndarray:
     """Batched random walks: one PS neighbor pull per step."""
     current = np.repeat(vertices, per_vertex)
-    previous = current.copy()
     walks = np.empty((len(current), length), dtype=np.int64)
     walks[:, 0] = current
     for step in range(1, length):
@@ -154,12 +144,7 @@ def _sample_walks(adj, vertices: np.ndarray, length: int, per_vertex: int,
             if degree == 0:
                 nxt[i] = current[i]
                 continue
-            if (return_param != 1.0
-                    and rng.random() < 1.0 / max(return_param, 1e-9)):
-                nxt[i] = previous[i]
-            else:
-                nxt[i] = tables.neighbors[start + rng.integers(0, degree)]
-        previous = current
+            nxt[i] = tables.neighbors[start + rng.integers(0, degree)]
         current = nxt
         walks[:, step] = current
     return walks

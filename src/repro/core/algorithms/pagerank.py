@@ -24,7 +24,7 @@ col 1 <- col 2, col 2 <- 0) and returns the residual for convergence.
 
 from __future__ import annotations
 
-from typing import Iterator, Tuple
+from typing import Iterator
 
 import numpy as np
 
@@ -236,30 +236,3 @@ class PageRank(GraphAlgorithm):
             output, iterations,
             stats={"residual": residual, "num_vertices": int(present.sum())},
         )
-
-
-def reference_delta_pagerank(src: np.ndarray, dst: np.ndarray,
-                             iterations: int, damping: float = 0.85
-                             ) -> Tuple[np.ndarray, np.ndarray]:
-    """Single-machine numpy reference of the same recurrence (for tests).
-
-    Returns:
-        ``(ids_present, ranks_present)``.
-    """
-    n = int(max(src.max(), dst.max())) + 1
-    outdeg = np.bincount(src, minlength=n).astype(np.float64)
-    present = np.zeros(n, dtype=bool)
-    present[src] = True
-    present[dst] = True
-    base = 1.0 - damping
-    rank = np.where(present, base, 0.0)
-    delta = rank.copy()
-    for _ in range(iterations):
-        coef = damping * np.where(outdeg > 0, delta / np.maximum(outdeg, 1),
-                                  0.0)
-        nxt = np.zeros(n)
-        np.add.at(nxt, dst, coef[src])
-        rank += nxt
-        delta = nxt
-    ids = np.flatnonzero(present)
-    return ids, rank[ids]

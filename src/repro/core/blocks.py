@@ -107,11 +107,6 @@ class NeighborBlock:
                                            return_inverse=True)
         return self._scatter_plan
 
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state.pop("_scatter_plan", None)
-        return state
-
     def rows(self) -> Iterator[Tuple[int, np.ndarray]]:
         """Iterate ``(vertex, neighbor_array)`` pairs."""
         for i, v in enumerate(self.vertices.tolist()):

@@ -2,10 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Iterator
-
-import numpy as np
-
 from repro.core.context import PSGraphContext
 from repro.dataflow.dataframe import DataFrame
 from repro.dataflow.rdd import RDD
@@ -31,20 +27,3 @@ class GraphIO:
         df.rdd.map(
             lambda row: "\t".join(str(v) for v in row)
         ).save_as_text_file(path)
-
-    @staticmethod
-    def save_vertex_values(ctx: PSGraphContext, path: str, ids: np.ndarray,
-                           values: np.ndarray,
-                           num_partitions: int | None = None) -> None:
-        """Save parallel (vertex, value) arrays as text on HDFS."""
-        rows = list(zip(ids.tolist(), np.asarray(values).tolist()))
-        ctx.spark.parallelize(rows, num_partitions).map(
-            lambda kv: f"{kv[0]}\t{kv[1]}"
-        ).save_as_text_file(path)
-
-    @staticmethod
-    def load_vertex_values(ctx: PSGraphContext, path: str) -> Iterator[tuple]:
-        """Read back (vertex, value) pairs written by save_vertex_values."""
-        for line in ctx.spark.text_file(path).collect():
-            v, _, x = line.partition("\t")
-            yield int(v), float(x)

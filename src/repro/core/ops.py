@@ -228,14 +228,14 @@ def count_common_neighbors(table, src: np.ndarray, dst: np.ndarray
     )
 
 
-def push_degrees(neighbor_blocks: RDD, vector, col: int = 0) -> None:
-    """Push per-vertex degrees from neighbor blocks into a PS matrix col."""
+def push_degrees(neighbor_blocks: RDD, vector) -> None:
+    """Push per-vertex degrees from neighbor blocks into a PS vector."""
     def push(it: Iterator[NeighborBlock]) -> None:
         for block in it:
             if block.num_vertices:
                 vector.push(
                     block.vertices,
-                    block.degrees().astype(np.float64), col=col,
+                    block.degrees().astype(np.float64),
                 )
 
     neighbor_blocks.foreach_partition(push)

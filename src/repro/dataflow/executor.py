@@ -81,7 +81,3 @@ class Executor:
         self._cache.clear()
         self.slowdown = 1.0
         # Container memory was reset by the resource manager on kill.
-
-    def cached_partitions(self) -> List[Tuple[int, int]]:
-        """Keys of currently cached partitions (for tests/diagnostics)."""
-        return sorted(self._cache)

@@ -391,7 +391,3 @@ class ShuffleService:
         """Discard every output (the owning context stopped)."""
         self._outputs.clear()
         self._merged.clear()
-
-    def output_exists(self, shuffle_id: int, map_partition: int) -> bool:
-        """True if any output is registered (regardless of owner liveness)."""
-        return map_partition in self._outputs.get(shuffle_id, {})

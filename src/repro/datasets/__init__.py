@@ -1,10 +1,7 @@
 """Synthetic datasets: power-law graphs, community graphs, DS1/DS2/DS3."""
 
 from repro.datasets.generators import (
-    GraphStats,
     community_graph,
-    edge_weights,
-    graph_stats,
     powerlaw_graph,
     vertex_features,
 )
@@ -26,15 +23,12 @@ __all__ = [
     "DEFAULT_SCALE_DS2",
     "DEFAULT_SCALE_DS3",
     "DatasetSpec",
-    "GraphStats",
     "community_graph",
     "ds1_spec",
     "ds2_spec",
     "ds3_spec",
-    "edge_weights",
     "generate_ds3_gnn",
     "generate_edges",
-    "graph_stats",
     "powerlaw_graph",
     "vertex_features",
     "write_edges",

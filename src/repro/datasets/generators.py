@@ -11,7 +11,6 @@ meaningful).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
@@ -134,32 +133,3 @@ def vertex_features(communities: np.ndarray, feature_dim: int,
              + rng.standard_normal((len(communities), feature_dim)) * noise)
     labels = (communities % num_classes).astype(np.int64)
     return feats.astype(np.float32), labels
-
-
-def edge_weights(num_edges: int, *, low: float = 0.5, high: float = 1.5,
-                 seed: int | None = None) -> np.ndarray:
-    """Uniform random edge weights (fast unfolding takes a weighted graph)."""
-    rng = make_rng(seed)
-    return rng.uniform(low, high, size=num_edges)
-
-
-@dataclass(frozen=True)
-class GraphStats:
-    """Summary statistics used by tests and reports."""
-
-    num_vertices: int
-    num_edges: int
-    max_degree: int
-    mean_degree: float
-
-
-def graph_stats(src: np.ndarray, dst: np.ndarray) -> GraphStats:
-    """Compute basic statistics of an edge list (out-degree based)."""
-    n = int(max(src.max(), dst.max())) + 1
-    deg = np.bincount(src, minlength=n)
-    return GraphStats(
-        num_vertices=n,
-        num_edges=len(src),
-        max_degree=int(deg.max()),
-        mean_degree=float(deg.mean()),
-    )

@@ -236,29 +236,12 @@ class Graph:
         self._charged_tags = []
         self._plan = None
 
-    # ------------------------------------------------------------------
-    # basic properties
-    # ------------------------------------------------------------------
-
-    @property
-    def num_edges(self) -> int:
-        """Total number of (directed) edges."""
-        return sum(len(es) for es, _ed in self.edge_parts)
-
-    @property
-    def num_vertices(self) -> int:
-        """Total number of distinct vertices."""
-        return sum(len(vp.ids) for vp in self.vertex_parts)
-
     def collect_vertices(self) -> Tuple[np.ndarray, Any]:
-        """All vertex ids + attrs at the driver (small graphs only);
-        neighbor-set attrs come back as a list of arrays."""
+        """All vertex ids + array attrs at the driver (small graphs only)."""
         ids = np.concatenate([vp.ids for vp in self.vertex_parts])
         order = np.argsort(ids, kind="stable")
-        attrs = [vp.attrs for vp in self.vertex_parts]
-        if isinstance(attrs[0], RaggedColumn):
-            return ids[order], RaggedColumn.concat(attrs).take(order).to_list()
-        return ids[order], np.concatenate(attrs)[order]
+        return ids[order], np.concatenate(
+            [vp.attrs for vp in self.vertex_parts])[order]
 
     # ------------------------------------------------------------------
     # vertex updates

@@ -1,5 +1,5 @@
 """Simulated HDFS: in-memory block filesystem with metered IO."""
 
-from repro.hdfs.filesystem import DEFAULT_BLOCK_SIZE, Hdfs, HdfsFile
+from repro.hdfs.filesystem import Hdfs, HdfsFile
 
-__all__ = ["DEFAULT_BLOCK_SIZE", "Hdfs", "HdfsFile"]
+__all__ = ["Hdfs", "HdfsFile"]

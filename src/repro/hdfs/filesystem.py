@@ -14,7 +14,6 @@ checkpoint is a true snapshot, not an alias of live server state.
 
 from __future__ import annotations
 
-import fnmatch
 import pickle
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List
@@ -41,10 +40,6 @@ def _task_span(name: str, cost: TaskCost, tags: dict):
 
     return task_span(name, cost, tags)
 
-#: Default HDFS block size.  The absolute value only affects block counts in
-#: metadata; IO cost is charged on byte totals.
-DEFAULT_BLOCK_SIZE = 8 * 1024 * 1024
-
 
 def _normalize(path: str) -> str:
     """Normalize an HDFS path: single leading slash, no trailing slash."""
@@ -62,12 +57,6 @@ class HdfsFile:
     payload: bytes
     logical_bytes: int
     replication: int
-    block_size: int
-
-    @property
-    def num_blocks(self) -> int:
-        """Number of blocks the file occupies."""
-        return max(1, -(-self.logical_bytes // self.block_size))
 
 
 @dataclass
@@ -84,7 +73,6 @@ class Hdfs:
     cost_model: CostModel = DEFAULT_COST_MODEL
     metrics: MetricsRegistry | None = None
     replication: int = 3
-    block_size: int = DEFAULT_BLOCK_SIZE
     _files: Dict[str, HdfsFile] = field(default_factory=dict)
 
     # -- write ------------------------------------------------------------
@@ -117,7 +105,7 @@ class Hdfs:
         path = _normalize(path)
         if not overwrite and path in self._files:
             raise FileAlreadyExistsError(path)
-        f = HdfsFile(path, payload, logical, self.replication, self.block_size)
+        f = HdfsFile(path, payload, logical, self.replication)
         self._files[path] = f
         written = logical * self.replication
         if cost is not None:
@@ -212,16 +200,3 @@ class Hdfs:
         if not files:
             raise FileNotFoundOnHdfsError(f"no HDFS files at {path}")
         return files
-
-    def glob(self, pattern: str) -> List[str]:
-        """Shell-style glob over all file paths, sorted."""
-        pattern = _normalize(pattern)
-        return sorted(p for p in self._files if fnmatch.fnmatch(p, pattern))
-
-    def file_size(self, path: str) -> int:
-        """Logical size of a file in bytes."""
-        return self._lookup(path).logical_bytes
-
-    def total_bytes(self) -> int:
-        """Sum of logical sizes of every stored file (pre-replication)."""
-        return sum(f.logical_bytes for f in self._files.values())

@@ -102,10 +102,6 @@ class KafkaTopic:
         """Append vertex-remove records; returns records appended."""
         return self._append(vertex_dels(vertices))
 
-    def end_offsets(self) -> List[int]:
-        """Current log length per partition."""
-        return [starts[-1] for starts in self._starts]
-
     def read(self, partition: int, offset: int,
              max_records: int | None = None) -> MutationBatch:
         """Records of ``partition`` from ``offset`` (up to
@@ -173,14 +169,6 @@ class EdgeStreamConsumer:
         """HDFS path of the persisted committed position."""
         return f"{self.landing_dir}.offsets"
 
-    @property
-    def lag(self) -> int:
-        """Unconsumed records across all partitions."""
-        return sum(
-            end - self.offsets[p]
-            for p, end in enumerate(self.topic.end_offsets())
-        )
-
     def poll(self, max_records_per_partition: int | None = None) -> int:
         """Consume one batch: land on HDFS, then hand it to the sink.
 
@@ -233,16 +221,6 @@ class EdgeStreamConsumer:
             self.metrics.inc("polls")
             self.metrics.inc("records", consumed)
         return consumed
-
-    def drain(self, max_polls: int = 1000) -> int:
-        """Poll until the topic is fully consumed; returns total records."""
-        total = 0
-        for _ in range(max_polls):
-            got = self.poll()
-            if got == 0:
-                break
-            total += got
-        return total
 
     # ------------------------------------------------------------------
     # committed position (crash recovery)

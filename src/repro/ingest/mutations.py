@@ -26,7 +26,7 @@ not millions of tuples.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, NamedTuple, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -55,9 +55,9 @@ class MutationBatch(RowBatch):
     removal).
 
     The form the stream travels in from the topic's log to
-    :meth:`~repro.streaming.graph.StreamingGraph.apply`.  Iteration and
-    int indexing give :class:`Mutation` rows, a slice is a batch of
-    views, and ``+`` concatenates.
+    :meth:`~repro.streaming.graph.StreamingGraph.apply`.  Int indexing
+    gives a :class:`Mutation` row, a slice is a batch of views, and ``+``
+    concatenates.
     """
 
     __slots__ = ()
@@ -86,23 +86,6 @@ class MutationBatch(RowBatch):
         return cls(np.full(len(src), _CODES[op], dtype=np.int8), src, dst)
 
     @classmethod
-    def from_records(cls, records: Iterable[Mutation]) -> "MutationBatch":
-        """The batch of ``records`` (a batch passes as it is)."""
-        if isinstance(records, MutationBatch):
-            return records
-        rows = list(records)
-        if not rows:
-            return cls.of(EDGE_ADD, (), ())
-        ops, src, dst = zip(*rows)
-        try:
-            codes = np.fromiter(map(_CODES.__getitem__, ops),
-                                dtype=np.int8, count=len(rows))
-        except KeyError as e:
-            raise ValueError(f"unknown mutation op {e.args[0]!r}") from None
-        return cls(codes, np.asarray(src, dtype=np.int64),
-                   np.asarray(dst, dtype=np.int64))
-
-    @classmethod
     def concat(cls, batches: Sequence["MutationBatch"]) -> "MutationBatch":
         """All rows of ``batches`` in order: the batch itself when there
         is one, an empty batch when there is none."""
@@ -112,19 +95,14 @@ class MutationBatch(RowBatch):
             return cls.of(EDGE_ADD, (), ())
         return super().concat(batches)
 
-    def __iter__(self) -> Iterator[Mutation]:
-        return map(Mutation._make, zip(
-            map(OPS.__getitem__, self.op.tolist()),
-            self.src.tolist(), self.dst.tolist()))
-
     def __getitem__(self, index):
         if isinstance(index, slice):
             return MutationBatch(*(c[index] for c in self.columns))
         op, src, dst = super().__getitem__(index)
         return Mutation(OPS[op], src, dst)
 
-    def __add__(self, other: Iterable[Mutation]) -> "MutationBatch":
-        return MutationBatch.concat([self, MutationBatch.from_records(other)])
+    def __add__(self, other: "MutationBatch") -> "MutationBatch":
+        return MutationBatch.concat([self, other])
 
     def take(self, rows: np.ndarray) -> "MutationBatch":
         """The rows at positions ``rows``, in that order (a copy)."""

@@ -138,11 +138,6 @@ class Alert:
     burn_long: float
     resolved_at_s: Optional[float] = None
 
-    @property
-    def active(self) -> bool:
-        """Whether the alert has not resolved yet."""
-        return self.resolved_at_s is None
-
     def to_dict(self) -> Dict[str, object]:
         return {
             "slo": self.slo,

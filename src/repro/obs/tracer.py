@@ -116,9 +116,6 @@ class NoopTracer:
         """Recorded spans (always empty for the no-op tracer)."""
         return []
 
-    def clear(self) -> None:
-        """Drop recorded spans (no-op)."""
-
 
 #: Shared default tracer instance.
 NOOP_TRACER = NoopTracer()
@@ -234,10 +231,3 @@ class Tracer:
     def spans(self) -> List[Span]:
         """All recorded spans, in recording order."""
         return list(self._spans)
-
-    def clear(self) -> None:
-        """Drop every recorded span."""
-        self._spans.clear()
-
-    def __len__(self) -> int:
-        return len(self._spans)

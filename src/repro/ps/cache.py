@@ -108,9 +108,6 @@ class PullCache:
         #: a lookup skips the per-row staleness test.
         self._oldest_epoch = math.inf
 
-    def __len__(self) -> int:
-        return self._size
-
     def _ticks(self, n: int) -> np.ndarray:
         """The next ``n`` recency stamps."""
         self._clock += n

@@ -132,10 +132,6 @@ class PSContext:
         """Number of PS server containers."""
         return len(self.servers)
 
-    def server_endpoint(self, index: int) -> str:
-        """RPC endpoint name of server ``index``."""
-        return self.servers[index].id
-
     def matrix_names(self) -> List[str]:
         """Names of every registered model."""
         return sorted(self._metas)

@@ -33,10 +33,10 @@ RECOVERY_MODES = ("relaxed", "strict")
 class PSMaster:
     """Monitors servers and orchestrates recovery."""
 
-    def __init__(self, psctx: "PSContext",
-                 health_check_cost_s: float = 5e-5) -> None:
+    def __init__(self, psctx: "PSContext") -> None:
         self.psctx = psctx
-        self.health_check_cost_s = health_check_cost_s
+        #: Driver sim-seconds per server ping; experiment cells rescale it.
+        self.health_check_cost_s = 5e-5
         self.recoveries = 0
 
     def health_check(self) -> List[int]:

@@ -118,11 +118,6 @@ class PSNeighborTable:
         self.psctx = psctx
         self.meta = meta
 
-    @property
-    def name(self) -> str:
-        """Table name."""
-        return self.meta.name
-
     def push(self, block: "NeighborBlock") -> None:
         """Merge the block's rows into the PS tables (set union)."""
         self.psctx.agent.push_neighbors(self.meta, block)

@@ -30,10 +30,6 @@ class PSPartitioner:
         self.size = size
         self.num_partitions = min(num_partitions, size)
 
-    def partition_of(self, key: int) -> int:
-        """Partition index of one key."""
-        raise NotImplementedError
-
     def partition_array(self, keys: np.ndarray) -> np.ndarray:
         """Vectorized partition indices."""
         raise NotImplementedError
@@ -45,9 +41,6 @@ class PSPartitioner:
 
 class HashPSPartitioner(PSPartitioner):
     """``key mod n`` — spreads hot keys, ignores locality."""
-
-    def partition_of(self, key: int) -> int:
-        return int(key) % self.num_partitions
 
     def partition_array(self, keys: np.ndarray) -> np.ndarray:
         return (keys % self.num_partitions).astype(np.int64)
@@ -69,9 +62,6 @@ class RangePSPartitioner(PSPartitioner):
             bounds.append(bounds[-1] + base + (1 if i < extra else 0))
         #: partition ``i`` holds keys in ``[bounds[i], bounds[i+1])``.
         self.bounds = np.asarray(bounds, dtype=np.int64)
-
-    def partition_of(self, key: int) -> int:
-        return int(np.searchsorted(self.bounds, key, side="right") - 1)
 
     def partition_array(self, keys: np.ndarray) -> np.ndarray:
         return (np.searchsorted(self.bounds, keys, side="right") - 1).astype(
@@ -100,9 +90,6 @@ class HashRangePSPartitioner(PSPartitioner):
             raise ConfigError("buckets_per_partition must be positive")
         self.num_buckets = self.num_partitions * buckets_per_partition
         self.bucket_size = max(1, -(-size // self.num_buckets))
-
-    def partition_of(self, key: int) -> int:
-        return (int(key) // self.bucket_size) % self.num_partitions
 
     def partition_array(self, keys: np.ndarray) -> np.ndarray:
         return ((keys // self.bucket_size) % self.num_partitions).astype(

@@ -403,10 +403,6 @@ class NeighborTableStore(Store):
         starts, lens = self._find_rows(vertices)
         return gather_segments(self._indices, starts, lens)
 
-    def degree(self, vertices: np.ndarray) -> np.ndarray:
-        """Neighbor counts per requested vertex."""
-        return self._find_rows(vertices)[1]
-
     def num_vertices(self) -> int:
         """Number of vertices with a stored row."""
         self._merge_pending()

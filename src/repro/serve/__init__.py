@@ -25,7 +25,7 @@ Pieces:
 report pipeline end to end.
 """
 
-from repro.serve.admission import AdmissionQueue, DropRecord
+from repro.serve.admission import AdmissionQueue
 from repro.serve.hotcache import HotKeyCache
 from repro.serve.limiter import TenantRateLimiter, TokenBucket, WatermarkGate
 from repro.serve.plane import (
@@ -43,7 +43,6 @@ from repro.serve.workload import (
 
 __all__ = [
     "AdmissionQueue",
-    "DropRecord",
     "HotKeyCache",
     "Request",
     "RequestBatch",

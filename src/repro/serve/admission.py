@@ -7,8 +7,8 @@ itself the worst), and at drain time entries whose deadline has already
 passed are evicted instead of served — a stale recommendation is worth
 less than the capacity it occupies.
 
-Every admission decision produces either a served request or a
-:class:`DropRecord` with an explicit reason, so the plane can prove the
+Every admission decision produces either a served request or a drop
+with an explicit reason, so the plane can prove the
 conservation law the chaos tests assert: ``offered == served + dropped``
 — no request is ever silently lost, even mid-failover.
 
@@ -17,15 +17,12 @@ highest priority first, then earliest deadline, then arrival order.  The
 plane sorts a run's requests by it once; a request's position in that
 order is its *rank*, and the queue is one ascending array of ranks: the
 head is served first, the tail is the worst entry.  No object is built
-per request: drops are logged as columns (:class:`DropLog`) and become
-:class:`DropRecord` objects only when somebody reads them.
+per request: drops are logged as columns (:class:`DropLog`).
 """
 
 from __future__ import annotations
 
 from bisect import insort
-from collections.abc import Sequence
-from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -44,27 +41,10 @@ DROP_REASONS = (
 RATE_LIMITED, BACKPRESSURE, QUEUE_FULL, DEADLINE = range(4)
 
 
-@dataclass(frozen=True)
-class DropRecord:
-    """One request the plane dropped, and why."""
-
-    seq: int
-    tenant: str
-    reason: str
-    sim_time_s: float
-
-    def __post_init__(self) -> None:
-        if self.reason not in DROP_REASONS:
-            raise ConfigError(
-                f"unknown drop reason {self.reason!r}; choose from "
-                f"{DROP_REASONS}"
-            )
-
-
-class DropLog(Sequence):
+class DropLog:
     """Dropped requests in drop order, as four columns: sequence number,
-    tenant id (position in ``tenants``), reason id, sim time.  Indexing
-    or iterating builds the :class:`DropRecord` objects."""
+    tenant id (position in ``tenants``), reason id (position in
+    :data:`DROP_REASONS`), sim time."""
 
     def __init__(self, tenants: Tuple[str, ...], seq=(), tenant=(),
                  reason=(), time=()) -> None:
@@ -76,10 +56,6 @@ class DropLog(Sequence):
 
     def __len__(self) -> int:
         return len(self.seq)
-
-    def __getitem__(self, i: int) -> DropRecord:
-        return DropRecord(int(self.seq[i]), self.tenants[self.tenant[i]],
-                          DROP_REASONS[self.reason[i]], float(self.time[i]))
 
     def extend(self, other: "DropLog") -> None:
         """Append another log's rows."""

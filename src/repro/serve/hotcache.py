@@ -43,7 +43,7 @@ class HotKeyCache:
         self._cache = PullCache(staleness=0, capacity=capacity)
         self._metrics = metrics
 
-    def lookup(self, keys: np.ndarray, col: Optional[int] = None
+    def lookup(self, keys: np.ndarray
                ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
         """Split ``keys`` into cached and missing.
 
@@ -52,17 +52,16 @@ class HotKeyCache:
         """
         stats = self._cache.stats
         hits, misses = stats.hits, stats.misses
-        found = self._cache.lookup(np.asarray(keys), col, epoch=0)
+        found = self._cache.lookup(np.asarray(keys), None, epoch=0)
         if self._metrics is not None:
             self._metrics.inc(SERVE_CACHE_HITS, stats.hits - hits)
             self._metrics.inc(SERVE_CACHE_MISSES, stats.misses - misses)
         return found
 
-    def store(self, keys: np.ndarray, values: np.ndarray,
-              col: Optional[int] = None) -> None:
+    def store(self, keys: np.ndarray, values: np.ndarray) -> None:
         """Insert freshly pulled rows, evicting LRU entries when full."""
         before = self._cache.stats.evictions
-        self._cache.store(keys, col, values, epoch=0)
+        self._cache.store(keys, None, values, epoch=0)
         if self._metrics is not None:
             evicted = self._cache.stats.evictions - before
             if evicted:
@@ -73,14 +72,6 @@ class HotKeyCache:
         self._cache.clear()
 
     @property
-    def hit_rate(self) -> float:
-        """Lifetime fraction of lookups served from cache."""
-        return self._cache.stats.hit_rate
-
-    @property
     def stats(self):
         """The underlying :class:`repro.ps.cache.CacheStats`."""
         return self._cache.stats
-
-    def __len__(self) -> int:
-        return len(self._cache)

@@ -72,10 +72,6 @@ class TokenBucket:
         self.tokens, self.last_s = tokens, last_s
         return granted
 
-    def try_take(self, now_s: float) -> bool:
-        """Consume one token at sim-time ``now_s``; False when empty."""
-        return self.take((now_s,))[0]
-
 
 class TenantRateLimiter:
     """One token bucket per rate-limited tenant, keyed by the tenant's

@@ -5,8 +5,8 @@ and vectors living on the parameter servers, entirely on the simulated
 clock.  The loop runs in fixed *service quanta* (default 50 sim-ms): each
 quantum admits every request that arrived inside it — through the tenant
 rate limiter, the watermark backpressure gate, and the bounded priority
-queue, recording a :class:`~repro.serve.admission.DropRecord` for every
-casualty — then drains one micro-batch, serves it with the hot-key cache
+queue, logging every casualty with its reason in a
+:class:`~repro.serve.admission.DropLog` — then drains one micro-batch, serves it with the hot-key cache
 in front of agent pulls, and observes the per-request latency
 (completion minus arrival) into the ``serve.latency_s`` histogram.
 
@@ -25,7 +25,7 @@ triggers both work mid-traffic.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -54,7 +54,6 @@ from repro.serve.admission import (
     RATE_LIMITED,
     AdmissionQueue,
     DropLog,
-    DropRecord,
 )
 from repro.serve.hotcache import HotKeyCache
 from repro.serve.limiter import TenantRateLimiter, WatermarkGate
@@ -139,7 +138,7 @@ class ServingReport:
     recoveries: int
     start_s: float
     end_s: float
-    drop_records: Sequence[DropRecord] = field(default_factory=list)
+    drop_records: Optional[DropLog] = None
 
     @property
     def dropped(self) -> int:

@@ -14,7 +14,7 @@ neighborhoods plus seeded negatives, instead of the whole graph.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict
 
 import numpy as np
 
@@ -80,19 +80,6 @@ class OnlineEmbeddingRefresh:
     def full_recompute(self) -> Dict[str, float]:
         """Engine-facing alias: the full pass *is* the recompute."""
         return self.full_refresh()
-
-    # ------------------------------------------------------------------
-    # results
-    # ------------------------------------------------------------------
-
-    def vectors(self, vertices: Optional[np.ndarray] = None
-                ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(ids, rows)`` — pulled only for inspection, not training."""
-        if vertices is None:
-            vertices = self.graph.present_vertices()
-        if len(vertices) == 0:
-            return vertices, np.empty((0, self.dim))
-        return vertices, self.emb.pull_rows(vertices)
 
     # ------------------------------------------------------------------
     # internals

@@ -130,15 +130,14 @@ class StreamingEngine:
             stats[name] = self.algos[name].bootstrap()
         return stats
 
-    def run_window(self, mutations=None) -> WindowReport:
+    def run_window(self, batch: Optional[MutationBatch] = None
+                   ) -> WindowReport:
         """Drain one window of mutations and refresh every algorithm.
 
-        ``mutations`` bypasses the consumer (direct-feed mode); with a
+        ``batch`` bypasses the consumer (direct-feed mode); with a
         consumer attached, the window is whatever ``poll()`` merges.
         """
-        if mutations is not None:
-            batch = MutationBatch.from_records(mutations)
-        else:
+        if batch is None:
             if self.consumer is None:
                 raise ValueError(
                     "run_window needs mutations or an attached consumer")

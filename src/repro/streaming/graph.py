@@ -22,7 +22,7 @@ touched, not a Python object per vertex.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -40,7 +40,6 @@ from repro.ingest.mutations import (
     EDGE_ADD,
     EDGE_DEL,
     VERTEX_DEL,
-    Mutation,
     MutationBatch,
 )
 
@@ -156,16 +155,14 @@ class StreamingGraph:
             ids = src if op == VERTEX_DEL else np.concatenate([src, dst])
             if not 0 <= ids.min() <= ids.max() < self.num_vertices:
                 bad = ids[(ids < 0) | (ids >= self.num_vertices)][:5]
-                raise PSError(f"{self.out.name}: mutation ids {bad} outside "
+                raise PSError(f"{self.out.meta.name}: mutation ids {bad} outside "
                               f"[0, {self.num_vertices})")
 
-    def apply(self, mutations: Iterable[Mutation]) -> GraphDelta:
-        """Apply one ordered mutation batch (a :class:`MutationBatch`, or
-        records, converted once); returns the effective delta.
+    def apply(self, batch: MutationBatch) -> GraphDelta:
+        """Apply one ordered mutation batch; returns the effective delta.
 
         Every id is checked against ``num_vertices`` first: a bad one
         raises :class:`PSError` before anything is applied."""
-        batch = MutationBatch.from_records(mutations)
         self.check_ids(batch)
         runs = batch.runs()
         added: List[tuple] = []

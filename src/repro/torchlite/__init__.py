@@ -12,7 +12,6 @@ from repro.torchlite.nn import (
     Linear,
     LSTMCell,
     Module,
-    ReLU,
     xavier_uniform,
 )
 from repro.torchlite.optim import AdamOptimizer, LocalOptimizer, SGDOptimizer
@@ -25,7 +24,6 @@ __all__ = [
     "Linear",
     "LocalOptimizer",
     "Module",
-    "ReLU",
     "ScriptModule",
     "SGDOptimizer",
     "Tensor",

@@ -99,13 +99,6 @@ class Linear(Module):
         return out
 
 
-class ReLU(Module):
-    """Rectified linear unit as a module."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.relu()
-
-
 class LSTMCell(Module):
     """A standard LSTM cell (input/forget/cell/output gates).
 

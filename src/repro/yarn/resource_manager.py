@@ -154,10 +154,3 @@ class ResourceManager:
         if self._containers.pop(container.id, None) is not None:
             self._granted -= container.mem_bytes
             container.alive = False
-
-    def containers(self, kind: str | None = None) -> List[Container]:
-        """All granted containers, optionally filtered by kind."""
-        return [
-            c for c in self._containers.values()
-            if kind is None or c.kind == kind
-        ]

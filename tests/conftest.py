@@ -1,6 +1,7 @@
 """Shared fixtures for the test suite."""
 
 import hashlib
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -10,8 +11,10 @@ from repro.common.config import ClusterConfig
 from repro.core.blocks import NeighborBlock
 from repro.core.context import PSGraphContext
 from repro.dataflow.context import SparkContext
+from repro.ingest.mutations import EDGE_ADD, OPS, Mutation, MutationBatch
 from repro.obs.tracer import NOOP_TRACER
 from repro.ps.psfunc import PsFunc
+from repro.serve.admission import DROP_REASONS
 from repro.serve.workload import RequestBatch
 
 
@@ -130,3 +133,138 @@ def psg():
     ctx = make_psg()
     yield ctx
     ctx.stop()
+
+
+def sketch_state(sketch) -> dict:
+    """Everything a ``QuantileSketch`` holds, buckets sorted by key."""
+    return {"alpha": sketch.alpha, "count": sketch._count,
+            "zero": sketch._zero, "min": sketch._min, "max": sketch._max,
+            "buckets": sorted(sketch._buckets.items())}
+
+
+def ragged_rows(column) -> list:
+    """The rows of a ``RaggedColumn`` as a list of arrays (views)."""
+    ptr = column.indptr.tolist()
+    return [column.values[a:b] for a, b in zip(ptr[:-1], ptr[1:])]
+
+
+def split_indices(pids: np.ndarray) -> list:
+    """Row indices grouped by partition id: ``[(pid, indices), ...]``,
+    pids ascending and indices in row order — what a per-pid boolean-mask
+    loop yields, from one stable argsort.  The reference the per-partition
+    oracles split rows with."""
+    n = len(pids)
+    if n == 0:
+        return []
+    order = np.argsort(pids, kind="stable")
+    sorted_pids = pids[order]
+    cuts = np.flatnonzero(sorted_pids[1:] != sorted_pids[:-1]) + 1
+    starts = np.concatenate([[0], cuts])
+    ends = np.concatenate([cuts, [n]])
+    return [(int(sorted_pids[s]), order[s:e]) for s, e in zip(starts, ends)]
+
+
+def reference_delta_pagerank(src: np.ndarray, dst: np.ndarray,
+                             iterations: int, damping: float = 0.85):
+    """Single-machine numpy reference of PSGraph's delta-PageRank
+    recurrence.
+
+    Returns:
+        ``(ids_present, ranks_present)``.
+    """
+    n = int(max(src.max(), dst.max())) + 1
+    outdeg = np.bincount(src, minlength=n).astype(np.float64)
+    present = np.zeros(n, dtype=bool)
+    present[src] = True
+    present[dst] = True
+    base = 1.0 - damping
+    rank = np.where(present, base, 0.0)
+    delta = rank.copy()
+    for _ in range(iterations):
+        coef = damping * np.where(outdeg > 0, delta / np.maximum(outdeg, 1),
+                                  0.0)
+        nxt = np.zeros(n)
+        np.add.at(nxt, dst, coef[src])
+        rank += nxt
+        delta = nxt
+    ids = np.flatnonzero(present)
+    return ids, rank[ids]
+
+
+def common_neighbor_reference(src: np.ndarray, dst: np.ndarray) -> list:
+    """Plain-python reference: ``(src, dst, common)`` per edge, the
+    undirected neighbor overlap of its two ends."""
+    adj: dict = {}
+    for s, d in zip(src.tolist(), dst.tolist()):
+        adj.setdefault(s, set()).add(d)
+        adj.setdefault(d, set()).add(s)
+    return [(s, d, len(adj[s] & adj[d]))
+            for s, d in zip(src.tolist(), dst.tolist())]
+
+
+@contextmanager
+def attached(engine):
+    """``engine`` (a ``ChaosEngine``) attached for the block's duration."""
+    engine.attach()
+    try:
+        yield engine
+    finally:
+        engine.detach()
+
+
+def drop_rows(log) -> list:
+    """A serving plane's drops as ``(seq, tenant, reason, sim_time_s)``
+    rows, in drop order.  A list (the per-request reference plane's rows)
+    passes as it is."""
+    if isinstance(log, list):
+        return log
+    return list(zip(log.seq.tolist(),
+                    [log.tenants[t] for t in log.tenant.tolist()],
+                    [DROP_REASONS[r] for r in log.reason.tolist()],
+                    log.time.tolist()))
+
+
+def mutations_from_records(records) -> MutationBatch:
+    """The ``MutationBatch`` of ``Mutation`` records, in order: the
+    reference the record-stream oracles build batches with."""
+    rows = list(records)
+    if not rows:
+        return MutationBatch.of(EDGE_ADD, (), ())
+    ops, src, dst = zip(*rows)
+    return MutationBatch(np.asarray([OPS.index(op) for op in ops], np.int8),
+                         np.asarray(src, dtype=np.int64),
+                         np.asarray(dst, dtype=np.int64))
+
+
+def end_offsets(topic) -> list:
+    """A ``KafkaTopic``'s log length per partition."""
+    return [starts[-1] for starts in topic._starts]
+
+
+def lag(consumer) -> int:
+    """Records of its topic an ``EdgeStreamConsumer`` has not consumed."""
+    return sum(end - consumer.offsets[p]
+               for p, end in enumerate(end_offsets(consumer.topic)))
+
+
+def drain(consumer) -> int:
+    """Poll until the topic is consumed; records consumed."""
+    total = 0
+    while got := consumer.poll():
+        total += got
+    return total
+
+
+def embedding_vectors(refresh):
+    """``(ids, rows)`` of an ``OnlineEmbeddingRefresh``'s present
+    vertices, pulled from the PS."""
+    vertices = refresh.graph.present_vertices()
+    if len(vertices) == 0:
+        return vertices, np.empty((0, refresh.dim))
+    return vertices, refresh.emb.pull_rows(vertices)
+
+
+def mutation_records(batch: MutationBatch) -> list:
+    """The rows of a ``MutationBatch`` as ``Mutation`` records, in order."""
+    return [Mutation(OPS[op], src, dst) for op, src, dst in zip(
+        batch.op.tolist(), batch.src.tolist(), batch.dst.tolist())]

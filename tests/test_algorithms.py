@@ -20,9 +20,7 @@ from repro.core.algorithms import (
     Line,
     PageRank,
     TriangleCount,
-    common_neighbor_reference,
     link_prediction_score,
-    reference_delta_pagerank,
 )
 from repro.core.blocks import EdgeBlock
 from repro.core.ops import edges_from_arrays
@@ -32,7 +30,12 @@ from repro.datasets.tencent import write_edges
 from repro.obs.determinism import run_record
 from repro.obs.tracer import Tracer
 from repro.ps.matrix import PSVector
-from tests.conftest import digest, make_psg
+from tests.conftest import (
+    common_neighbor_reference,
+    digest,
+    make_psg,
+    reference_delta_pagerank,
+)
 from tests.ledger import pin
 
 
@@ -475,7 +478,7 @@ class TestDeepWalk:
         )
         walks = _sample_walks(
             adj, np.array([0, 1, 2]), length=5, per_vertex=2,
-            return_param=1.0, rng=np.random.default_rng(0),
+            rng=np.random.default_rng(0),
         )
         assert walks.shape == (6, 5)
         # Every consecutive pair is an edge of the triangle.

@@ -25,7 +25,6 @@ from repro.common.batch import (
     segment_mode,
     segment_reduce,
     sorted_unique,
-    split_indices,
     unique_pairs,
 )
 from repro.common.errors import PSError
@@ -36,6 +35,7 @@ from repro.common.sizeof import (
     sizeof_records,
 )
 from repro.core.blocks import EdgeBlock, build_neighbor_block
+from tests.conftest import ragged_rows, split_indices
 
 
 class TestSplitAndReduce:
@@ -259,26 +259,26 @@ class TestRaggedColumn:
     def test_take_concat_and_list_round_trip(self, rows, picks):
         col = self._column(rows)
         assert len(col) == len(rows)
-        assert [r.tolist() for r in col.to_list()] == rows
+        assert [r.tolist() for r in ragged_rows(col)] == rows
         picks = np.asarray([p for p in picks if p < len(rows)],
                            dtype=np.int64)
         taken = col.take(picks)
-        assert [r.tolist() for r in taken.to_list()] \
+        assert [r.tolist() for r in ragged_rows(taken)] \
             == [rows[p] for p in picks.tolist()]
         for a, b in [(0, len(rows)), (len(rows) // 3, len(rows) // 2)]:
-            assert [r.tolist() for r in col.slice(a, b).to_list()] \
+            assert [r.tolist() for r in ragged_rows(col.slice(a, b))] \
                 == rows[a:b]
         both = RaggedColumn.concat([col, taken])
-        assert [r.tolist() for r in both.to_list()] \
+        assert [r.tolist() for r in ragged_rows(both)] \
             == rows + [rows[p] for p in picks.tolist()]
 
     @given(rows_lists)
     def test_boxed_nbytes_is_sizeof_of_the_row_list(self, rows):
         col = self._column(rows)
-        assert col.boxed_nbytes() == sizeof(col.to_list())
+        assert col.boxed_nbytes() == sizeof(ragged_rows(col))
         order = np.random.default_rng(len(rows)).permutation(len(rows))
         assert col.boxed_nbytes(order) \
-            == sizeof([col.to_list()[i] for i in order])
+            == sizeof([ragged_rows(col)[i] for i in order])
 
     @given(st.lists(st.tuples(st.integers(0, 20), st.integers(0, 5)),
                     max_size=12))

@@ -1,5 +1,8 @@
 """Tests for repro.chaos: fault schedules, the engine, and recovery."""
 
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -16,7 +19,7 @@ from repro.common.metrics import CHAOS_FAULTS
 from repro.dataflow.context import SparkContext
 from repro.dataflow.partitioner import HashPartitioner
 from repro.ps.context import PSContext
-from tests.conftest import make_context
+from tests.conftest import attached, make_context
 
 
 def make_ps_cluster(num_executors=2, num_servers=3, **kwargs):
@@ -59,9 +62,10 @@ class TestFaultSpec:
         assert not f.matches_rpc("ps-server-2", "pull")
         assert not f.matches_rpc("executor-1", "push")
 
-    def test_to_dict_elides_defaults(self):
-        d = FaultSpec("kill_executor", index=2, after_tasks=7).to_dict()
-        assert d == {"kind": "kill_executor", "index": 2, "after_tasks": 7}
+
+def schedule_dict(sched):
+    """The JSON layout ``FaultSchedule.from_dict`` reads."""
+    return {"faults": [asdict(f) for f in sched.faults], "seed": sched.seed}
 
 
 class TestFaultSchedule:
@@ -73,8 +77,8 @@ class TestFaultSchedule:
             FaultSpec("slow_executor", index=0, at_epoch=2,
                       factor=4.0, duration_tasks=10),
         ], seed=42)
-        back = FaultSchedule.from_json(sched.to_json())
-        assert back.to_dict() == sched.to_dict()
+        back = FaultSchedule.from_json(json.dumps(schedule_dict(sched)))
+        assert back == sched
         assert back.seed == 42
         assert len(back) == 3
 
@@ -82,8 +86,9 @@ class TestFaultSchedule:
         path = str(tmp_path / "sched.json")
         sched = FaultSchedule([FaultSpec("kill_server", index=0,
                                          at_epoch=3)])
-        sched.save(path)
-        assert FaultSchedule.load(path).to_dict() == sched.to_dict()
+        with open(path, "w") as f:
+            json.dump(schedule_dict(sched), f)
+        assert FaultSchedule.load(path) == sched
 
     def test_dicts_coerced_to_specs(self):
         sched = FaultSchedule([{"kind": "kill_executor", "index": 1,
@@ -102,8 +107,8 @@ class TestFaultSchedule:
         a = FaultSchedule.random(7, num_executors=4, num_servers=2)
         b = FaultSchedule.random(7, num_executors=4, num_servers=2)
         c = FaultSchedule.random(8, num_executors=4, num_servers=2)
-        assert a.to_dict() == b.to_dict()
-        assert c.to_dict() != a.to_dict()
+        assert a == b
+        assert c != a
 
     def test_random_without_servers_skips_server_kills(self):
         sched = FaultSchedule.random(3, num_faults=20, num_executors=4,
@@ -138,13 +143,12 @@ class TestChaosEngineSpark:
         try:
             sched = FaultSchedule([FaultSpec("kill_executor", index=1,
                                              after_tasks=3)])
-            with ChaosEngine(sched, ctx) as engine:
+            with attached(ChaosEngine(sched, ctx)) as engine:
                 got = sorted(ctx.parallelize(range(30), 6).map(
                     lambda x: x * 2).collect())
             assert got == [x * 2 for x in range(30)]
             assert [f.kind for f in engine.fired] == ["kill_executor"]
             assert engine.fired[0].tasks_seen >= 3
-            assert engine.exhausted
             assert ctx.metrics.get(CHAOS_FAULTS) == 1
         finally:
             ctx.stop()
@@ -156,7 +160,7 @@ class TestChaosEngineSpark:
                 "kill_executor", index=2, after_tasks=2,
                 task_kind="result",
             )])
-            with ChaosEngine(sched, ctx) as engine:
+            with attached(ChaosEngine(sched, ctx)) as engine:
                 # A shuffle stage runs map tasks first; only result tasks
                 # may satisfy the trigger.
                 ctx.parallelize([(i % 3, 1) for i in range(30)], 6) \
@@ -173,7 +177,7 @@ class TestChaosEngineSpark:
                                                   factor=50.0)])):
             ctx = make_context(num_executors=2)
             try:
-                with ChaosEngine(FaultSchedule(faults), ctx):
+                with attached(ChaosEngine(FaultSchedule(faults), ctx)):
                     ctx.parallelize(range(4000), 8).map(
                         lambda x: x + 1).count()
                 times[label] = ctx.sim_time()
@@ -188,7 +192,7 @@ class TestChaosEngineSpark:
                 "slow_executor", index=1, after_tasks=1, factor=8.0,
                 duration_tasks=2,
             )])
-            with ChaosEngine(sched, ctx):
+            with attached(ChaosEngine(sched, ctx)):
                 ctx.parallelize(range(40), 8).count()
                 assert ctx.executors[1].slowdown == 1.0
         finally:
@@ -229,7 +233,7 @@ class TestChaosEngineSpark:
         try:
             sched = FaultSchedule([FaultSpec("kill_executor", index=0,
                                              after_tasks=1)])
-            with ChaosEngine(sched, ctx) as engine:
+            with attached(ChaosEngine(sched, ctx)) as engine:
                 ctx.parallelize(range(8), 4).count()
             report = engine.report()
             assert report["scheduled"] == 1
@@ -247,7 +251,7 @@ class TestChaosEngineRpc:
             sched = FaultSchedule([FaultSpec(
                 "rpc_drop", endpoint="ps-server-*", method="push",
             )])
-            with ChaosEngine(sched, spark, ps) as engine:
+            with attached(ChaosEngine(sched, spark, ps)) as engine:
                 v.push(np.arange(40), np.ones(40))
             # The injected drop was transparently retried (the agent asks
             # the master to recover, finds no dead server, and re-issues).
@@ -266,7 +270,7 @@ class TestChaosEngineRpc:
                 delay_s=3.0,
             )])
             t0 = spark.sim_time()
-            with ChaosEngine(sched, spark, ps):
+            with attached(ChaosEngine(sched, spark, ps)):
                 v.push(np.arange(40), np.ones(40))
             assert spark.sim_time() >= t0 + 3.0
             np.testing.assert_allclose(v.to_numpy(), 1.0)
@@ -282,7 +286,7 @@ class TestChaosEngineRpc:
             sched = FaultSchedule([FaultSpec(
                 "rpc_drop", endpoint="ps-server-*", method="push",
             )])
-            with ChaosEngine(sched, spark, ps):
+            with attached(ChaosEngine(sched, spark, ps)):
                 with pytest.raises(RpcError):
                     v.push(np.arange(40), np.ones(40))
         finally:
@@ -300,14 +304,14 @@ class TestChaosEngineRpc:
                 "rpc_drop", endpoint="ps-server-*", method="push",
                 after_calls=1, count=2,
             )])
-            with ChaosEngine(sched, spark, ps) as engine:
+            with attached(ChaosEngine(sched, spark, ps)) as engine:
                 keys, ones = np.arange(10), np.ones(10)
                 v.push(keys, ones)  # call 1: before the window
                 for _ in range(2):  # calls 2-3: injected failures
                     with pytest.raises(RpcError):
                         v.push(keys, ones)
                 v.push(keys, ones)  # call 4: window exhausted
-                assert engine.exhausted
+                assert [f.detail["call"] for f in engine.fired] == [2, 3]
             np.testing.assert_allclose(v.to_numpy(), 2.0)
         finally:
             ps.stop()

@@ -31,8 +31,8 @@ class TestContext:
     def test_context_manager_stops(self):
         with make_psg() as ctx:
             rm = ctx.spark.resource_manager
-            assert len(rm.containers()) > 0
-        assert len(rm.containers()) == 0
+            assert len(rm._containers) > 0
+        assert len(rm._containers) == 0
 
     def test_stop_releases_what_the_containers_held(self):
         # A stopped context usually stays referenced (a result's lazy
@@ -43,11 +43,11 @@ class TestContext:
         PageRank(max_iterations=2).transform(ctx, edges)
         svc = ctx.spark.shuffle_service
         shuffles = range(ctx.spark.next_shuffle_id())
-        assert any(svc.output_exists(sid, 0) for sid in shuffles)
-        assert any(ex.cached_partitions() for ex in ctx.spark.executors)
+        assert any(0 in svc._outputs.get(sid, {}) for sid in shuffles)
+        assert any(ex._cache for ex in ctx.spark.executors)
         ctx.stop()
-        assert not any(svc.output_exists(sid, 0) for sid in shuffles)
-        assert not any(ex.cached_partitions() for ex in ctx.spark.executors)
+        assert not any(0 in svc._outputs.get(sid, {}) for sid in shuffles)
+        assert not any(ex._cache for ex in ctx.spark.executors)
 
     def test_double_stop_is_safe(self):
         ctx = make_psg()
@@ -129,4 +129,3 @@ class TestLinePathsAgree:
         vecs_b, loss_b = results[False]
         np.testing.assert_allclose(loss_a, loss_b, rtol=1e-5)
         np.testing.assert_allclose(vecs_a, vecs_b, rtol=1e-3, atol=1e-6)
-

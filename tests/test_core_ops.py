@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.batch import split_indices
 from repro.common.errors import PSGraphError
 from repro.common.metrics import (
     SHUFFLE_BYTES_READ,
@@ -32,7 +31,7 @@ from repro.dataflow.partitioner import HashPartitioner
 from repro.dataflow.shuffle import bucket_map_output
 from repro.dataflow.taskctx import current_task_context
 from repro.datasets.tencent import write_edges
-from tests.conftest import make_psg
+from tests.conftest import make_psg, split_indices
 
 
 class TestBlocks:
@@ -379,13 +378,6 @@ class TestGroupByBlockShuffle:
 
 
 class TestGraphIO:
-    def test_save_and_load_vertex_values(self, psg):
-        ids = np.array([1, 5, 9])
-        vals = np.array([0.5, 1.5, 2.5])
-        GraphIO.save_vertex_values(psg, "/out/vals", ids, vals)
-        back = dict(GraphIO.load_vertex_values(psg, "/out/vals"))
-        assert back == {1: 0.5, 5: 1.5, 9: 2.5}
-
     def test_save_dataframe(self, psg):
         df = psg.create_dataframe([(1, 2.0), (3, 4.0)], ["v", "x"])
         GraphIO.save(df, "/out/df")

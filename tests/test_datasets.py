@@ -9,8 +9,6 @@ from repro.common.errors import ConfigError
 from repro.common.metrics import MetricsRegistry
 from repro.datasets.generators import (
     community_graph,
-    edge_weights,
-    graph_stats,
     powerlaw_graph,
     vertex_features,
 )
@@ -23,7 +21,6 @@ from repro.datasets.tencent import (
     write_edges,
 )
 from repro.hdfs.filesystem import Hdfs
-from tests.conftest import digest
 
 
 class TestPowerlaw:
@@ -123,13 +120,6 @@ class TestFeatures:
         d = ((feats[:, None, :] - centroids[None]) ** 2).sum(axis=2)
         assert (d.argmin(axis=1) == labels).mean() > 0.95
 
-    def test_edge_weights_range(self):
-        w = edge_weights(100, low=0.5, high=1.5, seed=1)
-        assert len(w) == 100
-        assert (w >= 0.5).all() and (w <= 1.5).all()
-        # Seeded: the same weights in every process (computed at ad40a19).
-        assert digest(w) == "fc8a631d8be9ec0f"
-
 
 class TestSpecs:
     def test_edges_per_vertex_ratios(self):
@@ -157,14 +147,6 @@ class TestSpecs:
         assert feats.shape[0] == spec.num_vertices
         assert labels.max() < 4
         assert max(src.max(), dst.max()) < spec.num_vertices
-
-    def test_graph_stats(self):
-        src = np.array([0, 0, 1])
-        dst = np.array([1, 2, 2])
-        s = graph_stats(src, dst)
-        assert s.num_vertices == 3
-        assert s.num_edges == 3
-        assert s.max_degree == 2
 
 
 class TestWriteEdges:

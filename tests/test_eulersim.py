@@ -114,7 +114,7 @@ class TestPreprocess:
 
             def state():
                 return ([c.clock.now_s for c in containers],
-                        sys.hdfs.glob("*"), sys.metrics.snapshot())
+                        sorted(sys.hdfs._files), sys.metrics.snapshot())
 
             before = state()
             with pytest.raises(FileNotFoundOnHdfsError, match="/missing"):
@@ -236,8 +236,8 @@ class TestStop:
         containers = [*sys.workers, sys.driver]
 
         def state():
-            return ([c.clock.now_s for c in containers], sys.hdfs.glob("*"),
-                    sys.metrics.snapshot())
+            return ([c.clock.now_s for c in containers],
+                    sorted(sys.hdfs._files), sys.metrics.snapshot())
 
         stopped = state()
         assert not any(c.alive for c in containers)

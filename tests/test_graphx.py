@@ -21,7 +21,7 @@ from repro.graphx.algorithms import (
 from repro.graphx.fast_unfolding import fast_unfolding
 from repro.graphx.graph import Graph
 from repro.graphx.pregel import pregel
-from tests.conftest import make_context
+from tests.conftest import make_context, ragged_rows
 
 
 def small_edges():
@@ -42,8 +42,8 @@ class TestGraphBasics:
     def test_from_edges_counts(self, sc4):
         src, dst = small_edges()
         g = Graph.from_edges(sc4, src, dst, num_partitions=3)
-        assert g.num_edges == 7
-        assert g.num_vertices == 6
+        assert sum(len(es) for es, _ed in g.edge_parts) == 7
+        assert sum(len(vp.ids) for vp in g.vertex_parts) == 6
 
     def test_empty_edges_rejected(self, sc4):
         with pytest.raises(GraphLoadError):
@@ -185,8 +185,8 @@ class TestTriangles:
         src, dst = small_edges()
         g = Graph.from_edges(sc4, src, dst, num_partitions=2)
         attach_neighbor_sets(g)
-        ids, sets = g.collect_vertices()
-        by_id = dict(zip(ids.tolist(), [s.tolist() for s in sets]))
+        by_id = {v: s.tolist() for vp in g.vertex_parts
+                 for v, s in zip(vp.ids.tolist(), ragged_rows(vp.attrs))}
         assert by_id[2] == [0, 1, 3, 4]
 
     def test_triangle_count_matches_networkx(self, sc4):

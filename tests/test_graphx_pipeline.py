@@ -17,7 +17,6 @@ from repro.common.batch import (
     RaggedColumn,
     partition_order,
     sorted_unique,
-    split_indices,
 )
 from repro.common.config import graphx_config_ds1
 from repro.common.errors import StageFailedError
@@ -30,7 +29,7 @@ from repro.graphx import algorithms as gx
 from repro.graphx.graph import Graph, _JoinPlan, split_vertices
 from repro.obs.determinism import run_record
 from repro.obs.tracer import Tracer
-from tests.conftest import digest, make_context
+from tests.conftest import digest, make_context, split_indices
 from tests.ledger import pin
 
 ids_lists = st.lists(st.integers(0, 60), max_size=120)
@@ -235,7 +234,7 @@ def test_join_plan_build_peak_stays_near_what_the_plan_holds():
 
 def _leaked_tags(ctx):
     return [tag for ex in ctx.executors
-            for tag in ex.container.memory.usage_by_tag()
+            for tag in ex.container.memory._by_tag
             if tag.startswith(("graphx-repmap", "shuffle-buffer",
                                "graphx-msgtable"))]
 

@@ -73,12 +73,6 @@ class TestNamespace:
         # ... which a caller of the local filesystem's API catches too.
         assert issubclass(FileNotFoundOnHdfsError, FileNotFoundError)
 
-    def test_glob(self, fs):
-        fs.write_text("/out/part-00000", "x")
-        fs.write_text("/out/part-00001", "y")
-        fs.write_text("/out/_SUCCESS", "")
-        assert fs.glob("/out/part-*") == ["/out/part-00000", "/out/part-00001"]
-
     def test_delete_single_and_recursive(self, fs):
         fs.write_text("/d/a", "1")
         fs.write_text("/d/b", "2")
@@ -89,11 +83,6 @@ class TestNamespace:
     def test_delete_missing_raises(self, fs):
         with pytest.raises(FileNotFoundOnHdfsError):
             fs.delete("/ghost")
-
-    def test_file_size_and_total(self, fs):
-        fs.write_bytes("/a", b"12345")
-        assert fs.file_size("/a") == 5
-        assert fs.total_bytes() == 5
 
 
 class TestMetering:
@@ -117,7 +106,3 @@ class TestMetering:
         fs.read_bytes("/a")
         assert fs.metrics.get(HDFS_BYTES_WRITTEN) == 30  # 3x replication
         assert fs.metrics.get(HDFS_BYTES_READ) == 10
-
-    def test_block_count(self, fs):
-        f = fs.write_bytes("/big", b"x" * (fs.block_size + 1))
-        assert f.num_blocks == 2

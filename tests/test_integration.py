@@ -1,16 +1,19 @@
 """Integration tests: cross-module flows and PSGraph-vs-GraphX agreement."""
 
+import sys
+
 import numpy as np
 import pytest
 
 from repro.common.config import ClusterConfig
+from repro.common.metrics import PS_CHECKPOINTS, PS_ROLLBACKS
 from repro.core.algorithms import (
     CommonNeighbor,
     KCore,
     PageRank,
     TriangleCount,
-    common_neighbor_reference,
 )
+from repro.core.context import PSGraphContext
 from repro.core.ops import edges_from_arrays
 from repro.core.runner import GraphRunner
 from repro.datasets.generators import powerlaw_graph
@@ -18,7 +21,12 @@ from repro.datasets.tencent import write_edges
 from repro.dataflow.context import SparkContext
 from repro.graphx import algorithms as gxalgo
 from repro.graphx.graph import Graph
-from tests.conftest import make_psg
+from tests.conftest import (
+    attached,
+    common_neighbor_reference,
+    make_psg,
+    reference_delta_pagerank,
+)
 
 
 @pytest.fixture
@@ -157,13 +165,94 @@ class TestFailureIntegration:
         psg.spark.add_task_hook(chaos)
         result = PageRank(max_iterations=8, tol=0.0).transform(psg, edges)
         psg.spark.remove_task_hook(chaos)
-        from repro.core.algorithms import reference_delta_pagerank
-
         ids, ref = reference_delta_pagerank(src, dst, result.iterations)
         got = {r["vertex"]: r["rank"] for r in result.output.collect()}
         for v, r in zip(ids.tolist(), ref.tolist()):
             assert got[v] == pytest.approx(r, rel=1e-9)
         assert psg.spark.executors[2].container.restarts == 1
+
+
+class TestPageRankRecoveryPoints:
+    """A server lost at each point PageRank's loop checks for a rollback
+    is recovered there, and the ranks are the fault-free run's."""
+
+    @staticmethod
+    def _ranks(fault=None):
+        psg = PSGraphContext(ClusterConfig(
+            num_executors=3, executor_mem_bytes=1 << 40, num_servers=2,
+            server_mem_bytes=1 << 40), checkpoint_interval=1)
+        try:
+            src, dst = powerlaw_graph(60, 240, seed=61)
+            edges = edges_from_arrays(psg.spark, src, dst)
+            seen = []
+            recover = psg.ps.master.recover
+
+            def observed(mode="relaxed"):
+                # Who saw the death: the agent's dispatch or the
+                # iteration checkpoint.
+                seen.append(sys._getframe(1).f_code.co_name)
+                return recover(mode)
+
+            psg.ps.master.recover = observed
+            if fault is not None:
+                fault(psg)
+            result = PageRank(max_iterations=5, tol=0.0).transform(
+                psg, edges)
+            ranks = {r["vertex"]: r["rank"] for r in result.output.collect()}
+            return ranks, result.iterations, seen, psg.metrics.snapshot()
+        finally:
+            psg.stop()
+
+    def test_death_seen_by_the_advance_psfunc(self):
+        clean, iterations, seen, _ = self._ranks()
+        assert seen == []
+
+        def kill_at_third_barrier(psg):
+            # Tick hooks fire at the end of PSContext.barrier(); the next
+            # server call is iteration 3's advance psFunc.
+            def tick(_now_s):
+                if psg.ps.progress == 2 and psg.ps.servers[1].container.alive:
+                    psg.spark.remove_tick_hook(tick)
+                    psg.ps.kill_server(1)
+            psg.spark.add_tick_hook(tick)
+
+        ranks, got_iterations, seen, metrics = self._ranks(
+            kill_at_third_barrier)
+        assert seen == ["_invoke"]
+        assert metrics[PS_ROLLBACKS] == 1
+        assert (ranks, got_iterations) == (clean, iterations)
+
+    def test_death_seen_by_the_iteration_checkpoint(self):
+        clean, iterations, _, clean_metrics = self._ranks()
+
+        def kill_after_the_last_advance_request(psg):
+            # Iteration 3's advance psFunc sends one request per state
+            # partition; when the last one goes out, server 0 has answered
+            # all of its own, so only the checkpoint after it sees the
+            # death.
+            calls = []
+
+            def injector(endpoint, method):
+                if method == "run_psfunc" and psg.ps.progress == 2:
+                    calls.append(endpoint)
+                    [name] = psg.ps.matrix_names()
+                    meta = psg.ps.matrix_meta(name)
+                    last = meta.server_of(meta.num_partitions - 1)
+                    if (len(calls) == meta.num_partitions and last != 0
+                            and psg.ps.servers[0].container.alive):
+                        psg.ps.kill_server(0)
+                return 0.0
+            psg.spark.rpc.fault_injector = injector
+
+        ranks, got_iterations, seen, metrics = self._ranks(
+            kill_after_the_last_advance_request)
+        assert seen == ["_checkpoint_with_recovery"]
+        assert metrics[PS_ROLLBACKS] == 1
+        # The checkpoint is written again once the server is back: one
+        # more than the fault-free run, whose redone iteration writes its
+        # own as well.
+        assert metrics[PS_CHECKPOINTS] == clean_metrics[PS_CHECKPOINTS] + 1
+        assert (ranks, got_iterations) == (clean, iterations)
 
 
 class TestChaosSchedule:
@@ -180,7 +269,7 @@ class TestChaosSchedule:
             FaultSpec("kill_executor", index=1, after_tasks=1),
             FaultSpec("kill_server", index=0, after_tasks=2),
         ])
-        with ChaosEngine(schedule, psg.spark, psg.ps) as engine:
+        with attached(ChaosEngine(schedule, psg.spark, psg.ps)) as engine:
             count = result.output.count()
             assert count == 240
             assert len(engine.fired) == 2
@@ -193,7 +282,7 @@ class TestChaosSchedule:
 
         schedule = FaultSchedule(
             [FaultSpec("kill_executor", index=0, after_tasks=1)])
-        with ChaosEngine(schedule, psg.spark, psg.ps) as engine:
+        with attached(ChaosEngine(schedule, psg.spark, psg.ps)) as engine:
             pass
         psg.spark.parallelize(range(4)).count()
         assert engine.fired == []  # detached: no kills outside the block

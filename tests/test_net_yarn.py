@@ -146,10 +146,3 @@ class TestResourceManager:
         c = rm.request("x", 100)
         rm.release(c)
         rm.request("x", 100)  # fits again
-
-    def test_containers_filter_by_kind(self):
-        rm = ResourceManager()
-        rm.request("executor", 10)
-        rm.request("ps-server", 10)
-        assert len(rm.containers("executor")) == 1
-        assert len(rm.containers()) == 2

@@ -100,7 +100,7 @@ class TestBatchedPullCaching:
         assert cache.stats.misses == 5
         assert cache.stats.hit_rate == 0.5
         np.testing.assert_array_equal(rows, full[5:15])
-        assert len(cache) == 15
+        assert cache._size == 15
 
     def test_cached_values_match_to_numpy(self, ps):
         m, _cache, _full = make_cached_matrix(ps, staleness=2)

@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.common.batch import gather_segments, split_indices
+from repro.common.batch import gather_segments
 from repro.common.config import ClusterConfig
 from repro.common.errors import (
     ConfigError,
@@ -57,7 +57,7 @@ from repro.ps.agent import PSAgent
 from repro.ps.context import PSContext
 from repro.ps.optimizer import SGD, AdaGrad, Adam, Momentum
 from repro.ps.psfunc import RandomInit
-from tests.conftest import VectorSum, set_rows, table_block
+from tests.conftest import VectorSum, set_rows, split_indices, table_block
 
 # ----------------------------------------------------------------------
 # the oracle: the per-partition loop of commit b921050
@@ -94,7 +94,7 @@ def _srv_get_neighbors(server, matrix, pid, vertices):
 def _srv_degrees(server, matrix, pid, vertices):
     store = server._admit(matrix, pid)
     server._work(len(vertices), "degrees", matrix)
-    return store.degree(vertices)
+    return np.diff(store.get_neighbors(vertices)[0])
 
 
 # -- the handlers ``_group_call`` dispatched to until a4f296a ------------
@@ -198,7 +198,7 @@ class OracleAgent(PSAgent):
 
     def _oracle_invoke(self, server_index, method, args):
         psctx = self.psctx
-        endpoint = psctx.server_endpoint(server_index)
+        endpoint = psctx.servers[server_index].id
         rpc = psctx.spark.rpc
         try:
             self._check_fault(endpoint, method)

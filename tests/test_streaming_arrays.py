@@ -42,8 +42,6 @@ from repro.ingest.mutations import (
     Mutation,
     MutationBatch,
     edge_adds,
-    edge_dels,
-    vertex_dels,
 )
 from repro.obs.determinism import span_event
 from repro.obs.export import metrics_to_dict
@@ -55,7 +53,12 @@ from repro.streaming import (
 )
 from repro.streaming.graph import GraphDelta
 from repro.streaming.pagerank import _BatchCtx
-from tests.conftest import digest
+from tests.conftest import (
+    digest,
+    end_offsets,
+    mutation_records,
+    mutations_from_records,
+)
 
 # ----------------------------------------------------------------------
 # oracles: the per-record mutation stream, the block build and the
@@ -151,7 +154,7 @@ class RefStreamingGraph(StreamingGraph):
     def apply(self, mutations):
         added_s, added_d, removed_s, removed_d, dropped = [], [], [], [], []
         old_out: Dict[int, np.ndarray] = {}
-        for op, src, dst in ref_group_runs(mutations):
+        for op, src, dst in ref_group_runs(mutation_records(mutations)):
             if op == EDGE_ADD:
                 s, d = self._ref_edges(src, dst, old_out, add=True)
                 added_s.extend(s.tolist())
@@ -688,7 +691,7 @@ def test_columnar_stream_equals_the_record_stream(case, data):
     for calls, limit in rounds:
         for kind, ids in calls:
             _produce(topic, ref_logs, kind, ids)
-        assert topic.end_offsets() == [len(log) for log in ref_logs]
+        assert end_offsets(topic) == [len(log) for log in ref_logs]
         # Reads from any offset, with limits that cut the produce chunks.
         for p, log in enumerate(ref_logs):
             offset = data.draw(st.integers(0, len(log) + 1))
@@ -698,7 +701,7 @@ def test_columnar_stream_equals_the_record_stream(case, data):
             assert [c.dtype for c in got.columns] == [
                 np.int8, np.int64, np.int64]
             end = None if cap is None else offset + cap
-            assert list(got) == log[offset:end]
+            assert mutation_records(got) == log[offset:end]
         # One poll: the landed files and the sink's batch.
         staged = {p: log[ref_offsets[p]:None if limit is None
                          else ref_offsets[p] + limit]
@@ -717,7 +720,7 @@ def test_columnar_stream_equals_the_record_stream(case, data):
         landed += 1
         ordered = [m for p in sorted(staged) for m in staged[p]]
         (batch,) = seen
-        assert list(batch) == ordered
+        assert mutation_records(batch) == ordered
         assert _runs(batch.runs()) == _runs(ref_group_runs(ordered))
     assert list(consumer.offsets.values()) == ref_offsets
 
@@ -812,12 +815,10 @@ def streams(draw):
 
 
 def _mutations(window):
-    out = []
-    for op, (a, b) in window:
-        ids = (np.array([a]), np.array([b]))
-        out += (edge_adds(*ids) if op == "add" else
-                edge_dels(*ids) if op == "del" else vertex_dels(ids[0]))
-    return out
+    return mutations_from_records(
+        Mutation(EDGE_ADD, a, b) if op == "add" else
+        Mutation(EDGE_DEL, a, b) if op == "del" else Mutation(VERTEX_DEL, a, -1)
+        for op, (a, b) in window)
 
 
 def _old_out_rows(delta):

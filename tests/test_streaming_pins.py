@@ -36,7 +36,7 @@ from repro.streaming import (
     StreamingEngine,
     StreamingGraph,
 )
-from tests.conftest import digest
+from tests.conftest import digest, embedding_vectors
 from tests.ledger import pin
 
 N = 70
@@ -98,7 +98,7 @@ def run():
                 "report": report.to_dict(),
                 "ranks": digest(pagerank.ranks()),
                 "labels": digest(components.assignments()),
-                "embedding": digest(embedding.vectors())}
+                "embedding": digest(embedding_vectors(embedding))}
     return run_record(doc, ctx.tracer, ctx.metrics)
 
 

@@ -9,7 +9,6 @@ from repro.torchlite import (
     AdamOptimizer,
     Linear,
     Module,
-    ReLU,
     ScriptModule,
     SGDOptimizer,
     Tensor,
@@ -31,11 +30,10 @@ class MLP(Module):
                  rng: np.random.Generator | None = None) -> None:
         super().__init__()
         self.first = Linear(in_dim, hidden, rng=rng)
-        self.act = ReLU()
         self.second = Linear(hidden, out_dim, rng=rng)
 
     def forward(self, x: Tensor) -> Tensor:
-        return self.second(self.act(self.first(x)))
+        return self.second(self.first(x).relu())
 
 
 def mse(pred: Tensor, target: np.ndarray) -> Tensor:

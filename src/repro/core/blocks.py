@@ -45,6 +45,17 @@ class EdgeBlock:
             n += int(self.weight.nbytes)
         return n
 
+    @classmethod
+    def concat(cls, blocks: Sequence["EdgeBlock"]) -> "EdgeBlock":
+        """The edges of ``blocks`` in order: the block itself when there
+        is one."""
+        if len(blocks) == 1:
+            return blocks[0]
+        weights = [b.weight for b in blocks]
+        return cls(np.concatenate([b.src for b in blocks]),
+                   np.concatenate([b.dst for b in blocks]),
+                   None if weights[0] is None else np.concatenate(weights))
+
     def batches(self, batch_size: int) -> Iterator["EdgeBlock"]:
         """Yield consecutive sub-blocks of at most ``batch_size`` edges."""
         for start in range(0, self.num_edges, batch_size):

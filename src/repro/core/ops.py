@@ -8,13 +8,14 @@ pipeline over columnar blocks, through the metered shuffle.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.common.batch import sorted_unique
 from repro.common.errors import PSGraphError
 from repro.common.sizeof import CONTAINER_ENTRY_BYTES
+from repro.common.textcodec import parse_int_pairs
 from repro.core.blocks import (
     EdgeBlock,
     NeighborBlock,
@@ -23,9 +24,10 @@ from repro.core.blocks import (
 )
 from repro.dataflow.context import SparkContext
 from repro.dataflow.partitioner import HashPartitioner
-from repro.dataflow.rdd import RDD
+from repro.dataflow.rdd import RDD, TextBytesRDD
 from repro.dataflow.shuffle import ColumnBlock
 from repro.dataflow.taskctx import current_task_context
+from repro.hdfs.filesystem import text_lines
 
 #: Logical bytes, besides its rows, of one boxed ``(pid, EdgeBlock)``
 #: record — what a group of rows in a groupBy bucket meters as: the
@@ -45,36 +47,10 @@ def charge_primitive_compute(cost_model, records: float) -> None:
         tctx.cost.cpu_s += cost_model.primitive_compute_time(records)
 
 
-def _parse_pair_lines(lines: List[str]) -> Optional[np.ndarray]:
-    """``[[src, dst], ...]`` when every line is ``int<sep>int``, else None.
-
-    One array parse for the whole partition.  The byte scan first proves
-    the shape — exactly one tab or space per line, with a token on each
-    side — so a short line can never borrow a token from a long one.
-    """
-    text = "\n".join(lines) + "\n"
-    raw = np.frombuffer(text.encode(), dtype=np.uint8)
-    ends = np.flatnonzero(raw == 10)
-    seps = np.flatnonzero((raw == 9) | (raw == 32))
-    if not (len(ends) == len(seps) == len(lines)
-            and (seps + 1 < ends).all() and seps[0] > 0
-            and (seps[1:] > ends[:-1] + 1).all()):
-        return None
-    try:
-        flat = np.fromstring(text, dtype=np.int64, sep=" ")
-    except ValueError:  # a token that is not an integer
-        return None
-    return flat.reshape(-1, 2) if len(flat) == 2 * len(lines) else None
-
-
-def parse_edge_lines(lines: Iterator[str],
+def parse_edge_lines(lines: Iterable[str],
                      weighted: bool = False) -> EdgeBlock:
-    """Parse ``src<TAB>dst[<TAB>weight]`` lines into one EdgeBlock."""
-    lines = list(lines)
-    pairs = None if weighted or not lines else _parse_pair_lines(lines)
-    if pairs is not None:
-        return EdgeBlock(np.ascontiguousarray(pairs[:, 0]),
-                         np.ascontiguousarray(pairs[:, 1]), None)
+    """Parse ``src<TAB>dst[<TAB>weight]`` lines into one EdgeBlock, line
+    by line: a line without two integer tokens is skipped."""
     srcs: List[int] = []
     dsts: List[int] = []
     weights: List[float] = []
@@ -101,14 +77,32 @@ def parse_edge_lines(lines: Iterator[str],
     )
 
 
+def parse_edge_bytes(data: bytes, weighted: bool = False,
+                     rows: slice = slice(None)) -> EdgeBlock:
+    """Parse an edge file's bytes into one EdgeBlock: the edges of the
+    ``rows`` slice of its non-empty lines (a partition's stride of a file
+    it shares, see :func:`~repro.dataflow.rdd.partition_files`).
+
+    One array parse when every line is an ``int<sep>int`` pair; weighted
+    files, marker lines and malformed lines take
+    :func:`parse_edge_lines`, which gives the same edges line by line.
+    """
+    pairs = None if weighted else parse_int_pairs(data)
+    if pairs is None:
+        return parse_edge_lines(text_lines(data)[rows], weighted)
+    pairs = pairs[rows]
+    return EdgeBlock(np.ascontiguousarray(pairs[:, 0]),
+                     np.ascontiguousarray(pairs[:, 1]), None)
+
+
 def load_edges(spark: SparkContext, path: str, *, weighted: bool = False,
                num_partitions: int | None = None) -> RDD:
     """Load an HDFS edge list into an RDD of EdgeBlocks (one per partition),
-    cached on the executors (Listing 1's ``GraphOps.loadEdges``)."""
-    lines = spark.text_file(path, num_partitions)
-    blocks = lines.map_partitions(
-        lambda it: [parse_edge_lines(it, weighted)]
-    )
+    cached on the executors (Listing 1's ``GraphOps.loadEdges``).  Each
+    file a partition reads is parsed from its bytes."""
+    files = TextBytesRDD(spark, path, num_partitions)
+    blocks = files.map_partitions(lambda it: [EdgeBlock.concat([
+        parse_edge_bytes(data, weighted, rows) for data, rows in it])])
     return blocks.cache()
 
 

@@ -28,7 +28,7 @@ partition id picks the preferred executor), making runs bit-reproducible.
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, List
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, List, Tuple
 
 from repro.common.batch import (
     RowBatch,
@@ -325,8 +325,23 @@ class BlockShuffledRDD(RDD):
         )])
 
 
+def partition_files(files: List[str], num_partitions: int,
+                    split: int) -> Tuple[List[str], slice]:
+    """The files partition ``split`` of a text input reads, in order, and
+    the slice of each file's non-empty lines it keeps.
+
+    With at least as many files as partitions, file ``i`` goes whole to
+    partition ``i mod P``; with fewer, every partition reads every file
+    and keeps lines ``split, split + P, ...`` of each.
+    """
+    if len(files) >= num_partitions:
+        return files[split::num_partitions], slice(None)
+    return files, slice(split, None, num_partitions)
+
+
 class TextFileRDD(RDD):
-    """Lines of an HDFS directory (or single file), split across partitions."""
+    """Lines of an HDFS directory (or single file), split across partitions
+    by :func:`partition_files`."""
 
     def __init__(self, ctx: "SparkContext", path: str,
                  min_partitions: int | None = None) -> None:
@@ -334,17 +349,20 @@ class TextFileRDD(RDD):
         super().__init__(
             ctx, max(1, min_partitions or ctx.cluster.parallelism))
         self._files = files
-        self._path = path
 
     def compute(self, split: int, tctx: TaskContext) -> Iterator[Any]:
-        hdfs = self.ctx.hdfs
-        # Deterministic assignment: file f's lines are range-split; each
-        # partition reads its slice of every file assigned to it.
-        for i, f in enumerate(self._files):
-            if len(self._files) >= self.num_partitions:
-                if i % self.num_partitions != split:
-                    continue
-                yield from hdfs.read_lines(f, cost=tctx.cost)
-            else:
-                lines = hdfs.read_lines(f, cost=tctx.cost)
-                yield from lines[split::self.num_partitions]
+        files, rows = partition_files(self._files, self.num_partitions, split)
+        for f in files:
+            yield from self.ctx.hdfs.read_lines(f, cost=tctx.cost)[rows]
+
+
+class TextBytesRDD(TextFileRDD):
+    """The files of a text input as raw bytes, for a parser that takes a
+    whole buffer: partition ``split`` holds one ``(payload, rows)`` record
+    per file it reads, ``rows`` the slice of the file's non-empty lines
+    that :class:`TextFileRDD` would give it.  Reads charge as there."""
+
+    def compute(self, split: int, tctx: TaskContext) -> Iterator[Any]:
+        files, rows = partition_files(self._files, self.num_partitions, split)
+        for f in files:
+            yield self.ctx.hdfs.read_bytes(f, cost=tctx.cost), rows

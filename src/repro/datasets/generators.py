@@ -92,18 +92,19 @@ def community_graph(num_vertices: int, num_communities: int, *,
         raise ConfigError("mixing must be in [0, 1]")
     rng = make_rng(seed)
     communities = rng.integers(0, num_communities, size=num_vertices)
-    members = [np.flatnonzero(communities == c)
-               for c in range(num_communities)]
+    # Community c's members, ascending: order[first[c]:first[c] + size[c]].
+    order = np.argsort(communities, kind="stable")
+    size = np.bincount(communities, minlength=num_communities)
+    first = np.cumsum(size) - size
     num_edges = max(1, int(num_vertices * avg_degree / 2))
     src = rng.integers(0, num_vertices, size=num_edges)
     outside = rng.random(num_edges) < mixing
-    dst = np.empty(num_edges, dtype=np.int64)
-    for i, s in enumerate(src.tolist()):
-        if outside[i]:
-            dst[i] = rng.integers(0, num_vertices)
-        else:
-            pool = members[communities[s]]
-            dst[i] = pool[rng.integers(0, len(pool))]
+    own = communities[src]
+    # One bounded draw per edge, in edge order: any vertex for an outside
+    # edge, a position among its community's members otherwise.
+    dst = rng.integers(0, np.where(outside, num_vertices, size[own]))
+    inside = ~outside
+    dst[inside] = order[first[own[inside]] + dst[inside]]
     keep = src != dst
     return (src[keep].astype(np.int64), dst[keep].astype(np.int64),
             communities.astype(np.int64))

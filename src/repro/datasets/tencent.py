@@ -20,6 +20,7 @@ from typing import Tuple
 import numpy as np
 
 from repro.common.rng import DEFAULT_SEED
+from repro.common.textcodec import encode_rows
 from repro.datasets.generators import (
     community_graph,
     powerlaw_graph,
@@ -108,20 +109,16 @@ def write_edges(hdfs: Hdfs, path: str, src: np.ndarray, dst: np.ndarray,
     """Write an edge list to HDFS as ``part-NNNNN`` text files.
 
     Each line is ``src<TAB>dst`` (``src<TAB>dst<TAB>weight`` when weights
-    are given), the paper's assumed input format (Sec. IV).
+    are given, the weight formatted ``%.6f``), the paper's assumed input
+    format (Sec. IV).  File ``i`` holds rows ``i, i + num_files, ...``.
     """
     num_files = max(1, num_files)
+    line, columns = b"%d\t%d\n", [src, dst]
+    if weights is not None:
+        line, columns = b"%d\t%d\t%.6f\n", [src, dst, weights]
     for i in range(num_files):
-        sl = slice(i, None, num_files)
-        # Python scalars format as the numpy ones do, at a fraction of
-        # the cost per line.
-        s_ids, d_ids = src[sl].tolist(), dst[sl].tolist()
-        if weights is None:
-            lines = [f"{s}\t{d}" for s, d in zip(s_ids, d_ids)]
-        else:
-            lines = [
-                f"{s}\t{d}\t{w:.6f}"
-                for s, d, w in zip(s_ids, d_ids, weights[sl].tolist())
-            ]
-        hdfs.write_text(f"{path}/part-{i:05d}", lines, overwrite=True)
+        hdfs.write_bytes(
+            f"{path}/part-{i:05d}",
+            encode_rows(line, [c[i::num_files] for c in columns]),
+            overwrite=True)
     return path

@@ -33,7 +33,7 @@ from repro.common.metrics import MetricsRegistry
 from repro.common.rng import DEFAULT_SEED, derive_seed
 from repro.common.simclock import TaskCost, barrier
 from repro.core.blocks import NeighborBlock, build_neighbor_block
-from repro.core.ops import parse_edge_lines
+from repro.core.ops import parse_edge_bytes
 from repro.hdfs.filesystem import Hdfs
 from repro.torchlite.functional import cross_entropy
 from repro.torchlite.optim import AdamOptimizer
@@ -128,7 +128,7 @@ class EulerSystem:
         src_parts: List[np.ndarray] = []
         dst_parts: List[np.ndarray] = []
         for path in edge_files:
-            edges = parse_edge_lines(self.hdfs.read_lines(path, cost=cost))
+            edges = parse_edge_bytes(self.hdfs.read_bytes(path, cost=cost))
             src_parts.append(edges.src)
             dst_parts.append(edges.dst)
         src = np.concatenate(src_parts)

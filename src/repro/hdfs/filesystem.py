@@ -49,6 +49,11 @@ def _normalize(path: str) -> str:
     return path
 
 
+def text_lines(data: bytes) -> List[str]:
+    """The non-empty lines of UTF-8 ``data``, split at newlines."""
+    return [line for line in data.decode("utf-8").split("\n") if line]
+
+
 @dataclass
 class HdfsFile:
     """Namenode metadata plus payload for one file."""
@@ -134,8 +139,7 @@ class Hdfs:
     def read_lines(self, path: str, *,
                    cost: TaskCost | None = None) -> List[str]:
         """Read a text file and split into non-empty lines."""
-        text = self.read_text(path, cost=cost)
-        return [line for line in text.split("\n") if line]
+        return text_lines(self.read_bytes(path, cost=cost))
 
     def read_pickle(self, path: str, *, cost: TaskCost | None = None) -> Any:
         """Load a pickled snapshot written by :meth:`write_pickle`."""

@@ -199,9 +199,9 @@ class EdgeStreamConsumer:
         # Phase 2 — land: one file per partition, deterministic names so
         # a replayed poll overwrites instead of duplicating.
         for p, records in staged.items():
-            self.hdfs.write_text(
+            self.hdfs.write_bytes(
                 f"{self.landing_dir}/batch-{self._files:05d}-p{p}",
-                records.lines(), overwrite=True,
+                records.encode(), overwrite=True,
             )
 
         # Phase 3 — merge: the sink sees the poll's mutations in partition

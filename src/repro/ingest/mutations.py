@@ -16,7 +16,8 @@ op    meaning
 On the HDFS landing files edge *adds* keep the legacy ``src<TAB>dst``
 encoding so existing batch jobs re-reading the landed history keep
 working unchanged; removals are prefixed marker lines (``-e``/``-v``)
-which :func:`repro.core.ops.parse_edge_lines` skips.
+which the batch edge parser (:func:`repro.core.ops.parse_edge_bytes`)
+skips.
 
 On the stream itself the records travel as a :class:`MutationBatch`:
 three columns (op code, ``src``, ``dst``) from the producer to the
@@ -31,6 +32,7 @@ from typing import List, NamedTuple, Sequence, Tuple
 import numpy as np
 
 from repro.common.batch import RowBatch
+from repro.common.textcodec import encode_rows
 
 EDGE_ADD = "+e"
 EDGE_DEL = "-e"
@@ -39,6 +41,9 @@ VERTEX_DEL = "-v"
 #: All valid mutation opcodes; a batch's op column holds their positions.
 OPS = (EDGE_ADD, EDGE_DEL, VERTEX_DEL)
 _CODES = {op: code for code, op in enumerate(OPS)}
+#: Each op's landing line, as an :func:`encode_rows` template.
+_LANDING_LINES = {EDGE_ADD: b"%d\t%d\n", EDGE_DEL: b"-e\t%d\t%d\n",
+                  VERTEX_DEL: b"-v\t%d\n"}
 
 
 class Mutation(NamedTuple):
@@ -125,21 +130,14 @@ class MutationBatch(RowBatch):
         return [(OPS[code], self.src[lo:hi], self.dst[lo:hi])
                 for code, lo, hi in zip(codes, starts, ends)]
 
-    def lines(self) -> List[str]:
-        """The landing-file lines, one per row: ``src<TAB>dst`` for an
-        add, ``-e<TAB>src<TAB>dst`` for a remove, ``-v<TAB>src`` for a
+    def encode(self) -> bytes:
+        """The landing file's bytes, one line per row: ``src<TAB>dst`` for
+        an add, ``-e<TAB>src<TAB>dst`` for a remove, ``-v<TAB>src`` for a
         vertex remove."""
-        out: List[str] = []
-        for op, src, dst in self.runs():
-            if op == EDGE_ADD:
-                out += [f"{s}\t{d}"
-                        for s, d in zip(src.tolist(), dst.tolist())]
-            elif op == EDGE_DEL:
-                out += [f"{EDGE_DEL}\t{s}\t{d}"
-                        for s, d in zip(src.tolist(), dst.tolist())]
-            else:
-                out += [f"{VERTEX_DEL}\t{s}" for s in src.tolist()]
-        return out
+        return b"".join(
+            encode_rows(_LANDING_LINES[op],
+                        [src] if op == VERTEX_DEL else [src, dst])
+            for op, src, dst in self.runs())
 
 
 def edge_adds(src: np.ndarray, dst: np.ndarray) -> MutationBatch:

@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 
 from repro.common.errors import PSGraphError
 from repro.common.metrics import (
+    HDFS_BYTES_READ,
     SHUFFLE_BYTES_READ,
     SHUFFLE_BYTES_WRITTEN,
     SHUFFLE_RECORDS,
 )
 from repro.common.sizeof import sizeof_records
+from repro.common.textcodec import parse_int_pairs
 from repro.core.blocks import (
     EdgeBlock,
     NeighborBlock,
@@ -24,6 +26,7 @@ from repro.core.ops import (
     edges_from_arrays,
     load_edges,
     max_vertex_id,
+    parse_edge_bytes,
     parse_edge_lines,
     to_neighbor_tables,
 )
@@ -31,7 +34,7 @@ from repro.dataflow.partitioner import HashPartitioner
 from repro.dataflow.shuffle import bucket_map_output
 from repro.dataflow.taskctx import current_task_context
 from repro.datasets.tencent import write_edges
-from tests.conftest import make_psg, split_indices
+from tests.conftest import make_context, make_psg, split_indices
 
 
 class TestBlocks:
@@ -119,49 +122,119 @@ class TestBlocks:
         assert work == 2 * sum(min(lens[a], lens[b]) for a, b in pairs)
 
 
+#: An edge-list line the array parse takes: ``int<TAB or SPACE>int``.
+_PAIR_LINE = st.tuples(
+    st.integers(-10 ** 12, 10 ** 12), st.sampled_from(["\t", " "]),
+    st.integers(0, 10 ** 12)).map(lambda t: f"{t[0]}{t[1]}{t[2]}")
+#: Any line: pairs, blank and whitespace lines, CRs, ``-e`` / ``-v``
+#: markers, 3-column lines and malformed ones.
+_ANY_LINE = st.one_of(_PAIR_LINE, st.sampled_from([
+    "", "", " ", "\t", "\r", "1\t2\r", "-e\t1\t2", "-v\t3", "-e 1 2",
+    "-v 3", "7", "1 2 3", "4\t5\t0.5", " 1 2", "1  2", "1 2 ", "x y",
+    "1.5 2", "1 2x", "+3 4", "1_0 2", "1\t\t2", "1-2\t3", "+-1 2", "- 1",
+    "3 -", "١ 2", "0x10 2",
+]))
+
+
 class TestOps:
     def test_parse_edge_lines(self):
         block = parse_edge_lines(iter(["1\t2", "3\t4", "", "bad"]))
         assert block.src.tolist() == [1, 3]
         assert block.dst.tolist() == [2, 4]
 
-    @settings(deadline=None, max_examples=200)
-    @given(st.lists(st.one_of(
-        st.tuples(st.integers(0, 10 ** 12), st.sampled_from(["\t", " "]),
-                  st.integers(0, 10 ** 12)).map(
-                      lambda t: f"{t[0]}{t[1]}{t[2]}"),
-        st.sampled_from([
-            "-e 1 2", "-v 3", "7", "1 2 3", "4\t5\t0.5", "", " 1 2", "1  2",
-            "1 2 ", "x y", "1.5 2", "1 2x", "+3 4", "1_0 2", "1\t\t2",
-        ]),
-    ), max_size=12))
-    def test_array_parse_equals_line_loop(self, lines):
-        expect = []
-        for line in lines:
-            parts = line.split()
+    @settings(deadline=None)
+    @given(st.lists(st.tuples(st.one_of(st.lists(_PAIR_LINE, max_size=12),
+                                        st.lists(_ANY_LINE, max_size=12)),
+                              st.booleans()),
+                    min_size=1, max_size=5),
+           st.integers(1, 7))
+    def test_array_parse_equals_line_loop(self, files, partitions):
+        """``load_edges`` parses each file's bytes; its blocks, HDFS
+        charges and sim clock are the line loop's over ``read_lines``
+        under the file split ``TextFileRDD`` made, for any split of files
+        against partitions (fewer files than partitions included)."""
+        def load(build):
+            ctx = make_context(num_executors=2)
             try:
-                expect.append((int(parts[0]), int(parts[1])))
-            except (IndexError, ValueError):
-                continue
-        block = parse_edge_lines(iter(lines))
-        assert block.src.dtype == block.dst.dtype == np.int64
-        assert list(zip(block.src.tolist(), block.dst.tolist())) == expect
-        assert block.weight is None
+                for i, (lines, newline) in enumerate(files):
+                    text = "\n".join(lines) + ("\n" if newline and lines
+                                               else "")
+                    ctx.hdfs.write_bytes(f"/in/part-{i:05d}", text.encode())
+                blocks = build(ctx).foreach_partition(list)
+                return ctx.hdfs, blocks, ctx.sim_time(), ctx.metrics.get(
+                    HDFS_BYTES_READ)
+            finally:
+                ctx.stop()
+
+        hdfs, blocks, sim_s, read = load(
+            lambda ctx: load_edges(ctx, "/in", num_partitions=partitions))
+        paths = hdfs.listdir("/in")
+        want_read = 0
+        for split, part in enumerate(blocks):
+            (block,) = part
+            lines = []
+            for i, path in enumerate(paths):
+                if len(paths) >= partitions:
+                    if i % partitions == split:
+                        lines += hdfs.read_lines(path)
+                        want_read += len(hdfs.read_bytes(path))
+                else:
+                    lines += hdfs.read_lines(path)[split::partitions]
+                    want_read += len(hdfs.read_bytes(path))
+            expect = []
+            for line in lines:
+                parts = line.split()
+                try:
+                    expect.append((int(parts[0]), int(parts[1])))
+                except (IndexError, ValueError):
+                    continue
+            assert block.src.dtype == block.dst.dtype == np.int64
+            assert list(zip(block.src.tolist(), block.dst.tolist())) == expect
+            assert block.weight is None
+        assert read == want_read
+        # The same partitions read as lines charge the same.
+        _hdfs, line_blocks, line_sim_s, line_read = load(
+            lambda ctx: ctx.text_file("/in", partitions).map_partitions(
+                lambda it: [parse_edge_lines(it)]))
+        assert (sim_s, read) == (line_sim_s, line_read)
+        for part, line_part in zip(blocks, line_blocks):
+            assert part[0].src.tolist() == line_part[0].src.tolist()
+            assert part[0].dst.tolist() == line_part[0].dst.tolist()
 
     def test_markers_and_trailing_blank_take_the_loop(self):
-        lines = ["1\t2", "-e 1 2", "3 4", "-v 3", "5\t6", ""]
-        block = parse_edge_lines(iter(lines))
+        data = b"1\t2\n-e 1 2\n3 4\n-v 3\n5\t6\n\n"
+        assert parse_int_pairs(data) is None
+        block = parse_edge_bytes(data)
         assert block.src.tolist() == [1, 3, 5]
         assert block.dst.tolist() == [2, 4, 6]
-        # The same edges without the odd lines go through the array parse.
-        clean = parse_edge_lines(iter(["1\t2", "3 4", "5\t6"]))
-        assert clean.src.tolist() == [1, 3, 5]
-        assert clean.dst.tolist() == [2, 4, 6]
+        # The same edges without the marker lines go through the array
+        # parse; blank lines and a missing last newline do not stop it.
+        clean = b"1\t2\n\n3 4\n5\t6"
+        assert parse_int_pairs(clean).tolist() == [[1, 2], [3, 4], [5, 6]]
+        block = parse_edge_bytes(clean, rows=slice(1, None, 2))
+        assert (block.src.tolist(), block.dst.tolist()) == ([3], [4])
 
     def test_short_line_cannot_borrow_from_long_line(self):
         # Four tokens on two lines, but neither line is an edge pair.
-        block = parse_edge_lines(iter(["3", "4 5 6"]))
+        assert parse_int_pairs(b"3\n4 5 6\n") is None
+        block = parse_edge_bytes(b"3\n4 5 6\n")
         assert (block.src.tolist(), block.dst.tolist()) == ([4], [5])
+        # One tab or space per line, yet numpy reads two pairs, (5, 1)
+        # and (2, 3): "\r" and "\x0b" are blanks to it.  The line loop
+        # reads (1, 2) only.
+        data = b"\r\t5\n1\x0b2\t3\n"
+        assert parse_int_pairs(data) is None
+        block = parse_edge_bytes(data)
+        assert (block.src.tolist(), block.dst.tolist()) == ([1], [2])
+
+    def test_id_past_int64_is_not_clamped(self):
+        # numpy's parse would read it as 2**63 - 1; the loop raises.
+        data = b"1\t2\n99999999999999999999\t1\n"
+        assert parse_int_pairs(data) is None
+        with pytest.raises(OverflowError):
+            parse_edge_bytes(data)
+        assert parse_int_pairs(b"-99999999999999999\t1\n").tolist() == \
+            [[-99999999999999999, 1]]
 
     def test_parse_weighted(self):
         block = parse_edge_lines(iter(["1\t2\t0.5", "3\t4"]), weighted=True)

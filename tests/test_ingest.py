@@ -7,10 +7,13 @@ decoded record at a time onto a Python edge set — which every crash
 point must replay to the same edge set as the graph holds.
 """
 
+import hashlib
 from typing import Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tests.conftest import (
     block_rows,
@@ -30,6 +33,9 @@ from repro.ingest.mutations import (
     EDGE_DEL,
     VERTEX_DEL,
     Mutation,
+    edge_adds,
+    edge_dels,
+    vertex_dels,
 )
 from repro.streaming import StreamingGraph
 
@@ -72,6 +78,16 @@ def apply_to_edge_set(edges: Set[Tuple[int, int]],
     return edges
 
 
+def encode_line(m: Mutation) -> str:
+    """One record's landing line, as an f-string: the reference the
+    batch encoder is held to."""
+    if m.op == EDGE_ADD:
+        return f"{m.src}\t{m.dst}"
+    if m.op == EDGE_DEL:
+        return f"{EDGE_DEL}\t{m.src}\t{m.dst}"
+    return f"{VERTEX_DEL}\t{m.src}"
+
+
 def replay_landing(hdfs, landing_dir: str) -> List[Tuple[int, int]]:
     """The sorted edge list a landing directory describes.  Files are
     named ``batch-{poll:05d}-p{partition}``, so a sorted listing replays
@@ -94,14 +110,37 @@ class TestMutations:
     def test_encode_decode_roundtrip(self):
         ms = [Mutation(EDGE_ADD, 3, 7), Mutation(EDGE_DEL, 3, 7),
               Mutation(VERTEX_DEL, 5, -1), Mutation(EDGE_ADD, 0, 1)]
-        lines = mutations_from_records(ms).lines()
+        lines = mutations_from_records(ms).encode().decode().splitlines()
         assert [decode_line(line) for line in lines] == ms
 
     def test_add_encoding_is_legacy_edge_line(self):
         # Batch jobs parse landing files as 'src<TAB>dst'; adds must keep
         # that shape so the streamed history feeds them unchanged.
         assert mutations_from_records(
-            [Mutation(EDGE_ADD, 3, 7)]).lines() == ["3\t7"]
+            [Mutation(EDGE_ADD, 3, 7)]).encode() == b"3\t7\n"
+
+    def test_landing_bytes_match_pin(self):
+        # Add, -e and -v runs, ids past 2**31; the bytes (and their
+        # digest, computed while each line was an f-string) are the
+        # per-record lines.
+        batch = (edge_adds(np.arange(0, 50), np.arange(50, 100))
+                 + edge_dels([1, 2], [51, 52]) + vertex_dels([3, 2**40])
+                 + edge_adds([2**33], [7]) + vertex_dels([0]))
+        data = batch.encode()
+        assert data == "".join(
+            encode_line(m) + "\n" for m in mutation_records(batch)).encode()
+        assert hashlib.sha256(data).hexdigest()[:16] == "1b6d78c22cc631d9"
+
+    @settings(deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from([EDGE_ADD, EDGE_DEL,
+                                               VERTEX_DEL]),
+                              st.integers(-2**63, 2**63 - 1),
+                              st.integers(-2**63, 2**63 - 1)), max_size=20))
+    def test_landing_bytes_equal_per_record_lines(self, rows):
+        ms = [Mutation(op, s, -1 if op == VERTEX_DEL else d)
+              for op, s, d in rows]
+        assert mutations_from_records(ms).encode() == "".join(
+            encode_line(m) + "\n" for m in ms).encode()
 
     def test_group_runs_preserves_order(self):
         ms = [Mutation(EDGE_ADD, 1, 2), Mutation(EDGE_ADD, 2, 3),
@@ -256,17 +295,17 @@ class TestAtLeastOnceDelivery:
     """The offset-commit bugfix: no loss, no duplicates across crashes."""
 
     def _crashing_hdfs(self, fs, fail_after):
-        # Wrap write_text so the Nth landing write blows up mid-poll.
-        real = fs.write_text
+        # Wrap write_bytes so the Nth landing write blows up mid-poll.
+        real = fs.write_bytes
         state = {"writes": 0}
 
-        def flaky(path, lines, overwrite=False):
+        def flaky(path, data, overwrite=False):
             state["writes"] += 1
             if state["writes"] == fail_after:
                 raise IOError("datanode lost")
-            return real(path, lines, overwrite=overwrite)
+            return real(path, data, overwrite=overwrite)
 
-        fs.write_text = flaky
+        fs.write_bytes = flaky
         return state
 
     def test_crash_mid_poll_commits_nothing(self):

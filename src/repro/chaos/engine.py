@@ -22,7 +22,7 @@ Typical use::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.chaos.schedule import RPC_KINDS, FaultSchedule, FaultSpec
@@ -42,7 +42,7 @@ class FiredFault:
     target: str
     sim_time_s: float
     tasks_seen: int
-    detail: Dict[str, object] = field(default_factory=dict)
+    detail: Dict[str, object]
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -56,7 +56,7 @@ class ChaosEngine:
     """Deterministically injects one schedule into one cluster."""
 
     def __init__(self, schedule: FaultSchedule, spark: "SparkContext",
-                 ps: Optional["PSContext"] = None) -> None:
+                 ps: Optional["PSContext"]) -> None:
         self.schedule = schedule
         self.spark = spark
         self.ps = ps
@@ -168,14 +168,14 @@ class ChaosEngine:
             if not executor.alive:
                 return
             self.spark.kill_executor(fault.index, reason="chaos")
-            self._record(fault, executor.id)
+            self._record(fault, executor.id, {})
         elif fault.kind == "kill_server":
             assert self.ps is not None
             server = self.ps.servers[fault.index]
             if not server.container.alive:
                 return
             self.ps.kill_server(fault.index)
-            self._record(fault, server.id)
+            self._record(fault, server.id, {})
         elif fault.kind == "slow_executor":
             executor = self.spark.executors[fault.index]
             previous = executor.slowdown
@@ -225,10 +225,10 @@ class ChaosEngine:
     # ------------------------------------------------------------------
 
     def _record(self, fault: FaultSpec, target: str,
-                detail: Optional[Dict[str, object]] = None) -> None:
+                detail: Dict[str, object]) -> None:
         now_s = self.spark.driver_clock.now_s
         self.fired.append(FiredFault(
-            fault.kind, target, now_s, self.tasks_seen, detail or {}
+            fault.kind, target, now_s, self.tasks_seen, detail
         ))
         self.spark.metrics.inc(CHAOS_FAULTS)
         tracer = self.spark.tracer
@@ -236,7 +236,7 @@ class ChaosEngine:
             tracer.instant(
                 "driver", "chaos", f"chaos.{fault.kind}", now_s,
                 {"target": target, "tasks_seen": self.tasks_seen,
-                 **(detail or {})},
+                 **detail},
             )
 
     def bind_telemetry(self, collector) -> "ChaosEngine":

@@ -223,10 +223,10 @@ class Session:
     args: argparse.Namespace
     tracer: Tracer
     metrics: MetricsRegistry
-    lines: List[str] = field(default_factory=list)
-    errors: List[str] = field(default_factory=list)
-    collector: Optional[TelemetryCollector] = None
-    engine: Optional[ChaosEngine] = None
+    lines: List[str] = field(default_factory=list, init=False)
+    errors: List[str] = field(default_factory=list, init=False)
+    collector: Optional[TelemetryCollector] = field(default=None, init=False)
+    engine: Optional[ChaosEngine] = field(default=None, init=False)
 
     def context(self, app_name: str, **kwargs) -> PSGraphContext:
         a = self.args
@@ -284,7 +284,8 @@ def _stage_edges(ctx: PSGraphContext, args: argparse.Namespace) -> None:
     """Put the graph at HDFS ``/input/edges``: the ``--input`` lines, or a
     generated ``--vertices`` / ``--edges`` power-law graph."""
     if args.edge_lines is not None:
-        ctx.hdfs.write_text("/input/edges/part-00000", args.edge_lines)
+        ctx.hdfs.write_text("/input/edges/part-00000", args.edge_lines,
+                            overwrite=False)
         return
     src, dst = powerlaw_graph(
         args.vertices, args.edges,

@@ -26,40 +26,29 @@ class ClusterConfig:
     Attributes:
         num_executors: number of Spark executor containers.
         executor_mem_bytes: memory grant per executor.
-        executor_cores: cores per executor (parallel task slots).
         num_servers: number of parameter-server containers (0 = no PS).
         server_mem_bytes: memory grant per parameter server.
         cost_model: hardware constants for the simulated cluster.
-        default_parallelism: default number of RDD partitions; falls back
-            to ``num_executors * executor_cores`` when 0.
+
+    An executor runs one task at a time, and an RDD created without a
+    partition count gets one partition per executor.
     """
 
     num_executors: int = 4
     executor_mem_bytes: int = 4 * GB
-    executor_cores: int = 1
     num_servers: int = 0
     server_mem_bytes: int = 0
     cost_model: CostModel = DEFAULT_COST_MODEL
-    default_parallelism: int = 0
 
     def __post_init__(self) -> None:
         if self.num_executors <= 0:
             raise ConfigError("num_executors must be positive")
-        if self.executor_cores <= 0:
-            raise ConfigError("executor_cores must be positive")
         if self.num_servers < 0:
             raise ConfigError("num_servers must be non-negative")
         if self.executor_mem_bytes <= 0:
             raise ConfigError("executor_mem_bytes must be positive")
         if self.num_servers > 0 and self.server_mem_bytes <= 0:
             raise ConfigError("server_mem_bytes must be positive with PS")
-
-    @property
-    def parallelism(self) -> int:
-        """Effective default parallelism for RDDs created without one."""
-        if self.default_parallelism > 0:
-            return self.default_parallelism
-        return self.num_executors * self.executor_cores
 
     def scaled(self, factor: float) -> "ClusterConfig":
         """Scale per-container memory grants by ``factor`` (dataset scaling).

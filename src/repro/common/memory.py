@@ -29,9 +29,9 @@ class MemoryTracker:
 
     container: str
     capacity: int | None
-    used: int = 0
-    peak: int = 0
-    _by_tag: Dict[str, int] = field(default_factory=dict)
+    used: int = field(default=0, init=False)
+    peak: int = field(default=0, init=False)
+    _by_tag: Dict[str, int] = field(default_factory=dict, init=False)
 
     def allocate(self, nbytes: int, tag: str = "untagged") -> int:
         """Charge ``nbytes`` under ``tag``; raise SimulatedOOMError on overflow."""

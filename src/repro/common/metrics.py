@@ -44,16 +44,18 @@ class Histogram:
     """
 
     __slots__ = ("_samples", "_dirty", "_sum", "_count", "_min", "_max",
-                 "_max_exact", "_sketch", "_pending", "_pending_count")
+                 "_sketch", "_pending", "_pending_count")
 
-    def __init__(self, max_exact: int = HISTOGRAM_MAX_EXACT) -> None:
+    #: Exact samples kept before the switch to the sketch.
+    max_exact = HISTOGRAM_MAX_EXACT
+
+    def __init__(self) -> None:
         self._samples: List[float] = []
         self._dirty = False
         self._sum = 0.0
         self._count = 0
         self._min = math.inf
         self._max = -math.inf
-        self._max_exact = max_exact
         self._sketch: QuantileSketch | None = None
         #: Batches from ``observe_many`` not yet folded into the samples.
         self._pending: List[np.ndarray] = []
@@ -75,7 +77,7 @@ class Histogram:
             return
         self._samples.append(v)
         self._dirty = True
-        if len(self._samples) > self._max_exact:
+        if len(self._samples) > self.max_exact:
             self._sketch = QuantileSketch.from_samples(self._samples)
             self._samples = []
             self._dirty = False
@@ -100,7 +102,7 @@ class Histogram:
         self._max = max(self._max, float(v.max()))
         self._pending.append(v)
         self._pending_count += len(v)
-        if self._pending_count > self._max_exact:
+        if self._pending_count > self.max_exact:
             self._fold()
 
     def _fold(self) -> None:
@@ -111,7 +113,7 @@ class Histogram:
         self._pending, self._pending_count = [], 0
         if self._sketch is not None:
             self._sketch.add_many(v)
-        elif len(self._samples) + len(v) > self._max_exact:
+        elif len(self._samples) + len(v) > self.max_exact:
             self._sketch = QuantileSketch.from_samples(
                 np.concatenate([self._samples, v]))
             self._samples = []

@@ -28,9 +28,9 @@ class TaskCost:
         disk_s: disk read/write time (shuffle spill, HDFS IO, checkpoints).
     """
 
-    cpu_s: float = 0.0
-    net_s: float = 0.0
-    disk_s: float = 0.0
+    cpu_s: float = field(default=0.0, init=False)
+    net_s: float = field(default=0.0, init=False)
+    disk_s: float = field(default=0.0, init=False)
 
     @property
     def total_s(self) -> float:
@@ -48,8 +48,8 @@ class SimClock:
     """
 
     name: str = "clock"
-    now_s: float = 0.0
-    busy_s: float = field(default=0.0)
+    now_s: float = field(default=0.0, init=False)
+    busy_s: float = field(default=0.0, init=False)
 
     def advance(self, seconds: float) -> float:
         """Advance the clock by ``seconds`` of busy work; returns new time."""

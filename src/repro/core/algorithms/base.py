@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict
 
 from repro.core.context import PSGraphContext
@@ -21,8 +21,8 @@ class AlgorithmResult:
     """
 
     output: DataFrame
-    iterations: int = 0
-    stats: Dict[str, Any] = field(default_factory=dict)
+    iterations: int
+    stats: Dict[str, Any]
 
 
 class GraphAlgorithm:

@@ -36,16 +36,16 @@ class CommonNeighbor(GraphAlgorithm):
         batch_size: edges processed per PS round trip.
         checkpoint: checkpoint the PS neighbor tables to HDFS after the
             build phase (enables server failure recovery mid-run).
-        partition: PS partitioner kind for the neighbor table.
     """
 
     name = "common-neighbor"
+    #: PS partitioner kind for the neighbor table.
+    partition = "hash"
 
-    def __init__(self, batch_size: int = 4096, checkpoint: bool = False,
-                 partition: str = "hash") -> None:
+    def __init__(self, batch_size: int = 4096,
+                 checkpoint: bool = False) -> None:
         self.batch_size = batch_size
         self.checkpoint = checkpoint
-        self.partition = partition
 
     def transform(self, ctx: PSGraphContext, dataset: RDD
                   ) -> AlgorithmResult:

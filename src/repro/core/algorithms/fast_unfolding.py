@@ -51,16 +51,16 @@ class FastUnfolding(GraphAlgorithm):
     Args:
         num_passes: maximum optimize+aggregate passes.
         max_move_iterations: move rounds per pass.
-        partition: PS partitioner kind for vertex2com / com2weight.
     """
 
     name = "fast-unfolding"
+    #: PS partitioner kind for vertex2com / com2weight.
+    partition = "hash"
 
-    def __init__(self, num_passes: int = 3, max_move_iterations: int = 8,
-                 partition: str = "hash") -> None:
+    def __init__(self, num_passes: int = 3,
+                 max_move_iterations: int = 8) -> None:
         self.num_passes = num_passes
         self.max_move_iterations = max_move_iterations
-        self.partition = partition
 
     def transform(self, ctx: PSGraphContext, dataset: RDD
                   ) -> AlgorithmResult:

@@ -134,18 +134,18 @@ class GraphSage(GraphAlgorithm):
             (production tasks label a small subset; the paper's WeChat Pay
             label count is unreported — EXPERIMENTS.md documents the 2%
             default used for Table I).
-        train_fraction: labeled vertices used for training (rest evaluate).
         seed: RNG seed.
     """
 
     name = "graphsage"
+    #: Share of the labeled vertices used for training (the rest evaluate).
+    train_fraction = 0.7
 
     def __init__(self, features: np.ndarray, labels: np.ndarray, *,
                  hidden: int = 32, num_classes: int | None = None,
                  fanouts: Tuple[int, int] = (10, 5), epochs: int = 3,
                  batch_size: int = 512, lr: float = 0.01,
                  labeled_fraction: float = 1.0,
-                 train_fraction: float = 0.7,
                  aggregator: str = "mean",
                  seed: int = DEFAULT_SEED) -> None:
         self.features = np.asarray(features, dtype=np.float32)
@@ -157,7 +157,6 @@ class GraphSage(GraphAlgorithm):
         self.batch_size = batch_size
         self.lr = lr
         self.labeled_fraction = labeled_fraction
-        self.train_fraction = train_fraction
         self.aggregator = aggregator
         self.seed = seed
 
@@ -326,7 +325,7 @@ class GraphSage(GraphAlgorithm):
     def _push_features(self, ctx: PSGraphContext, feats, label_vec,
                        n: int) -> None:
         """Executors read feature shards from HDFS and push them to PS."""
-        p = ctx.cluster.parallelism
+        p = ctx.cluster.num_executors
         base = "/input/sage-features"
         for i in range(p):
             sl = np.arange(i, n, p)
@@ -407,7 +406,7 @@ class GraphSage(GraphAlgorithm):
 
 def _sample_and_pull(adj, feats, node_ids: np.ndarray,
                      fanouts: Tuple[int, int],
-                     rng: np.random.Generator, pad: bool = False):
+                     rng: np.random.Generator, pad: bool):
     """Sample a 2-hop neighborhood from the PS and pull its features.
 
     With ``pad=True`` every vertex contributes *exactly* ``fanout``

@@ -101,7 +101,6 @@ class PageRank(GraphAlgorithm):
         max_iterations: iteration budget.
         tol: stop when the summed |Δrank| falls below ``tol`` per vertex.
         damping: the 0.85 of the classic formulation.
-        partition: PS partitioner kind for the state matrix.
         use_delta: the paper's increment optimization (Sec. IV-A); when
             False, full ranks are pulled and pushed each iteration (the
             ablation baseline).
@@ -112,15 +111,15 @@ class PageRank(GraphAlgorithm):
     """
 
     name = "pagerank"
+    #: PS partitioner kind for the state matrix.
+    partition = "range"
 
     def __init__(self, max_iterations: int = 30, tol: float = 1e-6,
-                 damping: float = 0.85, partition: str = "range",
-                 use_delta: bool = True,
+                 damping: float = 0.85, use_delta: bool = True,
                  delta_threshold: float = 0.0) -> None:
         self.max_iterations = max_iterations
         self.tol = tol
         self.damping = damping
-        self.partition = partition
         self.use_delta = use_delta
         self.delta_threshold = delta_threshold
 

@@ -54,11 +54,11 @@ class Propagation(GraphAlgorithm):
     stats_key = ""
     #: Whether the stat counts distinct values (else emitted vertices).
     distinct = True
+    #: PS partitioner kind for the value vector.
+    partition = "range"
 
-    def __init__(self, max_iterations: int = 50,
-                 partition: str = "range") -> None:
+    def __init__(self, max_iterations: int = 50) -> None:
         self.max_iterations = max_iterations
-        self.partition = partition
 
     def seed(self, ctx: PSGraphContext, tables: RDD, n: int):
         """Create the value vector and write every vertex's start value
@@ -137,7 +137,6 @@ class KCore(Propagation):
     Args:
         max_iterations: iteration budget (the h-index operator usually
             converges in a few dozen rounds).
-        partition: PS partitioner kind for the core-estimate vector.
     """
 
     name = "kcore"
@@ -163,7 +162,6 @@ class ConnectedComponents(Propagation):
 
     Args:
         max_iterations: round budget (component diameter bounds the need).
-        partition: PS partitioner kind for the label vector.
     """
 
     name = "connected-components"
@@ -182,17 +180,16 @@ class LabelPropagation(Propagation):
     Args:
         max_iterations: iteration budget (LPA converges quickly or
             oscillates; a small budget is standard).
-        partition: PS partitioner kind for the label vector.
     """
 
     name = "label-propagation"
     vector = "lpa-labels"
     column = "label"
     stats_key = "num_labels"
+    partition = "hash"
 
-    def __init__(self, max_iterations: int = 10,
-                 partition: str = "hash") -> None:
-        super().__init__(max_iterations, partition)
+    def __init__(self, max_iterations: int = 10) -> None:
+        super().__init__(max_iterations)
 
     def refine(self, neighbor_values, indptr, own):
         return segment_mode(_row_ids(indptr), neighbor_values)[1]

@@ -32,15 +32,14 @@ class TriangleCount(GraphAlgorithm):
 
     Args:
         batch_size: canonical edges per PS round trip.
-        partition: PS partitioner kind for the neighbor table.
     """
 
     name = "triangle-count"
+    #: PS partitioner kind for the neighbor table.
+    partition = "hash"
 
-    def __init__(self, batch_size: int = 4096,
-                 partition: str = "hash") -> None:
+    def __init__(self, batch_size: int = 4096) -> None:
         self.batch_size = batch_size
-        self.partition = partition
 
     def transform(self, ctx: PSGraphContext, dataset: RDD
                   ) -> AlgorithmResult:

@@ -80,18 +80,18 @@ class PSGraphContext:
         return self.ps.barrier()
 
     def create_dataframe(self, rows: Sequence[tuple] | RowBatch,
-                         schema: Sequence[str],
-                         num_partitions: int | None = None) -> DataFrame:
+                         schema: Sequence[str]) -> DataFrame:
         """Listing 1's ``SparkContext.createDataFrame``: driver rows, as
-        tuples or one :class:`~repro.common.batch.RowBatch` of columns.
-        Every row must be as wide as ``schema``."""
+        tuples or one :class:`~repro.common.batch.RowBatch` of columns,
+        one partition per executor.  Every row must be as wide as
+        ``schema``."""
         widths = ({rows.row_width} if type(rows) is RowBatch
                   else set(map(len, rows)))
         if widths - {len(schema)}:
             raise ConfigError(
                 f"rows of width {sorted(widths)} under the "
                 f"{len(schema)}-column schema {list(schema)}")
-        return DataFrame(self.spark.parallelize(rows, num_partitions), schema)
+        return DataFrame(self.spark.parallelize(rows), schema)
 
     def stop(self) -> None:
         """Release every container of the session."""

@@ -47,10 +47,10 @@ def charge_primitive_compute(cost_model, records: float) -> None:
         tctx.cost.cpu_s += cost_model.primitive_compute_time(records)
 
 
-def parse_edge_lines(lines: Iterable[str],
-                     weighted: bool = False) -> EdgeBlock:
+def parse_edge_lines(lines: Iterable[str], weighted: bool) -> EdgeBlock:
     """Parse ``src<TAB>dst[<TAB>weight]`` lines into one EdgeBlock, line
-    by line: a line without two integer tokens is skipped."""
+    by line: a line without two integer tokens, or (weighted) with a
+    weight token that is no float, is skipped."""
     srcs: List[int] = []
     dsts: List[int] = []
     weights: List[float] = []
@@ -61,6 +61,8 @@ def parse_edge_lines(lines: Iterable[str],
         try:
             src = int(parts[0])
             dst = int(parts[1])
+            if weighted:
+                weight = float(parts[2]) if len(parts) > 2 else 1.0
         except ValueError:
             # Streaming landing files interleave removal marker lines
             # ("-e"/"-v", see repro.ingest.mutations) with plain edge
@@ -69,7 +71,7 @@ def parse_edge_lines(lines: Iterable[str],
         srcs.append(src)
         dsts.append(dst)
         if weighted:
-            weights.append(float(parts[2]) if len(parts) > 2 else 1.0)
+            weights.append(weight)
     return EdgeBlock(
         np.asarray(srcs, dtype=np.int64),
         np.asarray(dsts, dtype=np.int64),
@@ -110,7 +112,7 @@ def edges_from_arrays(spark: SparkContext, src: np.ndarray, dst: np.ndarray,
                       weight: Optional[np.ndarray] = None,
                       num_partitions: int | None = None) -> RDD:
     """Driver-side arrays -> RDD of EdgeBlocks (testing convenience)."""
-    p = num_partitions or spark.cluster.parallelism
+    p = num_partitions or spark.cluster.num_executors
     p = max(1, min(p, max(1, len(src))))
     blocks = [
         EdgeBlock(

@@ -41,30 +41,29 @@ class SparkContext:
         cluster: resource allocation and cost model for the job.
         hdfs: shared filesystem; created fresh when omitted.
         metrics: shared metrics registry; created fresh when omitted.
-        resource_manager: shared Yarn; created fresh when omitted.
-        rpc: shared RPC fabric (the PS attaches here); created when omitted.
         tracer: sim-time span tracer threaded into every subsystem this
             context creates; the default no-op tracer records nothing.
             (Subsystems passed in pre-built keep their own tracer.)
         app_name: label used for the driver container id.
-        auto_restart_executors: when True (Spark's behaviour), a task routed
-            to a dead executor restarts it via the resource manager instead
-            of failing the job.
-        retry_backoff_base_s / retry_backoff_max_s: exponential backoff the
-            driver waits (in sim-time) before re-launching a failed task
-            attempt: ``min(max, base * 2**(attempt-1))`` seconds.
+
+    The context creates its own Yarn (:attr:`resource_manager`) and RPC
+    fabric (:attr:`rpc`, where the PS attaches).
     """
+
+    #: Spark's behaviour: a task routed to a dead executor restarts it via
+    #: the resource manager instead of failing the job.
+    auto_restart_executors = True
+    #: Exponential backoff the driver waits (in sim-time) before
+    #: re-launching a failed task attempt:
+    #: ``min(RETRY_BACKOFF_MAX_S, base * 2**(attempt-1))`` seconds.
+    retry_backoff_base_s = 1.0
+    RETRY_BACKOFF_MAX_S = 60.0
 
     def __init__(self, cluster: ClusterConfig, *,
                  hdfs: Hdfs | None = None,
                  metrics: MetricsRegistry | None = None,
-                 resource_manager: ResourceManager | None = None,
-                 rpc: RpcEnv | None = None,
                  tracer: NoopTracer = NOOP_TRACER,
-                 app_name: str = "app",
-                 auto_restart_executors: bool = True,
-                 retry_backoff_base_s: float = 1.0,
-                 retry_backoff_max_s: float = 60.0) -> None:
+                 app_name: str = "app") -> None:
         self.cluster = cluster
         self.app_name = app_name
         self.metrics = metrics if metrics is not None else MetricsRegistry()
@@ -72,16 +71,8 @@ class SparkContext:
         self.hdfs = hdfs if hdfs is not None else Hdfs(
             cluster.cost_model, self.metrics
         )
-        self.resource_manager = (
-            resource_manager if resource_manager is not None
-            else ResourceManager(self.metrics, tracer=tracer)
-        )
-        self.rpc = rpc if rpc is not None else RpcEnv(
-            cluster.cost_model, self.metrics
-        )
-        self.auto_restart_executors = auto_restart_executors
-        self.retry_backoff_base_s = retry_backoff_base_s
-        self.retry_backoff_max_s = retry_backoff_max_s
+        self.resource_manager = ResourceManager(self.metrics, tracer=tracer)
+        self.rpc = RpcEnv(self.metrics)
         self.driver: Container = self.resource_manager.request(
             "driver", cluster.executor_mem_bytes, name=f"driver-{app_name}"
         )
@@ -90,7 +81,7 @@ class SparkContext:
             for i, c in enumerate(
                 self.resource_manager.request_many(
                     "executor", cluster.num_executors,
-                    cluster.executor_mem_bytes, cluster.executor_cores,
+                    cluster.executor_mem_bytes,
                 )
             )
         ]
@@ -128,13 +119,14 @@ class SparkContext:
         partition, holding the rows a list of its tuples would."""
         if type(data) is not RowBatch:
             data = list(data)
-        n = num_partitions or min(self.cluster.parallelism, max(1, len(data)))
+        n = num_partitions or min(self.cluster.num_executors,
+                                  max(1, len(data)))
         return ParallelCollectionRDD(self, data, max(1, n))
 
-    def text_file(self, path: str,
-                  min_partitions: int | None = None) -> RDD:
-        """Lines of an HDFS file or directory."""
-        return TextFileRDD(self, path, min_partitions)
+    def text_file(self, path: str) -> RDD:
+        """Lines of an HDFS file or directory, one partition per
+        executor."""
+        return TextFileRDD(self, path, None)
 
     # ------------------------------------------------------------------
     # executors, placement and failure

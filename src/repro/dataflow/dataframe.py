@@ -55,9 +55,13 @@ class DataFrame:
         """Number of rows."""
         return self.rdd.count()
 
-    def show(self, n: int = 20) -> str:
-        """Format the first ``n`` rows as an ASCII table (also returned)."""
-        rows = self.rdd.take(n)
+    #: Rows :meth:`show` prints, as Spark's ``show()`` does.
+    show_rows = 20
+
+    def show(self) -> str:
+        """Format the first :attr:`show_rows` rows as an ASCII table (also
+        returned)."""
+        rows = self.rdd.take(self.show_rows)
         widths = [
             max(len(str(c)), *(len(str(r[i])) for r in rows)) if rows
             else len(str(c))

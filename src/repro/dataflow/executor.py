@@ -35,8 +35,9 @@ class Executor:
 
     index: int
     container: Container
-    slowdown: float = 1.0
-    _cache: Dict[Tuple[int, int], List[Any]] = field(default_factory=dict)
+    slowdown: float = field(default=1.0, init=False)
+    _cache: Dict[Tuple[int, int], List[Any]] = field(default_factory=dict,
+                                                     init=False)
 
     @property
     def id(self) -> str:

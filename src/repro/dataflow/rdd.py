@@ -107,8 +107,8 @@ class RDD:
 
     def __init__(self, ctx: "SparkContext", num_partitions: int,
                  narrow_parents: List["RDD"] | None = None,
-                 shuffle_deps: List[ShuffleDependency] | None = None,
-                 partitioner: Partitioner | None = None) -> None:
+                 shuffle_deps: List[ShuffleDependency] | None = None
+                 ) -> None:
         if num_partitions <= 0:
             raise ConfigError("RDD must have at least one partition")
         self.ctx = ctx
@@ -116,7 +116,8 @@ class RDD:
         self.num_partitions = num_partitions
         self.narrow_parents = narrow_parents or []
         self.shuffle_deps = shuffle_deps or []
-        self.partitioner = partitioner
+        #: How keys map to partitions, when a record shuffle made them.
+        self.partitioner: Partitioner | None = None
         self._cached = False
 
     # ------------------------------------------------------------------
@@ -157,17 +158,12 @@ class RDD:
     def map(self, f: Callable[[Any], Any]) -> "RDD":
         """Apply ``f`` to every row."""
         return MapPartitionsRDD(
-            self, lambda _i, it: (f(x) for x in iter_rows(it)),
-            preserves_partitioning=False,
-        )
+            self, lambda _i, it: (f(x) for x in iter_rows(it)))
 
-    def map_partitions(self, f: Callable[[Iterator[Any]], Iterable[Any]],
-                       preserves_partitioning: bool = False) -> "RDD":
+    def map_partitions(self, f: Callable[[Iterator[Any]], Iterable[Any]]
+                       ) -> "RDD":
         """Apply ``f`` to each whole partition iterator."""
-        return MapPartitionsRDD(
-            self, lambda _i, it: f(it),
-            preserves_partitioning=preserves_partitioning,
-        )
+        return MapPartitionsRDD(self, lambda _i, it: f(it))
 
     # ------------------------------------------------------------------
     # wide (shuffle) transformations
@@ -272,15 +268,13 @@ class ParallelCollectionRDD(RDD):
 
 
 class MapPartitionsRDD(RDD):
-    """Narrow transformation applying ``f(index, iterator)``."""
+    """Narrow transformation applying ``f(index, iterator)``; the result
+    has no partitioner."""
 
     def __init__(self, parent: RDD,
-                 f: Callable[[int, Iterator[Any]], Any],
-                 preserves_partitioning: bool = False) -> None:
+                 f: Callable[[int, Iterator[Any]], Any]) -> None:
         super().__init__(
-            parent.ctx, parent.num_partitions, narrow_parents=[parent],
-            partitioner=parent.partitioner if preserves_partitioning else None,
-        )
+            parent.ctx, parent.num_partitions, narrow_parents=[parent])
         self._f = f
 
     def compute(self, split: int, tctx: TaskContext) -> Iterator[Any]:
@@ -296,9 +290,8 @@ class ShuffledRDD(RDD):
     def __init__(self, parent: RDD, partitioner: Partitioner) -> None:
         dep = ShuffleDependency(parent, partitioner)
         super().__init__(
-            parent.ctx, partitioner.num_partitions, shuffle_deps=[dep],
-            partitioner=partitioner,
-        )
+            parent.ctx, partitioner.num_partitions, shuffle_deps=[dep])
+        self.partitioner = partitioner
         self._dep = dep
 
     def compute(self, split: int, tctx: TaskContext) -> Iterator[Any]:
@@ -341,13 +334,14 @@ def partition_files(files: List[str], num_partitions: int,
 
 class TextFileRDD(RDD):
     """Lines of an HDFS directory (or single file), split across partitions
-    by :func:`partition_files`."""
+    by :func:`partition_files`: ``num_partitions`` of them, or one per
+    executor when None."""
 
     def __init__(self, ctx: "SparkContext", path: str,
-                 min_partitions: int | None = None) -> None:
+                 num_partitions: int | None) -> None:
         files = ctx.hdfs.input_files(path)
         super().__init__(
-            ctx, max(1, min_partitions or ctx.cluster.parallelism))
+            ctx, max(1, num_partitions or ctx.cluster.num_executors))
         self._files = files
 
     def compute(self, split: int, tctx: TaskContext) -> Iterator[Any]:

@@ -173,7 +173,7 @@ class DAGScheduler:
         if base <= 0.0:
             return
         ctx.driver_clock.advance(
-            min(ctx.retry_backoff_max_s, base * (2.0 ** (attempt - 1)))
+            min(ctx.RETRY_BACKOFF_MAX_S, base * (2.0 ** (attempt - 1)))
         )
 
     def _finish_task(self, tctx: TaskContext, result: Any,
@@ -188,16 +188,15 @@ class DAGScheduler:
         elapsed_s = tctx.cost.total_s * max(1.0, executor.slowdown)
         ctx.metrics.observe(TASK_DURATION_H, elapsed_s)
         if tracer.enabled:
-            # Two views of the finished attempt: the executor's
-            # compressed parallel row (serial cost / cores, tiled in
-            # completion order) and the task's own serial detail row.
-            cores = max(1, executor.container.cores)
+            # Two views of the finished attempt: the executor's row
+            # (tasks tiled in completion order) and the task's own
+            # detail row.
             base = executor.container.clock.now_s
             tracer.add(
                 executor.id, "tasks",
                 f"task s{stage_id}.p{p}",
-                base + busy[executor.index] / cores,
-                base + (busy[executor.index] + elapsed_s) / cores,
+                base + busy[executor.index],
+                base + (busy[executor.index] + elapsed_s),
                 {"stage": stage_id, "partition": p, "kind": kind,
                  "attempt": tctx.attempt,
                  "cpu_s": tctx.cost.cpu_s, "net_s": tctx.cost.net_s,
@@ -285,8 +284,7 @@ class DAGScheduler:
         clocks = [ctx.driver_clock]
         for ex in ctx.executors:
             if ex.index in busy:
-                cores = max(1, ex.container.cores)
-                ex.container.clock.advance(busy[ex.index] / cores)
+                ex.container.clock.advance(busy[ex.index])
             if ex.alive:
                 clocks.append(ex.container.clock)
         end_s = barrier(clocks)

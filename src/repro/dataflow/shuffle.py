@@ -101,12 +101,12 @@ class ColumnBlock:
 
     @classmethod
     def bucketed(cls, columns: Sequence[Any], pids: np.ndarray,
-                 num_reduces: int, groups: Sequence[int] = (),
+                 num_reduces: int, groups: Sequence[int],
                  record_nbytes: int = 0) -> "ColumnBlock":
         """Bucket rows by ``pids``, keeping row order within a bucket.
 
         ``groups`` are the row counts of the outputs that were
-        concatenated into ``columns``, when there were several: boxed,
+        concatenated into ``columns`` (empty for one output): boxed,
         each output present in a bucket added its own arrays to it — or,
         given ``record_nbytes``, one record with an envelope of that many
         bytes around its rows of every column.
@@ -238,11 +238,13 @@ class ShuffleService:
     """Cluster-wide registry of shuffle map outputs."""
 
     cost_model: CostModel
-    metrics: MetricsRegistry | None = None
+    metrics: MetricsRegistry | None
     #: shuffle id -> map partition -> output.
-    _outputs: Dict[int, Dict[int, MapOutput]] = field(default_factory=dict)
+    _outputs: Dict[int, Dict[int, MapOutput]] = field(default_factory=dict,
+                                                      init=False)
     #: Merged form of block shuffles that are complete and being read.
-    _merged: Dict[int, _MergedBlocks] = field(default_factory=dict)
+    _merged: Dict[int, _MergedBlocks] = field(default_factory=dict,
+                                              init=False)
 
     # -- map side ----------------------------------------------------------
 

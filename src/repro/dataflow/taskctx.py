@@ -44,7 +44,7 @@ class TaskContext:
     stage_id: int
     partition_id: int
     executor: "Executor"
-    cost: TaskCost = field(default_factory=TaskCost)
+    cost: TaskCost = field(default_factory=TaskCost, init=False)
     attempt: int = 0
     tracer: NoopTracer = NOOP_TRACER
 
@@ -73,7 +73,7 @@ def current_task_context() -> TaskContext | None:
     return _current.get()
 
 
-def task_span(name: str, cost: TaskCost | None = None,
+def task_span(name: str, cost: TaskCost,
               tags: Optional[Dict[str, object]] = None):
     """Span scope on the current task's trace row.
 
@@ -82,16 +82,14 @@ def task_span(name: str, cost: TaskCost | None = None,
     running or tracing is disabled, so call sites need no guards.
 
     Args:
-        cost: the accumulator the operation charges; defaults to the
-            running task's own cost.
+        cost: the accumulator the operation charges.
         tags: optional labels exported with the span.
     """
     tctx = _current.get()
     if tctx is None or not tctx.tracer.enabled:
         return NOOP_SCOPE
     return tctx.tracer.cost_span(
-        tctx.executor.id, tctx.trace_track, name,
-        cost if cost is not None else tctx.cost,
+        tctx.executor.id, tctx.trace_track, name, cost,
         tctx.trace_base_s, tags,
     )
 
@@ -113,20 +111,19 @@ class task_scope:
 
 
 def metered(iterator: Iterator, cost: TaskCost, cpu_record_s: float,
-            trace_name: str | None = None) -> Iterator:
+            trace_name: str) -> Iterator:
     """Wrap an iterator, charging per-record CPU to ``cost`` as it is drained.
 
     A :class:`~repro.common.batch.RowBatch` is charged as its rows, before
     it is handed on: ``len(batch)`` additions, bit-identical to the boxed
     rows' one-by-one charges.
 
-    When ``trace_name`` is given and the running task is being traced, one
-    span covering the whole drain — including any shuffle fetch or HDFS
+    When the running task is being traced, one span named ``trace_name``
+    covering the whole drain — including any shuffle fetch or HDFS
     read charged by the upstream iterator chain — is placed on the task's
     trace row when the iterator is exhausted.
     """
-    span = task_span(trace_name, cost) if trace_name else NOOP_SCOPE
-    with span:
+    with task_span(trace_name, cost):
         for item in iterator:
             if type(item) is RowBatch:
                 cost.cpu_s = accumulate_sequential(

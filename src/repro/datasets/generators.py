@@ -18,26 +18,26 @@ import numpy as np
 from repro.common.errors import ConfigError
 from repro.common.rng import make_rng
 
+#: Power-law exponent of :func:`powerlaw_graph`'s degree distribution.
+POWERLAW_EXPONENT = 2.2
+#: Cap on any single vertex's share of :func:`powerlaw_graph`'s edge
+#: endpoints.  Friendship graphs have hard degree caps (WeChat historically
+#: 5000 friends vs ~275 average, i.e. hubs at most ~20x the mean), whereas
+#: a small graph sampled from the raw power-law would hand its hub a far
+#: larger *relative* share — distorting the memory profile the
+#: reproduction scales down.  This keeps ``max_degree ~ 15-20x mean
+#: degree``.
+MAX_DEGREE_SHARE = 0.002
 
 def powerlaw_graph(num_vertices: int, num_edges: int, *,
-                   exponent: float = 2.2,
-                   max_degree_share: float = 0.002,
                    seed: int | None = None
                    ) -> Tuple[np.ndarray, np.ndarray]:
     """Directed Chung-Lu style power-law graph.
 
     Endpoint ``i`` is drawn with probability proportional to
-    ``(i+1)^(-1/(exponent-1))``, giving an (approximate) power-law degree
-    distribution with the given exponent — hubs exist, as in social graphs.
-
-    Args:
-        max_degree_share: cap on any single vertex's share of edge
-            endpoints.  Friendship graphs have hard degree caps (WeChat
-            historically 5000 friends vs ~275 average, i.e. hubs at most
-            ~20x the mean), whereas a small graph sampled from the raw
-            power-law would hand its hub a far larger *relative* share —
-            distorting the memory profile the reproduction scales down.
-            The default keeps ``max_degree ~ 15-20x mean degree``.
+    ``(i+1)^(-1/(POWERLAW_EXPONENT-1))``, giving an (approximate) power-law
+    degree distribution — hubs exist, as in social graphs — with no vertex
+    above :data:`MAX_DEGREE_SHARE` of the endpoints.
 
     Returns:
         ``(src, dst)`` int64 arrays of length ``num_edges`` (self-loops
@@ -47,18 +47,16 @@ def powerlaw_graph(num_vertices: int, num_edges: int, *,
         raise ConfigError("need at least 2 vertices")
     if num_edges <= 0:
         raise ConfigError("need at least 1 edge")
-    if not 0 < max_degree_share <= 1:
-        raise ConfigError("max_degree_share must be in (0, 1]")
     rng = make_rng(seed)
     ranks = np.arange(1, num_vertices + 1, dtype=np.float64)
-    weights = ranks ** (-1.0 / (exponent - 1.0))
+    weights = ranks ** (-1.0 / (POWERLAW_EXPONENT - 1.0))
     probs = weights / weights.sum()
     for _ in range(8):  # iterative water-filling to respect the cap
-        over = probs > max_degree_share
+        over = probs > MAX_DEGREE_SHARE
         if not over.any():
             break
-        excess = (probs[over] - max_degree_share).sum()
-        probs[over] = max_degree_share
+        excess = (probs[over] - MAX_DEGREE_SHARE).sum()
+        probs[over] = MAX_DEGREE_SHARE
         under = ~over
         probs[under] += excess * probs[under] / probs[under].sum()
     probs = probs / probs.sum()

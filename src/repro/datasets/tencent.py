@@ -79,22 +79,25 @@ def generate_edges(spec: DatasetSpec,
     )
 
 
-def generate_ds3_gnn(spec: DatasetSpec | None = None,
+#: Communities in :func:`generate_ds3_gnn`'s graph.
+DS3_COMMUNITIES = 20
+
+
+def generate_ds3_gnn(spec: DatasetSpec,
                      feature_dim: int = 32, num_classes: int = 5,
-                     num_communities: int = 20,
                      seed: int = DEFAULT_SEED
                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """DS3 stand-in for the GraphSage experiment: a community graph with
-    community-correlated features and labels (the WeChat Pay task of
-    Table I is proprietary; this preserves "a GNN can learn it").
+    """DS3 stand-in for the GraphSage experiment: a community graph of
+    :data:`DS3_COMMUNITIES` communities with community-correlated features
+    and labels (the WeChat Pay task of Table I is proprietary; this
+    preserves "a GNN can learn it").
 
     Returns:
         ``(src, dst, features, labels)``.
     """
-    spec = spec or ds3_spec()
     avg_degree = 2.0 * spec.num_edges / spec.num_vertices
     src, dst, communities = community_graph(
-        spec.num_vertices, num_communities,
+        spec.num_vertices, DS3_COMMUNITIES,
         avg_degree=avg_degree, mixing=0.15, seed=seed,
     )
     feats, labels = vertex_features(

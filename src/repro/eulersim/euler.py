@@ -54,29 +54,32 @@ class EulerSystem:
     rows.  :meth:`stop` releases the containers, drops the graph, features
     and labels, and deletes the files :meth:`preprocess` wrote.
 
+    The system owns its filesystem (:attr:`hdfs`, where the caller writes
+    the raw input) and the registry of its HDFS and YARN meters
+    (:attr:`metrics`).
+
     Args:
         cluster: worker count and memory (the paper gives Euler 90
             executors on DS3).
-        hdfs: shared filesystem holding the raw input.
-        metrics: registry for the HDFS and YARN meters (a fresh one when
-            omitted).
-        sample_rpc_latency_s: per-call latency of the graph engine
-            (sampleNeighbor / getFeature round trip).
-        preprocess_cpu_s_per_record: script-speed CPU per record of the
-            index-mapping and JSON passes.
         seed: root of the split, epoch-order and sampling generators.
     """
 
-    def __init__(self, cluster: ClusterConfig, *, hdfs: Hdfs | None = None,
-                 metrics: MetricsRegistry | None = None,
-                 sample_rpc_latency_s: float = 4e-4,
-                 preprocess_cpu_s_per_record: float = 1e-4,
+    #: Per-call latency of the graph engine (sampleNeighbor / getFeature
+    #: round trip), in sim-seconds.
+    sample_rpc_latency_s = 4e-4
+    #: Per-record CPU of the preprocessing scripts.  The paper reports
+    #: 4 hours of index mapping for 100 M edges (~144 us/record) —
+    #: script-language row processing, not a compiled engine.
+    preprocess_cpu_s_per_record = 1e-4
+    #: Share of the (labeled) vertices :meth:`train_graphsage` trains on;
+    #: the rest evaluate.
+    train_fraction = 0.7
+
+    def __init__(self, cluster: ClusterConfig, *,
                  seed: int = DEFAULT_SEED) -> None:
         self.cluster = cluster
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.hdfs = hdfs if hdfs is not None else Hdfs(
-            cluster.cost_model, self.metrics
-        )
+        self.metrics = MetricsRegistry()
+        self.hdfs = Hdfs(cluster.cost_model, self.metrics)
         self.rm = ResourceManager(self.metrics)
         self.workers = self.rm.request_many(
             "euler-worker", cluster.num_executors, cluster.executor_mem_bytes
@@ -84,11 +87,6 @@ class EulerSystem:
         self.driver = self.rm.request(
             "euler-driver", cluster.executor_mem_bytes, name="euler-driver"
         )
-        self.sample_rpc_latency_s = sample_rpc_latency_s
-        #: Per-record CPU of the preprocessing scripts.  The paper reports
-        #: 4 hours of index mapping for 100 M edges (~144 us/record) —
-        #: script-language row processing, not a compiled engine.
-        self.preprocess_cpu_s_per_record = preprocess_cpu_s_per_record
         self.seed = seed
         # In-memory state after preprocess().
         self._block: NeighborBlock | None = None
@@ -189,8 +187,7 @@ class EulerSystem:
                         batch_size: int = 512,
                         fanouts: Tuple[int, int] = (10, 5),
                         lr: float = 0.01,
-                        labeled_fraction: float = 1.0,
-                        train_fraction: float = 0.7
+                        labeled_fraction: float = 1.0
                         ) -> Dict[str, object]:
         """Train GraphSage with per-vertex RPC sampling costs.
 
@@ -207,7 +204,7 @@ class EulerSystem:
         rng.shuffle(present)
         if labeled_fraction < 1.0:
             present = present[:max(2, int(len(present) * labeled_fraction))]
-        cut = int(len(present) * train_fraction)
+        cut = int(len(present) * self.train_fraction)
         train_ids = np.sort(present[:cut])
         test_ids = np.sort(present[cut:])
         model = blob.instantiate()

@@ -57,9 +57,12 @@ SYNC_CELLS: List[Cell] = [
 ]
 
 
-def ablation_partitioners(num_vertices: int = 100_000,
-                          num_partitions: int = 16,
-                          seed: int = DEFAULT_SEED) -> List[ExperimentRow]:
+#: Id space and partition count of :func:`ablation_partitioners`.
+PARTITIONER_VERTICES = 100_000
+PARTITIONER_PARTITIONS = 16
+
+
+def ablation_partitioners(seed: int = DEFAULT_SEED) -> List[ExperimentRow]:
     """Load balance of hash / range / hash-range for a skewed key pattern.
 
     Keys are drawn with a power-law over the id space *without* the id
@@ -67,6 +70,7 @@ def ablation_partitioners(num_vertices: int = 100_000,
     ids) — range partitioning then concentrates hot ranges while hash and
     hash-range spread them.  No cluster runs, so rows carry no sim time.
     """
+    num_vertices = PARTITIONER_VERTICES
     rng = np.random.default_rng(seed)
     ranks = np.arange(1, num_vertices + 1, dtype=np.float64)
     probs = ranks ** -0.8
@@ -75,7 +79,7 @@ def ablation_partitioners(num_vertices: int = 100_000,
     out: List[ExperimentRow] = []
     for kind in ("hash", "range", "hash-range"):
         partitioner = make_ps_partitioner(kind, num_vertices,
-                                          num_partitions)
+                                          PARTITIONER_PARTITIONS)
         counts = np.bincount(partitioner.partition_array(keys),
                              minlength=partitioner.num_partitions)
         out.append(ExperimentRow(

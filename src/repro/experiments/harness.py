@@ -99,16 +99,16 @@ def _cell_text(value: Any) -> str:
     return f"{value:.4g}" if isinstance(value, float) else str(value)
 
 
-def speedup(rows: List[ExperimentRow], dataset: str, algorithm: str,
-            fast: str = "PSGraph", slow: str = "GraphX"
+def speedup(rows: List[ExperimentRow], dataset: str, algorithm: str
             ) -> Optional[float]:
-    """Ratio slow/fast of projected runtimes for one cell (None on OOM)."""
+    """Ratio GraphX / PSGraph of projected runtimes for one cell (None on
+    OOM)."""
     by_system = {
         r.system: r for r in rows
         if r.dataset == dataset and r.algorithm == algorithm
     }
-    a = by_system.get(fast)
-    b = by_system.get(slow)
+    a = by_system.get("PSGraph")
+    b = by_system.get("GraphX")
     if not a or not b or a.projected is None or b.projected is None:
         return None
     if a.projected == 0:

@@ -52,7 +52,11 @@ SECTIONS: List[Tuple[str, str, Callable[[], List[ExperimentRow]]]] = [
 ]
 
 
-def ascii_bars(rows: List[ExperimentRow], width: int = 40) -> str:
+#: Characters in the longest bar of :func:`ascii_bars`.
+BAR_WIDTH = 40
+
+
+def ascii_bars(rows: List[ExperimentRow]) -> str:
     """Figure-6-style horizontal bar chart of projected hours."""
     values = [r.projected for r in rows if r.projected is not None]
     if not values:
@@ -64,7 +68,7 @@ def ascii_bars(rows: List[ExperimentRow], width: int = 40) -> str:
         if r.projected is None:
             lines.append(f"{label:42s} OOM")
         else:
-            n = max(1, int(width * r.projected / top))
+            n = max(1, int(BAR_WIDTH * r.projected / top))
             lines.append(
                 f"{label:42s} {'#' * n} {r.projected:.2f}h"
             )

@@ -66,7 +66,7 @@ def _one_pass(ctx: SparkContext, src: np.ndarray, dst: np.ndarray,
               ) -> Tuple[np.ndarray, int, int]:
     """One modularity-optimization phase: ``(vertex -> community, move
     rounds, vertices moved)``."""
-    p = num_partitions or ctx.cluster.parallelism
+    p = num_partitions or ctx.cluster.num_executors
     p = max(1, min(p, max(1, len(src))))
     cm = ctx.cluster.cost_model
     weights = [w[i::p] for i in range(p)]

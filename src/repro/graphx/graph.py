@@ -181,7 +181,7 @@ class Graph:
             raise GraphLoadError("empty edge list")
         if src.min() < 0 or dst.min() < 0:
             raise GraphLoadError("negative vertex id")
-        p = num_partitions or ctx.cluster.parallelism
+        p = num_partitions or ctx.cluster.num_executors
         p = max(1, min(p, len(src)))
         edge_parts = [
             (src[i::p].copy(), dst[i::p].copy()) for i in range(p)

@@ -71,24 +71,26 @@ class Hdfs:
     Attributes:
         cost_model: hardware constants used to charge IO time.
         metrics: cluster metrics registry (optional).
-        replication: default replication factor; writes charge the disk
-            pipeline ``replication`` times, reads charge it once.
     """
 
     cost_model: CostModel = DEFAULT_COST_MODEL
     metrics: MetricsRegistry | None = None
-    replication: int = 3
-    _files: Dict[str, HdfsFile] = field(default_factory=dict)
+    _files: Dict[str, HdfsFile] = field(default_factory=dict, init=False)
+
+    #: Replication factor: writes charge the disk pipeline this many
+    #: times, reads charge it once.
+    replication = 3
 
     # -- write ------------------------------------------------------------
 
-    def write_bytes(self, path: str, data: bytes, *, overwrite: bool = False,
-                    cost: TaskCost | None = None) -> HdfsFile:
-        """Write raw bytes to ``path``."""
-        return self._store(path, bytes(data), len(data), overwrite, cost)
+    def write_bytes(self, path: str, data: bytes, *,
+                    overwrite: bool = False) -> HdfsFile:
+        """Write raw bytes to ``path`` from outside any task (staging an
+        input); the bytes are metered, no task is charged."""
+        return self._store(path, bytes(data), len(data), overwrite, None)
 
     def write_text(self, path: str, text: str | Iterable[str], *,
-                   overwrite: bool = False,
+                   overwrite: bool,
                    cost: TaskCost | None = None) -> HdfsFile:
         """Write a text file; an iterable of lines is joined with newlines."""
         if not isinstance(text, str):
@@ -98,7 +100,7 @@ class Hdfs:
         data = text.encode("utf-8")
         return self._store(path, data, len(data), overwrite, cost)
 
-    def write_pickle(self, path: str, obj: Any, *, overwrite: bool = False,
+    def write_pickle(self, path: str, obj: Any, *, overwrite: bool,
                      cost: TaskCost | None = None) -> HdfsFile:
         """Snapshot ``obj`` (deep copy via pickle); charges its logical size."""
         data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
@@ -132,16 +134,12 @@ class Hdfs:
         self._charge_read(f, cost)
         return f.payload
 
-    def read_text(self, path: str, *, cost: TaskCost | None = None) -> str:
-        """Read a UTF-8 text file."""
-        return self.read_bytes(path, cost=cost).decode("utf-8")
-
     def read_lines(self, path: str, *,
-                   cost: TaskCost | None = None) -> List[str]:
+                   cost: TaskCost | None) -> List[str]:
         """Read a text file and split into non-empty lines."""
         return text_lines(self.read_bytes(path, cost=cost))
 
-    def read_pickle(self, path: str, *, cost: TaskCost | None = None) -> Any:
+    def read_pickle(self, path: str, *, cost: TaskCost | None) -> Any:
         """Load a pickled snapshot written by :meth:`write_pickle`."""
         f = self._lookup(path)
         self._charge_read(f, cost)
@@ -171,22 +169,11 @@ class Hdfs:
         """True if ``path`` names an existing file."""
         return _normalize(path) in self._files
 
-    def delete(self, path: str, *, recursive: bool = False) -> int:
-        """Delete a file, or a whole subtree with ``recursive=True``.
-
-        Returns:
-            Number of files removed.
-        """
+    def delete(self, path: str) -> None:
+        """Delete one file."""
         path = _normalize(path)
-        if not recursive:
-            if self._files.pop(path, None) is None:
-                raise FileNotFoundOnHdfsError(path)
-            return 1
-        prefix = path + "/"
-        doomed = [p for p in self._files if p == path or p.startswith(prefix)]
-        for p in doomed:
-            del self._files[p]
-        return len(doomed)
+        if self._files.pop(path, None) is None:
+            raise FileNotFoundOnHdfsError(path)
 
     def listdir(self, path: str) -> List[str]:
         """List files under directory ``path``, sorted."""

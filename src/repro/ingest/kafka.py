@@ -60,9 +60,10 @@ class KafkaTopic:
 
     name: str
     num_partitions: int = 4
-    _logs: List[List[MutationBatch]] = field(default_factory=list)
+    _logs: List[List[MutationBatch]] = field(default_factory=list,
+                                             init=False)
     #: Per partition, the offset each chunk starts at, then the log's end.
-    _starts: List[List[int]] = field(default_factory=list)
+    _starts: List[List[int]] = field(default_factory=list, init=False)
 
     def __post_init__(self) -> None:
         if self.num_partitions <= 0:
@@ -102,20 +103,15 @@ class KafkaTopic:
         """Append vertex-remove records; returns records appended."""
         return self._append(vertex_dels(vertices))
 
-    def read(self, partition: int, offset: int,
-             max_records: int | None = None) -> MutationBatch:
-        """Records of ``partition`` from ``offset`` (up to
-        ``max_records``), across chunk boundaries."""
+    def read(self, partition: int, offset: int) -> MutationBatch:
+        """Records of ``partition`` from ``offset`` on, across chunk
+        boundaries."""
         starts = self._starts[partition]
-        end = starts[-1] if max_records is None else min(
-            starts[-1], offset + max_records)
         first = max(bisect_right(starts, offset) - 1, 0)
-        pieces = []
-        for chunk, lo in zip(self._logs[partition][first:], starts[first:]):
-            if lo >= end:
-                break
-            pieces.append(chunk[max(offset - lo, 0):end - lo])
-        return MutationBatch.concat(pieces)
+        return MutationBatch.concat([
+            chunk[max(offset - lo, 0):]
+            for chunk, lo in zip(self._logs[partition][first:],
+                                 starts[first:])])
 
 
 class EdgeStreamConsumer:
@@ -130,11 +126,6 @@ class EdgeStreamConsumer:
             committed position (offsets + file counter) is persisted as a
             *sibling* file ``{landing_dir}.offsets`` so a restarted
             consumer resumes exactly where the last committed poll ended.
-        sink: optional callback receiving each poll's mutations as one
-            :class:`~repro.ingest.mutations.MutationBatch` in partition
-            order during the merge phase (before the offset commit) — the
-            hook :class:`repro.streaming.engine.StreamingEngine` uses to
-            feed a :class:`~repro.streaming.graph.StreamingGraph`.
         metrics: optional counters (``ingest.records``, ``ingest.polls``
             for consuming polls, ``ingest.polls.empty`` for polls that
             found nothing).
@@ -145,13 +136,17 @@ class EdgeStreamConsumer:
 
     def __init__(self, topic: KafkaTopic, hdfs: Hdfs,
                  landing_dir: str = "/ingest",
-                 sink: Optional[Callable[[MutationBatch], None]] = None,
                  metrics: Optional[MetricsRegistry] = None,
                  resume: bool = False) -> None:
         self.topic = topic
         self.hdfs = hdfs
         self.landing_dir = landing_dir.rstrip("/")
-        self.sink = sink
+        #: Callback receiving each poll's mutations as one
+        #: :class:`~repro.ingest.mutations.MutationBatch` in partition
+        #: order during the merge phase (before the offset commit) — the
+        #: hook :class:`repro.streaming.engine.StreamingEngine` sets to feed
+        #: a :class:`~repro.streaming.graph.StreamingGraph`.
+        self.sink: Optional[Callable[[MutationBatch], None]] = None
         # Scoped view: every counter below lands under "ingest." without
         # hand-concatenating name strings at each call site.
         self.metrics = (
@@ -169,7 +164,7 @@ class EdgeStreamConsumer:
         """HDFS path of the persisted committed position."""
         return f"{self.landing_dir}.offsets"
 
-    def poll(self, max_records_per_partition: int | None = None) -> int:
+    def poll(self) -> int:
         """Consume one batch: land on HDFS, then hand it to the sink.
 
         The phases run in recovery-safe order — **stage, land, merge,
@@ -185,9 +180,7 @@ class EdgeStreamConsumer:
         # Phase 1 — stage: read every partition without moving offsets.
         staged: Dict[int, MutationBatch] = {}
         for p in range(self.topic.num_partitions):
-            records = self.topic.read(
-                p, self.offsets[p], max_records_per_partition
-            )
+            records = self.topic.read(p, self.offsets[p])
             if len(records):
                 staged[p] = records
         if not staged:
@@ -235,7 +228,8 @@ class EdgeStreamConsumer:
         )
 
     def _restore_position(self) -> None:
-        doc = json.loads(self.hdfs.read_lines(self.position_path)[0])
+        doc = json.loads(
+            self.hdfs.read_lines(self.position_path, cost=None)[0])
         for p in self.offsets:
             self.offsets[p] = int(doc["offsets"].get(str(p), 0))
         self._files = int(doc["files"])

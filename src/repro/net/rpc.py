@@ -2,15 +2,11 @@
 
 The parameter-server agents in each Spark executor talk to the PS servers via
 "RPC (remote process call)" (Sec. III-C).  This module provides that fabric
-for the simulated cluster: named endpoints, request/response calls that
-charge simulated network time to the caller, and liveness so failure
-injection (killing a server) surfaces as :class:`RpcError` at call sites.
-
-Congestion is modelled explicitly because it is one of the paper's design
-motivations ("using one machine to store the latent vectors could cause
-serious network congestion"): when ``concurrent_clients`` exceed the number
-of serving endpoints, the effective per-transfer bandwidth shrinks
-proportionally.
+for the simulated cluster: named endpoints, liveness so failure injection
+(killing a server) surfaces as :class:`RpcError` at call sites, and the fault
+hook the chaos engine installs.  The PS agent dispatches to a live endpoint's
+handler itself and charges its own cost; :meth:`RpcEnv.call` is the master's
+metered health ping.
 """
 
 from __future__ import annotations
@@ -18,19 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional
 
-from repro.common.costs import DEFAULT_COST_MODEL, CostModel
 from repro.common.errors import EndpointNotFoundError, RpcError
 from repro.common.metrics import RPC_BYTES, RPC_CALLS, MetricsRegistry
 from repro.common.simclock import TaskCost
-from repro.common.sizeof import sizeof
-
-
-def _task_span(name: str, cost: TaskCost, tags: dict):
-    """In-task trace scope; imported lazily to avoid an import cycle with
-    the dataflow package (whose context module imports this one)."""
-    from repro.dataflow.taskctx import task_span
-
-    return task_span(name, cost, tags)
 
 
 @dataclass
@@ -45,25 +31,26 @@ class RpcEndpoint:
 
     name: str
     handler: Any
-    alive: bool = True
+    alive: bool = field(default=True, init=False)
 
 
 @dataclass
 class RpcEnv:
     """Registry of endpoints plus the metered call path."""
 
-    cost_model: CostModel = DEFAULT_COST_MODEL
-    metrics: MetricsRegistry | None = None
-    _endpoints: Dict[str, RpcEndpoint] = field(default_factory=dict)
+    metrics: MetricsRegistry | None
+    _endpoints: Dict[str, RpcEndpoint] = field(default_factory=dict,
+                                               init=False)
     #: Optional fault hook ``(endpoint, method) -> extra_latency_s``; may
     #: raise :class:`RpcError` to fail the call.  Installed by the chaos
     #: engine; consulted by :meth:`check_fault` on every metered call path
-    #: (including the PS agent's direct-dispatch fast path, which bypasses
+    #: (including the PS agent's direct dispatch, which bypasses
     #: :meth:`call`).
-    fault_injector: Optional[Callable[[str, str], float]] = None
+    fault_injector: Optional[Callable[[str, str], float]] = field(
+        default=None, init=False)
 
     def check_fault(self, name: str, method: str,
-                    cost: TaskCost | None = None) -> None:
+                    cost: TaskCost | None) -> None:
         """Give the installed fault injector a chance to fail this call.
 
         Extra latency the injector returns (or attaches to a raised
@@ -100,14 +87,13 @@ class RpcEnv:
             raise EndpointNotFoundError(name)
         ep.alive = False
 
-    def revive(self, name: str, handler: Any | None = None) -> None:
-        """Bring an endpoint back, optionally with a fresh handler."""
+    def revive(self, name: str, handler: Any) -> None:
+        """Bring an endpoint back with a fresh handler."""
         ep = self._endpoints.get(name)
         if ep is None:
             raise EndpointNotFoundError(name)
         ep.alive = True
-        if handler is not None:
-            ep.handler = handler
+        ep.handler = handler
 
     def is_alive(self, name: str) -> bool:
         """Liveness check used by the PS master's health probes."""
@@ -121,60 +107,19 @@ class RpcEnv:
             raise EndpointNotFoundError(name)
         return ep
 
-    def call(
-        self,
-        name: str,
-        method: str,
-        *args: Any,
-        cost: TaskCost | None = None,
-        request_bytes: int | None = None,
-        response_bytes: int | Callable[[Any], int] | None = None,
-        concurrent_clients: int = 1,
-        num_servers: int = 1,
-        **kwargs: Any,
-    ) -> Any:
-        """Invoke ``method`` on endpoint ``name`` and charge the caller.
-
-        Args:
-            cost: caller's task-cost accumulator; charged latency plus
-                transfer time for request and response payloads.
-            request_bytes: payload size of the request; estimated from
-                ``args`` when omitted.
-            response_bytes: payload size of the response — an int, a callable
-                applied to the returned value, or ``None`` to estimate.
-            concurrent_clients / num_servers: congestion inputs; bandwidth is
-                divided by ``max(1, concurrent_clients / num_servers)``.
-        """
+    def call(self, name: str, method: str, *, request_bytes: int,
+             response_bytes: int) -> Any:
+        """Invoke the argument-free ``method`` on endpoint ``name`` and
+        meter one call of ``request_bytes + response_bytes``."""
         ep = self.endpoint(name)
         if not ep.alive:
             raise RpcError(f"endpoint {name} is not alive")
-        self.check_fault(name, method, cost)
+        self.check_fault(name, method, None)
         fn = getattr(ep.handler, method, None)
         if fn is None:
             raise RpcError(f"endpoint {name} has no method {method!r}")
-        result = fn(*args, **kwargs)
-        if request_bytes is None:
-            request_bytes = sum(sizeof(a) for a in args)
-        if callable(response_bytes):
-            response_bytes = response_bytes(result)
-        elif response_bytes is None:
-            response_bytes = sizeof(result)
-        payload = request_bytes + response_bytes
-        congestion = max(1.0, concurrent_clients / max(1, num_servers))
-        transfer_s = 0.0
-        if cost is not None:
-            # When called from inside a dataflow task, the transfer lands
-            # as a span on the task's trace row (no-op otherwise).
-            with _task_span(f"rpc.{method}", cost,
-                            {"endpoint": name, "bytes": payload}):
-                net_s = self.cost_model.network_time(payload, congestion)
-                ser_s = self.cost_model.serialization_time(payload)
-                cost.net_s += net_s
-                cost.cpu_s += ser_s
-                transfer_s = net_s + ser_s
+        result = fn()
         if self.metrics is not None:
             self.metrics.inc(RPC_CALLS)
-            self.metrics.inc(RPC_BYTES, payload)
-            if cost is not None:
-                self.metrics.observe("net.rpc.latency_s", transfer_s)
+            self.metrics.inc(RPC_BYTES, request_bytes + response_bytes)
         return result

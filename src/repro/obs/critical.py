@@ -106,13 +106,16 @@ class PathRow:
                 "pct": self.pct}
 
 
+#: Rows :meth:`CriticalPathReport.table` shows before its "(other)" tail.
+TOP_N = 25
+
+
 @dataclass
 class CriticalPathReport:
     """Full attribution of end-to-end sim time."""
 
     sim_time_s: float
     rows: List[PathRow]          # every row, sorted by seconds desc
-    top_n: int
 
     @property
     def covered_s(self) -> float:
@@ -127,12 +130,13 @@ class CriticalPathReport:
         return 100.0 * self.covered_s / self.sim_time_s
 
     def table(self) -> List[PathRow]:
-        """Top-N rows plus an "(other)" tail so the table sums to 100%."""
-        if len(self.rows) <= self.top_n:
+        """Top :data:`TOP_N` rows plus an "(other)" tail so the table sums
+        to 100%."""
+        if len(self.rows) <= TOP_N:
             return list(self.rows)
-        head = self.rows[:self.top_n]
-        tail_s = sum(r.seconds for r in self.rows[self.top_n:])
-        tail_pct = sum(r.pct for r in self.rows[self.top_n:])
+        head = self.rows[:TOP_N]
+        tail_s = sum(r.seconds for r in self.rows[TOP_N:])
+        tail_pct = sum(r.pct for r in self.rows[TOP_N:])
         return head + [PathRow("(other)", tail_s, tail_pct)]
 
     def to_dict(self) -> Dict[str, object]:
@@ -145,12 +149,12 @@ class CriticalPathReport:
         }
 
 
-def critical_path(spans: Sequence[Span], sim_time_s: float, *,
-                  top_n: int = 25) -> CriticalPathReport:
+def critical_path(spans: Sequence[Span],
+                  sim_time_s: float) -> CriticalPathReport:
     """Attribute ``sim_time_s`` across stages/operators from span trees."""
     alloc: Dict[Tuple[str, str], float] = defaultdict(float)
     if sim_time_s <= 0.0:
-        return CriticalPathReport(sim_time_s, [], top_n)
+        return CriticalPathReport(sim_time_s, [])
 
     stages = sorted(
         (s for s in spans
@@ -221,7 +225,7 @@ def critical_path(spans: Sequence[Span], sim_time_s: float, *,
          for (group, op), secs in alloc.items()),
         key=lambda r: (-r.seconds, r.label),
     )
-    return CriticalPathReport(sim_time_s, rows, top_n)
+    return CriticalPathReport(sim_time_s, rows)
 
 
 def _attribute_stage(alloc: Dict[Tuple[str, str], float], kind: str,

@@ -41,7 +41,12 @@ from repro.common.config import MB, ClusterConfig
 from repro.common.metrics import MetricsRegistry
 from repro.common.rng import DEFAULT_SEED, derive_seed
 from repro.obs.export import spans_from_json
-from repro.obs.races import RaceReport, find_races
+from repro.obs.races import (
+    RaceReport,
+    extract_accesses,
+    extract_fences,
+    find_races,
+)
 from repro.obs.record import build_record
 from repro.obs.tracer import Span, Tracer
 
@@ -223,10 +228,11 @@ def check_determinism(name: str,
     """Run ``name`` twice with ``seed`` and compare every event."""
     one, two = run_workload(name, seed), run_workload(name, seed)
     segs = segments(one)
+    spans = spans_from_json(one["spans"])
     return DeterminismReport(
         workload=name, seed=seed, digests=digests(segs),
         divergence=first_divergence(segs, segments(two)),
-        races=find_races(spans_from_json(one["spans"])),  # type: ignore[arg-type]
+        races=find_races(extract_accesses(spans), extract_fences(spans)),
     )
 
 

@@ -204,22 +204,16 @@ def _same_location(a: PsAccess, b: PsAccess) -> bool:
     return a.col is None or b.col is None or a.col == b.col
 
 
-def find_races(spans: Iterable[Span] | None = None, *,
-               accesses: Sequence[PsAccess] | None = None,
-               fences: Sequence[Tuple[float, str]] | None = None,
-               ) -> List[RaceReport]:
-    """Find unsynchronized conflicting PS access pairs.
+def find_races(accesses: Sequence[PsAccess],
+               fences: Sequence[Tuple[float, str]]) -> List[RaceReport]:
+    """Find unsynchronized conflicting PS access pairs among ``accesses``
+    (:func:`extract_accesses` of a span list) ordered by ``fences``
+    (:func:`extract_fences`).
 
-    Call with a raw span list (accesses and fences are extracted), or pass
-    ``accesses`` / ``fences`` directly for hand-built sequences in tests.
     Reports are deduplicated per (matrix, kind, op pair) — which pair of
     *operations* conflicts, not which executors happened to collide — and
     the ``count`` field carries how many concrete windows matched.
     """
-    if accesses is None:
-        accesses = extract_accesses(spans or [])
-    if fences is None:
-        fences = extract_fences(spans or []) if spans is not None else []
     fence_times = sorted(t for t, _kind in fences)
 
     by_matrix: Dict[str, List[PsAccess]] = {}

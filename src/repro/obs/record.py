@@ -78,7 +78,7 @@ def telemetry_doc(record: Dict[str, object],
            "sim_time_s": sim_time_s,
            "telemetry": record.get("telemetry", {}),
            "critical_path": critical_path(
-               spans, sim_time_s, top_n=25).to_dict()}  # type: ignore[arg-type]
+               spans, sim_time_s).to_dict()}  # type: ignore[arg-type]
     if "chaos" in record:
         doc["chaos"] = record["chaos"]
     return json.loads(json.dumps(doc, sort_keys=True))

@@ -41,7 +41,7 @@ Three objective kinds cover the simulator's streams:
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.common.metrics import (
@@ -54,7 +54,7 @@ from repro.common.metrics import (
     TASKS_FAILED,
     TASKS_LAUNCHED,
 )
-from repro.obs.tracer import NOOP_TRACER, NoopTracer
+from repro.obs.tracer import NoopTracer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.dataflow.context import SparkContext
@@ -136,7 +136,7 @@ class Alert:
     fired_at_s: float
     burn_short: float
     burn_long: float
-    resolved_at_s: Optional[float] = None
+    resolved_at_s: Optional[float] = field(default=None, init=False)
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -349,14 +349,13 @@ class TelemetryCollector:
     """The tick hook that evaluates an :class:`SloEngine` for one
     simulated run and mirrors its alerts into the trace and metrics."""
 
-    def __init__(self, metrics: MetricsRegistry,
-                 tracer: NoopTracer = NOOP_TRACER, *,
-                 window_s: float = DEFAULT_WINDOW_S,
+    def __init__(self, metrics: MetricsRegistry, tracer: NoopTracer, *,
                  slos: Optional[List[SloSpec]] = None) -> None:
         self.metrics = metrics
         self.tracer = tracer
         self.engine = SloEngine(
-            default_slos() if slos is None else slos, window_s=window_s)
+            default_slos() if slos is None else slos,
+            window_s=DEFAULT_WINDOW_S)
         self._spark: Optional["SparkContext"] = None
 
     def attach(self, spark: "SparkContext") -> "TelemetryCollector":

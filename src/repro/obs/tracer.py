@@ -97,12 +97,12 @@ class NoopTracer:
         """Record a completed span (no-op)."""
 
     def instant(self, component: str, track: str, name: str, ts_s: float,
-                tags: Optional[Dict[str, object]] = None) -> None:
+                tags: Optional[Dict[str, object]]) -> None:
         """Record a point event (no-op)."""
 
     def clock_span(self, component: str, track: str, name: str,
                    clock: SimClock,
-                   tags: Optional[Dict[str, object]] = None):
+                   tags: Optional[Dict[str, object]]):
         """Span covering a clock-advancing region (no-op scope)."""
         return NOOP_SCOPE
 
@@ -187,7 +187,7 @@ class _CostSpanScope:
 class Tracer:
     """Recording tracer: collects :class:`Span` objects in memory."""
 
-    _spans: List[Span] = field(default_factory=list)
+    _spans: List[Span] = field(default_factory=list, init=False)
 
     enabled = True
 
@@ -199,7 +199,7 @@ class Tracer:
         )
 
     def instant(self, component: str, track: str, name: str, ts_s: float,
-                tags: Optional[Dict[str, object]] = None) -> None:
+                tags: Optional[Dict[str, object]]) -> None:
         """Record a point event at sim-time ``ts_s``."""
         self._spans.append(
             Span(component, track, name, ts_s, ts_s, tags, kind=INSTANT)
@@ -207,7 +207,7 @@ class Tracer:
 
     def clock_span(self, component: str, track: str, name: str,
                    clock: SimClock,
-                   tags: Optional[Dict[str, object]] = None
+                   tags: Optional[Dict[str, object]]
                    ) -> _ClockSpanScope:
         """Span whose boundaries are read from ``clock`` at enter/exit.
 

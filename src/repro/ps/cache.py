@@ -33,7 +33,7 @@ cached rows so a worker always sees its own updates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -52,9 +52,9 @@ _NO_KEY = np.iinfo(np.int64).min
 class CacheStats:
     """Hit/miss/eviction counters for one cached matrix."""
 
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
+    hits: int = field(default=0, init=False)
+    misses: int = field(default=0, init=False)
+    evictions: int = field(default=0, init=False)
 
     @property
     def hit_rate(self) -> float:

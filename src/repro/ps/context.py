@@ -51,10 +51,8 @@ class PSContext:
     """One parameter-server deployment attached to a SparkContext.
 
     Args:
-        spark: the owning SparkContext (provides Yarn, RPC, HDFS, metrics).
-        num_servers: server containers to launch; defaults to the cluster
-            config's ``num_servers``.
-        server_mem_bytes: per-server grant; defaults to the cluster config.
+        spark: the owning SparkContext (provides Yarn, RPC, HDFS, metrics,
+            and the cluster config's server count and grant).
         checkpoint_dir: HDFS directory for partition checkpoints.
         checkpoint_interval: when > 0, every Nth :meth:`barrier` call
             checkpoints every registered model to HDFS — the paper's
@@ -65,26 +63,19 @@ class PSContext:
     """
 
     def __init__(self, spark: SparkContext, *,
-                 num_servers: int | None = None,
-                 server_mem_bytes: int | None = None,
                  checkpoint_dir: str = "/ps-checkpoints",
                  checkpoint_interval: int = 0,
                  sync_mode: str = "bsp") -> None:
         cluster = spark.cluster
-        num_servers = num_servers or cluster.num_servers
-        server_mem_bytes = server_mem_bytes or cluster.server_mem_bytes
-        if num_servers <= 0:
+        if cluster.num_servers <= 0:
             raise ConfigError(
-                "PSContext needs at least one server (set num_servers or "
-                "ClusterConfig.num_servers)"
-            )
-        if server_mem_bytes <= 0:
-            raise ConfigError("server_mem_bytes must be positive")
+                "PSContext needs at least one server "
+                "(ClusterConfig.num_servers)")
         self.spark = spark
         self.checkpoint_dir = checkpoint_dir.rstrip("/")
         self.checkpoint_interval = checkpoint_interval
         containers = spark.resource_manager.request_many(
-            "ps-server", num_servers, server_mem_bytes
+            "ps-server", cluster.num_servers, cluster.server_mem_bytes
         )
         self.servers: List[PSServer] = [
             PSServer(i, c, cluster.cost_model, spark.hdfs,
@@ -120,7 +111,7 @@ class PSContext:
         self._iteration_driven = False
         #: ``progress`` value captured by the most recent checkpoint.
         self._ckpt_progress = 0
-        spark.metrics.set_gauge(PS_SERVERS_TOTAL_G, float(num_servers))
+        spark.metrics.set_gauge(PS_SERVERS_TOTAL_G, float(cluster.num_servers))
         self.update_liveness_gauge()
 
     # ------------------------------------------------------------------
@@ -167,7 +158,7 @@ class PSContext:
             # full-row gather or scatter is one strided copy per width.
             meta.part_offsets = meta.partitioner.bounds.tolist()
             meta.data = ColumnShardMatrix(meta.rows, meta.part_offsets,
-                                          meta.dtype, meta.init)
+                                          meta.dtype)
         elif meta.storage == "neighbor":
             servers, name = self.servers, meta.name
             owners = [meta.server_of(p) for p in parts]
@@ -197,9 +188,10 @@ class PSContext:
         if axis not in (0, 1):
             raise ConfigError("axis must be 0 or 1")
         if (axis == 1) != (storage == "column") or (
-                axis == 1 and partition != "range"):
+                axis == 1 and (partition != "range" or init != 0.0)):
             raise ConfigError("a column-sharded matrix (axis=1) has "
-                              "storage='column' and partition='range'")
+                              "storage='column', partition='range' and "
+                              "init 0 (RandomInit fills it)")
         if optimizer is not None and storage not in ("dense", "column"):
             raise ConfigError(f"no server-side optimizer on {storage!r} "
                               "storage")
@@ -223,26 +215,23 @@ class PSContext:
         self._register(meta, handle)
         return handle
 
-    def create_vector(self, name: str, size: int,
-                      dtype: np.dtype = np.float64, *,
+    def create_vector(self, name: str, size: int, *,
                       partition: str = "range", init: float = 0.0,
                       num_partitions: int | None = None) -> PSVector:
-        """Create a PS vector (1-column dense matrix)."""
+        """Create a float64 PS vector (1-column dense matrix)."""
         return self.create_matrix(
-            name, size, 1, dtype, partition=partition, init=init,
+            name, size, 1, np.float64, partition=partition, init=init,
             num_partitions=num_partitions,
         )
 
-    def create_embedding(self, name: str, rows: int, dim: int,
-                         dtype: np.dtype = np.float32, *,
-                         optimizer: Optimizer | None = None,
+    def create_embedding(self, name: str, rows: int, dim: int, *,
                          num_partitions: int | None = None) -> PSEmbedding:
-        """Create a column-sharded embedding matrix (the LINE layout of
-        Sec. IV-D: same dimensions of all vectors co-located per server)."""
+        """Create a float32 column-sharded embedding matrix (the LINE layout
+        of Sec. IV-D: same dimensions of all vectors co-located per
+        server)."""
         return self.create_matrix(
-            name, rows, dim, dtype, partition="range", axis=1,
-            storage="column", optimizer=optimizer,
-            num_partitions=num_partitions
+            name, rows, dim, np.float32, partition="range", axis=1,
+            storage="column", num_partitions=num_partitions
             or max(1, min(dim, self.num_servers)),
         )
 
@@ -332,8 +321,18 @@ class PSContext:
         return total
 
     def checkpoint_all(self) -> int:
-        """Checkpoint every registered model; total bytes written."""
-        return sum(self.checkpoint_matrix(n) for n in self.matrix_names())
+        """Checkpoint every registered model; total bytes written.
+
+        All partitions or none: a dead server that holds a partition
+        raises :class:`ContainerLostError` before anything is written, so
+        the files never mix two iterations.
+        """
+        names = self.matrix_names()
+        for name in names:
+            meta = self.matrix_meta(name)
+            for pid in range(meta.num_partitions):
+                self.servers[meta.server_of(pid)].container.ensure_alive()
+        return sum(self.checkpoint_matrix(n) for n in names)
 
     def kill_server(self, index: int) -> None:
         """Failure injection: kill one PS server (Table II)."""
@@ -355,9 +354,11 @@ class PSContext:
             float(sum(1 for s in self.servers if s.container.alive)),
         )
 
-    def recover(self, mode: str = "relaxed") -> List[int]:
-        """Detect and recover dead servers (see :class:`PSMaster`)."""
-        return self.master.recover(mode)
+    def recover(self) -> List[int]:
+        """Detect and recover dead servers, reloading only their partitions
+        (relaxed mode; ``master.recover("strict")`` rolls every partition
+        back, see :class:`PSMaster`)."""
+        return self.master.recover("relaxed")
 
     def note_recovery(self, mode: str, dead: List[int]) -> None:
         """Master callback after a completed recovery: bump generations.
@@ -431,14 +432,17 @@ class PSContext:
             self._ckpt_progress = self.progress
 
     def _checkpoint_with_recovery(self) -> None:
-        """Checkpoint all models, recovering once if a server is down."""
+        """Checkpoint all models, recovering once if a server is down.  A
+        strict recovery restores every partition from the files, which
+        then already hold the model; a relaxed one writes them again."""
         try:
             self.checkpoint_all()
         except (RpcError, ContainerLostError):
             if not self.auto_recover:
                 raise
             self.master.recover(self.recovery_mode)
-            self.checkpoint_all()
+            if self.recovery_mode != "strict":
+                self.checkpoint_all()
 
     def barrier(self) -> float:
         """End-of-iteration barrier (BSP) or epoch tick (ASP).

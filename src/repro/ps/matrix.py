@@ -65,18 +65,17 @@ class PSMatrix:
 
 
 class PSVector(PSMatrix):
-    """Handle to a 1-column matrix; pulls return 1-d arrays."""
+    """Handle to a 1-column matrix; its one column is read and written as
+    1-d arrays."""
 
-    def pull(self, keys: np.ndarray, col: int | None = 0) -> np.ndarray:
-        return self.psctx.agent.pull(self.meta, keys, col)
+    def pull(self, keys: np.ndarray) -> np.ndarray:
+        return self.psctx.agent.pull(self.meta, keys, 0)
 
-    def push(self, keys: np.ndarray, deltas: np.ndarray,
-             col: int | None = 0) -> None:
-        self.psctx.agent.push(self.meta, keys, deltas, col)
+    def push(self, keys: np.ndarray, deltas: np.ndarray) -> None:
+        self.psctx.agent.push(self.meta, keys, deltas, 0)
 
-    def set(self, keys: np.ndarray, values: np.ndarray,
-            col: int | None = 0) -> None:
-        self.psctx.agent.set(self.meta, keys, values, col)
+    def set(self, keys: np.ndarray, values: np.ndarray) -> None:
+        self.psctx.agent.set(self.meta, keys, values, 0)
 
     def to_numpy(self) -> np.ndarray:
         return self.psctx.agent.pull_all(self.meta)[:, 0]

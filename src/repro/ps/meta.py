@@ -49,13 +49,14 @@ class MatrixMeta:
     #: + 1]`` are partition ``p``'s rows, or its columns), or a neighbor
     #: table's :class:`~repro.ps.storage.NeighborTableView`; ``None`` for
     #: the storage kind that exists per partition only.
-    data: Optional[object] = field(default=None, repr=False, compare=False)
-    part_offsets: Optional[list] = field(default=None, repr=False,
-                                         compare=False)
+    data: Optional[object] = field(default=None, init=False, repr=False,
+                                   compare=False)
+    part_offsets: Optional[list] = field(default=None, init=False,
+                                         repr=False, compare=False)
     #: The optimizer's state over the whole matrix, flat in ``data``'s
     #: layout with one step count per partition (see :meth:`part_state`).
     opt_state: Optional[Dict[str, np.ndarray]] = field(
-        default=None, repr=False, compare=False)
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def num_partitions(self) -> int:

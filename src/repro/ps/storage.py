@@ -241,9 +241,9 @@ class ColumnShardMatrix:
     scatter over shards ``lo..hi-1`` is one strided copy per width."""
 
     def __init__(self, rows: int, bounds: List[int],
-                 dtype: np.dtype = np.float32, init: float = 0.0) -> None:
+                 dtype: np.dtype) -> None:
         self.rows, self.bounds = rows, bounds
-        self.array = np.full(rows * bounds[-1], init, dtype=dtype)
+        self.array = np.zeros(rows * bounds[-1], dtype=dtype)
         widths = np.diff(bounds)
         wide = int(np.count_nonzero(widths > widths[-1]))
         self._spans = [(0, wide), (wide, len(widths))]

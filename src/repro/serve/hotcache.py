@@ -39,7 +39,7 @@ class HotKeyCache:
     """
 
     def __init__(self, capacity: int,
-                 metrics: Optional[MetricsRegistry] = None) -> None:
+                 metrics: Optional[MetricsRegistry]) -> None:
         self._cache = PullCache(staleness=0, capacity=capacity)
         self._metrics = metrics
 

@@ -109,7 +109,7 @@ class WatermarkGate:
 
     high: int
     low: int
-    protect_priority: int = 2
+    protect_priority: int
     closed: bool = field(init=False, default=False)
     transitions: int = field(init=False, default=0)
 

@@ -138,7 +138,7 @@ class ServingReport:
     recoveries: int
     start_s: float
     end_s: float
-    drop_records: Optional[DropLog] = None
+    drop_records: DropLog
 
     @property
     def dropped(self) -> int:
@@ -175,38 +175,31 @@ class ServingPlane:
     Args:
         psctx: the PS context holding the served matrices.
         tenants: tenant specs (limits/priorities are read from these).
-        queue_capacity: bounded admission-queue size.
+        queue_capacity: bounded admission-queue size; backpressure closes
+            the gate at 75% of it and reopens it at 25%.
         batch_size: max requests served per quantum.
-        service_interval_s: scheduling quantum on the sim clock.
         cache_capacity: hot-key cache entries per model.
-        high_watermark / low_watermark: backpressure hysteresis depths;
-            default to 75% / 25% of the queue capacity.
     """
+
+    #: Scheduling quantum on the sim clock.
+    service_interval_s = 0.05
 
     def __init__(self, psctx, tenants: Sequence[TenantSpec], *,
                  queue_capacity: int = 512, batch_size: int = 256,
-                 service_interval_s: float = 0.05,
-                 cache_capacity: int = 256,
-                 high_watermark: Optional[int] = None,
-                 low_watermark: Optional[int] = None) -> None:
+                 cache_capacity: int = 256) -> None:
         if batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
-        if service_interval_s <= 0.0:
-            raise ConfigError("service_interval_s must be > 0")
         self.tenants = list(tenants)
         check_tenant_names(self.tenants)
         self.psctx = psctx
         self.spark = psctx.spark
         self.batch_size = batch_size
-        self.service_interval_s = service_interval_s
         self.queue = AdmissionQueue(queue_capacity)
         self.limiter = TenantRateLimiter(self.tenants)
         protect = max(t.priority for t in self.tenants)
         self.gate = WatermarkGate(
-            high=(high_watermark if high_watermark is not None
-                  else max(2, (queue_capacity * 3) // 4)),
-            low=(low_watermark if low_watermark is not None
-                 else max(1, queue_capacity // 4)),
+            high=max(2, (queue_capacity * 3) // 4),
+            low=max(1, queue_capacity // 4),
             protect_priority=protect,
         )
         metrics = self.spark.metrics
@@ -220,7 +213,7 @@ class ServingPlane:
                     handle.pull_rows if isinstance(handle, PSEmbedding)
                     else handle.pull)
                 self._caches[tenant.model] = HotKeyCache(
-                    cache_capacity, metrics=metrics)
+                    cache_capacity, metrics)
         #: Served models in name order; a request's *model id* indexes it.
         self._models = sorted(self._pulls)
         self.drop_records = DropLog(tuple(t.name for t in self.tenants))

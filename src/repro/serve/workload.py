@@ -25,7 +25,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -249,8 +249,7 @@ class RequestGenerator:
             tuple(t.name for t in self.tenants), models)
 
 
-def default_tenants(model: str,
-                    second_model: Optional[str] = None) -> List[TenantSpec]:
+def default_tenants(model: str) -> List[TenantSpec]:
     """The stock two-tenant mix used by the CLI and examples.
 
     ``feeds`` is the latency-critical high-priority product; ``batch-reco``
@@ -259,7 +258,7 @@ def default_tenants(model: str,
     return [
         TenantSpec(name="feeds", model=model, weight=3.0, priority=2,
                    deadline_s=5.0),
-        TenantSpec(name="batch-reco", model=second_model or model,
+        TenantSpec(name="batch-reco", model=model,
                    weight=1.0, priority=1, deadline_s=10.0,
                    rate_limit=400.0, burst=64),
     ]

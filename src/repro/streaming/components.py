@@ -41,17 +41,18 @@ class IncrementalComponents:
 
     Args:
         graph: the live :class:`~repro.streaming.graph.StreamingGraph`.
-        name: PS vector name for the label state.
-        max_rounds: propagation-round budget per refresh.
     """
 
-    def __init__(self, graph, *, name: str = "stream.cc",
-                 max_rounds: int = 200) -> None:
+    #: PS vector name for the label state.
+    vector_name = "stream.cc"
+    #: Propagation-round budget per refresh.
+    max_rounds = 200
+
+    def __init__(self, graph) -> None:
         self.graph = graph
         self.psctx = graph.psctx
-        self.max_rounds = max_rounds
         self.labels = self.psctx.create_vector(
-            name, graph.num_vertices, init=-1.0
+            self.vector_name, graph.num_vertices, init=-1.0
         )
         self._scratch_seq = 0
         # Per-refresh adjacency memo: the graph is static between

@@ -31,15 +31,16 @@ class OnlineEmbeddingRefresh:
     Args:
         graph: the live :class:`~repro.streaming.graph.StreamingGraph`.
         dim: embedding dimensionality.
-        name: PS embedding name.
         seed: base seed for init and per-window negative sampling.
         lr: SGD learning rate.
         negatives: negative samples per positive pair.
         epochs: SGD passes per refresh.
     """
 
-    def __init__(self, graph, dim: int = 8, *,
-                 name: str = "stream.emb", seed: int = 7,
+    #: PS embedding name.
+    embedding_name = "stream.emb"
+
+    def __init__(self, graph, dim: int = 8, *, seed: int = 7,
                  lr: float = 0.05, negatives: int = 2,
                  epochs: int = 1) -> None:
         self.graph = graph
@@ -50,7 +51,7 @@ class OnlineEmbeddingRefresh:
         self.negatives = negatives
         self.epochs = epochs
         self.emb = self.psctx.create_embedding(
-            name, graph.num_vertices, dim)
+            self.embedding_name, graph.num_vertices, dim)
         self._window = 0
 
     # ------------------------------------------------------------------

@@ -18,7 +18,7 @@ incremental plane.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.common.metrics import (
@@ -42,8 +42,8 @@ class WindowReport:
     vertices_dropped: int
     dirty_vertices: int
     cost_incremental_s: float
-    cost_full_s: Optional[float] = None
-    algo_stats: Dict[str, Dict[str, float]] = field(default_factory=dict)
+    cost_full_s: Optional[float]
+    algo_stats: Dict[str, Dict[str, float]]
 
     @property
     def cost_ratio(self) -> Optional[float]:

@@ -74,9 +74,11 @@ class GraphDelta:
     removed_src: np.ndarray
     removed_dst: np.ndarray
     dropped: np.ndarray
-    old_out: NeighborBlock = field(default_factory=_empty_block)
-    became_present: np.ndarray = field(default_factory=lambda: _NONE)
-    became_absent: np.ndarray = field(default_factory=lambda: _NONE)
+    old_out: NeighborBlock
+    became_present: np.ndarray = field(default_factory=lambda: _NONE,
+                                       init=False)
+    became_absent: np.ndarray = field(default_factory=lambda: _NONE,
+                                      init=False)
 
     @property
     def num_added(self) -> int:
@@ -105,16 +107,20 @@ class StreamingGraph:
     Args:
         psctx: owning :class:`~repro.ps.context.PSContext`.
         num_vertices: vertex-id space of the underlying tables.
-        name: prefix for the two tables (``{name}.out`` / ``{name}.in``).
         metrics: optional registry for the ``streaming.*`` counters.
     """
 
-    def __init__(self, psctx, num_vertices: int, *, name: str = "stream",
+    #: Prefix of the two PS tables (``{name}.out`` / ``{name}.in``).
+    name = "stream"
+
+    def __init__(self, psctx, num_vertices: int, *,
                  metrics: Optional[MetricsRegistry] = None) -> None:
         self.psctx = psctx
         self.num_vertices = num_vertices
-        self.out = psctx.create_neighbor_table(f"{name}.out", num_vertices)
-        self.inc = psctx.create_neighbor_table(f"{name}.in", num_vertices)
+        self.out = psctx.create_neighbor_table(f"{self.name}.out",
+                                               num_vertices)
+        self.inc = psctx.create_neighbor_table(f"{self.name}.in",
+                                               num_vertices)
         self.metrics = metrics
         self.num_edges = 0
         self._present = np.zeros(num_vertices, dtype=bool)

@@ -61,10 +61,8 @@ class _BatchCtx:
         self.spark = psctx.spark
         self.cluster = psctx.spark.cluster
 
-    def create_dataframe(self, rows, schema, num_partitions=None):
-        return DataFrame(
-            self.spark.parallelize(list(rows), num_partitions), schema
-        )
+    def create_dataframe(self, rows, schema):
+        return DataFrame(self.spark.parallelize(list(rows)), schema)
 
 
 class IncrementalPageRank:
@@ -72,23 +70,26 @@ class IncrementalPageRank:
 
     Args:
         graph: the live :class:`~repro.streaming.graph.StreamingGraph`.
-        name: PS matrix name for the ``[rank, residual]`` state.
         damping: the classic 0.85.
         tol: per-vertex residual threshold; pushes stop when every
             ``|e|`` is at or below it.
-        max_rounds: expansion-wave budget per refresh (safety valve).
     """
 
-    def __init__(self, graph, *, name: str = "stream.pagerank",
-                 damping: float = 0.85, tol: float = 1e-9,
-                 max_rounds: int = 1000) -> None:
+    #: PS matrix name for the ``[rank, residual]`` state.
+    matrix_name = "stream.pagerank"
+    #: Expansion-wave budget per refresh (safety valve).
+    max_rounds = 1000
+    #: Iteration budget of :meth:`full_recompute`'s batch PageRank.
+    full_max_iterations = 200
+
+    def __init__(self, graph, *, damping: float = 0.85,
+                 tol: float = 1e-9) -> None:
         self.graph = graph
         self.psctx = graph.psctx
         self.damping = damping
         self.tol = tol
-        self.max_rounds = max_rounds
         self.state = self.psctx.create_matrix(
-            name, graph.num_vertices, 2
+            self.matrix_name, graph.num_vertices, 2
         )
 
     # ------------------------------------------------------------------
@@ -169,8 +170,7 @@ class IncrementalPageRank:
             return present, np.empty(0)
         return present, self.state.pull(present, col=RANK)
 
-    def full_recompute(self, *, max_iterations: int = 200
-                       ) -> Tuple[np.ndarray, np.ndarray]:
+    def full_recompute(self) -> Tuple[np.ndarray, np.ndarray]:
         """From-scratch **batch** recompute (the cost yardstick).
 
         This is what every window would cost without the streaming
@@ -188,7 +188,7 @@ class IncrementalPageRank:
         src, dst = outs.sources(), outs.neighbors
         spark = self.psctx.spark
         edges = edges_from_arrays(spark, src, dst)
-        job = PageRank(max_iterations=max_iterations, tol=self.tol,
+        job = PageRank(max_iterations=self.full_max_iterations, tol=self.tol,
                        damping=self.damping)
         before = set(self.psctx.matrix_names())
         saved_recovery = self.psctx.recovery_mode

@@ -17,15 +17,15 @@ from repro.common.batch import scatter_add_rows, segment_reduce
 from repro.torchlite.tensor import Tensor
 
 
-def concat(tensors: Sequence[Tensor], axis: int = 1) -> Tensor:
-    """Differentiable concatenation along ``axis``."""
+def concat(tensors: Sequence[Tensor]) -> Tensor:
+    """Differentiable concatenation of 2-d tensors along the columns."""
     tensors = list(tensors)
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
+    data = np.concatenate([t.data for t in tensors], axis=1)
+    sizes = [t.data.shape[1] for t in tensors]
     splits = np.cumsum(sizes)[:-1]
 
     def backward(g: np.ndarray) -> List[np.ndarray]:
-        return list(np.split(g, splits, axis=axis))
+        return list(np.split(g, splits, axis=1))
 
     return Tensor._make(data, tensors, backward)
 

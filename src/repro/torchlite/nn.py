@@ -77,7 +77,6 @@ class Linear(Module):
     """Affine layer ``y = x @ W + b``."""
 
     def __init__(self, in_features: int, out_features: int,
-                 bias: bool = True,
                  rng: np.random.Generator | None = None) -> None:
         super().__init__()
         rng = rng or np.random.default_rng(0)
@@ -87,16 +86,10 @@ class Linear(Module):
             xavier_uniform(rng, in_features, out_features),
             requires_grad=True,
         )
-        self.bias = (
-            Tensor(np.zeros(out_features), requires_grad=True)
-            if bias else None
-        )
+        self.bias = Tensor(np.zeros(out_features), requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:
-        out = x @ self.weight
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return x @ self.weight + self.bias
 
 
 class LSTMCell(Module):

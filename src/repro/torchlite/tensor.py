@@ -67,18 +67,12 @@ class Tensor:
             out._backward = backward
         return out
 
-    def backward(self, grad: Optional[np.ndarray] = None) -> None:
-        """Reverse-mode differentiation from this tensor.
-
-        Args:
-            grad: seed gradient; defaults to 1 for scalar outputs.
-        """
-        if grad is None:
-            if self.data.size != 1:
-                raise ValueError(
-                    "backward() without a seed needs a scalar tensor"
-                )
-            grad = np.ones_like(self.data)
+    def backward(self) -> None:
+        """Reverse-mode differentiation from this scalar tensor (seed
+        gradient 1)."""
+        if self.data.size != 1:
+            raise ValueError("backward() needs a scalar tensor")
+        grad = np.ones_like(self.data)
         # Topological order of the tape reachable from self.
         order: List[Tensor] = []
         seen = set()
@@ -181,16 +175,12 @@ class Tensor:
     # reductions
     # ------------------------------------------------------------------
 
-    def sum(self, axis: int | None = None, keepdims: bool = False
-            ) -> "Tensor":
-        """Sum, differentiable."""
-        data = self.data.sum(axis=axis, keepdims=keepdims)
+    def sum(self) -> "Tensor":
+        """Sum of every element, differentiable."""
+        data = self.data.sum()
 
         def backward(g):
-            g = np.asarray(g)
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            return (np.broadcast_to(g, self.data.shape).copy(),)
+            return (np.broadcast_to(np.asarray(g), self.data.shape).copy(),)
 
         return Tensor._make(data, (self,), backward)
 

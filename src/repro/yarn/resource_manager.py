@@ -33,7 +33,6 @@ class Container:
         id: unique container id, e.g. ``executor-3``.
         kind: role label ("executor", "ps-server", "driver", "master").
         mem_bytes: memory grant.
-        cores: cpu cores granted.
         clock: the container's simulated clock.
         memory: tracker enforcing the grant.
         alive: containers can be killed (failure injection / preemption).
@@ -43,11 +42,10 @@ class Container:
     id: str
     kind: str
     mem_bytes: int
-    cores: int
     clock: SimClock
     memory: MemoryTracker
-    alive: bool = True
-    restarts: int = 0
+    alive: bool = field(default=True, init=False)
+    restarts: int = field(default=0, init=False)
 
     def ensure_alive(self) -> None:
         """Raise :class:`ContainerLostError` if the container is dead."""
@@ -61,24 +59,26 @@ class ResourceManager:
 
     Attributes:
         metrics: cluster metrics registry.
-        restart_delay_s: simulated seconds a restart takes (container
-            scheduling + process start); experiments scale this with the
-            dataset scale factor.
-        capacity_bytes: optional cluster-wide memory capacity; requests
-            beyond it raise :class:`ResourceError`.
         tracer: sim-time tracer; kills and restarts land on each
             container's "lifecycle" track.
     """
 
-    metrics: MetricsRegistry | None = None
-    restart_delay_s: float = 30.0
-    capacity_bytes: int | None = None
+    metrics: MetricsRegistry | None
     tracer: NoopTracer = NOOP_TRACER
-    _granted: int = 0
-    _containers: Dict[str, Container] = field(default_factory=dict)
-    _seq: "itertools.count[int]" = field(default_factory=itertools.count)
+    _granted: int = field(default=0, init=False)
+    _containers: Dict[str, Container] = field(default_factory=dict,
+                                              init=False)
+    _seq: "itertools.count[int]" = field(default_factory=itertools.count,
+                                         init=False)
 
-    def request(self, kind: str, mem_bytes: int, cores: int = 1,
+    #: Simulated seconds a restart takes (container scheduling + process
+    #: start); experiments scale it with the dataset scale factor.
+    restart_delay_s = 30.0
+    #: Cluster-wide memory capacity in bytes; requests beyond it raise
+    #: :class:`ResourceError` (None: unbounded).
+    capacity_bytes = None
+
+    def request(self, kind: str, mem_bytes: int,
                 name: str | None = None) -> Container:
         """Grant one container of ``kind`` with the given resources."""
         if mem_bytes <= 0:
@@ -96,7 +96,6 @@ class ResourceManager:
             id=cid,
             kind=kind,
             mem_bytes=mem_bytes,
-            cores=cores,
             clock=SimClock(name=cid),
             memory=MemoryTracker(container=cid, capacity=mem_bytes),
         )
@@ -104,11 +103,11 @@ class ResourceManager:
         self._granted += mem_bytes
         return container
 
-    def request_many(self, kind: str, count: int, mem_bytes: int,
-                     cores: int = 1) -> List[Container]:
+    def request_many(self, kind: str, count: int,
+                     mem_bytes: int) -> List[Container]:
         """Grant ``count`` identical containers (e.g. all executors)."""
         return [
-            self.request(kind, mem_bytes, cores, name=f"{kind}-{i}")
+            self.request(kind, mem_bytes, name=f"{kind}-{i}")
             for i in range(count)
         ]
 

@@ -270,10 +270,10 @@ class TestFastUnfolding:
         deltas in arrival order, so this order is part of the answer."""
         calls = []
         for op in ("push", "set"):
-            def record(vec, keys, values, col=0, _op=op,
+            def record(vec, keys, values, _op=op,
                        _real=getattr(PSVector, op)):
                 calls.append((_op, vec.name, keys.copy(), values.copy()))
-                _real(vec, keys, values, col)
+                _real(vec, keys, values)
             monkeypatch.setattr(PSVector, op, record)
         src, dst, _ = community_graph(80, 3, avg_degree=8, mixing=0.1,
                                       seed=23)

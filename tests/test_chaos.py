@@ -124,7 +124,7 @@ class TestChaosEngineSpark:
             sched = FaultSchedule([FaultSpec("kill_server", index=0,
                                              after_tasks=1)])
             with pytest.raises(ConfigError):
-                ChaosEngine(sched, ctx)
+                ChaosEngine(sched, ctx, None)
         finally:
             ctx.stop()
 
@@ -134,7 +134,7 @@ class TestChaosEngineSpark:
             sched = FaultSchedule([FaultSpec("kill_executor", index=0,
                                              at_epoch=1)])
             with pytest.raises(ConfigError):
-                ChaosEngine(sched, ctx)
+                ChaosEngine(sched, ctx, None)
         finally:
             ctx.stop()
 
@@ -143,7 +143,7 @@ class TestChaosEngineSpark:
         try:
             sched = FaultSchedule([FaultSpec("kill_executor", index=1,
                                              after_tasks=3)])
-            with attached(ChaosEngine(sched, ctx)) as engine:
+            with attached(ChaosEngine(sched, ctx, None)) as engine:
                 got = sorted(ctx.parallelize(range(30), 6).map(
                     lambda x: x * 2).collect())
             assert got == [x * 2 for x in range(30)]
@@ -160,7 +160,7 @@ class TestChaosEngineSpark:
                 "kill_executor", index=2, after_tasks=2,
                 task_kind="result",
             )])
-            with attached(ChaosEngine(sched, ctx)) as engine:
+            with attached(ChaosEngine(sched, ctx, None)) as engine:
                 # A shuffle stage runs map tasks first; only result tasks
                 # may satisfy the trigger.
                 ctx.parallelize([(i % 3, 1) for i in range(30)], 6) \
@@ -177,7 +177,7 @@ class TestChaosEngineSpark:
                                                   factor=50.0)])):
             ctx = make_context(num_executors=2)
             try:
-                with attached(ChaosEngine(FaultSchedule(faults), ctx)):
+                with attached(ChaosEngine(FaultSchedule(faults), ctx, None)):
                     ctx.parallelize(range(4000), 8).map(
                         lambda x: x + 1).count()
                 times[label] = ctx.sim_time()
@@ -192,7 +192,7 @@ class TestChaosEngineSpark:
                 "slow_executor", index=1, after_tasks=1, factor=8.0,
                 duration_tasks=2,
             )])
-            with attached(ChaosEngine(sched, ctx)):
+            with attached(ChaosEngine(sched, ctx, None)):
                 ctx.parallelize(range(40), 8).count()
                 assert ctx.executors[1].slowdown == 1.0
         finally:
@@ -206,7 +206,7 @@ class TestChaosEngineSpark:
                           factor=9.0),
                 FaultSpec("rpc_drop", endpoint="nothing-matches"),
             ])
-            engine = ChaosEngine(sched, ctx).attach()
+            engine = ChaosEngine(sched, ctx, None).attach()
             ctx.parallelize(range(8), 4).count()
             assert ctx.executors[0].slowdown == 9.0
             assert ctx.rpc.fault_injector is not None
@@ -223,7 +223,7 @@ class TestChaosEngineSpark:
             ctx.rpc.fault_injector = lambda *_: 0.0
             sched = FaultSchedule([FaultSpec("rpc_drop")])
             with pytest.raises(ConfigError):
-                ChaosEngine(sched, ctx).attach()
+                ChaosEngine(sched, ctx, None).attach()
         finally:
             ctx.rpc.fault_injector = None
             ctx.stop()
@@ -233,7 +233,7 @@ class TestChaosEngineSpark:
         try:
             sched = FaultSchedule([FaultSpec("kill_executor", index=0,
                                              after_tasks=1)])
-            with attached(ChaosEngine(sched, ctx)) as engine:
+            with attached(ChaosEngine(sched, ctx, None)) as engine:
                 ctx.parallelize(range(8), 4).count()
             report = engine.report()
             assert report["scheduled"] == 1

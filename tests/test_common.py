@@ -13,6 +13,7 @@ from repro.common.metrics import MetricsRegistry
 from repro.common.rng import derive_seed, make_rng
 from repro.common.simclock import SimClock, TaskCost, barrier
 from repro.common.sizeof import sizeof, sizeof_records
+from repro.dataflow.context import SparkContext
 
 
 class TestCostModel:
@@ -76,7 +77,8 @@ class TestSimClock:
         assert barrier([]) == 0.0
 
     def test_task_cost_total(self):
-        a = TaskCost(cpu_s=1.5, net_s=2, disk_s=3)
+        a = TaskCost()
+        a.cpu_s, a.net_s, a.disk_s = 1.5, 2, 3
         assert a.total_s == pytest.approx(6.5)
 
 
@@ -207,8 +209,11 @@ class TestSizeof:
 
 class TestClusterConfig:
     def test_parallelism_defaults(self):
-        c = ClusterConfig(num_executors=4, executor_cores=2)
-        assert c.parallelism == 8
+        ctx = SparkContext(ClusterConfig(num_executors=4))
+        try:
+            assert ctx.parallelize(range(100)).num_partitions == 4
+        finally:
+            ctx.stop()
 
     def test_scaled_preserves_counts(self):
         c = psgraph_config_ds1()

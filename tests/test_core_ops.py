@@ -31,6 +31,7 @@ from repro.core.ops import (
     to_neighbor_tables,
 )
 from repro.dataflow.partitioner import HashPartitioner
+from repro.dataflow.rdd import TextFileRDD
 from repro.dataflow.shuffle import bucket_map_output
 from repro.dataflow.taskctx import current_task_context
 from repro.datasets.tencent import write_edges
@@ -138,7 +139,7 @@ _ANY_LINE = st.one_of(_PAIR_LINE, st.sampled_from([
 
 class TestOps:
     def test_parse_edge_lines(self):
-        block = parse_edge_lines(iter(["1\t2", "3\t4", "", "bad"]))
+        block = parse_edge_lines(iter(["1\t2", "3\t4", "", "bad"]), False)
         assert block.src.tolist() == [1, 3]
         assert block.dst.tolist() == [2, 4]
 
@@ -176,10 +177,11 @@ class TestOps:
             for i, path in enumerate(paths):
                 if len(paths) >= partitions:
                     if i % partitions == split:
-                        lines += hdfs.read_lines(path)
+                        lines += hdfs.read_lines(path, cost=None)
                         want_read += len(hdfs.read_bytes(path))
                 else:
-                    lines += hdfs.read_lines(path)[split::partitions]
+                    lines += hdfs.read_lines(
+                        path, cost=None)[split::partitions]
                     want_read += len(hdfs.read_bytes(path))
             expect = []
             for line in lines:
@@ -194,8 +196,8 @@ class TestOps:
         assert read == want_read
         # The same partitions read as lines charge the same.
         _hdfs, line_blocks, line_sim_s, line_read = load(
-            lambda ctx: ctx.text_file("/in", partitions).map_partitions(
-                lambda it: [parse_edge_lines(it)]))
+            lambda ctx: TextFileRDD(ctx, "/in", partitions).map_partitions(
+                lambda it: [parse_edge_lines(it, False)]))
         assert (sim_s, read) == (line_sim_s, line_read)
         for part, line_part in zip(blocks, line_blocks):
             assert part[0].src.tolist() == line_part[0].src.tolist()
@@ -226,6 +228,10 @@ class TestOps:
         assert parse_int_pairs(data) is None
         block = parse_edge_bytes(data)
         assert (block.src.tolist(), block.dst.tolist()) == ([1], [2])
+        # A sign inside a token: numpy would read "2-3" as two numbers.
+        assert parse_int_pairs(b"1\t2-3\n") is None
+        block = parse_edge_bytes(b"1\t2-3\n4\t5\n")
+        assert (block.src.tolist(), block.dst.tolist()) == ([4], [5])
 
     def test_id_past_int64_is_not_clamped(self):
         # numpy's parse would read it as 2**63 - 1; the loop raises.
@@ -239,6 +245,12 @@ class TestOps:
     def test_parse_weighted(self):
         block = parse_edge_lines(iter(["1\t2\t0.5", "3\t4"]), weighted=True)
         assert block.weight.tolist() == [0.5, 1.0]
+        # A malformed token skips the line, wherever it sits.
+        block = parse_edge_lines(iter(["1 x 3", "1 2 x", "5 6 2.5"]),
+                                 weighted=True)
+        assert block.src.tolist() == [5]
+        assert block.dst.tolist() == [6]
+        assert block.weight.tolist() == [2.5]
 
     def test_load_edges_roundtrip(self, psg):
         src = np.array([0, 1, 2, 3])

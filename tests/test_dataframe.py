@@ -40,6 +40,6 @@ class TestBasics:
         assert all(len(t) == 4 for t in tuples)
 
     def test_show_returns_table(self, people, capsys):
-        out = people.show(2)
+        out = people.show()
         assert "id" in out
         assert out.count("\n") >= 4

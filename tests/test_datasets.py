@@ -9,6 +9,7 @@ from repro.common.errors import ConfigError
 from repro.common.metrics import MetricsRegistry
 from repro.common.rng import DEFAULT_SEED, make_rng
 from repro.common.textcodec import encode_rows
+from repro.datasets import generators
 from repro.datasets.generators import (
     community_graph,
     powerlaw_graph,
@@ -43,9 +44,9 @@ class TestPowerlaw:
         b = powerlaw_graph(50, 200, seed=6)
         assert not ((a[0] == b[0]).all() and (a[1] == b[1]).all())
 
-    def test_degree_distribution_is_skewed(self):
-        src, dst = powerlaw_graph(2000, 30000, seed=2,
-                                  max_degree_share=0.02)
+    def test_degree_distribution_is_skewed(self, monkeypatch):
+        monkeypatch.setattr(generators, "MAX_DEGREE_SHARE", 0.02)
+        src, dst = powerlaw_graph(2000, 30000, seed=2)
         deg = np.bincount(np.concatenate([src, dst]))
         assert deg.max() > 5 * deg[deg > 0].mean()
 
@@ -55,9 +56,8 @@ class TestPowerlaw:
         assert deg.max() > 3 * deg[deg > 0].mean()
 
     def test_max_degree_share_enforced(self):
-        share = 0.002
-        src, dst = powerlaw_graph(5000, 60000, seed=3,
-                                  max_degree_share=share)
+        share = generators.MAX_DEGREE_SHARE
+        src, dst = powerlaw_graph(5000, 60000, seed=3)
         deg = np.bincount(np.concatenate([src, dst]))
         # Statistical cap: max degree close to share * endpoints.
         assert deg.max() < share * 2 * len(src) * 1.5
@@ -67,8 +67,6 @@ class TestPowerlaw:
             powerlaw_graph(1, 10)
         with pytest.raises(ConfigError):
             powerlaw_graph(10, 0)
-        with pytest.raises(ConfigError):
-            powerlaw_graph(10, 10, max_degree_share=0)
 
     @settings(deadline=None, max_examples=15)
     @given(st.integers(2, 200), st.integers(1, 500))
@@ -238,7 +236,7 @@ class TestWriteEdges:
         write_edges(fs, "/e", src, dst, num_files=3)
         files = fs.listdir("/e")
         assert len(files) == 3
-        lines = [l for f in files for l in fs.read_lines(f)]
+        lines = [l for f in files for l in fs.read_lines(f, cost=None)]
         assert len(lines) == 10
         assert lines[0].count("\t") == 1
 
@@ -246,7 +244,7 @@ class TestWriteEdges:
         fs = Hdfs(metrics=MetricsRegistry())
         write_edges(fs, "/w", np.array([1]), np.array([2]),
                     num_files=1, weights=np.array([0.25]))
-        line = fs.read_lines("/w/part-00000")[0]
+        line = fs.read_lines("/w/part-00000", cost=None)[0]
         assert line.split("\t") == ["1", "2", "0.250000"]
 
     @pytest.mark.parametrize("id_dtype", [np.int64, np.int32, np.uint64])

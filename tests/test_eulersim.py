@@ -134,7 +134,8 @@ class TestPreprocess:
                 write_edges(sys.hdfs, "/in/euler", src, dst, num_files=1)
                 stats = sys.preprocess(path, feats, labels)
                 runs.append((stats, sys.metrics.snapshot(),
-                             sys.hdfs.read_pickle("/euler/mapped-edges"),
+                             sys.hdfs.read_pickle("/euler/mapped-edges",
+                                                  cost=None),
                              sys._block))
             finally:
                 sys.stop()
@@ -152,16 +153,16 @@ class TestPreprocess:
         lines = ["0\t1", "1\t2\t0.5", "-e 0 1", "7", "2 3"]
         sys = euler_system()
         try:
-            sys.hdfs.write_text("/in/euler/part-0", lines)
+            sys.hdfs.write_text("/in/euler/part-0", lines, overwrite=False)
             sys.preprocess("/in/euler", np.zeros((4, 2)),
                            np.zeros(4, dtype=np.int64))
-            mapped = sys.hdfs.read_pickle("/euler/mapped-edges")
+            mapped = sys.hdfs.read_pickle("/euler/mapped-edges", cost=None)
         finally:
             sys.stop()
         with PSGraphContext(ClusterConfig(
                 num_executors=2, executor_mem_bytes=1 << 40, num_servers=1,
                 server_mem_bytes=1 << 40)) as ctx:
-            ctx.hdfs.write_text("/in/e/part-0", lines)
+            ctx.hdfs.write_text("/in/e/part-0", lines, overwrite=False)
             blocks = load_edges(ctx.spark, "/in/e").collect()
         loaded = sorted((s, d) for b in blocks
                         for s, d in zip(b.src.tolist(), b.dst.tolist()))

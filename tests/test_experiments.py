@@ -164,8 +164,8 @@ class TestTinyExperiments:
         assert [r.extra["recoveries"] for r in rows] == [0, 1, 1]
 
     def test_partitioner_ablation_is_deterministic(self):
-        a = ablation_partitioners(num_vertices=10_000, num_partitions=8)
-        b = ablation_partitioners(num_vertices=10_000, num_partitions=8)
+        a = ablation_partitioners()
+        b = ablation_partitioners()
         assert a == b
 
 

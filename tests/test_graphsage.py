@@ -87,8 +87,7 @@ class TestGraphSageTraining:
     def test_output_row(self, psg):
         src, dst, feats, labels = small_task(n=60)
         edges = edges_from_arrays(psg.spark, src, dst)
-        algo = GraphSage(feats, labels, hidden=8, epochs=1, batch_size=32,
-                         train_fraction=0.5)
+        algo = GraphSage(feats, labels, hidden=8, epochs=1, batch_size=32)
         result = algo.transform(psg, edges)
         row = result.output.collect()[0]
         assert row["train_nodes"] + row["test_nodes"] <= 60

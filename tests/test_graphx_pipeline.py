@@ -242,7 +242,7 @@ def _leaked_tags(ctx):
 def _kill_after(ctx, kind, victim):
     """Kill ``victim`` once, right after the last task of the first stage
     of ``kind`` — i.e. between that stage and the next."""
-    state = {"left": ctx.cluster.parallelism, "done": False}
+    state = {"left": ctx.cluster.num_executors, "done": False}
 
     def hook(_stage, _partition, task_kind):
         if task_kind == kind and not state["done"]:
@@ -260,7 +260,7 @@ class TestExecutorLossMidJoin:
         ctx = make_context(num_executors=4)
         try:
             src, dst = powerlaw_graph(120, 900, seed=3)
-            p = ctx.cluster.parallelism
+            p = ctx.cluster.num_executors
             graph = Graph.from_edges(ctx, src, dst, num_partitions=p)
             want = graph.out_degrees()
             plan = graph.plan
@@ -284,7 +284,7 @@ class TestExecutorLossMidJoin:
         try:
             src, dst = powerlaw_graph(120, 900, seed=4)
             graph = Graph.from_edges(ctx, src, dst,
-                                     num_partitions=ctx.cluster.parallelism)
+                                     num_partitions=ctx.cluster.num_executors)
             edge_parts, plan = graph.edge_parts, graph.plan
             hook = _kill_after(ctx, "graphx-ship", victim=2)
             with pytest.raises(StageFailedError):

@@ -95,7 +95,7 @@ def replay_landing(hdfs, landing_dir: str) -> List[Tuple[int, int]]:
     edges: Set[Tuple[int, int]] = set()
     for path in sorted(hdfs.listdir(landing_dir.rstrip("/"))):
         edges = apply_to_edge_set(edges, [
-            m for m in map(decode_line, hdfs.read_lines(path))
+            m for m in map(decode_line, hdfs.read_lines(path, cost=None))
             if m is not None])
     return sorted(edges)
 
@@ -161,11 +161,13 @@ class TestKafkaTopic:
         assert mutation_records(t.read(1, 0)) == [
             Mutation(EDGE_ADD, 1, 9), Mutation(EDGE_ADD, 3, 9)]
 
-    def test_read_from_offset_with_limit(self):
+    def test_read_from_offset(self):
         t = KafkaTopic("edges", num_partitions=1)
-        t.produce(np.zeros(5, dtype=int), np.arange(5))
-        assert mutation_records(t.read(0, 2, max_records=2)) == [
-            Mutation(EDGE_ADD, 0, 2), Mutation(EDGE_ADD, 0, 3)]
+        t.produce(np.zeros(3, dtype=int), np.arange(3))
+        t.produce(np.ones(2, dtype=int), np.arange(2))
+        assert mutation_records(t.read(0, 2)) == [
+            Mutation(EDGE_ADD, 0, 2), Mutation(EDGE_ADD, 1, 0),
+            Mutation(EDGE_ADD, 1, 1)]
 
     def test_typed_removals(self):
         t = KafkaTopic("edges", num_partitions=1)
@@ -192,7 +194,7 @@ class TestConsumer:
         assert consumer.poll() == 2
         assert lag(consumer) == 0
         files = fs.listdir("/ingest")
-        lines = [l for f in files for l in fs.read_lines(f)]
+        lines = [l for f in files for l in fs.read_lines(f, cost=None)]
         assert sorted(lines) == ["0\t2", "1\t3"]
 
     def test_poll_empty_returns_zero(self):
@@ -231,7 +233,8 @@ class TestConsumer:
         try:
             graph = StreamingGraph(ctx.ps, 100)
             t = KafkaTopic("edges", num_partitions=2)
-            consumer = EdgeStreamConsumer(t, ctx.hdfs, sink=graph.apply)
+            consumer = EdgeStreamConsumer(t, ctx.hdfs)
+            consumer.sink = graph.apply
             t.produce(np.array([1, 2]), np.array([2, 3]))
             consumer.poll()
             assert block_rows(graph.neighbors(np.array([2]))) == [[1, 3]]
@@ -247,7 +250,8 @@ class TestConsumer:
         try:
             graph = StreamingGraph(ctx.ps, 100)
             t = KafkaTopic("edges", num_partitions=2)
-            consumer = EdgeStreamConsumer(t, ctx.hdfs, sink=graph.apply)
+            consumer = EdgeStreamConsumer(t, ctx.hdfs)
+            consumer.sink = graph.apply
             t.produce(np.array([1, 2, 3]), np.array([2, 3, 4]))
             consumer.poll()
             t.produce_removals(np.array([2]), np.array([3]))
@@ -337,7 +341,7 @@ class TestAtLeastOnceDelivery:
         assert consumer.poll() == 4
         files = fs.listdir("/land")
         assert len(files) == 2  # one per partition, single batch
-        lines = sorted(l for f in files for l in fs.read_lines(f))
+        lines = sorted(l for f in files for l in fs.read_lines(f, cost=None))
         assert lines == ["0\t4", "1\t5", "2\t6", "3\t7"]
 
     def test_crash_before_merge_keeps_ps_table_consistent(self):
@@ -345,8 +349,8 @@ class TestAtLeastOnceDelivery:
         try:
             graph = StreamingGraph(ctx.ps, 100)
             t = KafkaTopic("edges", num_partitions=1)
-            consumer = EdgeStreamConsumer(t, ctx.hdfs, landing_dir="/land",
-                                          sink=graph.apply)
+            consumer = EdgeStreamConsumer(t, ctx.hdfs, landing_dir="/land")
+            consumer.sink = graph.apply
             t.produce(np.array([1, 2]), np.array([2, 3]))
             state = self._crashing_hdfs(ctx.hdfs, fail_after=1)
             with pytest.raises(IOError):
@@ -369,8 +373,8 @@ class TestConsumerRecovery:
     def _run_stream(self, ctx, *, crash_after_polls=None):
         graph = StreamingGraph(ctx.ps, 200)
         t = KafkaTopic("edges", num_partitions=2)
-        consumer = EdgeStreamConsumer(t, ctx.hdfs, landing_dir="/land",
-                                      sink=graph.apply)
+        consumer = EdgeStreamConsumer(t, ctx.hdfs, landing_dir="/land")
+        consumer.sink = graph.apply
         rng = np.random.default_rng(11)
         polls = 0
         for _ in range(6):
@@ -381,9 +385,8 @@ class TestConsumerRecovery:
             if crash_after_polls is not None and polls >= crash_after_polls:
                 # The process dies here; its in-memory offsets are lost.
                 consumer = EdgeStreamConsumer(
-                    t, ctx.hdfs, landing_dir="/land", sink=graph.apply,
-                    resume=True,
-                )
+                    t, ctx.hdfs, landing_dir="/land", resume=True)
+                consumer.sink = graph.apply
                 crash_after_polls = None
             consumer.poll()
             polls += 1

@@ -21,7 +21,6 @@ from repro.graphx.graph import Graph
 from repro.ingest.kafka import KafkaTopic
 from repro.obs.slo import SloEngine
 from repro.ps.cache import PullCache
-from repro.ps.context import PSContext
 from repro.ps.optimizer import SGD
 from repro.ps.partitioner import (
     HashPSPartitioner,
@@ -45,9 +44,6 @@ def _ids(*vs):
 # none is made.
 CASES = [
     # configuration
-    ("cluster-cores", None, lambda _: ClusterConfig(
-        num_executors=1, executor_mem_bytes=1, executor_cores=0),
-     ConfigError),
     ("cluster-servers", None, lambda _: ClusterConfig(
         num_executors=1, executor_mem_bytes=1, num_servers=-1),
      ConfigError),
@@ -76,11 +72,10 @@ CASES = [
      ConfigError),
     ("plane-batch-size", "psg", lambda ctx: ServingPlane(
         ctx.ps, [TENANT], batch_size=0), ConfigError),
-    ("plane-service-interval", "psg", lambda ctx: ServingPlane(
-        ctx.ps, [TENANT], service_interval_s=0.0), ConfigError),
     # the parameter server
-    ("ps-server-mem", "spark", lambda ctx: PSContext(
-        ctx, num_servers=1, server_mem_bytes=-1), ConfigError),
+    ("ps-server-mem", None, lambda _: ClusterConfig(
+        num_executors=1, executor_mem_bytes=1, num_servers=1,
+        server_mem_bytes=-1), ConfigError),
     ("ps-storage", "psg", lambda ctx: ctx.ps.create_matrix(
         "m", 4, storage="tape"), ConfigError),
     ("ps-axis", "psg", lambda ctx: ctx.ps.create_matrix("m", 4, axis=2),
@@ -103,7 +98,7 @@ CASES = [
      lambda w: w.apply_gradients(np.ones((4, 2))), PSError),
     ("cache-negative-keys", None, lambda _: PullCache().store(
         _ids(-1, 2), None, np.ones(2), epoch=0), PSError),
-    ("recovery-mode", "psg", lambda ctx: ctx.ps.recover("eventual"),
+    ("recovery-mode", "psg", lambda ctx: ctx.ps.master.recover("eventual"),
      ValueError),
     # graphs and the edge stream
     ("graphx-length", "spark", lambda ctx: Graph.from_edges(

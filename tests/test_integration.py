@@ -248,11 +248,35 @@ class TestPageRankRecoveryPoints:
             kill_after_the_last_advance_request)
         assert seen == ["_checkpoint_with_recovery"]
         assert metrics[PS_ROLLBACKS] == 1
-        # The checkpoint is written again once the server is back: one
-        # more than the fault-free run, whose redone iteration writes its
-        # own as well.
-        assert metrics[PS_CHECKPOINTS] == clean_metrics[PS_CHECKPOINTS] + 1
+        # Strict recovery restored what the files hold, so nothing is
+        # written again; the redone iteration writes the checkpoint the
+        # fault-free run wrote.
+        assert metrics[PS_CHECKPOINTS] == clean_metrics[PS_CHECKPOINTS]
         assert (ranks, got_iterations) == (clean, iterations)
+
+    def test_checkpoint_is_all_partitions_or_none(self):
+        clean, iterations, _, clean_metrics = self._ranks()
+
+        def kill_server_1_before_the_third_checkpoint(psg):
+            # Server 1 does not hold partition 0: a partition-by-partition
+            # checkpoint would rewrite server 0's partitions with
+            # iteration 3's state before it found server 1 dead, and
+            # strict recovery would restore a mix of two iterations.
+            complete, killed = psg.ps.complete_iteration, []
+
+            def complete_iteration():
+                if psg.ps.progress == 2 and not killed:
+                    killed.append(1)
+                    psg.ps.kill_server(1)
+                complete()
+            psg.ps.complete_iteration = complete_iteration
+
+        ranks, got_iterations, seen, metrics = self._ranks(
+            kill_server_1_before_the_third_checkpoint)
+        assert seen == ["_checkpoint_with_recovery"]
+        assert metrics[PS_ROLLBACKS] == 1
+        assert (ranks, got_iterations) == (clean, iterations)
+        assert metrics[PS_CHECKPOINTS] == clean_metrics[PS_CHECKPOINTS]
 
 
 class TestChaosSchedule:

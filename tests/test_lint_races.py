@@ -181,7 +181,8 @@ def test_end_to_end_from_spans():
     tracer = Tracer()
     _record_ps_span(tracer, "executor-0", "set", "w", 0.0, 1.0)
     _record_ps_span(tracer, "executor-1", "pull", "w", 0.5, 1.5)
-    races = find_races(tracer.spans())
+    spans = tracer.spans()
+    races = find_races(extract_accesses(spans), extract_fences(spans))
     assert [r.kind for r in races] == ["stale-read"]
     text = races[0].describe()
     assert "stale-read" in text and "`w`" in text

@@ -130,7 +130,7 @@ class TestTracer:
         t = Tracer()
         clock = SimClock()
         clock.advance(1.0)
-        with t.clock_span("ps-server-0", "ops", "ps.pull", clock):
+        with t.clock_span("ps-server-0", "ops", "ps.pull", clock, None):
             clock.advance(0.5)
         [s] = t.spans()
         assert s.start_s == pytest.approx(1.0)
@@ -161,10 +161,10 @@ class TestTracer:
 
     def test_noop_tracer_records_nothing(self):
         clock = SimClock()
-        with NOOP_TRACER.clock_span("c", "t", "n", clock):
+        with NOOP_TRACER.clock_span("c", "t", "n", clock, None):
             clock.advance(1.0)
         NOOP_TRACER.add("c", "t", "n", 0.0, 1.0)
-        NOOP_TRACER.instant("c", "t", "n", 0.0)
+        NOOP_TRACER.instant("c", "t", "n", 0.0, None)
         assert NOOP_TRACER.spans() == []
         assert NOOP_TRACER.enabled is False
 
@@ -224,7 +224,7 @@ class TestChromeTraceValidation:
         t.add("driver", "stages", "stage 0", 0.0, 2.0, {"tasks": 4})
         t.add("executor-0", "s0.p0", "task", 0.0, 1.0)
         t.add("executor-0", "s0.p0", "ps.pull", 0.2, 0.5)  # nested
-        t.instant("driver", "iterations", "iteration", 2.0)
+        t.instant("driver", "iterations", "iteration", 2.0, None)
         assert validate_chrome_trace(chrome_trace(t)) == []
 
     def test_missing_trace_events(self):
@@ -291,7 +291,7 @@ class TestSpanRoundTrip:
 
     def test_instant_kind_preserved(self):
         t = Tracer()
-        t.instant("driver", "alerts", "alert x", 3.0)
+        t.instant("driver", "alerts", "alert x", 3.0, None)
         [span] = spans_from_json(spans_to_json(t))
         assert span.kind == INSTANT
         assert span.start_s == span.end_s == 3.0

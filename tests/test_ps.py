@@ -14,6 +14,7 @@ from repro.common.errors import (
     PSError,
     SimulatedOOMError,
 )
+from repro.common.metrics import PS_CHECKPOINTS
 from repro.core.context import PSGraphContext
 from repro.dataflow.context import SparkContext
 from repro.ps.context import PSContext
@@ -436,7 +437,7 @@ class TestCheckpointRecovery:
         before = v.to_numpy()
         ps.kill_server(1)
         assert ps.master.health_check() == [1]
-        recovered = ps.recover(mode="relaxed")
+        recovered = ps.recover()
         assert recovered == [1]
         np.testing.assert_allclose(v.to_numpy(), before)
 
@@ -447,7 +448,7 @@ class TestCheckpointRecovery:
         # Updates after the checkpoint are lost under strict recovery.
         v.push(np.arange(60), np.ones(60))
         ps.kill_server(0)
-        ps.recover(mode="strict")
+        ps.master.recover("strict")
         np.testing.assert_allclose(v.to_numpy(), np.ones(60))
 
     def test_relaxed_recovery_keeps_live_servers_state(self, ps):
@@ -456,7 +457,7 @@ class TestCheckpointRecovery:
         ps.checkpoint_matrix("v")
         v.push(np.arange(60), np.ones(60))  # post-checkpoint progress
         ps.kill_server(2)
-        ps.recover(mode="relaxed")
+        ps.recover()
         vals = v.to_numpy()
         # Partitions on live servers keep value 2; the dead server's
         # partitions rolled back to 1.
@@ -503,7 +504,7 @@ class TestCheckpointRecovery:
         w.push(np.arange(60), np.full(60, 7.0))
         ps.kill_server(1)
         with pytest.raises(CheckpointNotFoundError):
-            ps.recover(mode="relaxed")
+            ps.recover()
         # The dead server was neither restarted nor revived.
         assert not ps.servers[1].container.alive
         assert ps.servers[1].container.restarts == 0
@@ -519,7 +520,7 @@ class TestCheckpointRecovery:
         # Strict mode restores every partition of every matrix; the
         # missing "w" checkpoint must abort before any server restart.
         with pytest.raises(CheckpointNotFoundError):
-            ps.recover(mode="strict")
+            ps.master.recover("strict")
         assert not ps.servers[0].container.alive
         assert ps.servers[0].container.restarts == 0
         assert ps.master.recoveries == 0
@@ -654,7 +655,7 @@ class TestIterationCheckpointPolicy:
             v.push(np.arange(20), np.ones(20))
             psctx.barrier()
             psctx.kill_server(0)
-            psctx.recover(mode="strict")
+            psctx.master.recover("strict")
             # The barrier did NOT checkpoint the post-push state: strict
             # recovery rolls back to the start_iterations() baseline.
             np.testing.assert_allclose(v.to_numpy(), 0.0)
@@ -670,7 +671,7 @@ class TestIterationCheckpointPolicy:
             v.push(np.arange(20), np.ones(20))
             psctx.complete_iteration()  # progress 1: no checkpoint yet
             psctx.kill_server(0)
-            psctx.recover(mode="strict")
+            psctx.master.recover("strict")
             np.testing.assert_allclose(v.to_numpy(), 0.0)
             assert psctx.progress == 0  # rolled back to the baseline
             v.push(np.arange(20), np.ones(20))
@@ -679,7 +680,7 @@ class TestIterationCheckpointPolicy:
             psctx.complete_iteration()  # progress 2: checkpoint fires
             v.push(np.arange(20), np.ones(20))  # post-checkpoint work
             psctx.kill_server(1)
-            psctx.recover(mode="strict")
+            psctx.master.recover("strict")
             np.testing.assert_allclose(v.to_numpy(), 2.0)
             assert psctx.progress == 2
         finally:
@@ -700,17 +701,42 @@ class TestIterationCheckpointPolicy:
             psctx.stop()
             spark.stop()
 
+    def test_a_relaxed_checkpoint_is_written_again_after_recovery(self):
+        # The iteration checkpoint finds server 0 dead and writes nothing;
+        # relaxed recovery reloads only server 0's partitions, and the
+        # checkpoint is then written whole: that mix is what a later
+        # recovery restores.
+        spark, psctx = self._make(interval=1)
+        try:
+            v = psctx.create_vector("v", 20)
+            psctx.start_iterations()
+            written = spark.metrics.get(PS_CHECKPOINTS)
+            v.push(np.arange(20), np.ones(20))
+            psctx.kill_server(0)
+            psctx.complete_iteration()
+            assert (psctx.recovery_generation,
+                    psctx.rollback_generation) == (1, 0)
+            assert spark.metrics.get(PS_CHECKPOINTS) == written + 1
+            state = v.to_numpy()
+            assert set(state.tolist()) == {0.0, 1.0}
+            psctx.kill_server(1)
+            psctx.recover()
+            np.testing.assert_array_equal(v.to_numpy(), state)
+        finally:
+            psctx.stop()
+            spark.stop()
+
     def test_recovery_generations_distinguish_modes(self):
         spark, psctx = self._make(interval=1)
         try:
             psctx.create_vector("v", 20)
             psctx.start_iterations()
             psctx.kill_server(0)
-            psctx.recover(mode="relaxed")
+            psctx.recover()
             assert psctx.recovery_generation == 1
             assert psctx.rollback_generation == 0  # relaxed: no rollback
             psctx.kill_server(0)
-            psctx.recover(mode="strict")
+            psctx.master.recover("strict")
             assert psctx.recovery_generation == 2
             assert psctx.rollback_generation == 1
         finally:

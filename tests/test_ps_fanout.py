@@ -55,6 +55,7 @@ from repro.obs.export import metrics_to_dict
 from repro.obs.tracer import Tracer
 from repro.ps.agent import PSAgent
 from repro.ps.context import PSContext
+from repro.ps.matrix import PSMatrix
 from repro.ps.optimizer import SGD, AdaGrad, Adam, Momentum
 from repro.ps.psfunc import RandomInit
 from tests.conftest import VectorSum, set_rows, split_indices, table_block
@@ -569,15 +570,16 @@ def play(system, ops):
     cols = m.meta.cols
 
     def one(op, keys, col, seed):
+        # The matrix handle's column-scoped calls, on a 1-column vector too.
         rng = np.random.default_rng(seed)
         keys = np.asarray(keys, dtype=np.int64)
         shape = len(keys) if col is not None else (len(keys), cols)
         if op == "pull":
-            return m.pull(keys, col)
+            return PSMatrix.pull(m, keys, col)
         if op == "push":
-            return m.push(keys, rng.standard_normal(shape), col)
+            return PSMatrix.push(m, keys, rng.standard_normal(shape), col)
         if op == "set":
-            return m.set(keys, rng.standard_normal(shape), col)
+            return PSMatrix.set(m, keys, rng.standard_normal(shape), col)
         if op == "pull_all":
             return m.to_numpy()
         block = table_block({
@@ -703,7 +705,7 @@ def test_a_write_is_applied_exactly_once_across_a_recovery(mode, kill):
         else:
             _kill_before_call(system, *kill)
             dead, call = kill
-        system.m.push(np.arange(ROWS), np.ones(ROWS), col=0)
+        system.m.push(np.arange(ROWS), np.ones(ROWS))
         got = system.m.to_numpy()
         pids = np.arange(ROWS) % PARTS
         # Requests before the recovery that the restore rolled back: all
@@ -723,7 +725,7 @@ def test_without_auto_recover_a_dead_server_leaves_the_write_unapplied():
         system.ps.auto_recover = False
         system.ps.kill_server(2)
         with pytest.raises((RpcError, ContainerLostError)):
-            system.m.push(np.arange(ROWS), np.ones(ROWS), col=0)
+            system.m.push(np.arange(ROWS), np.ones(ROWS))
         system.ps.recover()
         assert not system.m.to_numpy().any()
     finally:
@@ -801,7 +803,7 @@ def test_a_restored_dense_partition_is_still_a_view_of_the_matrix():
         system.ps.checkpoint_all()
         m.push(np.arange(ROWS), np.ones((ROWS, 2)))
         system.ps.kill_server(0)
-        system.ps.recover("relaxed")
+        system.ps.recover()
         for server in system.ps.servers:
             for (name, _pid), store in server._stores.items():
                 if name == "m":
@@ -973,7 +975,7 @@ def test_a_restored_shard_and_its_optimizer_state_are_the_matrix():
         _seed_columns(system)
         steps = meta.opt_state["t"]
         system.ps.kill_server(0)
-        system.ps.recover("relaxed")
+        system.ps.recover()
         on_dead = [meta.server_of(pid) == 0 for pid in range(SHARDS)]
         assert steps.tolist() == [1 if dead else 2 for dead in on_dead]
         assert meta.opt_state["t"] is steps
@@ -988,7 +990,7 @@ def test_a_restored_shard_and_its_optimizer_state_are_the_matrix():
                 assert np.shares_memory(view, meta.opt_state[name])
         # A checkpoint still holds one shard and its own step count.
         payload = system.spark.hdfs.read_pickle(
-            system.ps.checkpoint_path("e", 5))
+            system.ps.checkpoint_path("e", 5), cost=None)
         assert payload["store"]["array"].shape == (ROWS, 1)
         assert payload["opt"]["t"].shape == (1,)
         assert payload["opt"]["m"].shape == (ROWS, 1)

@@ -345,7 +345,7 @@ def run_column_cell(servers: int, p: int):
         t.remove(table_block({int(u): [int(u) % 7, 3] for u in probe[:9]}))
         out += [t.get(probe), table_size(t)]
         ps.kill_server(1 % servers)
-        ps.recover("relaxed")
+        ps.recover()
         # The recovered server's shards are a checkpoint behind: their
         # Adam step counts are 1 where the others' are 3.
         step_all()

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.common.errors import SimulatedOOMError
 from repro.common.metrics import SHUFFLE_BYTES_WRITTEN, STAGES_RUN
 from repro.dataflow.partitioner import HashPartitioner
+from repro.dataflow.rdd import TextFileRDD
 from repro.dataflow.taskctx import current_task_context
 from tests.conftest import make_context
 
@@ -106,8 +107,9 @@ class TestTextFiles:
         assert sorted(back) == sorted(f"line-{i}" for i in range(20))
 
     def test_text_file_single_file_split(self, sc):
-        sc.hdfs.write_text("/in/one.txt", [str(i) for i in range(10)])
-        rdd = sc.text_file("/in/one.txt", min_partitions=3)
+        sc.hdfs.write_text("/in/one.txt", [str(i) for i in range(10)],
+                           overwrite=False)
+        rdd = TextFileRDD(sc, "/in/one.txt", 3)
         assert sorted(int(x) for x in rdd.collect()) == list(range(10))
 
 

@@ -26,6 +26,7 @@ from repro.common.simclock import TaskCost
 from repro.common.sizeof import sizeof, sizeof_records
 from repro.core.algorithms import CommonNeighbor, TriangleCount
 from repro.core.ops import edges_from_arrays
+from repro.dataflow.dataframe import DataFrame
 from repro.dataflow.partitioner import HashPartitioner
 from repro.dataflow.taskctx import metered
 from repro.datasets.generators import powerlaw_graph
@@ -146,9 +147,10 @@ def test_batch_meters_bit_identical_to_its_rows(seed, n, start, step):
     """One n-row batch through ``metered`` leaves the same bits as n
     single-record charges."""
     batch = _int64_batch(seed, n, 3)
-    batched, boxed = TaskCost(cpu_s=start), TaskCost(cpu_s=start)
-    assert list(metered(iter([batch]), batched, step)) == [batch]
-    for _ in metered(iter(range(n)), boxed, step):
+    batched, boxed = TaskCost(), TaskCost()
+    batched.cpu_s = boxed.cpu_s = start
+    assert list(metered(iter([batch]), batched, step, "input")) == [batch]
+    for _ in metered(iter(range(n)), boxed, step, "input"):
         pass
     assert batched.cpu_s.hex() == boxed.cpu_s.hex()
 
@@ -240,7 +242,7 @@ def _frame_from(rows, schema, num_partitions):
     ``rows``: results, the sim clock after each, every span and metric."""
     ctx = make_psg(4, tracer=Tracer())
     try:
-        frame = ctx.create_dataframe(rows, schema, num_partitions)
+        frame = DataFrame(ctx.spark.parallelize(rows, num_partitions), schema)
         out = {}
         for name, act in [
                 ("collect", frame.collect),

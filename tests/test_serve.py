@@ -147,7 +147,7 @@ class TestLimiter:
 
     def test_gate_validation(self):
         with pytest.raises(ConfigError):
-            WatermarkGate(high=2, low=2)
+            WatermarkGate(high=2, low=2, protect_priority=2)
 
 
 # ----------------------------------------------------------------------
@@ -167,7 +167,7 @@ def ranked(rows):
 
 def offer(queue, ranks):
     """Offer ranks through a gate that never closes; the drops."""
-    gate = WatermarkGate(high=10 ** 9, low=0)
+    gate = WatermarkGate(high=10 ** 9, low=0, protect_priority=2)
     return queue.admit(np.asarray(ranks), np.zeros(len(ranks), dtype=bool),
                        gate)
 

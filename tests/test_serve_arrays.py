@@ -17,7 +17,7 @@ from collections import OrderedDict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
@@ -376,9 +376,11 @@ def histogram_state(hist):
             hist._sketch is not None, percentiles, hist.count_above(0.25))
 
 
-def serve(plane_cls, tenants, stream, kill_after, **plane_args):
+def serve(plane_cls, tenants, stream, kill_after, watermarks=None,
+          **plane_args):
     """Run one plane over ``stream`` on a fresh context; everything a
-    decision could show up in."""
+    decision could show up in.  ``watermarks`` — ``(high, low)`` — replace
+    the plane's gate thresholds before the first request."""
     tracer = Tracer()
     cluster = ClusterConfig(num_executors=2, executor_mem_bytes=256 * MB,
                             num_servers=2, server_mem_bytes=256 * MB)
@@ -393,6 +395,11 @@ def serve(plane_cls, tenants, stream, kill_after, **plane_args):
              arrival + by_name[name].deadline_s, by_name[name].priority)
             for seq, (name, key, arrival) in enumerate(stream)])
         plane = plane_cls(ctx.ps, tenants, **plane_args)
+        if watermarks is not None:
+            high, low = watermarks
+            plane.gate = type(plane.gate)(
+                high=high, low=low,
+                protect_priority=plane.gate.protect_priority)
         pulled = []
         for model, pull in list(plane._pulls.items()):
             def recording(keys, model=model, pull=pull):
@@ -432,9 +439,12 @@ def serve(plane_cls, tenants, stream, kill_after, **plane_args):
         }
 
 
-def assert_same_decisions(tenants, stream, kill_after=None, **plane_args):
-    old = serve(RefPlane, tenants, stream, kill_after, **plane_args)
-    new = serve(ServingPlane, tenants, stream, kill_after, **plane_args)
+def assert_same_decisions(tenants, stream, kill_after=None, watermarks=None,
+                          **plane_args):
+    old = serve(RefPlane, tenants, stream, kill_after, watermarks,
+                **plane_args)
+    new = serve(ServingPlane, tenants, stream, kill_after, watermarks,
+                **plane_args)
     for field in old:
         assert new[field] == old[field], field
     assert old["report"]["conserved"]
@@ -467,7 +477,7 @@ def traffic(draw):
     plane_args = dict(
         queue_capacity=capacity, batch_size=draw(st.integers(1, 6)),
         cache_capacity=draw(st.integers(1, 10)),
-        high_watermark=high, low_watermark=draw(st.integers(0, high - 1)))
+        watermarks=(high, draw(st.integers(0, high - 1))))
     kill_after = draw(st.one_of(st.none(), st.integers(1, 6)))
     return tenants, stream, kill_after, plane_args
 
@@ -486,8 +496,7 @@ def test_quantum_ending_exactly_on_a_watermark():
     for count in (5, 6, 7, 8):
         stream = [("p1" if i % 2 else "p2", i, 0.0) for i in range(count)]
         assert_same_decisions(tenants, stream, queue_capacity=6,
-                              batch_size=2, high_watermark=6,
-                              low_watermark=1)
+                              batch_size=2, watermarks=(6, 1))
 
 
 def test_full_queue_where_the_newcomer_is_the_worst():
@@ -498,7 +507,7 @@ def test_full_queue_where_the_newcomer_is_the_worst():
     stream = ([("hi", i, 0.0) for i in range(4)]
               + [("lo", 9, 0.001), ("hi", 5, 0.002), ("lo", 7, 0.003)])
     assert_same_decisions(tenants, stream, queue_capacity=4, batch_size=1,
-                          high_watermark=100, low_watermark=0)
+                          watermarks=(100, 0))
 
 
 def test_ten_thousand_arrivals_in_one_quantum():
@@ -672,8 +681,13 @@ def test_store_of_more_rows_than_capacity_keeps_the_most_recent():
 GAMMA = 1.01 / 0.99
 
 
+def capped_histogram(max_exact):
+    """A histogram that switches to its sketch past ``max_exact``."""
+    return type("CappedHistogram", (Histogram,), {"max_exact": max_exact})()
+
+
 def scalar_histogram(values, max_exact):
-    hist = Histogram(max_exact=max_exact)
+    hist = capped_histogram(max_exact)
     for v in values:
         hist.observe(v)
     return hist
@@ -701,7 +715,7 @@ def test_observe_many_equals_observe(values, cuts, max_exact):
     """Any split of a series into batches, single observations and
     queries in between (a batch waits in a buffer until one) leaves the
     state the scalar loop leaves."""
-    bulk = Histogram(max_exact=max_exact)
+    bulk = capped_histogram(max_exact)
     bounds = sorted(dict(cuts).items()) + [(len(values), "batch")]
     lo = 0
     for hi, how in bounds:
@@ -733,6 +747,7 @@ def test_observe_many_across_the_exact_sample_cap():
 
 @given(values=st.lists(samples, max_size=80),
        max_buckets=st.integers(2, 12))
+@example(values=[1.0, 2.0, 4.0, 8.0, 16.0, 32.0], max_buckets=2)
 def test_add_many_equals_add_past_max_buckets(values, max_buckets):
     bulk = QuantileSketch(max_buckets=max_buckets)
     one_by_one = QuantileSketch(max_buckets=max_buckets)

@@ -11,6 +11,7 @@ Example counts follow the hypothesis profile (``tests/conftest.py``).
 """
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -116,8 +117,14 @@ def test_generated_batch_equals_the_same_requests_built_by_hand(case):
     assert generated["report"]["offered"] == len(batch)
 
 
+def two_model_tenants():
+    """The stock tenants, the second one on its own model."""
+    feeds, reco = default_tenants("a")
+    return [feeds, replace(reco, model="b")]
+
+
 def test_generated_batch_retains_at_most_64_bytes_per_request():
-    generator = RequestGenerator(default_tenants("a", "b"),
+    generator = RequestGenerator(two_model_tenants(),
                                  key_space=10_000, seed=1)
     generator.generate(1_000)  # numpy's first-call allocations
     tracemalloc.start()
@@ -156,7 +163,7 @@ def test_batch_with_unknown_tenant_or_model_is_rejected(spec):
 
 
 def test_request_is_a_row_view():
-    batch = RequestGenerator(default_tenants("a", "b"), key_space=KEYS,
+    batch = RequestGenerator(two_model_tenants(), key_space=KEYS,
                              seed=2).generate(5)
     rows = [fields(r) for r in batch]
     assert rows == [fields(r) for r in hand_built(batch)]

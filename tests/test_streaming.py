@@ -537,7 +537,8 @@ class TestEngineBootstrapOrder:
             snaps = [self._checked_snapshot(g, engine)]
             # From scratch on the same graph: a fresh embedding's
             # bootstrap is the batch run the live one must equal.
-            fresh = OnlineEmbeddingRefresh(g, dim=4, name="fresh.emb")
+            fresh = type("Fresh", (OnlineEmbeddingRefresh,),
+                         {"embedding_name": "fresh.emb"})(g, dim=4)
             fresh.bootstrap()
             np.testing.assert_array_equal(snaps[0][3], embedding_vectors(fresh)[1])
 

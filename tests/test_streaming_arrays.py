@@ -644,7 +644,7 @@ class RefIncrementalComponents(IncrementalComponents):
 def topic_rounds(draw):
     """A topic of 1-5 partitions and rounds of produce calls (adds,
     removes and vertex drops of a few ids each), every round followed by
-    one poll with a per-partition record limit (``None`` for all)."""
+    one poll."""
     partitions = draw(st.integers(1, 5))
     vertex = st.integers(0, 12)
     pairs = st.lists(st.tuples(vertex, vertex), max_size=8)
@@ -652,9 +652,8 @@ def topic_rounds(draw):
                      st.tuples(st.just("del"), pairs),
                      st.tuples(st.just("drop"),
                                st.lists(vertex, max_size=4)))
-    rounds = draw(st.lists(
-        st.tuples(st.lists(call, max_size=4), st.none() | st.integers(1, 6)),
-        min_size=1, max_size=5))
+    rounds = draw(st.lists(st.lists(call, max_size=4), min_size=1,
+                           max_size=5))
     return partitions, rounds
 
 
@@ -683,32 +682,28 @@ def test_columnar_stream_equals_the_record_stream(case, data):
     topic = KafkaTopic("edges", num_partitions=partitions)
     fs = Hdfs(metrics=MetricsRegistry())
     seen: List[MutationBatch] = []
-    consumer = EdgeStreamConsumer(topic, fs, landing_dir="/land",
-                                  sink=seen.append)
+    consumer = EdgeStreamConsumer(topic, fs, landing_dir="/land")
+    consumer.sink = seen.append
     ref_logs: List[List[Mutation]] = [[] for _ in range(partitions)]
     ref_offsets = [0] * partitions
     landed = 0  # consuming polls so far: the landing files' counter
-    for calls, limit in rounds:
+    for calls in rounds:
         for kind, ids in calls:
             _produce(topic, ref_logs, kind, ids)
         assert end_offsets(topic) == [len(log) for log in ref_logs]
-        # Reads from any offset, with limits that cut the produce chunks.
+        # Reads from any offset, which may cut a produce chunk.
         for p, log in enumerate(ref_logs):
             offset = data.draw(st.integers(0, len(log) + 1))
-            cap = data.draw(st.none() | st.integers(0, len(log) + 1))
-            got = topic.read(p, offset, cap)
+            got = topic.read(p, offset)
             assert isinstance(got, MutationBatch)
             assert [c.dtype for c in got.columns] == [
                 np.int8, np.int64, np.int64]
-            end = None if cap is None else offset + cap
-            assert mutation_records(got) == log[offset:end]
+            assert mutation_records(got) == log[offset:]
         # One poll: the landed files and the sink's batch.
-        staged = {p: log[ref_offsets[p]:None if limit is None
-                         else ref_offsets[p] + limit]
-                  for p, log in enumerate(ref_logs)}
+        staged = {p: log[ref_offsets[p]:] for p, log in enumerate(ref_logs)}
         staged = {p: records for p, records in staged.items() if records}
         seen.clear()
-        assert consumer.poll(limit) == sum(map(len, staged.values()))
+        assert consumer.poll() == sum(map(len, staged.values()))
         if not staged:
             assert not seen
             continue

@@ -31,6 +31,7 @@ from repro.obs import (
     spans_from_json,
     telemetry_doc,
 )
+from repro.obs import critical
 from repro.obs.determinism import run_workload, segments
 from tests.conftest import sketch_state
 
@@ -321,13 +322,14 @@ class TestCriticalPath:
         assert [r.label for r in report.rows] == ["driver:idle"]
         assert report.covered_pct == pytest.approx(100.0)
 
-    def test_top_n_folds_tail(self):
+    def test_top_n_folds_tail(self, monkeypatch):
+        monkeypatch.setattr(critical, "TOP_N", 2)
         t = Tracer()
         for i in range(5):
             t.add("driver", "stages", f"stage {i}",
                   float(i), float(i) + 1.0,
                   {"stage": i, "kind": f"k{i}", "tasks": 1})
-        report = critical_path(t.spans(), 5.0, top_n=2)
+        report = critical_path(t.spans(), 5.0)
         table = report.table()
         assert len(table) == 3
         assert table[-1].label == "(other)"

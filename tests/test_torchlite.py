@@ -122,7 +122,7 @@ class TestFunctional:
     def test_concat_grad(self):
         a = Tensor(np.ones((2, 2)), requires_grad=True)
         b = Tensor(np.ones((2, 3)), requires_grad=True)
-        out = concat([a, b], axis=1)
+        out = concat([a, b])
         assert out.shape == (2, 5)
         (out * 2.0).sum().backward()
         np.testing.assert_allclose(a.grad, np.full((2, 2), 2.0))

@@ -10,19 +10,24 @@ the tier-1 suite under the same hook on its own, and prints three tables:
   point, run only under tier-1, or run nowhere (``raise`` counted apart);
 - **parameters** — every parameter with a default: how many take one
   value at every entry-point call, and for how many of those the only
-  other values come from tier-1.
+  other values come from tier-1;
+- **fields** — the same for every dataclass field with a default that
+  ``__init__`` takes.  A dataclass's ``__init__`` is generated code with
+  no file in ``src/repro``, so the hook keys its calls by the class that
+  defines the ``__init__`` (found from ``type(self)``) when that class is
+  in ``repro``, and each field by the class that declares it.
 
-The statement and parameter passes leave out ``repro.lint``, whose rules
-are reached through the fixtures of its own tests.
+The statement, parameter and field passes leave out ``repro.lint``, whose
+rules are reached through the fixtures of its own tests.
 
 The hooks live in a ``sitecustomize.py`` written to a temporary directory
 put first on ``PYTHONPATH``, so every Python process an entry point starts
 is covered.  A ``sys.settrace`` call hook records each ``src/repro`` code
 object that runs (the function census) and the arguments of each call
-(the parameter census: a value is keyed by ``type:repr`` for scalars and
-short tuples, by its type otherwise); its local line hook records every
-line run (the statement census).  Each process writes what it saw to one
-JSON file at exit.
+(the parameter and field censuses: a value is keyed by ``type:repr`` for
+scalars and short tuples, by its type otherwise); its local line hook
+records every line run (the statement census).  Each process writes what
+it saw to one JSON file at exit.
 
 Usage (stdlib only; about 21 minutes a checkout on two cores)::
 
@@ -143,10 +148,15 @@ class Defs:
         self.statements: Dict[str, List[Tuple[int, int, bool, int]]] = {}
         #: (file, firstlineno) -> [(param name, default source)]
         self.params: Dict[Tuple[str, int], List[Tuple[str, str]]] = {}
+        #: "module:class qualname" -> (file, [(field name, default source)])
+        self.fields: Dict[str, Tuple[str, List[Tuple[str, str]]]] = {}
         for path in sorted(src.rglob("*.py")):
             rel = path.relative_to(src.parent.parent).as_posix()
             tree = ast.parse(path.read_text(), filename=str(path))
             self.statements[rel] = []
+            self._module = ".".join(
+                path.relative_to(src.parent).with_suffix("").parts
+            ).removesuffix(".__init__")
             self._walk(rel, tree, "", False)
 
     def _walk(self, rel: str, node: ast.AST, prefix: str,
@@ -171,7 +181,11 @@ class Defs:
             elif isinstance(child, ast.ClassDef):
                 if in_function:
                     self._statement(rel, child)
-                self._walk(rel, child, prefix + child.name + ".", False)
+                qual = prefix + child.name
+                if not in_function and _is_dataclass(child):
+                    self.fields[f"{self._module}:{qual}"] = (
+                        rel, _field_defaults(child))
+                self._walk(rel, child, qual + ".", False)
             elif isinstance(child, ast.stmt):
                 if in_function:
                     self._statement(rel, child)
@@ -210,6 +224,40 @@ def _defaulted(args: ast.arguments) -> List[Tuple[str, str]]:
     return out
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for d in node.decorator_list:
+        d = d.func if isinstance(d, ast.Call) else d
+        if ast.unparse(d) in ("dataclass", "dataclasses.dataclass"):
+            return True
+    return False
+
+
+def _field_defaults(node: ast.ClassDef) -> List[Tuple[str, str]]:
+    """(name, default source) of each field with a default that the
+    generated ``__init__`` takes."""
+    out = []
+    for st in node.body:
+        if not (isinstance(st, ast.AnnAssign)
+                and isinstance(st.target, ast.Name) and st.value is not None
+                and "ClassVar" not in ast.unparse(st.annotation)):
+            continue
+        v = st.value
+        if isinstance(v, ast.Call) and ast.unparse(v.func) in (
+                "field", "dataclasses.field"):
+            kw = {k.arg: k.value for k in v.keywords}
+            init = kw.get("init")
+            if isinstance(init, ast.Constant) and init.value is False:
+                continue
+            if "default" in kw:
+                out.append((st.target.id, ast.unparse(kw["default"])))
+            elif "default_factory" in kw:
+                out.append((st.target.id,
+                            ast.unparse(kw["default_factory"]) + "()"))
+        else:
+            out.append((st.target.id, ast.unparse(v)))
+    return out
+
+
 # ---- the hooks ---------------------------------------------------------
 
 HOOK = r'''
@@ -218,6 +266,7 @@ import atexit, json, os, sys
 _SRC = {src!r}
 _OUT = {out!r}
 _PARAMS = {params!r}
+_FIELDS = {fields!r}
 _CALLS = set()
 _LINES = {{}}
 _VALUES = {{}}
@@ -234,11 +283,33 @@ def _key(v):
     return "<" + type(v).__qualname__ + ">"
 
 
-def _info(code):
+def _field_info(code, frame):
+    """(None, [(field, key)]) when ``code`` is the generated ``__init__``
+    of a ``repro`` dataclass; the class is the one whose ``__init__`` is
+    ``code`` on ``type(self)``'s MRO."""
+    if code.co_name != "__init__" or not code.co_varnames:
+        return None
+    mro = type(frame.f_locals.get(code.co_varnames[0])).__mro__
+    cls = next((c for c in mro if getattr(
+        c.__dict__.get("__init__"), "__code__", None) is code), None)
+    if cls is None or "__dataclass_fields__" not in cls.__dict__:
+        return None
+    out = []
+    for name in cls.__dataclass_fields__:
+        for c in cls.__mro__:
+            if name in c.__dict__.get("__annotations__", {{}}):
+                key = c.__module__ + ":" + c.__qualname__ + ":" + name
+                if key in _FIELDS:
+                    out.append((name, key))
+                break
+    return (None, out) if out else None
+
+
+def _info(code, frame):
     fn = code.co_filename
     if not fn.startswith(_SRC):
-        _CODES[code] = None
-        return None
+        info = _CODES[code] = _field_info(code, frame)
+        return info
     rel = "src/" + fn[len(_SRC):].lstrip("/")
     rel = rel.replace(os.sep, "/")
     key = rel + ":" + str(code.co_firstlineno)
@@ -258,8 +329,15 @@ def _tracer(frame, event, arg):
     try:
         info = _CODES[code]
     except KeyError:
-        info = _info(code)
+        info = _info(code, frame)
     if info is None:
+        return None
+    if info[0] is None:             # a dataclass's generated __init__
+        loc = frame.f_locals
+        for name, key in info[1]:
+            seen = _VALUES.setdefault(key, set())
+            if len(seen) < 16:
+                seen.add(_key(loc[name]))
         return None
     key, lines, params, start = info
     _CALLS.add(key + ":" + code.co_qualname)
@@ -305,9 +383,11 @@ def collect(repo: Path, defs: Defs, out: Path,
     hook_dir = Path(tempfile.mkdtemp(prefix="census-hook-"))
     params = {f"{f}:{line}": [p for p, _d in ps]
               for (f, line), ps in defs.params.items() if ps}
+    fields = {f"{cls}:{name}" for cls, (_f, fs) in defs.fields.items()
+              for name, _d in fs}
     (hook_dir / "sitecustomize.py").write_text(HOOK.format(
         src=str((repo / "src").resolve()) + "/", out=str(out.resolve()),
-        params=params))
+        params=params, fields=fields))
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join([str(hook_dir),
                                           str((repo / "src").resolve())])}
@@ -416,6 +496,24 @@ class Census:
                         one_tier.append(row)
         return total, one, one_tier
 
+    def fields(self):
+        total, one, one_tier = 0, [], []
+        for cls, (f, fs) in self.defs.fields.items():
+            if f.startswith(LINT):
+                continue
+            for name, default in fs:
+                total += 1
+                k = f"{cls}:{name}"
+                e = self.ep[2].get(k, set())
+                t = self.t1[2].get(k, set())
+                if len(e) == 1:
+                    row = (f, cls.partition(":")[2], name, default,
+                           next(iter(e)))
+                    one.append(row)
+                    if t - e:
+                        one_tier.append(row)
+        return total, one, one_tier
+
 
 def _lines(rows) -> int:
     return sum(n for *_x, n in rows)
@@ -426,6 +524,7 @@ def report(censuses: Dict[str, Census], listing: bool) -> None:
     fn = {k: c.functions() for k, c in censuses.items()}
     st = {k: c.statements() for k, c in censuses.items()}
     pa = {k: c.parameters() for k, c in censuses.items()}
+    fi = {k: c.fields() for k, c in censuses.items()}
 
     def table(title, rows):
         print(f"\n{title}")
@@ -457,6 +556,11 @@ def report(censuses: Dict[str, Census], listing: bool) -> None:
         ("one value at every entry point", [len(pa[k][1]) for k in labels]),
         ("  other values only from tier-1", [len(pa[k][2]) for k in labels]),
     ])
+    table("Dataclass fields with a default", [
+        ("fields", [fi[k][0] for k in labels]),
+        ("one value at every entry point", [len(fi[k][1]) for k in labels]),
+        ("  other values only from tier-1", [len(fi[k][2]) for k in labels]),
+    ])
     if len(labels) == 2:
         a, b = labels
         gone = fn[a][1] - fn[b][1]
@@ -485,6 +589,12 @@ def report(censuses: Dict[str, Census], listing: bool) -> None:
     for f, qual, name, default, value in sorted(pa[k][1]):
         mark = "*" if (f, qual, name) in tier else " "
         print(f" {mark} {f}  {qual}({name}={default})  always {value}")
+    print(f"\n[{k}] dataclass fields at one value at every entry point "
+          "(* = tier-1 passes another):")
+    tier = {(f, q, n) for f, q, n, _d, _v in fi[k][2]}
+    for f, qual, name, default, value in sorted(fi[k][1]):
+        mark = "*" if (f, qual, name) in tier else " "
+        print(f" {mark} {f}  {qual}.{name} = {default}  always {value}")
 
 
 def main(argv: Optional[List[str]] = None) -> int:

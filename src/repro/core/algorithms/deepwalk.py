@@ -17,7 +17,7 @@ from typing import Iterator, List
 import numpy as np
 
 from repro.common.batch import RowBatch
-from repro.common.rng import DEFAULT_SEED, derive_seed
+from repro.common.rng import DEFAULT_SEED, bounded_draws, derive_seed
 from repro.core.algorithms.base import AlgorithmResult, GraphAlgorithm
 from repro.core.context import PSGraphContext
 from repro.core.ops import (
@@ -137,14 +137,13 @@ def _sample_walks(adj, vertices: np.ndarray, length: int, per_vertex: int,
     for step in range(1, length):
         uniq, inverse = np.unique(current, return_inverse=True)
         tables = adj.get(uniq)
-        starts = tables.indptr[inverse].tolist()
-        degrees = tables.degrees()[inverse].tolist()
-        nxt = np.empty(len(current), dtype=np.int64)
-        for i, (start, degree) in enumerate(zip(starts, degrees)):
-            if degree == 0:
-                nxt[i] = current[i]
-                continue
-            nxt[i] = tables.neighbors[start + rng.integers(0, degree)]
+        starts = tables.indptr[inverse]
+        degrees = tables.degrees()[inverse]
+        # A walker on a vertex without neighbors stays and draws nothing.
+        nxt = current.copy()
+        moving = degrees > 0
+        nxt[moving] = tables.neighbors[
+            starts[moving] + bounded_draws(rng, degrees[moving])]
         current = nxt
         walks[:, step] = current
     return walks

@@ -20,6 +20,7 @@ import numpy as np
 
 from repro.common.rng import DEFAULT_SEED, derive_seed
 from repro.core.algorithms.base import AlgorithmResult, GraphAlgorithm
+from repro.core.blocks import sample_neighbors
 from repro.core.context import PSGraphContext
 from repro.core.ops import (
     max_vertex_id,
@@ -418,22 +419,12 @@ def _sample_and_pull(adj, feats, node_ids: np.ndarray,
     """
     s1, s2 = fanouts
 
-    def choose(pool: np.ndarray, fallback: int, size: int) -> np.ndarray:
-        if len(pool) == 0:
-            pool = np.asarray([fallback], dtype=np.int64)
-        if pad:
-            return rng.choice(pool, size=size, replace=True)
-        return rng.choice(pool, size=min(size, len(pool)), replace=False)
-
     def sample(ids: np.ndarray, size: int):
-        """Per-vertex draws in request order -> (sampled ids, segment)."""
+        """Every vertex's draws in request order -> (sampled ids, segment)."""
         block = adj.get(ids)
-        nbrs, bounds = block.neighbors, block.indptr.tolist()
-        chosen = [choose(nbrs[a:b], v, size) for v, a, b in zip(
-            block.vertices.tolist(), bounds[:-1], bounds[1:])]
-        segment = np.repeat(np.arange(len(chosen)),
-                            [len(c) for c in chosen])
-        return np.concatenate(chosen), segment
+        return sample_neighbors(rng, block.vertices, block.indptr[:-1],
+                                block.degrees(), block.neighbors, size,
+                                replace=pad)
 
     n1, seg1_arr = sample(node_ids, s1)
     n2, seg2_arr = sample(n1, s2)

@@ -16,6 +16,7 @@ from typing import Iterator, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.common.batch import gather_segments, in_sorted, pair_keys
+from repro.common.rng import choice_positions
 
 
 @dataclass
@@ -156,6 +157,26 @@ class NeighborBlock:
                   out=indptr[1:])
         return cls(np.concatenate([b.vertices for b in blocks]), indptr,
                    np.concatenate([b.neighbors for b in blocks]))
+
+
+def sample_neighbors(rng: np.random.Generator, vertices: np.ndarray,
+                     starts: np.ndarray, degrees: np.ndarray,
+                     neighbors: np.ndarray, k: int, replace: bool
+                     ) -> Tuple[np.ndarray, np.ndarray]:
+    """``k`` sampled neighbors of every row, from one draw kernel.
+
+    Row ``i`` is ``neighbors[starts[i]:starts[i] + degrees[i]]`` and
+    yields what ``rng.choice(row, k, replace=True)`` or ``rng.choice(row,
+    min(k, len(row)), replace=False)`` yields, row after row from the same
+    stream (:func:`repro.common.rng.choice_positions`).  An empty row
+    samples from ``[vertices[i]]``, which draws nothing.  Returns
+    ``(sampled ids, segment)``: the ids and the row each one belongs to.
+    """
+    segment, pos = choice_positions(rng, np.maximum(degrees, 1), k, replace)
+    out = vertices[segment]
+    full = degrees[segment] > 0
+    out[full] = neighbors[starts[segment[full]] + pos[full]]
+    return out, segment
 
 
 def build_neighbor_block(targets: np.ndarray, others: np.ndarray,

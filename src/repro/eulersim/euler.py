@@ -32,7 +32,11 @@ from repro.common.config import ClusterConfig
 from repro.common.metrics import MetricsRegistry
 from repro.common.rng import DEFAULT_SEED, derive_seed
 from repro.common.simclock import TaskCost, barrier
-from repro.core.blocks import NeighborBlock, build_neighbor_block
+from repro.core.blocks import (
+    NeighborBlock,
+    build_neighbor_block,
+    sample_neighbors,
+)
 from repro.core.ops import parse_edge_bytes
 from repro.hdfs.filesystem import Hdfs
 from repro.torchlite.functional import cross_entropy
@@ -271,18 +275,8 @@ class EulerSystem:
         # A missing id reads indptr[0] == 0 twice: an empty row.
         lo = indptr[np.where(hit, pos, 0)]
         hi = indptr[np.where(hit, pos + 1, 0)]
-        out_ids: List[np.ndarray] = []
-        lens: List[int] = []
-        for v, a, b in zip(ids.tolist(), lo.tolist(), hi.tolist()):
-            if a == b:
-                chosen = np.asarray([v], dtype=np.int64)
-            else:
-                chosen = rng.choice(nbrs[a:b], size=min(fanout, b - a),
-                                    replace=False)
-            out_ids.append(chosen)
-            lens.append(len(chosen))
-        return (np.concatenate(out_ids),
-                np.repeat(np.arange(len(lens), dtype=np.int64), lens))
+        return sample_neighbors(rng, ids, lo, hi - lo, nbrs, fanout,
+                                replace=False)
 
     def _forward(self, model, ids: np.ndarray,
                  fanouts: Tuple[int, int], rng: np.random.Generator):

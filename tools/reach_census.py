@@ -25,9 +25,11 @@ put first on ``PYTHONPATH``, so every Python process an entry point starts
 is covered.  A ``sys.settrace`` call hook records each ``src/repro`` code
 object that runs (the function census) and the arguments of each call
 (the parameter and field censuses: a value is keyed by ``type:repr`` for
-scalars and short tuples, by its type otherwise); its local line hook
-records every line run (the statement census).  Each process writes what
-it saw to one JSON file at exit.
+scalars, short tuples, slices and numpy dtypes, a class by its qualified
+name, a small dict of scalars by its items' sorted reprs, and anything
+else by its type); its local line hook records every line run (the
+statement census).  Each process writes what it saw to one JSON file at
+exit.
 
 Usage (stdlib only; about 21 minutes a checkout on two cores)::
 
@@ -280,6 +282,14 @@ def _key(v):
     if isinstance(v, tuple) and len(v) <= 8 and all(
             isinstance(x, _SCALARS) for x in v):
         return "tuple:" + repr(v)[:80]
+    if isinstance(v, type):
+        return "type:" + v.__module__ + "." + v.__qualname__
+    np = sys.modules.get("numpy")
+    if isinstance(v, slice) or (np is not None and isinstance(v, np.dtype)):
+        return type(v).__name__ + ":" + repr(v)[:80]
+    if isinstance(v, dict) and len(v) <= 8 and all(
+            isinstance(x, _SCALARS) for kv in v.items() for x in kv):
+        return "dict:" + repr(sorted(map(repr, v.items())))[:120]
     return "<" + type(v).__qualname__ + ">"
 
 

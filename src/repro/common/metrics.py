@@ -367,6 +367,7 @@ CONTAINERS_RESTARTED = "yarn.containers.restarted"
 CHAOS_FAULTS = "chaos.faults.fired"
 PS_RECOVERIES = "ps.recovery.count"
 PS_ROLLBACKS = "ps.recovery.rollbacks"
+PS_PINGS_FAILED = "ps.master.pings_failed"
 
 ALERTS_FIRED = "obs.alerts.fired"
 

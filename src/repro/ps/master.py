@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List, Tuple
 
 from repro.common.errors import CheckpointNotFoundError, RpcError
+from repro.common.metrics import PS_PINGS_FAILED
 from repro.common.simclock import barrier
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -40,18 +41,27 @@ class PSMaster:
         self.recoveries = 0
 
     def health_check(self) -> List[int]:
-        """Ping every server; returns indices of dead ones."""
+        """Ping every server; returns indices of dead ones.
+
+        A server is dead when its container or its endpoint is (what
+        ``kill_server`` sets).  A ping that fails on a live server is a
+        network fault: it costs its :attr:`health_check_cost_s` and any
+        injected delay on the driver clock, counts in
+        ``ps.master.pings_failed``, and restarts nothing.
+        """
         dead: List[int] = []
-        rpc = self.psctx.spark.rpc
+        spark = self.psctx.spark
+        rpc, clock = spark.rpc, spark.driver_clock
         for server in self.psctx.servers:
-            self.psctx.spark.driver_clock.advance(self.health_check_cost_s)
-            try:
-                if not rpc.is_alive(server.id):
-                    dead.append(server.index)
-                    continue
-                rpc.call(server.id, "ping", request_bytes=8, response_bytes=8)
-            except RpcError:
+            clock.advance(self.health_check_cost_s)
+            if not (server.container.alive and rpc.is_alive(server.id)):
                 dead.append(server.index)
+                continue
+            try:
+                rpc.call(server.id, "ping", request_bytes=8, response_bytes=8)
+            except RpcError as exc:
+                clock.advance(getattr(exc, "delay_s", 0.0))
+                spark.metrics.inc(PS_PINGS_FAILED)
         return dead
 
     def recover(self, mode: str = "relaxed") -> List[int]:

@@ -15,7 +15,11 @@ from repro.chaos import (
 )
 from repro.common.config import ClusterConfig
 from repro.common.errors import ConfigError, RpcError
-from repro.common.metrics import CHAOS_FAULTS
+from repro.common.metrics import (
+    CHAOS_FAULTS,
+    CONTAINERS_RESTARTED,
+    PS_PINGS_FAILED,
+)
 from repro.dataflow.context import SparkContext
 from repro.dataflow.partitioner import HashPartitioner
 from repro.ps.context import PSContext
@@ -274,6 +278,45 @@ class TestChaosEngineRpc:
                 v.push(np.arange(40), np.ones(40))
             assert spark.sim_time() >= t0 + 3.0
             np.testing.assert_allclose(v.to_numpy(), 1.0)
+        finally:
+            ps.stop()
+            spark.stop()
+
+    def test_a_dropped_ping_is_not_a_death(self):
+        """Every ping dropped on two live servers: the master restarts
+        nothing, and the push made after the checkpoint survives a
+        relaxed recovery."""
+        spark, ps = make_ps_cluster(num_servers=2)
+        try:
+            v = ps.create_vector("v", 40)
+            ps.checkpoint_matrix("v")
+            v.push(np.arange(40), np.ones(40))
+            sched = FaultSchedule([FaultSpec("rpc_drop", method="ping",
+                                             count=4)])
+            with attached(ChaosEngine(sched, spark, ps)) as engine:
+                assert ps.master.health_check() == []
+                assert ps.master.recover("relaxed") == []
+            assert [f.kind for f in engine.fired] == ["rpc_drop"] * 4
+            assert ps.master.recoveries == 0
+            assert spark.metrics.get(PS_PINGS_FAILED) == 4
+            assert spark.metrics.get(CONTAINERS_RESTARTED) == 0
+            np.testing.assert_allclose(v.to_numpy(), 1.0)
+        finally:
+            ps.stop()
+            spark.stop()
+
+    def test_a_timed_out_ping_charges_the_driver_clock(self):
+        spark, ps = make_ps_cluster(num_servers=2)
+        try:
+            sched = FaultSchedule([FaultSpec(
+                "rpc_timeout", method="ping", count=2, delay_s=0.5,
+            )])
+            t0 = spark.driver_clock.now_s
+            with attached(ChaosEngine(sched, spark, ps)):
+                assert ps.master.health_check() == []
+            assert spark.driver_clock.now_s == pytest.approx(
+                t0 + 2 * (ps.master.health_check_cost_s + 0.5))
+            assert ps.master.recoveries == 0
         finally:
             ps.stop()
             spark.stop()

@@ -1,5 +1,7 @@
 """Tests for PSGraph blocks, GraphOps and GraphIO."""
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -100,27 +102,55 @@ class TestBlocks:
         assert taken.weights.tolist() == [.4, .1, .2, .4]
         assert block.take(np.empty(0, dtype=np.int64)).num_edges == 0
 
-    @settings(deadline=None, max_examples=100)
     @given(st.lists(st.sets(st.integers(0, 30), max_size=8),
                     min_size=1, max_size=8),
            st.data())
     def test_intersect_counts_equals_set_overlap(self, rows, data):
         """Sorted duplicate-free rows (empty ones too) against Python sets,
-        on arbitrary position pairs including a row with itself."""
-        lens = [len(r) for r in rows]
-        block = NeighborBlock(
-            np.arange(len(rows), dtype=np.int64),
-            np.concatenate([[0], np.cumsum(lens)]).astype(np.int64),
-            np.asarray([n for r in rows for n in sorted(r)], dtype=np.int64),
-        )
+        on arbitrary position pairs including a row with itself — cut
+        into 1, 2 and 3 chunks and into more chunks than pairs, so cuts
+        fall on empty chunks and zero-probe pairs too."""
         position = st.integers(0, len(rows) - 1)
         pairs = data.draw(st.lists(st.tuples(position, position),
                                    max_size=12))
-        left = np.asarray([a for a, _b in pairs], dtype=np.int64)
-        right = np.asarray([b for _a, b in pairs], dtype=np.int64)
-        counts, work = intersect_counts(block, left, right)
-        assert counts.tolist() == [len(rows[a] & rows[b]) for a, b in pairs]
-        assert work == 2 * sum(min(lens[a], lens[b]) for a, b in pairs)
+        _assert_intersect_counts(rows, pairs)
+
+    def test_intersect_counts_edge_cases(self):
+        """No pairs, one pair, a row with itself, empty rows, and a cut
+        on a zero-probe pair, at every chunking."""
+        rows = [{1, 2, 3}, set(), {2, 3, 4, 5}, {3}, set()]
+        for pairs in ([], [(0, 2)], [(2, 2)], [(1, 4)], [(1, 0), (4, 2)],
+                      # probes 1, 0, 0, 3: the 2-way cut falls right
+                      # after the zero-probe pairs; a 3-way chunk is empty
+                      [(3, 0), (1, 2), (0, 4), (0, 2)]):
+            _assert_intersect_counts(rows, pairs)
+        _assert_intersect_counts([set(), set()], [(0, 1), (1, 1)])
+
+
+def _assert_intersect_counts(rows, pairs):
+    """``intersect_counts`` over a block of the sorted ``rows`` equals the
+    set overlaps of ``pairs`` and the galloping charge at one chunk, 2, 3
+    and more chunks than pairs (the worker count and break-even patched;
+    one probe suffices for a chunk)."""
+    lens = [len(r) for r in rows]
+    block = NeighborBlock(
+        np.arange(len(rows), dtype=np.int64),
+        np.concatenate([[0], np.cumsum(lens)]).astype(np.int64),
+        np.asarray([n for r in rows for n in sorted(r)], dtype=np.int64),
+    )
+    left = np.asarray([a for a, _b in pairs], dtype=np.int64)
+    right = np.asarray([b for _a, b in pairs], dtype=np.int64)
+    expected = [len(rows[a] & rows[b]) for a, b in pairs]
+    work = 2 * sum(min(lens[a], lens[b]) for a, b in pairs)
+    with patch("repro.common.parallel.WORKERS", 1):
+        one, one_work = intersect_counts(block, left, right)
+    assert one.tolist() == expected and one_work == work
+    for workers in (2, 3, len(pairs) + 2):
+        with patch("repro.common.parallel.WORKERS", workers), \
+                patch("repro.core.blocks.BREAK_EVEN", 1):
+            counts, chunk_work = intersect_counts(block, left, right)
+        assert counts.dtype == one.dtype
+        assert counts.tolist() == expected and chunk_work == work
 
 
 #: An edge-list line the array parse takes: ``int<TAB or SPACE>int``.

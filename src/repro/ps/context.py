@@ -160,8 +160,7 @@ class PSContext:
             meta.data = ColumnShardMatrix(meta.rows, meta.part_offsets,
                                           meta.dtype)
         elif meta.storage == "neighbor":
-            servers, name = self.servers, meta.name
-            owners = [meta.server_of(p) for p in parts]
+            servers, name, owners = self.servers, meta.name, meta.owners
             meta.data = NeighborTableView(
                 len(owners),
                 lambda pid: servers[owners[pid]]._stores.get((name, pid)))

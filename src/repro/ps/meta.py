@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -80,6 +81,11 @@ class MatrixMeta:
         return {name: (whole[pid:pid + 1] if name in self.optimizer.counters
                        else whole[start:stop].reshape(shape))
                 for name, whole in self.opt_state.items()}
+
+    @cached_property
+    def owners(self) -> List[int]:
+        """:meth:`server_of` of every partition, by partition id."""
+        return [self.server_of(pid) for pid in range(self.num_partitions)]
 
     def server_of(self, pid: int) -> int:
         """Index of the server holding partition ``pid``.

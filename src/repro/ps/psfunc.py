@@ -10,7 +10,7 @@ how the server-side Adam/AdaGrad optimizers are built (Sec. IV-E).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -20,8 +20,17 @@ from repro.common.batch import (
     scatter_add_flat,
     scatter_add_rows,
 )
+from repro.common.errors import PSError
 from repro.common.sizeof import CONTAINER_ENTRY_BYTES
 from repro.ps.storage import ColumnShardStore
+
+
+def _check_pairs(*arrays: np.ndarray) -> None:
+    """Every pair has both its rows (and its coefficient): arrays of
+    different lengths are refused before a request is sent."""
+    lengths = [len(a) for a in arrays]
+    if len(set(lengths)) > 1:
+        raise PSError(f"pair arrays of lengths {lengths}")
 
 
 class PsFunc:
@@ -85,6 +94,7 @@ class PartialDot(PsFunc):
     def __init__(self, left: Sequence[int], right: Sequence[int]) -> None:
         self.left = np.asarray(left, dtype=np.int64)
         self.right = np.asarray(right, dtype=np.int64)
+        _check_pairs(self.left, self.right)
 
     def logical_nbytes(self) -> int:
         """Request bytes: the index pairs."""
@@ -129,9 +139,11 @@ class RankOneUpdate(PsFunc):
         self.left = np.asarray(left, dtype=np.int64)
         self.right = np.asarray(right, dtype=np.int64)
         self.coeffs = np.asarray(coeffs, dtype=np.float64)
-        #: The request's plan, shared by its shard applies: the flat
-        #: positions of its adds, per shard width.
-        self._flat: Dict[int, np.ndarray] = {}
+        _check_pairs(self.left, self.right, self.coeffs)
+        #: The request's plan, shared by its shard applies, per shard
+        #: width and dtype: the rows to gather, the coefficient of every
+        #: gathered element and the flat positions of its adds.
+        self._plans: Dict[tuple, Tuple[np.ndarray, ...]] = {}
 
     def logical_nbytes(self) -> int:
         """Request bytes: the index pairs and coefficients, not the plan."""
@@ -141,22 +153,35 @@ class RankOneUpdate(PsFunc):
     def apply(self, store: ColumnShardStore) -> None:
         arr = store.array
         pairs, width = len(self.left), arr.shape[1]
-        g = self.coeffs[:, None].astype(arr.dtype)
-        # Both halves read the rows as they were before either add.
-        values = np.empty((2 * pairs, width), dtype=arr.dtype)
-        np.multiply(g, arr.take(self.right, axis=0), out=values[:pairs])
-        np.multiply(g, arr.take(self.left, axis=0), out=values[pairs:])
-        if values.size > SCATTER_BLOCK:
+        if 2 * pairs * width > SCATTER_BLOCK:
             # Too large to keep indices for: scratch stays one block.
+            g = self.coeffs[:, None].astype(arr.dtype)
+            # Both halves read the rows as they were before either add.
+            values = np.empty((2 * pairs, width), dtype=arr.dtype)
+            np.multiply(g, arr.take(self.right, axis=0), out=values[:pairs])
+            np.multiply(g, arr.take(self.left, axis=0), out=values[pairs:])
             scatter_add_rows(arr, self.left, values[:pairs])
             scatter_add_rows(arr, self.right, values[pairs:])
             return
-        # One scatter in the order of those two: left's adds, then right's.
-        flat = self._flat.get(width)
-        if flat is None:
-            flat = self._flat[width] = flat_row_index(
-                np.concatenate([self.left, self.right]), width)
+        sources, scale, flat = self._plan(width, arr.dtype)
+        # One gather of the rows as they were before any add, one
+        # contiguous multiply (a width-wide broadcast is several times
+        # slower), and one scatter in the order of the block branch's
+        # two: left's adds, then right's.
+        values = arr.take(sources, axis=0).reshape(-1)
+        np.multiply(scale, values, out=values)
         scatter_add_flat(arr, flat, values)
+
+    def _plan(self, width: int, dtype: np.dtype) -> Tuple[np.ndarray, ...]:
+        plan = self._plans.get((width, dtype))
+        if plan is None:
+            g = self.coeffs.astype(dtype)
+            plan = self._plans[width, dtype] = (
+                np.concatenate([self.right, self.left]),
+                np.repeat(np.concatenate([g, g]), width),
+                flat_row_index(np.concatenate([self.left, self.right]),
+                               width))
+        return plan
 
     def flops(self, store: ColumnShardStore) -> float:
         return 4.0 * len(self.left) * store.array.shape[1]

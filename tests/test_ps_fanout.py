@@ -52,12 +52,12 @@ from repro.dataflow.context import SparkContext
 from repro.dataflow.taskctx import current_task_context, task_span
 from repro.obs.determinism import span_event
 from repro.obs.export import metrics_to_dict
-from repro.obs.tracer import Tracer
+from repro.obs.tracer import NOOP_TRACER, Tracer
 from repro.ps.agent import PSAgent
 from repro.ps.context import PSContext
 from repro.ps.matrix import PSMatrix
 from repro.ps.optimizer import SGD, AdaGrad, Adam, Momentum
-from repro.ps.psfunc import RandomInit
+from repro.ps.psfunc import RandomInit, RankOneUpdate
 from tests.conftest import VectorSum, set_rows, split_indices, table_block
 
 # ----------------------------------------------------------------------
@@ -452,13 +452,13 @@ class OracleAgent(PSAgent):
 class System:
     """A 3-server PS with a dense matrix and a neighbor table — and, with
     ``shards``, a column-sharded matrix of ``ecols`` columns; ``optimizer``
-    steps it and the dense matrix."""
+    steps it and the dense matrix.  ``traced=False`` runs without spans."""
 
     def __init__(self, oracle: bool, kind: str, rows: int, cols: int,
                  parts: int, dtype=np.float64, storage: str = "dense",
                  servers: int = 3, shards: int = 0, ecols: int = 0,
-                 optimizer=None):
-        self.tracer = Tracer()
+                 optimizer=None, traced: bool = True):
+        self.tracer = Tracer() if traced else NOOP_TRACER
         self.spark = SparkContext(ClusterConfig(
             num_executors=2, executor_mem_bytes=1 << 40,
             num_servers=servers, server_mem_bytes=1 << 40,
@@ -1015,15 +1015,7 @@ def test_a_bad_row_key_changes_nothing(op, bad):
         e = system.e
         set_rows(e, np.arange(10), np.arange(40.0).reshape(10, 4))
         keys = np.array([3, bad])
-
-        def observed():
-            return (e.meta.data.array.tolist(), system.spark.sim_time(),
-                    [s.container.clock.now_s for s in system.ps.servers],
-                    json.dumps(metrics_to_dict(system.spark.metrics),
-                               sort_keys=True),
-                    len(system.tracer.spans()))
-
-        before = observed()
+        before = _observed(system)
         with pytest.raises(PSError, match="keys not in partition"):
             if op == "pull_rows":
                 e.pull_rows(keys)
@@ -1035,9 +1027,44 @@ def test_a_bad_row_key_changes_nothing(op, bad):
                 e.dot(keys, keys[::-1])
             else:
                 e.rank_one_update(keys[::-1], keys, np.ones(2))
-        assert observed() == before
+        assert _observed(system) == before
     finally:
         system.close()
+
+
+@pytest.mark.parametrize("op, lengths", [
+    ("dot", (3, 5)), ("dot", (5, 0)), ("rank_one_update", (3, 5, 4)),
+    ("rank_one_update", (3, 3, 4)), ("rank_one_update", (4, 3, 4)),
+    ("psfunc", (3, 5, 4))])
+def test_pair_arrays_of_different_lengths_change_nothing(op, lengths):
+    """Every pair needs both its rows (and its coefficient): uneven pair
+    arrays are refused before anything moves or is charged, through the
+    handle or as a hand-built psFunc."""
+    system = System(False, kind="range", rows=10, cols=1, parts=2,
+                    servers=2, shards=2, ecols=4)
+    try:
+        e = system.e
+        set_rows(e, np.arange(10), np.arange(40.0).reshape(10, 4))
+        args = [np.arange(n) for n in lengths[:2]] + [
+            np.full(n, 0.5) for n in lengths[2:]]
+        before = _observed(system)
+        with pytest.raises(PSError, match="pair arrays of lengths"):
+            if op == "psfunc":
+                e.psfunc(RankOneUpdate(*args))
+            else:
+                getattr(e, op)(*args)
+        assert _observed(system) == before
+    finally:
+        system.close()
+
+
+def _observed(system):
+    """The column matrix, both clocks, the metrics and the span count."""
+    return (system.e.meta.data.array.tolist(), system.spark.sim_time(),
+            [s.container.clock.now_s for s in system.ps.servers],
+            json.dumps(metrics_to_dict(system.spark.metrics),
+                       sort_keys=True),
+            len(system.tracer.spans()))
 
 
 def test_a_column_matrix_is_range_partitioned_column_storage():
@@ -1053,3 +1080,103 @@ def test_a_column_matrix_is_range_partitioned_column_storage():
                 create("x", 10, 4, **kwargs)
     finally:
         system.close()
+
+
+# ----------------------------------------------------------------------
+# inline admission: a request the loop admits and meters itself equals
+# one admitted by ``_invoke`` and metered by ``PSServer._work``
+# ----------------------------------------------------------------------
+
+
+def _never_fires(endpoint, method):
+    """An armed fault injector that injects nothing: with it every request
+    goes through ``PSAgent._invoke``."""
+    return 0.0
+
+
+def run_paths(script, **config):
+    """``script`` run inline (tracing on), with every request through
+    ``_invoke`` (tracing on) and inline with tracing off: the three
+    states, each with every clock's ``now_s`` and ``busy_s``."""
+    states = []
+    for armed, traced in ((False, True), (True, True), (False, False)):
+        system = System(False, traced=traced, **config)
+        try:
+            if armed:
+                system.spark.rpc.fault_injector = _never_fires
+            script(system)
+            state = system.state()
+            state["clocks"] = [
+                (clock.now_s, clock.busy_s) for clock in
+                [system.spark.driver_clock]
+                + [s.container.clock for s in system.ps.servers]]
+            states.append(state)
+        finally:
+            system.close()
+    return states
+
+
+def assert_paths_agree(states):
+    inline, invoked, untraced = states
+    for key in invoked:
+        assert inline[key] == invoked[key], key
+        if key != "spans":
+            assert untraced[key] == invoked[key], key
+    assert untraced["spans"] == []
+
+
+@given(st.one_of(op_sequences().map(lambda case: (play, *case)),
+                 column_sequences().map(lambda case: (play_columns, *case))))
+def test_inline_admission_equals_invoke(case):
+    """Keyed pulls, pushes and sets; column pulls, pushes and sets;
+    psFuncs, optimizer steps, table reads, writes and compacts — on the
+    driver and in tasks."""
+    player, config, ops = case
+    assert_paths_agree(run_paths(lambda system: player(system, ops),
+                                 **config))
+
+
+@pytest.mark.parametrize("mode", ["relaxed", "strict"])
+@pytest.mark.parametrize("kill", ["server", "container", "endpoint"])
+def test_a_killed_container_recovers_through_invoke(mode, kill, monkeypatch):
+    """A server, or only its container or endpoint, killed between two
+    operations: the first request to it goes to ``_invoke`` and recovers
+    there, as every request did before inline admission; every other
+    request is admitted inline."""
+    keys = np.arange(ROWS)[::-1]
+    invoked = []
+    invoke = PSAgent._invoke
+
+    def spy(self, server, method, matrix, pid, before_recover):
+        invoked.append((server.index, method, matrix, pid))
+        return invoke(self, server, method, matrix, pid, before_recover)
+
+    monkeypatch.setattr(PSAgent, "_invoke", spy)
+    calls = []
+
+    def script(system):
+        system.ps.recovery_mode = mode
+        _seed_columns(system)
+        invoked.clear()
+        server = system.ps.servers[1]
+        if kill == "server":
+            system.ps.kill_server(1)
+        elif kill == "container":
+            system.spark.resource_manager.kill(server.container)
+        else:
+            system.spark.rpc.kill(server.id)
+        system.e.rank_one_update(keys, keys[::-1], np.full(ROWS, 0.1))
+        system.out.append(system.e.dot(keys, keys[::-1]))
+        system.m.push(keys, np.ones((ROWS, 2)))
+        system.out.append(system.spark.metrics.get(PS_RECOVERIES))
+        pushed = system.m.meta.partitioner.partition_array(keys)
+        calls.append((invoked[:], system.e.meta.owners.index(1),
+                      2 * SHARDS + len(np.unique(pushed))))
+
+    states = run_paths(script, kind="hash", rows=ROWS, cols=2, parts=PARTS,
+                       shards=SHARDS, ecols=ECOLS, optimizer=Adam(lr=0.01))
+    assert_paths_agree(states)
+    assert states[0]["out"][-1][1] == 1.0  # one server recovered, once
+    (inline, first, _), (armed, _, requests), (untraced, _, _) = calls
+    assert inline == untraced == [(1, "run_psfunc", "e", first)]
+    assert len(armed) == requests

@@ -426,9 +426,8 @@ class TestPsFuncsDirect:
     def test_rank_one_update_overlapping_pairs_bitwise(self, dtype, block,
                                                        monkeypatch):
         """Order-1 LINE: ``left`` and ``right`` index the same rows, with
-        repeats; every shard must end exactly where the two ``np.add.at``
-        calls this psFunc used to make would leave it — with the request's
-        indices kept as a plan, and (tiny block) too large to keep."""
+        repeats — with the request's plan kept, and (tiny block) too large
+        to keep.  The property below draws the rest."""
         if block:
             monkeypatch.setattr(psfunc_module, "SCATTER_BLOCK", block)
         rng = np.random.default_rng(6)
@@ -436,17 +435,38 @@ class TestPsFuncsDirect:
         left = rng.integers(0, rows, size=pairs)
         right = rng.integers(0, rows, size=pairs)
         g = rng.standard_normal(pairs) * 0.3
-        func = RankOneUpdate(left, right, g)
-        for width in (3, 2, 3):  # the widths of a dim-8 matrix on 3 servers
-            shard = ColumnShardStore(rows, np.arange(width), dtype=dtype)
-            shard.array[:] = rng.standard_normal(shard.array.shape)
-            expect = shard.array.copy()
-            left_old = expect[left]
-            coeff = g[:, None].astype(dtype)
-            np.add.at(expect, left, coeff * expect[right])
-            np.add.at(expect, right, coeff * left_old)
-            func.apply(shard)
-            assert shard.array.tobytes() == expect.tobytes()
+        # the widths of a dim-8 matrix on 3 servers
+        _assert_rank_one_is_two_add_ats(
+            rows, left, right, g, [(w, dtype) for w in (3, 2, 3)], rng)
+
+    @given(st.integers(1, 12), st.data())
+    def test_rank_one_update_is_two_add_ats(self, rows, data):
+        """Any pairs (none, repeated, ``left is right``), float64
+        coefficients, one request over shards of several widths and
+        dtypes, and a block bound below, at and above the size of one of
+        its scatters: every shard ends byte for byte where the two
+        ``np.add.at`` calls leave it."""
+        draw = data.draw
+        keys = st.lists(st.integers(0, rows - 1), max_size=30)
+        left = np.array(draw(keys), dtype=np.int64)
+        right = (left if draw(st.booleans()) else np.array(draw(
+            st.lists(st.integers(0, rows - 1), min_size=len(left),
+                     max_size=len(left))), dtype=np.int64))
+        shards = draw(st.lists(st.tuples(
+            st.integers(1, 8), st.sampled_from([np.float32, np.float64])),
+            min_size=1, max_size=4))
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
+        g = rng.standard_normal(len(left)) * draw(
+            st.sampled_from([1e-3, 0.3, 1e3]))
+        block = draw(st.one_of(
+            st.none(), st.integers(1, 100),
+            st.tuples(st.sampled_from(shards), st.integers(-1, 1)).map(
+                lambda sd: 2 * len(left) * sd[0][0] + sd[1])))
+        with pytest.MonkeyPatch.context() as patch:
+            if block is not None:
+                patch.setattr(psfunc_module, "SCATTER_BLOCK", block)
+            _assert_rank_one_is_two_add_ats(rows, left, right, g, shards,
+                                            rng)
 
     def test_request_bytes_ignore_the_cached_plan(self):
         left, right = np.arange(6), np.arange(6)[::-1].copy()
@@ -475,3 +495,21 @@ class TestPsFuncsDirect:
         want = np.einsum("ij,ij->i", expect[rows], expect[other])
         assert np.array_equal(shard.partial_dot(rows, other),
                               want.astype(np.float64))
+
+
+def _assert_rank_one_is_two_add_ats(rows, left, right, g, shards, rng):
+    """One ``RankOneUpdate`` applied to a shard of each ``(width, dtype)``
+    in turn: each must end byte for byte where two ``np.add.at`` calls
+    leave it — left's adds of the right rows, then right's of the left
+    rows as they were before either."""
+    func = RankOneUpdate(left, right, g)
+    for width, dtype in shards:
+        shard = ColumnShardStore(rows, np.arange(width), dtype=dtype)
+        shard.array[:] = rng.standard_normal(shard.array.shape)
+        expect = shard.array.copy()
+        left_old = expect[left]
+        coeff = g[:, None].astype(dtype)
+        np.add.at(expect, left, coeff * expect[right])
+        np.add.at(expect, right, coeff * left_old)
+        func.apply(shard)
+        assert shard.array.tobytes() == expect.tobytes()

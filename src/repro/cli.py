@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 import zlib
 from contextlib import contextmanager
@@ -31,7 +30,7 @@ import numpy as np
 
 from repro.chaos import ChaosEngine, FaultSchedule
 from repro.common.config import GB, ClusterConfig
-from repro.common.errors import ConfigError
+from repro.common.errors import ConfigError, GraphLoadError
 from repro.common.metrics import MetricsRegistry
 from repro.common.rng import DEFAULT_SEED, derive_seed
 from repro.core.algorithms import (
@@ -80,10 +79,8 @@ BUILTIN_FAULTS: Dict[str, List[Dict[str, object]]] = {
 #: PS vector the trained ranks are published into for serving.
 SERVE_MODEL = "serve.ranks"
 
-#: An ``--input`` line: two vertex ids >= 0, then a weight under
-#: ``--weighted``.
-_EDGE = r"\d+\s+\d+"
-_WEIGHT = r"\s+[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
+#: Where ``run`` and ``serve`` stage the ``--input`` file on HDFS.
+STAGED_INPUT = "/input/edges/part-00000"
 
 
 # Shared flags are parent parsers, built afresh for every command so that
@@ -102,8 +99,8 @@ def _graph(with_input: bool = True) -> argparse.ArgumentParser:
     p.add_argument("--vertices", type=int, help="generated graph: vertices")
     p.add_argument("--edges", type=int, help="generated graph: edges")
     if with_input:
-        p.add_argument("--input", help="edge-list file 'src<TAB>dst"
-                                       "[<TAB>weight]' instead")
+        p.add_argument("--input", help="edge-list file instead: 'src dst' "
+                       "lines ('src dst weight' under run --weighted), ids >= 0")
     return p
 
 
@@ -190,24 +187,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args: argparse.Namespace) -> None:
-    """Read ``--input`` / ``--chaos`` into ``args.edge_lines`` / ``.schedule``
-    before anything runs; ``OSError`` / ``ConfigError`` (a malformed
-    ``--input`` line too) is a usage error."""
+    """Read ``--input`` / ``--chaos`` into ``args.edge_bytes`` /
+    ``.schedule`` before anything runs; ``OSError`` / ``ConfigError`` is a
+    usage error, as is a malformed ``--input`` line once the run reads it."""
     path = getattr(args, "input", None)
     if args.command == "run" and path is None and args.vertices is None:
         raise ConfigError("run needs --input FILE or --vertices N")
-    args.edge_lines = None
-    if path is not None:
-        weighted = getattr(args, "weighted", False)
-        edge = re.compile(_EDGE + _WEIGHT * weighted)
-        with open(path) as f:
-            lines = [ln.strip() for ln in f]
-        for n, line in enumerate(lines, 1):
-            if line and not edge.fullmatch(line):
-                raise ConfigError(f"{path}:{n}: expected 'src dst"
-                                  f"{' weight' * weighted}' with ids >= 0, "
-                                  f"got {line!r}")
-        args.edge_lines = [ln for ln in lines if ln]
+    args.edge_bytes = None if path is None else Path(path).read_bytes()
     chaos = getattr(args, "chaos", None)
     args.schedule = (
         None if chaos is None
@@ -281,11 +267,10 @@ def _crc(*columns: object) -> int:
 
 
 def _stage_edges(ctx: PSGraphContext, args: argparse.Namespace) -> None:
-    """Put the graph at HDFS ``/input/edges``: the ``--input`` lines, or a
-    generated ``--vertices`` / ``--edges`` power-law graph."""
-    if args.edge_lines is not None:
-        ctx.hdfs.write_text("/input/edges/part-00000", args.edge_lines,
-                            overwrite=False)
+    """Put the graph at HDFS ``/input/edges``: the ``--input`` file's
+    bytes, or a generated ``--vertices`` / ``--edges`` power-law graph."""
+    if args.edge_bytes is not None:
+        ctx.hdfs.write_bytes(STAGED_INPUT, args.edge_bytes)
         return
     src, dst = powerlaw_graph(
         args.vertices, args.edges,
@@ -567,6 +552,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         doc = PIPELINES[args.command](args, tracer, metrics)
     except (OSError, ConfigError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except GraphLoadError as e:  # a line of the staged --input file
+        print(f"error: {str(e).replace(STAGED_INPUT, args.input, 1)}",
+              file=sys.stderr)
         return 2
     print("\n".join(doc["lines"]))
     rc = write_artifacts(args, doc, tracer, metrics)

@@ -8,14 +8,14 @@ pipeline over columnar blocks, through the metered shuffle.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
 from repro.common.batch import sorted_unique
 from repro.common.errors import PSGraphError
 from repro.common.sizeof import CONTAINER_ENTRY_BYTES
-from repro.common.textcodec import parse_int_pairs
+from repro.common.textcodec import parse_edges
 from repro.core.blocks import (
     EdgeBlock,
     NeighborBlock,
@@ -27,7 +27,6 @@ from repro.dataflow.partitioner import HashPartitioner
 from repro.dataflow.rdd import RDD, TextBytesRDD
 from repro.dataflow.shuffle import ColumnBlock
 from repro.dataflow.taskctx import current_task_context
-from repro.hdfs.filesystem import text_lines
 
 #: Logical bytes, besides its rows, of one boxed ``(pid, EdgeBlock)``
 #: record — what a group of rows in a groupBy bucket meters as: the
@@ -47,54 +46,15 @@ def charge_primitive_compute(cost_model, records: float) -> None:
         tctx.cost.cpu_s += cost_model.primitive_compute_time(records)
 
 
-def parse_edge_lines(lines: Iterable[str], weighted: bool) -> EdgeBlock:
-    """Parse ``src<TAB>dst[<TAB>weight]`` lines into one EdgeBlock, line
-    by line: a line without two integer tokens, or (weighted) with a
-    weight token that is no float, is skipped."""
-    srcs: List[int] = []
-    dsts: List[int] = []
-    weights: List[float] = []
-    for line in lines:
-        parts = line.split()
-        if len(parts) < 2:
-            continue
-        try:
-            src = int(parts[0])
-            dst = int(parts[1])
-            if weighted:
-                weight = float(parts[2]) if len(parts) > 2 else 1.0
-        except ValueError:
-            # Streaming landing files interleave removal marker lines
-            # ("-e"/"-v", see repro.ingest.mutations) with plain edge
-            # adds; additive batch jobs skip the markers.
-            continue
-        srcs.append(src)
-        dsts.append(dst)
-        if weighted:
-            weights.append(weight)
-    return EdgeBlock(
-        np.asarray(srcs, dtype=np.int64),
-        np.asarray(dsts, dtype=np.int64),
-        np.asarray(weights) if weighted else None,
-    )
-
-
-def parse_edge_bytes(data: bytes, weighted: bool = False,
+def parse_edge_bytes(data: bytes, name: str, weighted: bool = False,
                      rows: slice = slice(None)) -> EdgeBlock:
-    """Parse an edge file's bytes into one EdgeBlock: the edges of the
-    ``rows`` slice of its non-empty lines (a partition's stride of a file
-    it shares, see :func:`~repro.dataflow.rdd.partition_files`).
-
-    One array parse when every line is an ``int<sep>int`` pair; weighted
-    files, marker lines and malformed lines take
-    :func:`parse_edge_lines`, which gives the same edges line by line.
-    """
-    pairs = None if weighted else parse_int_pairs(data)
-    if pairs is None:
-        return parse_edge_lines(text_lines(data)[rows], weighted)
-    pairs = pairs[rows]
+    """The one edge reader: the edges of file ``name``'s bytes ``data``
+    (the ``rows`` slice of its non-empty lines, see
+    :func:`~repro.dataflow.rdd.partition_files`) as one EdgeBlock.  The
+    grammar and its errors are :func:`~repro.common.textcodec.parse_edges`'."""
+    pairs, weight = parse_edges(data, name, weighted, rows)
     return EdgeBlock(np.ascontiguousarray(pairs[:, 0]),
-                     np.ascontiguousarray(pairs[:, 1]), None)
+                     np.ascontiguousarray(pairs[:, 1]), weight)
 
 
 def load_edges(spark: SparkContext, path: str, *, weighted: bool = False,
@@ -104,7 +64,8 @@ def load_edges(spark: SparkContext, path: str, *, weighted: bool = False,
     file a partition reads is parsed from its bytes."""
     files = TextBytesRDD(spark, path, num_partitions)
     blocks = files.map_partitions(lambda it: [EdgeBlock.concat([
-        parse_edge_bytes(data, weighted, rows) for data, rows in it])])
+        parse_edge_bytes(data, name, weighted, rows)
+        for name, data, rows in it])])
     return blocks.cache()
 
 

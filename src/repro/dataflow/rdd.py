@@ -352,11 +352,11 @@ class TextFileRDD(RDD):
 
 class TextBytesRDD(TextFileRDD):
     """The files of a text input as raw bytes, for a parser that takes a
-    whole buffer: partition ``split`` holds one ``(payload, rows)`` record
-    per file it reads, ``rows`` the slice of the file's non-empty lines
-    that :class:`TextFileRDD` would give it.  Reads charge as there."""
+    whole buffer: partition ``split`` holds a ``(path, payload, rows)``
+    record per file it reads, ``rows`` its slice of the file's non-empty
+    lines as :class:`TextFileRDD` splits them; reads charge as there."""
 
     def compute(self, split: int, tctx: TaskContext) -> Iterator[Any]:
         files, rows = partition_files(self._files, self.num_partitions, split)
         for f in files:
-            yield self.ctx.hdfs.read_bytes(f, cost=tctx.cost), rows
+            yield f, self.ctx.hdfs.read_bytes(f, cost=tctx.cost), rows

@@ -114,6 +114,7 @@ class EulerSystem:
         Raises:
             FileNotFoundOnHdfsError: if the path names no file, before
                 any clock moves.
+            GraphLoadError: if a line of an edge file is not an edge.
         """
         self.driver.ensure_alive()
         edge_files = self.hdfs.input_files(edges_path)
@@ -130,7 +131,7 @@ class EulerSystem:
         src_parts: List[np.ndarray] = []
         dst_parts: List[np.ndarray] = []
         for path in edge_files:
-            edges = parse_edge_bytes(self.hdfs.read_bytes(path, cost=cost))
+            edges = parse_edge_bytes(self.hdfs.read_bytes(path, cost=cost), path)
             src_parts.append(edges.src)
             dst_parts.append(edges.dst)
         src = np.concatenate(src_parts)

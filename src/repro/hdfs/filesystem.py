@@ -49,11 +49,6 @@ def _normalize(path: str) -> str:
     return path
 
 
-def text_lines(data: bytes) -> List[str]:
-    """The non-empty lines of UTF-8 ``data``, split at newlines."""
-    return [line for line in data.decode("utf-8").split("\n") if line]
-
-
 @dataclass
 class HdfsFile:
     """Namenode metadata plus payload for one file."""
@@ -136,8 +131,9 @@ class Hdfs:
 
     def read_lines(self, path: str, *,
                    cost: TaskCost | None) -> List[str]:
-        """Read a text file and split into non-empty lines."""
-        return text_lines(self.read_bytes(path, cost=cost))
+        """Read a UTF-8 text file's non-empty lines, split at newlines."""
+        text = self.read_bytes(path, cost=cost).decode("utf-8")
+        return [line for line in text.split("\n") if line]
 
     def read_pickle(self, path: str, *, cost: TaskCost | None) -> Any:
         """Load a pickled snapshot written by :meth:`write_pickle`."""

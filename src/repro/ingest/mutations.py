@@ -14,10 +14,10 @@ op    meaning
 ====  ==============================================================
 
 On the HDFS landing files edge *adds* keep the legacy ``src<TAB>dst``
-encoding so existing batch jobs re-reading the landed history keep
-working unchanged; removals are prefixed marker lines (``-e``/``-v``)
-which the batch edge parser (:func:`repro.core.ops.parse_edge_bytes`)
-skips.
+encoding, so a landed history of adds reads as an ordinary edge list;
+removals are prefixed marker lines (``-e``/``-v``), which the batch edge
+reader (:func:`repro.core.ops.parse_edge_bytes`) refuses with a
+``GraphLoadError`` naming the file and line: a removal is not an edge.
 
 On the stream itself the records travel as a :class:`MutationBatch`:
 three columns (op code, ``src``, ``dst``) from the producer to the

@@ -184,11 +184,16 @@ class TestBadInput:
         ("0\t1\t0.5\n", False, 1),
         ("0\t1\t0.5\n1\t2\n", True, 2),
         ("0\t1\theavy\n", True, 1),
+        (b"0\t1\n\xff\t2\n", False, 2),
+        ("0\t1\n\n2\t" + "9" * 20 + "\n", False, 3),
     ])
     def test_malformed_input_line(self, text, weighted, bad_line, tmp_path,
                                   capsys):
         path = tmp_path / "edges.tsv"
-        path.write_text(text)
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text)
         record = tmp_path / "record.json"
         argv = ["run", "pagerank", "--input", str(path),
                 "--record", str(record)] + ["--weighted"] * weighted

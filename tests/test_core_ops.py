@@ -1,5 +1,7 @@
 """Tests for PSGraph blocks, GraphOps and GraphIO."""
 
+import re
+from itertools import product
 from unittest.mock import patch
 
 import numpy as np
@@ -7,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.errors import PSGraphError
+from repro.common.config import ClusterConfig
+from repro.common.errors import GraphLoadError, PSGraphError
 from repro.common.metrics import (
     HDFS_BYTES_READ,
     SHUFFLE_BYTES_READ,
@@ -15,7 +18,6 @@ from repro.common.metrics import (
     SHUFFLE_RECORDS,
 )
 from repro.common.sizeof import sizeof_records
-from repro.common.textcodec import parse_int_pairs
 from repro.core.blocks import (
     EdgeBlock,
     NeighborBlock,
@@ -29,7 +31,6 @@ from repro.core.ops import (
     load_edges,
     max_vertex_id,
     parse_edge_bytes,
-    parse_edge_lines,
     to_neighbor_tables,
 )
 from repro.dataflow.partitioner import HashPartitioner
@@ -37,6 +38,7 @@ from repro.dataflow.rdd import TextFileRDD
 from repro.dataflow.shuffle import bucket_map_output
 from repro.dataflow.taskctx import current_task_context
 from repro.datasets.tencent import write_edges
+from repro.eulersim.euler import EulerSystem
 from tests.conftest import make_context, make_psg, split_indices
 
 
@@ -153,18 +155,154 @@ def _assert_intersect_counts(rows, pairs):
         assert counts.tolist() == expected and chunk_work == work
 
 
-#: An edge-list line the array parse takes: ``int<TAB or SPACE>int``.
-_PAIR_LINE = st.tuples(
-    st.integers(-10 ** 12, 10 ** 12), st.sampled_from(["\t", " "]),
-    st.integers(0, 10 ** 12)).map(lambda t: f"{t[0]}{t[1]}{t[2]}")
-#: Any line: pairs, blank and whitespace lines, CRs, ``-e`` / ``-v``
-#: markers, 3-column lines and malformed ones.
-_ANY_LINE = st.one_of(_PAIR_LINE, st.sampled_from([
-    "", "", " ", "\t", "\r", "1\t2\r", "-e\t1\t2", "-v\t3", "-e 1 2",
-    "-v 3", "7", "1 2 3", "4\t5\t0.5", " 1 2", "1  2", "1 2 ", "x y",
-    "1.5 2", "1 2x", "+3 4", "1_0 2", "1\t\t2", "1-2\t3", "+-1 2", "- 1",
-    "3 -", "١ 2", "0x10 2",
-]))
+def parse_edge_lines(lines, weighted):
+    """The line loop ``parse_edge_bytes`` ran before the reader was strict:
+    ``src<TAB>dst[<TAB>weight]`` lines into one EdgeBlock, line by line;
+    a line without two integer tokens, or (weighted) with a weight token
+    that is no float, is skipped.  The golden the reader is held to on
+    well-formed files."""
+    srcs, dsts, weights = [], [], []
+    for line in lines:
+        parts = line.split()
+        if len(parts) < 2:
+            continue
+        try:
+            src = int(parts[0])
+            dst = int(parts[1])
+            if weighted:
+                weight = float(parts[2]) if len(parts) > 2 else 1.0
+        except ValueError:
+            continue
+        srcs.append(src)
+        dsts.append(dst)
+        if weighted:
+            weights.append(weight)
+    return EdgeBlock(
+        np.asarray(srcs, dtype=np.int64),
+        np.asarray(dsts, dtype=np.int64),
+        np.asarray(weights) if weighted else None,
+    )
+
+
+#: The edge grammar as a regex, the oracle a corrupted line is checked
+#: against (ids must also fit an int64).
+_BLANK = " \t\x0b\x0c\r"
+_WEIGHT = r"[-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?"
+_GRAMMAR = {w: re.compile(
+    rb"[ \t\x0b\x0c\r]*(?:(\+?[0-9]+)[ \t\x0b\x0c\r]+(\+?[0-9]+)"
+    + (rb"[ \t\x0b\x0c\r]+" + _WEIGHT.encode() if w else b"")
+    + rb"[ \t\x0b\x0c\r]*)?") for w in (False, True)}
+
+
+def _grammar_takes(line: bytes, weighted: bool) -> bool:
+    match = _GRAMMAR[weighted].fullmatch(line)
+    return match is not None and all(
+        int(i) < 2 ** 63 for i in match.groups() if i is not None)
+
+
+#: An id as the grammar takes it: up to 18 digits, some with a '+' or
+#: leading zeros.
+_ID = st.tuples(st.sampled_from(["", "+"]),
+                st.one_of(st.integers(0, 99), st.integers(0, 10 ** 18 - 1)),
+                st.integers(0, 18)).map(
+                    lambda t: t[0] + str(t[1]).zfill(t[2]))
+#: A weight: the grammar's own strings, Python's float reprs, and
+#: ``write_edges``' ``%.6f``.
+_WEIGHT_TOKEN = st.one_of(
+    st.from_regex(_WEIGHT, fullmatch=True),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(-10, 10).map(lambda w: f"{w:.6f}"))
+_BLANKS = st.text(_BLANK, max_size=3)
+
+
+@st.composite
+def _edge_line(draw, weighted):
+    """A line the grammar takes that holds an edge."""
+    tokens = [draw(_ID), draw(_ID)] + [draw(_WEIGHT_TOKEN)] * weighted
+    seps = [draw(st.text(_BLANK, min_size=1, max_size=3))
+            for _ in tokens[1:]]
+    return draw(_BLANKS) + "".join(
+        t + s for t, s in zip(tokens, [*seps, ""])) + draw(_BLANKS)
+
+
+@st.composite
+def _edge_file(draw, weighted, min_lines=0):
+    """A well-formed file as its lines: edges, and empty and blank-only
+    lines; LF or CRLF endings, with or without the last one."""
+    lines = draw(st.lists(st.one_of(_edge_line(weighted), _BLANKS),
+                          min_size=min_lines, max_size=12))
+    return (lines, draw(st.sampled_from(["\n", "\r\n"])),
+            draw(st.booleans()))
+
+
+def _file_bytes(lines, ending, last):
+    return (ending.join(lines) + (ending if last and lines else "")).encode(
+        "latin-1")
+
+
+#: A line's corruptions: a marker, a token too few or too many, a bad
+#: token in any place, or a byte no line may hold.
+_BAD_ID = st.sampled_from(["-1", "1_0", "١", "0x10", "-e", "-v", "+",
+                           "1+", "x", "1.5", "1e3", "99999999999999999999",
+                           "9223372036854775808"])
+_BAD_WEIGHT = st.sampled_from(["x", "1e", ".", "1.2.3", "nan", "inf", "0x1p3",
+                               "1e5.5", "--1", "1_0", "١", "+-1", "e5"])
+_BAD_BYTE = st.sampled_from([b"\xff", b"\x00", b"\x1c", b"\x85", b"\xa0",
+                             b"x", b"_", b",", b"#", "١".encode()])
+
+
+@st.composite
+def _corrupt(draw, line):
+    """``line`` (a line that holds an edge) broken in one way."""
+    tokens = line.split()
+    how = draw(st.sampled_from(["marker", "drop", "add", "token", "byte"]))
+    if how == "byte":
+        at = draw(st.integers(0, len(line)))
+        return line[:at].encode() + draw(_BAD_BYTE) + line[at:].encode()
+    if how == "marker":
+        tokens = [draw(st.sampled_from(["-e", "-v"]))] + tokens
+    elif how == "drop":
+        del tokens[draw(st.integers(0, len(tokens) - 1))]
+    elif how == "add":
+        tokens.append(draw(st.one_of(_ID, _WEIGHT_TOKEN)))
+    else:
+        k = draw(st.integers(0, len(tokens) - 1))
+        tokens[k] = draw(_BAD_WEIGHT if k == 2 else _BAD_ID)
+    return draw(st.sampled_from(["\t", " "])).join(tokens).encode()
+
+
+def _load_files(files, build):
+    """Write ``files`` (bytes) under ``/in`` and run ``build(ctx)``: its
+    partitions' blocks, the sim clock and the HDFS bytes read."""
+    ctx = make_context(num_executors=2)
+    try:
+        for i, data in enumerate(files):
+            ctx.hdfs.write_bytes(f"/in/part-{i:05d}", data)
+        blocks = build(ctx).foreach_partition(list)
+        return blocks, ctx.sim_time(), ctx.metrics.get(HDFS_BYTES_READ)
+    finally:
+        ctx.stop()
+
+
+def _euler_mapped(files):
+    """The edges ``EulerSystem.preprocess`` maps from ``files``."""
+    system = EulerSystem(ClusterConfig(num_executors=2,
+                                       executor_mem_bytes=1 << 30))
+    try:
+        for i, data in enumerate(files):
+            system.hdfs.write_bytes(f"/in/part-{i:05d}", data)
+        try:
+            system.preprocess("/in", np.zeros((1, 1)), np.zeros(1))
+        except ValueError:  # Euler's CSR needs ids below isqrt(2 ** 63)
+            pass
+        return system.hdfs.read_pickle("/euler/mapped-edges", cost=None)
+    finally:
+        system.stop()
+
+
+_FILES = st.booleans().flatmap(lambda weighted: st.tuples(
+    st.just(weighted), st.lists(_edge_file(weighted), min_size=1,
+                                max_size=5)))
 
 
 class TestOps:
@@ -174,113 +312,128 @@ class TestOps:
         assert block.dst.tolist() == [2, 4]
 
     @settings(deadline=None)
-    @given(st.lists(st.tuples(st.one_of(st.lists(_PAIR_LINE, max_size=12),
-                                        st.lists(_ANY_LINE, max_size=12)),
-                              st.booleans()),
-                    min_size=1, max_size=5),
-           st.integers(1, 7))
-    def test_array_parse_equals_line_loop(self, files, partitions):
-        """``load_edges`` parses each file's bytes; its blocks, HDFS
-        charges and sim clock are the line loop's over ``read_lines``
-        under the file split ``TextFileRDD`` made, for any split of files
-        against partitions (fewer files than partitions included)."""
-        def load(build):
-            ctx = make_context(num_executors=2)
-            try:
-                for i, (lines, newline) in enumerate(files):
-                    text = "\n".join(lines) + ("\n" if newline and lines
-                                               else "")
-                    ctx.hdfs.write_bytes(f"/in/part-{i:05d}", text.encode())
-                blocks = build(ctx).foreach_partition(list)
-                return ctx.hdfs, blocks, ctx.sim_time(), ctx.metrics.get(
-                    HDFS_BYTES_READ)
-            finally:
-                ctx.stop()
+    @given(_FILES, st.integers(1, 7))
+    def test_array_parse_equals_line_loop(self, weighted_files, partitions):
+        """On well-formed files (weighted or not, CRLF, runs of blanks,
+        blank-only lines, '+' signs, 18-digit ids, no last newline, fewer
+        files than partitions) ``load_edges`` gives the parent's line loop
+        over ``TextFileRDD`` lines block for block, bit for bit, with the
+        same HDFS bytes read and sim clock; ``EulerSystem.preprocess``
+        maps the loop's edges."""
+        weighted, files = weighted_files
+        files = [_file_bytes(*f) for f in files]
+        blocks, sim_s, read = _load_files(
+            files, lambda ctx: load_edges(
+                ctx, "/in", weighted=weighted, num_partitions=partitions))
+        loop_blocks, loop_sim_s, loop_read = _load_files(
+            files, lambda ctx: TextFileRDD(
+                ctx, "/in", partitions).map_partitions(
+                    lambda it: [parse_edge_lines(it, weighted)]))
+        assert (sim_s, read) == (loop_sim_s, loop_read)
+        assert len(blocks) == len(loop_blocks) == partitions
+        for (block,), (want,) in zip(blocks, loop_blocks):
+            for column in ("src", "dst", "weight"):
+                got, expect = getattr(block, column), getattr(want, column)
+                assert (got is None) == (expect is None)
+                if got is not None:
+                    assert got.dtype == expect.dtype
+                    assert got.tobytes() == expect.tobytes()
+        if not weighted:
+            whole = EdgeBlock.concat([parse_edge_lines(
+                data.decode().split("\n"), False) for data in files])
+            assert _euler_mapped(files).tolist() == np.stack(
+                [whole.src, whole.dst], axis=1).tolist()
 
-        hdfs, blocks, sim_s, read = load(
-            lambda ctx: load_edges(ctx, "/in", num_partitions=partitions))
-        paths = hdfs.listdir("/in")
-        want_read = 0
-        for split, part in enumerate(blocks):
-            (block,) = part
-            lines = []
-            for i, path in enumerate(paths):
-                if len(paths) >= partitions:
-                    if i % partitions == split:
-                        lines += hdfs.read_lines(path, cost=None)
-                        want_read += len(hdfs.read_bytes(path))
-                else:
-                    lines += hdfs.read_lines(
-                        path, cost=None)[split::partitions]
-                    want_read += len(hdfs.read_bytes(path))
-            expect = []
-            for line in lines:
-                parts = line.split()
-                try:
-                    expect.append((int(parts[0]), int(parts[1])))
-                except (IndexError, ValueError):
-                    continue
-            assert block.src.dtype == block.dst.dtype == np.int64
-            assert list(zip(block.src.tolist(), block.dst.tolist())) == expect
-            assert block.weight is None
-        assert read == want_read
-        # The same partitions read as lines charge the same.
-        _hdfs, line_blocks, line_sim_s, line_read = load(
-            lambda ctx: TextFileRDD(ctx, "/in", partitions).map_partitions(
-                lambda it: [parse_edge_lines(it, False)]))
-        assert (sim_s, read) == (line_sim_s, line_read)
-        for part, line_part in zip(blocks, line_blocks):
-            assert part[0].src.tolist() == line_part[0].src.tolist()
-            assert part[0].dst.tolist() == line_part[0].dst.tolist()
+    @settings(deadline=None)
+    @given(_FILES, st.integers(1, 7), st.data())
+    def test_a_corrupted_line_names_its_file_and_line(
+            self, weighted_files, partitions, data):
+        """One corrupted line in one well-formed file is a GraphLoadError
+        naming that file and the line's number, through ``load_edges``
+        and ``EulerSystem.preprocess``."""
+        weighted, files = weighted_files
+        at = data.draw(st.integers(0, len(files) - 1))
+        lines, ending, last = data.draw(_edge_file(weighted, min_lines=1))
+        k = data.draw(st.integers(0, len(lines) - 1))
+        bad = data.draw(_corrupt(data.draw(_edge_line(weighted))))
+        assert not _grammar_takes(bad, weighted)
+        files = [_file_bytes(*f) for f in files]
+        files[at] = ending.encode().join(
+            [*(ln.encode() for ln in lines[:k]), bad,
+             *(ln.encode() for ln in lines[k + 1:])]) + (
+                 ending.encode() if last else b"")
+        where = f"/in/part-{at:05d}:{k + 1}: expected 'src dst"
+        with pytest.raises(GraphLoadError) as err:
+            _load_files(files, lambda ctx: load_edges(
+                ctx, "/in", weighted=weighted, num_partitions=partitions))
+        assert str(err.value).startswith(where)
+        if weighted:  # Euler reads unweighted files: every line is bad
+            return
+        with pytest.raises(GraphLoadError) as err:
+            _euler_mapped(files)
+        assert str(err.value).startswith(where)
 
-    def test_markers_and_trailing_blank_take_the_loop(self):
-        data = b"1\t2\n-e 1 2\n3 4\n-v 3\n5\t6\n\n"
-        assert parse_int_pairs(data) is None
-        block = parse_edge_bytes(data)
-        assert block.src.tolist() == [1, 3, 5]
-        assert block.dst.tolist() == [2, 4, 6]
-        # The same edges without the marker lines go through the array
-        # parse; blank lines and a missing last newline do not stop it.
-        clean = b"1\t2\n\n3 4\n5\t6"
-        assert parse_int_pairs(clean).tolist() == [[1, 2], [3, 4], [5, 6]]
-        block = parse_edge_bytes(clean, rows=slice(1, None, 2))
-        assert (block.src.tolist(), block.dst.tolist()) == ([3], [4])
+    def test_markers_are_an_error_and_blank_lines_count(self):
+        data = b"1\t2\n-e 1 2\n3 4\n"
+        with pytest.raises(GraphLoadError, match=r"^f:2: .*got b'-e 1 2'$"):
+            parse_edge_bytes(data, "f")
+        with pytest.raises(GraphLoadError, match="^f:1: "):
+            parse_edge_bytes(b"-v\t3\n", "f")
+        # A blank-only line holds no edge but counts toward the stride
+        # (rows 1 and 3 are " \t" and "5\t6"); an empty line does not, and
+        # a missing last newline does not matter.
+        block = parse_edge_bytes(b"1\t2\n\n \t\n3 4\n5\t6", "f",
+                                 rows=slice(1, None, 2))
+        assert (block.src.tolist(), block.dst.tolist()) == ([5], [6])
 
     def test_short_line_cannot_borrow_from_long_line(self):
         # Four tokens on two lines, but neither line is an edge pair.
-        assert parse_int_pairs(b"3\n4 5 6\n") is None
-        block = parse_edge_bytes(b"3\n4 5 6\n")
-        assert (block.src.tolist(), block.dst.tolist()) == ([4], [5])
-        # One tab or space per line, yet numpy reads two pairs, (5, 1)
-        # and (2, 3): "\r" and "\x0b" are blanks to it.  The line loop
-        # reads (1, 2) only.
-        data = b"\r\t5\n1\x0b2\t3\n"
-        assert parse_int_pairs(data) is None
-        block = parse_edge_bytes(data)
-        assert (block.src.tolist(), block.dst.tolist()) == ([1], [2])
+        with pytest.raises(GraphLoadError, match="^f:1: "):
+            parse_edge_bytes(b"3\n4 5 6\n", "f")
+        # "\r" and "\x0b" are blanks: the second line has three tokens.
+        with pytest.raises(GraphLoadError, match="^f:2: "):
+            parse_edge_bytes(b"\r\t5 6\n1\x0b2\t3\n", "f")
         # A sign inside a token: numpy would read "2-3" as two numbers.
-        assert parse_int_pairs(b"1\t2-3\n") is None
-        block = parse_edge_bytes(b"1\t2-3\n4\t5\n")
-        assert (block.src.tolist(), block.dst.tolist()) == ([4], [5])
+        with pytest.raises(GraphLoadError, match="^f:1: "):
+            parse_edge_bytes(b"1\t2-3\n4\t5\n", "f")
 
     def test_id_past_int64_is_not_clamped(self):
-        # numpy's parse would read it as 2**63 - 1; the loop raises.
-        data = b"1\t2\n99999999999999999999\t1\n"
-        assert parse_int_pairs(data) is None
-        with pytest.raises(OverflowError):
-            parse_edge_bytes(data)
-        assert parse_int_pairs(b"-99999999999999999\t1\n").tolist() == \
-            [[-99999999999999999, 1]]
+        # numpy's parse would read it as 2**63 - 1.
+        for bad in (b"99999999999999999999", b"9223372036854775808",
+                    b"+00009223372036854775808"):
+            with pytest.raises(GraphLoadError, match="^f:2: "):
+                parse_edge_bytes(b"1\t2\n" + bad + b"\t1\n", "f")
+        block = parse_edge_bytes(b"+0009223372036854775807\t1\n", "f")
+        assert block.src.tolist() == [2 ** 63 - 1]
+        with pytest.raises(GraphLoadError, match="^f:1: "):
+            parse_edge_bytes(b"-99999999999999999\t1\n", "f")
 
     def test_parse_weighted(self):
-        block = parse_edge_lines(iter(["1\t2\t0.5", "3\t4"]), weighted=True)
-        assert block.weight.tolist() == [0.5, 1.0]
-        # A malformed token skips the line, wherever it sits.
-        block = parse_edge_lines(iter(["1 x 3", "1 2 x", "5 6 2.5"]),
-                                 weighted=True)
-        assert block.src.tolist() == [5]
-        assert block.dst.tolist() == [6]
-        assert block.weight.tolist() == [2.5]
+        block = parse_edge_bytes(b"1\t2\t0.5\n3 4 -1e-3\n", "f", weighted=True)
+        assert block.weight.tolist() == [0.5, -1e-3]
+        # A missing weight, a malformed token, wherever it sits, and a
+        # weight on an unweighted read are errors, not skipped lines.
+        for data, line in ((b"1\t2\t0.5\n3\t4\n", 2), (b"1 x 3\n", 1),
+                           (b"5 6 2.5\n1 2 x\n", 2), (b"1 2 3 4\n", 1)):
+            with pytest.raises(GraphLoadError, match=f"^f:{line}: "):
+                parse_edge_bytes(data, "f", weighted=True)
+        with pytest.raises(GraphLoadError, match="^f:1: expected 'src dst' "):
+            parse_edge_bytes(b"1\t2\t0.5\n", "f")
+
+    def test_weight_grammar_is_the_regex(self):
+        """Every token of up to five bytes over the grammar's marks is an
+        id or a weight exactly when the regex takes it."""
+        for size in range(1, 6):
+            for token in map("".join, product("1+-.eE", repeat=size)):
+                for weighted, regex in ((False, r"\+?[0-9]+"),
+                                        (True, _WEIGHT)):
+                    line = f"1 2 {token}" if weighted else f"{token} 2"
+                    try:
+                        parse_edge_bytes(line.encode(), "f", weighted)
+                        taken = True
+                    except GraphLoadError:
+                        taken = False
+                    assert taken == bool(re.fullmatch(regex, token)), token
 
     def test_load_edges_roundtrip(self, psg):
         src = np.array([0, 1, 2, 3])

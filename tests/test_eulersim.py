@@ -6,7 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.config import ClusterConfig
-from repro.common.errors import ContainerLostError, FileNotFoundOnHdfsError
+from repro.common.errors import (
+    ContainerLostError,
+    FileNotFoundOnHdfsError,
+    GraphLoadError,
+)
 from repro.core.algorithms.graphsage import make_sage
 from repro.core.context import PSGraphContext
 from repro.core.ops import load_edges
@@ -147,27 +151,41 @@ class TestPreprocess:
                                   getattr(other[3], column))
 
     def test_reads_edge_files_like_psgraph(self):
-        # A three-column line keeps its first two columns; a removal
-        # marker and a one-column line are skipped, as PSGraph's loader
-        # skips them.
-        lines = ["0\t1", "1\t2\t0.5", "-e 0 1", "7", "2 3"]
-        sys = euler_system()
-        try:
-            sys.hdfs.write_text("/in/euler/part-0", lines, overwrite=False)
-            sys.preprocess("/in/euler", np.zeros((4, 2)),
-                           np.zeros(4, dtype=np.int64))
-            mapped = sys.hdfs.read_pickle("/euler/mapped-edges", cost=None)
-        finally:
-            sys.stop()
-        with PSGraphContext(ClusterConfig(
-                num_executors=2, executor_mem_bytes=1 << 40, num_servers=1,
-                server_mem_bytes=1 << 40)) as ctx:
-            ctx.hdfs.write_text("/in/e/part-0", lines, overwrite=False)
-            blocks = load_edges(ctx.spark, "/in/e").collect()
-        loaded = sorted((s, d) for b in blocks
-                        for s, d in zip(b.src.tolist(), b.dst.tolist()))
-        assert loaded == [(0, 1), (1, 2), (2, 3)]
-        assert mapped.tolist() == [list(edge) for edge in loaded]
+        # Euler and PSGraph read an edge file through the one reader: the
+        # same edges from a good file, and the same error, naming the file
+        # and line, for a three-column line, a removal marker or a
+        # one-column line.
+        def read(lines):
+            sys = euler_system()
+            try:
+                sys.hdfs.write_text("/in/e/part-0", lines, overwrite=False)
+                try:
+                    sys.preprocess("/in/e", np.zeros((4, 2)),
+                                   np.zeros(4, dtype=np.int64))
+                    mapped = sys.hdfs.read_pickle("/euler/mapped-edges",
+                                                  cost=None).tolist()
+                except GraphLoadError as e:
+                    mapped = str(e)
+            finally:
+                sys.stop()
+            with PSGraphContext(ClusterConfig(
+                    num_executors=2, executor_mem_bytes=1 << 40,
+                    num_servers=1, server_mem_bytes=1 << 40)) as ctx:
+                ctx.hdfs.write_text("/in/e/part-0", lines, overwrite=False)
+                try:
+                    blocks = load_edges(ctx.spark, "/in/e").collect()
+                except GraphLoadError as e:
+                    return mapped, str(e)
+            return mapped, sorted(
+                [s, d] for b in blocks
+                for s, d in zip(b.src.tolist(), b.dst.tolist()))
+
+        assert read(["0\t1", " 1 2 ", "2\t3\r"]) == (
+            [[0, 1], [1, 2], [2, 3]],) * 2
+        for bad in ("1\t2\t0.5", "-e 0 1", "7"):
+            mapped, loaded = read(["0\t1", bad, "2 3"])
+            assert mapped == loaded
+            assert loaded.startswith("/in/e/part-0:2: expected 'src dst' ")
 
     def test_training_requires_preprocess(self):
         sys = euler_system()

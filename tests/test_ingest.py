@@ -24,7 +24,7 @@ from tests.conftest import (
     mutation_records,
     mutations_from_records,
 )
-from repro.common.errors import ConfigError
+from repro.common.errors import ConfigError, GraphLoadError
 from repro.common.metrics import MetricsRegistry
 from repro.hdfs.filesystem import Hdfs
 from repro.ingest.kafka import EdgeStreamConsumer, KafkaTopic
@@ -280,6 +280,28 @@ class TestConsumer:
             drain(consumer)
             result = GraphRunner(ctx).run(CommonNeighbor(), "/land")
             assert result.output.count() == 4
+        finally:
+            ctx.stop()
+
+    def test_batch_read_of_a_removal_names_its_line(self):
+        """A landed removal is no edge: the batch reader stops at its
+        marker line and names the landing file and line."""
+        from repro.core.ops import load_edges
+
+        ctx = make_psg(2)
+        try:
+            t = KafkaTopic("edges", num_partitions=1)
+            consumer = EdgeStreamConsumer(t, ctx.hdfs, landing_dir="/land")
+            t.produce(np.array([0, 1, 2]), np.array([1, 2, 0]))
+            t.produce_removals(np.array([1]), np.array([2]))
+            drain(consumer)
+            (path,) = ctx.hdfs.listdir("/land")
+            lines = ctx.hdfs.read_bytes(path).split(b"\n")
+            assert lines[3] == b"-e\t1\t2"
+            with pytest.raises(GraphLoadError, match=(
+                    f"^{path}:4: expected 'src dst' with ids >= 0, "
+                    r"got b'-e\\t1\\t2'$")):
+                load_edges(ctx.spark, "/land").count()
         finally:
             ctx.stop()
 

@@ -29,6 +29,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence
 import numpy as np
 
 from repro.chaos import ChaosEngine, FaultSchedule
+from repro.common.batch import sorted_unique
 from repro.common.config import GB, ClusterConfig
 from repro.common.errors import ConfigError, GraphLoadError
 from repro.common.metrics import MetricsRegistry
@@ -371,7 +372,7 @@ def _stream_mutations(topic: KafkaTopic, graph: StreamingGraph, window: int,
         pick = present[rng.integers(0, len(present),
                                     size=min(args.removals, len(present)))]
         rm_s, rm_d = [], []
-        for v, nbrs in graph.out.get(np.unique(pick)).rows():
+        for v, nbrs in graph.out.get(sorted_unique(pick)).rows():
             if len(nbrs):
                 rm_s.append(v)
                 rm_d.append(int(nbrs[rng.integers(0, len(nbrs))]))

@@ -74,6 +74,14 @@ def sorted_unique(values: np.ndarray) -> np.ndarray:
     return values[keep]
 
 
+def distinct_ids(ids: np.ndarray, n: int) -> np.ndarray:
+    """:func:`sorted_unique` of ids in ``[0, n)``, as int64, from one mask
+    of the id space instead of a sort."""
+    mask = np.zeros(n, dtype=bool)
+    mask[ids] = True
+    return np.flatnonzero(mask)
+
+
 def pair_keys(radix: int, first: np.ndarray,
               second: np.ndarray) -> np.ndarray:
     """``first * radix + second``: one sortable integer per pair of

@@ -64,14 +64,25 @@ def parse_edges(data: bytes, name: str, weighted: bool,
     """
     # Positions are in ``text``, so line k (1-based) ends at newlines[k].
     text = b"\n" + data + b"\n" * (not data.endswith(b"\n"))
-    raw = np.frombuffer(text, dtype=np.uint8)
+    raw = np.frombuffer(text + b"0", dtype=np.uint8)  # + one token to scan
     kind = np.take(_CLASS, raw)
     word = kind >= _DIGIT
-    bounds = np.flatnonzero(word[1:] != word[:-1]) + 1
+    flips = np.flatnonzero(word[1:] != word[:-1])
+    bounds = flips + 1
     starts, ends = bounds[::2], bounds[1::2]  # token t is text[starts[t]:ends[t]]
-    newlines = np.flatnonzero(kind == _NEWLINE)
-    # Line k holds tokens before[k - 1] to before[k]; bad[k - 1] is its verdict.
-    before = np.searchsorted(starts, newlines)
+    # Line k ends at newlines[k] and holds tokens before[k - 1] to before[k];
+    # bad[k - 1] is its verdict.  If each newline is the byte before a
+    # token (no blank-only line, no line opening with a blank), one lookup
+    # a token finds them; any other file searches each newline's place.
+    ahead = flips[::2]
+    opens = kind.take(ahead) == _NEWLINE
+    is_newline = kind == _NEWLINE
+    if np.count_nonzero(opens) == np.count_nonzero(is_newline):
+        newlines, before = ahead[opens], np.flatnonzero(opens)
+    else:
+        newlines = np.flatnonzero(is_newline)
+        before = np.searchsorted(starts, newlines)
+    raw, starts = raw[:-1], starts[:-1]
     per_line = before[1:] - before[:-1]
     bad = (per_line != 0) & (per_line != 2 + weighted)
     marks = np.flatnonzero(kind > _DIGIT)

@@ -24,6 +24,7 @@ from repro.common.batch import (
     louvain_move,
     modularity,
     partition_order,
+    sorted_unique,
 )
 from repro.common.sizeof import CONTAINER_ENTRY_BYTES, SCALAR_BYTES
 from repro.core.algorithms.base import AlgorithmResult, GraphAlgorithm
@@ -94,7 +95,7 @@ class FastUnfolding(GraphAlgorithm):
         return AlgorithmResult(
             output, passes,
             stats={"modularity": q, "moves": total_moves,
-                   "num_communities": len(np.unique(communities))},
+                   "num_communities": len(sorted_unique(communities))},
         )
 
     # ------------------------------------------------------------------

@@ -29,6 +29,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.common.config import ClusterConfig
+from repro.common.errors import GraphLoadError
 from repro.common.metrics import MetricsRegistry
 from repro.common.rng import DEFAULT_SEED, derive_seed
 from repro.common.simclock import TaskCost, barrier
@@ -48,6 +49,10 @@ from repro.yarn.resource_manager import ResourceManager
 #: Bytes-per-edge of Euler's JSON interchange format relative to the
 #: 16-byte binary pair (measured JSON graph dumps run ~6-10x).
 JSON_INFLATION = 8.0
+
+#: Euler's CSR build keys ids below this: at or above isqrt(2 ** 63), an
+#: id would wrap its pair key.
+KEYABLE_IDS = 3_037_000_499
 
 
 class EulerSystem:
@@ -114,7 +119,9 @@ class EulerSystem:
         Raises:
             FileNotFoundOnHdfsError: if the path names no file, before
                 any clock moves.
-            GraphLoadError: if a line of an edge file is not an edge.
+            GraphLoadError: if a line of an edge file is not an edge, or
+                an id is one Euler's pair keys cannot hold; before
+                anything is written or any clock moves.
         """
         self.driver.ensure_alive()
         edge_files = self.hdfs.input_files(edges_path)
@@ -132,6 +139,10 @@ class EulerSystem:
         dst_parts: List[np.ndarray] = []
         for path in edge_files:
             edges = parse_edge_bytes(self.hdfs.read_bytes(path, cost=cost), path)
+            top = int(max(edges.src.max(initial=0), edges.dst.max(initial=0)))
+            if top >= KEYABLE_IDS:
+                raise GraphLoadError(f"{path}: vertex id {top} is past "
+                                     f"{KEYABLE_IDS - 1}, Euler's largest")
             src_parts.append(edges.src)
             dst_parts.append(edges.dst)
         src = np.concatenate(src_parts)
@@ -336,11 +347,6 @@ class EulerSystem:
 
 def _adjacency_block(src: np.ndarray, dst: np.ndarray) -> NeighborBlock:
     """The undirected, deduplicated graph as one CSR block (vertices and
-    rows ascending)."""
-    others = np.concatenate([dst, src])
-    # An id at or above isqrt(2 ** 63) would wrap its pair key.
-    if len(others) and (int(others.min()) < 0
-                        or int(others.max()) >= 3_037_000_499):
-        raise ValueError("vertex ids must be >= 0 and fit a pair key")
-    return build_neighbor_block(np.concatenate([src, dst]), others,
-                                dedupe=True)
+    rows ascending); ids its pair keys cannot hold raise ``PSError``."""
+    return build_neighbor_block(np.concatenate([src, dst]),
+                                np.concatenate([dst, src]), dedupe=True)

@@ -336,6 +336,7 @@ def _graphx(seed: int, tracer: Tracer, metrics: MetricsRegistry
     """
     import numpy as np
 
+    from repro.common.batch import sorted_unique
     from repro.dataflow.context import SparkContext
     from repro.datasets.generators import powerlaw_graph
     from repro.graphx import algorithms as gx
@@ -360,7 +361,7 @@ def _graphx(seed: int, tracer: Tracer, metrics: MetricsRegistry
             "ranks_checksum": float(ranks.sum()),
             "core_rounds": float(core_rounds),
             "cores_checksum": float(cores.sum()),
-            "communities": float(len(np.unique(communities))),
+            "communities": float(len(sorted_unique(communities))),
             "modularity": modularity,
             "move_rounds": float(move_rounds),
             "triangles": float(triangles),

@@ -154,20 +154,22 @@ class RankOneUpdate(PsFunc):
         arr = store.array
         pairs, width = len(self.left), arr.shape[1]
         if 2 * pairs * width > SCATTER_BLOCK:
-            # Too large to keep indices for: scratch stays one block.
-            g = self.coeffs[:, None].astype(arr.dtype)
-            # Both halves read the rows as they were before either add.
-            values = np.empty((2 * pairs, width), dtype=arr.dtype)
-            np.multiply(g, arr.take(self.right, axis=0), out=values[:pairs])
-            np.multiply(g, arr.take(self.left, axis=0), out=values[pairs:])
-            scatter_add_rows(arr, self.left, values[:pairs])
-            scatter_add_rows(arr, self.right, values[pairs:])
+            # Too large to keep indices for: column by column, no flat
+            # index.  An element sees only its column's adds, so it gets
+            # the row-wise sequence: both sides read, then left's, right's.
+            g = self.coeffs.astype(arr.dtype)
+            for c in range(width):
+                col = arr[:, c]
+                to_left = g * col.take(self.right)
+                to_right = g * col.take(self.left)
+                scatter_add_rows(arr, self.left, to_left, col=c)
+                scatter_add_rows(arr, self.right, to_right, col=c)
             return
         sources, scale, flat = self._plan(width, arr.dtype)
         # One gather of the rows as they were before any add, one
         # contiguous multiply (a width-wide broadcast is several times
-        # slower), and one scatter in the order of the block branch's
-        # two: left's adds, then right's.
+        # slower), and one scatter in the order of the column branch's
+        # adds: left's, then right's.
         values = arr.take(sources, axis=0).reshape(-1)
         np.multiply(scale, values, out=values)
         scatter_add_flat(arr, flat, values)

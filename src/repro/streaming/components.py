@@ -22,6 +22,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.common.batch import (
+    distinct_ids,
     in_sorted,
     pair_keys,
     sorted_unique,
@@ -152,7 +153,7 @@ class IncrementalComponents:
     def num_components(self) -> int:
         """Distinct components among present vertices."""
         _, labels = self.assignments()
-        return len(np.unique(labels)) if len(labels) else 0
+        return len(sorted_unique(labels))
 
     def full_recompute(self) -> Tuple[np.ndarray, np.ndarray]:
         """From-scratch labeling on scratch PS state (cost yardstick)."""
@@ -203,7 +204,7 @@ class IncrementalComponents:
             flat = nbrs.neighbors
             # Each neighbor's label, pulled once per distinct neighbor —
             # the request the PS agent would dedupe ``flat`` into.
-            ids = sorted_unique(flat)
+            ids = distinct_ids(flat, self.graph.num_vertices)
             known = np.empty(self.graph.num_vertices)
             known[ids] = labels.pull(ids)
             nlab = known[flat]
@@ -216,7 +217,8 @@ class IncrementalComponents:
                 changed = np.zeros(len(vs), dtype=bool)
                 changed[rows[lower]] = True
                 labels.set(vs[changed], lowest[lower])
-                frontier = sorted_unique(flat[np.repeat(changed, lens)])
+                frontier = distinct_ids(flat[np.repeat(changed, lens)],
+                                        self.graph.num_vertices)
             rounds += 1
             self.psctx.barrier()
         return rounds

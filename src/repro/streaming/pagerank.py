@@ -227,7 +227,8 @@ class IncrementalPageRank:
         Driver state is indexed by vertex id: the materialized residuals
         ``e_local``, the mass ``received`` by vertices not materialized
         yet, the rank increments ``r_delta`` — each with a mask of the
-        vertices it holds — and the out-rows fetched so far (``adj``).
+        vertices it holds — the out-rows fetched so far (``adj``) and
+        each wave vertex's position in the wave (``slot``, -1 outside it).
         """
         d, tol = self.damping, self.tol
         n = self.graph.num_vertices
@@ -239,6 +240,7 @@ class IncrementalPageRank:
         pending = np.zeros(n, dtype=bool)
         received[seed_ids] = seed
         pending[seed_ids] = True
+        slot = np.full(n, -1, dtype=np.int64)
         adj = RowMemo(n, self.graph.out.get)
         rounds = 0
         pushes = 0
@@ -273,9 +275,10 @@ class IncrementalPageRank:
             flat = nbrs.neighbors
             if len(flat):
                 src_idx = np.repeat(np.arange(len(wave_arr)), lens)
-                ins = np.minimum(np.searchsorted(wave_arr, flat),
-                                 len(wave_arr) - 1)
-                internal = wave_arr[ins] == flat
+                slot[wave_arr] = np.arange(len(wave_arr))
+                ins = slot.take(flat)
+                slot[wave_arr] = -1
+                internal = ins >= 0
                 int_tgt = ins[internal]
                 # Each edge's source row, split once per wave (not once
                 # per sweep) by where the edge lands.

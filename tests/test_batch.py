@@ -15,6 +15,7 @@ from repro.common.batch import (
     SCATTER_BLOCK,
     RaggedColumn,
     accumulate_sequential,
+    distinct_ids,
     flat_row_index,
     h_index,
     in_sorted,
@@ -58,6 +59,19 @@ class TestSplitAndReduce:
         want = np.unique(values)
         assert got.dtype == want.dtype and got.tolist() == want.tolist()
         assert np.array_equal(values, before)  # sorts a copy
+
+    @given(st.integers(1, 40).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.integers(0, n - 1) | st.sampled_from(
+            [0, n - 1]), max_size=60))))
+    @example((1, []))
+    @example((5, [4, 0, 4, 0, 0]))
+    def test_distinct_ids_is_sorted_unique(self, case):
+        """Empty input, repeats and the ids 0 and n - 1: the mask over
+        the id space gives what the sort gives, dtype included."""
+        n, ids = case
+        ids = np.asarray(ids, dtype=np.int64)
+        got, want = distinct_ids(ids, n), sorted_unique(ids)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
 
     @given(st.lists(st.integers(-9, 9), max_size=30),
            st.lists(st.integers(-12, 12), max_size=30))

@@ -38,7 +38,7 @@ from repro.dataflow.rdd import TextFileRDD
 from repro.dataflow.shuffle import bucket_map_output
 from repro.dataflow.taskctx import current_task_context
 from repro.datasets.tencent import write_edges
-from repro.eulersim.euler import EulerSystem
+from repro.eulersim.euler import KEYABLE_IDS, EulerSystem
 from tests.conftest import make_context, make_psg, split_indices
 
 
@@ -284,6 +284,14 @@ def _load_files(files, build):
         ctx.stop()
 
 
+def _unkeyable(data):
+    """Whether a well-formed unweighted file holds an id Euler's pair keys
+    cannot (``preprocess`` refuses it by name)."""
+    block = parse_edge_lines(data.decode().split("\n"), False)
+    return bool(len(block.src)) and max(block.src.max(), block.dst.max()) \
+        >= KEYABLE_IDS
+
+
 def _euler_mapped(files):
     """The edges ``EulerSystem.preprocess`` maps from ``files``."""
     system = EulerSystem(ClusterConfig(num_executors=2,
@@ -291,10 +299,7 @@ def _euler_mapped(files):
     try:
         for i, data in enumerate(files):
             system.hdfs.write_bytes(f"/in/part-{i:05d}", data)
-        try:
-            system.preprocess("/in", np.zeros((1, 1)), np.zeros(1))
-        except ValueError:  # Euler's CSR needs ids below isqrt(2 ** 63)
-            pass
+        system.preprocess("/in", np.zeros((1, 1)), np.zeros(1))
         return system.hdfs.read_pickle("/euler/mapped-edges", cost=None)
     finally:
         system.stop()
@@ -339,6 +344,12 @@ class TestOps:
                     assert got.dtype == expect.dtype
                     assert got.tobytes() == expect.tobytes()
         if not weighted:
+            wide = [i for i, data in enumerate(files) if _unkeyable(data)]
+            if wide:  # the first file with an id past the pair keys
+                with pytest.raises(GraphLoadError, match=(
+                        f"^/in/part-{wide[0]:05d}: vertex id ")):
+                    _euler_mapped(files)
+                return
             whole = EdgeBlock.concat([parse_edge_lines(
                 data.decode().split("\n"), False) for data in files])
             assert _euler_mapped(files).tolist() == np.stack(
@@ -369,6 +380,11 @@ class TestOps:
         assert str(err.value).startswith(where)
         if weighted:  # Euler reads unweighted files: every line is bad
             return
+        # Euler refuses a file before the corrupted one whose ids its pair
+        # keys cannot hold, naming it.
+        wide = [i for i in range(at) if _unkeyable(files[i])]
+        if wide:
+            where = f"/in/part-{wide[0]:05d}: vertex id "
         with pytest.raises(GraphLoadError) as err:
             _euler_mapped(files)
         assert str(err.value).startswith(where)

@@ -10,6 +10,7 @@ from repro.common.errors import (
     ContainerLostError,
     FileNotFoundOnHdfsError,
     GraphLoadError,
+    PSError,
 )
 from repro.core.algorithms.graphsage import make_sage
 from repro.core.context import PSGraphContext
@@ -20,7 +21,7 @@ from repro.datasets.generators import (
     vertex_features,
 )
 from repro.datasets.tencent import ds3_spec, generate_ds3_gnn, write_edges
-from repro.eulersim.euler import EulerSystem, _adjacency_block
+from repro.eulersim.euler import KEYABLE_IDS, EulerSystem, _adjacency_block
 from repro.obs.determinism import run_record
 from repro.obs.tracer import Tracer
 from repro.torchlite.script import ScriptModule
@@ -84,9 +85,9 @@ class TestAdjacency:
         self._assert_same(pairs[:, 0], pairs[:, 1])
 
     def test_rejects_ids_that_would_wrap_a_pair_key(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(PSError, match="too large"):
             _adjacency_block(np.array([0]), np.array([2 ** 32]))
-        with pytest.raises(ValueError):
+        with pytest.raises(PSError, match="negative"):
             _adjacency_block(np.array([-1]), np.array([3]))
 
     def test_accepts_the_largest_id_a_pair_key_holds(self):
@@ -125,6 +126,33 @@ class TestPreprocess:
                 sys.preprocess("/missing", np.zeros((4, 2)),
                                np.zeros(4, dtype=np.int64))
             assert state() == before
+            assert sys._block is sys._features is None
+        finally:
+            sys.stop()
+
+    def test_an_id_past_the_pair_keys_raises_before_anything_moves(self):
+        # The second file holds an id Euler's CSR cannot key: the typed
+        # error names it, and nothing is written and no clock moves.
+        sys = euler_system()
+        try:
+            sys.hdfs.write_text("/in/e/part-0", ["0\t1", "2 3"],
+                                overwrite=False)
+            sys.hdfs.write_text("/in/e/part-1", ["4\t5", f"{KEYABLE_IDS} 1"],
+                                overwrite=False)
+            containers = [*sys.workers, sys.driver]
+
+            def state():
+                return ([c.clock.now_s for c in containers],
+                        sorted(sys.hdfs._files))
+
+            before = state()
+            with pytest.raises(GraphLoadError, match=(
+                    f"^/in/e/part-1: vertex id {KEYABLE_IDS} ")):
+                sys.preprocess("/in/e", np.zeros((4, 2)),
+                               np.zeros(4, dtype=np.int64))
+            assert state() == before
+            assert not any(path.startswith("/euler")
+                           for path in sys.hdfs._files)
             assert sys._block is sys._features is None
         finally:
             sys.stop()

@@ -19,16 +19,24 @@ Per window the run record holds ``sim_time()``, every ``ps.*`` /
 the component labels and the embedding rows; with every span and every
 metric it is a line of the ledger (``tests/ledger.py``).  The values have
 held since commit ``1309c35``.
+
+``run_wide`` pins one 1 %-churn window over a 100k-edge graph the same
+way: the 70-vertex windows never send the embedding a rank-one update
+past ``SCATTER_BLOCK``, nor cascade over thousands of vertices.
 """
+
+from unittest import mock
 
 import numpy as np
 
+from repro.common.batch import SCATTER_BLOCK
 from repro.common.config import MB, ClusterConfig
 from repro.core.context import PSGraphContext
 from repro.datasets.generators import powerlaw_graph
 from repro.ingest.mutations import edge_adds, edge_dels, vertex_dels
 from repro.obs.determinism import run_record
 from repro.obs.tracer import Tracer
+from repro.ps.psfunc import RankOneUpdate
 from repro.streaming import (
     IncrementalComponents,
     IncrementalPageRank,
@@ -90,20 +98,70 @@ def run():
                                     OnlineEmbeddingRefresh(g, dim=4))
         engine.bootstrap()
         for window, muts in enumerate(windows(src, dst), start=1):
-            report = engine.run_window(muts)
-            doc[f"window {window}"] = {
-                "sim_s": ctx.sim_time(),
-                "counters": {k: v for k, v in ctx.metrics.snapshot().items()
-                             if k.startswith(("ps.", "streaming."))},
-                "report": report.to_dict(),
-                "ranks": digest(pagerank.ranks()),
-                "labels": digest(components.assignments()),
-                "embedding": digest(embedding_vectors(embedding))}
+            doc[f"window {window}"] = _window_doc(
+                ctx, engine.run_window(muts), pagerank, components,
+                embedding)
     return run_record(doc, ctx.tracer, ctx.metrics)
 
 
-PINNED = [(run, ())]
+def _window_doc(ctx, report, pagerank, components, embedding):
+    """What a window leaves: its sim time, counters, report and the ranks,
+    labels and embedding."""
+    return {"sim_s": ctx.sim_time(),
+            "counters": {k: v for k, v in ctx.metrics.snapshot().items()
+                         if k.startswith(("ps.", "streaming."))},
+            "report": report.to_dict(),
+            "ranks": digest(pagerank.ranks()),
+            "labels": digest(components.assignments()),
+            "embedding": digest(embedding_vectors(embedding))}
 
 
 def test_streaming_windows_match_parent_pins():
     pin(run)
+
+
+def run_wide(num_vertices, num_edges):
+    """One 1 %-churn window over a graph large enough that every kernel of
+    the streaming plane works at scale: the embedding's whole-window
+    rank-one updates take :class:`RankOneUpdate`'s out-of-bound branch
+    (checked here), and the PageRank cascades and component floods span
+    thousands of vertices."""
+    cluster = ClusterConfig(num_executors=4, executor_mem_bytes=256 * MB,
+                            num_servers=2, server_mem_bytes=256 * MB)
+    src, dst = powerlaw_graph(num_vertices, num_edges, seed=11)
+    rng = np.random.default_rng(23)
+    half = num_edges // 200
+    gone = rng.choice(num_edges, size=half, replace=False)
+    a_s = rng.integers(0, num_vertices, half)
+    a_d = (a_s + 1 + rng.integers(0, num_vertices - 1, half)) % num_vertices
+    widths = []
+    apply = RankOneUpdate.apply
+
+    def spy(self, store):
+        widths.append(2 * len(self.left) * store.array.shape[1])
+        apply(self, store)
+
+    with PSGraphContext(cluster, app_name="streaming-pins-wide",
+                        tracer=Tracer()) as ctx:
+        g = StreamingGraph(ctx.ps, num_vertices, metrics=ctx.metrics)
+        engine = StreamingEngine(g, measure_full=True)
+        engine.run_window(edge_adds(src, dst))
+        pagerank = engine.register("pagerank",
+                                   IncrementalPageRank(g, tol=1e-8))
+        components = engine.register("components", IncrementalComponents(g))
+        embedding = engine.register("embedding",
+                                    OnlineEmbeddingRefresh(g, dim=8))
+        engine.bootstrap()
+        with mock.patch.object(RankOneUpdate, "apply", spy):
+            report = engine.run_window(edge_adds(a_s, a_d)
+                                       + edge_dels(src[gone], dst[gone]))
+        assert max(widths) > SCATTER_BLOCK
+        doc = _window_doc(ctx, report, pagerank, components, embedding)
+    return run_record(doc, ctx.tracer, ctx.metrics)
+
+
+PINNED = [(run, ()), (run_wide, (4000, 100_000))]
+
+
+def test_a_wide_window_matches_parent_pins():
+    pin(run_wide, 4000, 100_000)

@@ -117,6 +117,16 @@ def in_sorted(haystack: np.ndarray, needles: np.ndarray) -> np.ndarray:
     return haystack[pos] == needles
 
 
+def sorted_difference(values: np.ndarray,
+                      ascending: np.ndarray) -> np.ndarray:
+    """The distinct ``values`` not in ``ascending`` (sorted, distinct),
+    ascending — what ``np.setdiff1d(values, ascending)`` returns, as
+    :func:`sorted_unique` and :func:`in_sorted`: setdiff1d sorts through
+    plain ``np.unique``'s hash path too."""
+    distinct = sorted_unique(values)
+    return distinct[~in_sorted(ascending, distinct)]
+
+
 def strictly_increasing(values: np.ndarray) -> bool:
     """Whether a 1-D array is already what :func:`sorted_unique` would
     return — one comparison pass, so sorted distinct ids (a block's

@@ -30,6 +30,9 @@ from repro.common.sketch import QuantileSketch
 #: Exact samples kept per histogram before switching to the sketch.
 HISTOGRAM_MAX_EXACT = 8192
 
+#: Single samples a sketched histogram buffers before one ``add_many``.
+HISTOGRAM_BUFFER = 1024
+
 
 class Histogram:
     """A distribution of observed values with percentile queries.
@@ -44,10 +47,12 @@ class Histogram:
     """
 
     __slots__ = ("_samples", "_dirty", "_sum", "_count", "_min", "_max",
-                 "_sketch", "_pending", "_pending_count")
+                 "_sketch", "_pending", "_pending_count", "_singles")
 
     #: Exact samples kept before the switch to the sketch.
     max_exact = HISTOGRAM_MAX_EXACT
+    #: Single samples buffered past the switch before they fold in.
+    max_singles = HISTOGRAM_BUFFER
 
     def __init__(self) -> None:
         self._samples: List[float] = []
@@ -60,10 +65,15 @@ class Histogram:
         #: Batches from ``observe_many`` not yet folded into the samples.
         self._pending: List[np.ndarray] = []
         self._pending_count = 0
+        #: Single samples observed past the switch, not yet folded in.
+        self._singles: List[float] = []
 
     def observe(self, value: float) -> None:
-        """Add one sample."""
-        if self._pending:
+        """Add one sample.  Past the switch to the sketch it waits in a
+        buffer of at most ``max_singles`` values, which one
+        :meth:`QuantileSketch.add_many` folds in when it fills or a query
+        needs it: the state one ``add`` per value leaves."""
+        if self._pending and self._sketch is None:
             self._fold()
         v = float(value)
         self._count += 1
@@ -73,7 +83,9 @@ class Histogram:
         if v > self._max:
             self._max = v
         if self._sketch is not None:
-            self._sketch.add(v)
+            self._singles.append(v)
+            if len(self._singles) >= self.max_singles:
+                self._fold()
             return
         self._samples.append(v)
         self._dirty = True
@@ -100,13 +112,19 @@ class Histogram:
         self._sum = accumulate_sequential(self._sum, v, len(v))
         self._min = min(self._min, float(v.min()))
         self._max = max(self._max, float(v.max()))
+        if self._singles:
+            self._fold()
         self._pending.append(v)
         self._pending_count += len(v)
         if self._pending_count > self.max_exact:
             self._fold()
 
     def _fold(self) -> None:
-        """Move the buffered batches, in arrival order, into the samples."""
+        """Move the buffered batches and single samples, in arrival order,
+        into the samples."""
+        if self._singles:
+            self._pending.append(np.array(self._singles))
+            self._singles = []
         if not self._pending:
             return
         v = np.concatenate(self._pending)

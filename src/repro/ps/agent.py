@@ -57,6 +57,7 @@ from repro.common.simclock import TaskCost
 from repro.common.sizeof import sizeof
 from repro.dataflow.taskctx import current_task_context, task_span
 from repro.ps.meta import MatrixMeta
+from repro.ps.partitioner import RangePSPartitioner
 from repro.ps.psfunc import PsFunc
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -237,29 +238,49 @@ class PSAgent:
         charges anything: a bad key leaves no half a write."""
         return meta.partitioner.partition_array(check_rows(meta, keys))
 
-    def _keyed(self, meta: MatrixMeta, method: str, pids: np.ndarray,
+    def _groups(self, meta: MatrixMeta, keys: np.ndarray,
+                ascending: bool) -> Tuple[np.ndarray, Callable]:
+        """``(counts, select)`` of a keyed operation: the number of keys of
+        every partition, and ``select(lo, hi)`` the request positions whose
+        partition is in ``lo..hi-1``, ascending.  Every key is checked
+        against the matrix's rows first (``check_rows``).
+
+        Strictly increasing (``ascending``) keys of a range-partitioned
+        matrix are cut at the partition bounds: partition ``p``'s keys are
+        the run ``cuts[p]:cuts[p + 1]``, and the first and last key check
+        them all.  Other keys get a partition id each (``_route``)."""
+        if ascending and isinstance(meta.partitioner, RangePSPartitioner):
+            if len(keys) and (keys[0] < 0 or keys[-1] >= meta.rows):
+                check_rows(meta, keys)
+            cuts = keys.searchsorted(meta.partitioner.bounds)
+            return (cuts[1:] - cuts[:-1],
+                    lambda lo, hi: slice(cuts[lo], cuts[hi]))
+        num, pids = meta.num_partitions, self._route(meta, keys)
+        return (np.bincount(pids, minlength=num),
+                lambda lo, hi: _positions(pids, lo, hi, num))
+
+    def _keyed(self, meta: MatrixMeta, method: str, groups: tuple,
                width: int, apply: Callable[[Any, Any], None],
                col: int | None) -> None:
-        """A keyed gather or scatter of ``width`` values per key: a request
-        to each partition owning keys, a key and its values on the wire.
-        ``apply(store, sel)`` moves the data of request positions ``sel``:
-        once through ``meta.data``, or per partition when there is none."""
-        num, whole = meta.num_partitions, meta.data
-        counts = np.bincount(pids, minlength=num)
-        nbytes = (counts * (8 + width * meta.dtype.itemsize)).tolist()
-        flops = (counts * width).tolist()
-        touched = np.flatnonzero(counts).tolist()
+        """A keyed gather or scatter of ``width`` values per key, grouped
+        by ``_groups``: a request to each partition owning keys, a key and
+        its values on the wire.  ``apply(store, sel)`` moves the data of
+        request positions ``sel``: once through ``meta.data``, or per
+        partition when there is none."""
+        (counts, select), whole = groups, meta.data
+        counts = counts.tolist()
+        unit = 8 + width * meta.dtype.itemsize
+        touched = [pid for pid, n in enumerate(counts) if n]
         if whole is not None:
             self._fan_out(meta, method, touched,
-                          lambda pid, _store: (nbytes[pid], flops[pid]),
-                          lambda lo, hi: apply(
-                              whole, _positions(pids, lo, hi, num)), col)
+                          lambda pid, _store: (counts[pid] * unit,
+                                               counts[pid] * width),
+                          lambda lo, hi: apply(whole, select(lo, hi)), col)
             return
-        order, offsets = partition_order(pids, num)
 
         def request(pid: int, store: Any) -> tuple:
-            apply(store, order[offsets[pid]:offsets[pid + 1]])
-            return nbytes[pid], flops[pid]
+            apply(store, select(pid, pid + 1))
+            return counts[pid] * unit, counts[pid] * width
 
         self._fan_out(meta, method, touched, request, col=col, recharge=True)
 
@@ -299,8 +320,8 @@ class PSAgent:
     def _pull_from_servers(self, meta: MatrixMeta, ukeys: np.ndarray,
                            col: int | None,
                            key_nbytes: int | None = None) -> np.ndarray:
-        """The uncached server fetch for unique ``ukeys``."""
-        pids = self._route(meta, ukeys)
+        """The uncached server fetch for ``ukeys``, strictly increasing
+        (what ``pull`` dedupes to)."""
         width = 1 if col is not None else meta.cols
         out = np.empty(len(ukeys) if col is not None else (len(ukeys), width),
                        dtype=meta.dtype)
@@ -308,7 +329,8 @@ class PSAgent:
         def move(store: Any, sel: Any) -> None:
             out[sel] = store.get_rows(ukeys[sel], col)
 
-        self._keyed(meta, "pull", pids, width, move, col)
+        self._keyed(meta, "pull", self._groups(meta, ukeys, True), width,
+                    move, col)
         self._metrics().inc(PS_PULLS)
         self._metrics().inc(PS_PULL_BYTES, int(out.nbytes) + (
             int(ukeys.nbytes) if key_nbytes is None else key_nbytes))
@@ -328,13 +350,17 @@ class PSAgent:
                values: np.ndarray, col: int | None, method: str) -> None:
         keys = np.asarray(keys, dtype=np.int64)
         values = np.asarray(values, dtype=meta.dtype)
-        pids = self._route(meta, keys)
+        width = 1 if col is not None else meta.cols
+        if values.shape != ((len(keys),) if col is not None
+                            else (len(keys), width)):
+            raise PSError(f"{meta.name}: values of shape {values.shape} "
+                          f"for {len(keys)} keys")
+        groups = self._groups(meta, keys, strictly_increasing(keys))
         cache = self.psctx.pull_cache(meta.name)
         if cache is not None:
             cache.invalidate(keys)
-        width = int(np.prod(values.shape[1:]))
         apply = "inc_rows" if method == "push" else "set_rows"
-        self._keyed(meta, method, pids, width, lambda store, sel: getattr(
+        self._keyed(meta, method, groups, width, lambda store, sel: getattr(
             store, apply)(keys[sel], values[sel], col), col)
         self._metrics().inc(PS_PUSHES)
         self._metrics().inc(PS_PUSH_BYTES, int(keys.nbytes + values.nbytes))

@@ -75,9 +75,14 @@ class DenseRowStore(Store):
         self.array = np.full((len(self.keys), cols), init, dtype=dtype)
         #: ``_slot[key] - _base`` is the row of ``key``, whatever the key
         #: set; -1 marks a foreign key, the last entry any key past the end.
-        self._slot = np.full(int(self.keys.max(initial=-1)) + 2, -1,
-                             dtype=np.int64)
-        self._slot[self.keys] = np.arange(len(self.keys))
+        #: Keys 0..n-1 (a range-partitioned matrix) need no table: ``None``,
+        #: and ``key - _base`` is the row.
+        self._slot = None
+        rows = np.arange(len(self.keys))
+        if not np.array_equal(self.keys, rows):
+            self._slot = np.full(int(self.keys.max(initial=-1)) + 2, -1,
+                                 dtype=np.int64)
+            self._slot[self.keys] = rows
         self._base = 0
 
     def part(self, start: int, stop: int) -> "DenseRowStore":
@@ -90,12 +95,21 @@ class DenseRowStore(Store):
         return part
 
     def _locate(self, keys: np.ndarray) -> np.ndarray:
-        idx = self._slot.take(keys, mode="clip")
-        idx -= self._base
-        bad = (idx < 0) | (idx >= len(self.keys)) | (keys < 0)
-        if bad.any():
-            raise PSError(f"keys not in partition: {keys[bad][:5]}...")
-        return idx
+        n = len(self.keys)
+        if self._slot is None:
+            idx = keys - self._base if self._base else keys
+            # (one unsigned max: a negative row reads as one past the end)
+            if not len(idx) or np.asarray(idx, dtype=np.int64).view(
+                    np.uint64).max() < n:
+                return idx
+            bad = (idx < 0) | (idx >= n)
+        else:
+            idx = self._slot.take(keys, mode="clip")
+            idx -= self._base
+            bad = (idx < 0) | (idx >= n) | (keys < 0)
+            if not bad.any():
+                return idx
+        raise PSError(f"keys not in partition: {keys[bad][:5]}...")
 
     def get_rows(self, keys: np.ndarray,
                  col: int | None = None) -> np.ndarray:
@@ -375,11 +389,14 @@ class NeighborTableStore(Store):
             return
         radix = int(max(indices.max(), self._indices.max())) + 1
         sources = self._sources()
-        keep = ~np.isin(
-            pair_keys(radix, sources, self._indices),
-            pair_keys(radix, np.repeat(vertices, np.diff(indptr)),
-                            indices),
-        )
+        # The table's pair keys ascend (rows by vertex, each row sorted):
+        # a removed pair is one search among them.
+        table = pair_keys(radix, sources, self._indices)
+        gone = pair_keys(radix, np.repeat(vertices, np.diff(indptr)),
+                         indices)
+        pos = np.minimum(table.searchsorted(gone), len(table) - 1)
+        keep = np.ones(len(table), dtype=bool)
+        keep[pos[table[pos] == gone]] = False
         self._set_pairs(sources[keep], self._indices[keep])
 
     def drop_vertices(self, vertices: np.ndarray) -> None:

@@ -68,8 +68,8 @@ class OnlineEmbeddingRefresh:
     def update(self, delta) -> Dict[str, float]:
         """Retrain only the vertices whose neighborhoods changed."""
         self._window += 1
-        dirty = np.intersect1d(delta.touched(),
-                               self.graph.present_vertices())
+        touched = delta.touched()  # sorted, distinct
+        dirty = touched[self.graph._present[touched]]
         return self._train(dirty, salt=f"w{self._window}")
 
     def full_refresh(self) -> Dict[str, float]:

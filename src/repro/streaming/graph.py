@@ -26,7 +26,12 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from repro.common.batch import in_sorted, sorted_unique, unique_pairs
+from repro.common.batch import (
+    in_sorted,
+    sorted_difference,
+    sorted_unique,
+    unique_pairs,
+)
 from repro.common.errors import PSError
 from repro.common.metrics import (
     STREAM_EDGES_ADDED,
@@ -249,7 +254,7 @@ class StreamingGraph:
         outs = self._snapshot_old_out(doomed, snapshots)
         ins = self.inc.get(doomed)
         # In-neighbors lose an out-edge: snapshot their pre-state too.
-        in_union = np.setdiff1d(ins.neighbors, doomed)
+        in_union = sorted_difference(ins.neighbors, doomed)
         if len(in_union):
             self._snapshot_old_out(in_union, snapshots)
         # Every incident edge once (an edge between two doomed vertices

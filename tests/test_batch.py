@@ -25,6 +25,7 @@ from repro.common.batch import (
     segment_index,
     segment_mode,
     segment_reduce,
+    sorted_difference,
     sorted_unique,
     unique_pairs,
 )
@@ -80,6 +81,16 @@ class TestSplitAndReduce:
         needles = np.asarray(needles, dtype=np.int64)
         assert (in_sorted(haystack, needles).tolist()
                 == np.isin(needles, haystack).tolist())
+
+    @given(st.lists(st.integers(-9, 9), max_size=30),
+           st.lists(st.integers(-12, 12), max_size=30))
+    def test_sorted_difference_is_setdiff1d(self, values, other):
+        """Repeats, negatives and empty sides on both: dtype included."""
+        values = np.asarray(values, dtype=np.int64)
+        other = sorted_unique(np.asarray(other, dtype=np.int64))
+        got, want = sorted_difference(values, other), np.setdiff1d(
+            values, other)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
 
     def test_negative_ids_raise_instead_of_aliasing(self):
         # With radix 3, 5 * 3 - 1 is the key of (4, 2): the pairs came

@@ -255,6 +255,37 @@ class TestBadKeyLeavesNothingBehind:
         assert cache.stats.hits == hits + 60
 
     @pytest.mark.parametrize("kind", ["hash", "range", "hash-range"])
+    @pytest.mark.parametrize("case", [
+        "vector push, 4 values for 5 keys", "vector set, 6 values",
+        "width-2 push into 3 columns", "column set, 3 values for 5 keys"])
+    def test_malformed_values_leave_nothing_behind(self, kind, case):
+        # Each used to raise numpy's ValueError after every touched
+        # server's clock had advanced.
+        spark, psctx = make_ps(num_servers=2)
+        try:
+            v = psctx.create_vector("v", 100, partition=kind)
+            m = psctx.create_matrix("m", 100, 3, partition=kind)
+            keys = np.arange(5)
+            v.push(np.arange(100), np.arange(100.0))
+            m.push(np.arange(100), np.ones((100, 3)))
+            before = self._meters(psctx)
+            with pytest.raises(PSError, match="values of shape"):
+                if case.startswith("vector push"):
+                    v.push(keys, np.ones(4))
+                elif case.startswith("vector set"):
+                    v.set(keys, np.ones(6))
+                elif case.startswith("width-2"):
+                    m.push(keys, np.ones((5, 2)))
+                else:
+                    m.set(keys, np.ones(3), col=1)
+            assert self._meters(psctx) == before
+            assert v.to_numpy().tolist() == np.arange(100.0).tolist()
+            assert m.to_numpy().tolist() == np.ones((100, 3)).tolist()
+        finally:
+            psctx.stop()
+            spark.stop()
+
+    @pytest.mark.parametrize("kind", ["hash", "range", "hash-range"])
     @pytest.mark.parametrize("bad", [-1, 10, 12, 10 ** 9])
     @pytest.mark.parametrize("op", ["push", "remove", "drop", "get",
                                     "degrees"])

@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.common.batch import gather_segments
+from repro.common.batch import gather_segments, strictly_increasing
 from repro.common.config import ClusterConfig
 from repro.common.errors import (
     ConfigError,
@@ -58,6 +58,7 @@ from repro.ps.context import PSContext
 from repro.ps.matrix import PSMatrix
 from repro.ps.optimizer import SGD, AdaGrad, Adam, Momentum
 from repro.ps.psfunc import RandomInit, RankOneUpdate
+from repro.ps.storage import DenseRowStore
 from tests.conftest import VectorSum, set_rows, split_indices, table_block
 
 # ----------------------------------------------------------------------
@@ -661,12 +662,10 @@ def _kill_before_call(system, server: int, call: int):
 MID_OPERATION = [(0, 0), (1, 1), (2, 2), (0, 3), (1, 7)]
 
 
-@pytest.mark.parametrize("mode", ["relaxed", "strict"])
-@pytest.mark.parametrize("op", ["push", "set", "pull", "get", "degrees"])
-@pytest.mark.parametrize("kill", ["between"] + MID_OPERATION, ids=str)
-def test_mid_operation_recovery_equals_the_loop(mode, op, kill):
-    keys = np.arange(ROWS)[::-1]
-
+def assert_recovery_equals_the_loop(mode, op, kill, kind, keys):
+    """``op`` on ``keys`` with a server killed between operations or in
+    the middle of this one: the same end as the per-partition loop's,
+    after one recovery."""
     def script(system):
         system.ps.recovery_mode = mode
         _seed_and_checkpoint(system)
@@ -687,9 +686,28 @@ def test_mid_operation_recovery_equals_the_loop(mode, op, kill):
         system.spark.rpc.fault_injector = None
         system.out.append(system.spark.metrics.get(PS_RECOVERIES))
 
-    states = run_both(script, kind="hash", rows=ROWS, cols=2, parts=PARTS)
+    states = run_both(script, kind=kind, rows=ROWS, cols=2, parts=PARTS)
     assert_same(states)
     assert states[0]["out"][-1][1] == 1.0  # one server recovered, once
+
+
+@pytest.mark.parametrize("mode", ["relaxed", "strict"])
+@pytest.mark.parametrize("op", ["push", "set", "pull", "get", "degrees"])
+@pytest.mark.parametrize("kill", ["between"] + MID_OPERATION, ids=str)
+def test_mid_operation_recovery_equals_the_loop(mode, op, kill):
+    assert_recovery_equals_the_loop(mode, op, kill, "hash",
+                                    np.arange(ROWS)[::-1])
+
+
+@pytest.mark.parametrize("mode", ["relaxed", "strict"])
+@pytest.mark.parametrize("op", ["push", "set", "pull"])
+@pytest.mark.parametrize("kill", ["between"] + MID_OPERATION, ids=str)
+def test_mid_operation_recovery_of_cut_keys_equals_the_loop(mode, op, kill):
+    """Sorted keys of a range matrix, cut at the partition bounds: the
+    writes before a dead server's partition move (as one slice) before
+    its recovery, the rest after it."""
+    assert_recovery_equals_the_loop(mode, op, kill, "range",
+                                    np.arange(ROWS))
 
 
 @pytest.mark.parametrize("mode", ["relaxed", "strict"])
@@ -818,6 +836,163 @@ def test_a_restored_dense_partition_is_still_a_view_of_the_matrix():
         assert m.to_numpy().tolist() == (want - ~on_dead[:, None]).tolist()
     finally:
         system.close()
+
+
+# ----------------------------------------------------------------------
+# routing: sorted keys of a range matrix are cut at the bounds, any
+# other keys get a partition id each — held to the grouping of every key
+# by partition id that all keyed operations used before
+# ----------------------------------------------------------------------
+
+
+def reference_groups(meta, keys):
+    """``(counts, select)`` as ``partition_array``, ``bincount`` and
+    ``_positions`` gave them to every keyed operation until sorted keys
+    were cut."""
+    num = meta.num_partitions
+    pids = meta.partitioner.partition_array(keys)
+
+    def select(lo, hi):
+        if hi - lo == num:
+            return slice(None)
+        return np.flatnonzero((pids >= lo) & (pids < hi))
+
+    return np.bincount(pids, minlength=num), select
+
+
+@st.composite
+def keyed_cases(draw):
+    rows = draw(st.integers(1, 40))
+    ids = st.lists(st.integers(0, rows - 1), max_size=16)
+    form = draw(st.sampled_from(
+        ["increasing", "repeated", "unsorted", "empty", "out of range"]))
+    keys = draw(ids)
+    # The first and the last row, often.
+    keys += draw(st.lists(st.sampled_from([0, rows - 1]), max_size=2))
+    if form == "increasing":
+        keys = sorted(set(keys))
+    elif form == "repeated":
+        keys = sorted(keys + keys[:draw(st.integers(1, 3))] or [0, 0])
+    elif form == "unsorted":
+        keys = draw(st.permutations(keys))
+        if len(set(keys)) > 1 and keys == sorted(keys):
+            keys = keys[::-1]
+    elif form == "empty":
+        keys = []
+    else:
+        bad = draw(st.sampled_from([-1, rows, rows + 7, 10 ** 9]))
+        keys = sorted(set(keys)) if draw(st.booleans()) else keys
+        keys.insert(draw(st.sampled_from([0, len(keys)])), bad)
+    config = dict(
+        kind=draw(st.sampled_from(["hash", "range", "hash-range"])),
+        rows=rows, cols=draw(st.integers(1, 3)),
+        parts=draw(st.sampled_from([1, 3, 8, len(keys) + 1 + draw(
+            st.integers(0, 4))])),
+        storage=draw(st.sampled_from(["dense", "dense", "sparse"])))
+    col = draw(st.one_of(st.none(), st.integers(0, config["cols"] - 1)))
+    return config, np.asarray(keys, dtype=np.int64), col, draw(
+        st.integers(0, 2 ** 31))
+
+
+def assert_stores_locate_alike(rows, cols, keys, seed):
+    """A dense store keyed 0..n-1 locates a key as its row; it answers
+    what a store locating through its slot table answers, bad keys
+    included — whole, and as a part of the matrix's store."""
+    rng = np.random.default_rng(seed)
+    everything = np.arange(rows)
+    content = rng.standard_normal((rows, cols))
+    identity = DenseRowStore(everything, cols)
+    slotted = DenseRowStore(everything[::-1].copy(), cols)
+    assert identity._slot is None and (rows == 1 or slotted._slot is not None)
+    for store in (identity, slotted):
+        store.set_rows(everything, content)
+    start = rows // 3
+    runs = (identity.part(start, rows), DenseRowStore(everything[start:]))
+    own = keys[keys >= start]
+    if len(keys) and (keys.min() < 0 or keys.max() >= rows):
+        for store in (identity, slotted):
+            for op in ("get_rows", "inc_rows", "set_rows"):
+                args = (keys,) if op == "get_rows" else (
+                    keys, np.ones((len(keys), cols)))
+                with pytest.raises(PSError, match="keys not in partition"):
+                    getattr(store, op)(*args)
+            assert store.get_rows(everything).tolist() == content.tolist()
+        for run in runs:
+            with pytest.raises(PSError, match="keys not in partition"):
+                run._locate(keys)
+        return
+    deltas = rng.standard_normal((len(keys), cols))
+    values = rng.standard_normal(len(keys))
+    got = []
+    for store in (identity, slotted):
+        store.inc_rows(keys, deltas)
+        store.set_rows(keys, values, col=cols - 1)
+        got.append((store.get_rows(keys).tobytes(),
+                    store.get_rows(keys, cols - 1).tobytes(),
+                    store.get_rows(everything).tobytes()))
+    assert got[0] == got[1]
+    assert runs[0]._locate(own).tolist() == runs[1]._locate(own).tolist()
+    if start:
+        with pytest.raises(PSError, match="keys not in partition"):
+            runs[0]._locate(np.array([start - 1]))
+
+
+@given(keyed_cases())
+def test_sorted_keys_are_cut_and_other_keys_routed(case):
+    """Strictly increasing, repeated, unsorted, empty and out-of-range
+    keys on hash, range and hash-range matrices: the counts, touched
+    partitions and positions of every run of partitions ``lo..hi-1`` are
+    the reference grouping's, pulls, pushes and sets (from the driver and
+    from tasks) end as the per-partition loop ends them, and a bad key
+    moves and charges nothing."""
+    config, keys, col, seed = case
+    bad = bool(len(keys)) and (keys.min() < 0 or keys.max() >= config["rows"])
+    system = System(False, **config)
+    try:
+        meta, agent = system.m.meta, system.ps.agent
+        num = meta.num_partitions
+        ascending = strictly_increasing(keys)
+        if bad:
+            with pytest.raises(PSError, match="keys not in partition"):
+                agent._groups(meta, keys, ascending)
+        else:
+            counts, select = agent._groups(meta, keys, ascending)
+            want_counts, want_select = reference_groups(meta, keys)
+            assert counts.tolist() == want_counts.tolist()
+            assert (np.flatnonzero(counts).tolist()
+                    == np.flatnonzero(want_counts).tolist())
+            at = np.arange(len(keys))
+            for lo in range(num):
+                for hi in range(lo + 1, num + 1):
+                    assert (at[select(lo, hi)].tolist()
+                            == at[want_select(lo, hi)].tolist())
+    finally:
+        system.close()
+    assert_stores_locate_alike(config["rows"], config["cols"], keys, seed)
+    if not bad:
+        ops = [(op, keys.tolist(), col, seed + i) for i, op in enumerate(
+            ["pull", "push", "set", "pull", "task", "pull_all"])]
+        assert_same(run_both(lambda system: play(system, ops), **config))
+        return
+
+    def refused(system):
+        m, cols = system.m, system.m.meta.cols
+        shape = len(keys) if col is not None else (len(keys), cols)
+        for call in (lambda: PSMatrix.pull(m, keys, col),
+                     lambda: PSMatrix.push(m, keys, np.ones(shape), col),
+                     lambda: PSMatrix.set(m, keys, np.ones(shape), col)):
+            with pytest.raises(PSError, match="keys not in partition"):
+                call()
+
+    states = []
+    for script in (refused, lambda system: None):
+        system = System(False, **config)
+        try:
+            script(system)
+            states.append(system.state())
+        finally:
+            system.close()
+    assert_same(states)
 
 
 # ----------------------------------------------------------------------

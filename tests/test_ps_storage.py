@@ -299,6 +299,27 @@ class TestNeighborTableStore:
         assert _rows(restored, [7, 1]) == [[2, 3], [9]]
         assert restored.nbytes == 8 * (2 + 3 + 3)
 
+    @given(st.dictionaries(st.integers(0, 30), st.lists(
+        st.integers(0, 40), max_size=8), max_size=12),
+        st.dictionaries(st.integers(0, 35), st.lists(
+            st.integers(0, 45), max_size=6), max_size=8))
+    def test_remove_keeps_what_isin_kept(self, rows, gone):
+        """A removed pair found by one search among the table's ascending
+        pair keys: the rows ``np.isin`` over every table key left."""
+        s = NeighborTableStore()
+        _write(s.append_neighbors, rows)
+        s.compact()
+        sources, indices = s._sources(), s._indices
+        block = table_block(gone)
+        if len(block.neighbors) and len(indices):
+            radix = int(max(block.neighbors.max(), indices.max())) + 1
+            keep = ~np.isin(sources * radix + indices,
+                            block.sources() * radix + block.neighbors)
+            sources, indices = sources[keep], indices[keep]
+        _write(s.remove_neighbors, gone)
+        assert s._sources().tolist() == sources.tolist()
+        assert s._indices.tolist() == indices.tolist()
+
     def test_huge_ids_raise_instead_of_wrapping(self):
         s = NeighborTableStore()
         _write(s.append_neighbors, {2 ** 40: [2 ** 40]})

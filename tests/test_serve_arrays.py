@@ -681,13 +681,37 @@ def test_store_of_more_rows_than_capacity_keeps_the_most_recent():
 GAMMA = 1.01 / 0.99
 
 
-def capped_histogram(max_exact):
-    """A histogram that switches to its sketch past ``max_exact``."""
-    return type("CappedHistogram", (Histogram,), {"max_exact": max_exact})()
+def capped_histogram(max_exact, max_singles=1024):
+    """A histogram that switches to its sketch past ``max_exact`` and
+    buffers ``max_singles`` single samples past the switch."""
+    return type("CappedHistogram", (Histogram,), {
+        "max_exact": max_exact, "max_singles": max_singles})()
+
+
+class OneByOne(Histogram):
+    """The reference: every sample past the switch is one
+    ``QuantileSketch.add``, and so is every sample the switch moves."""
+
+    def observe(self, value):
+        v = float(value)
+        self._count += 1
+        self._sum += value
+        self._min, self._max = min(self._min, v), max(self._max, v)
+        if self._sketch is None:
+            self._samples.append(v)
+            self._dirty = True
+            if len(self._samples) <= self.max_exact:
+                return
+            self._sketch = QuantileSketch()
+            values, self._samples, self._dirty = self._samples, [], False
+        else:
+            values = [v]
+        for x in values:
+            self._sketch.add(x)
 
 
 def scalar_histogram(values, max_exact):
-    hist = capped_histogram(max_exact)
+    hist = type("CappedOneByOne", (OneByOne,), {"max_exact": max_exact})()
     for v in values:
         hist.observe(v)
     return hist
@@ -709,25 +733,32 @@ samples = st.one_of(
 
 @given(values=st.lists(samples, max_size=60),
        cuts=st.lists(st.tuples(st.integers(0, 60), st.sampled_from(
-           ["batch", "one by one", "batch, then a query"])), max_size=6),
-       max_exact=st.sampled_from([4, 16, 8192]))
-def test_observe_many_equals_observe(values, cuts, max_exact):
+           ["batch", "one by one", "batch, then a query",
+            "one by one, then a query", "one by one, then a count"])),
+           max_size=6),
+       max_exact=st.sampled_from([4, 16, 8192]),
+       max_singles=st.sampled_from([1, 3, 1024]))
+def test_observe_many_equals_observe(values, cuts, max_exact, max_singles):
     """Any split of a series into batches, single observations and
-    queries in between (a batch waits in a buffer until one) leaves the
-    state the scalar loop leaves."""
-    bulk = capped_histogram(max_exact)
+    queries in between (batches, and single samples past the sketch
+    switch, wait in a buffer until it fills or a query comes) leaves the
+    state one ``QuantileSketch.add`` per sample leaves."""
+    bulk = capped_histogram(max_exact, max_singles)
     bounds = sorted(dict(cuts).items()) + [(len(values), "batch")]
     lo = 0
     for hi, how in bounds:
         chunk = values[lo:max(lo, hi)]
         lo = max(lo, hi)
-        if how == "one by one":
+        if how.startswith("one by one"):
             for v in chunk:
                 bulk.observe(v)
+                assert len(bulk._singles) < max_singles
         else:
             bulk.observe_many(np.asarray(chunk, dtype=np.float64))
         if how.endswith("query"):
             bulk.percentile(50.0)
+        elif how.endswith("count"):
+            bulk.count_above(0.5)
     assert full_state(bulk) == full_state(
         scalar_histogram(values, max_exact))
 

@@ -17,6 +17,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.config import MB, ClusterConfig
 from repro.common.errors import PSError
@@ -25,6 +27,7 @@ from repro.core.context import PSGraphContext
 from repro.datasets.generators import powerlaw_graph
 from repro.ingest.kafka import EdgeStreamConsumer, KafkaTopic
 from repro.ingest.mutations import (
+    MutationBatch,
     edge_adds,
     edge_dels,
     vertex_dels,
@@ -397,6 +400,30 @@ class TestOnlineEmbeddingRefresh:
         stats = emb.update(g.apply(edge_adds(_ids(), _ids())))
         assert stats == {"pairs": 0.0, "trained": 0.0}
         np.testing.assert_array_equal(before, emb.emb.pull_rows(_ids(0, 1)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(*[st.lists(st.integers(0, 29), min_size=n, max_size=n).map(
+        lambda ids: np.asarray(ids, dtype=np.int64)) for n in (40, 40, 8, 8)],
+        st.lists(st.integers(0, 29), max_size=4))
+    def test_dirty_set_is_touched_intersect_present(self, src, dst, dels,
+                                                    adds, drops):
+        """The window's retrained vertices: what ``np.intersect1d(
+        delta.touched(), graph.present_vertices())`` returned."""
+        cluster = ClusterConfig(num_executors=2, executor_mem_bytes=64 * MB,
+                                num_servers=2, server_mem_bytes=64 * MB)
+        with PSGraphContext(cluster) as c:
+            g = StreamingGraph(c.ps, 30)
+            g.apply(edge_adds(src, dst))
+            emb = OnlineEmbeddingRefresh(g, dim=2)
+            trained = []
+            emb._train = lambda vertices, salt: trained.append(vertices)
+            delta = g.apply(MutationBatch.concat([
+                edge_dels(src[dels], dst[dels]),
+                edge_adds(adds, adds[::-1]), vertex_dels(drops)]))
+            emb.update(delta)
+            want = np.intersect1d(delta.touched(), g.present_vertices())
+            assert trained[0].dtype == want.dtype
+            assert trained[0].tolist() == want.tolist()
 
     def test_deterministic_across_runs(self):
         def run():

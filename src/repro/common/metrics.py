@@ -16,10 +16,9 @@ dump lives in :func:`repro.obs.export.metrics_to_dict`.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from collections import defaultdict
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, Sequence, Tuple
 
 import numpy as np
 
@@ -30,51 +29,40 @@ from repro.common.sketch import QuantileSketch
 #: Exact samples kept per histogram before switching to the sketch.
 HISTOGRAM_MAX_EXACT = 8192
 
-#: Single samples a sketched histogram buffers before one ``add_many``.
-HISTOGRAM_BUFFER = 1024
-
 
 class Histogram:
     """A distribution of observed values with percentile queries.
 
-    Up to :data:`HISTOGRAM_MAX_EXACT` samples are kept verbatim — sorting
-    is deferred to the first percentile query (append is O(1), the hot
-    path in big runs) — so percentiles are exact for every series a test
-    asserts on.  Past the cap the samples fold into a
-    :class:`~repro.common.sketch.QuantileSketch` and memory stays O(1)
-    while p50/p95/p99 keep a 1% relative-error bound.  count/sum/min/max
-    are tracked as scalars and stay exact in both regimes.
+    Samples land in one float64 buffer of at most ``max_exact`` values
+    (grown by doubling, so a short series holds a short array).  Up to
+    :data:`HISTOGRAM_MAX_EXACT` samples the buffer *is* the distribution
+    — sorted in place on the first query after a change, so percentiles
+    are exact for every series a test asserts on.  Past the cap the
+    samples fold into a :class:`~repro.common.sketch.QuantileSketch`, one
+    ``add_many`` per buffer (when it fills again or a query needs it), so
+    memory stays O(1) while p50/p95/p99 keep a 1% relative-error bound.
+    count/sum/min/max are tracked as scalars and stay exact in both
+    regimes.
     """
 
-    __slots__ = ("_samples", "_dirty", "_sum", "_count", "_min", "_max",
-                 "_sketch", "_pending", "_pending_count", "_singles")
+    __slots__ = ("_buf", "_n", "_sorted", "_sum", "_count", "_min", "_max",
+                 "_sketch")
 
     #: Exact samples kept before the switch to the sketch.
     max_exact = HISTOGRAM_MAX_EXACT
-    #: Single samples buffered past the switch before they fold in.
-    max_singles = HISTOGRAM_BUFFER
 
     def __init__(self) -> None:
-        self._samples: List[float] = []
-        self._dirty = False
+        self._buf = np.empty(0)
+        self._n = 0
+        self._sorted = True
         self._sum = 0.0
         self._count = 0
         self._min = math.inf
         self._max = -math.inf
         self._sketch: QuantileSketch | None = None
-        #: Batches from ``observe_many`` not yet folded into the samples.
-        self._pending: List[np.ndarray] = []
-        self._pending_count = 0
-        #: Single samples observed past the switch, not yet folded in.
-        self._singles: List[float] = []
 
     def observe(self, value: float) -> None:
-        """Add one sample.  Past the switch to the sketch it waits in a
-        buffer of at most ``max_singles`` values, which one
-        :meth:`QuantileSketch.add_many` folds in when it fills or a query
-        needs it: the state one ``add`` per value leaves."""
-        if self._pending and self._sketch is None:
-            self._fold()
+        """Add one sample."""
         v = float(value)
         self._count += 1
         self._sum += value
@@ -82,69 +70,63 @@ class Histogram:
             self._min = v
         if v > self._max:
             self._max = v
-        if self._sketch is not None:
-            self._singles.append(v)
-            if len(self._singles) >= self.max_singles:
-                self._fold()
-            return
-        self._samples.append(v)
-        self._dirty = True
-        if len(self._samples) > self.max_exact:
-            self._sketch = QuantileSketch.from_samples(self._samples)
-            self._samples = []
-            self._dirty = False
+        if self._n == len(self._buf):
+            self._room(1)
+        self._buf[self._n] = v
+        self._n += 1
+        self._sorted = False
 
     def observe_many(self, values: Sequence[float]) -> None:
         """Add every sample: the state ``observe`` leaves after the same
-        values one by one.
-
-        count / sum / min / max move at once (the sum accumulates left to
-        right).  The samples wait in a buffer of at most ``max_exact``
-        values and are folded in — verbatim up to the cap, the rest by
-        :meth:`QuantileSketch.add_many` — when the buffer fills or a query
-        needs them, so a stream of small batches pays the sketch's
-        per-call cost once per buffer, not once per batch.
-        """
-        v = np.array(values, dtype=np.float64)
-        if not len(v):
+        values one by one (the sum accumulates left to right)."""
+        v = np.asarray(values, dtype=np.float64)
+        k = len(v)
+        if not k:
             return
-        self._count += len(v)
-        self._sum = accumulate_sequential(self._sum, v, len(v))
+        self._count += k
+        self._sum = accumulate_sequential(self._sum, v, k)
         self._min = min(self._min, float(v.min()))
         self._max = max(self._max, float(v.max()))
-        if self._singles:
-            self._fold()
-        self._pending.append(v)
-        self._pending_count += len(v)
-        if self._pending_count > self.max_exact:
-            self._fold()
-
-    def _fold(self) -> None:
-        """Move the buffered batches and single samples, in arrival order,
-        into the samples."""
-        if self._singles:
-            self._pending.append(np.array(self._singles))
-            self._singles = []
-        if not self._pending:
-            return
-        v = np.concatenate(self._pending)
-        self._pending, self._pending_count = [], 0
-        if self._sketch is not None:
+        if k > self.max_exact:
+            self._spill()
             self._sketch.add_many(v)
-        elif len(self._samples) + len(v) > self.max_exact:
-            self._sketch = QuantileSketch.from_samples(
-                np.concatenate([self._samples, v]))
-            self._samples = []
-            self._dirty = False
-        else:
-            self._samples.extend(v.tolist())
-            self._dirty = True
+            return
+        self._room(k)
+        self._buf[self._n:self._n + k] = v
+        self._n += k
+        self._sorted = False
 
-    def _sorted_samples(self) -> List[float]:
-        if self._dirty:
-            self._samples.sort()
-            self._dirty = False
-        return self._samples
+    def _room(self, k: int) -> None:
+        """Room for ``k <= max_exact`` more samples: the buffer spills into
+        the sketch if they would take it past ``max_exact``, and grows
+        (doubling, up to ``max_exact``) if it is too short for them."""
+        if self._n + k > self.max_exact:
+            self._spill()
+        if self._n + k > len(self._buf):
+            grown = np.empty(min(max(2 * len(self._buf), self._n + k),
+                                 self.max_exact))
+            grown[:self._n] = self._buf[:self._n]
+            self._buf = grown
+
+    def _spill(self) -> None:
+        """Fold the buffer into the sketch, made on the first spill: past
+        ``max_exact`` samples in all, the buffer only holds those waiting."""
+        if self._sketch is None:
+            self._sketch = QuantileSketch()
+        self._sketch.add_many(self._buf[:self._n])
+        self._n = 0
+
+    def _exact(self) -> np.ndarray | None:
+        """The samples, sorted, while there is no sketch; ``None`` (after
+        folding the buffer in) once there is one."""
+        if self._sketch is not None:
+            self._spill()
+            return None
+        values = self._buf[:self._n]
+        if not self._sorted:
+            values.sort()
+            self._sorted = True
+        return values
 
     @property
     def count(self) -> int:
@@ -180,20 +162,18 @@ class Histogram:
         """
         if not 0.0 <= q <= 100.0:
             raise ValueError(f"percentile out of range: {q}")
-        self._fold()
-        if self._sketch is not None:
+        values = self._exact()
+        if values is None:
             return self._sketch.percentile(q)
-        values = self._sorted_samples()
-        if not values:
+        n = len(values)
+        if not n:
             return 0.0
-        if len(values) == 1:
-            return values[0]
-        pos = (len(values) - 1) * (q / 100.0)
+        pos = (n - 1) * (q / 100.0)
         lo = int(pos)
+        if lo + 1 >= n:
+            return float(values[-1])
         frac = pos - lo
-        if lo + 1 >= len(values):
-            return values[-1]
-        return values[lo] * (1.0 - frac) + values[lo + 1] * frac
+        return float(values[lo]) * (1.0 - frac) + float(values[lo + 1]) * frac
 
     def count_above(self, threshold: float) -> int:
         """Number of samples strictly greater than ``threshold``.
@@ -204,11 +184,10 @@ class Histogram:
         """
         if self._count == 0:
             return 0
-        self._fold()
-        if self._sketch is not None:
+        values = self._exact()
+        if values is None:
             return self._sketch.count_above(threshold)
-        values = self._sorted_samples()
-        return len(values) - bisect_right(values, float(threshold))
+        return self._n - int(values.searchsorted(float(threshold), "right"))
 
     def summary(self) -> Dict[str, float]:
         """Compact description: count, sum, min/mean/max, p50/p95/p99."""
@@ -326,40 +305,9 @@ class MetricsRegistry:
             for name, g in sorted(self._gauges.items())
         }
 
-    # -- views ------------------------------------------------------------
-
-    def scoped(self, prefix: str) -> "ScopedMetrics":
-        """A view that prepends ``prefix + '.'`` to every metric name.
-
-        Lets a subsystem write ``m.inc("polls")`` instead of hand-
-        concatenating ``"ingest.polls"`` strings at every call site.
-        """
-        return ScopedMetrics(self, prefix)
-
     def snapshot(self) -> Dict[str, float]:
         """Immutable copy of all counters (counters only, see module doc)."""
         return dict(self._counters)
-
-
-class ScopedMetrics:
-    """Prefix-applying view over a :class:`MetricsRegistry`."""
-
-    __slots__ = ("_registry", "_prefix")
-
-    def __init__(self, registry: MetricsRegistry, prefix: str) -> None:
-        self._registry = registry
-        self._prefix = prefix.rstrip(".")
-
-    def _name(self, name: str) -> str:
-        return f"{self._prefix}.{name}"
-
-    def inc(self, name: str, value: float = 1.0) -> float:
-        """Increment the prefixed counter."""
-        return self._registry.inc(self._name(name), value)
-
-    def timer(self, name: str, clock: SimClock):
-        """Time a block into the prefixed histogram."""
-        return self._registry.timer(self._name(name), clock)
 
 
 # Well-known counter names, kept here so subsystems agree on spelling.

@@ -3,7 +3,7 @@
 A DDSketch-style log-bucketed sketch: values are mapped to exponentially
 sized buckets so any percentile query carries a bounded *relative* error
 (``alpha``, default 1%).  High-volume histograms (per-request latencies in
-long simulated runs) switch to this sketch once their exact sample list
+long simulated runs) switch to this sketch once their exact sample buffer
 exceeds a cap, keeping memory bounded while p50/p95/p99 stay accurate to
 within the configured relative error.
 
@@ -164,10 +164,3 @@ class QuantileSketch:
         if t < 0.0:
             total += self._zero
         return total
-
-    @classmethod
-    def from_samples(cls, samples: Sequence[float]) -> "QuantileSketch":
-        """Seed a default sketch from exact samples."""
-        sk = cls()
-        sk.add_many(samples)
-        return sk

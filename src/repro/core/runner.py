@@ -22,11 +22,11 @@ class GraphRunner:
 
     def __init__(self, ctx: PSGraphContext) -> None:
         self.ctx = ctx
-        self._metrics = ctx.metrics.scoped("runner")
 
     def _phase(self, name: str):
         """Sim-clock timer for one runner phase (``runner.<name>`` hist)."""
-        return self._metrics.timer(name, clock=self.ctx.spark.driver_clock)
+        return self.ctx.metrics.timer(f"runner.{name}",
+                                      self.ctx.spark.driver_clock)
 
     def run(self, algo: GraphAlgorithm, input_path: str,
             output_path: str | None = None, *,

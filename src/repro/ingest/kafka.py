@@ -36,7 +36,12 @@ import numpy as np
 
 from repro.common.batch import partition_order
 from repro.common.errors import ConfigError
-from repro.common.metrics import MetricsRegistry
+from repro.common.metrics import (
+    INGEST_POLLS,
+    INGEST_POLLS_EMPTY,
+    INGEST_RECORDS,
+    MetricsRegistry,
+)
 from repro.hdfs.filesystem import Hdfs
 from repro.ingest.mutations import (
     MutationBatch,
@@ -147,11 +152,7 @@ class EdgeStreamConsumer:
         #: hook :class:`repro.streaming.engine.StreamingEngine` sets to feed
         #: a :class:`~repro.streaming.graph.StreamingGraph`.
         self.sink: Optional[Callable[[MutationBatch], None]] = None
-        # Scoped view: every counter below lands under "ingest." without
-        # hand-concatenating name strings at each call site.
-        self.metrics = (
-            metrics.scoped("ingest") if metrics is not None else None
-        )
+        self.metrics = metrics
         self.offsets: Dict[int, int] = {
             p: 0 for p in range(topic.num_partitions)
         }
@@ -185,7 +186,7 @@ class EdgeStreamConsumer:
                 staged[p] = records
         if not staged:
             if self.metrics is not None:
-                self.metrics.inc("polls.empty")
+                self.metrics.inc(INGEST_POLLS_EMPTY)
             return 0
         consumed = sum(len(r) for r in staged.values())
 
@@ -211,8 +212,8 @@ class EdgeStreamConsumer:
         self._files += 1
         self._persist_position()
         if self.metrics is not None:
-            self.metrics.inc("polls")
-            self.metrics.inc("records", consumed)
+            self.metrics.inc(INGEST_POLLS)
+            self.metrics.inc(INGEST_RECORDS, consumed)
         return consumed
 
     # ------------------------------------------------------------------

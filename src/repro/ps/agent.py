@@ -351,10 +351,10 @@ class PSAgent:
         keys = np.asarray(keys, dtype=np.int64)
         values = np.asarray(values, dtype=meta.dtype)
         width = 1 if col is not None else meta.cols
-        if values.shape != ((len(keys),) if col is not None
-                            else (len(keys), width)):
+        if keys.ndim != 1 or values.shape != (
+                (len(keys),) if col is not None else (len(keys), width)):
             raise PSError(f"{meta.name}: values of shape {values.shape} "
-                          f"for {len(keys)} keys")
+                          f"for keys of shape {keys.shape}")
         groups = self._groups(meta, keys, strictly_increasing(keys))
         cache = self.psctx.pull_cache(meta.name)
         if cache is not None:
@@ -380,9 +380,8 @@ class PSAgent:
                 move: Callable[[int, int], None]) -> None:
         """A request to every shard about ``rows`` full rows: keys and
         slices on the wire, a flop per element; ``move`` as in ``_fan_out``."""
-        widths = np.diff(meta.part_offsets)
-        nbytes = (rows * (8 + widths * meta.dtype.itemsize)).tolist()
-        flops = (rows * widths).tolist()
+        nbytes = (rows * (8 + meta.part_widths * meta.dtype.itemsize)).tolist()
+        flops = (rows * meta.part_widths).tolist()
         self._fan_out(meta, method, range(meta.num_partitions),
                       lambda pid, _store: (nbytes[pid], flops[pid]), move)
 

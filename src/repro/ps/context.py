@@ -157,6 +157,7 @@ class PSContext:
             # Shard after shard, each a contiguous rows x width block: a
             # full-row gather or scatter is one strided copy per width.
             meta.part_offsets = meta.partitioner.bounds.tolist()
+            meta.part_widths = np.diff(meta.part_offsets)
             meta.data = ColumnShardMatrix(meta.rows, meta.part_offsets,
                                           meta.dtype)
         elif meta.storage == "neighbor":

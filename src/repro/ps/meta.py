@@ -54,6 +54,9 @@ class MatrixMeta:
                                    compare=False)
     part_offsets: Optional[list] = field(default=None, init=False,
                                          repr=False, compare=False)
+    #: A column-sharded matrix's shard widths, ``diff(part_offsets)``.
+    part_widths: Optional[np.ndarray] = field(default=None, init=False,
+                                              repr=False, compare=False)
     #: The optimizer's state over the whole matrix, flat in ``data``'s
     #: layout with one step count per partition (see :meth:`part_state`).
     opt_state: Optional[Dict[str, np.ndarray]] = field(

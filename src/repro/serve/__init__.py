@@ -14,10 +14,9 @@ Pieces:
   queue-watermark backpressure gate.
 * :mod:`repro.serve.admission` — bounded priority queue with
   deadline-based eviction.
-* :mod:`repro.serve.hotcache` — capacity-bounded LRU result cache
-  layered over :class:`repro.ps.cache.PullCache`.
 * :mod:`repro.serve.plane` — the :class:`ServingPlane` orchestrator
-  routing lookups to PS servers through the existing RPC layer, and
+  routing lookups to PS servers through the existing RPC layer behind a
+  hot-key :class:`repro.ps.cache.PullCache` per model, and
   :func:`publish_snapshot`, which turns trained rows into a checkpointed
   serving vector.
 
@@ -26,7 +25,6 @@ report pipeline end to end.
 """
 
 from repro.serve.admission import AdmissionQueue
-from repro.serve.hotcache import HotKeyCache
 from repro.serve.limiter import TenantRateLimiter, TokenBucket, WatermarkGate
 from repro.serve.plane import (
     ServingPlane,
@@ -43,7 +41,6 @@ from repro.serve.workload import (
 
 __all__ = [
     "AdmissionQueue",
-    "HotKeyCache",
     "Request",
     "RequestBatch",
     "RequestGenerator",

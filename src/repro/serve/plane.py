@@ -6,9 +6,17 @@ clock.  The loop runs in fixed *service quanta* (default 50 sim-ms): each
 quantum admits every request that arrived inside it — through the tenant
 rate limiter, the watermark backpressure gate, and the bounded priority
 queue, logging every casualty with its reason in a
-:class:`~repro.serve.admission.DropLog` — then drains one micro-batch, serves it with the hot-key cache
-in front of agent pulls, and observes the per-request latency
-(completion minus arrival) into the ``serve.latency_s`` histogram.
+:class:`~repro.serve.admission.DropLog` — then drains one micro-batch,
+serves it with a hot-key cache in front of agent pulls, and observes the
+per-request latency (completion minus arrival) into the
+``serve.latency_s`` histogram.
+
+The hot-key cache is one capacity-bounded LRU
+:class:`~repro.ps.cache.PullCache` per model.  Unlike the training-path
+caches it is not epoch-scoped (no barriers run while serving: epoch 0,
+staleness 0), and it has no registry of its own: the plane meters its
+hits, misses and evictions as ``serve.cache.*``, so training- and
+serving-path evictions stay apart.
 
 Failure behavior rides the existing machinery: a chaos ``kill_server``
 makes the next pull raise, the agent auto-recovers through the PS master
@@ -36,6 +44,9 @@ from repro.common.metrics import (
     Histogram,
     SERVE_BATCH_SIZE_H,
     SERVE_BATCHES,
+    SERVE_CACHE_EVICTIONS,
+    SERVE_CACHE_HITS,
+    SERVE_CACHE_MISSES,
     SERVE_DEGRADED_LATENCY_H,
     SERVE_EVICTED_CAPACITY,
     SERVE_EVICTED_DEADLINE,
@@ -47,6 +58,7 @@ from repro.common.metrics import (
     SERVE_SHED,
 )
 from repro.obs.slo import SloSpec
+from repro.ps.cache import PullCache
 from repro.ps.matrix import PSEmbedding
 from repro.serve.admission import (
     BACKPRESSURE,
@@ -55,7 +67,6 @@ from repro.serve.admission import (
     AdmissionQueue,
     DropLog,
 )
-from repro.serve.hotcache import HotKeyCache
 from repro.serve.limiter import TenantRateLimiter, WatermarkGate
 from repro.serve.workload import (
     RequestBatch,
@@ -178,7 +189,7 @@ class ServingPlane:
         queue_capacity: bounded admission-queue size; backpressure closes
             the gate at 75% of it and reopens it at 25%.
         batch_size: max requests served per quantum.
-        cache_capacity: hot-key cache entries per model.
+        cache_capacity: hot-key cache rows per model.
     """
 
     #: Scheduling quantum on the sim clock.
@@ -202,9 +213,8 @@ class ServingPlane:
             low=max(1, queue_capacity // 4),
             protect_priority=protect,
         )
-        metrics = self.spark.metrics
         self._pulls = {}
-        self._caches: Dict[str, HotKeyCache] = {}
+        self._caches: Dict[str, PullCache] = {}
         for tenant in self.tenants:
             if tenant.model not in self._pulls:
                 handle = psctx.matrix(tenant.model)
@@ -212,8 +222,8 @@ class ServingPlane:
                 self._pulls[tenant.model] = (
                     handle.pull_rows if isinstance(handle, PSEmbedding)
                     else handle.pull)
-                self._caches[tenant.model] = HotKeyCache(
-                    cache_capacity, metrics)
+                self._caches[tenant.model] = PullCache(
+                    staleness=0, capacity=cache_capacity)
         #: Served models in name order; a request's *model id* indexes it.
         self._models = sorted(self._pulls)
         self.drop_records = DropLog(tuple(t.name for t in self.tenants))
@@ -252,11 +262,17 @@ class ServingPlane:
                 if not len(ukeys):
                     continue
                 cache = self._caches[name]
-                mask, _ = cache.lookup(ukeys)
+                mask, _ = cache.lookup(ukeys, None, 0)
                 missing = ukeys[~mask]
+                metrics.inc(SERVE_CACHE_HITS, len(ukeys) - len(missing))
+                metrics.inc(SERVE_CACHE_MISSES, len(missing))
                 if len(missing):
                     values = self._pulls[name](missing)
-                    cache.store(missing, np.asarray(values))
+                    evicted = cache.stats.evictions
+                    cache.store(missing, None, np.asarray(values), 0)
+                    evicted = cache.stats.evictions - evicted
+                    if evicted:
+                        metrics.inc(SERVE_CACHE_EVICTIONS, evicted)
         completion_s = clock.now_s
         generation = self.psctx.recovery_generation
         if generation != self._recoveries_seen:

@@ -135,6 +135,14 @@ def psg():
     ctx.stop()
 
 
+def histogram_state(hist) -> tuple:
+    """What a ``Histogram`` reports: scalars, percentiles, a count above.
+    (A query folds any buffered samples in first.)"""
+    percentiles = [hist.percentile(q) for q in (0.0, 50.0, 99.0, 100.0)]
+    return (hist.count, hist.sum, hist.min, hist.max,
+            hist._sketch is not None, percentiles, hist.count_above(0.25))
+
+
 def sketch_state(sketch) -> dict:
     """Everything a ``QuantileSketch`` holds, buckets sorted by key."""
     return {"alpha": sketch.alpha, "count": sketch._count,

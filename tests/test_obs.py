@@ -96,16 +96,6 @@ class TestTimerAndScoped:
         assert h.count == 1
         assert h.max == pytest.approx(2.5)
 
-    def test_scoped_prefixes_everything(self):
-        r = MetricsRegistry()
-        s = r.scoped("sub")
-        s.inc("c", 2)
-        clock = SimClock()
-        with s.timer("t", clock):
-            clock.advance(1.0)
-        assert r.get("sub.c") == 2.0
-        assert r.histogram("sub.t").count == 1
-
 
 # ----------------------------------------------------------------------
 # tracer core

@@ -285,6 +285,23 @@ class TestBadKeyLeavesNothingBehind:
             psctx.stop()
             spark.stop()
 
+    @pytest.mark.parametrize("kind", ["hash", "range"])
+    @pytest.mark.parametrize("op", ["push", "set"])
+    def test_two_dimensional_keys_are_refused(self, ps, kind, op):
+        # Used to fail inside the grouping with a bare numpy ValueError
+        # ("truth value ... ambiguous" / "object too deep").
+        m = ps.create_matrix("m", 10, 2, partition=kind)
+        contents = np.arange(20.0).reshape(10, 2)
+        m.push(np.arange(10), contents)
+        before = self._meters(ps)
+        with pytest.raises(PSError, match=r"keys of shape \(2, 2\)"):
+            getattr(m, op)([[0, 1], [2, 3]], np.ones((2, 2)))
+        assert self._meters(ps) == before
+        assert m.to_numpy().tolist() == contents.tolist()
+        # A pull still takes them, flattened.
+        assert (m.pull([[0, 1], [2, 3]]).reshape(4, 2).tolist()
+                == contents[:4].tolist())
+
     @pytest.mark.parametrize("kind", ["hash", "range", "hash-range"])
     @pytest.mark.parametrize("bad", [-1, 10, 12, 10 ** 9])
     @pytest.mark.parametrize("op", ["push", "remove", "drop", "get",

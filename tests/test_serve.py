@@ -25,7 +25,6 @@ from repro.obs.slo import default_slos
 from repro.ps.cache import PullCache
 from repro.serve import (
     AdmissionQueue,
-    HotKeyCache,
     RequestGenerator,
     ServingPlane,
     TenantSpec,
@@ -277,19 +276,26 @@ class TestPullCacheCapacity:
 
 class TestHotKeyCache:
     def test_hits_misses_and_evictions_metered(self):
-        metrics = MetricsRegistry()
-        cache = HotKeyCache(2, metrics=metrics)
-        mask, _ = cache.lookup(np.array([1, 2]))
-        assert not mask.any()
-        cache.store(np.array([1, 2]), np.array([1.0, 2.0]))
-        mask, _ = cache.lookup(np.array([1, 2, 3]))
-        assert mask.tolist() == [True, True, False]
-        cache.store(np.array([3]), np.array([3.0]))
-        assert metrics.get(SERVE_CACHE_HITS) == 2
-        assert metrics.get(SERVE_CACHE_MISSES) == 3
-        assert metrics.get(SERVE_CACHE_EVICTIONS) == 1
-        cache.clear()
-        assert cache._cache._size == 0
+        # Two batches, one quantum apart: keys {1, 2} miss and fill the
+        # two-row cache; then 1 and 2 hit, 3 misses and evicts one row.
+        with PSGraphContext(small_cluster()) as ctx:
+            publish_vector(ctx, "m", 10)
+            tenants = [TenantSpec("feeds", "m")]
+            plane = ServingPlane(ctx.ps, tenants, cache_capacity=2)
+            report = plane.run(request_batch([
+                make_request(seq=0, key=1, arrival=0.0),
+                make_request(seq=1, key=2, arrival=0.0),
+                make_request(seq=2, key=2, arrival=0.1),
+                make_request(seq=3, key=1, arrival=0.1),
+                make_request(seq=4, key=3, arrival=0.1)]))
+            assert report.batches == 2
+            metrics = ctx.metrics
+            assert metrics.get(SERVE_CACHE_HITS) == 2
+            assert metrics.get(SERVE_CACHE_MISSES) == 3
+            assert metrics.get(SERVE_CACHE_EVICTIONS) == 1
+            assert report.cache_hit_rate == 2 / 5
+            # The serving caches meter nothing under the training names.
+            assert PS_CACHE_EVICTIONS not in metrics.snapshot()
 
 
 # ----------------------------------------------------------------------

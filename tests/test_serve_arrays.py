@@ -1,23 +1,23 @@
 """The array forms against the per-object forms they replaced.
 
 The serving plane reads its requests into columns and admits a quantum
-as slices; the pull cache keeps its entries in arrays; histograms take
-samples in bulk; a neighbor block memoises its scatter plan; the agent
-skips the dedupe for keys that arrive sorted.  Each test here holds the
-new form to the old one — the per-request loop, the ``OrderedDict`` cache
-and the sample-at-a-time histogram of commit ``1d49e73``, copied below as
-oracles — decision for decision and bit for bit.  Example counts follow
+as slices; the pull cache keeps its entries in arrays; a neighbor block
+memoises its scatter plan; the agent skips the dedupe for keys that
+arrive sorted.  Each test here holds the new form to the old one — the
+per-request loop and the ``OrderedDict`` cache of commit ``1d49e73``,
+copied below as oracles — decision for decision and bit for bit.  (The
+histogram's bulk observation is held to one sample at a time in
+``tests/test_telemetry.py``.)  Example counts follow
 the hypothesis profile (``tests/conftest.py``): small in tier-1, ``deep``
 in the ``serve`` entry of the ``smoke`` CI matrix.
 """
 
-import math
 from bisect import insort
 from collections import OrderedDict
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
@@ -39,17 +39,15 @@ from repro.common.metrics import (
     SERVE_REQUESTS,
     SERVE_SERVED,
     SERVE_SHED,
-    Histogram,
     MetricsRegistry,
 )
-from repro.common.sketch import QuantileSketch
 from repro.core.blocks import build_neighbor_block
 from repro.core.context import PSGraphContext
 from repro.obs import Tracer
 from repro.ps.cache import PullCache
 from repro.serve import RequestGenerator, ServingPlane, TenantSpec
 from repro.serve.plane import SERVE_STAGE_ID, ServingReport
-from tests.conftest import drop_rows, request_batch, sketch_state
+from tests.conftest import drop_rows, histogram_state, request_batch
 
 # ----------------------------------------------------------------------
 # oracles: the per-request serving stack and the dict cache at 1d49e73
@@ -369,13 +367,6 @@ KEYS = 40
 MODELS = ("serve.a", "serve.b")
 
 
-def histogram_state(hist):
-    # A percentile query folds any buffered batch in first.
-    percentiles = [hist.percentile(q) for q in (0.0, 50.0, 99.0, 100.0)]
-    return (hist.count, hist.sum, hist.min, hist.max,
-            hist._sketch is not None, percentiles, hist.count_above(0.25))
-
-
 def serve(plane_cls, tenants, stream, kill_after, watermarks=None,
           **plane_args):
     """Run one plane over ``stream`` on a fresh context; everything a
@@ -672,139 +663,6 @@ def test_store_of_more_rows_than_capacity_keeps_the_most_recent():
     for col in (None, 1):
         assert (new.lookup(keys, col, 0)[0].tolist()
                 == old.lookup(keys, col, 0)[0].tolist())
-
-
-# ----------------------------------------------------------------------
-# bulk observation == one sample at a time
-# ----------------------------------------------------------------------
-
-GAMMA = 1.01 / 0.99
-
-
-def capped_histogram(max_exact, max_singles=1024):
-    """A histogram that switches to its sketch past ``max_exact`` and
-    buffers ``max_singles`` single samples past the switch."""
-    return type("CappedHistogram", (Histogram,), {
-        "max_exact": max_exact, "max_singles": max_singles})()
-
-
-class OneByOne(Histogram):
-    """The reference: every sample past the switch is one
-    ``QuantileSketch.add``, and so is every sample the switch moves."""
-
-    def observe(self, value):
-        v = float(value)
-        self._count += 1
-        self._sum += value
-        self._min, self._max = min(self._min, v), max(self._max, v)
-        if self._sketch is None:
-            self._samples.append(v)
-            self._dirty = True
-            if len(self._samples) <= self.max_exact:
-                return
-            self._sketch = QuantileSketch()
-            values, self._samples, self._dirty = self._samples, [], False
-        else:
-            values = [v]
-        for x in values:
-            self._sketch.add(x)
-
-
-def scalar_histogram(values, max_exact):
-    hist = type("CappedOneByOne", (OneByOne,), {"max_exact": max_exact})()
-    for v in values:
-        hist.observe(v)
-    return hist
-
-
-def full_state(hist):
-    state = histogram_state(hist)
-    sketch = sketch_state(hist._sketch) if hist._sketch is not None else None
-    return (state, sorted(hist._samples), sketch,
-            [hist.count_above(t) for t in (-1.0, 0.0, 0.01, 1.0, 1e9)])
-
-
-samples = st.one_of(
-    st.floats(1e-6, 1e3),
-    st.sampled_from([0.0, -1.5, 1.0, GAMMA, GAMMA ** 2, GAMMA ** -3,
-                     GAMMA ** 40, 0.25]),
-    st.integers(-60, 60).map(lambda k: GAMMA ** k))
-
-
-@given(values=st.lists(samples, max_size=60),
-       cuts=st.lists(st.tuples(st.integers(0, 60), st.sampled_from(
-           ["batch", "one by one", "batch, then a query",
-            "one by one, then a query", "one by one, then a count"])),
-           max_size=6),
-       max_exact=st.sampled_from([4, 16, 8192]),
-       max_singles=st.sampled_from([1, 3, 1024]))
-def test_observe_many_equals_observe(values, cuts, max_exact, max_singles):
-    """Any split of a series into batches, single observations and
-    queries in between (batches, and single samples past the sketch
-    switch, wait in a buffer until it fills or a query comes) leaves the
-    state one ``QuantileSketch.add`` per sample leaves."""
-    bulk = capped_histogram(max_exact, max_singles)
-    bounds = sorted(dict(cuts).items()) + [(len(values), "batch")]
-    lo = 0
-    for hi, how in bounds:
-        chunk = values[lo:max(lo, hi)]
-        lo = max(lo, hi)
-        if how.startswith("one by one"):
-            for v in chunk:
-                bulk.observe(v)
-                assert len(bulk._singles) < max_singles
-        else:
-            bulk.observe_many(np.asarray(chunk, dtype=np.float64))
-        if how.endswith("query"):
-            bulk.percentile(50.0)
-        elif how.endswith("count"):
-            bulk.count_above(0.5)
-    assert full_state(bulk) == full_state(
-        scalar_histogram(values, max_exact))
-
-
-def test_observe_many_across_the_exact_sample_cap():
-    rng = np.random.default_rng(2)
-    values = rng.lognormal(-3.0, 1.5, 3 * 8192 + 17)
-    values[::97] = 0.0
-    bulk = Histogram()
-    for chunk in np.array_split(values, 11):
-        bulk.observe_many(chunk)
-    bulk.percentile(50.0)
-    assert bulk._sketch is not None
-    assert full_state(bulk) == full_state(
-        scalar_histogram(values.tolist(), 8192))
-
-
-@given(values=st.lists(samples, max_size=80),
-       max_buckets=st.integers(2, 12))
-@example(values=[1.0, 2.0, 4.0, 8.0, 16.0, 32.0], max_buckets=2)
-def test_add_many_equals_add_past_max_buckets(values, max_buckets):
-    bulk = QuantileSketch(max_buckets=max_buckets)
-    one_by_one = QuantileSketch(max_buckets=max_buckets)
-    half = len(values) // 2
-    bulk.add_many(values[:half])
-    bulk.add_many(np.asarray(values[half:], dtype=np.float64))
-    for v in values:
-        one_by_one.add(v)
-    assert sketch_state(bulk) == sketch_state(one_by_one)
-    assert ([bulk.percentile(q) for q in (0.0, 10.0, 50.0, 99.0, 100.0)]
-            == [one_by_one.percentile(q)
-                for q in (0.0, 10.0, 50.0, 99.0, 100.0)])
-
-
-def test_bucket_keys_at_exact_bucket_edges():
-    # gamma ** k sits on the edge between buckets k and k + 1: the place
-    # where np.log and math.log may round the quotient to either side.
-    sketch = QuantileSketch()
-    edges = [sketch._gamma ** k for k in range(-400, 400)]
-    bulk = QuantileSketch()
-    bulk.add_many(edges)
-    expected = {}
-    for v in edges:
-        key = math.ceil(math.log(v) / sketch._log_gamma)
-        expected[key] = expected.get(key, 0) + 1
-    assert bulk._buckets == expected
 
 
 # ----------------------------------------------------------------------

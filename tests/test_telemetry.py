@@ -1,14 +1,22 @@
-"""Tests for the telemetry pipeline: sketch, SLO burn-rate alerting,
-critical-path attribution, the record's views and CLIs."""
+"""Tests for the telemetry pipeline: sketch and histogram, SLO burn-rate
+alerting, critical-path attribution, the record's views and CLIs.
+
+The histogram and sketch properties run ``deep`` (1,000 examples) in the
+``serve`` entry of the ``smoke`` CI matrix."""
 
 import json
+import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.chaos import ChaosEngine, FaultSchedule, FaultSpec
 from repro.common.config import MB, ClusterConfig
 from repro.common.metrics import (
     EXECUTORS_ALIVE_G,
+    Histogram,
     MetricsRegistry,
     PS_SERVERS_ALIVE_G,
     PS_SERVERS_TOTAL_G,
@@ -33,7 +41,7 @@ from repro.obs import (
 )
 from repro.obs import critical
 from repro.obs.determinism import run_workload, segments
-from tests.conftest import sketch_state
+from tests.conftest import histogram_state, sketch_state
 
 
 # ----------------------------------------------------------------------
@@ -92,6 +100,154 @@ class TestQuantileSketch:
         assert sketch_state(sk)["count"] == 3
         assert sk.count_above(-0.5) == 3
         assert sk.percentile(0) == -1.0
+
+
+# ----------------------------------------------------------------------
+# histogram: one buffer == one ``QuantileSketch.add`` per sample
+# ----------------------------------------------------------------------
+
+GAMMA = 1.01 / 0.99
+
+
+def capped_histogram(max_exact):
+    """A histogram that switches to its sketch past ``max_exact``."""
+    return type("CappedHistogram", (Histogram,), {"max_exact": max_exact})()
+
+
+class OneByOne(Histogram):
+    """The reference: every sample past the switch is one
+    ``QuantileSketch.add``, and so is every sample the switch moves.
+    Below the switch a query sorts a list of the samples afresh and
+    counts with comparisons, so no cached order or search is shared."""
+
+    def _exact(self):
+        if self._sketch is not None:
+            return None
+        return sorted(self._buf[:self._n].tolist())
+
+    def count_above(self, threshold):
+        if self._sketch is not None:
+            return self._sketch.count_above(threshold)
+        return sum(v > threshold for v in self._buf[:self._n].tolist())
+
+    def observe(self, value):
+        v = float(value)
+        self._count += 1
+        self._sum += value
+        self._min, self._max = min(self._min, v), max(self._max, v)
+        if self._sketch is None:
+            if self._n < self.max_exact:
+                # The exact samples, in a buffer exactly as long.
+                self._buf = np.append(self._buf[:self._n], v)
+                self._n += 1
+                self._sorted = False
+                return
+            self._sketch = QuantileSketch()
+            for x in self._buf[:self._n].tolist():
+                self._sketch.add(x)
+            self._n = 0
+        self._sketch.add(v)
+
+
+def scalar_histogram(values, max_exact):
+    hist = type("CappedOneByOne", (OneByOne,), {"max_exact": max_exact})()
+    for v in values:
+        hist.observe(v)
+    return hist
+
+
+def full_state(hist):
+    state = histogram_state(hist)
+    sketch = sketch_state(hist._sketch) if hist._sketch is not None else None
+    return (state, sorted(hist._buf[:hist._n].tolist()), sketch,
+            [hist.count_above(t) for t in (-1.0, 0.0, 0.01, 1.0, 1e9)])
+
+
+samples = st.one_of(
+    st.floats(1e-6, 1e3),
+    st.sampled_from([0.0, -1.5, 1.0, GAMMA, GAMMA ** 2, GAMMA ** -3,
+                     GAMMA ** 40, 0.25]),
+    st.integers(-60, 60).map(lambda k: GAMMA ** k))
+
+
+@given(values=st.lists(samples, max_size=60),
+       cuts=st.lists(st.tuples(st.integers(0, 60), st.sampled_from(
+           ["batch", "one by one", "batch, then a query",
+            "one by one, then a query", "one by one, then a count"])),
+           max_size=6),
+       max_exact=st.sampled_from([4, 16, 8192]))
+@example(values=[1.0, 0.25, 2.0, 0.25], cuts=[], max_exact=4)  # fills it
+@example(values=[1.0, 0.25, 2.0, 0.25, 3.0], cuts=[(4, "batch, then a query")],
+         max_exact=4)
+def test_observe_many_equals_observe(values, cuts, max_exact):
+    """Any split of a series into batches, single observations and
+    queries in between (past the sketch switch, samples wait in the
+    buffer until it fills or a query comes) leaves the state one
+    ``QuantileSketch.add`` per sample leaves, and the buffer never holds
+    more than ``max_exact`` samples."""
+    bulk = capped_histogram(max_exact)
+    bounds = sorted(dict(cuts).items()) + [(len(values), "batch")]
+    lo = 0
+    for hi, how in bounds:
+        chunk = values[lo:max(lo, hi)]
+        lo = max(lo, hi)
+        if how.startswith("one by one"):
+            for v in chunk:
+                bulk.observe(v)
+                assert bulk._n <= len(bulk._buf) <= max_exact
+        else:
+            bulk.observe_many(np.asarray(chunk, dtype=np.float64))
+            assert bulk._n <= len(bulk._buf) <= max_exact
+        if how.endswith("query"):
+            bulk.percentile(50.0)
+        elif how.endswith("count"):
+            bulk.count_above(0.5)
+    assert full_state(bulk) == full_state(
+        scalar_histogram(values, max_exact))
+
+
+def test_observe_many_across_the_exact_sample_cap():
+    rng = np.random.default_rng(2)
+    values = rng.lognormal(-3.0, 1.5, 3 * 8192 + 17)
+    values[::97] = 0.0
+    bulk = Histogram()
+    for chunk in np.array_split(values, 11):
+        bulk.observe_many(chunk)
+    bulk.percentile(50.0)
+    assert bulk._sketch is not None
+    assert full_state(bulk) == full_state(
+        scalar_histogram(values.tolist(), 8192))
+
+
+@given(values=st.lists(samples, max_size=80),
+       max_buckets=st.integers(2, 12))
+@example(values=[1.0, 2.0, 4.0, 8.0, 16.0, 32.0], max_buckets=2)
+def test_add_many_equals_add_past_max_buckets(values, max_buckets):
+    bulk = QuantileSketch(max_buckets=max_buckets)
+    one_by_one = QuantileSketch(max_buckets=max_buckets)
+    half = len(values) // 2
+    bulk.add_many(values[:half])
+    bulk.add_many(np.asarray(values[half:], dtype=np.float64))
+    for v in values:
+        one_by_one.add(v)
+    assert sketch_state(bulk) == sketch_state(one_by_one)
+    assert ([bulk.percentile(q) for q in (0.0, 10.0, 50.0, 99.0, 100.0)]
+            == [one_by_one.percentile(q)
+                for q in (0.0, 10.0, 50.0, 99.0, 100.0)])
+
+
+def test_bucket_keys_at_exact_bucket_edges():
+    # gamma ** k sits on the edge between buckets k and k + 1: the place
+    # where np.log and math.log may round the quotient to either side.
+    sketch = QuantileSketch()
+    edges = [sketch._gamma ** k for k in range(-400, 400)]
+    bulk = QuantileSketch()
+    bulk.add_many(edges)
+    expected = {}
+    for v in edges:
+        key = math.ceil(math.log(v) / sketch._log_gamma)
+        expected[key] = expected.get(key, 0) + 1
+    assert bulk._buckets == expected
 
 
 # ----------------------------------------------------------------------
